@@ -182,6 +182,18 @@ pub struct GridApp {
     flow_memo_misses: std::cell::Cell<u64>,
 }
 
+/// The machine `User{i}` runs on: the testbed's `i`-th client slot, which
+/// must be the one named `C{i}`.
+fn slot_host(i: u64, slot: &(String, NodeId)) -> Result<NodeId, AppError> {
+    let (name, host) = slot;
+    if *name != format!("C{i}") {
+        return Err(AppError::Invalid(format!(
+            "testbed has no slot C{i} for User{i}: client slot {i} is named {name:?}"
+        )));
+    }
+    Ok(*host)
+}
+
 impl GridApp {
     /// Builds the configured deployment (paper default: six clients all
     /// served by Server Group 1 (S1–S3), Server Group 2 (S5–S6) idle, S4 and
@@ -207,11 +219,9 @@ impl GridApp {
 
         let mut clients = BTreeMap::new();
         let mut rng = HashMap::new();
-        for i in 1..=testbed.num_clients() as u64 {
+        for (i, slot) in (1u64..).zip(&testbed.client_hosts) {
             let name = format!("User{i}");
-            let host = testbed
-                .client_host(&format!("C{i}"))
-                .expect("testbed has a slot per client");
+            let host = slot_host(i, slot)?;
             let mut stream = root_rng.derive(i);
             // Stagger the first requests so clients do not fire in lockstep.
             // At fleet scale a one-second window would still dump every
@@ -1458,6 +1468,28 @@ mod tests {
 
     fn secs(v: f64) -> SimTime {
         SimTime::from_secs(v)
+    }
+
+    #[test]
+    fn a_misnumbered_client_slot_is_a_typed_error_naming_it() {
+        let testbed = Testbed::build().unwrap();
+        for (i, slot) in (1u64..).zip(&testbed.client_hosts) {
+            assert_eq!(slot_host(i, slot), Ok(slot.1));
+        }
+        // Slot 3 of a testbed that skipped C3.
+        let stray = ("C4".to_string(), testbed.client_hosts[3].1);
+        match slot_host(3, &stray) {
+            Err(AppError::Invalid(message)) => {
+                assert!(message.contains("no slot C3"), "{message}");
+                assert!(message.contains("\"C4\""), "{message}");
+            }
+            other => panic!("unexpected result: {other:?}"),
+        }
+        // Every client of a built application sits on its slot's machine.
+        let app = app();
+        for (i, (_, host)) in (1u64..).zip(&app.testbed().client_hosts) {
+            assert_eq!(app.client_host(&format!("User{i}")), Some(*host));
+        }
     }
 
     #[test]

@@ -524,12 +524,13 @@ impl Testbed {
         self.client_hosts.len()
     }
 
-    /// The machine a named client runs on (`"C1"` .. `"Cn"`).
+    /// The machine a named client runs on (`"C1"` .. `"Cn"`). `client_hosts`
+    /// is in client-number order, so the number is the index; the stored name
+    /// must still match, which rejects spellings like `"C01"`.
     pub fn client_host(&self, client: &str) -> Option<NodeId> {
-        self.client_hosts
-            .iter()
-            .find(|(name, _)| name == client)
-            .map(|&(_, host)| host)
+        let idx: usize = client.strip_prefix('C')?.parse().ok()?;
+        let (name, host) = self.client_hosts.get(idx.checked_sub(1)?)?;
+        (name == client).then_some(*host)
     }
 
     /// The machine a named server runs on (`"S1"` .. `"Sn"`).
@@ -628,6 +629,55 @@ mod tests {
         assert_eq!(tb.server_host("S5"), Some(tb.host_request_queue));
         assert_eq!(tb.server_host("S8"), None);
         assert_eq!(tb.server_host("bogus"), None);
+    }
+
+    #[test]
+    fn client_host_matches_the_linear_scan_on_every_preset() {
+        // The lookup this replaced: compare every stored name.
+        let scan = |tb: &Testbed, client: &str| {
+            tb.client_hosts
+                .iter()
+                .find(|(name, _)| name == client)
+                .map(|&(_, host)| host)
+        };
+        for &preset in testbed_preset_names() {
+            let tb = Testbed::from_spec(&TestbedSpec::by_name(preset).unwrap()).unwrap();
+            // Every entry is checked against its own position; names that
+            // are all distinct (each is `C{i+1}`) make that the scan's answer
+            // too. The scan itself is the quadratic this lookup removed, so
+            // on fleet presets it runs on a stride and on the last entry.
+            let n = tb.num_clients();
+            let stride = (n / 2_000).max(1);
+            for (i, (name, host)) in tb.client_hosts.iter().enumerate() {
+                assert_eq!(*name, format!("C{}", i + 1), "{preset}");
+                assert_eq!(tb.client_host(name), Some(*host), "{preset} {name}");
+                if i % stride == 0 || i + 1 == n {
+                    assert_eq!(tb.client_host(name), scan(&tb, name), "{preset} {name}");
+                }
+            }
+            let past = format!("C{}", n + 1);
+            let padded = format!("C0{n}");
+            for odd in [
+                "C0",
+                "C",
+                "",
+                "C999999",
+                "X1",
+                "c1",
+                "C01",
+                "C+1",
+                "C-1",
+                "C1 ",
+                "C1,C2",
+                "C18446744073709551616",
+                "User1",
+                past.as_str(),
+                padded.as_str(),
+            ] {
+                assert_eq!(tb.client_host(odd), None, "{preset} {odd:?}");
+                assert_eq!(scan(&tb, odd), None, "{preset} {odd:?}");
+            }
+        }
     }
 
     #[test]

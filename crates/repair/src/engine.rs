@@ -221,8 +221,9 @@ impl RepairEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtin::default_constraints;
+    use crate::builtin::{default_constraints, FixBandwidthTactic, FixServerLoadTactic};
     use crate::query::StaticQuery;
+    use crate::strategy::TacticPolicy;
     use archmodel::style::{props, ClientServerStyle};
 
     /// Model with User3 violating latency because ServerGrp1 is overloaded.
@@ -359,6 +360,203 @@ mod tests {
             other => panic!("unexpected outcome: {other:?}"),
         }
         assert_eq!(engine.abort_count(), 1);
+    }
+
+    /// [`RepairEngine::plan`] with every strategy run through the
+    /// eager-clone reference loop (`RepairStrategy::run_eager`) instead of
+    /// the copy-on-write one; everything else is the same engine state.
+    fn plan_eager(
+        engine: &mut RepairEngine,
+        model: &System,
+        report: &CheckReport,
+        query: &dyn RuntimeQuery,
+        now: f64,
+    ) -> PlanOutcome {
+        let mut candidates: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| engine.strategies.contains_key(&v.invariant))
+            .cloned()
+            .collect();
+        if candidates.is_empty() {
+            return PlanOutcome::Nothing;
+        }
+        let mut skip_reasons: Vec<String> = Vec::new();
+        while let Some(violation) = select_violation(engine.selection, &candidates, model).cloned()
+        {
+            candidates.retain(|v| {
+                !(v.invariant == violation.invariant && v.subject_name == violation.subject_name)
+            });
+            if let Some(damping) = &engine.damping {
+                if !damping.allows(&violation.subject_name, now) {
+                    engine.suppressed += 1;
+                    skip_reasons.push(format!(
+                        "repair for {} suppressed for another {:.1} s (settle window)",
+                        violation.subject_name,
+                        damping.remaining(&violation.subject_name, now)
+                    ));
+                    continue;
+                }
+            }
+            match engine.strategies[&violation.invariant].run_eager(model, &violation, query) {
+                StrategyOutcome::Repaired {
+                    ops,
+                    applied_tactics,
+                    description,
+                } => {
+                    if let Some(damping) = &mut engine.damping {
+                        damping.record(&violation.subject_name, now);
+                    }
+                    engine.plans_produced += 1;
+                    return PlanOutcome::Plan(RepairPlan {
+                        invariant: violation.invariant.clone(),
+                        subject: violation.subject_name.clone(),
+                        ops,
+                        tactics: applied_tactics,
+                        description,
+                    });
+                }
+                StrategyOutcome::NoApplicableTactic { reasons } => {
+                    engine.suppressed += 1;
+                    skip_reasons.push(format!(
+                        "no applicable tactic for {}: {}",
+                        violation.subject_name,
+                        reasons.join("; ")
+                    ));
+                }
+                StrategyOutcome::Aborted { reason } => {
+                    engine.aborts += 1;
+                    return PlanOutcome::Aborted {
+                        invariant: violation.invariant.clone(),
+                        reason,
+                    };
+                }
+            }
+        }
+        PlanOutcome::Skipped {
+            reason: skip_reasons.join(" | "),
+        }
+    }
+
+    /// A 2,000-client model in which the 600 even-numbered clients
+    /// `User2`..`User1200` (served by the idle ServerGrp2, bandwidth fine)
+    /// violate the latency bound with no tactic able to help, followed by
+    /// `User1201`, whose group (ServerGrp1) is overloaded and whose link has
+    /// collapsed: what happens to it is up to the runtime query.
+    fn fleet_model() -> System {
+        fn set(model: &mut System, component: &str, property: &str, value: f64) {
+            let id = model.component_by_name(component).unwrap();
+            let properties = &mut model.component_mut(id).unwrap().properties;
+            properties.set(property, value);
+        }
+        fn set_bandwidth(model: &mut System, roles: Vec<archmodel::RoleId>, bps: f64) {
+            for role in roles {
+                let properties = &mut model.role_mut(role).unwrap().properties;
+                properties.set(props::BANDWIDTH, bps);
+            }
+        }
+        let mut model = ClientServerStyle::example_system("fleet", 2, 3, 2000).unwrap();
+        set(&mut model, "ServerGrp1", props::LOAD, 20.0);
+        let all_roles = model.roles().map(|(id, _)| id).collect();
+        set_bandwidth(&mut model, all_roles, 5e6);
+        for c in 1..=2000usize {
+            let slow = (c % 2 == 0 && c <= 1200) || c == 1201;
+            let latency = if slow { 6.0 } else { 0.5 };
+            set(
+                &mut model,
+                &format!("User{c}"),
+                props::AVERAGE_LATENCY,
+                latency,
+            );
+        }
+        let user1201 = model.component_by_name("User1201").unwrap();
+        let its_roles = model.roles_of_component(user1201);
+        set_bandwidth(&mut model, its_roles, 500.0);
+        model
+    }
+
+    #[test]
+    fn plan_matches_the_eager_clone_oracle_at_fleet_size() {
+        use TacticPolicy::{All, FirstSuccess};
+        let model = fleet_model();
+        let report = default_constraints().check(&model);
+        assert!(report.violations.len() >= 500);
+        // One query per way a call can end once the 600 hopeless clients
+        // have been passed over.
+        let query = |ending: &str| match ending {
+            "plan" => StaticQuery::new()
+                .with_spares("ServerGrp1", &["S4"])
+                .with_bandwidth("User1201", "ServerGrp2", 5e6),
+            "skipped" => StaticQuery::new().with_bandwidth("User1201", "ServerGrp1", 5e6),
+            _ => StaticQuery::new(),
+        };
+        // The oracle copies the model once per client it examines, so the
+        // undamped cases (600 copies each) are the four that differ; damped,
+        // five in six hopeless clients are still settling and a case is cheap.
+        let cases = [
+            (FirstSuccess, false, "plan"),
+            (All, false, "plan"),
+            (All, false, "skipped"),
+            (FirstSuccess, false, "aborted"),
+            (FirstSuccess, true, "plan"),
+            (All, true, "plan"),
+            (FirstSuccess, true, "skipped"),
+            (All, true, "aborted"),
+        ];
+        for (policy, damped, ending) in cases {
+            let engine = || {
+                let mut engine = RepairEngine::new();
+                for invariant in ["latency", "bandwidth", "serverLoad"] {
+                    engine.register(
+                        invariant,
+                        RepairStrategy::new("fixLatency", policy)
+                            .with_tactic(Box::new(FixServerLoadTactic))
+                            .with_tactic(Box::new(FixBandwidthTactic)),
+                    );
+                }
+                if damped {
+                    let mut damping = RepairDamping::new(120.0);
+                    for c in (2..=1200).step_by(2).filter(|c| c % 12 != 0) {
+                        damping.record(&format!("User{c}"), 90.0);
+                    }
+                    engine.set_damping(Some(damping));
+                }
+                engine
+            };
+            let (mut lazy, mut eager) = (engine(), engine());
+            let query = query(ending);
+            // Damped, a second call sees the first call's plan settling.
+            let times: &[f64] = if damped { &[100.0, 110.0] } else { &[100.0] };
+            for &now in times {
+                let got = lazy.plan(&model, &report, &query, now);
+                let want = plan_eager(&mut eager, &model, &report, &query, now);
+                assert_eq!(
+                    got, want,
+                    "{ending} under {policy:?}, damped {damped}, t = {now}"
+                );
+                match (ending, &got) {
+                    ("plan", PlanOutcome::Plan(plan)) => {
+                        // The second call finds User1201 settling and falls
+                        // through to its role's bandwidth violation.
+                        assert!(plan.subject.starts_with("User1201"));
+                        let tactics = ["fixServerLoad", "fixBandwidth"];
+                        let ran = if policy == All { 2 } else { 1 };
+                        assert_eq!(plan.tactics, tactics[..ran]);
+                    }
+                    ("skipped", PlanOutcome::Skipped { reason }) => {
+                        assert!(reason.matches(" | ").count() >= 500);
+                        assert_eq!(reason.contains("settle window"), damped);
+                    }
+                    ("aborted", PlanOutcome::Aborted { reason, .. }) => {
+                        assert!(reason.contains("NoServerGroupFound"));
+                    }
+                    other => panic!("unexpected ending: {other:?}"),
+                }
+            }
+            assert_eq!(lazy.plans_produced(), eager.plans_produced());
+            assert_eq!(lazy.abort_count(), eager.abort_count());
+            assert_eq!(lazy.suppressed_count(), eager.suppressed_count());
+        }
     }
 
     #[test]
