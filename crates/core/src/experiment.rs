@@ -390,9 +390,36 @@ impl Comparison {
     }
 }
 
+/// Parses the run-length argument of the example binaries: `default` when
+/// the argument is absent, otherwise a positive, finite number of simulated
+/// seconds. Anything else is an error naming the offending text — a typo
+/// must not silently become the full default run, and a zero, negative, or
+/// non-finite length would "succeed" with an empty one.
+pub fn parse_duration_secs(arg: Option<&str>, default: f64) -> Result<f64, String> {
+    let Some(text) = arg else {
+        return Ok(default);
+    };
+    match text.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs > 0.0 => Ok(secs),
+        _ => Err(format!(
+            "invalid duration `{text}`: expected a positive number of simulated seconds"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn duration_argument_is_validated_not_defaulted() {
+        assert_eq!(parse_duration_secs(None, 1800.0), Ok(1800.0));
+        assert_eq!(parse_duration_secs(Some("300"), 1800.0), Ok(300.0));
+        for bad in ["3oo", "-5", "inf", "NaN", "0", ""] {
+            let err = parse_duration_secs(Some(bad), 1800.0).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
+    }
 
     /// A single shortened comparison shared by the assertions below (a full
     /// 1800 s pair of runs is exercised by the benches; 900 s covers the

@@ -16,6 +16,7 @@
 //! repairs through the translator and the Table 1 runtime operators.
 
 use crate::model::{build_model, ModelUpdater};
+use crate::observe::{Observer, Occurrence};
 use crate::query::AppQuery;
 use crate::task::PerformanceProfile;
 use archmodel::constraint::ConstraintSet;
@@ -198,6 +199,11 @@ impl FrameworkConfig {
     }
 }
 
+/// The invariants the group planner plans for — and the per-element engine
+/// registers its latency strategy under. Reports carrying none of them skip
+/// the planner entirely.
+const PLANNER_INVARIANTS: [&str; 3] = ["latency", "bandwidth", "serverLoad"];
+
 /// Sim-time seconds between control-plane metric snapshots: when a metrics
 /// registry *and* a trace sink are attached, the framework publishes its
 /// deterministic counters/gauges and appends them as
@@ -205,101 +211,8 @@ impl FrameworkConfig {
 /// cadence, so the trace query engine can aggregate them per run.
 pub const METRIC_SNAPSHOT_PERIOD_SECS: f64 = 60.0;
 
-/// Interned metric names, resolved once at framework construction so the
-/// control loop never touches the key interner's mutex.
-#[derive(Debug, Clone, Copy)]
-struct MetricKeys {
-    // Wall-clock span phases (nondeterministic histograms).
-    phase_tick: Key,
-    phase_advance: Key,
-    phase_gauge_dispatch: Key,
-    phase_constraint_check: Key,
-    phase_plan: Key,
-    phase_translate: Key,
-    phase_execute: Key,
-    phase_commit_replay: Key,
-    phase_detect: Key,
-    // Framework-owned deterministic counters (pushed at event sites).
-    ticks: Key,
-    gauge_readings: Key,
-    violations: Key,
-    repairs_started: Key,
-    repairs_completed: Key,
-    repairs_aborted: Key,
-    plan_ops: Key,
-    planner_plans: Key,
-    pairs_skipped: Key,
-    gauge_noop_suppressed: Key,
-    detect_advisories: Key,
-    detect_series_points: Key,
-    // Component counters (pulled wholesale by `publish_metrics`).
-    rate_epochs: Key,
-    probe_queries: Key,
-    probe_solves: Key,
-    probe_memo_hits: Key,
-    agg_rows: Key,
-    agg_aggregated_flows: Key,
-    agg_total_flows: Key,
-    agg_permanent_splits: Key,
-    paths_trees_built: Key,
-    paths_lookups: Key,
-    due_inserts: Key,
-    due_removes: Key,
-    due_collected: Key,
-    flow_memo_hits: Key,
-    flow_memo_misses: Key,
-    // Deterministic gauges.
-    client_classes: Key,
-    server_classes: Key,
-}
-
-impl MetricKeys {
-    fn new() -> Self {
-        MetricKeys {
-            phase_tick: Key::new("phase.tick"),
-            phase_advance: Key::new("phase.advance"),
-            phase_gauge_dispatch: Key::new("phase.gauge_dispatch"),
-            phase_constraint_check: Key::new("phase.constraint_check"),
-            phase_plan: Key::new("phase.plan"),
-            phase_translate: Key::new("phase.translate"),
-            phase_execute: Key::new("phase.execute"),
-            phase_commit_replay: Key::new("phase.commit_replay"),
-            phase_detect: Key::new("phase.detect"),
-            ticks: Key::new("framework.ticks"),
-            gauge_readings: Key::new("framework.gauge_readings"),
-            violations: Key::new("framework.violations"),
-            repairs_started: Key::new("framework.repairs.started"),
-            repairs_completed: Key::new("framework.repairs.completed"),
-            repairs_aborted: Key::new("framework.repairs.aborted"),
-            plan_ops: Key::new("framework.plan_ops"),
-            planner_plans: Key::new("planner.plans"),
-            pairs_skipped: Key::new("constraint.pairs_skipped"),
-            gauge_noop_suppressed: Key::new("monitoring.gauge_noop_suppressed"),
-            detect_advisories: Key::new("detect.advisories"),
-            detect_series_points: Key::new("detect.series_points"),
-            rate_epochs: Key::new("simnet.rate_epochs"),
-            probe_queries: Key::new("simnet.probe.queries"),
-            probe_solves: Key::new("simnet.probe.solves"),
-            probe_memo_hits: Key::new("simnet.probe.memo_hits"),
-            agg_rows: Key::new("simnet.agg.rows"),
-            agg_aggregated_flows: Key::new("simnet.agg.aggregated_flows"),
-            agg_total_flows: Key::new("simnet.agg.total_flows"),
-            agg_permanent_splits: Key::new("simnet.agg.permanent_splits"),
-            paths_trees_built: Key::new("simnet.paths.trees_built"),
-            paths_lookups: Key::new("simnet.paths.lookups"),
-            due_inserts: Key::new("gridapp.due.inserts"),
-            due_removes: Key::new("gridapp.due.removes"),
-            due_collected: Key::new("gridapp.due.collected"),
-            flow_memo_hits: Key::new("gridapp.flows.memo_hits"),
-            flow_memo_misses: Key::new("gridapp.flows.memo_misses"),
-            client_classes: Key::new("planner.client_classes"),
-            server_classes: Key::new("planner.server_classes"),
-        }
-    }
-}
-
 /// A repair whose execution is in progress.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PendingRepair {
     plan: RepairPlan,
     runtime_ops: Vec<RuntimeOp>,
@@ -401,18 +314,12 @@ impl PropertyMap {
     }
 }
 
-/// Run-scoped detector layer: the bank itself plus the advisory/violation
-/// time logs the end-of-run lead-time summary is computed from.
+/// Run-scoped detector layer: the bank and the property → invariant map its
+/// alarms are filtered through.
 #[derive(Debug)]
 struct DetectorState {
     bank: detect::DetectorBank,
     properties: PropertyMap,
-    /// Harmful-direction alarms actually emitted as trace advisories.
-    emitted: u64,
-    /// (sim time, subject) of every emitted advisory, in emission order.
-    advisory_log: Vec<(f64, Key)>,
-    /// (sim time, subject) of every constraint violation observed.
-    violation_log: Vec<(f64, Key)>,
     /// Scratch buffer reused across ticks to keep the hot path
     /// allocation-free.
     scratch: Vec<detect::Advisory>,
@@ -423,42 +330,8 @@ impl DetectorState {
         DetectorState {
             bank: detect::DetectorBank::new(config),
             properties: PropertyMap::new(),
-            emitted: 0,
-            advisory_log: Vec::new(),
-            violation_log: Vec::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// Median lead time over all (advisory → first subsequent same-subject
-    /// violation within `horizon_secs`) pairs. Quadratic in log sizes, run
-    /// once at end of run over short, rare-event logs.
-    fn median_lead_secs(&self, horizon_secs: f64) -> Option<f64> {
-        let mut leads: Vec<f64> = self
-            .advisory_log
-            .iter()
-            .filter_map(|&(a_time, subject)| {
-                self.violation_log
-                    .iter()
-                    .filter(|&&(v_time, v_subject)| {
-                        v_subject == subject && v_time >= a_time && v_time - a_time <= horizon_secs
-                    })
-                    .map(|&(v_time, _)| v_time - a_time)
-                    .fold(None, |best: Option<f64>, lead| {
-                        Some(best.map_or(lead, |b| b.min(lead)))
-                    })
-            })
-            .collect();
-        if leads.is_empty() {
-            return None;
-        }
-        leads.sort_by(|a, b| a.partial_cmp(b).expect("lead times are finite"));
-        let mid = leads.len() / 2;
-        Some(if leads.len() % 2 == 1 {
-            leads[mid]
-        } else {
-            (leads[mid - 1] + leads[mid]) / 2.0
-        })
     }
 }
 
@@ -479,20 +352,9 @@ pub struct AdaptationFramework {
     /// snapshots are then issued per class representative instead of per
     /// client.
     monitor_index: Option<planner::ClassIndex>,
-    trace: Trace,
-    /// Unified observation sink: gauge readings, violations, repair
-    /// lifecycle, and reconfigurations are appended here (the application
-    /// shares the handle for transfer completions). The default `NullSink`
-    /// is disabled, so a run without a collector emits nothing.
-    sink: tracestore::SharedSink,
-    /// Self-observability sink: per-phase span timings and control-plane
-    /// counters land here. The default `NullRegistry` is disabled, so every
-    /// emission site short-circuits and an unmetered run is byte-identical
-    /// to one built before the registry existed.
-    metrics: obs::SharedMetrics,
-    keys: MetricKeys,
-    /// Sim time at/after which the next metric snapshot is emitted.
-    next_metric_snapshot_secs: f64,
+    /// The one observation path: legacy trace, trace sink, metrics sink, and
+    /// the always-on tallies.
+    observer: Observer,
     /// Sim time before which constraint checks are skipped (only consulted
     /// when `constraint_check_period_secs > 0`).
     next_constraint_check_secs: f64,
@@ -500,19 +362,9 @@ pub struct AdaptationFramework {
     /// outcomes and re-evaluates only pairs whose property read-set
     /// intersects the model's change journal since the last check.
     checker: archmodel::IncrementalChecker,
-    /// Always-on counter: (invariant, element) pairs skipped by the
-    /// incremental checker (their cached outcome was replayed).
-    pairs_skipped: u64,
-    /// Always-on counter: gauge readings equal to the stored model value,
-    /// suppressed before touching the model or its change journal.
-    noop_suppressed: u64,
     /// Online anomaly-detector layer; `None` (the default) is fully inert.
     detector: Option<DetectorState>,
     pending: Option<PendingRepair>,
-    repair_seq: u64,
-    servers_activated: u64,
-    client_moves: u64,
-    now: SimTime,
 }
 
 impl AdaptationFramework {
@@ -532,7 +384,7 @@ impl AdaptationFramework {
         } else {
             repair::builtin::fix_latency_strategy
         };
-        for invariant in ["latency", "bandwidth", "serverLoad"] {
+        for invariant in PLANNER_INVARIANTS {
             engine.register(invariant, strategy_builder());
         }
         // Failure recovery: a group with dead replicas is failed over to
@@ -568,21 +420,11 @@ impl AdaptationFramework {
             pipeline,
             planner: group_planner,
             monitor_index,
-            trace: Trace::new(),
-            sink: tracestore::null_sink(),
-            metrics: obs::null_metrics(),
-            keys: MetricKeys::new(),
-            next_metric_snapshot_secs: 0.0,
+            observer: Observer::new(config.detectors.is_some()),
             next_constraint_check_secs: 0.0,
             checker: archmodel::IncrementalChecker::new(),
-            pairs_skipped: 0,
-            noop_suppressed: 0,
             detector: config.detectors.map(DetectorState::new),
             pending: None,
-            repair_seq: 0,
-            servers_activated: 0,
-            client_moves: 0,
-            now: SimTime::ZERO,
         };
         framework.deploy_gauges(SimTime::ZERO);
         Ok(framework)
@@ -594,14 +436,14 @@ impl AdaptationFramework {
     /// transfer completions all land in the same stream.
     pub fn set_trace_sink(&mut self, sink: tracestore::SharedSink) {
         self.app.set_trace_sink(sink.clone());
-        self.sink = sink;
+        self.observer.set_sink(sink);
     }
 
     /// Attaches a self-observability metrics sink. Span timings, framework
     /// counters, and periodic component-counter snapshots are recorded into
     /// it; the default is a disabled `NullRegistry` that records nothing.
     pub fn set_metrics(&mut self, metrics: obs::SharedMetrics) {
-        self.metrics = metrics;
+        self.observer.set_metrics(metrics);
     }
 
     /// Publishes the components' always-on deterministic counters (probe
@@ -610,60 +452,15 @@ impl AdaptationFramework {
     /// automatically at the metric-snapshot cadence and by the experiment
     /// driver at end of run; a no-op when metrics are disabled.
     pub fn publish_metrics(&self) {
-        if !self.metrics.enabled() {
-            return;
-        }
-        let k = &self.keys;
-        let m = &self.metrics;
-        let queries = self.app.probe_query_count();
-        let solves = self.app.probe_solve_count();
-        m.set_counter(k.rate_epochs, self.app.rate_epoch_count());
-        m.set_counter(k.probe_queries, queries);
-        m.set_counter(k.probe_solves, solves);
-        m.set_counter(k.probe_memo_hits, queries.saturating_sub(solves));
-        let agg = self.app.aggregation_stats();
-        m.set_counter(k.agg_rows, agg.rows as u64);
-        m.set_counter(k.agg_aggregated_flows, agg.aggregated_flows as u64);
-        m.set_counter(k.agg_total_flows, agg.total_flows as u64);
-        m.set_counter(k.agg_permanent_splits, agg.permanent_splits as u64);
-        let paths = self.app.path_table_stats();
-        m.set_counter(k.paths_trees_built, paths.trees_built);
-        m.set_counter(k.paths_lookups, paths.lookups);
-        let due = self.app.due_queue_stats();
-        m.set_counter(k.due_inserts, due.inserts);
-        m.set_counter(k.due_removes, due.removes);
-        m.set_counter(k.due_collected, due.collected);
-        let (hits, misses) = self.app.flow_memo_stats();
-        m.set_counter(k.flow_memo_hits, hits);
-        m.set_counter(k.flow_memo_misses, misses);
-        m.set_counter(k.pairs_skipped, self.pairs_skipped);
-        m.set_counter(k.gauge_noop_suppressed, self.noop_suppressed);
-        if let Some(state) = &self.detector {
-            m.set_counter(k.detect_advisories, state.emitted);
-            m.set_counter(k.detect_series_points, state.bank.points());
-        }
         // Class census: the monitoring index at fleet scale, else the group
         // planner's index when one is active.
-        let index = self
+        let census = self
             .monitor_index
             .as_ref()
             .or_else(|| self.planner.as_ref().map(|p| p.index()));
-        if let Some(index) = index {
-            m.set_gauge(k.client_classes, index.client_classes().len() as f64);
-            m.set_gauge(k.server_classes, index.server_classes().len() as f64);
-        }
-    }
-
-    /// Total (invariant, element) pairs the incremental constraint checker
-    /// skipped (replayed from cache) across the run so far.
-    pub fn constraint_pairs_skipped(&self) -> u64 {
-        self.pairs_skipped
-    }
-
-    /// Total gauge readings suppressed as no-op writes (reading equal to the
-    /// stored model value) across the run so far.
-    pub fn gauge_noops_suppressed(&self) -> u64 {
-        self.noop_suppressed
+        let detector_points = self.detector.as_ref().map(|state| state.bank.points());
+        self.observer
+            .publish_components(&self.app, detector_points, census);
     }
 
     /// End-of-run summary of the online-detector layer (`None` unless
@@ -671,101 +468,42 @@ impl AdaptationFramework {
     pub fn detect_summary(&self) -> Option<DetectSummary> {
         let state = self.detector.as_ref()?;
         Some(DetectSummary {
-            advisories: state.emitted,
+            advisories: self.observer.advisories(),
             raw_alarms: state.bank.alarms(),
             series: state.bank.series_count() as u64,
             points: state.bank.points(),
-            median_lead_secs: state.median_lead_secs(ADVISORY_MATCH_HORIZON_SECS),
+            median_lead_secs: self.observer.median_lead_secs(ADVISORY_MATCH_HORIZON_SECS),
         })
     }
 
-    /// Feeds one tick's gauge readings to the detector bank and emits each
-    /// harmful-direction alarm as an
-    /// [`EventKind::Advisory`](tracestore::EventKind::Advisory) trace event.
-    /// Alarms whose drift direction is harmless for the property (latency
-    /// falling, bandwidth recovering) are counted by the bank but not
-    /// emitted — an advisory always names the invariant it predicts.
-    fn observe_gauge_stream(&mut self, readings: &[monitoring::GaugeReading]) {
+    /// Feeds one tick's gauge readings to the detector bank and records each
+    /// harmful-direction alarm as an advisory. Alarms whose drift direction
+    /// is harmless for the property (latency falling, bandwidth recovering)
+    /// are counted by the bank but not recorded — an advisory always names
+    /// the invariant it predicts.
+    fn observe_gauge_stream(&mut self, t: SimTime, readings: &[monitoring::GaugeReading]) {
         let Some(state) = self.detector.as_mut() else {
             return;
         };
-        let mut alarms = std::mem::take(&mut state.scratch);
-        alarms.clear();
+        state.scratch.clear();
         for reading in readings {
             state.bank.observe(
                 reading.time,
                 reading.target,
                 reading.property,
                 reading.value,
-                &mut alarms,
+                &mut state.scratch,
             );
         }
-        for alarm in &alarms {
-            let Some((invariant, harmful)) = state.properties.predicted(alarm.property) else {
+        for alarm in &state.scratch {
+            let Some((predicts, harmful)) = state.properties.predicted(alarm.property) else {
                 continue;
             };
             if alarm.direction != harmful {
                 continue;
             }
-            state.emitted += 1;
-            state.advisory_log.push((alarm.time, alarm.subject));
-            if self.sink.enabled() {
-                self.sink.append(
-                    tracestore::TraceEvent::new(
-                        alarm.time,
-                        tracestore::EventKind::Advisory,
-                        alarm.subject.as_str(),
-                        format!(
-                            "{}/{} predict={invariant}",
-                            alarm.property.as_str(),
-                            alarm.detector.name()
-                        ),
-                    )
-                    .with_value(alarm.score),
-                );
-            }
-        }
-        state.scratch = alarms;
-    }
-
-    /// At the fixed snapshot cadence: refresh the pulled component counters
-    /// and append every deterministic counter/gauge to the trace sink as an
-    /// [`EventKind::Metric`](tracestore::EventKind::Metric) event. Counter
-    /// values are simulation-deterministic, so the emitted events — and the
-    /// store they land in — stay byte-identical across worker counts.
-    fn maybe_emit_metric_snapshot(&mut self, t: SimTime) {
-        if t.as_secs() < self.next_metric_snapshot_secs {
-            return;
-        }
-        self.next_metric_snapshot_secs = t.as_secs() + METRIC_SNAPSHOT_PERIOD_SECS;
-        self.publish_metrics();
-        if !self.sink.enabled() {
-            return;
-        }
-        let Some(snapshot) = self.metrics.deterministic_snapshot() else {
-            return;
-        };
-        for (name, value) in &snapshot.counters {
-            self.sink.append(
-                tracestore::TraceEvent::new(
-                    t.as_secs(),
-                    tracestore::EventKind::Metric,
-                    name.clone(),
-                    "counter",
-                )
-                .with_value(*value as f64),
-            );
-        }
-        for (name, value) in &snapshot.gauges {
-            self.sink.append(
-                tracestore::TraceEvent::new(
-                    t.as_secs(),
-                    tracestore::EventKind::Metric,
-                    name.clone(),
-                    "gauge",
-                )
-                .with_value(*value),
-            );
+            self.observer
+                .record(t, Occurrence::Advisory(alarm, predicts));
         }
     }
 
@@ -781,7 +519,7 @@ impl AdaptationFramework {
 
     /// The event trace recorded so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.observer.trace()
     }
 
     /// The metrics recorded by the application so far.
@@ -796,20 +534,20 @@ impl AdaptationFramework {
 
     /// Repair statistics for the run so far.
     pub fn repair_stats(&self) -> RepairStats {
+        let trace = self.observer.trace();
         RepairStats {
-            started: self.trace.count(TraceKind::RepairStart) as u64,
-            completed: self.trace.count(TraceKind::RepairEnd) as u64,
-            aborted: self.trace.count(TraceKind::RepairAborted) as u64,
-            mean_duration_secs: self.trace.mean_repair_duration_secs(),
-            servers_activated: self.servers_activated,
-            client_moves: self.client_moves,
+            started: trace.count(TraceKind::RepairStart) as u64,
+            completed: trace.count(TraceKind::RepairEnd) as u64,
+            aborted: trace.count(TraceKind::RepairAborted) as u64,
+            mean_duration_secs: trace.mean_repair_duration_secs(),
+            servers_activated: self.observer.servers_activated,
+            client_moves: self.observer.client_moves,
         }
     }
 
     fn deploy_gauges(&mut self, now: SimTime) {
         let t = now.as_secs();
-        self.trace
-            .record(now, TraceKind::Info, "deploying probes and gauges");
+        self.observer.record(now, Occurrence::Deployed);
         let manager = self.pipeline.manager_mut();
         // At fleet scale, per-client gauges exist only for class
         // representatives: one latency/bandwidth/reachability gauge per
@@ -1025,9 +763,9 @@ impl AdaptationFramework {
         // network-position equivalence class instead of one per client
         // machine (identical on classic testbeds, where every class is a
         // singleton).
-        let _tick_span = obs::Span::start(&self.metrics, self.keys.phase_tick);
+        let _tick_span = self.observer.span("phase.tick");
         let flows = {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_advance);
+            let _span = self.observer.span("phase.advance");
             self.app.advance(t);
             let flows = if let Some(index) = &self.monitor_index {
                 // Fleet scale: one probe entry per (class, group)
@@ -1047,7 +785,7 @@ impl AdaptationFramework {
         // gauges, figure metrics above) reads the same snapshot — one Remos
         // pass per tick.
         let readings = {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_gauge_dispatch);
+            let _span = self.observer.span("phase.gauge_dispatch");
             let delay = self.monitoring_delay(&flows);
             self.pipeline.set_monitoring_delay(delay);
             let mut events = sample_latency_probe(&mut self.app);
@@ -1063,27 +801,10 @@ impl AdaptationFramework {
             // model in one batch (same order, one target resolution per run
             // of consecutive same-target readings).
             let readings = self.pipeline.step(t.as_secs(), &mut ());
-            if self.sink.enabled() {
-                for reading in &readings {
-                    self.sink.append(
-                        tracestore::TraceEvent::new(
-                            reading.time,
-                            tracestore::EventKind::Gauge,
-                            reading.target.as_str(),
-                            reading.property.as_str(),
-                        )
-                        .with_value(reading.value),
-                    );
-                }
-            }
-            if self.metrics.enabled() {
-                self.metrics.add(self.keys.ticks, 1);
-                self.metrics
-                    .add(self.keys.gauge_readings, readings.len() as u64);
-            }
+            self.observer.record(t, Occurrence::GaugeBatch(&readings));
             let mut updater = ModelUpdater::new(&mut self.model);
             updater.apply_batch(&readings);
-            self.noop_suppressed += updater.suppressed;
+            self.observer.noop_suppressed += updater.suppressed;
             readings
         };
 
@@ -1092,12 +813,12 @@ impl AdaptationFramework {
         // baseline the lead-time reports compare against). Advisories are
         // observe-and-report: nothing here feeds back into planning.
         if self.detector.is_some() {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_detect);
-            self.observe_gauge_stream(&readings);
+            let _span = self.observer.span("phase.detect");
+            self.observe_gauge_stream(t, &readings);
         }
-        self.now = t;
-        if self.metrics.enabled() {
-            self.maybe_emit_metric_snapshot(t);
+        if self.observer.metric_snapshot_due(t) {
+            self.publish_metrics();
+            self.observer.record(t, Occurrence::MetricSnapshot);
         }
 
         if !self.config.adaptation_enabled {
@@ -1105,10 +826,9 @@ impl AdaptationFramework {
         }
 
         // 4. Finish an in-flight repair whose effects are now due.
-        if let Some(pending) = self.pending.clone() {
-            if pending.complete_at <= t {
-                self.finish_repair(t, pending);
-                self.pending = None;
+        if self.pending.is_some() {
+            if let Some(due) = self.pending.take_if(|p| p.complete_at <= t) {
+                self.finish_repair(t, due);
             }
             // While a repair is executing, no new repair is planned.
             return;
@@ -1123,10 +843,10 @@ impl AdaptationFramework {
         }
         self.next_constraint_check_secs = t.as_secs() + self.config.constraint_check_period_secs;
         let report = {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_constraint_check);
+            let _span = self.observer.span("phase.constraint_check");
             self.checker.check(&self.constraints, &mut self.model)
         };
-        self.pairs_skipped += report.skipped as u64;
+        self.observer.pairs_skipped += report.skipped as u64;
         if self.config.verify_constraint_check {
             let full = self.constraints.check(&self.model);
             assert_eq!(
@@ -1146,32 +866,8 @@ impl AdaptationFramework {
         if report.is_clean() {
             return;
         }
-        if self.metrics.enabled() {
-            self.metrics
-                .add(self.keys.violations, report.violations.len() as u64);
-        }
         for violation in &report.violations {
-            self.trace.record(
-                t,
-                TraceKind::Violation,
-                format!(
-                    "{} violated for {} ({})",
-                    violation.invariant, violation.subject_name, violation.detail
-                ),
-            );
-            if self.sink.enabled() {
-                self.sink.append(tracestore::TraceEvent::new(
-                    t.as_secs(),
-                    tracestore::EventKind::Violation,
-                    violation.subject_name.clone(),
-                    violation.invariant.clone(),
-                ));
-            }
-            if let Some(state) = self.detector.as_mut() {
-                state
-                    .violation_log
-                    .push((t.as_secs(), Key::new(&violation.subject_name)));
-            }
+            self.observer.record(t, Occurrence::Violation(violation));
         }
         // The group planner, when active, gets first claim on the violation
         // report: it plans whole equivalence classes in one batched repair.
@@ -1183,30 +879,24 @@ impl AdaptationFramework {
         let planner_relevant = report
             .violations
             .iter()
-            .any(|v| matches!(v.invariant.as_str(), "latency" | "bandwidth" | "serverLoad"));
-        if self.planner.is_some() && planner_relevant {
+            .any(|v| PLANNER_INVARIANTS.contains(&v.invariant.as_str()));
+        if let Some(group_planner) = self.planner.as_mut().filter(|_| planner_relevant) {
             let thresholds = planner::PlannerThresholds {
                 min_bandwidth_bps: self.profile.min_bandwidth_bps,
                 max_server_load: self.profile.max_server_load,
                 max_latency_secs: self.profile.max_latency_secs,
             };
             let plan = {
-                let _span = obs::Span::start(&self.metrics, self.keys.phase_plan);
-                let input = {
-                    let group_planner = self.planner.as_ref().expect("checked above");
-                    planner::PlannerInput::gather(
-                        &self.app,
-                        group_planner.index(),
-                        &self.model,
-                        &report,
-                        thresholds,
-                        t.as_secs(),
-                    )
-                };
-                self.planner
-                    .as_mut()
-                    .expect("checked above")
-                    .plan(&self.model, &input)
+                let _span = self.observer.span("phase.plan");
+                let input = planner::PlannerInput::gather(
+                    &self.app,
+                    group_planner.index(),
+                    &self.model,
+                    &report,
+                    thresholds,
+                    t.as_secs(),
+                );
+                group_planner.plan(&self.model, &input)
             };
             if let Some(plan) = plan {
                 self.start_group_repair(t, plan);
@@ -1214,33 +904,17 @@ impl AdaptationFramework {
             }
         }
         let outcome = {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_plan);
+            let _span = self.observer.span("phase.plan");
             let query = AppQuery::new(&self.app);
             self.engine.plan(&self.model, &report, &query, t.as_secs())
         };
         match outcome {
             PlanOutcome::Plan(plan) => self.start_repair(t, plan),
-            PlanOutcome::Aborted { invariant, reason } => {
-                self.trace.record(
-                    t,
-                    TraceKind::RepairAborted,
-                    format!("repair of {invariant} aborted: {reason}"),
-                );
-                if self.metrics.enabled() {
-                    self.metrics.add(self.keys.repairs_aborted, 1);
-                }
-                if self.sink.enabled() {
-                    self.sink.append(tracestore::TraceEvent::new(
-                        t.as_secs(),
-                        tracestore::EventKind::RepairAborted,
-                        invariant,
-                        reason,
-                    ));
-                }
-            }
+            PlanOutcome::Aborted { invariant, reason } => self
+                .observer
+                .record(t, Occurrence::RepairAborted(&invariant, &reason)),
             PlanOutcome::Skipped { reason } => {
-                self.trace
-                    .record(t, TraceKind::Info, format!("repair skipped: {reason}"));
+                self.observer.record(t, Occurrence::RepairSkipped(&reason))
             }
             PlanOutcome::Nothing => {}
         }
@@ -1248,68 +922,15 @@ impl AdaptationFramework {
 
     fn start_repair(&mut self, t: SimTime, plan: RepairPlan) {
         let translated = {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_translate);
+            let _span = self.observer.span("phase.translate");
             translate(&self.model, &plan.ops, self.profile.min_bandwidth_bps)
         };
-        let runtime_ops = match translated {
-            Ok(ops) => ops,
-            Err(e) => {
-                self.trace.record(
-                    t,
-                    TraceKind::RepairAborted,
-                    format!("translation failed: {e}"),
-                );
-                if self.metrics.enabled() {
-                    self.metrics.add(self.keys.repairs_aborted, 1);
-                }
-                if self.sink.enabled() {
-                    self.sink.append(tracestore::TraceEvent::new(
-                        t.as_secs(),
-                        tracestore::EventKind::RepairAborted,
-                        plan.subject.clone(),
-                        format!("translation failed: {e}"),
-                    ));
-                }
-                return;
-            }
-        };
-        let duration = self.config.cost_model.total_duration(&runtime_ops);
-        if self.metrics.enabled() {
-            self.metrics.add(self.keys.repairs_started, 1);
-            self.metrics
-                .add(self.keys.plan_ops, runtime_ops.len() as u64);
+        match translated {
+            Ok(runtime_ops) => self.begin_repair(t, plan, runtime_ops, None),
+            Err(e) => self
+                .observer
+                .record(t, Occurrence::Untranslatable(&plan.subject, &e)),
         }
-        self.repair_seq += 1;
-        let correlation = self.repair_seq;
-        self.trace.record_correlated(
-            t,
-            TraceKind::RepairStart,
-            correlation,
-            format!(
-                "repair #{correlation} for {} ({}): {} [{} runtime ops, ≈{duration:.0} s]",
-                plan.subject,
-                plan.invariant,
-                plan.description,
-                runtime_ops.len()
-            ),
-        );
-        if self.sink.enabled() {
-            self.sink.append(
-                tracestore::TraceEvent::new(
-                    t.as_secs(),
-                    tracestore::EventKind::RepairStart,
-                    plan.subject.clone(),
-                    format!("{}: {}", plan.invariant, plan.description),
-                )
-                .with_correlation(correlation),
-            );
-        }
-        self.pending = Some(PendingRepair {
-            plan,
-            runtime_ops,
-            complete_at: t + simnet::SimDuration::from_secs(duration),
-            correlation,
-        });
     }
 
     /// Starts a batched group-level repair produced by the planner. The
@@ -1317,54 +938,42 @@ impl AdaptationFramework {
     /// gauge-churn pair per batch, one routing update per class), so the
     /// ordinary cost model prices the whole batch.
     fn start_group_repair(&mut self, t: SimTime, plan: planner::GroupPlan) {
-        let duration = self.config.cost_model.total_duration(&plan.runtime_ops);
-        if self.metrics.enabled() {
-            self.metrics.add(self.keys.repairs_started, 1);
-            self.metrics.add(self.keys.planner_plans, 1);
-            self.metrics
-                .add(self.keys.plan_ops, plan.runtime_ops.len() as u64);
-        }
-        self.repair_seq += 1;
-        let correlation = self.repair_seq;
-        self.trace.record_correlated(
+        let tactic_label = plan.tactics.join("+");
+        let repair = RepairPlan {
+            invariant: plan.invariant,
+            subject: plan.subject,
+            ops: plan.model_ops,
+            tactics: plan.tactics,
+            description: plan.description,
+        };
+        self.begin_repair(t, repair, plan.runtime_ops, Some(&tactic_label));
+    }
+
+    /// Prices the repair, announces it under the next correlation id, and
+    /// leaves it pending until its effects fall due.
+    fn begin_repair(
+        &mut self,
+        t: SimTime,
+        plan: RepairPlan,
+        runtime_ops: Vec<RuntimeOp>,
+        tactic_label: Option<&str>,
+    ) {
+        let duration_secs = self.config.cost_model.total_duration(&runtime_ops);
+        let correlation = self.observer.next_correlation();
+        self.observer.record(
             t,
-            TraceKind::RepairStart,
-            correlation,
-            format!(
-                "repair #{correlation} for {} ({}): [{}] {} [{} runtime ops, ≈{duration:.0} s]",
-                plan.subject,
-                plan.invariant,
-                plan.tactics.join("+"),
-                plan.description,
-                plan.runtime_ops.len()
-            ),
-        );
-        if self.sink.enabled() {
-            self.sink.append(
-                tracestore::TraceEvent::new(
-                    t.as_secs(),
-                    tracestore::EventKind::RepairStart,
-                    plan.subject.clone(),
-                    format!(
-                        "{}: [{}] {}",
-                        plan.invariant,
-                        plan.tactics.join("+"),
-                        plan.description
-                    ),
-                )
-                .with_correlation(correlation),
-            );
-        }
-        self.pending = Some(PendingRepair {
-            plan: RepairPlan {
-                invariant: plan.invariant,
-                subject: plan.subject,
-                ops: plan.model_ops,
-                tactics: plan.tactics,
-                description: plan.description,
+            Occurrence::RepairStarted {
+                correlation,
+                plan: &plan,
+                tactic_label,
+                runtime_ops: runtime_ops.len(),
+                duration_secs,
             },
-            runtime_ops: plan.runtime_ops,
-            complete_at: t + simnet::SimDuration::from_secs(duration),
+        );
+        self.pending = Some(PendingRepair {
+            plan,
+            runtime_ops,
+            complete_at: t + simnet::SimDuration::from_secs(duration_secs),
             correlation,
         });
     }
@@ -1372,59 +981,37 @@ impl AdaptationFramework {
     fn finish_repair(&mut self, t: SimTime, pending: PendingRepair) {
         // Commit the repair to the architectural model.
         {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_commit_replay);
+            let _span = self.observer.span("phase.commit_replay");
             for op in &pending.plan.ops {
                 if let Err(e) = archmodel::apply_op(&mut self.model, op) {
-                    self.trace.record(
+                    self.observer.record(
                         t,
-                        TraceKind::Info,
-                        format!("model op could not be committed: {e}"),
+                        Occurrence::Note(format_args!("model op could not be committed: {e}")),
                     );
                 }
             }
             let style_violations = ClientServerStyle::validate(&self.model);
             if !style_violations.is_empty() {
-                self.trace.record(
+                self.observer.record(
                     t,
-                    TraceKind::Info,
-                    format!(
+                    Occurrence::Note(format_args!(
                         "model has {} style violations after commit",
                         style_violations.len()
-                    ),
+                    )),
                 );
             }
         }
         // Propagate the repair to the runtime layer.
         {
-            let _span = obs::Span::start(&self.metrics, self.keys.phase_execute);
-            let ops = pending.runtime_ops.clone();
-            for op in &ops {
+            let _span = self.observer.span("phase.execute");
+            for op in &pending.runtime_ops {
                 self.execute_runtime_op(t, op);
             }
         }
-        if self.metrics.enabled() {
-            self.metrics.add(self.keys.repairs_completed, 1);
-        }
-        self.trace.record_correlated(
+        self.observer.record(
             t,
-            TraceKind::RepairEnd,
-            pending.correlation,
-            format!(
-                "repair #{} for {} complete: {}",
-                pending.correlation, pending.plan.subject, pending.plan.description
-            ),
+            Occurrence::RepairCompleted(pending.correlation, &pending.plan),
         );
-        if self.sink.enabled() {
-            self.sink.append(
-                tracestore::TraceEvent::new(
-                    t.as_secs(),
-                    tracestore::EventKind::RepairEnd,
-                    pending.plan.subject.clone(),
-                    pending.plan.description.clone(),
-                )
-                .with_correlation(pending.correlation),
-            );
-        }
     }
 
     fn execute_runtime_op(&mut self, t: SimTime, op: &RuntimeOp) {
@@ -1448,7 +1035,7 @@ impl AdaptationFramework {
             }
             RuntimeOp::ActivateServer { server } => match self.server_map.get(server).cloned() {
                 Some(runtime) => {
-                    self.servers_activated += 1;
+                    self.observer.servers_activated += 1;
                     self.app.activate_server(&runtime)
                 }
                 None => Err(AppError::UnknownServer(server.clone())),
@@ -1465,7 +1052,7 @@ impl AdaptationFramework {
             RuntimeOp::MoveClient { client, to_group } => {
                 let result = self.app.move_client(client, to_group);
                 if result.is_ok() {
-                    self.client_moves += 1;
+                    self.observer.client_moves += 1;
                     self.refresh_bandwidth_gauge(t, client);
                 }
                 result
@@ -1473,7 +1060,7 @@ impl AdaptationFramework {
             RuntimeOp::MoveClientGroup { clients, to_group } => {
                 match self.app.move_clients(clients, to_group) {
                     Ok(moved) => {
-                        self.client_moves += moved as u64;
+                        self.observer.client_moves += moved as u64;
                         self.refresh_bandwidth_gauges_bulk(t, clients);
                         Ok(())
                     }
@@ -1492,10 +1079,12 @@ impl AdaptationFramework {
                     }
                 }
                 if result.is_ok() && !stuck.is_empty() {
-                    self.trace.record(
+                    self.observer.record(
                         t,
-                        TraceKind::Info,
-                        format!("drained {} wedged replicas of {group}", stuck.len()),
+                        Occurrence::Note(format_args!(
+                            "drained {} wedged replicas of {group}",
+                            stuck.len()
+                        )),
                     );
                 }
                 result
@@ -1525,25 +1114,11 @@ impl AdaptationFramework {
                 _ => {}
             }
         }
-        match result {
-            Ok(()) => {
-                self.trace
-                    .record(t, TraceKind::Reconfiguration, op.describe());
-                if self.sink.enabled() {
-                    self.sink.append(tracestore::TraceEvent::new(
-                        t.as_secs(),
-                        tracestore::EventKind::Reconfiguration,
-                        runtime_op_subject(op),
-                        op.describe(),
-                    ));
-                }
-            }
-            Err(e) => self.trace.record(
-                t,
-                TraceKind::Info,
-                format!("runtime operation {} failed: {e}", op.describe()),
-            ),
-        }
+        let outcome = match &result {
+            Ok(()) => Occurrence::Reconfigured(op),
+            Err(error) => Occurrence::OpFailed(op, error),
+        };
+        self.observer.record(t, outcome);
     }
 
     /// Maps a model-level server name to a runtime server, recruiting a spare
@@ -1604,31 +1179,20 @@ impl AdaptationFramework {
                         schedule
                             .apply(&mut self.app, point)
                             .expect("schedule change applies");
-                        self.trace.record(
-                            SimTime::from_secs(point),
-                            TraceKind::Info,
-                            format!("workload phase change at {point:.0} s"),
-                        );
+                        self.observer
+                            .record(SimTime::from_secs(point), Occurrence::PhaseChange);
                         next_change += 1;
                     }
                     (_, Some(at)) => {
                         let timed = &actions[next_action];
-                        let when = SimTime::from_secs(at);
                         // `apply_timed` also records the action to the
                         // application's trace sink (fault onsets become
                         // `Fault` events, lifts become `Info`).
-                        match faultsim::apply_timed(&mut self.app, timed) {
-                            Ok(()) => self.trace.record(
-                                when,
-                                TraceKind::Fault,
-                                format!("fault injected: {}", timed.label),
-                            ),
-                            Err(e) => self.trace.record(
-                                when,
-                                TraceKind::Info,
-                                format!("fault action {} failed: {e}", timed.label),
-                            ),
-                        }
+                        let result = faultsim::apply_timed(&mut self.app, timed);
+                        self.observer.record(
+                            SimTime::from_secs(at),
+                            Occurrence::Fault(&timed.label, &result),
+                        );
                         next_action += 1;
                     }
                     (None, None) => break,
@@ -1637,24 +1201,6 @@ impl AdaptationFramework {
             }
             self.tick(SimTime::from_secs(t));
         }
-    }
-}
-
-/// The primary element a runtime operation acts on, for the trace sink's
-/// `subject` field.
-fn runtime_op_subject(op: &RuntimeOp) -> String {
-    match op {
-        RuntimeOp::CreateReqQueue { group } | RuntimeOp::DrainStuckServers { group, .. } => {
-            group.clone()
-        }
-        RuntimeOp::FindServer { client, .. }
-        | RuntimeOp::MoveClient { client, .. }
-        | RuntimeOp::RemosGetFlow { client, .. } => client.clone(),
-        RuntimeOp::MoveClientGroup { to_group, .. } => to_group.clone(),
-        RuntimeOp::ConnectServer { server, .. }
-        | RuntimeOp::ActivateServer { server }
-        | RuntimeOp::DeactivateServer { server } => server.clone(),
-        RuntimeOp::DeleteGauge { gauge } | RuntimeOp::CreateGauge { gauge } => gauge.clone(),
     }
 }
 

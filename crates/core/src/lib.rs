@@ -32,6 +32,7 @@
 pub mod experiment;
 pub mod framework;
 pub mod model;
+mod observe;
 pub mod query;
 pub mod report;
 pub mod sweep;

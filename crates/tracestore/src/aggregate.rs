@@ -205,7 +205,7 @@ pub struct LeadTimeRow {
 }
 
 /// Median of an unsorted slice (mean of the middle two when even).
-fn median_of(values: &mut [f64]) -> Option<f64> {
+pub fn median_of(values: &mut [f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }

@@ -9,15 +9,18 @@
 //! cargo run --release --example control_vs_adaptive -- 600     # shorter run
 //! ```
 
-use arch_adapt::experiment::Comparison;
+use arch_adapt::experiment::{parse_duration_secs, Comparison};
 use arch_adapt::report::{render_comparison, render_run, run_to_json};
 use gridapp::GridConfig;
 
 fn main() {
-    let duration: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(gridapp::RUN_DURATION_SECS);
+    let arg = std::env::args().nth(1);
+    let duration =
+        parse_duration_secs(arg.as_deref(), gridapp::RUN_DURATION_SECS).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            eprintln!("usage: control_vs_adaptive [duration-secs]");
+            std::process::exit(2);
+        });
 
     eprintln!("running control and adaptive experiments for {duration:.0} s of simulated time...");
     let comparison = Comparison::run(GridConfig::default(), duration).expect("experiments run");

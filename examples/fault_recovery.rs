@@ -14,7 +14,7 @@
 //! cargo run --release --example fault_recovery -- 900 cascade   # other profiles
 //! ```
 
-use arch_adapt::experiment::Comparison;
+use arch_adapt::experiment::{parse_duration_secs, Comparison};
 use arch_adapt::FrameworkConfig;
 use faultsim::{fault_profile_by_name, fault_profile_names, Resilience};
 use gridapp::{GridConfig, Testbed};
@@ -24,7 +24,11 @@ const BUCKET_SECS: f64 = 20.0;
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let duration: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(600.0);
+    let duration = parse_duration_secs(args.next().as_deref(), 600.0).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("usage: fault_recovery [duration-secs] [fault-profile]");
+        std::process::exit(2);
+    });
     let profile = args.next().unwrap_or_else(|| "server-crash-midrun".into());
     let Some(schedule) = fault_profile_by_name(&profile, duration) else {
         eprintln!("unknown fault profile: {profile}");
