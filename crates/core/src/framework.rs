@@ -346,12 +346,12 @@ pub struct AdaptationFramework {
     engine: RepairEngine,
     pipeline: MonitoringPipeline,
     planner: Option<planner::GroupPlanner>,
-    /// Fleet-scale monitoring index: present when the deployment is at or
-    /// above [`gridapp::FLEET_SCALE_MIN_CLIENTS`], for *every* strategy
-    /// (control runs need cheap monitoring too). Per-client gauges and flow
-    /// snapshots are then issued per class representative instead of per
-    /// client.
-    monitor_index: Option<planner::ClassIndex>,
+    /// Fleet-scale monitoring: present when the deployment is at or above
+    /// [`gridapp::FLEET_SCALE_MIN_CLIENTS`], for *every* strategy (control
+    /// runs need cheap monitoring too). Per-client gauges and flow snapshots
+    /// are then issued per `(class, group)` representative — the one
+    /// definition of which lives in the table — instead of per client.
+    monitor: Option<planner::RepTable>,
     /// The one observation path: legacy trace, trace sink, metrics sink, and
     /// the always-on tallies.
     observer: Observer,
@@ -406,8 +406,8 @@ impl AdaptationFramework {
                 config.damping_secs,
             )
         });
-        let monitor_index = (app.testbed().num_clients() >= gridapp::FLEET_SCALE_MIN_CLIENTS)
-            .then(|| planner::ClassIndex::build(app.testbed()));
+        let monitor = (app.testbed().num_clients() >= gridapp::FLEET_SCALE_MIN_CLIENTS)
+            .then(|| planner::RepTable::new(planner::ClassIndex::build(app.testbed())));
 
         let mut framework = AdaptationFramework {
             config,
@@ -419,7 +419,7 @@ impl AdaptationFramework {
             engine,
             pipeline,
             planner: group_planner,
-            monitor_index,
+            monitor,
             observer: Observer::new(config.detectors.is_some()),
             next_constraint_check_secs: 0.0,
             checker: archmodel::IncrementalChecker::new(),
@@ -455,8 +455,9 @@ impl AdaptationFramework {
         // Class census: the monitoring index at fleet scale, else the group
         // planner's index when one is active.
         let census = self
-            .monitor_index
+            .monitor
             .as_ref()
+            .map(|reps| reps.index())
             .or_else(|| self.planner.as_ref().map(|p| p.index()));
         let detector_points = self.detector.as_ref().map(|state| state.bank.points());
         self.observer
@@ -554,8 +555,9 @@ impl AdaptationFramework {
         // network-position class covers its symmetric members, and the
         // constraint checker treats the un-gauged members' missing
         // properties as evaluation errors, not violations.
-        let clients = match &self.monitor_index {
-            Some(index) => index
+        let clients = match &self.monitor {
+            Some(reps) => reps
+                .index()
                 .client_classes()
                 .iter()
                 .map(|class| class.representative.clone())
@@ -677,34 +679,24 @@ impl AdaptationFramework {
     /// gauges the class-shared flow snapshot never feeds.
     fn refresh_bandwidth_gauges_bulk(&mut self, now: SimTime, clients: &[String]) {
         let t = now.as_secs();
-        let rehomed: Vec<(String, String)> = match &self.monitor_index {
-            Some(index) => {
-                let mut class_ids: Vec<usize> = clients
+        let rehomed: Vec<(String, String)> = match &mut self.monitor {
+            Some(reps) => {
+                let moved_classes: std::collections::BTreeSet<usize> = clients
                     .iter()
-                    .filter_map(|c| index.client_class_of(c))
+                    .filter_map(|c| reps.index().client_class_of(c))
                     .collect();
-                class_ids.sort_unstable();
-                class_ids.dedup();
-                // The representative of each (class, group) pair is the
-                // first member homed on that group, mirroring
-                // `class_rep_flow_snapshot`'s seen-first rule.
-                let mut reps = Vec::new();
-                for id in class_ids {
-                    let Some(class) = index.client_class(id) else {
-                        continue;
-                    };
-                    let mut seen: std::collections::BTreeSet<String> =
-                        std::collections::BTreeSet::new();
-                    for member in &class.members {
-                        let Ok(group) = self.app.client_group(member) else {
-                            continue;
-                        };
-                        if seen.insert(group.clone()) {
-                            reps.push((member.clone(), group));
-                        }
-                    }
-                }
-                reps
+                // Every representative of a class the move touched, as of
+                // the new assignment, in (class, client-name) order.
+                let mut rehomed: Vec<&planner::Rep> = reps
+                    .reps(&self.app)
+                    .iter()
+                    .filter(|rep| moved_classes.contains(&rep.class))
+                    .collect();
+                rehomed.sort_by_key(|rep| rep.class);
+                rehomed
+                    .into_iter()
+                    .map(|rep| (rep.client.clone(), rep.group.clone()))
+                    .collect()
             }
             None => clients
                 .iter()
@@ -767,14 +759,17 @@ impl AdaptationFramework {
         let flows = {
             let _span = self.observer.span("phase.advance");
             self.app.advance(t);
-            let flows = if let Some(index) = &self.monitor_index {
-                // Fleet scale: one probe entry per (class, group)
-                // representative — the only clients carrying gauges.
-                planner::class_rep_flow_snapshot(&self.app, index)
-            } else if let Some(group_planner) = &self.planner {
-                planner::class_flow_snapshot(&self.app, group_planner.index())
-            } else {
-                self.app.flow_snapshot()
+            let flows = {
+                let _span = self.observer.span("phase.flow_snapshot");
+                if let Some(reps) = &mut self.monitor {
+                    // Fleet scale: one probe entry per (class, group)
+                    // representative — the only clients carrying gauges.
+                    reps.flow_snapshot(&self.app)
+                } else if let Some(group_planner) = &self.planner {
+                    planner::class_flow_snapshot(&self.app, group_planner.index())
+                } else {
+                    self.app.flow_snapshot()
+                }
             };
             self.app.sample_metrics_with_flows(t, &flows);
             flows

@@ -180,6 +180,11 @@ pub struct GridApp {
     /// takes `&self`). Observability only.
     flow_memo_hits: std::cell::Cell<u64>,
     flow_memo_misses: std::cell::Cell<u64>,
+    /// Bumped by every successful [`move_client`](Self::move_client) /
+    /// [`move_clients`](Self::move_clients) — the only writers of a client's
+    /// group — so state derived from the client→group assignment knows when
+    /// it is stale.
+    assignment_generation: u64,
 }
 
 /// The machine `User{i}` runs on: the testbed's `i`-th client slot, which
@@ -327,6 +332,7 @@ impl GridApp {
             sink: tracestore::null_sink(),
             flow_memo_hits: std::cell::Cell::new(0),
             flow_memo_misses: std::cell::Cell::new(0),
+            assignment_generation: 0,
         })
     }
 
@@ -840,6 +846,7 @@ impl GridApp {
             .get_mut(client)
             .ok_or_else(|| AppError::UnknownClient(client.into()))?;
         state.group = to_group.to_string();
+        self.assignment_generation += 1;
         // A per-element repair broke the client's position symmetry: split
         // it permanently out of its aggregate demand row. Bookkeeping only —
         // aggregate rows are bit-identical to the exploded solve either way
@@ -871,6 +878,7 @@ impl GridApp {
         if let Some(unknown) = clients.iter().find(|c| !self.clients.contains_key(*c)) {
             return Err(AppError::UnknownClient(unknown.clone()));
         }
+        self.assignment_generation += 1;
         let mut moved: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         for client in clients {
             let state = self.clients.get_mut(client).expect("validated above");
@@ -1058,6 +1066,13 @@ impl GridApp {
     /// [`flow_snapshot`](Self::flow_snapshot) calls, as `(hits, misses)`.
     pub fn flow_memo_stats(&self) -> (u64, u64) {
         (self.flow_memo_hits.get(), self.flow_memo_misses.get())
+    }
+
+    /// The generation of the client→group assignment: unchanged for as long
+    /// as every [`client_group`](Self::client_group) answer is. A failed move
+    /// leaves it alone.
+    pub fn assignment_generation(&self) -> u64 {
+        self.assignment_generation
     }
 
     /// `remos_get_flow(clIP, svIP)`: predicted bandwidth between a client and

@@ -17,7 +17,11 @@
 //!   class serves every member;
 //! * [`probes`] — the class-shared Remos snapshot: bit-identical to
 //!   per-client probing on the classic presets (where every class is a
-//!   singleton) and ~group-size cheaper on the aggregated ones;
+//!   singleton) and ~group-size cheaper on the aggregated ones. At fleet
+//!   scale the snapshot has one entry per `(class, group)` representative,
+//!   read from a [`RepTable`] that is rebuilt only when a repair has moved
+//!   clients, and the servers a shared probe asks are listed once per group
+//!   per snapshot;
 //! * [`plan`] — the **bulk reassignment planner**: consumes class-level probe
 //!   snapshots and current model properties and emits a batched repair plan
 //!   of group tactics — `moveClientGroup` (re-home every squeezed client of
@@ -36,4 +40,4 @@ pub mod probes;
 
 pub use classes::{ClassIndex, ClientClass, ServerClass};
 pub use plan::{GroupPlan, GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
-pub use probes::{class_flow_snapshot, class_remos, class_rep_flow_snapshot};
+pub use probes::{class_flow_snapshot, class_remos, Rep, RepTable};

@@ -23,7 +23,7 @@
 //! bit-identically for any worker count.
 
 use crate::classes::ClassIndex;
-use crate::probes::class_remos;
+use crate::probes::GroupProbes;
 use archmodel::constraint::CheckReport;
 use archmodel::style::ClientServerStyle;
 use archmodel::{ModelOp, System, Transaction};
@@ -125,12 +125,10 @@ impl PlannerInput {
             );
         }
         let mut class_bandwidth = BTreeMap::new();
+        let mut probes = GroupProbes::new(app, index);
         for class in index.client_classes() {
             for group in groups.keys() {
-                class_bandwidth.insert(
-                    (class.id, group.clone()),
-                    class_remos(app, index, class, group),
-                );
+                class_bandwidth.insert((class.id, group.clone()), probes.flow(class, group));
             }
         }
         let mut client_groups = BTreeMap::new();

@@ -9,79 +9,205 @@
 //! snapshot is bit-identical to the per-client one (the property tests
 //! assert it); on aggregated testbeds it cuts probe sampling by roughly the
 //! class size.
+//!
+//! Nothing here is re-derived more often than it can change. Which servers
+//! answer for a group depends only on the application's state at the instant
+//! of the snapshot, so [`GroupProbes`] lists them once per group per
+//! snapshot, not once per client class. Which client stands for a
+//! `(class, group)` pair at fleet scale depends only on the client→group
+//! assignment, so [`RepTable`] keeps the answer and rebuilds it when
+//! [`GridApp::assignment_generation`] says a move happened — not by walking
+//! every client on every control tick.
 
 use crate::classes::{ClassIndex, ClientClass};
 use gridapp::{FlowSnapshot, GridApp};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// The class-level `remos_get_flow`: predicted bandwidth between a client
-/// class and a server group, taken as the best available bandwidth from one
-/// representative per server class present in the group to the client
-/// class's representative machine. `None` mirrors the per-client query's
-/// failure when the group has no live active server.
+/// The class-level `remos_get_flow` of one snapshot instant: predicted
+/// bandwidth between a client class and a server group, taken as the best
+/// available bandwidth from one representative per server class present in
+/// the group to the client class's representative machine.
+pub(crate) struct GroupProbes<'a> {
+    app: &'a GridApp,
+    index: &'a ClassIndex,
+    /// Per group asked about so far, the servers a shared probe must ask.
+    servers: BTreeMap<String, Vec<String>>,
+}
+
+impl<'a> GroupProbes<'a> {
+    /// Probes against `app` as it stands; nothing may mutate it while the
+    /// value lives, which the borrow enforces.
+    pub(crate) fn new(app: &'a GridApp, index: &'a ClassIndex) -> Self {
+        GroupProbes {
+            app,
+            index,
+            servers: BTreeMap::new(),
+        }
+    }
+
+    /// The live active servers of `group`, in name order, keeping one per
+    /// `(server class, runtime signature)` and every server outside the
+    /// index. Empty exactly when the group has no live active server.
+    fn servers_to_ask(&self, group: &str) -> Vec<String> {
+        let mut answered: BTreeSet<(usize, u64)> = BTreeSet::new();
+        let mut servers = self.app.active_servers(group);
+        servers.retain(|server| {
+            let Some(sclass) = self.index.server_class_of(server) else {
+                return true;
+            };
+            // Position symmetry is static; runtime refinement additionally
+            // partitions by what the replica is doing right now, so a
+            // replica mid-reply never answers a shared probe for its idle
+            // class-mates (its own transfer depresses the prediction).
+            let signature = if self.index.runtime_refinement() {
+                self.app.server_runtime_signature(server)
+            } else {
+                0
+            };
+            // `false`: an equivalent member of this class already answers.
+            answered.insert((sclass, signature))
+        });
+        servers
+    }
+
+    /// The flow `class` would see from `group`. `None` mirrors the per-client
+    /// query's failure when the group has no live active server.
+    pub(crate) fn flow(&mut self, class: &ClientClass, group: &str) -> Option<f64> {
+        if !self.servers.contains_key(group) {
+            let servers = self.servers_to_ask(group);
+            self.servers.insert(group.to_string(), servers);
+        }
+        let servers = &self.servers[group];
+        if servers.is_empty() {
+            return None;
+        }
+        let mut best: f64 = 0.0;
+        for server in servers {
+            let bw = self
+                .app
+                .available_bandwidth_between(server, &class.representative)
+                .unwrap_or(0.0);
+            best = best.max(bw);
+        }
+        Some(best)
+    }
+}
+
+/// One [`GroupProbes::flow`] query on its own: the class-level
+/// `remos_get_flow`.
 pub fn class_remos(
     app: &GridApp,
     index: &ClassIndex,
     class: &ClientClass,
     group: &str,
 ) -> Option<f64> {
-    let servers = app.active_servers(group);
-    if servers.is_empty() {
-        return None;
-    }
-    let mut probed: BTreeSet<(usize, u64)> = BTreeSet::new();
-    let mut best: f64 = 0.0;
-    for server in servers {
-        if let Some(sclass) = index.server_class_of(&server) {
-            // Position symmetry is static; runtime refinement additionally
-            // partitions by what the replica is doing right now, so a
-            // replica mid-reply never answers a shared probe for its idle
-            // class-mates (its own transfer depresses the prediction).
-            let signature = if index.runtime_refinement() {
-                app.server_runtime_signature(&server)
-            } else {
-                0
-            };
-            if !probed.insert((sclass, signature)) {
-                continue; // an equivalent member of this class already answered
-            }
-        }
-        let bw = app
-            .available_bandwidth_between(&server, &class.representative)
-            .unwrap_or(0.0);
-        best = best.max(bw);
-    }
-    Some(best)
+    GroupProbes::new(app, index).flow(class, group)
 }
 
-/// A representative-level flow snapshot for fleet-scale monitoring: instead
-/// of one entry per client (50k gauge updates per tick), one entry per
-/// `(client class, current group)` pair, keyed by the lexicographically
-/// first member of that pair — the class representative while the class is
-/// homogeneous, and the first mover after a partial group migration. The
-/// model only carries gauges for these representatives at fleet scale, so
-/// constraint checking scales with the number of classes, not clients.
-pub fn class_rep_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
-    let mut entries = Vec::new();
-    let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-    for client in app.client_names() {
-        let group = match app.client_group(&client) {
-            Ok(group) => group,
-            Err(_) => continue,
-        };
-        let Some(class) = index
-            .client_class_of(&client)
-            .and_then(|id| index.client_class(id))
-        else {
-            continue;
-        };
-        if !seen.insert((class.id, group.clone())) {
-            continue; // this (class, group) already has a representative
+/// The client monitored on behalf of one `(client class, current group)`
+/// pair: the lexicographically first member of the class homed on that group
+/// — the class representative while the class is homogeneous, and the first
+/// mover after a partial group migration.
+#[derive(Debug, Clone)]
+pub struct Rep {
+    /// The monitored client.
+    pub client: String,
+    /// The group it currently sends to.
+    pub group: String,
+    /// Its client class.
+    pub class: usize,
+}
+
+/// Fleet-scale monitoring state: the class index plus the [`Rep`] of every
+/// `(class, group)` pair in client-name order. The model only carries gauges
+/// for these clients at fleet scale, so monitoring and constraint checking
+/// scale with the number of classes, not clients.
+///
+/// The table is rebuilt only when the application's
+/// [`assignment_generation`](GridApp::assignment_generation) differs from
+/// the one it was built at, so one table must always be asked about the same
+/// application.
+#[derive(Debug, Clone)]
+pub struct RepTable {
+    index: ClassIndex,
+    reps: Vec<Rep>,
+    built_at: Option<u64>,
+    rebuilds: u64,
+}
+
+impl RepTable {
+    /// An empty table over `index`; the first query builds it.
+    pub fn new(index: ClassIndex) -> RepTable {
+        RepTable {
+            index,
+            reps: Vec::new(),
+            built_at: None,
+            rebuilds: 0,
         }
-        let flow = class_remos(app, index, class, &group);
-        entries.push((client, group, flow));
     }
-    FlowSnapshot::from_entries(entries)
+
+    /// The class index the table is drawn over.
+    pub fn index(&self) -> &ClassIndex {
+        &self.index
+    }
+
+    /// How many times the table has been (re)built: once, plus once per
+    /// query that followed a client move.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// The representatives as of `app`'s current assignment, in client-name
+    /// order.
+    pub fn reps(&mut self, app: &GridApp) -> &[Rep] {
+        let generation = app.assignment_generation();
+        if self.built_at != Some(generation) {
+            self.rebuild(app);
+            self.built_at = Some(generation);
+            self.rebuilds += 1;
+        }
+        &self.reps
+    }
+
+    fn rebuild(&mut self, app: &GridApp) {
+        self.reps.clear();
+        for class in self.index.client_classes() {
+            // Members are in name order, so the first one found on a group
+            // is that pair's representative.
+            let first = self.reps.len();
+            for member in &class.members {
+                let Ok(group) = app.client_group(member) else {
+                    continue;
+                };
+                if self.reps[first..].iter().all(|rep| rep.group != group) {
+                    self.reps.push(Rep {
+                        client: member.clone(),
+                        group,
+                        class: class.id,
+                    });
+                }
+            }
+        }
+        self.reps.sort_by(|a, b| a.client.cmp(&b.client));
+    }
+
+    /// The representative-level flow snapshot: instead of one entry per
+    /// client (50k gauge updates per tick), one entry per [`Rep`], carrying
+    /// the class-shared flow of its `(class, group)` pair.
+    pub fn flow_snapshot(&mut self, app: &GridApp) -> FlowSnapshot {
+        self.reps(app);
+        let mut probes = GroupProbes::new(app, &self.index);
+        let entries = self
+            .reps
+            .iter()
+            .map(|rep| {
+                let class = &self.index.client_classes()[rep.class];
+                let flow = probes.flow(class, &rep.group);
+                (rep.client.clone(), rep.group.clone(), flow)
+            })
+            .collect();
+        FlowSnapshot::from_entries(entries)
+    }
 }
 
 /// The class-shared equivalent of
@@ -93,6 +219,7 @@ pub fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
     // vast majority of the 2,000 per-tick lookups at scale — allocates
     // nothing; the group key is cloned only on a miss.
     let mut memo: HashMap<usize, HashMap<String, Option<f64>>> = HashMap::new();
+    let mut probes = GroupProbes::new(app, index);
     let mut entries = Vec::new();
     for client in app.client_names() {
         let group = match app.client_group(&client) {
@@ -108,7 +235,7 @@ pub fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
                 match per_group.get(&group) {
                     Some(&cached) => cached,
                     None => {
-                        let value = class_remos(app, index, class, &group);
+                        let value = probes.flow(class, &group);
                         per_group.insert(group.clone(), value);
                         value
                     }
@@ -126,8 +253,182 @@ pub fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_1};
+    use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_1, SERVER_GROUP_2};
+    use proptest::prelude::*;
     use simnet::SimTime;
+
+    /// The reference for [`RepTable::flow_snapshot`]: walks every client in
+    /// name order, keeps the first one seen per `(class, group)` pair, and
+    /// asks [`class_remos`] from scratch for each.
+    fn walking_rep_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
+        let mut entries = Vec::new();
+        let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
+        for client in app.client_names() {
+            let group = match app.client_group(&client) {
+                Ok(group) => group,
+                Err(_) => continue,
+            };
+            let Some(class) = index
+                .client_class_of(&client)
+                .and_then(|id| index.client_class(id))
+            else {
+                continue;
+            };
+            if !seen.insert((class.id, group.clone())) {
+                continue; // this (class, group) already has a representative
+            }
+            let flow = class_remos(app, index, class, &group);
+            entries.push((client, group, flow));
+        }
+        FlowSnapshot::from_entries(entries)
+    }
+
+    /// A small aggregated testbed: 28 clients in 8 client classes of uneven
+    /// size (R2 and R5 each end on a two-member class), 3 server classes.
+    fn small_aggregated() -> TestbedSpec {
+        TestbedSpec {
+            clients_r1: 12,
+            clients_r2: 6,
+            clients_r5: 10,
+            sg1_active: 4,
+            sg1_spares: 1,
+            sg2_active: 3,
+            sg2_spares: 1,
+            clients_per_agg: 4,
+            ..TestbedSpec::large_scale()
+        }
+    }
+
+    /// Applies one drawn mutation to `app` at `now`; `pick` selects what it
+    /// acts on.
+    fn mutate(app: &mut GridApp, index: &ClassIndex, now: SimTime, op: u8, pick: usize) {
+        let classes = index.client_classes();
+        let class = &classes[pick % classes.len()];
+        let group = [SERVER_GROUP_1, SERVER_GROUP_2][(pick / classes.len()) % 2];
+        let servers = app.server_names();
+        let server = &servers[pick % servers.len()];
+        match op {
+            0 => {
+                let member = &class.members[pick % class.members.len()];
+                app.move_client(member, group).unwrap();
+            }
+            1 => {
+                app.move_clients(&class.members, group).unwrap();
+            }
+            2 => {
+                // Half a class: the odd members, so the first mover is not
+                // the class representative.
+                let half: Vec<String> = class.members.iter().skip(1).step_by(2).cloned().collect();
+                app.move_clients(&half, group).unwrap();
+            }
+            3 => {
+                app.move_clients(&[], group).unwrap();
+            }
+            4 => {
+                // Already on target: re-home a class where its
+                // representative already is.
+                let current = app.client_group(&class.representative).unwrap();
+                app.move_clients(&class.members, &current).unwrap();
+            }
+            5 => app.crash_server(now, server).unwrap(),
+            6 => app.restart_server(now, server).unwrap(),
+            _ => unreachable!("ops are drawn below 7"),
+        }
+    }
+
+    /// Runs `ops` against a fresh deployment of `spec`, comparing the table's
+    /// snapshot with the walking reference after every step.
+    fn table_follows_the_walk(spec: TestbedSpec, seed: u64, ops: &[(u8, usize)]) {
+        let config = GridConfig {
+            seed,
+            ..GridConfig::with_testbed(spec)
+        };
+        let mut app = GridApp::build(config).unwrap();
+        let index = ClassIndex::build(app.testbed());
+        let mut table = RepTable::new(index.clone());
+        let mut now = 0.0;
+        for &(op, pick) in ops {
+            now += 0.5 + (pick % 7) as f64;
+            app.advance(SimTime::from_secs(now));
+            mutate(&mut app, &index, SimTime::from_secs(now), op, pick);
+            let walked = walking_rep_flow_snapshot(&app, &index);
+            assert_eq!(
+                table.flow_snapshot(&app),
+                walked,
+                "after op {op} pick {pick}"
+            );
+            // A second snapshot with nothing moved in between reads the kept
+            // table.
+            let rebuilds = table.rebuilds();
+            assert_eq!(table.flow_snapshot(&app), walked);
+            assert_eq!(table.rebuilds(), rebuilds);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn rep_table_matches_the_walk_on_a_small_aggregated_testbed(
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec((0u8..7, 0usize..10_000), 1..16),
+        ) {
+            table_follows_the_walk(small_aggregated(), seed, &ops);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn rep_table_matches_the_walk_on_large_scale(
+            seed in 0u64..10_000,
+            ops in proptest::collection::vec((0u8..7, 0usize..10_000), 1..8),
+        ) {
+            table_follows_the_walk(TestbedSpec::large_scale(), seed, &ops);
+        }
+    }
+
+    #[test]
+    fn rep_table_rebuilds_only_after_a_client_move() {
+        let mut app = GridApp::build(GridConfig::with_testbed(TestbedSpec::large_scale())).unwrap();
+        let index = ClassIndex::build(app.testbed());
+        let mut table = RepTable::new(index.clone());
+        assert_eq!(table.rebuilds(), 0);
+        for tick in 1..=20 {
+            app.advance(SimTime::from_secs(tick as f64 * 0.5));
+            table.flow_snapshot(&app);
+        }
+        assert_eq!(table.rebuilds(), 1, "advancing moves no client");
+
+        // A failed move changes no assignment and must not invalidate.
+        let generation = app.assignment_generation();
+        assert!(app.move_client("Nobody", SERVER_GROUP_2).is_err());
+        assert!(app.move_client("User1", "NoSuchGroup").is_err());
+        assert!(app
+            .move_clients(&["Nobody".to_string()], SERVER_GROUP_2)
+            .is_err());
+        assert!(app
+            .move_clients(&["User1".to_string()], "NoSuchGroup")
+            .is_err());
+        assert_eq!(app.assignment_generation(), generation);
+        table.flow_snapshot(&app);
+        assert_eq!(table.rebuilds(), 1);
+
+        let class = &index.client_classes()[3];
+        app.move_clients(&class.members, SERVER_GROUP_2).unwrap();
+        let snapshot = table.flow_snapshot(&app);
+        assert_eq!(table.rebuilds(), 2, "the move is seen by the next snapshot");
+        assert!(snapshot
+            .entries()
+            .iter()
+            .any(|(client, group, _)| *client == class.representative && group == SERVER_GROUP_2));
+        for tick in 21..=25 {
+            app.advance(SimTime::from_secs(tick as f64 * 0.5));
+            table.flow_snapshot(&app);
+        }
+        assert_eq!(table.rebuilds(), 2);
+    }
 
     #[test]
     fn classic_snapshot_is_bit_identical_to_per_client_probing() {
@@ -215,7 +516,7 @@ mod tests {
         let mut app = GridApp::build(GridConfig::with_testbed(TestbedSpec::large_scale())).unwrap();
         app.advance(SimTime::from_secs(10.0));
         let index = ClassIndex::build(app.testbed());
-        let rep = class_rep_flow_snapshot(&app, &index);
+        let rep = RepTable::new(index.clone()).flow_snapshot(&app);
         // Everyone starts on SG1: one entry per client class, keyed by its
         // representative, carrying the class-shared flow.
         assert_eq!(rep.entries().len(), index.client_classes().len());

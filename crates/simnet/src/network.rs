@@ -118,37 +118,46 @@ pub struct AggregationStats {
 /// of [`AggState`] so buffers persist across epochs.
 #[derive(Debug, Default)]
 struct GroupScratch {
-    /// Index (in id-ordered active-transfer iteration) of the group's first
-    /// member — the representative whose shared resource slice later members
-    /// must match exactly.
-    rep: u32,
-    /// Whether the classed client is the transfer source (the access
-    /// resource is then the first path entry, else the last).
-    client_is_src: bool,
-    /// Member transfer indices, in id order.
+    /// The first member's post-access resources, which later members must
+    /// match exactly to join.
+    shared: Vec<ResourceId>,
+    /// Each member's access resource, in id order.
+    access: Vec<ResourceId>,
+    /// Member transfer indices (in id-ordered active-transfer iteration).
     members: Vec<u32>,
 }
 
+/// Marks a transfer outside every group in [`AggState::member_of`].
+const PLAIN: u32 = u32::MAX;
+
 /// Class-aggregation state: which client hosts belong to which
 /// network-position class, which of them have permanently lost their
-/// symmetry, and the per-epoch grouping scratch.
+/// symmetry, and the per-epoch grouping scratch. The per-node tables are
+/// dense vectors indexed by [`NodeId`], sized when classes are injected.
 #[derive(Debug, Default)]
 struct AggState {
-    /// Client host → network-position class. Empty ⇒ aggregation disabled.
-    flow_class: HashMap<NodeId, u32>,
+    /// Node → network-position class of the client host there, if any.
+    flow_class: Vec<Option<u32>>,
+    /// Classed client hosts. Zero ⇒ aggregation disabled.
+    n_classed: usize,
     /// Access link → classed client host, for fault-driven splits.
     classed_by_link: HashMap<LinkId, NodeId>,
-    /// Clients permanently exploded out of their aggregates by a fault or a
-    /// divergent runtime state. Splits are silent: rates are bit-identical
-    /// either way, so no trace entry may record them.
-    split_nodes: BTreeSet<NodeId>,
+    /// Node → whether the client there was permanently exploded out of its
+    /// aggregate by a fault or a divergent runtime state. Splits are silent:
+    /// rates are bit-identical either way, so no trace entry may record them.
+    is_split: Vec<bool>,
+    /// Nodes marked in `is_split` — all the statistics need.
+    n_split: usize,
     /// Last-epoch row/flow statistics.
     stats: AggregationStats,
     // ---- per-epoch scratch (cleared, never shrunk) ----
     /// Member rate index per active transfer, in id order.
     member_of: Vec<u32>,
-    /// Concurrent-transfer count per classed client this epoch.
-    counts: HashMap<NodeId, u32>,
+    /// Node → concurrent transfers of the classed client there this epoch;
+    /// zero outside `counted`.
+    counts: Vec<u32>,
+    /// The nodes with a non-zero count, so a reset touches only them.
+    counted: Vec<NodeId>,
     /// (class, far endpoint, client-is-src) → group slot.
     index: HashMap<(u32, NodeId, bool), u32>,
     /// Group slots; `groups[..n_groups]` are live this epoch.
@@ -158,30 +167,39 @@ struct AggState {
 
 impl AggState {
     fn enabled(&self) -> bool {
-        !self.flow_class.is_empty()
+        self.n_classed > 0
+    }
+
+    /// The class of the client host at `node`, if it has one.
+    fn class_of(&self, node: NodeId) -> Option<u32> {
+        self.flow_class.get(node.0).copied().flatten()
     }
 
     fn split(&mut self, node: NodeId) {
-        if self.flow_class.contains_key(&node) {
-            self.split_nodes.insert(node);
+        if self.class_of(node).is_some() && !self.is_split[node.0] {
+            self.is_split[node.0] = true;
+            self.n_split += 1;
         }
     }
 
     fn begin_epoch(&mut self) {
         self.member_of.clear();
-        self.counts.clear();
+        for node in self.counted.drain(..) {
+            self.counts[node.0] = 0;
+        }
         self.index.clear();
         self.n_groups = 0;
     }
 
-    fn alloc_group(&mut self, rep: u32, client_is_src: bool) -> u32 {
+    fn alloc_group(&mut self, shared: &[ResourceId]) -> u32 {
         let slot = self.n_groups;
         if slot == self.groups.len() {
             self.groups.push(GroupScratch::default());
         }
         let g = &mut self.groups[slot];
-        g.rep = rep;
-        g.client_is_src = client_is_src;
+        g.shared.clear();
+        g.shared.extend_from_slice(shared);
+        g.access.clear();
         g.members.clear();
         self.n_groups += 1;
         slot as u32
@@ -643,22 +661,31 @@ impl Network {
             return;
         }
         loop {
+            // The cached minimum drain time is current as of `current` (every
+            // path that changes a rate or a remaining volume refreshes it),
+            // a stalled transfer drains after 1e12 s, and `current + _` is
+            // monotone: when the earliest drain it implies is past `now`,
+            // the scan below would find nothing due.
+            let earliest =
+                current + SimDuration::from_secs(self.drain_min_pos_secs.unwrap_or(1.0e12));
             // Next drain completion under current rates.
-            let next_drain: Option<(TransferId, SimTime)> = self
-                .active
-                .values()
-                .map(|t| {
-                    let secs = if t.rate_bps > 0.0 {
-                        t.remaining_bits / t.rate_bps
-                    } else {
-                        f64::INFINITY
-                    };
-                    (t.id, current + SimDuration::from_secs(secs.min(1.0e12)))
-                })
-                // Tie-break on the transfer id so simultaneous completions
-                // drain in a deterministic order regardless of HashMap
-                // iteration order.
-                .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+            let next_drain: Option<(TransferId, SimTime)> = if earliest <= now {
+                self.active
+                    .values()
+                    .map(|t| {
+                        let secs = if t.rate_bps > 0.0 {
+                            t.remaining_bits / t.rate_bps
+                        } else {
+                            f64::INFINITY
+                        };
+                        (t.id, current + SimDuration::from_secs(secs.min(1.0e12)))
+                    })
+                    // Tie-break on the transfer id so simultaneous
+                    // completions drain in a deterministic order.
+                    .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
+            } else {
+                None
+            };
 
             match next_drain {
                 Some((id, drain_at)) if drain_at <= now => {
@@ -771,89 +798,70 @@ impl Network {
         // Pass 1: concurrent-transfer counts per classed client endpoint.
         for t in self.active.values() {
             for node in [t.src, t.dst] {
-                if agg.flow_class.contains_key(&node) {
-                    *agg.counts.entry(node).or_insert(0) += 1;
+                if agg.flow_class[node.0].is_some() {
+                    if agg.counts[node.0] == 0 {
+                        agg.counted.push(node);
+                    }
+                    agg.counts[node.0] += 1;
                 }
             }
         }
-        // Pass 2: assign transfers to groups. `u32::MAX` marks "plain".
-        const PLAIN: u32 = u32::MAX;
-        let actives: Vec<&ActiveTransfer> = self.active.values().collect();
-        for (k, t) in actives.iter().enumerate() {
-            let client_src = agg.flow_class.get(&t.src).copied();
-            let client_dst = agg.flow_class.get(&t.dst).copied();
-            let (class, client, far, client_is_src) = match (client_src, client_dst) {
-                (Some(c), None) => (c, t.src, t.dst, true),
-                (None, Some(c)) => (c, t.dst, t.src, false),
-                _ => {
-                    agg.member_of.push(PLAIN);
-                    continue;
-                }
-            };
-            if t.resources.is_empty()
-                || agg.split_nodes.contains(&client)
-                || agg.counts.get(&client).copied().unwrap_or(0) >= 2
-            {
-                if agg.counts.get(&client).copied().unwrap_or(0) >= 2 {
-                    agg.split(client);
-                }
+        // Pass 2: assign transfers to groups; [`PLAIN`] marks a plain row.
+        for (k, t) in self.active.values().enumerate() {
+            let (class, client, far, client_is_src) =
+                match (agg.flow_class[t.src.0], agg.flow_class[t.dst.0]) {
+                    (Some(c), None) => (c, t.src, t.dst, true),
+                    (None, Some(c)) => (c, t.dst, t.src, false),
+                    _ => {
+                        agg.member_of.push(PLAIN);
+                        continue;
+                    }
+                };
+            let diverged = agg.counts[client.0] >= 2;
+            if diverged {
+                agg.split(client);
+            }
+            if t.resources.is_empty() || diverged || agg.is_split[client.0] {
                 agg.member_of.push(PLAIN);
                 continue;
             }
-            fn shared_of(t: &ActiveTransfer, client_is_src: bool) -> &[ResourceId] {
-                if client_is_src {
-                    &t.resources[1..]
-                } else {
-                    &t.resources[..t.resources.len() - 1]
-                }
-            }
+            // The access resource is the path's first entry when the client
+            // sends and its last when the client receives.
+            let (access, shared) = if client_is_src {
+                (t.resources[0], &t.resources[1..])
+            } else {
+                let last = t.resources.len() - 1;
+                (t.resources[last], &t.resources[..last])
+            };
             let key = (class, far, client_is_src);
-            if let Some(&gi) = agg.index.get(&key) {
-                let rep = actives[agg.groups[gi as usize].rep as usize];
-                if shared_of(rep, client_is_src) == shared_of(t, client_is_src) {
-                    agg.groups[gi as usize].members.push(k as u32);
-                    agg.member_of.push(gi); // provisional: group slot, fixed up below
-                } else {
+            let gi = match agg.index.get(&key) {
+                Some(&gi) if agg.groups[gi as usize].shared == shared => gi,
+                Some(_) => {
                     // Asymmetric routing within the class: stays plain.
                     agg.member_of.push(PLAIN);
+                    continue;
                 }
-            } else {
-                let gi = agg.alloc_group(k as u32, client_is_src);
-                agg.index.insert(key, gi);
-                agg.groups[gi as usize].members.push(k as u32);
-                agg.member_of.push(gi);
-            }
+                None => {
+                    let gi = agg.alloc_group(shared);
+                    agg.index.insert(key, gi);
+                    gi
+                }
+            };
+            let g = &mut agg.groups[gi as usize];
+            g.access.push(access);
+            g.members.push(k as u32);
+            agg.member_of.push(gi); // provisional: group slot, fixed up below
         }
         // Pass 3: emit aggregate rows (group-creation order), then plain
         // rows (id order), rewriting `member_of` from provisional group
         // slots to final member-rate indices.
         let mut stats = AggregationStats {
-            total_flows: actives.len(),
+            total_flows: self.active.len(),
             ..AggregationStats::default()
         };
         let mut next_member = 0u32;
-        for gi in 0..agg.n_groups {
-            let g = &agg.groups[gi];
-            let rep = actives[g.rep as usize];
-            let shared: &[ResourceId] = if g.client_is_src {
-                &rep.resources[1..]
-            } else {
-                &rep.resources[..rep.resources.len() - 1]
-            };
-            let access_of = |t: &ActiveTransfer| -> ResourceId {
-                if g.client_is_src {
-                    t.resources[0]
-                } else {
-                    t.resources[t.resources.len() - 1]
-                }
-            };
-            // Reuse the probe scratch buffer for the member access list.
-            let mut access = self.probe_scratch.borrow_mut();
-            access.clear();
-            for &k in &g.members {
-                access.push(access_of(actives[k as usize]));
-            }
-            self.demands.push_aggregate(1.0, shared, &access);
+        for g in &agg.groups[..agg.n_groups] {
+            self.demands.push_aggregate(1.0, &g.shared, &g.access);
             for (j, &k) in g.members.iter().enumerate() {
                 agg.member_of[k as usize] = next_member + j as u32;
             }
@@ -863,10 +871,10 @@ impl Network {
                 stats.aggregated_flows += g.members.len();
             }
         }
-        for (k, t) in actives.iter().enumerate() {
-            if agg.member_of[k] == PLAIN {
+        for (t, member) in self.active.values().zip(agg.member_of.iter_mut()) {
+            if *member == PLAIN {
                 self.demands.push(1.0, &t.resources);
-                agg.member_of[k] = next_member;
+                *member = next_member;
                 next_member += 1;
                 stats.rows += 1;
             }
@@ -911,6 +919,9 @@ impl Network {
     /// fluid model first).
     pub fn poll_completions(&mut self, now: SimTime) -> Vec<CompletedTransfer> {
         self.advance(now);
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
         let (ready, waiting): (Vec<_>, Vec<_>) =
             self.pending.drain(..).partition(|p| p.deliver_at <= now);
         self.pending = waiting;
@@ -998,12 +1009,20 @@ impl Network {
     where
         I: IntoIterator<Item = (NodeId, u32)>,
     {
-        self.agg.flow_class.clear();
-        self.agg.classed_by_link.clear();
+        let agg = &mut self.agg;
+        let nodes = self.topology.node_count();
+        agg.flow_class.clear();
+        agg.flow_class.resize(nodes, None);
+        agg.n_classed = 0;
+        agg.is_split.resize(nodes, false);
+        agg.counts.resize(nodes, 0);
+        agg.classed_by_link.clear();
         for (node, class) in classes {
             if let Some((_, link)) = self.topology.attachment(node) {
-                self.agg.classed_by_link.insert(link, node);
-                self.agg.flow_class.insert(node, class);
+                agg.classed_by_link.insert(link, node);
+                if agg.flow_class[node.0].replace(class).is_none() {
+                    agg.n_classed += 1;
+                }
             }
         }
         if !self.active.is_empty() {
@@ -1030,7 +1049,7 @@ impl Network {
     /// Last-epoch aggregation statistics plus lifetime split count.
     pub fn aggregation_stats(&self) -> AggregationStats {
         AggregationStats {
-            permanent_splits: self.agg.split_nodes.len(),
+            permanent_splits: self.agg.n_split,
             ..self.agg.stats
         }
     }
@@ -1361,6 +1380,60 @@ mod tests {
         assert_eq!(stats.permanent_splits, 2);
         assert_eq!(stats.total_flows, 4);
         assert_eq!(stats.aggregated_flows, 0, "no multi-member rows remain");
+    }
+
+    #[test]
+    fn reinjecting_classes_keeps_splits_and_never_changes_a_rate() {
+        let (mut net, clients, s) = star_net();
+        let (mut exploded, _, _) = star_net();
+        let access = net.topology().link_between(clients[0], NodeId(0)).unwrap();
+        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
+        for n in [&mut net, &mut exploded] {
+            for (i, &c) in clients.iter().enumerate() {
+                n.start_transfer(t(0.0), s, c, 100e6, i as u64).unwrap();
+            }
+            // A fault on c0's access link: c0 leaves its aggregate for good.
+            n.set_link_capacity(t(1.0), access, 2e6).unwrap();
+        }
+        let same_rates = |net: &Network, exploded: &Network| {
+            for i in 0..3 {
+                let (a, b) = (
+                    net.transfer_rate(TransferId(i)),
+                    exploded.transfer_rate(TransferId(i)),
+                );
+                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "transfer {i}");
+            }
+        };
+        same_rates(&net, &exploded);
+        assert_eq!(net.aggregation_stats().permanent_splits, 1);
+        assert_eq!(net.aggregation_stats().aggregated_flows, 2);
+
+        // Injected again, drawn differently: c0 stays exploded although it is
+        // classed with c1, which leaves two singleton aggregates and c0's
+        // plain row.
+        for _ in 0..2 {
+            net.set_flow_classes([(clients[0], 0), (clients[1], 0), (clients[2], 1)]);
+            assert!(net.aggregation_enabled());
+            let stats = net.aggregation_stats();
+            assert_eq!((stats.rows, stats.aggregated_flows), (3, 0));
+            assert_eq!(stats.permanent_splits, 1);
+            same_rates(&net, &exploded);
+        }
+
+        // An empty map disables aggregation; the split record outlives it.
+        net.set_flow_classes([]);
+        assert!(!net.aggregation_enabled());
+        assert_eq!(net.aggregation_stats().permanent_splits, 1);
+        same_rates(&net, &exploded);
+        // With no classes nothing new can split.
+        net.split_client(clients[1]);
+        assert_eq!(net.aggregation_stats().permanent_splits, 1);
+
+        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
+        let stats = net.aggregation_stats();
+        assert_eq!((stats.rows, stats.aggregated_flows), (2, 2));
+        assert_eq!(stats.permanent_splits, 1);
+        same_rates(&net, &exploded);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! to each run and prints the MAPE-loop phase breakdown (wall-clock spans:
 //! advance / gauge dispatch / constraint check / plan / translate / execute /
 //! commit-replay) plus the largest deterministic counter deltas between the
-//! adaptive and the control run.
+//! adaptive and the control run. Two rows enclose others: `phase.tick` is the
+//! whole control period, and `phase.advance` contains `phase.flow_snapshot`
+//! (the tick's Remos pass), so `advance − flow_snapshot` is the runtime
+//! layer's own event loop.
 //!
 //! Run with:
 //! ```text
@@ -39,6 +42,7 @@ fn phase_table(label: &str, report: &obs::PerfReport) -> String {
             row.name, row.count, row.total_ms, row.mean_us, row.p95_us, row.max_us
         ));
     }
+    out.push_str("  (phase.tick encloses every row; phase.advance encloses phase.flow_snapshot)\n");
     out
 }
 
