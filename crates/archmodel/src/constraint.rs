@@ -71,8 +71,12 @@ pub struct Violation {
     pub detail: String,
 }
 
+fn is_zero(count: &usize) -> bool {
+    *count == 0
+}
+
 /// Result of checking a constraint set against the model.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CheckReport {
     /// Constraints that evaluated to false.
     pub violations: Vec<Violation>,
@@ -84,26 +88,11 @@ pub struct CheckReport {
     /// How many (invariant, element) pairs were pruned by the dirty set and
     /// replayed from cache instead of re-evaluated. Always zero for a full
     /// sweep; `evaluated + skipped` equals the full sweep's `evaluated`.
+    /// Serialised only when non-zero: full-sweep reports keep their historic
+    /// shape byte for byte.
+    #[serde(skip_serializing_if = "is_zero")]
     pub skipped: usize,
 }
-
-impl Serialize for CheckReport {
-    // Hand-written so `skipped` is emitted only when non-zero: full-sweep
-    // reports keep their historic serialized shape byte for byte.
-    fn to_content(&self) -> serde::Content {
-        let mut fields = vec![
-            ("violations".to_string(), self.violations.to_content()),
-            ("errors".to_string(), self.errors.to_content()),
-            ("evaluated".to_string(), self.evaluated.to_content()),
-        ];
-        if self.skipped != 0 {
-            fields.push(("skipped".to_string(), self.skipped.to_content()));
-        }
-        serde::Content::Map(fields)
-    }
-}
-
-impl Deserialize for CheckReport {}
 
 impl CheckReport {
     /// True when no constraint was violated.

@@ -115,8 +115,9 @@ impl std::error::Error for ModelError {}
 /// one shared service connector, and a linear scan of the attachment list or
 /// the connector's role list per operation turns that into a quadratic stall.
 /// The `attachments` vector stays the canonical (ordered, serialized)
-/// representation; the indices mirror it and preserve its relative order.
-#[derive(Debug, Clone, Default)]
+/// representation; the indices mirror it and preserve its relative order —
+/// derived data, so they are skipped by serialization as by equality.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct System {
     /// The system's name.
     pub name: String,
@@ -129,25 +130,32 @@ pub struct System {
     roles: BTreeMap<RoleId, Role>,
     attachments: Vec<Attachment>,
     next_id: u32,
+    #[serde(skip)]
     component_names: HashMap<Key, ComponentId>,
+    #[serde(skip)]
     connector_names: HashMap<Key, ConnectorId>,
     /// First (lowest-id) role carrying each name plus how many roles carry
     /// it — role names are not enforced unique, and lookups keep the
     /// historic first-match semantics. The count makes removal O(1) for
     /// unique names (the overwhelmingly common case); a promotion scan runs
     /// only when duplicates actually exist.
+    #[serde(skip)]
     role_names: HashMap<Key, (RoleId, u32)>,
     /// First role with a given name within one connector (attachment-order
     /// first, i.e. the earliest entry of `Connector::roles`), plus the
     /// duplicate count — the resolver behind name-addressed `ModelOp`s.
+    #[serde(skip)]
     connector_role_names: HashMap<(ConnectorId, Key), (RoleId, u32)>,
     /// Roles attached to each port, in attachment order.
+    #[serde(skip)]
     attachments_by_port: HashMap<PortId, Vec<RoleId>>,
     /// Ports attached to each role, in attachment order.
+    #[serde(skip)]
     attachments_by_role: HashMap<RoleId, Vec<PortId>>,
     /// Change journal feeding incremental constraint checking. Like the name
     /// indices this is derived bookkeeping: excluded from equality and
     /// serialization.
+    #[serde(skip)]
     journal: ChangeJournal,
 }
 
@@ -166,25 +174,6 @@ impl PartialEq for System {
             && self.next_id == other.next_id
     }
 }
-
-impl Serialize for System {
-    // Hand-written to keep the serialized shape free of the redundant name
-    // indices (and identical to the pre-index derive output).
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("name".to_string(), self.name.to_content()),
-            ("properties".to_string(), self.properties.to_content()),
-            ("components".to_string(), self.components.to_content()),
-            ("connectors".to_string(), self.connectors.to_content()),
-            ("ports".to_string(), self.ports.to_content()),
-            ("roles".to_string(), self.roles.to_content()),
-            ("attachments".to_string(), self.attachments.to_content()),
-            ("next_id".to_string(), self.next_id.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for System {}
 
 impl System {
     /// Creates an empty system with the given name.

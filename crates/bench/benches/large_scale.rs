@@ -147,7 +147,7 @@ fn assert_probe_sharing() -> (u64, u64) {
     let index = planner::ClassIndex::build(app.testbed());
 
     let before = app.probe_solve_count();
-    let shared = planner::class_flow_snapshot(&app, &index);
+    let shared = planner::RepTable::new(index).member_flow_snapshot(&app);
     let shared_solves = app.probe_solve_count() - before;
 
     // Perturb the network so the second snapshot cannot ride the first

@@ -16,6 +16,7 @@
 //! repairs through the translator and the Table 1 runtime operators.
 
 use crate::model::{build_model, ModelUpdater};
+use crate::monitor::Monitor;
 use crate::observe::{Observer, Occurrence};
 use crate::query::AppQuery;
 use crate::task::PerformanceProfile;
@@ -23,14 +24,8 @@ use archmodel::constraint::ConstraintSet;
 use archmodel::style::ClientServerStyle;
 use archmodel::{Key, System};
 use faultsim::CompiledFaultSchedule;
-use gridapp::{
-    sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
-    sample_server_probe, AppError, ExperimentSchedule, GridApp, GridConfig, Metrics,
-};
-use monitoring::{
-    AverageLatencyGauge, BandwidthGauge, GaugeLifecycleConfig, GaugeManager, GroupLivenessGauge,
-    LoadGauge, MonitoringPipeline, ReachabilityGauge, ServerHealthGauge,
-};
+use gridapp::{AppError, ExperimentSchedule, GridApp, GridConfig, Metrics};
+use monitoring::GaugeLifecycleConfig;
 use repair::{PlanOutcome, RepairDamping, RepairEngine, RepairPlan, SelectionPolicy};
 use simnet::{SimTime, Trace, TraceKind};
 use translator::{translate, RepairCostModel, RuntimeOp};
@@ -77,10 +72,9 @@ pub struct FrameworkConfig {
     pub selection: SelectionPolicy,
     /// Optional repair damping window (seconds) to suppress oscillation.
     pub damping_secs: Option<f64>,
-    /// When true, monitoring traffic shares the congested network and its
-    /// delivery delay grows as available bandwidth shrinks (§5.3).
-    pub monitoring_shares_network: bool,
-    /// When true, monitoring traffic is prioritised (QoS) and never delayed.
+    /// When true, monitoring traffic is prioritised (QoS) and never delayed;
+    /// otherwise it shares the congested network and its delivery delay
+    /// grows as available bandwidth shrinks (§5.3).
     pub monitoring_qos: bool,
     /// Tactic-ordering ablation: try the bandwidth repair before the
     /// server-load repair.
@@ -129,7 +123,6 @@ impl Default for FrameworkConfig {
             cost_model: RepairCostModel::paper_defaults(),
             selection: SelectionPolicy::FirstReported,
             damping_secs: Some(60.0),
-            monitoring_shares_network: true,
             monitoring_qos: false,
             bandwidth_first: false,
             group_planner: false,
@@ -344,14 +337,10 @@ pub struct AdaptationFramework {
     server_map: std::collections::HashMap<String, String>,
     constraints: ConstraintSet,
     engine: RepairEngine,
-    pipeline: MonitoringPipeline,
+    /// The one monitoring path: who is watched, the flow snapshot, the gauge
+    /// roster and the run's class index.
+    monitor: Monitor,
     planner: Option<planner::GroupPlanner>,
-    /// Fleet-scale monitoring: present when the deployment is at or above
-    /// [`gridapp::FLEET_SCALE_MIN_CLIENTS`], for *every* strategy (control
-    /// runs need cheap monitoring too). Per-client gauges and flow snapshots
-    /// are then issued per `(class, group)` representative — the one
-    /// definition of which lives in the table — instead of per client.
-    monitor: Option<planner::RepTable>,
     /// The one observation path: legacy trace, trace sink, metrics sink, and
     /// the always-on tallies.
     observer: Observer,
@@ -399,15 +388,10 @@ impl AdaptationFramework {
         }
         engine.set_selection(config.selection);
         engine.set_damping(config.damping_secs.map(RepairDamping::new));
-        let pipeline = MonitoringPipeline::new(GaugeManager::new(config.gauge_lifecycle));
-        let group_planner = config.group_planner.then(|| {
-            planner::GroupPlanner::new(
-                planner::ClassIndex::build(app.testbed()),
-                config.damping_secs,
-            )
-        });
-        let monitor = (app.testbed().num_clients() >= gridapp::FLEET_SCALE_MIN_CLIENTS)
-            .then(|| planner::RepTable::new(planner::ClassIndex::build(app.testbed())));
+        let monitor = Monitor::new(&app, &config);
+        let group_planner = config
+            .group_planner
+            .then(|| planner::GroupPlanner::new(config.damping_secs));
 
         let mut framework = AdaptationFramework {
             config,
@@ -417,16 +401,20 @@ impl AdaptationFramework {
             server_map,
             constraints,
             engine,
-            pipeline,
-            planner: group_planner,
             monitor,
+            planner: group_planner,
             observer: Observer::new(config.detectors.is_some()),
             next_constraint_check_secs: 0.0,
             checker: archmodel::IncrementalChecker::new(),
             detector: config.detectors.map(DetectorState::new),
             pending: None,
         };
-        framework.deploy_gauges(SimTime::ZERO);
+        framework
+            .observer
+            .record(SimTime::ZERO, Occurrence::Deployed);
+        framework
+            .monitor
+            .deploy(SimTime::ZERO, &framework.app, &framework.server_map);
         Ok(framework)
     }
 
@@ -452,16 +440,9 @@ impl AdaptationFramework {
     /// automatically at the metric-snapshot cadence and by the experiment
     /// driver at end of run; a no-op when metrics are disabled.
     pub fn publish_metrics(&self) {
-        // Class census: the monitoring index at fleet scale, else the group
-        // planner's index when one is active.
-        let census = self
-            .monitor
-            .as_ref()
-            .map(|reps| reps.index())
-            .or_else(|| self.planner.as_ref().map(|p| p.index()));
         let detector_points = self.detector.as_ref().map(|state| state.bank.points());
         self.observer
-            .publish_components(&self.app, detector_points, census);
+            .publish_components(&self.app, detector_points, self.monitor.index());
     }
 
     /// End-of-run summary of the online-detector layer (`None` unless
@@ -546,256 +527,31 @@ impl AdaptationFramework {
         }
     }
 
-    fn deploy_gauges(&mut self, now: SimTime) {
-        let t = now.as_secs();
-        self.observer.record(now, Occurrence::Deployed);
-        let manager = self.pipeline.manager_mut();
-        // At fleet scale, per-client gauges exist only for class
-        // representatives: one latency/bandwidth/reachability gauge per
-        // network-position class covers its symmetric members, and the
-        // constraint checker treats the un-gauged members' missing
-        // properties as evaluation errors, not violations.
-        let clients = match &self.monitor {
-            Some(reps) => reps
-                .index()
-                .client_classes()
-                .iter()
-                .map(|class| class.representative.clone())
-                .collect(),
-            None => self.app.client_names(),
-        };
-        let groups = self.app.group_names();
-        for client in &clients {
-            manager.create(
-                t,
-                Box::new(AverageLatencyGauge::new(
-                    client.clone(),
-                    self.config.latency_window_secs,
-                )),
-            );
-        }
-        for group in &groups {
-            manager.create(t, Box::new(LoadGauge::new(group.clone())));
-        }
-        for client in &clients {
-            let group = self.app.client_group(client).unwrap_or_default();
-            manager.create(
-                t,
-                Box::new(BandwidthGauge::new(
-                    client.clone(),
-                    group,
-                    format!("{client}.role"),
-                )),
-            );
-        }
-        // Liveness and reachability gauges: the monitoring the
-        // fault-injection subsystem exercises.
-        for group in &groups {
-            manager.create(t, Box::new(GroupLivenessGauge::new(group.clone())));
-        }
-        for client in &clients {
-            manager.create(
-                t,
-                Box::new(ReachabilityGauge::new(
-                    client.clone(),
-                    format!("{client}.role"),
-                )),
-            );
-        }
-        // One health gauge per model replica, watching the runtime server it
-        // maps to (sorted for a deterministic creation order).
-        let mut replicas: Vec<(String, String)> = self
-            .server_map
-            .iter()
-            .map(|(model, runtime)| (model.clone(), runtime.clone()))
-            .collect();
-        replicas.sort();
-        for (model_name, runtime) in replicas {
-            manager.create(t, Box::new(ServerHealthGauge::new(runtime, model_name)));
-        }
-    }
-
-    /// Creates (or replaces) the health gauge watching the runtime server a
-    /// model replica maps to — part of the gauge churn of failover repairs.
-    fn refresh_server_health_gauge(&mut self, now: SimTime, model_name: &str, runtime: &str) {
-        let t = now.as_secs();
-        let name = format!("server-gauge/{model_name}");
-        let manager = self.pipeline.manager_mut();
-        if manager.has_gauge(&name) {
-            manager.delete(t, &name);
-        }
-        manager.create(
-            t,
-            Box::new(ServerHealthGauge::new(
-                runtime.to_string(),
-                model_name.to_string(),
-            )),
-        );
-    }
-
-    /// Deletes the health gauge of a retired model replica.
-    fn retire_server_health_gauge(&mut self, now: SimTime, model_name: &str) {
-        let t = now.as_secs();
-        let name = format!("server-gauge/{model_name}");
-        let manager = self.pipeline.manager_mut();
-        if manager.has_gauge(&name) {
-            manager.delete(t, &name);
-        }
-    }
-
-    /// Replaces the bandwidth gauge of `client` so it observes the client's
-    /// (new) current group. Part of the gauge churn that dominates repair
-    /// time.
-    fn refresh_bandwidth_gauge(&mut self, now: SimTime, client: &str) {
-        let t = now.as_secs();
-        let prefix = format!("bandwidth-gauge/{client}/");
-        let manager = self.pipeline.manager_mut();
-        for name in manager.gauge_names() {
-            if name.starts_with(&prefix) {
-                manager.delete(t, &name);
-            }
-        }
-        let group = self.app.client_group(client).unwrap_or_default();
-        manager.create(
-            t,
-            Box::new(BandwidthGauge::new(
-                client.to_string(),
-                group,
-                format!("{client}.role"),
-            )),
-        );
-    }
-
-    /// The batched gauge relocation of a `moveClientGroup` repair: every
-    /// moved client's bandwidth gauge is retired in one sweep over the
-    /// roster (instead of one scan per client) and recreated against the
-    /// client's new group.
-    ///
-    /// At fleet scale only the per-`(class, group)` representatives carry
-    /// bandwidth gauges (see `deploy_gauges`), so only those are recreated:
-    /// one gauge per moved *class*, not per client. Recreating 25k member
-    /// gauges at the 50k preset turned each bulk repair into a ~0.7 s
-    /// gauge-churn spike — and left non-representative members carrying
-    /// gauges the class-shared flow snapshot never feeds.
-    fn refresh_bandwidth_gauges_bulk(&mut self, now: SimTime, clients: &[String]) {
-        let t = now.as_secs();
-        let rehomed: Vec<(String, String)> = match &mut self.monitor {
-            Some(reps) => {
-                let moved_classes: std::collections::BTreeSet<usize> = clients
-                    .iter()
-                    .filter_map(|c| reps.index().client_class_of(c))
-                    .collect();
-                // Every representative of a class the move touched, as of
-                // the new assignment, in (class, client-name) order.
-                let mut rehomed: Vec<&planner::Rep> = reps
-                    .reps(&self.app)
-                    .iter()
-                    .filter(|rep| moved_classes.contains(&rep.class))
-                    .collect();
-                rehomed.sort_by_key(|rep| rep.class);
-                rehomed
-                    .into_iter()
-                    .map(|rep| (rep.client.clone(), rep.group.clone()))
-                    .collect()
-            }
-            None => clients
-                .iter()
-                .map(|c| (c.clone(), self.app.client_group(c).unwrap_or_default()))
-                .collect(),
-        };
-        let moved: std::collections::BTreeSet<&str> = clients.iter().map(|c| c.as_str()).collect();
-        let manager = self.pipeline.manager_mut();
-        manager.delete_where(t, |name| {
-            name.strip_prefix("bandwidth-gauge/")
-                .and_then(|rest| rest.split('/').next())
-                .is_some_and(|client| moved.contains(client))
-        });
-        for (client, group) in rehomed {
-            manager.create(
-                t,
-                Box::new(BandwidthGauge::new(
-                    client.clone(),
-                    group,
-                    format!("{client}.role"),
-                )),
-            );
-        }
-    }
-
-    fn refresh_load_gauge(&mut self, now: SimTime, group: &str) {
-        let t = now.as_secs();
-        let name = format!("load-gauge/{group}");
-        let manager = self.pipeline.manager_mut();
-        if manager.has_gauge(&name) {
-            manager.delete(t, &name);
-        }
-        manager.create(t, Box::new(LoadGauge::new(group.to_string())));
-    }
-
-    /// The delivery delay monitoring traffic currently suffers: when the
-    /// monitoring system shares the (congested) network, its messages slow
-    /// down with the worst client's available bandwidth (§5.3). A monitoring
-    /// payload of ≈25 KB is assumed.
-    fn monitoring_delay(&self, flows: &gridapp::FlowSnapshot) -> f64 {
-        if !self.config.monitoring_shares_network || self.config.monitoring_qos {
-            return 0.0;
-        }
-        let min_bw = flows.min_flow_bps().unwrap_or(f64::INFINITY);
-        if !min_bw.is_finite() || min_bw <= 0.0 {
-            return 0.0;
-        }
-        (200_000.0 / min_bw).clamp(0.0, 20.0)
-    }
-
     /// Runs one control period ending at time `t`.
     pub fn tick(&mut self, t: SimTime) {
         // 1. Advance the runtime layer, take the tick's shared network
-        // snapshot, and record figure metrics from it. With the group
-        // planner active the snapshot is class-shared: one max-min probe per
-        // network-position equivalence class instead of one per client
-        // machine (identical on classic testbeds, where every class is a
-        // singleton).
+        // snapshot, and record figure metrics from it.
         let _tick_span = self.observer.span("phase.tick");
         let flows = {
             let _span = self.observer.span("phase.advance");
             self.app.advance(t);
             let flows = {
                 let _span = self.observer.span("phase.flow_snapshot");
-                if let Some(reps) = &mut self.monitor {
-                    // Fleet scale: one probe entry per (class, group)
-                    // representative — the only clients carrying gauges.
-                    reps.flow_snapshot(&self.app)
-                } else if let Some(group_planner) = &self.planner {
-                    planner::class_flow_snapshot(&self.app, group_planner.index())
-                } else {
-                    self.app.flow_snapshot()
-                }
+                self.monitor.flow_snapshot(&self.app)
             };
             self.app.sample_metrics_with_flows(t, &flows);
             flows
         };
 
-        // 2. Probes observe the system and publish on the probe bus. Every
-        // flow-derived consumer (delay model, bandwidth + reachability
-        // gauges, figure metrics above) reads the same snapshot — one Remos
-        // pass per tick.
+        // 2. Probes observe the system and gauges interpret what they
+        // publish, all from that one snapshot.
         let readings = {
             let _span = self.observer.span("phase.gauge_dispatch");
-            let delay = self.monitoring_delay(&flows);
-            self.pipeline.set_monitoring_delay(delay);
-            let mut events = sample_latency_probe(&mut self.app);
-            events.extend(sample_queue_probe(&self.app, t));
-            events.extend(sample_flow_probes_from(&flows, t));
-            events.extend(sample_server_probe(&self.app, t));
-            events.extend(sample_liveness_probe(&self.app, t));
-            for event in events {
-                self.pipeline.publish(event);
-            }
+            let readings = self.monitor.observe(&mut self.app, &flows, t);
 
-            // 3. Gauges interpret probe data; the tick's readings update the
-            // model in one batch (same order, one target resolution per run
-            // of consecutive same-target readings).
-            let readings = self.pipeline.step(t.as_secs(), &mut ());
+            // 3. The tick's readings update the model in one batch (same
+            // order, one target resolution per run of consecutive
+            // same-target readings).
             self.observer.record(t, Occurrence::GaugeBatch(&readings));
             let mut updater = ModelUpdater::new(&mut self.model);
             updater.apply_batch(&readings);
@@ -875,7 +631,8 @@ impl AdaptationFramework {
             .violations
             .iter()
             .any(|v| PLANNER_INVARIANTS.contains(&v.invariant.as_str()));
-        if let Some(group_planner) = self.planner.as_mut().filter(|_| planner_relevant) {
+        let group_planner = self.planner.as_mut().filter(|_| planner_relevant);
+        if let Some((group_planner, index)) = group_planner.zip(self.monitor.index()) {
             let thresholds = planner::PlannerThresholds {
                 min_bandwidth_bps: self.profile.min_bandwidth_bps,
                 max_server_load: self.profile.max_server_load,
@@ -885,13 +642,13 @@ impl AdaptationFramework {
                 let _span = self.observer.span("phase.plan");
                 let input = planner::PlannerInput::gather(
                     &self.app,
-                    group_planner.index(),
+                    index,
                     &self.model,
                     &report,
                     thresholds,
                     t.as_secs(),
                 );
-                group_planner.plan(&self.model, &input)
+                group_planner.plan(index, &self.model, &input)
             };
             if let Some(plan) = plan {
                 self.start_group_repair(t, plan);
@@ -1048,7 +805,8 @@ impl AdaptationFramework {
                 let result = self.app.move_client(client, to_group);
                 if result.is_ok() {
                     self.observer.client_moves += 1;
-                    self.refresh_bandwidth_gauge(t, client);
+                    self.monitor
+                        .rehome(t, &self.app, std::slice::from_ref(client));
                 }
                 result
             }
@@ -1056,7 +814,7 @@ impl AdaptationFramework {
                 match self.app.move_clients(clients, to_group) {
                     Ok(moved) => {
                         self.observer.client_moves += moved as u64;
-                        self.refresh_bandwidth_gauges_bulk(t, clients);
+                        self.monitor.rehome(t, &self.app, clients);
                         Ok(())
                     }
                     Err(e) => Err(e),
@@ -1087,10 +845,7 @@ impl AdaptationFramework {
             RuntimeOp::RemosGetFlow { .. } => Ok(()),
             RuntimeOp::DeleteGauge { .. } => Ok(()),
             RuntimeOp::CreateGauge { gauge } => {
-                if let Some(group) = gauge.strip_prefix("load-gauge/") {
-                    let group = group.to_string();
-                    self.refresh_load_gauge(t, &group);
-                }
+                self.monitor.recreate(t, gauge);
                 Ok(())
             }
         };
@@ -1099,12 +854,12 @@ impl AdaptationFramework {
         if result.is_ok() {
             match op {
                 RuntimeOp::ConnectServer { server, .. } => {
-                    if let Some(runtime) = self.server_map.get(server).cloned() {
-                        self.refresh_server_health_gauge(t, server, &runtime);
+                    if let Some(runtime) = self.server_map.get(server) {
+                        self.monitor.watch_server(t, server, runtime);
                     }
                 }
                 RuntimeOp::DeactivateServer { server } => {
-                    self.retire_server_health_gauge(t, server);
+                    self.monitor.unwatch_server(t, server);
                 }
                 _ => {}
             }

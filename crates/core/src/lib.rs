@@ -13,7 +13,10 @@
 //!   gauge readings into it,
 //! * [`query`] — runtime queries (`findGoodSGroup`, spare-server lookup)
 //!   answered by the live application,
-//! * [`framework`] — the three-layer adaptation loop (Figure 1),
+//! * [`framework`] — the three-layer adaptation loop (Figure 1); its
+//!   monitoring half — who is watched, the tick's flow snapshot, the gauge
+//!   roster, the run's one class index — is the private `monitor` module,
+//!   and everything it reports goes through the private `observe` module,
 //! * [`experiment`] — the control and adaptive experiment runs (§5),
 //! * [`sweep`] — parallel scenario sweeps over topology × workload ×
 //!   strategy × duration × seed matrices with aggregate statistics,
@@ -32,6 +35,7 @@
 pub mod experiment;
 pub mod framework;
 pub mod model;
+mod monitor;
 mod observe;
 pub mod query;
 pub mod report;

@@ -1,0 +1,389 @@
+//! The one monitoring path: who is watched, how flows are probed, and the
+//! gauge roster that follows from both.
+//!
+//! The model layer rests on gauges keeping the architectural model a mirror
+//! of the runtime. [`Monitor`] owns everything that decides what the gauges
+//! see — the [`MonitoringPipeline`], the run's one [`ClassIndex`] and the
+//! [`RepTable`] drawn over it — and fixes its [`Policy`] once, at
+//! construction, from what it can observe: the strategy's `group_planner`
+//! flag and the size of the deployment. The per-tick flow snapshot, the
+//! gauges deployed at start-up, the gauges re-homed after `moveClient` and
+//! `moveClientGroup`, and the class census are all read off that one answer,
+//! so a snapshot entry without a gauge (or a gauge without an entry) cannot
+//! be constructed.
+
+use crate::framework::FrameworkConfig;
+use gridapp::{
+    sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
+    sample_server_probe, FlowSnapshot, GridApp, FLEET_SCALE_MIN_CLIENTS,
+};
+use monitoring::gauge::{gauge_subject, load_gauge_group, server_gauge_name};
+use monitoring::{
+    AverageLatencyGauge, BandwidthGauge, Gauge, GaugeManager, GaugeReading, GroupLivenessGauge,
+    LoadGauge, MonitoringPipeline, ReachabilityGauge, ServerHealthGauge,
+};
+use planner::{ClassIndex, Rep, RepTable};
+use simnet::SimTime;
+use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// Who carries per-client gauges, and how their flows are probed.
+enum Policy {
+    /// Every client is watched and probed exactly, per machine
+    /// ([`GridApp::flow_snapshot`], the reference).
+    Exact,
+    /// Every client is watched; one class-shared probe per `(class, group)`
+    /// pair is fanned out to the pair's members (the group planner's
+    /// deployments below fleet scale).
+    Shared(RepTable),
+    /// Only the `(class, group)` representatives are watched, each carrying
+    /// its pair's class-shared probe: at fleet scale one gauge set per
+    /// network-position class covers its symmetric members, and the
+    /// constraint checker treats the un-gauged members' missing properties
+    /// as evaluation errors, not violations.
+    Representatives(RepTable),
+}
+
+/// The monitoring half of the control loop.
+pub(crate) struct Monitor {
+    pipeline: MonitoringPipeline,
+    policy: Policy,
+    latency_window_secs: f64,
+    /// Monitoring traffic is prioritised (QoS) and never delayed.
+    qos: bool,
+}
+
+impl Monitor {
+    /// The monitor of `app` under `config`: representatives at fleet scale
+    /// (for every strategy — control runs need cheap monitoring too), every
+    /// client below it, class-shared probes wherever a class index exists.
+    pub(crate) fn new(app: &GridApp, config: &FrameworkConfig) -> Monitor {
+        let index = || ClassIndex::build(app.testbed());
+        let policy = if app.testbed().num_clients() >= FLEET_SCALE_MIN_CLIENTS {
+            Policy::Representatives(RepTable::new(index()))
+        } else if config.group_planner {
+            Policy::Shared(RepTable::new(index()))
+        } else {
+            Policy::Exact
+        };
+        Monitor::with_policy(policy, config)
+    }
+
+    fn with_policy(policy: Policy, config: &FrameworkConfig) -> Monitor {
+        Monitor {
+            pipeline: MonitoringPipeline::new(GaugeManager::new(config.gauge_lifecycle)),
+            policy,
+            latency_window_secs: config.latency_window_secs,
+            qos: config.monitoring_qos,
+        }
+    }
+
+    /// The run's class index; `None` when flows are probed exactly.
+    pub(crate) fn index(&self) -> Option<&ClassIndex> {
+        match &self.policy {
+            Policy::Exact => None,
+            Policy::Shared(table) | Policy::Representatives(table) => Some(table.index()),
+        }
+    }
+
+    /// The tick's shared network snapshot: one entry per watched client.
+    pub(crate) fn flow_snapshot(&mut self, app: &GridApp) -> FlowSnapshot {
+        match &mut self.policy {
+            Policy::Exact => app.flow_snapshot(),
+            Policy::Shared(table) => table.member_flow_snapshot(app),
+            Policy::Representatives(table) => table.flow_snapshot(app),
+        }
+    }
+
+    /// The watched `(client, group)` entries, in gauge-creation order: all of
+    /// them, or — given the clients of a move — those the move can have
+    /// changed. Every client: name order, or the move's own order.
+    /// Representatives: `(class, client)` order, of the moved clients'
+    /// classes.
+    fn watched(&mut self, app: &GridApp, moved: Option<&[String]>) -> Vec<(String, String)> {
+        match &mut self.policy {
+            Policy::Exact | Policy::Shared(_) => moved
+                .map_or_else(|| app.client_names(), <[String]>::to_vec)
+                .into_iter()
+                .map(|client| {
+                    let group = app.client_group(&client).unwrap_or_default();
+                    (client, group)
+                })
+                .collect(),
+            Policy::Representatives(table) => {
+                let touched: Option<BTreeSet<usize>> = moved.map(|clients| {
+                    clients
+                        .iter()
+                        .filter_map(|client| table.index().client_class_of(client))
+                        .collect()
+                });
+                let mut reps: Vec<&Rep> = table
+                    .reps(app)
+                    .iter()
+                    .filter(|rep| touched.as_ref().is_none_or(|t| t.contains(&rep.class)))
+                    .collect();
+                reps.sort_by_key(|rep| rep.class);
+                reps.into_iter()
+                    .map(|rep| (rep.client.clone(), rep.group.clone()))
+                    .collect()
+            }
+        }
+    }
+
+    fn latency_gauge(client: &str, window_secs: f64) -> Box<dyn Gauge> {
+        Box::new(AverageLatencyGauge::new(client, window_secs))
+    }
+
+    fn bandwidth_gauge(client: &str, group: &str) -> Box<dyn Gauge> {
+        Box::new(BandwidthGauge::new(client, group, format!("{client}.role")))
+    }
+
+    fn reachability_gauge(client: &str) -> Box<dyn Gauge> {
+        Box::new(ReachabilityGauge::new(client, format!("{client}.role")))
+    }
+
+    /// Deploys the gauge roster: latency, bandwidth and reachability per
+    /// watched client, load and liveness per group, and one health gauge per
+    /// model replica in `server_map`, watching the runtime server it maps to.
+    pub(crate) fn deploy(
+        &mut self,
+        now: SimTime,
+        app: &GridApp,
+        server_map: &HashMap<String, String>,
+    ) {
+        let t = now.as_secs();
+        let watched = self.watched(app, None);
+        let groups = app.group_names();
+        let manager = self.pipeline.manager_mut();
+        for (client, _) in &watched {
+            manager.create(t, Self::latency_gauge(client, self.latency_window_secs));
+        }
+        for group in &groups {
+            manager.create(t, Box::new(LoadGauge::new(group.clone())));
+        }
+        for (client, group) in &watched {
+            manager.create(t, Self::bandwidth_gauge(client, group));
+        }
+        // Liveness and reachability gauges: the monitoring the
+        // fault-injection subsystem exercises.
+        for group in &groups {
+            manager.create(t, Box::new(GroupLivenessGauge::new(group.clone())));
+        }
+        for (client, _) in &watched {
+            manager.create(t, Self::reachability_gauge(client));
+        }
+        // Sorted for a deterministic creation order.
+        let mut replicas: Vec<(&String, &String)> = server_map.iter().collect();
+        replicas.sort();
+        for (replica, runtime) in replicas {
+            manager.create(
+                t,
+                Box::new(ServerHealthGauge::new(runtime.clone(), replica.clone())),
+            );
+        }
+    }
+
+    /// Reconciles the per-client gauges with the watched set after `moved`
+    /// changed group — the gauge churn that dominates repair time. A moved
+    /// client's bandwidth gauge is retired (it measured the old group), as
+    /// is every gauge of a client that stopped being watched; whatever a
+    /// watched client of the move's scope then lacks is created. One sweep
+    /// over the roster, however many clients moved.
+    pub(crate) fn rehome(&mut self, now: SimTime, app: &GridApp, moved: &[String]) {
+        let t = now.as_secs();
+        let watched = self.watched(app, Some(moved));
+        let in_scope: BTreeSet<&str> = watched.iter().map(|(client, _)| client.as_str()).collect();
+        let moved: BTreeSet<&str> = moved.iter().map(String::as_str).collect();
+        // Kept in client-name order by the table, and current: `watched`
+        // just asked it.
+        let reps: Option<&[Rep]> = match &mut self.policy {
+            Policy::Representatives(table) => Some(table.reps(app)),
+            Policy::Exact | Policy::Shared(_) => None,
+        };
+        let is_watched = |client: &str| {
+            reps.is_none_or(|reps| {
+                reps.binary_search_by(|rep| rep.client.as_str().cmp(client))
+                    .is_ok()
+            })
+        };
+        let mut deployed: HashSet<String> = HashSet::new();
+        let manager = self.pipeline.manager_mut();
+        manager.delete_where(t, |name| {
+            let Some((client, group)) = gauge_subject(name) else {
+                return false;
+            };
+            let stale = !is_watched(client) || (group.is_some() && moved.contains(client));
+            if !stale && in_scope.contains(client) {
+                deployed.insert(name.to_string());
+            }
+            stale
+        });
+        for (client, group) in &watched {
+            let gauges = [
+                Self::latency_gauge(client, self.latency_window_secs),
+                Self::bandwidth_gauge(client, group),
+                Self::reachability_gauge(client),
+            ];
+            for gauge in gauges {
+                if deployed.insert(gauge.name().to_string()) {
+                    manager.create(t, gauge);
+                }
+            }
+        }
+    }
+
+    /// Creates (or replaces) the health gauge of model replica `replica`,
+    /// now backed by runtime server `runtime` — part of the gauge churn of
+    /// failover repairs.
+    pub(crate) fn watch_server(&mut self, now: SimTime, replica: &str, runtime: &str) {
+        self.pipeline.manager_mut().replace(
+            now.as_secs(),
+            Box::new(ServerHealthGauge::new(runtime, replica)),
+        );
+    }
+
+    /// Deletes the health gauge of a retired model replica.
+    pub(crate) fn unwatch_server(&mut self, now: SimTime, replica: &str) {
+        self.pipeline
+            .manager_mut()
+            .delete(now.as_secs(), &server_gauge_name(replica));
+    }
+
+    /// Executes a repair's `createGauge(name)`: a load gauge is replaced in
+    /// place; every other name is costed by the repair but deployed by
+    /// [`rehome`](Self::rehome).
+    pub(crate) fn recreate(&mut self, now: SimTime, gauge: &str) {
+        if let Some(group) = load_gauge_group(gauge) {
+            self.pipeline
+                .manager_mut()
+                .replace(now.as_secs(), Box::new(LoadGauge::new(group)));
+        }
+    }
+
+    /// The delivery delay monitoring traffic currently suffers: it shares the
+    /// (congested) network, so its messages slow down with the worst
+    /// client's available bandwidth (§5.3). A monitoring payload of ≈25 KB is
+    /// assumed.
+    fn delay(&self, flows: &FlowSnapshot) -> f64 {
+        if self.qos {
+            return 0.0;
+        }
+        let min_bw = flows.min_flow_bps().unwrap_or(f64::INFINITY);
+        if !min_bw.is_finite() || min_bw <= 0.0 {
+            return 0.0;
+        }
+        (200_000.0 / min_bw).clamp(0.0, 20.0)
+    }
+
+    /// One control period of monitoring: probes observe the system and
+    /// publish on the probe bus, gauges interpret them, and the readings due
+    /// by `t` are returned in roster order. Every flow-derived consumer
+    /// (delay model, bandwidth + reachability gauges, and the figure metrics
+    /// the caller sampled) reads the same snapshot — one Remos pass per tick.
+    pub(crate) fn observe(
+        &mut self,
+        app: &mut GridApp,
+        flows: &FlowSnapshot,
+        t: SimTime,
+    ) -> Vec<GaugeReading> {
+        let delay = self.delay(flows);
+        self.pipeline.set_monitoring_delay(delay);
+        let mut events = sample_latency_probe(app);
+        events.extend(sample_queue_probe(app, t));
+        events.extend(sample_flow_probes_from(flows, t));
+        events.extend(sample_server_probe(app, t));
+        events.extend(sample_liveness_probe(app, t));
+        for event in events {
+            self.pipeline.publish(event);
+        }
+        self.pipeline.step(t.as_secs(), &mut ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_2};
+    use monitoring::gauge::{bandwidth_gauge_name, latency_gauge_name, reachability_gauge_name};
+
+    /// 28 clients in 8 client classes of uneven size, like `planner`'s
+    /// test-only `small_aggregated`: cheap enough for a debug build.
+    fn small_aggregated() -> GridConfig {
+        GridConfig::with_testbed(TestbedSpec {
+            clients_r1: 12,
+            clients_r2: 6,
+            clients_r5: 10,
+            sg1_active: 4,
+            sg1_spares: 1,
+            sg2_active: 3,
+            sg2_spares: 1,
+            clients_per_agg: 4,
+            ..TestbedSpec::large_scale()
+        })
+    }
+
+    /// Asserts the per-client gauges deployed are exactly those of the
+    /// watched set — latency, bandwidth against the current group, and
+    /// reachability for every [`RepTable::reps`] entry of a fresh table —
+    /// each deployed once.
+    fn assert_roster_is_the_watched_set(monitor: &Monitor, app: &GridApp, step: &str) {
+        let mut roster: Vec<String> = monitor
+            .pipeline
+            .manager()
+            .gauge_names()
+            .into_iter()
+            .filter(|name| gauge_subject(name).is_some())
+            .collect();
+        roster.sort();
+        let mut watched: Vec<String> = RepTable::new(ClassIndex::build(app.testbed()))
+            .reps(app)
+            .iter()
+            .flat_map(|rep| {
+                [
+                    latency_gauge_name(&rep.client),
+                    bandwidth_gauge_name(&rep.client, &rep.group),
+                    reachability_gauge_name(&rep.client),
+                ]
+            })
+            .collect();
+        watched.sort();
+        assert_eq!(roster, watched, "{step}");
+    }
+
+    #[test]
+    fn roster_follows_the_representatives_through_client_moves() {
+        let mut app = GridApp::build(small_aggregated()).unwrap();
+        let config = FrameworkConfig::adaptive();
+        // Watch representatives whatever the deployment's size: the
+        // fleet-scale roster on a testbed a debug build can afford.
+        let table = RepTable::new(ClassIndex::build(app.testbed()));
+        let mut monitor = Monitor::with_policy(Policy::Representatives(table), &config);
+        monitor.deploy(SimTime::ZERO, &app, &HashMap::new());
+        assert_roster_is_the_watched_set(&monitor, &app, "deployed");
+
+        let index = ClassIndex::build(app.testbed());
+        let class = &index.client_classes()[0];
+        assert!(class.members.len() >= 3, "{class:?}");
+
+        // `moveClient` of a class representative: the next member becomes
+        // the representative of those left behind and must be watched.
+        let rep = class.representative.clone();
+        app.move_client(&rep, SERVER_GROUP_2).unwrap();
+        monitor.rehome(SimTime::from_secs(10.0), &app, std::slice::from_ref(&rep));
+        assert_roster_is_the_watched_set(&monitor, &app, "after moveClient");
+
+        // `moveClientGroup` of the rest after it: the class is whole again,
+        // and the interim representative keeps no gauge.
+        let rest: Vec<String> = class.members[1..].to_vec();
+        app.move_clients(&rest, SERVER_GROUP_2).unwrap();
+        monitor.rehome(SimTime::from_secs(20.0), &app, &rest);
+        assert_roster_is_the_watched_set(&monitor, &app, "after moveClientGroup");
+
+        // Half of another class, its representative staying put: the first
+        // mover is newly watched and the one left behind is not re-deployed.
+        let other = &index.client_classes()[1];
+        let half: Vec<String> = other.members.iter().skip(1).step_by(2).cloned().collect();
+        app.move_clients(&half, SERVER_GROUP_2).unwrap();
+        monitor.rehome(SimTime::from_secs(30.0), &app, &half);
+        assert_roster_is_the_watched_set(&monitor, &app, "after a half-class move");
+    }
+}

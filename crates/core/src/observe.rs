@@ -676,7 +676,7 @@ mod tests {
             (gauge.kind, gauge.time_secs, gauge.value),
             (EventKind::Gauge, 9.5, Some(7.0))
         );
-        let counters: Vec<(String, u64)> = registry.snapshot().counters;
+        let counters = registry.snapshot().counters;
         let expect = [
             ("framework.gauge_readings", 1),
             ("framework.plan_ops", 8),

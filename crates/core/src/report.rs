@@ -229,6 +229,7 @@ pub fn render_sweep(report: &SweepReport) -> String {
                 .map_or("n/a".to_string(), |a| format!("{:.2}", a.mean));
             let mttr = cell
                 .mttr_secs
+                .flatten()
                 .map_or("n/a".to_string(), |m| format!("{:.0}", m.mean));
             out.push_str(&format!(
                 " {:<20} {:>6} {:>8}",

@@ -22,7 +22,7 @@ use crate::experiment::Comparison;
 use crate::framework::FrameworkConfig;
 use faultsim::{fault_profile_by_name, Resilience, NO_FAULTS};
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -81,7 +81,7 @@ impl std::error::Error for SweepError {}
 
 /// A declarative sweep matrix. Every combination of the six axes becomes
 /// one cell; every cell runs once per seed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Topology preset names (see [`gridapp::testbed_preset_names`]).
     pub topologies: Vec<String>,
@@ -95,60 +95,26 @@ pub struct SweepSpec {
     /// Seeds; each cell is replicated once per seed.
     pub seeds: Vec<u64>,
     /// Fault-profile names (see [`faultsim::fault_profile_names`]). The default
-    /// `["none"]` injects nothing and keeps the report's serialisation
-    /// byte-identical to the pre-faultsim layout.
+    /// `["none"]` injects nothing and is not serialised, which keeps the
+    /// report byte-identical to the pre-faultsim layout.
+    #[serde(skip_serializing_if = "is_no_fault_axis")]
     pub fault_profiles: Vec<String>,
     /// When true every unit runs with a self-observability
     /// [`obs::MetricsRegistry`] attached and its deterministic counters are
     /// folded into each [`UnitOutcome`]. The default `false` runs with the
-    /// disabled `NullRegistry` and keeps reports byte-identical to the
-    /// pre-metrics layout.
+    /// disabled `NullRegistry` and, not being serialised, keeps reports
+    /// byte-identical to the pre-metrics layout.
+    #[serde(skip_serializing_if = "std::ops::Not::not")]
     pub collect_metrics: bool,
     /// When true every run (control and adaptive) carries the online
     /// anomaly-detector bank ([`detect::DetectorConfig::default`]) and each
     /// [`UnitOutcome`] records advisory counts and the median advisory →
     /// violation lead time. The default `false` leaves the detector layer
-    /// entirely inert and keeps reports byte-identical to the pre-detector
-    /// layout.
+    /// entirely inert and, not being serialised, keeps reports
+    /// byte-identical to the pre-detector layout.
+    #[serde(skip_serializing_if = "std::ops::Not::not")]
     pub detectors: bool,
 }
-
-impl Serialize for SweepSpec {
-    // Hand-written so that the no-fault default serialises exactly like the
-    // pre-faultsim struct (no `fault_profiles` key): `fault_profiles=none`
-    // sweeps stay byte-identical across the subsystem's introduction. The
-    // vendored serde derive has no `skip_serializing_if`.
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("topologies".to_string(), self.topologies.to_content()),
-            ("workloads".to_string(), self.workloads.to_content()),
-            ("strategies".to_string(), self.strategies.to_content()),
-            (
-                "durations_secs".to_string(),
-                self.durations_secs.to_content(),
-            ),
-            ("seeds".to_string(), self.seeds.to_content()),
-        ];
-        if !is_no_fault_axis(&self.fault_profiles) {
-            fields.push((
-                "fault_profiles".to_string(),
-                self.fault_profiles.to_content(),
-            ));
-        }
-        if self.collect_metrics {
-            fields.push((
-                "collect_metrics".to_string(),
-                self.collect_metrics.to_content(),
-            ));
-        }
-        if self.detectors {
-            fields.push(("detectors".to_string(), self.detectors.to_content()));
-        }
-        Content::Map(fields)
-    }
-}
-
-impl Deserialize for SweepSpec {}
 
 /// A fluent builder over [`SweepSpec`]: each axis setter *replaces* the
 /// axis wholesale, and [`build`](SweepSpecBuilder::build) validates every
@@ -426,8 +392,12 @@ impl SweepSpec {
     }
 }
 
+fn is_no_fault(fault: &str) -> bool {
+    fault == NO_FAULTS
+}
+
 /// Identifies one cell of the sweep matrix (everything but the seed).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellKey {
     /// Topology preset name.
     pub topology: String,
@@ -437,36 +407,18 @@ pub struct CellKey {
     pub strategy: String,
     /// Run length in simulated seconds.
     pub duration_secs: f64,
-    /// Fault-profile name (`"none"` when the cell injects nothing).
+    /// Fault-profile name: `"none"` when the cell injects nothing, and then
+    /// not serialised (no-fault reports keep the pre-faultsim layout).
+    #[serde(skip_serializing_if = "is_no_fault")]
     pub fault: String,
 }
 
 impl CellKey {
     /// Whether this cell injects faults.
     pub fn has_faults(&self) -> bool {
-        self.fault != NO_FAULTS
+        !is_no_fault(&self.fault)
     }
 }
-
-impl Serialize for CellKey {
-    // Hand-written: no-fault cells serialise without the `fault` key so
-    // `fault_profiles=none` reports stay byte-identical to the pre-faultsim
-    // layout (the vendored serde derive has no `skip_serializing_if`).
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("topology".to_string(), self.topology.to_content()),
-            ("workload".to_string(), self.workload.to_content()),
-            ("strategy".to_string(), self.strategy.to_content()),
-            ("duration_secs".to_string(), self.duration_secs.to_content()),
-        ];
-        if self.has_faults() {
-            fields.push(("fault".to_string(), self.fault.to_content()));
-        }
-        Content::Map(fields)
-    }
-}
-
-impl Deserialize for CellKey {}
 
 /// One runnable unit: a cell key plus a seed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -642,7 +594,7 @@ pub struct UnitEvents {
 
 /// Resilience metrics of one fault-injected comparison unit: the same
 /// fault schedule measured under the control and the adaptive framework.
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UnitResilience {
     /// Resilience of the control run.
     pub control: Resilience,
@@ -651,36 +603,14 @@ pub struct UnitResilience {
     /// Time-weighted unserved demand (summed seconds of request age still
     /// in flight at run end) of the control run. Measured only on
     /// aggregated testbeds, where a wedged group strands minutes of work
-    /// that the completed-request violation fraction cannot see.
+    /// that the completed-request violation fraction cannot see — and
+    /// serialised only there, so classic-preset fault reports keep their
+    /// layout.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub control_unserved_demand_secs: Option<f64>,
     /// Time-weighted unserved demand of the adaptive run.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adaptive_unserved_demand_secs: Option<f64>,
-}
-
-impl Serialize for UnitResilience {
-    // Hand-written: the unserved-demand keys only appear for aggregated
-    // testbeds, keeping classic-preset fault reports byte-identical to the
-    // earlier layout (the vendored serde derive has no
-    // `skip_serializing_if`).
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("control".to_string(), self.control.to_content()),
-            ("adaptive".to_string(), self.adaptive.to_content()),
-        ];
-        if let Some(unserved) = self.control_unserved_demand_secs {
-            fields.push((
-                "control_unserved_demand_secs".to_string(),
-                unserved.to_content(),
-            ));
-        }
-        if let Some(unserved) = self.adaptive_unserved_demand_secs {
-            fields.push((
-                "adaptive_unserved_demand_secs".to_string(),
-                unserved.to_content(),
-            ));
-        }
-        Content::Map(fields)
-    }
 }
 
 impl UnitResilience {
@@ -731,8 +661,10 @@ impl UnitDetect {
     }
 }
 
-/// The headline numbers extracted from one unit's comparison.
-#[derive(Debug, Clone, PartialEq)]
+/// The headline numbers extracted from one unit's comparison. The five
+/// trailing `Option`s are serialised only when present, so a report carries
+/// no key of a layer (faults, metrics, detectors) that did not run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnitOutcome {
     /// The unit's seed.
     pub seed: u64,
@@ -762,103 +694,25 @@ pub struct UnitOutcome {
     /// Client moves performed by the adaptive run.
     pub client_moves: u64,
     /// Resilience metrics, present only for fault-injected units.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub resilience: Option<UnitResilience>,
     /// Deterministic control-run counters, present only for metered units
     /// (see [`SweepSpec::collect_metrics`]). Name-sorted; worker-count
     /// invariant by construction.
-    pub control_counters: Option<Vec<(String, u64)>>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub control_counters: Option<obs::NameSorted<u64>>,
     /// Deterministic adaptive-run counters, present only for metered units.
-    pub adaptive_counters: Option<Vec<(String, u64)>>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub adaptive_counters: Option<obs::NameSorted<u64>>,
     /// Control-run detector numbers, present only for detector-enabled
     /// units (see [`SweepSpec::detectors`]).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub control_detect: Option<UnitDetect>,
     /// Adaptive-run detector numbers, present only for detector-enabled
     /// units.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adaptive_detect: Option<UnitDetect>,
 }
-
-/// Serialises a name-sorted counter list as a JSON object of integers.
-fn counters_to_content(counters: &[(String, u64)]) -> Content {
-    Content::Map(
-        counters
-            .iter()
-            .map(|(name, value)| (name.clone(), Content::U64(*value)))
-            .collect(),
-    )
-}
-
-impl Serialize for UnitOutcome {
-    // Hand-written: the `resilience` key only appears for fault-injected
-    // units, keeping no-fault reports byte-identical to the pre-faultsim
-    // layout (the vendored serde derive has no `skip_serializing_if`).
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("seed".to_string(), self.seed.to_content()),
-            (
-                "control_violation_fraction".to_string(),
-                self.control_violation_fraction.to_content(),
-            ),
-            (
-                "adaptive_violation_fraction".to_string(),
-                self.adaptive_violation_fraction.to_content(),
-            ),
-            ("improvement".to_string(), self.improvement.to_content()),
-            (
-                "adaptive_mean_latency_secs".to_string(),
-                self.adaptive_mean_latency_secs.to_content(),
-            ),
-            (
-                "adaptive_p95_latency_secs".to_string(),
-                self.adaptive_p95_latency_secs.to_content(),
-            ),
-            (
-                "control_completed".to_string(),
-                self.control_completed.to_content(),
-            ),
-            (
-                "adaptive_completed".to_string(),
-                self.adaptive_completed.to_content(),
-            ),
-            (
-                "repairs_completed".to_string(),
-                self.repairs_completed.to_content(),
-            ),
-            (
-                "repairs_aborted".to_string(),
-                self.repairs_aborted.to_content(),
-            ),
-            (
-                "servers_activated".to_string(),
-                self.servers_activated.to_content(),
-            ),
-            ("client_moves".to_string(), self.client_moves.to_content()),
-        ];
-        if let Some(resilience) = &self.resilience {
-            fields.push(("resilience".to_string(), resilience.to_content()));
-        }
-        if let Some(counters) = &self.control_counters {
-            fields.push((
-                "control_counters".to_string(),
-                counters_to_content(counters),
-            ));
-        }
-        if let Some(counters) = &self.adaptive_counters {
-            fields.push((
-                "adaptive_counters".to_string(),
-                counters_to_content(counters),
-            ));
-        }
-        if let Some(detect) = &self.control_detect {
-            fields.push(("control_detect".to_string(), detect.to_content()));
-        }
-        if let Some(detect) = &self.adaptive_detect {
-            fields.push(("adaptive_detect".to_string(), detect.to_content()));
-        }
-        Content::Map(fields)
-    }
-}
-
-impl Deserialize for UnitOutcome {}
 
 impl UnitOutcome {
     /// Extracts the outcome from a finished comparison.
@@ -957,7 +811,7 @@ impl ConfidenceInterval {
 }
 
 /// Per-cell aggregation across seeds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
     /// The cell's matrix coordinates.
     pub key: CellKey,
@@ -982,87 +836,33 @@ pub struct CellReport {
     /// Seeds whose adaptive run never violated the bound (the improvement
     /// ratio is unbounded for these).
     pub perfect_adaptive_seeds: Vec<u64>,
-    /// Adaptive-run availability across seeds (fault cells only).
+    /// Adaptive-run availability across seeds (fault cells only; like the
+    /// five keys after it, serialised only when present, so no-fault reports
+    /// keep the pre-faultsim layout).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub availability: Option<Aggregate>,
     /// Adaptive-run downtime seconds across seeds (fault cells only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub downtime_secs: Option<Aggregate>,
-    /// Adaptive-run MTTR across the seeds that recovered (fault cells only;
-    /// absent when no seed recovered).
-    pub mttr_secs: Option<Aggregate>,
+    /// Adaptive-run MTTR across the seeds that recovered: `None` outside
+    /// fault cells, `Some(None)` — an explicit `null` — for a fault cell in
+    /// which no seed recovered.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub mttr_secs: Option<Option<Aggregate>>,
     /// Adaptive-run violation fraction during the fault window across seeds
     /// (fault cells only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub violation_during_fault: Option<Aggregate>,
     /// Control-run time-weighted unserved demand across seeds (fault cells
-    /// on aggregated testbeds only).
+    /// on aggregated testbeds only — the data decides, not the fault axis:
+    /// classic-preset fault reports keep their historical layout).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub control_unserved_demand_secs: Option<Aggregate>,
     /// Adaptive-run time-weighted unserved demand across seeds (fault cells
     /// on aggregated testbeds only).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adaptive_unserved_demand_secs: Option<Aggregate>,
 }
-
-impl Serialize for CellReport {
-    // Hand-written: the four resilience keys only appear for fault cells,
-    // keeping no-fault reports byte-identical to the pre-faultsim layout
-    // (the vendored serde derive has no `skip_serializing_if`).
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("key".to_string(), self.key.to_content()),
-            ("outcomes".to_string(), self.outcomes.to_content()),
-            (
-                "control_violation".to_string(),
-                self.control_violation.to_content(),
-            ),
-            (
-                "adaptive_violation".to_string(),
-                self.adaptive_violation.to_content(),
-            ),
-            (
-                "adaptive_mean_latency".to_string(),
-                self.adaptive_mean_latency.to_content(),
-            ),
-            (
-                "repairs_completed".to_string(),
-                self.repairs_completed.to_content(),
-            ),
-            (
-                "throughput_ratio".to_string(),
-                self.throughput_ratio.to_content(),
-            ),
-            ("improvement".to_string(), self.improvement.to_content()),
-            (
-                "perfect_adaptive_seeds".to_string(),
-                self.perfect_adaptive_seeds.to_content(),
-            ),
-        ];
-        if self.key.has_faults() {
-            fields.push(("availability".to_string(), self.availability.to_content()));
-            fields.push(("downtime_secs".to_string(), self.downtime_secs.to_content()));
-            fields.push(("mttr_secs".to_string(), self.mttr_secs.to_content()));
-            fields.push((
-                "violation_during_fault".to_string(),
-                self.violation_during_fault.to_content(),
-            ));
-        }
-        // Unserved demand is gated on the *data* (only aggregated testbeds
-        // measure it), not on `has_faults()`: classic-preset fault reports
-        // keep their historical layout byte-for-byte.
-        if self.control_unserved_demand_secs.is_some()
-            || self.adaptive_unserved_demand_secs.is_some()
-        {
-            fields.push((
-                "control_unserved_demand_secs".to_string(),
-                self.control_unserved_demand_secs.to_content(),
-            ));
-            fields.push((
-                "adaptive_unserved_demand_secs".to_string(),
-                self.adaptive_unserved_demand_secs.to_content(),
-            ));
-        }
-        Content::Map(fields)
-    }
-}
-
-impl Deserialize for CellReport {}
 
 impl CellReport {
     fn of(key: CellKey, outcomes: Vec<UnitOutcome>) -> CellReport {
@@ -1109,7 +909,6 @@ impl CellReport {
             Aggregate::of(&values)
         };
         CellReport {
-            key,
             control_violation: Aggregate::of(&control).expect("cells have at least one seed"),
             adaptive_violation: Aggregate::of(&adaptive).expect("cells have at least one seed"),
             adaptive_mean_latency: Aggregate::of(&latency),
@@ -1119,10 +918,11 @@ impl CellReport {
             perfect_adaptive_seeds: perfect,
             availability: adaptive_metric(|r| Some(r.availability)),
             downtime_secs: adaptive_metric(|r| Some(r.downtime_secs)),
-            mttr_secs: adaptive_metric(|r| r.mttr_secs),
+            mttr_secs: key.has_faults().then(|| adaptive_metric(|r| r.mttr_secs)),
             violation_during_fault: adaptive_metric(|r| Some(r.violation_fraction_during_fault)),
             control_unserved_demand_secs: unserved_metric(|r| r.control_unserved_demand_secs),
             adaptive_unserved_demand_secs: unserved_metric(|r| r.adaptive_unserved_demand_secs),
+            key,
             outcomes,
         }
     }
@@ -1265,7 +1065,7 @@ mod tests {
         };
         // Classic-preset layout: exactly the two historical keys, so
         // existing fault reports stay byte-identical.
-        let Content::Map(fields) = classic.to_content() else {
+        let serde::Content::Map(fields) = classic.to_content() else {
             panic!("unit resilience serialises to a map");
         };
         assert_eq!(

@@ -115,10 +115,10 @@ fn render_run(
     }
     out.push_str("-- final deterministic counters and gauges --\n");
     let snapshot = registry.snapshot();
-    for (name, value) in &snapshot.counters {
+    for (name, value) in snapshot.counters.iter() {
         writeln!(out, "counter {name} {value}").unwrap();
     }
-    for (name, value) in &snapshot.gauges {
+    for (name, value) in snapshot.gauges.iter() {
         writeln!(out, "gauge {name} {value:?}").unwrap();
     }
     writeln!(out, "detect {:?}", result.detect).unwrap();

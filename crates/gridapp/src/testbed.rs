@@ -14,7 +14,7 @@
 //! [`TestbedSpec::congested_core`] are alternative named presets used by the
 //! scenario sweep harness.
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use simnet::{LinkId, NodeId, Registry, SimDuration, Topology, TopologyError};
 
 /// Capacity of every paper-testbed link (10 Mbps).
@@ -50,6 +50,10 @@ pub fn testbed_preset_names() -> &'static [&'static str] {
 /// `large-scale` keeps exact per-client behaviour) and below the 50k fleet.
 pub const FLEET_SCALE_MIN_CLIENTS: usize = 10_000;
 
+fn is_zero<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
 /// A declarative description of a testbed topology.
 ///
 /// Every spec shares the Figure 6 skeleton: routers R1/R2/R5 serve client
@@ -59,7 +63,7 @@ pub const FLEET_SCALE_MIN_CLIENTS: usize = 10_000;
 /// how many clients and servers hang off each router, the capacities of the
 /// core (inter-router) and access (host) link tiers, and a baseline
 /// background-traffic profile applied to every core link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TestbedSpec {
     /// Clients behind router R1 (packed two per machine, like C1/C2).
     pub clients_r1: usize,
@@ -90,55 +94,15 @@ pub struct TestbedSpec {
     /// positive value inserts an aggregation tier — client machines hang off
     /// aggregation routers (`A1`, `A2`, …) that uplink to the classic client
     /// routers — the multi-tier edge of the `large-scale` preset.
+    /// Serialised, like the tier's capacity, only when non-zero: the classic
+    /// presets keep the pre-aggregation layout byte for byte.
+    #[serde(skip_serializing_if = "is_zero")]
     pub clients_per_agg: usize,
-    /// Capacity of the aggregation uplinks (bits per second); unused when
-    /// `clients_per_agg` is 0.
+    /// Capacity of the aggregation uplinks (bits per second); unused, and
+    /// zero in every preset, when `clients_per_agg` is 0.
+    #[serde(skip_serializing_if = "is_zero")]
     pub agg_capacity_bps: f64,
 }
-
-impl Serialize for TestbedSpec {
-    // Hand-written so the classic presets (no aggregation tier) serialise
-    // exactly like the pre-aggregation struct: the two new fields appear
-    // only when the tier exists, keeping every existing report and config
-    // dump byte-identical (the vendored serde derive has no
-    // `skip_serializing_if`).
-    fn to_content(&self) -> Content {
-        let mut fields = vec![
-            ("clients_r1".to_string(), self.clients_r1.to_content()),
-            ("clients_r2".to_string(), self.clients_r2.to_content()),
-            ("clients_r5".to_string(), self.clients_r5.to_content()),
-            ("sg1_active".to_string(), self.sg1_active.to_content()),
-            ("sg1_spares".to_string(), self.sg1_spares.to_content()),
-            ("sg2_active".to_string(), self.sg2_active.to_content()),
-            ("sg2_spares".to_string(), self.sg2_spares.to_content()),
-            (
-                "core_capacity_bps".to_string(),
-                self.core_capacity_bps.to_content(),
-            ),
-            (
-                "access_capacity_bps".to_string(),
-                self.access_capacity_bps.to_content(),
-            ),
-            (
-                "background_bps".to_string(),
-                self.background_bps.to_content(),
-            ),
-        ];
-        if self.clients_per_agg > 0 {
-            fields.push((
-                "clients_per_agg".to_string(),
-                self.clients_per_agg.to_content(),
-            ));
-            fields.push((
-                "agg_capacity_bps".to_string(),
-                self.agg_capacity_bps.to_content(),
-            ));
-        }
-        Content::Map(fields)
-    }
-}
-
-impl Deserialize for TestbedSpec {}
 
 impl Default for TestbedSpec {
     fn default() -> Self {

@@ -58,6 +58,59 @@ pub trait Gauge {
     fn report(&mut self, now: f64) -> Vec<GaugeReading>;
 }
 
+// Gauge names are `<kind prefix><subject>`; the prefixes are written here
+// only, and composed and parsed by the functions below.
+const LATENCY: &str = "latency-gauge/";
+const LOAD: &str = "load-gauge/";
+const BANDWIDTH: &str = "bandwidth-gauge/";
+const SERVER: &str = "server-gauge/";
+const REACHABILITY: &str = "reachability-gauge/";
+
+/// The name of `client`'s [`AverageLatencyGauge`].
+pub fn latency_gauge_name(client: &str) -> String {
+    format!("{LATENCY}{client}")
+}
+
+/// The name of `group`'s [`LoadGauge`].
+pub fn load_gauge_name(group: &str) -> String {
+    format!("{LOAD}{group}")
+}
+
+/// The name of the [`BandwidthGauge`] of the `client` ↔ `group` pair.
+pub fn bandwidth_gauge_name(client: &str, group: &str) -> String {
+    format!("{BANDWIDTH}{client}/{group}")
+}
+
+/// The name of the [`ServerHealthGauge`] reporting onto model replica
+/// `replica`.
+pub fn server_gauge_name(replica: &str) -> String {
+    format!("{SERVER}{replica}")
+}
+
+/// The name of `client`'s [`ReachabilityGauge`].
+pub fn reachability_gauge_name(client: &str) -> String {
+    format!("{REACHABILITY}{client}")
+}
+
+/// The group a [`LoadGauge`] of this name watches; `None` for any other
+/// gauge's name.
+pub fn load_gauge_group(name: &str) -> Option<&str> {
+    name.strip_prefix(LOAD)
+}
+
+/// What a per-client gauge of this name watches: the client, and for a
+/// bandwidth gauge the group it is measured against. `None` for any other
+/// gauge's name.
+pub fn gauge_subject(name: &str) -> Option<(&str, Option<&str>)> {
+    if let Some(pair) = name.strip_prefix(BANDWIDTH) {
+        let (client, group) = pair.split_once('/')?;
+        return Some((client, Some(group)));
+    }
+    name.strip_prefix(LATENCY)
+        .or_else(|| name.strip_prefix(REACHABILITY))
+        .map(|client| (client, None))
+}
+
 /// Reports the sliding-window average request latency of one client as the
 /// client's `averageLatency` property.
 pub struct AverageLatencyGauge {
@@ -74,7 +127,7 @@ impl AverageLatencyGauge {
     pub fn new(client: impl Into<String>, window_secs: f64) -> Self {
         let client = client.into();
         AverageLatencyGauge {
-            name: format!("latency-gauge/{client}"),
+            name: latency_gauge_name(&client),
             interest: format!("probe/latency/{client}"),
             target: Key::new(&client),
             property: Key::new("averageLatency"),
@@ -131,7 +184,7 @@ impl LoadGauge {
     pub fn new(group: impl Into<String>) -> Self {
         let group = group.into();
         LoadGauge {
-            name: format!("load-gauge/{group}"),
+            name: load_gauge_name(&group),
             interest: format!("probe/load/{group}"),
             target: Key::new(&group),
             property: Key::new("load"),
@@ -195,7 +248,7 @@ impl BandwidthGauge {
         let client = client.into();
         let group = group.into();
         BandwidthGauge {
-            name: format!("bandwidth-gauge/{client}/{group}"),
+            name: bandwidth_gauge_name(&client, &group),
             interest: format!("probe/bandwidth/{client}/{group}"),
             target: Key::new(&target.into()),
             property: Key::new("bandwidth"),
@@ -267,7 +320,7 @@ impl ServerHealthGauge {
         let server = server.into();
         let target = target.into();
         ServerHealthGauge {
-            name: format!("server-gauge/{target}"),
+            name: server_gauge_name(&target),
             interest: format!("probe/liveness/server/{server}"),
             target: Key::new(&target),
             property: Key::new("isAlive"),
@@ -399,7 +452,7 @@ impl ReachabilityGauge {
     pub fn new(client: impl Into<String>, target: impl Into<String>) -> Self {
         let client = client.into();
         ReachabilityGauge {
-            name: format!("reachability-gauge/{client}"),
+            name: reachability_gauge_name(&client),
             interest: format!("probe/reachable/{client}"),
             target: Key::new(&target.into()),
             property: Key::new("reachable"),
@@ -564,6 +617,14 @@ impl GaugeManager {
         Some(now + self.config.deletion_delay_secs)
     }
 
+    /// Deploys `gauge` in place of any deployed gauge of the same name: the
+    /// delete-then-create churn of a repair that re-points a gauge. Returns
+    /// the time at which the new gauge becomes active.
+    pub fn replace(&mut self, now: f64, gauge: Box<dyn Gauge>) -> f64 {
+        self.delete(now, gauge.name());
+        self.create(now, gauge)
+    }
+
     /// Deletes every deployed gauge whose name satisfies `predicate`, in one
     /// sweep over the roster. Returns how many gauges were deleted.
     ///
@@ -571,7 +632,7 @@ impl GaugeManager {
     /// `moveClientGroup` repair retires hundreds of bandwidth gauges at
     /// once, and a per-name [`delete`](Self::delete) loop would rescan the
     /// roster per gauge.
-    pub fn delete_where(&mut self, _now: f64, predicate: impl Fn(&str) -> bool) -> usize {
+    pub fn delete_where(&mut self, _now: f64, mut predicate: impl FnMut(&str) -> bool) -> usize {
         let mut removed: Vec<Box<dyn Gauge>> = Vec::new();
         let mut kept = Vec::with_capacity(self.gauges.len());
         for managed in self.gauges.drain(..) {
@@ -919,6 +980,59 @@ mod tests {
         let active_at = mgr.create(30.0, Box::new(LoadGauge::new("ServerGrp1")));
         assert!((active_at - 42.0).abs() < 1e-12);
         assert_eq!(mgr.cache_hit_count(), 0);
+    }
+
+    #[test]
+    fn name_helpers_agree_with_the_constructors() {
+        let gauges: [(Box<dyn Gauge>, String); 5] = [
+            (
+                Box::new(AverageLatencyGauge::new("User3", 30.0)),
+                latency_gauge_name("User3"),
+            ),
+            (
+                Box::new(LoadGauge::new("ServerGrp1")),
+                load_gauge_name("ServerGrp1"),
+            ),
+            (
+                Box::new(BandwidthGauge::new("User3", "ServerGrp1", "User3.role")),
+                bandwidth_gauge_name("User3", "ServerGrp1"),
+            ),
+            (
+                Box::new(ServerHealthGauge::new("S2", "ServerGrp1.Server2")),
+                server_gauge_name("ServerGrp1.Server2"),
+            ),
+            (
+                Box::new(ReachabilityGauge::new("User3", "User3.role")),
+                reachability_gauge_name("User3"),
+            ),
+        ];
+        for (gauge, name) in &gauges {
+            assert_eq!(gauge.name(), name);
+        }
+        let subjects: Vec<_> = gauges.iter().map(|(_, n)| gauge_subject(n)).collect();
+        assert_eq!(
+            subjects,
+            [
+                Some(("User3", None)),
+                None,
+                Some(("User3", Some("ServerGrp1"))),
+                None,
+                Some(("User3", None)),
+            ]
+        );
+        let groups: Vec<_> = gauges.iter().map(|(_, n)| load_gauge_group(n)).collect();
+        assert_eq!(groups, [None, Some("ServerGrp1"), None, None, None]);
+    }
+
+    #[test]
+    fn replace_deletes_the_namesake_before_creating() {
+        let mut mgr = GaugeManager::new(GaugeLifecycleConfig::default());
+        mgr.replace(0.0, Box::new(LoadGauge::new("ServerGrp1")));
+        assert_eq!((mgr.creation_count(), mgr.deletion_count()), (1, 0));
+        let active_at = mgr.replace(20.0, Box::new(LoadGauge::new("ServerGrp1")));
+        assert!((active_at - 32.0).abs() < 1e-12);
+        assert_eq!((mgr.creation_count(), mgr.deletion_count()), (2, 1));
+        assert_eq!(mgr.gauge_names(), ["load-gauge/ServerGrp1"]);
     }
 
     #[test]

@@ -219,16 +219,20 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.as_str().to_string(), *v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.as_str().to_string(), *v))
-                .collect(),
+            counters: NameSorted(
+                inner
+                    .counters
+                    .iter()
+                    .map(|(k, v)| (k.as_str().to_string(), *v))
+                    .collect(),
+            ),
+            gauges: NameSorted(
+                inner
+                    .gauges
+                    .iter()
+                    .map(|(k, v)| (k.as_str().to_string(), *v))
+                    .collect(),
+            ),
         }
     }
 
@@ -318,44 +322,53 @@ impl Drop for Span {
     }
 }
 
-/// The deterministic counter/gauge section of a registry, name-ordered.
-/// Serialises as `{"counters": {...}, "gauges": {...}}` with integer counter
-/// values, so equal counters give byte-equal JSON.
+/// A name-ordered `(name, value)` list that serialises as a JSON object
+/// (`{"name": value, ...}`) instead of an array of pairs, so equal lists give
+/// byte-equal JSON with integer values kept integers.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Counter name → value, in name order.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge name → value, in name order.
-    pub gauges: Vec<(String, f64)>,
-}
+pub struct NameSorted<T>(pub Vec<(String, T)>);
 
-impl Serialize for MetricsSnapshot {
+impl<T: Serialize> Serialize for NameSorted<T> {
     fn to_content(&self) -> Content {
-        Content::Map(vec![
-            (
-                "counters".to_string(),
-                Content::Map(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Content::U64(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_string(),
-                Content::Map(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Content::F64(*v)))
-                        .collect(),
-                ),
-            ),
-        ])
+        Content::Map(
+            self.0
+                .iter()
+                .map(|(name, value)| (name.clone(), value.to_content()))
+                .collect(),
+        )
     }
 }
 
+impl<T> std::ops::Deref for NameSorted<T> {
+    type Target = [(String, T)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<T> IntoIterator for NameSorted<T> {
+    type Item = (String, T);
+    type IntoIter = std::vec::IntoIter<(String, T)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+/// The deterministic counter/gauge section of a registry, name-ordered.
+/// Serialises as `{"counters": {...}, "gauges": {...}}` with integer counter
+/// values, so equal counters give byte-equal JSON.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct MetricsSnapshot {
+    /// Counter name → value, in name order.
+    pub counters: NameSorted<u64>,
+    /// Gauge name → value, in name order.
+    pub gauges: NameSorted<f64>,
+}
+
 /// One histogram's wall-clock summary in a [`PerfReport`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PerfRow {
     /// Metric name.
     pub name: String,
@@ -371,22 +384,9 @@ pub struct PerfRow {
     pub max_us: f64,
 }
 
-impl Serialize for PerfRow {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("name".to_string(), Content::Str(self.name.clone())),
-            ("count".to_string(), Content::U64(self.count)),
-            ("total_ms".to_string(), Content::F64(self.total_ms)),
-            ("mean_us".to_string(), Content::F64(self.mean_us)),
-            ("p95_us".to_string(), Content::F64(self.p95_us)),
-            ("max_us".to_string(), Content::F64(self.max_us)),
-        ])
-    }
-}
-
 /// The nondeterministic wall-clock section of a registry: one row per
 /// histogram, name-ordered. Values are timings and vary run to run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PerfReport {
     /// One summary row per histogram.
     pub rows: Vec<PerfRow>,
@@ -403,15 +403,6 @@ impl PerfReport {
                 .then_with(|| a.name.cmp(&b.name))
         });
         rows
-    }
-}
-
-impl Serialize for PerfReport {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![(
-            "rows".to_string(),
-            Content::Seq(self.rows.iter().map(|r| r.to_content()).collect()),
-        )])
     }
 }
 
@@ -445,10 +436,10 @@ mod tests {
         assert_eq!(registry.counter(a), 10);
         let snapshot = registry.snapshot();
         assert_eq!(
-            snapshot.counters,
+            snapshot.counters.0,
             vec![("test.a".to_string(), 10), ("test.b".to_string(), 5)]
         );
-        assert_eq!(snapshot.gauges, vec![("test.g".to_string(), 2.5)]);
+        assert_eq!(snapshot.gauges.0, vec![("test.g".to_string(), 2.5)]);
         assert_eq!(handle.deterministic_snapshot(), Some(snapshot));
     }
 

@@ -17,11 +17,12 @@
 //!   class serves every member;
 //! * [`probes`] — the class-shared Remos snapshot: bit-identical to
 //!   per-client probing on the classic presets (where every class is a
-//!   singleton) and ~group-size cheaper on the aggregated ones. At fleet
-//!   scale the snapshot has one entry per `(class, group)` representative,
-//!   read from a [`RepTable`] that is rebuilt only when a repair has moved
-//!   clients, and the servers a shared probe asks are listed once per group
-//!   per snapshot;
+//!   singleton) and ~group-size cheaper on the aggregated ones. One
+//!   [`RepTable`] implements it: it probes the representative of every
+//!   `(class, group)` pair — the table is rebuilt only when a repair has
+//!   moved clients, and the servers a shared probe asks are listed once per
+//!   group per snapshot — and reports the representatives alone or every
+//!   member behind them, as the caller's monitoring policy asks;
 //! * [`plan`] — the **bulk reassignment planner**: consumes class-level probe
 //!   snapshots and current model properties and emits a batched repair plan
 //!   of group tactics — `moveClientGroup` (re-home every squeezed client of
@@ -30,7 +31,9 @@
 //!   (recycle replicas wedged on a collapsed path).
 //!
 //! The adaptation framework exposes the planner as the `plannedRepair`
-//! strategy preset; see `arch_adapt::framework`.
+//! strategy preset; see `arch_adapt::framework`. The run's one
+//! [`ClassIndex`] belongs to the framework's monitor, which lends it to
+//! [`PlannerInput::gather`] and [`GroupPlanner::plan`] alike.
 
 #![warn(missing_docs)]
 
@@ -40,4 +43,4 @@ pub mod probes;
 
 pub use classes::{ClassIndex, ClientClass, ServerClass};
 pub use plan::{GroupPlan, GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
-pub use probes::{class_flow_snapshot, class_remos, Rep, RepTable};
+pub use probes::{class_remos, Rep, RepTable};

@@ -184,28 +184,21 @@ struct ClassMove {
     members: Vec<String>,
 }
 
-/// The group-level planner: the [`ClassIndex`] plus per-subject damping
-/// state.
+/// The group-level planner: per-subject damping state over the class index
+/// its caller lends to every [`plan`](GroupPlanner::plan).
 pub struct GroupPlanner {
-    index: ClassIndex,
     damping_secs: Option<f64>,
     last_planned: BTreeMap<String, f64>,
 }
 
 impl GroupPlanner {
-    /// Creates a planner over a class index with an optional damping window
-    /// (seconds) per planned subject.
-    pub fn new(index: ClassIndex, damping_secs: Option<f64>) -> GroupPlanner {
+    /// Creates a planner with an optional damping window (seconds) per
+    /// planned subject.
+    pub fn new(damping_secs: Option<f64>) -> GroupPlanner {
         GroupPlanner {
-            index,
             damping_secs,
             last_planned: BTreeMap::new(),
         }
-    }
-
-    /// The planner's class index.
-    pub fn index(&self) -> &ClassIndex {
-        &self.index
     }
 
     fn allows(&self, key: &str, now: f64) -> bool {
@@ -218,7 +211,12 @@ impl GroupPlanner {
     /// Produces a batched plan for the violations in `input`, or `None` when
     /// no group tactic applies (the caller falls back to per-element
     /// repair). Pure in its inputs apart from the damping clock.
-    pub fn plan(&mut self, model: &System, input: &PlannerInput) -> Option<GroupPlan> {
+    pub fn plan(
+        &mut self,
+        index: &ClassIndex,
+        model: &System,
+        input: &PlannerInput,
+    ) -> Option<GroupPlan> {
         let thresholds = input.thresholds;
         let mut damping_keys: Vec<String> = Vec::new();
         let mut tactics: Vec<String> = Vec::new();
@@ -229,12 +227,12 @@ impl GroupPlanner {
         let mut moved_classes: BTreeSet<usize> = BTreeSet::new();
         let mut violating_classes: BTreeSet<usize> = BTreeSet::new();
         for client in &input.violating_clients {
-            if let Some(id) = self.index.client_class_of(client) {
+            if let Some(id) = index.client_class_of(client) {
                 violating_classes.insert(id);
             }
         }
         for &id in &violating_classes {
-            let class = self.index.client_class(id)?;
+            let class = index.client_class(id)?;
             let sources: BTreeSet<&String> = class
                 .members
                 .iter()
@@ -404,8 +402,7 @@ impl GroupPlanner {
             }
             // Smallest whole class still homed on `hi` whose bandwidth to
             // `lo` clears the minimum.
-            let candidate = self
-                .index
+            let candidate = index
                 .client_classes()
                 .iter()
                 .filter(|c| !moved_classes.contains(&c.id))
@@ -635,8 +632,10 @@ mod tests {
     #[test]
     fn squeezed_class_is_moved_in_one_batch_with_a_drain() {
         let (model, index, input) = squeeze_fixture();
-        let mut planner = GroupPlanner::new(index, Some(60.0));
-        let plan = planner.plan(&model, &input).expect("a plan is produced");
+        let mut planner = GroupPlanner::new(Some(60.0));
+        let plan = planner
+            .plan(&index, &model, &input)
+            .expect("a plan is produced");
         assert!(plan.tactics.contains(&"moveClientGroup".to_string()));
         assert!(plan.tactics.contains(&"drainServer".to_string()));
         let batch = plan
@@ -668,14 +667,20 @@ mod tests {
     #[test]
     fn damping_suppresses_an_immediate_replan() {
         let (model, index, input) = squeeze_fixture();
-        let mut planner = GroupPlanner::new(index, Some(60.0));
-        assert!(planner.plan(&model, &input).is_some());
+        let mut planner = GroupPlanner::new(Some(60.0));
+        assert!(planner.plan(&index, &model, &input).is_some());
         let mut soon = input.clone();
         soon.now_secs = 130.0;
-        assert!(planner.plan(&model, &soon).is_none(), "inside the window");
+        assert!(
+            planner.plan(&index, &model, &soon).is_none(),
+            "inside the window"
+        );
         let mut later = input;
         later.now_secs = 200.0;
-        assert!(planner.plan(&model, &later).is_some(), "window elapsed");
+        assert!(
+            planner.plan(&index, &model, &later).is_some(),
+            "window elapsed"
+        );
     }
 
     #[test]
@@ -685,8 +690,10 @@ mod tests {
         input.overloaded_groups = vec!["ServerGrp1".to_string()];
         input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
         input.groups.get_mut("ServerGrp1").unwrap().stuck_servers = 0;
-        let mut planner = GroupPlanner::new(index, None);
-        let plan = planner.plan(&model, &input).expect("a plan is produced");
+        let mut planner = GroupPlanner::new(None);
+        let plan = planner
+            .plan(&index, &model, &input)
+            .expect("a plan is produced");
         assert!(plan.tactics.contains(&"rebalanceGroups".to_string()));
         let activations = plan
             .runtime_ops
@@ -705,8 +712,8 @@ mod tests {
         let (model, index, mut input) = squeeze_fixture();
         input.violating_clients.clear();
         input.overloaded_groups.clear();
-        let mut planner = GroupPlanner::new(index, None);
-        assert!(planner.plan(&model, &input).is_none());
+        let mut planner = GroupPlanner::new(None);
+        assert!(planner.plan(&index, &model, &input).is_none());
     }
 
     #[test]
@@ -715,16 +722,19 @@ mod tests {
         for (_, value) in input.class_bandwidth.iter_mut() {
             *value = Some(1_000.0); // everything below the minimum
         }
-        let mut planner = GroupPlanner::new(index, None);
-        assert!(planner.plan(&model, &input).is_none());
+        let mut planner = GroupPlanner::new(None);
+        assert!(planner.plan(&index, &model, &input).is_none());
     }
 
     #[test]
     fn plans_are_deterministic() {
         let (model, index, input) = squeeze_fixture();
-        let mut a = GroupPlanner::new(index.clone(), Some(60.0));
-        let mut b = GroupPlanner::new(index, Some(60.0));
-        assert_eq!(a.plan(&model, &input), b.plan(&model, &input));
+        let mut a = GroupPlanner::new(Some(60.0));
+        let mut b = GroupPlanner::new(Some(60.0));
+        assert_eq!(
+            a.plan(&index, &model, &input),
+            b.plan(&index, &model, &input)
+        );
     }
 
     #[test]
@@ -791,8 +801,10 @@ mod tests {
             overloaded_groups: Vec::new(),
             client_groups,
         };
-        let mut planner = GroupPlanner::new(index.clone(), Some(60.0));
-        let plan = planner.plan(&model, &input).expect("bulk plan produced");
+        let mut planner = GroupPlanner::new(Some(60.0));
+        let plan = planner
+            .plan(&index, &model, &input)
+            .expect("bulk plan produced");
         let moved: usize = plan
             .runtime_ops
             .iter()
@@ -815,7 +827,7 @@ mod tests {
             .count();
         assert_eq!(churns, 1);
         // A second planner run with the same input produces the same plan.
-        let mut other = GroupPlanner::new(index, Some(60.0));
-        assert_eq!(other.plan(&model, &input), Some(plan));
+        let mut other = GroupPlanner::new(Some(60.0));
+        assert_eq!(other.plan(&index, &model, &input), Some(plan));
     }
 }

@@ -10,18 +10,25 @@
 //! assert it); on aggregated testbeds it cuts probe sampling by roughly the
 //! class size.
 //!
+//! There is one implementation of it, [`RepTable`]: it probes the
+//! representative of every `(class, group)` pair and reports either those
+//! probes alone ([`RepTable::flow_snapshot`], what a deployment that only
+//! watches representatives reads) or each of them fanned out to the pair's
+//! members ([`RepTable::member_flow_snapshot`], one entry per client). The
+//! walking versions of both survive as references in this module's tests.
+//!
 //! Nothing here is re-derived more often than it can change. Which servers
 //! answer for a group depends only on the application's state at the instant
 //! of the snapshot, so [`GroupProbes`] lists them once per group per
 //! snapshot, not once per client class. Which client stands for a
-//! `(class, group)` pair at fleet scale depends only on the client→group
-//! assignment, so [`RepTable`] keeps the answer and rebuilds it when
-//! [`GridApp::assignment_generation`] says a move happened — not by walking
-//! every client on every control tick.
+//! `(class, group)` pair — and which members stand behind it — depends only
+//! on the client→group assignment, so [`RepTable`] keeps the answer and
+//! rebuilds it when [`GridApp::assignment_generation`] says a move happened
+//! — not by walking every client on every control tick.
 
 use crate::classes::{ClassIndex, ClientClass};
 use gridapp::{FlowSnapshot, GridApp};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The class-level `remos_get_flow` of one snapshot instant: predicted
 /// bandwidth between a client class and a server group, taken as the best
@@ -118,10 +125,13 @@ pub struct Rep {
     pub class: usize,
 }
 
-/// Fleet-scale monitoring state: the class index plus the [`Rep`] of every
-/// `(class, group)` pair in client-name order. The model only carries gauges
-/// for these clients at fleet scale, so monitoring and constraint checking
-/// scale with the number of classes, not clients.
+/// Class-shared monitoring state: the class index plus the [`Rep`] of every
+/// `(class, group)` pair in client-name order. One probe per representative
+/// serves the pair's members; whether only the representatives or every
+/// member is reported is the caller's choice of snapshot
+/// ([`flow_snapshot`](RepTable::flow_snapshot) or
+/// [`member_flow_snapshot`](RepTable::member_flow_snapshot)), not a second
+/// implementation.
 ///
 /// The table is rebuilt only when the application's
 /// [`assignment_generation`](GridApp::assignment_generation) differs from
@@ -133,6 +143,10 @@ pub struct RepTable {
     reps: Vec<Rep>,
     built_at: Option<u64>,
     rebuilds: u64,
+    /// Every client in name order with the slot of its representative in
+    /// `reps`: filed by the first fan-out after a rebuild, dropped by the
+    /// next rebuild.
+    members: Option<Vec<(String, usize)>>,
 }
 
 impl RepTable {
@@ -143,6 +157,7 @@ impl RepTable {
             reps: Vec::new(),
             built_at: None,
             rebuilds: 0,
+            members: None,
         }
     }
 
@@ -170,6 +185,7 @@ impl RepTable {
     }
 
     fn rebuild(&mut self, app: &GridApp) {
+        self.members = None;
         self.reps.clear();
         for class in self.index.client_classes() {
             // Members are in name order, so the first one found on a group
@@ -191,63 +207,70 @@ impl RepTable {
         self.reps.sort_by(|a, b| a.client.cmp(&b.client));
     }
 
+    /// Files every indexed client under its representative's slot. Runs once
+    /// per table rebuild, so the per-tick fan-out never walks the index.
+    fn file_members(&self, app: &GridApp) -> Vec<(String, usize)> {
+        let slots: BTreeMap<(usize, &str), usize> = self
+            .reps
+            .iter()
+            .enumerate()
+            .map(|(slot, rep)| ((rep.class, rep.group.as_str()), slot))
+            .collect();
+        let mut members = Vec::new();
+        for class in self.index.client_classes() {
+            for member in &class.members {
+                let Ok(group) = app.client_group(member) else {
+                    continue;
+                };
+                members.push((member.clone(), slots[&(class.id, group.as_str())]));
+            }
+        }
+        members.sort();
+        members
+    }
+
+    /// The class-shared flow of every representative, probed in table order.
+    fn rep_flows(&mut self, app: &GridApp) -> Vec<Option<f64>> {
+        self.reps(app);
+        let mut probes = GroupProbes::new(app, &self.index);
+        self.reps
+            .iter()
+            .map(|rep| probes.flow(&self.index.client_classes()[rep.class], &rep.group))
+            .collect()
+    }
+
     /// The representative-level flow snapshot: instead of one entry per
     /// client (50k gauge updates per tick), one entry per [`Rep`], carrying
     /// the class-shared flow of its `(class, group)` pair.
     pub fn flow_snapshot(&mut self, app: &GridApp) -> FlowSnapshot {
-        self.reps(app);
-        let mut probes = GroupProbes::new(app, &self.index);
+        let flows = self.rep_flows(app);
         let entries = self
             .reps
             .iter()
-            .map(|rep| {
-                let class = &self.index.client_classes()[rep.class];
-                let flow = probes.flow(class, &rep.group);
-                (rep.client.clone(), rep.group.clone(), flow)
-            })
+            .zip(flows)
+            .map(|(rep, flow)| (rep.client.clone(), rep.group.clone(), flow))
             .collect();
         FlowSnapshot::from_entries(entries)
     }
-}
 
-/// The class-shared equivalent of
-/// [`GridApp::flow_snapshot`](gridapp::GridApp::flow_snapshot): one entry per
-/// client in client-name order, with the flow of each `(class, group)` pair
-/// computed once and fanned out to every member.
-pub fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
-    // Nested memo (class → group → flow) so the common memo-hit path — the
-    // vast majority of the 2,000 per-tick lookups at scale — allocates
-    // nothing; the group key is cloned only on a miss.
-    let mut memo: HashMap<usize, HashMap<String, Option<f64>>> = HashMap::new();
-    let mut probes = GroupProbes::new(app, index);
-    let mut entries = Vec::new();
-    for client in app.client_names() {
-        let group = match app.client_group(&client) {
-            Ok(group) => group,
-            Err(_) => continue,
-        };
-        let flow = match index
-            .client_class_of(&client)
-            .and_then(|id| index.client_class(id))
-        {
-            Some(class) => {
-                let per_group = memo.entry(class.id).or_default();
-                match per_group.get(&group) {
-                    Some(&cached) => cached,
-                    None => {
-                        let value = probes.flow(class, &group);
-                        per_group.insert(group.clone(), value);
-                        value
-                    }
-                }
-            }
-            // A client outside the index (never the case for indexes built
-            // from the app's own testbed) falls back to the exact query.
-            None => app.remos_get_flow(&client, &group).ok(),
-        };
-        entries.push((client, group, flow));
+    /// The class-shared equivalent of
+    /// [`GridApp::flow_snapshot`](gridapp::GridApp::flow_snapshot): the same
+    /// probes as [`flow_snapshot`](Self::flow_snapshot), with each
+    /// `(class, group)` flow fanned out to the pair's members — one entry
+    /// per client in client-name order.
+    pub fn member_flow_snapshot(&mut self, app: &GridApp) -> FlowSnapshot {
+        let flows = self.rep_flows(app);
+        if self.members.is_none() {
+            self.members = Some(self.file_members(app));
+        }
+        let entries = self
+            .members
+            .iter()
+            .flatten()
+            .map(|(client, slot)| (client.clone(), self.reps[*slot].group.clone(), flows[*slot]))
+            .collect();
+        FlowSnapshot::from_entries(entries)
     }
-    FlowSnapshot::from_entries(entries)
 }
 
 #[cfg(test)]
@@ -256,6 +279,7 @@ mod tests {
     use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_1, SERVER_GROUP_2};
     use proptest::prelude::*;
     use simnet::SimTime;
+    use std::collections::HashMap;
 
     /// The reference for [`RepTable::flow_snapshot`]: walks every client in
     /// name order, keeps the first one seen per `(class, group)` pair, and
@@ -281,6 +305,47 @@ mod tests {
             entries.push((client, group, flow));
         }
         FlowSnapshot::from_entries(entries)
+    }
+
+    /// The reference for [`RepTable::member_flow_snapshot`], and production's
+    /// class-shared snapshot until the fan-out replaced it: walks every
+    /// client in name order and memoises one [`GroupProbes::flow`] per
+    /// `(class, group)` pair at the pair's first member.
+    fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
+        let mut memo: HashMap<(usize, String), Option<f64>> = HashMap::new();
+        let mut probes = GroupProbes::new(app, index);
+        let mut entries = Vec::new();
+        for client in app.client_names() {
+            let group = match app.client_group(&client) {
+                Ok(group) => group,
+                Err(_) => continue,
+            };
+            let class = index
+                .client_class_of(&client)
+                .and_then(|id| index.client_class(id))
+                .expect("the index is built from the app's own testbed");
+            let flow = *memo
+                .entry((class.id, group.clone()))
+                .or_insert_with(|| probes.flow(class, &group));
+            entries.push((client, group, flow));
+        }
+        FlowSnapshot::from_entries(entries)
+    }
+
+    /// Production's class-shared per-client snapshot, from a fresh table.
+    fn fan_out(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
+        RepTable::new(index.clone()).member_flow_snapshot(app)
+    }
+
+    /// `snapshot` with the probe queries and solves it cost.
+    fn metered(app: &GridApp, snapshot: impl FnOnce() -> FlowSnapshot) -> (FlowSnapshot, u64, u64) {
+        let (queries, solves) = (app.probe_query_count(), app.probe_solve_count());
+        let snapshot = snapshot();
+        (
+            snapshot,
+            app.probe_query_count() - queries,
+            app.probe_solve_count() - solves,
+        )
     }
 
     /// A small aggregated testbed: 28 clients in 8 client classes of uneven
@@ -337,20 +402,31 @@ mod tests {
     }
 
     /// Runs `ops` against a fresh deployment of `spec`, comparing the table's
-    /// snapshot with the walking reference after every step.
+    /// snapshot with the walking reference after every step — and its member
+    /// fan-out with [`class_flow_snapshot`] taken on a twin deployment driven
+    /// in lockstep, so both meet the same per-epoch probe memo and the probe
+    /// query and solve counts can be compared as well as the entries.
     fn table_follows_the_walk(spec: TestbedSpec, seed: u64, ops: &[(u8, usize)]) {
         let config = GridConfig {
             seed,
             ..GridConfig::with_testbed(spec)
         };
         let mut app = GridApp::build(config).unwrap();
+        let mut twin = GridApp::build(config).unwrap();
         let index = ClassIndex::build(app.testbed());
         let mut table = RepTable::new(index.clone());
         let mut now = 0.0;
         for &(op, pick) in ops {
             now += 0.5 + (pick % 7) as f64;
-            app.advance(SimTime::from_secs(now));
-            mutate(&mut app, &index, SimTime::from_secs(now), op, pick);
+            for app in [&mut app, &mut twin] {
+                app.advance(SimTime::from_secs(now));
+                mutate(app, &index, SimTime::from_secs(now), op, pick);
+            }
+            assert_eq!(
+                metered(&app, || table.member_flow_snapshot(&app)),
+                metered(&twin, || class_flow_snapshot(&twin, &index)),
+                "fan-out after op {op} pick {pick}"
+            );
             let walked = walking_rep_flow_snapshot(&app, &index);
             assert_eq!(
                 table.flow_snapshot(&app),
@@ -435,13 +511,13 @@ mod tests {
         let mut app = GridApp::build(GridConfig::default()).unwrap();
         app.advance(SimTime::from_secs(20.0));
         let index = ClassIndex::build(app.testbed());
-        assert_eq!(class_flow_snapshot(&app, &index), app.flow_snapshot());
+        assert_eq!(fan_out(&app, &index), app.flow_snapshot());
         // Also under a squeeze and with a crashed replica.
         app.set_competition_sg1(SimTime::from_secs(21.0), 9.99e6)
             .unwrap();
         app.crash_server(SimTime::from_secs(22.0), "S1").unwrap();
         app.advance(SimTime::from_secs(30.0));
-        assert_eq!(class_flow_snapshot(&app, &index), app.flow_snapshot());
+        assert_eq!(fan_out(&app, &index), app.flow_snapshot());
     }
 
     #[test]
@@ -451,7 +527,7 @@ mod tests {
             app.crash_server(SimTime::from_secs(5.0), server).unwrap();
         }
         let index = ClassIndex::build(app.testbed());
-        let snapshot = class_flow_snapshot(&app, &index);
+        let snapshot = fan_out(&app, &index);
         for (client, group, flow) in snapshot.entries() {
             if group == SERVER_GROUP_1 {
                 assert!(flow.is_none(), "{client} still sees a flow");
@@ -520,7 +596,7 @@ mod tests {
         // Everyone starts on SG1: one entry per client class, keyed by its
         // representative, carrying the class-shared flow.
         assert_eq!(rep.entries().len(), index.client_classes().len());
-        let full = class_flow_snapshot(&app, &index);
+        let full = fan_out(&app, &index);
         for (client, group, flow) in rep.entries() {
             let class = index
                 .client_class(index.client_class_of(client).unwrap())
@@ -543,7 +619,7 @@ mod tests {
         let index = ClassIndex::build(app.testbed());
 
         let before = app.probe_solve_count();
-        let shared = class_flow_snapshot(&app, &index);
+        let shared = fan_out(&app, &index);
         let shared_solves = app.probe_solve_count() - before;
 
         // Perturb the network so the epoch memo cannot serve the second

@@ -3,7 +3,8 @@
 //!
 //! On the direct-attach testbeds every network-position class is a singleton
 //! (one class per client machine, one per server), so
-//! [`class_flow_snapshot`](planner::class_flow_snapshot) must reproduce
+//! [`RepTable::member_flow_snapshot`](planner::RepTable::member_flow_snapshot)
+//! must reproduce
 //! [`GridApp::flow_snapshot`](gridapp::GridApp::flow_snapshot) exactly —
 //! same entries, same order, same bits — under arbitrary seeds, sampling
 //! times, squeezes, and crashes. This is the contract that lets the
@@ -11,7 +12,7 @@
 //! while sharing probes at scale.
 
 use gridapp::{GridApp, GridConfig, TestbedSpec};
-use planner::{class_flow_snapshot, ClassIndex};
+use planner::{ClassIndex, RepTable};
 use proptest::prelude::*;
 use simnet::SimTime;
 
@@ -41,7 +42,7 @@ proptest! {
             app.crash_server(SimTime::from_secs(0.7), "S1").unwrap();
         }
         app.advance(SimTime::from_secs(advance_secs));
-        let shared = class_flow_snapshot(&app, &index);
+        let shared = RepTable::new(index).member_flow_snapshot(&app);
         let full = app.flow_snapshot();
         prop_assert_eq!(&shared, &full);
         // Bit-exact, not just approximately equal.
@@ -62,8 +63,8 @@ fn large_scale_class_counts_and_snapshot_determinism() {
     assert!(index.is_shared());
     assert_eq!(index.client_classes().len(), 63);
     assert_eq!(index.server_classes().len(), 3);
-    let a = class_flow_snapshot(&app, &index);
-    let b = class_flow_snapshot(&app, &ClassIndex::build(app.testbed()));
+    let a = RepTable::new(index).member_flow_snapshot(&app);
+    let b = RepTable::new(ClassIndex::build(app.testbed())).member_flow_snapshot(&app);
     assert_eq!(a, b);
     assert_eq!(a.entries().len(), 2000);
 }
