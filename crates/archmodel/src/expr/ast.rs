@@ -138,7 +138,8 @@ impl Expr {
         Expr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
 
-    /// All identifiers referenced (free or bound) in the expression; useful
+    /// The free identifiers of the expression (everything it can look up
+    /// outside its own quantifier bindings), sorted and deduplicated; useful
     /// for dependency analysis of constraints.
     pub fn referenced_idents(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -223,9 +224,13 @@ impl Expr {
             Expr::Quantifier {
                 var, domain, body, ..
             } => {
+                // `var` is bound in the body only: occurrences collected
+                // before it (siblings, the domain) stay free.
                 domain.collect_idents(out);
-                body.collect_idents(out);
-                out.retain(|n| n != var);
+                let mut inner = Vec::new();
+                body.collect_idents(&mut inner);
+                inner.retain(|n| n != var);
+                out.append(&mut inner);
             }
         }
     }
@@ -268,6 +273,11 @@ mod tests {
         assert!(ids.contains(&"components".to_string()));
         assert!(ids.contains(&"maxServerLoad".to_string()));
         assert!(!ids.contains(&"c".to_string()));
+
+        // A name bound by one quantifier is still free where it occurs
+        // outside that quantifier's body.
+        let e = crate::expr::parse("c > 1 and (exists c in components | c.load > 0)").unwrap();
+        assert!(e.referenced_idents().contains(&"c".to_string()));
     }
 
     #[test]

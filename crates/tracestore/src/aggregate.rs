@@ -90,13 +90,13 @@ impl GroupBy {
         }
     }
 
-    fn key(self, row: &QueryRow) -> String {
+    fn key(self, row: &QueryRow) -> &str {
         match self {
-            GroupBy::None => "all".to_string(),
-            GroupBy::Run => row.run_id.clone(),
-            GroupBy::Kind => row.event.kind.name().to_string(),
-            GroupBy::Subject => row.event.subject.clone(),
-            GroupBy::Detail => row.event.detail.clone(),
+            GroupBy::None => "all",
+            GroupBy::Run => &row.run_id,
+            GroupBy::Kind => row.event.kind.name(),
+            GroupBy::Subject => &row.event.subject,
+            GroupBy::Detail => &row.event.detail,
         }
     }
 }
@@ -116,16 +116,18 @@ pub struct AggregateRow {
 
 /// Groups rows and reduces each group; output is sorted by group key.
 pub fn aggregate_rows(rows: &[QueryRow], op: AggregateOp, group_by: GroupBy) -> Vec<AggregateRow> {
-    let mut groups: BTreeMap<String, Vec<&QueryRow>> = BTreeMap::new();
+    // Per group: how many rows, and the payloads of those that carry one.
+    let mut groups: BTreeMap<&str, (usize, Vec<f64>)> = BTreeMap::new();
     for row in rows {
-        groups.entry(group_by.key(row)).or_default().push(row);
+        let (count, values) = groups.entry(group_by.key(row)).or_default();
+        *count += 1;
+        values.extend(row.event.value);
     }
     groups
         .into_iter()
-        .map(|(group, members)| {
-            let values: Vec<f64> = members.iter().filter_map(|r| r.event.value).collect();
+        .map(|(group, (count, values))| {
             let value = match op {
-                AggregateOp::Count => Some(members.len() as f64),
+                AggregateOp::Count => Some(count as f64),
                 AggregateOp::Mean => {
                     (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
                 }
@@ -135,8 +137,8 @@ pub fn aggregate_rows(rows: &[QueryRow], op: AggregateOp, group_by: GroupBy) -> 
                 AggregateOp::P95 => quantile_of(&values, 0.95),
             };
             AggregateRow {
-                group,
-                count: members.len(),
+                group: group.to_string(),
+                count,
                 value,
             }
         })
@@ -148,19 +150,20 @@ pub fn aggregate_rows(rows: &[QueryRow], op: AggregateOp, group_by: GroupBy) -> 
 /// Runs with no faults are omitted; runs whose faults never see a repair
 /// complete report `count` faults and `value: None` (unrecovered).
 pub fn mttr_rows(rows: &[QueryRow]) -> Vec<AggregateRow> {
-    let mut by_run: BTreeMap<String, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+    // Per run: fault onset times and repair-end times.
+    let mut by_run: BTreeMap<&str, [Vec<f64>; 2]> = BTreeMap::new();
     for row in rows {
-        let entry = by_run.entry(row.run_id.clone()).or_default();
-        match row.event.kind {
-            EventKind::Fault => entry.0.push(row.event.time_secs),
-            EventKind::RepairEnd => entry.1.push(row.event.time_secs),
-            _ => {}
-        }
+        let slot = match row.event.kind {
+            EventKind::Fault => 0,
+            EventKind::RepairEnd => 1,
+            _ => continue,
+        };
+        by_run.entry(&row.run_id).or_default()[slot].push(row.event.time_secs);
     }
     by_run
         .into_iter()
-        .filter(|(_, (faults, _))| !faults.is_empty())
-        .map(|(run, (faults, mut ends))| {
+        .filter(|(_, [faults, _])| !faults.is_empty())
+        .map(|(run, [faults, mut ends])| {
             ends.sort_by(|a, b| a.partial_cmp(b).expect("times are not NaN"));
             let gaps: Vec<f64> = faults
                 .iter()
@@ -171,7 +174,7 @@ pub fn mttr_rows(rows: &[QueryRow]) -> Vec<AggregateRow> {
                 })
                 .collect();
             AggregateRow {
-                group: run,
+                group: run.to_string(),
                 count: faults.len(),
                 value: (!gaps.is_empty()).then(|| gaps.iter().sum::<f64>() / gaps.len() as f64),
             }
@@ -225,25 +228,16 @@ pub fn median_of(values: &mut [f64]) -> Option<f64> {
 /// Runs containing neither kind are omitted; output is sorted by run id.
 pub fn leadtime_rows(rows: &[QueryRow], horizon_secs: f64) -> Vec<LeadTimeRow> {
     // Per run, per subject: advisory times and violation times.
-    type SubjectTimes = BTreeMap<String, (Vec<f64>, Vec<f64>)>;
-    let mut by_run: BTreeMap<String, SubjectTimes> = BTreeMap::new();
+    type SubjectTimes<'a> = BTreeMap<&'a str, [Vec<f64>; 2]>;
+    let mut by_run: BTreeMap<&str, SubjectTimes> = BTreeMap::new();
     for row in rows {
         let slot = match row.event.kind {
             EventKind::Advisory => 0,
             EventKind::Violation => 1,
             _ => continue,
         };
-        let entry = by_run
-            .entry(row.run_id.clone())
-            .or_default()
-            .entry(row.event.subject.clone())
-            .or_default();
-        let times = if slot == 0 {
-            &mut entry.0
-        } else {
-            &mut entry.1
-        };
-        times.push(row.event.time_secs);
+        let times = by_run.entry(&row.run_id).or_default();
+        times.entry(&row.event.subject).or_default()[slot].push(row.event.time_secs);
     }
     by_run
         .into_iter()
@@ -253,7 +247,7 @@ pub fn leadtime_rows(rows: &[QueryRow], horizon_secs: f64) -> Vec<LeadTimeRow> {
             let mut matched_advisories = 0;
             let mut anticipated_violations = 0;
             let mut leads = Vec::new();
-            for (advisory_times, mut violation_times) in subjects.into_values() {
+            for [advisory_times, mut violation_times] in subjects.into_values() {
                 violation_times.sort_by(|a, b| a.partial_cmp(b).expect("times are not NaN"));
                 advisories += advisory_times.len();
                 violations += violation_times.len();
@@ -275,7 +269,7 @@ pub fn leadtime_rows(rows: &[QueryRow], horizon_secs: f64) -> Vec<LeadTimeRow> {
                 }
             }
             LeadTimeRow {
-                run,
+                run: run.to_string(),
                 advisories,
                 violations,
                 matched_advisories,
@@ -313,7 +307,7 @@ pub fn near_fault_rows(
         if row.event.kind != kind {
             continue;
         }
-        let Some(run_onsets) = onsets.get(row.run_id.as_str()) else {
+        let Some(run_onsets) = onsets.get(&*row.run_id) else {
             continue;
         };
         let t = row.event.time_secs;
@@ -334,7 +328,7 @@ mod tests {
 
     fn row(run: &str, event: TraceEvent) -> QueryRow {
         QueryRow {
-            run_id: run.to_string(),
+            run_id: run.into(),
             event,
         }
     }

@@ -9,7 +9,7 @@
 //! event in query results.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// What kind of observation an event records, in stable on-disk code order.
 ///
@@ -181,42 +181,77 @@ impl TraceEvent {
         Ok(())
     }
 
-    /// Deserialises one record written by [`write_to`](Self::write_to).
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<TraceEvent> {
-        let mut head = [0u8; 2];
-        r.read_exact(&mut head)?;
-        let kind = EventKind::from_code(head[0]).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown event-kind code {}", head[0]),
-            )
-        })?;
-        let flags = head[1];
-        let mut f8 = [0u8; 8];
-        r.read_exact(&mut f8)?;
-        let time_secs = f64::from_le_bytes(f8);
-        let subject = read_str(r)?;
-        let detail = read_str(r)?;
-        let value = if flags & 1 != 0 {
-            r.read_exact(&mut f8)?;
-            Some(f64::from_le_bytes(f8))
-        } else {
-            None
-        };
-        let correlation = if flags & 2 != 0 {
-            r.read_exact(&mut f8)?;
-            Some(u64::from_le_bytes(f8))
-        } else {
-            None
-        };
-        Ok(TraceEvent {
-            time_secs,
+    /// Deserialises one record written by [`write_to`](Self::write_to) from
+    /// the front of `buf`, advancing `buf` past it: [`EventRef::decode`]
+    /// plus [`EventRef::to_owned`].
+    pub fn read_from(buf: &mut &[u8]) -> io::Result<TraceEvent> {
+        EventRef::decode(buf).map(|e| e.to_owned())
+    }
+
+    /// The borrowed view of this event.
+    pub fn as_ref(&self) -> EventRef<'_> {
+        EventRef {
+            time_secs: self.time_secs,
+            kind: self.kind,
+            subject: &self.subject,
+            detail: &self.detail,
+            value: self.value,
+            correlation: self.correlation,
+        }
+    }
+}
+
+/// One record decoded in place: [`TraceEvent`]'s fields with `subject` and
+/// `detail` borrowed from the bytes they were decoded from, so a scan can
+/// filter before it allocates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventRef<'a> {
+    /// See [`TraceEvent::time_secs`].
+    pub time_secs: f64,
+    /// See [`TraceEvent::kind`].
+    pub kind: EventKind,
+    /// See [`TraceEvent::subject`].
+    pub subject: &'a str,
+    /// See [`TraceEvent::detail`].
+    pub detail: &'a str,
+    /// See [`TraceEvent::value`].
+    pub value: Option<f64>,
+    /// See [`TraceEvent::correlation`].
+    pub correlation: Option<u64>,
+}
+
+impl<'a> EventRef<'a> {
+    /// Decodes one record (the layout of [`TraceEvent::write_to`]) from the
+    /// front of `buf` and advances `buf` past it. A length that exceeds
+    /// what is left of `buf` is an error before anything is allocated.
+    pub fn decode(buf: &mut &'a [u8]) -> io::Result<EventRef<'a>> {
+        let [code, flags] = take_array(buf)?;
+        let kind = EventKind::from_code(code)
+            .ok_or_else(|| invalid(format!("unknown event-kind code {code}")))?;
+        Ok(EventRef {
             kind,
-            subject,
-            detail,
-            value,
-            correlation,
+            time_secs: f64::from_le_bytes(take_array(buf)?),
+            subject: take_str(buf)?,
+            detail: take_str(buf)?,
+            value: (flags & 1 != 0)
+                .then(|| take_array(buf).map(f64::from_le_bytes))
+                .transpose()?,
+            correlation: (flags & 2 != 0)
+                .then(|| take_array(buf).map(u64::from_le_bytes))
+                .transpose()?,
         })
+    }
+
+    /// Copies the view into an owned event.
+    pub fn to_owned(&self) -> TraceEvent {
+        TraceEvent {
+            time_secs: self.time_secs,
+            kind: self.kind,
+            subject: self.subject.to_string(),
+            detail: self.detail.to_string(),
+            value: self.value,
+            correlation: self.correlation,
+        }
     }
 }
 
@@ -227,14 +262,29 @@ fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     w.write_all(s.as_bytes())
 }
 
-fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
-    let mut len4 = [0u8; 4];
-    r.read_exact(&mut len4)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("non-UTF-8 string: {e}")))
+/// Splits `len` bytes off the front of `buf`, or fails without allocating
+/// when fewer are left.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], len: usize) -> io::Result<&'a [u8]> {
+    let (head, rest) = buf
+        .split_at_checked(len)
+        .ok_or(io::ErrorKind::UnexpectedEof)?;
+    *buf = rest;
+    Ok(head)
+}
+
+/// [`take`] for a fixed-width field.
+pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> io::Result<[u8; N]> {
+    take(buf, N).map(|bytes| bytes.try_into().expect("take returned N bytes"))
+}
+
+fn take_str<'a>(buf: &mut &'a [u8]) -> io::Result<&'a str> {
+    let len = u32::from_le_bytes(take_array(buf)?) as usize;
+    std::str::from_utf8(take(buf, len)?).map_err(|e| invalid(format!("non-UTF-8 string: {e}")))
+}
+
+/// A decoding failure that is not a short read.
+pub(crate) fn invalid(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
 #[cfg(test)]
@@ -266,11 +316,14 @@ mod tests {
         for ev in &events {
             ev.write_to(&mut buf).unwrap();
         }
-        let mut cursor = &buf[..];
+        let (mut cursor, mut borrowed) = (&buf[..], &buf[..]);
         for ev in &events {
             assert_eq!(&TraceEvent::read_from(&mut cursor).unwrap(), ev);
+            let view = EventRef::decode(&mut borrowed).unwrap();
+            assert_eq!(view, ev.as_ref());
+            assert_eq!(&view.to_owned(), ev);
         }
-        assert!(cursor.is_empty());
+        assert!(cursor.is_empty() && borrowed.is_empty());
     }
 
     #[test]
@@ -280,7 +333,12 @@ mod tests {
         ev.write_to(&mut buf).unwrap();
         for cut in 1..buf.len() {
             assert!(TraceEvent::read_from(&mut &buf[..cut]).is_err(), "{cut}");
+            assert!(EventRef::decode(&mut &buf[..cut]).is_err(), "{cut}");
         }
+        // A length with a flipped high bit is an error, not a 2 GiB buffer.
+        let mut long = buf.clone();
+        long[13] |= 0x80;
+        assert!(TraceEvent::read_from(&mut &long[..]).is_err());
         let mut bad = buf.clone();
         bad[0] = 250;
         assert!(TraceEvent::read_from(&mut &bad[..]).is_err());

@@ -13,10 +13,12 @@
 //!   default [`NullSink`] is disabled and free, keeping all existing outputs
 //!   byte-identical; a [`BufferSink`] collects events in memory for the
 //!   sweep harness to persist deterministically;
-//! * [`store`] — a seekable segment-file [`TraceStore`] with per-run and
-//!   per-kind indices supporting deterministic replay-order iteration;
+//! * [`store`] — a segment-file [`TraceStore`] with per-run and per-kind
+//!   indices supporting deterministic replay-order iteration; one read path
+//!   decodes a loaded segment in place as borrowed [`EventRef`]s, and a
+//!   damaged store is an error, never a different answer;
 //! * [`query`] — filter by an `archmodel::expr` predicate over event
-//!   fields, time-window, and group-by;
+//!   fields, time-window, and group-by, allocating only the rows that pass;
 //! * [`aggregate`] — count / mean / p95 / MTTR reductions over query
 //!   results, plus the canned near-fault root-cause report and the
 //!   advisory→violation lead-time join behind `query leadtime`.
@@ -39,7 +41,7 @@ pub use aggregate::{
     aggregate_rows, leadtime_rows, mttr_rows, near_fault_rows, AggregateOp, AggregateRow, GroupBy,
     LeadTimeRow,
 };
-pub use event::{EventKind, TraceEvent};
+pub use event::{EventKind, EventRef, TraceEvent};
 pub use query::{Query, QueryError, QueryRow};
 pub use sink::{null_sink, shared_buffer, BufferSink, NullSink, SharedSink, TraceSink};
 pub use store::{RunMeta, StoreError, TraceStore};

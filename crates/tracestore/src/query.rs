@@ -6,9 +6,10 @@
 //! * `run`: a substring match over the run id (sweeps encode
 //!   topology/workload/strategy/fault/seed/role into the id, so substring
 //!   selection doubles as axis selection);
-//! * `kinds`: an event-kind allow-list (a single-kind query scans through
-//!   the store's per-kind index instead of decoding whole segments);
-//! * `window`: an inclusive `[from, until]` simulation-time window;
+//! * `kinds`: an event-kind allow-list (a single-kind query decodes only
+//!   the records the store's per-kind index points at);
+//! * `window`: an inclusive `[from, until]` simulation-time window (decoding
+//!   starts at the last time checkpoint wholly before it);
 //! * `predicate`: an Armani-style boolean expression — the same language
 //!   the architecture model's invariants use — evaluated per event with
 //!   the event's fields bound as identifiers.
@@ -21,12 +22,22 @@
 //! ```text
 //! kind == "violation" and subject == "C3" and time >= 120
 //! ```
+//!
+//! [`Query::execute`] filters each record as the store decodes it, on a
+//! borrowed view of the loaded segment, and copies only the events that pass
+//! into [`QueryRow`]s (all rows of a run share one `Arc<str>` run id). The
+//! predicate's world — the empty `System` and a binding slot for each event
+//! field the expression mentions — is built once per `execute`, not once per
+//! event. [`Query::matches`] is the per-event definition (every field bound,
+//! nothing shared) that `execute` is property-tested against. A damaged
+//! store surfaces as [`QueryError::Store`] (see [`crate::store`]).
 
-use crate::event::{EventKind, TraceEvent};
-use crate::store::{StoreError, TraceStore};
+use crate::event::{EventKind, EventRef, TraceEvent};
+use crate::store::{Select, StoreError, TraceStore};
 use archmodel::expr::{eval_bool, parse, Bindings, EvalValue, Expr};
 use archmodel::{System, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A query failure.
 #[derive(Debug)]
@@ -61,8 +72,8 @@ impl From<StoreError> for QueryError {
 /// One event that passed a query's filters, tagged with its run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRow {
-    /// The run the event belongs to.
-    pub run_id: String,
+    /// The run the event belongs to (shared by every row of the run).
+    pub run_id: Arc<str>,
     /// The event itself.
     pub event: TraceEvent,
 }
@@ -110,104 +121,132 @@ impl Query {
         Ok(self)
     }
 
-    /// Whether one event (from the named run) passes every filter.
+    fn selects_run(&self, run_id: &str) -> bool {
+        self.run_contains
+            .as_ref()
+            .is_none_or(|needle| run_id.contains(needle.as_str()))
+    }
+
+    /// The kind and window filters.
+    fn keeps(&self, event: &EventRef<'_>) -> bool {
+        (self.kinds.is_empty() || self.kinds.contains(&event.kind))
+            && self
+                .window
+                .is_none_or(|(from, until)| event.time_secs >= from && event.time_secs <= until)
+    }
+
+    /// Whether one event (from the named run) passes every filter: the
+    /// per-event definition of a query, with every field bound and nothing
+    /// shared between calls. [`execute`](Self::execute) must agree with it.
     pub fn matches(&self, run_id: &str, event: &TraceEvent) -> Result<bool, QueryError> {
-        if let Some(needle) = &self.run_contains {
-            if !run_id.contains(needle.as_str()) {
-                return Ok(false);
-            }
-        }
-        if !self.kinds.is_empty() && !self.kinds.contains(&event.kind) {
+        let event = event.as_ref();
+        if !self.selects_run(run_id) || !self.keeps(&event) {
             return Ok(false);
         }
-        if let Some((from, until)) = self.window {
-            if event.time_secs < from || event.time_secs > until {
-                return Ok(false);
-            }
-        }
-        if let Some(expr) = &self.predicate {
-            let bindings = event_bindings(run_id, event);
-            let system = empty_system();
-            return eval_bool(expr, &system, &bindings)
-                .map_err(|e| QueryError::Eval(format!("{e:?}")));
-        }
-        Ok(true)
+        self.predicate.as_ref().map_or(Ok(true), |expr| {
+            Predicate::new(expr, FIELDS.map(String::from)).test(run_id, &event)
+        })
     }
 
     /// Runs the query over the whole store, in replay order.
+    ///
+    /// Each run is one scan of the store: a single-kind query walks the
+    /// per-kind index's offsets into the loaded segment, a windowed query
+    /// starts at the last time checkpoint provably before the window (every
+    /// record it skips has `time < from`, so the rows equal a full scan's),
+    /// anything else visits every record. The filters run on the borrowed
+    /// view, so only the events that pass are copied into rows.
     pub fn execute(&self, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError> {
+        // Fields the predicate never names are never looked up, so only the
+        // ones it mentions are bound per event.
+        let mut predicate = self.predicate.as_ref().map(|expr| {
+            let mentioned = expr.referenced_idents().into_iter();
+            Predicate::new(
+                expr,
+                mentioned.filter(|name| FIELDS.contains(&name.as_str())),
+            )
+        });
+        let select = match (self.kinds.as_slice(), self.window) {
+            ([kind], _) => Select::Kind(*kind),
+            (_, Some((from, _))) => Select::From(from),
+            _ => Select::All,
+        };
         let mut rows = Vec::new();
-        for meta in store.runs() {
-            if let Some(needle) = &self.run_contains {
-                if !meta.run_id.contains(needle.as_str()) {
-                    continue;
-                }
-            }
-            // A single-kind query without a predicate over other kinds can
-            // seek through the per-kind index instead of decoding the whole
-            // segment; a windowed query binary-seeks the coarse time
-            // checkpoints to the window start (every record the seek skips
-            // has `time < from`, so the filtered rows are identical to a
-            // full scan's); anything else scans the run in replay order.
-            let events = if self.kinds.len() == 1 {
-                store.read_run_kind(&meta.run_id, self.kinds[0])?
-            } else if let Some((from, _)) = self.window {
-                store.read_run_from(&meta.run_id, from)?
-            } else {
-                store.read_run(&meta.run_id)?
-            };
-            for event in events {
-                if self.matches(&meta.run_id, &event)? {
+        for meta in store.runs().iter().filter(|m| self.selects_run(&m.run_id)) {
+            let run_id: Arc<str> = meta.run_id.as_str().into();
+            store.scan(meta, select, |event| {
+                let predicate = predicate.as_mut();
+                if self.keeps(&event) && predicate.map_or(Ok(true), |p| p.test(&run_id, &event))? {
                     rows.push(QueryRow {
-                        run_id: meta.run_id.clone(),
-                        event,
+                        run_id: run_id.clone(),
+                        event: event.to_owned(),
                     });
                 }
-            }
+                Ok::<(), QueryError>(())
+            })?;
         }
         Ok(rows)
     }
 }
 
-/// The expr bindings for one event: every field, always bound, so the same
-/// predicate evaluates against every event without per-event "unknown
-/// identifier" failures. Absent numeric payloads bind `value` to `NaN`
-/// (comparisons against it are false) and `correlation` to `-1`.
-pub fn event_bindings(run_id: &str, event: &TraceEvent) -> Bindings {
-    let mut b = Bindings::new();
-    b.insert("run".into(), EvalValue::Val(Value::Str(run_id.to_string())));
-    b.insert(
-        "kind".into(),
-        EvalValue::Val(Value::Str(event.kind.name().to_string())),
-    );
-    b.insert("time".into(), EvalValue::Val(Value::Float(event.time_secs)));
-    b.insert(
-        "subject".into(),
-        EvalValue::Val(Value::Str(event.subject.clone())),
-    );
-    b.insert(
-        "detail".into(),
-        EvalValue::Val(Value::Str(event.detail.clone())),
-    );
-    b.insert(
-        "value".into(),
-        EvalValue::Val(Value::Float(event.value.unwrap_or(f64::NAN))),
-    );
-    b.insert(
-        "has_value".into(),
-        EvalValue::Val(Value::Bool(event.value.is_some())),
-    );
-    b.insert(
-        "correlation".into(),
-        EvalValue::Val(Value::Int(event.correlation.map_or(-1, |c| c as i64))),
-    );
-    b
+/// The identifiers a predicate can name: every event has every field, so
+/// the same predicate evaluates against every event without per-event
+/// "unknown identifier" failures.
+const FIELDS: [&str; 8] = [
+    "correlation",
+    "detail",
+    "has_value",
+    "kind",
+    "run",
+    "subject",
+    "time",
+    "value",
+];
+
+/// What `field` (one of [`FIELDS`]) binds to for one event. Absent numeric
+/// payloads bind `value` to `NaN` (comparisons against it are false) and
+/// `correlation` to `-1`.
+fn field_value(field: &str, run_id: &str, event: &EventRef<'_>) -> EvalValue {
+    EvalValue::Val(match field {
+        "run" => Value::Str(run_id.to_string()),
+        "kind" => Value::Str(event.kind.name().to_string()),
+        "time" => Value::Float(event.time_secs),
+        "subject" => Value::Str(event.subject.to_string()),
+        "detail" => Value::Str(event.detail.to_string()),
+        "value" => Value::Float(event.value.unwrap_or(f64::NAN)),
+        "has_value" => Value::Bool(event.value.is_some()),
+        "correlation" => Value::Int(event.correlation.map_or(-1, |c| c as i64)),
+        _ => unreachable!("{field} is not an event field"),
+    })
 }
 
-/// The empty architecture the predicates are evaluated against: bindings
-/// resolve first, so event fields shadow nothing.
-fn empty_system() -> System {
-    System::new("tracestore")
+/// A predicate with the world it is evaluated in: the empty architecture
+/// (bindings resolve first, so event fields shadow nothing) and one binding
+/// slot per event field in play, refilled for each event.
+struct Predicate<'q> {
+    expr: &'q Expr,
+    system: System,
+    bindings: Bindings,
+}
+
+impl<'q> Predicate<'q> {
+    /// Binds `fields`, each one of [`FIELDS`].
+    fn new(expr: &'q Expr, fields: impl IntoIterator<Item = String>) -> Self {
+        let unset = EvalValue::Val(Value::Bool(false));
+        Predicate {
+            expr,
+            system: System::new("tracestore"),
+            bindings: fields.into_iter().map(|f| (f, unset.clone())).collect(),
+        }
+    }
+
+    fn test(&mut self, run_id: &str, event: &EventRef<'_>) -> Result<bool, QueryError> {
+        for (field, slot) in &mut self.bindings {
+            *slot = field_value(field, run_id, event);
+        }
+        eval_bool(self.expr, &self.system, &self.bindings)
+            .map_err(|e| QueryError::Eval(format!("{e:?}")))
+    }
 }
 
 #[cfg(test)]
@@ -328,7 +367,7 @@ mod tests {
                 for event in store.read_run(&meta.run_id).unwrap() {
                     if query.matches(&meta.run_id, &event).unwrap() {
                         scanned.push(QueryRow {
-                            run_id: meta.run_id.clone(),
+                            run_id: meta.run_id.as_str().into(),
                             event,
                         });
                     }

@@ -16,24 +16,42 @@
 //! order — manifest order for runs, record order within a segment — is the
 //! canonical iteration order everywhere, so identical appends produce
 //! byte-identical stores and identical queries produce byte-identical
-//! output. The per-kind index makes single-kind scans (`gauge` readings in
-//! a long run, say) seek straight to their records instead of decoding the
-//! whole segment.
+//! output.
 //!
-//! The index file carries a second, optional section after the per-kind
-//! offsets: coarse *time checkpoints* — every [`TIME_CHECKPOINT_STRIDE`]
-//! records, the record's index, byte offset, and the maximum event time seen
-//! strictly before it. Time-window reads binary-search the checkpoints and
-//! seek straight to the window start instead of decoding the whole prefix.
-//! Readers of older stores (no checkpoint section) fall back to a full scan,
-//! and older readers ignore the section entirely (the kind reader consumes
-//! exactly the entries it declares).
+//! **Reading.** There is one read path, `TraceStore::scan`: it loads the
+//! run's segment with a single read (a paper-scale run is well under a
+//! megabyte), decodes records in place as borrowed [`EventRef`]s, and hands
+//! each to a visitor; [`read_run`](TraceStore::read_run),
+//! [`read_run_from`](TraceStore::read_run_from),
+//! [`read_run_kind`](TraceStore::read_run_kind) and
+//! [`Query::execute`](crate::query::Query::execute) are its callers. What the
+//! index buys is therefore *offsets into the loaded segment*, never file
+//! seeks: the per-kind section lets a single-kind scan (`gauge` readings in
+//! a long run, say) decode only its own records, and the second, optional
+//! section — coarse *time checkpoints*, every [`TIME_CHECKPOINT_STRIDE`]
+//! records the record's index, byte offset, and the maximum event time seen
+//! strictly before it — lets a time-window read start decoding at the last
+//! checkpoint whose whole prefix lies before the window. Stores written
+//! before the checkpoint section existed fall back to a full scan.
+//!
+//! **Damage.** A store that does not parse is [`StoreError::Corrupt`] on
+//! every read path, never a shorter or different answer, a panic, or an
+//! allocation sized by the damaged field: every length read from disk is
+//! checked against the bytes that are left; a sequential scan must decode
+//! exactly the manifest's record count and end at the segment's last byte; an
+//! index must account for exactly the manifest's count and be consumed
+//! whole; a kind's offsets must lie inside the segment, walk forward through
+//! non-overlapping records, and point at records of that kind. What these
+//! structural checks cannot see — a flipped payload byte that still decodes,
+//! a checkpoint time that lies, an in-bounds offset moved onto bytes that
+//! happen to decode as the indexed kind — needs a per-segment checksum,
+//! which would change the store bytes and is tracked on the ROADMAP.
 
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{invalid, take, take_array, EventKind, EventRef, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// The manifest file name inside a store directory.
@@ -41,7 +59,7 @@ pub const MANIFEST: &str = "MANIFEST";
 
 /// Records between consecutive time checkpoints in an index file. Events are
 /// near-sorted by simulation time (gauge batches share a tick time), so a
-/// coarse stride keeps the index tiny while a window seek still skips the
+/// coarse stride keeps the index tiny while a window read still skips the
 /// bulk of a long run's prefix.
 pub const TIME_CHECKPOINT_STRIDE: u64 = 64;
 
@@ -201,7 +219,7 @@ impl TraceStore {
         let idx_path = seg_path.with_extension("idx");
 
         // Segment: append-order records, tracking each record's offset for
-        // the per-kind index and coarse time checkpoints for window seeks.
+        // the per-kind index and coarse time checkpoints for window reads.
         let mut offsets: BTreeMap<u8, Vec<u64>> = BTreeMap::new();
         let mut checkpoints: Vec<TimeCheckpoint> = Vec::new();
         {
@@ -276,188 +294,183 @@ impl TraceStore {
 
     /// Reads a whole run, in append (replay) order.
     pub fn read_run(&self, run_id: &str) -> Result<Vec<TraceEvent>, StoreError> {
-        let meta = self
-            .run(run_id)
-            .ok_or_else(|| StoreError::UnknownRun(run_id.to_string()))?;
-        let seg_path = self.root.join(&meta.segment);
-        let file = File::open(&seg_path).map_err(io_err(&seg_path))?;
-        let mut r = BufReader::new(file);
-        let mut events = Vec::with_capacity(meta.count as usize);
-        for i in 0..meta.count {
-            let ev = TraceEvent::read_from(&mut r)
-                .map_err(|e| StoreError::Corrupt(format!("{}: record {i}: {e}", meta.segment)))?;
-            events.push(ev);
-        }
-        let mut trailing = [0u8; 1];
-        if r.read(&mut trailing).map_err(io_err(&seg_path))? != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{}: trailing bytes after {} records",
-                meta.segment, meta.count
-            )));
-        }
-        Ok(events)
+        self.collect(run_id, Select::All)
     }
 
     /// Reads the suffix of a run relevant to a time window starting at
-    /// `from_secs`: binary-seeks the index's coarse time checkpoints to the
-    /// last point where every earlier record is provably before the window
-    /// (`prefix max time < from_secs`), then decodes from there in append
-    /// order. The result is always a suffix of [`read_run`](Self::read_run)
-    /// and every skipped record has `time_secs < from_secs`, so filtering
-    /// the suffix by the window yields byte-identical results to filtering
-    /// the full scan. Stores written before the checkpoint section existed
-    /// fall back to the full scan.
+    /// `from_secs`: finds the index's last coarse time checkpoint where
+    /// every earlier record is provably before the window (`prefix max time
+    /// < from_secs`), then decodes from there in append order. The result is
+    /// always a suffix of [`read_run`](Self::read_run) and every skipped
+    /// record has `time_secs < from_secs`, so filtering the suffix by the
+    /// window yields byte-identical results to filtering the full scan.
+    /// Stores written before the checkpoint section existed fall back to the
+    /// full scan.
     pub fn read_run_from(
         &self,
         run_id: &str,
         from_secs: f64,
     ) -> Result<Vec<TraceEvent>, StoreError> {
-        let meta = self
-            .run(run_id)
-            .ok_or_else(|| StoreError::UnknownRun(run_id.to_string()))?;
-        let idx_path = self.root.join(&meta.segment).with_extension("idx");
-        let (start_index, start_offset) = match read_time_checkpoints(&idx_path)? {
-            Some(checkpoints) => {
-                // Prefix max times are non-decreasing, so the checkpoints
-                // usable for this window form a prefix: take the last one.
-                let usable = checkpoints.partition_point(|cp| cp.prefix_max_secs < from_secs);
-                match usable.checked_sub(1).map(|i| checkpoints[i]) {
-                    Some(cp) => (cp.record_index, cp.byte_offset),
-                    None => (0, 0),
-                }
-            }
-            None => (0, 0),
-        };
-        let seg_path = self.root.join(&meta.segment);
-        let file = File::open(&seg_path).map_err(io_err(&seg_path))?;
-        let mut r = BufReader::new(file);
-        r.seek(SeekFrom::Start(start_offset))
-            .map_err(io_err(&seg_path))?;
-        let remaining = meta.count.saturating_sub(start_index);
-        let mut events = Vec::with_capacity(remaining as usize);
-        for i in start_index..meta.count {
-            let ev = TraceEvent::read_from(&mut r)
-                .map_err(|e| StoreError::Corrupt(format!("{}: record {i}: {e}", meta.segment)))?;
-            events.push(ev);
-        }
-        Ok(events)
+        self.collect(run_id, Select::From(from_secs))
     }
 
-    /// Reads only the events of one kind from a run, seeking via the
-    /// per-kind index; append (replay) order within the kind.
+    /// Reads only the events of one kind from a run, through the per-kind
+    /// index; append (replay) order within the kind.
     pub fn read_run_kind(
         &self,
         run_id: &str,
         kind: EventKind,
     ) -> Result<Vec<TraceEvent>, StoreError> {
+        self.collect(run_id, Select::Kind(kind))
+    }
+
+    fn collect(&self, run_id: &str, select: Select) -> Result<Vec<TraceEvent>, StoreError> {
         let meta = self
             .run(run_id)
             .ok_or_else(|| StoreError::UnknownRun(run_id.to_string()))?;
-        let idx_path = self.root.join(&meta.segment).with_extension("idx");
-        let offsets = read_index(&idx_path)?
-            .remove(&kind.code())
-            .unwrap_or_default();
-        if offsets.is_empty() {
-            return Ok(Vec::new());
-        }
-        let seg_path = self.root.join(&meta.segment);
-        let mut file = File::open(&seg_path).map_err(io_err(&seg_path))?;
-        let mut events = Vec::with_capacity(offsets.len());
-        for off in offsets {
-            file.seek(SeekFrom::Start(off)).map_err(io_err(&seg_path))?;
-            let ev = TraceEvent::read_from(&mut file)
-                .map_err(|e| StoreError::Corrupt(format!("{}: offset {off}: {e}", meta.segment)))?;
-            if ev.kind != kind {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: index points offset {off} at a {} record, expected {}",
-                    meta.segment, ev.kind, kind
-                )));
-            }
-            events.push(ev);
-        }
+        let mut events = Vec::new();
+        self.scan(meta, select, |event| {
+            events.push(event.to_owned());
+            Ok::<(), StoreError>(())
+        })?;
         Ok(events)
     }
+
+    /// The one read path: loads `meta`'s segment (and, for anything but
+    /// [`Select::All`], its index) into memory and hands `visit` a borrowed
+    /// view of each selected record, in append order. Nothing read from disk
+    /// sizes an allocation or indexes unchecked, and a scan that does not
+    /// end where the manifest and the index say it must is
+    /// [`StoreError::Corrupt`].
+    pub(crate) fn scan<E: From<StoreError>>(
+        &self,
+        meta: &RunMeta,
+        select: Select,
+        mut visit: impl FnMut(EventRef<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let seg_path = self.root.join(&meta.segment);
+        let idx_bytes;
+        let index = match select {
+            Select::All => Index::default(),
+            _ => {
+                let idx_path = seg_path.with_extension("idx");
+                idx_bytes = std::fs::read(&idx_path).map_err(io_err(&idx_path))?;
+                Index::parse(&idx_bytes, meta.count)
+                    .map_err(|e| StoreError::Corrupt(format!("{}: {e}", idx_path.display())))?
+            }
+        };
+        let seg = std::fs::read(&seg_path).map_err(io_err(&seg_path))?;
+        let corrupt = |what: String| StoreError::Corrupt(format!("{}: {what}", meta.segment));
+
+        let tail = |offset: u64| {
+            (usize::try_from(offset).ok())
+                .and_then(|offset| seg.get(offset..))
+                .ok_or_else(|| corrupt(format!("offset {offset} is past the segment's end")))
+        };
+
+        if let Select::Kind(kind) = select {
+            // Offsets of one kind must walk forward through whole records:
+            // each record starts in what the one before it left unread.
+            let mut unread = seg.len();
+            let offsets = index.kinds.get(&kind.code()).copied().unwrap_or_default();
+            for off in offsets.chunks_exact(8).map(|off| u64_at(off, 0)) {
+                let mut buf = tail(off)?;
+                if buf.len() > unread {
+                    return Err(corrupt(format!("index offset {off} is out of order")).into());
+                }
+                let event = EventRef::decode(&mut buf)
+                    .map_err(|e| corrupt(format!("offset {off}: {e}")))?;
+                if event.kind != kind {
+                    return Err(corrupt(format!(
+                        "index points offset {off} at a {} record, expected {kind}",
+                        event.kind
+                    ))
+                    .into());
+                }
+                unread = buf.len();
+                visit(event)?;
+            }
+            return Ok(());
+        }
+
+        // A checkpoint (record index, byte offset, prefix max time) whose
+        // prefix max lies before the window has only skippable records
+        // before it: start at the last such one.
+        let (record, offset) = match select {
+            Select::From(from_secs) => (index.checkpoints.chunks_exact(24))
+                .rfind(|cp| f64::from_bits(u64_at(cp, 16)) < from_secs)
+                .map_or((0, 0), |cp| (u64_at(cp, 0), u64_at(cp, 8))),
+            _ => (0, 0),
+        };
+        let mut buf = tail(offset)?;
+        for i in record..meta.count {
+            let event =
+                EventRef::decode(&mut buf).map_err(|e| corrupt(format!("record {i}: {e}")))?;
+            visit(event)?;
+        }
+        if !buf.is_empty() {
+            return Err(corrupt(format!("trailing bytes after {} records", meta.count)).into());
+        }
+        Ok(())
+    }
 }
 
-fn read_index(idx_path: &Path) -> Result<BTreeMap<u8, Vec<u64>>, StoreError> {
-    let file = File::open(idx_path).map_err(io_err(idx_path))?;
-    let mut r = BufReader::new(file);
-    let corrupt = |what: &str| StoreError::Corrupt(format!("{}: {what}", idx_path.display()));
-    let mut u32buf = [0u8; 4];
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u32buf)
-        .map_err(|_| corrupt("truncated kind count"))?;
-    let kinds = u32::from_le_bytes(u32buf);
-    let mut index = BTreeMap::new();
-    for _ in 0..kinds {
-        let mut code = [0u8; 1];
-        r.read_exact(&mut code)
-            .map_err(|_| corrupt("truncated kind code"))?;
-        r.read_exact(&mut u64buf)
-            .map_err(|_| corrupt("truncated offset count"))?;
-        let n = u64::from_le_bytes(u64buf);
-        let mut offs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            r.read_exact(&mut u64buf)
-                .map_err(|_| corrupt("truncated offset"))?;
-            offs.push(u64::from_le_bytes(u64buf));
-        }
-        if index.insert(code[0], offs).is_some() {
-            return Err(corrupt("duplicate kind code"));
-        }
-    }
-    Ok(index)
+/// Which records of a run a [`TraceStore::scan`] visits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Select {
+    /// Every record.
+    All,
+    /// A suffix holding every record with `time_secs >=` the bound.
+    From(f64),
+    /// The records of one kind, through the per-kind index.
+    Kind(EventKind),
 }
 
-/// Reads the optional time-checkpoint section that follows the per-kind
-/// entries in an index file. `Ok(None)` means the section is absent (a store
-/// written before it existed); a partially present section is corruption.
-fn read_time_checkpoints(idx_path: &Path) -> Result<Option<Vec<TimeCheckpoint>>, StoreError> {
-    let file = File::open(idx_path).map_err(io_err(idx_path))?;
-    let mut r = BufReader::new(file);
-    let corrupt = |what: &str| StoreError::Corrupt(format!("{}: {what}", idx_path.display()));
-    let mut u32buf = [0u8; 4];
-    let mut u64buf = [0u8; 8];
-    r.read_exact(&mut u32buf)
-        .map_err(|_| corrupt("truncated kind count"))?;
-    let kinds = u32::from_le_bytes(u32buf);
-    for _ in 0..kinds {
-        let mut code = [0u8; 1];
-        r.read_exact(&mut code)
-            .map_err(|_| corrupt("truncated kind code"))?;
-        r.read_exact(&mut u64buf)
-            .map_err(|_| corrupt("truncated offset count"))?;
-        let n = u64::from_le_bytes(u64buf);
-        let skip = n
-            .checked_mul(8)
-            .ok_or_else(|| corrupt("offset count overflows"))?;
-        r.seek(SeekFrom::Current(skip as i64))
-            .map_err(|_| corrupt("truncated offsets"))?;
+/// A parsed `.idx` file, borrowing the file's bytes.
+#[derive(Default)]
+struct Index<'a> {
+    /// Per kind code, the record offsets as raw little-endian `u64`s.
+    kinds: BTreeMap<u8, &'a [u8]>,
+    /// The raw time checkpoints, 24 bytes each; empty for a store older
+    /// than the section.
+    checkpoints: &'a [u8],
+}
+
+impl<'a> Index<'a> {
+    /// Parses both sections of an index file (see
+    /// [`TraceStore::append_run`] for the layout) for a run of `count`
+    /// records. A count that promises more bytes than are left is a short
+    /// read, whatever its size: nothing is allocated for it.
+    fn parse(mut buf: &'a [u8], count: u64) -> io::Result<Index<'a>> {
+        let sized = |n: u64, width: u64| usize::try_from(n.saturating_mul(width));
+        let mut index = Index::default();
+        let mut indexed = 0;
+        for _ in 0..u32::from_le_bytes(take_array(&mut buf)?) {
+            let [code] = take_array(&mut buf)?;
+            let n = u64::from_le_bytes(take_array(&mut buf)?);
+            let offsets = take(&mut buf, sized(n, 8).unwrap_or(usize::MAX))?;
+            if index.kinds.insert(code, offsets).is_some() {
+                return Err(invalid("duplicate kind code"));
+            }
+            indexed += n;
+        }
+        if indexed != count {
+            return Err(invalid("indexed records differ from the manifest's count"));
+        }
+        if !buf.is_empty() {
+            let n = u32::from_le_bytes(take_array(&mut buf)?);
+            index.checkpoints = take(&mut buf, sized(n.into(), 24).unwrap_or(usize::MAX))?;
+            if !buf.is_empty() {
+                return Err(invalid("trailing bytes after the checkpoint section"));
+            }
+        }
+        Ok(index)
     }
-    match r.read_exact(&mut u32buf) {
-        Ok(()) => {}
-        // Clean EOF right after the kind section: an older index.
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(_) => return Err(corrupt("unreadable checkpoint count")),
-    }
-    let count = u32::from_le_bytes(u32buf);
-    let mut checkpoints = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        r.read_exact(&mut u64buf)
-            .map_err(|_| corrupt("truncated checkpoint record index"))?;
-        let record_index = u64::from_le_bytes(u64buf);
-        r.read_exact(&mut u64buf)
-            .map_err(|_| corrupt("truncated checkpoint byte offset"))?;
-        let byte_offset = u64::from_le_bytes(u64buf);
-        r.read_exact(&mut u64buf)
-            .map_err(|_| corrupt("truncated checkpoint prefix time"))?;
-        checkpoints.push(TimeCheckpoint {
-            record_index,
-            byte_offset,
-            prefix_max_secs: f64::from_le_bytes(u64buf),
-        });
-    }
-    Ok(Some(checkpoints))
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
 }
 
 struct CountingWriter<W: Write> {
@@ -648,6 +661,82 @@ mod tests {
             events.iter().filter(|e| e.kind == EventKind::Info).count()
         );
         assert_eq!(store.read_run_from("run-a", 900.0).unwrap(), events);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Structural damage is `Corrupt` on every read path: never a short
+    /// answer, a slice panic, or an allocation sized by the damaged field.
+    #[test]
+    fn structural_damage_is_corrupt_on_every_read_path() {
+        let dir = tmpdir("damage");
+        let events = long_run();
+        TraceStore::open(&dir)
+            .unwrap()
+            .append_run("run-a", &events)
+            .unwrap();
+        let store = TraceStore::open(&dir).unwrap();
+        let (seg_path, idx_path) = (dir.join("000000.seg"), dir.join("000000.idx"));
+        let seg = std::fs::read(&seg_path).unwrap();
+        let idx = std::fs::read(&idx_path).unwrap();
+        let corrupt = |result: Result<Vec<TraceEvent>, StoreError>, what: &str| {
+            assert!(
+                matches!(result, Err(StoreError::Corrupt(_))),
+                "{what}: {result:?}"
+            );
+        };
+        let gauges = || store.read_run_kind("run-a", EventKind::Gauge);
+
+        std::fs::write(&seg_path, [&seg[..], &[0]].concat()).unwrap();
+        corrupt(store.read_run("run-a"), "trailing byte, full scan");
+        corrupt(store.read_run_from("run-a", 900.0), "trailing byte, window");
+        std::fs::write(&seg_path, &seg[..seg.len() - 1]).unwrap();
+        corrupt(store.read_run("run-a"), "truncated, full scan");
+        corrupt(store.read_run_from("run-a", 900.0), "truncated, window");
+        corrupt(gauges(), "truncated, kind");
+        std::fs::write(&seg_path, &seg).unwrap();
+
+        // The index opens with the kind count (u32) and the first entry:
+        // code 0 (gauge) at byte 4, its offset count at 5, its offsets from 13.
+        assert_eq!(idx[4], EventKind::Gauge.code());
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut idx = idx.clone();
+            idx[at..at + bytes.len()].copy_from_slice(bytes);
+            std::fs::write(&idx_path, idx).unwrap();
+        };
+        patched(5, &(1u64 << 63).to_le_bytes());
+        corrupt(gauges(), "offset count with a flipped high bit");
+        corrupt(store.read_run_from("run-a", 900.0), "the same, window");
+        patched(13, &(seg.len() as u64 + 1).to_le_bytes());
+        corrupt(gauges(), "offset past the segment end");
+        patched(21, &0u64.to_le_bytes());
+        corrupt(gauges(), "offset inside the previous record");
+        patched(4, &[EventKind::Transfer.code()]);
+        corrupt(
+            store.read_run_kind("run-a", EventKind::Transfer),
+            "offsets of another kind",
+        );
+        let checkpoints = events.len() / TIME_CHECKPOINT_STRIDE as usize;
+        patched(idx.len() - 24 * checkpoints - 4, &u32::MAX.to_le_bytes());
+        corrupt(store.read_run_from("run-a", 900.0), "checkpoint count");
+        // One offset fewer than the manifest counts, the section still whole.
+        let n = u64::from_le_bytes(idx[5..13].try_into().unwrap());
+        let mut short = idx.clone();
+        short[5..13].copy_from_slice(&(n - 1).to_le_bytes());
+        short.drain(13..21);
+        std::fs::write(&idx_path, short).unwrap();
+        corrupt(gauges(), "fewer offsets than records");
+        std::fs::write(&idx_path, &idx).unwrap();
+        assert_eq!(gauges().unwrap().len(), n as usize);
+
+        // A manifest count no segment could hold sizes nothing.
+        let line = format!("000000.seg\t{}\trun-a\n", u64::MAX);
+        std::fs::write(dir.join(MANIFEST), line).unwrap();
+        let store = TraceStore::open(&dir).unwrap();
+        corrupt(store.read_run("run-a"), "manifest count");
+        corrupt(
+            store.read_run_kind("run-a", EventKind::Gauge),
+            "manifest count",
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,9 +2,15 @@
 //! runs must read back bit-identical — through the full-run reader, the
 //! per-kind index, and the query engine — and must survive a close/reopen
 //! cycle (i.e. everything really is on disk, not in the writing process).
+//! Two more properties pin the read path: `Query::execute` equals the
+//! per-event `Query::matches` folded over `read_run`, and a structurally
+//! damaged store answers with an error or the undamaged answer, never with
+//! different rows or a panic.
 
 use proptest::prelude::*;
-use tracestore::{EventKind, Query, TraceEvent, TraceStore};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use tracestore::{EventKind, Query, QueryError, QueryRow, StoreError, TraceEvent, TraceStore};
 
 const KINDS: [EventKind; 9] = [
     EventKind::Gauge,
@@ -132,7 +138,7 @@ proptest! {
         // order with run ids attached.
         let rows = Query::new().execute(&store).unwrap();
         let replay: Vec<(&str, &TraceEvent)> =
-            rows.iter().map(|r| (r.run_id.as_str(), &r.event)).collect();
+            rows.iter().map(|r| (&*r.run_id, &r.event)).collect();
         let expect: Vec<(&str, &TraceEvent)> = runs
             .iter()
             .flat_map(|(run_id, events)| events.iter().map(move |e| (*run_id, e)))
@@ -177,5 +183,185 @@ proptest! {
             .filter(|e| e.kind == kind && e.time_secs >= from && e.time_secs <= until)
             .collect();
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// Predicates over every binding shape the hoisted evaluator has to get
+/// right: fields it must bind, fields it may leave out, an identifier no
+/// event binds (an `Eval` error, on every event or only where the left
+/// operand lets evaluation reach it), a non-boolean result, and a field
+/// name re-bound by a quantifier.
+const PREDICATES: [&str; 9] = [
+    "kind == \"transfer\" and value > 2.0",
+    "has_value",
+    "run != \"paper/step/adaptive/90s/none/seed42/control\" and subject == \"User1\" or time >= 50000",
+    "correlation >= 0 and detail != \"\"",
+    "nonesuch > 1",
+    "kind == \"gauge\" and nonesuch",
+    "value",
+    "time > 100 and not (exists time in components | true)",
+    "subject == detail",
+];
+
+/// The definition `execute` is held to: `matches`, event by event, over the
+/// full-scan reader.
+fn oracle(query: &Query, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError> {
+    let mut rows = Vec::new();
+    for meta in store.runs() {
+        for event in store.read_run(&meta.run_id)? {
+            if query.matches(&meta.run_id, &event)? {
+                rows.push(QueryRow {
+                    run_id: meta.run_id.as_str().into(),
+                    event,
+                });
+            }
+        }
+    }
+    Ok(rows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn execute_equals_matches_folded_over_read_run(
+        raws in proptest::collection::vec(
+            (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            0..200,
+        ),
+        split in 0usize..200,
+        shape in (0usize..4, 0usize..3, 0u64..100_000),
+        kind_picks in (0usize..KINDS.len(), 0usize..KINDS.len()),
+    ) {
+        let dir = ScratchDir::new("oracle");
+        let split = split.min(raws.len());
+        {
+            let mut store = TraceStore::open(&dir.0).unwrap();
+            for (run_id, raws) in [
+                ("paper/step/adaptive/90s/none/seed42/control", &raws[..split]),
+                ("paper/step/adaptive/90s/none/seed42/adaptive", &raws[split..]),
+            ] {
+                let events: Vec<TraceEvent> = raws.iter().map(|r| event(*r)).collect();
+                store.append_run(run_id, &events).unwrap();
+            }
+        }
+        let store = TraceStore::open(&dir.0).unwrap();
+
+        // One random run / kind / window shape, under every predicate.
+        let (run_pick, kinds, from) = shape;
+        for predicate in std::iter::once(None).chain(PREDICATES.map(Some)) {
+            let mut query = Query::new();
+            if let Some(needle) = ["/adaptive", "seed42", "nowhere"].get(run_pick) {
+                query = query.run_contains(*needle);
+            }
+            for kind in [kind_picks.0, kind_picks.1].iter().take(kinds) {
+                query = query.kind(KINDS[*kind]);
+            }
+            if from % 2 == 0 {
+                query = query.window(from as f64 / 10.0, from as f64 / 5.0 + 100.0);
+            }
+            if let Some(source) = predicate {
+                query = query.predicate(source).unwrap();
+            }
+            // Rows and error alike: `Display` carries the variant and its text.
+            prop_assert_eq!(
+                query.execute(&store).map_err(|e| e.to_string()),
+                oracle(&query, &store).map_err(|e| e.to_string()),
+                "{:?}", query
+            );
+        }
+    }
+}
+
+const RUN: &str = "paper/step/adaptive/90s/none/seed42/adaptive";
+
+/// What every read path answers about the one-run store at `dir`: the three
+/// readers and `Query::execute` down each of its three scans. `None` stands
+/// for a reported failure, which must be `Corrupt` or `Io`.
+fn answers(dir: &Path, from: f64) -> Vec<Option<Vec<TraceEvent>>> {
+    let store = TraceStore::open(dir).unwrap();
+    let mut out = vec![store.read_run(RUN), store.read_run_from(RUN, from)];
+    out.extend(KINDS.map(|kind| store.read_run_kind(RUN, kind)));
+    let queries = [Query::new(), Query::new().window(from, f64::MAX)]
+        .into_iter()
+        .chain(KINDS.map(|kind| Query::new().kind(kind)));
+    out.extend(queries.map(|query| match query.execute(&store) {
+        Ok(rows) => Ok(rows.into_iter().map(|row| row.event).collect()),
+        Err(QueryError::Store(e)) => Err(e),
+        Err(e) => panic!("a query without a predicate failed to evaluate: {e}"),
+    }));
+    out.into_iter()
+        .map(|answer| match answer {
+            Ok(events) => Some(events),
+            Err(StoreError::Corrupt(_) | StoreError::Io { .. }) => None,
+            Err(e) => panic!("damage reported as {e:?}"),
+        })
+        .collect()
+}
+
+/// Byte positions of the index file's `u64` fields whose damage shows in the
+/// structure alone: per-kind offset counts and offsets, then each
+/// checkpoint's record index and byte offset. (A checkpoint's prefix time,
+/// like a record's payload, can only be vouched for by a checksum.)
+fn index_fields(idx: &[u8]) -> Vec<usize> {
+    let u64_at = |at: usize| u64::from_le_bytes(idx[at..at + 8].try_into().unwrap());
+    let mut fields = Vec::new();
+    let mut at = 4;
+    for _ in 0..u32::from_le_bytes(idx[..4].try_into().unwrap()) {
+        let offsets = u64_at(at + 1) as usize;
+        fields.extend((0..=offsets).map(|i| at + 1 + 8 * i));
+        at += 1 + 8 + 8 * offsets;
+    }
+    let checkpoints = u32::from_le_bytes(idx[at..at + 4].try_into().unwrap()) as usize;
+    fields.extend((0..checkpoints).flat_map(|i| [at + 4 + 24 * i, at + 12 + 24 * i]));
+    fields
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn damaged_stores_answer_with_an_error_or_the_truth(
+        raws in proptest::collection::vec(
+            (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..200,
+        ),
+        from in 0u64..100_000,
+        damage in (0usize..4, 0u64..u64::MAX, 0u64..u64::MAX),
+    ) {
+        let dir = ScratchDir::new("damage");
+        let events: Vec<TraceEvent> = raws.iter().map(|r| event(*r)).collect();
+        TraceStore::open(&dir.0).unwrap().append_run(RUN, &events).unwrap();
+        let from = from as f64 / 10.0;
+        let truth = answers(&dir.0, from);
+        prop_assert!(truth.iter().all(Option::is_some));
+
+        // Truncation and trailing bytes hit the segment or its index; an
+        // overwrite turns one index field into anything at all (op 2) or
+        // into something within the segment's span (op 3).
+        let (op, pick, noise) = damage;
+        let seg_len = std::fs::metadata(dir.0.join("000000.seg")).unwrap().len();
+        let victim = if op < 2 && pick % 2 == 0 { "000000.seg" } else { "000000.idx" };
+        let mut bytes = std::fs::read(dir.0.join(victim)).unwrap();
+        match op {
+            0 => bytes.truncate((noise % bytes.len() as u64) as usize),
+            1 => bytes.extend(&noise.to_le_bytes()[..1 + (pick % 8) as usize]),
+            _ => {
+                let fields = index_fields(&bytes);
+                let at = fields[(pick % fields.len() as u64) as usize];
+                let value = if op == 2 { noise } else { noise % (seg_len + 2) };
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+        }
+        std::fs::write(dir.0.join(victim), &bytes).unwrap();
+
+        let damaged = catch_unwind(AssertUnwindSafe(|| answers(&dir.0, from)));
+        prop_assert!(damaged.is_ok(), "a read path panicked on op {op}");
+        for (path, (damaged, truth)) in damaged.unwrap().iter().zip(&truth).enumerate() {
+            prop_assert!(
+                damaged.is_none() || damaged == truth,
+                "read path {path} answered differently after op {op}"
+            );
+        }
     }
 }
