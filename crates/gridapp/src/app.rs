@@ -19,8 +19,10 @@ use crate::config::GridConfig;
 use crate::due::DueQueue;
 use crate::metrics::Metrics;
 use crate::testbed::Testbed;
-use simnet::{NetError, Network, NodeId, SimDuration, SimRng, SimTime, TransferId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use simnet::{
+    CompletedTransfer, NetError, Network, NodeId, SimDuration, SimRng, SimTime, TransferId,
+};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Name of the first server group (S1–S3 behind router R3).
 pub const SERVER_GROUP_1: &str = "ServerGrp1";
@@ -62,21 +64,61 @@ impl std::fmt::Display for AppError {
 
 impl std::error::Error for AppError {}
 
-#[derive(Debug, Clone)]
+/// A client's position in the name-ordered client table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ClientId(u32);
+
+/// A server's position in the name-ordered server table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ServerId(u32);
+
+/// A server group's position in the group table, which is in creation order:
+/// a queue created at runtime takes the next id and renumbers nobody.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct GroupId(u32);
+
+impl ClientId {
+    fn ix(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl ServerId {
+    fn ix(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl GroupId {
+    fn ix(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Every client starts on [`SERVER_GROUP_1`], the first group built.
+const GROUP_1: GroupId = GroupId(0);
+const GROUP_2: GroupId = GroupId(1);
+
+/// The position of `name` in a name-ordered table.
+fn rank(names: &[String], name: &str) -> Option<usize> {
+    names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+}
+
+#[derive(Debug)]
 struct ClientState {
     host: NodeId,
-    group: String,
+    group: GroupId,
     next_request_at: SimTime,
     rate_per_sec: f64,
     response_bytes: f64,
-    issued: u64,
-    completed: u64,
+    /// The client's own random stream (inter-arrival times, response sizes).
+    rng: SimRng,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ServerState {
     host: NodeId,
-    group: Option<String>,
+    group: Option<GroupId>,
     active: bool,
     /// Whether the server process is alive. A crashed server keeps its group
     /// assignment (it is *assigned but dead* until a failover repair cleans
@@ -93,28 +135,46 @@ struct ServerState {
     served: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct GroupState {
-    queue: VecDeque<u64>,
+impl ServerState {
+    /// Whether the server is a live, active replica of `group`.
+    fn serves(&self, group: GroupId) -> bool {
+        self.active && self.up && self.group == Some(group)
+    }
+
+    /// Whether the server is in the pool `findServer` draws from.
+    fn is_spare(&self) -> bool {
+        !self.active && self.group.is_none() && self.up
+    }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default)]
+struct GroupState {
+    queue: VecDeque<u64>,
+    /// The servers currently able to pull work (assigned + active + up +
+    /// neither busy nor sending); the first one is the first by name.
+    idle: BTreeSet<ServerId>,
+}
+
+#[derive(Debug, Clone, Copy)]
 enum RequestPhase {
     /// Request payload travelling from the client to the request-queue
     /// machine.
-    ToQueue(TransferId),
+    ToQueue,
     /// Waiting in its group's FIFO queue.
     Queued,
     /// Being processed by a server.
     InService,
-    /// Response payload travelling from the server back to the client.
-    ResponseInFlight(TransferId),
+    /// Response payload travelling from `server` back to the client.
+    ResponseInFlight {
+        transfer: TransferId,
+        server: ServerId,
+    },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RequestState {
-    client: String,
-    group: String,
+    client: ClientId,
+    group: GroupId,
     issued_at: SimTime,
     response_bytes: f64,
     phase: RequestPhase,
@@ -135,43 +195,55 @@ pub struct CompletedRequest {
 
 /// The running client/server grid application.
 ///
-/// Event scheduling is index-based so a large-scale testbed (thousands of
-/// clients) does not rescan every client and server per event: client
-/// request due-times and server service-finish times live in ordered sets,
-/// idle servers are indexed per group, and in-flight responses map back to
-/// their transmitting server directly. All indices mirror the authoritative
-/// per-entity state bit-identically — processing order (name order among
-/// simultaneously due entities) is unchanged.
+/// **Identity.** Inside the application a client, a server and a server
+/// group *are* dense ids: `ClientId` and `ServerId` are positions in the
+/// name-ordered name tables, so `User10 < User2` holds for the ids as it does
+/// for the names and sorting ids is sorting names; `GroupId`s are handed out
+/// in creation order (a queue created at runtime renumbers nobody) and
+/// `group_order` keeps them name-ordered for iteration. All per-entity state
+/// is a `Vec` indexed by id, a request carries the ids of its client, its
+/// group and (while the reply is in flight) its transmitting server, and the
+/// due-time calendars hold ids. Names exist only at the boundary: the public
+/// API resolves a name once, by binary search over the name table, and every
+/// name-order guarantee it makes (`client_names`, `group_names`, processing
+/// order among simultaneously due entities, first idle server of a group) is
+/// id order underneath.
+///
+/// **What still allocates per request.** The event loop (`advance`) makes no
+/// `String` and no `Vec` of its own. A completed request allocates exactly
+/// what leaves the crate by value: the client and group names of the
+/// [`CompletedRequest`] handed to the latency probe, and the same two names
+/// in the [`tracestore::TraceEvent`] when an enabled sink is attached. The
+/// rest is amortised growth of long-lived buffers (the completion list, the
+/// latency series, the request table).
 pub struct GridApp {
     config: GridConfig,
     testbed: Testbed,
     network: Network,
-    clients: BTreeMap<String, ClientState>,
-    servers: BTreeMap<String, ServerState>,
-    groups: BTreeMap<String, GroupState>,
+    /// Client names in name order; a `ClientId` indexes this and `clients`.
+    client_names: Vec<String>,
+    clients: Vec<ClientState>,
+    /// Server names in name order; a `ServerId` indexes this and `servers`.
+    server_names: Vec<String>,
+    servers: Vec<ServerState>,
+    /// Group names in creation order; a `GroupId` indexes this and `groups`.
+    group_names: Vec<String>,
+    groups: Vec<GroupState>,
+    /// Every group id, ordered by group name.
+    group_order: Vec<GroupId>,
     requests: HashMap<u64, RequestState>,
     next_request_id: u64,
     now: SimTime,
     metrics: Metrics,
     completions: Vec<CompletedRequest>,
-    rng: HashMap<String, SimRng>,
-    /// Client names by dense index (build order) and the reverse map.
-    client_seq: Vec<String>,
-    client_idx: HashMap<String, u32>,
     /// `(next_request_at, client)` for every client with a positive rate.
     request_due: DueQueue,
-    /// Server names by dense index (build order) and the reverse map.
-    server_seq: Vec<String>,
-    server_idx: HashMap<String, u32>,
     /// `(service-finish, server)` mirroring every `ServerState::busy`.
     service_due: DueQueue,
-    /// Scratch for calendar-queue due collection, reused across steps.
+    /// Scratch for calendar-queue due collection and for delivered
+    /// transfers, reused across steps.
     due_scratch: Vec<(SimTime, u32)>,
-    /// Transmitting server of each in-flight response, by request id.
-    sending_index: HashMap<u64, String>,
-    /// Per group, the name-ordered set of servers currently able to pull
-    /// work (assigned + active + up + neither busy nor sending).
-    idle: BTreeMap<String, BTreeSet<String>>,
+    delivered_scratch: Vec<CompletedTransfer>,
     /// Where transfer-lifecycle observations go; the default `NullSink` is
     /// disabled, so emission costs nothing unless a collector is attached.
     sink: tracestore::SharedSink,
@@ -199,6 +271,13 @@ fn slot_host(i: u64, slot: &(String, NodeId)) -> Result<NodeId, AppError> {
     Ok(*host)
 }
 
+/// Splits `(name, state)` pairs into a name table and a state table, both in
+/// name order.
+fn name_ordered<T>(mut named: Vec<(String, T)>) -> (Vec<String>, Vec<T>) {
+    named.sort_by(|a, b| a.0.cmp(&b.0));
+    named.into_iter().unzip()
+}
+
 impl GridApp {
     /// Builds the configured deployment (paper default: six clients all
     /// served by Server Group 1 (S1–S3), Server Group 2 (S5–S6) idle, S4 and
@@ -214,96 +293,73 @@ impl GridApp {
             // presets). Bit-identical to the exploded per-client solve.
             network.set_flow_classes(testbed.client_position_classes());
         }
-        if testbed.num_clients() >= crate::testbed::FLEET_SCALE_MIN_CLIENTS {
+        let fleet_scale = testbed.num_clients() >= crate::testbed::FLEET_SCALE_MIN_CLIENTS;
+        if fleet_scale {
             // Fleet-scale topologies cannot afford one shortest-path tree
             // per client-host source; compose leaf paths over the access
             // links instead.
             network.set_leaf_routing(true);
         }
         let root_rng = SimRng::seed_from_u64(config.seed);
+        // Stagger the first requests so clients do not fire in lockstep. At
+        // fleet scale a one-second window would still dump every client's
+        // opening request into the first second (a 50k-request thundering
+        // herd); spread the starts over one mean inter-arrival instead so the
+        // opening load matches steady state.
+        let stagger = if fleet_scale {
+            (1.0 / config.request_rate_per_client.max(1e-9)).max(1.0)
+        } else {
+            1.0
+        };
 
-        let mut clients = BTreeMap::new();
-        let mut rng = HashMap::new();
+        let mut clients = Vec::with_capacity(testbed.num_clients());
         for (i, slot) in (1u64..).zip(&testbed.client_hosts) {
-            let name = format!("User{i}");
-            let host = slot_host(i, slot)?;
-            let mut stream = root_rng.derive(i);
-            // Stagger the first requests so clients do not fire in lockstep.
-            // At fleet scale a one-second window would still dump every
-            // client's opening request into the first second (a 50k-request
-            // thundering herd); spread the starts over one mean inter-arrival
-            // instead so the opening load matches steady state.
-            let stagger = if testbed.num_clients() >= crate::testbed::FLEET_SCALE_MIN_CLIENTS {
-                (1.0 / config.request_rate_per_client.max(1e-9)).max(1.0)
-            } else {
-                1.0
+            let mut rng = root_rng.derive(i);
+            let state = ClientState {
+                host: slot_host(i, slot)?,
+                group: GROUP_1,
+                next_request_at: SimTime::from_secs(rng.uniform_range(0.1, stagger)),
+                rate_per_sec: config.request_rate_per_client,
+                response_bytes: config.response_bytes,
+                rng,
             };
-            let first = SimTime::from_secs(stream.uniform_range(0.1, stagger));
-            clients.insert(
-                name.clone(),
-                ClientState {
-                    host,
-                    group: SERVER_GROUP_1.to_string(),
-                    next_request_at: first,
-                    rate_per_sec: config.request_rate_per_client,
-                    response_bytes: config.response_bytes,
-                    issued: 0,
-                    completed: 0,
-                },
-            );
-            rng.insert(name, stream);
+            clients.push((format!("User{i}"), state));
         }
+        let (client_names, clients) = name_ordered(clients);
 
-        let mut servers = BTreeMap::new();
+        let mut servers = Vec::with_capacity(testbed.server_hosts.len());
         for (i, &host) in testbed.server_hosts.iter().enumerate() {
             let name = format!("S{}", i + 1);
-            let (group, active) = if testbed.sg1_servers.contains(&name) {
-                (Some(SERVER_GROUP_1.to_string()), true)
+            let group = if testbed.sg1_servers.contains(&name) {
+                Some(GROUP_1)
             } else if testbed.sg2_servers.contains(&name) {
-                (Some(SERVER_GROUP_2.to_string()), true)
+                Some(GROUP_2)
             } else {
-                (None, false) // spare
+                None // spare
             };
-            servers.insert(
-                name,
-                ServerState {
-                    host,
-                    group,
-                    active,
-                    up: true,
-                    busy: None,
-                    sending: None,
-                    served: 0,
-                },
-            );
+            let state = ServerState {
+                host,
+                group,
+                active: group.is_some(),
+                up: true,
+                busy: None,
+                sending: None,
+                served: 0,
+            };
+            servers.push((name, state));
         }
+        let (server_names, servers) = name_ordered(servers);
 
-        let mut groups = BTreeMap::new();
-        groups.insert(SERVER_GROUP_1.to_string(), GroupState::default());
-        groups.insert(SERVER_GROUP_2.to_string(), GroupState::default());
-
-        let client_seq: Vec<String> = clients.keys().cloned().collect();
-        let client_idx: HashMap<String, u32> = client_seq
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), i as u32))
-            .collect();
+        let mut groups = vec![GroupState::default(), GroupState::default()];
+        for (server, state) in (0u32..).zip(&servers) {
+            if let Some(group) = state.group {
+                groups[group.ix()].idle.insert(ServerId(server));
+            }
+        }
         let mut request_due = DueQueue::new();
-        for (name, c) in clients.iter().filter(|(_, c)| c.rate_per_sec > 0.0) {
-            request_due.insert(c.next_request_at, client_idx[name]);
-        }
-        let server_seq: Vec<String> = servers.keys().cloned().collect();
-        let server_idx: HashMap<String, u32> = server_seq
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), i as u32))
-            .collect();
-        let mut idle: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for (name, s) in &servers {
-            if let Some(group) = &s.group {
-                if s.active && s.up {
-                    idle.entry(group.clone()).or_default().insert(name.clone());
-                }
+        for (client, state) in (0u32..).zip(&clients) {
+            if state.rate_per_sec > 0.0 {
+                request_due.insert(state.next_request_at, client);
             }
         }
 
@@ -311,24 +367,22 @@ impl GridApp {
             config,
             testbed,
             network,
+            client_names,
             clients,
+            server_names,
             servers,
+            group_names: vec![SERVER_GROUP_1.to_string(), SERVER_GROUP_2.to_string()],
             groups,
+            group_order: vec![GROUP_1, GROUP_2],
             requests: HashMap::new(),
             next_request_id: 0,
             now: SimTime::ZERO,
             metrics: Metrics::new(),
             completions: Vec::new(),
-            rng,
-            client_seq,
-            client_idx,
             request_due,
-            server_seq,
-            server_idx,
             service_due: DueQueue::new(),
             due_scratch: Vec::new(),
-            sending_index: HashMap::new(),
-            idle,
+            delivered_scratch: Vec::new(),
             sink: tracestore::null_sink(),
             flow_memo_hits: std::cell::Cell::new(0),
             flow_memo_misses: std::cell::Cell::new(0),
@@ -348,31 +402,56 @@ impl GridApp {
         &self.sink
     }
 
+    // ---- names at the boundary ---------------------------------------------
+
+    fn client_id(&self, client: &str) -> Result<ClientId, AppError> {
+        rank(&self.client_names, client)
+            .map(|i| ClientId(i as u32))
+            .ok_or_else(|| AppError::UnknownClient(client.into()))
+    }
+
+    fn server_id(&self, server: &str) -> Result<ServerId, AppError> {
+        rank(&self.server_names, server)
+            .map(|i| ServerId(i as u32))
+            .ok_or_else(|| AppError::UnknownServer(server.into()))
+    }
+
+    /// Where `group` sits in `group_order`, or where it would be inserted.
+    fn group_rank(&self, group: &str) -> Result<usize, usize> {
+        self.group_order
+            .binary_search_by(|&g| self.group_names[g.ix()].as_str().cmp(group))
+    }
+
+    fn group_id(&self, group: &str) -> Result<GroupId, AppError> {
+        self.group_rank(group)
+            .map(|at| self.group_order[at])
+            .map_err(|_| AppError::UnknownGroup(group.into()))
+    }
+
+    /// Names of the servers `keep` accepts, in name order.
+    fn server_names_where(&self, keep: impl Fn(&ServerState) -> bool) -> Vec<String> {
+        let named = self.servers.iter().zip(&self.server_names);
+        named
+            .filter(|(state, _)| keep(state))
+            .map(|(_, name)| name.clone())
+            .collect()
+    }
+
     /// Re-derives a server's membership in its group's idle set from its
     /// authoritative state. Must be called after any change to a server's
     /// `active`/`up`/`busy`/`sending` flags (group changes additionally
     /// remove the server from the old group's set first).
-    fn refresh_idle(&mut self, server: &str) {
-        let Some(state) = self.servers.get(server) else {
-            return;
-        };
-        let Some(group) = state.group.clone() else {
+    fn refresh_idle(&mut self, server: ServerId) {
+        let state = &self.servers[server.ix()];
+        let Some(group) = state.group else {
             return;
         };
         let eligible = state.active && state.up && state.busy.is_none() && state.sending.is_none();
-        let set = self.idle.entry(group).or_default();
+        let idle = &mut self.groups[group.ix()].idle;
         if eligible {
-            set.insert(server.to_string());
+            idle.insert(server);
         } else {
-            set.remove(server);
-        }
-    }
-
-    /// Removes a server from a group's idle set (used before its group
-    /// assignment changes).
-    fn idle_remove(&mut self, group: &str, server: &str) {
-        if let Some(set) = self.idle.get_mut(group) {
-            set.remove(server);
+            idle.remove(&server);
         }
     }
 
@@ -398,76 +477,70 @@ impl GridApp {
 
     /// Names of all clients.
     pub fn client_names(&self) -> Vec<String> {
-        self.clients.keys().cloned().collect()
+        self.client_names.clone()
     }
 
     /// Names of all server groups.
     pub fn group_names(&self) -> Vec<String> {
-        self.groups.keys().cloned().collect()
+        let ordered = self.group_order.iter();
+        ordered.map(|&g| self.group_names[g.ix()].clone()).collect()
     }
 
     /// Names of all servers.
     pub fn server_names(&self) -> Vec<String> {
-        self.servers.keys().cloned().collect()
+        self.server_names.clone()
     }
 
     /// The machine a named client runs on.
     pub fn client_host(&self, client: &str) -> Option<NodeId> {
-        self.clients.get(client).map(|c| c.host)
+        self.client_id(client)
+            .ok()
+            .map(|id| self.clients[id.ix()].host)
     }
 
     /// The machine a named server runs on.
     pub fn server_host(&self, server: &str) -> Option<NodeId> {
-        self.servers.get(server).map(|s| s.host)
+        self.server_id(server)
+            .ok()
+            .map(|id| self.servers[id.ix()].host)
     }
 
     /// The server group a client currently sends to.
     pub fn client_group(&self, client: &str) -> Result<String, AppError> {
-        Ok(self
-            .clients
-            .get(client)
-            .ok_or_else(|| AppError::UnknownClient(client.into()))?
-            .group
-            .clone())
+        let group = self.clients[self.client_id(client)?.ix()].group;
+        Ok(self.group_names[group.ix()].clone())
     }
 
     /// The current queue length of a server group.
     pub fn queue_length(&self, group: &str) -> Result<usize, AppError> {
-        Ok(self
-            .groups
-            .get(group)
-            .ok_or_else(|| AppError::UnknownGroup(group.into()))?
-            .queue
-            .len())
+        let group = self.group_id(group)?;
+        Ok(self.groups[group.ix()].queue.len())
     }
 
     /// Names of the live, active servers currently assigned to a group
     /// (crashed replicas do not count — they serve nothing).
     pub fn active_servers(&self, group: &str) -> Vec<String> {
-        self.servers
-            .iter()
-            .filter(|(_, s)| s.active && s.up && s.group.as_deref() == Some(group))
-            .map(|(name, _)| name.clone())
-            .collect()
+        match self.group_id(group) {
+            Ok(group) => self.server_names_where(|s| s.serves(group)),
+            Err(_) => Vec::new(),
+        }
     }
 
     /// Whether a server's runtime process is alive.
     pub fn server_is_up(&self, server: &str) -> Result<bool, AppError> {
-        Ok(self
-            .servers
-            .get(server)
-            .ok_or_else(|| AppError::UnknownServer(server.into()))?
-            .up)
+        Ok(self.servers[self.server_id(server)?.ix()].up)
     }
 
     /// A group's liveness census: `(live, dead)` counts over the replicas
     /// assigned to it (active flag set). `dead` replicas have crashed and
     /// not yet been failed over.
     pub fn group_liveness(&self, group: &str) -> (usize, usize) {
-        let mut live = 0;
-        let mut dead = 0;
-        for s in self.servers.values() {
-            if s.active && s.group.as_deref() == Some(group) {
+        let Ok(group) = self.group_id(group) else {
+            return (0, 0);
+        };
+        let (mut live, mut dead) = (0, 0);
+        for s in &self.servers {
+            if s.active && s.group == Some(group) {
                 if s.up {
                     live += 1;
                 } else {
@@ -480,7 +553,8 @@ impl GridApp {
 
     /// Total requests served by a named server.
     pub fn served_by(&self, server: &str) -> u64 {
-        self.servers.get(server).map(|s| s.served).unwrap_or(0)
+        self.server_id(server)
+            .map_or(0, |id| self.servers[id.ix()].served)
     }
 
     /// Number of requests currently in flight (any phase).
@@ -513,15 +587,14 @@ impl GridApp {
     /// Sets every client's request rate (requests/second) and response size
     /// (bytes) — the knobs the Figure 7 schedule turns at 600 s.
     pub fn set_workload(&mut self, rate_per_sec: f64, response_bytes: f64) {
-        for client in self.clients.values_mut() {
-            client.rate_per_sec = rate_per_sec.max(0.0);
-            client.response_bytes = response_bytes.max(1.0);
-        }
         // The due index only tracks clients with a positive rate.
         self.request_due.clear();
-        for (name, c) in self.clients.iter().filter(|(_, c)| c.rate_per_sec > 0.0) {
-            self.request_due
-                .insert(c.next_request_at, self.client_idx[name]);
+        for (id, client) in (0u32..).zip(&mut self.clients) {
+            client.rate_per_sec = rate_per_sec.max(0.0);
+            client.response_bytes = response_bytes.max(1.0);
+            if client.rate_per_sec > 0.0 {
+                self.request_due.insert(client.next_request_at, id);
+            }
         }
     }
 
@@ -591,6 +664,21 @@ impl GridApp {
         Ok(())
     }
 
+    /// Abandons whatever a server is doing: the request in service is lost,
+    /// and a reply in flight is torn down so the requester never hears back.
+    fn abandon_work(&mut self, server: ServerId, now: SimTime) {
+        let state = &mut self.servers[server.ix()];
+        let (busy, sending) = (state.busy.take(), state.sending.take());
+        if let Some((request, finish)) = busy {
+            self.service_due.remove(finish, server.0);
+            self.requests.remove(&request);
+        }
+        let reply = sending.and_then(|(request, _)| self.requests.remove(&request));
+        if let Some(RequestPhase::ResponseInFlight { transfer, .. }) = reply.map(|r| r.phase) {
+            let _ = self.network.cancel_transfer(now, transfer);
+        }
+    }
+
     /// Crashes a server process: it stops serving immediately, the request
     /// it was working on (or whose reply it was transmitting) is lost, and
     /// it no longer counts as live — but it keeps its group assignment, so
@@ -598,33 +686,10 @@ impl GridApp {
     /// failover repair deactivates it.
     pub fn crash_server(&mut self, now: SimTime, server: &str) -> Result<(), AppError> {
         self.advance(now);
-        let (busy, sending) = {
-            let state = self
-                .servers
-                .get_mut(server)
-                .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-            state.up = false;
-            let busy = state.busy.take();
-            let sending = state.sending.take();
-            (busy, sending)
-        };
-        if let Some((_, finish)) = busy {
-            self.service_due.remove(finish, self.server_idx[server]);
-        }
+        let server = self.server_id(server)?;
+        self.servers[server.ix()].up = false;
+        self.abandon_work(server, now);
         self.refresh_idle(server);
-        // The request in service is lost with the process.
-        if let Some((req, _)) = busy {
-            self.requests.remove(&req);
-        }
-        // The reply in flight is torn down; the requester never hears back.
-        if let Some((req, _)) = sending {
-            self.sending_index.remove(&req);
-            if let Some(request) = self.requests.remove(&req) {
-                if let RequestPhase::ResponseInFlight(transfer) = request.phase {
-                    let _ = self.network.cancel_transfer(now, transfer);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -634,21 +699,13 @@ impl GridApp {
     /// disconnected) comes back as a spare.
     pub fn restart_server(&mut self, now: SimTime, server: &str) -> Result<(), AppError> {
         self.advance(now);
-        let group = {
-            let state = self
-                .servers
-                .get_mut(server)
-                .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-            state.up = true;
-            if state.active {
-                state.group.clone()
-            } else {
-                None
-            }
-        };
+        let server = self.server_id(server)?;
+        let state = &mut self.servers[server.ix()];
+        state.up = true;
+        let group = state.group.filter(|_| state.active);
         self.refresh_idle(server);
         if let Some(group) = group {
-            self.dispatch_group(&group, now);
+            self.dispatch_group(group, now);
         }
         Ok(())
     }
@@ -664,7 +721,21 @@ impl GridApp {
     /// `createReqQueue()`: adds a logical request queue for `group` to the
     /// request-queue machine.
     pub fn create_req_queue(&mut self, group: &str) {
-        self.groups.entry(group.to_string()).or_default();
+        self.ensure_group(group);
+    }
+
+    /// The id of `group`, created with an empty queue if it is new.
+    fn ensure_group(&mut self, group: &str) -> GroupId {
+        match self.group_rank(group) {
+            Ok(at) => self.group_order[at],
+            Err(at) => {
+                let id = GroupId(self.groups.len() as u32);
+                self.group_names.push(group.to_string());
+                self.groups.push(GroupState::default());
+                self.group_order.insert(at, id);
+                id
+            }
+        }
     }
 
     /// `findServer([cli, bw_thresh])`: finds a spare (inactive, unassigned)
@@ -676,106 +747,86 @@ impl GridApp {
         client: Option<&str>,
         bandwidth_threshold_bps: f64,
     ) -> Option<String> {
-        for (name, server) in &self.servers {
-            if self.spare_qualifies(server, client, bandwidth_threshold_bps) {
-                return Some(name.clone());
-            }
-        }
-        None
+        self.find_spare(client, bandwidth_threshold_bps, |_| true)
     }
 
-    /// Whether a server is a spare (inactive, unassigned, alive) that also
-    /// clears the optional client-bandwidth threshold.
-    fn spare_qualifies(
+    /// The first server by name that is a spare (inactive, unassigned,
+    /// alive), clears the optional client-bandwidth threshold and, last,
+    /// passes `also`.
+    fn find_spare(
         &self,
-        server: &ServerState,
         client: Option<&str>,
         bandwidth_threshold_bps: f64,
-    ) -> bool {
-        if server.active || server.group.is_some() || !server.up {
-            return false;
-        }
-        if let Some(client) = client {
-            let Some(client_state) = self.clients.get(client) else {
-                return false;
-            };
-            let bw = self
-                .network
-                .available_bandwidth(server.host, client_state.host)
-                .unwrap_or(0.0);
-            if bw < bandwidth_threshold_bps {
-                return false;
-            }
-        }
-        true
+        also: impl Fn(&ServerState) -> bool,
+    ) -> Option<String> {
+        let client_host = match client {
+            Some(client) => Some(self.client_host(client)?),
+            None => None,
+        };
+        let clears_threshold = |server: &ServerState| {
+            client_host.is_none_or(|host| {
+                let bw = self.network.available_bandwidth(server.host, host);
+                bw.unwrap_or(0.0) >= bandwidth_threshold_bps
+            })
+        };
+        let found = self
+            .servers
+            .iter()
+            .position(|s| s.is_spare() && clears_threshold(s) && also(s))?;
+        Some(self.server_names[found].clone())
     }
 
-    /// The attachment router of a group's replicas, read from its first
-    /// live active member in name order (`None` for a dead or empty group).
-    fn group_attachment(&self, group: &str) -> Option<NodeId> {
-        self.servers
-            .values()
-            .find(|s| s.active && s.up && s.group.as_deref() == Some(group))
-            .and_then(|s| self.testbed.topology.attachment(s.host))
-            .map(|(node, _)| node)
+    /// The router a server's machine attaches to.
+    fn attachment(&self, server: &ServerState) -> Option<NodeId> {
+        let attachment = self.testbed.topology.attachment(server.host);
+        attachment.map(|(node, _)| node)
     }
 
     /// Group-aware `findServer` used by repair recruitment: prefers a spare
     /// whose machine attaches to the same router as the group's current
-    /// replicas. Plain name order alone pulls whichever spare sorts first —
+    /// replicas (read from the group's first live active member in name
+    /// order). Plain name order alone pulls whichever spare sorts first —
     /// on the scaled testbeds that hands an R3-attached spare (`S49`) to an
     /// R4 group, parking the recruit behind the wrong router and silently
     /// contaminating its server class's shared probes. Falls back to the
-    /// name-order pick when no same-attachment spare qualifies; such a
-    /// cross-attachment recruit keeps its own position class (an explicit
-    /// class split — class-shared probing probes it separately rather than
-    /// lumping it with the group's native replicas).
+    /// name-order pick when no same-attachment spare qualifies (or the group
+    /// is dead, empty or unknown); such a cross-attachment recruit keeps its
+    /// own position class (an explicit class split — class-shared probing
+    /// probes it separately rather than lumping it with the group's native
+    /// replicas).
     pub fn find_server_for_group(
         &self,
         group: &str,
         client: Option<&str>,
         bandwidth_threshold_bps: f64,
     ) -> Option<String> {
-        if let Some(target) = self.group_attachment(group) {
-            for (name, server) in &self.servers {
-                if !self.spare_qualifies(server, client, bandwidth_threshold_bps) {
-                    continue;
-                }
-                let attach = self.testbed.topology.attachment(server.host);
-                if attach.map(|(node, _)| node) == Some(target) {
-                    return Some(name.clone());
-                }
-            }
-        }
-        self.find_server(client, bandwidth_threshold_bps)
+        let group = self.group_id(group).ok();
+        let replica = group.and_then(|g| self.servers.iter().find(|s| s.serves(g)));
+        replica
+            .and_then(|replica| self.attachment(replica))
+            .and_then(|target| {
+                self.find_spare(client, bandwidth_threshold_bps, |s| {
+                    self.attachment(s) == Some(target)
+                })
+            })
+            .or_else(|| self.find_server(client, bandwidth_threshold_bps))
     }
 
     /// Names of every live spare (inactive, unassigned) server, in name
     /// order — the pool `findServer` draws from.
     pub fn spare_servers(&self) -> Vec<String> {
-        self.servers
-            .iter()
-            .filter(|(_, s)| !s.active && s.group.is_none() && s.up)
-            .map(|(name, _)| name.clone())
-            .collect()
+        self.server_names_where(ServerState::is_spare)
     }
 
     /// `connectServer(srv, to)`: configures a server to pull requests from
-    /// the given group's queue.
+    /// the given group's queue, creating the queue if it is new. An unknown
+    /// server is an error that leaves no queue behind.
     pub fn connect_server(&mut self, server: &str, group: &str) -> Result<(), AppError> {
-        if !self.groups.contains_key(group) {
-            self.create_req_queue(group);
-        }
-        let old_group = self
-            .servers
-            .get_mut(server)
-            .ok_or_else(|| AppError::UnknownServer(server.into()))?
-            .group
-            .replace(group.to_string());
-        if let Some(old) = old_group {
-            if old != group {
-                self.idle_remove(&old, server);
-            }
+        let server = self.server_id(server)?;
+        let group = self.ensure_group(group);
+        let old_group = self.servers[server.ix()].group.replace(group);
+        if let Some(old) = old_group.filter(|&old| old != group) {
+            self.groups[old.ix()].idle.remove(&server);
         }
         self.refresh_idle(server);
         Ok(())
@@ -783,33 +834,24 @@ impl GridApp {
 
     /// `activateServer()`: the server begins pulling requests from its queue.
     pub fn activate_server(&mut self, server: &str) -> Result<(), AppError> {
-        let group = {
-            let state = self
-                .servers
-                .get_mut(server)
-                .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-            if state.group.is_none() {
-                return Err(AppError::Invalid(format!(
-                    "server {server} must be connected to a queue before activation"
-                )));
-            }
-            state.active = true;
-            state.group.clone().expect("checked above")
+        let id = self.server_id(server)?;
+        let state = &mut self.servers[id.ix()];
+        let Some(group) = state.group else {
+            return Err(AppError::Invalid(format!(
+                "server {server} must be connected to a queue before activation"
+            )));
         };
-        self.refresh_idle(server);
-        let now = self.now;
-        self.dispatch_group(&group, now);
+        state.active = true;
+        self.refresh_idle(id);
+        self.dispatch_group(group, self.now);
         Ok(())
     }
 
     /// `deactivateServer()`: the server stops pulling requests (it finishes
     /// the request currently in service).
     pub fn deactivate_server(&mut self, server: &str) -> Result<(), AppError> {
-        let state = self
-            .servers
-            .get_mut(server)
-            .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-        state.active = false;
+        let server = self.server_id(server)?;
+        self.servers[server.ix()].active = false;
         self.refresh_idle(server);
         Ok(())
     }
@@ -817,20 +859,15 @@ impl GridApp {
     /// Disconnects a deactivated server from its queue, returning it to the
     /// spare pool.
     pub fn disconnect_server(&mut self, server: &str) -> Result<(), AppError> {
-        let old_group = {
-            let state = self
-                .servers
-                .get_mut(server)
-                .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-            if state.active {
-                return Err(AppError::Invalid(format!(
-                    "server {server} must be deactivated before it is disconnected"
-                )));
-            }
-            state.group.take()
-        };
-        if let Some(group) = old_group {
-            self.idle_remove(&group, server);
+        let id = self.server_id(server)?;
+        let state = &mut self.servers[id.ix()];
+        if state.active {
+            return Err(AppError::Invalid(format!(
+                "server {server} must be deactivated before it is disconnected"
+            )));
+        }
+        if let Some(group) = state.group.take() {
+            self.groups[group.ix()].idle.remove(&id);
         }
         Ok(())
     }
@@ -838,14 +875,10 @@ impl GridApp {
     /// `moveClient(newQ)`: future requests from the client go to the new
     /// group's queue (requests already queued are served where they are).
     pub fn move_client(&mut self, client: &str, to_group: &str) -> Result<(), AppError> {
-        if !self.groups.contains_key(to_group) {
-            return Err(AppError::UnknownGroup(to_group.into()));
-        }
-        let state = self
-            .clients
-            .get_mut(client)
-            .ok_or_else(|| AppError::UnknownClient(client.into()))?;
-        state.group = to_group.to_string();
+        let to = self.group_id(to_group)?;
+        let client = self.client_id(client)?;
+        let state = &mut self.clients[client.ix()];
+        state.group = to;
         self.assignment_generation += 1;
         // A per-element repair broke the client's position symmetry: split
         // it permanently out of its aggregate demand row. Bookkeeping only —
@@ -854,8 +887,7 @@ impl GridApp {
         // aggregation statistics. (Whole-class moves via
         // [`move_clients`](Self::move_clients) preserve symmetry and do not
         // split.)
-        let host = state.host;
-        self.network.split_client(host);
+        self.network.split_client(state.host);
         Ok(())
     }
 
@@ -868,61 +900,39 @@ impl GridApp {
     /// Requests already in service or in flight are unaffected. Returns the
     /// number of clients moved.
     pub fn move_clients(&mut self, clients: &[String], to_group: &str) -> Result<usize, AppError> {
-        if !self.groups.contains_key(to_group) {
-            return Err(AppError::UnknownGroup(to_group.into()));
-        }
+        let to = self.group_id(to_group)?;
         // Validate the whole batch before touching anything: a group move is
         // atomic, and a half-applied batch (some clients re-pointed, none of
         // their queued requests migrated) would be unobservable to the
         // caller behind the returned error.
-        if let Some(unknown) = clients.iter().find(|c| !self.clients.contains_key(*c)) {
-            return Err(AppError::UnknownClient(unknown.clone()));
-        }
+        let moved: Result<BTreeSet<ClientId>, AppError> =
+            clients.iter().map(|c| self.client_id(c)).collect();
+        let moved = moved?;
         self.assignment_generation += 1;
-        let mut moved: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        for client in clients {
-            let state = self.clients.get_mut(client).expect("validated above");
-            state.group = to_group.to_string();
-            moved.insert(client.as_str());
+        for &client in &moved {
+            self.clients[client.ix()].group = to;
         }
         // Migrate queued requests: scan every other queue in name order and
         // pull out the moved clients' waiting requests, preserving their
         // FIFO order within each source queue.
-        let group_names: Vec<String> = self
-            .groups
-            .keys()
-            .filter(|g| g.as_str() != to_group)
-            .cloned()
-            .collect();
         let mut migrated: Vec<u64> = Vec::new();
-        for group in group_names {
-            let queue = &mut self.groups.get_mut(&group).expect("group exists").queue;
-            let mut kept = VecDeque::with_capacity(queue.len());
-            for id in queue.drain(..) {
-                let belongs_to_moved = self
-                    .requests
-                    .get(&id)
-                    .is_some_and(|r| moved.contains(r.client.as_str()));
-                if belongs_to_moved {
-                    migrated.push(id);
-                } else {
-                    kept.push_back(id);
+        for &group in self.group_order.iter().filter(|&&g| g != to) {
+            let requests = &self.requests;
+            self.groups[group.ix()].queue.retain(|id| {
+                let leaves = requests.get(id).is_some_and(|r| moved.contains(&r.client));
+                if leaves {
+                    migrated.push(*id);
                 }
-            }
-            *queue = kept;
+                !leaves
+            });
         }
         for id in &migrated {
             if let Some(request) = self.requests.get_mut(id) {
-                request.group = to_group.to_string();
+                request.group = to;
             }
         }
-        self.groups
-            .get_mut(to_group)
-            .expect("checked above")
-            .queue
-            .extend(migrated);
-        let now = self.now;
-        self.dispatch_group(to_group, now);
+        self.groups[to.ix()].queue.extend(migrated);
+        self.dispatch_group(to, self.now);
         Ok(moved.len())
     }
 
@@ -936,30 +946,11 @@ impl GridApp {
     /// observes a timeout, exactly as with a crashed replica).
     pub fn drain_server(&mut self, now: SimTime, server: &str) -> Result<(), AppError> {
         self.advance(now);
-        let (busy, sending, group) = {
-            let state = self
-                .servers
-                .get_mut(server)
-                .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-            let busy = state.busy.take();
-            let sending = state.sending.take();
-            (busy, sending, state.group.clone())
-        };
-        if let Some((req, finish)) = busy {
-            self.service_due.remove(finish, self.server_idx[server]);
-            self.requests.remove(&req);
-        }
-        if let Some((req, _)) = sending {
-            self.sending_index.remove(&req);
-            if let Some(request) = self.requests.remove(&req) {
-                if let RequestPhase::ResponseInFlight(transfer) = request.phase {
-                    let _ = self.network.cancel_transfer(now, transfer);
-                }
-            }
-        }
+        let server = self.server_id(server)?;
+        self.abandon_work(server, now);
         self.refresh_idle(server);
-        if let Some(group) = group {
-            self.dispatch_group(&group, now);
+        if let Some(group) = self.servers[server.ix()].group {
+            self.dispatch_group(group, now);
         }
         Ok(())
     }
@@ -974,16 +965,14 @@ impl GridApp {
     /// transmission ages past the bound indicate a transfer that will not
     /// finish in useful time.
     pub fn stuck_sending_servers(&self, group: &str, min_age_secs: f64) -> Vec<String> {
+        let Ok(group) = self.group_id(group) else {
+            return Vec::new();
+        };
         let now = self.now;
-        self.servers
-            .iter()
-            .filter(|(_, s)| s.active && s.up && s.group.as_deref() == Some(group))
-            .filter(|(_, s)| {
-                s.sending
-                    .is_some_and(|(_, since)| now.since(since).as_secs() > min_age_secs)
-            })
-            .map(|(name, _)| name.clone())
-            .collect()
+        self.server_names_where(|s| {
+            let stuck = |(_, since)| now.since(since).as_secs() > min_age_secs;
+            s.serves(group) && s.sending.is_some_and(stuck)
+        })
     }
 
     /// A coarse signature of a server's runtime state, used to refine
@@ -993,17 +982,15 @@ impl GridApp {
     /// the reply age separates a replica seconds into a wedged transfer
     /// from one that just started sending.
     pub fn server_runtime_signature(&self, server: &str) -> u64 {
-        let Some(state) = self.servers.get(server) else {
+        let Ok(server) = self.server_id(server) else {
             return 0;
         };
+        let state = &self.servers[server.ix()];
         if let Some((_, since)) = state.sending {
             let age = self.now.since(since).as_secs();
             return 2 + (age / 5.0).floor().max(0.0) as u64;
         }
-        if state.busy.is_some() {
-            return 1;
-        }
-        0
+        u64::from(state.busy.is_some())
     }
 
     /// Predicted bandwidth of a new flow from one named server's machine to
@@ -1012,12 +999,8 @@ impl GridApp {
     /// over. The symmetry-aware probe sharing issues this query once per
     /// network-position class representative instead of once per server.
     pub fn available_bandwidth_between(&self, server: &str, client: &str) -> Result<f64, AppError> {
-        let server_host = self
-            .server_host(server)
-            .ok_or_else(|| AppError::UnknownServer(server.into()))?;
-        let client_host = self
-            .client_host(client)
-            .ok_or_else(|| AppError::UnknownClient(client.into()))?;
+        let server_host = self.servers[self.server_id(server)?.ix()].host;
+        let client_host = self.clients[self.client_id(client)?.ix()].host;
         Ok(self
             .network
             .available_bandwidth(server_host, client_host)
@@ -1079,26 +1062,22 @@ impl GridApp {
     /// a server group, taken as the best available bandwidth from any of the
     /// group's active servers to the client.
     pub fn remos_get_flow(&self, client: &str, group: &str) -> Result<f64, AppError> {
-        let client_state = self
-            .clients
-            .get(client)
-            .ok_or_else(|| AppError::UnknownClient(client.into()))?;
-        let servers = self.active_servers(group);
-        if servers.is_empty() {
-            return Err(AppError::UnknownGroup(format!(
-                "{group} has no active servers"
-            )));
+        let client_host = self.clients[self.client_id(client)?.ix()].host;
+        let known = self.group_id(group).ok();
+        known
+            .and_then(|id| self.flow_to(client_host, id))
+            .ok_or_else(|| AppError::UnknownGroup(format!("{group} has no active servers")))
+    }
+
+    /// The best available bandwidth from any live active server of `group`
+    /// (probed in name order) to a client machine; `None` without one.
+    fn flow_to(&self, client_host: NodeId, group: GroupId) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        for server in self.servers.iter().filter(|s| s.serves(group)) {
+            let bw = self.network.available_bandwidth(server.host, client_host);
+            best = Some(best.unwrap_or(0.0).max(bw.unwrap_or(0.0)));
         }
-        let mut best: f64 = 0.0;
-        for server in servers {
-            let host = self.servers[&server].host;
-            let bw = self
-                .network
-                .available_bandwidth(host, client_state.host)
-                .unwrap_or(0.0);
-            best = best.max(bw);
-        }
-        Ok(best)
+        best
     }
 
     // ---- simulation driving --------------------------------------------------
@@ -1110,23 +1089,14 @@ impl GridApp {
     /// Answered from the due-time indices in `O(log n)` instead of scanning
     /// every client and server.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            next = Some(match next {
-                None => t,
-                Some(existing) => existing.min(t),
-            });
-        };
-        if let Some(t) = self.request_due.min_time() {
-            consider(t);
-        }
-        if let Some(t) = self.service_due.min_time() {
-            consider(t);
-        }
-        if let Some(t) = self.network.next_event_time(self.now) {
-            consider(t);
-        }
-        next
+        [
+            self.request_due.min_time(),
+            self.service_due.min_time(),
+            self.network.next_event_time(self.now),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Advances the application to `now`, processing every internal event in
@@ -1135,112 +1105,79 @@ impl GridApp {
         if now <= self.now {
             return;
         }
-        loop {
-            let next = self.next_event_time();
-            match next {
-                Some(t) if t <= now => {
-                    self.process_due(t);
-                }
-                _ => break,
-            }
+        while let Some(t) = self.next_event_time().filter(|&t| t <= now) {
+            self.process_due(t);
         }
         self.now = now;
     }
 
     fn process_due(&mut self, t: SimTime) {
         self.now = self.now.max(t);
+        let mut due = std::mem::take(&mut self.due_scratch);
 
-        // 1. Clients whose next request is due (name order among ties,
-        // matching the previous full scan of the name-ordered map).
-        self.due_scratch.clear();
-        self.request_due.collect_due(t, &mut self.due_scratch);
-        let mut due_clients: Vec<String> = self
-            .due_scratch
-            .iter()
-            .map(|&(_, idx)| self.client_seq[idx as usize].clone())
-            .collect();
-        due_clients.sort();
-        for client in due_clients {
-            self.issue_request(&client, t);
+        // 1. Clients whose next request is due, in name (= id) order.
+        due.clear();
+        self.request_due.collect_due(t, &mut due);
+        due.sort_unstable_by_key(|&(_, client)| client);
+        for &(_, client) in &due {
+            self.issue_request(ClientId(client), t);
         }
 
         // 2. Network transfers that have completed by now.
-        let completions = self.network.poll_completions(t);
-        for done in completions {
+        let mut delivered = std::mem::take(&mut self.delivered_scratch);
+        self.network.poll_completions_into(t, &mut delivered);
+        for done in delivered.drain(..) {
             self.handle_transfer_complete(done.tag, done.delivered);
         }
+        self.delivered_scratch = delivered;
 
-        // 3. Servers whose service completes (again in name order).
-        self.due_scratch.clear();
-        self.service_due.collect_due(t, &mut self.due_scratch);
-        let mut finished: Vec<(String, u64, SimTime)> = self
-            .due_scratch
-            .iter()
-            .map(|&(finish, idx)| {
-                let name = self.server_seq[idx as usize].clone();
-                let (req, _) = self.servers[&name].busy.expect("index mirrors busy");
-                (name, req, finish)
-            })
-            .collect();
-        finished.sort();
-        for (server, request, finish) in finished {
-            self.finish_service(&server, request, finish);
+        // 3. Servers whose service completes, again in name (= id) order.
+        due.clear();
+        self.service_due.collect_due(t, &mut due);
+        due.sort_unstable_by_key(|&(_, server)| server);
+        for &(finish, server) in &due {
+            self.finish_service(ServerId(server), finish);
         }
+        self.due_scratch = due;
     }
 
-    fn issue_request(&mut self, client_name: &str, t: SimTime) {
-        let config_request_bytes = self.config.request_bytes;
+    fn issue_request(&mut self, id: ClientId, t: SimTime) {
         let jitter = self.config.response_size_jitter;
-        let client_idx = self.client_idx[client_name];
-        let (host, group, response_bytes, old_due, new_due, rate_positive) = {
-            let rng = self.rng.get_mut(client_name).expect("client rng exists");
-            let client = self.clients.get_mut(client_name).expect("client exists");
-            let response_bytes = if jitter > 0.0 {
-                rng.normal_clamped(
-                    client.response_bytes,
-                    client.response_bytes * jitter,
-                    client.response_bytes * 0.25,
-                )
-            } else {
-                client.response_bytes
-            };
-            let interval = rng.exponential(client.rate_per_sec.max(1e-9));
-            client.issued += 1;
-            let old_due = client.next_request_at;
-            client.next_request_at = t + SimDuration::from_secs(interval);
-            (
-                client.host,
-                client.group.clone(),
-                response_bytes,
-                old_due,
-                client.next_request_at,
-                client.rate_per_sec > 0.0,
+        let client = &mut self.clients[id.ix()];
+        let response_bytes = if jitter > 0.0 {
+            client.rng.normal_clamped(
+                client.response_bytes,
+                client.response_bytes * jitter,
+                client.response_bytes * 0.25,
             )
+        } else {
+            client.response_bytes
         };
-        self.request_due.remove(old_due, client_idx);
-        if rate_positive {
-            self.request_due.insert(new_due, client_idx);
+        let interval = client.rng.exponential(client.rate_per_sec.max(1e-9));
+        self.request_due.remove(client.next_request_at, id.0);
+        client.next_request_at = t + SimDuration::from_secs(interval);
+        if client.rate_per_sec > 0.0 {
+            self.request_due.insert(client.next_request_at, id.0);
         }
-        let id = self.next_request_id;
+        let request = self.next_request_id;
         self.next_request_id += 1;
-        let transfer = self
-            .network
+        self.network
             .start_transfer(
                 t,
-                host,
+                client.host,
                 self.testbed.host_request_queue,
-                config_request_bytes,
-                id,
+                self.config.request_bytes,
+                request,
             )
             .expect("request transfer starts");
         self.requests.insert(
-            id,
+            request,
             RequestState {
-                client: client_name.to_string(),
-                group,
+                client: id,
+                group: client.group,
                 issued_at: t,
                 response_bytes,
-                phase: RequestPhase::ToQueue(transfer),
+                phase: RequestPhase::ToQueue,
             },
         );
     }
@@ -1249,54 +1186,39 @@ impl GridApp {
         let Some(request) = self.requests.get_mut(&request_id) else {
             return;
         };
-        match request.phase.clone() {
-            RequestPhase::ToQueue(_) => {
+        match request.phase {
+            RequestPhase::ToQueue => {
                 // The request has reached the request-queue machine; it is
                 // split into the queue of the client's *current* server group.
-                let group = self
-                    .clients
-                    .get(&request.client)
-                    .map(|c| c.group.clone())
-                    .unwrap_or_else(|| request.group.clone());
-                request.group = group.clone();
+                let group = self.clients[request.client.ix()].group;
+                request.group = group;
                 request.phase = RequestPhase::Queued;
-                self.groups
-                    .entry(group.clone())
-                    .or_default()
-                    .queue
-                    .push_back(request_id);
-                self.dispatch_group(&group, delivered);
+                self.groups[group.ix()].queue.push_back(request_id);
+                self.dispatch_group(group, delivered);
             }
-            RequestPhase::ResponseInFlight(_) => {
+            RequestPhase::ResponseInFlight { server, .. } => {
                 let request = self.requests.remove(&request_id).expect("request exists");
                 let latency = delivered.since(request.issued_at).as_secs();
-                if let Some(client) = self.clients.get_mut(&request.client) {
-                    client.completed += 1;
-                }
                 // The reply has been delivered: the transmitting server is
                 // free again and can pull the next queued request.
-                let freed: Option<(String, Option<String>)> =
-                    self.sending_index.remove(&request_id).map(|name| {
-                        let s = self.servers.get_mut(&name).expect("indexed server exists");
-                        s.sending = None;
-                        let group = s.group.clone();
-                        (name, group)
-                    });
-                if let Some((name, group)) = freed {
-                    self.refresh_idle(&name);
-                    if let Some(group) = group {
-                        self.dispatch_group(&group, delivered);
-                    }
+                let state = &mut self.servers[server.ix()];
+                state.sending = None;
+                let serving = state.group;
+                self.refresh_idle(server);
+                if let Some(group) = serving {
+                    self.dispatch_group(group, delivered);
                 }
+                let client = &self.client_names[request.client.ix()];
+                let group = &self.group_names[request.group.ix()];
                 self.metrics
-                    .record_latency(delivered.as_secs(), &request.client, latency);
+                    .record_latency(delivered.as_secs(), client, latency);
                 if self.sink.enabled() {
                     self.sink.append(
                         tracestore::TraceEvent::new(
                             delivered.as_secs(),
                             tracestore::EventKind::Transfer,
-                            request.client.clone(),
-                            request.group.clone(),
+                            client.clone(),
+                            group.clone(),
                         )
                         .with_value(latency)
                         .with_correlation(request_id),
@@ -1304,8 +1226,8 @@ impl GridApp {
                 }
                 self.completions.push(CompletedRequest {
                     time: delivered,
-                    client: request.client,
-                    group: request.group,
+                    client: client.clone(),
+                    group: group.clone(),
                     latency_secs: latency,
                 });
             }
@@ -1315,70 +1237,47 @@ impl GridApp {
         }
     }
 
-    fn dispatch_group(&mut self, group: &str, now: SimTime) {
+    /// Hands queued requests of `group` to its idle servers, first by name
+    /// first, until one of the two runs out.
+    fn dispatch_group(&mut self, group: GroupId, now: SimTime) {
+        let finish = now + SimDuration::from_secs(self.config.service_time_secs);
         loop {
-            let Some(group_state) = self.groups.get(group) else {
-                return;
-            };
-            if group_state.queue.is_empty() {
+            let state = &mut self.groups[group.ix()];
+            if state.queue.is_empty() {
                 return;
             }
-            // First idle server of the group in name order — the same server
-            // the previous full scan over the name-ordered map selected.
-            let Some(server_name) = self.idle.get(group).and_then(|set| set.first().cloned())
-            else {
+            let Some(server) = state.idle.pop_first() else {
                 return;
             };
-            let request_id = self
-                .groups
-                .get_mut(group)
-                .expect("group exists")
-                .queue
-                .pop_front()
-                .expect("queue non-empty");
-            let finish = now + SimDuration::from_secs(self.config.service_time_secs);
+            let request_id = state.queue.pop_front().expect("queue non-empty");
             if let Some(request) = self.requests.get_mut(&request_id) {
                 request.phase = RequestPhase::InService;
             }
-            let server = self.servers.get_mut(&server_name).expect("server exists");
-            server.busy = Some((request_id, finish));
-            self.service_due
-                .insert(finish, self.server_idx[&server_name]);
-            self.refresh_idle(&server_name);
+            self.servers[server.ix()].busy = Some((request_id, finish));
+            self.service_due.insert(finish, server.0);
         }
     }
 
-    fn finish_service(&mut self, server_name: &str, request_id: u64, finish: SimTime) {
-        let host = {
-            let server = self.servers.get_mut(server_name).expect("server exists");
-            server.busy = None;
-            // The server now transmits the reply; it stays occupied until the
-            // last byte reaches the client.
-            server.sending = Some((request_id, finish));
-            server.served += 1;
-            server.host
-        };
-        self.service_due
-            .remove(finish, self.server_idx[server_name]);
-        self.sending_index
-            .insert(request_id, server_name.to_string());
+    fn finish_service(&mut self, server: ServerId, finish: SimTime) {
+        let state = &mut self.servers[server.ix()];
+        let (request_id, _) = state.busy.take().expect("index mirrors busy");
+        // The server now transmits the reply; it stays occupied until the
+        // last byte reaches the client.
+        state.sending = Some((request_id, finish));
+        state.served += 1;
+        self.service_due.remove(finish, server.0);
         if let Some(request) = self.requests.get_mut(&request_id) {
-            let client_host = self
-                .clients
-                .get(&request.client)
-                .map(|c| c.host)
-                .unwrap_or(host);
             let transfer = self
                 .network
                 .start_transfer(
                     finish,
-                    host,
-                    client_host,
+                    state.host,
+                    self.clients[request.client.ix()].host,
                     request.response_bytes,
                     request_id,
                 )
                 .expect("response transfer starts");
-            request.phase = RequestPhase::ResponseInFlight(transfer);
+            request.phase = RequestPhase::ResponseInFlight { transfer, server };
         }
     }
 
@@ -1392,10 +1291,10 @@ impl GridApp {
     /// memoised per `(client machine, group)` pair — clients sharing a
     /// machine and a group see the same prediction by definition.
     pub fn flow_snapshot(&self) -> FlowSnapshot {
-        let mut memo: HashMap<(NodeId, String), Option<f64>> = HashMap::new();
+        let mut memo: HashMap<(NodeId, GroupId), Option<f64>> = HashMap::new();
         let mut entries = Vec::with_capacity(self.clients.len());
-        for (name, client) in &self.clients {
-            let key = (client.host, client.group.clone());
+        for (name, client) in self.client_names.iter().zip(&self.clients) {
+            let key = (client.host, client.group);
             let flow = match memo.get(&key) {
                 Some(&cached) => {
                     self.flow_memo_hits.set(self.flow_memo_hits.get() + 1);
@@ -1403,12 +1302,13 @@ impl GridApp {
                 }
                 None => {
                     self.flow_memo_misses.set(self.flow_memo_misses.get() + 1);
-                    let value = self.remos_get_flow(name, &client.group).ok();
+                    let value = self.flow_to(client.host, client.group);
                     memo.insert(key, value);
                     value
                 }
             };
-            entries.push((name.clone(), client.group.clone(), flow));
+            let group = self.group_names[client.group.ix()].clone();
+            entries.push((name.clone(), group, flow));
         }
         FlowSnapshot { entries }
     }
@@ -1427,10 +1327,10 @@ impl GridApp {
     pub fn sample_metrics_with_flows(&mut self, now: SimTime, flows: &FlowSnapshot) {
         self.advance(now);
         let t = now.as_secs();
-        let groups: Vec<String> = self.groups.keys().cloned().collect();
-        for group in groups {
-            let len = self.queue_length(&group).unwrap_or(0);
-            self.metrics.record_queue_length(t, &group, len);
+        for &group in &self.group_order {
+            let queued = self.groups[group.ix()].queue.len();
+            let name = &self.group_names[group.ix()];
+            self.metrics.record_queue_length(t, name, queued);
         }
         for (client, _, flow) in flows.entries() {
             if let Some(bw) = flow {
@@ -1938,6 +1838,20 @@ mod tests {
         app.deactivate_server("S1").unwrap();
         app.disconnect_server("S1").unwrap();
         assert_eq!(app.active_servers(SERVER_GROUP_1), vec!["S2", "S3"]);
+        // Connecting an unknown server fails without creating the queue it
+        // named: no phantom group to sample, probe or plan against.
+        assert_eq!(
+            app.connect_server("S9", "ServerGrp3"),
+            Err(AppError::UnknownServer("S9".into()))
+        );
+        assert_eq!(app.group_names(), vec![SERVER_GROUP_1, SERVER_GROUP_2]);
+        assert!(app.queue_length("ServerGrp3").is_err());
+        // A known server still brings a new queue into being.
+        app.connect_server("S1", "ServerGrp3").unwrap();
+        assert_eq!(
+            app.group_names(),
+            vec![SERVER_GROUP_1, SERVER_GROUP_2, "ServerGrp3"]
+        );
     }
 
     #[test]

@@ -33,6 +33,9 @@ pub struct DueQueue {
     /// Bucket index of `buckets[0]`.
     base: u64,
     buckets: VecDeque<Vec<(SimTime, u32)>>,
+    /// Emptied buckets retired from the front, reused at the back: the
+    /// calendar slides forward without allocating a bucket per quantum.
+    spare: Vec<Vec<(SimTime, u32)>>,
     len: usize,
     /// Cached lexicographic minimum entry, maintained across mutations.
     min: Option<(SimTime, u32)>,
@@ -103,16 +106,17 @@ impl DueQueue {
         let b = bucket_of(due);
         if self.buckets.is_empty() {
             self.base = b;
-            self.buckets.push_back(Vec::new());
+            self.buckets.push_back(self.spare.pop().unwrap_or_default());
         } else if b < self.base {
             for _ in b..self.base {
-                self.buckets.push_front(Vec::new());
+                self.buckets
+                    .push_front(self.spare.pop().unwrap_or_default());
             }
             self.base = b;
         } else {
             let offset = b - self.base;
             while self.buckets.len() as u64 <= offset {
-                self.buckets.push_back(Vec::new());
+                self.buckets.push_back(self.spare.pop().unwrap_or_default());
             }
         }
         self.buckets[(b - self.base) as usize].push((due, index));
@@ -188,15 +192,12 @@ impl DueQueue {
     fn recompute_min(&mut self) {
         if self.len == 0 {
             self.min = None;
+            self.spare.extend(self.buckets.drain(..));
             return;
         }
-        while let Some(front) = self.buckets.front() {
-            if front.is_empty() {
-                self.buckets.pop_front();
-                self.base += 1;
-            } else {
-                break;
-            }
+        while self.buckets.front().is_some_and(Vec::is_empty) {
+            self.spare.extend(self.buckets.pop_front());
+            self.base += 1;
         }
         self.min = self
             .buckets

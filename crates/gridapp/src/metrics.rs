@@ -18,6 +18,18 @@ pub struct Metrics {
     bandwidth: BTreeMap<String, TimeSeries>,
 }
 
+/// Appends a point to `subject`'s series. The key is only copied the first
+/// time a subject is seen: this runs once per completed request.
+fn record(series: &mut BTreeMap<String, TimeSeries>, subject: &str, time_secs: f64, value: f64) {
+    match series.get_mut(subject) {
+        Some(points) => points.record(time_secs, value),
+        None => series
+            .entry(subject.to_string())
+            .or_default()
+            .record(time_secs, value),
+    }
+}
+
 impl Metrics {
     /// Creates an empty metrics store.
     pub fn new() -> Self {
@@ -26,26 +38,17 @@ impl Metrics {
 
     /// Records one completed request's latency for a client.
     pub fn record_latency(&mut self, time_secs: f64, client: &str, latency_secs: f64) {
-        self.latency
-            .entry(client.to_string())
-            .or_default()
-            .record(time_secs, latency_secs);
+        record(&mut self.latency, client, time_secs, latency_secs);
     }
 
     /// Records a server group's queue length.
     pub fn record_queue_length(&mut self, time_secs: f64, group: &str, length: usize) {
-        self.queue
-            .entry(group.to_string())
-            .or_default()
-            .record(time_secs, length as f64);
+        record(&mut self.queue, group, time_secs, length as f64);
     }
 
     /// Records a client's available bandwidth (bits/second).
     pub fn record_bandwidth(&mut self, time_secs: f64, client: &str, bps: f64) {
-        self.bandwidth
-            .entry(client.to_string())
-            .or_default()
-            .record(time_secs, bps);
+        record(&mut self.bandwidth, client, time_secs, bps);
     }
 
     /// The latency series of a client (Figures 8/11).

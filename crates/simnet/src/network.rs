@@ -58,9 +58,9 @@ struct ActiveTransfer {
     dst: NodeId,
     size_bits: f64,
     remaining_bits: f64,
-    path: Vec<LinkId>,
-    /// The path translated to allocator resources (direction-aware when a
-    /// one-way degrade is in force; plain link indices otherwise).
+    /// The path as allocator resources (direction-aware when a one-way
+    /// degrade is in force; plain link indices otherwise). It is the only
+    /// copy of the path: resource `r` crosses link `r % n_links`.
     resources: Vec<ResourceId>,
     rate_bps: f64,
     started: SimTime,
@@ -230,6 +230,9 @@ impl AggState {
 pub struct Network {
     topology: Topology,
     active: BTreeMap<TransferId, ActiveTransfer>,
+    /// Emptied resource vectors of retired transfers, handed to new ones so
+    /// steady-state transfer churn allocates nothing.
+    resource_pool: Vec<Vec<ResourceId>>,
     pending: Vec<PendingDelivery>,
     background: HashMap<(NodeId, NodeId), f64>,
     next_id: u64,
@@ -287,6 +290,7 @@ impl Network {
         let mut network = Network {
             topology,
             active: BTreeMap::new(),
+            resource_pool: Vec::new(),
             pending: Vec::new(),
             background: HashMap::new(),
             next_id: 0,
@@ -336,9 +340,16 @@ impl Network {
         tag: u64,
     ) -> Result<TransferId, NetError> {
         self.advance(now);
-        let path = self.paths.borrow_mut().path(&self.topology, src, dst)?;
-        let extra_latency = self.topology.path_latency(&path);
-        let resources = self.resources_for(&path, src);
+        let mut resources = self.resource_pool.pop().unwrap_or_default();
+        let extra_latency = {
+            let mut links = self.link_scratch.borrow_mut();
+            links.clear();
+            self.paths
+                .borrow_mut()
+                .path_into(&self.topology, src, dst, &mut links)?;
+            self.resources_into(&links, src, &mut resources);
+            self.topology.path_latency(&links)
+        };
         let id = TransferId(self.next_id);
         self.next_id += 1;
         self.active.insert(
@@ -349,7 +360,6 @@ impl Network {
                 dst,
                 size_bits: size_bytes * 8.0,
                 remaining_bits: (size_bytes * 8.0).max(1.0),
-                path,
                 resources,
                 rate_bps: 0.0,
                 started: now,
@@ -361,16 +371,20 @@ impl Network {
         Ok(id)
     }
 
-    /// Translates a link path into allocator resources. Without one-way
+    /// Takes a transfer out of the active set, keeping its (emptied)
+    /// resource vector for the next transfer to reuse.
+    fn retire(&mut self, id: TransferId) -> Option<ActiveTransfer> {
+        let mut done = self.active.remove(&id)?;
+        let mut resources = std::mem::take(&mut done.resources);
+        resources.clear();
+        self.resource_pool.push(resources);
+        Some(done)
+    }
+
+    /// Appends a link path's allocator resources to `out`. Without one-way
     /// degrades this is the identity mapping onto link indices; with them,
     /// links traversed in a degraded direction map onto the link's
     /// direction-specific resource (`n_links + link`).
-    fn resources_for(&self, path: &[LinkId], src: NodeId) -> Vec<ResourceId> {
-        let mut out = Vec::with_capacity(path.len());
-        self.resources_into(path, src, &mut out);
-        out
-    }
-
     fn resources_into(&self, path: &[LinkId], src: NodeId, out: &mut Vec<ResourceId>) {
         if self.oneway.is_empty() {
             out.extend(path.iter().map(|l| l.0 as ResourceId));
@@ -395,7 +409,7 @@ impl Network {
     /// active.
     pub fn cancel_transfer(&mut self, now: SimTime, id: TransferId) -> Result<bool, NetError> {
         self.advance(now);
-        let removed = self.active.remove(&id).is_some();
+        let removed = self.retire(id).is_some();
         if removed {
             self.recompute_rates();
         }
@@ -518,18 +532,19 @@ impl Network {
             if let Some(&node) = self.agg.classed_by_link.get(&link) {
                 self.agg.split(node);
             }
-            // Resource ids of in-flight transfers depend on the one-way map.
-            let ids: Vec<TransferId> = self.active.keys().copied().collect();
-            for id in ids {
-                let (path, src) = {
-                    let t = &self.active[&id];
-                    (t.path.clone(), t.src)
-                };
-                let resources = self.resources_for(&path, src);
-                if let Some(t) = self.active.get_mut(&id) {
-                    t.resources = resources;
-                }
+            // Resource ids of in-flight transfers depend on the one-way map:
+            // recover each path from the old ids and translate it again.
+            let mut active = std::mem::take(&mut self.active);
+            let mut links = std::mem::take(self.link_scratch.get_mut());
+            for t in active.values_mut() {
+                links.clear();
+                let crossed = t.resources.iter().map(|&r| r as usize % self.n_links);
+                links.extend(crossed.map(LinkId));
+                t.resources.clear();
+                self.resources_into(&links, t.src, &mut t.resources);
             }
+            *self.link_scratch.get_mut() = links;
+            self.active = active;
             self.caps_dirty = true;
             self.recompute_rates();
         }
@@ -695,7 +710,7 @@ impl Network {
                         t.remaining_bits = (t.remaining_bits - t.rate_bps * dt).max(0.0);
                     }
                     current = drain_at;
-                    if let Some(done) = self.active.remove(&id) {
+                    if let Some(done) = self.retire(id) {
                         let deliver_at = drain_at + done.extra_latency;
                         self.pending.push(PendingDelivery {
                             completed: CompletedTransfer {
@@ -741,33 +756,24 @@ impl Network {
         }
         self.probe_memo.get_mut().clear();
         self.demands.clear();
-        if !self.agg.enabled() {
+        let aggregated = self.agg.enabled();
+        if aggregated {
+            self.build_aggregated_demands();
+        } else {
             for t in self.active.values() {
                 self.demands.push(1.0, &t.resources);
             }
-            let rates = self.rates_scratch.get_mut();
-            self.alloc
-                .get_mut()
-                .solve(&self.caps, &self.demands, None, rates);
-            let mut drain_min_pos: Option<f64> = None;
-            for (t, &rate) in self.active.values_mut().zip(rates.iter()) {
-                t.rate_bps = rate;
-                if rate > 0.0 {
-                    let secs = (t.remaining_bits / rate).min(1.0e12);
-                    drain_min_pos = Some(drain_min_pos.map_or(secs, |m: f64| m.min(secs)));
-                }
-            }
-            self.drain_min_pos_secs = drain_min_pos;
-            return;
         }
-        self.build_aggregated_demands();
         let rates = self.rates_scratch.get_mut();
         self.alloc
             .get_mut()
             .solve(&self.caps, &self.demands, None, rates);
+        // Plain rows come back in id order; aggregation records where each
+        // transfer's rate landed.
+        let member_of = &self.agg.member_of;
         let mut drain_min_pos: Option<f64> = None;
-        for (t, &mi) in self.active.values_mut().zip(self.agg.member_of.iter()) {
-            let rate = rates[mi as usize];
+        for (k, t) in self.active.values_mut().enumerate() {
+            let rate = rates[if aggregated { member_of[k] as usize } else { k }];
             t.rate_bps = rate;
             if rate > 0.0 {
                 let secs = (t.remaining_bits / rate).min(1.0e12);
@@ -906,28 +912,32 @@ impl Network {
         let drain = self
             .drain_min_pos_secs
             .map(|secs| now + SimDuration::from_secs(secs));
-        let deliver = self.pending.iter().map(|p| p.deliver_at).min();
-        match (drain, deliver) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
+        let deliveries = self.pending.iter().map(|p| p.deliver_at);
+        deliveries.chain(drain).min()
     }
 
     /// Returns transfers whose last byte has arrived by `now` (advancing the
-    /// fluid model first).
+    /// fluid model first), in `(delivered, id)` order.
     pub fn poll_completions(&mut self, now: SimTime) -> Vec<CompletedTransfer> {
-        self.advance(now);
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
-        let (ready, waiting): (Vec<_>, Vec<_>) =
-            self.pending.drain(..).partition(|p| p.deliver_at <= now);
-        self.pending = waiting;
-        let mut done: Vec<CompletedTransfer> = ready.into_iter().map(|p| p.completed).collect();
-        done.sort_by(|a, b| a.delivered.cmp(&b.delivered).then(a.id.cmp(&b.id)));
+        let mut done = Vec::new();
+        self.poll_completions_into(now, &mut done);
         done
+    }
+
+    /// [`poll_completions`](Self::poll_completions) appending to a buffer
+    /// the caller reuses: ready deliveries are drained in place, so a poll
+    /// allocates nothing (and one that finds nothing due touches nothing).
+    pub fn poll_completions_into(&mut self, now: SimTime, out: &mut Vec<CompletedTransfer>) {
+        self.advance(now);
+        let start = out.len();
+        self.pending.retain(|p| {
+            let ready = p.deliver_at <= now;
+            if ready {
+                out.push(p.completed.clone());
+            }
+            !ready
+        });
+        out[start..].sort_by(|a, b| a.delivered.cmp(&b.delivered).then(a.id.cmp(&b.id)));
     }
 
     /// Predicted bandwidth (bits/second) a *new* flow between `src` and `dst`
@@ -1445,5 +1455,124 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert!(done[0].delivered <= done[1].delivered);
         assert_eq!(done[0].tag, 1);
+    }
+
+    /// A chain of four routers with two hosts on each end router and one in
+    /// the middle, so paths run from two to five links.
+    fn chain_net() -> (Network, Vec<NodeId>) {
+        let mut topo = Topology::new();
+        let routers: Vec<NodeId> = (0..4)
+            .map(|i| topo.add_router(&format!("r{i}")).unwrap())
+            .collect();
+        for pair in routers.windows(2) {
+            topo.add_link(pair[0], pair[1], 8e6, ms(2.0)).unwrap();
+        }
+        let mut hosts = Vec::new();
+        for (i, &r) in [0, 0, 2, 3, 3].iter().enumerate() {
+            let h = topo.add_host(&format!("h{i}")).unwrap();
+            topo.add_link(h, routers[r], 10e6, ms(1.0)).unwrap();
+            hosts.push(h);
+        }
+        (Network::new(topo), hosts)
+    }
+
+    /// Replays one seeded interleaving of `start_transfer`, `cancel_transfer`,
+    /// `set_link_oneway` and `poll_completions` on a fresh network and on a
+    /// *used* one, whose pool already holds resource vectors that carried
+    /// other (longer) paths, and requires every observation to agree. Ids are
+    /// compared modulo the used network's head start.
+    fn recycled_network_matches_a_fresh_one(seed: u64, steps: usize) {
+        let (mut fresh, hosts) = chain_net();
+        let (mut used, _) = chain_net();
+        for _ in 0..3 {
+            let ids: Vec<TransferId> = [(0, 4), (1, 3), (3, 0), (4, 2)]
+                .iter()
+                .map(|&(a, b)| {
+                    used.start_transfer(t(0.0), hosts[a], hosts[b], 1e5, 0)
+                        .unwrap()
+                })
+                .collect();
+            for id in ids {
+                assert!(used.cancel_transfer(t(0.0), id).unwrap());
+            }
+        }
+        assert_eq!(used.resource_pool.len(), 4);
+        assert!(used.resource_pool.iter().all(|r| r.is_empty()));
+        assert!(used.resource_pool.iter().any(|r| r.capacity() >= 5));
+        let offset = used.next_id;
+        let links: Vec<(LinkId, NodeId, NodeId)> = fresh
+            .topology()
+            .links()
+            .map(|(id, l)| (id, l.a, l.b))
+            .collect();
+
+        let mut rng = crate::rng::SimRng::seed_from_u64(seed);
+        let mut now = 0.0;
+        let mut started = 0u64;
+        for step in 0..steps {
+            now += rng.uniform_range(0.0, 0.4);
+            match rng.index(6) {
+                0..=2 => {
+                    let src = hosts[rng.index(hosts.len())];
+                    let dst = hosts[rng.index(hosts.len())];
+                    let bytes = rng.uniform_range(1e3, 4e5);
+                    let a = fresh.start_transfer(t(now), src, dst, bytes, started);
+                    let b = used.start_transfer(t(now), src, dst, bytes, started);
+                    assert_eq!(a.unwrap().0 + offset, b.unwrap().0, "step {step}");
+                    started += 1;
+                }
+                3 if started > 0 => {
+                    let id = rng.index(started as usize) as u64;
+                    assert_eq!(
+                        fresh.cancel_transfer(t(now), TransferId(id)),
+                        used.cancel_transfer(t(now), TransferId(id + offset)),
+                        "step {step}"
+                    );
+                }
+                4 => {
+                    let (link, a, b) = links[rng.index(links.len())];
+                    let from = if rng.chance(0.5) { a } else { b };
+                    // A third of the calls lift the cap again.
+                    let cap = [5e5, 2e6, 1e9][rng.index(3)];
+                    fresh.set_link_oneway(t(now), link, from, cap).unwrap();
+                    used.set_link_oneway(t(now), link, from, cap).unwrap();
+                }
+                _ => {}
+            }
+            let done = fresh.poll_completions(t(now));
+            let mut also_done = used.poll_completions(t(now));
+            for c in &mut also_done {
+                c.id.0 -= offset;
+            }
+            assert_eq!(done, also_done, "step {step}");
+            assert!(
+                done.windows(2)
+                    .all(|w| (w[0].delivered, w[0].id) < (w[1].delivered, w[1].id)),
+                "step {step}: {done:?}"
+            );
+            assert_eq!(
+                fresh.next_event_time(t(now)),
+                used.next_event_time(t(now)),
+                "step {step}"
+            );
+            for id in 0..started {
+                assert_eq!(
+                    fresh.transfer_rate(TransferId(id)),
+                    used.transfer_rate(TransferId(id + offset)),
+                    "step {step} transfer {id}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A resource vector handed on from a retired transfer never carries
+        /// that transfer's entries into the next one.
+        #[test]
+        fn recycling_resource_vectors_is_invisible(seed in 0u64..u64::MAX, steps in 10usize..120) {
+            recycled_network_matches_a_fresh_one(seed, steps);
+        }
     }
 }
