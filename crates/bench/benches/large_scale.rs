@@ -102,8 +102,9 @@ fn assert_aggregate_equivalence() {
             t += 10.0;
             app.sample_metrics(SimTime::from_secs(t));
             peak_rows = peak_rows.max(app.aggregation_stats().rows);
-            for completion in app.take_completions() {
-                out.push((completion.client, completion.latency_secs.to_bits()));
+            for completion in app.drain_completions() {
+                let client = completion.client.to_string();
+                out.push((client, completion.latency_secs.to_bits()));
             }
             for group in app.group_names() {
                 out.push((

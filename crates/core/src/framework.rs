@@ -463,10 +463,12 @@ impl AdaptationFramework {
     /// is harmless for the property (latency falling, bandwidth recovering)
     /// are counted by the bank but not recorded — an advisory always names
     /// the invariant it predicts.
-    fn observe_gauge_stream(&mut self, t: SimTime, readings: &[monitoring::GaugeReading]) {
-        let Some(state) = self.detector.as_mut() else {
-            return;
-        };
+    fn observe_gauge_stream(
+        state: &mut DetectorState,
+        observer: &mut Observer,
+        t: SimTime,
+        readings: &[monitoring::GaugeReading],
+    ) {
         state.scratch.clear();
         for reading in readings {
             state.bank.observe(
@@ -484,8 +486,7 @@ impl AdaptationFramework {
             if alarm.direction != harmful {
                 continue;
             }
-            self.observer
-                .record(t, Occurrence::Advisory(alarm, predicts));
+            observer.record(t, Occurrence::Advisory(alarm, predicts));
         }
     }
 
@@ -552,9 +553,9 @@ impl AdaptationFramework {
             // 3. The tick's readings update the model in one batch (same
             // order, one target resolution per run of consecutive
             // same-target readings).
-            self.observer.record(t, Occurrence::GaugeBatch(&readings));
+            self.observer.record(t, Occurrence::GaugeBatch(readings));
             let mut updater = ModelUpdater::new(&mut self.model);
-            updater.apply_batch(&readings);
+            updater.apply_batch(readings);
             self.observer.noop_suppressed += updater.suppressed;
             readings
         };
@@ -563,9 +564,9 @@ impl AdaptationFramework {
         // included — an advisory stream with no adaptation is exactly the
         // baseline the lead-time reports compare against). Advisories are
         // observe-and-report: nothing here feeds back into planning.
-        if self.detector.is_some() {
+        if let Some(state) = self.detector.as_mut() {
             let _span = self.observer.span("phase.detect");
-            self.observe_gauge_stream(t, &readings);
+            Self::observe_gauge_stream(state, &mut self.observer, t, readings);
         }
         if self.observer.metric_snapshot_due(t) {
             self.publish_metrics();

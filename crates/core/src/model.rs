@@ -9,7 +9,7 @@ use crate::task::PerformanceProfile;
 use archmodel::style::{props, ClientServerStyle};
 use archmodel::{ModelError, System, Value};
 use gridapp::GridApp;
-use monitoring::{GaugeConsumer, GaugeReading};
+use monitoring::GaugeReading;
 use std::collections::HashMap;
 
 /// Builds the architectural model describing the application's current
@@ -135,14 +135,14 @@ impl<'a> ModelUpdater<'a> {
                     .update_role_property(id, reading.property, Value::Float(reading.value))
             }
             Resolved::Unmatched => {
-                self.unmatched.push(reading.clone());
+                self.unmatched.push(*reading);
                 return;
             }
         };
         match written {
             Ok(true) => {}
             Ok(false) => self.suppressed += 1,
-            Err(_) => self.unmatched.push(reading.clone()),
+            Err(_) => self.unmatched.push(*reading),
         }
     }
 
@@ -161,13 +161,6 @@ impl<'a> ModelUpdater<'a> {
             };
             self.apply_resolved(resolved, reading);
         }
-    }
-}
-
-impl GaugeConsumer for ModelUpdater<'_> {
-    fn consume(&mut self, reading: &GaugeReading) {
-        let resolved = self.resolve(reading.target);
-        self.apply_resolved(resolved, reading);
     }
 }
 
@@ -241,30 +234,25 @@ mod tests {
         let readings = vec![
             GaugeReading {
                 time: 10.0,
-                gauge: "latency-gauge/User3".into(),
                 target: "User3".into(),
                 property: "averageLatency".into(),
                 value: 4.5,
             },
             GaugeReading {
                 time: 10.0,
-                gauge: "load-gauge/ServerGrp1".into(),
                 target: "ServerGrp1".into(),
                 property: "load".into(),
                 value: 9.0,
             },
             GaugeReading {
                 time: 10.0,
-                gauge: "bandwidth-gauge/User3/ServerGrp1".into(),
                 target: "User3.role".into(),
                 property: "bandwidth".into(),
                 value: 5_000.0,
             },
         ];
         let mut updater = ModelUpdater::new(&mut model);
-        for r in &readings {
-            updater.consume(r);
-        }
+        updater.apply_batch(&readings);
         assert!(updater.unmatched.is_empty());
         let user3 = model.component_by_name("User3").unwrap();
         assert_eq!(
@@ -295,13 +283,12 @@ mod tests {
     fn unknown_targets_are_collected_not_dropped_silently() {
         let (mut model, _) = setup();
         let mut updater = ModelUpdater::new(&mut model);
-        updater.consume(&GaugeReading {
+        updater.apply_batch(&[GaugeReading {
             time: 1.0,
-            gauge: "g".into(),
             target: "Nobody".into(),
             property: "averageLatency".into(),
             value: 1.0,
-        });
+        }]);
         assert_eq!(updater.unmatched.len(), 1);
     }
 }

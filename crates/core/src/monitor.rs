@@ -20,7 +20,7 @@ use gridapp::{
 use monitoring::gauge::{gauge_subject, load_gauge_group, server_gauge_name};
 use monitoring::{
     AverageLatencyGauge, BandwidthGauge, Gauge, GaugeManager, GaugeReading, GroupLivenessGauge,
-    LoadGauge, MonitoringPipeline, ReachabilityGauge, ServerHealthGauge,
+    Key, LoadGauge, MonitoringPipeline, ProbeEvent, ReachabilityGauge, ServerHealthGauge,
 };
 use planner::{ClassIndex, Rep, RepTable};
 use simnet::SimTime;
@@ -50,6 +50,9 @@ pub(crate) struct Monitor {
     latency_window_secs: f64,
     /// Monitoring traffic is prioritised (QoS) and never delayed.
     qos: bool,
+    /// One tick's probe events and the readings due by it; both reused.
+    events: Vec<ProbeEvent>,
+    readings: Vec<GaugeReading>,
 }
 
 impl Monitor {
@@ -74,6 +77,8 @@ impl Monitor {
             policy,
             latency_window_secs: config.latency_window_secs,
             qos: config.monitoring_qos,
+            events: Vec::new(),
+            readings: Vec::new(),
         }
     }
 
@@ -99,15 +104,12 @@ impl Monitor {
     /// changed. Every client: name order, or the move's own order.
     /// Representatives: `(class, client)` order, of the moved clients'
     /// classes.
-    fn watched(&mut self, app: &GridApp, moved: Option<&[String]>) -> Vec<(String, String)> {
+    fn watched(&mut self, app: &GridApp, moved: Option<&[String]>) -> Vec<(Key, Key)> {
         match &mut self.policy {
             Policy::Exact | Policy::Shared(_) => moved
                 .map_or_else(|| app.client_names(), <[String]>::to_vec)
-                .into_iter()
-                .map(|client| {
-                    let group = app.client_group(&client).unwrap_or_default();
-                    (client, group)
-                })
+                .iter()
+                .filter_map(|client| app.assignment(client).ok())
                 .collect(),
             Policy::Representatives(table) => {
                 let touched: Option<BTreeSet<usize>> = moved.map(|clients| {
@@ -123,21 +125,21 @@ impl Monitor {
                     .collect();
                 reps.sort_by_key(|rep| rep.class);
                 reps.into_iter()
-                    .map(|rep| (rep.client.clone(), rep.group.clone()))
+                    .map(|rep| (rep.client, rep.group))
                     .collect()
             }
         }
     }
 
-    fn latency_gauge(client: &str, window_secs: f64) -> Box<dyn Gauge> {
+    fn latency_gauge(client: Key, window_secs: f64) -> Box<dyn Gauge> {
         Box::new(AverageLatencyGauge::new(client, window_secs))
     }
 
-    fn bandwidth_gauge(client: &str, group: &str) -> Box<dyn Gauge> {
+    fn bandwidth_gauge(client: Key, group: Key) -> Box<dyn Gauge> {
         Box::new(BandwidthGauge::new(client, group, format!("{client}.role")))
     }
 
-    fn reachability_gauge(client: &str) -> Box<dyn Gauge> {
+    fn reachability_gauge(client: Key) -> Box<dyn Gauge> {
         Box::new(ReachabilityGauge::new(client, format!("{client}.role")))
     }
 
@@ -154,31 +156,28 @@ impl Monitor {
         let watched = self.watched(app, None);
         let groups = app.group_names();
         let manager = self.pipeline.manager_mut();
-        for (client, _) in &watched {
+        for &(client, _) in &watched {
             manager.create(t, Self::latency_gauge(client, self.latency_window_secs));
         }
         for group in &groups {
-            manager.create(t, Box::new(LoadGauge::new(group.clone())));
+            manager.create(t, Box::new(LoadGauge::new(group)));
         }
-        for (client, group) in &watched {
+        for &(client, group) in &watched {
             manager.create(t, Self::bandwidth_gauge(client, group));
         }
         // Liveness and reachability gauges: the monitoring the
         // fault-injection subsystem exercises.
         for group in &groups {
-            manager.create(t, Box::new(GroupLivenessGauge::new(group.clone())));
+            manager.create(t, Box::new(GroupLivenessGauge::new(group)));
         }
-        for (client, _) in &watched {
+        for &(client, _) in &watched {
             manager.create(t, Self::reachability_gauge(client));
         }
         // Sorted for a deterministic creation order.
         let mut replicas: Vec<(&String, &String)> = server_map.iter().collect();
         replicas.sort();
         for (replica, runtime) in replicas {
-            manager.create(
-                t,
-                Box::new(ServerHealthGauge::new(runtime.clone(), replica.clone())),
-            );
+            manager.create(t, Box::new(ServerHealthGauge::new(runtime, replica)));
         }
     }
 
@@ -217,7 +216,7 @@ impl Monitor {
             }
             stale
         });
-        for (client, group) in &watched {
+        for &(client, group) in &watched {
             let gauges = [
                 Self::latency_gauge(client, self.latency_window_secs),
                 Self::bandwidth_gauge(client, group),
@@ -276,26 +275,30 @@ impl Monitor {
 
     /// One control period of monitoring: probes observe the system and
     /// publish on the probe bus, gauges interpret them, and the readings due
-    /// by `t` are returned in roster order. Every flow-derived consumer
-    /// (delay model, bandwidth + reachability gauges, and the figure metrics
-    /// the caller sampled) reads the same snapshot — one Remos pass per tick.
+    /// by `t` are returned in roster order (from a buffer the next call
+    /// reuses). Every flow-derived consumer (delay model, bandwidth +
+    /// reachability gauges, and the figure metrics the caller sampled) reads
+    /// the same snapshot — one Remos pass per tick.
     pub(crate) fn observe(
         &mut self,
         app: &mut GridApp,
         flows: &FlowSnapshot,
         t: SimTime,
-    ) -> Vec<GaugeReading> {
+    ) -> &[GaugeReading] {
         let delay = self.delay(flows);
         self.pipeline.set_monitoring_delay(delay);
-        let mut events = sample_latency_probe(app);
-        events.extend(sample_queue_probe(app, t));
-        events.extend(sample_flow_probes_from(flows, t));
-        events.extend(sample_server_probe(app, t));
-        events.extend(sample_liveness_probe(app, t));
-        for event in events {
+        let events = &mut self.events;
+        sample_latency_probe(app, events);
+        sample_queue_probe(app, t, events);
+        sample_flow_probes_from(flows, t, events);
+        sample_server_probe(app, t, events);
+        sample_liveness_probe(app, t, events);
+        for event in events.drain(..) {
             self.pipeline.publish(event);
         }
-        self.pipeline.step(t.as_secs(), &mut ())
+        self.readings.clear();
+        self.pipeline.step(t.as_secs(), &mut self.readings);
+        &self.readings
     }
 }
 
@@ -325,10 +328,10 @@ mod tests {
     /// watched set — latency, bandwidth against the current group, and
     /// reachability for every [`RepTable::reps`] entry of a fresh table —
     /// each deployed once.
-    fn assert_roster_is_the_watched_set(monitor: &Monitor, app: &GridApp, step: &str) {
+    fn assert_roster_is_the_watched_set(monitor: &mut Monitor, app: &GridApp, step: &str) {
         let mut roster: Vec<String> = monitor
             .pipeline
-            .manager()
+            .manager_mut()
             .gauge_names()
             .into_iter()
             .filter(|name| gauge_subject(name).is_some())
@@ -339,14 +342,42 @@ mod tests {
             .iter()
             .flat_map(|rep| {
                 [
-                    latency_gauge_name(&rep.client),
-                    bandwidth_gauge_name(&rep.client, &rep.group),
-                    reachability_gauge_name(&rep.client),
+                    latency_gauge_name(rep.client.as_str()),
+                    bandwidth_gauge_name(rep.client.as_str(), rep.group.as_str()),
+                    reachability_gauge_name(rep.client.as_str()),
                 ]
             })
             .collect();
         watched.sort();
         assert_eq!(roster, watched, "{step}");
+    }
+
+    #[test]
+    fn a_failed_over_replica_reads_alive_again_under_gauge_caching() {
+        let mut app = GridApp::build(GridConfig::default()).unwrap();
+        let mut config = FrameworkConfig::qos_monitoring();
+        config.gauge_lifecycle.cache_gauges = true;
+        let mut monitor = Monitor::new(&app, &config);
+        let replica = "ServerGrp1.Server1";
+        let server_map = HashMap::from([(replica.to_string(), "S1".to_string())]);
+        monitor.deploy(SimTime::ZERO, &app, &server_map);
+        let is_alive = |monitor: &mut Monitor, app: &mut GridApp, secs: f64| {
+            let t = SimTime::from_secs(secs);
+            app.advance(t);
+            let flows = monitor.flow_snapshot(app);
+            let readings = monitor.observe(app, &flows, t);
+            let health = |r: &&GaugeReading| r.target == replica && r.property == "isAlive";
+            readings.iter().find(health).map(|r| r.value)
+        };
+        assert_eq!(is_alive(&mut monitor, &mut app, 15.0), Some(1.0));
+        app.crash_server(SimTime::from_secs(16.0), "S1").unwrap();
+        assert_eq!(is_alive(&mut monitor, &mut app, 20.0), Some(0.0));
+        // Failover: the replica is now backed by the spare S4. The retired
+        // gauge shares the new one's name but watches the corpse; reviving
+        // it from the cache would pin `isAlive` at 0 for good.
+        monitor.watch_server(SimTime::from_secs(20.0), replica, "S4");
+        assert_eq!(is_alive(&mut monitor, &mut app, 25.0), None, "warming up");
+        assert_eq!(is_alive(&mut monitor, &mut app, 35.0), Some(1.0));
     }
 
     #[test]
@@ -358,7 +389,7 @@ mod tests {
         let table = RepTable::new(ClassIndex::build(app.testbed()));
         let mut monitor = Monitor::with_policy(Policy::Representatives(table), &config);
         monitor.deploy(SimTime::ZERO, &app, &HashMap::new());
-        assert_roster_is_the_watched_set(&monitor, &app, "deployed");
+        assert_roster_is_the_watched_set(&mut monitor, &app, "deployed");
 
         let index = ClassIndex::build(app.testbed());
         let class = &index.client_classes()[0];
@@ -369,14 +400,14 @@ mod tests {
         let rep = class.representative.clone();
         app.move_client(&rep, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(10.0), &app, std::slice::from_ref(&rep));
-        assert_roster_is_the_watched_set(&monitor, &app, "after moveClient");
+        assert_roster_is_the_watched_set(&mut monitor, &app, "after moveClient");
 
         // `moveClientGroup` of the rest after it: the class is whole again,
         // and the interim representative keeps no gauge.
         let rest: Vec<String> = class.members[1..].to_vec();
         app.move_clients(&rest, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(20.0), &app, &rest);
-        assert_roster_is_the_watched_set(&monitor, &app, "after moveClientGroup");
+        assert_roster_is_the_watched_set(&mut monitor, &app, "after moveClientGroup");
 
         // Half of another class, its representative staying put: the first
         // mover is newly watched and the one left behind is not re-deployed.
@@ -384,6 +415,6 @@ mod tests {
         let half: Vec<String> = other.members.iter().skip(1).step_by(2).cloned().collect();
         app.move_clients(&half, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(30.0), &app, &half);
-        assert_roster_is_the_watched_set(&monitor, &app, "after a half-class move");
+        assert_roster_is_the_watched_set(&mut monitor, &app, "after a half-class move");
     }
 }

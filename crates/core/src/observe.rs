@@ -524,7 +524,6 @@ mod tests {
         let t = SimTime::from_secs(10.0);
         let reading = GaugeReading {
             time: 9.5,
-            gauge: "load-gauge/ServerGrp1".into(),
             target: Key::new("ServerGrp1"),
             property: Key::new("load"),
             value: 7.0,

@@ -55,8 +55,9 @@ fn app_fingerprint(
             split_done = true;
         }
         app.sample_metrics(SimTime::from_secs(t));
-        for completion in app.take_completions() {
-            fingerprint.push((completion.client, completion.latency_secs.to_bits()));
+        for completion in app.drain_completions() {
+            let client = completion.client.to_string();
+            fingerprint.push((client, completion.latency_secs.to_bits()));
         }
         for group in app.group_names() {
             fingerprint.push((

@@ -32,8 +32,9 @@ fn run_fingerprint(profile: &str, seed: u64, duration: f64) -> Vec<(String, u64)
             next_action += 1;
         }
         app.sample_metrics(SimTime::from_secs(t));
-        for completion in app.take_completions() {
-            fingerprint.push((completion.client, completion.latency_secs.to_bits()));
+        for completion in app.drain_completions() {
+            let client = completion.client.to_string();
+            fingerprint.push((client, completion.latency_secs.to_bits()));
         }
         for group in [SERVER_GROUP_1, SERVER_GROUP_2] {
             fingerprint.push((

@@ -19,6 +19,7 @@ use crate::config::GridConfig;
 use crate::due::DueQueue;
 use crate::metrics::Metrics;
 use crate::testbed::Testbed;
+use monitoring::Key;
 use simnet::{
     CompletedTransfer, NetError, Network, NodeId, SimDuration, SimRng, SimTime, TransferId,
 };
@@ -100,7 +101,7 @@ const GROUP_1: GroupId = GroupId(0);
 const GROUP_2: GroupId = GroupId(1);
 
 /// The position of `name` in a name-ordered table.
-fn rank(names: &[String], name: &str) -> Option<usize> {
+fn rank(names: &[Key], name: &str) -> Option<usize> {
     names.binary_search_by(|n| n.as_str().cmp(name)).ok()
 }
 
@@ -180,15 +181,27 @@ struct RequestState {
     phase: RequestPhase,
 }
 
+/// One server group as the probes see it.
+pub(crate) struct GroupSample {
+    pub(crate) group: Key,
+    /// Requests waiting in the group's queue.
+    pub(crate) queued: usize,
+    /// The liveness census over the replicas assigned to the group: `live`
+    /// ones are the group's active servers, `dead` ones have crashed and not
+    /// been failed over.
+    pub(crate) live: usize,
+    pub(crate) dead: usize,
+}
+
 /// A completed request/response exchange, as observed by the client.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedRequest {
     /// Completion time.
     pub time: SimTime,
     /// The client that issued the request.
-    pub client: String,
+    pub client: Key,
     /// The server group that served it.
-    pub group: String,
+    pub group: Key,
     /// End-to-end latency in seconds.
     pub latency_secs: f64,
 }
@@ -209,25 +222,33 @@ pub struct CompletedRequest {
 /// order among simultaneously due entities, first idle server of a group) is
 /// id order underneath.
 ///
+/// **Names.** Each name table holds interned [`Key`]s, interned once where
+/// the entity is created (`build`, and `create_req_queue` for a runtime
+/// group) — never per event: interning takes a process-wide lock. What
+/// crosses the crate boundary per event or per tick — [`CompletedRequest`],
+/// [`FlowSnapshot`] rows, the probes' measurements — carries those keys by
+/// copy, and a `Key` orders as its string does, so name order is unchanged.
+///
 /// **What still allocates per request.** The event loop (`advance`) makes no
-/// `String` and no `Vec` of its own. A completed request allocates exactly
-/// what leaves the crate by value: the client and group names of the
-/// [`CompletedRequest`] handed to the latency probe, and the same two names
-/// in the [`tracestore::TraceEvent`] when an enabled sink is attached. The
-/// rest is amortised growth of long-lived buffers (the completion list, the
-/// latency series, the request table).
+/// `String` and no `Vec` of its own, and a completed request leaves the
+/// crate as a `Copy` value. With an enabled sink attached, the
+/// [`tracestore::TraceEvent`] of a completed request owns its two names (two
+/// allocations). The rest is amortised growth of long-lived buffers (the
+/// latency series, the request table, and the completion list until it holds
+/// one tick's worth: [`drain_completions`](Self::drain_completions) empties
+/// it in place).
 pub struct GridApp {
     config: GridConfig,
     testbed: Testbed,
     network: Network,
     /// Client names in name order; a `ClientId` indexes this and `clients`.
-    client_names: Vec<String>,
+    client_names: Vec<Key>,
     clients: Vec<ClientState>,
     /// Server names in name order; a `ServerId` indexes this and `servers`.
-    server_names: Vec<String>,
+    server_names: Vec<Key>,
     servers: Vec<ServerState>,
     /// Group names in creation order; a `GroupId` indexes this and `groups`.
-    group_names: Vec<String>,
+    group_names: Vec<Key>,
     groups: Vec<GroupState>,
     /// Every group id, ordered by group name.
     group_order: Vec<GroupId>,
@@ -271,11 +292,12 @@ fn slot_host(i: u64, slot: &(String, NodeId)) -> Result<NodeId, AppError> {
     Ok(*host)
 }
 
-/// Splits `(name, state)` pairs into a name table and a state table, both in
-/// name order.
-fn name_ordered<T>(mut named: Vec<(String, T)>) -> (Vec<String>, Vec<T>) {
+/// Splits `(name, state)` pairs into a table of interned names and a state
+/// table, both in name order.
+fn name_ordered<T>(mut named: Vec<(String, T)>) -> (Vec<Key>, Vec<T>) {
     named.sort_by(|a, b| a.0.cmp(&b.0));
-    named.into_iter().unzip()
+    let named = named.into_iter();
+    named.map(|(name, state)| (Key::new(&name), state)).unzip()
 }
 
 impl GridApp {
@@ -371,7 +393,7 @@ impl GridApp {
             clients,
             server_names,
             servers,
-            group_names: vec![SERVER_GROUP_1.to_string(), SERVER_GROUP_2.to_string()],
+            group_names: vec![Key::new(SERVER_GROUP_1), Key::new(SERVER_GROUP_2)],
             groups,
             group_order: vec![GROUP_1, GROUP_2],
             requests: HashMap::new(),
@@ -433,7 +455,7 @@ impl GridApp {
         let named = self.servers.iter().zip(&self.server_names);
         named
             .filter(|(state, _)| keep(state))
-            .map(|(_, name)| name.clone())
+            .map(|(_, name)| name.to_string())
             .collect()
     }
 
@@ -477,18 +499,20 @@ impl GridApp {
 
     /// Names of all clients.
     pub fn client_names(&self) -> Vec<String> {
-        self.client_names.clone()
+        self.client_names.iter().map(Key::to_string).collect()
     }
 
     /// Names of all server groups.
     pub fn group_names(&self) -> Vec<String> {
         let ordered = self.group_order.iter();
-        ordered.map(|&g| self.group_names[g.ix()].clone()).collect()
+        ordered
+            .map(|g| self.group_names[g.ix()].to_string())
+            .collect()
     }
 
     /// Names of all servers.
     pub fn server_names(&self) -> Vec<String> {
-        self.server_names.clone()
+        self.server_names.iter().map(Key::to_string).collect()
     }
 
     /// The machine a named client runs on.
@@ -507,8 +531,15 @@ impl GridApp {
 
     /// The server group a client currently sends to.
     pub fn client_group(&self, client: &str) -> Result<String, AppError> {
-        let group = self.clients[self.client_id(client)?.ix()].group;
-        Ok(self.group_names[group.ix()].clone())
+        self.assignment(client).map(|(_, group)| group.to_string())
+    }
+
+    /// A client and the server group it currently sends to, as the interned
+    /// names every [`FlowSnapshot`] row and [`CompletedRequest`] carries.
+    pub fn assignment(&self, client: &str) -> Result<(Key, Key), AppError> {
+        let id = self.client_id(client)?;
+        let group = self.clients[id.ix()].group;
+        Ok((self.client_names[id.ix()], self.group_names[group.ix()]))
     }
 
     /// The current queue length of a server group.
@@ -535,9 +566,10 @@ impl GridApp {
     /// assigned to it (active flag set). `dead` replicas have crashed and
     /// not yet been failed over.
     pub fn group_liveness(&self, group: &str) -> (usize, usize) {
-        let Ok(group) = self.group_id(group) else {
-            return (0, 0);
-        };
+        self.group_id(group).map_or((0, 0), |id| self.census(id))
+    }
+
+    fn census(&self, group: GroupId) -> (usize, usize) {
         let (mut live, mut dead) = (0, 0);
         for s in &self.servers {
             if s.active && s.group == Some(group) {
@@ -577,9 +609,29 @@ impl GridApp {
     }
 
     /// Drains the requests completed since the last call (used by the latency
-    /// probe).
-    pub fn take_completions(&mut self) -> Vec<CompletedRequest> {
-        std::mem::take(&mut self.completions)
+    /// probe). The list keeps its capacity, so a caller that drains every tick
+    /// stops it regrowing from empty.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, CompletedRequest> {
+        self.completions.drain(..)
+    }
+
+    /// Every server group as the probes see it right now, in group-name order.
+    pub(crate) fn sample_groups(&self) -> impl Iterator<Item = GroupSample> + '_ {
+        self.group_order.iter().map(|&id| {
+            let (live, dead) = self.census(id);
+            GroupSample {
+                group: self.group_names[id.ix()],
+                queued: self.groups[id.ix()].queue.len(),
+                live,
+                dead,
+            }
+        })
+    }
+
+    /// Every server and whether its process is alive, in server-name order.
+    pub(crate) fn sample_servers(&self) -> impl Iterator<Item = (Key, bool)> + '_ {
+        let states = self.servers.iter().map(|s| s.up);
+        self.server_names.iter().copied().zip(states)
     }
 
     // ---- workload control --------------------------------------------------
@@ -730,7 +782,7 @@ impl GridApp {
             Ok(at) => self.group_order[at],
             Err(at) => {
                 let id = GroupId(self.groups.len() as u32);
-                self.group_names.push(group.to_string());
+                self.group_names.push(Key::new(group));
                 self.groups.push(GroupState::default());
                 self.group_order.insert(at, id);
                 id
@@ -773,7 +825,7 @@ impl GridApp {
             .servers
             .iter()
             .position(|s| s.is_spare() && clears_threshold(s) && also(s))?;
-        Some(self.server_names[found].clone())
+        Some(self.server_names[found].to_string())
     }
 
     /// The router a server's machine attaches to.
@@ -1208,17 +1260,17 @@ impl GridApp {
                 if let Some(group) = serving {
                     self.dispatch_group(group, delivered);
                 }
-                let client = &self.client_names[request.client.ix()];
-                let group = &self.group_names[request.group.ix()];
+                let client = self.client_names[request.client.ix()];
+                let group = self.group_names[request.group.ix()];
                 self.metrics
-                    .record_latency(delivered.as_secs(), client, latency);
+                    .record_latency(delivered.as_secs(), client.as_str(), latency);
                 if self.sink.enabled() {
                     self.sink.append(
                         tracestore::TraceEvent::new(
                             delivered.as_secs(),
                             tracestore::EventKind::Transfer,
-                            client.clone(),
-                            group.clone(),
+                            client.as_str(),
+                            group.as_str(),
                         )
                         .with_value(latency)
                         .with_correlation(request_id),
@@ -1226,8 +1278,8 @@ impl GridApp {
                 }
                 self.completions.push(CompletedRequest {
                     time: delivered,
-                    client: client.clone(),
-                    group: group.clone(),
+                    client,
+                    group,
                     latency_secs: latency,
                 });
             }
@@ -1293,7 +1345,7 @@ impl GridApp {
     pub fn flow_snapshot(&self) -> FlowSnapshot {
         let mut memo: HashMap<(NodeId, GroupId), Option<f64>> = HashMap::new();
         let mut entries = Vec::with_capacity(self.clients.len());
-        for (name, client) in self.client_names.iter().zip(&self.clients) {
+        for (&name, client) in self.client_names.iter().zip(&self.clients) {
             let key = (client.host, client.group);
             let flow = match memo.get(&key) {
                 Some(&cached) => {
@@ -1307,8 +1359,7 @@ impl GridApp {
                     value
                 }
             };
-            let group = self.group_names[client.group.ix()].clone();
-            entries.push((name.clone(), group, flow));
+            entries.push((name, self.group_names[client.group.ix()], flow));
         }
         FlowSnapshot { entries }
     }
@@ -1329,12 +1380,12 @@ impl GridApp {
         let t = now.as_secs();
         for &group in &self.group_order {
             let queued = self.groups[group.ix()].queue.len();
-            let name = &self.group_names[group.ix()];
+            let name = self.group_names[group.ix()].as_str();
             self.metrics.record_queue_length(t, name, queued);
         }
         for (client, _, flow) in flows.entries() {
             if let Some(bw) = flow {
-                self.metrics.record_bandwidth(t, client, *bw);
+                self.metrics.record_bandwidth(t, client.as_str(), *bw);
             }
         }
     }
@@ -1345,7 +1396,7 @@ impl GridApp {
 /// where the query failed (e.g. the group has no live server).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSnapshot {
-    entries: Vec<(String, String, Option<f64>)>,
+    entries: Vec<(Key, Key, Option<f64>)>,
 }
 
 impl FlowSnapshot {
@@ -1354,12 +1405,12 @@ impl FlowSnapshot {
     /// consumer of [`entries`](Self::entries) assumes. Used by the
     /// symmetry-aware class probing, which computes one Remos flow per
     /// network-position class and fans it out to every member.
-    pub fn from_entries(entries: Vec<(String, String, Option<f64>)>) -> FlowSnapshot {
+    pub fn from_entries(entries: Vec<(Key, Key, Option<f64>)>) -> FlowSnapshot {
         FlowSnapshot { entries }
     }
 
     /// The snapshot rows, in client-name order.
-    pub fn entries(&self) -> &[(String, String, Option<f64>)] {
+    pub fn entries(&self) -> &[(Key, Key, Option<f64>)] {
         &self.entries
     }
 
@@ -1475,7 +1526,7 @@ mod tests {
             );
             assert_eq!(app.active_servers(SERVER_GROUP_2).len(), spec.sg2_active);
             app.advance(secs(60.0));
-            let completions = app.take_completions();
+            let completions: Vec<_> = app.drain_completions().collect();
             assert!(
                 !completions.is_empty(),
                 "{preset} serves requests in the first minute"
@@ -1528,7 +1579,7 @@ mod tests {
     fn requests_complete_with_low_latency_when_unloaded() {
         let mut app = app();
         app.advance(secs(60.0));
-        let completions = app.take_completions();
+        let completions: Vec<_> = app.drain_completions().collect();
         assert!(
             completions.len() > 40,
             "expected ≈60 completions in the first minute, got {}",
@@ -1556,13 +1607,11 @@ mod tests {
         a.advance(secs(120.0));
         b.advance(secs(120.0));
         let la: Vec<_> = a
-            .take_completions()
-            .into_iter()
+            .drain_completions()
             .map(|c| (c.client, (c.latency_secs * 1e9) as u64))
             .collect();
         let lb: Vec<_> = b
-            .take_completions()
-            .into_iter()
+            .drain_completions()
             .map(|c| (c.client, (c.latency_secs * 1e9) as u64))
             .collect();
         assert_eq!(la, lb);
@@ -1575,13 +1624,11 @@ mod tests {
         a.advance(secs(60.0));
         b.advance(secs(60.0));
         let la: Vec<u64> = a
-            .take_completions()
-            .into_iter()
+            .drain_completions()
             .map(|c| (c.latency_secs * 1e9) as u64)
             .collect();
         let lb: Vec<u64> = b
-            .take_completions()
-            .into_iter()
+            .drain_completions()
             .map(|c| (c.latency_secs * 1e9) as u64)
             .collect();
         assert_ne!(la, lb);
@@ -1591,11 +1638,11 @@ mod tests {
     fn bandwidth_squeeze_raises_latency_for_c3_c4() {
         let mut app = app();
         app.advance(secs(30.0));
-        app.take_completions();
+        app.drain_completions();
         // Squeeze the R2-R3 link to ~5 Kbps: User3/User4 responses crawl.
         app.set_competition_sg1(secs(30.0), 9.995e6).unwrap();
         app.advance(secs(150.0));
-        let completions = app.take_completions();
+        let completions: Vec<_> = app.drain_completions().collect();
         let squeezed: Vec<f64> = completions
             .iter()
             .filter(|c| c.client == "User3" || c.client == "User4")
@@ -1632,15 +1679,15 @@ mod tests {
         let mut app = app();
         app.set_competition_sg1(secs(0.0), 9.995e6).unwrap();
         app.advance(secs(100.0));
-        app.take_completions();
+        app.drain_completions();
         // Move the affected clients to Server Group 2.
         app.move_client("User3", SERVER_GROUP_2).unwrap();
         app.move_client("User4", SERVER_GROUP_2).unwrap();
         app.advance(secs(160.0));
         // Give in-flight stragglers time to flush, then look at fresh traffic.
-        app.take_completions();
+        app.drain_completions();
         app.advance(secs(260.0));
-        let after = app.take_completions();
+        let after: Vec<_> = app.drain_completions().collect();
         let moved: Vec<f64> = after
             .iter()
             .filter(|c| (c.client == "User3" || c.client == "User4") && c.group == SERVER_GROUP_2)
@@ -1728,13 +1775,12 @@ mod tests {
         }
         assert_eq!(app.group_liveness(SERVER_GROUP_1), (0, 3));
         app.advance(secs(60.0));
-        app.take_completions();
+        app.drain_completions();
         // Nothing serves the queue: it only grows.
         let wedged = app.queue_length(SERVER_GROUP_1).unwrap();
         assert!(wedged > 0, "queue grows with no live server");
         app.advance(secs(90.0));
-        let completions = app.take_completions();
-        assert!(completions.is_empty(), "no completions while wedged");
+        assert_eq!(app.drain_completions().count(), 0, "nothing while wedged");
         // Restart: the replicas resume where they were assigned and the
         // backlog drains.
         for server in ["S1", "S2", "S3"] {
@@ -1742,7 +1788,7 @@ mod tests {
         }
         assert_eq!(app.group_liveness(SERVER_GROUP_1), (3, 0));
         app.advance(secs(200.0));
-        assert!(!app.take_completions().is_empty());
+        assert!(app.drain_completions().count() > 0);
         assert!(app.queue_length(SERVER_GROUP_1).unwrap() < wedged.max(10));
     }
 
@@ -1764,7 +1810,7 @@ mod tests {
     fn node_down_hook_stalls_traffic_until_the_node_returns() {
         let mut app = app();
         app.advance(secs(10.0));
-        app.take_completions();
+        app.drain_completions();
         // Take Server Group 1's router (R3) down: SG1 becomes unreachable.
         let r3 = app.testbed().routers[2];
         app.set_node_down(secs(10.0), r3, true).unwrap();

@@ -30,10 +30,11 @@ pub use app::{AppError, CompletedRequest, FlowSnapshot, GridApp, SERVER_GROUP_1,
 pub use config::GridConfig;
 pub use due::{DueQueue, DueQueueStats};
 pub use metrics::Metrics;
+/// The interned name [`CompletedRequest`] and [`FlowSnapshot`] rows carry.
+pub use monitoring::Key;
 pub use probes::{
-    sample_bandwidth_probe, sample_flow_probes, sample_flow_probes_from, sample_latency_probe,
-    sample_liveness_probe, sample_queue_probe, sample_reachability_probe, sample_server_probe,
-    REACHABILITY_FLOOR_BPS,
+    sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
+    sample_server_probe, REACHABILITY_FLOOR_BPS,
 };
 pub use testbed::{
     testbed_preset_names, Testbed, TestbedSpec, FLEET_SCALE_MIN_CLIENTS, LINK_CAPACITY_BPS,

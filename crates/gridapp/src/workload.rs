@@ -474,7 +474,7 @@ mod tests {
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
         schedule.apply(&mut app, 0.0).unwrap();
         app.advance(SimTime::from_secs(PHASE_QUIESCENT_END));
-        let completions = app.take_completions();
+        let completions: Vec<_> = app.drain_completions().collect();
         assert!(!completions.is_empty());
         let above = completions.iter().filter(|c| c.latency_secs > 2.0).count();
         assert_eq!(above, 0, "quiescent phase must not violate the bound");

@@ -8,66 +8,24 @@
 //! Measured with this file on the commit before `GridApp` went from
 //! name-keyed maps to name-ordered dense ids: 52,590 allocations for 1,788
 //! completed requests, 29.41 per request (about 36 in `sweep_write`, whose
-//! 1800 s arms run with the sink on). Since then: 4,070, 2.28 per request —
-//! the two `String`s of each `CompletedRequest`, which leave the crate by
-//! value, plus growth of long-lived buffers (the completion list the caller
-//! drains every tick, the latency series, one shortest-path tree per source).
+//! 1800 s arms run with the sink on). With dense ids: 4,070, 2.28 per request,
+//! of which two were the `String`s of each `CompletedRequest`. Since
+//! `CompletedRequest` carries the interned names kept beside each entity: 240,
+//! 0.13 per request, all of it growth of long-lived buffers (the latency
+//! series, the request table, the completion list until it has reached one
+//! tick's worth — the caller drains it in place — and one shortest-path tree
+//! per source). Nothing is allocated per request any more.
 
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, SERVER_GROUP_2};
 use simnet::SimTime;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+
+mod common;
+use common::counted;
 
 /// Allocations per completed request this layer may make inside `advance`:
-/// one more per request than today's 2.28 does not fit.
-const CEILING_PER_REQUEST: f64 = 3.0;
-
-thread_local! {
-    /// `Some(n)` while the current thread is inside a counted region.
-    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct CountingAllocator;
-
-fn bump() {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down, when the count no longer matters.
-    let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + 1)));
-}
-
-// SAFETY: every request is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter touches no allocator state and, being a
-// const-initialised `Cell` without a destructor, never allocates itself.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above — `ptr` came from `System` through this type.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f` and returns how many times this thread allocated inside it.
-fn counted(f: impl FnOnce()) -> u64 {
-    COUNTED.with(|c| c.set(Some(0)));
-    f();
-    COUNTED
-        .with(|c| c.replace(None))
-        .expect("region was opened above")
-}
+/// today's 0.13 is amortised growth, and one allocation per request on top of
+/// it does not fit.
+const CEILING_PER_REQUEST: f64 = 0.25;
 
 #[test]
 fn advance_allocates_a_handful_per_completed_request() {
@@ -98,7 +56,7 @@ fn advance_allocates_a_handful_per_completed_request() {
             }
         }
         allocations += counted(|| app.advance(SimTime::from_secs(t)));
-        completed += app.take_completions().len();
+        completed += app.drain_completions().len();
     }
 
     assert!(completed > 500, "only {completed} requests completed");

@@ -98,7 +98,7 @@ fn render_run(title: &str, style: Style) -> String {
                     .entries()
                     .iter()
                     .filter(|(_, _, flow)| flow.is_some_and(|bps| bps < config.min_bandwidth_bps))
-                    .map(|(client, _, _)| client.clone())
+                    .map(|(client, _, _)| client.to_string())
                     .collect();
                 writeln!(out, "squeezed {squeezed:?}").unwrap();
                 move_all(&mut app, style, &squeezed, SERVER_GROUP_2);
@@ -127,7 +127,7 @@ fn render_run(title: &str, style: Style) -> String {
             _ => {}
         }
         app.advance(now);
-        for done in app.take_completions() {
+        for done in app.drain_completions() {
             writeln!(
                 out,
                 "done {:?} {} {} {:?}",

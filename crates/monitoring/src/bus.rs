@@ -2,149 +2,68 @@
 //!
 //! The paper's monitoring infrastructure disseminates observations over two
 //! wide-area event buses (implemented there with Siena): probes publish on the
-//! *probe bus*, gauges publish on the *gauge reporting bus*, and consumers
-//! subscribe with topic filters. This module provides a deterministic,
-//! in-process equivalent: subscribers register a topic prefix and drain their
-//! queue explicitly, which keeps delivery order reproducible inside the
-//! discrete-event simulation. An optional per-message delay models the fact
-//! that monitoring traffic shares the network with the application (§5.3).
+//! *probe bus*, gauges publish on the *gauge reporting bus*. In the
+//! reproduction each bus has exactly one reader — the gauge manager on the
+//! probe bus, the architecture manager on the gauge bus — so a [`Bus`] is a
+//! delay line: messages are moved in, wait out the delivery delay, and are
+//! moved out again in publication order. *Routing* by topic is not the bus's
+//! job: a [`Topic`](crate::probe::Topic) is a value the message carries, and
+//! the gauge manager looks its readers up in one hash probe.
+//!
+//! The delay models monitoring traffic sharing the network with the
+//! application (§5.3). It is fixed per message at publication, and it changes
+//! between control ticks, so a message published later can be due *earlier*
+//! than one still queued. The line does not let it overtake: a drain stops at
+//! the first message that is not yet due (head-of-line blocking, as on one
+//! ordered channel). Every artifact the repository pins was produced with
+//! that order, so it is part of the specification, not an accident.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Identifies a subscription on a bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct SubscriptionId(pub u64);
-
-/// A message published on a bus: a topic plus a payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BusMessage<T> {
-    /// Hierarchical topic, e.g. `"probe/latency/User3"`.
-    pub topic: String,
-    /// The time the message was published (seconds).
-    pub published_at: f64,
-    /// The time the message becomes visible to subscribers (seconds); equals
-    /// `published_at` plus the bus delay in force when it was published.
-    pub deliver_at: f64,
-    /// The payload.
-    pub payload: T,
-}
-
-struct Subscription<T> {
-    id: SubscriptionId,
-    topic_prefix: String,
-    queue: VecDeque<BusMessage<T>>,
-}
-
-/// A topic-filtered publish/subscribe bus.
+/// A single-reader publish/drain bus with a delivery delay.
 pub struct Bus<T> {
-    subscriptions: Vec<Subscription<T>>,
-    next_id: u64,
+    /// `(deliver_at, payload)` in publication order.
+    queue: VecDeque<(f64, T)>,
     delay_secs: f64,
-    published: u64,
-    delivered: u64,
 }
 
-impl<T: Clone> Default for Bus<T> {
+impl<T> Default for Bus<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone> Bus<T> {
+impl<T> Bus<T> {
     /// Creates a bus with zero delivery delay.
     pub fn new() -> Self {
         Bus {
-            subscriptions: Vec::new(),
-            next_id: 0,
+            queue: VecDeque::new(),
             delay_secs: 0.0,
-            published: 0,
-            delivered: 0,
         }
     }
 
-    /// Sets the current delivery delay (seconds) applied to newly published
-    /// messages. The framework adjusts this to model monitoring traffic
-    /// competing with application traffic; a QoS-prioritised bus keeps it at
-    /// zero.
+    /// Sets the delivery delay (seconds, clamped at zero) applied to newly
+    /// published messages. The framework adjusts this to model monitoring
+    /// traffic competing with application traffic; a QoS-prioritised bus
+    /// keeps it at zero.
     pub fn set_delay(&mut self, delay_secs: f64) {
         self.delay_secs = delay_secs.max(0.0);
     }
 
-    /// The delivery delay currently applied to published messages.
-    pub fn delay(&self) -> f64 {
-        self.delay_secs
+    /// Publishes a message at `now` (seconds): it becomes visible to the
+    /// reader at `now` plus the delay currently in force.
+    pub fn publish(&mut self, now: f64, payload: T) {
+        self.queue.push_back((now + self.delay_secs, payload));
     }
 
-    /// Subscribes to every topic starting with `topic_prefix` (empty string
-    /// subscribes to everything).
-    pub fn subscribe(&mut self, topic_prefix: impl Into<String>) -> SubscriptionId {
-        let id = SubscriptionId(self.next_id);
-        self.next_id += 1;
-        self.subscriptions.push(Subscription {
-            id,
-            topic_prefix: topic_prefix.into(),
-            queue: VecDeque::new(),
-        });
-        id
-    }
-
-    /// Removes a subscription. Returns true if it existed.
-    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let before = self.subscriptions.len();
-        self.subscriptions.retain(|s| s.id != id);
-        self.subscriptions.len() != before
-    }
-
-    /// Publishes a message at `now` (seconds). It is queued for every matching
-    /// subscription with the current delivery delay.
-    pub fn publish(&mut self, now: f64, topic: impl Into<String>, payload: T) {
-        let topic = topic.into();
-        let message = BusMessage {
-            deliver_at: now + self.delay_secs,
-            published_at: now,
-            topic,
-            payload,
-        };
-        self.published += 1;
-        for sub in &mut self.subscriptions {
-            if message.topic.starts_with(&sub.topic_prefix) {
-                sub.queue.push_back(message.clone());
-            }
+    /// Hands `visit` the messages visible at time `now`, in publication
+    /// order, stopping at the first one whose delivery time has not passed —
+    /// even when a later one's has.
+    pub fn drain(&mut self, now: f64, mut visit: impl FnMut(T)) {
+        while self.queue.front().is_some_and(|&(due, _)| due <= now) {
+            let (_, payload) = self.queue.pop_front().expect("front exists");
+            visit(payload);
         }
-    }
-
-    /// Drains the messages visible to a subscription at time `now`
-    /// (i.e. whose delivery time has passed), in publication order.
-    pub fn drain(&mut self, id: SubscriptionId, now: f64) -> Vec<BusMessage<T>> {
-        let Some(sub) = self.subscriptions.iter_mut().find(|s| s.id == id) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        while let Some(front) = sub.queue.front() {
-            if front.deliver_at <= now {
-                out.push(sub.queue.pop_front().expect("front exists"));
-            } else {
-                break;
-            }
-        }
-        self.delivered += out.len() as u64;
-        out
-    }
-
-    /// Number of messages still queued (any subscription).
-    pub fn pending(&self) -> usize {
-        self.subscriptions.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Total messages published over the bus's lifetime.
-    pub fn published_count(&self) -> u64 {
-        self.published
-    }
-
-    /// Total messages delivered to subscribers.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
     }
 }
 
@@ -152,84 +71,57 @@ impl<T: Clone> Bus<T> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn topic_prefix_filtering() {
-        let mut bus: Bus<i32> = Bus::new();
-        let latency = bus.subscribe("probe/latency/");
-        let all = bus.subscribe("");
-        bus.publish(0.0, "probe/latency/User1", 1);
-        bus.publish(0.0, "probe/load/ServerGrp1", 2);
-        assert_eq!(bus.drain(latency, 1.0).len(), 1);
-        assert_eq!(bus.drain(all, 1.0).len(), 2);
+    fn drained<T>(bus: &mut Bus<T>, now: f64) -> Vec<T> {
+        let mut out = Vec::new();
+        bus.drain(now, |payload| out.push(payload));
+        out
     }
 
     #[test]
     fn delivery_respects_delay() {
         let mut bus: Bus<&str> = Bus::new();
-        let sub = bus.subscribe("");
         bus.set_delay(5.0);
-        bus.publish(10.0, "x", "late");
-        assert!(bus.drain(sub, 12.0).is_empty());
-        let got = bus.drain(sub, 15.0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].deliver_at, 15.0);
-        assert_eq!(got[0].published_at, 10.0);
+        bus.publish(10.0, "late");
+        assert!(drained(&mut bus, 12.0).is_empty());
+        assert_eq!(drained(&mut bus, 15.0), ["late"]);
+        assert!(drained(&mut bus, 20.0).is_empty());
     }
 
     #[test]
     fn delay_changes_only_affect_new_messages() {
         let mut bus: Bus<u8> = Bus::new();
-        let sub = bus.subscribe("");
-        bus.publish(0.0, "a", 1);
+        bus.publish(0.0, 1);
         bus.set_delay(100.0);
-        bus.publish(0.0, "a", 2);
-        let visible = bus.drain(sub, 1.0);
-        assert_eq!(visible.len(), 1);
-        assert_eq!(visible[0].payload, 1);
+        bus.publish(0.0, 2);
+        assert_eq!(drained(&mut bus, 1.0), [1]);
     }
 
     #[test]
-    fn unsubscribe_stops_delivery() {
+    fn a_due_message_waits_behind_one_that_is_not() {
         let mut bus: Bus<u8> = Bus::new();
-        let sub = bus.subscribe("");
-        assert!(bus.unsubscribe(sub));
-        assert!(!bus.unsubscribe(sub));
-        bus.publish(0.0, "a", 1);
-        assert!(bus.drain(sub, 1.0).is_empty());
-        assert_eq!(bus.pending(), 0);
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let mut bus: Bus<u8> = Bus::new();
-        let s1 = bus.subscribe("");
-        let _s2 = bus.subscribe("never/");
-        bus.publish(0.0, "a", 1);
-        bus.publish(0.0, "a", 2);
-        assert_eq!(bus.published_count(), 2);
-        bus.drain(s1, 1.0);
-        assert_eq!(bus.delivered_count(), 2);
+        bus.set_delay(8.0);
+        bus.publish(40.0, 1); // due at 48
+        bus.set_delay(0.0);
+        bus.publish(45.0, 2); // due at 45, behind it
+        assert!(drained(&mut bus, 45.0).is_empty());
+        assert_eq!(drained(&mut bus, 48.0), [1, 2]);
     }
 
     #[test]
     fn drain_preserves_publication_order() {
         let mut bus: Bus<u8> = Bus::new();
-        let sub = bus.subscribe("");
         for i in 0..10u8 {
-            bus.publish(i as f64, "t", i);
+            bus.publish(i as f64, i);
         }
-        let got: Vec<u8> = bus
-            .drain(sub, 100.0)
-            .into_iter()
-            .map(|m| m.payload)
-            .collect();
-        assert_eq!(got, (0..10u8).collect::<Vec<_>>());
+        assert_eq!(drained(&mut bus, 100.0), (0..10u8).collect::<Vec<_>>());
     }
 
     #[test]
     fn negative_delay_clamped_to_zero() {
         let mut bus: Bus<u8> = Bus::new();
         bus.set_delay(-3.0);
-        assert_eq!(bus.delay(), 0.0);
+        bus.publish(10.0, 1);
+        assert!(drained(&mut bus, 9.0).is_empty());
+        assert_eq!(drained(&mut bus, 10.0), [1]);
     }
 }

@@ -1,13 +1,13 @@
 //! Convenience plumbing between buses, gauges, and consumers.
 
-use crate::bus::{Bus, SubscriptionId};
-use crate::gauge::{GaugeConsumer, GaugeManager, GaugeReading};
+use crate::bus::Bus;
+use crate::gauge::{GaugeManager, GaugeReading};
 use crate::probe::ProbeEvent;
 
 /// Wires a probe bus, a gauge manager, and a gauge bus together: probes
 /// publish [`ProbeEvent`]s, the pipeline feeds active gauges and republishes
-/// their readings on the gauge bus, and registered consumers drain the gauge
-/// bus.
+/// their readings on the gauge bus, and the consumer (the architecture
+/// manager) takes what the gauge bus delivers.
 ///
 /// This is the in-process equivalent of the paper's two Siena buses plus the
 /// gauge infrastructure in Figure 4.
@@ -15,39 +15,24 @@ pub struct MonitoringPipeline {
     probe_bus: Bus<ProbeEvent>,
     gauge_bus: Bus<GaugeReading>,
     manager: GaugeManager,
-    probe_subscription: SubscriptionId,
-    consumer_subscription: SubscriptionId,
+    /// One step's gauge reports on their way to the gauge bus; reused.
+    reported: Vec<GaugeReading>,
 }
 
 impl MonitoringPipeline {
     /// Builds a pipeline around the given gauge manager.
     pub fn new(manager: GaugeManager) -> Self {
-        let mut probe_bus = Bus::new();
-        let probe_subscription = probe_bus.subscribe("probe/");
-        let mut gauge_bus = Bus::new();
-        let consumer_subscription = gauge_bus.subscribe("gauge/");
         MonitoringPipeline {
-            probe_bus,
-            gauge_bus,
+            probe_bus: Bus::new(),
+            gauge_bus: Bus::new(),
             manager,
-            probe_subscription,
-            consumer_subscription,
+            reported: Vec::new(),
         }
-    }
-
-    /// Access to the probe bus (for publishing observations).
-    pub fn probe_bus_mut(&mut self) -> &mut Bus<ProbeEvent> {
-        &mut self.probe_bus
     }
 
     /// Access to the gauge manager (for deploying/removing gauges).
     pub fn manager_mut(&mut self) -> &mut GaugeManager {
         &mut self.manager
-    }
-
-    /// Read access to the gauge manager.
-    pub fn manager(&self) -> &GaugeManager {
-        &self.manager
     }
 
     /// Sets the delivery delay of both buses, modelling monitoring traffic
@@ -58,38 +43,29 @@ impl MonitoringPipeline {
         self.gauge_bus.set_delay(delay_secs);
     }
 
-    /// Publishes a probe observation.
+    /// Publishes a probe observation, at the time it was made.
     pub fn publish(&mut self, event: ProbeEvent) {
-        let now = event.time;
-        let topic = event.topic();
-        self.probe_bus.publish(now, topic, event);
+        self.probe_bus.publish(event.time, event);
     }
 
     /// Advances the pipeline to time `now`: delivers probe events to gauges,
-    /// collects gauge readings, publishes them on the gauge bus, and hands
-    /// everything visible to the consumer. Returns the readings delivered to
-    /// the consumer this step.
-    pub fn step(&mut self, now: f64, consumer: &mut dyn GaugeConsumer) -> Vec<GaugeReading> {
-        for message in self.probe_bus.drain(self.probe_subscription, now) {
-            self.manager.dispatch(&message.payload);
+    /// collects gauge readings, publishes them on the gauge bus, and appends
+    /// every reading that bus delivers by `now` to `delivered`.
+    pub fn step(&mut self, now: f64, delivered: &mut Vec<GaugeReading>) {
+        let manager = &mut self.manager;
+        self.probe_bus.drain(now, |event| manager.dispatch(&event));
+        manager.collect(now, &mut self.reported);
+        for reading in self.reported.drain(..) {
+            self.gauge_bus.publish(now, reading);
         }
-        for reading in self.manager.collect(now) {
-            let topic = reading.topic();
-            self.gauge_bus.publish(now, topic, reading);
-        }
-        let mut delivered = Vec::new();
-        for message in self.gauge_bus.drain(self.consumer_subscription, now) {
-            consumer.consume(&message.payload);
-            delivered.push(message.payload);
-        }
-        delivered
+        self.gauge_bus.drain(now, |reading| delivered.push(reading));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gauge::{AverageLatencyGauge, GaugeLifecycleConfig, RecordingConsumer};
+    use crate::gauge::{AverageLatencyGauge, GaugeLifecycleConfig};
     use crate::probe::Measurement;
 
     fn pipeline_with_latency_gauge(creation_delay: f64) -> MonitoringPipeline {
@@ -103,58 +79,48 @@ mod tests {
         pipeline
     }
 
-    #[test]
-    fn end_to_end_probe_to_consumer() {
-        let mut pipeline = pipeline_with_latency_gauge(0.0);
-        let mut consumer = RecordingConsumer::new();
+    fn publish_latency(pipeline: &mut MonitoringPipeline, time: f64) {
         pipeline.publish(ProbeEvent::new(
-            1.0,
-            "aide",
+            time,
             Measurement::RequestLatency {
                 client: "User1".into(),
                 seconds: 1.5,
             },
         ));
-        let delivered = pipeline.step(2.0, &mut consumer);
+    }
+
+    fn step(pipeline: &mut MonitoringPipeline, now: f64) -> Vec<GaugeReading> {
+        let mut delivered = Vec::new();
+        pipeline.step(now, &mut delivered);
+        delivered
+    }
+
+    #[test]
+    fn end_to_end_probe_to_consumer() {
+        let mut pipeline = pipeline_with_latency_gauge(0.0);
+        publish_latency(&mut pipeline, 1.0);
+        let delivered = step(&mut pipeline, 2.0);
         assert_eq!(delivered.len(), 1);
-        assert_eq!(consumer.readings().len(), 1);
-        assert!((consumer.readings()[0].value - 1.5).abs() < 1e-12);
+        assert!((delivered[0].value - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn warming_gauge_does_not_report() {
         let mut pipeline = pipeline_with_latency_gauge(100.0);
-        let mut consumer = RecordingConsumer::new();
-        pipeline.publish(ProbeEvent::new(
-            1.0,
-            "aide",
-            Measurement::RequestLatency {
-                client: "User1".into(),
-                seconds: 1.5,
-            },
-        ));
-        assert!(pipeline.step(2.0, &mut consumer).is_empty());
+        publish_latency(&mut pipeline, 1.0);
+        assert!(step(&mut pipeline, 2.0).is_empty());
     }
 
     #[test]
     fn monitoring_delay_postpones_delivery() {
         let mut pipeline = pipeline_with_latency_gauge(0.0);
         pipeline.set_monitoring_delay(10.0);
-        let mut consumer = RecordingConsumer::new();
-        pipeline.publish(ProbeEvent::new(
-            1.0,
-            "aide",
-            Measurement::RequestLatency {
-                client: "User1".into(),
-                seconds: 1.5,
-            },
-        ));
+        publish_latency(&mut pipeline, 1.0);
         // At t=2 the probe event has not yet crossed the delayed bus.
-        assert!(pipeline.step(2.0, &mut consumer).is_empty());
+        assert!(step(&mut pipeline, 2.0).is_empty());
         // At t=12 the probe event arrives; the gauge reading goes out on the
         // (also delayed) gauge bus, so the consumer sees it at t=22.
-        assert!(pipeline.step(12.0, &mut consumer).is_empty());
-        let delivered = pipeline.step(22.5, &mut consumer);
-        assert_eq!(delivered.len(), 1);
+        assert!(step(&mut pipeline, 12.0).is_empty());
+        assert_eq!(step(&mut pipeline, 22.5).len(), 1);
     }
 }

@@ -4,18 +4,25 @@
 //! announce observations via the probe bus (§3.1). In the reproduction the
 //! concrete probes live with the grid application (crate `gridapp`), which
 //! reads simulator state; this module defines the observation vocabulary and
-//! the topics they are published under.
+//! the [`Topic`]s observations are published under.
+//!
+//! Everything here is a `Copy` value. The entities an observation is about
+//! are interned [`Key`]s, handed out once where the entity is created, so an
+//! observation is built, routed and consumed without touching the heap; its
+//! topic and its probe's name are *rendered* (`Display`) only when somebody
+//! wants to read them.
 
-use serde::{Deserialize, Serialize};
+use archmodel::Key;
+use std::fmt;
 
 /// A single low-level observation emitted by a probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Measurement {
     /// A client finished a request/response exchange with the given
     /// end-to-end latency.
     RequestLatency {
         /// The client's name.
-        client: String,
+        client: Key,
         /// Observed latency in seconds.
         seconds: f64,
     },
@@ -23,7 +30,7 @@ pub enum Measurement {
     /// measure of server load).
     QueueLength {
         /// The server group's name.
-        group: String,
+        group: Key,
         /// Number of requests waiting.
         length: usize,
     },
@@ -31,16 +38,16 @@ pub enum Measurement {
     /// by the Remos-like query.
     Bandwidth {
         /// The client's name.
-        client: String,
+        client: Key,
         /// The server group's name.
-        group: String,
+        group: Key,
         /// Bandwidth in bits per second.
         bps: f64,
     },
     /// Number of active servers in a group.
     ActiveServers {
         /// The server group's name.
-        group: String,
+        group: Key,
         /// Active replica count.
         count: usize,
     },
@@ -48,7 +55,7 @@ pub enum Measurement {
     /// fault-injection subsystem exercises).
     ServerLive {
         /// The runtime server's name (e.g. `"S2"`).
-        server: String,
+        server: Key,
         /// Whether the process answered its heartbeat.
         up: bool,
     },
@@ -56,7 +63,7 @@ pub enum Measurement {
     /// replicas are alive and how many are assigned but dead.
     GroupLiveness {
         /// The server group's name.
-        group: String,
+        group: Key,
         /// Assigned replicas that are alive.
         live: usize,
         /// Assigned replicas that have crashed and not been failed over.
@@ -66,47 +73,132 @@ pub enum Measurement {
     /// bandwidth (the reachability probe).
     Reachability {
         /// The client's name.
-        client: String,
+        client: Key,
         /// The server group probed.
-        group: String,
+        group: Key,
         /// True when the group answered at usable bandwidth.
         reachable: bool,
     },
 }
 
+/// What kind of observation a [`Topic`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TopicKind {
+    /// `probe/latency/<client>`
+    Latency,
+    /// `probe/load/<group>`
+    Load,
+    /// `probe/bandwidth/<client>/<group>`
+    Bandwidth,
+    /// `probe/servers/<group>`
+    Servers,
+    /// `probe/liveness/server/<server>`
+    ServerLiveness,
+    /// `probe/liveness/group/<group>`
+    GroupLiveness,
+    /// `probe/reachable/<client>`
+    Reachable,
+}
+
+/// A probe-bus topic: what is observed, about whom, and — for the one
+/// observation that is about a pair — against whom. A topic is a value that
+/// is compared and hashed as three words; its `Display` is the hierarchical
+/// name (`probe/latency/User3`, `probe/bandwidth/User3/ServerGrp2`) a
+/// wide-area event bus would route on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Topic {
+    /// The kind of observation.
+    pub kind: TopicKind,
+    /// The client, group or server observed.
+    pub subject: Key,
+    /// The server group a [`TopicKind::Bandwidth`] observation is measured
+    /// against; `None` for every other kind.
+    pub other: Option<Key>,
+}
+
+impl fmt::Display for Topic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self.kind {
+            TopicKind::Latency => "latency",
+            TopicKind::Load => "load",
+            TopicKind::Bandwidth => "bandwidth",
+            TopicKind::Servers => "servers",
+            TopicKind::ServerLiveness => "liveness/server",
+            TopicKind::GroupLiveness => "liveness/group",
+            TopicKind::Reachable => "reachable",
+        };
+        write!(f, "probe/{kind}/{}", self.subject)?;
+        match self.other {
+            Some(other) => write!(f, "/{other}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The name of the probe reporting a [`Measurement`] (`aide/User3`, `remos`,
+/// `heartbeat/S2`); see [`Measurement::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeName(&'static str, Option<Key>);
+
+impl fmt::Display for ProbeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            Some(subject) => write!(f, "{}/{subject}", self.0),
+            None => f.write_str(self.0),
+        }
+    }
+}
+
 impl Measurement {
     /// The bus topic this measurement is published under.
-    pub fn topic(&self) -> String {
-        match self {
-            Measurement::RequestLatency { client, .. } => format!("probe/latency/{client}"),
-            Measurement::QueueLength { group, .. } => format!("probe/load/{group}"),
+    pub fn topic(&self) -> Topic {
+        let (kind, subject, other) = match *self {
+            Measurement::RequestLatency { client, .. } => (TopicKind::Latency, client, None),
+            Measurement::QueueLength { group, .. } => (TopicKind::Load, group, None),
             Measurement::Bandwidth { client, group, .. } => {
-                format!("probe/bandwidth/{client}/{group}")
+                (TopicKind::Bandwidth, client, Some(group))
             }
-            Measurement::ActiveServers { group, .. } => format!("probe/servers/{group}"),
-            Measurement::ServerLive { server, .. } => format!("probe/liveness/server/{server}"),
-            Measurement::GroupLiveness { group, .. } => format!("probe/liveness/group/{group}"),
-            Measurement::Reachability { client, .. } => format!("probe/reachable/{client}"),
+            Measurement::ActiveServers { group, .. } => (TopicKind::Servers, group, None),
+            Measurement::ServerLive { server, .. } => (TopicKind::ServerLiveness, server, None),
+            Measurement::GroupLiveness { group, .. } => (TopicKind::GroupLiveness, group, None),
+            Measurement::Reachability { client, .. } => (TopicKind::Reachable, client, None),
+        };
+        Topic {
+            kind,
+            subject,
+            other,
+        }
+    }
+
+    /// The probe that reports this measurement: the AIDE-instrumented reply
+    /// handler of a client, the queue and group probes of the request-queue
+    /// machine, Remos, or a heartbeat.
+    pub fn probe(&self) -> ProbeName {
+        match *self {
+            Measurement::RequestLatency { client, .. } => ProbeName("aide", Some(client)),
+            Measurement::QueueLength { group, .. } => ProbeName("queue-probe", Some(group)),
+            Measurement::Bandwidth { .. } | Measurement::Reachability { .. } => {
+                ProbeName("remos", None)
+            }
+            Measurement::ActiveServers { group, .. } => ProbeName("group-probe", Some(group)),
+            Measurement::ServerLive { server, .. } => ProbeName("heartbeat", Some(server)),
+            Measurement::GroupLiveness { group, .. } => ProbeName("heartbeat", Some(group)),
         }
     }
 
     /// The numeric value carried by the measurement.
     pub fn value(&self) -> f64 {
-        match self {
-            Measurement::RequestLatency { seconds, .. } => *seconds,
-            Measurement::QueueLength { length, .. } => *length as f64,
-            Measurement::Bandwidth { bps, .. } => *bps,
-            Measurement::ActiveServers { count, .. } => *count as f64,
-            Measurement::ServerLive { up, .. } => {
-                if *up {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Measurement::GroupLiveness { live, .. } => *live as f64,
-            Measurement::Reachability { reachable, .. } => {
-                if *reachable {
+        match *self {
+            Measurement::RequestLatency { seconds, .. } => seconds,
+            Measurement::QueueLength { length, .. } => length as f64,
+            Measurement::Bandwidth { bps, .. } => bps,
+            Measurement::ActiveServers { count, .. } => count as f64,
+            Measurement::GroupLiveness { live, .. } => live as f64,
+            Measurement::ServerLive { up: flag, .. }
+            | Measurement::Reachability {
+                reachable: flag, ..
+            } => {
+                if flag {
                     1.0
                 } else {
                     0.0
@@ -117,28 +209,22 @@ impl Measurement {
 }
 
 /// An observation announced on the probe bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeEvent {
     /// Simulated time of the observation (seconds).
     pub time: f64,
-    /// The reporting probe's name (e.g. `"aide/User3"`, `"remos/R2"`).
-    pub probe: String,
     /// The observation itself.
     pub measurement: Measurement,
 }
 
 impl ProbeEvent {
     /// Convenience constructor.
-    pub fn new(time: f64, probe: impl Into<String>, measurement: Measurement) -> Self {
-        ProbeEvent {
-            time,
-            probe: probe.into(),
-            measurement,
-        }
+    pub fn new(time: f64, measurement: Measurement) -> Self {
+        ProbeEvent { time, measurement }
     }
 
     /// The topic this event is published under.
-    pub fn topic(&self) -> String {
+    pub fn topic(&self) -> Topic {
         self.measurement.topic()
     }
 }
@@ -149,65 +235,90 @@ mod tests {
 
     #[test]
     fn topics_follow_the_naming_scheme() {
+        let rendered = |m: Measurement| m.topic().to_string();
         assert_eq!(
-            Measurement::RequestLatency {
+            rendered(Measurement::RequestLatency {
                 client: "User3".into(),
                 seconds: 1.2
-            }
-            .topic(),
+            }),
             "probe/latency/User3"
         );
         assert_eq!(
-            Measurement::QueueLength {
+            rendered(Measurement::QueueLength {
                 group: "ServerGrp1".into(),
                 length: 7
-            }
-            .topic(),
+            }),
             "probe/load/ServerGrp1"
         );
         assert_eq!(
-            Measurement::Bandwidth {
+            rendered(Measurement::Bandwidth {
                 client: "User3".into(),
                 group: "ServerGrp2".into(),
                 bps: 1e6
-            }
-            .topic(),
+            }),
             "probe/bandwidth/User3/ServerGrp2"
         );
         assert_eq!(
-            Measurement::ActiveServers {
+            rendered(Measurement::ActiveServers {
                 group: "ServerGrp1".into(),
                 count: 3
-            }
-            .topic(),
+            }),
             "probe/servers/ServerGrp1"
         );
         assert_eq!(
-            Measurement::ServerLive {
+            rendered(Measurement::ServerLive {
                 server: "S2".into(),
                 up: false
-            }
-            .topic(),
+            }),
             "probe/liveness/server/S2"
         );
         assert_eq!(
-            Measurement::GroupLiveness {
+            rendered(Measurement::GroupLiveness {
                 group: "ServerGrp1".into(),
                 live: 1,
                 dead: 2
-            }
-            .topic(),
+            }),
             "probe/liveness/group/ServerGrp1"
         );
         assert_eq!(
-            Measurement::Reachability {
+            rendered(Measurement::Reachability {
                 client: "User3".into(),
                 group: "ServerGrp1".into(),
                 reachable: true
-            }
-            .topic(),
+            }),
             "probe/reachable/User3"
         );
+    }
+
+    #[test]
+    fn topics_are_equal_exactly_when_they_render_alike() {
+        let bandwidth = |client: &str, group: &str| {
+            Measurement::Bandwidth {
+                client: client.into(),
+                group: group.into(),
+                bps: 0.0,
+            }
+            .topic()
+        };
+        assert_eq!(
+            bandwidth("User3", "ServerGrp1"),
+            bandwidth("User3", "ServerGrp1")
+        );
+        assert_ne!(
+            bandwidth("User3", "ServerGrp1"),
+            bandwidth("User3", "ServerGrp2")
+        );
+        // A server and a group that share a name are still different topics.
+        let server = Measurement::ServerLive {
+            server: "X".into(),
+            up: true,
+        };
+        let group = Measurement::GroupLiveness {
+            group: "X".into(),
+            live: 0,
+            dead: 0,
+        };
+        assert_ne!(server.topic(), group.topic());
     }
 
     #[test]
@@ -272,13 +383,18 @@ mod tests {
     fn probe_event_topic_delegates_to_measurement() {
         let e = ProbeEvent::new(
             1.0,
-            "aide/User1",
             Measurement::RequestLatency {
                 client: "User1".into(),
                 seconds: 0.3,
             },
         );
-        assert_eq!(e.topic(), "probe/latency/User1");
-        assert_eq!(e.probe, "aide/User1");
+        assert_eq!(e.topic().to_string(), "probe/latency/User1");
+        assert_eq!(e.measurement.probe().to_string(), "aide/User1");
+        let remos = Measurement::Reachability {
+            client: "User1".into(),
+            group: "ServerGrp1".into(),
+            reachable: true,
+        };
+        assert_eq!(remos.probe().to_string(), "remos");
     }
 }

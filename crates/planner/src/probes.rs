@@ -27,7 +27,7 @@
 //! — not by walking every client on every control tick.
 
 use crate::classes::{ClassIndex, ClientClass};
-use gridapp::{FlowSnapshot, GridApp};
+use gridapp::{FlowSnapshot, GridApp, Key};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The class-level `remos_get_flow` of one snapshot instant: predicted
@@ -115,12 +115,15 @@ pub fn class_remos(
 /// pair: the lexicographically first member of the class homed on that group
 /// — the class representative while the class is homogeneous, and the first
 /// mover after a partial group migration.
-#[derive(Debug, Clone)]
+///
+/// Both names are the application's own interned [`Key`]s (see
+/// [`GridApp::assignment`]), so a snapshot row is built from a `Rep` by copy.
+#[derive(Debug, Clone, Copy)]
 pub struct Rep {
     /// The monitored client.
-    pub client: String,
+    pub client: Key,
     /// The group it currently sends to.
-    pub group: String,
+    pub group: Key,
     /// Its client class.
     pub class: usize,
 }
@@ -146,7 +149,7 @@ pub struct RepTable {
     /// Every client in name order with the slot of its representative in
     /// `reps`: filed by the first fan-out after a rebuild, dropped by the
     /// next rebuild.
-    members: Option<Vec<(String, usize)>>,
+    members: Option<Vec<(Key, usize)>>,
 }
 
 impl RepTable {
@@ -192,37 +195,37 @@ impl RepTable {
             // is that pair's representative.
             let first = self.reps.len();
             for member in &class.members {
-                let Ok(group) = app.client_group(member) else {
+                let Ok((client, group)) = app.assignment(member) else {
                     continue;
                 };
                 if self.reps[first..].iter().all(|rep| rep.group != group) {
                     self.reps.push(Rep {
-                        client: member.clone(),
+                        client,
                         group,
                         class: class.id,
                     });
                 }
             }
         }
-        self.reps.sort_by(|a, b| a.client.cmp(&b.client));
+        self.reps.sort_by_key(|rep| rep.client);
     }
 
     /// Files every indexed client under its representative's slot. Runs once
     /// per table rebuild, so the per-tick fan-out never walks the index.
-    fn file_members(&self, app: &GridApp) -> Vec<(String, usize)> {
-        let slots: BTreeMap<(usize, &str), usize> = self
+    fn file_members(&self, app: &GridApp) -> Vec<(Key, usize)> {
+        let slots: BTreeMap<(usize, Key), usize> = self
             .reps
             .iter()
             .enumerate()
-            .map(|(slot, rep)| ((rep.class, rep.group.as_str()), slot))
+            .map(|(slot, rep)| ((rep.class, rep.group), slot))
             .collect();
         let mut members = Vec::new();
         for class in self.index.client_classes() {
             for member in &class.members {
-                let Ok(group) = app.client_group(member) else {
+                let Ok((client, group)) = app.assignment(member) else {
                     continue;
                 };
-                members.push((member.clone(), slots[&(class.id, group.as_str())]));
+                members.push((client, slots[&(class.id, group)]));
             }
         }
         members.sort();
@@ -235,7 +238,7 @@ impl RepTable {
         let mut probes = GroupProbes::new(app, &self.index);
         self.reps
             .iter()
-            .map(|rep| probes.flow(&self.index.client_classes()[rep.class], &rep.group))
+            .map(|rep| probes.flow(&self.index.client_classes()[rep.class], rep.group.as_str()))
             .collect()
     }
 
@@ -248,7 +251,7 @@ impl RepTable {
             .reps
             .iter()
             .zip(flows)
-            .map(|(rep, flow)| (rep.client.clone(), rep.group.clone(), flow))
+            .map(|(rep, flow)| (rep.client, rep.group, flow))
             .collect();
         FlowSnapshot::from_entries(entries)
     }
@@ -267,7 +270,7 @@ impl RepTable {
             .members
             .iter()
             .flatten()
-            .map(|(client, slot)| (client.clone(), self.reps[*slot].group.clone(), flows[*slot]))
+            .map(|&(client, slot)| (client, self.reps[slot].group, flows[slot]))
             .collect();
         FlowSnapshot::from_entries(entries)
     }
@@ -302,7 +305,7 @@ mod tests {
                 continue; // this (class, group) already has a representative
             }
             let flow = class_remos(app, index, class, &group);
-            entries.push((client, group, flow));
+            entries.push((client.into(), group.into(), flow));
         }
         FlowSnapshot::from_entries(entries)
     }
@@ -327,7 +330,7 @@ mod tests {
             let flow = *memo
                 .entry((class.id, group.clone()))
                 .or_insert_with(|| probes.flow(class, &group));
-            entries.push((client, group, flow));
+            entries.push((client.into(), group.into(), flow));
         }
         FlowSnapshot::from_entries(entries)
     }
@@ -599,7 +602,7 @@ mod tests {
         let full = fan_out(&app, &index);
         for (client, group, flow) in rep.entries() {
             let class = index
-                .client_class(index.client_class_of(client).unwrap())
+                .client_class(index.client_class_of(client.as_str()).unwrap())
                 .unwrap();
             assert_eq!(*client, class.representative);
             let exact = full
