@@ -36,50 +36,64 @@ fn large_grid() -> GridConfig {
 }
 
 /// Asserts the indexed allocator reproduces the reference bit-for-bit over
-/// flow sets sampled from the large-scale topology.
+/// flow sets sampled from the large-scale topology, and over one
+/// fleet-shaped set: the 39 flows of a typical 50k epoch, scattered over that
+/// testbed's ~100k links (sparse resource ids are what the allocator's slot
+/// table is for).
 fn assert_allocator_equivalence() {
-    let testbed = gridapp::Testbed::from_spec(&TestbedSpec::large_scale()).expect("testbed builds");
-    let topology = &testbed.topology;
     let mut rng = SimRng::seed_from_u64(2026).derive(5);
-    let hosts: Vec<_> = testbed.client_hosts.iter().map(|&(_, h)| h).collect();
-    let servers = &testbed.server_hosts;
-
-    let capacities_map: HashMap<simnet::LinkId, f64> = topology
-        .links()
-        .map(|(id, l)| (id, l.effective_capacity_bps()))
-        .collect();
-    let capacities_dense: Vec<f64> = topology
-        .links()
-        .map(|(_, l)| l.effective_capacity_bps())
-        .collect();
-
     let mut allocator = Allocator::new();
     let mut rates = Vec::new();
-    for flows in [16usize, 128, 512] {
-        let mut reference_demands = Vec::new();
-        let mut dense = DemandSet::new();
-        for key in 0..flows as u64 {
-            let src = servers[rng.index(servers.len())];
-            let dst = hosts[rng.index(hosts.len())];
-            let path = topology.path(src, dst).expect("connected testbed");
-            dense.push(1.0, &path.iter().map(|l| l.0 as u32).collect::<Vec<_>>());
-            reference_demands.push(FlowDemand {
-                key: FlowKey(key),
-                links: path,
-                weight: 1.0,
-            });
-        }
-        let expected = max_min_fair_rates(&capacities_map, &reference_demands);
-        allocator.solve(&capacities_dense, &dense, None, &mut rates);
-        for (i, rate) in rates.iter().enumerate() {
-            let reference = expected[&FlowKey(i as u64)];
-            assert!(
-                rate.to_bits() == reference.to_bits(),
-                "allocator diverged from reference at flow {i}: {rate} != {reference}"
-            );
+    let cases = [
+        (TestbedSpec::large_scale(), &[16usize, 128, 512][..]),
+        (TestbedSpec::large_scale_50k(), &[39][..]),
+    ];
+    for (spec, flow_counts) in cases {
+        let testbed = gridapp::Testbed::from_spec(&spec).expect("testbed builds");
+        let topology = &testbed.topology;
+        let hosts: Vec<_> = testbed.client_hosts.iter().map(|&(_, h)| h).collect();
+        let servers = &testbed.server_hosts;
+
+        let capacities_map: HashMap<simnet::LinkId, f64> = topology
+            .links()
+            .map(|(id, l)| (id, l.effective_capacity_bps()))
+            .collect();
+        let capacities_dense: Vec<f64> = topology
+            .links()
+            .map(|(_, l)| l.effective_capacity_bps())
+            .collect();
+
+        for &flows in flow_counts {
+            let mut reference_demands = Vec::new();
+            let mut dense = DemandSet::new();
+            for key in 0..flows as u64 {
+                let src = servers[rng.index(servers.len())];
+                let dst = hosts[rng.index(hosts.len())];
+                let path = topology.path(src, dst).expect("connected testbed");
+                dense.push(&path.iter().map(|l| l.0 as u32).collect::<Vec<_>>());
+                reference_demands.push(FlowDemand {
+                    key: FlowKey(key),
+                    links: path,
+                    weight: 1.0,
+                });
+            }
+            let expected = max_min_fair_rates(&capacities_map, &reference_demands);
+            allocator.solve(&capacities_dense, &dense, None, &mut rates);
+            for (i, rate) in rates.iter().enumerate() {
+                let reference = expected[&FlowKey(i as u64)];
+                assert!(
+                    rate.to_bits() == reference.to_bits(),
+                    "allocator diverged from reference at flow {i} of {flows} over {} links: \
+                     {rate} != {reference}",
+                    capacities_dense.len()
+                );
+            }
         }
     }
-    println!("[large-scale] allocator matches reference bit-identically (16/128/512 flows)");
+    println!(
+        "[large-scale] allocator matches reference bit-identically \
+         (16/128/512 flows at 2k, 39 flows over the 50k testbed's links)"
+    );
 }
 
 /// Asserts the aggregate-flow allocator is observationally invisible: a

@@ -1,10 +1,14 @@
-//! Max-min fair bandwidth allocation.
+//! Max-min fair bandwidth allocation: the **test reference**.
 //!
-//! Concurrent transfers share link capacity. The simulator uses the classic
+//! Concurrent transfers share link capacity by the classic
 //! progressive-filling algorithm: repeatedly find the most constrained link,
 //! freeze every flow crossing it at that link's equal share, remove the
 //! consumed capacity, and continue until all flows are frozen. This reproduces
 //! the first-order behaviour of TCP flows competing on the testbed links.
+//!
+//! Nothing in the production build calls this module. It is the oracle that
+//! the equivalence tests and benches hold [`Allocator`](crate::Allocator) to,
+//! bit for bit, and the only place weighted filling survives.
 
 use crate::topology::LinkId;
 use std::collections::HashMap;
@@ -24,9 +28,7 @@ pub struct FlowDemand {
     pub weight: f64,
 }
 
-/// Rate (bits/second) granted to flows that traverse no shared link, i.e.
-/// transfers local to one machine.
-pub const LOCAL_RATE_BPS: f64 = 1.0e9;
+pub use crate::alloc::LOCAL_RATE_BPS;
 
 /// Computes max-min fair rates (bits/second) for `flows` given per-link
 /// effective capacities.

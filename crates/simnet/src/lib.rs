@@ -9,7 +9,7 @@
 //! * a deterministic discrete-event [`engine`] with a virtual clock,
 //! * a network [`topology`] of hosts, routers, and links,
 //! * a fluid-flow [`network`] model in which concurrent transfers share link
-//!   capacity max-min fairly (see [`flow`]),
+//!   capacity max-min fairly (see [`alloc`]),
 //! * a Remos-like predicted-[`bandwidth`] oracle with cold-query behaviour,
 //! * deterministic randomness ([`rng`]), time-series [`stats`], and an event
 //!   [`trace`] used by the experiment harness,
@@ -25,6 +25,7 @@ pub mod alloc;
 pub mod bandwidth;
 pub mod engine;
 pub mod event;
+#[doc(hidden)]
 pub mod flow;
 pub mod network;
 pub mod registry;

@@ -8,7 +8,7 @@
 //! [`Network::next_event_time`], which is how transfer completions turn into
 //! discrete events.
 
-use crate::alloc::{Allocator, DemandSet, ResourceId};
+use crate::alloc::{Allocator, DemandSet, ResourceId, LOCAL_RATE_BPS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PathTable, Topology, TopologyError};
 use crate::trace::{Trace, TraceKind};
@@ -116,8 +116,15 @@ pub struct AggregationStats {
 
 /// Scratch for grouping one epoch's transfers into aggregate rows; a member
 /// of [`AggState`] so buffers persist across epochs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct GroupScratch {
+    /// The group's key is `(class, far endpoint, client-is-src)`; `far`
+    /// picks the chain the group sits on.
+    class: u32,
+    far: NodeId,
+    client_is_src: bool,
+    /// The next group with the same far endpoint this epoch, or [`PLAIN`].
+    next: u32,
     /// The first member's post-access resources, which later members must
     /// match exactly to join.
     shared: Vec<ResourceId>,
@@ -127,7 +134,8 @@ struct GroupScratch {
     members: Vec<u32>,
 }
 
-/// Marks a transfer outside every group in [`AggState::member_of`].
+/// Marks a transfer outside every group in [`AggState::member_of`], and the
+/// end of a far endpoint's group chain.
 const PLAIN: u32 = u32::MAX;
 
 /// Class-aggregation state: which client hosts belong to which
@@ -158,8 +166,10 @@ struct AggState {
     counts: Vec<u32>,
     /// The nodes with a non-zero count, so a reset touches only them.
     counted: Vec<NodeId>,
-    /// (class, far endpoint, client-is-src) → group slot.
-    index: HashMap<(u32, NodeId, bool), u32>,
+    /// Far endpoint → its most recent group slot this epoch, chained through
+    /// [`GroupScratch::next`]; [`PLAIN`] for a node no group talks to. Node
+    /// ids are dense by construction, which caller-chosen class ids are not.
+    far_head: Vec<u32>,
     /// Group slots; `groups[..n_groups]` are live this epoch.
     groups: Vec<GroupScratch>,
     n_groups: usize,
@@ -187,16 +197,47 @@ impl AggState {
         for node in self.counted.drain(..) {
             self.counts[node.0] = 0;
         }
-        self.index.clear();
+        for g in &self.groups[..self.n_groups] {
+            self.far_head[g.far.0] = PLAIN;
+        }
         self.n_groups = 0;
     }
 
-    fn alloc_group(&mut self, shared: &[ResourceId]) -> u32 {
+    /// The group keyed `(class, far, client_is_src)` this epoch, if any.
+    fn find_group(&self, class: u32, far: NodeId, client_is_src: bool) -> Option<u32> {
+        let mut gi = self.far_head[far.0];
+        while gi != PLAIN {
+            let g = &self.groups[gi as usize];
+            if g.class == class && g.client_is_src == client_is_src {
+                return Some(gi);
+            }
+            gi = g.next;
+        }
+        None
+    }
+
+    fn alloc_group(
+        &mut self,
+        class: u32,
+        far: NodeId,
+        client_is_src: bool,
+        shared: &[ResourceId],
+    ) -> u32 {
         let slot = self.n_groups;
+        let next = std::mem::replace(&mut self.far_head[far.0], slot as u32);
         if slot == self.groups.len() {
-            self.groups.push(GroupScratch::default());
+            self.groups.push(GroupScratch {
+                class,
+                far,
+                client_is_src,
+                next,
+                shared: Vec::new(),
+                access: Vec::new(),
+                members: Vec::new(),
+            });
         }
         let g = &mut self.groups[slot];
+        (g.class, g.far, g.client_is_src, g.next) = (class, far, client_is_src, next);
         g.shared.clear();
         g.shared.extend_from_slice(shared);
         g.access.clear();
@@ -234,7 +275,12 @@ pub struct Network {
     /// steady-state transfer churn allocates nothing.
     resource_pool: Vec<Vec<ResourceId>>,
     pending: Vec<PendingDelivery>,
+    /// Competing load between host pairs, spread over each pair's path.
     background: HashMap<(NodeId, NodeId), f64>,
+    /// Competing load set on each link directly (the topology's baseline,
+    /// then `set_background_on_link`); a link carries this plus its share of
+    /// `background`.
+    link_background: Vec<f64>,
     next_id: u64,
     last_advance: SimTime,
     /// Nodes currently taken down by fault injection. Every link adjacent to
@@ -287,12 +333,14 @@ impl Network {
     pub fn new(topology: Topology) -> Self {
         let n_links = topology.link_count();
         let nominal_caps: Vec<f64> = topology.links().map(|(_, l)| l.capacity_bps).collect();
+        let link_background = topology.links().map(|(_, l)| l.background_bps).collect();
         let mut network = Network {
             topology,
             active: BTreeMap::new(),
             resource_pool: Vec::new(),
             pending: Vec::new(),
             background: HashMap::new(),
+            link_background,
             next_id: 0,
             last_advance: SimTime::ZERO,
             down_nodes: BTreeSet::new(),
@@ -440,7 +488,8 @@ impl Network {
 
     /// Sets competing background traffic directly on a single link (e.g. an
     /// inter-router link loaded by the experiment's competition generator),
-    /// without touching host access links.
+    /// without touching host access links. It replaces the link's previous
+    /// link-level load; pair loads whose path crosses the link add to it.
     pub fn set_background_on_link(
         &mut self,
         now: SimTime,
@@ -448,7 +497,9 @@ impl Network {
         bps: f64,
     ) -> Result<(), NetError> {
         self.advance(now);
-        self.topology.set_background_load(link, bps)?;
+        self.topology.link(link)?;
+        self.link_background[link.0] = bps.max(0.0);
+        self.apply_background()?;
         self.caps_dirty = true;
         self.recompute_rates();
         Ok(())
@@ -631,6 +682,7 @@ impl Network {
     pub fn clear_background(&mut self, now: SimTime) -> Result<(), NetError> {
         self.advance(now);
         self.background.clear();
+        self.link_background.fill(0.0);
         self.apply_background()?;
         self.caps_dirty = true;
         self.recompute_rates();
@@ -638,10 +690,12 @@ impl Network {
     }
 
     fn apply_background(&mut self) -> Result<(), NetError> {
-        // Recompute per-link background as the sum of all pair demands whose
-        // path crosses the link. Sum in sorted pair order: float accumulation
-        // must not depend on HashMap iteration order, or identically-seeded
-        // runs with background traffic diverge in the low bits.
+        // Recompute per-link background as the link's own load plus the sum
+        // of all pair demands whose path crosses it, so neither kind of
+        // competition erases the other. Sum in sorted pair order: float
+        // accumulation must not depend on HashMap iteration order, or
+        // identically-seeded runs with background traffic diverge in the low
+        // bits.
         let mut pairs: Vec<((NodeId, NodeId), f64)> = self
             .background
             .iter()
@@ -659,10 +713,9 @@ impl Network {
                 *per_link.entry(link).or_insert(0.0) += bps;
             }
         }
-        let link_ids: Vec<LinkId> = self.topology.links().map(|(id, _)| id).collect();
-        for id in link_ids {
-            let load = per_link.get(&id).copied().unwrap_or(0.0);
-            self.topology.set_background_load(id, load)?;
+        for (i, &own) in self.link_background.iter().enumerate() {
+            let pairs = per_link.get(&LinkId(i)).copied().unwrap_or(0.0);
+            self.topology.set_background_load(LinkId(i), own + pairs)?;
         }
         Ok(())
     }
@@ -761,7 +814,7 @@ impl Network {
             self.build_aggregated_demands();
         } else {
             for t in self.active.values() {
-                self.demands.push(1.0, &t.resources);
+                self.demands.push(&t.resources);
             }
         }
         let rates = self.rates_scratch.get_mut();
@@ -839,19 +892,14 @@ impl Network {
                 let last = t.resources.len() - 1;
                 (t.resources[last], &t.resources[..last])
             };
-            let key = (class, far, client_is_src);
-            let gi = match agg.index.get(&key) {
-                Some(&gi) if agg.groups[gi as usize].shared == shared => gi,
+            let gi = match agg.find_group(class, far, client_is_src) {
+                Some(gi) if agg.groups[gi as usize].shared == shared => gi,
                 Some(_) => {
                     // Asymmetric routing within the class: stays plain.
                     agg.member_of.push(PLAIN);
                     continue;
                 }
-                None => {
-                    let gi = agg.alloc_group(shared);
-                    agg.index.insert(key, gi);
-                    gi
-                }
+                None => agg.alloc_group(class, far, client_is_src, shared),
             };
             let g = &mut agg.groups[gi as usize];
             g.access.push(access);
@@ -867,7 +915,7 @@ impl Network {
         };
         let mut next_member = 0u32;
         for g in &agg.groups[..agg.n_groups] {
-            self.demands.push_aggregate(1.0, &g.shared, &g.access);
+            self.demands.push_aggregate(&g.shared, &g.access);
             for (j, &k) in g.members.iter().enumerate() {
                 agg.member_of[k as usize] = next_member + j as u32;
             }
@@ -879,7 +927,7 @@ impl Network {
         }
         for (t, member) in self.active.values().zip(agg.member_of.iter_mut()) {
             if *member == PLAIN {
-                self.demands.push(1.0, &t.resources);
+                self.demands.push(&t.resources);
                 *member = next_member;
                 next_member += 1;
                 stats.rows += 1;
@@ -962,7 +1010,7 @@ impl Network {
             .borrow_mut()
             .path_into(&self.topology, src, dst, &mut link_scratch)?;
         let rate = if link_scratch.is_empty() {
-            crate::flow::LOCAL_RATE_BPS
+            LOCAL_RATE_BPS
         } else {
             let mut probe = self.probe_scratch.borrow_mut();
             probe.clear();
@@ -1035,6 +1083,9 @@ impl Network {
                 }
             }
         }
+        agg.n_groups = 0;
+        agg.far_head.clear();
+        agg.far_head.resize(nodes, PLAIN);
         if !self.active.is_empty() {
             self.recompute_rates();
         }
@@ -1166,6 +1217,34 @@ mod tests {
         net.set_background_on_link(t(0.0), link, 9.5e6).unwrap();
         let avail = net.available_bandwidth(a, b).unwrap();
         assert!((avail - 0.5e6).abs() < 1.0, "avail={avail}");
+    }
+
+    #[test]
+    fn pair_background_leaves_link_level_background_in_place() {
+        let (mut net, hosts) = chain_net();
+        let loaded = net.topology().link_between(hosts[0], NodeId(0)).unwrap();
+        let load_of = |net: &Network| net.topology().link(loaded).unwrap().background_bps;
+        net.set_background_on_link(t(0.0), loaded, 4e6).unwrap();
+        // Pair load on a path that never crosses the loaded link.
+        net.set_background_between(t(1.0), hosts[3], hosts[4], 2e6)
+            .unwrap();
+        assert_eq!(load_of(&net), 4e6);
+        let left = net
+            .topology()
+            .link(loaded)
+            .unwrap()
+            .effective_capacity_bps();
+        assert_eq!(left, 6e6);
+        // Pair load that does cross it adds to the link's own, and a new
+        // link-level load replaces only the link's own part.
+        net.set_background_between(t(2.0), hosts[0], hosts[2], 1e6)
+            .unwrap();
+        assert_eq!(load_of(&net), 5e6);
+        net.set_background_on_link(t(3.0), loaded, 3e6).unwrap();
+        assert_eq!(load_of(&net), 4e6);
+        assert!((net.available_bandwidth(hosts[0], hosts[1]).unwrap() - 6e6).abs() < 1.0);
+        net.clear_background(t(4.0)).unwrap();
+        assert_eq!(load_of(&net), 0.0);
     }
 
     #[test]

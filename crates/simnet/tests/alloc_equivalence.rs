@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::rng::SimRng;
 use simnet::topology::{LinkId, NodeId, Topology};
-use simnet::{Network, SimDuration, SimTime, TransferId};
+use simnet::{AggregationStats, Allocator, DemandSet, Network, SimDuration, SimTime, TransferId};
 use std::collections::HashMap;
 
 /// A random connected topology: a chain of routers with hosts hung off
@@ -222,6 +222,113 @@ fn run_equivalence_scenario_with(
     }
 }
 
+/// One row of a hand-built demand set.
+enum DirectRow {
+    Plain(Vec<u32>),
+    Aggregate { shared: Vec<u32>, access: Vec<u32> },
+}
+
+/// Solves a seeded unit-weight `DemandSet` of a shape `Network` never builds
+/// — a resource listed twice in one path, ids past the end of `capacities`,
+/// zero capacities, aggregate rows between plain ones, an access resource
+/// that is also somebody's shared resource — with the allocator (twice, so
+/// the second solve runs on warm scratch that the first one dirtied with a
+/// different probe) and with the reference over the member-exploded flows.
+fn run_direct_scenario(seed: u64) {
+    let mut rng = SimRng::seed_from_u64(seed).derive(3);
+    let ids = 1 + rng.index(12);
+    let known = rng.index(ids + 1);
+    let capacities: Vec<f64> = (0..known)
+        .map(|_| [0.0, 0.5, 3.0, 7.0, 1.0e3, 2.5e6][rng.index(6)])
+        .collect();
+    let resource = |rng: &mut SimRng| {
+        let id = rng.index(ids) as u32;
+        // Now and then an id far past anything the last solve sized for.
+        if rng.index(16) == 0 {
+            id + 1_000 * (1 + seed % 7) as u32
+        } else {
+            id
+        }
+    };
+    let path = |rng: &mut SimRng, max_hops: usize| -> Vec<u32> {
+        (0..rng.index(max_hops + 1))
+            .map(|_| resource(rng))
+            .collect()
+    };
+    let rows: Vec<DirectRow> = (0..rng.index(10))
+        .map(|_| {
+            if rng.index(3) == 0 {
+                DirectRow::Aggregate {
+                    shared: path(&mut rng, 3),
+                    access: (0..1 + rng.index(4))
+                        .map(|_| rng.index(ids) as u32)
+                        .collect(),
+                }
+            } else {
+                DirectRow::Plain(path(&mut rng, 4))
+            }
+        })
+        .collect();
+    let probe = (rng.index(2) == 0).then(|| path(&mut rng, 4));
+
+    let mut set = DemandSet::new();
+    let mut exploded: Vec<Vec<u32>> = Vec::new();
+    for row in &rows {
+        match row {
+            DirectRow::Plain(path) => {
+                set.push(path);
+                exploded.push(path.clone());
+            }
+            DirectRow::Aggregate { shared, access } => {
+                set.push_aggregate(shared, access);
+                exploded.extend(access.iter().map(|&a| [&[a][..], shared].concat()));
+            }
+        }
+    }
+    exploded.extend(probe.clone());
+    let reference_flows: Vec<FlowDemand> = exploded
+        .iter()
+        .enumerate()
+        .map(|(i, path)| FlowDemand {
+            key: FlowKey(i as u64),
+            links: path.iter().map(|&r| LinkId(r as usize)).collect(),
+            weight: 1.0,
+        })
+        .collect();
+    let capacity_map: HashMap<LinkId, f64> = capacities
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (LinkId(i), c))
+        .collect();
+    let expected = max_min_fair_rates(&capacity_map, &reference_flows);
+
+    let mut allocator = Allocator::new();
+    let mut rates = Vec::new();
+    allocator.solve(&capacities, &set, Some(&[0, 0, 5]), &mut rates);
+    for round in 0..2 {
+        allocator.solve(&capacities, &set, probe.as_deref(), &mut rates);
+        assert_eq!(rates.len(), exploded.len(), "seed {seed} round {round}");
+        for (i, rate) in rates.iter().enumerate() {
+            let reference = expected[&FlowKey(i as u64)];
+            assert!(
+                rate.to_bits() == reference.to_bits(),
+                "seed {seed} round {round} member {i}: allocator {rate} != reference {reference}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The allocator's `live` counts and its early exit, held to the
+    /// reference on inputs the goldens cannot reach.
+    #[test]
+    fn allocator_matches_reference_on_demand_sets_no_network_builds(seed in 0u64..u64::MAX) {
+        run_direct_scenario(seed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -264,4 +371,70 @@ fn allocator_matches_reference_fixed_deep_scenario() {
 fn aggregated_allocator_matches_reference_fixed_deep_scenario() {
     run_equivalence_scenario_with(0xC0FFEE, 4, 6, 120, true);
     run_equivalence_scenario_with(0xA66A, 3, 8, 120, true);
+}
+
+/// The grouping path under hand counts: three concurrent transfers share one
+/// `(class, far, direction)` key, the same class holds a second group in the
+/// same epoch, and a transfer with the first group's key but another route
+/// stays plain. Rates and a probe are held to the reference throughout.
+#[test]
+fn grouped_epochs_match_reference_and_hand_counts() {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new();
+    let r0 = topo.add_router("r0").unwrap();
+    let r1 = topo.add_router("r1").unwrap();
+    topo.add_link(r0, r1, 6.0e6, ms(2.0)).unwrap();
+    let mut host = |name: &str, router: NodeId, bps: f64| {
+        let h = topo.add_host(name).unwrap();
+        topo.add_link(h, router, bps, ms(1.0)).unwrap();
+        h
+    };
+    let a: Vec<NodeId> = (0..4).map(|i| host(&format!("a{i}"), r0, 20.0e6)).collect();
+    let b: Vec<NodeId> = (0..2).map(|i| host(&format!("b{i}"), r0, 5.0e6)).collect();
+    // Classed with the `a` hosts, but attached where the servers are.
+    let stray = host("stray", r1, 20.0e6);
+    let s0 = host("s0", r1, 10.0e6);
+    let s1 = host("s1", r1, 10.0e6);
+
+    let mut net = Network::new(topo);
+    // Class numbers are the caller's; nothing is sized by them.
+    let classes = a.iter().chain([&stray]).map(|&h| (h, 4_000_000_000));
+    net.set_flow_classes(classes.chain(b.iter().map(|&h| (h, 7))));
+    let mut ledger = Vec::new();
+    let now = SimTime::from_secs(0.5);
+    let mut start = |net: &mut Network, src: NodeId, dst: NodeId| {
+        ledger.push((
+            net.start_transfer(now, src, dst, 50.0e6, 0).unwrap(),
+            src,
+            dst,
+        ));
+        assert_reference_agreement(net, &ledger, (s1, a[3]));
+    };
+    let stats = |rows, aggregated_flows, total_flows| AggregationStats {
+        rows,
+        aggregated_flows,
+        total_flows,
+        permanent_splits: 0,
+    };
+
+    // (a, s0, to the client): one group of three.
+    for &client in &a[..3] {
+        start(&mut net, s0, client);
+    }
+    assert_eq!(net.aggregation_stats(), stats(1, 3, 3));
+    // (a, s1, from the client): the class's second group, a singleton.
+    start(&mut net, a[3], s1);
+    assert_eq!(net.aggregation_stats(), stats(2, 3, 4));
+    // The first group's key over another route: a plain row.
+    start(&mut net, s0, stray);
+    assert_eq!(net.aggregation_stats(), stats(3, 3, 5));
+    // (b, s0, to the client): another class, a group of two.
+    for &client in &b {
+        start(&mut net, s0, client);
+    }
+    assert_eq!(net.aggregation_stats(), stats(4, 5, 7));
+    // A group member leaving shrinks its row; the others are untouched.
+    assert!(net.cancel_transfer(now, ledger[1].0).unwrap());
+    assert_reference_agreement(&net, &ledger, (a[1], s0));
+    assert_eq!(net.aggregation_stats(), stats(4, 4, 6));
 }

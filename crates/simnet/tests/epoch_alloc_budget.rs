@@ -1,0 +1,180 @@
+//! The allocation epoch's heap budget: once warm, `Network::start_transfer`,
+//! `advance` (drains re-solve the epoch), `available_bandwidth` (one probe
+//! solve per miss) and `poll_completions_into` allocate **nothing** on a
+//! classed 200-host star — demand rows, the grouping scratch, the allocator's
+//! slot table and registration lists, the heap and the probe memo are all
+//! reused. The count is a deterministic work counter, the same on every host,
+//! so a `Vec`, a `HashMap` entry or a `format!` per epoch fails here with no
+//! wall-clock noise.
+//!
+//! At most [`IN_FLIGHT`] transfers run at once: the active set is a
+//! `BTreeMap` whose root leaf holds eleven entries, and a node split is the
+//! map's allocation, not the epoch's.
+
+use simnet::rng::SimRng;
+use simnet::topology::{NodeId, Topology};
+use simnet::{Network, SimDuration, SimTime};
+
+#[path = "../../gridapp/tests/common/mod.rs"]
+mod common;
+use common::counted;
+
+const CLIENTS: usize = 200;
+const CLASSES: usize = 4;
+const IN_FLIGHT: usize = 8;
+const COUNTED_EPOCHS: u64 = 10_000;
+
+struct Churn {
+    net: Network,
+    clients: Vec<NodeId>,
+    servers: Vec<NodeId>,
+    rng: SimRng,
+    clock: f64,
+    busy: Vec<bool>,
+    in_flight: usize,
+    done: Vec<simnet::CompletedTransfer>,
+    most_aggregated: usize,
+}
+
+impl Churn {
+    fn start(&mut self, client: usize, server: usize, to_client: bool, bytes: f64) {
+        let (client_host, server_host) = (self.clients[client], self.servers[server]);
+        let (src, dst) = if to_client {
+            (server_host, client_host)
+        } else {
+            (client_host, server_host)
+        };
+        let now = SimTime::from_secs(self.clock);
+        self.net
+            .start_transfer(now, src, dst, bytes, client as u64)
+            .expect("star is connected");
+        self.busy[client] = true;
+        self.in_flight += 1;
+        let stats = self.net.aggregation_stats();
+        self.most_aggregated = self.most_aggregated.max(stats.aggregated_flows);
+    }
+
+    /// Moves the clock on so some transfers drain, probes a pair, and
+    /// collects what arrived.
+    fn settle(&mut self, secs: f64) {
+        self.clock += secs;
+        let now = SimTime::from_secs(self.clock);
+        self.net.advance(now);
+        let probe = self.clients[self.rng.index(CLIENTS)];
+        self.net
+            .available_bandwidth(self.servers[0], probe)
+            .expect("star is connected");
+        self.done.clear();
+        self.net.poll_completions_into(now, &mut self.done);
+        for transfer in &self.done {
+            self.busy[transfer.tag as usize] = false;
+            self.in_flight -= 1;
+        }
+    }
+
+    /// One step of seeded churn: maybe start a transfer between an idle
+    /// client and a server (either direction), then [`settle`](Self::settle).
+    fn step(&mut self) {
+        let client = self.rng.index(CLIENTS);
+        // A client with two transfers at once is split out of its class for
+        // good; this test is about the epochs that do aggregate.
+        if self.in_flight < IN_FLIGHT && !self.busy[client] {
+            let server = self.rng.index(self.servers.len());
+            let to_client = self.rng.chance(0.5);
+            let bytes = self.rng.uniform_range(1.0e5, 1.0e6);
+            self.start(client, server, to_client, bytes);
+        }
+        let secs = self.rng.uniform_range(0.0, 0.2);
+        self.settle(secs);
+    }
+
+    /// Takes every reused buffer to the most this churn can ask of it, by
+    /// construction rather than by luck. Group scratch belongs to a group's
+    /// *position* in the epoch, so round `k` puts `k` singleton groups in
+    /// front of one group of `IN_FLIGHT - k`; every transfer of a round has
+    /// one size, so whole groups drain and arrive within a single `advance`.
+    fn warm_up(&mut self) {
+        let keys: Vec<(usize, usize, bool)> = (0..CLASSES)
+            .flat_map(|class| {
+                [(0, true), (0, false), (1, true), (1, false)].map(move |(s, d)| (class, s, d))
+            })
+            .collect();
+        for k in 0..IN_FLIGHT {
+            let mut used = [0; CLASSES];
+            for position in 0..IN_FLIGHT {
+                let (class, server, to_client) = keys[position.min(k)];
+                let client = class + CLASSES * used[class];
+                used[class] += 1;
+                self.start(client, server, to_client, 1.0e5);
+            }
+            // A probe solve over the full set, on its most crowded link.
+            self.net
+                .available_bandwidth(self.servers[0], self.clients[CLIENTS - 1])
+                .expect("star is connected");
+            self.settle(10.0);
+            assert_eq!(self.in_flight, 0);
+        }
+    }
+}
+
+#[test]
+fn a_warm_epoch_allocates_nothing() {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new();
+    let hub = topo.add_router("hub").unwrap();
+    let mut host = |name: String, bps: f64| {
+        let h = topo.add_host(&name).unwrap();
+        topo.add_link(h, hub, bps, ms(1.0)).unwrap();
+        h
+    };
+    let clients: Vec<NodeId> = (0..CLIENTS)
+        .map(|i| host(format!("c{i}"), 20.0e6))
+        .collect();
+    let servers: Vec<NodeId> = (0..2).map(|i| host(format!("s{i}"), 10.0e6)).collect();
+    let mut net = Network::new(topo);
+    net.set_flow_classes(
+        clients
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, (i % CLASSES) as u32)),
+    );
+    // One shortest-path tree per source, and a probe memo that has held
+    // every pair, before anything is counted.
+    for &c in &clients {
+        for &s in &servers {
+            net.available_bandwidth(c, s).unwrap();
+            net.available_bandwidth(s, c).unwrap();
+        }
+    }
+    let mut churn = Churn {
+        net,
+        clients,
+        servers,
+        rng: SimRng::seed_from_u64(42).derive(19),
+        clock: 0.0,
+        busy: vec![false; CLIENTS],
+        in_flight: 0,
+        done: Vec::with_capacity(IN_FLIGHT),
+        most_aggregated: 0,
+    };
+    churn.warm_up();
+
+    let epochs_before = churn.net.rate_epoch_count();
+    let solves_before = churn.net.probe_solve_count();
+    churn.most_aggregated = 0;
+    let mut allocations = 0;
+    while churn.net.rate_epoch_count() - epochs_before < COUNTED_EPOCHS {
+        allocations += counted(|| churn.step());
+    }
+    let probe_solves = churn.net.probe_solve_count() - solves_before;
+    println!(
+        "{allocations} allocations over {COUNTED_EPOCHS} epochs and {probe_solves} probe solves"
+    );
+    assert!(probe_solves > 1_000, "only {probe_solves} probe solves");
+    assert!(
+        churn.most_aggregated >= 3,
+        "no epoch folded three transfers into aggregate rows"
+    );
+    assert_eq!(churn.net.aggregation_stats().permanent_splits, 0);
+    assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
+}
