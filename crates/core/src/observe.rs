@@ -401,11 +401,11 @@ impl Observer {
         set("simnet.probe.queries", queries);
         set("simnet.probe.solves", solves);
         set("simnet.probe.memo_hits", queries.saturating_sub(solves));
-        let agg = app.aggregation_stats();
-        set("simnet.agg.rows", agg.rows as u64);
-        set("simnet.agg.aggregated_flows", agg.aggregated_flows as u64);
-        set("simnet.agg.total_flows", agg.total_flows as u64);
-        set("simnet.agg.permanent_splits", agg.permanent_splits as u64);
+        // Always 0: the digested report, store and observation fixture hold the names.
+        set("simnet.agg.rows", 0);
+        set("simnet.agg.aggregated_flows", 0);
+        set("simnet.agg.total_flows", 0);
+        set("simnet.agg.permanent_splits", 0);
         let paths = app.path_table_stats();
         set("simnet.paths.trees_built", paths.trees_built);
         set("simnet.paths.lookups", paths.lookups);

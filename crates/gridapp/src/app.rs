@@ -309,12 +309,6 @@ impl GridApp {
         let testbed =
             Testbed::from_spec(&config.testbed).map_err(|e| AppError::Invalid(e.to_string()))?;
         let mut network = Network::new(testbed.topology.clone());
-        if config.aggregate_flows {
-            // One aggregate demand row per network-position class of client
-            // machines (empty — and therefore a no-op — on the classic
-            // presets). Bit-identical to the exploded per-client solve.
-            network.set_flow_classes(testbed.client_position_classes());
-        }
         let fleet_scale = testbed.num_clients() >= crate::testbed::FLEET_SCALE_MIN_CLIENTS;
         if fleet_scale {
             // Fleet-scale topologies cannot afford one shortest-path tree
@@ -932,14 +926,6 @@ impl GridApp {
         let state = &mut self.clients[client.ix()];
         state.group = to;
         self.assignment_generation += 1;
-        // A per-element repair broke the client's position symmetry: split
-        // it permanently out of its aggregate demand row. Bookkeeping only —
-        // aggregate rows are bit-identical to the exploded solve either way
-        // — but it keeps the diverged client visibly singleton in the
-        // aggregation statistics. (Whole-class moves via
-        // [`move_clients`](Self::move_clients) preserve symmetry and do not
-        // split.)
-        self.network.split_client(state.host);
         Ok(())
     }
 
@@ -1064,13 +1050,6 @@ impl GridApp {
     /// "probe sampling per tick" figures.
     pub fn probe_solve_count(&self) -> u64 {
         self.network.probe_solve_count()
-    }
-
-    /// Aggregation statistics of the underlying allocator: demand rows and
-    /// member flows of the last epoch, plus the lifetime count of clients
-    /// permanently split out of their aggregates.
-    pub fn aggregation_stats(&self) -> simnet::AggregationStats {
-        self.network.aggregation_stats()
     }
 
     /// Lifetime number of probe queries (memo hits included) the underlying

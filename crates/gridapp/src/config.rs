@@ -38,11 +38,6 @@ pub struct GridConfig {
     pub min_bandwidth_bps: f64,
     /// The testbed topology the application deploys on (paper: Figure 6).
     pub testbed: TestbedSpec,
-    /// Fold position-symmetric clients into aggregate network demand rows
-    /// (bit-identical to the exploded per-client solve; default on). The
-    /// equivalence tests flip this off to run the exploded reference
-    /// against the aggregated simulation.
-    pub aggregate_flows: bool,
 }
 
 impl Default for GridConfig {
@@ -58,7 +53,6 @@ impl Default for GridConfig {
             max_server_load: 6.0,
             min_bandwidth_bps: 10_000.0,
             testbed: TestbedSpec::paper(),
-            aggregate_flows: true,
         }
     }
 }

@@ -176,9 +176,9 @@ impl TestbedSpec {
     /// per-client rates off server capacity), stays the same while the
     /// client population grows 25×. Event volume therefore tracks the 2,000
     /// -client preset; everything per-client (probes, gauges, due-time
-    /// bookkeeping, routing trees) is what the fleet-scale machinery —
-    /// aggregate demand rows, the calendar queue, leaf-compressed routing,
-    /// representative-only monitoring — has to keep sublinear.
+    /// bookkeeping, routing trees) is what the fleet-scale machinery — the
+    /// calendar queue, leaf-compressed routing, representative-only
+    /// monitoring — has to keep sublinear.
     pub fn large_scale_50k() -> Self {
         TestbedSpec {
             clients_r1: 20_000,
@@ -198,8 +198,8 @@ impl TestbedSpec {
     /// `large_scale_50k` sizing — twice the population sharing the same
     /// contended substrate — so the step workload still wedges the control
     /// run and the preset doubles exactly the per-client dimension the
-    /// fleet-scale machinery (class representatives, aggregate rows,
-    /// incremental constraint checking) must keep sublinear.
+    /// fleet-scale machinery (class representatives, incremental constraint
+    /// checking) must keep sublinear.
     pub fn large_scale_100k() -> Self {
         TestbedSpec {
             clients_r1: 40_000,
@@ -502,39 +502,6 @@ impl Testbed {
         let idx: usize = server.strip_prefix('S')?.parse().ok()?;
         self.server_hosts.get(idx.checked_sub(1)?).copied()
     }
-
-    /// Network-position classes of the client machines, as `(host, class)`
-    /// pairs ready for [`Network::set_flow_classes`](simnet::Network):
-    /// machines behind the same aggregation switch with identical access
-    /// links share a dense class id (assigned in client-number order).
-    /// Empty for the classic direct-attach presets — they never aggregate.
-    ///
-    /// This is the same position-signature partition the planner's
-    /// `ClassIndex` applies to clients, so aggregate flow membership and
-    /// class-shared probing agree on who is symmetric with whom.
-    pub fn client_position_classes(&self) -> Vec<(NodeId, u32)> {
-        if self.agg_routers.is_empty() {
-            return Vec::new();
-        }
-        let agg: std::collections::BTreeSet<NodeId> = self.agg_routers.iter().copied().collect();
-        let mut class_of: std::collections::BTreeMap<(NodeId, u64, u64), u32> =
-            std::collections::BTreeMap::new();
-        let mut seen: std::collections::BTreeSet<NodeId> = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for &(_, host) in &self.client_hosts {
-            if !seen.insert(host) {
-                continue;
-            }
-            if let Some(signature) = self.topology.position_signature(host) {
-                if agg.contains(&signature.0) {
-                    let next = class_of.len() as u32;
-                    let id = *class_of.entry(signature).or_insert(next);
-                    out.push((host, id));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -771,36 +738,6 @@ mod tests {
         // 40k/64 = 625 switches behind R1, 20k/64 = 313 behind R2, 625
         // behind R5.
         assert_eq!(tb.agg_routers.len(), 625 + 313 + 625);
-    }
-
-    #[test]
-    fn client_position_classes_group_hosts_per_switch() {
-        // Classic presets never class anyone.
-        assert!(Testbed::build()
-            .unwrap()
-            .client_position_classes()
-            .is_empty());
-        let tb = Testbed::from_spec(&TestbedSpec::large_scale()).unwrap();
-        let classes = tb.client_position_classes();
-        // Every distinct client machine is classed exactly once.
-        let distinct_hosts: std::collections::BTreeSet<_> =
-            tb.client_hosts.iter().map(|&(_, h)| h).collect();
-        assert_eq!(classes.len(), distinct_hosts.len());
-        // Dense ids, one per aggregation switch (63 on this preset).
-        let ids: std::collections::BTreeSet<u32> = classes.iter().map(|&(_, c)| c).collect();
-        assert_eq!(ids.len(), 63);
-        assert_eq!(*ids.iter().max().unwrap(), 62);
-        // Two hosts share a class exactly when they share a switch.
-        for &(host, class) in &classes {
-            let attach = tb.topology.attachment(host).unwrap().0;
-            for &(other, other_class) in &classes {
-                if tb.topology.attachment(other).unwrap().0 == attach {
-                    assert_eq!(class, other_class);
-                } else {
-                    assert_ne!(class, other_class);
-                }
-            }
-        }
     }
 
     #[test]

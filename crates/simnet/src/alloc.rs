@@ -6,13 +6,15 @@
 //! build. The simulator re-solves the allocation on every transfer start and
 //! completion and once more per bandwidth probe, so a solve costs what the
 //! epoch's own flows and links cost, never what the fleet's link table costs.
+//! A [`DemandSet`] holds one row per flow (the simulator pushes one per
+//! transfer in flight) and a solve returns one rate per row.
 //!
 //! **Unit weights, counted.** Every flow weighs `1.0`, so a resource's
 //! unfrozen weight is the number of unfrozen flows crossing it, once per path
 //! occurrence. The reference reaches that number by adding `1.0`s in
 //! registration order, which is exact in an `f64` far past any flow count;
 //! the allocator keeps it as an integer `live` count, raised per registered
-//! entry and lowered per path occurrence when a member first freezes, and
+//! entry and lowered per path occurrence when a flow first freezes, and
 //! `remaining.max(0.0) / live as f64` is the same float. Refreshing a share
 //! after a freeze is therefore O(1) instead of a re-sum.
 //!
@@ -25,10 +27,10 @@
 //!
 //! **Same algorithm.** Rows register in push order; the bottleneck is the
 //! minimum `(share, global resource id)`, found through a lazy binary heap
-//! heapified once per solve; the members to freeze are snapshotted before any
+//! heapified once per solve; the rows to freeze are snapshotted before any
 //! freezes; each subtracts its rate from every resource on its path in path
 //! order, `(remaining - rate).max(0.0)` one at a time; the loop ends when no
-//! unfrozen member is left. The result is **bit-identical** to the reference
+//! unfrozen row is left. The result is **bit-identical** to the reference
 //! for every unit-weight input (property-tested in
 //! `tests/alloc_equivalence.rs`), and a warm allocator allocates nothing.
 //!
@@ -51,27 +53,13 @@ pub type ResourceId = u32;
 /// A dense, reusable set of unit-weight flow demands stored CSR-style so
 /// rebuilding the set each allocation epoch allocates nothing once warm.
 ///
-/// A demand is a *row*: either one flow ([`push`](Self::push) — the resources
-/// the flow traverses), or an **aggregate** of `m` identical flows
-/// ([`push_aggregate`](Self::push_aggregate) — one shared resource vector
-/// crossed by every member plus one private *access* resource per member).
-/// Aggregates let the allocator register a whole network-position class of
-/// symmetric clients as a single row: shared links see one entry per class
-/// instead of one per client, while each member keeps its own access
-/// resource so per-member bottlenecks (a cut access link) still freeze that
-/// member alone. Rates come back in *member order* — row-major, one rate per
-/// member — so a set built only from `push` yields exactly one rate per row.
+/// A demand is a *row*: the resources one flow traverses. A solve yields one
+/// rate per row, in push order.
 #[derive(Debug, Default, Clone)]
 pub struct DemandSet {
-    /// Row `i`'s shared resources are `paths[path_start[i]..path_start[i + 1]]`.
+    /// Row `i`'s resources are `paths[path_start[i]..path_start[i + 1]]`.
     path_start: Vec<u32>,
     paths: Vec<ResourceId>,
-    /// Per-row private member resources (empty slice for plain rows).
-    member_start: Vec<u32>,
-    members: Vec<ResourceId>,
-    /// Prefix sums of row multiplicities: member indices of row `i` are
-    /// `member_off[i]..member_off[i + 1]`.
-    member_off: Vec<u32>,
 }
 
 impl DemandSet {
@@ -84,50 +72,17 @@ impl DemandSet {
     pub fn clear(&mut self) {
         self.path_start.clear();
         self.paths.clear();
-        self.member_start.clear();
-        self.members.clear();
-        self.member_off.clear();
     }
 
-    /// Appends a single-flow demand. Demands must be pushed in the caller's
+    /// Appends a flow's demand. Demands must be pushed in the caller's
     /// canonical (key-sorted) order — the allocator freezes flows in push
     /// order, like the reference.
     pub fn push(&mut self, path: &[ResourceId]) {
-        self.push_row(path, &[]);
-    }
-
-    /// Appends an aggregate demand: `member_resources.len()` identical flows,
-    /// each crossing every resource in `shared` plus exactly one private
-    /// resource of its own. Aggregation is **exact** (bit-identical to
-    /// pushing each member as a separate flow over `[access] + shared`):
-    /// every flow has unit weight, so the members of a freeze round share one
-    /// rate and a resource's unfrozen weight is a count, whichever way the
-    /// flows are grouped.
-    ///
-    /// # Panics
-    /// Panics if `member_resources` is empty.
-    pub fn push_aggregate(&mut self, shared: &[ResourceId], member_resources: &[ResourceId]) {
-        assert!(
-            !member_resources.is_empty(),
-            "aggregate demands need at least one member"
-        );
-        self.push_row(shared, member_resources);
-    }
-
-    /// A row over `path` with one member per private resource, or a single
-    /// member when there is none.
-    fn push_row(&mut self, path: &[ResourceId], member_resources: &[ResourceId]) {
         if self.path_start.is_empty() {
             self.path_start.push(0);
-            self.member_off.push(0);
-            self.member_start.push(0);
         }
         self.paths.extend_from_slice(path);
         self.path_start.push(self.paths.len() as u32);
-        self.members.extend_from_slice(member_resources);
-        self.member_start.push(self.members.len() as u32);
-        let mult = member_resources.len().max(1);
-        self.member_off.push((self.total_members() + mult) as u32);
     }
 
     /// Number of demand rows.
@@ -140,18 +95,8 @@ impl DemandSet {
         self.len() == 0
     }
 
-    /// Total member flows across all rows (the length of the rate vector a
-    /// solve produces, before any probe).
-    pub fn total_members(&self) -> usize {
-        self.member_off.last().copied().unwrap_or(0) as usize
-    }
-
     fn path(&self, i: usize) -> &[ResourceId] {
         &self.paths[self.path_start[i] as usize..self.path_start[i + 1] as usize]
-    }
-
-    fn member_resources(&self, i: usize) -> &[ResourceId] {
-        &self.members[self.member_start[i] as usize..self.member_start[i + 1] as usize]
     }
 }
 
@@ -162,12 +107,6 @@ impl DemandSet {
 /// reference selects by scanning every link.
 type Candidate = Reverse<(u64, ResourceId, u32)>;
 
-/// An entry in a resource's registration list. The top bit distinguishes a
-/// *row* entry (every member of the row crosses the resource — the shared
-/// path of plain and aggregate rows alike) from a *member* entry (exactly one
-/// aggregate member crosses it — its private access resource).
-const ROW_ENTRY: u32 = 1 << 31;
-
 /// Marks a resource no row of the current solve has touched in `slot_of`.
 const NO_SLOT: u32 = u32::MAX;
 
@@ -176,11 +115,11 @@ const NO_SLOT: u32 = u32::MAX;
 struct Slot {
     /// The global id: the heap's tie-break, and the way back into `slot_of`.
     resource: ResourceId,
-    /// Capacity not yet handed to frozen members.
+    /// Capacity not yet handed to frozen rows.
     remaining: f64,
     /// `remaining / live` as of the last refresh.
     share: f64,
-    /// Unfrozen members crossing the resource, once per path occurrence.
+    /// Unfrozen rows crossing the resource, once per path occurrence.
     live: u32,
     /// Heap-entry invalidation stamp, bumped whenever the share changes.
     stamp: u32,
@@ -191,21 +130,13 @@ struct Slot {
     dirty: bool,
 }
 
-/// One registered row: where its translated path lives and who its members
-/// are. The probe is one more plain row.
+/// One registered row: its translated path is `path_slots[path..end]`. The
+/// probe is one more row.
 #[derive(Debug, Clone, Copy)]
 struct Row {
-    /// Shared slots are `path_slots[path..access]`, the members' private
-    /// slots `path_slots[access..access + mult]` (none for a plain row).
     path: u32,
-    access: u32,
-    /// Members are `first..first + mult` in rate order.
-    first: u32,
-    mult: u32,
-    /// Members not yet frozen.
-    live: u32,
-    /// Whether the row is an aggregate (its members own a private slot each).
-    aggregate: bool,
+    end: u32,
+    frozen: bool,
 }
 
 /// Persistent max-min fair-share solver over dense resource indices.
@@ -213,13 +144,6 @@ struct Row {
 /// All per-solve state is retained between calls, so a warm allocator
 /// performs no heap allocation: the simulator keeps one per network and the
 /// probe path reuses it for every `available_bandwidth` query in an epoch.
-///
-/// Flows are tracked in *member space* — aggregate rows contribute one index
-/// per member — while per-resource registration lists hold one entry per
-/// **row** for shared resources. A shared bottleneck therefore costs one
-/// list entry per class instead of one per client; freezing then expands the
-/// row back into members, replicating the exploded per-member operation
-/// sequence exactly (see [`DemandSet::push_aggregate`]).
 #[derive(Debug, Default)]
 pub struct Allocator {
     /// Global resource → slot of the current solve, [`NO_SLOT`] elsewhere.
@@ -229,15 +153,12 @@ pub struct Allocator {
     rows: Vec<Row>,
     /// Every row's path, translated to slots at registration.
     path_slots: Vec<u32>,
-    /// Row/member entries per slot (CSR, registration order within a slot).
+    /// Rows per slot (CSR, registration order within a slot), one entry per
+    /// path occurrence.
     entries: Vec<u32>,
-    /// Owning row of each member.
-    member_row: Vec<u32>,
-    /// Per-member frozen flags.
-    frozen: Vec<bool>,
     /// Slots whose share must be recomputed after a freeze round.
     dirty: Vec<u32>,
-    /// Snapshot of the members to freeze in the current round — collected
+    /// Snapshot of the rows to freeze in the current round — collected
     /// before any of them freezes, exactly like the reference (which then
     /// processes the snapshot without re-checking, so a path listing the
     /// same link twice subtracts its rate twice).
@@ -258,12 +179,9 @@ impl Allocator {
     /// rate lands in the last slot of `rates` — the one-shot incremental
     /// insert behind `available_bandwidth`.
     ///
-    /// `rates` is cleared and filled with one rate per demand **member**
-    /// (plus the probe, if any), row-major in push order — for sets built
-    /// only from [`DemandSet::push`] that is one rate per demand. Results
-    /// are bit-identical to
-    /// [`max_min_fair_rates`](crate::flow::max_min_fair_rates) over the
-    /// member-exploded inputs.
+    /// `rates` is cleared and filled with one rate per demand (plus the
+    /// probe, if any) in push order. Results are bit-identical to
+    /// [`max_min_fair_rates`](crate::flow::max_min_fair_rates).
     pub fn solve(
         &mut self,
         capacities: &[f64],
@@ -271,13 +189,9 @@ impl Allocator {
         probe: Option<&[ResourceId]>,
         rates: &mut Vec<f64>,
     ) {
-        let n_members = demands.total_members() + usize::from(probe.is_some());
-        // A member no round reaches keeps the reference's minimal rate.
+        // A row no round reaches keeps the reference's minimal rate.
         rates.clear();
-        rates.resize(n_members, 1.0);
-        self.frozen.clear();
-        self.frozen.resize(n_members, false);
-        self.member_row.clear();
+        rates.resize(demands.len() + usize::from(probe.is_some()), 1.0);
         self.rows.clear();
         self.path_slots.clear();
         for slot in self.slots.drain(..) {
@@ -288,20 +202,14 @@ impl Allocator {
         // local rate; everything else enlists on each resource it crosses.
         let mut unfrozen = 0u32;
         for i in 0..demands.len() {
-            unfrozen += self.register(
-                capacities,
-                demands.path(i),
-                demands.member_resources(i),
-                rates,
-            );
+            unfrozen += self.register(capacities, demands.path(i), rates);
         }
         if let Some(path) = probe {
-            unfrozen += self.register(capacities, path, &[], rates);
+            unfrozen += self.register(capacities, path, rates);
         }
 
         // Lay the registration lists out slot by slot, then fill them in row
-        // order: one entry per *row* on a shared resource, one per *member*
-        // on a private one.
+        // order.
         let mut total = 0;
         for slot in &mut self.slots {
             let len = slot.end;
@@ -312,15 +220,9 @@ impl Allocator {
         self.entries.clear();
         self.entries.resize(total as usize, 0);
         for (i, row) in self.rows.iter().enumerate() {
-            let (path, access) = (row.path as usize, row.access as usize);
-            let members = if row.aggregate { row.mult as usize } else { 0 };
-            let shared = self.path_slots[path..access].iter();
-            let private = self.path_slots[access..access + members].iter();
-            let row_entries = shared.map(|&s| (s, ROW_ENTRY | i as u32));
-            let member_entries = private.zip(row.first..).map(|(&s, member)| (s, member));
-            for (s, entry) in row_entries.chain(member_entries) {
+            for &s in &self.path_slots[row.path as usize..row.end as usize] {
                 let slot = &mut self.slots[s as usize];
-                self.entries[slot.end as usize] = entry;
+                self.entries[slot.end as usize] = i as u32;
                 slot.end += 1;
             }
         }
@@ -334,9 +236,9 @@ impl Allocator {
         }
         self.heap = BinaryHeap::from(candidates);
 
-        // Progressive filling: repeatedly freeze every unfrozen member on the
+        // Progressive filling: repeatedly freeze every unfrozen row on the
         // most constrained resource at that resource's fair share. Once no
-        // member is unfrozen, every candidate left is stale.
+        // row is unfrozen, every candidate left is stale.
         while unfrozen > 0 {
             let Some(Reverse((_, resource, stamp))) = self.heap.pop() else {
                 break;
@@ -346,41 +248,21 @@ impl Allocator {
                 continue; // superseded by a later share refresh
             }
             let rate = bottleneck.share.max(1.0);
-            // Collect the members to freeze — row entries expand to their
-            // unfrozen members — before any of them freezes, then process
-            // the snapshot without re-checking, exactly like the reference.
+            // Collect the rows to freeze before any of them freezes, then
+            // process the snapshot without re-checking, exactly like the
+            // reference: a row listing the bottleneck twice is taken twice.
             self.freeze_scratch.clear();
-            for &e in &self.entries[bottleneck.start as usize..bottleneck.end as usize] {
-                if e & ROW_ENTRY == 0 {
-                    if !self.frozen[e as usize] {
-                        self.freeze_scratch.push(e);
-                    }
-                    continue;
-                }
-                let row = &self.rows[(e & !ROW_ENTRY) as usize];
-                if row.live > 0 {
-                    let members = row.first..row.first + row.mult;
-                    self.freeze_scratch
-                        .extend(members.filter(|&m| !self.frozen[m as usize]));
-                }
-            }
-            for &member in &self.freeze_scratch {
-                let mi = member as usize;
-                rates[mi] = rate;
-                let row = &mut self.rows[self.member_row[mi] as usize];
-                let first_freeze = !std::mem::replace(&mut self.frozen[mi], true);
+            let listed = &self.entries[bottleneck.start as usize..bottleneck.end as usize];
+            self.freeze_scratch
+                .extend(listed.iter().filter(|&&r| !self.rows[r as usize].frozen));
+            for &r in &self.freeze_scratch {
+                rates[r as usize] = rate;
+                let row = &mut self.rows[r as usize];
+                let first_freeze = !std::mem::replace(&mut row.frozen, true);
                 if first_freeze {
-                    row.live -= 1;
                     unfrozen -= 1;
                 }
-                let shared = &self.path_slots[row.path as usize..row.access as usize];
-                let private = if row.aggregate {
-                    let at = (row.access + member - row.first) as usize;
-                    &self.path_slots[at..at + 1]
-                } else {
-                    &[]
-                };
-                for &s in shared.iter().chain(private) {
+                for &s in &self.path_slots[row.path as usize..row.end as usize] {
                     let slot = &mut self.slots[s as usize];
                     slot.remaining = (slot.remaining - rate).max(0.0);
                     if first_freeze {
@@ -408,67 +290,47 @@ impl Allocator {
         }
     }
 
-    /// Registers one row — `members.len()` flows over `shared` plus one
-    /// private resource each, or a single flow over `shared` when `members`
-    /// is empty — translating its resources to slots (first touch pins the
-    /// resource's starting capacity, floored at the same tiny positive value
-    /// as the reference) and counting its entries. Returns how many unfrozen
-    /// members it added.
-    fn register(
-        &mut self,
-        capacities: &[f64],
-        shared: &[ResourceId],
-        members: &[ResourceId],
-        rates: &mut [f64],
-    ) -> u32 {
-        let first = self.member_row.len() as u32;
-        let mult = members.len().max(1) as u32;
-        let row = self.rows.len() as u32;
-        self.member_row.resize((first + mult) as usize, row);
-        let path = self.path_slots.len() as u32;
-        for (resources, crossing) in [(shared, mult), (members, 1)] {
-            for &r in resources {
-                let ri = r as usize;
-                if ri >= self.slot_of.len() {
-                    self.slot_of.resize(ri + 1, NO_SLOT);
-                }
-                if self.slot_of[ri] == NO_SLOT {
-                    self.slot_of[ri] = self.slots.len() as u32;
-                    self.slots.push(Slot {
-                        resource: r,
-                        remaining: capacities.get(ri).copied().unwrap_or(0.0).max(1.0),
-                        share: 0.0,
-                        live: 0,
-                        stamp: 0,
-                        start: 0,
-                        end: 0,
-                        dirty: false,
-                    });
-                }
-                let s = self.slot_of[ri];
-                let slot = &mut self.slots[s as usize];
-                slot.live += crossing;
-                slot.end += 1; // entry count until the lists are laid out
-                self.path_slots.push(s);
+    /// Registers one row, translating its resources to slots (first touch
+    /// pins the resource's starting capacity, floored at the same tiny
+    /// positive value as the reference) and counting its entries. Returns
+    /// how many unfrozen rows it added: none for a flow that crosses
+    /// nothing, which is settled here at the local rate.
+    fn register(&mut self, capacities: &[f64], path: &[ResourceId], rates: &mut [f64]) -> u32 {
+        let start = self.path_slots.len() as u32;
+        for &r in path {
+            let ri = r as usize;
+            if ri >= self.slot_of.len() {
+                self.slot_of.resize(ri + 1, NO_SLOT);
             }
+            if self.slot_of[ri] == NO_SLOT {
+                self.slot_of[ri] = self.slots.len() as u32;
+                self.slots.push(Slot {
+                    resource: r,
+                    remaining: capacities.get(ri).copied().unwrap_or(0.0).max(1.0),
+                    share: 0.0,
+                    live: 0,
+                    stamp: 0,
+                    start: 0,
+                    end: 0,
+                    dirty: false,
+                });
+            }
+            let s = self.slot_of[ri];
+            let slot = &mut self.slots[s as usize];
+            slot.live += 1;
+            slot.end += 1; // entry count until the lists are laid out
+            self.path_slots.push(s);
         }
-        // A flow that crosses nothing is settled here, at the local rate.
-        let live = if shared.is_empty() && members.is_empty() {
-            rates[first as usize] = LOCAL_RATE_BPS;
-            self.frozen[first as usize] = true;
-            0
-        } else {
-            mult
-        };
+        let local = path.is_empty();
+        if local {
+            rates[self.rows.len()] = LOCAL_RATE_BPS;
+        }
         self.rows.push(Row {
-            path,
-            access: path + shared.len() as u32,
-            first,
-            mult,
-            live,
-            aggregate: !members.is_empty(),
+            path: start,
+            end: self.path_slots.len() as u32,
+            frozen: local,
         });
-        live
+        u32::from(!local)
     }
 }
 
@@ -566,176 +428,6 @@ mod tests {
         allocator.solve(&[10.0], &DemandSet::new(), Some(&[]), &mut rates);
         assert_eq!(rates.len(), 1);
         assert!((rates[0] - LOCAL_RATE_BPS).abs() < 1.0);
-    }
-
-    /// Solves the same scenario twice — once with members exploded into
-    /// plain unit-weight rows, once with them grouped into aggregate rows —
-    /// and asserts bit-identical member rates. `groups` lists
-    /// `(shared_path, member_resources)` aggregates; `plain` lists ordinary
-    /// rows interleaved after the groups' members in push order.
-    fn assert_aggregate_matches_exploded(
-        capacities: &[f64],
-        rows: &[AggRow],
-        probe: Option<&[u32]>,
-    ) {
-        let mut exploded = DemandSet::new();
-        for row in rows {
-            match row {
-                AggRow::Plain(path) => exploded.push(path),
-                AggRow::Group { shared, members } => {
-                    for &access in members {
-                        let mut path = vec![access];
-                        path.extend_from_slice(shared);
-                        exploded.push(&path);
-                    }
-                }
-            }
-        }
-        let mut aggregated = DemandSet::new();
-        for row in rows {
-            match row {
-                AggRow::Plain(path) => aggregated.push(path),
-                AggRow::Group { shared, members } => aggregated.push_aggregate(shared, members),
-            }
-        }
-        assert_eq!(exploded.total_members(), aggregated.total_members());
-
-        let mut alloc_a = Allocator::new();
-        let mut alloc_b = Allocator::new();
-        let (mut rates_a, mut rates_b) = (Vec::new(), Vec::new());
-        // Solve twice to cover warm-scratch reuse.
-        for _ in 0..2 {
-            alloc_a.solve(capacities, &exploded, probe, &mut rates_a);
-            alloc_b.solve(capacities, &aggregated, probe, &mut rates_b);
-        }
-        assert_eq!(rates_a.len(), rates_b.len());
-        for (i, (a, b)) in rates_a.iter().zip(rates_b.iter()).enumerate() {
-            assert!(
-                a.to_bits() == b.to_bits(),
-                "member {i}: exploded {a} != aggregated {b}"
-            );
-        }
-    }
-
-    enum AggRow {
-        Plain(Vec<u32>),
-        Group { shared: Vec<u32>, members: Vec<u32> },
-    }
-
-    #[test]
-    fn aggregate_rows_match_exploded_members() {
-        use AggRow::*;
-        // Two symmetric clients behind access links 1, 2 sharing backbone 0.
-        assert_aggregate_matches_exploded(
-            &[10.0, 8.0, 8.0],
-            &[Group {
-                shared: vec![0],
-                members: vec![1, 2],
-            }],
-            None,
-        );
-        // Backbone is the bottleneck: whole-row freeze.
-        assert_aggregate_matches_exploded(
-            &[4.0, 100.0, 100.0, 100.0],
-            &[Group {
-                shared: vec![0],
-                members: vec![1, 2, 3],
-            }],
-            None,
-        );
-        // One member's access link is the bottleneck: partial freeze of that
-        // member alone, the rest of the row freezes later.
-        assert_aggregate_matches_exploded(
-            &[30.0, 2.0, 100.0, 100.0],
-            &[Group {
-                shared: vec![0],
-                members: vec![1, 2, 3],
-            }],
-            None,
-        );
-        // Equal access capacities: exploded freezes the members through
-        // distinct same-share candidates; the aggregate must match.
-        assert_aggregate_matches_exploded(
-            &[30.0, 5.0, 5.0, 5.0],
-            &[Group {
-                shared: vec![0],
-                members: vec![1, 2, 3],
-            }],
-            None,
-        );
-        // Mixed plain competition on the shared backbone, plus a probe.
-        assert_aggregate_matches_exploded(
-            &[12.0, 6.0, 9.0, 3.0, 20.0],
-            &[
-                Group {
-                    shared: vec![0, 4],
-                    members: vec![1, 2],
-                },
-                Plain(vec![0]),
-                Group {
-                    shared: vec![4],
-                    members: vec![3],
-                },
-            ],
-            Some(&[0, 4]),
-        );
-        // Zero-capacity shared link stalls the whole row.
-        assert_aggregate_matches_exploded(
-            &[0.0, 5.0, 5.0],
-            &[Group {
-                shared: vec![0],
-                members: vec![1, 2],
-            }],
-            None,
-        );
-    }
-
-    #[test]
-    fn aggregate_rows_match_exploded_random_meshes() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..40 {
-            let backbones = 1 + (next() % 4) as usize;
-            let n_groups = 1 + (next() % 3) as usize;
-            let mut capacities: Vec<f64> = (0..backbones)
-                .map(|_| (next() % 500) as f64 + 0.5)
-                .collect();
-            let mut rows = Vec::new();
-            for _ in 0..n_groups {
-                let shared: Vec<u32> = (0..=(next() % backbones as u64) as usize)
-                    .map(|_| (next() % backbones as u64) as u32)
-                    .collect::<std::collections::BTreeSet<u32>>()
-                    .into_iter()
-                    .collect();
-                let mult = 1 + (next() % 6) as usize;
-                let members: Vec<u32> = (0..mult)
-                    .map(|_| {
-                        capacities.push((next() % 200) as f64 + 0.25);
-                        (capacities.len() - 1) as u32
-                    })
-                    .collect();
-                rows.push(AggRow::Group { shared, members });
-                if next() % 2 == 0 {
-                    let hops = (next() % 3) as usize;
-                    let path: Vec<u32> = (0..hops)
-                        .map(|_| (next() % backbones as u64) as u32)
-                        .collect();
-                    rows.push(AggRow::Plain(path));
-                }
-            }
-            let probe: Vec<u32> = vec![(next() % backbones as u64) as u32];
-            let with_probe = trial % 2 == 0;
-            assert_aggregate_matches_exploded(
-                &capacities,
-                &rows,
-                with_probe.then_some(probe.as_slice()),
-            );
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use alloc::{Allocator, DemandSet, ResourceId};
 pub use bandwidth::{BandwidthEstimate, RemosConfig, RemosOracle};
 pub use engine::{Ctx, Engine, Model};
 pub use event::{EventHandle, EventQueue};
-pub use network::{AggregationStats, CompletedTransfer, NetError, Network, TransferId};
+pub use network::{CompletedTransfer, NetError, Network, TransferId};
 pub use registry::{Registry, RegistryError};
 pub use rng::SimRng;
 pub use stats::{quantile_of, StepSchedule, Summary, TimeSeries};

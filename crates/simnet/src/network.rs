@@ -100,153 +100,6 @@ impl CompletedTransfer {
     }
 }
 
-/// Aggregation statistics for the last allocation epoch plus lifetime split
-/// bookkeeping (observability only — never feeds back into behaviour).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AggregationStats {
-    /// Demand rows pushed in the last epoch (aggregate and plain).
-    pub rows: usize,
-    /// Member flows represented by aggregate rows in the last epoch.
-    pub aggregated_flows: usize,
-    /// Total member flows (= active transfers) in the last epoch.
-    pub total_flows: usize,
-    /// Clients permanently split out of their aggregates so far.
-    pub permanent_splits: usize,
-}
-
-/// Scratch for grouping one epoch's transfers into aggregate rows; a member
-/// of [`AggState`] so buffers persist across epochs.
-#[derive(Debug)]
-struct GroupScratch {
-    /// The group's key is `(class, far endpoint, client-is-src)`; `far`
-    /// picks the chain the group sits on.
-    class: u32,
-    far: NodeId,
-    client_is_src: bool,
-    /// The next group with the same far endpoint this epoch, or [`PLAIN`].
-    next: u32,
-    /// The first member's post-access resources, which later members must
-    /// match exactly to join.
-    shared: Vec<ResourceId>,
-    /// Each member's access resource, in id order.
-    access: Vec<ResourceId>,
-    /// Member transfer indices (in id-ordered active-transfer iteration).
-    members: Vec<u32>,
-}
-
-/// Marks a transfer outside every group in [`AggState::member_of`], and the
-/// end of a far endpoint's group chain.
-const PLAIN: u32 = u32::MAX;
-
-/// Class-aggregation state: which client hosts belong to which
-/// network-position class, which of them have permanently lost their
-/// symmetry, and the per-epoch grouping scratch. The per-node tables are
-/// dense vectors indexed by [`NodeId`], sized when classes are injected.
-#[derive(Debug, Default)]
-struct AggState {
-    /// Node → network-position class of the client host there, if any.
-    flow_class: Vec<Option<u32>>,
-    /// Classed client hosts. Zero ⇒ aggregation disabled.
-    n_classed: usize,
-    /// Access link → classed client host, for fault-driven splits.
-    classed_by_link: HashMap<LinkId, NodeId>,
-    /// Node → whether the client there was permanently exploded out of its
-    /// aggregate by a fault or a divergent runtime state. Splits are silent:
-    /// rates are bit-identical either way, so no trace entry may record them.
-    is_split: Vec<bool>,
-    /// Nodes marked in `is_split` — all the statistics need.
-    n_split: usize,
-    /// Last-epoch row/flow statistics.
-    stats: AggregationStats,
-    // ---- per-epoch scratch (cleared, never shrunk) ----
-    /// Member rate index per active transfer, in id order.
-    member_of: Vec<u32>,
-    /// Node → concurrent transfers of the classed client there this epoch;
-    /// zero outside `counted`.
-    counts: Vec<u32>,
-    /// The nodes with a non-zero count, so a reset touches only them.
-    counted: Vec<NodeId>,
-    /// Far endpoint → its most recent group slot this epoch, chained through
-    /// [`GroupScratch::next`]; [`PLAIN`] for a node no group talks to. Node
-    /// ids are dense by construction, which caller-chosen class ids are not.
-    far_head: Vec<u32>,
-    /// Group slots; `groups[..n_groups]` are live this epoch.
-    groups: Vec<GroupScratch>,
-    n_groups: usize,
-}
-
-impl AggState {
-    fn enabled(&self) -> bool {
-        self.n_classed > 0
-    }
-
-    /// The class of the client host at `node`, if it has one.
-    fn class_of(&self, node: NodeId) -> Option<u32> {
-        self.flow_class.get(node.0).copied().flatten()
-    }
-
-    fn split(&mut self, node: NodeId) {
-        if self.class_of(node).is_some() && !self.is_split[node.0] {
-            self.is_split[node.0] = true;
-            self.n_split += 1;
-        }
-    }
-
-    fn begin_epoch(&mut self) {
-        self.member_of.clear();
-        for node in self.counted.drain(..) {
-            self.counts[node.0] = 0;
-        }
-        for g in &self.groups[..self.n_groups] {
-            self.far_head[g.far.0] = PLAIN;
-        }
-        self.n_groups = 0;
-    }
-
-    /// The group keyed `(class, far, client_is_src)` this epoch, if any.
-    fn find_group(&self, class: u32, far: NodeId, client_is_src: bool) -> Option<u32> {
-        let mut gi = self.far_head[far.0];
-        while gi != PLAIN {
-            let g = &self.groups[gi as usize];
-            if g.class == class && g.client_is_src == client_is_src {
-                return Some(gi);
-            }
-            gi = g.next;
-        }
-        None
-    }
-
-    fn alloc_group(
-        &mut self,
-        class: u32,
-        far: NodeId,
-        client_is_src: bool,
-        shared: &[ResourceId],
-    ) -> u32 {
-        let slot = self.n_groups;
-        let next = std::mem::replace(&mut self.far_head[far.0], slot as u32);
-        if slot == self.groups.len() {
-            self.groups.push(GroupScratch {
-                class,
-                far,
-                client_is_src,
-                next,
-                shared: Vec::new(),
-                access: Vec::new(),
-                members: Vec::new(),
-            });
-        }
-        let g = &mut self.groups[slot];
-        (g.class, g.far, g.client_is_src, g.next) = (class, far, client_is_src, next);
-        g.shared.clear();
-        g.shared.extend_from_slice(shared);
-        g.access.clear();
-        g.members.clear();
-        self.n_groups += 1;
-        slot as u32
-    }
-}
-
 /// The fluid-flow network simulation.
 ///
 /// Internally the network keeps a persistent [`Allocator`] with dense
@@ -260,13 +113,8 @@ impl AggState {
 /// `(src, dst)` pair until the epoch ends. All of this is bit-identical to
 /// the original re-solve-from-scratch behaviour.
 ///
-/// When the application layer injects network-position classes
-/// ([`set_flow_classes`](Self::set_flow_classes)), transfers whose classed
-/// client endpoints are symmetric are folded into **aggregate demand rows**
-/// (one row per class × far endpoint, carrying a multiplicity) — still
-/// bit-identical, see [`DemandSet::push_aggregate`] — and an aggregate is
-/// split lazily (permanently for the affected member) when a fault touches a
-/// member's access link or its runtime state diverges from the class.
+/// Every epoch is solved over **one demand row per transfer** in flight,
+/// pushed in id order.
 #[derive(Debug)]
 pub struct Network {
     topology: Topology,
@@ -324,8 +172,6 @@ pub struct Network {
     /// Lifetime count of allocation-epoch rebuilds ([`recompute_rates`]
     /// runs) — the dominant control-plane cost driver at scale.
     rate_epochs: u64,
-    /// Class-aggregation state (inert until classes are injected).
-    agg: AggState,
 }
 
 impl Network {
@@ -361,7 +207,6 @@ impl Network {
             probe_solves: std::cell::Cell::new(0),
             probe_queries: std::cell::Cell::new(0),
             rate_epochs: 0,
-            agg: AggState::default(),
         };
         network.refresh_caps();
         network
@@ -388,15 +233,17 @@ impl Network {
         tag: u64,
     ) -> Result<TransferId, NetError> {
         self.advance(now);
-        let mut resources = self.resource_pool.pop().unwrap_or_default();
-        let extra_latency = {
+        let (resources, extra_latency) = {
             let mut links = self.link_scratch.borrow_mut();
             links.clear();
             self.paths
                 .borrow_mut()
                 .path_into(&self.topology, src, dst, &mut links)?;
+            // Taken only once the path resolved, so a rejected transfer
+            // leaves the pool as it was.
+            let mut resources = self.resource_pool.pop().unwrap_or_default();
             self.resources_into(&links, src, &mut resources);
-            self.topology.path_latency(&links)
+            (resources, self.topology.path_latency(&links))
         };
         let id = TransferId(self.next_id);
         self.next_id += 1;
@@ -478,6 +325,13 @@ impl Network {
         if bps <= 0.0 {
             self.background.remove(&(a, b));
         } else {
+            // Resolved before the pair is recorded: one with no path would
+            // fail this and every later background call.
+            let links = self.link_scratch.get_mut();
+            links.clear();
+            self.paths
+                .get_mut()
+                .path_into(&self.topology, a, b, links)?;
             self.background.insert((a, b), bps);
         }
         self.apply_background()?;
@@ -524,11 +378,6 @@ impl Network {
             TraceKind::Fault,
             format!("link {} capacity set to {capacity_bps:.0} bps", link.0),
         );
-        // A fault on a classed client's access link breaks its position
-        // symmetry for good: split it out of its aggregate permanently.
-        if let Some(&node) = self.agg.classed_by_link.get(&link) {
-            self.agg.split(node);
-        }
         self.caps_dirty = true;
         self.recompute_rates();
         Ok(())
@@ -580,9 +429,6 @@ impl Network {
                     )
                 },
             );
-            if let Some(&node) = self.agg.classed_by_link.get(&link) {
-                self.agg.split(node);
-            }
             // Resource ids of in-flight transfers depend on the one-way map:
             // recover each path from the old ids and translate it again.
             let mut active = std::mem::take(&mut self.active);
@@ -636,7 +482,6 @@ impl Network {
                     if down { "down" } else { "up" }
                 ),
             );
-            self.agg.split(node);
             self.caps_dirty = true;
             self.recompute_rates();
         }
@@ -796,12 +641,10 @@ impl Network {
     }
 
     /// Re-solves the allocation for the current epoch: demands are rebuilt
-    /// from the id-ordered transfer map (the same order the reference
-    /// implementation sorted into — float accumulation must not depend on
-    /// iteration order), capacities are refreshed only if a mutation dirtied
-    /// them, and the per-epoch probe memo is invalidated. With injected
-    /// classes, symmetric transfers fold into aggregate rows first — the
-    /// rates that come back are bit-identical either way.
+    /// from the id-ordered transfer map, one row per transfer (the same order
+    /// the reference implementation sorted into — float accumulation must not
+    /// depend on iteration order), capacities are refreshed only if a
+    /// mutation dirtied them, and the per-epoch probe memo is invalidated.
     fn recompute_rates(&mut self) {
         self.rate_epochs += 1;
         if self.caps_dirty {
@@ -809,24 +652,15 @@ impl Network {
         }
         self.probe_memo.get_mut().clear();
         self.demands.clear();
-        let aggregated = self.agg.enabled();
-        if aggregated {
-            self.build_aggregated_demands();
-        } else {
-            for t in self.active.values() {
-                self.demands.push(&t.resources);
-            }
+        for t in self.active.values() {
+            self.demands.push(&t.resources);
         }
         let rates = self.rates_scratch.get_mut();
         self.alloc
             .get_mut()
             .solve(&self.caps, &self.demands, None, rates);
-        // Plain rows come back in id order; aggregation records where each
-        // transfer's rate landed.
-        let member_of = &self.agg.member_of;
         let mut drain_min_pos: Option<f64> = None;
-        for (k, t) in self.active.values_mut().enumerate() {
-            let rate = rates[if aggregated { member_of[k] as usize } else { k }];
+        for (t, &rate) in self.active.values_mut().zip(rates.iter()) {
             t.rate_bps = rate;
             if rate > 0.0 {
                 let secs = (t.remaining_bits / rate).min(1.0e12);
@@ -834,106 +668,6 @@ impl Network {
             }
         }
         self.drain_min_pos_secs = drain_min_pos;
-    }
-
-    /// Groups this epoch's transfers into aggregate demand rows.
-    ///
-    /// A transfer joins an aggregate when exactly one endpoint is a classed
-    /// client host that has not been permanently split, the client carries no
-    /// other concurrent transfer (two flows on one access link = divergent
-    /// runtime state → permanent split), and its post-access resource vector
-    /// matches the group representative's exactly. The group key is
-    /// `(class, far endpoint, direction)`, so repair actions that re-target a
-    /// client to another server simply migrate it between rows — the "merge"
-    /// half of the aggregate lifecycle needs no bookkeeping at all.
-    ///
-    /// Fills `agg.member_of` with each transfer's member-rate index (id
-    /// order). Aggregate rows are emitted first (group-creation order), then
-    /// plain rows in id order; row order is immaterial to the solution
-    /// because every demand has unit weight.
-    fn build_aggregated_demands(&mut self) {
-        let agg = &mut self.agg;
-        agg.begin_epoch();
-        // Pass 1: concurrent-transfer counts per classed client endpoint.
-        for t in self.active.values() {
-            for node in [t.src, t.dst] {
-                if agg.flow_class[node.0].is_some() {
-                    if agg.counts[node.0] == 0 {
-                        agg.counted.push(node);
-                    }
-                    agg.counts[node.0] += 1;
-                }
-            }
-        }
-        // Pass 2: assign transfers to groups; [`PLAIN`] marks a plain row.
-        for (k, t) in self.active.values().enumerate() {
-            let (class, client, far, client_is_src) =
-                match (agg.flow_class[t.src.0], agg.flow_class[t.dst.0]) {
-                    (Some(c), None) => (c, t.src, t.dst, true),
-                    (None, Some(c)) => (c, t.dst, t.src, false),
-                    _ => {
-                        agg.member_of.push(PLAIN);
-                        continue;
-                    }
-                };
-            let diverged = agg.counts[client.0] >= 2;
-            if diverged {
-                agg.split(client);
-            }
-            if t.resources.is_empty() || diverged || agg.is_split[client.0] {
-                agg.member_of.push(PLAIN);
-                continue;
-            }
-            // The access resource is the path's first entry when the client
-            // sends and its last when the client receives.
-            let (access, shared) = if client_is_src {
-                (t.resources[0], &t.resources[1..])
-            } else {
-                let last = t.resources.len() - 1;
-                (t.resources[last], &t.resources[..last])
-            };
-            let gi = match agg.find_group(class, far, client_is_src) {
-                Some(gi) if agg.groups[gi as usize].shared == shared => gi,
-                Some(_) => {
-                    // Asymmetric routing within the class: stays plain.
-                    agg.member_of.push(PLAIN);
-                    continue;
-                }
-                None => agg.alloc_group(class, far, client_is_src, shared),
-            };
-            let g = &mut agg.groups[gi as usize];
-            g.access.push(access);
-            g.members.push(k as u32);
-            agg.member_of.push(gi); // provisional: group slot, fixed up below
-        }
-        // Pass 3: emit aggregate rows (group-creation order), then plain
-        // rows (id order), rewriting `member_of` from provisional group
-        // slots to final member-rate indices.
-        let mut stats = AggregationStats {
-            total_flows: self.active.len(),
-            ..AggregationStats::default()
-        };
-        let mut next_member = 0u32;
-        for g in &agg.groups[..agg.n_groups] {
-            self.demands.push_aggregate(&g.shared, &g.access);
-            for (j, &k) in g.members.iter().enumerate() {
-                agg.member_of[k as usize] = next_member + j as u32;
-            }
-            next_member += g.members.len() as u32;
-            stats.rows += 1;
-            if g.members.len() > 1 {
-                stats.aggregated_flows += g.members.len();
-            }
-        }
-        for (t, member) in self.active.values().zip(agg.member_of.iter_mut()) {
-            if *member == PLAIN {
-                self.demands.push(&t.resources);
-                *member = next_member;
-                next_member += 1;
-                stats.rows += 1;
-            }
-        }
-        agg.stats = stats;
     }
 
     /// Recomputes the cached minimum drain time after remaining volumes
@@ -1053,49 +787,6 @@ impl Network {
         self.paths.borrow().stats()
     }
 
-    /// Injects network-position classes for client hosts, enabling aggregate
-    /// demand rows. `classes` maps leaf client hosts to class ids; hosts in
-    /// one class must be position-symmetric (same attachment router, access
-    /// capacity, and latency) for aggregation to actually collapse rows —
-    /// though correctness never depends on it: rates are bit-identical to
-    /// the exploded per-client solve regardless of how classes are drawn.
-    ///
-    /// Passing an empty map disables aggregation again. Permanent split
-    /// records survive re-injection: a client that lost its symmetry stays
-    /// exploded.
-    pub fn set_flow_classes<I>(&mut self, classes: I)
-    where
-        I: IntoIterator<Item = (NodeId, u32)>,
-    {
-        let agg = &mut self.agg;
-        let nodes = self.topology.node_count();
-        agg.flow_class.clear();
-        agg.flow_class.resize(nodes, None);
-        agg.n_classed = 0;
-        agg.is_split.resize(nodes, false);
-        agg.counts.resize(nodes, 0);
-        agg.classed_by_link.clear();
-        for (node, class) in classes {
-            if let Some((_, link)) = self.topology.attachment(node) {
-                agg.classed_by_link.insert(link, node);
-                if agg.flow_class[node.0].replace(class).is_none() {
-                    agg.n_classed += 1;
-                }
-            }
-        }
-        agg.n_groups = 0;
-        agg.far_head.clear();
-        agg.far_head.resize(nodes, PLAIN);
-        if !self.active.is_empty() {
-            self.recompute_rates();
-        }
-    }
-
-    /// Whether aggregate demand rows are currently enabled.
-    pub fn aggregation_enabled(&self) -> bool {
-        self.agg.enabled()
-    }
-
     /// Switches the path cache to leaf-compressed routing (see
     /// [`PathTable::set_leaf_compressed`]): shortest-path trees are only
     /// built for attachment routers instead of one per transfer source —
@@ -1105,22 +796,6 @@ impl Network {
     /// epoch.
     pub fn set_leaf_routing(&mut self, enabled: bool) {
         self.paths.borrow_mut().set_leaf_compressed(enabled);
-    }
-
-    /// Last-epoch aggregation statistics plus lifetime split count.
-    pub fn aggregation_stats(&self) -> AggregationStats {
-        AggregationStats {
-            permanent_splits: self.agg.n_split,
-            ..self.agg.stats
-        }
-    }
-
-    /// Permanently splits a classed client out of its aggregate — the lazy
-    /// split hook for symmetry broken outside the network's own view (e.g. a
-    /// planner-observed divergent runtime state). Idempotent and silent:
-    /// split bookkeeping never changes rates or traces.
-    pub fn split_client(&mut self, node: NodeId) {
-        self.agg.split(node);
     }
 
     /// The current drain rate of a transfer, if it is still active.
@@ -1425,104 +1100,76 @@ mod tests {
         (Network::new(topo), clients, s)
     }
 
+    fn assert_rates(net: &Network, expected: &[f64]) {
+        for (i, &want) in expected.iter().enumerate() {
+            let rate = net.transfer_rate(TransferId(i as u64)).unwrap();
+            assert!((rate - want).abs() < 1.0, "transfer {i}: {rate} != {want}");
+        }
+    }
+
     #[test]
-    fn symmetric_clients_fold_into_one_aggregate_row() {
+    fn symmetric_clients_split_the_server_link_equally() {
         let (mut net, clients, s) = star_net();
-        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
         for (i, &c) in clients.iter().enumerate() {
             net.start_transfer(t(0.0), s, c, 100e6, i as u64).unwrap();
         }
-        let stats = net.aggregation_stats();
-        assert_eq!(stats.rows, 1, "one aggregate row for the class");
-        assert_eq!(stats.aggregated_flows, 3);
-        assert_eq!(stats.total_flows, 3);
-        assert_eq!(stats.permanent_splits, 0);
         // The server access link (10 Mbps) splits three ways.
-        for i in 0..3 {
-            let rate = net.transfer_rate(TransferId(i)).unwrap();
-            assert!((rate - 10e6 / 3.0).abs() < 1.0, "rate={rate}");
-        }
+        assert_rates(&net, &[10e6 / 3.0; 3]);
     }
 
     #[test]
-    fn faults_and_divergence_split_aggregates_permanently() {
+    fn an_access_fault_or_a_second_flow_moves_only_the_rates_it_should() {
         let (mut net, clients, s) = star_net();
-        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
         for (i, &c) in clients.iter().enumerate() {
             net.start_transfer(t(0.0), s, c, 100e6, i as u64).unwrap();
         }
-        assert_eq!(net.aggregation_stats().rows, 1);
-        // A capacity fault on c0's access link splits c0 out for good.
+        // A capacity fault on c0's access link pins c0 below its third of
+        // the server link; the other two split what it leaves.
         let access = net.topology().link_between(clients[0], NodeId(0)).unwrap();
-        net.set_link_capacity(t(1.0), access, 5e6).unwrap();
-        let stats = net.aggregation_stats();
-        assert_eq!(stats.permanent_splits, 1);
-        assert_eq!(stats.rows, 2, "split member becomes its own plain row");
-        assert_eq!(stats.aggregated_flows, 2);
-        // Restoring the capacity does not re-merge: splits are permanent.
+        net.set_link_capacity(t(1.0), access, 2e6).unwrap();
+        assert_rates(&net, &[2e6, 4e6, 4e6]);
+        // Restoring the capacity restores the three-way split.
         net.set_link_capacity(t(2.0), access, 20e6).unwrap();
-        assert_eq!(net.aggregation_stats().rows, 2);
-        // A second concurrent flow on c1 is a divergent runtime state: c1
-        // splits too, leaving a singleton aggregate for c2.
+        assert_rates(&net, &[10e6 / 3.0; 3]);
+        // A second concurrent flow on c1's access link, the other way: four
+        // flows now cross the server link.
         net.start_transfer(t(3.0), clients[1], s, 1e6, 99).unwrap();
-        let stats = net.aggregation_stats();
-        assert_eq!(stats.permanent_splits, 2);
-        assert_eq!(stats.total_flows, 4);
-        assert_eq!(stats.aggregated_flows, 0, "no multi-member rows remain");
+        assert_rates(&net, &[2.5e6; 4]);
+    }
+
+    /// [`two_host_net`] plus a host no link reaches.
+    fn net_with_a_lone_host() -> (Network, NodeId, NodeId, NodeId) {
+        let (net, a, b) = two_host_net();
+        let mut topo = net.topology().clone();
+        let lone = topo.add_host("lone").unwrap();
+        (Network::new(topo), a, b, lone)
     }
 
     #[test]
-    fn reinjecting_classes_keeps_splits_and_never_changes_a_rate() {
-        let (mut net, clients, s) = star_net();
-        let (mut exploded, _, _) = star_net();
-        let access = net.topology().link_between(clients[0], NodeId(0)).unwrap();
-        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
-        for n in [&mut net, &mut exploded] {
-            for (i, &c) in clients.iter().enumerate() {
-                n.start_transfer(t(0.0), s, c, 100e6, i as u64).unwrap();
-            }
-            // A fault on c0's access link: c0 leaves its aggregate for good.
-            n.set_link_capacity(t(1.0), access, 2e6).unwrap();
-        }
-        let same_rates = |net: &Network, exploded: &Network| {
-            for i in 0..3 {
-                let (a, b) = (
-                    net.transfer_rate(TransferId(i)),
-                    exploded.transfer_rate(TransferId(i)),
-                );
-                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "transfer {i}");
-            }
-        };
-        same_rates(&net, &exploded);
-        assert_eq!(net.aggregation_stats().permanent_splits, 1);
-        assert_eq!(net.aggregation_stats().aggregated_flows, 2);
+    fn a_rejected_background_pair_leaves_later_background_calls_working() {
+        let (mut net, a, b, lone) = net_with_a_lone_host();
+        let a_r = net.topology().link_between(a, NodeId(1)).unwrap();
 
-        // Injected again, drawn differently: c0 stays exploded although it is
-        // classed with c1, which leaves two singleton aggregates and c0's
-        // plain row.
-        for _ in 0..2 {
-            net.set_flow_classes([(clients[0], 0), (clients[1], 0), (clients[2], 1)]);
-            assert!(net.aggregation_enabled());
-            let stats = net.aggregation_stats();
-            assert_eq!((stats.rows, stats.aggregated_flows), (3, 0));
-            assert_eq!(stats.permanent_splits, 1);
-            same_rates(&net, &exploded);
-        }
+        let rejected = net.set_background_between(t(0.0), a, lone, 5e6);
+        assert!(
+            matches!(rejected, Err(NetError::Topology(TopologyError::NoPath(..)))),
+            "{rejected:?}"
+        );
+        assert!((net.available_bandwidth(a, b).unwrap() - 10e6).abs() < 1.0);
+        // A valid pair and a valid link load both still apply.
+        net.set_background_between(t(1.0), a, b, 4e6).unwrap();
+        assert!((net.available_bandwidth(a, b).unwrap() - 6e6).abs() < 1.0);
+        net.set_background_on_link(t(2.0), a_r, 1e6).unwrap();
+        assert!((net.available_bandwidth(a, b).unwrap() - 5e6).abs() < 1.0);
+    }
 
-        // An empty map disables aggregation; the split record outlives it.
-        net.set_flow_classes([]);
-        assert!(!net.aggregation_enabled());
-        assert_eq!(net.aggregation_stats().permanent_splits, 1);
-        same_rates(&net, &exploded);
-        // With no classes nothing new can split.
-        net.split_client(clients[1]);
-        assert_eq!(net.aggregation_stats().permanent_splits, 1);
-
-        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
-        let stats = net.aggregation_stats();
-        assert_eq!((stats.rows, stats.aggregated_flows), (2, 2));
-        assert_eq!(stats.permanent_splits, 1);
-        same_rates(&net, &exploded);
+    #[test]
+    fn a_transfer_with_no_path_leaves_the_resource_pool_alone() {
+        let (mut net, a, b, lone) = net_with_a_lone_host();
+        let id = net.start_transfer(t(0.0), a, b, 1e3, 0).unwrap();
+        assert!(net.cancel_transfer(t(0.0), id).unwrap());
+        assert!(net.start_transfer(t(0.0), a, lone, 1e3, 0).is_err());
+        assert_eq!(net.resource_pool.len(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::rng::SimRng;
 use simnet::topology::{LinkId, NodeId, Topology};
-use simnet::{AggregationStats, Allocator, DemandSet, Network, SimDuration, SimTime, TransferId};
+use simnet::{Allocator, DemandSet, Network, SimDuration, SimTime, TransferId};
 use std::collections::HashMap;
 
 /// A random connected topology: a chain of routers with hosts hung off
@@ -139,41 +139,10 @@ fn assert_reference_agreement(
 /// Replays a seeded scenario of flow churn and fault mutations, checking
 /// reference agreement after every step.
 fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usize) {
-    run_equivalence_scenario_with(seed, routers, hosts, steps, false);
-}
-
-/// Same scenario, optionally with network-position classes injected on half
-/// the hosts so transfers fold into aggregate demand rows. The reference
-/// agreement assertions are unchanged: aggregation must be invisible in
-/// every rate and every probe, bit for bit, including across fault-driven
-/// permanent splits and divergent-state (multi-flow) splits.
-fn run_equivalence_scenario_with(
-    seed: u64,
-    routers: usize,
-    hosts: usize,
-    steps: usize,
-    aggregate: bool,
-) {
     let (topo, host_ids) = random_topology(seed, routers, hosts);
     let links: Vec<LinkId> = topo.links().map(|(id, _)| id).collect();
     let nominal: Vec<f64> = topo.links().map(|(_, l)| l.capacity_bps).collect();
     let mut net = Network::new(topo);
-    if aggregate {
-        // Class every second host by its attachment router; the rest stay
-        // unclassed so host-to-host transfers have a single classed endpoint.
-        let classes: Vec<(NodeId, u32)> = host_ids
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 0)
-            .filter_map(|(_, &h)| {
-                net.topology()
-                    .attachment(h)
-                    .map(|(router, _)| (h, router.0 as u32))
-            })
-            .collect();
-        net.set_flow_classes(classes);
-        assert!(net.aggregation_enabled());
-    }
     let mut rng = SimRng::seed_from_u64(seed).derive(99);
     let mut ledger: Vec<(TransferId, NodeId, NodeId)> = Vec::new();
     let mut clock = 0.0;
@@ -222,18 +191,11 @@ fn run_equivalence_scenario_with(
     }
 }
 
-/// One row of a hand-built demand set.
-enum DirectRow {
-    Plain(Vec<u32>),
-    Aggregate { shared: Vec<u32>, access: Vec<u32> },
-}
-
 /// Solves a seeded unit-weight `DemandSet` of a shape `Network` never builds
 /// — a resource listed twice in one path, ids past the end of `capacities`,
-/// zero capacities, aggregate rows between plain ones, an access resource
-/// that is also somebody's shared resource — with the allocator (twice, so
+/// zero capacities, rows that cross nothing — with the allocator (twice, so
 /// the second solve runs on warm scratch that the first one dirtied with a
-/// different probe) and with the reference over the member-exploded flows.
+/// different probe) and with the reference.
 fn run_direct_scenario(seed: u64) {
     let mut rng = SimRng::seed_from_u64(seed).derive(3);
     let ids = 1 + rng.index(12);
@@ -250,43 +212,17 @@ fn run_direct_scenario(seed: u64) {
             id
         }
     };
-    let path = |rng: &mut SimRng, max_hops: usize| -> Vec<u32> {
-        (0..rng.index(max_hops + 1))
-            .map(|_| resource(rng))
-            .collect()
-    };
-    let rows: Vec<DirectRow> = (0..rng.index(10))
-        .map(|_| {
-            if rng.index(3) == 0 {
-                DirectRow::Aggregate {
-                    shared: path(&mut rng, 3),
-                    access: (0..1 + rng.index(4))
-                        .map(|_| rng.index(ids) as u32)
-                        .collect(),
-                }
-            } else {
-                DirectRow::Plain(path(&mut rng, 4))
-            }
-        })
-        .collect();
-    let probe = (rng.index(2) == 0).then(|| path(&mut rng, 4));
+    let path =
+        |rng: &mut SimRng| -> Vec<u32> { (0..rng.index(5)).map(|_| resource(rng)).collect() };
+    let mut flows: Vec<Vec<u32>> = (0..rng.index(14)).map(|_| path(&mut rng)).collect();
+    let probe = (rng.index(2) == 0).then(|| path(&mut rng));
 
     let mut set = DemandSet::new();
-    let mut exploded: Vec<Vec<u32>> = Vec::new();
-    for row in &rows {
-        match row {
-            DirectRow::Plain(path) => {
-                set.push(path);
-                exploded.push(path.clone());
-            }
-            DirectRow::Aggregate { shared, access } => {
-                set.push_aggregate(shared, access);
-                exploded.extend(access.iter().map(|&a| [&[a][..], shared].concat()));
-            }
-        }
+    for flow in &flows {
+        set.push(flow);
     }
-    exploded.extend(probe.clone());
-    let reference_flows: Vec<FlowDemand> = exploded
+    flows.extend(probe.clone());
+    let reference_flows: Vec<FlowDemand> = flows
         .iter()
         .enumerate()
         .map(|(i, path)| FlowDemand {
@@ -307,12 +243,12 @@ fn run_direct_scenario(seed: u64) {
     allocator.solve(&capacities, &set, Some(&[0, 0, 5]), &mut rates);
     for round in 0..2 {
         allocator.solve(&capacities, &set, probe.as_deref(), &mut rates);
-        assert_eq!(rates.len(), exploded.len(), "seed {seed} round {round}");
+        assert_eq!(rates.len(), flows.len(), "seed {seed} round {round}");
         for (i, rate) in rates.iter().enumerate() {
             let reference = expected[&FlowKey(i as u64)];
             assert!(
                 rate.to_bits() == reference.to_bits(),
-                "seed {seed} round {round} member {i}: allocator {rate} != reference {reference}"
+                "seed {seed} round {round} flow {i}: allocator {rate} != reference {reference}"
             );
         }
     }
@@ -343,19 +279,6 @@ proptest! {
     ) {
         run_equivalence_scenario(seed, routers, hosts, steps);
     }
-
-    /// With position classes injected — transfers folding into aggregate
-    /// rows, splitting lazily under faults and divergent states — every rate
-    /// and probe still matches the exploded reference bit-identically.
-    #[test]
-    fn aggregated_allocator_matches_reference_under_churn_and_faults(
-        seed in 0u64..u64::MAX,
-        routers in 2usize..6,
-        hosts in 2usize..8,
-        steps in 5usize..40,
-    ) {
-        run_equivalence_scenario_with(seed, routers, hosts, steps, true);
-    }
 }
 
 /// A fixed, deeper scenario so the equivalence also runs under `--test-threads`
@@ -365,18 +288,18 @@ fn allocator_matches_reference_fixed_deep_scenario() {
     run_equivalence_scenario(0xC0FFEE, 4, 6, 120);
 }
 
-/// The fixed deep scenario again, with aggregation on: long enough that
-/// groups form, split on faults, and re-form across many epochs.
+/// A second fixed scenario: fewer routers, more hosts, so more transfers
+/// share each core link.
 #[test]
-fn aggregated_allocator_matches_reference_fixed_deep_scenario() {
-    run_equivalence_scenario_with(0xC0FFEE, 4, 6, 120, true);
-    run_equivalence_scenario_with(0xA66A, 3, 8, 120, true);
+fn allocator_matches_reference_fixed_wide_scenario() {
+    run_equivalence_scenario(0xA66A, 3, 8, 120);
 }
 
-/// The grouping path under hand counts: three concurrent transfers share one
-/// `(class, far, direction)` key, the same class holds a second group in the
-/// same epoch, and a transfer with the first group's key but another route
-/// stays plain. Rates and a probe are held to the reference throughout.
+/// Groups of concurrent transfers under hand counts: three share one far
+/// endpoint and direction, a fourth from the same hosts goes the other way to
+/// another server, a fifth reaches the first server without crossing the core
+/// link, and two more arrive from slower access links. Rates and a probe are
+/// held to the reference throughout, and the rates to figures worked by hand.
 #[test]
 fn grouped_epochs_match_reference_and_hand_counts() {
     let ms = SimDuration::from_millis;
@@ -391,15 +314,12 @@ fn grouped_epochs_match_reference_and_hand_counts() {
     };
     let a: Vec<NodeId> = (0..4).map(|i| host(&format!("a{i}"), r0, 20.0e6)).collect();
     let b: Vec<NodeId> = (0..2).map(|i| host(&format!("b{i}"), r0, 5.0e6)).collect();
-    // Classed with the `a` hosts, but attached where the servers are.
+    // Attached where the servers are.
     let stray = host("stray", r1, 20.0e6);
     let s0 = host("s0", r1, 10.0e6);
     let s1 = host("s1", r1, 10.0e6);
 
     let mut net = Network::new(topo);
-    // Class numbers are the caller's; nothing is sized by them.
-    let classes = a.iter().chain([&stray]).map(|&h| (h, 4_000_000_000));
-    net.set_flow_classes(classes.chain(b.iter().map(|&h| (h, 7))));
     let mut ledger = Vec::new();
     let now = SimTime::from_secs(0.5);
     let mut start = |net: &mut Network, src: NodeId, dst: NodeId| {
@@ -410,31 +330,36 @@ fn grouped_epochs_match_reference_and_hand_counts() {
         ));
         assert_reference_agreement(net, &ledger, (s1, a[3]));
     };
-    let stats = |rows, aggregated_flows, total_flows| AggregationStats {
-        rows,
-        aggregated_flows,
-        total_flows,
-        permanent_splits: 0,
+    // Live transfers' rates, in start order.
+    let assert_rates = |net: &Network, expected: &[f64]| {
+        let live: Vec<f64> = (0..7)
+            .filter_map(|i| net.transfer_rate(TransferId(i)))
+            .collect();
+        assert_eq!(live.len(), expected.len(), "{live:?}");
+        for (rate, want) in live.iter().zip(expected) {
+            assert!((rate - want).abs() < 1.0, "{live:?} != {expected:?}");
+        }
     };
 
-    // (a, s0, to the client): one group of three.
+    // Three to the `a` clients from s0 split the 6 Mbps core link.
     for &client in &a[..3] {
         start(&mut net, s0, client);
     }
-    assert_eq!(net.aggregation_stats(), stats(1, 3, 3));
-    // (a, s1, from the client): the class's second group, a singleton.
+    assert_rates(&net, &[2.0e6; 3]);
+    // A fourth crosses the core the other way, to s1.
     start(&mut net, a[3], s1);
-    assert_eq!(net.aggregation_stats(), stats(2, 3, 4));
-    // The first group's key over another route: a plain row.
+    assert_rates(&net, &[1.5e6; 4]);
+    // s0 to a host on its own router: what the other three leave of s0's
+    // 10 Mbps access link.
     start(&mut net, s0, stray);
-    assert_eq!(net.aggregation_stats(), stats(3, 3, 5));
-    // (b, s0, to the client): another class, a group of two.
+    assert_rates(&net, &[1.5e6, 1.5e6, 1.5e6, 1.5e6, 5.5e6]);
+    // Two more across the core, to the `b` clients.
     for &client in &b {
         start(&mut net, s0, client);
     }
-    assert_eq!(net.aggregation_stats(), stats(4, 5, 7));
-    // A group member leaving shrinks its row; the others are untouched.
+    assert_rates(&net, &[1.0e6, 1.0e6, 1.0e6, 1.0e6, 5.0e6, 1.0e6, 1.0e6]);
+    // One leaves: the core splits five ways and s0's link has more to spare.
     assert!(net.cancel_transfer(now, ledger[1].0).unwrap());
     assert_reference_agreement(&net, &ledger, (a[1], s0));
-    assert_eq!(net.aggregation_stats(), stats(4, 4, 6));
+    assert_rates(&net, &[1.2e6, 1.2e6, 1.2e6, 5.2e6, 1.2e6, 1.2e6]);
 }

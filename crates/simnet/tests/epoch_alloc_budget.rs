@@ -1,11 +1,10 @@
 //! The allocation epoch's heap budget: once warm, `Network::start_transfer`,
 //! `advance` (drains re-solve the epoch), `available_bandwidth` (one probe
 //! solve per miss) and `poll_completions_into` allocate **nothing** on a
-//! classed 200-host star — demand rows, the grouping scratch, the allocator's
-//! slot table and registration lists, the heap and the probe memo are all
-//! reused. The count is a deterministic work counter, the same on every host,
-//! so a `Vec`, a `HashMap` entry or a `format!` per epoch fails here with no
-//! wall-clock noise.
+//! 200-host star — demand rows, the allocator's slot table and registration
+//! lists, the heap and the probe memo are all reused. The count is a
+//! deterministic work counter, the same on every host, so a `Vec`, a `HashMap`
+//! entry or a `format!` per epoch fails here with no wall-clock noise.
 //!
 //! At most [`IN_FLIGHT`] transfers run at once: the active set is a
 //! `BTreeMap` whose root leaf holds eleven entries, and a node split is the
@@ -20,7 +19,6 @@ mod common;
 use common::counted;
 
 const CLIENTS: usize = 200;
-const CLASSES: usize = 4;
 const IN_FLIGHT: usize = 8;
 const COUNTED_EPOCHS: u64 = 10_000;
 
@@ -33,7 +31,6 @@ struct Churn {
     busy: Vec<bool>,
     in_flight: usize,
     done: Vec<simnet::CompletedTransfer>,
-    most_aggregated: usize,
 }
 
 impl Churn {
@@ -50,8 +47,6 @@ impl Churn {
             .expect("star is connected");
         self.busy[client] = true;
         self.in_flight += 1;
-        let stats = self.net.aggregation_stats();
-        self.most_aggregated = self.most_aggregated.max(stats.aggregated_flows);
     }
 
     /// Moves the clock on so some transfers drain, probes a pair, and
@@ -76,8 +71,7 @@ impl Churn {
     /// client and a server (either direction), then [`settle`](Self::settle).
     fn step(&mut self) {
         let client = self.rng.index(CLIENTS);
-        // A client with two transfers at once is split out of its class for
-        // good; this test is about the epochs that do aggregate.
+        // One transfer per client: `warm_up` sizes the buffers for that.
         if self.in_flight < IN_FLIGHT && !self.busy[client] {
             let server = self.rng.index(self.servers.len());
             let to_client = self.rng.chance(0.5);
@@ -89,23 +83,18 @@ impl Churn {
     }
 
     /// Takes every reused buffer to the most this churn can ask of it, by
-    /// construction rather than by luck. Group scratch belongs to a group's
-    /// *position* in the epoch, so round `k` puts `k` singleton groups in
-    /// front of one group of `IN_FLIGHT - k`; every transfer of a round has
-    /// one size, so whole groups drain and arrive within a single `advance`.
+    /// construction rather than by luck: round `k` runs `k` transfers on one
+    /// server and `IN_FLIGHT - k` on the other, directions alternating, so
+    /// the fullest demand set, the widest slot table (every client link, both
+    /// server links and the probe's own) and the largest single freeze round
+    /// (everything plus the probe on one server link) have all happened.
+    /// Every transfer has one size, so a whole round drains and arrives
+    /// within a single `advance`.
     fn warm_up(&mut self) {
-        let keys: Vec<(usize, usize, bool)> = (0..CLASSES)
-            .flat_map(|class| {
-                [(0, true), (0, false), (1, true), (1, false)].map(move |(s, d)| (class, s, d))
-            })
-            .collect();
-        for k in 0..IN_FLIGHT {
-            let mut used = [0; CLASSES];
+        for k in 0..=IN_FLIGHT {
             for position in 0..IN_FLIGHT {
-                let (class, server, to_client) = keys[position.min(k)];
-                let client = class + CLASSES * used[class];
-                used[class] += 1;
-                self.start(client, server, to_client, 1.0e5);
+                let server = usize::from(position >= k);
+                self.start(position, server, position % 2 == 0, 1.0e5);
             }
             // A probe solve over the full set, on its most crowded link.
             self.net
@@ -131,13 +120,7 @@ fn a_warm_epoch_allocates_nothing() {
         .map(|i| host(format!("c{i}"), 20.0e6))
         .collect();
     let servers: Vec<NodeId> = (0..2).map(|i| host(format!("s{i}"), 10.0e6)).collect();
-    let mut net = Network::new(topo);
-    net.set_flow_classes(
-        clients
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, (i % CLASSES) as u32)),
-    );
+    let net = Network::new(topo);
     // One shortest-path tree per source, and a probe memo that has held
     // every pair, before anything is counted.
     for &c in &clients {
@@ -155,13 +138,11 @@ fn a_warm_epoch_allocates_nothing() {
         busy: vec![false; CLIENTS],
         in_flight: 0,
         done: Vec::with_capacity(IN_FLIGHT),
-        most_aggregated: 0,
     };
     churn.warm_up();
 
     let epochs_before = churn.net.rate_epoch_count();
     let solves_before = churn.net.probe_solve_count();
-    churn.most_aggregated = 0;
     let mut allocations = 0;
     while churn.net.rate_epoch_count() - epochs_before < COUNTED_EPOCHS {
         allocations += counted(|| churn.step());
@@ -171,10 +152,5 @@ fn a_warm_epoch_allocates_nothing() {
         "{allocations} allocations over {COUNTED_EPOCHS} epochs and {probe_solves} probe solves"
     );
     assert!(probe_solves > 1_000, "only {probe_solves} probe solves");
-    assert!(
-        churn.most_aggregated >= 3,
-        "no epoch folded three transfers into aggregate rows"
-    );
-    assert_eq!(churn.net.aggregation_stats().permanent_splits, 0);
     assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
 }
