@@ -85,11 +85,6 @@ impl MmcQueue {
     pub fn expected_queue_length(&self) -> Option<f64> {
         Some(self.expected_wait()? * self.arrival_rate)
     }
-
-    /// Expected number of requests in the system (waiting + in service).
-    pub fn expected_in_system(&self) -> Option<f64> {
-        Some(self.expected_queue_length()? + self.offered_load())
-    }
 }
 
 #[cfg(test)]

@@ -148,15 +148,6 @@ impl ConstraintSet {
         report
     }
 
-    /// Checks a single invariant by name; returns `None` if no invariant has
-    /// that name.
-    pub fn check_named(&self, name: &str, system: &System) -> Option<CheckReport> {
-        let invariant = self.invariants.iter().find(|i| i.name == name)?;
-        let mut report = CheckReport::default();
-        self.check_one(invariant, system, &mut report);
-        Some(report)
-    }
-
     fn check_one(&self, invariant: &Invariant, system: &System, report: &mut CheckReport) {
         for (subject, subject_name) in subjects_of(invariant, system) {
             report.evaluated += 1;
@@ -450,23 +441,6 @@ mod tests {
         assert!(report.violations.is_empty());
         assert_eq!(report.errors.len(), 1);
         assert!(report.errors[0].contains("averageLatency"));
-    }
-
-    #[test]
-    fn check_named_runs_only_that_invariant() {
-        let sys = system_with_clients();
-        let set = ConstraintSet::new().with(latency_invariant()).with(
-            Invariant::parse(
-                "load",
-                ConstraintScope::EachComponent("ServerGroupT".into()),
-                "self.load <= maxServerLoad",
-            )
-            .unwrap(),
-        );
-        assert_eq!(set.len(), 2);
-        let report = set.check_named("load", &sys).unwrap();
-        assert_eq!(report.evaluated, 1);
-        assert!(set.check_named("nope", &sys).is_none());
     }
 
     #[test]

@@ -113,11 +113,6 @@ pub struct PropertyReadSet {
 }
 
 impl Expr {
-    /// Convenience constructor for a float literal.
-    pub fn float(v: f64) -> Expr {
-        Expr::Literal(Value::Float(v))
-    }
-
     /// Convenience constructor for an int literal.
     pub fn int(v: i64) -> Expr {
         Expr::Literal(Value::Int(v))

@@ -55,8 +55,6 @@ pub mod props {
     pub const DEAD_SERVERS: &str = "deadServers";
     /// Whether a server replica's runtime process is alive (0 or 1).
     pub const IS_ALIVE: &str = "isAlive";
-    /// Whether a client can currently reach its server group (0 or 1).
-    pub const REACHABLE: &str = "reachable";
     /// Task-layer bound on dead replicas tolerated per group (normally 0).
     pub const MAX_DEAD_SERVERS: &str = "maxDeadServers";
     /// Number of replicas a group was provisioned with at deployment — the
@@ -120,26 +118,6 @@ impl ClientServerStyle {
             .properties
             .set(props::REPLICATION_COUNT, servers as i64);
         Ok(id)
-    }
-
-    /// Adds a replicated server to an existing group (the model-level effect
-    /// of the `addServer()` operator).
-    pub fn add_server_to_group(
-        system: &mut System,
-        group: ComponentId,
-        name: &str,
-    ) -> Result<ComponentId, ModelError> {
-        let server = system.add_child_component(group, name, SERVER_T)?;
-        system
-            .component_mut(server)?
-            .properties
-            .set(props::IS_ACTIVE, true);
-        let count = system.children_of(group)?.len() as i64;
-        system
-            .component_mut(group)?
-            .properties
-            .set(props::REPLICATION_COUNT, count);
-        Ok(server)
     }
 
     /// Creates (or finds) the service connector for a server group. The
@@ -460,21 +438,6 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| v.rule.contains("at least one active server")));
-    }
-
-    #[test]
-    fn add_server_to_group_updates_replication_count() {
-        let mut sys = ClientServerStyle::example_system("storage", 1, 2, 1).unwrap();
-        let grp = sys.component_by_name("ServerGrp1").unwrap();
-        ClientServerStyle::add_server_to_group(&mut sys, grp, "ServerGrp1.Server3").unwrap();
-        assert_eq!(
-            sys.component(grp)
-                .unwrap()
-                .properties
-                .get_i64(props::REPLICATION_COUNT),
-            Some(3)
-        );
-        assert!(ClientServerStyle::validate(&sys).is_empty());
     }
 
     #[test]

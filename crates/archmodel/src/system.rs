@@ -206,23 +206,6 @@ impl System {
         delta
     }
 
-    /// The epoch currently accumulating entries (bumped on each drain).
-    pub fn journal_epoch(&self) -> u64 {
-        self.journal.epoch
-    }
-
-    /// Number of dirty entries (element-level plus system-level) pending in
-    /// the journal. Bounded by elements × properties: entries are sets, so
-    /// repeated writes between drains do not grow the journal.
-    pub fn pending_changes(&self) -> usize {
-        self.journal.dirty.len() + self.journal.dirty_system.len()
-    }
-
-    /// True when a structural mutation happened since the last drain.
-    pub fn has_structural_changes(&self) -> bool {
-        self.journal.structural
-    }
-
     // ---- components ------------------------------------------------------
 
     /// Adds a top-level component of the given type.
@@ -617,13 +600,7 @@ impl System {
         Ok(())
     }
 
-    /// Finds the first (lowest-id) role with the given name.
-    pub fn role_by_name(&self, name: &str) -> Option<RoleId> {
-        self.role_by_key(Key::new(name))
-    }
-
-    /// [`role_by_name`](Self::role_by_name) with a pre-interned key (the
-    /// hot-path variant used by the model updater).
+    /// Finds the first (lowest-id) role with the given (interned) name.
     pub fn role_by_key(&self, key: Key) -> Option<RoleId> {
         self.role_names.get(&key).map(|(id, _)| *id)
     }
@@ -1128,30 +1105,35 @@ mod tests {
         assert_eq!(sys.component_attached_to_role(role), Some(client));
     }
 
+    /// Dirty entries (element-level plus system-level) pending in the journal.
+    fn pending_changes(sys: &System) -> usize {
+        sys.journal.dirty.len() + sys.journal.dirty_system.len()
+    }
+
     #[test]
     fn journal_records_property_writes_and_drains() {
         let (mut sys, client, ..) = client_server_system();
         // Construction left structural changes pending; drain them first.
-        assert!(sys.has_structural_changes());
+        assert!(sys.journal.structural);
         let construction = sys.drain_changes();
         assert!(construction.structural);
-        assert!(!sys.has_structural_changes());
+        assert!(!sys.journal.structural);
 
         let element = ElementRef::Component(client);
         sys.set_property(element, "averageLatency", Value::Float(1.5))
             .unwrap();
         sys.set_system_property("maxLatency", 2.0);
-        assert_eq!(sys.pending_changes(), 2);
-        let epoch_before = sys.journal_epoch();
+        assert_eq!(pending_changes(&sys), 2);
+        let epoch_before = sys.journal.epoch;
         let delta = sys.drain_changes();
         assert_eq!(delta.epoch, epoch_before);
         assert!(!delta.structural);
         assert!(delta.dirty.contains(&(element, Key::new("averageLatency"))));
         assert!(delta.dirty_system.contains(&Key::new("maxLatency")));
         // Draining clears the journal and bumps the epoch.
-        assert_eq!(sys.pending_changes(), 0);
+        assert_eq!(pending_changes(&sys), 0);
         assert!(sys.drain_changes().is_empty());
-        assert!(sys.journal_epoch() > epoch_before);
+        assert!(sys.journal.epoch > epoch_before);
     }
 
     #[test]
@@ -1159,9 +1141,9 @@ mod tests {
         let (mut sys, client, ..) = client_server_system();
         sys.drain_changes();
         sys.remove_component(client).unwrap();
-        assert!(sys.has_structural_changes());
+        assert!(sys.journal.structural);
         assert!(sys.drain_changes().structural);
-        assert!(!sys.has_structural_changes());
+        assert!(!sys.journal.structural);
     }
 
     #[test]
@@ -1172,17 +1154,17 @@ mod tests {
         assert!(sys
             .update_component_property(client, key, Value::Float(3.0))
             .unwrap());
-        assert_eq!(sys.pending_changes(), 1);
+        assert_eq!(pending_changes(&sys), 1);
         sys.drain_changes();
         // Re-writing the stored value is suppressed: no write, no dirt.
         assert!(!sys
             .update_component_property(client, key, Value::Float(3.0))
             .unwrap());
-        assert_eq!(sys.pending_changes(), 0);
+        assert_eq!(pending_changes(&sys), 0);
         // Strict equality: an Int 3 is not a Float 3.0.
         assert!(sys
             .update_component_property(client, key, Value::Int(3))
             .unwrap());
-        assert_eq!(sys.pending_changes(), 1);
+        assert_eq!(pending_changes(&sys), 1);
     }
 }

@@ -58,14 +58,6 @@ impl Value {
         }
     }
 
-    /// The value as a slice of set members. `None` unless it is a `Set`.
-    pub fn as_set(&self) -> Option<&[Value]> {
-        match self {
-            Value::Set(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// True when the value is numeric (int or float).
     pub fn is_numeric(&self) -> bool {
         matches!(self, Value::Int(_) | Value::Float(_))
@@ -172,7 +164,6 @@ mod tests {
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert_eq!(Value::Int(5).as_bool(), None);
-        assert!(Value::Set(vec![Value::Int(1)]).as_set().is_some());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use arch_adapt::framework::FrameworkConfig;
 use bench::run_figure7;
 use criterion::{criterion_group, criterion_main, Criterion};
-use monitoring::GaugeLifecycleConfig;
 use translator::RepairCostModel;
 
 fn print_monitoring_ablation() {
@@ -37,10 +36,6 @@ fn print_monitoring_ablation() {
             FrameworkConfig {
                 monitoring_qos: true,
                 cost_model: RepairCostModel::with_gauge_caching(),
-                gauge_lifecycle: GaugeLifecycleConfig {
-                    cache_gauges: true,
-                    ..GaugeLifecycleConfig::default()
-                },
                 ..FrameworkConfig::adaptive()
             },
         ),

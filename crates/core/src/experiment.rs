@@ -161,29 +161,24 @@ pub fn run_with_schedule_and_faults(
     schedule: Option<&ExperimentSchedule>,
     faults: Option<&faultsim::FaultSchedule>,
 ) -> Result<RunResult, AppError> {
-    run_traced(label, config, schedule, faults, tracestore::null_sink())
+    run_observed(
+        label,
+        config,
+        schedule,
+        faults,
+        tracestore::null_sink(),
+        obs::null_metrics(),
+    )
 }
 
-/// [`run_with_schedule_and_faults`] with an explicit trace sink: every
-/// observation the run produces — gauge readings, violations, repair
-/// lifecycle, fault actions, transfer completions — is appended to `sink`.
-/// The default [`tracestore::null_sink`] restores the untraced behaviour
-/// exactly (emission sites are disabled, not merely discarded).
-pub fn run_traced(
-    label: &str,
-    config: ExperimentConfig,
-    schedule: Option<&ExperimentSchedule>,
-    faults: Option<&faultsim::FaultSchedule>,
-    sink: tracestore::SharedSink,
-) -> Result<RunResult, AppError> {
-    run_observed(label, config, schedule, faults, sink, obs::null_metrics())
-}
-
-/// [`run_traced`] with an explicit self-observability metrics sink: per-tick
-/// MAPE phase spans, framework counters, and periodic component-counter
-/// snapshots land in `metrics`, which is also flushed once at end of run.
-/// The default [`obs::null_metrics`] restores the unmetered behaviour
-/// exactly (emission sites short-circuit, nothing is recorded).
+/// [`run_with_schedule_and_faults`] with an explicit trace sink and an
+/// explicit self-observability metrics sink. Every observation the run
+/// produces — gauge readings, violations, repair lifecycle, fault actions,
+/// transfer completions — is appended to `sink`; per-tick MAPE phase spans,
+/// framework counters, and periodic component-counter snapshots land in
+/// `metrics`, which is also flushed once at end of run. The defaults
+/// [`tracestore::null_sink`] and [`obs::null_metrics`] restore the unobserved
+/// behaviour exactly (emission sites short-circuit, nothing is recorded).
 pub fn run_observed(
     label: &str,
     config: ExperimentConfig,
@@ -300,43 +295,21 @@ impl Comparison {
         faults: Option<&faultsim::FaultSchedule>,
         duration_secs: f64,
     ) -> Result<Comparison, AppError> {
-        Self::run_with_faults_traced(
-            grid,
-            adaptive,
-            schedule,
-            faults,
-            duration_secs,
-            tracestore::null_sink(),
-            tracestore::null_sink(),
-        )
-    }
-
-    /// [`Comparison::run_with_faults`] with one explicit trace sink per run,
-    /// so the control and adaptive event streams stay separable.
-    pub fn run_with_faults_traced(
-        grid: GridConfig,
-        adaptive: FrameworkConfig,
-        schedule: Option<&ExperimentSchedule>,
-        faults: Option<&faultsim::FaultSchedule>,
-        duration_secs: f64,
-        control_sink: tracestore::SharedSink,
-        adaptive_sink: tracestore::SharedSink,
-    ) -> Result<Comparison, AppError> {
         Self::run_with_faults_observed(
             grid,
             adaptive,
             schedule,
             faults,
             duration_secs,
-            (control_sink, obs::null_metrics()),
-            (adaptive_sink, obs::null_metrics()),
+            (tracestore::null_sink(), obs::null_metrics()),
+            (tracestore::null_sink(), obs::null_metrics()),
         )
     }
 
-    /// [`Comparison::run_with_faults_traced`] with one `(trace sink, metrics
-    /// sink)` pair per run, so the control and adaptive self-observability
-    /// registries stay separable too — the shape the metered sweep and the
-    /// perf-report example consume.
+    /// [`Comparison::run_with_faults`] with one `(trace sink, metrics sink)`
+    /// pair per run, so the control and adaptive event streams and
+    /// self-observability registries stay separable — the shape the sweep
+    /// harness and the perf-report example consume.
     pub fn run_with_faults_observed(
         grid: GridConfig,
         adaptive: FrameworkConfig,

@@ -90,14 +90,6 @@ pub struct FrameworkConfig {
     /// repairs recruited once the group idles at more than its provisioned
     /// count (restart-aware cost reduction).
     pub cost_reduction: bool,
-    /// Minimum seconds between constraint checks. `0.0` (the default)
-    /// checks every adaptation tick, matching the historical behaviour
-    /// bit-for-bit. A positive cadence batches detection: violations then
-    /// surface up to that much later *on top of* the monitoring delivery
-    /// delay (≤ 20 s when monitoring shares a congested network), which is
-    /// why trace queries hunting "violations near a fault" need a window
-    /// like `--within 30` rather than the control period.
-    pub constraint_check_period_secs: f64,
     /// Debug/test oracle: after every incremental constraint check, run a
     /// full sweep and assert the reports agree (violations, errors, and
     /// `evaluated + skipped` accounting). Off by default — it re-introduces
@@ -127,7 +119,6 @@ impl Default for FrameworkConfig {
             bandwidth_first: false,
             group_planner: false,
             cost_reduction: false,
-            constraint_check_period_secs: 0.0,
             verify_constraint_check: false,
             detectors: None,
         }
@@ -344,9 +335,6 @@ pub struct AdaptationFramework {
     /// The one observation path: legacy trace, trace sink, metrics sink, and
     /// the always-on tallies.
     observer: Observer,
-    /// Sim time before which constraint checks are skipped (only consulted
-    /// when `constraint_check_period_secs > 0`).
-    next_constraint_check_secs: f64,
     /// Incremental constraint checker: caches per-(invariant, element)
     /// outcomes and re-evaluates only pairs whose property read-set
     /// intersects the model's change journal since the last check.
@@ -404,7 +392,6 @@ impl AdaptationFramework {
             monitor,
             planner: group_planner,
             observer: Observer::new(config.detectors.is_some()),
-            next_constraint_check_secs: 0.0,
             checker: archmodel::IncrementalChecker::new(),
             detector: config.detectors.map(DetectorState::new),
             pending: None,
@@ -586,14 +573,7 @@ impl AdaptationFramework {
             return;
         }
 
-        // 5. Check constraints and plan a repair if necessary. A positive
-        // cadence skips whole checks; the default (0.0) checks every tick.
-        if self.config.constraint_check_period_secs > 0.0
-            && t.as_secs() < self.next_constraint_check_secs
-        {
-            return;
-        }
-        self.next_constraint_check_secs = t.as_secs() + self.config.constraint_check_period_secs;
+        // 5. Check constraints and plan a repair if necessary.
         let report = {
             let _span = self.observer.span("phase.constraint_check");
             self.checker.check(&self.constraints, &mut self.model)

@@ -43,8 +43,8 @@ pub mod sweep;
 pub mod task;
 
 pub use experiment::{
-    run_adaptive, run_control, run_experiment, run_observed, run_traced, Comparison,
-    ExperimentConfig, RunResult, RunSummary,
+    run_adaptive, run_control, run_experiment, run_observed, Comparison, ExperimentConfig,
+    RunResult, RunSummary,
 };
 pub use framework::{
     strategy_names, AdaptationFramework, DetectSummary, FrameworkConfig, RepairStats,

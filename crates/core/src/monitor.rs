@@ -353,10 +353,9 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_over_replica_reads_alive_again_under_gauge_caching() {
+    fn a_failed_over_replica_reads_alive_again() {
         let mut app = GridApp::build(GridConfig::default()).unwrap();
-        let mut config = FrameworkConfig::qos_monitoring();
-        config.gauge_lifecycle.cache_gauges = true;
+        let config = FrameworkConfig::qos_monitoring();
         let mut monitor = Monitor::new(&app, &config);
         let replica = "ServerGrp1.Server1";
         let server_map = HashMap::from([(replica.to_string(), "S1".to_string())]);
@@ -372,9 +371,9 @@ mod tests {
         assert_eq!(is_alive(&mut monitor, &mut app, 15.0), Some(1.0));
         app.crash_server(SimTime::from_secs(16.0), "S1").unwrap();
         assert_eq!(is_alive(&mut monitor, &mut app, 20.0), Some(0.0));
-        // Failover: the replica is now backed by the spare S4. The retired
-        // gauge shares the new one's name but watches the corpse; reviving
-        // it from the cache would pin `isAlive` at 0 for good.
+        // Failover: the replica is now backed by the spare S4. The gauge it
+        // replaces shares the new one's name but watches the corpse; left
+        // deployed it would pin `isAlive` at 0 for good.
         monitor.watch_server(SimTime::from_secs(20.0), replica, "S4");
         assert_eq!(is_alive(&mut monitor, &mut app, 25.0), None, "warming up");
         assert_eq!(is_alive(&mut monitor, &mut app, 35.0), Some(1.0));

@@ -432,40 +432,10 @@ pub struct SweepUnit {
 }
 
 impl SweepUnit {
-    /// Runs this unit's control/adaptive comparison. The outcome is fully
-    /// determined by the cell key and seed.
-    pub fn run(&self) -> Result<UnitOutcome, SweepError> {
-        self.run_into(
-            tracestore::null_sink(),
-            tracestore::null_sink(),
-            false,
-            false,
-        )
-    }
-
-    /// [`SweepUnit::run`] with a metrics registry attached to each run: the
-    /// outcome carries the deterministic counter snapshots of both the
-    /// control and the adaptive run (see [`UnitOutcome::control_counters`]).
-    pub fn run_metered(&self) -> Result<UnitOutcome, SweepError> {
-        self.run_into(
-            tracestore::null_sink(),
-            tracestore::null_sink(),
-            true,
-            false,
-        )
-    }
-
-    /// [`SweepUnit::run`] with the unit's full event streams collected: the
-    /// control and adaptive runs each append into their own buffer, returned
-    /// alongside the outcome for the harness to persist.
-    pub fn run_traced(&self) -> Result<(UnitOutcome, UnitEvents), SweepError> {
-        self.run_unit(true, false, false)
-    }
-
-    /// The general entry point the sweep harness drives: `traced` collects
-    /// event streams, `metered` attaches metrics registries, and `detectors`
-    /// arms the online anomaly-detector bank in both runs (see
-    /// [`SweepSpec::detectors`]).
+    /// Runs this unit's control/adaptive comparison; the outcome is fully
+    /// determined by the cell key and seed. `traced` collects event streams,
+    /// `metered` attaches metrics registries, and `detectors` arms the online
+    /// anomaly-detector bank in both runs (see [`SweepSpec::detectors`]).
     pub fn run_unit(
         &self,
         traced: bool,
@@ -583,7 +553,7 @@ impl SweepUnit {
     }
 }
 
-/// The event streams one traced unit produced (see [`SweepUnit::run_traced`]).
+/// The event streams one traced unit produced (see [`SweepUnit::run_unit`]).
 #[derive(Debug, Clone, Default)]
 pub struct UnitEvents {
     /// Events of the control run, in emission order.

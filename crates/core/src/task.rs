@@ -32,27 +32,6 @@ impl Default for PerformanceProfile {
 }
 
 impl PerformanceProfile {
-    /// Derives a profile from the design-time provisioning analysis: the
-    /// latency bound is the input requirement, the bandwidth floor comes from
-    /// the analysis, and the load bound is the paper's queue threshold.
-    pub fn from_analysis(
-        input: &analysis::ProvisioningInput,
-        plan: &analysis::ProvisioningPlan,
-    ) -> Self {
-        PerformanceProfile {
-            max_latency_secs: input.max_latency,
-            max_server_load: 6.0,
-            // NaN (e.g. from a degenerate analysis) must fall back to the
-            // paper's 10 Kbps default, not poison the MIN_BANDWIDTH property
-            // (f64::clamp propagates NaN).
-            min_bandwidth_bps: if plan.bandwidth.min_bandwidth_bps.is_nan() {
-                10_000.0
-            } else {
-                plan.bandwidth.min_bandwidth_bps.clamp(1_000.0, 10_000.0)
-            },
-        }
-    }
-
     /// Writes the profile into the architectural model's system properties so
     /// constraints such as `averageLatency <= maxLatency` can reference them.
     pub fn apply_to(&self, model: &mut System) {
@@ -82,14 +61,5 @@ mod tests {
             model.properties.get_f64(props::MIN_BANDWIDTH),
             Some(10_000.0)
         );
-    }
-
-    #[test]
-    fn profile_from_analysis_respects_latency_bound() {
-        let input = analysis::ProvisioningInput::default();
-        let plan = analysis::provision(&input, 10).unwrap();
-        let profile = PerformanceProfile::from_analysis(&input, &plan);
-        assert_eq!(profile.max_latency_secs, input.max_latency);
-        assert!(profile.min_bandwidth_bps >= 1_000.0);
     }
 }

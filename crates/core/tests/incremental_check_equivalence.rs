@@ -5,8 +5,9 @@
 //! other pair's cached outcome. Its contract is byte-identity: violations,
 //! errors, and their order must match a full sweep at every single check —
 //! under workload churn, fault churn, per-element repairs (whose committed
-//! change sets are structural reconfigurations), and batched checking
-//! (`constraint_check_period_secs > 0`).
+//! change sets are structural reconfigurations), and checks that see several
+//! ticks' changes at once (none runs while a repair is pending, so the
+//! journal accumulates until it completes).
 //!
 //! `FrameworkConfig::verify_constraint_check` is the oracle: with it on, the
 //! framework runs a full sweep after every incremental check and panics on
@@ -26,7 +27,6 @@ fn framework_run(
     verify: bool,
     strategy: &str,
     cost_reduction: bool,
-    check_period_secs: f64,
     profile: &str,
     seed: u64,
     duration: f64,
@@ -39,7 +39,6 @@ fn framework_run(
     let faults = fault_profile_by_name(profile, duration).unwrap();
     let framework = FrameworkConfig {
         verify_constraint_check: verify,
-        constraint_check_period_secs: check_period_secs,
         cost_reduction,
         ..FrameworkConfig::by_name(strategy).unwrap()
     };
@@ -65,19 +64,17 @@ proptest! {
         profile in 0usize..fault_profile_names().len(),
         strategy_idx in 0usize..3,
         cost_reduction_bit in 0u8..2,
-        period_idx in 0usize..3,
     ) {
         let strategy = ["adaptive", "plannedRepair", "bandwidth-first"][strategy_idx];
         let cost_reduction = cost_reduction_bit == 1;
-        let check_period = [0.0f64, 7.5, 20.0][period_idx];
         let name = fault_profile_names()[profile];
         // The oracle inside the framework asserts byte-identity of the
         // incremental report against a full sweep at every check; a
         // completed run means every check along the way agreed.
-        let verified = framework_run(true, strategy, cost_reduction, check_period, name, seed, 180.0);
+        let verified = framework_run(true, strategy, cost_reduction, name, seed, 180.0);
         // And verification is purely observational: nothing downstream of
         // the constraint check may differ.
-        let plain = framework_run(false, strategy, cost_reduction, check_period, name, seed, 180.0);
+        let plain = framework_run(false, strategy, cost_reduction, name, seed, 180.0);
         prop_assert_eq!(
             &verified.trace, &plain.trace,
             "oracle perturbed the trace: {} {} seed {}", strategy, name, seed

@@ -575,11 +575,6 @@ impl CompiledFaultSchedule {
     pub fn first_onset_secs(&self) -> Option<f64> {
         self.onsets.first().copied()
     }
-
-    /// The last action's firing time, if any.
-    pub fn last_action_secs(&self) -> Option<f64> {
-        self.actions.last().map(|a| a.at_secs)
-    }
 }
 
 #[cfg(test)]
@@ -609,7 +604,7 @@ mod tests {
         assert_eq!(compiled.actions.len(), 2);
         assert_eq!(compiled.onsets, vec![100.0]);
         assert_eq!(compiled.first_onset_secs(), Some(100.0));
-        assert_eq!(compiled.last_action_secs(), Some(300.0));
+        assert_eq!(compiled.actions.last().map(|a| a.at_secs), Some(300.0));
         match &compiled.actions[0].action {
             FaultAction::SetLinkCapacity { link, capacity_bps } => {
                 assert_eq!(*link, tb.link_c34_sg1);
@@ -989,7 +984,6 @@ mod tests {
         let compiled = FaultSchedule::none().compile(&testbed(), 42).unwrap();
         assert!(compiled.is_empty());
         assert!(compiled.first_onset_secs().is_none());
-        assert!(compiled.last_action_secs().is_none());
         assert!(FaultSchedule::none().is_empty());
     }
 

@@ -5,8 +5,7 @@
 //! server group's load, the bandwidth of a client's connection. Gauge
 //! creation and deletion follow a gauge protocol and — as the paper measures —
 //! dominate the time it takes to effect a repair (~30 s, §5.3). The
-//! [`GaugeManager`] models that lifecycle cost and the proposed mitigation of
-//! caching/relocating gauges instead of destroying and recreating them.
+//! [`GaugeManager`] models that lifecycle cost.
 //!
 //! A gauge interns what it watches and what it reports onto when it is
 //! created; from then on consuming an event is a [`Topic`] comparison and
@@ -39,8 +38,6 @@ pub trait Gauge {
     /// The one probe-bus topic this gauge is interested in. Must be stable
     /// for the gauge's lifetime (the manager indexes it).
     fn interest(&self) -> Topic;
-    /// The model element the gauge reports onto.
-    fn target(&self) -> Key;
     /// Feeds one probe event to the gauge.
     fn consume(&mut self, event: &ProbeEvent);
     /// Appends the gauge's current readings at time `now` to `out`.
@@ -135,10 +132,6 @@ impl Gauge for AverageLatencyGauge {
         self.interest
     }
 
-    fn target(&self) -> Key {
-        self.interest.subject
-    }
-
     fn consume(&mut self, event: &ProbeEvent) {
         if event.topic() == self.interest {
             self.window.push(event.time, event.measurement.value());
@@ -195,10 +188,6 @@ macro_rules! latest_value_gauge {
 
             fn interest(&self) -> Topic {
                 self.0.interest
-            }
-
-            fn target(&self) -> Key {
-                self.0.target
             }
 
             fn consume(&mut self, event: &ProbeEvent) {
@@ -355,10 +344,6 @@ impl Gauge for GroupLivenessGauge {
         self.latest.interest
     }
 
-    fn target(&self) -> Key {
-        self.latest.target
-    }
-
     fn consume(&mut self, event: &ProbeEvent) {
         self.latest.consume(event);
     }
@@ -381,13 +366,6 @@ pub struct GaugeLifecycleConfig {
     pub creation_delay_secs: f64,
     /// Time to tear a gauge down.
     pub deletion_delay_secs: f64,
-    /// When true, deleted gauges are kept in a cache and re-used by a later
-    /// creation of a gauge that watches the same thing (the paper's proposed
-    /// improvement); cached re-activation costs `reuse_delay_secs` instead of
-    /// the creation delay.
-    pub cache_gauges: bool,
-    /// Re-activation cost for a cached gauge.
-    pub reuse_delay_secs: f64,
 }
 
 impl Default for GaugeLifecycleConfig {
@@ -395,8 +373,6 @@ impl Default for GaugeLifecycleConfig {
         GaugeLifecycleConfig {
             creation_delay_secs: 12.0,
             deletion_delay_secs: 3.0,
-            cache_gauges: false,
-            reuse_delay_secs: 0.5,
         }
     }
 }
@@ -415,7 +391,6 @@ struct ManagedGauge {
 pub struct GaugeManager {
     config: GaugeLifecycleConfig,
     gauges: Vec<ManagedGauge>,
-    cache: Vec<Box<dyn Gauge>>,
     /// interest → positions in `gauges`; rebuilt when stale.
     interest_index: HashMap<Topic, Vec<usize>>,
     index_stale: bool,
@@ -427,7 +402,6 @@ impl GaugeManager {
         GaugeManager {
             config,
             gauges: Vec::new(),
-            cache: Vec::new(),
             interest_index: HashMap::new(),
             index_stale: false,
         }
@@ -445,28 +419,8 @@ impl GaugeManager {
     /// Deploys a gauge at time `now`. Returns the time at which the gauge
     /// becomes active (and therefore how long the deploying repair must
     /// wait).
-    ///
-    /// Under gauge caching a retired gauge is re-activated in `gauge`'s
-    /// place only when it watches what `gauge` watches — same name, same
-    /// interest and same target. A namesake that watches something else (the
-    /// health gauge of a replica whose runtime server was failed over) stays
-    /// retired.
     pub fn create(&mut self, now: f64, gauge: Box<dyn Gauge>) -> f64 {
-        let same_watch = |cached: &dyn Gauge| {
-            cached.name() == gauge.name()
-                && cached.interest() == gauge.interest()
-                && cached.target() == gauge.target()
-        };
-        let cached_idx = self
-            .config
-            .cache_gauges
-            .then(|| self.cache.iter().position(|g| same_watch(g.as_ref())))
-            .flatten();
-        let (gauge, delay) = match cached_idx {
-            Some(idx) => (self.cache.remove(idx), self.config.reuse_delay_secs),
-            None => (gauge, self.config.creation_delay_secs),
-        };
-        let active_at = now + delay;
+        let active_at = now + self.config.creation_delay_secs;
         self.gauges.push(ManagedGauge { gauge, active_at });
         self.index_stale = true;
         active_at
@@ -476,11 +430,8 @@ impl GaugeManager {
     /// the deletion completes, or `None` if no such gauge exists.
     pub fn delete(&mut self, now: f64, name: &str) -> Option<f64> {
         let idx = self.gauges.iter().position(|g| g.gauge.name() == name)?;
-        let removed = self.gauges.remove(idx);
+        self.gauges.remove(idx);
         self.index_stale = true;
-        if self.config.cache_gauges {
-            self.cache.push(removed.gauge);
-        }
         Some(now + self.config.deletion_delay_secs)
     }
 
@@ -500,22 +451,12 @@ impl GaugeManager {
     /// once, and a per-name [`delete`](Self::delete) loop would rescan the
     /// roster per gauge.
     pub fn delete_where(&mut self, _now: f64, mut predicate: impl FnMut(&str) -> bool) -> usize {
-        let mut removed: Vec<Box<dyn Gauge>> = Vec::new();
-        let mut kept = Vec::with_capacity(self.gauges.len());
-        for managed in self.gauges.drain(..) {
-            if predicate(managed.gauge.name()) {
-                removed.push(managed.gauge);
-            } else {
-                kept.push(managed);
-            }
-        }
-        self.gauges = kept;
-        let deleted = removed.len();
+        let before = self.gauges.len();
+        self.gauges
+            .retain(|managed| !predicate(managed.gauge.name()));
+        let deleted = before - self.gauges.len();
         if deleted > 0 {
             self.index_stale = true;
-        }
-        if self.config.cache_gauges {
-            self.cache.extend(removed);
         }
         deleted
     }
@@ -593,13 +534,6 @@ mod tests {
         let mut out = Vec::new();
         mgr.collect(now, &mut out);
         out
-    }
-
-    fn caching() -> GaugeManager {
-        GaugeManager::new(GaugeLifecycleConfig {
-            cache_gauges: true,
-            ..GaugeLifecycleConfig::default()
-        })
     }
 
     #[test]
@@ -771,49 +705,6 @@ mod tests {
         mgr.dispatch(&heartbeat(1.0, "S1", true));
         let targets: Vec<Key> = collect(&mut mgr, 1.0).iter().map(|r| r.target).collect();
         assert_eq!(targets, ["Grp.Server1", "Grp.Mirror"]);
-    }
-
-    #[test]
-    fn gauge_manager_cache_reduces_recreation_cost() {
-        let mut mgr = caching();
-        mgr.create(0.0, Box::new(LoadGauge::new("ServerGrp1")));
-        mgr.delete(20.0, "load-gauge/ServerGrp1").unwrap();
-        // Re-creating the same gauge hits the cache and is far cheaper.
-        let active_at = mgr.create(30.0, Box::new(LoadGauge::new("ServerGrp1")));
-        assert!((active_at - 30.5).abs() < 1e-12);
-        // The cached gauge was taken out of the cache, not copied.
-        let active_at = mgr.create(30.0, Box::new(LoadGauge::new("ServerGrp1")));
-        assert!((active_at - 42.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn a_cached_namesake_that_watches_something_else_is_not_resurrected() {
-        let mut mgr = caching();
-        mgr.create(
-            0.0,
-            Box::new(ServerHealthGauge::new("S1", "ServerGrp1.Server1")),
-        );
-        // Failover: the replica is re-pointed at S6. The retired gauge has
-        // the new one's name but still watches S1.
-        let active_at = mgr.replace(
-            20.0,
-            Box::new(ServerHealthGauge::new("S6", "ServerGrp1.Server1")),
-        );
-        assert!((active_at - 32.0).abs() < 1e-12, "a new gauge, full cost");
-        mgr.dispatch(&heartbeat(40.0, "S6", true));
-        mgr.dispatch(&heartbeat(40.0, "S1", false));
-        let readings = collect(&mut mgr, 40.0);
-        assert_eq!(readings.len(), 1);
-        assert_eq!(
-            readings[0].value, 1.0,
-            "the replica is backed by S6, which is up"
-        );
-        // Pointing it back at S1 does re-use the gauge retired first.
-        let active_at = mgr.replace(
-            50.0,
-            Box::new(ServerHealthGauge::new("S1", "ServerGrp1.Server1")),
-        );
-        assert!((active_at - 50.5).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! of servers in an underutilised group: `reduceServers`.
 
 use crate::operators::{add_server, move_client, remove_server};
-use crate::query::RuntimeQuery;
 use crate::strategy::{RepairStrategy, TacticPolicy};
 use crate::tactic::{client_of_violation, RepairError, Tactic, TacticContext, TacticResult};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant};
@@ -523,16 +522,6 @@ pub fn strategy_for_invariant(invariant: &str) -> Option<RepairStrategy> {
     }
 }
 
-/// Convenience used by tests and the ablation benches: run `fixLatency` for a
-/// violation and return the outcome.
-pub fn run_fix_latency(
-    model: &System,
-    violation: &archmodel::constraint::Violation,
-    query: &dyn RuntimeQuery,
-) -> crate::strategy::StrategyOutcome {
-    fix_latency_strategy().run(model, violation, query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,7 +573,7 @@ mod tests {
     fn overloaded_group_triggers_add_server() {
         let (model, violation) = scenario(20, 1e6);
         let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
-        let outcome = run_fix_latency(&model, &violation, &query);
+        let outcome = fix_latency_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::Repaired {
                 applied_tactics,
@@ -605,7 +594,7 @@ mod tests {
         let query = StaticQuery::new()
             .with_bandwidth("User3", "ServerGrp1", 3_000.0)
             .with_bandwidth("User3", "ServerGrp2", 2_000_000.0);
-        let outcome = run_fix_latency(&model, &violation, &query);
+        let outcome = fix_latency_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::Repaired {
                 applied_tactics,
@@ -624,7 +613,7 @@ mod tests {
         let (model, violation) = scenario(20, 3_000.0);
         // No spare servers anywhere, but ServerGrp2 has good bandwidth.
         let query = StaticQuery::new().with_bandwidth("User3", "ServerGrp2", 5_000_000.0);
-        let outcome = run_fix_latency(&model, &violation, &query);
+        let outcome = fix_latency_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::Repaired {
                 applied_tactics, ..
@@ -638,7 +627,7 @@ mod tests {
         let (model, violation) = scenario(2, 3_000.0);
         // Bandwidth everywhere is terrible.
         let query = StaticQuery::new().with_bandwidth("User3", "ServerGrp2", 1_000.0);
-        let outcome = run_fix_latency(&model, &violation, &query);
+        let outcome = fix_latency_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::Aborted { reason } => assert!(reason.contains("NoServerGroupFound")),
             other => panic!("unexpected outcome: {other:?}"),
@@ -649,7 +638,7 @@ mod tests {
     fn healthy_client_yields_no_applicable_tactic() {
         let (model, violation) = scenario(2, 5_000_000.0);
         let query = StaticQuery::new();
-        let outcome = run_fix_latency(&model, &violation, &query);
+        let outcome = fix_latency_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::NoApplicableTactic { reasons } => assert_eq!(reasons.len(), 2),
             other => panic!("unexpected outcome: {other:?}"),
@@ -661,7 +650,7 @@ mod tests {
         let (model, violation) = scenario(2, 3_000.0);
         // Best group is the one the client is already on.
         let query = StaticQuery::new().with_bandwidth("User3", "ServerGrp1", 9e6);
-        let outcome = run_fix_latency(&model, &violation, &query);
+        let outcome = fix_latency_strategy().run(&model, &violation, &query);
         assert!(matches!(
             outcome,
             StrategyOutcome::NoApplicableTactic { .. }

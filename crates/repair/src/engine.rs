@@ -110,24 +110,9 @@ impl RepairEngine {
         self.damping = damping;
     }
 
-    /// Names of invariants with a registered strategy.
-    pub fn registered_invariants(&self) -> Vec<&str> {
-        self.strategies.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Number of plans produced so far.
     pub fn plans_produced(&self) -> u64 {
         self.plans_produced
-    }
-
-    /// Number of aborted repairs so far.
-    pub fn abort_count(&self) -> u64 {
-        self.aborts
-    }
-
-    /// Number of repairs suppressed by damping.
-    pub fn suppressed_count(&self) -> u64 {
-        self.suppressed
     }
 
     /// Produces a repair plan for the most urgent violation in `report`, if
@@ -305,7 +290,7 @@ mod tests {
             engine.plan(&model, &report, &StaticQuery::new(), 0.0),
             PlanOutcome::Nothing
         );
-        assert!(engine.registered_invariants().is_empty());
+        assert!(engine.strategies.is_empty());
     }
 
     #[test]
@@ -326,7 +311,7 @@ mod tests {
         }
         // The damped client plus the (unrepairable) server-load violation the
         // engine fell through to were both counted as suppressed.
-        assert!(engine.suppressed_count() >= 1);
+        assert!(engine.suppressed >= 1);
         // After the settle window it is allowed again.
         assert!(matches!(
             engine.plan(&model, &report, &query, 300.0),
@@ -359,7 +344,7 @@ mod tests {
             PlanOutcome::Aborted { reason, .. } => assert!(reason.contains("NoServerGroupFound")),
             other => panic!("unexpected outcome: {other:?}"),
         }
-        assert_eq!(engine.abort_count(), 1);
+        assert_eq!(engine.aborts, 1);
     }
 
     /// [`RepairEngine::plan`] with every strategy run through the
@@ -554,8 +539,8 @@ mod tests {
                 }
             }
             assert_eq!(lazy.plans_produced(), eager.plans_produced());
-            assert_eq!(lazy.abort_count(), eager.abort_count());
-            assert_eq!(lazy.suppressed_count(), eager.suppressed_count());
+            assert_eq!(lazy.aborts, eager.aborts);
+            assert_eq!(lazy.suppressed, eager.suppressed);
         }
     }
 

@@ -48,13 +48,6 @@ pub enum StrategyOutcome {
     },
 }
 
-impl StrategyOutcome {
-    /// True when a repair script was produced.
-    pub fn is_repair(&self) -> bool {
-        matches!(self, StrategyOutcome::Repaired { .. })
-    }
-}
-
 /// A named repair strategy.
 pub struct RepairStrategy {
     name: String,
@@ -81,11 +74,6 @@ impl RepairStrategy {
     /// The strategy's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The names of the tactics, in order.
-    pub fn tactic_names(&self) -> Vec<&str> {
-        self.tactics.iter().map(|t| t.name()).collect()
     }
 
     /// Runs the strategy for `violation` against `model`.
@@ -443,7 +431,8 @@ mod tests {
             StrategyOutcome::NoApplicableTactic { reasons } => assert_eq!(reasons.len(), 2),
             other => panic!("unexpected outcome: {other:?}"),
         }
-        assert_eq!(strategy.tactic_names(), vec!["a", "b"]);
+        let tactic_names: Vec<&str> = strategy.tactics.iter().map(|t| t.name()).collect();
+        assert_eq!(tactic_names, ["a", "b"]);
     }
 
     #[test]
@@ -621,19 +610,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn outcome_is_repair_helper() {
-        assert!(StrategyOutcome::Repaired {
-            ops: vec![],
-            applied_tactics: vec![],
-            description: String::new()
-        }
-        .is_repair());
-        assert!(!StrategyOutcome::Aborted {
-            reason: String::new()
-        }
-        .is_repair());
     }
 }

@@ -1,16 +1,16 @@
-//! # simnet — discrete-event network/grid simulator
+//! # simnet — fluid-flow network/grid simulator
 //!
 //! This crate is the *runtime-layer substrate* of the reproduction: it stands
 //! in for the paper's dedicated experimental testbed (five routers, eleven
-//! machines, 10 Mbps links) plus the Remos bandwidth-measurement service.
+//! machines, 10 Mbps links). The event loop that drives it and the Remos
+//! bandwidth query belong to the application above (`gridapp::GridApp`).
 //!
 //! It provides:
 //!
-//! * a deterministic discrete-event [`engine`] with a virtual clock,
+//! * virtual [`time`],
 //! * a network [`topology`] of hosts, routers, and links,
 //! * a fluid-flow [`network`] model in which concurrent transfers share link
 //!   capacity max-min fairly (see [`alloc`]),
-//! * a Remos-like predicted-[`bandwidth`] oracle with cold-query behaviour,
 //! * deterministic randomness ([`rng`]), time-series [`stats`], and an event
 //!   [`trace`] used by the experiment harness,
 //! * generic name → value [`registry`] tables backing the preset catalogues
@@ -22,9 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bandwidth;
-pub mod engine;
-pub mod event;
 #[doc(hidden)]
 pub mod flow;
 pub mod network;
@@ -36,9 +33,6 @@ pub mod topology;
 pub mod trace;
 
 pub use alloc::{Allocator, DemandSet, ResourceId};
-pub use bandwidth::{BandwidthEstimate, RemosConfig, RemosOracle};
-pub use engine::{Ctx, Engine, Model};
-pub use event::{EventHandle, EventQueue};
 pub use network::{CompletedTransfer, NetError, Network, TransferId};
 pub use registry::{Registry, RegistryError};
 pub use rng::SimRng;

@@ -123,12 +123,6 @@ pub struct Network {
     /// steady-state transfer churn allocates nothing.
     resource_pool: Vec<Vec<ResourceId>>,
     pending: Vec<PendingDelivery>,
-    /// Competing load between host pairs, spread over each pair's path.
-    background: HashMap<(NodeId, NodeId), f64>,
-    /// Competing load set on each link directly (the topology's baseline,
-    /// then `set_background_on_link`); a link carries this plus its share of
-    /// `background`.
-    link_background: Vec<f64>,
     next_id: u64,
     last_advance: SimTime,
     /// Nodes currently taken down by fault injection. Every link adjacent to
@@ -179,14 +173,11 @@ impl Network {
     pub fn new(topology: Topology) -> Self {
         let n_links = topology.link_count();
         let nominal_caps: Vec<f64> = topology.links().map(|(_, l)| l.capacity_bps).collect();
-        let link_background = topology.links().map(|(_, l)| l.background_bps).collect();
         let mut network = Network {
             topology,
             active: BTreeMap::new(),
             resource_pool: Vec::new(),
             pending: Vec::new(),
-            background: HashMap::new(),
-            link_background,
             next_id: 0,
             last_advance: SimTime::ZERO,
             down_nodes: BTreeSet::new(),
@@ -311,39 +302,9 @@ impl Network {
         Ok(removed)
     }
 
-    /// Sets the competing background traffic between two hosts (in bits per
-    /// second). The load is spread over every link of the path between them,
-    /// replacing any previous demand for the same pair.
-    pub fn set_background_between(
-        &mut self,
-        now: SimTime,
-        a: NodeId,
-        b: NodeId,
-        bps: f64,
-    ) -> Result<(), NetError> {
-        self.advance(now);
-        if bps <= 0.0 {
-            self.background.remove(&(a, b));
-        } else {
-            // Resolved before the pair is recorded: one with no path would
-            // fail this and every later background call.
-            let links = self.link_scratch.get_mut();
-            links.clear();
-            self.paths
-                .get_mut()
-                .path_into(&self.topology, a, b, links)?;
-            self.background.insert((a, b), bps);
-        }
-        self.apply_background()?;
-        self.caps_dirty = true;
-        self.recompute_rates();
-        Ok(())
-    }
-
     /// Sets competing background traffic directly on a single link (e.g. an
     /// inter-router link loaded by the experiment's competition generator),
-    /// without touching host access links. It replaces the link's previous
-    /// link-level load; pair loads whose path crosses the link add to it.
+    /// replacing the link's previous load.
     pub fn set_background_on_link(
         &mut self,
         now: SimTime,
@@ -351,9 +312,7 @@ impl Network {
         bps: f64,
     ) -> Result<(), NetError> {
         self.advance(now);
-        self.topology.link(link)?;
-        self.link_background[link.0] = bps.max(0.0);
-        self.apply_background()?;
+        self.topology.set_background_load(link, bps)?;
         self.caps_dirty = true;
         self.recompute_rates();
         Ok(())
@@ -448,12 +407,6 @@ impl Network {
         Ok(())
     }
 
-    /// The one-way cap in force on a link, if any: the node the degraded
-    /// direction leaves from, and the capped bits/second.
-    pub fn link_oneway(&self, link: LinkId) -> Option<(NodeId, f64)> {
-        self.oneway.get(&link).copied()
-    }
-
     /// Marks a node down (or back up) — the fault-injection hook behind
     /// server-machine crashes and router outages. While a node is down every
     /// link adjacent to it carries (effectively) no traffic: in-flight
@@ -521,48 +474,6 @@ impl Network {
             }
         }
         self.caps_dirty = false;
-    }
-
-    /// Clears all background competition.
-    pub fn clear_background(&mut self, now: SimTime) -> Result<(), NetError> {
-        self.advance(now);
-        self.background.clear();
-        self.link_background.fill(0.0);
-        self.apply_background()?;
-        self.caps_dirty = true;
-        self.recompute_rates();
-        Ok(())
-    }
-
-    fn apply_background(&mut self) -> Result<(), NetError> {
-        // Recompute per-link background as the link's own load plus the sum
-        // of all pair demands whose path crosses it, so neither kind of
-        // competition erases the other. Sum in sorted pair order: float
-        // accumulation must not depend on HashMap iteration order, or
-        // identically-seeded runs with background traffic diverge in the low
-        // bits.
-        let mut pairs: Vec<((NodeId, NodeId), f64)> = self
-            .background
-            .iter()
-            .map(|(&pair, &bps)| (pair, bps))
-            .collect();
-        pairs.sort_by_key(|&((a, b), _)| (a.0, b.0));
-        let mut per_link: HashMap<LinkId, f64> = HashMap::new();
-        let mut path = Vec::new();
-        for ((a, b), bps) in pairs {
-            path.clear();
-            self.paths
-                .borrow_mut()
-                .path_into(&self.topology, a, b, &mut path)?;
-            for &link in &path {
-                *per_link.entry(link).or_insert(0.0) += bps;
-            }
-        }
-        for (i, &own) in self.link_background.iter().enumerate() {
-            let pairs = per_link.get(&LinkId(i)).copied().unwrap_or(0.0);
-            self.topology.set_background_load(LinkId(i), own + pairs)?;
-        }
-        Ok(())
     }
 
     /// Advances the fluid model to `now`, draining transfers at their current
@@ -802,11 +713,6 @@ impl Network {
     pub fn transfer_rate(&self, id: TransferId) -> Option<f64> {
         self.active.get(&id).map(|t| t.rate_bps)
     }
-
-    /// Remaining bytes of a transfer, if still active.
-    pub fn transfer_remaining_bytes(&self, id: TransferId) -> Option<f64> {
-        self.active.get(&id).map(|t| t.remaining_bits / 8.0)
-    }
 }
 
 #[cfg(test)]
@@ -878,7 +784,8 @@ mod tests {
     #[test]
     fn background_competition_slows_transfers() {
         let (mut net, a, b) = two_host_net();
-        net.set_background_between(t(0.0), a, b, 9e6).unwrap();
+        let link = net.topology().link_between(a, NodeId(1)).unwrap();
+        net.set_background_on_link(t(0.0), link, 9e6).unwrap();
         // Only 1 Mbps left: a 1 Mbit transfer takes ~1 s instead of ~0.1 s.
         net.start_transfer(t(0.0), a, b, 1e6 / 8.0, 1).unwrap();
         assert!(net.poll_completions(t(0.5)).is_empty());
@@ -895,40 +802,20 @@ mod tests {
     }
 
     #[test]
-    fn pair_background_leaves_link_level_background_in_place() {
-        let (mut net, hosts) = chain_net();
-        let loaded = net.topology().link_between(hosts[0], NodeId(0)).unwrap();
-        let load_of = |net: &Network| net.topology().link(loaded).unwrap().background_bps;
-        net.set_background_on_link(t(0.0), loaded, 4e6).unwrap();
-        // Pair load on a path that never crosses the loaded link.
-        net.set_background_between(t(1.0), hosts[3], hosts[4], 2e6)
-            .unwrap();
-        assert_eq!(load_of(&net), 4e6);
-        let left = net
-            .topology()
-            .link(loaded)
-            .unwrap()
-            .effective_capacity_bps();
-        assert_eq!(left, 6e6);
-        // Pair load that does cross it adds to the link's own, and a new
-        // link-level load replaces only the link's own part.
-        net.set_background_between(t(2.0), hosts[0], hosts[2], 1e6)
-            .unwrap();
-        assert_eq!(load_of(&net), 5e6);
-        net.set_background_on_link(t(3.0), loaded, 3e6).unwrap();
-        assert_eq!(load_of(&net), 4e6);
-        assert!((net.available_bandwidth(hosts[0], hosts[1]).unwrap() - 6e6).abs() < 1.0);
-        net.clear_background(t(4.0)).unwrap();
-        assert_eq!(load_of(&net), 0.0);
-    }
-
-    #[test]
-    fn clearing_background_restores_bandwidth() {
+    fn an_unknown_link_is_rejected_and_changes_nothing() {
         let (mut net, a, b) = two_host_net();
-        net.set_background_between(t(0.0), a, b, 9e6).unwrap();
-        assert!(net.available_bandwidth(a, b).unwrap() < 2e6);
-        net.clear_background(t(1.0)).unwrap();
+        let rejected = net.set_background_on_link(t(0.0), LinkId(99), 5e6);
+        assert!(
+            matches!(
+                rejected,
+                Err(NetError::Topology(TopologyError::UnknownLink(_)))
+            ),
+            "{rejected:?}"
+        );
         assert!((net.available_bandwidth(a, b).unwrap() - 10e6).abs() < 1.0);
+        let link = net.topology().link_between(a, NodeId(1)).unwrap();
+        net.set_background_on_link(t(1.0), link, 4e6).unwrap();
+        assert!((net.available_bandwidth(a, b).unwrap() - 6e6).abs() < 1.0);
     }
 
     #[test]
@@ -1018,11 +905,11 @@ mod tests {
     fn oneway_degrade_hits_one_direction_only() {
         let (mut net, a, b) = two_host_net();
         let link = net.topology().link_between(a, NodeId(1)).unwrap();
-        assert!(net.link_oneway(link).is_none());
+        assert!(!net.oneway.contains_key(&link));
         // Degrade the a→r direction to 1 Mbps: a→b flows crawl, b→a flows
         // keep the full 10 Mbps.
         net.set_link_oneway(t(0.0), link, a, 1.0e6).unwrap();
-        assert_eq!(net.link_oneway(link), Some((a, 1.0e6)));
+        assert_eq!(net.oneway.get(&link), Some(&(a, 1.0e6)));
         let forward = net.available_bandwidth(a, b).unwrap();
         let reverse = net.available_bandwidth(b, a).unwrap();
         assert!((forward - 1.0e6).abs() < 1.0, "forward={forward}");
@@ -1034,7 +921,7 @@ mod tests {
         assert_eq!(net.poll_completions(t(1.1)).len(), 1);
         // Restoring (cap at/above nominal) lifts the degrade.
         net.set_link_oneway(t(2.0), link, a, 10.0e6).unwrap();
-        assert!(net.link_oneway(link).is_none());
+        assert!(!net.oneway.contains_key(&link));
         assert!((net.available_bandwidth(a, b).unwrap() - 10.0e6).abs() < 1.0);
         // Both mutations were recorded in the audit trail.
         assert_eq!(net.mutation_trace().count(TraceKind::Fault), 2);
@@ -1054,14 +941,14 @@ mod tests {
         let link = net.topology().link_between(a, NodeId(1)).unwrap();
         net.set_link_capacity(t(0.0), link, 0.0).unwrap();
         net.set_link_oneway(t(1.0), link, a, 3.0e6).unwrap();
-        assert_eq!(net.link_oneway(link), Some((a, 3.0e6)));
+        assert_eq!(net.oneway.get(&link), Some(&(a, 3.0e6)));
         // Restoring the symmetric cut leaves the grey failure in force.
         net.set_link_capacity(t(2.0), link, 10.0e6).unwrap();
         assert!((net.available_bandwidth(a, b).unwrap() - 3.0e6).abs() < 1.0);
         assert!((net.available_bandwidth(b, a).unwrap() - 10.0e6).abs() < 1.0);
         // Lifting at nominal clears it.
         net.set_link_oneway(t(3.0), link, a, 10.0e6).unwrap();
-        assert!(net.link_oneway(link).is_none());
+        assert!(!net.oneway.contains_key(&link));
     }
 
     #[test]
@@ -1143,24 +1030,6 @@ mod tests {
         let mut topo = net.topology().clone();
         let lone = topo.add_host("lone").unwrap();
         (Network::new(topo), a, b, lone)
-    }
-
-    #[test]
-    fn a_rejected_background_pair_leaves_later_background_calls_working() {
-        let (mut net, a, b, lone) = net_with_a_lone_host();
-        let a_r = net.topology().link_between(a, NodeId(1)).unwrap();
-
-        let rejected = net.set_background_between(t(0.0), a, lone, 5e6);
-        assert!(
-            matches!(rejected, Err(NetError::Topology(TopologyError::NoPath(..)))),
-            "{rejected:?}"
-        );
-        assert!((net.available_bandwidth(a, b).unwrap() - 10e6).abs() < 1.0);
-        // A valid pair and a valid link load both still apply.
-        net.set_background_between(t(1.0), a, b, 4e6).unwrap();
-        assert!((net.available_bandwidth(a, b).unwrap() - 6e6).abs() < 1.0);
-        net.set_background_on_link(t(2.0), a_r, 1e6).unwrap();
-        assert!((net.available_bandwidth(a, b).unwrap() - 5e6).abs() < 1.0);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl RegistryError {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// The names that would have resolved, in declaration order.
-    pub fn valid_names(&self) -> &[&'static str] {
-        &self.valid
-    }
 }
 
 impl fmt::Display for RegistryError {
@@ -158,7 +153,7 @@ mod tests {
         let err = NUMBERS.get("zero").unwrap_err();
         assert_eq!(err.kind(), "number");
         assert_eq!(err.name(), "zero");
-        assert_eq!(err.valid_names(), &["one", "two", "ten"]);
+        assert_eq!(err.valid, ["one", "two", "ten"]);
         assert_eq!(
             err.to_string(),
             "unknown number 'zero' (valid: one, two, ten)"

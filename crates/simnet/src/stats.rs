@@ -91,34 +91,6 @@ impl TimeSeries {
         above as f64 / self.points.len() as f64
     }
 
-    /// Fraction of *time* (trapezoidal, using the observation spacing) during
-    /// which the series is above `threshold`.
-    pub fn time_fraction_above(&self, threshold: f64) -> f64 {
-        if self.points.len() < 2 {
-            return if self.points.first().map(|&(_, v)| v > threshold) == Some(true) {
-                1.0
-            } else {
-                0.0
-            };
-        }
-        let mut above = 0.0;
-        let mut total = 0.0;
-        for w in self.points.windows(2) {
-            let (t0, v0) = w[0];
-            let (t1, _v1) = w[1];
-            let dt = (t1 - t0).max(0.0);
-            total += dt;
-            if v0 > threshold {
-                above += dt;
-            }
-        }
-        if total > 0.0 {
-            above / total
-        } else {
-            0.0
-        }
-    }
-
     /// Values recorded within `[start, end)`.
     pub fn window(&self, start: f64, end: f64) -> TimeSeries {
         TimeSeries {
@@ -169,7 +141,7 @@ pub fn quantile_of(values: &[f64], q: f64) -> Option<f64> {
     Some(sorted[idx])
 }
 
-/// Summary statistics for a series, reported in EXPERIMENTS.md.
+/// Summary statistics for a series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of observations.
@@ -287,13 +259,6 @@ mod tests {
     fn fraction_above_counts_points() {
         let s = series(&[(0.0, 1.0), (1.0, 3.0), (2.0, 5.0), (3.0, 1.0)]);
         assert!((s.fraction_above(2.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_fraction_above_weights_by_spacing() {
-        // Above threshold from t=0 to t=9 (one interval), below afterwards.
-        let s = series(&[(0.0, 5.0), (9.0, 1.0), (10.0, 1.0)]);
-        assert!((s.time_fraction_above(2.0) - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -409,14 +409,6 @@ impl Topology {
             .sum();
         SimDuration::from_secs(secs)
     }
-
-    /// The minimum effective capacity (bottleneck) along a path, in bps.
-    pub fn path_bottleneck_bps(&self, path: &[LinkId]) -> f64 {
-        path.iter()
-            .filter_map(|l| self.links.get(l.0))
-            .map(|l| l.effective_capacity_bps())
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// A shortest-path tree rooted at one source node, stored compactly
@@ -747,15 +739,6 @@ mod tests {
         // Background above capacity floors at a tiny positive value.
         t.set_background_load(link, 20e6).unwrap();
         assert!(t.link(link).unwrap().effective_capacity_bps() >= 1.0);
-    }
-
-    #[test]
-    fn bottleneck_is_minimum_along_path() {
-        let (mut t, h1, r1, _r2, h2) = simple_topology();
-        let path = t.path(h1, h2).unwrap();
-        let first = t.link_between(h1, r1).unwrap();
-        t.set_background_load(first, 9e6).unwrap();
-        assert!((t.path_bottleneck_bps(&path) - 1e6).abs() < 1.0);
     }
 
     #[test]

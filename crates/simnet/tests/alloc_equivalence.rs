@@ -176,12 +176,9 @@ fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usiz
                 net.set_node_down(now, node, rng.index(2) == 0).unwrap();
             }
             _ => {
-                let a = host_ids[rng.index(host_ids.len())];
-                let b = host_ids[rng.index(host_ids.len())];
-                if a != b {
-                    net.set_background_between(now, a, b, rng.uniform_range(0.0, 8.0e6))
-                        .unwrap();
-                }
+                let link = links[rng.index(links.len())];
+                net.set_background_on_link(now, link, rng.uniform_range(0.0, 8.0e6))
+                    .unwrap();
             }
         }
         net.poll_completions(now);

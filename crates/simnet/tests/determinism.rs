@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use simnet::rng::SimRng;
 use simnet::time::{SimDuration, SimTime};
-use simnet::topology::{NodeId, Topology};
+use simnet::topology::{LinkId, NodeId, Topology};
 use simnet::{Network, TimeSeries};
 
 /// A dumbbell: two groups of hosts joined by a shared bottleneck between two
@@ -94,21 +94,16 @@ fn run_scenario(
     }
     let horizon = t + 120.0;
 
-    // Seeded background competition between several host pairs, so the
-    // background-accumulation path (apply_background) is exercised too.
+    // Seeded background competition on several links.
     let mut bg_rng = SimRng::seed_from_u64(seed).derive(2);
     for i in 0..3 {
-        let a = srcs[bg_rng.index(srcs.len())];
-        let b = dsts[bg_rng.index(dsts.len())];
-        if a != b {
-            net.set_background_between(
-                SimTime::from_secs(0.1 * (i + 1) as f64),
-                a,
-                b,
-                bg_rng.uniform_range(0.5e6, 3.0e6),
-            )
-            .unwrap();
-        }
+        let link = LinkId(bg_rng.index(net.topology().link_count()));
+        net.set_background_on_link(
+            SimTime::from_secs(0.1 * (i + 1) as f64),
+            link,
+            bg_rng.uniform_range(0.5e6, 3.0e6),
+        )
+        .unwrap();
     }
 
     let mut completions = Vec::new();

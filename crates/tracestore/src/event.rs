@@ -181,13 +181,6 @@ impl TraceEvent {
         Ok(())
     }
 
-    /// Deserialises one record written by [`write_to`](Self::write_to) from
-    /// the front of `buf`, advancing `buf` past it: [`EventRef::decode`]
-    /// plus [`EventRef::to_owned`].
-    pub fn read_from(buf: &mut &[u8]) -> io::Result<TraceEvent> {
-        EventRef::decode(buf).map(|e| e.to_owned())
-    }
-
     /// The borrowed view of this event.
     pub fn as_ref(&self) -> EventRef<'_> {
         EventRef {
@@ -316,14 +309,13 @@ mod tests {
         for ev in &events {
             ev.write_to(&mut buf).unwrap();
         }
-        let (mut cursor, mut borrowed) = (&buf[..], &buf[..]);
+        let mut cursor = &buf[..];
         for ev in &events {
-            assert_eq!(&TraceEvent::read_from(&mut cursor).unwrap(), ev);
-            let view = EventRef::decode(&mut borrowed).unwrap();
+            let view = EventRef::decode(&mut cursor).unwrap();
             assert_eq!(view, ev.as_ref());
             assert_eq!(&view.to_owned(), ev);
         }
-        assert!(cursor.is_empty() && borrowed.is_empty());
+        assert!(cursor.is_empty());
     }
 
     #[test]
@@ -332,15 +324,14 @@ mod tests {
         let mut buf = Vec::new();
         ev.write_to(&mut buf).unwrap();
         for cut in 1..buf.len() {
-            assert!(TraceEvent::read_from(&mut &buf[..cut]).is_err(), "{cut}");
             assert!(EventRef::decode(&mut &buf[..cut]).is_err(), "{cut}");
         }
         // A length with a flipped high bit is an error, not a 2 GiB buffer.
         let mut long = buf.clone();
         long[13] |= 0x80;
-        assert!(TraceEvent::read_from(&mut &long[..]).is_err());
+        assert!(EventRef::decode(&mut &long[..]).is_err());
         let mut bad = buf.clone();
         bad[0] = 250;
-        assert!(TraceEvent::read_from(&mut &bad[..]).is_err());
+        assert!(EventRef::decode(&mut &bad[..]).is_err());
     }
 }

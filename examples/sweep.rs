@@ -28,6 +28,48 @@ fn list(value: &str) -> Vec<String> {
     value.split(',').map(|s| s.trim().to_string()).collect()
 }
 
+/// Rejects the command line: `message`, the usage text, exit status 2.
+fn usage_exit(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!(
+        "usage: sweep [--smoke] [--scale] [--topologies T1,T2,...] [--workloads W1,W2,...] \
+         [--strategies S1,S2,...] [--durations D1,D2,...] [--seeds N1,N2,...] [--workers N] \
+         [--out FILE] [--trace-store DIR] [--faults P1,P2,...] [--metrics] [--detectors]"
+    );
+    eprintln!(
+        "topology presets: {}",
+        gridapp::testbed_preset_names().join(", ")
+    );
+    eprintln!(
+        "workload generators: {}",
+        gridapp::workload_names().join(", ")
+    );
+    eprintln!(
+        "strategy presets: {}",
+        arch_adapt::strategy_names().join(", ")
+    );
+    eprintln!(
+        "fault profiles: {}",
+        faultsim::fault_profile_names().join(", ")
+    );
+    std::process::exit(2);
+}
+
+/// The value following `flag` on the command line.
+fn value_of(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+}
+
+/// Every item of `flag`'s comma-separated value, parsed as a number.
+fn numbers<T: std::str::FromStr>(flag: &str, value: &str) -> Vec<T> {
+    let parse = |item: &String| {
+        item.parse()
+            .unwrap_or_else(|_| usage_exit(&format!("{flag}: '{item}' is not a valid number")))
+    };
+    list(value).iter().map(parse).collect()
+}
+
 fn main() {
     let mut preset: fn() -> SweepSpec = SweepSpec::default_matrix;
     let mut topologies: Option<Vec<String>> = None;
@@ -44,96 +86,28 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
             "--smoke" => preset = SweepSpec::smoke,
             "--scale" => preset = SweepSpec::scale_matrix,
-            "--topologies" => {
-                let value = args
-                    .next()
-                    .expect("--topologies takes a comma-separated list of presets");
-                topologies = Some(list(&value));
-            }
-            "--workloads" => {
-                let value = args
-                    .next()
-                    .expect("--workloads takes a comma-separated list of generators");
-                workloads = Some(list(&value));
-            }
-            "--strategies" => {
-                let value = args
-                    .next()
-                    .expect("--strategies takes a comma-separated list of strategy presets");
-                strategies = Some(list(&value));
-            }
-            "--durations" => {
-                let value = args
-                    .next()
-                    .expect("--durations takes a comma-separated list of seconds");
-                durations = Some(
-                    list(&value)
-                        .iter()
-                        .map(|s| s.parse().expect("durations are numbers"))
-                        .collect(),
-                );
-            }
-            "--seeds" => {
-                let value = args
-                    .next()
-                    .expect("--seeds takes a comma-separated list of integers");
-                seeds = Some(
-                    list(&value)
-                        .iter()
-                        .map(|s| s.parse().expect("seeds are integers"))
-                        .collect(),
-                );
-            }
+            "--topologies" => topologies = Some(list(&value_of(flag, &mut args))),
+            "--workloads" => workloads = Some(list(&value_of(flag, &mut args))),
+            "--strategies" => strategies = Some(list(&value_of(flag, &mut args))),
+            "--durations" => durations = Some(numbers(flag, &value_of(flag, &mut args))),
+            "--seeds" => seeds = Some(numbers(flag, &value_of(flag, &mut args))),
             "--workers" => {
-                let value = args.next().expect("--workers takes a count");
-                workers = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .expect("--workers takes a positive integer");
+                let value = value_of(flag, &mut args);
+                workers = match value.parse() {
+                    Ok(n) if n >= 1 => n,
+                    _ => usage_exit(&format!("{flag}: '{value}' is not a positive integer")),
+                };
             }
-            "--out" => {
-                out_path = args.next().expect("--out takes a file path");
-            }
-            "--trace-store" => {
-                store_path = Some(args.next().expect("--trace-store takes a directory path"));
-            }
-            "--faults" => {
-                let value = args
-                    .next()
-                    .expect("--faults takes a comma-separated list of fault profiles");
-                faults = Some(list(&value));
-            }
+            "--out" => out_path = value_of(flag, &mut args),
+            "--trace-store" => store_path = Some(value_of(flag, &mut args)),
+            "--faults" => faults = Some(list(&value_of(flag, &mut args))),
             "--metrics" => metrics = true,
             "--detectors" => detectors = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: sweep [--smoke] [--scale] [--topologies T1,T2,...] [--workloads W1,W2,...] \
-                     [--strategies S1,S2,...] [--durations D1,D2,...] [--seeds N1,N2,...] [--workers N] \
-                     [--out FILE] [--trace-store DIR] [--faults P1,P2,...] [--metrics] [--detectors]"
-                );
-                eprintln!(
-                    "topology presets: {}",
-                    gridapp::testbed_preset_names().join(", ")
-                );
-                eprintln!(
-                    "workload generators: {}",
-                    gridapp::workload_names().join(", ")
-                );
-                eprintln!(
-                    "strategy presets: {}",
-                    arch_adapt::strategy_names().join(", ")
-                );
-                eprintln!(
-                    "fault profiles: {}",
-                    faultsim::fault_profile_names().join(", ")
-                );
-                std::process::exit(2);
-            }
+            other => usage_exit(&format!("unknown argument: {other}")),
         }
     }
 

@@ -132,38 +132,3 @@ fn metric_snapshot_events_follow_the_registry() {
     assert_eq!(non_metric, null_events);
     assert_eq!(metered_result.summary, null_result.summary);
 }
-
-/// The constraint-check cadence default (0.0 = every tick) reproduces the
-/// historical behaviour exactly, and a positive cadence still detects and
-/// repairs violations — detection is batched, not disabled.
-#[test]
-fn constraint_check_cadence_defaults_to_every_tick() {
-    let run = |period: f64| {
-        let grid = GridConfig::default();
-        let schedule = ExperimentSchedule::by_name("figure7", &grid, 400.0).unwrap();
-        run_observed(
-            "adaptive",
-            ExperimentConfig {
-                grid,
-                framework: FrameworkConfig {
-                    constraint_check_period_secs: period,
-                    ..FrameworkConfig::default()
-                },
-                duration_secs: 400.0,
-            },
-            Some(&schedule),
-            None,
-            tracestore::null_sink(),
-            obs::null_metrics(),
-        )
-        .unwrap()
-    };
-    assert_eq!(FrameworkConfig::default().constraint_check_period_secs, 0.0);
-    let every_tick = run(0.0);
-    let batched = run(15.0);
-    assert!(every_tick.summary.repairs_completed > 0);
-    assert!(
-        batched.summary.repairs_completed > 0,
-        "a 15 s check cadence still detects and repairs violations"
-    );
-}
