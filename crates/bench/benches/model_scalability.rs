@@ -92,7 +92,10 @@ fn bench_scalability(c: &mut Criterion) {
             .with_bandwidth(&report.violations[0].subject_name, "ServerGrp2", 5.0e6);
         plan_group.bench_with_input(BenchmarkId::from_parameter(clients), &clients, |b, _| {
             b.iter(|| {
-                let mut engine = RepairEngine::with_paper_defaults();
+                let mut engine = RepairEngine::new();
+                for invariant in ["latency", "bandwidth", "serverLoad"] {
+                    engine.register(invariant, repair::fix_latency_strategy());
+                }
                 matches!(
                     engine.plan(&model, &report, &query, 0.0),
                     repair::PlanOutcome::Plan(_)

@@ -6,7 +6,7 @@
 //! the same seed so the request/response sequences match, as in the paper.
 
 use crate::framework::{AdaptationFramework, FrameworkConfig, RepairStats};
-use gridapp::{AppError, ExperimentSchedule, GridConfig, Metrics, RUN_DURATION_SECS};
+use gridapp::{AppError, ExperimentSchedule, GridConfig, Metrics};
 use serde::{Deserialize, Serialize};
 use simnet::{Summary, Trace};
 
@@ -19,16 +19,6 @@ pub struct ExperimentConfig {
     pub framework: FrameworkConfig,
     /// Run length in simulated seconds (paper: 1800 s).
     pub duration_secs: f64,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            grid: GridConfig::default(),
-            framework: FrameworkConfig::adaptive(),
-            duration_secs: RUN_DURATION_SECS,
-        }
-    }
 }
 
 /// Headline numbers extracted from one run.
@@ -135,13 +125,6 @@ fn summarise(
     }
 }
 
-/// Runs one experiment (control or adaptive, depending on the framework
-/// configuration) under the Figure 7 workload.
-pub fn run_experiment(label: &str, config: ExperimentConfig) -> Result<RunResult, AppError> {
-    let schedule = ExperimentSchedule::figure7(&config.grid);
-    run_with_schedule(label, config, Some(&schedule))
-}
-
 /// Runs one experiment under an explicit (or absent) workload schedule.
 pub fn run_with_schedule(
     label: &str,
@@ -230,30 +213,6 @@ pub fn run_observed(
     })
 }
 
-/// Runs the paper's control experiment (no adaptation, Figures 8–10).
-pub fn run_control(grid: GridConfig, duration_secs: f64) -> Result<RunResult, AppError> {
-    run_experiment(
-        "control",
-        ExperimentConfig {
-            grid,
-            framework: FrameworkConfig::control(),
-            duration_secs,
-        },
-    )
-}
-
-/// Runs the paper's adaptive experiment (Figures 11–13).
-pub fn run_adaptive(grid: GridConfig, duration_secs: f64) -> Result<RunResult, AppError> {
-    run_experiment(
-        "adaptive",
-        ExperimentConfig {
-            grid,
-            framework: FrameworkConfig::adaptive(),
-            duration_secs,
-        },
-    )
-}
-
 /// The control/adaptive comparison the paper's evaluation is built on.
 #[derive(Debug, Clone)]
 pub struct Comparison {
@@ -264,12 +223,17 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Runs both experiments with the same seed and duration.
+    /// Runs the paper's two experiments under the Figure 7 workload with the
+    /// same seed and duration: the control run (no adaptation, Figures 8–10)
+    /// and the adaptive run (Figures 11–13).
     pub fn run(grid: GridConfig, duration_secs: f64) -> Result<Comparison, AppError> {
-        Ok(Comparison {
-            control: run_control(grid, duration_secs)?,
-            adaptive: run_adaptive(grid, duration_secs)?,
-        })
+        let schedule = ExperimentSchedule::figure7(&grid);
+        Self::run_with(
+            grid,
+            FrameworkConfig::adaptive(),
+            Some(&schedule),
+            duration_secs,
+        )
     }
 
     /// Runs the control/adaptive pair under an explicit workload schedule and
@@ -458,7 +422,13 @@ mod tests {
         // On the wide-fanout preset four clients sit behind R1, so the first
         // squeezed (R2) client is User5.
         let grid = GridConfig::with_testbed(gridapp::TestbedSpec::wide_fanout());
-        let run = run_control(grid, 60.0).unwrap();
+        let config = ExperimentConfig {
+            grid,
+            framework: FrameworkConfig::control(),
+            duration_secs: 60.0,
+        };
+        let schedule = ExperimentSchedule::figure7(&grid);
+        let run = run_with_schedule("control", config, Some(&schedule)).unwrap();
         assert_eq!(run.summary.squeezed_client, "User5");
         assert!(run.summary.bandwidth_squeezed.is_some());
     }

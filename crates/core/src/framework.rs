@@ -10,25 +10,27 @@
 //! * **Task layer** — the performance profile that parameterises the
 //!   constraints.
 //!
-//! Every control period the framework advances the application, routes probe
-//! events through the monitoring pipeline into the model, checks the
-//! constraints, and — when adaptation is enabled — plans, times, and executes
-//! repairs through the translator and the Table 1 runtime operators.
+//! Every control period ([`AdaptationFramework::tick`]) is one pass through
+//! the phases, each in its own module with the inputs and outputs its doc
+//! names: Advance (the application moves to `t`; one flow snapshot), Monitor
+//! (`monitor`: probes → gauges → readings → the model), Detect (`detector`:
+//! readings → advisories) and — in an adaptive run — the repair half
+//! (`repairs`): Check → Plan → Begin, then Commit → Execute through the
+//! translator and the Table 1 runtime operators once the repair's priced
+//! duration has passed.
 
+use crate::detector::{DetectSummary, DetectorState};
 use crate::model::{build_model, ModelUpdater};
 use crate::monitor::Monitor;
 use crate::observe::{Observer, Occurrence};
-use crate::query::AppQuery;
+use crate::repairs::RepairLoop;
 use crate::task::PerformanceProfile;
-use archmodel::constraint::ConstraintSet;
-use archmodel::style::ClientServerStyle;
-use archmodel::{Key, System};
+use archmodel::System;
 use faultsim::CompiledFaultSchedule;
-use gridapp::{AppError, ExperimentSchedule, GridApp, GridConfig, Metrics};
-use monitoring::GaugeLifecycleConfig;
-use repair::{PlanOutcome, RepairDamping, RepairEngine, RepairPlan, SelectionPolicy};
+use gridapp::{AppError, ExperimentSchedule, FlowSnapshot, GridApp, GridConfig, Metrics};
+use repair::SelectionPolicy;
 use simnet::{SimTime, Trace, TraceKind};
-use translator::{translate, RepairCostModel, RuntimeOp};
+use translator::RepairCostModel;
 
 /// The built-in repair-strategy presets, in sweep-matrix order. Each
 /// resolves through [`FrameworkConfig::by_name`] to an adaptive
@@ -60,12 +62,6 @@ pub fn strategy_names() -> &'static [&'static str] {
 pub struct FrameworkConfig {
     /// When false the framework only monitors (the paper's control run).
     pub adaptation_enabled: bool,
-    /// How often the control loop runs (seconds).
-    pub control_period_secs: f64,
-    /// Sliding window of the per-client latency gauges (seconds).
-    pub latency_window_secs: f64,
-    /// Gauge lifecycle costs (creation dominates repair time, §5.3).
-    pub gauge_lifecycle: GaugeLifecycleConfig,
     /// Repair execution cost model.
     pub cost_model: RepairCostModel,
     /// Which outstanding violation to repair first.
@@ -109,9 +105,6 @@ impl Default for FrameworkConfig {
     fn default() -> Self {
         FrameworkConfig {
             adaptation_enabled: true,
-            control_period_secs: 5.0,
-            latency_window_secs: 30.0,
-            gauge_lifecycle: GaugeLifecycleConfig::default(),
             cost_model: RepairCostModel::paper_defaults(),
             selection: SelectionPolicy::FirstReported,
             damping_secs: Some(60.0),
@@ -183,10 +176,8 @@ impl FrameworkConfig {
     }
 }
 
-/// The invariants the group planner plans for — and the per-element engine
-/// registers its latency strategy under. Reports carrying none of them skip
-/// the planner entirely.
-const PLANNER_INVARIANTS: [&str; 3] = ["latency", "bandwidth", "serverLoad"];
+/// How often the control loop runs (seconds).
+const CONTROL_PERIOD_SECS: f64 = 5.0;
 
 /// Sim-time seconds between control-plane metric snapshots: when a metrics
 /// registry *and* a trace sink are attached, the framework publishes its
@@ -195,15 +186,6 @@ const PLANNER_INVARIANTS: [&str; 3] = ["latency", "bandwidth", "serverLoad"];
 /// cadence, so the trace query engine can aggregate them per run.
 pub const METRIC_SNAPSHOT_PERIOD_SECS: f64 = 60.0;
 
-/// A repair whose execution is in progress.
-#[derive(Debug)]
-struct PendingRepair {
-    plan: RepairPlan,
-    runtime_ops: Vec<RuntimeOp>,
-    complete_at: SimTime,
-    correlation: u64,
-}
-
 /// Statistics about the repairs performed during a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepairStats {
@@ -211,7 +193,9 @@ pub struct RepairStats {
     pub started: u64,
     /// Number of repairs completed.
     pub completed: u64,
-    /// Number of repairs aborted (no applicable tactic failed hard).
+    /// Number of repairs aborted: the engine's strategy aborted (a tactic
+    /// failed hard, or its script would break the style), or the plan had no
+    /// runtime translation.
     pub aborted: u64,
     /// Mean repair duration in seconds.
     pub mean_duration_secs: Option<f64>,
@@ -221,127 +205,21 @@ pub struct RepairStats {
     pub client_moves: u64,
 }
 
-/// Horizon for pairing an advisory with a subsequent violation on the same
-/// subject: an advisory "anticipates" the first violation that follows it
-/// within this many simulated seconds. Shared by the in-run
-/// [`AdaptationFramework::detect_summary`] and the sweep reports so both
-/// agree on what counts as a hit.
-pub const ADVISORY_MATCH_HORIZON_SECS: f64 = 120.0;
-
-/// Summary of the online-detector layer for one run (present only when
-/// [`FrameworkConfig::detectors`] is set).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectSummary {
-    /// Advisories emitted (harmful-direction alarms; what the trace holds).
-    pub advisories: u64,
-    /// Raw detector alarms, including harmless-direction ones (e.g. a
-    /// latency stream dropping) that were filtered before emission.
-    pub raw_alarms: u64,
-    /// Distinct (subject, property) series observed.
-    pub series: u64,
-    /// Total gauge readings fed to the detector bank.
-    pub points: u64,
-    /// Median seconds between an advisory and the first violation it
-    /// anticipated on the same subject within
-    /// [`ADVISORY_MATCH_HORIZON_SECS`]; `None` when nothing paired.
-    pub median_lead_secs: Option<f64>,
-}
-
-/// Pre-interned gauge-property keys and the invariant each one predicts
-/// when its stream drifts in the harmful direction.
-#[derive(Debug, Clone, Copy)]
-struct PropertyMap {
-    average_latency: Key,
-    load: Key,
-    bandwidth: Key,
-    is_alive: Key,
-    live_servers: Key,
-    dead_servers: Key,
-    reachable: Key,
-}
-
-impl PropertyMap {
-    fn new() -> Self {
-        PropertyMap {
-            average_latency: Key::new("averageLatency"),
-            load: Key::new("load"),
-            bandwidth: Key::new("bandwidth"),
-            is_alive: Key::new("isAlive"),
-            live_servers: Key::new("liveServers"),
-            dead_servers: Key::new("deadServers"),
-            reachable: Key::new("reachable"),
-        }
-    }
-
-    /// The invariant a harmful drift of `property` predicts, and which
-    /// drift direction is the harmful one. Latency and load hurt rising;
-    /// bandwidth, liveness, and reachability hurt falling (a *rising* dead
-    /// count is the falling-liveness stream seen from the other side).
-    fn predicted(&self, property: Key) -> Option<(&'static str, detect::Direction)> {
-        use detect::Direction::{Down, Up};
-        if property == self.average_latency {
-            Some(("latency", Up))
-        } else if property == self.load {
-            Some(("serverLoad", Up))
-        } else if property == self.bandwidth {
-            Some(("bandwidth", Down))
-        } else if property == self.is_alive
-            || property == self.live_servers
-            || property == self.reachable
-        {
-            Some(("liveness", Down))
-        } else if property == self.dead_servers {
-            Some(("liveness", Up))
-        } else {
-            None
-        }
-    }
-}
-
-/// Run-scoped detector layer: the bank and the property → invariant map its
-/// alarms are filtered through.
-#[derive(Debug)]
-struct DetectorState {
-    bank: detect::DetectorBank,
-    properties: PropertyMap,
-    /// Scratch buffer reused across ticks to keep the hot path
-    /// allocation-free.
-    scratch: Vec<detect::Advisory>,
-}
-
-impl DetectorState {
-    fn new(config: detect::DetectorConfig) -> Self {
-        DetectorState {
-            bank: detect::DetectorBank::new(config),
-            properties: PropertyMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-}
-
 /// The three-layer adaptation framework driving one run.
 pub struct AdaptationFramework {
-    config: FrameworkConfig,
-    profile: PerformanceProfile,
     app: GridApp,
     model: System,
-    server_map: std::collections::HashMap<String, String>,
-    constraints: ConstraintSet,
-    engine: RepairEngine,
     /// The one monitoring path: who is watched, the flow snapshot, the gauge
     /// roster and the run's class index.
     monitor: Monitor,
-    planner: Option<planner::GroupPlanner>,
     /// The one observation path: legacy trace, trace sink, metrics sink, and
     /// the always-on tallies.
     observer: Observer,
-    /// Incremental constraint checker: caches per-(invariant, element)
-    /// outcomes and re-evaluates only pairs whose property read-set
-    /// intersects the model's change journal since the last check.
-    checker: archmodel::IncrementalChecker,
     /// Online anomaly-detector layer; `None` (the default) is fully inert.
     detector: Option<DetectorState>,
-    pending: Option<PendingRepair>,
+    /// The repair half of the loop; a control run (the paper's, and every
+    /// sweep cell's baseline) has none.
+    repairs: Option<RepairLoop>,
 }
 
 impl AdaptationFramework {
@@ -355,54 +233,20 @@ impl AdaptationFramework {
         };
         let (model, server_map) =
             build_model(&app, &profile).map_err(|e| AppError::Invalid(e.to_string()))?;
-        let mut engine = RepairEngine::new();
-        let strategy_builder: fn() -> repair::RepairStrategy = if config.bandwidth_first {
-            repair::builtin::fix_latency_bandwidth_first_strategy
-        } else {
-            repair::builtin::fix_latency_strategy
-        };
-        for invariant in PLANNER_INVARIANTS {
-            engine.register(invariant, strategy_builder());
-        }
-        // Failure recovery: a group with dead replicas is failed over to
-        // spares; a group with no live replicas has its clients rerouted.
-        engine.register("liveness", repair::builtin::recover_liveness_strategy());
-        let mut constraints = repair::default_constraints();
-        if config.cost_reduction {
-            // Restart-aware cost reduction: idle groups holding more
-            // replicas than provisioned are shrunk back to their baseline.
-            engine.register("underutilised", repair::builtin::reduce_servers_strategy());
-            constraints = constraints.with(repair::builtin::underutilised_invariant());
-        }
-        engine.set_selection(config.selection);
-        engine.set_damping(config.damping_secs.map(RepairDamping::new));
-        let monitor = Monitor::new(&app, &config);
-        let group_planner = config
-            .group_planner
-            .then(|| planner::GroupPlanner::new(config.damping_secs));
-
-        let mut framework = AdaptationFramework {
-            config,
-            profile,
+        let mut monitor = Monitor::new(&app, &config);
+        let mut observer = Observer::new(config.detectors.is_some());
+        observer.record(SimTime::ZERO, Occurrence::Deployed);
+        monitor.deploy(SimTime::ZERO, &app, &server_map);
+        Ok(AdaptationFramework {
             app,
             model,
-            server_map,
-            constraints,
-            engine,
             monitor,
-            planner: group_planner,
-            observer: Observer::new(config.detectors.is_some()),
-            checker: archmodel::IncrementalChecker::new(),
+            observer,
             detector: config.detectors.map(DetectorState::new),
-            pending: None,
-        };
-        framework
-            .observer
-            .record(SimTime::ZERO, Occurrence::Deployed);
-        framework
-            .monitor
-            .deploy(SimTime::ZERO, &framework.app, &framework.server_map);
-        Ok(framework)
+            repairs: config
+                .adaptation_enabled
+                .then(|| RepairLoop::new(&config, profile, server_map)),
+        })
     }
 
     /// Attaches a trace sink to the framework *and* the application it
@@ -427,7 +271,7 @@ impl AdaptationFramework {
     /// automatically at the metric-snapshot cadence and by the experiment
     /// driver at end of run; a no-op when metrics are disabled.
     pub fn publish_metrics(&self) {
-        let detector_points = self.detector.as_ref().map(|state| state.bank.points());
+        let detector_points = self.detector.as_ref().map(DetectorState::points);
         self.observer
             .publish_components(&self.app, detector_points, self.monitor.index());
     }
@@ -435,46 +279,8 @@ impl AdaptationFramework {
     /// End-of-run summary of the online-detector layer (`None` unless
     /// [`FrameworkConfig::detectors`] was set).
     pub fn detect_summary(&self) -> Option<DetectSummary> {
-        let state = self.detector.as_ref()?;
-        Some(DetectSummary {
-            advisories: self.observer.advisories(),
-            raw_alarms: state.bank.alarms(),
-            series: state.bank.series_count() as u64,
-            points: state.bank.points(),
-            median_lead_secs: self.observer.median_lead_secs(ADVISORY_MATCH_HORIZON_SECS),
-        })
-    }
-
-    /// Feeds one tick's gauge readings to the detector bank and records each
-    /// harmful-direction alarm as an advisory. Alarms whose drift direction
-    /// is harmless for the property (latency falling, bandwidth recovering)
-    /// are counted by the bank but not recorded — an advisory always names
-    /// the invariant it predicts.
-    fn observe_gauge_stream(
-        state: &mut DetectorState,
-        observer: &mut Observer,
-        t: SimTime,
-        readings: &[monitoring::GaugeReading],
-    ) {
-        state.scratch.clear();
-        for reading in readings {
-            state.bank.observe(
-                reading.time,
-                reading.target,
-                reading.property,
-                reading.value,
-                &mut state.scratch,
-            );
-        }
-        for alarm in &state.scratch {
-            let Some((predicts, harmful)) = state.properties.predicted(alarm.property) else {
-                continue;
-            };
-            if alarm.direction != harmful {
-                continue;
-            }
-            observer.record(t, Occurrence::Advisory(alarm, predicts));
-        }
+        let detector = self.detector.as_ref()?;
+        Some(detector.summary(&self.observer))
     }
 
     /// The architectural model as currently maintained.
@@ -497,11 +303,6 @@ impl AdaptationFramework {
         self.app.metrics()
     }
 
-    /// The performance profile in force.
-    pub fn profile(&self) -> PerformanceProfile {
-        self.profile
-    }
-
     /// Repair statistics for the run so far.
     pub fn repair_stats(&self) -> RepairStats {
         let trace = self.observer.trace();
@@ -515,353 +316,67 @@ impl AdaptationFramework {
         }
     }
 
+    /// **Advance**: the runtime layer moves to `t`; the one network snapshot
+    /// taken there serves the figure metrics now and every flow-derived
+    /// gauge of the Monitor phase.
+    fn advance(&mut self, t: SimTime) -> FlowSnapshot {
+        let _span = self.observer.span("phase.advance");
+        self.app.advance(t);
+        let flows = {
+            let _span = self.observer.span("phase.flow_snapshot");
+            self.monitor.flow_snapshot(&self.app)
+        };
+        self.app.sample_metrics_with_flows(t, &flows);
+        flows
+    }
+
     /// Runs one control period ending at time `t`.
     pub fn tick(&mut self, t: SimTime) {
-        // 1. Advance the runtime layer, take the tick's shared network
-        // snapshot, and record figure metrics from it.
         let _tick_span = self.observer.span("phase.tick");
-        let flows = {
-            let _span = self.observer.span("phase.advance");
-            self.app.advance(t);
-            let flows = {
-                let _span = self.observer.span("phase.flow_snapshot");
-                self.monitor.flow_snapshot(&self.app)
-            };
-            self.app.sample_metrics_with_flows(t, &flows);
-            flows
-        };
-
-        // 2. Probes observe the system and gauges interpret what they
-        // publish, all from that one snapshot.
+        let flows = self.advance(t);
+        // Monitor: probes observe the system, gauges interpret what they
+        // publish, and the readings update the model in one batch.
         let readings = {
             let _span = self.observer.span("phase.gauge_dispatch");
             let readings = self.monitor.observe(&mut self.app, &flows, t);
-
-            // 3. The tick's readings update the model in one batch (same
-            // order, one target resolution per run of consecutive
-            // same-target readings).
             self.observer.record(t, Occurrence::GaugeBatch(readings));
             let mut updater = ModelUpdater::new(&mut self.model);
             updater.apply_batch(readings);
             self.observer.noop_suppressed += updater.suppressed;
             readings
         };
-
-        // 3b. The online detectors score the same readings (control runs
+        // Detect: the online detectors score the same readings (control runs
         // included — an advisory stream with no adaptation is exactly the
-        // baseline the lead-time reports compare against). Advisories are
-        // observe-and-report: nothing here feeds back into planning.
-        if let Some(state) = self.detector.as_mut() {
+        // baseline the lead-time reports compare against).
+        if let Some(detector) = self.detector.as_mut() {
             let _span = self.observer.span("phase.detect");
-            Self::observe_gauge_stream(state, &mut self.observer, t, readings);
+            detector.observe(&mut self.observer, t, readings);
         }
         if self.observer.metric_snapshot_due(t) {
             self.publish_metrics();
             self.observer.record(t, Occurrence::MetricSnapshot);
         }
-
-        if !self.config.adaptation_enabled {
+        let Some(repairs) = self.repairs.as_mut() else {
+            return;
+        };
+        let (app, monitor) = (&mut self.app, &mut self.monitor);
+        let (model, observer) = (&mut self.model, &mut self.observer);
+        // Commit → Execute once the executing repair's effects are due;
+        // until then no new repair is planned.
+        if repairs.executing() {
+            if let Some(due) = repairs.take_due(t) {
+                due.commit(model, observer, t);
+                repairs.execute(&due, app, monitor, observer, t);
+            }
             return;
         }
-
-        // 4. Finish an in-flight repair whose effects are now due.
-        if self.pending.is_some() {
-            if let Some(due) = self.pending.take_if(|p| p.complete_at <= t) {
-                self.finish_repair(t, due);
-            }
-            // While a repair is executing, no new repair is planned.
+        // Check → Plan → Begin.
+        let Some(report) = repairs.check(model, observer, t) else {
             return;
-        }
-
-        // 5. Check constraints and plan a repair if necessary.
-        let report = {
-            let _span = self.observer.span("phase.constraint_check");
-            self.checker.check(&self.constraints, &mut self.model)
         };
-        self.observer.pairs_skipped += report.skipped as u64;
-        if self.config.verify_constraint_check {
-            let full = self.constraints.check(&self.model);
-            assert_eq!(
-                report.violations, full.violations,
-                "incremental check diverged from full sweep (violations)"
-            );
-            assert_eq!(
-                report.errors, full.errors,
-                "incremental check diverged from full sweep (errors)"
-            );
-            assert_eq!(
-                report.evaluated + report.skipped,
-                full.evaluated,
-                "incremental check pair accounting diverged from full sweep"
-            );
+        if let Some(planned) = repairs.plan(app, model, monitor.index(), &report, observer, t) {
+            repairs.begin(planned, observer, t);
         }
-        if report.is_clean() {
-            return;
-        }
-        for violation in &report.violations {
-            self.observer.record(t, Occurrence::Violation(violation));
-        }
-        // The group planner, when active, gets first claim on the violation
-        // report: it plans whole equivalence classes in one batched repair.
-        // Whatever it abstains from falls through to the per-element engine.
-        // Reports carrying only violations the planner ignores (liveness,
-        // underutilised) skip the planner entirely — gathering its input
-        // costs one class-level probe table, which is not worth paying for a
-        // guaranteed abstention.
-        let planner_relevant = report
-            .violations
-            .iter()
-            .any(|v| PLANNER_INVARIANTS.contains(&v.invariant.as_str()));
-        let group_planner = self.planner.as_mut().filter(|_| planner_relevant);
-        if let Some((group_planner, index)) = group_planner.zip(self.monitor.index()) {
-            let thresholds = planner::PlannerThresholds {
-                min_bandwidth_bps: self.profile.min_bandwidth_bps,
-                max_server_load: self.profile.max_server_load,
-                max_latency_secs: self.profile.max_latency_secs,
-            };
-            let plan = {
-                let _span = self.observer.span("phase.plan");
-                let input = planner::PlannerInput::gather(
-                    &self.app,
-                    index,
-                    &self.model,
-                    &report,
-                    thresholds,
-                    t.as_secs(),
-                );
-                group_planner.plan(index, &self.model, &input)
-            };
-            if let Some(plan) = plan {
-                self.start_group_repair(t, plan);
-                return;
-            }
-        }
-        let outcome = {
-            let _span = self.observer.span("phase.plan");
-            let query = AppQuery::new(&self.app);
-            self.engine.plan(&self.model, &report, &query, t.as_secs())
-        };
-        match outcome {
-            PlanOutcome::Plan(plan) => self.start_repair(t, plan),
-            PlanOutcome::Aborted { invariant, reason } => self
-                .observer
-                .record(t, Occurrence::RepairAborted(&invariant, &reason)),
-            PlanOutcome::Skipped { reason } => {
-                self.observer.record(t, Occurrence::RepairSkipped(&reason))
-            }
-            PlanOutcome::Nothing => {}
-        }
-    }
-
-    fn start_repair(&mut self, t: SimTime, plan: RepairPlan) {
-        let translated = {
-            let _span = self.observer.span("phase.translate");
-            translate(&self.model, &plan.ops, self.profile.min_bandwidth_bps)
-        };
-        match translated {
-            Ok(runtime_ops) => self.begin_repair(t, plan, runtime_ops, None),
-            Err(e) => self
-                .observer
-                .record(t, Occurrence::Untranslatable(&plan.subject, &e)),
-        }
-    }
-
-    /// Starts a batched group-level repair produced by the planner. The
-    /// plan's runtime ops already carry their batched cost structure (one
-    /// gauge-churn pair per batch, one routing update per class), so the
-    /// ordinary cost model prices the whole batch.
-    fn start_group_repair(&mut self, t: SimTime, plan: planner::GroupPlan) {
-        let tactic_label = plan.tactics.join("+");
-        let repair = RepairPlan {
-            invariant: plan.invariant,
-            subject: plan.subject,
-            ops: plan.model_ops,
-            tactics: plan.tactics,
-            description: plan.description,
-        };
-        self.begin_repair(t, repair, plan.runtime_ops, Some(&tactic_label));
-    }
-
-    /// Prices the repair, announces it under the next correlation id, and
-    /// leaves it pending until its effects fall due.
-    fn begin_repair(
-        &mut self,
-        t: SimTime,
-        plan: RepairPlan,
-        runtime_ops: Vec<RuntimeOp>,
-        tactic_label: Option<&str>,
-    ) {
-        let duration_secs = self.config.cost_model.total_duration(&runtime_ops);
-        let correlation = self.observer.next_correlation();
-        self.observer.record(
-            t,
-            Occurrence::RepairStarted {
-                correlation,
-                plan: &plan,
-                tactic_label,
-                runtime_ops: runtime_ops.len(),
-                duration_secs,
-            },
-        );
-        self.pending = Some(PendingRepair {
-            plan,
-            runtime_ops,
-            complete_at: t + simnet::SimDuration::from_secs(duration_secs),
-            correlation,
-        });
-    }
-
-    fn finish_repair(&mut self, t: SimTime, pending: PendingRepair) {
-        // Commit the repair to the architectural model.
-        {
-            let _span = self.observer.span("phase.commit_replay");
-            for op in &pending.plan.ops {
-                if let Err(e) = archmodel::apply_op(&mut self.model, op) {
-                    self.observer.record(
-                        t,
-                        Occurrence::Note(format_args!("model op could not be committed: {e}")),
-                    );
-                }
-            }
-            let style_violations = ClientServerStyle::validate(&self.model);
-            if !style_violations.is_empty() {
-                self.observer.record(
-                    t,
-                    Occurrence::Note(format_args!(
-                        "model has {} style violations after commit",
-                        style_violations.len()
-                    )),
-                );
-            }
-        }
-        // Propagate the repair to the runtime layer.
-        {
-            let _span = self.observer.span("phase.execute");
-            for op in &pending.runtime_ops {
-                self.execute_runtime_op(t, op);
-            }
-        }
-        self.observer.record(
-            t,
-            Occurrence::RepairCompleted(pending.correlation, &pending.plan),
-        );
-    }
-
-    fn execute_runtime_op(&mut self, t: SimTime, op: &RuntimeOp) {
-        let result: Result<(), AppError> = match op {
-            RuntimeOp::CreateReqQueue { group } => {
-                self.app.create_req_queue(group);
-                Ok(())
-            }
-            RuntimeOp::FindServer { .. } => Ok(()),
-            RuntimeOp::ConnectServer { server, group } => {
-                let runtime = self.resolve_server(server, group);
-                match runtime {
-                    Some(runtime) => {
-                        self.server_map.insert(server.clone(), runtime.clone());
-                        self.app.connect_server(&runtime, group)
-                    }
-                    None => Err(AppError::Invalid(format!(
-                        "no spare server available for {server}"
-                    ))),
-                }
-            }
-            RuntimeOp::ActivateServer { server } => match self.server_map.get(server).cloned() {
-                Some(runtime) => {
-                    self.observer.servers_activated += 1;
-                    self.app.activate_server(&runtime)
-                }
-                None => Err(AppError::UnknownServer(server.clone())),
-            },
-            RuntimeOp::DeactivateServer { server } => match self.server_map.get(server).cloned() {
-                Some(runtime) => {
-                    let result = self.app.deactivate_server(&runtime);
-                    let _ = self.app.disconnect_server(&runtime);
-                    self.server_map.remove(server);
-                    result
-                }
-                None => Err(AppError::UnknownServer(server.clone())),
-            },
-            RuntimeOp::MoveClient { client, to_group } => {
-                let result = self.app.move_client(client, to_group);
-                if result.is_ok() {
-                    self.observer.client_moves += 1;
-                    self.monitor
-                        .rehome(t, &self.app, std::slice::from_ref(client));
-                }
-                result
-            }
-            RuntimeOp::MoveClientGroup { clients, to_group } => {
-                match self.app.move_clients(clients, to_group) {
-                    Ok(moved) => {
-                        self.observer.client_moves += moved as u64;
-                        self.monitor.rehome(t, &self.app, clients);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            RuntimeOp::DrainStuckServers {
-                group,
-                min_age_secs,
-            } => {
-                let stuck = self.app.stuck_sending_servers(group, *min_age_secs);
-                let mut result = Ok(());
-                for server in &stuck {
-                    if let Err(e) = self.app.drain_server(t, server) {
-                        result = Err(e);
-                    }
-                }
-                if result.is_ok() && !stuck.is_empty() {
-                    self.observer.record(
-                        t,
-                        Occurrence::Note(format_args!(
-                            "drained {} wedged replicas of {group}",
-                            stuck.len()
-                        )),
-                    );
-                }
-                result
-            }
-            RuntimeOp::RemosGetFlow { .. } => Ok(()),
-            RuntimeOp::DeleteGauge { .. } => Ok(()),
-            RuntimeOp::CreateGauge { gauge } => {
-                self.monitor.recreate(t, gauge);
-                Ok(())
-            }
-        };
-        // Gauge churn for failover repairs: a recruited replica gets a health
-        // gauge watching its runtime server, a retired one loses its gauge.
-        if result.is_ok() {
-            match op {
-                RuntimeOp::ConnectServer { server, .. } => {
-                    if let Some(runtime) = self.server_map.get(server) {
-                        self.monitor.watch_server(t, server, runtime);
-                    }
-                }
-                RuntimeOp::DeactivateServer { server } => {
-                    self.monitor.unwatch_server(t, server);
-                }
-                _ => {}
-            }
-        }
-        let outcome = match &result {
-            Ok(()) => Occurrence::Reconfigured(op),
-            Err(error) => Occurrence::OpFailed(op, error),
-        };
-        self.observer.record(t, outcome);
-    }
-
-    /// Maps a model-level server name to a runtime server, recruiting a spare
-    /// if the mapping does not exist yet. Recruitment is group-aware: a
-    /// spare attached to the same router as the group's current replicas is
-    /// preferred, so a repair does not pull a spare from another group's
-    /// rack merely because its name sorts first.
-    fn resolve_server(&self, model_name: &str, group: &str) -> Option<String> {
-        if let Some(existing) = self.server_map.get(model_name) {
-            return Some(existing.clone());
-        }
-        self.app.find_server_for_group(group, None, 0.0)
     }
 
     /// Runs the framework for `duration` seconds of simulated time under an
@@ -889,12 +404,11 @@ impl AdaptationFramework {
                 .expect("initial schedule applies");
         }
         let actions = faults.map(|f| f.actions.as_slice()).unwrap_or_default();
-        let period = self.config.control_period_secs.max(0.5);
         let mut t = 0.0;
         let mut next_change = 0usize;
         let mut next_action = 0usize;
         while t < duration_secs {
-            t = (t + period).min(duration_secs);
+            t = (t + CONTROL_PERIOD_SECS).min(duration_secs);
             // Apply workload phase changes and fault actions due by this
             // tick in time order (ties: the workload change first, matching
             // the fault-free code path exactly when no faults are given).
@@ -938,14 +452,7 @@ impl AdaptationFramework {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archmodel::style::props;
-
-    fn short_config() -> FrameworkConfig {
-        FrameworkConfig {
-            control_period_secs: 5.0,
-            ..FrameworkConfig::adaptive()
-        }
-    }
+    use archmodel::style::{props, ClientServerStyle};
 
     #[test]
     fn every_strategy_name_resolves_and_unknown_names_do_not() {
@@ -993,10 +500,7 @@ mod tests {
 
     #[test]
     fn planned_repair_moves_squeezed_clients_in_one_batch() {
-        let config = FrameworkConfig {
-            control_period_secs: 5.0,
-            ..FrameworkConfig::by_name("plannedRepair").unwrap()
-        };
+        let config = FrameworkConfig::by_name("plannedRepair").unwrap();
         let mut fw = AdaptationFramework::new(GridConfig::default(), config).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
         fw.run(420.0, Some(&schedule));
@@ -1036,7 +540,7 @@ mod tests {
     fn crash_restart_timeline_retires_recruited_replicas() {
         let config = FrameworkConfig {
             cost_reduction: true,
-            ..short_config()
+            ..FrameworkConfig::adaptive()
         };
         let mut fw = AdaptationFramework::new(GridConfig::default(), config).unwrap();
         let faults = faultsim::fault_profile_by_name("server-crash-midrun", 400.0).unwrap();
@@ -1082,7 +586,8 @@ mod tests {
 
     #[test]
     fn gauge_readings_flow_into_the_model() {
-        let mut fw = AdaptationFramework::new(GridConfig::default(), short_config()).unwrap();
+        let mut fw =
+            AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
         fw.run(120.0, None);
         let grp = fw.model().component_by_name("ServerGrp1").unwrap();
         assert!(fw
@@ -1109,7 +614,8 @@ mod tests {
 
     #[test]
     fn bandwidth_squeeze_triggers_a_client_move_repair() {
-        let mut fw = AdaptationFramework::new(GridConfig::default(), short_config()).unwrap();
+        let mut fw =
+            AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
         // Run through the quiescent phase and well into the squeeze phase.
         fw.run(420.0, Some(&schedule));
@@ -1139,7 +645,8 @@ mod tests {
 
     #[test]
     fn server_crash_triggers_a_failover_repair() {
-        let mut fw = AdaptationFramework::new(GridConfig::default(), short_config()).unwrap();
+        let mut fw =
+            AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
         let faults = faultsim::fault_profile_by_name("server-crash-midrun", 400.0).unwrap();
         let compiled = faults.compile(fw.app().testbed(), 42).unwrap();
         fw.run_with_faults(400.0, None, Some(&compiled));
@@ -1201,7 +708,8 @@ mod tests {
 
     #[test]
     fn repair_takes_about_thirty_seconds() {
-        let mut fw = AdaptationFramework::new(GridConfig::default(), short_config()).unwrap();
+        let mut fw =
+            AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
         fw.run(500.0, Some(&schedule));
         let stats = fw.repair_stats();

@@ -13,10 +13,13 @@
 //!   gauge readings into it,
 //! * [`query`] — runtime queries (`findGoodSGroup`, spare-server lookup)
 //!   answered by the live application,
-//! * [`framework`] — the three-layer adaptation loop (Figure 1); its
-//!   monitoring half — who is watched, the tick's flow snapshot, the gauge
-//!   roster, the run's one class index — is the private `monitor` module,
-//!   and everything it reports goes through the private `observe` module,
+//! * [`framework`] — the three-layer adaptation loop (Figure 1), one pass
+//!   through its phases per control period; the phases are private modules —
+//!   `monitor` (who is watched, the tick's flow snapshot, the gauge roster,
+//!   the run's one class index), `detector` (readings → advisories) and
+//!   `repairs` (Check → Plan → Begin, Commit → Execute over one
+//!   `repair::RepairPlan`; a control run has none) — and everything they
+//!   report goes through the private `observe` module,
 //! * [`experiment`] — the control and adaptive experiment runs (§5),
 //! * [`sweep`] — parallel scenario sweeps over topology × workload ×
 //!   strategy × duration × seed matrices with aggregate statistics,
@@ -32,23 +35,23 @@
 
 #![warn(missing_docs)]
 
+mod detector;
 pub mod experiment;
 pub mod framework;
 pub mod model;
 mod monitor;
 mod observe;
 pub mod query;
+mod repairs;
 pub mod report;
 pub mod sweep;
 pub mod task;
 
-pub use experiment::{
-    run_adaptive, run_control, run_experiment, run_observed, Comparison, ExperimentConfig,
-    RunResult, RunSummary,
-};
+pub use detector::{DetectSummary, ADVISORY_MATCH_HORIZON_SECS};
+pub use experiment::{run_observed, Comparison, ExperimentConfig, RunResult, RunSummary};
 pub use framework::{
-    strategy_names, AdaptationFramework, DetectSummary, FrameworkConfig, RepairStats,
-    ADVISORY_MATCH_HORIZON_SECS, METRIC_SNAPSHOT_PERIOD_SECS, STRATEGY_REGISTRY,
+    strategy_names, AdaptationFramework, FrameworkConfig, RepairStats, METRIC_SNAPSHOT_PERIOD_SECS,
+    STRATEGY_REGISTRY,
 };
 pub use model::{build_model, ModelUpdater};
 pub use query::AppQuery;

@@ -19,12 +19,16 @@ use gridapp::{
 };
 use monitoring::gauge::{gauge_subject, load_gauge_group, server_gauge_name};
 use monitoring::{
-    AverageLatencyGauge, BandwidthGauge, Gauge, GaugeManager, GaugeReading, GroupLivenessGauge,
-    Key, LoadGauge, MonitoringPipeline, ProbeEvent, ReachabilityGauge, ServerHealthGauge,
+    AverageLatencyGauge, BandwidthGauge, Gauge, GaugeLifecycleConfig, GaugeManager, GaugeReading,
+    GroupLivenessGauge, Key, LoadGauge, MonitoringPipeline, ProbeEvent, ReachabilityGauge,
+    ServerHealthGauge,
 };
 use planner::{ClassIndex, Rep, RepTable};
 use simnet::SimTime;
 use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// Sliding window of the per-client latency gauges (seconds).
+const LATENCY_WINDOW_SECS: f64 = 30.0;
 
 /// Who carries per-client gauges, and how their flows are probed.
 enum Policy {
@@ -47,7 +51,6 @@ enum Policy {
 pub(crate) struct Monitor {
     pipeline: MonitoringPipeline,
     policy: Policy,
-    latency_window_secs: f64,
     /// Monitoring traffic is prioritised (QoS) and never delayed.
     qos: bool,
     /// One tick's probe events and the readings due by it; both reused.
@@ -73,9 +76,8 @@ impl Monitor {
 
     fn with_policy(policy: Policy, config: &FrameworkConfig) -> Monitor {
         Monitor {
-            pipeline: MonitoringPipeline::new(GaugeManager::new(config.gauge_lifecycle)),
+            pipeline: MonitoringPipeline::new(GaugeManager::new(GaugeLifecycleConfig::default())),
             policy,
-            latency_window_secs: config.latency_window_secs,
             qos: config.monitoring_qos,
             events: Vec::new(),
             readings: Vec::new(),
@@ -131,8 +133,8 @@ impl Monitor {
         }
     }
 
-    fn latency_gauge(client: Key, window_secs: f64) -> Box<dyn Gauge> {
-        Box::new(AverageLatencyGauge::new(client, window_secs))
+    fn latency_gauge(client: Key) -> Box<dyn Gauge> {
+        Box::new(AverageLatencyGauge::new(client, LATENCY_WINDOW_SECS))
     }
 
     fn bandwidth_gauge(client: Key, group: Key) -> Box<dyn Gauge> {
@@ -157,7 +159,7 @@ impl Monitor {
         let groups = app.group_names();
         let manager = self.pipeline.manager_mut();
         for &(client, _) in &watched {
-            manager.create(t, Self::latency_gauge(client, self.latency_window_secs));
+            manager.create(t, Self::latency_gauge(client));
         }
         for group in &groups {
             manager.create(t, Box::new(LoadGauge::new(group)));
@@ -218,7 +220,7 @@ impl Monitor {
         });
         for &(client, group) in &watched {
             let gauges = [
-                Self::latency_gauge(client, self.latency_window_secs),
+                Self::latency_gauge(client),
                 Self::bandwidth_gauge(client, group),
                 Self::reachability_gauge(client),
             ];

@@ -36,12 +36,12 @@ pub(crate) enum Occurrence<'a> {
     MetricSnapshot,
     /// A constraint was found violated.
     Violation(&'a Violation),
-    /// A repair began executing. `tactic_label` is set for the group
-    /// planner's batched plans, which name their tactics in the trace.
+    /// A repair began executing. `batched` marks the group planner's plans,
+    /// which name their tactics in the trace and count as `planner.plans`.
     RepairStarted {
         correlation: u64,
         plan: &'a RepairPlan,
-        tactic_label: Option<&'a str>,
+        batched: bool,
         runtime_ops: usize,
         duration_secs: f64,
     },
@@ -224,20 +224,21 @@ impl Observer {
             Occurrence::RepairStarted {
                 correlation,
                 plan,
-                tactic_label,
+                batched,
                 runtime_ops,
                 duration_secs,
             } => {
-                let (open, label, close) = match tactic_label {
-                    Some(label) => ("[", label, "] "),
-                    None => ("", "", ""),
+                let label = if batched {
+                    format!("[{}] ", plan.tactics.join("+"))
+                } else {
+                    String::new()
                 };
                 self.trace.record_correlated(
                     t,
                     TraceKind::RepairStart,
                     correlation,
                     format!(
-                        "repair #{correlation} for {} ({}): {open}{label}{close}{} \
+                        "repair #{correlation} for {} ({}): {label}{} \
                          [{runtime_ops} runtime ops, ≈{duration_secs:.0} s]",
                         plan.subject, plan.invariant, plan.description
                     ),
@@ -247,15 +248,12 @@ impl Observer {
                         secs,
                         EventKind::RepairStart,
                         plan.subject.clone(),
-                        format!(
-                            "{}: {open}{label}{close}{}",
-                            plan.invariant, plan.description
-                        ),
+                        format!("{}: {label}{}", plan.invariant, plan.description),
                     )
                     .with_correlation(correlation)
                 });
                 self.count("framework.repairs.started", 1);
-                if tactic_label.is_some() {
+                if batched {
                     self.count("planner.plans", 1);
                 }
                 self.count("framework.plan_ops", runtime_ops as u64);
@@ -509,12 +507,12 @@ mod tests {
         }
     }
 
-    fn plan() -> RepairPlan {
+    fn plan_by(tactics: &[&str]) -> RepairPlan {
         RepairPlan {
             invariant: "bandwidth".into(),
             subject: "User3".into(),
             ops: Vec::new(),
-            tactics: vec!["fixBandwidth".into()],
+            tactics: tactics.iter().map(|t| t.to_string()).collect(),
             description: "move User3 to ServerGrp2".into(),
         }
     }
@@ -542,7 +540,8 @@ mod tests {
             subject_name: "User3.role".into(),
             detail: "self.bandwidth >= minBandwidth".into(),
         };
-        let plan = plan();
+        let plan = plan_by(&["fixBandwidth"]);
+        let group_plan = plan_by(&["moveClientGroup", "drainServer"]);
         let op = RuntimeOp::MoveClient {
             client: "User3".into(),
             to_group: "ServerGrp2".into(),
@@ -553,13 +552,13 @@ mod tests {
         observer.record(t, Occurrence::Advisory(&alarm, "serverLoad"));
         observer.record(t, Occurrence::MetricSnapshot);
         observer.record(t, Occurrence::Violation(&violation));
-        for (correlation, tactic_label) in [(1, None), (2, Some("moveClientGroup+drainServer"))] {
+        for (correlation, plan, batched) in [(1, &plan, false), (2, &group_plan, true)] {
             observer.record(
                 t,
                 Occurrence::RepairStarted {
                     correlation,
-                    plan: &plan,
-                    tactic_label,
+                    plan,
+                    batched,
                     runtime_ops: 4,
                     duration_secs: 29.6,
                 },

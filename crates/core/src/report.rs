@@ -291,20 +291,18 @@ pub fn run_to_json(result: &RunResult) -> serde_json::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_control, ExperimentConfig};
+    use crate::experiment::{run_with_schedule, ExperimentConfig};
     use crate::framework::FrameworkConfig;
-    use gridapp::GridConfig;
+    use gridapp::{ExperimentSchedule, GridConfig};
 
     fn short_run() -> RunResult {
-        crate::experiment::run_experiment(
-            "control",
-            ExperimentConfig {
-                grid: GridConfig::default(),
-                framework: FrameworkConfig::control(),
-                duration_secs: 200.0,
-            },
-        )
-        .unwrap()
+        let config = ExperimentConfig {
+            grid: GridConfig::default(),
+            framework: FrameworkConfig::control(),
+            duration_secs: 200.0,
+        };
+        let schedule = ExperimentSchedule::figure7(&config.grid);
+        run_with_schedule("control", config, Some(&schedule)).unwrap()
     }
 
     #[test]
@@ -387,12 +385,9 @@ mod tests {
 
     #[test]
     fn comparison_rendering_mentions_both_runs() {
-        // Build a tiny comparison from two short control-ish runs to avoid a
-        // second long simulation here; the real comparison is covered in
-        // experiment tests and benches.
-        let control = run_control(GridConfig::default(), 150.0).unwrap();
-        let adaptive = crate::experiment::run_adaptive(GridConfig::default(), 150.0).unwrap();
-        let cmp = Comparison { control, adaptive };
+        // A short comparison; the real one is covered in experiment tests
+        // and benches.
+        let cmp = Comparison::run(GridConfig::default(), 150.0).unwrap();
         let text = render_comparison(&cmp);
         assert!(text.contains("control"));
         assert!(text.contains("adaptive"));

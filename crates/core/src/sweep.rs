@@ -616,7 +616,7 @@ pub struct UnitDetect {
     pub advisories: u64,
     /// Median seconds between an advisory and the first violation it
     /// anticipated on the same subject (within
-    /// [`crate::framework::ADVISORY_MATCH_HORIZON_SECS`]); `None` when
+    /// [`crate::ADVISORY_MATCH_HORIZON_SECS`]); `None` when
     /// nothing paired — always `None` for control runs, which never check
     /// constraints.
     pub median_lead_secs: Option<f64>,

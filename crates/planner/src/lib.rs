@@ -42,5 +42,5 @@ pub mod plan;
 pub mod probes;
 
 pub use classes::{ClassIndex, ClientClass, ServerClass};
-pub use plan::{GroupPlan, GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
+pub use plan::{GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
 pub use probes::{class_remos, Rep, RepTable};

@@ -17,19 +17,20 @@
 //!   bandwidth clearing the task-layer minimum.
 //!
 //! The planner is a pure function of its [`PlannerInput`] (plus the static
-//! [`ClassIndex`]), all iteration is over ordered maps, and the produced
-//! plan carries both the model operations (committed by the framework) and
-//! the batched runtime operations — so planned repairs replay
-//! bit-identically for any worker count.
+//! [`ClassIndex`]), all iteration is over ordered maps, and it answers with
+//! the same [`RepairPlan`] the per-element engine produces (model operations
+//! the framework commits) plus the batched runtime operations — so planned
+//! repairs replay bit-identically for any worker count.
 
 use crate::classes::ClassIndex;
 use crate::probes::GroupProbes;
 use archmodel::constraint::CheckReport;
 use archmodel::style::ClientServerStyle;
-use archmodel::{ModelOp, System, Transaction};
+use archmodel::{System, Transaction};
 use gridapp::GridApp;
 use repair::operators::{add_server, move_client_group};
 use repair::tactic::client_of_violation;
+use repair::{RepairDamping, RepairPlan};
 use std::collections::{BTreeMap, BTreeSet};
 use translator::RuntimeOp;
 
@@ -158,24 +159,6 @@ impl PlannerInput {
     }
 }
 
-/// A batched group-level repair ready for the framework to commit and
-/// execute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupPlan {
-    /// The invariant family that triggered the plan (for the trace).
-    pub invariant: String,
-    /// A short subject describing the plan's scope.
-    pub subject: String,
-    /// Model operations realising the plan (committed on completion).
-    pub model_ops: Vec<ModelOp>,
-    /// Batched runtime operations (executed on completion).
-    pub runtime_ops: Vec<RuntimeOp>,
-    /// The group tactics that contributed, in application order.
-    pub tactics: Vec<String>,
-    /// Human-readable description for the trace.
-    pub description: String,
-}
-
 /// One planned class move.
 #[derive(Debug, Clone)]
 struct ClassMove {
@@ -187,8 +170,7 @@ struct ClassMove {
 /// The group-level planner: per-subject damping state over the class index
 /// its caller lends to every [`plan`](GroupPlanner::plan).
 pub struct GroupPlanner {
-    damping_secs: Option<f64>,
-    last_planned: BTreeMap<String, f64>,
+    damping: Option<RepairDamping>,
 }
 
 impl GroupPlanner {
@@ -196,27 +178,37 @@ impl GroupPlanner {
     /// planned subject.
     pub fn new(damping_secs: Option<f64>) -> GroupPlanner {
         GroupPlanner {
-            damping_secs,
-            last_planned: BTreeMap::new(),
+            damping: damping_secs.map(RepairDamping::new),
         }
+    }
+
+    /// Whether `report` holds a violation the planner plans for — the ones
+    /// [`PlannerInput::gather`] reads. Any other report (liveness,
+    /// underutilised) is the per-element engine's alone: gathering the
+    /// planner's input costs one class-level probe table, which is not worth
+    /// paying for a guaranteed abstention.
+    pub fn claims(report: &CheckReport) -> bool {
+        report
+            .violations
+            .iter()
+            .any(|v| matches!(v.invariant.as_str(), "latency" | "bandwidth" | "serverLoad"))
     }
 
     fn allows(&self, key: &str, now: f64) -> bool {
-        match (self.damping_secs, self.last_planned.get(key)) {
-            (Some(window), Some(&last)) => now - last >= window,
-            _ => true,
-        }
+        self.damping.as_ref().is_none_or(|d| d.allows(key, now))
     }
 
-    /// Produces a batched plan for the violations in `input`, or `None` when
-    /// no group tactic applies (the caller falls back to per-element
-    /// repair). Pure in its inputs apart from the damping clock.
+    /// Produces a batched plan for the violations in `input` — the model
+    /// operations to commit, as the [`RepairPlan`] a per-element repair would
+    /// be, and the batched runtime operations to execute — or `None` when no
+    /// group tactic applies (the caller falls back to per-element repair).
+    /// Pure in its inputs apart from the damping clock.
     pub fn plan(
         &mut self,
         index: &ClassIndex,
         model: &System,
         input: &PlannerInput,
-    ) -> Option<GroupPlan> {
+    ) -> Option<(RepairPlan, Vec<RuntimeOp>)> {
         let thresholds = input.thresholds;
         let mut damping_keys: Vec<String> = Vec::new();
         let mut tactics: Vec<String> = Vec::new();
@@ -535,8 +527,10 @@ impl GroupPlanner {
             });
         }
 
-        for key in damping_keys {
-            self.last_planned.insert(key, input.now_secs);
+        if let Some(damping) = &mut self.damping {
+            for key in &damping_keys {
+                damping.record(key, input.now_secs);
+            }
         }
         let moved_clients: usize = moves.iter().map(|m| m.members.len()).sum();
         let invariant = if bandwidth_moves > 0 {
@@ -544,18 +538,18 @@ impl GroupPlanner {
         } else {
             "serverLoad"
         };
-        Some(GroupPlan {
+        let plan = RepairPlan {
             invariant: invariant.to_string(),
             subject: format!(
                 "{} classes / {moved_clients} clients / {} groups",
                 moved_classes.len(),
                 input.groups.len()
             ),
-            model_ops: tx.ops().to_vec(),
-            runtime_ops,
+            ops: tx.ops().to_vec(),
             tactics,
             description: notes.join("; "),
-        })
+        };
+        Some((plan, runtime_ops))
     }
 }
 
@@ -633,13 +627,12 @@ mod tests {
     fn squeezed_class_is_moved_in_one_batch_with_a_drain() {
         let (model, index, input) = squeeze_fixture();
         let mut planner = GroupPlanner::new(Some(60.0));
-        let plan = planner
+        let (plan, runtime_ops) = planner
             .plan(&index, &model, &input)
             .expect("a plan is produced");
         assert!(plan.tactics.contains(&"moveClientGroup".to_string()));
         assert!(plan.tactics.contains(&"drainServer".to_string()));
-        let batch = plan
-            .runtime_ops
+        let batch = runtime_ops
             .iter()
             .find_map(|op| match op {
                 RuntimeOp::MoveClientGroup { clients, to_group } => {
@@ -650,12 +643,12 @@ mod tests {
             .expect("a batched move is planned");
         assert_eq!(batch.0, vec!["User3".to_string()]);
         assert_eq!(batch.1, "ServerGrp2");
-        assert!(plan.runtime_ops.iter().any(
+        assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DrainStuckServers { group, .. } if group == "ServerGrp1")
         ));
         // The model ops re-attach the moved client and validate style-clean.
         let mut repaired = model.clone();
-        for op in &plan.model_ops {
+        for op in &plan.ops {
             archmodel::apply_op(&mut repaired, op).unwrap();
         }
         assert!(ClientServerStyle::validate(&repaired).is_empty());
@@ -691,18 +684,17 @@ mod tests {
         input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
         input.groups.get_mut("ServerGrp1").unwrap().stuck_servers = 0;
         let mut planner = GroupPlanner::new(None);
-        let plan = planner
+        let (plan, runtime_ops) = planner
             .plan(&index, &model, &input)
             .expect("a plan is produced");
         assert!(plan.tactics.contains(&"rebalanceGroups".to_string()));
-        let activations = plan
-            .runtime_ops
+        let activations = runtime_ops
             .iter()
             .filter(|op| matches!(op, RuntimeOp::ActivateServer { .. }))
             .count();
         // load 20 / max 6 → 3 needed, but only 2 spares exist.
         assert_eq!(activations, 2);
-        assert!(plan.runtime_ops.iter().any(
+        assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DeleteGauge { gauge } if gauge == "load-gauge/ServerGrp1")
         ));
     }
@@ -802,11 +794,10 @@ mod tests {
             client_groups,
         };
         let mut planner = GroupPlanner::new(Some(60.0));
-        let plan = planner
+        let (plan, runtime_ops) = planner
             .plan(&index, &model, &input)
             .expect("bulk plan produced");
-        let moved: usize = plan
-            .runtime_ops
+        let moved: usize = runtime_ops
             .iter()
             .filter_map(|op| match op {
                 RuntimeOp::MoveClientGroup { clients, .. } => Some(clients.len()),
@@ -816,18 +807,20 @@ mod tests {
         // Half of each squeezed class is on ServerGrp1 in this fixture; every
         // one of those clients moves in a single plan.
         assert_eq!(moved, 200);
-        assert!(plan.runtime_ops.iter().any(
+        assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DrainStuckServers { group, .. } if group == "ServerGrp1")
         ));
         // One gauge-churn batch, not one per client.
-        let churns = plan
-            .runtime_ops
+        let churns = runtime_ops
             .iter()
             .filter(|op| matches!(op, RuntimeOp::DeleteGauge { .. }))
             .count();
         assert_eq!(churns, 1);
         // A second planner run with the same input produces the same plan.
         let mut other = GroupPlanner::new(Some(60.0));
-        assert_eq!(other.plan(&index, &model, &input), Some(plan));
+        assert_eq!(
+            other.plan(&index, &model, &input),
+            Some((plan, runtime_ops))
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! of servers in an underutilised group: `reduceServers`.
 
 use crate::operators::{add_server, move_client, remove_server};
-use crate::strategy::{RepairStrategy, TacticPolicy};
+use crate::strategy::RepairStrategy;
 use crate::tactic::{client_of_violation, RepairError, Tactic, TacticContext, TacticResult};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant};
 use archmodel::style::{props, ClientServerStyle, CLIENT_ROLE_T, CLIENT_T, SERVER_GROUP_T};
@@ -108,7 +108,7 @@ impl Tactic for FixServerLoadTactic {
             added.push(server);
         }
         Ok(TacticResult::Applied {
-            ops: tx.ops().to_vec(),
+            tx,
             description: format!("added servers {added:?} to overloaded groups {repairable:?}"),
         })
     }
@@ -167,7 +167,7 @@ impl Tactic for FixBandwidthTactic {
         let mut tx = Transaction::new(ctx.model);
         move_client(&mut tx, &client, &good_group)?;
         Ok(TacticResult::Applied {
-            ops: tx.ops().to_vec(),
+            tx,
             description: format!("moved {client} to {good_group}"),
         })
     }
@@ -246,7 +246,7 @@ impl Tactic for ReduceServersTactic {
         let mut tx = Transaction::new(ctx.model);
         remove_server(&mut tx, &server)?;
         Ok(TacticResult::Applied {
-            ops: tx.ops().to_vec(),
+            tx,
             description: format!("removed {server} from underutilised group {group}"),
         })
     }
@@ -333,7 +333,7 @@ impl Tactic for FailoverServerGroupTactic {
             recruited.push(add_server(&mut tx, &group)?);
         }
         Ok(TacticResult::Applied {
-            ops: tx.ops().to_vec(),
+            tx,
             description: format!(
                 "failed {group} over: retired dead replicas {dead:?}, recruited {recruited:?}"
             ),
@@ -402,7 +402,7 @@ impl Tactic for RerouteClientsTactic {
             return Err(RepairError::NoServerGroupFound);
         }
         Ok(TacticResult::Applied {
-            ops: tx.ops().to_vec(),
+            tx,
             description: format!("rerouted clients off dead group {group}: {moved:?}"),
         })
     }
@@ -411,7 +411,7 @@ impl Tactic for RerouteClientsTactic {
 /// Builds the paper's `fixLatency` strategy: try `fixServerLoad` first, then
 /// `fixBandwidth` (the paper's experiment prioritised server-load repairs).
 pub fn fix_latency_strategy() -> RepairStrategy {
-    RepairStrategy::new("fixLatency", TacticPolicy::FirstSuccess)
+    RepairStrategy::new("fixLatency")
         .with_tactic(Box::new(FixServerLoadTactic))
         .with_tactic(Box::new(FixBandwidthTactic))
 }
@@ -420,36 +420,33 @@ pub fn fix_latency_strategy() -> RepairStrategy {
 /// used by the tactic-ordering ablation (§7 discusses choosing the tactic
 /// that contributes most to the latency).
 pub fn fix_latency_bandwidth_first_strategy() -> RepairStrategy {
-    RepairStrategy::new("fixLatency-bandwidthFirst", TacticPolicy::FirstSuccess)
+    RepairStrategy::new("fixLatency-bandwidthFirst")
         .with_tactic(Box::new(FixBandwidthTactic))
         .with_tactic(Box::new(FixServerLoadTactic))
 }
 
 /// Builds the cost-reduction strategy for underutilised groups.
 pub fn reduce_servers_strategy() -> RepairStrategy {
-    RepairStrategy::new("reduceServers", TacticPolicy::FirstSuccess)
-        .with_tactic(Box::new(ReduceServersTactic::default()))
+    RepairStrategy::new("reduceServers").with_tactic(Box::new(ReduceServersTactic::default()))
 }
 
 /// Builds the `failover-server-group` strategy: replace dead replicas with
 /// spares.
 pub fn failover_server_group_strategy() -> RepairStrategy {
-    RepairStrategy::new("failover-server-group", TacticPolicy::FirstSuccess)
-        .with_tactic(Box::new(FailoverServerGroupTactic))
+    RepairStrategy::new("failover-server-group").with_tactic(Box::new(FailoverServerGroupTactic))
 }
 
 /// Builds the `reroute-clients-off-dead-link` strategy: move clients off a
 /// group with no live replicas.
 pub fn reroute_clients_strategy() -> RepairStrategy {
-    RepairStrategy::new("reroute-clients-off-dead-link", TacticPolicy::FirstSuccess)
-        .with_tactic(Box::new(RerouteClientsTactic))
+    RepairStrategy::new("reroute-clients-off-dead-link").with_tactic(Box::new(RerouteClientsTactic))
 }
 
 /// Builds the composite failure-recovery strategy for `liveness` violations:
 /// fail the group over to spares when possible, otherwise reroute its
 /// clients to a reachable group.
 pub fn recover_liveness_strategy() -> RepairStrategy {
-    RepairStrategy::new("recoverLiveness", TacticPolicy::FirstSuccess)
+    RepairStrategy::new("recoverLiveness")
         .with_tactic(Box::new(FailoverServerGroupTactic))
         .with_tactic(Box::new(RerouteClientsTactic))
 }

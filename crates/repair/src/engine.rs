@@ -60,9 +60,6 @@ pub struct RepairEngine {
     strategies: BTreeMap<String, RepairStrategy>,
     selection: SelectionPolicy,
     damping: Option<RepairDamping>,
-    plans_produced: u64,
-    aborts: u64,
-    suppressed: u64,
 }
 
 impl Default for RepairEngine {
@@ -79,20 +76,7 @@ impl RepairEngine {
             strategies: BTreeMap::new(),
             selection: SelectionPolicy::FirstReported,
             damping: None,
-            plans_produced: 0,
-            aborts: 0,
-            suppressed: 0,
         }
-    }
-
-    /// Builds the paper's default engine: the `fixLatency` strategy handles
-    /// latency, bandwidth, and server-load violations.
-    pub fn with_paper_defaults() -> Self {
-        let mut engine = Self::new();
-        for invariant in ["latency", "bandwidth", "serverLoad"] {
-            engine.register(invariant, crate::builtin::fix_latency_strategy());
-        }
-        engine
     }
 
     /// Registers `strategy` for violations of `invariant`.
@@ -108,11 +92,6 @@ impl RepairEngine {
     /// Enables repair damping with the given settle time (seconds).
     pub fn set_damping(&mut self, damping: Option<RepairDamping>) {
         self.damping = damping;
-    }
-
-    /// Number of plans produced so far.
-    pub fn plans_produced(&self) -> u64 {
-        self.plans_produced
     }
 
     /// Produces a repair plan for the most urgent violation in `report`, if
@@ -149,7 +128,6 @@ impl RepairEngine {
             });
             if let Some(damping) = &self.damping {
                 if !damping.allows(&violation.subject_name, now) {
-                    self.suppressed += 1;
                     skip_reasons.push(format!(
                         "repair for {} suppressed for another {:.1} s (settle window)",
                         violation.subject_name,
@@ -171,7 +149,6 @@ impl RepairEngine {
                     if let Some(damping) = &mut self.damping {
                         damping.record(&violation.subject_name, now);
                     }
-                    self.plans_produced += 1;
                     return PlanOutcome::Plan(RepairPlan {
                         invariant: violation.invariant.clone(),
                         subject: violation.subject_name.clone(),
@@ -181,7 +158,6 @@ impl RepairEngine {
                     });
                 }
                 StrategyOutcome::NoApplicableTactic { reasons } => {
-                    self.suppressed += 1;
                     skip_reasons.push(format!(
                         "no applicable tactic for {}: {}",
                         violation.subject_name,
@@ -189,7 +165,6 @@ impl RepairEngine {
                     ));
                 }
                 StrategyOutcome::Aborted { reason } => {
-                    self.aborts += 1;
                     return PlanOutcome::Aborted {
                         invariant: violation.invariant.clone(),
                         reason,
@@ -206,10 +181,22 @@ impl RepairEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builtin::{default_constraints, FixBandwidthTactic, FixServerLoadTactic};
+    use crate::builtin::{
+        default_constraints, fix_latency_strategy, recover_liveness_strategy,
+        reduce_servers_strategy, underutilised_invariant,
+    };
     use crate::query::StaticQuery;
-    use crate::strategy::TacticPolicy;
     use archmodel::style::{props, ClientServerStyle};
+
+    /// The paper's engine: `fixLatency` handles latency, bandwidth and
+    /// server-load violations.
+    fn paper_engine() -> RepairEngine {
+        let mut engine = RepairEngine::new();
+        for invariant in ["latency", "bandwidth", "serverLoad"] {
+            engine.register(invariant, fix_latency_strategy());
+        }
+        engine
+    }
 
     /// Model with User3 violating latency because ServerGrp1 is overloaded.
     fn overloaded_model() -> System {
@@ -255,7 +242,7 @@ mod tests {
         let model = overloaded_model();
         let report = default_constraints().check(&model);
         assert!(!report.is_clean());
-        let mut engine = RepairEngine::with_paper_defaults();
+        let mut engine = paper_engine();
         let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
         match engine.plan(&model, &report, &query, 100.0) {
             PlanOutcome::Plan(plan) => {
@@ -267,14 +254,13 @@ mod tests {
             }
             other => panic!("unexpected outcome: {other:?}"),
         }
-        assert_eq!(engine.plans_produced(), 1);
     }
 
     #[test]
     fn clean_report_yields_nothing() {
         let model = ClientServerStyle::example_system("storage", 1, 3, 2).unwrap();
         let report = CheckReport::default();
-        let mut engine = RepairEngine::with_paper_defaults();
+        let mut engine = paper_engine();
         assert_eq!(
             engine.plan(&model, &report, &StaticQuery::new(), 0.0),
             PlanOutcome::Nothing
@@ -297,21 +283,22 @@ mod tests {
     fn damping_suppresses_repeated_repairs() {
         let model = overloaded_model();
         let report = default_constraints().check(&model);
-        let mut engine = RepairEngine::with_paper_defaults();
+        let mut engine = paper_engine();
         engine.set_damping(Some(RepairDamping::new(120.0)));
         let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
         assert!(matches!(
             engine.plan(&model, &report, &query, 100.0),
             PlanOutcome::Plan(_)
         ));
-        // Immediately after, the same subject is suppressed.
+        // Immediately after, the same subject is suppressed, and so is the
+        // (unrepairable) server-load violation the engine falls through to.
         match engine.plan(&model, &report, &query, 110.0) {
-            PlanOutcome::Skipped { reason } => assert!(reason.contains("settle")),
+            PlanOutcome::Skipped { reason } => {
+                assert!(reason.contains("settle"), "{reason}");
+                assert!(reason.contains(" | no applicable tactic"), "{reason}");
+            }
             other => panic!("unexpected outcome: {other:?}"),
         }
-        // The damped client plus the (unrepairable) server-load violation the
-        // engine fell through to were both counted as suppressed.
-        assert!(engine.suppressed >= 1);
         // After the settle window it is allowed again.
         assert!(matches!(
             engine.plan(&model, &report, &query, 300.0),
@@ -338,18 +325,17 @@ mod tests {
                 .set(props::BANDWIDTH, 500.0);
         }
         let report = default_constraints().check(&model);
-        let mut engine = RepairEngine::with_paper_defaults();
+        let mut engine = paper_engine();
         // No bandwidth data ⇒ findGoodSGrp fails ⇒ abort.
         match engine.plan(&model, &report, &StaticQuery::new(), 0.0) {
             PlanOutcome::Aborted { reason, .. } => assert!(reason.contains("NoServerGroupFound")),
             other => panic!("unexpected outcome: {other:?}"),
         }
-        assert_eq!(engine.aborts, 1);
     }
 
     /// [`RepairEngine::plan`] with every strategy run through the
     /// eager-clone reference loop (`RepairStrategy::run_eager`) instead of
-    /// the copy-on-write one; everything else is the same engine state.
+    /// the borrowing one; everything else is the same engine state.
     fn plan_eager(
         engine: &mut RepairEngine,
         model: &System,
@@ -374,7 +360,6 @@ mod tests {
             });
             if let Some(damping) = &engine.damping {
                 if !damping.allows(&violation.subject_name, now) {
-                    engine.suppressed += 1;
                     skip_reasons.push(format!(
                         "repair for {} suppressed for another {:.1} s (settle window)",
                         violation.subject_name,
@@ -392,7 +377,6 @@ mod tests {
                     if let Some(damping) = &mut engine.damping {
                         damping.record(&violation.subject_name, now);
                     }
-                    engine.plans_produced += 1;
                     return PlanOutcome::Plan(RepairPlan {
                         invariant: violation.invariant.clone(),
                         subject: violation.subject_name.clone(),
@@ -402,7 +386,6 @@ mod tests {
                     });
                 }
                 StrategyOutcome::NoApplicableTactic { reasons } => {
-                    engine.suppressed += 1;
                     skip_reasons.push(format!(
                         "no applicable tactic for {}: {}",
                         violation.subject_name,
@@ -410,7 +393,6 @@ mod tests {
                     ));
                 }
                 StrategyOutcome::Aborted { reason } => {
-                    engine.aborts += 1;
                     return PlanOutcome::Aborted {
                         invariant: violation.invariant.clone(),
                         reason,
@@ -427,8 +409,10 @@ mod tests {
     /// `User2`..`User1200` (served by the idle ServerGrp2, bandwidth fine)
     /// violate the latency bound with no tactic able to help, followed by
     /// `User1201`, whose group (ServerGrp1) is overloaded and whose link has
-    /// collapsed: what happens to it is up to the runtime query.
-    fn fleet_model() -> System {
+    /// collapsed: what happens to it is up to the runtime query. `dead` of
+    /// ServerGrp2's three replicas have crashed, and with `surplus` the group
+    /// idles one replica above the three it was provisioned with.
+    fn fleet_model(dead: usize, surplus: bool) -> System {
         fn set(model: &mut System, component: &str, property: &str, value: f64) {
             let id = model.component_by_name(component).unwrap();
             let properties = &mut model.component_mut(id).unwrap().properties;
@@ -441,7 +425,10 @@ mod tests {
             }
         }
         let mut model = ClientServerStyle::example_system("fleet", 2, 3, 2000).unwrap();
+        model.properties.set(props::MAX_DEAD_SERVERS, 0.0);
+        model.properties.set(props::UNDERUTILISED_LOAD, 1.0);
         set(&mut model, "ServerGrp1", props::LOAD, 20.0);
+        set(&mut model, "ServerGrp2", props::LOAD, 0.0);
         let all_roles = model.roles().map(|(id, _)| id).collect();
         set_bandwidth(&mut model, all_roles, 5e6);
         for c in 1..=2000usize {
@@ -457,90 +444,116 @@ mod tests {
         let user1201 = model.component_by_name("User1201").unwrap();
         let its_roles = model.roles_of_component(user1201);
         set_bandwidth(&mut model, its_roles, 500.0);
+        for (group, dead) in [("ServerGrp1", 0), ("ServerGrp2", dead)] {
+            set(&mut model, group, props::BASE_REPLICAS, 3.0);
+            set(&mut model, group, props::LIVE_SERVERS, (3 - dead) as f64);
+            set(&mut model, group, props::DEAD_SERVERS, dead as f64);
+        }
+        for replica in 1..=dead {
+            let name = format!("ServerGrp2.Server{replica}");
+            set(&mut model, &name, props::IS_ALIVE, 0.0);
+        }
+        if surplus {
+            let mut tx = archmodel::Transaction::new(&model);
+            crate::operators::add_server(&mut tx, "ServerGrp2").unwrap();
+            tx.commit(&mut model).unwrap();
+        }
         model
     }
 
     #[test]
     fn plan_matches_the_eager_clone_oracle_at_fleet_size() {
-        use TacticPolicy::{All, FirstSuccess};
-        let model = fleet_model();
-        let report = default_constraints().check(&model);
-        assert!(report.violations.len() >= 500);
-        // One query per way a call can end once the 600 hopeless clients
-        // have been passed over.
+        let constraints = default_constraints().with(underutilised_invariant());
+        // The engine as the framework registers it under `plannedRepair`,
+        // with (damped) five in six hopeless clients still settling.
+        let engine = |damped: bool| {
+            let mut engine = paper_engine();
+            engine.register("liveness", recover_liveness_strategy());
+            engine.register("underutilised", reduce_servers_strategy());
+            if damped {
+                let mut damping = RepairDamping::new(120.0);
+                for c in (2..=1200).step_by(2).filter(|c| c % 12 != 0) {
+                    damping.record(&format!("User{c}"), 90.0);
+                }
+                engine.set_damping(Some(damping));
+            }
+            engine
+        };
+        // Plans at each of `times` through both loops and holds them equal.
+        let compare = |model: &System, query: &StaticQuery, damped: bool, times: &[f64]| {
+            let report = constraints.check(model);
+            assert!(report.violations.len() >= 500);
+            let (mut lazy, mut eager) = (engine(damped), engine(damped));
+            let outcomes = times.iter().map(|&now| {
+                let got = lazy.plan(model, &report, query, now);
+                let want = plan_eager(&mut eager, model, &report, query, now);
+                assert_eq!(got, want, "damped {damped}, t = {now}");
+                got
+            });
+            outcomes.collect::<Vec<_>>()
+        };
+
+        // `fixLatency`: one query per way a call can end once the 600
+        // hopeless clients have been passed over.
+        let stuck = || StaticQuery::new().with_bandwidth("User1201", "ServerGrp1", 5e6);
         let query = |ending: &str| match ending {
             "plan" => StaticQuery::new()
                 .with_spares("ServerGrp1", &["S4"])
                 .with_bandwidth("User1201", "ServerGrp2", 5e6),
-            "skipped" => StaticQuery::new().with_bandwidth("User1201", "ServerGrp1", 5e6),
+            "skipped" => stuck(),
             _ => StaticQuery::new(),
         };
+        let model = fleet_model(0, false);
         // The oracle copies the model once per client it examines, so the
-        // undamped cases (600 copies each) are the four that differ; damped,
-        // five in six hopeless clients are still settling and a case is cheap.
-        let cases = [
-            (FirstSuccess, false, "plan"),
-            (All, false, "plan"),
-            (All, false, "skipped"),
-            (FirstSuccess, false, "aborted"),
-            (FirstSuccess, true, "plan"),
-            (All, true, "plan"),
-            (FirstSuccess, true, "skipped"),
-            (All, true, "aborted"),
-        ];
-        for (policy, damped, ending) in cases {
-            let engine = || {
-                let mut engine = RepairEngine::new();
-                for invariant in ["latency", "bandwidth", "serverLoad"] {
-                    engine.register(
-                        invariant,
-                        RepairStrategy::new("fixLatency", policy)
-                            .with_tactic(Box::new(FixServerLoadTactic))
-                            .with_tactic(Box::new(FixBandwidthTactic)),
-                    );
-                }
-                if damped {
-                    let mut damping = RepairDamping::new(120.0);
-                    for c in (2..=1200).step_by(2).filter(|c| c % 12 != 0) {
-                        damping.record(&format!("User{c}"), 90.0);
-                    }
-                    engine.set_damping(Some(damping));
-                }
-                engine
-            };
-            let (mut lazy, mut eager) = (engine(), engine());
-            let query = query(ending);
-            // Damped, a second call sees the first call's plan settling.
+        // undamped cases (600 copies each) are the slow ones; damped, a case
+        // is cheap, and a second call sees the first call's plan settling.
+        for damped in [false, true] {
             let times: &[f64] = if damped { &[100.0, 110.0] } else { &[100.0] };
-            for &now in times {
-                let got = lazy.plan(&model, &report, &query, now);
-                let want = plan_eager(&mut eager, &model, &report, &query, now);
-                assert_eq!(
-                    got, want,
-                    "{ending} under {policy:?}, damped {damped}, t = {now}"
-                );
-                match (ending, &got) {
-                    ("plan", PlanOutcome::Plan(plan)) => {
-                        // The second call finds User1201 settling and falls
-                        // through to its role's bandwidth violation.
-                        assert!(plan.subject.starts_with("User1201"));
-                        let tactics = ["fixServerLoad", "fixBandwidth"];
-                        let ran = if policy == All { 2 } else { 1 };
-                        assert_eq!(plan.tactics, tactics[..ran]);
+            for ending in ["plan", "skipped", "aborted"] {
+                for got in compare(&model, &query(ending), damped, times) {
+                    match (ending, &got) {
+                        ("plan", PlanOutcome::Plan(plan)) => {
+                            // The second call finds User1201 settling and
+                            // falls through to its role's bandwidth violation.
+                            assert!(plan.subject.starts_with("User1201"));
+                            assert_eq!(plan.tactics, ["fixServerLoad"]);
+                        }
+                        ("skipped", PlanOutcome::Skipped { reason }) => {
+                            assert!(reason.matches(" | ").count() >= 500);
+                            assert_eq!(reason.contains("settle window"), damped);
+                        }
+                        ("aborted", PlanOutcome::Aborted { reason, .. }) => {
+                            assert!(reason.contains("NoServerGroupFound"));
+                        }
+                        other => panic!("unexpected ending: {other:?}"),
                     }
-                    ("skipped", PlanOutcome::Skipped { reason }) => {
-                        assert!(reason.matches(" | ").count() >= 500);
-                        assert_eq!(reason.contains("settle window"), damped);
-                    }
-                    ("aborted", PlanOutcome::Aborted { reason, .. }) => {
-                        assert!(reason.contains("NoServerGroupFound"));
-                    }
-                    other => panic!("unexpected ending: {other:?}"),
                 }
             }
-            assert_eq!(lazy.plans_produced(), eager.plans_produced());
-            assert_eq!(lazy.aborts, eager.aborts);
-            assert_eq!(lazy.suppressed, eager.suppressed);
+        }
+
+        // `recoverLiveness` and `reduceServers`, reached once every client
+        // ahead of them in the report has been passed over.
+        let failover = stuck().with_spares("ServerGrp2", &["S9"]);
+        match &compare(&fleet_model(1, false), &failover, true, &[100.0])[0] {
+            PlanOutcome::Plan(plan) => {
+                assert_eq!(plan.subject, "ServerGrp2");
+                assert_eq!(plan.tactics, ["failoverServerGroup"]);
+            }
+            other => panic!("unexpected ending: {other:?}"),
+        }
+        match &compare(&fleet_model(3, false), &stuck(), true, &[100.0])[0] {
+            PlanOutcome::Aborted { invariant, reason } => {
+                assert_eq!(invariant, "liveness");
+                assert!(reason.starts_with("rerouteClientsOffDeadLink"), "{reason}");
+            }
+            other => panic!("unexpected ending: {other:?}"),
+        }
+        match &compare(&fleet_model(0, true), &stuck(), true, &[100.0])[0] {
+            PlanOutcome::Plan(plan) => {
+                assert_eq!(plan.invariant, "underutilised");
+                assert_eq!(plan.tactics, ["reduceServers"]);
+            }
+            other => panic!("unexpected ending: {other:?}"),
         }
     }
 
@@ -557,9 +570,9 @@ mod tests {
         let report = default_constraints().check(&model);
         let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
 
-        let mut first = RepairEngine::with_paper_defaults();
+        let mut first = paper_engine();
         first.set_selection(SelectionPolicy::FirstReported);
-        let mut worst = RepairEngine::with_paper_defaults();
+        let mut worst = paper_engine();
         worst.set_selection(SelectionPolicy::WorstLatency);
 
         // Restrict both engines to the per-client latency invariant so the

@@ -9,8 +9,8 @@
 //!
 //! * [`operators`] — the client/server-style operators over transactional
 //!   change-sets,
-//! * [`tactic`] / [`strategy`] — guarded tactics and strategy policies with
-//!   commit/abort semantics and style validation,
+//! * [`tactic`] / [`strategy`] — guarded tactics and first-success
+//!   strategies with commit/abort semantics and style validation,
 //! * [`builtin`] — the paper's `fixLatency` strategy (Figure 5) plus the
 //!   `reduceServers` cost repair and the default constraint set,
 //! * [`engine`] — mapping violations to plans, with violation-selection
@@ -40,5 +40,5 @@ pub use engine::{PlanOutcome, RepairEngine, RepairPlan};
 pub use operators::{add_server, move_client, remove_server, OperatorError};
 pub use query::{RuntimeQuery, StaticQuery};
 pub use selection::{select_violation, SelectionPolicy};
-pub use strategy::{RepairStrategy, StrategyOutcome, TacticPolicy};
+pub use strategy::{RepairStrategy, StrategyOutcome};
 pub use tactic::{client_of_violation, RepairError, Tactic, TacticContext, TacticResult};

@@ -1,36 +1,27 @@
-//! Repair strategies: policies over sequences of tactics.
+//! Repair strategies: guarded tactics tried in order, first success wins.
 //!
 //! When an architectural constraint violation is detected, the associated
-//! repair strategy is triggered. The strategy decides the policy for running
-//! its tactics — apply the first that succeeds, or sequence through all of
-//! them — validates the resulting model against the architectural style, and
-//! either commits the repair or aborts (§3.2, Figure 5).
+//! repair strategy is triggered. The strategy tries its tactics in order and
+//! takes the first one whose precondition holds — Figure 5's `fixLatency`,
+//! the one strategy the paper evaluates, reads `if (fixServerLoad(...))
+//! commit repair; else if (fixBandwidth(...)) commit repair; else abort` —
+//! validates the model that tactic's script produced against the
+//! architectural style, and either commits the repair or aborts (§3.2).
 
 use crate::query::RuntimeQuery;
 use crate::tactic::{RepairError, Tactic, TacticContext, TacticResult};
 use archmodel::constraint::Violation;
 use archmodel::style::ClientServerStyle;
-use archmodel::{apply_op, ModelOp, System};
-use std::borrow::Cow;
-
-/// How a strategy runs its tactics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TacticPolicy {
-    /// Apply the first applicable tactic that produces a valid repair (the
-    /// paper's `fixLatency` behaviour).
-    FirstSuccess,
-    /// Sequence through every tactic, accumulating all applicable repairs.
-    All,
-}
+use archmodel::{ModelOp, System};
 
 /// The outcome of running a strategy for one violation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrategyOutcome {
     /// A repair script was produced and validated against the style.
     Repaired {
-        /// The accumulated model operations.
+        /// The model operations of the script.
         ops: Vec<ModelOp>,
-        /// Names of the tactics that contributed.
+        /// Name of the tactic that produced it.
         applied_tactics: Vec<String>,
         /// Human-readable description.
         description: String,
@@ -51,16 +42,25 @@ pub enum StrategyOutcome {
 /// A named repair strategy.
 pub struct RepairStrategy {
     name: String,
-    policy: TacticPolicy,
     tactics: Vec<Box<dyn Tactic>>,
 }
 
+/// The abort reason for a script whose result breaks the style.
+fn style_abort(tactic: &str, violations: &[archmodel::style::StyleViolation]) -> StrategyOutcome {
+    let listed: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    StrategyOutcome::Aborted {
+        reason: format!(
+            "{tactic}: repair would violate the style: {}",
+            listed.join("; ")
+        ),
+    }
+}
+
 impl RepairStrategy {
-    /// Creates a strategy with the given tactic policy.
-    pub fn new(name: impl Into<String>, policy: TacticPolicy) -> Self {
+    /// Creates a strategy with no tactics.
+    pub fn new(name: impl Into<String>) -> Self {
         RepairStrategy {
             name: name.into(),
-            policy,
             tactics: Vec::new(),
         }
     }
@@ -76,73 +76,39 @@ impl RepairStrategy {
         &self.name
     }
 
-    /// Runs the strategy for `violation` against `model`.
+    /// Runs the strategy for `violation` against `model`, which is only
+    /// borrowed: the one copy a repair needs is the working copy of the
+    /// transaction the applicable tactic builds, and that copy — the model
+    /// with the script applied — is what the style check validates. Most
+    /// violations end with every tactic `NotApplicable`, and a fleet-scale
+    /// model is too big to copy just to find that out.
     pub fn run(
         &self,
         model: &System,
         violation: &Violation,
         query: &dyn RuntimeQuery,
     ) -> StrategyOutcome {
-        let mut accumulated_ops: Vec<ModelOp> = Vec::new();
-        let mut applied: Vec<String> = Vec::new();
-        let mut descriptions: Vec<String> = Vec::new();
         let mut reasons: Vec<String> = Vec::new();
-        // The model later tactics see: the caller's until a tactic applies,
-        // then a copy carrying the ops applied so far. Most violations end
-        // with every tactic `NotApplicable`, and a fleet-scale model is too
-        // big to copy just to find that out.
-        let mut working = Cow::Borrowed(model);
-
+        let ctx = TacticContext {
+            model,
+            violation,
+            query,
+        };
         for tactic in &self.tactics {
-            let ctx = TacticContext {
-                model: &working,
-                violation,
-                query,
-            };
             match tactic.attempt(&ctx) {
                 Ok(TacticResult::NotApplicable { reason }) => {
                     reasons.push(format!("{}: {reason}", tactic.name()));
                 }
-                Ok(TacticResult::Applied { ops, description }) => {
-                    // Validate: the ops must apply cleanly and the result must
-                    // satisfy the style.
-                    let mut candidate = working.as_ref().clone();
-                    let mut apply_failed = None;
-                    for op in &ops {
-                        if let Err(e) = apply_op(&mut candidate, op) {
-                            apply_failed = Some(e);
-                            break;
-                        }
-                    }
-                    if let Some(e) = apply_failed {
-                        return StrategyOutcome::Aborted {
-                            reason: format!(
-                                "{}: repair script failed to apply: {e}",
-                                tactic.name()
-                            ),
-                        };
-                    }
-                    let style_violations = ClientServerStyle::validate(&candidate);
+                Ok(TacticResult::Applied { tx, description }) => {
+                    let style_violations = ClientServerStyle::validate(tx.working());
                     if !style_violations.is_empty() {
-                        return StrategyOutcome::Aborted {
-                            reason: format!(
-                                "{}: repair would violate the style: {}",
-                                tactic.name(),
-                                style_violations
-                                    .iter()
-                                    .map(|v| v.to_string())
-                                    .collect::<Vec<_>>()
-                                    .join("; ")
-                            ),
-                        };
+                        return style_abort(tactic.name(), &style_violations);
                     }
-                    working = Cow::Owned(candidate);
-                    accumulated_ops.extend(ops);
-                    applied.push(tactic.name().to_string());
-                    descriptions.push(description);
-                    if self.policy == TacticPolicy::FirstSuccess {
-                        break;
-                    }
+                    return StrategyOutcome::Repaired {
+                        ops: tx.ops().to_vec(),
+                        applied_tactics: vec![tactic.name().to_string()],
+                        description,
+                    };
                 }
                 Err(RepairError::NoServerGroupFound) => {
                     return StrategyOutcome::Aborted {
@@ -156,16 +122,7 @@ impl RepairStrategy {
                 }
             }
         }
-
-        if applied.is_empty() {
-            StrategyOutcome::NoApplicableTactic { reasons }
-        } else {
-            StrategyOutcome::Repaired {
-                ops: accumulated_ops,
-                applied_tactics: applied,
-                description: descriptions.join("; "),
-            }
-        }
+        StrategyOutcome::NoApplicableTactic { reasons }
     }
 }
 
@@ -173,30 +130,54 @@ impl RepairStrategy {
 mod tests {
     use super::*;
     use crate::query::StaticQuery;
-    use archmodel::ElementRef;
+    use archmodel::{apply_op, ElementRef, Transaction};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// What a [`ScriptedTactic`] answers: its precondition fails, or it
+    /// applies the given script to the model it is shown.
+    #[derive(Clone)]
+    enum Script {
+        NotApplicable,
+        Apply(Vec<ModelOp>),
+    }
 
     /// A tactic whose applicability and effect are scripted, for testing the
     /// strategy machinery in isolation.
     struct ScriptedTactic {
         name: String,
-        result: Result<TacticResult, RepairError>,
+        result: Result<Script, RepairError>,
     }
 
     impl Tactic for ScriptedTactic {
         fn name(&self) -> &str {
             &self.name
         }
-        fn attempt(&self, _ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-            self.result.clone()
+        fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
+            match self.result.clone()? {
+                Script::NotApplicable => Ok(TacticResult::NotApplicable {
+                    reason: "precondition failed".into(),
+                }),
+                Script::Apply(ops) => {
+                    let mut tx = Transaction::new(ctx.model);
+                    for op in ops {
+                        tx.apply(op)?;
+                    }
+                    Ok(TacticResult::Applied {
+                        tx,
+                        description: "scripted".into(),
+                    })
+                }
+            }
         }
     }
 
-    /// The run loop as it was before the working copy became lazy: one
-    /// `model.clone()` up front for every violation examined. Kept as the
-    /// reference the copy-on-write [`RepairStrategy::run`] is compared
-    /// against (here and in the engine's fleet-sized equivalence test).
+    /// The run loop as it was before the strategy validated the tactic's own
+    /// working copy: one `model.clone()` up front for every violation
+    /// examined, and a second copy on which the applied script is replayed op
+    /// by op before the style check. Kept as the reference
+    /// [`RepairStrategy::run`] is compared against (here and in the engine's
+    /// fleet-sized equivalence test).
     impl RepairStrategy {
         pub(crate) fn run_eager(
             &self,
@@ -204,12 +185,8 @@ mod tests {
             violation: &Violation,
             query: &dyn RuntimeQuery,
         ) -> StrategyOutcome {
-            let mut accumulated_ops: Vec<ModelOp> = Vec::new();
-            let mut applied: Vec<String> = Vec::new();
-            let mut descriptions: Vec<String> = Vec::new();
             let mut reasons: Vec<String> = Vec::new();
-            let mut working = model.clone();
-
+            let working = model.clone();
             for tactic in &self.tactics {
                 let ctx = TacticContext {
                     model: &working,
@@ -220,9 +197,9 @@ mod tests {
                     Ok(TacticResult::NotApplicable { reason }) => {
                         reasons.push(format!("{}: {reason}", tactic.name()));
                     }
-                    Ok(TacticResult::Applied { ops, description }) => {
+                    Ok(TacticResult::Applied { tx, description }) => {
                         let mut candidate = working.clone();
-                        for op in &ops {
+                        for op in tx.ops() {
                             if let Err(e) = apply_op(&mut candidate, op) {
                                 return StrategyOutcome::Aborted {
                                     reason: format!(
@@ -234,25 +211,13 @@ mod tests {
                         }
                         let style_violations = ClientServerStyle::validate(&candidate);
                         if !style_violations.is_empty() {
-                            return StrategyOutcome::Aborted {
-                                reason: format!(
-                                    "{}: repair would violate the style: {}",
-                                    tactic.name(),
-                                    style_violations
-                                        .iter()
-                                        .map(|v| v.to_string())
-                                        .collect::<Vec<_>>()
-                                        .join("; ")
-                                ),
-                            };
+                            return style_abort(tactic.name(), &style_violations);
                         }
-                        working = candidate;
-                        accumulated_ops.extend(ops);
-                        applied.push(tactic.name().to_string());
-                        descriptions.push(description);
-                        if self.policy == TacticPolicy::FirstSuccess {
-                            break;
-                        }
+                        return StrategyOutcome::Repaired {
+                            ops: tx.ops().to_vec(),
+                            applied_tactics: vec![tactic.name().to_string()],
+                            description,
+                        };
                     }
                     Err(RepairError::NoServerGroupFound) => {
                         return StrategyOutcome::Aborted {
@@ -266,22 +231,12 @@ mod tests {
                     }
                 }
             }
-
-            if applied.is_empty() {
-                StrategyOutcome::NoApplicableTactic { reasons }
-            } else {
-                StrategyOutcome::Repaired {
-                    ops: accumulated_ops,
-                    applied_tactics: applied,
-                    description: descriptions.join("; "),
-                }
-            }
+            StrategyOutcome::NoApplicableTactic { reasons }
         }
     }
 
-    /// What a [`ProbeTactic`] saw: the address of the model it was handed and
-    /// whether that model already holds `add_server_op`'s new server.
-    type Sightings = Rc<RefCell<Vec<(*const System, bool)>>>;
+    /// The addresses of the models a [`ProbeTactic`] was handed.
+    type Sightings = Rc<RefCell<Vec<*const System>>>;
 
     /// A scripted tactic that also records which model it was shown.
     struct ProbeTactic {
@@ -292,7 +247,7 @@ mod tests {
     impl ProbeTactic {
         fn boxed(
             name: &str,
-            result: Result<TacticResult, RepairError>,
+            result: Result<Script, RepairError>,
             seen: &Sightings,
         ) -> Box<dyn Tactic> {
             Box::new(ProbeTactic {
@@ -310,10 +265,7 @@ mod tests {
             self.inner.name()
         }
         fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-            self.seen.borrow_mut().push((
-                ctx.model as *const System,
-                ctx.model.component_by_name("ServerGrp1.Server9").is_some(),
-            ));
+            self.seen.borrow_mut().push(ctx.model as *const System);
             self.inner.attempt(ctx)
         }
     }
@@ -332,16 +284,18 @@ mod tests {
         }
     }
 
-    fn applied(ops: Vec<ModelOp>) -> Result<TacticResult, RepairError> {
-        Ok(TacticResult::Applied {
-            ops,
-            description: "scripted".into(),
-        })
+    fn applied(ops: Vec<ModelOp>) -> Result<Script, RepairError> {
+        Ok(Script::Apply(ops))
     }
 
-    fn not_applicable() -> Result<TacticResult, RepairError> {
-        Ok(TacticResult::NotApplicable {
-            reason: "precondition failed".into(),
+    fn not_applicable() -> Result<Script, RepairError> {
+        Ok(Script::NotApplicable)
+    }
+
+    fn scripted(name: &str, result: Result<Script, RepairError>) -> Box<dyn Tactic> {
+        Box::new(ScriptedTactic {
+            name: name.into(),
+            result,
         })
     }
 
@@ -364,69 +318,32 @@ mod tests {
     fn first_success_stops_after_one_applied_tactic() {
         let m = model();
         let v = violation(&m);
-        let strategy = RepairStrategy::new("fixLatency", TacticPolicy::FirstSuccess)
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "skip".into(),
-                result: not_applicable(),
-            }))
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "first".into(),
-                result: applied(add_server_op()),
-            }))
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "never-reached".into(),
-                result: applied(add_server_op()),
-            }));
-        match strategy.run(&m, &v, &StaticQuery::new()) {
-            StrategyOutcome::Repaired {
-                applied_tactics, ..
-            } => assert_eq!(applied_tactics, vec!["first".to_string()]),
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn all_policy_accumulates_every_applicable_tactic() {
-        let m = model();
-        let v = violation(&m);
-        let strategy = RepairStrategy::new("fixAll", TacticPolicy::All)
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "a".into(),
-                result: applied(add_server_op()),
-            }))
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "b".into(),
-                result: applied(vec![ModelOp::SetSystemProperty {
-                    property: "note".into(),
-                    value: archmodel::Value::Str("second".into()),
-                }]),
-            }));
+        let strategy = RepairStrategy::new("fixLatency")
+            .with_tactic(scripted("skip", not_applicable()))
+            .with_tactic(scripted("first", applied(add_server_op())))
+            .with_tactic(scripted("never-reached", applied(add_server_op())));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::Repaired {
                 ops,
                 applied_tactics,
                 ..
             } => {
-                assert_eq!(applied_tactics.len(), 2);
-                assert_eq!(ops.len(), 3);
+                assert_eq!(applied_tactics, vec!["first".to_string()]);
+                assert_eq!(ops, add_server_op());
             }
             other => panic!("unexpected outcome: {other:?}"),
         }
+        // The caller's model is untouched.
+        assert!(m.component_by_name("ServerGrp1.Server9").is_none());
     }
 
     #[test]
     fn no_applicable_tactic_reports_reasons() {
         let m = model();
         let v = violation(&m);
-        let strategy = RepairStrategy::new("fixLatency", TacticPolicy::FirstSuccess)
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "a".into(),
-                result: not_applicable(),
-            }))
-            .with_tactic(Box::new(ScriptedTactic {
-                name: "b".into(),
-                result: not_applicable(),
-            }));
+        let strategy = RepairStrategy::new("fixLatency")
+            .with_tactic(scripted("a", not_applicable()))
+            .with_tactic(scripted("b", not_applicable()));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::NoApplicableTactic { reasons } => assert_eq!(reasons.len(), 2),
             other => panic!("unexpected outcome: {other:?}"),
@@ -440,14 +357,12 @@ mod tests {
         let m = model();
         let v = violation(&m);
         // Removing the whole server group leaves its clients dangling.
-        let strategy = RepairStrategy::new("bad", TacticPolicy::FirstSuccess).with_tactic(
-            Box::new(ScriptedTactic {
-                name: "break-style".into(),
-                result: applied(vec![ModelOp::RemoveComponent {
-                    name: "ServerGrp1".into(),
-                }]),
-            }),
-        );
+        let strategy = RepairStrategy::new("bad").with_tactic(scripted(
+            "break-style",
+            applied(vec![ModelOp::RemoveComponent {
+                name: "ServerGrp1".into(),
+            }]),
+        ));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::Aborted { reason } => assert!(reason.contains("style")),
             other => panic!("unexpected outcome: {other:?}"),
@@ -458,12 +373,8 @@ mod tests {
     fn tactic_error_aborts_strategy() {
         let m = model();
         let v = violation(&m);
-        let strategy = RepairStrategy::new("fixBandwidth", TacticPolicy::FirstSuccess).with_tactic(
-            Box::new(ScriptedTactic {
-                name: "move".into(),
-                result: Err(RepairError::NoServerGroupFound),
-            }),
-        );
+        let strategy = RepairStrategy::new("fixBandwidth")
+            .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound)));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::Aborted { reason } => assert!(reason.contains("NoServerGroupFound")),
             other => panic!("unexpected outcome: {other:?}"),
@@ -474,16 +385,18 @@ mod tests {
     fn invalid_ops_abort_with_explanation() {
         let m = model();
         let v = violation(&m);
-        let strategy = RepairStrategy::new("broken", TacticPolicy::FirstSuccess).with_tactic(
-            Box::new(ScriptedTactic {
-                name: "bad-op".into(),
-                result: applied(vec![ModelOp::RemoveComponent {
-                    name: "DoesNotExist".into(),
-                }]),
-            }),
-        );
+        // A script that does not apply fails inside the tactic's own
+        // transaction, so the tactic — not a later replay — reports it.
+        let strategy = RepairStrategy::new("broken").with_tactic(scripted(
+            "bad-op",
+            applied(vec![ModelOp::RemoveComponent {
+                name: "DoesNotExist".into(),
+            }]),
+        ));
         match strategy.run(&m, &v, &StaticQuery::new()) {
-            StrategyOutcome::Aborted { reason } => assert!(reason.contains("failed to apply")),
+            StrategyOutcome::Aborted { reason } => {
+                assert!(reason.starts_with("bad-op: change failed"), "{reason}")
+            }
             other => panic!("unexpected outcome: {other:?}"),
         }
     }
@@ -493,7 +406,7 @@ mod tests {
         let m = model();
         let v = violation(&m);
         let seen = Sightings::default();
-        let strategy = RepairStrategy::new("probe", TacticPolicy::All)
+        let strategy = RepairStrategy::new("probe")
             .with_tactic(ProbeTactic::boxed("a", not_applicable(), &seen))
             .with_tactic(ProbeTactic::boxed("b", not_applicable(), &seen))
             .with_tactic(ProbeTactic::boxed("c", not_applicable(), &seen));
@@ -503,49 +416,15 @@ mod tests {
         ));
         let seen = seen.borrow();
         assert_eq!(seen.len(), 3);
-        for &(shown, has_new_server) in seen.iter() {
+        for &shown in seen.iter() {
             assert!(std::ptr::eq(shown, &m), "no copy before anything applies");
-            assert!(!has_new_server);
         }
-    }
-
-    #[test]
-    fn later_tactics_see_a_copy_holding_the_earlier_ops() {
-        let m = model();
-        let v = violation(&m);
-        let seen = Sightings::default();
-        let strategy = RepairStrategy::new("probe", TacticPolicy::All)
-            .with_tactic(ProbeTactic::boxed("before", not_applicable(), &seen))
-            .with_tactic(ProbeTactic::boxed("add", applied(add_server_op()), &seen))
-            .with_tactic(ProbeTactic::boxed("after", not_applicable(), &seen));
-        match strategy.run(&m, &v, &StaticQuery::new()) {
-            StrategyOutcome::Repaired {
-                applied_tactics, ..
-            } => assert_eq!(applied_tactics, vec!["add".to_string()]),
-            other => panic!("unexpected outcome: {other:?}"),
-        }
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), 3);
-        // Up to and including the tactic that applies: the caller's model.
-        assert!(std::ptr::eq(seen[0].0, &m) && !seen[0].1);
-        assert!(std::ptr::eq(seen[1].0, &m) && !seen[1].1);
-        // After it: a different model, carrying the new server.
-        assert!(!std::ptr::eq(seen[2].0, &m));
-        assert!(seen[2].1);
-        // The caller's model is untouched.
-        assert!(m.component_by_name("ServerGrp1.Server9").is_none());
     }
 
     #[test]
     fn every_outcome_matches_the_eager_clone_oracle() {
         let m = model();
         let v = violation(&m);
-        let scripted = |name: &str, result| -> Box<dyn Tactic> {
-            Box::new(ScriptedTactic {
-                name: name.into(),
-                result,
-            })
-        };
         let bad_op = || {
             applied(vec![ModelOp::RemoveComponent {
                 name: "DoesNotExist".into(),
@@ -562,53 +441,51 @@ mod tests {
                 value: archmodel::Value::Str("second".into()),
             }])
         };
-        for policy in [TacticPolicy::FirstSuccess, TacticPolicy::All] {
-            let strategies = [
-                RepairStrategy::new("none", policy)
-                    .with_tactic(scripted("a", not_applicable()))
-                    .with_tactic(scripted("b", not_applicable())),
-                RepairStrategy::new("both", policy)
-                    .with_tactic(scripted("skip", not_applicable()))
-                    .with_tactic(scripted("a", applied(add_server_op())))
-                    .with_tactic(scripted("b", note())),
-                RepairStrategy::new("no-group", policy)
-                    .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
-                RepairStrategy::new("operator", policy)
-                    .with_tactic(scripted("op", Err(RepairError::Operator("boom".into())))),
-                RepairStrategy::new("bad-op", policy).with_tactic(scripted("bad-op", bad_op())),
-                RepairStrategy::new("style", policy)
-                    .with_tactic(scripted("break-style", break_style())),
-            ];
-            // The abort paths again, reached on the working copy under `All`:
-            // the second `add` collides with the server the first one added.
-            let late_aborts = [
-                RepairStrategy::new("late-bad-op", policy)
-                    .with_tactic(scripted("a", applied(add_server_op())))
-                    .with_tactic(scripted("again", applied(add_server_op()))),
-                RepairStrategy::new("late-style", policy)
-                    .with_tactic(scripted("a", applied(add_server_op())))
-                    .with_tactic(scripted("break-style", break_style())),
-                RepairStrategy::new("late-no-group", policy)
-                    .with_tactic(scripted("a", applied(add_server_op())))
-                    .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
-            ];
-            for strategy in strategies.iter().chain(&late_aborts) {
-                assert_eq!(
+        let strategies = [
+            RepairStrategy::new("none")
+                .with_tactic(scripted("a", not_applicable()))
+                .with_tactic(scripted("b", not_applicable())),
+            RepairStrategy::new("both")
+                .with_tactic(scripted("skip", not_applicable()))
+                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("b", note())),
+            RepairStrategy::new("no-group")
+                .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
+            RepairStrategy::new("operator")
+                .with_tactic(scripted("op", Err(RepairError::Operator("boom".into())))),
+            RepairStrategy::new("bad-op").with_tactic(scripted("bad-op", bad_op())),
+            RepairStrategy::new("style").with_tactic(scripted("break-style", break_style())),
+        ];
+        // A tactic behind the first success is never asked, whatever it
+        // would have answered.
+        let never_reached = [
+            RepairStrategy::new("late-bad-op")
+                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("again", applied(add_server_op()))),
+            RepairStrategy::new("late-style")
+                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("break-style", break_style())),
+            RepairStrategy::new("late-no-group")
+                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
+        ];
+        for strategy in strategies.iter().chain(&never_reached) {
+            assert_eq!(
+                strategy.run(&m, &v, &StaticQuery::new()),
+                strategy.run_eager(&m, &v, &StaticQuery::new()),
+                "{}",
+                strategy.name()
+            );
+        }
+        for strategy in &never_reached {
+            assert!(
+                matches!(
                     strategy.run(&m, &v, &StaticQuery::new()),
-                    strategy.run_eager(&m, &v, &StaticQuery::new()),
-                    "{} under {policy:?}",
-                    strategy.name()
-                );
-            }
-            for strategy in &late_aborts {
-                assert_eq!(
-                    matches!(
-                        strategy.run(&m, &v, &StaticQuery::new()),
-                        StrategyOutcome::Aborted { .. }
-                    ),
-                    policy == TacticPolicy::All
-                );
-            }
+                    StrategyOutcome::Repaired { .. }
+                ),
+                "{}",
+                strategy.name()
+            );
         }
     }
 }

@@ -8,7 +8,7 @@
 use crate::query::RuntimeQuery;
 use archmodel::constraint::Violation;
 use archmodel::style::StyleViolation;
-use archmodel::{ChangeError, ModelError, ModelOp, System};
+use archmodel::{ChangeError, ModelError, System, Transaction};
 
 /// Errors that abort a repair.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +72,10 @@ pub struct TacticContext<'a> {
 }
 
 /// The outcome of attempting one tactic.
-#[derive(Debug, Clone, PartialEq)]
+// One is made per attempted tactic and consumed at once: boxing the
+// transaction would buy nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
 pub enum TacticResult {
     /// The tactic's precondition did not hold.
     NotApplicable {
@@ -81,8 +84,11 @@ pub enum TacticResult {
     },
     /// The tactic produced a repair script.
     Applied {
-        /// The model operations making up the repair script.
-        ops: Vec<ModelOp>,
+        /// The transaction the script was written in, started from the
+        /// context's model: its recorded operations are the script, and its
+        /// working copy — the one model copy a repair makes — is what the
+        /// strategy validates against the style.
+        tx: Transaction,
         /// Human-readable description of what the repair does.
         description: String,
     },

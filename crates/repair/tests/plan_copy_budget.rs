@@ -1,0 +1,104 @@
+//! The planning path's copy budget: heap bytes requested while planning one
+//! per-element repair — `fixLatency` on a 2,000-client model, the client's
+//! group overloaded and a spare available, so `fixServerLoad` applies —
+//! against the bytes of one `model.clone()`. Bytes requested are a
+//! deterministic work counter, the same on every host.
+//!
+//! A repair needs one copy of the model: the working copy of the transaction
+//! the applicable tactic writes its script in, which is also the copy the
+//! strategy validates against the style. While the strategy replayed the
+//! script on a copy of its own the ratio was 2.04 (3,875,520 bytes against
+//! 1,895,875); it is 1.04 now, and a second copy does not fit under the
+//! ceiling.
+
+use archmodel::constraint::Violation;
+use archmodel::style::{props, ClientServerStyle};
+use archmodel::ElementRef;
+use repair::{fix_latency_strategy, StaticQuery, StrategyOutcome};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `Some(bytes)` while the current thread is inside a counted region.
+    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct CountingAllocator;
+
+fn bump(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when the count no longer matters.
+    let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + bytes as u64)));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter touches no allocator state and, being a
+// const-initialised `Cell` without a destructor, never allocates itself.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above — `ptr` came from `System` through this type.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns how many bytes this thread requested inside it.
+fn bytes_requested(f: impl FnOnce()) -> u64 {
+    COUNTED.with(|c| c.set(Some(0)));
+    f();
+    COUNTED
+        .with(|c| c.replace(None))
+        .expect("region was opened above")
+}
+
+/// Model copies one planned repair may cost.
+const CEILING_COPIES: f64 = 1.5;
+
+#[test]
+fn planning_a_repair_copies_the_model_once() {
+    let mut model = ClientServerStyle::example_system("fleet", 2, 3, 2000).unwrap();
+    let group = model.component_by_name("ServerGrp1").unwrap();
+    let properties = &mut model.component_mut(group).unwrap().properties;
+    properties.set(props::LOAD, 20.0);
+    let user = model.component_by_name("User1").unwrap();
+    let violation = Violation {
+        invariant: "latency".into(),
+        subject: Some(ElementRef::Component(user)),
+        subject_name: "User1".into(),
+        detail: "self.averageLatency <= maxLatency".into(),
+    };
+    let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+    let strategy = fix_latency_strategy();
+
+    let one_copy = bytes_requested(|| drop(model.clone()));
+    let mut outcome = None;
+    let planning = bytes_requested(|| outcome = Some(strategy.run(&model, &violation, &query)));
+    match outcome {
+        Some(StrategyOutcome::Repaired {
+            applied_tactics, ..
+        }) => assert_eq!(applied_tactics, ["fixServerLoad"]),
+        other => panic!("unexpected outcome: {other:?}"),
+    }
+
+    let copies = planning as f64 / one_copy as f64;
+    println!("{planning} bytes planning / {one_copy} bytes per model copy = {copies:.2}");
+    assert!(
+        copies < CEILING_COPIES,
+        "planning one repair requested {planning} bytes, {copies:.2} times the {one_copy} of \
+         one model copy: the ceiling is {CEILING_COPIES}"
+    );
+}

@@ -129,12 +129,6 @@ impl Trace {
                 / intervals.len() as f64,
         )
     }
-
-    /// Merges another trace into this one, keeping time order.
-    pub fn merge(&mut self, other: &Trace) {
-        self.entries.extend(other.entries.iter().cloned());
-        self.entries.sort_by_key(|a| a.time);
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +168,5 @@ mod tests {
         trace.record_correlated(t(10.0), TraceKind::RepairStart, 1, "repair 1");
         assert!(trace.repair_intervals().is_empty());
         assert!(trace.mean_repair_duration_secs().is_none());
-    }
-
-    #[test]
-    fn merge_keeps_time_order() {
-        let mut a = Trace::new();
-        a.record(t(1.0), TraceKind::Info, "a1");
-        a.record(t(5.0), TraceKind::Info, "a2");
-        let mut b = Trace::new();
-        b.record(t(3.0), TraceKind::Info, "b1");
-        a.merge(&b);
-        let times: Vec<f64> = a.entries().iter().map(|e| e.time.as_secs()).collect();
-        assert_eq!(times, vec![1.0, 3.0, 5.0]);
     }
 }

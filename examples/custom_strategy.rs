@@ -18,7 +18,7 @@ use archmodel::style::{props, ClientServerStyle};
 use archmodel::Transaction;
 use repair::{
     add_server, RepairError, RepairStrategy, StaticQuery, StrategyOutcome, Tactic, TacticContext,
-    TacticPolicy, TacticResult,
+    TacticResult,
 };
 
 /// A tactic that sizes an overloaded group to the replica count suggested by
@@ -94,7 +94,7 @@ impl Tactic for ProvisionToAnalysis {
             });
         }
         Ok(TacticResult::Applied {
-            ops: tx.ops().to_vec(),
+            tx,
             description: format!(
                 "provisioned {group} (load {load:.0}) from {replicas} towards {} replicas: added {added:?}",
                 plan.servers
@@ -129,13 +129,12 @@ fn main() {
 
     // The custom strategy, with two spare servers available at the runtime
     // layer.
-    let strategy = RepairStrategy::new("scaleToAnalysis", TacticPolicy::FirstSuccess).with_tactic(
-        Box::new(ProvisionToAnalysis {
+    let strategy =
+        RepairStrategy::new("scaleToAnalysis").with_tactic(Box::new(ProvisionToAnalysis {
             arrival_rate: 12.0,
             service_rate: 2.5,
             max_latency: 2.0,
-        }),
-    );
+        }));
     let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
     match strategy.run(&model, violation, &query) {
         StrategyOutcome::Repaired {

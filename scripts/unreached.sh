@@ -8,8 +8,9 @@
 #     `tests/` and `benchmark/src/`, and
 #   * once in its own cut part (the definition itself).
 #
-# Comment-only lines do not count as a mention, and neither does the item's
-# own in-file test module: a method only its unit test calls is unreached.
+# Comment-only lines do not count as a mention, and neither do words inside a
+# string literal (an assert message is not a call) or the item's own in-file
+# test module: a method only its unit test calls is unreached.
 # A name as common as `new` or `len` is always named somewhere, so this lists
 # only what is certainly unreached, never everything that is.
 #
@@ -36,6 +37,7 @@ done | sort | xargs awk -v allow="$allow" '
     /#\[cfg\(test\)\]/ { test = 1 }
     /^[[:space:]]*\/\// { next }
     {
+        gsub(/"([^"\\]|\\.)*"/, "\"\"")
         cut = defines && !test
         if (cut && match($0, /pub ((const|unsafe|async) )*(fn|struct|enum|trait|const|type|static) +[A-Za-z_][A-Za-z0-9_]*/)) {
             n = split(substr($0, RSTART, RLENGTH), word, " ")

@@ -11,7 +11,7 @@ use arch_adapt::{AdaptationFramework, FrameworkConfig};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant};
 use archmodel::style::{props, ClientServerStyle};
 use gridapp::{ExperimentSchedule, GridConfig};
-use repair::{add_server, RepairStrategy, StaticQuery, StrategyOutcome, TacticPolicy};
+use repair::{add_server, RepairStrategy, StaticQuery, StrategyOutcome};
 
 /// `examples/quickstart.rs`: build the adaptive framework, drive the Figure 7
 /// workload, and read back stats, client placement, and the trace.
@@ -196,13 +196,12 @@ fn custom_strategy_flow_detects_and_repairs() {
             let mut tx = archmodel::Transaction::new(ctx.model);
             let added = add_server(&mut tx, "ServerGrp1")?;
             Ok(repair::TacticResult::Applied {
-                ops: tx.ops().to_vec(),
+                tx,
                 description: format!("added {added}"),
             })
         }
     }
-    let strategy = RepairStrategy::new("scaleUp", TacticPolicy::FirstSuccess)
-        .with_tactic(Box::new(AddOneServer));
+    let strategy = RepairStrategy::new("scaleUp").with_tactic(Box::new(AddOneServer));
     let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
     match strategy.run(&model, violation, &query) {
         StrategyOutcome::Repaired { ops, .. } => {
