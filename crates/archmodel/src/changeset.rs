@@ -8,7 +8,7 @@
 //! operators keep the architecture *structurally valid*.
 
 use crate::element::{ComponentId, PortId, RoleId};
-use crate::system::{ModelError, System};
+use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 
@@ -103,17 +103,21 @@ pub enum ModelOp {
         role: String,
     },
     /// Moves a whole client class onto a target server group's connector in
-    /// one operation. For every client (in list order): its stale role — and
-    /// the attachment through it — is deleted, and a fresh `{client}.role`
-    /// is created on and attached to `{to_group}.Conn` (the connector is
-    /// created with its server-side attachment if missing). The bulk
-    /// equivalent of the per-client Detach/RemoveRole/AddRole/Attach
-    /// sequence: recorded change-sets — and their commit replay — stay
-    /// proportional to classes, not class members.
+    /// one operation. Every client's stale role — and the attachment through
+    /// it — is deleted, and a fresh `{client}.role` is created on and attached
+    /// to `{to_group}.Conn` in list order (the connector is created with its
+    /// server-side attachment if missing). The model ends exactly where the
+    /// per-client Detach/RemoveRole/AddRole/Attach sequence would leave it,
+    /// but a recorded change-set holds one op per class, and applying one
+    /// costs one pass over each connector that loses a role and one over the
+    /// attachment list, not one of each per member. All or nothing: every
+    /// name is resolved before anything changes, so an `Err` leaves the
+    /// system as it was.
     MoveClientGroup {
         /// Client component names, in class order. Members missing from the
         /// model are skipped (a symmetric class can outlive individual
-        /// members).
+        /// members), and so is a name after its first occurrence (the
+        /// planner never emits one twice).
         clients: Vec<String>,
         /// Target server group name.
         to_group: String,
@@ -210,9 +214,11 @@ fn find_role(system: &System, connector: &str, role: &str) -> Result<RoleId, Cha
         .ok_or_else(|| ChangeError::NotFound(format!("role {connector}.{role}")))
 }
 
-/// The body of [`ModelOp::MoveClientGroup`]: per-client mutations in list
-/// order, so the final model state (and element-id allocation) matches the
-/// equivalent per-client operation sequence exactly.
+/// The body of [`ModelOp::MoveClientGroup`]: resolve every member (component
+/// → `request` port → stale role) without touching the model, remove the
+/// stale roles in one batch, then add and attach the fresh roles in list
+/// order — so role ids, `attachments` order and `Connector::roles` order
+/// match the per-client operation sequence exactly.
 fn move_client_group_op(
     system: &mut System,
     clients: &[String],
@@ -225,28 +231,43 @@ fn move_client_group_op(
     if system.component(group_id)?.ctype != SERVER_GROUP_T {
         return Err(ChangeError::NotFound(format!("server group {to_group}")));
     }
-    // Ensure the target connector exists, with its server-side attachment.
-    let conn_name = format!("{to_group}.Conn");
-    let conn_id = match system.connector_by_name(&conn_name) {
-        Some(id) => id,
-        None => {
-            let conn_id = system.add_connector(conn_name.clone(), SERVICE_CONN_T.to_string())?;
-            let role_id =
-                system.add_role(conn_id, "serverSide".to_string(), SERVER_ROLE_T.to_string())?;
-            let group_port = find_port(system, to_group, ClientServerStyle::GROUP_PORT)?;
-            system.attach(group_port, role_id)?;
-            conn_id
-        }
-    };
+    let mut members = Vec::new();
+    let mut stale = Vec::new();
+    let (mut seen, mut doomed) = (IdSet::default(), IdSet::default());
     for client in clients {
         if system.component_by_name(client).is_none() {
             continue;
         }
         let port_id = find_port(system, client, ClientServerStyle::CLIENT_PORT)?;
-        // Removing the stale role also removes the attachment through it.
-        if let Some(old_role) = system.roles_attached_to_port(port_id).first().copied() {
-            system.remove_role(old_role)?;
+        if !seen.insert(port_id.0) {
+            continue;
         }
+        // The stale role is the first one a per-client sequence would still
+        // find attached: earlier members have taken theirs away by then.
+        let attached = system.roles_attached_to_port(port_id);
+        if let Some(old_role) = attached.iter().find(|r| !doomed.contains(r.0)) {
+            doomed.insert(old_role.0);
+            stale.push(*old_role);
+        }
+        members.push((client, port_id));
+    }
+    // Ensure the target connector exists, with its server-side attachment.
+    // The group port is the last lookup that can fail.
+    let conn_name = format!("{to_group}.Conn");
+    let conn_id = match system.connector_by_name(&conn_name) {
+        Some(id) => id,
+        None => {
+            let group_port = find_port(system, to_group, ClientServerStyle::GROUP_PORT)?;
+            let conn_id = system.add_connector(conn_name, SERVICE_CONN_T.to_string())?;
+            let role_id =
+                system.add_role(conn_id, "serverSide".to_string(), SERVER_ROLE_T.to_string())?;
+            system.attach(group_port, role_id)?;
+            conn_id
+        }
+    };
+    // Removing the stale roles also removes the attachments through them.
+    system.remove_roles(&stale)?;
+    for (client, port_id) in members {
         let role_id =
             system.add_role(conn_id, format!("{client}.role"), CLIENT_ROLE_T.to_string())?;
         system.attach(port_id, role_id)?;
@@ -437,25 +458,19 @@ impl Transaction {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// Replays the recorded operations onto `target` (typically the live
-    /// model the transaction was started from) and returns them for
-    /// propagation to the runtime layer.
-    ///
-    /// If any replayed operation fails, `target` is left untouched.
-    pub fn commit(self, target: &mut System) -> Result<Vec<ModelOp>, ChangeError> {
-        let mut staged = target.clone();
-        for op in &self.ops {
-            apply_op(&mut staged, op)?;
-        }
-        *target = staged;
-        Ok(self.ops)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::tests::index_errors;
+
+    /// Replays a transaction's ops onto `target`, as a committed repair does.
+    fn commit(tx: Transaction, target: &mut System) {
+        for op in tx.ops() {
+            apply_op(target, op).unwrap();
+        }
+    }
 
     fn base_system() -> System {
         let mut sys = System::new("storage");
@@ -495,8 +510,8 @@ mod tests {
                 .len(),
             1
         );
-        let ops = tx.commit(&mut live).unwrap();
-        assert_eq!(ops.len(), 2);
+        assert_eq!(tx.len(), 2);
+        commit(tx, &mut live);
         let grp = live.component_by_name("ServerGrp1").unwrap();
         assert_eq!(live.children_of(grp).unwrap().len(), 2);
         assert_eq!(
@@ -535,7 +550,7 @@ mod tests {
             role: "clientSide".into(),
         })
         .unwrap();
-        tx.commit(&mut live).unwrap();
+        commit(tx, &mut live);
         let user = live.component_by_name("User1").unwrap();
         let conn2 = live.connector_by_name("Conn2").unwrap();
         assert_eq!(live.connectors_of_component(user), vec![conn2]);
@@ -633,10 +648,85 @@ mod tests {
 
         assert_eq!(bulk, per_client);
         assert!(bulk.integrity_errors().is_empty());
+        assert_eq!(index_errors(&bulk), Vec::<String>::new());
+        assert_eq!(index_errors(&per_client), Vec::<String>::new());
+
+        // A member named twice is skipped after its first occurrence.
+        let mut twice = live.clone();
+        apply_op(
+            &mut twice,
+            &ModelOp::MoveClientGroup {
+                clients: vec!["User1".into(), "User2".into(), "User1".into()],
+                to_group: "ServerGrp2".into(),
+            },
+        )
+        .unwrap();
+        assert_eq!(twice, bulk);
+        assert_eq!(index_errors(&twice), Vec::<String>::new());
         let conn2 = bulk.connector_by_name("ServerGrp2.Conn").unwrap();
         for client in ["User1", "User2"] {
             let id = bulk.component_by_name(client).unwrap();
             assert_eq!(bulk.connectors_of_component(id), vec![conn2]);
+        }
+    }
+
+    #[test]
+    fn move_client_group_is_its_members_moved_one_by_one() {
+        // Off-style on purpose: User1 and User2 share `clientSide`, and
+        // User2 holds a second role behind it. Moving User1 alone takes the
+        // shared role away, so User2's stale role is the second one.
+        let mut live = base_system();
+        let user2 = live.add_component("User2", "ClientT").unwrap();
+        let port2 = live.add_port(user2, "request", "RequestT").unwrap();
+        let conn1 = live.connector_by_name("Conn1").unwrap();
+        let shared = live.role_in_connector(conn1, "clientSide").unwrap();
+        let second = live.add_role(conn1, "User2.role", "ClientRoleT").unwrap();
+        live.attach(port2, shared).unwrap();
+        live.attach(port2, second).unwrap();
+        let grp2 = live.add_component("ServerGrp2", "ServerGroupT").unwrap();
+        live.add_port(grp2, "serve", "ServeT").unwrap();
+
+        let move_to_grp2 = |clients: &[&str]| ModelOp::MoveClientGroup {
+            clients: clients.iter().map(|c| c.to_string()).collect(),
+            to_group: "ServerGrp2".into(),
+        };
+        let mut one_by_one = live.clone();
+        apply_op(&mut one_by_one, &move_to_grp2(&["User1"])).unwrap();
+        apply_op(&mut one_by_one, &move_to_grp2(&["User2"])).unwrap();
+        let mut bulk = live.clone();
+        apply_op(&mut bulk, &move_to_grp2(&["User1", "User2"])).unwrap();
+
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(index_errors(&bulk), Vec::<String>::new());
+        assert!(bulk.role(shared).is_err() && bulk.role(second).is_err());
+    }
+
+    #[test]
+    fn move_client_group_is_all_or_nothing() {
+        let mut live = base_system();
+        live.add_component("Portless", "ClientT").unwrap();
+        live.add_component("ServerGrp2", "ServerGroupT").unwrap();
+        let grp3 = live.add_component("ServerGrp3", "ServerGroupT").unwrap();
+        live.add_port(grp3, "serve", "ServeT").unwrap();
+        live.drain_changes();
+        let before = live.clone();
+        for (clients, to_group) in [
+            // A member with no `request` port, after one that could move —
+            // onto a connector that exists, and onto one yet to be created.
+            (vec!["User1", "Portless"], "ServerGrp1"),
+            (vec!["User1", "Portless"], "ServerGrp3"),
+            // A target with no `serve` port to attach its new connector to.
+            (vec!["User1"], "ServerGrp2"),
+        ] {
+            let op = ModelOp::MoveClientGroup {
+                clients: clients.into_iter().map(String::from).collect(),
+                to_group: to_group.into(),
+            };
+            let err = apply_op(&mut live, &op);
+            assert!(matches!(err, Err(ChangeError::NotFound(_))), "{err:?}");
+            assert_eq!(live, before, "a failed {op:?} must change nothing");
+            assert_eq!(index_errors(&live), Vec::<String>::new());
+            assert!(live.drain_changes().is_empty());
         }
     }
 
@@ -665,24 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_is_atomic_when_replay_fails() {
-        let mut live = base_system();
-        let mut tx = Transaction::new(&live);
-        tx.apply(ModelOp::AddComponent {
-            name: "Server2".into(),
-            ctype: "ServerT".into(),
-            parent: Some("ServerGrp1".into()),
-        })
-        .unwrap();
-        // Invalidate the target so replay fails: remove the parent group.
-        let grp = live.component_by_name("ServerGrp1").unwrap();
-        live.remove_component(grp).unwrap();
-        let before = live.clone();
-        assert!(tx.commit(&mut live).is_err());
-        assert_eq!(live, before, "failed commit must not modify the target");
-    }
-
-    #[test]
     fn remove_component_and_connector_ops() {
         let mut live = base_system();
         let mut tx = Transaction::new(&live);
@@ -694,7 +766,7 @@ mod tests {
             name: "Conn1".into(),
         })
         .unwrap();
-        tx.commit(&mut live).unwrap();
+        commit(tx, &mut live);
         assert!(live.component_by_name("Server1").is_none());
         assert!(live.connector_by_name("Conn1").is_none());
         assert!(live.integrity_errors().is_empty());
@@ -722,7 +794,7 @@ mod tests {
             value: Value::Str("fifo-queue".into()),
         })
         .unwrap();
-        tx.commit(&mut live).unwrap();
+        commit(tx, &mut live);
         assert_eq!(live.properties.get_f64("maxLatency"), Some(2.0));
         let conn = live.connector_by_name("Conn1").unwrap();
         assert_eq!(
@@ -745,7 +817,7 @@ mod tests {
             port: "serve".into(),
         })
         .unwrap();
-        tx.commit(&mut live).unwrap();
+        commit(tx, &mut live);
         let conn = live.connector_by_name("Conn1").unwrap();
         assert_eq!(live.connector(conn).unwrap().roles.len(), 1);
         let grp = live.component_by_name("ServerGrp1").unwrap();
@@ -763,7 +835,7 @@ mod tests {
             ptype: "AdminT".into(),
         })
         .unwrap();
-        tx.commit(&mut live).unwrap();
+        commit(tx, &mut live);
         let user = live.component_by_name("User1").unwrap();
         assert_eq!(live.component(user).unwrap().ports.len(), 2);
     }

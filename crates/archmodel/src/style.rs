@@ -457,6 +457,6 @@ mod tests {
         let c1 = ClientServerStyle::service_connector(&mut sys, grp).unwrap();
         let c2 = ClientServerStyle::service_connector(&mut sys, grp).unwrap();
         assert_eq!(c1, c2);
-        assert_eq!(sys.connector_count(), 1);
+        assert_eq!(sys.connectors().count(), 1);
     }
 }

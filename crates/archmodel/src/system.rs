@@ -10,6 +10,7 @@ use crate::property::PropertyMap;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
 /// The property-change journal carried by a [`System`].
 ///
@@ -100,6 +101,40 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+/// A set of element ids, as a bitset. A bulk removal asks "is this one going?"
+/// once per role and per attachment it sweeps, and hashing each id there costs
+/// more than the sweep.
+#[derive(Default)]
+pub(crate) struct IdSet(Vec<u64>);
+
+impl IdSet {
+    /// Adds `id`; false when it was already in the set.
+    pub(crate) fn insert(&mut self, id: u32) -> bool {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if self.0.len() <= word {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    /// Whether `id` is in the set.
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        (self.0.get(id as usize / 64).copied().unwrap_or(0) >> (id % 64)) & 1 == 1
+    }
+}
+
+/// Drops `value` from `index[key]`, and the entry along with its last value.
+fn unlink<K: Hash + Eq, V: PartialEq>(index: &mut HashMap<K, Vec<V>>, key: K, value: V) {
+    if let Some(values) = index.get_mut(&key) {
+        values.retain(|v| *v != value);
+        if values.is_empty() {
+            index.remove(&key);
+        }
+    }
+}
+
 /// The architectural model: components, connectors, ports, roles, and
 /// attachments, plus system-level properties (e.g. task-layer thresholds).
 ///
@@ -110,10 +145,16 @@ impl std::error::Error for ModelError {}
 /// what keeps the indices trivially consistent.
 ///
 /// Attachment adjacency (`roles_attached_to_port`, `attached`, …) and
-/// per-connector role-name resolution are likewise indexed: a bulk repair at
-/// fleet scale detaches and re-attaches tens of thousands of client roles on
-/// one shared service connector, and a linear scan of the attachment list or
-/// the connector's role list per operation turns that into a quadratic stall.
+/// per-connector role-name resolution are indexed too, so *finding* an element
+/// never scans. *Removing* one does: `attachments` and `Connector::roles` are
+/// ordered vectors, and dropping entries from them is a sweep. A bulk repair
+/// pays that sweep once per operation, not once per member:
+/// [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup) removes all
+/// its members' stale roles in one pass over each touched connector's roles
+/// and one over `attachments`, whatever the class size. Single-element
+/// `detach` and `remove_port` keep an O(attachments) sweep per call, because
+/// no `gridbench` workload reaches them at scale (`adaptive` at 50,000
+/// clients runs in CI only).
 /// The `attachments` vector stays the canonical (ordered, serialized)
 /// representation; the indices mirror it and preserve its relative order —
 /// derived data, so they are skipped by serialization as by equality.
@@ -369,27 +410,11 @@ impl System {
 
     /// Removes a connector, its roles, and their attachments.
     pub fn remove_connector(&mut self, id: ConnectorId) -> Result<(), ModelError> {
-        let conn = self
-            .connectors
-            .remove(&id)
-            .ok_or(ModelError::UnknownConnector(id))?;
+        let roles = self.connector(id)?.roles.clone();
+        self.remove_roles(&roles)?;
+        let conn = self.connectors.remove(&id).expect("looked up above");
         self.journal.structural = true;
         self.connector_names.remove(&Key::new(&conn.name));
-        let mut any_attached = false;
-        for role in conn.roles {
-            any_attached |= self.unindex_role_attachments(role);
-            if let Some(removed) = self.roles.remove(&role) {
-                self.unindex_role(role, &removed.name);
-                // The whole connector is going: every one of its roles is
-                // being unindexed, so no promotion within the connector.
-                self.connector_role_names
-                    .remove(&(id, Key::new(&removed.name)));
-            }
-        }
-        if any_attached {
-            let roles = &self.roles;
-            self.attachments.retain(|a| roles.contains_key(&a.role));
-        }
         Ok(())
     }
 
@@ -415,11 +440,6 @@ impl System {
     /// Iterates over all connectors in id order.
     pub fn connectors(&self) -> impl Iterator<Item = (ConnectorId, &Connector)> {
         self.connectors.iter().map(|(id, c)| (*id, c))
-    }
-
-    /// Number of connectors.
-    pub fn connector_count(&self) -> usize {
-        self.connectors.len()
     }
 
     // ---- ports and roles -------------------------------------------------
@@ -558,12 +578,7 @@ impl System {
             return false;
         };
         for port in &ports {
-            if let Some(v) = self.attachments_by_port.get_mut(port) {
-                v.retain(|r| *r != role);
-                if v.is_empty() {
-                    self.attachments_by_port.remove(port);
-                }
-            }
+            unlink(&mut self.attachments_by_port, *port, role);
         }
         !ports.is_empty()
     }
@@ -575,27 +590,49 @@ impl System {
             return false;
         };
         for role in &roles {
-            if let Some(v) = self.attachments_by_role.get_mut(role) {
-                v.retain(|p| *p != port);
-                if v.is_empty() {
-                    self.attachments_by_role.remove(role);
-                }
-            }
+            unlink(&mut self.attachments_by_role, *role, port);
         }
         !roles.is_empty()
     }
 
     /// Removes a role and any attachment it participates in.
     pub fn remove_role(&mut self, id: RoleId) -> Result<(), ModelError> {
-        let role = self.roles.remove(&id).ok_or(ModelError::UnknownRole(id))?;
-        self.journal.structural = true;
-        self.unindex_role(id, &role.name);
-        if let Some(owner) = self.connectors.get_mut(&role.owner) {
-            owner.roles.retain(|r| *r != id);
+        self.remove_roles(&[id])
+    }
+
+    /// Removes every role in `ids` (one listed twice counts once), with the
+    /// attachments through them: one pass over each owning connector's `roles`
+    /// and one over `attachments`, whatever `ids.len()` is. All or nothing: an
+    /// unknown id is an error before anything changes. The model ends where
+    /// removing the roles one at a time would leave it.
+    pub(crate) fn remove_roles(&mut self, ids: &[RoleId]) -> Result<(), ModelError> {
+        if let Some(unknown) = ids.iter().find(|id| !self.roles.contains_key(id)) {
+            return Err(ModelError::UnknownRole(*unknown));
         }
-        self.unindex_connector_role(id, role.owner, &role.name);
-        if self.unindex_role_attachments(id) {
-            self.attachments.retain(|a| a.role != id);
+        let mut doomed = IdSet::default();
+        let mut owners = BTreeSet::new();
+        let mut any_attached = false;
+        for &id in ids {
+            if !doomed.insert(id.0) {
+                continue;
+            }
+            let role = self.roles.remove(&id).expect("checked above");
+            self.journal.structural = true;
+            // Both name indices promote among the roles still in
+            // `self.roles`, so the entries the sweeps below drop are already
+            // invisible to them.
+            self.unindex_role(id, &role.name);
+            self.unindex_connector_role(id, role.owner, &role.name);
+            any_attached |= self.unindex_role_attachments(id);
+            owners.insert(role.owner);
+        }
+        for owner in owners {
+            if let Some(owner) = self.connectors.get_mut(&owner) {
+                owner.roles.retain(|role| !doomed.contains(role.0));
+            }
+        }
+        if any_attached {
+            self.attachments.retain(|a| !doomed.contains(a.role.0));
         }
         Ok(())
     }
@@ -649,11 +686,7 @@ impl System {
     pub fn attach(&mut self, port: PortId, role: RoleId) -> Result<(), ModelError> {
         self.port(port)?;
         self.role(role)?;
-        if self
-            .attachments_by_port
-            .get(&port)
-            .is_some_and(|v| v.contains(&role))
-        {
+        if self.attached(port, role) {
             return Err(ModelError::AlreadyAttached(port, role));
         }
         self.journal.structural = true;
@@ -665,34 +698,15 @@ impl System {
 
     /// Removes an attachment.
     pub fn detach(&mut self, port: PortId, role: RoleId) -> Result<(), ModelError> {
-        let exists = self
-            .attachments_by_port
-            .get(&port)
-            .is_some_and(|v| v.contains(&role));
-        if !exists {
+        if !self.attached(port, role) {
             return Err(ModelError::NotAttached(port, role));
         }
         self.journal.structural = true;
         self.attachments
             .retain(|a| !(a.port == port && a.role == role));
-        if let Some(v) = self.attachments_by_port.get_mut(&port) {
-            v.retain(|r| *r != role);
-            if v.is_empty() {
-                self.attachments_by_port.remove(&port);
-            }
-        }
-        if let Some(v) = self.attachments_by_role.get_mut(&role) {
-            v.retain(|p| *p != port);
-            if v.is_empty() {
-                self.attachments_by_role.remove(&role);
-            }
-        }
+        unlink(&mut self.attachments_by_port, port, role);
+        unlink(&mut self.attachments_by_role, role, port);
         Ok(())
-    }
-
-    /// All attachments.
-    pub fn attachments(&self) -> &[Attachment] {
-        &self.attachments
     }
 
     /// True if the given port and role are attached.
@@ -932,8 +946,68 @@ impl System {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The companion of [`System::integrity_errors`] for the derived state:
+    /// rebuilds every index from the canonical lists (`roles`,
+    /// `Connector::roles`, `attachments`, …) and names each one that differs
+    /// from what the mutators maintained. `PartialEq` skips the indices, so a
+    /// rewrite that corrupts one still compares equal to its oracle.
+    pub(crate) fn index_errors(sys: &System) -> Vec<String> {
+        let mut errors = Vec::new();
+        let mut check = |name: &str, same: bool| {
+            if !same {
+                errors.push(format!("{name} differs from its rebuild"));
+            }
+        };
+        let component_names: HashMap<Key, ComponentId> = sys
+            .components
+            .iter()
+            .map(|(id, c)| (Key::new(&c.name), *id))
+            .collect();
+        check("component_names", component_names == sys.component_names);
+        let connector_names: HashMap<Key, ConnectorId> = sys
+            .connectors
+            .iter()
+            .map(|(id, c)| (Key::new(&c.name), *id))
+            .collect();
+        check("connector_names", connector_names == sys.connector_names);
+        // Ascending id order: the first role seen under a name is the lowest.
+        let mut role_names: HashMap<Key, (RoleId, u32)> = HashMap::new();
+        for (id, role) in &sys.roles {
+            role_names.entry(Key::new(&role.name)).or_insert((*id, 0)).1 += 1;
+        }
+        check("role_names", role_names == sys.role_names);
+        let mut connector_role_names: HashMap<(ConnectorId, Key), (RoleId, u32)> = HashMap::new();
+        let mut listed = 0;
+        for (conn_id, conn) in &sys.connectors {
+            for id in &conn.roles {
+                listed += 1;
+                match sys.roles.get(id) {
+                    Some(role) if role.owner == *conn_id => {
+                        let key = (*conn_id, Key::new(&role.name));
+                        connector_role_names.entry(key).or_insert((*id, 0)).1 += 1;
+                    }
+                    _ => check("Connector::roles", false),
+                }
+            }
+        }
+        check("Connector::roles", listed == sys.roles.len());
+        check(
+            "connector_role_names",
+            connector_role_names == sys.connector_role_names,
+        );
+        let mut by_port: HashMap<PortId, Vec<RoleId>> = HashMap::new();
+        let mut by_role: HashMap<RoleId, Vec<PortId>> = HashMap::new();
+        for a in &sys.attachments {
+            by_port.entry(a.port).or_default().push(a.role);
+            by_role.entry(a.role).or_default().push(a.port);
+        }
+        check("attachments_by_port", by_port == sys.attachments_by_port);
+        check("attachments_by_role", by_role == sys.attachments_by_role);
+        errors
+    }
 
     fn client_server_system() -> (System, ComponentId, ComponentId, ConnectorId) {
         let mut sys = System::new("demo");
@@ -957,7 +1031,7 @@ mod tests {
         let attached = sys.components_attached_to_connector(conn);
         assert!(attached.contains(&client) && attached.contains(&group));
         assert_eq!(sys.component_count(), 2);
-        assert_eq!(sys.connector_count(), 1);
+        assert_eq!(sys.connectors().count(), 1);
         assert!(sys.integrity_errors().is_empty());
     }
 
@@ -1016,7 +1090,7 @@ mod tests {
         sys.remove_connector(conn).unwrap();
         assert!(!sys.connected(client, group));
         assert!(sys.integrity_errors().is_empty());
-        assert_eq!(sys.attachments().len(), 0);
+        assert!(sys.attachments.is_empty());
     }
 
     #[test]
@@ -1096,6 +1170,54 @@ mod tests {
         assert_eq!(sys.component_by_name("nope"), None);
         assert!(sys.connector_by_name("Conn1").is_some());
         assert_eq!(sys.element_name(ElementRef::Component(client)), "User1");
+    }
+
+    #[test]
+    fn indices_survive_every_structural_removal() {
+        let (mut sys, client, group, conn) = client_server_system();
+        assert_eq!(index_errors(&sys), Vec::<String>::new());
+        // Two more roles under one name: removal has to promote the next.
+        let twin_a = sys.add_role(conn, "twin", "ClientRoleT").unwrap();
+        let twin_b = sys.add_role(conn, "twin", "ClientRoleT").unwrap();
+        let port = sys.component(client).unwrap().ports[0];
+        sys.attach(port, twin_b).unwrap();
+        assert_eq!(index_errors(&sys), Vec::<String>::new());
+        sys.remove_role(twin_a).unwrap();
+        assert_eq!(sys.role_in_connector(conn, "twin"), Some(twin_b));
+        assert_eq!(index_errors(&sys), Vec::<String>::new());
+        sys.detach(port, twin_b).unwrap();
+        assert_eq!(index_errors(&sys), Vec::<String>::new());
+        sys.remove_component(group).unwrap();
+        assert_eq!(index_errors(&sys), Vec::<String>::new());
+        sys.remove_connector(conn).unwrap();
+        assert_eq!(index_errors(&sys), Vec::<String>::new());
+        assert!(sys.roles.is_empty() && sys.attachments.is_empty());
+        assert!(sys.integrity_errors().is_empty());
+    }
+
+    #[test]
+    fn remove_roles_is_one_removal_per_listed_role_or_nothing() {
+        let (sys, _client, _group, conn) = client_server_system();
+        let roles = sys.connector(conn).unwrap().roles.clone();
+        // One at a time is the oracle; a role listed twice counts once.
+        let mut one_by_one = sys.clone();
+        for role in &roles {
+            one_by_one.remove_role(*role).unwrap();
+        }
+        let mut batch = sys.clone();
+        batch.remove_roles(&[roles[0], roles[1], roles[0]]).unwrap();
+        assert_eq!(batch, one_by_one);
+        assert_eq!(index_errors(&batch), Vec::<String>::new());
+        // An unknown id fails before anything is removed.
+        let mut untouched = sys.clone();
+        untouched.drain_changes();
+        let err = untouched.remove_roles(&[roles[0], RoleId(9_999)]);
+        assert_eq!(err, Err(ModelError::UnknownRole(RoleId(9_999))));
+        assert_eq!(untouched, sys);
+        assert!(!untouched.journal.structural);
+        // Removing nothing is not a structural change.
+        untouched.remove_roles(&[]).unwrap();
+        assert!(!untouched.journal.structural);
     }
 
     #[test]

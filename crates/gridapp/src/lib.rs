@@ -40,7 +40,4 @@ pub use testbed::{
     testbed_preset_names, Testbed, TestbedSpec, FLEET_SCALE_MIN_CLIENTS, LINK_CAPACITY_BPS,
     TESTBED_REGISTRY,
 };
-pub use workload::{
-    workload_names, ExperimentSchedule, PHASE_QUIESCENT_END, PHASE_STRESS_END, PHASE_STRESS_START,
-    RUN_DURATION_SECS, WORKLOAD_REGISTRY,
-};
+pub use workload::{workload_names, ExperimentSchedule, RUN_DURATION_SECS, WORKLOAD_REGISTRY};

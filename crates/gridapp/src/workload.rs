@@ -23,12 +23,6 @@ use simnet::{Registry, SimTime, StepSchedule};
 
 /// Total length of an experiment run (seconds). The paper: thirty minutes.
 pub const RUN_DURATION_SECS: f64 = 1800.0;
-/// End of the quiescent deployment phase.
-pub const PHASE_QUIESCENT_END: f64 = 120.0;
-/// Start of the server-load stress phase.
-pub const PHASE_STRESS_START: f64 = 600.0;
-/// End of the server-load stress phase / start of the recovery phase.
-pub const PHASE_STRESS_END: f64 = 1200.0;
 
 /// The built-in workload-schedule generators, in sweep-matrix order. Each
 /// entry builds a schedule for the given configuration and run length;
@@ -473,7 +467,7 @@ mod tests {
         let mut app = GridApp::build(GridConfig::default()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
         schedule.apply(&mut app, 0.0).unwrap();
-        app.advance(SimTime::from_secs(PHASE_QUIESCENT_END));
+        app.advance(SimTime::from_secs(120.0));
         let completions: Vec<_> = app.drain_completions().collect();
         assert!(!completions.is_empty());
         let above = completions.iter().filter(|c| c.latency_secs > 2.0).count();

@@ -43,4 +43,4 @@ pub mod probes;
 
 pub use classes::{ClassIndex, ClientClass, ServerClass};
 pub use plan::{GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
-pub use probes::{class_remos, Rep, RepTable};
+pub use probes::{Rep, RepTable};

@@ -22,7 +22,7 @@
 //! the framework commits) plus the batched runtime operations — so planned
 //! repairs replay bit-identically for any worker count.
 
-use crate::classes::ClassIndex;
+use crate::classes::{ClassIndex, ClientClass};
 use crate::probes::GroupProbes;
 use archmodel::constraint::CheckReport;
 use archmodel::style::ClientServerStyle;
@@ -364,6 +364,10 @@ impl GroupPlanner {
                 counts.get(g).copied().unwrap_or(0) as f64
                     / live.get(g).copied().unwrap_or(0).max(1) as f64
             };
+        // The one group every member of each class is homed on, if there is
+        // one — `client_groups` does not change while planning, so the first
+        // round that needs a candidate works it out for all eight.
+        let mut homes: Option<Vec<Option<&String>>> = None;
         let mut rebalanced = 0usize;
         for _ in 0..8 {
             // Highest-pressure overloaded group vs lowest-pressure healthy
@@ -394,15 +398,21 @@ impl GroupPlanner {
             }
             // Smallest whole class still homed on `hi` whose bandwidth to
             // `lo` clears the minimum.
+            let homes = homes.get_or_insert_with(|| {
+                // (A class has at least one member: `ClassIndex::build`.)
+                let home_of = |c: &ClientClass| {
+                    let home = input.client_groups.get(c.members.first()?);
+                    let shared = |m| input.client_groups.get(m) == home;
+                    home.filter(|_| c.members.iter().all(shared))
+                };
+                index.client_classes().iter().map(home_of).collect()
+            });
             let candidate = index
                 .client_classes()
                 .iter()
-                .filter(|c| !moved_classes.contains(&c.id))
-                .filter(|c| {
-                    c.members
-                        .iter()
-                        .all(|m| input.client_groups.get(m) == Some(hi))
-                })
+                .zip(homes.iter())
+                .filter(|(c, home)| !moved_classes.contains(&c.id) && **home == Some(hi))
+                .map(|(c, _)| c)
                 .filter(|c| input.bandwidth(c.id, lo) > thresholds.min_bandwidth_bps)
                 .min_by_key(|c| (c.members.len(), c.id));
             let Some(class) = candidate else { break };
@@ -697,6 +707,45 @@ mod tests {
         assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DeleteGauge { gauge } if gauge == "load-gauge/ServerGrp1")
         ));
+    }
+
+    #[test]
+    fn water_filling_moves_the_smallest_whole_class_off_the_overloaded_group() {
+        let (model, index, mut input) = squeeze_fixture();
+        input.violating_clients.clear();
+        input.overloaded_groups = vec!["ServerGrp1".to_string()];
+        input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
+        input.groups.get_mut("ServerGrp1").unwrap().stuck_servers = 0;
+        input.spare_servers = 0;
+        // Everyone but User1 crowds ServerGrp1: 5 clients per 3 replicas
+        // against 1 per 3, and one class move (4 against 2) settles it.
+        for (client, group) in input.client_groups.iter_mut() {
+            *group = if client == "User1" {
+                "ServerGrp2".to_string()
+            } else {
+                "ServerGrp1".to_string()
+            };
+        }
+        let mut planner = GroupPlanner::new(None);
+        let (plan, runtime_ops) = planner
+            .plan(&index, &model, &input)
+            .expect("a plan is produced");
+        assert_eq!(plan.tactics, vec!["rebalanceGroups".to_string()]);
+        let moves: Vec<_> = runtime_ops
+            .iter()
+            .filter_map(|op| match op {
+                RuntimeOp::MoveClientGroup { clients, to_group } => Some((clients, to_group)),
+                _ => None,
+            })
+            .collect();
+        // The lowest-id class wholly on ServerGrp1, not User1's (already on
+        // the receiver) and not one split across both groups.
+        let class = index
+            .client_classes()
+            .iter()
+            .find(|c| !c.members.contains(&"User1".to_string()))
+            .unwrap();
+        assert_eq!(moves, vec![(&class.members, &"ServerGrp2".to_string())]);
     }
 
     #[test]

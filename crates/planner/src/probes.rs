@@ -100,17 +100,6 @@ impl<'a> GroupProbes<'a> {
     }
 }
 
-/// One [`GroupProbes::flow`] query on its own: the class-level
-/// `remos_get_flow`.
-pub fn class_remos(
-    app: &GridApp,
-    index: &ClassIndex,
-    class: &ClientClass,
-    group: &str,
-) -> Option<f64> {
-    GroupProbes::new(app, index).flow(class, group)
-}
-
 /// The client monitored on behalf of one `(client class, current group)`
 /// pair: the lexicographically first member of the class homed on that group
 /// — the class representative while the class is homogeneous, and the first
@@ -283,6 +272,17 @@ mod tests {
     use proptest::prelude::*;
     use simnet::SimTime;
     use std::collections::HashMap;
+
+    /// One [`GroupProbes::flow`] query on its own, from scratch: the
+    /// class-level `remos_get_flow` the references below are built on.
+    fn class_remos(
+        app: &GridApp,
+        index: &ClassIndex,
+        class: &ClientClass,
+        group: &str,
+    ) -> Option<f64> {
+        GroupProbes::new(app, index).flow(class, group)
+    }
 
     /// The reference for [`RepTable::flow_snapshot`]: walks every client in
     /// name order, keeps the first one seen per `(class, group)` pair, and

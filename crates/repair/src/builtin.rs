@@ -25,8 +25,6 @@ use archmodel::{System, Transaction};
 pub const DEFAULT_MAX_SERVER_LOAD: f64 = 6.0;
 /// Default minimum acceptable client bandwidth. The paper: 10 Kbps.
 pub const DEFAULT_MIN_BANDWIDTH_BPS: f64 = 10_000.0;
-/// Default latency bound. The paper: 2 seconds.
-pub const DEFAULT_MAX_LATENCY_SECS: f64 = 2.0;
 
 fn system_threshold(model: &System, name: &str, default: f64) -> f64 {
     model.properties.get_f64(name).unwrap_or(default)
@@ -430,18 +428,6 @@ pub fn reduce_servers_strategy() -> RepairStrategy {
     RepairStrategy::new("reduceServers").with_tactic(Box::new(ReduceServersTactic::default()))
 }
 
-/// Builds the `failover-server-group` strategy: replace dead replicas with
-/// spares.
-pub fn failover_server_group_strategy() -> RepairStrategy {
-    RepairStrategy::new("failover-server-group").with_tactic(Box::new(FailoverServerGroupTactic))
-}
-
-/// Builds the `reroute-clients-off-dead-link` strategy: move clients off a
-/// group with no live replicas.
-pub fn reroute_clients_strategy() -> RepairStrategy {
-    RepairStrategy::new("reroute-clients-off-dead-link").with_tactic(Box::new(RerouteClientsTactic))
-}
-
 /// Builds the composite failure-recovery strategy for `liveness` violations:
 /// fail the group over to spares when possible, otherwise reroute its
 /// clients to a reachable group.
@@ -506,17 +492,6 @@ pub fn underutilised_invariant() -> Invariant {
         "self.load > underutilisedLoad or self.replicationCount <= self.baseReplicas",
     )
     .expect("underutilised invariant parses")
-}
-
-/// Resolves the strategy that should handle a violation of the given
-/// invariant, mirroring line 2 of Figure 5 (`! → fixLatency(r)`).
-pub fn strategy_for_invariant(invariant: &str) -> Option<RepairStrategy> {
-    match invariant {
-        "latency" | "bandwidth" | "serverLoad" => Some(fix_latency_strategy()),
-        "liveness" => Some(recover_liveness_strategy()),
-        "underutilised" => Some(reduce_servers_strategy()),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -736,7 +711,7 @@ mod tests {
         // A surplus replica on an idle group violates.
         let mut tx = archmodel::Transaction::new(&model);
         add_server(&mut tx, "ServerGrp1").unwrap();
-        tx.commit(&mut model).unwrap();
+        model = tx.working().clone();
         let report = set.check(&model);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].subject_name, "ServerGrp1");
@@ -777,7 +752,7 @@ mod tests {
         // still leaves ServerGrp1 alone.
         let mut tx = archmodel::Transaction::new(&model);
         add_server(&mut tx, "ServerGrp2").unwrap();
-        tx.commit(&mut model).unwrap();
+        model = tx.working().clone();
         let outcome = reduce_servers_strategy().run(&model, &violation, &StaticQuery::new());
         assert!(matches!(
             outcome,
@@ -786,7 +761,7 @@ mod tests {
         // A surplus on the subject group itself is retired.
         let mut tx = archmodel::Transaction::new(&model);
         add_server(&mut tx, "ServerGrp1").unwrap();
-        tx.commit(&mut model).unwrap();
+        model = tx.working().clone();
         match reduce_servers_strategy().run(&model, &violation, &StaticQuery::new()) {
             StrategyOutcome::Repaired { description, .. } => {
                 assert!(description.contains("ServerGrp1"), "{description}");
@@ -801,14 +776,6 @@ mod tests {
         let report = default_constraints().check(&model);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].subject_name, "User3");
-    }
-
-    #[test]
-    fn strategy_lookup_by_invariant() {
-        assert!(strategy_for_invariant("latency").is_some());
-        assert!(strategy_for_invariant("liveness").is_some());
-        assert!(strategy_for_invariant("underutilised").is_some());
-        assert!(strategy_for_invariant("unknown").is_none());
     }
 
     /// Model in which `dead` of ServerGrp1's three replicas have crashed

@@ -26,11 +26,6 @@ impl RepairDamping {
         }
     }
 
-    /// The settle time.
-    pub fn settle_secs(&self) -> f64 {
-        self.settle_secs
-    }
-
     /// Records that a repair affecting `subject` completed at `now`.
     pub fn record(&mut self, subject: &str, now: f64) {
         self.last_repair.insert(subject.to_string(), now);
@@ -51,11 +46,6 @@ impl RepairDamping {
             Some(&last) => (self.settle_secs - (now - last)).max(0.0),
             None => 0.0,
         }
-    }
-
-    /// Forgets all recorded repairs.
-    pub fn clear(&mut self) {
-        self.last_repair.clear();
     }
 }
 
@@ -89,16 +79,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_forgets_history() {
-        let mut damping = RepairDamping::new(60.0);
-        damping.record("User3", 100.0);
-        damping.clear();
-        assert!(damping.allows("User3", 101.0));
-    }
-
-    #[test]
     fn negative_settle_clamped() {
         let damping = RepairDamping::new(-5.0);
-        assert_eq!(damping.settle_secs(), 0.0);
+        assert_eq!(damping.settle_secs, 0.0);
     }
 }

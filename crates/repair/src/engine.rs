@@ -456,7 +456,7 @@ mod tests {
         if surplus {
             let mut tx = archmodel::Transaction::new(&model);
             crate::operators::add_server(&mut tx, "ServerGrp2").unwrap();
-            tx.commit(&mut model).unwrap();
+            model = tx.working().clone();
         }
         model
     }

@@ -29,11 +29,9 @@ pub mod strategy;
 pub mod tactic;
 
 pub use builtin::{
-    default_constraints, failover_server_group_strategy, fix_latency_strategy,
-    recover_liveness_strategy, reroute_clients_strategy, strategy_for_invariant,
+    default_constraints, fix_latency_strategy, recover_liveness_strategy,
     FailoverServerGroupTactic, FixBandwidthTactic, FixServerLoadTactic, ReduceServersTactic,
-    RerouteClientsTactic, DEFAULT_MAX_LATENCY_SECS, DEFAULT_MAX_SERVER_LOAD,
-    DEFAULT_MIN_BANDWIDTH_BPS,
+    RerouteClientsTactic, DEFAULT_MAX_SERVER_LOAD, DEFAULT_MIN_BANDWIDTH_BPS,
 };
 pub use damping::RepairDamping;
 pub use engine::{PlanOutcome, RepairEngine, RepairPlan};

@@ -199,9 +199,13 @@ pub fn move_client(
 /// `moveClientGroup(to)`: the class-level bulk variant of `move` — relocates
 /// every named client onto `to_group_name`'s connector as **one** recorded
 /// model operation, so a fleet-scale class move costs one change-set entry
-/// (and one commit replay) instead of ~6 per member. Members missing from
-/// the model are skipped; the final model state matches the per-client
-/// [`move_client`] sequence exactly. Returns the target connector's name.
+/// (and one commit replay) instead of ~6 per member. Applying it — here on
+/// the working copy, and again when the repair commits — sweeps each
+/// connector that loses a role and the attachment list once, whatever the
+/// class size, and changes nothing if it fails (see
+/// [`ModelOp::MoveClientGroup`]). Members missing from the model are skipped;
+/// the final model state matches the per-client [`move_client`] sequence
+/// exactly. Returns the target connector's name.
 pub fn move_client_group(
     tx: &mut Transaction,
     clients: &[String],
@@ -359,7 +363,9 @@ mod tests {
         assert!(ClientServerStyle::validate(bulk.working()).is_empty());
         // The bulk op survives commit replay onto the live model too.
         let mut live = model.clone();
-        bulk.commit(&mut live).unwrap();
+        for op in bulk.ops() {
+            archmodel::apply_op(&mut live, op).unwrap();
+        }
         assert!(ClientServerStyle::validate(&live).is_empty());
     }
 
@@ -445,8 +451,10 @@ mod tests {
         let mut tx = Transaction::new(&model);
         add_server(&mut tx, "ServerGrp2").unwrap();
         move_client(&mut tx, "User1", "ServerGrp2").unwrap();
-        let ops = tx.commit(&mut model).unwrap();
-        assert!(ops.len() >= 4);
+        assert!(tx.len() >= 4);
+        for op in tx.ops() {
+            archmodel::apply_op(&mut model, op).unwrap();
+        }
         let user = model.component_by_name("User1").unwrap();
         let grp2 = model.component_by_name("ServerGrp2").unwrap();
         assert_eq!(ClientServerStyle::group_of_client(&model, user), Some(grp2));

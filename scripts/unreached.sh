@@ -9,8 +9,9 @@
 #   * once in its own cut part (the definition itself).
 #
 # Comment-only lines do not count as a mention, and neither do words inside a
-# string literal (an assert message is not a call) or the item's own in-file
-# test module: a method only its unit test calls is unreached.
+# string literal (an assert message is not a call), the item's own in-file
+# test module (a method only its unit test calls is unreached) or a `pub use`
+# item, up to its `;`: re-exporting a name does not call it.
 # A name as common as `new` or `len` is always named somewhere, so this lists
 # only what is certainly unreached, never everything that is.
 #
@@ -33,9 +34,11 @@ done | sort | xargs awk -v allow="$allow" '
             allowed[field[1]] = 1
         }
     }
-    FNR == 1 { test = 0; defines = FILENAME ~ /^crates\/[^\/]+\/src\// }
+    FNR == 1 { test = 0; reexport = 0; defines = FILENAME ~ /^crates\/[^\/]+\/src\// }
     /#\[cfg\(test\)\]/ { test = 1 }
     /^[[:space:]]*\/\// { next }
+    /^[[:space:]]*pub use / { reexport = 1 }
+    reexport { if (/;/) reexport = 0; next }
     {
         gsub(/"([^"\\]|\\.)*"/, "\"\"")
         cut = defines && !test
