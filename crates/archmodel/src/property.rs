@@ -79,11 +79,6 @@ impl PropertyMap {
         self.get(name).and_then(Value::as_bool)
     }
 
-    /// Gets a string property.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
-        self.get(name).and_then(Value::as_str)
-    }
-
     /// Removes a property, returning its previous value.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
         self.position(name)
@@ -135,7 +130,7 @@ mod tests {
         assert_eq!(props.get_f64("averageLatency"), Some(1.5));
         assert_eq!(props.get_i64("load"), Some(7));
         assert_eq!(props.get_bool("isActive"), Some(true));
-        assert_eq!(props.get_str("host"), Some("S1"));
+        assert_eq!(props.get("host"), Some(&Value::Str("S1".into())));
         assert_eq!(props.len(), 4);
     }
 

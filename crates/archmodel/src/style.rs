@@ -8,8 +8,9 @@
 //! construction helpers, and structural-validity rules that adaptation
 //! operators must preserve.
 
-use crate::element::{ComponentId, ConnectorId};
-use crate::system::{ModelError, System};
+use crate::element::{ComponentId, ConnectorId, ElementRef, PortId};
+use crate::system::{IdSet, ModelError, System};
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// Component type for users/clients.
@@ -97,6 +98,47 @@ impl ClientServerStyle {
         Ok(id)
     }
 
+    /// The name of a server group's service connector.
+    pub fn connector_name(group: &str) -> String {
+        format!("{group}.Conn")
+    }
+
+    /// The component called `name`, which must be of type `ctype`.
+    fn typed_component(
+        system: &System,
+        name: &str,
+        ctype: &str,
+    ) -> Result<ComponentId, ModelError> {
+        system
+            .component_by_name(name)
+            .filter(|id| system.component(*id).is_ok_and(|c| c.ctype == ctype))
+            .ok_or_else(|| ModelError::NameNotFound(format!("{ctype} {name}")))
+    }
+
+    /// The port of `component` called `port`.
+    fn port_named(
+        system: &System,
+        component: ComponentId,
+        port: &str,
+    ) -> Result<PortId, ModelError> {
+        let comp = system.component(component)?;
+        comp.ports
+            .iter()
+            .copied()
+            .find(|p| system.port(*p).is_ok_and(|p| p.name == port))
+            .ok_or_else(|| ModelError::NameNotFound(format!("{}.{port}", comp.name)))
+    }
+
+    /// Sets a group's `replicationCount` to the size of its representation.
+    fn sync_replication_count(system: &mut System, group: ComponentId) -> Result<(), ModelError> {
+        let count = system.component(group)?.children.len() as i64;
+        system.set_property(
+            ElementRef::Component(group),
+            props::REPLICATION_COUNT,
+            Value::Int(count),
+        )
+    }
+
     /// Adds a server group with `servers` replicated servers and the standard
     /// serve port. The group's `replicationCount` property is kept in sync.
     pub fn add_server_group(
@@ -106,51 +148,83 @@ impl ClientServerStyle {
     ) -> Result<ComponentId, ModelError> {
         let id = system.add_component(name, SERVER_GROUP_T)?;
         system.add_port(id, Self::GROUP_PORT, SERVE_PORT_T)?;
+        Self::sync_replication_count(system, id)?;
         for i in 1..=servers {
-            let server = system.add_child_component(id, format!("{name}.Server{i}"), SERVER_T)?;
-            system
-                .component_mut(server)?
-                .properties
-                .set(props::IS_ACTIVE, true);
+            Self::add_replica(system, id, &format!("{name}.Server{i}"))?;
         }
-        system
-            .component_mut(id)?
-            .properties
-            .set(props::REPLICATION_COUNT, servers as i64);
         Ok(id)
     }
 
+    /// Adds the active server `name` to `group`'s representation and brings
+    /// the group's `replicationCount` up to date: one server of a deployment,
+    /// and the whole of `addServer()`. A taken name fails before anything
+    /// changes.
+    fn add_replica(
+        system: &mut System,
+        group: ComponentId,
+        name: &str,
+    ) -> Result<ComponentId, ModelError> {
+        let server = system.add_child_component(group, name, SERVER_T)?;
+        system.set_property(
+            ElementRef::Component(server),
+            props::IS_ACTIVE,
+            Value::Bool(true),
+        )?;
+        Self::sync_replication_count(system, group)?;
+        Ok(server)
+    }
+
+    /// `addServer()` (§3.3), the body of
+    /// [`ModelOp::AddServer`](crate::ModelOp::AddServer): adds the active
+    /// replica `server` to the server group `group`. All or nothing.
+    pub fn add_server(system: &mut System, group: &str, server: &str) -> Result<(), ModelError> {
+        let group = Self::typed_component(system, group, SERVER_GROUP_T)?;
+        Self::add_replica(system, group, server).map(|_| ())
+    }
+
+    /// `remove()` (§3.3), the body of
+    /// [`ModelOp::RemoveServer`](crate::ModelOp::RemoveServer): deletes
+    /// `server` from its containing group and updates the group's
+    /// `replicationCount`. All or nothing.
+    pub fn remove_server(system: &mut System, server: &str) -> Result<(), ModelError> {
+        let id = Self::typed_component(system, server, SERVER_T)?;
+        let group = system
+            .component(id)?
+            .parent
+            .filter(|g| system.component(*g).is_ok())
+            .ok_or_else(|| ModelError::NameNotFound(format!("group of {server}")))?;
+        system.remove_component(id)?;
+        Self::sync_replication_count(system, group)
+    }
+
     /// Creates (or finds) the service connector for a server group. The
-    /// connector is named `"<group>.Conn"` and has one server-side role
-    /// attached to the group's serve port.
+    /// connector is named [`connector_name`](Self::connector_name) and has one
+    /// server-side role attached to the group's serve port; a group without
+    /// that port fails before anything is created.
     pub fn service_connector(
         system: &mut System,
         group: ComponentId,
     ) -> Result<ConnectorId, ModelError> {
-        let group_name = system.component(group)?.name.clone();
-        let conn_name = format!("{group_name}.Conn");
+        let conn_name = Self::connector_name(&system.component(group)?.name);
         if let Some(existing) = system.connector_by_name(&conn_name) {
             return Ok(existing);
         }
-        let conn = system.add_connector(&conn_name, SERVICE_CONN_T)?;
+        let serve_port = Self::port_named(system, group, Self::GROUP_PORT)?;
+        let conn = system.add_connector(conn_name, SERVICE_CONN_T)?;
         let server_role = system.add_role(conn, "serverSide", SERVER_ROLE_T)?;
-        let serve_port = system
-            .component(group)?
-            .ports
-            .iter()
-            .copied()
-            .find(|p| {
-                system
-                    .port(*p)
-                    .map(|p| p.name == Self::GROUP_PORT)
-                    .unwrap_or(false)
-            })
-            .ok_or(ModelError::NameNotFound(format!(
-                "{group_name}.{}",
-                Self::GROUP_PORT
-            )))?;
         system.attach(serve_port, server_role)?;
         Ok(conn)
+    }
+
+    /// Gives `client` its `{client}.role` on `conn`, attached to `port`.
+    fn attach_client(
+        system: &mut System,
+        conn: ConnectorId,
+        client: &str,
+        port: PortId,
+    ) -> Result<(), ModelError> {
+        let role = system.add_role(conn, format!("{client}.role"), CLIENT_ROLE_T)?;
+        system.attach(port, role)
     }
 
     /// Connects a client to a server group through the group's service
@@ -160,26 +234,67 @@ impl ClientServerStyle {
         client: ComponentId,
         group: ComponentId,
     ) -> Result<ConnectorId, ModelError> {
+        let port = Self::port_named(system, client, Self::CLIENT_PORT)?;
         let conn = Self::service_connector(system, group)?;
         let client_name = system.component(client)?.name.clone();
-        let role = system.add_role(conn, format!("{client_name}.role"), CLIENT_ROLE_T)?;
-        let port = system
-            .component(client)?
-            .ports
-            .iter()
-            .copied()
-            .find(|p| {
-                system
-                    .port(*p)
-                    .map(|p| p.name == Self::CLIENT_PORT)
-                    .unwrap_or(false)
-            })
-            .ok_or(ModelError::NameNotFound(format!(
-                "{client_name}.{}",
-                Self::CLIENT_PORT
-            )))?;
-        system.attach(port, role)?;
+        Self::attach_client(system, conn, &client_name, port)?;
         Ok(conn)
+    }
+
+    /// `move(to)` (§3.3), the body of
+    /// [`ModelOp::MoveClient`](crate::ModelOp::MoveClient): a class move of
+    /// one member, which must exist.
+    pub fn move_client(
+        system: &mut System,
+        client: &str,
+        to_group: &str,
+    ) -> Result<(), ModelError> {
+        if system.component_by_name(client).is_none() {
+            return Err(ModelError::NameNotFound(client.to_string()));
+        }
+        Self::move_clients(system, &[client.to_string()], to_group)
+    }
+
+    /// The body of [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup):
+    /// resolve every member (component → `request` port → stale role) without
+    /// touching the model, ensure the target connector, remove the stale roles
+    /// in one batch, then add and attach the fresh roles in list order — so
+    /// role ids, `attachments` order and `Connector::roles` order are those of
+    /// moving the members one at a time.
+    pub fn move_clients(
+        system: &mut System,
+        clients: &[String],
+        to_group: &str,
+    ) -> Result<(), ModelError> {
+        let group = Self::typed_component(system, to_group, SERVER_GROUP_T)?;
+        let mut members = Vec::new();
+        let mut stale = Vec::new();
+        let (mut seen, mut doomed) = (IdSet::default(), IdSet::default());
+        for client in clients {
+            let Some(id) = system.component_by_name(client) else {
+                continue;
+            };
+            let port = Self::port_named(system, id, Self::CLIENT_PORT)?;
+            if !seen.insert(port.0) {
+                continue;
+            }
+            // The stale role is the first one a one-at-a-time move would
+            // still find attached: earlier members have taken theirs away.
+            let attached = system.roles_attached_to_port(port);
+            if let Some(old_role) = attached.iter().find(|r| !doomed.contains(r.0)) {
+                doomed.insert(old_role.0);
+                stale.push(*old_role);
+            }
+            members.push((client, port));
+        }
+        // The group's serve port is the last lookup that can fail.
+        let conn = Self::service_connector(system, group)?;
+        // Removing the stale roles also removes the attachments through them.
+        system.remove_roles(&stale)?;
+        for (client, port) in members {
+            Self::attach_client(system, conn, client, port)?;
+        }
+        Ok(())
     }
 
     /// The server group a client is currently connected to, if any.

@@ -15,7 +15,7 @@ use std::hash::Hash;
 /// The property-change journal carried by a [`System`].
 ///
 /// Every property write that goes through the model-update path (the
-/// journaled setters below and the name-addressed change ops built on them)
+/// journaled setters below and the style operators built on them)
 /// records a `(element, key)` dirty entry tagged with the current epoch;
 /// structural mutations (add/remove of components, connectors, ports, roles,
 /// attachments) set a conservative *structural* flag instead of tracking
@@ -152,9 +152,7 @@ fn unlink<K: Hash + Eq, V: PartialEq>(index: &mut HashMap<K, Vec<V>>, key: K, va
 /// [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup) removes all
 /// its members' stale roles in one pass over each touched connector's roles
 /// and one over `attachments`, whatever the class size. Single-element
-/// `detach` and `remove_port` keep an O(attachments) sweep per call, because
-/// no `gridbench` workload reaches them at scale (`adaptive` at 50,000
-/// clients runs in CI only).
+/// `detach` keeps an O(attachments) sweep per call: no operator reaches it.
 /// The `attachments` vector stays the canonical (ordered, serialized)
 /// representation; the indices mirror it and preserve its relative order —
 /// derived data, so they are skipped by serialization as by equality.
@@ -184,7 +182,7 @@ pub struct System {
     role_names: HashMap<Key, (RoleId, u32)>,
     /// First role with a given name within one connector (attachment-order
     /// first, i.e. the earliest entry of `Connector::roles`), plus the
-    /// duplicate count — the resolver behind name-addressed `ModelOp`s.
+    /// duplicate count.
     #[serde(skip)]
     connector_role_names: HashMap<(ConnectorId, Key), (RoleId, u32)>,
     /// Roles attached to each port, in attachment order.
@@ -408,16 +406,6 @@ impl System {
         Ok(id)
     }
 
-    /// Removes a connector, its roles, and their attachments.
-    pub fn remove_connector(&mut self, id: ConnectorId) -> Result<(), ModelError> {
-        let roles = self.connector(id)?.roles.clone();
-        self.remove_roles(&roles)?;
-        let conn = self.connectors.remove(&id).expect("looked up above");
-        self.journal.structural = true;
-        self.connector_names.remove(&Key::new(&conn.name));
-        Ok(())
-    }
-
     /// Looks up a connector by id.
     pub fn connector(&self, id: ConnectorId) -> Result<&Connector, ModelError> {
         self.connectors
@@ -469,19 +457,6 @@ impl System {
             .ports
             .push(id);
         Ok(id)
-    }
-
-    /// Removes a port and any attachment it participates in.
-    pub fn remove_port(&mut self, id: PortId) -> Result<(), ModelError> {
-        let port = self.ports.remove(&id).ok_or(ModelError::UnknownPort(id))?;
-        self.journal.structural = true;
-        if let Some(owner) = self.components.get_mut(&port.owner) {
-            owner.ports.retain(|p| *p != id);
-        }
-        if self.unindex_port_attachments(id) {
-            self.attachments.retain(|a| a.port != id);
-        }
-        Ok(())
     }
 
     /// Adds a role to a connector.
@@ -643,7 +618,7 @@ impl System {
     }
 
     /// The first role (in `Connector::roles` order) of the given connector
-    /// carrying `name` — the resolver behind name-addressed change ops. O(1).
+    /// carrying `name`. O(1).
     pub fn role_in_connector(&self, connector: ConnectorId, name: &str) -> Option<RoleId> {
         self.connector_role_names
             .get(&(connector, Key::new(name)))
@@ -1085,15 +1060,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn removing_connector_cleans_roles_and_attachments() {
-        let (mut sys, client, group, conn) = client_server_system();
-        sys.remove_connector(conn).unwrap();
-        assert!(!sys.connected(client, group));
-        assert!(sys.integrity_errors().is_empty());
-        assert!(sys.attachments.is_empty());
-    }
-
-    #[test]
     fn detach_then_attach_elsewhere() {
         let (mut sys, client, _group, conn) = client_server_system();
         let port = sys.component(client).unwrap().ports[0];
@@ -1189,7 +1155,8 @@ pub(crate) mod tests {
         assert_eq!(index_errors(&sys), Vec::<String>::new());
         sys.remove_component(group).unwrap();
         assert_eq!(index_errors(&sys), Vec::<String>::new());
-        sys.remove_connector(conn).unwrap();
+        let roles = sys.connector(conn).unwrap().roles.clone();
+        sys.remove_roles(&roles).unwrap();
         assert_eq!(index_errors(&sys), Vec::<String>::new());
         assert!(sys.roles.is_empty() && sys.attachments.is_empty());
         assert!(sys.integrity_errors().is_empty());

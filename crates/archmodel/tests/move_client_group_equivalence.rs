@@ -1,9 +1,11 @@
 //! The batch is the loop: one [`ModelOp::MoveClientGroup`] must leave a model
-//! exactly where the per-client `Detach` / `RemoveRole` / `AddRole` / `Attach`
-//! sequence leaves it — element ids, list orders, the derived indices (which
+//! exactly where per-client `detach` / `remove_role` / `add_role` / `attach`
+//! calls leave it — element ids, list orders, the derived indices (which
 //! `System == System` does not look at) and the journal's structural flag.
+//! [`ModelOp::MoveClient`] is the same body with one member: a generated list
+//! of one present member is applied through it.
 
-use archmodel::style::{ClientServerStyle, CLIENT_ROLE_T, SERVER_ROLE_T, SERVICE_CONN_T};
+use archmodel::style::{ClientServerStyle, CLIENT_ROLE_T};
 use archmodel::{apply_op, Key, ModelOp, System};
 use proptest::prelude::*;
 
@@ -31,60 +33,27 @@ fn fleet(groups: usize, homes: &[usize], target: usize, spare_connector: bool) -
     sys
 }
 
-/// The per-client sequence `repair::operators::move_client` records, member
-/// by member, for the members the model has.
-fn per_client_ops(sys: &System, clients: &[String], to_group: &str) -> Vec<ModelOp> {
-    let conn = format!("{to_group}.Conn");
-    let mut ops = Vec::new();
-    if sys.connector_by_name(&conn).is_none() {
-        ops.push(ModelOp::AddConnector {
-            name: conn.clone(),
-            ctype: SERVICE_CONN_T.into(),
-        });
-        ops.push(ModelOp::AddRole {
-            connector: conn.clone(),
-            role: "serverSide".into(),
-            rtype: SERVER_ROLE_T.into(),
-        });
-        ops.push(ModelOp::Attach {
-            component: to_group.into(),
-            port: ClientServerStyle::GROUP_PORT.into(),
-            connector: conn.clone(),
-            role: "serverSide".into(),
-        });
-    }
+/// The reference: each member the model has, in list order, loses the first
+/// role its `request` port is attached to and gets a fresh `{client}.role` on
+/// the target's connector — written over the model's own single-element
+/// mutators, which no operator body calls.
+fn move_one_by_one(sys: &mut System, clients: &[String], to_group: &str) {
+    let group = sys.component_by_name(to_group).unwrap();
+    let conn = ClientServerStyle::service_connector(sys, group).unwrap();
     for client in clients {
         let Some(id) = sys.component_by_name(client) else {
             continue;
         };
-        let port = ClientServerStyle::CLIENT_PORT.to_string();
-        if let Some(old) = sys.roles_of_component(id).first() {
-            let old = sys.role(*old).unwrap();
-            let old_conn = sys.connector(old.owner).unwrap().name.clone();
-            ops.push(ModelOp::Detach {
-                component: client.clone(),
-                port: port.clone(),
-                connector: old_conn.clone(),
-                role: old.name.clone(),
-            });
-            ops.push(ModelOp::RemoveRole {
-                connector: old_conn,
-                role: old.name.clone(),
-            });
+        let port = sys.component(id).unwrap().ports[0];
+        if let Some(old) = sys.roles_attached_to_port(port).first().copied() {
+            sys.detach(port, old).unwrap();
+            sys.remove_role(old).unwrap();
         }
-        ops.push(ModelOp::AddRole {
-            connector: conn.clone(),
-            role: format!("{client}.role"),
-            rtype: CLIENT_ROLE_T.into(),
-        });
-        ops.push(ModelOp::Attach {
-            component: client.clone(),
-            port,
-            connector: conn.clone(),
-            role: format!("{client}.role"),
-        });
+        let role = sys
+            .add_role(conn, format!("{client}.role"), CLIENT_ROLE_T)
+            .unwrap();
+        sys.attach(port, role).unwrap();
     }
-    ops
 }
 
 /// Everything the four derived indices answer, for every element of `sys`.
@@ -136,11 +105,16 @@ proptest! {
         let to_group = format!("ServerGrp{}", target + 1);
 
         let mut looped = base.clone();
-        for op in per_client_ops(&base, &clients, &to_group) {
-            apply_op(&mut looped, &op).unwrap();
-        }
+        move_one_by_one(&mut looped, &clients, &to_group);
         let mut batched = base.clone();
-        let op = ModelOp::MoveClientGroup { clients, to_group };
+        // A list of one present member goes through the single-client op.
+        let op = match clients.as_slice() {
+            [client] if base.component_by_name(client).is_some() => ModelOp::MoveClient {
+                client: client.clone(),
+                to_group,
+            },
+            _ => ModelOp::MoveClientGroup { clients, to_group },
+        };
         apply_op(&mut batched, &op).unwrap();
 
         prop_assert_eq!(&batched, &looped);

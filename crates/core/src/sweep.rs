@@ -23,6 +23,7 @@ use crate::framework::FrameworkConfig;
 use faultsim::{fault_profile_by_name, Resilience, NO_FAULTS};
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -953,6 +954,45 @@ pub fn run_sweep_traced(
     Ok(report)
 }
 
+/// Runs `run(i)` for every `i` in `0..total` across `workers` threads and
+/// returns the results in index order. A unit that panics fails alone, as a
+/// [`SweepError::Run`] in its own slot: the other units still finish.
+fn run_units<T: Send>(
+    total: usize,
+    workers: usize,
+    run: impl Fn(usize) -> Result<T, SweepError> + Sync,
+) -> Vec<Result<T, SweepError>> {
+    let slots: Mutex<Vec<Option<Result<T, SweepError>>>> =
+        Mutex::new((0..total).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let unit = next.fetch_add(1, Ordering::Relaxed);
+                if unit >= total {
+                    break;
+                }
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| run(unit))).unwrap_or_else(|panic| {
+                        let text = panic
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string payload".to_string());
+                        let message = format!("panicked: {text}");
+                        Err(SweepError::Run { unit, message })
+                    });
+                slots.lock().expect("no unit runs under the lock")[unit] = Some(outcome);
+            });
+        }
+    });
+    let slots = slots.into_inner().expect("no unit runs under the lock");
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every unit was claimed by a worker"))
+        .collect()
+}
+
 fn run_sweep_inner(
     spec: &SweepSpec,
     workers: usize,
@@ -961,27 +1001,11 @@ fn run_sweep_inner(
     spec.validate()?;
     let units = spec.expand();
     let total = units.len();
-    let workers = workers.clamp(1, total);
-    type Slot = Option<Result<(UnitOutcome, UnitEvents), SweepError>>;
-    let slots: Mutex<Vec<Slot>> = Mutex::new(vec![None; total]);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let outcome = units[i].run_unit(traced, spec.collect_metrics, spec.detectors);
-                slots.lock().expect("no worker panicked")[i] = Some(outcome);
-            });
-        }
+    let results = run_units(total, workers.clamp(1, total), |i| {
+        units[i].run_unit(traced, spec.collect_metrics, spec.detectors)
     });
-    let (outcomes, events): (Vec<UnitOutcome>, Vec<UnitEvents>) = slots
-        .into_inner()
-        .expect("no worker panicked")
+    let (outcomes, events): (Vec<UnitOutcome>, Vec<UnitEvents>) = results
         .into_iter()
-        .map(|slot| slot.expect("every unit was claimed by a worker"))
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .unzip();
@@ -1016,6 +1040,28 @@ mod tests {
             fault_profiles: vec![NO_FAULTS.into()],
             collect_metrics: false,
             detectors: false,
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_fails_alone() {
+        for workers in [1, 4] {
+            let results = run_units(6, workers, |i| {
+                if i == 3 {
+                    panic!("unit {i} blew up");
+                }
+                Ok(i * 10)
+            });
+            for (i, result) in results.iter().enumerate() {
+                match result {
+                    Ok(value) => assert_eq!((i != 3, *value), (true, i * 10)),
+                    Err(SweepError::Run { unit, message }) => {
+                        assert_eq!((i, *unit), (3, 3));
+                        assert_eq!(message, "panicked: unit 3 blew up");
+                    }
+                    Err(other) => panic!("unexpected error: {other}"),
+                }
+            }
         }
     }
 

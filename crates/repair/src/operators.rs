@@ -14,8 +14,8 @@
 //! Operators work on a [`Transaction`], so a repair can be validated against
 //! the style and aborted without touching the live model.
 
-use archmodel::style::{props, ClientServerStyle, CLIENT_ROLE_T, SERVER_T};
-use archmodel::{ChangeError, ModelOp, System, Transaction, Value};
+use archmodel::style::{ClientServerStyle, SERVER_GROUP_T, SERVER_T};
+use archmodel::{ModelError, ModelOp, System, Transaction};
 
 /// Errors raised by adaptation operators.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,11 +23,11 @@ pub enum OperatorError {
     /// A named element was missing or of the wrong type.
     BadTarget(String),
     /// The underlying change could not be applied.
-    Change(ChangeError),
+    Change(ModelError),
 }
 
-impl From<ChangeError> for OperatorError {
-    fn from(e: ChangeError) -> Self {
+impl From<ModelError> for OperatorError {
+    fn from(e: ModelError) -> Self {
         OperatorError::Change(e)
     }
 }
@@ -43,6 +43,26 @@ impl std::fmt::Display for OperatorError {
 
 impl std::error::Error for OperatorError {}
 
+/// The component `name`, which must be a `what` (of type `ctype`).
+fn target<'a>(
+    model: &'a System,
+    name: &str,
+    ctype: &str,
+    what: &str,
+) -> Result<&'a archmodel::Component, OperatorError> {
+    let component = model
+        .component_by_name(name)
+        .and_then(|id| model.component(id).ok())
+        .ok_or_else(|| OperatorError::BadTarget(format!("{what} {name} not found")))?;
+    if component.ctype != ctype {
+        return Err(OperatorError::BadTarget(format!(
+            "{name} is a {}, not a {what}",
+            component.ctype
+        )));
+    }
+    Ok(component)
+}
+
 fn next_server_name(model: &System, group_name: &str) -> String {
     let mut index = 1;
     loop {
@@ -57,42 +77,13 @@ fn next_server_name(model: &System, group_name: &str) -> String {
 /// `addServer()`: adds a new replicated, active server to `group_name` and
 /// updates the group's `replicationCount`. Returns the new server's name.
 pub fn add_server(tx: &mut Transaction, group_name: &str) -> Result<String, OperatorError> {
-    let group_id = tx
-        .working()
-        .component_by_name(group_name)
-        .ok_or_else(|| OperatorError::BadTarget(format!("server group {group_name} not found")))?;
-    let group = tx
-        .working()
-        .component(group_id)
-        .map_err(ChangeError::from)?;
-    if group.ctype != archmodel::style::SERVER_GROUP_T {
-        return Err(OperatorError::BadTarget(format!(
-            "{group_name} is a {}, not a server group",
-            group.ctype
-        )));
-    }
-    let server_name = next_server_name(tx.working(), group_name);
-    tx.apply(ModelOp::AddComponent {
-        name: server_name.clone(),
-        ctype: SERVER_T.to_string(),
-        parent: Some(group_name.to_string()),
+    target(tx.working(), group_name, SERVER_GROUP_T, "server group")?;
+    let server = next_server_name(tx.working(), group_name);
+    tx.apply(ModelOp::AddServer {
+        group: group_name.to_string(),
+        server: server.clone(),
     })?;
-    tx.apply(ModelOp::SetComponentProperty {
-        component: server_name.clone(),
-        property: props::IS_ACTIVE.to_string(),
-        value: Value::Bool(true),
-    })?;
-    let count = tx
-        .working()
-        .children_of(group_id)
-        .map_err(ChangeError::from)?
-        .len() as i64;
-    tx.apply(ModelOp::SetComponentProperty {
-        component: group_name.to_string(),
-        property: props::REPLICATION_COUNT.to_string(),
-        value: Value::Int(count),
-    })?;
-    Ok(server_name)
+    Ok(server)
 }
 
 /// `move(to)`: moves `client_name` from its current server group's connector
@@ -104,176 +95,57 @@ pub fn move_client(
     client_name: &str,
     to_group_name: &str,
 ) -> Result<String, OperatorError> {
-    let model = tx.working();
-    let client_id = model
-        .component_by_name(client_name)
-        .ok_or_else(|| OperatorError::BadTarget(format!("client {client_name} not found")))?;
-    let to_group_id = model.component_by_name(to_group_name).ok_or_else(|| {
-        OperatorError::BadTarget(format!("server group {to_group_name} not found"))
+    target(tx.working(), to_group_name, SERVER_GROUP_T, "server group")?;
+    tx.apply(ModelOp::MoveClient {
+        client: client_name.to_string(),
+        to_group: to_group_name.to_string(),
     })?;
-    if model
-        .component(to_group_id)
-        .map_err(ChangeError::from)?
-        .ctype
-        != archmodel::style::SERVER_GROUP_T
-    {
-        return Err(OperatorError::BadTarget(format!(
-            "{to_group_name} is not a server group"
-        )));
-    }
-
-    // Locate the client's request port and its current attachment.
-    let port_id = model
-        .component(client_id)
-        .map_err(ChangeError::from)?
-        .ports
-        .iter()
-        .copied()
-        .find(|p| {
-            model
-                .port(*p)
-                .map(|p| p.name == ClientServerStyle::CLIENT_PORT)
-                .unwrap_or(false)
-        })
-        .ok_or_else(|| {
-            OperatorError::BadTarget(format!("client {client_name} has no request port"))
-        })?;
-    let old_role = model.roles_attached_to_port(port_id).first().copied();
-
-    // Ensure the target group's connector exists. The connector is part of
-    // the style; if missing we create it (and its server-side attachment).
-    let target_conn_name = format!("{to_group_name}.Conn");
-    if model.connector_by_name(&target_conn_name).is_none() {
-        tx.apply(ModelOp::AddConnector {
-            name: target_conn_name.clone(),
-            ctype: archmodel::style::SERVICE_CONN_T.to_string(),
-        })?;
-        tx.apply(ModelOp::AddRole {
-            connector: target_conn_name.clone(),
-            role: "serverSide".to_string(),
-            rtype: archmodel::style::SERVER_ROLE_T.to_string(),
-        })?;
-        tx.apply(ModelOp::Attach {
-            component: to_group_name.to_string(),
-            port: ClientServerStyle::GROUP_PORT.to_string(),
-            connector: target_conn_name.clone(),
-            role: "serverSide".to_string(),
-        })?;
-    }
-
-    // Detach from the old connector and delete the stale role.
-    if let Some(old_role_id) = old_role {
-        let model = tx.working();
-        let role = model.role(old_role_id).map_err(ChangeError::from)?;
-        let old_conn = model.connector(role.owner).map_err(ChangeError::from)?;
-        let old_conn_name = old_conn.name.clone();
-        let old_role_name = role.name.clone();
-        tx.apply(ModelOp::Detach {
-            component: client_name.to_string(),
-            port: ClientServerStyle::CLIENT_PORT.to_string(),
-            connector: old_conn_name.clone(),
-            role: old_role_name.clone(),
-        })?;
-        tx.apply(ModelOp::RemoveRole {
-            connector: old_conn_name,
-            role: old_role_name,
-        })?;
-    }
-
-    // Create a fresh client role on the target connector and attach.
-    let new_role_name = format!("{client_name}.role");
-    tx.apply(ModelOp::AddRole {
-        connector: target_conn_name.clone(),
-        role: new_role_name.clone(),
-        rtype: CLIENT_ROLE_T.to_string(),
-    })?;
-    tx.apply(ModelOp::Attach {
-        component: client_name.to_string(),
-        port: ClientServerStyle::CLIENT_PORT.to_string(),
-        connector: target_conn_name.clone(),
-        role: new_role_name,
-    })?;
-    Ok(target_conn_name)
+    Ok(ClientServerStyle::connector_name(to_group_name))
 }
 
 /// `moveClientGroup(to)`: the class-level bulk variant of `move` — relocates
 /// every named client onto `to_group_name`'s connector as **one** recorded
-/// model operation, so a fleet-scale class move costs one change-set entry
-/// (and one commit replay) instead of ~6 per member. Applying it — here on
-/// the working copy, and again when the repair commits — sweeps each
-/// connector that loses a role and the attachment list once, whatever the
-/// class size, and changes nothing if it fails (see
+/// model operation. Applying it — here on the working copy, and again when
+/// the repair commits — sweeps each connector that loses a role and the
+/// attachment list once, whatever the class size (see
 /// [`ModelOp::MoveClientGroup`]). Members missing from the model are skipped;
-/// the final model state matches the per-client [`move_client`] sequence
-/// exactly. Returns the target connector's name.
+/// the final model state is that of one [`move_client`] per member. Returns
+/// the target connector's name.
 pub fn move_client_group(
     tx: &mut Transaction,
     clients: &[String],
     to_group_name: &str,
 ) -> Result<String, OperatorError> {
-    let model = tx.working();
-    let to_group_id = model.component_by_name(to_group_name).ok_or_else(|| {
-        OperatorError::BadTarget(format!("server group {to_group_name} not found"))
-    })?;
-    if model
-        .component(to_group_id)
-        .map_err(ChangeError::from)?
-        .ctype
-        != archmodel::style::SERVER_GROUP_T
-    {
-        return Err(OperatorError::BadTarget(format!(
-            "{to_group_name} is not a server group"
-        )));
-    }
+    target(tx.working(), to_group_name, SERVER_GROUP_T, "server group")?;
     tx.apply(ModelOp::MoveClientGroup {
         clients: clients.to_vec(),
         to_group: to_group_name.to_string(),
     })?;
-    Ok(format!("{to_group_name}.Conn"))
+    Ok(ClientServerStyle::connector_name(to_group_name))
 }
 
 /// `remove()`: removes `server_name` from its containing server group and
 /// updates the group's `replicationCount`. Returns the group's name.
 pub fn remove_server(tx: &mut Transaction, server_name: &str) -> Result<String, OperatorError> {
     let model = tx.working();
-    let server_id = model
-        .component_by_name(server_name)
-        .ok_or_else(|| OperatorError::BadTarget(format!("server {server_name} not found")))?;
-    let server = model.component(server_id).map_err(ChangeError::from)?;
-    if server.ctype != SERVER_T {
-        return Err(OperatorError::BadTarget(format!(
-            "{server_name} is a {}, not a server",
-            server.ctype
-        )));
-    }
-    let group_id = server.parent.ok_or_else(|| {
-        OperatorError::BadTarget(format!("server {server_name} has no containing group"))
-    })?;
-    let group_name = model
-        .component(group_id)
-        .map_err(ChangeError::from)?
+    let group = target(model, server_name, SERVER_T, "server")?
+        .parent
+        .and_then(|group| model.component(group).ok())
+        .ok_or_else(|| {
+            OperatorError::BadTarget(format!("server {server_name} has no containing group"))
+        })?
         .name
         .clone();
-    tx.apply(ModelOp::RemoveComponent {
-        name: server_name.to_string(),
+    tx.apply(ModelOp::RemoveServer {
+        server: server_name.to_string(),
     })?;
-    let count = tx
-        .working()
-        .children_of(group_id)
-        .map_err(ChangeError::from)?
-        .len() as i64;
-    tx.apply(ModelOp::SetComponentProperty {
-        component: group_name.clone(),
-        property: props::REPLICATION_COUNT.to_string(),
-        value: Value::Int(count),
-    })?;
-    Ok(group_name)
+    Ok(group)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archmodel::style::SERVER_GROUP_T;
+    use archmodel::style::props;
 
     fn example() -> System {
         ClientServerStyle::example_system("storage", 2, 3, 4).unwrap()
@@ -451,7 +323,7 @@ mod tests {
         let mut tx = Transaction::new(&model);
         add_server(&mut tx, "ServerGrp2").unwrap();
         move_client(&mut tx, "User1", "ServerGrp2").unwrap();
-        assert!(tx.len() >= 4);
+        assert_eq!(tx.len(), 2);
         for op in tx.ops() {
             archmodel::apply_op(&mut model, op).unwrap();
         }

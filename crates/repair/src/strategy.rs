@@ -300,18 +300,24 @@ mod tests {
     }
 
     fn add_server_op() -> Vec<ModelOp> {
-        vec![
-            ModelOp::AddComponent {
-                name: "ServerGrp1.Server9".into(),
-                ctype: archmodel::style::SERVER_T.into(),
-                parent: Some("ServerGrp1".into()),
-            },
-            ModelOp::SetComponentProperty {
-                component: "ServerGrp1".into(),
-                property: archmodel::style::props::REPLICATION_COUNT.into(),
-                value: archmodel::Value::Int(3),
-            },
-        ]
+        vec![ModelOp::AddServer {
+            group: "ServerGrp1".into(),
+            server: "ServerGrp1.Server9".into(),
+        }]
+    }
+
+    fn remove_server_op(server: &str) -> ModelOp {
+        ModelOp::RemoveServer {
+            server: server.into(),
+        }
+    }
+
+    /// Retiring both replicas of a group leaves it with no active server.
+    fn break_style() -> Result<Script, RepairError> {
+        applied(vec![
+            remove_server_op("ServerGrp1.Server1"),
+            remove_server_op("ServerGrp1.Server2"),
+        ])
     }
 
     #[test]
@@ -356,13 +362,8 @@ mod tests {
     fn style_breaking_repair_is_aborted() {
         let m = model();
         let v = violation(&m);
-        // Removing the whole server group leaves its clients dangling.
-        let strategy = RepairStrategy::new("bad").with_tactic(scripted(
-            "break-style",
-            applied(vec![ModelOp::RemoveComponent {
-                name: "ServerGrp1".into(),
-            }]),
-        ));
+        let strategy =
+            RepairStrategy::new("bad").with_tactic(scripted("break-style", break_style()));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::Aborted { reason } => assert!(reason.contains("style")),
             other => panic!("unexpected outcome: {other:?}"),
@@ -389,13 +390,11 @@ mod tests {
         // transaction, so the tactic — not a later replay — reports it.
         let strategy = RepairStrategy::new("broken").with_tactic(scripted(
             "bad-op",
-            applied(vec![ModelOp::RemoveComponent {
-                name: "DoesNotExist".into(),
-            }]),
+            applied(vec![remove_server_op("DoesNotExist")]),
         ));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::Aborted { reason } => {
-                assert!(reason.starts_with("bad-op: change failed"), "{reason}")
+                assert!(reason.starts_with("bad-op: model error"), "{reason}")
             }
             other => panic!("unexpected outcome: {other:?}"),
         }
@@ -425,22 +424,8 @@ mod tests {
     fn every_outcome_matches_the_eager_clone_oracle() {
         let m = model();
         let v = violation(&m);
-        let bad_op = || {
-            applied(vec![ModelOp::RemoveComponent {
-                name: "DoesNotExist".into(),
-            }])
-        };
-        let break_style = || {
-            applied(vec![ModelOp::RemoveComponent {
-                name: "ServerGrp1".into(),
-            }])
-        };
-        let note = || {
-            applied(vec![ModelOp::SetSystemProperty {
-                property: "note".into(),
-                value: archmodel::Value::Str("second".into()),
-            }])
-        };
+        let bad_op = || applied(vec![remove_server_op("DoesNotExist")]);
+        let second = || applied(vec![remove_server_op("ServerGrp2.Server2")]);
         let strategies = [
             RepairStrategy::new("none")
                 .with_tactic(scripted("a", not_applicable()))
@@ -448,7 +433,7 @@ mod tests {
             RepairStrategy::new("both")
                 .with_tactic(scripted("skip", not_applicable()))
                 .with_tactic(scripted("a", applied(add_server_op())))
-                .with_tactic(scripted("b", note())),
+                .with_tactic(scripted("b", second())),
             RepairStrategy::new("no-group")
                 .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
             RepairStrategy::new("operator")

@@ -8,28 +8,21 @@
 use crate::query::RuntimeQuery;
 use archmodel::constraint::Violation;
 use archmodel::style::StyleViolation;
-use archmodel::{ChangeError, ModelError, System, Transaction};
+use archmodel::{ModelError, System, Transaction};
 
 /// Errors that abort a repair.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepairError {
     /// An adaptation operator failed.
     Operator(String),
-    /// A model change could not be applied.
-    Change(ChangeError),
-    /// The model itself is inconsistent with the violation being repaired.
+    /// A model change could not be applied, or the model itself is
+    /// inconsistent with the violation being repaired.
     Model(ModelError),
     /// `findGoodSGroup` found no server group with acceptable bandwidth —
     /// the paper's `abort NoServerGroupFound`.
     NoServerGroupFound,
     /// The repaired model would violate the architectural style.
     StyleViolations(Vec<StyleViolation>),
-}
-
-impl From<ChangeError> for RepairError {
-    fn from(e: ChangeError) -> Self {
-        RepairError::Change(e)
-    }
 }
 
 impl From<ModelError> for RepairError {
@@ -48,7 +41,6 @@ impl std::fmt::Display for RepairError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RepairError::Operator(m) => write!(f, "operator failed: {m}"),
-            RepairError::Change(e) => write!(f, "change failed: {e}"),
             RepairError::Model(e) => write!(f, "model error: {e}"),
             RepairError::NoServerGroupFound => write!(f, "no server group found"),
             RepairError::StyleViolations(v) => {

@@ -2,163 +2,90 @@
 //!
 //! The paper's framework has *hand-tailored support for translating APIs in
 //! the Model Layer to ones in the Runtime Layer* (§4); this module implements
-//! that translation for the client/server style. The mapping consults the
-//! architectural model as it was before the repair so it can resolve element
-//! types and the client's previous server group.
+//! that translation for the client/server style: each style operator of a
+//! script maps onto its Table 1 sequence. The mapping consults the
+//! architectural model as it was before the repair to learn which server
+//! groups have no request queue yet.
 
 use crate::runtime_ops::{RuntimeOp, TranslationError};
-use archmodel::style::{CLIENT_T, SERVER_GROUP_T, SERVER_T, SERVICE_CONN_T};
+use archmodel::style::ClientServerStyle;
 use archmodel::{ModelOp, System};
-
-/// Derives the server-group name from a service-connector name of the form
-/// `"<group>.Conn"`.
-fn group_of_connector(name: &str) -> Option<&str> {
-    name.strip_suffix(".Conn")
-}
-
-fn component_type(model: &System, name: &str) -> Option<String> {
-    model
-        .component_by_name(name)
-        .and_then(|id| model.component(id).ok())
-        .map(|c| c.ctype.clone())
-}
 
 /// Translates a committed repair script into the runtime operations that
 /// realise it, in execution order.
 ///
 /// `model_before` is the architectural model as it was when the repair was
-/// planned (i.e. before the script was committed), which is needed to resolve
-/// the types of removed elements and the previous attachment of moved
-/// clients.
+/// planned (i.e. before the script was committed): a group whose service
+/// connector it lacks gets its request queue created ahead of the first
+/// client the script moves there.
 pub fn translate(
     model_before: &System,
     ops: &[ModelOp],
     min_bandwidth_bps: f64,
 ) -> Result<Vec<RuntimeOp>, TranslationError> {
     let mut out = Vec::new();
+    let mut queues_created: Vec<&str> = Vec::new();
     for op in ops {
         match op {
-            ModelOp::AddComponent {
-                name,
-                ctype,
-                parent,
-            } => {
-                if ctype == SERVER_T {
-                    let group = parent.clone().ok_or_else(|| {
-                        TranslationError::NotTranslatable(format!(
-                            "server {name} added without a containing group"
-                        ))
-                    })?;
-                    // Recruit a spare server, point it at the group's queue,
-                    // and activate it.
-                    out.push(RuntimeOp::FindServer {
-                        client: group.clone(),
-                        bandwidth_threshold_bps: min_bandwidth_bps,
-                    });
-                    out.push(RuntimeOp::ConnectServer {
-                        server: name.clone(),
-                        group: group.clone(),
-                    });
-                    out.push(RuntimeOp::ActivateServer {
-                        server: name.clone(),
-                    });
-                    // The group's load gauge must be refreshed to include the
-                    // new replica.
-                    out.push(RuntimeOp::DeleteGauge {
-                        gauge: format!("load-gauge/{group}"),
-                    });
-                    out.push(RuntimeOp::CreateGauge {
-                        gauge: format!("load-gauge/{group}"),
-                    });
-                } else if ctype == CLIENT_T || ctype == SERVER_GROUP_T {
-                    // New top-level components appear only in deployment
-                    // scripts, not in repairs; nothing to execute.
-                }
+            ModelOp::AddServer { group, server } => {
+                // Recruit a spare server, point it at the group's queue,
+                // and activate it.
+                out.push(RuntimeOp::FindServer {
+                    client: group.clone(),
+                    bandwidth_threshold_bps: min_bandwidth_bps,
+                });
+                out.push(RuntimeOp::ConnectServer {
+                    server: server.clone(),
+                    group: group.clone(),
+                });
+                out.push(RuntimeOp::ActivateServer {
+                    server: server.clone(),
+                });
+                // The group's load gauge must be refreshed to include the
+                // new replica.
+                out.push(RuntimeOp::DeleteGauge {
+                    gauge: format!("load-gauge/{group}"),
+                });
+                out.push(RuntimeOp::CreateGauge {
+                    gauge: format!("load-gauge/{group}"),
+                });
             }
-            ModelOp::RemoveComponent { name } => {
-                match component_type(model_before, name).as_deref() {
-                    Some(SERVER_T) => out.push(RuntimeOp::DeactivateServer {
-                        server: name.clone(),
-                    }),
-                    Some(_) | None => {
-                        // Removing anything other than a server has no direct
-                        // runtime counterpart in this style.
-                    }
-                }
-            }
-            ModelOp::AddConnector { name, ctype } => {
-                if ctype == SERVICE_CONN_T {
-                    let group = group_of_connector(name).ok_or_else(|| {
-                        TranslationError::NotTranslatable(format!(
-                            "service connector {name} does not follow the <group>.Conn convention"
-                        ))
-                    })?;
+            ModelOp::RemoveServer { server } => out.push(RuntimeOp::DeactivateServer {
+                server: server.clone(),
+            }),
+            ModelOp::MoveClient { client, to_group } => {
+                let connector = ClientServerStyle::connector_name(to_group);
+                if model_before.connector_by_name(&connector).is_none()
+                    && !queues_created.contains(&to_group.as_str())
+                {
+                    queues_created.push(to_group);
                     out.push(RuntimeOp::CreateReqQueue {
-                        group: group.to_string(),
+                        group: to_group.clone(),
                     });
                 }
+                out.push(RuntimeOp::RemosGetFlow {
+                    client: client.clone(),
+                    server: to_group.clone(),
+                });
+                out.push(RuntimeOp::MoveClient {
+                    client: client.clone(),
+                    to_group: to_group.clone(),
+                });
+                // The bandwidth gauge watching the old pair must be
+                // destroyed and a new one created for the new pair.
+                out.push(RuntimeOp::DeleteGauge {
+                    gauge: format!("bandwidth-gauge/{client}"),
+                });
+                out.push(RuntimeOp::CreateGauge {
+                    gauge: format!("bandwidth-gauge/{client}"),
+                });
             }
-            ModelOp::Attach {
-                component,
-                connector,
-                ..
-            } => {
-                // A client attaching to a (different) service connector is a
-                // client move.
-                if component_type(model_before, component).as_deref() == Some(CLIENT_T) {
-                    if let Some(group) = group_of_connector(connector) {
-                        out.push(RuntimeOp::RemosGetFlow {
-                            client: component.clone(),
-                            server: group.to_string(),
-                        });
-                        out.push(RuntimeOp::MoveClient {
-                            client: component.clone(),
-                            to_group: group.to_string(),
-                        });
-                        // The bandwidth gauge watching the old pair must be
-                        // destroyed and a new one created for the new pair.
-                        out.push(RuntimeOp::DeleteGauge {
-                            gauge: format!("bandwidth-gauge/{component}"),
-                        });
-                        out.push(RuntimeOp::CreateGauge {
-                            gauge: format!("bandwidth-gauge/{component}"),
-                        });
-                    }
-                }
+            ModelOp::MoveClientGroup { to_group, .. } => {
+                return Err(TranslationError::NotTranslatable(format!(
+                    "a class move onto {to_group} is realised by the group planner, \
+                     which writes its own runtime batch"
+                )));
             }
-            ModelOp::MoveClientGroup { clients, to_group } => {
-                // The class-level move: one Remos flow probe for the batch,
-                // one routing update covering every client, and one
-                // gauge-churn batch (the monitoring layer relocates the
-                // moved clients' bandwidth gauges in a single sweep).
-                if let Some(first) = clients.first() {
-                    out.push(RuntimeOp::RemosGetFlow {
-                        client: first.clone(),
-                        server: to_group.clone(),
-                    });
-                    out.push(RuntimeOp::MoveClientGroup {
-                        clients: clients.clone(),
-                        to_group: to_group.clone(),
-                    });
-                    out.push(RuntimeOp::DeleteGauge {
-                        gauge: "bandwidth-gauges/planner-batch".to_string(),
-                    });
-                    out.push(RuntimeOp::CreateGauge {
-                        gauge: "bandwidth-gauges/planner-batch".to_string(),
-                    });
-                }
-            }
-            // Pure model bookkeeping: no runtime effect.
-            ModelOp::Detach { .. }
-            | ModelOp::AddRole { .. }
-            | ModelOp::RemoveRole { .. }
-            | ModelOp::AddPort { .. }
-            | ModelOp::RemovePort { .. }
-            | ModelOp::RemoveConnector { .. }
-            | ModelOp::SetComponentProperty { .. }
-            | ModelOp::SetConnectorProperty { .. }
-            | ModelOp::SetRoleProperty { .. }
-            | ModelOp::SetSystemProperty { .. } => {}
         }
     }
     Ok(out)
@@ -173,6 +100,93 @@ mod tests {
 
     fn model() -> System {
         ClientServerStyle::example_system("storage", 2, 3, 6).unwrap()
+    }
+
+    /// The runtime operations a script built by `build` translates to, in
+    /// their trace form.
+    fn table1(m: &System, build: impl FnOnce(&mut Transaction)) -> Vec<String> {
+        let mut tx = Transaction::new(m);
+        build(&mut tx);
+        let runtime = translate(m, tx.ops(), 10_000.0).unwrap();
+        runtime.iter().map(RuntimeOp::describe).collect()
+    }
+
+    fn recruit(group: &str, server: &str) -> Vec<String> {
+        vec![
+            format!("findServer({group}, 10000bps)"),
+            format!("connectServer({server}, {group})"),
+            format!("activateServer({server})"),
+            format!("deleteGauge(load-gauge/{group})"),
+            format!("createGauge(load-gauge/{group})"),
+        ]
+    }
+
+    fn relocate(client: &str, group: &str) -> Vec<String> {
+        vec![
+            format!("remos_get_flow({client}, {group})"),
+            format!("moveClient({client} -> {group})"),
+            format!("deleteGauge(bandwidth-gauge/{client})"),
+            format!("createGauge(bandwidth-gauge/{client})"),
+        ]
+    }
+
+    /// The Table 1 mapping, operator by operator, as exact sequences.
+    #[test]
+    fn each_operator_maps_to_its_table1_sequence() {
+        let mut m = model();
+        // A group no client is connected to yet: it has no connector.
+        ClientServerStyle::add_server_group(&mut m, "ServerGrp3", 1).unwrap();
+        assert!(m.connector_by_name("ServerGrp3.Conn").is_none());
+
+        let add = table1(&m, |tx| {
+            assert_eq!(add_server(tx, "ServerGrp1").unwrap(), "ServerGrp1.Server4");
+        });
+        assert_eq!(add, recruit("ServerGrp1", "ServerGrp1.Server4"));
+
+        let remove = table1(&m, |tx| {
+            remove_server(tx, "ServerGrp2.Server3").unwrap();
+        });
+        assert_eq!(remove, ["deactivateServer(ServerGrp2.Server3)"]);
+
+        let moved = table1(&m, |tx| {
+            move_client(tx, "User1", "ServerGrp2").unwrap();
+        });
+        assert_eq!(moved, relocate("User1", "ServerGrp2"));
+
+        // Two moves onto a group with no connector yet: one request queue,
+        // created ahead of the first flow query.
+        let onto_fresh = table1(&m, |tx| {
+            move_client(tx, "User1", "ServerGrp3").unwrap();
+            move_client(tx, "User2", "ServerGrp3").unwrap();
+        });
+        let mut expected = vec!["createReqQueue(ServerGrp3)".to_string()];
+        expected.extend(relocate("User1", "ServerGrp3"));
+        expected.extend(relocate("User2", "ServerGrp3"));
+        assert_eq!(onto_fresh, expected);
+
+        // Failover: the corpses go first, and their names are reused.
+        let failover = table1(&m, |tx| {
+            remove_server(tx, "ServerGrp1.Server1").unwrap();
+            remove_server(tx, "ServerGrp1.Server2").unwrap();
+            assert_eq!(add_server(tx, "ServerGrp1").unwrap(), "ServerGrp1.Server1");
+            assert_eq!(add_server(tx, "ServerGrp1").unwrap(), "ServerGrp1.Server2");
+        });
+        let mut expected = vec![
+            "deactivateServer(ServerGrp1.Server1)".to_string(),
+            "deactivateServer(ServerGrp1.Server2)".to_string(),
+        ];
+        expected.extend(recruit("ServerGrp1", "ServerGrp1.Server1"));
+        expected.extend(recruit("ServerGrp1", "ServerGrp1.Server2"));
+        assert_eq!(failover, expected);
+
+        // A mixed script keeps script order.
+        let mixed = table1(&m, |tx| {
+            add_server(tx, "ServerGrp2").unwrap();
+            move_client(tx, "User3", "ServerGrp2").unwrap();
+        });
+        let mut expected = recruit("ServerGrp2", "ServerGrp2.Server4");
+        expected.extend(relocate("User3", "ServerGrp2"));
+        assert_eq!(mixed, expected);
     }
 
     #[test]
@@ -227,31 +241,16 @@ mod tests {
     }
 
     #[test]
-    fn move_client_group_translates_to_batched_move() {
+    fn move_client_group_is_the_planners_to_realise() {
         let m = model();
         let mut tx = Transaction::new(&m);
-        let clients: Vec<String> = ["User1", "User3"].iter().map(|s| s.to_string()).collect();
-        move_client_group(&mut tx, &clients, "ServerGrp2").unwrap();
-        let runtime = translate(&m, tx.ops(), 10_000.0).unwrap();
-        assert_eq!(
-            runtime,
-            vec![
-                RuntimeOp::RemosGetFlow {
-                    client: "User1".into(),
-                    server: "ServerGrp2".into(),
-                },
-                RuntimeOp::MoveClientGroup {
-                    clients: clients.clone(),
-                    to_group: "ServerGrp2".into(),
-                },
-                RuntimeOp::DeleteGauge {
-                    gauge: "bandwidth-gauges/planner-batch".into(),
-                },
-                RuntimeOp::CreateGauge {
-                    gauge: "bandwidth-gauges/planner-batch".into(),
-                },
-            ]
-        );
+        move_client_group(&mut tx, &["User1".to_string()], "ServerGrp2").unwrap();
+        match translate(&m, tx.ops(), 10_000.0) {
+            Err(TranslationError::NotTranslatable(reason)) => {
+                assert!(reason.contains("group planner"), "{reason}")
+            }
+            other => panic!("unexpected translation: {other:?}"),
+        }
     }
 
     #[test]
@@ -270,54 +269,25 @@ mod tests {
 
     #[test]
     fn creating_a_connector_creates_a_queue() {
-        let m = model();
-        let ops = vec![ModelOp::AddConnector {
-            name: "ServerGrp3.Conn".into(),
-            ctype: SERVICE_CONN_T.into(),
-        }];
-        let runtime = translate(&m, &ops, 10_000.0).unwrap();
+        let mut m = model();
+        ClientServerStyle::add_server_group(&mut m, "ServerGrp3", 1).unwrap();
+        let mut tx = Transaction::new(&m);
+        move_client(&mut tx, "User1", "ServerGrp3").unwrap();
+        // ServerGrp3.Conn now exists in the working copy, but not in the
+        // model the script is translated against.
+        move_client(&mut tx, "User1", "ServerGrp1").unwrap();
+        move_client(&mut tx, "User1", "ServerGrp3").unwrap();
+        let runtime = translate(&m, tx.ops(), 10_000.0).unwrap();
         assert_eq!(
-            runtime,
-            vec![RuntimeOp::CreateReqQueue {
+            runtime[0],
+            RuntimeOp::CreateReqQueue {
                 group: "ServerGrp3".into()
-            }]
+            }
         );
-    }
-
-    #[test]
-    fn misnamed_connector_is_not_translatable() {
-        let m = model();
-        let ops = vec![ModelOp::AddConnector {
-            name: "weird-connector".into(),
-            ctype: SERVICE_CONN_T.into(),
-        }];
-        assert!(matches!(
-            translate(&m, &ops, 10_000.0),
-            Err(TranslationError::NotTranslatable(_))
-        ));
-    }
-
-    #[test]
-    fn property_updates_translate_to_nothing() {
-        let m = model();
-        let ops = vec![ModelOp::SetSystemProperty {
-            property: "maxLatency".into(),
-            value: archmodel::Value::Float(2.0),
-        }];
-        assert!(translate(&m, &ops, 10_000.0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn non_client_attach_translates_to_nothing() {
-        let m = model();
-        // Attaching a server group's port (e.g. when building a connector) is
-        // not a client move.
-        let ops = vec![ModelOp::Attach {
-            component: "ServerGrp1".into(),
-            port: "serve".into(),
-            connector: "ServerGrp1.Conn".into(),
-            role: "serverSide".into(),
-        }];
-        assert!(translate(&m, &ops, 10_000.0).unwrap().is_empty());
+        let queues = runtime
+            .iter()
+            .filter(|op| matches!(op, RuntimeOp::CreateReqQueue { .. }))
+            .count();
+        assert_eq!(queues, 1);
     }
 }

@@ -3,7 +3,7 @@
 //! transactional change-set machinery, and the M/M/c analysis.
 
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{apply_op, parse, Bindings, ModelOp, System, Transaction, Value};
+use archmodel::{apply_op, parse, Bindings, System, Transaction};
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::LinkId;
@@ -89,37 +89,34 @@ proptest! {
 
     /// Replaying a transaction's recorded ops onto the model it started from
     /// (what committing a repair does) leaves that model equal to the
-    /// working copy.
+    /// working copy, whatever the operator script — and an operator that
+    /// fails (a server or client the model does not have) records nothing.
     #[test]
-    fn transactions_are_atomic(extra_servers in 1usize..5, latency in 0.0f64..10.0) {
+    fn transactions_are_atomic(
+        script in proptest::collection::vec((0usize..4, 0usize..5, 0usize..2), 1..12),
+    ) {
         let mut live = arbitrary_model(2, 2, 4);
         let mut tx = Transaction::new(&live);
-        for i in 0..extra_servers {
-            tx.apply(ModelOp::AddComponent {
-                name: format!("ServerGrp1.Extra{i}"),
-                ctype: archmodel::style::SERVER_T.into(),
-                parent: Some("ServerGrp1".into()),
-            })
-            .unwrap();
+        for (operator, pick, group) in script {
+            let group = format!("ServerGrp{}", group + 1);
+            let client = format!("User{}", pick + 1);
+            let recorded = tx.len();
+            let applied = match operator {
+                0 => repair::add_server(&mut tx, &group).is_ok(),
+                1 => repair::remove_server(&mut tx, &format!("{group}.Server{}", pick + 1)).is_ok(),
+                2 => repair::move_client(&mut tx, &client, &group).is_ok(),
+                _ => {
+                    let class = [client, "User1".to_string()];
+                    repair::operators::move_client_group(&mut tx, &class, &group).is_ok()
+                }
+            };
+            prop_assert_eq!(tx.len(), recorded + usize::from(applied));
         }
-        tx.apply(ModelOp::SetComponentProperty {
-            component: "ServerGrp1".into(),
-            property: props::REPLICATION_COUNT.into(),
-            value: Value::Int((2 + extra_servers) as i64),
-        })
-        .unwrap();
-        tx.apply(ModelOp::SetComponentProperty {
-            component: "User1".into(),
-            property: props::AVERAGE_LATENCY.into(),
-            value: Value::Float(latency),
-        })
-        .unwrap();
-        let working = tx.working().clone();
         for op in tx.ops() {
             apply_op(&mut live, op).unwrap();
         }
-        prop_assert_eq!(&live, &working);
-        prop_assert!(ClientServerStyle::validate(&live).is_empty());
+        prop_assert_eq!(&live, tx.working());
+        prop_assert!(live.integrity_errors().is_empty());
     }
 
     /// Applying the `addServer` operator any number of times keeps the style
@@ -163,7 +160,7 @@ proptest! {
     }
 
     /// Replaying a recorded change-set onto an identical copy reproduces the
-    /// same model (change-sets are deterministic and name-addressed).
+    /// same model (scripts are deterministic and name-addressed).
     #[test]
     fn changesets_replay_identically(n in 1usize..5) {
         let base = arbitrary_model(2, 2, 4);
