@@ -24,7 +24,7 @@ use arch_adapt::framework::{AdaptationFramework, FrameworkConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_1};
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
-use simnet::{Allocator, DemandSet, SimRng, SimTime};
+use simnet::{Allocator, DemandSet, PathTable, SimRng, SimTime};
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -52,6 +52,7 @@ fn assert_allocator_equivalence() {
     for (spec, flow_counts) in cases {
         let testbed = gridapp::Testbed::from_spec(&spec).expect("testbed builds");
         let topology = &testbed.topology;
+        let mut paths = PathTable::new();
         let hosts: Vec<_> = testbed.client_hosts.iter().map(|&(_, h)| h).collect();
         let servers = &testbed.server_hosts;
 
@@ -70,7 +71,7 @@ fn assert_allocator_equivalence() {
             for key in 0..flows as u64 {
                 let src = servers[rng.index(servers.len())];
                 let dst = hosts[rng.index(hosts.len())];
-                let path = topology.path(src, dst).expect("connected testbed");
+                let path = paths.path(topology, src, dst).expect("connected testbed");
                 dense.push(&path.iter().map(|l| l.0 as u32).collect::<Vec<_>>());
                 reference_demands.push(FlowDemand {
                     key: FlowKey(key),

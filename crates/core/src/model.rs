@@ -83,12 +83,12 @@ pub fn build_model(
 /// [`suppressed`](Self::suppressed). At fleet scale most per-class
 /// representatives are in steady state, so this shrinks the dirty set to
 /// genuinely changed properties.
+///
+/// A reading whose target the model no longer has — say, an in-flight health
+/// reading for a replica a failover just retired — is ignored.
 pub struct ModelUpdater<'a> {
     /// The model being maintained.
     pub model: &'a mut System,
-    /// Readings that could not be applied (unknown target); surfaced for the
-    /// trace.
-    pub unmatched: Vec<GaugeReading>,
     /// No-op writes suppressed (reading equal to the stored model value).
     pub suppressed: u64,
 }
@@ -106,7 +106,6 @@ impl<'a> ModelUpdater<'a> {
     pub fn new(model: &'a mut System) -> Self {
         ModelUpdater {
             model,
-            unmatched: Vec::new(),
             suppressed: 0,
         }
     }
@@ -134,15 +133,10 @@ impl<'a> ModelUpdater<'a> {
                 self.model
                     .update_role_property(id, reading.property, Value::Float(reading.value))
             }
-            Resolved::Unmatched => {
-                self.unmatched.push(*reading);
-                return;
-            }
+            Resolved::Unmatched => return,
         };
-        match written {
-            Ok(true) => {}
-            Ok(false) => self.suppressed += 1,
-            Err(_) => self.unmatched.push(*reading),
+        if matches!(written, Ok(false)) {
+            self.suppressed += 1;
         }
     }
 
@@ -253,7 +247,7 @@ mod tests {
         ];
         let mut updater = ModelUpdater::new(&mut model);
         updater.apply_batch(&readings);
-        assert!(updater.unmatched.is_empty());
+        assert_eq!(updater.suppressed, 0);
         let user3 = model.component_by_name("User3").unwrap();
         assert_eq!(
             model
@@ -280,8 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_targets_are_collected_not_dropped_silently() {
+    fn unknown_targets_leave_the_model_untouched() {
         let (mut model, _) = setup();
+        let before = model.clone();
         let mut updater = ModelUpdater::new(&mut model);
         updater.apply_batch(&[GaugeReading {
             time: 1.0,
@@ -289,6 +284,7 @@ mod tests {
             property: "averageLatency".into(),
             value: 1.0,
         }]);
-        assert_eq!(updater.unmatched.len(), 1);
+        assert_eq!(updater.suppressed, 0);
+        assert_eq!(model, before);
     }
 }

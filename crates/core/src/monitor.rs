@@ -15,14 +15,10 @@
 use crate::framework::FrameworkConfig;
 use gridapp::{
     sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
-    sample_server_probe, FlowSnapshot, GridApp, FLEET_SCALE_MIN_CLIENTS,
+    FlowSnapshot, GridApp, FLEET_SCALE_MIN_CLIENTS,
 };
-use monitoring::gauge::{gauge_subject, load_gauge_group, server_gauge_name};
-use monitoring::{
-    AverageLatencyGauge, BandwidthGauge, Gauge, GaugeLifecycleConfig, GaugeManager, GaugeReading,
-    GroupLivenessGauge, Key, LoadGauge, MonitoringPipeline, ProbeEvent, ReachabilityGauge,
-    ServerHealthGauge,
-};
+use monitoring::gauge::load_gauge_group;
+use monitoring::{Gauge, GaugeId, GaugeReading, Key, MonitoringPipeline, ProbeEvent, TopicKind};
 use planner::{ClassIndex, Rep, RepTable};
 use simnet::SimTime;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -76,7 +72,7 @@ impl Monitor {
 
     fn with_policy(policy: Policy, config: &FrameworkConfig) -> Monitor {
         Monitor {
-            pipeline: MonitoringPipeline::new(GaugeManager::new(GaugeLifecycleConfig::default())),
+            pipeline: MonitoringPipeline::new(),
             policy,
             qos: config.monitoring_qos,
             events: Vec::new(),
@@ -133,16 +129,16 @@ impl Monitor {
         }
     }
 
-    fn latency_gauge(client: Key) -> Box<dyn Gauge> {
-        Box::new(AverageLatencyGauge::new(client, LATENCY_WINDOW_SECS))
+    fn latency_gauge(client: Key) -> Gauge {
+        Gauge::latency(client, LATENCY_WINDOW_SECS)
     }
 
-    fn bandwidth_gauge(client: Key, group: Key) -> Box<dyn Gauge> {
-        Box::new(BandwidthGauge::new(client, group, format!("{client}.role")))
+    fn bandwidth_gauge(client: Key, group: Key) -> Gauge {
+        Gauge::bandwidth(client, group, format!("{client}.role"))
     }
 
-    fn reachability_gauge(client: Key) -> Box<dyn Gauge> {
-        Box::new(ReachabilityGauge::new(client, format!("{client}.role")))
+    fn reachability_gauge(client: Key) -> Gauge {
+        Gauge::reachability(client, format!("{client}.role"))
     }
 
     /// Deploys the gauge roster: latency, bandwidth and reachability per
@@ -157,29 +153,29 @@ impl Monitor {
         let t = now.as_secs();
         let watched = self.watched(app, None);
         let groups = app.group_names();
-        let manager = self.pipeline.manager_mut();
+        let pipeline = &mut self.pipeline;
         for &(client, _) in &watched {
-            manager.create(t, Self::latency_gauge(client));
+            pipeline.create(t, Self::latency_gauge(client));
         }
         for group in &groups {
-            manager.create(t, Box::new(LoadGauge::new(group)));
+            pipeline.create(t, Gauge::load(group));
         }
         for &(client, group) in &watched {
-            manager.create(t, Self::bandwidth_gauge(client, group));
+            pipeline.create(t, Self::bandwidth_gauge(client, group));
         }
         // Liveness and reachability gauges: the monitoring the
         // fault-injection subsystem exercises.
         for group in &groups {
-            manager.create(t, Box::new(GroupLivenessGauge::new(group)));
+            pipeline.create(t, Gauge::group_liveness(group));
         }
         for &(client, _) in &watched {
-            manager.create(t, Self::reachability_gauge(client));
+            pipeline.create(t, Self::reachability_gauge(client));
         }
         // Sorted for a deterministic creation order.
         let mut replicas: Vec<(&String, &String)> = server_map.iter().collect();
         replicas.sort();
         for (replica, runtime) in replicas {
-            manager.create(t, Box::new(ServerHealthGauge::new(runtime, replica)));
+            pipeline.create(t, Gauge::server_health(runtime, replica));
         }
     }
 
@@ -206,15 +202,15 @@ impl Monitor {
                     .is_ok()
             })
         };
-        let mut deployed: HashSet<String> = HashSet::new();
-        let manager = self.pipeline.manager_mut();
-        manager.delete_where(t, |name| {
-            let Some((client, group)) = gauge_subject(name) else {
+        let mut deployed: HashSet<GaugeId> = HashSet::new();
+        self.pipeline.delete_where(|id| {
+            if !watches_a_client(id) {
                 return false;
-            };
-            let stale = !is_watched(client) || (group.is_some() && moved.contains(client));
+            }
+            let client = id.subject.as_str();
+            let stale = !is_watched(client) || (id.other.is_some() && moved.contains(client));
             if !stale && in_scope.contains(client) {
-                deployed.insert(name.to_string());
+                deployed.insert(id);
             }
             stale
         });
@@ -225,8 +221,8 @@ impl Monitor {
                 Self::reachability_gauge(client),
             ];
             for gauge in gauges {
-                if deployed.insert(gauge.name().to_string()) {
-                    manager.create(t, gauge);
+                if deployed.insert(gauge.id()) {
+                    self.pipeline.create(t, gauge);
                 }
             }
         }
@@ -236,17 +232,17 @@ impl Monitor {
     /// now backed by runtime server `runtime` — part of the gauge churn of
     /// failover repairs.
     pub(crate) fn watch_server(&mut self, now: SimTime, replica: &str, runtime: &str) {
-        self.pipeline.manager_mut().replace(
-            now.as_secs(),
-            Box::new(ServerHealthGauge::new(runtime, replica)),
-        );
+        let gauge = Gauge::server_health(runtime, replica);
+        self.pipeline.replace(now.as_secs(), gauge);
     }
 
     /// Deletes the health gauge of a retired model replica.
-    pub(crate) fn unwatch_server(&mut self, now: SimTime, replica: &str) {
-        self.pipeline
-            .manager_mut()
-            .delete(now.as_secs(), &server_gauge_name(replica));
+    pub(crate) fn unwatch_server(&mut self, replica: &str) {
+        self.pipeline.delete(GaugeId {
+            kind: TopicKind::ServerLiveness,
+            subject: replica.into(),
+            other: None,
+        });
     }
 
     /// Executes a repair's `createGauge(name)`: a load gauge is replaced in
@@ -254,9 +250,7 @@ impl Monitor {
     /// [`rehome`](Self::rehome).
     pub(crate) fn recreate(&mut self, now: SimTime, gauge: &str) {
         if let Some(group) = load_gauge_group(gauge) {
-            self.pipeline
-                .manager_mut()
-                .replace(now.as_secs(), Box::new(LoadGauge::new(group)));
+            self.pipeline.replace(now.as_secs(), Gauge::load(group));
         }
     }
 
@@ -289,13 +283,8 @@ impl Monitor {
     ) -> &[GaugeReading] {
         let delay = self.delay(flows);
         self.pipeline.set_monitoring_delay(delay);
-        let events = &mut self.events;
-        sample_latency_probe(app, events);
-        sample_queue_probe(app, t, events);
-        sample_flow_probes_from(flows, t, events);
-        sample_server_probe(app, t, events);
-        sample_liveness_probe(app, t, events);
-        for event in events.drain(..) {
+        sample(app, flows, t, &mut self.events);
+        for event in self.events.drain(..) {
             self.pipeline.publish(event);
         }
         self.readings.clear();
@@ -304,11 +293,29 @@ impl Monitor {
     }
 }
 
+/// Whether a gauge follows one client through its moves: its latency,
+/// bandwidth and reachability gauges do.
+fn watches_a_client(id: GaugeId) -> bool {
+    matches!(
+        id.kind,
+        TopicKind::Latency | TopicKind::Bandwidth | TopicKind::Reachable
+    )
+}
+
+/// Every probe's observations of one control period, appended to `out`.
+fn sample(app: &mut GridApp, flows: &FlowSnapshot, t: SimTime, out: &mut Vec<ProbeEvent>) {
+    sample_latency_probe(app, out);
+    sample_queue_probe(app, t, out);
+    sample_flow_probes_from(flows, t, out);
+    sample_liveness_probe(app, t, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::build_model;
+    use crate::task::PerformanceProfile;
     use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_2};
-    use monitoring::gauge::{bandwidth_gauge_name, latency_gauge_name, reachability_gauge_name};
 
     /// 28 clients in 8 client classes of uneven size, like `planner`'s
     /// test-only `small_aggregated`: cheap enough for a debug build.
@@ -333,10 +340,10 @@ mod tests {
     fn assert_roster_is_the_watched_set(monitor: &mut Monitor, app: &GridApp, step: &str) {
         let mut roster: Vec<String> = monitor
             .pipeline
-            .manager_mut()
-            .gauge_names()
-            .into_iter()
-            .filter(|name| gauge_subject(name).is_some())
+            .roster()
+            .map(Gauge::id)
+            .filter(|&id| watches_a_client(id))
+            .map(|id| id.to_string())
             .collect();
         roster.sort();
         let mut watched: Vec<String> = RepTable::new(ClassIndex::build(app.testbed()))
@@ -344,11 +351,12 @@ mod tests {
             .iter()
             .flat_map(|rep| {
                 [
-                    latency_gauge_name(rep.client.as_str()),
-                    bandwidth_gauge_name(rep.client.as_str(), rep.group.as_str()),
-                    reachability_gauge_name(rep.client.as_str()),
+                    Monitor::latency_gauge(rep.client),
+                    Monitor::bandwidth_gauge(rep.client, rep.group),
+                    Monitor::reachability_gauge(rep.client),
                 ]
             })
+            .map(|gauge| gauge.id().to_string())
             .collect();
         watched.sort();
         assert_eq!(roster, watched, "{step}");
@@ -417,5 +425,33 @@ mod tests {
         app.move_clients(&half, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(30.0), &app, &half);
         assert_roster_is_the_watched_set(&mut monitor, &app, "after a half-class move");
+    }
+
+    #[test]
+    fn every_published_measurement_kind_has_a_consumer() {
+        let mut app = GridApp::build(GridConfig::default()).unwrap();
+        let (_, server_map) = build_model(&app, &PerformanceProfile::default()).unwrap();
+        let mut monitor = Monitor::new(&app, &FrameworkConfig::adaptive());
+        monitor.deploy(SimTime::ZERO, &app, &server_map);
+        let read: HashSet<TopicKind> = monitor
+            .pipeline
+            .roster()
+            .map(|gauge| gauge.interest().kind)
+            .collect();
+        let mut published = HashSet::new();
+        let mut events = Vec::new();
+        for tick in 1..=8 {
+            let t = SimTime::from_secs(5.0 * tick as f64);
+            app.advance(t);
+            if tick == 4 {
+                app.crash_server(t, "S1").unwrap();
+            }
+            let flows = monitor.flow_snapshot(&app);
+            sample(&mut app, &flows, t, &mut events);
+            published.extend(events.drain(..).map(|event| event.topic().kind));
+        }
+        let unread: Vec<_> = published.difference(&read).collect();
+        assert!(unread.is_empty(), "no gauge reads {unread:?}");
+        assert_eq!(published.len(), 6, "every kind is published: {published:?}");
     }
 }

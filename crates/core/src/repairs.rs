@@ -315,7 +315,7 @@ impl RepairLoop {
                 let deactivated = app.deactivate_server(&runtime);
                 let _ = app.disconnect_server(&runtime);
                 deactivated?;
-                monitor.unwatch_server(t, server);
+                monitor.unwatch_server(server);
             }
             RuntimeOp::MoveClient { client, to_group } => {
                 app.move_client(client, to_group)?;

@@ -1013,24 +1013,6 @@ impl GridApp {
         })
     }
 
-    /// A coarse signature of a server's runtime state, used to refine
-    /// symmetry classes: two replicas only share a probe when they are in
-    /// the same phase of work. `0` = idle, `1` = computing a response, and
-    /// `2 + (reply age / 5 s)` for a replica mid-transmission — bucketing
-    /// the reply age separates a replica seconds into a wedged transfer
-    /// from one that just started sending.
-    pub fn server_runtime_signature(&self, server: &str) -> u64 {
-        let Ok(server) = self.server_id(server) else {
-            return 0;
-        };
-        let state = &self.servers[server.ix()];
-        if let Some((_, since)) = state.sending {
-            let age = self.now.since(since).as_secs();
-            return 2 + (age / 5.0).floor().max(0.0) as u64;
-        }
-        u64::from(state.busy.is_some())
-    }
-
     /// Predicted bandwidth of a new flow from one named server's machine to
     /// one named client's machine — the single Remos pair query
     /// [`remos_get_flow`](Self::remos_get_flow) folds its per-server maximum

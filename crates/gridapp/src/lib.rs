@@ -34,7 +34,7 @@ pub use metrics::Metrics;
 pub use monitoring::Key;
 pub use probes::{
     sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
-    sample_server_probe, REACHABILITY_FLOOR_BPS,
+    REACHABILITY_FLOOR_BPS,
 };
 pub use testbed::{
     testbed_preset_names, Testbed, TestbedSpec, FLEET_SCALE_MIN_CLIENTS, LINK_CAPACITY_BPS,

@@ -95,19 +95,6 @@ pub fn sample_flow_probes_from(snapshot: &FlowSnapshot, now: SimTime, out: &mut 
     }
 }
 
-/// The replica-count probe: how many active servers each group currently has.
-pub fn sample_server_probe(app: &GridApp, now: SimTime, out: &mut Vec<ProbeEvent>) {
-    out.extend(app.sample_groups().map(|g| {
-        ProbeEvent::new(
-            now.as_secs(),
-            Measurement::ActiveServers {
-                group: g.group,
-                count: g.live,
-            },
-        )
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +159,7 @@ mod tests {
             .collect()
     }
 
-    /// Queue, replica-count and liveness events through the public
+    /// Queue and liveness events through the public
     /// name-based API: `group_names()` / `server_names()` cloned, each name
     /// looked up again.
     fn sample_state_probes_by_name(app: &GridApp, now: SimTime) -> Vec<ProbeEvent> {
@@ -184,14 +171,6 @@ mod tests {
             events.push(ProbeEvent::new(
                 t,
                 Measurement::QueueLength { group, length },
-            ));
-        }
-        for group in app.group_names() {
-            let count = app.active_servers(&group).len();
-            let group = group.into();
-            events.push(ProbeEvent::new(
-                t,
-                Measurement::ActiveServers { group, count },
             ));
         }
         for server in app.server_names() {
@@ -327,24 +306,9 @@ mod tests {
         let t = SimTime::from_secs(14.0);
         let walked = sampled(|out| {
             sample_queue_probe(&app, t, out);
-            sample_server_probe(&app, t, out);
             sample_liveness_probe(&app, t, out);
         });
         assert_eq!(walked, sample_state_probes_by_name(&app, t));
-        assert_eq!(walked.len(), 3 + 3 + 7 + 3);
-    }
-
-    #[test]
-    fn server_probe_counts_replicas() {
-        let app = app_at(1.0);
-        let events = sampled(|out| sample_server_probe(&app, SimTime::from_secs(1.0), out));
-        let sg1 = events
-            .iter()
-            .find_map(|e| match e.measurement {
-                Measurement::ActiveServers { group, count } if group == "ServerGrp1" => Some(count),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(sg1, 3);
+        assert_eq!(walked.len(), 3 + 7 + 3);
     }
 }

@@ -507,6 +507,7 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::PathTable;
 
     #[test]
     fn testbed_has_five_routers_and_eleven_machine_slots() {
@@ -542,7 +543,7 @@ mod tests {
             .collect();
         for &a in &hosts {
             for &b in &hosts {
-                assert!(tb.topology.path(a, b).is_ok());
+                assert!(PathTable::new().path(&tb.topology, a, b).is_ok());
             }
         }
     }
@@ -615,15 +616,21 @@ mod tests {
     fn competition_links_lie_on_the_c34_paths() {
         let tb = Testbed::build().unwrap();
         // Path C3 -> S1 (Server Group 1) crosses the R2-R3 link.
-        let path_sg1 = tb
-            .topology
-            .path(tb.client_host("C3").unwrap(), tb.server_hosts[0])
+        let path_sg1 = PathTable::new()
+            .path(
+                &tb.topology,
+                tb.client_host("C3").unwrap(),
+                tb.server_hosts[0],
+            )
             .unwrap();
         assert!(path_sg1.contains(&tb.link_c34_sg1));
         // Path C3 -> S6 (Server Group 2) crosses the R2-R4 link.
-        let path_sg2 = tb
-            .topology
-            .path(tb.client_host("C3").unwrap(), tb.server_hosts[5])
+        let path_sg2 = PathTable::new()
+            .path(
+                &tb.topology,
+                tb.client_host("C3").unwrap(),
+                tb.server_hosts[5],
+            )
             .unwrap();
         assert!(path_sg2.contains(&tb.link_c34_sg2));
         // The two do not share the loaded link.
@@ -633,9 +640,12 @@ mod tests {
     #[test]
     fn c1_path_to_sg1_avoids_the_competition_link() {
         let tb = Testbed::build().unwrap();
-        let path = tb
-            .topology
-            .path(tb.client_host("C1").unwrap(), tb.server_hosts[0])
+        let path = PathTable::new()
+            .path(
+                &tb.topology,
+                tb.client_host("C1").unwrap(),
+                tb.server_hosts[0],
+            )
             .unwrap();
         assert!(!path.contains(&tb.link_c34_sg1));
     }
@@ -690,15 +700,20 @@ mod tests {
         assert_ne!(tb.client_host("C5"), tb.client_host("C6"));
         // The squeezable clients' path to Server Group 1 crosses the
         // competition link.
-        let path = tb
-            .topology
-            .path(tb.client_host("C5").unwrap(), tb.server_hosts[0])
+        let path = PathTable::new()
+            .path(
+                &tb.topology,
+                tb.client_host("C5").unwrap(),
+                tb.server_hosts[0],
+            )
             .unwrap();
         assert!(path.contains(&tb.link_c34_sg1));
         // All hosts remain connected.
         for (id, n) in tb.topology.nodes() {
             if n.kind == simnet::NodeKind::Host {
-                assert!(tb.topology.path(id, tb.host_request_queue).is_ok());
+                assert!(PathTable::new()
+                    .path(&tb.topology, id, tb.host_request_queue)
+                    .is_ok());
             }
         }
     }
@@ -750,7 +765,9 @@ mod tests {
         }
         // Access links keep the full 10 Mbps.
         let c1 = tb.client_host("C1").unwrap();
-        let path = tb.topology.path(c1, tb.routers[0]).unwrap();
+        let path = PathTable::new()
+            .path(&tb.topology, c1, tb.routers[0])
+            .unwrap();
         assert_eq!(
             tb.topology.link(path[0]).unwrap().capacity_bps,
             LINK_CAPACITY_BPS
@@ -782,9 +799,12 @@ mod tests {
         // client behind R1, so C2 is the first R2 client.
         assert_eq!(spec.first_squeezed_client(), 2);
         assert_ne!(tb.client_host("C1"), tb.client_host("C2"));
-        let path = tb
-            .topology
-            .path(tb.client_host("C2").unwrap(), tb.server_hosts[0])
+        let path = PathTable::new()
+            .path(
+                &tb.topology,
+                tb.client_host("C2").unwrap(),
+                tb.server_hosts[0],
+            )
             .unwrap();
         assert!(path.contains(&tb.link_c34_sg1));
     }

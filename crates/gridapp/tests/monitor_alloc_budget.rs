@@ -2,7 +2,7 @@
 //! control period's sample → publish → step, per gauge reading delivered, on
 //! the paper preset (seed 42, the `step` schedule with its client-move repair,
 //! 300 s). `core::Monitor` is crate-private, so this does through public API
-//! what `Monitor::observe` does: the five samplers into one reused buffer, a
+//! what `Monitor::observe` does: the four samplers into one reused buffer, a
 //! [`MonitoringPipeline`] carrying the full roster of all six gauge kinds, the
 //! congestion-coupled delay (it changes between ticks, so both delay lines
 //! hold messages back and block at their heads), and the `delete_where` +
@@ -26,12 +26,9 @@
 
 use gridapp::{
     sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
-    sample_server_probe, ExperimentSchedule, GridApp, GridConfig, SERVER_GROUP_2,
+    ExperimentSchedule, GridApp, GridConfig, SERVER_GROUP_2,
 };
-use monitoring::{
-    AverageLatencyGauge, BandwidthGauge, GaugeLifecycleConfig, GaugeManager, GroupLivenessGauge,
-    LoadGauge, MonitoringPipeline, ReachabilityGauge, ServerHealthGauge,
-};
+use monitoring::{Gauge, MonitoringPipeline, TopicKind};
 use simnet::SimTime;
 use std::collections::BTreeSet;
 
@@ -45,30 +42,29 @@ const CEILING_PER_READING: f64 = 0.5;
 
 /// The roster `Monitor::deploy` creates, in its order.
 fn deploy(app: &GridApp) -> MonitoringPipeline {
-    let mut pipeline = MonitoringPipeline::new(GaugeManager::new(GaugeLifecycleConfig::default()));
-    let manager = pipeline.manager_mut();
+    let mut pipeline = MonitoringPipeline::new();
     let watched: Vec<_> = app.flow_snapshot().entries().to_vec();
     let groups = app.group_names();
     for &(client, _, _) in &watched {
-        manager.create(0.0, Box::new(AverageLatencyGauge::new(client, 30.0)));
+        pipeline.create(0.0, Gauge::latency(client, 30.0));
     }
     for group in &groups {
-        manager.create(0.0, Box::new(LoadGauge::new(group)));
+        pipeline.create(0.0, Gauge::load(group));
     }
     for &(client, group, _) in &watched {
         let role = format!("{client}.role");
-        manager.create(0.0, Box::new(BandwidthGauge::new(client, group, role)));
+        pipeline.create(0.0, Gauge::bandwidth(client, group, role));
     }
     for group in &groups {
-        manager.create(0.0, Box::new(GroupLivenessGauge::new(group)));
+        pipeline.create(0.0, Gauge::group_liveness(group));
     }
     for &(client, _, _) in &watched {
         let role = format!("{client}.role");
-        manager.create(0.0, Box::new(ReachabilityGauge::new(client, role)));
+        pipeline.create(0.0, Gauge::reachability(client, role));
     }
     for server in app.server_names() {
         let replica = format!("replica-of-{server}");
-        manager.create(0.0, Box::new(ServerHealthGauge::new(server, replica)));
+        pipeline.create(0.0, Gauge::server_health(server, replica));
     }
     pipeline
 }
@@ -96,17 +92,14 @@ fn observing_allocates_next_to_nothing_per_gauge_reading() {
             schedule.apply(&mut app, point).expect("schedule applies");
             // The repair the adaptive run makes once the squeeze lands, and
             // the gauge churn `Monitor::rehome` makes for it.
-            let manager = pipeline.manager_mut();
-            let retired = manager.delete_where(point, |name| {
-                let moved = |client| name.starts_with(&format!("bandwidth-gauge/{client}/"));
-                MOVED.iter().any(moved)
+            let retired = pipeline.delete_where(|id| {
+                id.kind == TopicKind::Bandwidth && MOVED.iter().any(|&client| id.subject == client)
             });
             assert_eq!(retired, MOVED.len());
             for client in MOVED {
                 app.move_client(client, SERVER_GROUP_2).expect("moves");
                 let role = format!("{client}.role");
-                let gauge = BandwidthGauge::new(client, SERVER_GROUP_2, role);
-                manager.create(point, Box::new(gauge));
+                pipeline.create(point, Gauge::bandwidth(client, SERVER_GROUP_2, role));
             }
         }
         let now = SimTime::from_secs(t);
@@ -124,7 +117,6 @@ fn observing_allocates_next_to_nothing_per_gauge_reading() {
             sample_latency_probe(&mut app, &mut events);
             sample_queue_probe(&app, now, &mut events);
             sample_flow_probes_from(&flows, now, &mut events);
-            sample_server_probe(&app, now, &mut events);
             sample_liveness_probe(&app, now, &mut events);
             for event in events.drain(..) {
                 pipeline.publish(event);

@@ -3,12 +3,12 @@
 //! The paper's monitoring infrastructure disseminates observations over two
 //! wide-area event buses (implemented there with Siena): probes publish on the
 //! *probe bus*, gauges publish on the *gauge reporting bus*. In the
-//! reproduction each bus has exactly one reader — the gauge manager on the
+//! reproduction each bus has exactly one reader — the gauge roster on the
 //! probe bus, the architecture manager on the gauge bus — so a [`Bus`] is a
 //! delay line: messages are moved in, wait out the delivery delay, and are
 //! moved out again in publication order. *Routing* by topic is not the bus's
 //! job: a [`Topic`](crate::probe::Topic) is a value the message carries, and
-//! the gauge manager looks its readers up in one hash probe.
+//! the pipeline looks its readers up in one hash probe.
 //!
 //! The delay models monitoring traffic sharing the network with the
 //! application (§5.3). It is fixed per message at publication, and it changes

@@ -13,19 +13,21 @@
 //!   [`Topic`] each observation is published under,
 //! * [`bus`] — a deterministic single-reader bus with a delivery delay
 //!   (monitoring traffic shares the network),
-//! * [`gauge`] — gauges (average latency, load, bandwidth, liveness,
-//!   reachability) and the gauge lifecycle with its creation/deletion costs,
-//! * [`consumer`] — a ready-made pipeline wiring buses and gauges together,
+//! * [`gauge`] — the one [`Gauge`] type (average latency, load, bandwidth,
+//!   server health, group liveness, reachability — its topic's kind says
+//!   which) and its [`GaugeId`],
+//! * [`consumer`] — the [`MonitoringPipeline`], the one owner of both buses
+//!   and the gauge roster, which charges each gauge its warm-up,
 //! * [`window`] — sliding-window aggregation.
 //!
-//! **A topic is a value.** `probe/latency/User3` is how a [`Topic`] *prints*;
-//! what travels is `Topic { kind, subject, other }`, three words that are
-//! `Copy`, `Eq` and `Hash`, whose subjects are interned [`Key`]s. Names are
-//! interned where the entity they name is created — a client, server or
-//! group by the application, a gauge's target by the gauge — and never per
-//! observation: [`Key::new`] takes a process-wide lock. So a
+//! **Topics and gauges are values.** `probe/latency/User3` is how a [`Topic`]
+//! *prints* and `latency-gauge/User3` how a [`GaugeId`] does; what travels
+//! and is compared is three `Copy` words whose subjects are interned
+//! [`Key`]s. Names are interned where the entity they name is created — a
+//! client, server or group by the application, a gauge's target by the gauge
+//! — and never per observation: [`Key::new`] takes a process-wide lock. So a
 //! [`Measurement`], a [`ProbeEvent`] and a [`GaugeReading`] are `Copy` too,
-//! the gauge manager finds an event's gauges in one hash lookup, and the
+//! the pipeline finds an event's gauges in one hash lookup, and the
 //! probe → gauge → model path makes no heap allocation per observation once
 //! its buffers and windows have grown to size.
 
@@ -40,9 +42,6 @@ pub mod window;
 pub use archmodel::Key;
 pub use bus::Bus;
 pub use consumer::MonitoringPipeline;
-pub use gauge::{
-    AverageLatencyGauge, BandwidthGauge, Gauge, GaugeLifecycleConfig, GaugeManager, GaugeReading,
-    GroupLivenessGauge, LoadGauge, ReachabilityGauge, ServerHealthGauge,
-};
+pub use gauge::{Gauge, GaugeId, GaugeReading};
 pub use probe::{Measurement, ProbeEvent, Topic, TopicKind};
 pub use window::SlidingWindow;

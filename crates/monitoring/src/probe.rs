@@ -9,8 +9,7 @@
 //! Everything here is a `Copy` value. The entities an observation is about
 //! are interned [`Key`]s, handed out once where the entity is created, so an
 //! observation is built, routed and consumed without touching the heap; its
-//! topic and its probe's name are *rendered* (`Display`) only when somebody
-//! wants to read them.
+//! topic is *rendered* (`Display`) only when somebody wants to read it.
 
 use archmodel::Key;
 use std::fmt;
@@ -43,13 +42,6 @@ pub enum Measurement {
         group: Key,
         /// Bandwidth in bits per second.
         bps: f64,
-    },
-    /// Number of active servers in a group.
-    ActiveServers {
-        /// The server group's name.
-        group: Key,
-        /// Active replica count.
-        count: usize,
     },
     /// Liveness of a single runtime server process (the heartbeat probe the
     /// fault-injection subsystem exercises).
@@ -90,8 +82,6 @@ pub enum TopicKind {
     Load,
     /// `probe/bandwidth/<client>/<group>`
     Bandwidth,
-    /// `probe/servers/<group>`
-    Servers,
     /// `probe/liveness/server/<server>`
     ServerLiveness,
     /// `probe/liveness/group/<group>`
@@ -122,7 +112,6 @@ impl fmt::Display for Topic {
             TopicKind::Latency => "latency",
             TopicKind::Load => "load",
             TopicKind::Bandwidth => "bandwidth",
-            TopicKind::Servers => "servers",
             TopicKind::ServerLiveness => "liveness/server",
             TopicKind::GroupLiveness => "liveness/group",
             TopicKind::Reachable => "reachable",
@@ -131,20 +120,6 @@ impl fmt::Display for Topic {
         match self.other {
             Some(other) => write!(f, "/{other}"),
             None => Ok(()),
-        }
-    }
-}
-
-/// The name of the probe reporting a [`Measurement`] (`aide/User3`, `remos`,
-/// `heartbeat/S2`); see [`Measurement::probe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeName(&'static str, Option<Key>);
-
-impl fmt::Display for ProbeName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.1 {
-            Some(subject) => write!(f, "{}/{subject}", self.0),
-            None => f.write_str(self.0),
         }
     }
 }
@@ -158,7 +133,6 @@ impl Measurement {
             Measurement::Bandwidth { client, group, .. } => {
                 (TopicKind::Bandwidth, client, Some(group))
             }
-            Measurement::ActiveServers { group, .. } => (TopicKind::Servers, group, None),
             Measurement::ServerLive { server, .. } => (TopicKind::ServerLiveness, server, None),
             Measurement::GroupLiveness { group, .. } => (TopicKind::GroupLiveness, group, None),
             Measurement::Reachability { client, .. } => (TopicKind::Reachable, client, None),
@@ -170,29 +144,12 @@ impl Measurement {
         }
     }
 
-    /// The probe that reports this measurement: the AIDE-instrumented reply
-    /// handler of a client, the queue and group probes of the request-queue
-    /// machine, Remos, or a heartbeat.
-    pub fn probe(&self) -> ProbeName {
-        match *self {
-            Measurement::RequestLatency { client, .. } => ProbeName("aide", Some(client)),
-            Measurement::QueueLength { group, .. } => ProbeName("queue-probe", Some(group)),
-            Measurement::Bandwidth { .. } | Measurement::Reachability { .. } => {
-                ProbeName("remos", None)
-            }
-            Measurement::ActiveServers { group, .. } => ProbeName("group-probe", Some(group)),
-            Measurement::ServerLive { server, .. } => ProbeName("heartbeat", Some(server)),
-            Measurement::GroupLiveness { group, .. } => ProbeName("heartbeat", Some(group)),
-        }
-    }
-
     /// The numeric value carried by the measurement.
     pub fn value(&self) -> f64 {
         match *self {
             Measurement::RequestLatency { seconds, .. } => seconds,
             Measurement::QueueLength { length, .. } => length as f64,
             Measurement::Bandwidth { bps, .. } => bps,
-            Measurement::ActiveServers { count, .. } => count as f64,
             Measurement::GroupLiveness { live, .. } => live as f64,
             Measurement::ServerLive { up: flag, .. }
             | Measurement::Reachability {
@@ -257,13 +214,6 @@ mod tests {
                 bps: 1e6
             }),
             "probe/bandwidth/User3/ServerGrp2"
-        );
-        assert_eq!(
-            rendered(Measurement::ActiveServers {
-                group: "ServerGrp1".into(),
-                count: 3
-            }),
-            "probe/servers/ServerGrp1"
         );
         assert_eq!(
             rendered(Measurement::ServerLive {
@@ -389,12 +339,6 @@ mod tests {
             },
         );
         assert_eq!(e.topic().to_string(), "probe/latency/User1");
-        assert_eq!(e.measurement.probe().to_string(), "aide/User1");
-        let remos = Measurement::Reachability {
-            client: "User1".into(),
-            group: "ServerGrp1".into(),
-            reachable: true,
-        };
-        assert_eq!(remos.probe().to_string(), "remos");
+        assert_eq!(e.topic(), e.measurement.topic());
     }
 }

@@ -7,8 +7,12 @@
 //! subjects were interned (string topics, a cloning prefix-filtered bus, the
 //! segment-prefix dispatch walk), with this file differing only in the two
 //! adapter functions below ([`event`] passed a probe name, [`step`] passed the
-//! unit consumer and returned the `Vec` the old `step` allocated). The script
-//! covers what the rewrite could plausibly have moved:
+//! unit consumer and returned the `Vec` the old `step` allocated). Since gauges
+//! became one value type, the lines that construct gauges and print the
+//! roster differ too, and the replica-count events every tick published for
+//! no gauge are gone with their probe (they were due at the same instant as
+//! their neighbours, so no other message's delivery moved). The script covers
+//! what the rewrites could plausibly have moved:
 //!
 //! * the delay goes 0 → 8 s → 0 → 3 s → 0 across ticks, so a message due
 //!   earlier sits behind one due later and must wait (head-of-line blocking);
@@ -17,16 +21,14 @@
 //!   the gauge went active;
 //! * a `delete_where` + `create` (with warm-up) mid-run, and two `replace`s,
 //!   one of which re-points a health gauge at another runtime server;
-//! * events for a topic nobody watches and for a subject nobody watches;
+//! * events for a subject nobody watches;
 //! * two gauges on one topic.
 //!
 //! Regenerate (only for an intended observable change):
 //! `cargo test -p monitoring --test reading_stream -- --ignored regenerate_fixture`
 
 use monitoring::{
-    AverageLatencyGauge, BandwidthGauge, GaugeLifecycleConfig, GaugeManager, GaugeReading,
-    GroupLivenessGauge, LoadGauge, Measurement, MonitoringPipeline, ProbeEvent, ReachabilityGauge,
-    ServerHealthGauge,
+    Gauge, GaugeId, GaugeReading, Measurement, MonitoringPipeline, ProbeEvent, TopicKind,
 };
 use std::fmt::Write as _;
 
@@ -101,14 +103,6 @@ fn publish_tick(pipeline: &mut MonitoringPipeline, t: f64) {
             },
         ));
     }
-    // Nobody watches replica counts.
-    pipeline.publish(event(
-        t,
-        Measurement::ActiveServers {
-            group: "ServerGrp1".into(),
-            count: 3,
-        },
-    ));
     for (server, up) in [("S1", t < 55.0), ("S6", true)] {
         pipeline.publish(event(
             t,
@@ -129,56 +123,44 @@ fn publish_tick(pipeline: &mut MonitoringPipeline, t: f64) {
 }
 
 fn render() -> String {
-    let mut pipeline = MonitoringPipeline::new(GaugeManager::new(GaugeLifecycleConfig::default()));
-    let manager = pipeline.manager_mut();
+    let mut pipeline = MonitoringPipeline::new();
     for client in ["User1", "User2"] {
-        manager.create(0.0, Box::new(AverageLatencyGauge::new(client, 30.0)));
+        pipeline.create(0.0, Gauge::latency(client, 30.0));
     }
-    manager.create(0.0, Box::new(LoadGauge::new("ServerGrp1")));
+    pipeline.create(0.0, Gauge::load("ServerGrp1"));
     for client in ["User1", "User2"] {
         let role = format!("{client}.role");
-        manager.create(
-            0.0,
-            Box::new(BandwidthGauge::new(client, "ServerGrp1", role)),
-        );
+        pipeline.create(0.0, Gauge::bandwidth(client, "ServerGrp1", role));
     }
-    manager.create(0.0, Box::new(GroupLivenessGauge::new("ServerGrp1")));
-    manager.create(0.0, Box::new(ReachabilityGauge::new("User1", "User1.role")));
+    pipeline.create(0.0, Gauge::group_liveness("ServerGrp1"));
+    pipeline.create(0.0, Gauge::reachability("User1", "User1.role"));
     // Two gauges on one topic.
-    manager.create(
-        0.0,
-        Box::new(ServerHealthGauge::new("S1", "ServerGrp1.Server1")),
-    );
-    manager.create(
-        0.0,
-        Box::new(ServerHealthGauge::new("S1", "ServerGrp1.Mirror")),
-    );
+    pipeline.create(0.0, Gauge::server_health("S1", "ServerGrp1.Server1"));
+    pipeline.create(0.0, Gauge::server_health("S1", "ServerGrp1.Mirror"));
 
     let mut out = String::new();
     let mut t = 0.0;
     while t < 120.0 {
         t += 5.0;
         pipeline.set_monitoring_delay(delay_at(t));
-        let manager = pipeline.manager_mut();
         match t as u32 {
             50 => {
                 // User2 moved: its bandwidth gauge is retired and one against
                 // the new group warms up.
-                let deleted =
-                    manager.delete_where(t, |name| name == "bandwidth-gauge/User2/ServerGrp1");
-                let active_at = manager.create(
-                    t,
-                    Box::new(BandwidthGauge::new("User2", "ServerGrp2", "User2.role")),
-                );
+                let retired = GaugeId {
+                    kind: TopicKind::Bandwidth,
+                    subject: "User2".into(),
+                    other: Some("ServerGrp1".into()),
+                };
+                let deleted = pipeline.delete_where(|id| id == retired);
+                let active_at =
+                    pipeline.create(t, Gauge::bandwidth("User2", "ServerGrp2", "User2.role"));
                 writeln!(out, "churn {t:?} deleted={deleted} active_at={active_at:?}").unwrap();
             }
             70 => {
-                let load = manager.replace(t, Box::new(LoadGauge::new("ServerGrp1")));
+                let load = pipeline.replace(t, Gauge::load("ServerGrp1"));
                 // Failover: the replica is now backed by S6.
-                let health = manager.replace(
-                    t,
-                    Box::new(ServerHealthGauge::new("S6", "ServerGrp1.Server1")),
-                );
+                let health = pipeline.replace(t, Gauge::server_health("S6", "ServerGrp1.Server1"));
                 writeln!(out, "replace {t:?} load={load:?} health={health:?}").unwrap();
             }
             _ => {}
@@ -201,7 +183,8 @@ fn render() -> String {
             .unwrap();
         }
     }
-    writeln!(out, "roster {:?}", pipeline.manager_mut().gauge_names()).unwrap();
+    let roster: Vec<String> = pipeline.roster().map(|g| g.id().to_string()).collect();
+    writeln!(out, "roster {roster:?}").unwrap();
     out
 }
 

@@ -70,7 +70,6 @@ pub struct ClassIndex {
     server_classes: Vec<ServerClass>,
     server_class_of: BTreeMap<String, usize>,
     shared: bool,
-    runtime_refinement: bool,
 }
 
 impl ClassIndex {
@@ -168,28 +167,7 @@ impl ClassIndex {
             server_classes,
             server_class_of,
             shared,
-            runtime_refinement: false,
         }
-    }
-
-    /// Enables runtime-state-aware refinement of server classes during
-    /// probing: position symmetry alone is a *static* property, but a
-    /// replica seconds into a large reply transmission has less residual
-    /// access bandwidth than its idle neighbours, so letting it answer a
-    /// shared probe for the whole class understates what the group can
-    /// offer. With refinement on, class-shared probing partitions each
-    /// server class by [`GridApp::server_runtime_signature`](gridapp::GridApp::server_runtime_signature)
-    /// (idle / computing / sending, bucketed by reply age) and probes one
-    /// representative per partition. Off by default — the refinement
-    /// changes which machines get probed, so it is opt-in per deployment.
-    pub fn with_runtime_refinement(mut self, enabled: bool) -> ClassIndex {
-        self.runtime_refinement = enabled;
-        self
-    }
-
-    /// Whether probe sharing partitions server classes by runtime state.
-    pub fn runtime_refinement(&self) -> bool {
-        self.runtime_refinement
     }
 
     /// Whether any merging happened (an aggregation tier exists). When

@@ -10,6 +10,10 @@
 //! assert it); on aggregated testbeds it cuts probe sampling by roughly the
 //! class size.
 //!
+//! Position symmetry is static, so one replica answers for its whole server
+//! class whatever it is doing: a shared probe can understate a group while
+//! that replica is mid-reply and its idle class-mates are not.
+//!
 //! There is one implementation of it, [`RepTable`]: it probes the
 //! representative of every `(class, group)` pair and reports either those
 //! probes alone ([`RepTable::flow_snapshot`], what a deployment that only
@@ -53,26 +57,17 @@ impl<'a> GroupProbes<'a> {
     }
 
     /// The live active servers of `group`, in name order, keeping one per
-    /// `(server class, runtime signature)` and every server outside the
-    /// index. Empty exactly when the group has no live active server.
+    /// server class and every server outside the index. Empty exactly when
+    /// the group has no live active server.
     fn servers_to_ask(&self, group: &str) -> Vec<String> {
-        let mut answered: BTreeSet<(usize, u64)> = BTreeSet::new();
+        let mut answered: BTreeSet<usize> = BTreeSet::new();
         let mut servers = self.app.active_servers(group);
         servers.retain(|server| {
             let Some(sclass) = self.index.server_class_of(server) else {
                 return true;
             };
-            // Position symmetry is static; runtime refinement additionally
-            // partitions by what the replica is doing right now, so a
-            // replica mid-reply never answers a shared probe for its idle
-            // class-mates (its own transfer depresses the prediction).
-            let signature = if self.index.runtime_refinement() {
-                self.app.server_runtime_signature(server)
-            } else {
-                0
-            };
             // `false`: an equivalent member of this class already answers.
-            answered.insert((sclass, signature))
+            answered.insert(sclass)
         });
         servers
     }
@@ -537,57 +532,6 @@ mod tests {
             }
         }
         assert_eq!(snapshot, app.flow_snapshot());
-    }
-
-    #[test]
-    fn runtime_refinement_stops_a_mid_reply_replica_from_contaminating_its_probe() {
-        let mut app = GridApp::build(GridConfig::with_testbed(TestbedSpec::large_scale())).unwrap();
-        // Stretch reply transmissions (200 KB at access speed ≈ 0.16 s, an
-        // order of magnitude past the default 20 KB) so replicas spend much
-        // of their duty cycle mid-send, then step the deterministic
-        // simulation until the name-order-first SG1 replica — the one the
-        // first-idle dispatcher keeps hottest and the one that answers the
-        // unrefined shared probe for its whole class — is mid-reply while
-        // an idle class-mate still has spare access bandwidth. The scan
-        // starts after the opening burst of 2,000 first requests drains.
-        app.set_workload(0.002, 2.0e5);
-        let index = ClassIndex::build(app.testbed());
-        let refined = ClassIndex::build(app.testbed()).with_runtime_refinement(true);
-        let class = index
-            .client_class(index.client_class_of("User1").unwrap())
-            .unwrap();
-        let mut t = 25.0;
-        let (exact, unrefined) = loop {
-            app.advance(SimTime::from_secs(t));
-            let servers = app.active_servers(SERVER_GROUP_1);
-            let first_mid_reply = app.server_runtime_signature(&servers[0]) >= 2;
-            let any_idle = servers.iter().any(|s| app.server_runtime_signature(s) == 0);
-            if first_mid_reply && any_idle {
-                // The exact per-client answer probes every replica.
-                let exact = servers
-                    .iter()
-                    .map(|s| {
-                        app.available_bandwidth_between(s, &class.representative)
-                            .unwrap_or(0.0)
-                    })
-                    .fold(0.0f64, f64::max);
-                let unrefined = class_remos(&app, &index, class, SERVER_GROUP_1).unwrap();
-                if unrefined < exact {
-                    break (exact, unrefined);
-                }
-            }
-            t += 0.05;
-            assert!(t < 120.0, "never caught the first replica mid-reply");
-        };
-        // The contaminated shared probe understates the group; partitioning
-        // the server class by runtime state restores the exact answer (an
-        // idle representative reports the idle capacity).
-        let refined_bw = class_remos(&app, &refined, class, SERVER_GROUP_1).unwrap();
-        assert!(
-            unrefined < exact,
-            "mid-reply representative should depress the shared probe"
-        );
-        assert_eq!(refined_bw, exact, "refined probe must match the exact max");
     }
 
     #[test]

@@ -250,80 +250,11 @@ impl Topology {
             .map(|(_, l)| *l)
     }
 
-    /// Shortest path (by cumulative latency, ties broken by hop count) between
-    /// two nodes, returned as the sequence of links traversed.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Result<Vec<LinkId>, TopologyError> {
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        if src == dst {
-            return Ok(Vec::new());
-        }
-        // Dijkstra on (latency, hops).
-        let n = self.nodes.len();
-        let mut dist = vec![(f64::INFINITY, usize::MAX); n];
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut visited = vec![false; n];
-        dist[src.0] = (0.0, 0);
-        for _ in 0..n {
-            // Select the unvisited node with the smallest distance.
-            let mut best: Option<usize> = None;
-            for i in 0..n {
-                if visited[i] || dist[i].0.is_infinite() {
-                    continue;
-                }
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        if dist[i] < dist[b] {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-            let Some(u) = best else { break };
-            if u == dst.0 {
-                break;
-            }
-            visited[u] = true;
-            for &(v, link_id) in &self.adjacency[u] {
-                if visited[v.0] {
-                    continue;
-                }
-                let link = &self.links[link_id.0];
-                let cand = (dist[u].0 + link.latency.as_secs(), dist[u].1 + 1);
-                if cand < dist[v.0] {
-                    dist[v.0] = cand;
-                    prev[v.0] = Some((NodeId(u), link_id));
-                }
-            }
-        }
-        if prev[dst.0].is_none() && dist[dst.0].0.is_infinite() {
-            return Err(TopologyError::NoPath(
-                self.nodes[src.0].name.clone(),
-                self.nodes[dst.0].name.clone(),
-            ));
-        }
-        let mut path = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let (p, link) = prev[cur.0].ok_or_else(|| {
-                TopologyError::NoPath(
-                    self.nodes[src.0].name.clone(),
-                    self.nodes[dst.0].name.clone(),
-                )
-            })?;
-            path.push(link);
-            cur = p;
-        }
-        path.reverse();
-        Ok(path)
-    }
-
     /// Computes the shortest-path tree rooted at `src` with a binary-heap
     /// Dijkstra (used by [`PathTable`]). Tie-breaks — lexicographic
     /// `(latency, hops)` distances, lowest node index first among equal
-    /// distances, first-found predecessor kept — reproduce [`Topology::path`]
-    /// exactly, so cached paths are identical to freshly computed ones.
+    /// distances, first-found predecessor kept — reproduce the O(n²)
+    /// reference Dijkstra in this module's tests exactly.
     fn shortest_path_tree(&self, src: NodeId) -> SourceTree {
         #[derive(PartialEq)]
         struct Entry {
@@ -420,20 +351,23 @@ struct SourceTree {
     reached: Vec<bool>,
 }
 
-/// A cache of shortest paths over a structurally immutable topology.
+/// A cache of shortest paths over a structurally immutable topology: the
+/// one shortest-path implementation in the build.
 ///
-/// [`Topology::path`] runs a full Dijkstra per query — fine for a one-off
-/// lookup, ruinous when every transfer start and every bandwidth probe needs
-/// the same handful of routes. A `PathTable` computes one shortest-path tree
-/// per *source* on first demand and answers every later `(src, dst)` query by
-/// walking predecessor pointers.
+/// A full Dijkstra per query is fine for a one-off lookup and ruinous when
+/// every transfer start and every bandwidth probe needs the same handful of
+/// routes. A `PathTable` computes one shortest-path tree per *source* on
+/// first demand and answers every later `(src, dst)` query by walking
+/// predecessor pointers.
 ///
 /// Paths depend only on the graph structure and link latencies, neither of
 /// which changes after construction ([`Network`](crate::network::Network)
 /// mutates capacities and background loads only), so the cache never needs
 /// invalidation; callers that do restructure a topology must build a fresh
-/// table. Cached paths are bit-identical to [`Topology::path`] — same
-/// lexicographic `(latency, hops)` metric and the same tie-breaks.
+/// table. Paths are shortest by cumulative latency, ties broken by hop
+/// count; without leaf compression they are bit-identical to the per-query
+/// reference Dijkstra this module's tests hold them to — same metric, same
+/// tie-breaks.
 #[derive(Debug, Default)]
 pub struct PathTable {
     trees: Vec<Option<SourceTree>>,
@@ -642,6 +576,77 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
+    /// The reference: an O(n²) Dijkstra per query for the shortest path (by
+    /// cumulative latency, ties broken by hop count) between two nodes, as
+    /// the sequence of links traversed.
+    fn reference_path(
+        t: &Topology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<Vec<LinkId>, TopologyError> {
+        t.check_node(src)?;
+        t.check_node(dst)?;
+        if src == dst {
+            return Ok(Vec::new());
+        }
+        // Dijkstra on (latency, hops).
+        let n = t.nodes.len();
+        let mut dist = vec![(f64::INFINITY, usize::MAX); n];
+        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut visited = vec![false; n];
+        dist[src.0] = (0.0, 0);
+        for _ in 0..n {
+            // Select the unvisited node with the smallest distance.
+            let mut best: Option<usize> = None;
+            for i in 0..n {
+                if visited[i] || dist[i].0.is_infinite() {
+                    continue;
+                }
+                match best {
+                    None => best = Some(i),
+                    Some(b) => {
+                        if dist[i] < dist[b] {
+                            best = Some(i);
+                        }
+                    }
+                }
+            }
+            let Some(u) = best else { break };
+            if u == dst.0 {
+                break;
+            }
+            visited[u] = true;
+            for &(v, link_id) in &t.adjacency[u] {
+                if visited[v.0] {
+                    continue;
+                }
+                let link = &t.links[link_id.0];
+                let cand = (dist[u].0 + link.latency.as_secs(), dist[u].1 + 1);
+                if cand < dist[v.0] {
+                    dist[v.0] = cand;
+                    prev[v.0] = Some((NodeId(u), link_id));
+                }
+            }
+        }
+        if prev[dst.0].is_none() && dist[dst.0].0.is_infinite() {
+            return Err(TopologyError::NoPath(
+                t.nodes[src.0].name.clone(),
+                t.nodes[dst.0].name.clone(),
+            ));
+        }
+        let mut path = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (p, link) = prev[cur.0].ok_or_else(|| {
+                TopologyError::NoPath(t.nodes[src.0].name.clone(), t.nodes[dst.0].name.clone())
+            })?;
+            path.push(link);
+            cur = p;
+        }
+        path.reverse();
+        Ok(path)
+    }
+
     fn simple_topology() -> (Topology, NodeId, NodeId, NodeId, NodeId) {
         // h1 - r1 - r2 - h2, plus a slow direct shortcut r1 - h2.
         let mut t = Topology::new();
@@ -683,7 +688,7 @@ mod tests {
         for &a in &all {
             for &b in &all {
                 let got = compressed.path(&t, a, b).unwrap();
-                let want = t.path(a, b).unwrap();
+                let want = reference_path(&t, a, b).unwrap();
                 assert_eq!(got, want, "{a:?} -> {b:?}");
             }
         }
@@ -709,7 +714,7 @@ mod tests {
     #[test]
     fn shortest_path_prefers_low_latency() {
         let (t, h1, _r1, _r2, h2) = simple_topology();
-        let path = t.path(h1, h2).unwrap();
+        let path = reference_path(&t, h1, h2).unwrap();
         // 3-hop path at 3 ms beats 2-hop path at 11 ms.
         assert_eq!(path.len(), 3);
         assert!((t.path_latency(&path).as_secs() - 0.003).abs() < 1e-9);
@@ -718,7 +723,7 @@ mod tests {
     #[test]
     fn path_to_self_is_empty() {
         let (t, h1, ..) = simple_topology();
-        assert!(t.path(h1, h1).unwrap().is_empty());
+        assert!(reference_path(&t, h1, h1).unwrap().is_empty());
     }
 
     #[test]
@@ -726,7 +731,10 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_host("a").unwrap();
         let b = t.add_host("b").unwrap();
-        assert!(matches!(t.path(a, b), Err(TopologyError::NoPath(_, _))));
+        assert!(matches!(
+            reference_path(&t, a, b),
+            Err(TopologyError::NoPath(_, _))
+        ));
     }
 
     #[test]
@@ -778,7 +786,7 @@ mod tests {
             let mut table = PathTable::new();
             for (a, _) in topology.nodes() {
                 for (b, _) in topology.nodes() {
-                    let reference = topology.path(a, b);
+                    let reference = reference_path(topology, a, b);
                     let cached = table.path(topology, a, b);
                     assert_eq!(reference, cached, "{a:?} -> {b:?}");
                     // Second query hits the cached tree.

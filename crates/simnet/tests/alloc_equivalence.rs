@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::rng::SimRng;
 use simnet::topology::{LinkId, NodeId, Topology};
-use simnet::{Allocator, DemandSet, Network, SimDuration, SimTime, TransferId};
+use simnet::{Allocator, DemandSet, Network, PathTable, SimDuration, SimTime, TransferId};
 use std::collections::HashMap;
 
 /// A random connected topology: a chain of routers with hosts hung off
@@ -85,7 +85,7 @@ fn reference_demands(net: &Network, ledger: &[(TransferId, NodeId, NodeId)]) -> 
         .filter(|(id, _, _)| net.transfer_rate(*id).is_some())
         .map(|&(id, src, dst)| FlowDemand {
             key: FlowKey(id.0),
-            links: net.topology().path(src, dst).unwrap(),
+            links: PathTable::new().path(net.topology(), src, dst).unwrap(),
             weight: 1.0,
         })
         .collect();
@@ -116,7 +116,7 @@ fn assert_reference_agreement(
     }
     // The probe query must equal a full re-solve with the probe appended.
     let (src, dst) = probe;
-    let path = net.topology().path(src, dst).unwrap();
+    let path = PathTable::new().path(net.topology(), src, dst).unwrap();
     let live_probe = net.available_bandwidth(src, dst).unwrap();
     if path.is_empty() {
         assert_eq!(live_probe, simnet::flow::LOCAL_RATE_BPS);
