@@ -3,7 +3,7 @@
 //! Every noteworthy thing the framework does or sees is named once, as an
 //! [`Occurrence`], and handed to [`Observer::record`]. That function is the
 //! only place that knows the three output formats — the legacy
-//! [`simnet::Trace`] line, the [`tracestore::TraceEvent`]
+//! [`simnet::Trace`] line, the [`tracestore::EventRef`]
 //! subject/detail/value/correlation convention, and which `framework.*`
 //! counter an occurrence bumps — and the only place that asks a sink whether
 //! it is enabled. With the default `NullSink` / `NullRegistry` a `record`
@@ -17,7 +17,7 @@ use monitoring::GaugeReading;
 use repair::RepairPlan;
 use simnet::{SimTime, Trace, TraceKind};
 use std::fmt;
-use tracestore::{EventKind, TraceEvent};
+use tracestore::{EventKind, EventRef};
 use translator::RuntimeOp;
 
 /// Something the control loop did or saw. Variants borrow: naming an
@@ -86,6 +86,9 @@ pub(crate) struct Observer {
     /// Unified observation sink (the application shares the handle for
     /// transfer completions). The default `NullSink` is disabled.
     sink: tracestore::SharedSink,
+    /// Where a sink event's formatted detail is written, reused so the
+    /// event borrows it instead of owning a fresh `String`.
+    detail: String,
     /// Self-observability sink for span timings and control-plane counters.
     /// The default `NullRegistry` is disabled.
     metrics: obs::SharedMetrics,
@@ -112,6 +115,7 @@ impl Observer {
         Observer {
             trace: Trace::new(),
             sink: tracestore::null_sink(),
+            detail: String::new(),
             metrics: obs::null_metrics(),
             next_metric_snapshot_secs: 0.0,
             repair_seq: 0,
@@ -165,7 +169,7 @@ impl Observer {
                 if self.sink.enabled() {
                     for reading in readings {
                         self.sink.append(
-                            TraceEvent::new(
+                            EventRef::new(
                                 reading.time,
                                 EventKind::Gauge,
                                 reading.target.as_str(),
@@ -182,19 +186,15 @@ impl Observer {
                 if let Some(leads) = self.leads.as_mut() {
                     leads.advisories.push((alarm.time, alarm.subject));
                 }
-                self.emit(|| {
-                    TraceEvent::new(
-                        alarm.time,
-                        EventKind::Advisory,
-                        alarm.subject.as_str(),
-                        format!(
-                            "{}/{} predict={predicts}",
-                            alarm.property.as_str(),
-                            alarm.detector.name()
-                        ),
-                    )
-                    .with_value(alarm.score)
-                });
+                self.emit_formatted(
+                    EventRef::new(alarm.time, EventKind::Advisory, alarm.subject.as_str(), "")
+                        .with_value(alarm.score),
+                    format_args!(
+                        "{}/{} predict={predicts}",
+                        alarm.property.as_str(),
+                        alarm.detector.name()
+                    ),
+                );
             }
             Occurrence::MetricSnapshot => self.copy_metrics_to_sink(secs),
             Occurrence::Violation(violation) => {
@@ -206,14 +206,12 @@ impl Observer {
                         violation.invariant, violation.subject_name, violation.detail
                     ),
                 );
-                self.emit(|| {
-                    TraceEvent::new(
-                        secs,
-                        EventKind::Violation,
-                        violation.subject_name.clone(),
-                        violation.invariant.clone(),
-                    )
-                });
+                self.emit(EventRef::new(
+                    secs,
+                    EventKind::Violation,
+                    &violation.subject_name,
+                    &violation.invariant,
+                ));
                 self.count("framework.violations", 1);
                 if let Some(leads) = self.leads.as_mut() {
                     leads
@@ -243,15 +241,11 @@ impl Observer {
                         plan.subject, plan.invariant, plan.description
                     ),
                 );
-                self.emit(|| {
-                    TraceEvent::new(
-                        secs,
-                        EventKind::RepairStart,
-                        plan.subject.clone(),
-                        format!("{}: {label}{}", plan.invariant, plan.description),
-                    )
-                    .with_correlation(correlation)
-                });
+                self.emit_formatted(
+                    EventRef::new(secs, EventKind::RepairStart, &plan.subject, "")
+                        .with_correlation(correlation),
+                    format_args!("{}: {label}{}", plan.invariant, plan.description),
+                );
                 self.count("framework.repairs.started", 1);
                 if batched {
                     self.count("planner.plans", 1);
@@ -268,26 +262,31 @@ impl Observer {
                         plan.subject, plan.description
                     ),
                 );
-                self.emit(|| {
-                    TraceEvent::new(
-                        secs,
-                        EventKind::RepairEnd,
-                        plan.subject.clone(),
-                        plan.description.clone(),
-                    )
-                    .with_correlation(correlation)
-                });
+                self.emit(
+                    EventRef::new(secs, EventKind::RepairEnd, &plan.subject, &plan.description)
+                        .with_correlation(correlation),
+                );
                 self.count("framework.repairs.completed", 1);
             }
             Occurrence::RepairAborted(invariant, reason) => {
                 let line = format!("repair of {invariant} aborted: {reason}");
                 self.trace.record(t, TraceKind::RepairAborted, line);
-                self.emit(|| TraceEvent::new(secs, EventKind::RepairAborted, invariant, reason));
+                self.emit(EventRef::new(
+                    secs,
+                    EventKind::RepairAborted,
+                    invariant,
+                    reason,
+                ));
                 self.count("framework.repairs.aborted", 1);
             }
             Occurrence::Untranslatable(subject, error) => {
                 let reason = format!("translation failed: {error}");
-                self.emit(|| TraceEvent::new(secs, EventKind::RepairAborted, subject, &*reason));
+                self.emit(EventRef::new(
+                    secs,
+                    EventKind::RepairAborted,
+                    subject,
+                    &reason,
+                ));
                 self.trace.record(t, TraceKind::RepairAborted, reason);
                 self.count("framework.repairs.aborted", 1);
             }
@@ -296,14 +295,12 @@ impl Observer {
             }
             Occurrence::Reconfigured(op) => {
                 let described = op.describe();
-                self.emit(|| {
-                    TraceEvent::new(
-                        secs,
-                        EventKind::Reconfiguration,
-                        runtime_op_subject(op),
-                        described.clone(),
-                    )
-                });
+                self.emit(EventRef::new(
+                    secs,
+                    EventKind::Reconfiguration,
+                    runtime_op_subject(op),
+                    &described,
+                ));
                 self.trace.record(t, TraceKind::Reconfiguration, described);
             }
             Occurrence::OpFailed(op, error) => {
@@ -330,11 +327,24 @@ impl Observer {
         self.trace.record(t, TraceKind::Info, line);
     }
 
-    /// Appends to the trace sink, building the event only if the sink wants
-    /// it.
-    fn emit(&self, event: impl FnOnce() -> TraceEvent) {
+    /// Appends to the trace sink if it is enabled. The view borrows what the
+    /// occurrence already holds.
+    fn emit(&self, event: EventRef<'_>) {
         if self.sink.enabled() {
-            self.sink.append(event());
+            self.sink.append(event);
+        }
+    }
+
+    /// [`emit`](Self::emit) with the detail formatted — only for an enabled
+    /// sink, and into the reused `detail` buffer.
+    fn emit_formatted(&mut self, event: EventRef<'_>, detail: fmt::Arguments<'_>) {
+        if self.sink.enabled() {
+            self.detail.clear();
+            fmt::Write::write_fmt(&mut self.detail, detail).expect("a String takes any write");
+            self.sink.append(EventRef {
+                detail: &self.detail,
+                ..event
+            });
         }
     }
 
@@ -365,17 +375,19 @@ impl Observer {
         if !self.sink.enabled() {
             return;
         }
-        let Some(snapshot) = self.metrics.deterministic_snapshot() else {
+        let Some((counters, gauges)) = self.metrics.deterministic_values() else {
             return;
         };
-        for (name, value) in snapshot.counters {
+        for (name, value) in counters {
             self.sink.append(
-                TraceEvent::new(secs, EventKind::Metric, name, "counter").with_value(value as f64),
+                EventRef::new(secs, EventKind::Metric, name.as_str(), "counter")
+                    .with_value(value as f64),
             );
         }
-        for (name, value) in snapshot.gauges {
-            self.sink
-                .append(TraceEvent::new(secs, EventKind::Metric, name, "gauge").with_value(value));
+        for (name, value) in gauges {
+            self.sink.append(
+                EventRef::new(secs, EventKind::Metric, name.as_str(), "gauge").with_value(value),
+            );
         }
     }
 
@@ -455,19 +467,17 @@ impl Observer {
 
 /// The primary element a runtime operation acts on, for the trace sink's
 /// `subject` field.
-fn runtime_op_subject(op: &RuntimeOp) -> String {
+fn runtime_op_subject(op: &RuntimeOp) -> &str {
     match op {
-        RuntimeOp::CreateReqQueue { group } | RuntimeOp::DrainStuckServers { group, .. } => {
-            group.clone()
-        }
+        RuntimeOp::CreateReqQueue { group } | RuntimeOp::DrainStuckServers { group, .. } => group,
         RuntimeOp::FindServer { client, .. }
         | RuntimeOp::MoveClient { client, .. }
-        | RuntimeOp::RemosGetFlow { client, .. } => client.clone(),
-        RuntimeOp::MoveClientGroup { to_group, .. } => to_group.clone(),
+        | RuntimeOp::RemosGetFlow { client, .. } => client,
+        RuntimeOp::MoveClientGroup { to_group, .. } => to_group,
         RuntimeOp::ConnectServer { server, .. }
         | RuntimeOp::ActivateServer { server }
-        | RuntimeOp::DeactivateServer { server } => server.clone(),
-        RuntimeOp::DeleteGauge { gauge } | RuntimeOp::CreateGauge { gauge } => gauge.clone(),
+        | RuntimeOp::DeactivateServer { server } => server,
+        RuntimeOp::DeleteGauge { gauge } | RuntimeOp::CreateGauge { gauge } => gauge,
     }
 }
 
@@ -484,7 +494,7 @@ mod tests {
         fn enabled(&self) -> bool {
             false
         }
-        fn append(&self, event: TraceEvent) {
+        fn append(&self, event: EventRef<'_>) {
             panic!("disabled sink was handed {event:?}");
         }
     }

@@ -11,8 +11,8 @@
 //! ratio) into a serialisable [`SweepReport`].
 //!
 //! **Determinism:** every unit is fully determined by its cell key and seed
-//! (each worker builds its own simulator), units are written back into a slot
-//! indexed by expansion order, and aggregation folds in that fixed order —
+//! (each worker builds its own simulator), results are taken up in expansion
+//! order whatever order they finish in, and aggregation folds in that order —
 //! so the report is bit-identical regardless of worker count or completion
 //! order. The report deliberately carries no wall-clock timing or worker
 //! count, keeping its JSON byte-stable; CI diffs two runs as a determinism
@@ -23,9 +23,10 @@ use crate::framework::FrameworkConfig;
 use faultsim::{fault_profile_by_name, Resilience, NO_FAULTS};
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// Bucket width (seconds) used for the resilience availability accounting.
 const RESILIENCE_BUCKET_SECS: f64 = faultsim::resilience::DEFAULT_BUCKET_SECS;
@@ -434,9 +435,10 @@ pub struct SweepUnit {
 
 impl SweepUnit {
     /// Runs this unit's control/adaptive comparison; the outcome is fully
-    /// determined by the cell key and seed. `traced` collects event streams,
-    /// `metered` attaches metrics registries, and `detectors` arms the online
-    /// anomaly-detector bank in both runs (see [`SweepSpec::detectors`]).
+    /// determined by the cell key and seed. `traced` encodes both runs'
+    /// event streams as they are emitted, `metered` attaches metrics
+    /// registries, and `detectors` arms the online anomaly-detector bank in
+    /// both runs (see [`SweepSpec::detectors`]).
     pub fn run_unit(
         &self,
         traced: bool,
@@ -458,8 +460,8 @@ impl SweepUnit {
         Ok((
             outcome,
             UnitEvents {
-                control: control_buffer.take(),
-                adaptive: adaptive_buffer.take(),
+                control: control_buffer.take_run(),
+                adaptive: adaptive_buffer.take_run(),
             },
         ))
     }
@@ -554,13 +556,14 @@ impl SweepUnit {
     }
 }
 
-/// The event streams one traced unit produced (see [`SweepUnit::run_unit`]).
+/// The event streams one traced unit produced (see [`SweepUnit::run_unit`]),
+/// encoded as they were emitted.
 #[derive(Debug, Clone, Default)]
 pub struct UnitEvents {
     /// Events of the control run, in emission order.
-    pub control: Vec<tracestore::TraceEvent>,
+    pub control: tracestore::RunBuffer,
     /// Events of the adaptive run, in emission order.
-    pub adaptive: Vec<tracestore::TraceEvent>,
+    pub adaptive: tracestore::RunBuffer,
 }
 
 /// Resilience metrics of one fault-injected comparison unit: the same
@@ -923,51 +926,50 @@ impl SweepReport {
 
 /// Runs every unit of the sweep across `workers` threads and aggregates the
 /// results. `workers` is clamped to `1..=total_units`. The report is
-/// bit-identical for any worker count (see the module docs).
+/// bit-identical for any worker count (see the module docs). Every unit
+/// runs even when one fails; the error returned is the lowest-index unit's.
 pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepReport, SweepError> {
-    Ok(run_sweep_inner(spec, workers, false)?.0)
+    run_sweep_inner(spec, workers, None)
 }
 
 /// [`run_sweep`] with full event capture: every run's trace events are
-/// additionally persisted to a fresh [`tracestore::TraceStore`] at
-/// `store_path`. Units still execute across `workers` threads; the store is
-/// written afterwards, single-threaded, in expansion order under
-/// [`SweepUnit::run_id`] run ids — so the store's bytes (like the report's)
-/// are identical at any worker count.
+/// encoded as they are emitted and persisted to a fresh
+/// [`tracestore::TraceStore`] at `store_path`. Units still execute across
+/// `workers` threads; each unit's two runs are appended under
+/// [`SweepUnit::run_id`] run ids as soon as that unit and every unit before
+/// it have finished, and then dropped — so the store's bytes (like the
+/// report's) are identical at any worker count, and the sweep holds only the
+/// runs of units that finished ahead of their turn.
+///
+/// A failed sweep still runs every unit and returns the lowest-index
+/// failure (a unit's [`SweepError::Run`], or the [`SweepError::Store`] of
+/// appending one); the store then holds the runs of every unit before the
+/// failing one and nothing after it, at any worker count.
 pub fn run_sweep_traced(
     spec: &SweepSpec,
     workers: usize,
     store_path: &std::path::Path,
 ) -> Result<SweepReport, SweepError> {
-    let (report, events) = run_sweep_inner(spec, workers, true)?;
-    let mut store =
-        tracestore::TraceStore::open(store_path).map_err(|e| SweepError::Store(e.to_string()))?;
-    let units = spec.expand();
-    for (unit, events) in units.iter().zip(events) {
-        store
-            .append_run(&unit.run_id("control"), &events.control)
-            .map_err(|e| SweepError::Store(e.to_string()))?;
-        store
-            .append_run(&unit.run_id("adaptive"), &events.adaptive)
-            .map_err(|e| SweepError::Store(e.to_string()))?;
-    }
-    Ok(report)
+    run_sweep_inner(spec, workers, Some(store_path))
 }
 
 /// Runs `run(i)` for every `i` in `0..total` across `workers` threads and
-/// returns the results in index order. A unit that panics fails alone, as a
-/// [`SweepError::Run`] in its own slot: the other units still finish.
+/// hands each result to `deliver` in index order, as soon as it and every
+/// result before it are in: workers send `(index, result)`, and the caller
+/// holds early arrivals until their turn. A unit that panics fails alone, as
+/// a [`SweepError::Run`] in its own turn: the other units still finish.
 fn run_units<T: Send>(
     total: usize,
     workers: usize,
     run: impl Fn(usize) -> Result<T, SweepError> + Sync,
-) -> Vec<Result<T, SweepError>> {
-    let slots: Mutex<Vec<Option<Result<T, SweepError>>>> =
-        Mutex::new((0..total).map(|_| None).collect());
+    mut deliver: impl FnMut(usize, Result<T, SweepError>),
+) {
     let next = AtomicUsize::new(0);
+    let (done, arrivals) = mpsc::channel();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
+            let (done, next, run) = (done.clone(), &next, &run);
+            scope.spawn(move || loop {
                 let unit = next.fetch_add(1, Ordering::Relaxed);
                 if unit >= total {
                     break;
@@ -982,33 +984,61 @@ fn run_units<T: Send>(
                         let message = format!("panicked: {text}");
                         Err(SweepError::Run { unit, message })
                     });
-                slots.lock().expect("no unit runs under the lock")[unit] = Some(outcome);
+                // Fails only when the caller stopped receiving by unwinding.
+                let _ = done.send((unit, outcome));
             });
         }
+        drop(done);
+        let mut early = BTreeMap::new();
+        let mut due = 0;
+        for (unit, outcome) in arrivals {
+            early.insert(unit, outcome);
+            while let Some(outcome) = early.remove(&due) {
+                deliver(due, outcome);
+                due += 1;
+            }
+        }
     });
-    let slots = slots.into_inner().expect("no unit runs under the lock");
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every unit was claimed by a worker"))
-        .collect()
 }
 
 fn run_sweep_inner(
     spec: &SweepSpec,
     workers: usize,
-    traced: bool,
-) -> Result<(SweepReport, Vec<UnitEvents>), SweepError> {
+    store_path: Option<&std::path::Path>,
+) -> Result<SweepReport, SweepError> {
     spec.validate()?;
+    let store_error = |e: tracestore::StoreError| SweepError::Store(e.to_string());
+    let mut store =
+        (store_path.map(tracestore::TraceStore::open).transpose()).map_err(store_error)?;
     let units = spec.expand();
     let total = units.len();
-    let results = run_units(total, workers.clamp(1, total), |i| {
-        units[i].run_unit(traced, spec.collect_metrics, spec.detectors)
-    });
-    let (outcomes, events): (Vec<UnitOutcome>, Vec<UnitEvents>) = results
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .unzip();
+    let traced = store.is_some();
+    // The outcomes so far, until the first failure replaces them.
+    let mut outcomes = Ok(Vec::with_capacity(total));
+    run_units(
+        total,
+        workers.clamp(1, total),
+        |i| units[i].run_unit(traced, spec.collect_metrics, spec.detectors),
+        |i, result| {
+            let Ok(done) = &mut outcomes else { return };
+            let appended = result.and_then(|(outcome, events)| {
+                if let Some(store) = store.as_mut() {
+                    let runs = [("control", &events.control), ("adaptive", &events.adaptive)];
+                    for (label, run) in runs {
+                        store
+                            .append_buffer(&units[i].run_id(label), run)
+                            .map_err(store_error)?;
+                    }
+                }
+                Ok(outcome)
+            });
+            match appended {
+                Ok(outcome) => done.push(outcome),
+                Err(error) => outcomes = Err(error),
+            }
+        },
+    );
+    let outcomes = outcomes?;
     let per_cell = spec.seeds.len();
     let cells: Vec<CellReport> = spec
         .cells()
@@ -1016,14 +1046,11 @@ fn run_sweep_inner(
         .zip(outcomes.chunks(per_cell))
         .map(|(key, chunk)| CellReport::of(key, chunk.to_vec()))
         .collect();
-    Ok((
-        SweepReport {
-            spec: spec.clone(),
-            total_units: total,
-            cells,
-        },
-        events,
-    ))
+    Ok(SweepReport {
+        spec: spec.clone(),
+        total_units: total,
+        cells,
+    })
 }
 
 #[cfg(test)]
@@ -1043,25 +1070,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panicking_unit_fails_alone() {
-        for workers in [1, 4] {
-            let results = run_units(6, workers, |i| {
+    /// `run_units` over six units, unit 3 panicking: what the caller
+    /// receives, in the order it receives it, counting each into `received`
+    /// as it arrives.
+    fn delivered(
+        workers: usize,
+        received: &Count,
+        run: impl Fn(usize) -> Result<usize, SweepError> + Sync,
+    ) -> Vec<(usize, Result<usize, SweepError>)> {
+        let mut delivered = Vec::new();
+        run_units(
+            6,
+            workers,
+            |i| {
                 if i == 3 {
                     panic!("unit {i} blew up");
                 }
-                Ok(i * 10)
-            });
-            for (i, result) in results.iter().enumerate() {
+                run(i)
+            },
+            |i, result| {
+                delivered.push((i, result));
+                received.bump();
+            },
+        );
+        delivered
+    }
+
+    /// A count that threads can wait on.
+    #[derive(Default)]
+    struct Count(std::sync::Mutex<usize>, std::sync::Condvar);
+
+    impl Count {
+        fn bump(&self) {
+            *self.0.lock().unwrap() += 1;
+            self.1.notify_all();
+        }
+
+        /// Whether the count reaches `n` within ten seconds.
+        fn reaches(&self, n: usize) -> bool {
+            let ten_secs = std::time::Duration::from_secs(10);
+            let count = self.0.lock().unwrap();
+            let (count, wait) = (self.1.wait_timeout_while(count, ten_secs, |c| *c < n)).unwrap();
+            drop(count);
+            !wait.timed_out()
+        }
+    }
+
+    #[test]
+    fn a_panicking_unit_fails_alone() {
+        for workers in [1, 4] {
+            for (i, result) in delivered(workers, &Count::default(), |i| Ok(i * 10)) {
                 match result {
-                    Ok(value) => assert_eq!((i != 3, *value), (true, i * 10)),
+                    Ok(value) => assert_eq!((i != 3, value), (true, i * 10)),
                     Err(SweepError::Run { unit, message }) => {
-                        assert_eq!((i, *unit), (3, 3));
+                        assert_eq!((i, unit), (3, 3));
                         assert_eq!(message, "panicked: unit 3 blew up");
                     }
                     Err(other) => panic!("unexpected error: {other}"),
                 }
             }
+        }
+    }
+
+    /// The caller receives units 0, 1 and 2 in order, then unit 3's error,
+    /// then the rest, whichever finishes first — and each as soon as it and
+    /// every unit before it are done. With several workers unit 0 finishes
+    /// only after units 1 and 2 have, so their results wait for it; unit 5
+    /// finishes only once the caller holds units 0–3. A wait that times out
+    /// (10 s) makes its unit report `usize::MAX`.
+    #[test]
+    fn results_arrive_in_expansion_order_as_soon_as_their_turn_is_done() {
+        for workers in [1, 4] {
+            let (ran, received) = (Count::default(), Count::default());
+            let after = |done: bool, value| if done { value } else { usize::MAX };
+            let results = delivered(workers, &received, |i| {
+                let value = match i {
+                    0 if workers > 1 => after(ran.reaches(2), 0),
+                    5 => after(received.reaches(4), 50),
+                    i => i * 10,
+                };
+                ran.bump();
+                Ok(value)
+            });
+            let failed = SweepError::Run {
+                unit: 3,
+                message: "panicked: unit 3 blew up".into(),
+            };
+            let expect = [Ok(0), Ok(10), Ok(20), Err(failed), Ok(40), Ok(50)];
+            assert_eq!(
+                results,
+                expect.into_iter().enumerate().collect::<Vec<_>>(),
+                "{workers} workers"
+            );
         }
     }
 

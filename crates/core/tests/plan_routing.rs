@@ -13,7 +13,7 @@ use arch_adapt::framework::{AdaptationFramework, FrameworkConfig};
 use archmodel::Key;
 use gridapp::{ExperimentSchedule, GridConfig};
 use std::sync::{Arc, Mutex};
-use tracestore::{EventKind, TraceEvent};
+use tracestore::{EventKind, EventRef};
 
 /// What one control period did, as far as routing goes.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -34,11 +34,11 @@ struct RoutingLog {
 }
 
 impl tracestore::TraceSink for RoutingLog {
-    fn append(&self, event: TraceEvent) {
+    fn append(&self, event: EventRef<'_>) {
         let current = &mut self.ticks.lock().unwrap().1;
         match event.kind {
-            EventKind::Violation => current.violated.push(event.detail),
-            EventKind::RepairStart => current.started.push(event.detail),
+            EventKind::Violation => current.violated.push(event.detail.to_string()),
+            EventKind::RepairStart => current.started.push(event.detail.to_string()),
             _ => {}
         }
     }

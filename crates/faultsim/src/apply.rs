@@ -3,7 +3,7 @@
 use crate::schedule::{FaultAction, TimedAction};
 use gridapp::{AppError, GridApp};
 use simnet::SimTime;
-use tracestore::{EventKind, TraceEvent};
+use tracestore::{EventKind, EventRef};
 
 /// Applies one primitive fault mutation to the application at time `now`,
 /// routing through the `simnet` fault hooks (link capacity, node liveness)
@@ -40,12 +40,8 @@ pub fn apply_timed(app: &mut GridApp, timed: &TimedAction) -> Result<(), AppErro
             EventKind::Info
         };
         let subject = action_subject(app, &timed.action);
-        app.trace_sink().append(TraceEvent::new(
-            timed.at_secs,
-            kind,
-            subject,
-            timed.label.clone(),
-        ));
+        app.trace_sink()
+            .append(EventRef::new(timed.at_secs, kind, &subject, &timed.label));
     }
     Ok(())
 }

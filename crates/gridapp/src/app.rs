@@ -232,11 +232,11 @@ pub struct CompletedRequest {
 /// **What still allocates per request.** The event loop (`advance`) makes no
 /// `String` and no `Vec` of its own, and a completed request leaves the
 /// crate as a `Copy` value. With an enabled sink attached, the
-/// [`tracestore::TraceEvent`] of a completed request owns its two names (two
-/// allocations). The rest is amortised growth of long-lived buffers (the
-/// latency series, the request table, and the completion list until it holds
-/// one tick's worth: [`drain_completions`](Self::drain_completions) empties
-/// it in place).
+/// [`tracestore::EventRef`] of a completed request borrows its two interned
+/// names, and the sink encodes it on arrival. The rest is amortised growth of
+/// long-lived buffers (the latency series, the request table, and the
+/// completion list until it holds one tick's worth:
+/// [`drain_completions`](Self::drain_completions) empties it in place).
 pub struct GridApp {
     config: GridConfig,
     testbed: Testbed,
@@ -1227,7 +1227,7 @@ impl GridApp {
                     .record_latency(delivered.as_secs(), client.as_str(), latency);
                 if self.sink.enabled() {
                     self.sink.append(
-                        tracestore::TraceEvent::new(
+                        tracestore::EventRef::new(
                             delivered.as_secs(),
                             tracestore::EventKind::Transfer,
                             client.as_str(),

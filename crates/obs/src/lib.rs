@@ -56,13 +56,16 @@ pub trait MetricsSink: Send + Sync {
     /// never feed a deterministic artifact.
     fn observe_nanos(&self, key: Key, nanos: u64);
 
-    /// The deterministic part of the registry (counters and gauges), if
-    /// this sink retains one. The default (and the [`NullRegistry`]) has
-    /// nothing to report.
-    fn deterministic_snapshot(&self) -> Option<MetricsSnapshot> {
+    /// The deterministic part of the registry, if this sink retains one. The
+    /// default (and the [`NullRegistry`]) has nothing to report.
+    fn deterministic_values(&self) -> Option<KeyedValues> {
         None
     }
 }
+
+/// A registry's counters, then its gauges, each in name order, by interned
+/// name: what a trace sink copies without allocating a name.
+pub type KeyedValues = (Vec<(Key, u64)>, Vec<(Key, f64)>);
 
 /// A cheaply cloneable metrics handle.
 pub type SharedMetrics = Arc<dyn MetricsSink>;
@@ -217,22 +220,17 @@ impl MetricsRegistry {
     /// The deterministic section: counters and gauges, name-ordered. This is
     /// what may be folded into sweep reports and trace stores.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.lock();
+        fn named<T>(values: Vec<(Key, T)>) -> NameSorted<T> {
+            NameSorted(
+                values
+                    .into_iter()
+                    .map(|(k, v)| (k.as_str().to_string(), v))
+                    .collect(),
+            )
+        }
         MetricsSnapshot {
-            counters: NameSorted(
-                inner
-                    .counters
-                    .iter()
-                    .map(|(k, v)| (k.as_str().to_string(), *v))
-                    .collect(),
-            ),
-            gauges: NameSorted(
-                inner
-                    .gauges
-                    .iter()
-                    .map(|(k, v)| (k.as_str().to_string(), *v))
-                    .collect(),
-            ),
+            counters: named(self.counters()),
+            gauges: named(self.gauges()),
         }
     }
 
@@ -282,8 +280,8 @@ impl MetricsSink for MetricsRegistry {
             .observe(nanos);
     }
 
-    fn deterministic_snapshot(&self) -> Option<MetricsSnapshot> {
-        Some(self.snapshot())
+    fn deterministic_values(&self) -> Option<KeyedValues> {
+        Some((self.counters(), self.gauges()))
     }
 }
 
@@ -419,7 +417,7 @@ mod tests {
         sink.set_counter(key, 9);
         sink.set_gauge(key, 1.5);
         sink.observe_nanos(key, 100);
-        assert!(sink.deterministic_snapshot().is_none());
+        assert!(sink.deterministic_values().is_none());
     }
 
     #[test]
@@ -440,7 +438,10 @@ mod tests {
             vec![("test.a".to_string(), 10), ("test.b".to_string(), 5)]
         );
         assert_eq!(snapshot.gauges.0, vec![("test.g".to_string(), 2.5)]);
-        assert_eq!(handle.deterministic_snapshot(), Some(snapshot));
+        assert_eq!(
+            handle.deterministic_values(),
+            Some((vec![(a, 10), (b, 5)], vec![(Key::new("test.g"), 2.5)]))
+        );
     }
 
     #[test]

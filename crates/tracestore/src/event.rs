@@ -6,10 +6,12 @@
 //! store and query layer serves them all. Events carry their run-local
 //! simulation time; the run id is supplied when a run's events are appended
 //! to a [`TraceStore`](crate::store::TraceStore) and travels alongside the
-//! event in query results.
+//! event in query results. Emitters hand a sink the borrowed [`EventRef`]
+//! view, which a run buffer encodes on arrival: between emission and disk an
+//! event is never an owned value.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 
 /// What kind of observation an event records, in stable on-disk code order.
 ///
@@ -153,34 +155,6 @@ impl TraceEvent {
         self
     }
 
-    /// Serialises the event to the store's binary record format.
-    ///
-    /// Layout (little-endian): kind code `u8`, flags `u8` (bit 0 = has
-    /// value, bit 1 = has correlation), time `f64`, subject length `u32` +
-    /// bytes, detail length `u32` + bytes, then the optional value `f64`
-    /// and correlation `u64`. The encoding is bijective, so a round trip
-    /// through the store is bit-identical.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut flags = 0u8;
-        if self.value.is_some() {
-            flags |= 1;
-        }
-        if self.correlation.is_some() {
-            flags |= 2;
-        }
-        w.write_all(&[self.kind.code(), flags])?;
-        w.write_all(&self.time_secs.to_le_bytes())?;
-        write_str(w, &self.subject)?;
-        write_str(w, &self.detail)?;
-        if let Some(v) = self.value {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        if let Some(c) = self.correlation {
-            w.write_all(&c.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
     /// The borrowed view of this event.
     pub fn as_ref(&self) -> EventRef<'_> {
         EventRef {
@@ -194,9 +168,10 @@ impl TraceEvent {
     }
 }
 
-/// One record decoded in place: [`TraceEvent`]'s fields with `subject` and
-/// `detail` borrowed from the bytes they were decoded from, so a scan can
-/// filter before it allocates.
+/// [`TraceEvent`]'s fields with `subject` and `detail` borrowed: what an
+/// emitter hands a [`TraceSink`](crate::sink::TraceSink), borrowing names it
+/// already holds so that emitting allocates nothing, and what a scan decodes
+/// in place, borrowing the segment so that it can filter before it allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRef<'a> {
     /// See [`TraceEvent::time_secs`].
@@ -214,9 +189,38 @@ pub struct EventRef<'a> {
 }
 
 impl<'a> EventRef<'a> {
-    /// Decodes one record (the layout of [`TraceEvent::write_to`]) from the
-    /// front of `buf` and advances `buf` past it. A length that exceeds
-    /// what is left of `buf` is an error before anything is allocated.
+    /// A value-less, uncorrelated view.
+    pub fn new(time_secs: f64, kind: EventKind, subject: &'a str, detail: &'a str) -> Self {
+        EventRef {
+            time_secs,
+            kind,
+            subject,
+            detail,
+            value: None,
+            correlation: None,
+        }
+    }
+
+    /// Attaches a numeric payload.
+    pub fn with_value(self, value: f64) -> Self {
+        EventRef {
+            value: Some(value),
+            ..self
+        }
+    }
+
+    /// Attaches a repair-correlation id.
+    pub fn with_correlation(self, correlation: u64) -> Self {
+        EventRef {
+            correlation: Some(correlation),
+            ..self
+        }
+    }
+
+    /// Decodes one record (the layout of
+    /// [`RunBuffer::push`](crate::store::RunBuffer::push)) from the front of
+    /// `buf` and advances `buf` past it. A length that exceeds what is left
+    /// of `buf` is an error before anything is allocated.
     pub fn decode(buf: &mut &'a [u8]) -> io::Result<EventRef<'a>> {
         let [code, flags] = take_array(buf)?;
         let kind = EventKind::from_code(code)
@@ -248,13 +252,6 @@ impl<'a> EventRef<'a> {
     }
 }
 
-fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "string longer than u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(s.as_bytes())
-}
-
 /// Splits `len` bytes off the front of `buf`, or fails without allocating
 /// when fewer are left.
 pub(crate) fn take<'a>(buf: &mut &'a [u8], len: usize) -> io::Result<&'a [u8]> {
@@ -283,6 +280,16 @@ pub(crate) fn invalid(what: impl Into<String>) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::RunBuffer;
+
+    /// The segment bytes of `events`, from the one encoder.
+    fn encoded(events: &[TraceEvent]) -> Vec<u8> {
+        let mut run = RunBuffer::default();
+        for ev in events {
+            run.push(ev.as_ref());
+        }
+        run.segment
+    }
 
     #[test]
     fn kind_codes_round_trip_and_names_parse() {
@@ -305,10 +312,7 @@ mod tests {
                 .with_value(f64::NEG_INFINITY)
                 .with_correlation(u64::MAX),
         ];
-        let mut buf = Vec::new();
-        for ev in &events {
-            ev.write_to(&mut buf).unwrap();
-        }
+        let buf = encoded(&events);
         let mut cursor = &buf[..];
         for ev in &events {
             let view = EventRef::decode(&mut cursor).unwrap();
@@ -316,13 +320,17 @@ mod tests {
             assert_eq!(&view.to_owned(), ev);
         }
         assert!(cursor.is_empty());
+        // The builders make the view the owned event lends.
+        let fault = EventRef::new(-1.0, EventKind::Fault, "R2-R3", "link cut")
+            .with_value(f64::NEG_INFINITY)
+            .with_correlation(u64::MAX);
+        assert_eq!(fault, events[3].as_ref());
     }
 
     #[test]
     fn truncated_records_and_bad_codes_are_errors() {
-        let ev = TraceEvent::new(1.0, EventKind::Transfer, "C1", "SG1").with_value(0.25);
-        let mut buf = Vec::new();
-        ev.write_to(&mut buf).unwrap();
+        let buf =
+            encoded(&[TraceEvent::new(1.0, EventKind::Transfer, "C1", "SG1").with_value(0.25)]);
         for cut in 1..buf.len() {
             assert!(EventRef::decode(&mut &buf[..cut]).is_err(), "{cut}");
         }

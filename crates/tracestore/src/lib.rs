@@ -7,16 +7,19 @@
 //!
 //! * [`event`] — the unified [`TraceEvent`] record (run id, sim time, kind,
 //!   subject, detail, optional value/correlation) every observation source
-//!   maps onto;
+//!   maps onto, and its borrowed view [`EventRef`];
 //! * [`sink`] — the [`TraceSink`] append API threaded through
-//!   `core::framework`, `core::sweep`, `faultsim`, and `gridapp`. The
-//!   default [`NullSink`] is disabled and free, keeping all existing outputs
-//!   byte-identical; a [`BufferSink`] collects events in memory for the
-//!   sweep harness to persist deterministically;
+//!   `core::framework`, `core::sweep`, `faultsim`, and `gridapp`: emitters
+//!   append borrowed [`EventRef`]s. The default [`NullSink`] is disabled and
+//!   free, keeping all existing outputs byte-identical; a [`BufferSink`]
+//!   encodes each event into a [`RunBuffer`] as it arrives, for the sweep
+//!   harness to persist deterministically;
 //! * [`store`] — a segment-file [`TraceStore`] with per-run and per-kind
-//!   indices supporting deterministic replay-order iteration; one read path
-//!   decodes a loaded segment in place as borrowed [`EventRef`]s, and a
-//!   damaged store is an error, never a different answer;
+//!   indices supporting deterministic replay-order iteration; the
+//!   [`RunBuffer`] is the one record encoder, one write path persists it,
+//!   one read path decodes a loaded segment in place as borrowed
+//!   [`EventRef`]s, and a damaged store is an error, never a different
+//!   answer;
 //! * [`query`] — filter by an `archmodel::expr` predicate over event
 //!   fields, time-window, and group-by, allocating only the rows that pass;
 //! * [`aggregate`] — count / mean / p95 / MTTR reductions over query
@@ -44,4 +47,4 @@ pub use aggregate::{
 pub use event::{EventKind, EventRef, TraceEvent};
 pub use query::{Query, QueryError, QueryRow};
 pub use sink::{null_sink, shared_buffer, BufferSink, NullSink, SharedSink, TraceSink};
-pub use store::{RunMeta, StoreError, TraceStore};
+pub use store::{RunBuffer, RunMeta, StoreError, TraceStore};

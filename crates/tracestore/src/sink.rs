@@ -2,14 +2,18 @@
 //!
 //! A [`TraceSink`] is handed (as a cheaply cloneable [`SharedSink`]) to the
 //! adaptation framework, the grid application, and the fault injector; each
-//! calls [`append`](TraceSink::append) at its emission points. The default
-//! [`NullSink`] reports itself disabled, so emission sites guard event
-//! construction behind [`enabled`](TraceSink::enabled) and a run without a
-//! real sink does no extra work at all — which is what keeps every existing
-//! report byte-identical.
+//! calls [`append`](TraceSink::append) at its emission points with a borrowed
+//! [`EventRef`] whose strings it already holds. The default [`NullSink`]
+//! reports itself disabled, so emission sites guard anything they would
+//! format behind [`enabled`](TraceSink::enabled) and a run without a real
+//! sink does no extra work at all — which is what keeps every existing
+//! report byte-identical. A [`BufferSink`] encodes each event into its
+//! [`RunBuffer`] as it arrives, so an enabled sink allocates only when the
+//! buffer grows.
 
-use crate::event::TraceEvent;
-use std::sync::{Arc, Mutex};
+use crate::event::{EventRef, TraceEvent};
+use crate::store::RunBuffer;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An append-only consumer of trace events.
 ///
@@ -22,8 +26,9 @@ pub trait TraceSink: Send + Sync {
         true
     }
 
-    /// Consumes one event.
-    fn append(&self, event: TraceEvent);
+    /// Consumes one event. The view's strings are the emitter's: a sink that
+    /// keeps the event copies or encodes them before it returns.
+    fn append(&self, event: EventRef<'_>);
 }
 
 /// A cheaply cloneable sink handle.
@@ -38,7 +43,7 @@ impl TraceSink for NullSink {
         false
     }
 
-    fn append(&self, _event: TraceEvent) {}
+    fn append(&self, _event: EventRef<'_>) {}
 }
 
 /// A fresh [`NullSink`] handle — the default observation target.
@@ -46,14 +51,14 @@ pub fn null_sink() -> SharedSink {
     Arc::new(NullSink)
 }
 
-/// An in-memory sink: appends into a shared vector, in call order.
+/// An in-memory sink: encodes into a shared [`RunBuffer`], in call order.
 ///
-/// The sweep harness gives every run its own buffer and persists the
-/// collected events to the store afterwards, in deterministic unit order —
-/// that is what makes the store's bytes worker-count invariant.
+/// The sweep harness gives every run its own buffer and hands each unit's
+/// two runs to the store in expansion order — that is what makes the store's
+/// bytes worker-count invariant.
 #[derive(Debug, Clone, Default)]
 pub struct BufferSink {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
+    run: Arc<Mutex<RunBuffer>>,
 }
 
 impl BufferSink {
@@ -62,9 +67,13 @@ impl BufferSink {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, RunBuffer> {
+        self.run.lock().expect("buffer sink lock")
+    }
+
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("buffer sink lock").len()
+        self.lock().count as usize
     }
 
     /// Whether nothing has been appended yet.
@@ -72,15 +81,26 @@ impl BufferSink {
         self.len() == 0
     }
 
-    /// Removes and returns everything appended so far, in append order.
+    /// Removes and returns everything appended so far, encoded: the run
+    /// [`TraceStore::append_buffer`](crate::store::TraceStore::append_buffer)
+    /// writes.
+    pub fn take_run(&self) -> RunBuffer {
+        std::mem::take(&mut *self.lock())
+    }
+
+    /// Removes and returns everything appended so far, decoded, in append
+    /// order.
     pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("buffer sink lock"))
+        let run = self.take_run();
+        let mut records = &run.segment[..];
+        let mut decode = || EventRef::decode(&mut records).expect("push wrote whole records");
+        (0..run.count).map(|_| decode().to_owned()).collect()
     }
 }
 
 impl TraceSink for BufferSink {
-    fn append(&self, event: TraceEvent) {
-        self.events.lock().expect("buffer sink lock").push(event);
+    fn append(&self, event: EventRef<'_>) {
+        self.lock().push(event);
     }
 }
 
@@ -101,7 +121,7 @@ mod tests {
     fn null_sink_is_disabled_and_discards() {
         let sink = null_sink();
         assert!(!sink.enabled());
-        sink.append(TraceEvent::new(1.0, EventKind::Info, "a", "b"));
+        sink.append(EventRef::new(1.0, EventKind::Info, "a", "b"));
     }
 
     #[test]
@@ -109,8 +129,8 @@ mod tests {
         let (buffer, handle) = shared_buffer();
         assert!(buffer.is_empty());
         assert!(handle.enabled());
-        handle.append(TraceEvent::new(1.0, EventKind::Info, "a", "first"));
-        handle.append(TraceEvent::new(2.0, EventKind::Fault, "b", "second"));
+        handle.append(EventRef::new(1.0, EventKind::Info, "a", "first"));
+        handle.append(EventRef::new(2.0, EventKind::Fault, "b", "second"));
         assert_eq!(buffer.len(), 2);
         let events = buffer.take();
         assert_eq!(events[0].detail, "first");

@@ -5,7 +5,8 @@
 //! Two more properties pin the read path: `Query::execute` equals the
 //! per-event `Query::matches` folded over `read_run`, and a structurally
 //! damaged store answers with an error or the undamaged answer, never with
-//! different rows or a panic.
+//! different rows or a panic. A sink-fed `RunBuffer` writes what
+//! `append_run` writes.
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,6 +62,47 @@ fn event(raw: (u64, u64, u64)) -> TraceEvent {
         }
     }
     event
+}
+
+/// [`event`], with a NaN value one draw in eleven.
+fn event_or_nan(raw: (u64, u64, u64)) -> TraceEvent {
+    let event = event(raw);
+    match raw.2 % 11 {
+        0 => event.with_value(f64::NAN),
+        _ => event,
+    }
+}
+
+/// An event's fields with its floats as bits, so a NaN equals itself.
+type Bits<'a> = (u64, EventKind, &'a str, &'a str, Option<u64>, Option<u64>);
+
+fn bits(e: &TraceEvent) -> Bits<'_> {
+    let value = e.value.map(f64::to_bits);
+    (
+        e.time_secs.to_bits(),
+        e.kind,
+        &e.subject,
+        &e.detail,
+        value,
+        e.correlation,
+    )
+}
+
+/// The record layout `RunBuffer::push` documents, written out by hand.
+fn reference_segment(events: &[TraceEvent]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for e in events {
+        let flags = u8::from(e.value.is_some()) | (u8::from(e.correlation.is_some()) << 1);
+        out.extend([e.kind.code(), flags]);
+        out.extend(e.time_secs.to_le_bytes());
+        for text in [&e.subject, &e.detail] {
+            out.extend((text.len() as u32).to_le_bytes());
+            out.extend(text.as_bytes());
+        }
+        out.extend(e.value.iter().flat_map(|v| v.to_le_bytes()));
+        out.extend(e.correlation.iter().flat_map(|c| c.to_le_bytes()));
+    }
+    out
 }
 
 /// A scratch directory that cleans up after itself.
@@ -274,6 +316,55 @@ proptest! {
 }
 
 const RUN: &str = "paper/step/adaptive/90s/none/seed42/adaptive";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A `BufferSink` fed the events' views, then persisted, writes the
+    /// bytes `append_run` writes, in the documented record layout, and
+    /// `take` hands the events back — at each length around the checkpoint
+    /// stride, through one sink that each `take` empties.
+    #[test]
+    fn a_buffer_sink_persists_what_append_run_writes(
+        raws in proptest::collection::vec(
+            (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            129,
+        ),
+        extra in 0usize..129,
+    ) {
+        let events: Vec<TraceEvent> = raws.iter().map(|r| event_or_nan(*r)).collect();
+        let (buffer, sink) = tracestore::shared_buffer();
+        for len in [0, 63, 64, 65, 129, extra] {
+            let events = &events[..len];
+            for event in events {
+                sink.append(event.as_ref());
+            }
+            let taken = buffer.take();
+            prop_assert_eq!(
+                taken.iter().map(bits).collect::<Vec<_>>(),
+                events.iter().map(bits).collect::<Vec<_>>()
+            );
+
+            for event in events {
+                sink.append(event.as_ref());
+            }
+            let (sunk, appended) = (ScratchDir::new("sunk"), ScratchDir::new("appended"));
+            TraceStore::open(&sunk.0).unwrap().append_buffer(RUN, &buffer.take_run()).unwrap();
+            TraceStore::open(&appended.0).unwrap().append_run(RUN, events).unwrap();
+            prop_assert_eq!(
+                std::fs::read(sunk.0.join("000000.seg")).unwrap(),
+                reference_segment(events)
+            );
+            for name in ["MANIFEST", "000000.seg", "000000.idx"] {
+                prop_assert_eq!(
+                    std::fs::read(sunk.0.join(name)).unwrap(),
+                    std::fs::read(appended.0.join(name)).unwrap(),
+                    "{} differs at length {}", name, len
+                );
+            }
+        }
+    }
+}
 
 /// What every read path answers about the one-run store at `dir`: the three
 /// readers and `Query::execute` down each of its three scans. `None` stands
