@@ -655,7 +655,7 @@ mod tests {
         let aborted: Vec<(&str, &str)> = events
             .iter()
             .filter(|e| e.kind == EventKind::RepairAborted)
-            .map(|e| (e.subject.as_str(), e.detail.as_str()))
+            .map(|e| (&*e.subject, &*e.detail))
             .collect();
         assert_eq!(
             aborted,
@@ -667,7 +667,7 @@ mod tests {
         let starts: Vec<(&str, Option<u64>)> = events
             .iter()
             .filter(|e| e.kind == EventKind::RepairStart)
-            .map(|e| (e.detail.as_str(), e.correlation))
+            .map(|e| (&*e.detail, e.correlation))
             .collect();
         assert_eq!(
             starts,

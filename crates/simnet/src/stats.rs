@@ -131,12 +131,14 @@ impl TimeSeries {
 /// The `q`-quantile (0 ≤ q ≤ 1) of a slice of values using nearest-rank —
 /// the one quantile definition shared by [`TimeSeries::quantile`] and any
 /// cross-run aggregation built on top of it. `None` if the slice is empty.
+/// Values sort by [`f64::total_cmp`]: a NaN ranks above +∞ (below −∞ when
+/// its sign bit is set), so it is the answer only where its rank is asked for.
 pub fn quantile_of(values: &[f64], q: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("values are not NaN"));
+    sorted.sort_by(f64::total_cmp);
     let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
     Some(sorted[idx])
 }

@@ -114,8 +114,16 @@ pub struct AggregateRow {
     pub value: Option<f64>,
 }
 
-/// Groups rows and reduces each group; output is sorted by group key.
-pub fn aggregate_rows(rows: &[QueryRow], op: AggregateOp, group_by: GroupBy) -> Vec<AggregateRow> {
+/// Groups borrowed rows (a slice, or a filtered iterator over one) and
+/// reduces each group; output is sorted by group key. A NaN payload is a
+/// value like any other: [`AggregateOp::P95`] ranks it where
+/// [`simnet::quantile_of`] does, `Min` and `Max` pass over it unless every
+/// payload is NaN, and `Mean` and `Sum` of a group holding one are NaN.
+pub fn aggregate_rows<'a>(
+    rows: impl IntoIterator<Item = &'a QueryRow>,
+    op: AggregateOp,
+    group_by: GroupBy,
+) -> Vec<AggregateRow> {
     // Per group: how many rows, and the payloads of those that carry one.
     let mut groups: BTreeMap<&str, (usize, Vec<f64>)> = BTreeMap::new();
     for row in rows {
@@ -148,7 +156,10 @@ pub fn aggregate_rows(rows: &[QueryRow], op: AggregateOp, group_by: GroupBy) -> 
 /// Mean time to repair, per run: pairs each fault event with the first
 /// `repair-end` event at or after it in the same run and averages the gaps.
 /// Runs with no faults are omitted; runs whose faults never see a repair
-/// complete report `count` faults and `value: None` (unrecovered).
+/// complete report `count` faults and `value: None` (unrecovered). Repair
+/// ends sort by [`f64::total_cmp`], which puts a NaN after +∞ (before −∞
+/// when its sign bit is set); a NaN compares false with every time, so a
+/// fault at NaN is never recovered and a repair end at NaN recovers nothing.
 pub fn mttr_rows(rows: &[QueryRow]) -> Vec<AggregateRow> {
     // Per run: fault onset times and repair-end times.
     let mut by_run: BTreeMap<&str, [Vec<f64>; 2]> = BTreeMap::new();
@@ -164,7 +175,7 @@ pub fn mttr_rows(rows: &[QueryRow]) -> Vec<AggregateRow> {
         .into_iter()
         .filter(|(_, [faults, _])| !faults.is_empty())
         .map(|(run, [faults, mut ends])| {
-            ends.sort_by(|a, b| a.partial_cmp(b).expect("times are not NaN"));
+            ends.sort_by(f64::total_cmp);
             let gaps: Vec<f64> = faults
                 .iter()
                 .filter_map(|onset| {
@@ -207,12 +218,14 @@ pub struct LeadTimeRow {
     pub median_lead_secs: Option<f64>,
 }
 
-/// Median of an unsorted slice (mean of the middle two when even).
+/// Median of an unsorted slice (mean of the middle two when even). Values
+/// sort by [`f64::total_cmp`]: a NaN ranks above +∞ (below −∞ when its sign
+/// bit is set), so the median is NaN only when a NaN lands in the middle.
 pub fn median_of(values: &mut [f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("values are not NaN"));
+    values.sort_by(f64::total_cmp);
     let mid = values.len() / 2;
     Some(if values.len() % 2 == 1 {
         values[mid]
@@ -226,6 +239,9 @@ pub fn median_of(values: &mut [f64]) -> Option<f64> {
 /// subject within `horizon_secs`. `rows` must contain both the advisory and
 /// the violation events (query without a kind filter, or with both kinds).
 /// Runs containing neither kind are omitted; output is sorted by run id.
+/// Violation times sort by [`f64::total_cmp`] (a NaN after +∞, or before −∞
+/// when its sign bit is set); an event at NaN time is counted but matches
+/// nothing, since it compares false with every time.
 pub fn leadtime_rows(rows: &[QueryRow], horizon_secs: f64) -> Vec<LeadTimeRow> {
     // Per run, per subject: advisory times and violation times.
     type SubjectTimes<'a> = BTreeMap<&'a str, [Vec<f64>; 2]>;
@@ -248,7 +264,7 @@ pub fn leadtime_rows(rows: &[QueryRow], horizon_secs: f64) -> Vec<LeadTimeRow> {
             let mut anticipated_violations = 0;
             let mut leads = Vec::new();
             for [advisory_times, mut violation_times] in subjects.into_values() {
-                violation_times.sort_by(|a, b| a.partial_cmp(b).expect("times are not NaN"));
+                violation_times.sort_by(f64::total_cmp);
                 advisories += advisory_times.len();
                 violations += violation_times.len();
                 for a in &advisory_times {
@@ -293,7 +309,6 @@ pub fn near_fault_rows(
     window_secs: f64,
     group_by: GroupBy,
 ) -> Vec<AggregateRow> {
-    let mut near: Vec<QueryRow> = Vec::new();
     let mut onsets: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for row in rows {
         if row.event.kind == EventKind::Fault {
@@ -303,22 +318,16 @@ pub fn near_fault_rows(
                 .push(row.event.time_secs);
         }
     }
-    for row in rows {
-        if row.event.kind != kind {
-            continue;
-        }
-        let Some(run_onsets) = onsets.get(&*row.run_id) else {
-            continue;
-        };
+    let near = rows.iter().filter(|row| {
         let t = row.event.time_secs;
-        if run_onsets
-            .iter()
-            .any(|onset| t >= *onset && t <= onset + window_secs)
-        {
-            near.push(row.clone());
-        }
-    }
-    aggregate_rows(&near, AggregateOp::Count, group_by)
+        row.event.kind == kind
+            && onsets.get(&*row.run_id).is_some_and(|run_onsets| {
+                run_onsets
+                    .iter()
+                    .any(|onset| t >= *onset && t <= onset + window_secs)
+            })
+    });
+    aggregate_rows(near, AggregateOp::Count, group_by)
 }
 
 #[cfg(test)]

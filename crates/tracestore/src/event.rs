@@ -8,10 +8,14 @@
 //! to a [`TraceStore`](crate::store::TraceStore) and travels alongside the
 //! event in query results. Emitters hand a sink the borrowed [`EventRef`]
 //! view, which a run buffer encodes on arrival: between emission and disk an
-//! event is never an owned value.
+//! event is never an owned value. A read that hands back owned events
+//! converts each view through one [`StringTable`] per call, so equal strings
+//! in its result are one shared allocation.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
+use std::sync::Arc;
 
 /// What kind of observation an event records, in stable on-disk code order.
 ///
@@ -113,11 +117,13 @@ pub struct TraceEvent {
     /// What kind of observation this is.
     pub kind: EventKind,
     /// The architectural element or run entity observed (a client, server,
-    /// link, gauge target, or repair subject name).
-    pub subject: String,
+    /// link, gauge target, or repair subject name). Events read back from a
+    /// store or a sink in one call share one allocation per distinct string.
+    pub subject: Arc<str>,
     /// Free-form qualifier: the violated invariant, the repair description,
     /// the fault action, the gauge property, the transfer's server group.
-    pub detail: String,
+    /// Shared like [`subject`](Self::subject), through the same table.
+    pub detail: Arc<str>,
     /// Numeric payload when the observation has one (gauge value, transfer
     /// latency, capacity factor).
     pub value: Option<f64>,
@@ -130,8 +136,8 @@ impl TraceEvent {
     pub fn new(
         time_secs: f64,
         kind: EventKind,
-        subject: impl Into<String>,
-        detail: impl Into<String>,
+        subject: impl Into<Arc<str>>,
+        detail: impl Into<Arc<str>>,
     ) -> Self {
         TraceEvent {
             time_secs,
@@ -239,16 +245,35 @@ impl<'a> EventRef<'a> {
         })
     }
 
-    /// Copies the view into an owned event.
-    pub fn to_owned(&self) -> TraceEvent {
+    /// Copies the view into an owned event whose strings come from `strings`.
+    pub(crate) fn to_owned(self, strings: &mut StringTable) -> TraceEvent {
         TraceEvent {
             time_secs: self.time_secs,
             kind: self.kind,
-            subject: self.subject.to_string(),
-            detail: self.detail.to_string(),
+            subject: strings.share(self.subject),
+            detail: strings.share(self.detail),
             value: self.value,
             correlation: self.correlation,
         }
+    }
+}
+
+/// The strings of one call's owned events: each distinct subject or detail is
+/// allocated once, and every event that holds it shares that allocation. Each
+/// read builds its own table and drops it when it returns, so no string stays
+/// allocated once the events holding it are gone.
+#[derive(Default)]
+pub(crate) struct StringTable(HashSet<Arc<str>>);
+
+impl StringTable {
+    /// The table's copy of `text`, made on first sight.
+    fn share(&mut self, text: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(text) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = text.into();
+        self.0.insert(Arc::clone(&shared));
+        shared
     }
 }
 
@@ -314,10 +339,11 @@ mod tests {
         ];
         let buf = encoded(&events);
         let mut cursor = &buf[..];
+        let mut strings = StringTable::default();
         for ev in &events {
             let view = EventRef::decode(&mut cursor).unwrap();
             assert_eq!(view, ev.as_ref());
-            assert_eq!(&view.to_owned(), ev);
+            assert_eq!(&view.to_owned(&mut strings), ev);
         }
         assert!(cursor.is_empty());
         // The builders make the view the owned event lends.

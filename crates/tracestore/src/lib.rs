@@ -21,7 +21,8 @@
 //!   [`EventRef`]s, and a damaged store is an error, never a different
 //!   answer;
 //! * [`query`] — filter by an `archmodel::expr` predicate over event
-//!   fields, time-window, and group-by, allocating only the rows that pass;
+//!   fields, time-window, and group-by, allocating only the rows that pass,
+//!   which share one allocation per distinct string;
 //! * [`aggregate`] — count / mean / p95 / MTTR reductions over query
 //!   results, plus the canned near-fault root-cause report and the
 //!   advisory→violation lead-time join behind `query leadtime`.

@@ -24,15 +24,17 @@
 //! ```
 //!
 //! [`Query::execute`] filters each record as the store decodes it, on a
-//! borrowed view of the loaded segment, and copies only the events that pass
-//! into [`QueryRow`]s (all rows of a run share one `Arc<str>` run id). The
+//! borrowed view of the loaded segment, and turns only the events that pass
+//! into [`QueryRow`]s. A row allocates no string of its own: all rows of a run
+//! share the store's `Arc<str>` run id, and each distinct subject or detail in
+//! the result is allocated once, in a string table that lives for the call. The
 //! predicate's world — the empty `System` and a binding slot for each event
 //! field the expression mentions — is built once per `execute`, not once per
 //! event. [`Query::matches`] is the per-event definition (every field bound,
 //! nothing shared) that `execute` is property-tested against. A damaged
 //! store surfaces as [`QueryError::Store`] (see [`crate::store`]).
 
-use crate::event::{EventKind, EventRef, TraceEvent};
+use crate::event::{EventKind, EventRef, StringTable, TraceEvent};
 use crate::store::{Select, StoreError, TraceStore};
 use archmodel::expr::{eval_bool, parse, Bindings, EvalValue, Expr};
 use archmodel::{System, Value};
@@ -72,7 +74,9 @@ impl From<StoreError> for QueryError {
 /// One event that passed a query's filters, tagged with its run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRow {
-    /// The run the event belongs to (shared by every row of the run).
+    /// The run the event belongs to: the store's
+    /// [`RunMeta::run_id`](crate::store::RunMeta::run_id), shared by every row
+    /// of the run.
     pub run_id: Arc<str>,
     /// The event itself.
     pub event: TraceEvent,
@@ -155,7 +159,8 @@ impl Query {
     /// starts at the last time checkpoint provably before the window (every
     /// record it skips has `time < from`, so the rows equal a full scan's),
     /// anything else visits every record. The filters run on the borrowed
-    /// view, so only the events that pass are copied into rows.
+    /// view, so only the events that pass become rows, and equal strings
+    /// among the rows are one shared allocation.
     pub fn execute(&self, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError> {
         // Fields the predicate never names are never looked up, so only the
         // ones it mentions are bound per event.
@@ -171,15 +176,16 @@ impl Query {
             (_, Some((from, _))) => Select::From(from),
             _ => Select::All,
         };
-        let mut rows = Vec::new();
+        let (mut rows, mut strings) = (Vec::new(), StringTable::default());
         for meta in store.runs().iter().filter(|m| self.selects_run(&m.run_id)) {
-            let run_id: Arc<str> = meta.run_id.as_str().into();
             store.scan(meta, select, |event| {
                 let predicate = predicate.as_mut();
-                if self.keeps(&event) && predicate.map_or(Ok(true), |p| p.test(&run_id, &event))? {
+                if self.keeps(&event)
+                    && predicate.map_or(Ok(true), |p| p.test(&meta.run_id, &event))?
+                {
                     rows.push(QueryRow {
-                        run_id: run_id.clone(),
-                        event: event.to_owned(),
+                        run_id: Arc::clone(&meta.run_id),
+                        event: event.to_owned(&mut strings),
                     });
                 }
                 Ok::<(), QueryError>(())
@@ -320,7 +326,7 @@ mod tests {
             .execute(&store)
             .unwrap();
         assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].event.detail, "SG2");
+        assert_eq!(&*slow[0].event.detail, "SG2");
 
         let has = Query::new()
             .predicate("has_value")
@@ -367,7 +373,7 @@ mod tests {
                 for event in store.read_run(&meta.run_id).unwrap() {
                     if query.matches(&meta.run_id, &event).unwrap() {
                         scanned.push(QueryRow {
-                            run_id: meta.run_id.as_str().into(),
+                            run_id: meta.run_id.clone(),
                             event,
                         });
                     }

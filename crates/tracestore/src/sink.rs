@@ -11,7 +11,7 @@
 //! [`RunBuffer`] as it arrives, so an enabled sink allocates only when the
 //! buffer grows.
 
-use crate::event::{EventRef, TraceEvent};
+use crate::event::{EventRef, StringTable, TraceEvent};
 use crate::store::RunBuffer;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -89,12 +89,15 @@ impl BufferSink {
     }
 
     /// Removes and returns everything appended so far, decoded, in append
-    /// order.
+    /// order; equal strings among the events are one shared allocation.
     pub fn take(&self) -> Vec<TraceEvent> {
         let run = self.take_run();
         let mut records = &run.segment[..];
+        let mut strings = StringTable::default();
         let mut decode = || EventRef::decode(&mut records).expect("push wrote whole records");
-        (0..run.count).map(|_| decode().to_owned()).collect()
+        (0..run.count)
+            .map(|_| decode().to_owned(&mut strings))
+            .collect()
     }
 }
 
@@ -133,8 +136,8 @@ mod tests {
         handle.append(EventRef::new(2.0, EventKind::Fault, "b", "second"));
         assert_eq!(buffer.len(), 2);
         let events = buffer.take();
-        assert_eq!(events[0].detail, "first");
-        assert_eq!(events[1].detail, "second");
+        assert_eq!(&*events[0].detail, "first");
+        assert_eq!(&*events[1].detail, "second");
         assert!(buffer.is_empty());
     }
 }

@@ -32,7 +32,9 @@
 //! each to a visitor; [`read_run`](TraceStore::read_run),
 //! [`read_run_from`](TraceStore::read_run_from),
 //! [`read_run_kind`](TraceStore::read_run_kind) and
-//! [`Query::execute`](crate::query::Query::execute) are its callers. What the
+//! [`Query::execute`](crate::query::Query::execute) are its callers, and each
+//! call that hands back owned events allocates each distinct subject or detail
+//! once and shares it among them. What the
 //! index buys is therefore *offsets into the loaded segment*, never file
 //! seeks: the per-kind section lets a single-kind scan (`gauge` readings in
 //! a long run, say) decode only its own records, and the second, optional
@@ -55,12 +57,13 @@
 //! happen to decode as the indexed kind — needs a per-segment checksum,
 //! which would change the store bytes and is tracked on the ROADMAP.
 
-use crate::event::{invalid, take, take_array, EventKind, EventRef, TraceEvent};
+use crate::event::{invalid, take, take_array, EventKind, EventRef, StringTable, TraceEvent};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The manifest file name inside a store directory.
 pub const MANIFEST: &str = "MANIFEST";
@@ -74,8 +77,10 @@ pub const TIME_CHECKPOINT_STRIDE: u64 = 64;
 /// One run recorded in the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
-    /// The caller-chosen run identifier (unique within the store).
-    pub run_id: String,
+    /// The caller-chosen run identifier (unique within the store), shared
+    /// by every [`QueryRow`](crate::query::QueryRow) a query returns for the
+    /// run.
+    pub run_id: Arc<str>,
     /// Segment file name, relative to the store directory.
     pub segment: String,
     /// Number of events in the segment.
@@ -127,9 +132,13 @@ impl std::error::Error for StoreError {
     }
 }
 
-fn io_err(path: impl Into<PathBuf>) -> impl FnOnce(std::io::Error) -> StoreError {
-    let path = path.into();
-    move |source| StoreError::Io { path, source }
+/// The error for a failed operation on `path`, which is copied only when the
+/// operation fails.
+fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> StoreError + '_ {
+    move |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    }
 }
 
 /// An open trace store.
@@ -176,7 +185,7 @@ impl TraceStore {
                 )));
             }
             runs.push(RunMeta {
-                run_id: run_id.to_string(),
+                run_id: run_id.into(),
                 segment: segment.to_string(),
                 count,
             });
@@ -196,7 +205,7 @@ impl TraceStore {
 
     /// Looks a run up by id.
     pub fn run(&self, run_id: &str) -> Option<&RunMeta> {
-        self.runs.iter().find(|r| r.run_id == run_id)
+        self.runs.iter().find(|r| &*r.run_id == run_id)
     }
 
     /// Total number of events across all runs.
@@ -243,7 +252,7 @@ impl TraceStore {
         writeln!(file, "{segment}\t{}\t{run_id}", run.count).map_err(io_err(&manifest))?;
 
         self.runs.push(RunMeta {
-            run_id: run_id.to_string(),
+            run_id: run_id.into(),
             segment,
             count: run.count,
         });
@@ -286,9 +295,9 @@ impl TraceStore {
         let meta = self
             .run(run_id)
             .ok_or_else(|| StoreError::UnknownRun(run_id.to_string()))?;
-        let mut events = Vec::new();
+        let (mut events, mut strings) = (Vec::new(), StringTable::default());
         self.scan(meta, select, |event| {
-            events.push(event.to_owned());
+            events.push(event.to_owned(&mut strings));
             Ok::<(), StoreError>(())
         })?;
         Ok(events)
@@ -550,11 +559,7 @@ mod tests {
         }
         let store = TraceStore::open(&dir).unwrap();
         assert_eq!(
-            store
-                .runs()
-                .iter()
-                .map(|r| r.run_id.as_str())
-                .collect::<Vec<_>>(),
+            store.runs().iter().map(|r| &*r.run_id).collect::<Vec<_>>(),
             vec!["run-a", "run-b"]
         );
         assert_eq!(store.read_run("run-a").unwrap(), events);

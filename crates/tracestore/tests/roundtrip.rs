@@ -6,12 +6,19 @@
 //! per-event `Query::matches` folded over `read_run`, and a structurally
 //! damaged store answers with an error or the undamaged answer, never with
 //! different rows or a panic. A sink-fed `RunBuffer` writes what
-//! `append_run` writes.
+//! `append_run` writes. Every owned read shares its strings: within one
+//! result, equal subjects and details are one allocation. A NaN payload or
+//! time reduces without a panic.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use tracestore::{EventKind, Query, QueryError, QueryRow, StoreError, TraceEvent, TraceStore};
+use std::sync::Arc;
+use tracestore::{
+    aggregate_rows, leadtime_rows, mttr_rows, near_fault_rows, AggregateOp, EventKind, GroupBy,
+    Query, QueryError, QueryRow, StoreError, TraceEvent, TraceStore,
+};
 
 const KINDS: [EventKind; 9] = [
     EventKind::Gauge,
@@ -86,6 +93,16 @@ fn bits(e: &TraceEvent) -> Bits<'_> {
         value,
         e.correlation,
     )
+}
+
+/// Whether every subject and detail among `events` that equals an earlier one
+/// is the same allocation as it: what one owned read's string table promises.
+fn shares_strings<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> bool {
+    let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
+    events
+        .into_iter()
+        .flat_map(|e| [&e.subject, &e.detail])
+        .all(|text| Arc::ptr_eq(first.entry(text).or_insert(text), text))
 }
 
 /// The record layout `RunBuffer::push` documents, written out by hand.
@@ -163,7 +180,9 @@ proptest! {
         for (run_id, events) in &runs {
             // Full-run read is bit-identical (NaN-free inputs, so equality
             // is exact; non-finite values round-trip through the codec).
-            prop_assert_eq!(&store.read_run(run_id).unwrap(), events);
+            let read = store.read_run(run_id).unwrap();
+            prop_assert_eq!(&read, events);
+            prop_assert!(shares_strings(&read));
             // The per-kind index returns exactly the filtered subsequence,
             // in the same order.
             for kind in KINDS {
@@ -172,13 +191,17 @@ proptest! {
                     .filter(|e| e.kind == kind)
                     .cloned()
                     .collect();
-                prop_assert_eq!(store.read_run_kind(run_id, kind).unwrap(), expect);
+                let read = store.read_run_kind(run_id, kind).unwrap();
+                prop_assert!(shares_strings(&read));
+                prop_assert_eq!(read, expect);
             }
+            prop_assert!(shares_strings(&store.read_run_from(run_id, 5_000.0).unwrap()));
         }
 
         // The query engine's unfiltered scan replays every run in append
-        // order with run ids attached.
+        // order with run ids attached, sharing strings across runs.
         let rows = Query::new().execute(&store).unwrap();
+        prop_assert!(shares_strings(rows.iter().map(|r| &r.event)));
         let replay: Vec<(&str, &TraceEvent)> =
             rows.iter().map(|r| (&*r.run_id, &r.event)).collect();
         let expect: Vec<(&str, &TraceEvent)> = runs
@@ -253,7 +276,7 @@ fn oracle(query: &Query, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError
         for event in store.read_run(&meta.run_id)? {
             if query.matches(&meta.run_id, &event)? {
                 rows.push(QueryRow {
-                    run_id: meta.run_id.as_str().into(),
+                    run_id: meta.run_id.clone(),
                     event,
                 });
             }
@@ -306,8 +329,12 @@ proptest! {
                 query = query.predicate(source).unwrap();
             }
             // Rows and error alike: `Display` carries the variant and its text.
+            let rows = query.execute(&store).map_err(|e| e.to_string());
+            if let Ok(rows) = &rows {
+                prop_assert!(shares_strings(rows.iter().map(|r| &r.event)), "{:?}", query);
+            }
             prop_assert_eq!(
-                query.execute(&store).map_err(|e| e.to_string()),
+                rows,
                 oracle(&query, &store).map_err(|e| e.to_string()),
                 "{:?}", query
             );
@@ -340,6 +367,7 @@ proptest! {
                 sink.append(event.as_ref());
             }
             let taken = buffer.take();
+            prop_assert!(shares_strings(&taken));
             prop_assert_eq!(
                 taken.iter().map(bits).collect::<Vec<_>>(),
                 events.iter().map(bits).collect::<Vec<_>>()
@@ -364,6 +392,75 @@ proptest! {
             }
         }
     }
+}
+
+/// The store takes NaN payloads and times, so every canned reduction must
+/// answer over them: a NaN sorts by `total_cmp` and matches nothing.
+#[test]
+fn nan_payloads_and_times_reduce_without_panicking() {
+    let dir = ScratchDir::new("nan");
+    let nan = f64::NAN;
+    let events = [
+        TraceEvent::new(10.0, EventKind::Fault, "R2-R3", "link cut"),
+        TraceEvent::new(nan, EventKind::Fault, "R1-R2", "link cut"),
+        TraceEvent::new(nan, EventKind::RepairEnd, "C4", "moveClient"),
+        TraceEvent::new(14.0, EventKind::RepairEnd, "C4", "moveClient"),
+        TraceEvent::new(12.0, EventKind::RepairEnd, "C3", "moveClient"),
+        TraceEvent::new(12.0, EventKind::Violation, "C4", "maxLatency"),
+        TraceEvent::new(100.0, EventKind::Advisory, "C3", "latency/ewma").with_value(nan),
+        TraceEvent::new(nan, EventKind::Advisory, "C3", "latency/ph").with_value(2.0),
+        TraceEvent::new(nan, EventKind::Violation, "C3", "maxLatency"),
+        TraceEvent::new(120.0, EventKind::Violation, "C3", "maxLatency"),
+        TraceEvent::new(115.0, EventKind::Violation, "C3", "maxLatency"),
+        TraceEvent::new(20.0, EventKind::Transfer, "C1", "SG1").with_value(nan),
+        TraceEvent::new(21.0, EventKind::Transfer, "C1", "SG1").with_value(1.0),
+        TraceEvent::new(22.0, EventKind::Transfer, "C2", "SG1").with_value(2.0),
+    ];
+    TraceStore::open(&dir.0)
+        .unwrap()
+        .append_run(RUN, &events)
+        .unwrap();
+    let rows = Query::new()
+        .execute(&TraceStore::open(&dir.0).unwrap())
+        .unwrap();
+    assert_eq!(rows.len(), events.len());
+
+    for op in ["count", "mean", "min", "max", "sum", "p95"] {
+        let op = AggregateOp::by_name(op).unwrap();
+        for group_by in [GroupBy::None, GroupBy::Subject] {
+            let groups = aggregate_rows(&rows, op, group_by);
+            assert_eq!(groups.iter().map(|g| g.count).sum::<usize>(), rows.len());
+        }
+    }
+    let p95 = aggregate_rows(&rows, AggregateOp::P95, GroupBy::None);
+    assert!(
+        p95[0].value.is_some_and(f64::is_nan),
+        "NaN ranks above +inf"
+    );
+    let min = aggregate_rows(&rows, AggregateOp::Min, GroupBy::None);
+    assert_eq!(min[0].value, Some(1.0));
+
+    // The fault at 10 s is repaired at 12 s; the one at NaN never is.
+    let mttr = mttr_rows(&rows);
+    assert_eq!((mttr[0].count, mttr[0].value), (2, Some(2.0)));
+
+    // C3's advisory at 100 s leads its violation at 115 s; the NaN advisory
+    // and the NaN violation are counted and match nothing.
+    let lead = &leadtime_rows(&rows, 60.0)[0];
+    assert_eq!((lead.advisories, lead.violations), (2, 4));
+    assert_eq!(
+        (lead.matched_advisories, lead.anticipated_violations),
+        (1, 2)
+    );
+    assert_eq!(lead.median_lead_secs, Some(15.0));
+    assert_eq!(
+        tracestore::aggregate::median_of(&mut [3.0, nan, 1.0]),
+        Some(3.0)
+    );
+
+    let near = near_fault_rows(&rows, EventKind::Violation, 10.0, GroupBy::Subject);
+    assert_eq!(near.len(), 1);
+    assert_eq!((near[0].group.as_str(), near[0].count), ("C4", 1));
 }
 
 /// What every read path answers about the one-run store at `dir`: the three

@@ -115,10 +115,10 @@ fn metric_snapshot_events_follow_the_registry() {
     );
     assert!(metric_events
         .iter()
-        .all(|e| e.detail == "counter" || e.detail == "gauge"));
+        .all(|e| &*e.detail == "counter" || &*e.detail == "gauge"));
     assert!(metric_events
         .iter()
-        .any(|e| e.subject == "framework.ticks" && e.value.is_some()));
+        .any(|e| &*e.subject == "framework.ticks" && e.value.is_some()));
 
     let (null_result, null_events) = observed_run(obs::null_metrics());
     assert!(null_events.iter().all(|e| e.kind != EventKind::Metric));
