@@ -24,7 +24,7 @@ use arch_adapt::framework::{AdaptationFramework, FrameworkConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_1};
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
-use simnet::{Allocator, DemandSet, PathTable, SimRng, SimTime};
+use simnet::{Allocator, PathTable, SimRng, SimTime};
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -40,11 +40,11 @@ fn large_grid() -> GridConfig {
 /// flow sets sampled from the large-scale topology, and over one
 /// fleet-shaped set: the 39 flows of a typical 50k epoch, scattered over that
 /// testbed's ~100k links (sparse resource ids are what the allocator's slot
-/// table is for).
+/// table is for). Each set is inserted into one persistent allocator and
+/// solved, then every other row is removed and the rest solved again.
 fn assert_allocator_equivalence() {
     let mut rng = SimRng::seed_from_u64(2026).derive(5);
     let mut allocator = Allocator::new();
-    let mut rates = Vec::new();
     let cases = [
         (TestbedSpec::large_scale(), &[16usize, 128, 512][..]),
         (TestbedSpec::large_scale_50k(), &[39][..]),
@@ -66,35 +66,49 @@ fn assert_allocator_equivalence() {
             .collect();
 
         for &flows in flow_counts {
-            let mut reference_demands = Vec::new();
-            let mut dense = DemandSet::new();
-            for key in 0..flows as u64 {
-                let src = servers[rng.index(servers.len())];
-                let dst = hosts[rng.index(hosts.len())];
-                let path = paths.path(topology, src, dst).expect("connected testbed");
-                dense.push(&path.iter().map(|l| l.0 as u32).collect::<Vec<_>>());
-                reference_demands.push(FlowDemand {
-                    key: FlowKey(key),
-                    links: path,
-                    weight: 1.0,
-                });
+            let mut live: Vec<(u32, Vec<simnet::LinkId>)> = (0..flows)
+                .map(|_| {
+                    let src = servers[rng.index(servers.len())];
+                    let dst = hosts[rng.index(hosts.len())];
+                    let path = paths.path(topology, src, dst).expect("connected testbed");
+                    let resources: Vec<u32> = path.iter().map(|l| l.0 as u32).collect();
+                    (allocator.insert(&capacities_dense, &resources), path)
+                })
+                .collect();
+            for round in ["all rows", "every other row removed"] {
+                let reference_demands: Vec<FlowDemand> = live
+                    .iter()
+                    .enumerate()
+                    .map(|(key, (_, path))| FlowDemand {
+                        key: FlowKey(key as u64),
+                        links: path.clone(),
+                        weight: 1.0,
+                    })
+                    .collect();
+                let expected = max_min_fair_rates(&capacities_map, &reference_demands);
+                allocator.solve();
+                for (i, (row, _)) in live.iter().enumerate() {
+                    let (rate, reference) = (allocator.rate(*row), expected[&FlowKey(i as u64)]);
+                    assert!(
+                        rate.to_bits() == reference.to_bits(),
+                        "allocator diverged from reference at flow {i} of {flows} ({round}) \
+                         over {} links: {rate} != {reference}",
+                        capacities_dense.len()
+                    );
+                }
+                for &(row, _) in live.iter().skip(1).step_by(2) {
+                    allocator.remove(row);
+                }
+                live = live.into_iter().step_by(2).collect();
             }
-            let expected = max_min_fair_rates(&capacities_map, &reference_demands);
-            allocator.solve(&capacities_dense, &dense, None, &mut rates);
-            for (i, rate) in rates.iter().enumerate() {
-                let reference = expected[&FlowKey(i as u64)];
-                assert!(
-                    rate.to_bits() == reference.to_bits(),
-                    "allocator diverged from reference at flow {i} of {flows} over {} links: \
-                     {rate} != {reference}",
-                    capacities_dense.len()
-                );
+            for (row, _) in live {
+                allocator.remove(row);
             }
         }
     }
     println!(
         "[large-scale] allocator matches reference bit-identically \
-         (16/128/512 flows at 2k, 39 flows over the 50k testbed's links)"
+         (16/128/512 flows at 2k, 39 flows over the 50k testbed's links; all, then half)"
     );
 }
 

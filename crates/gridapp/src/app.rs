@@ -292,6 +292,27 @@ fn slot_host(i: u64, slot: &(String, NodeId)) -> Result<NodeId, AppError> {
     Ok(*host)
 }
 
+/// Rejects a workload number the event loop cannot honour. A payload size,
+/// request rate, response-size jitter or service time that is NaN or
+/// negative would otherwise become a 1-bit transfer, a client that stops
+/// after one request, jitter silently read as 0, or a panic at the first
+/// dispatch; an infinite one is rejected too.
+fn check_workload(config: &GridConfig) -> Result<(), AppError> {
+    let fields = [
+        ("request_bytes", config.request_bytes),
+        ("response_bytes", config.response_bytes),
+        ("request_rate_per_client", config.request_rate_per_client),
+        ("response_size_jitter", config.response_size_jitter),
+        ("service_time_secs", config.service_time_secs),
+    ];
+    match fields.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
+        Some((name, v)) => Err(AppError::Invalid(format!(
+            "GridConfig::{name} must be a finite, non-negative number, not {v}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Splits `(name, state)` pairs into a table of interned names and a state
 /// table, both in name order.
 fn name_ordered<T>(mut named: Vec<(String, T)>) -> (Vec<Key>, Vec<T>) {
@@ -304,8 +325,11 @@ impl GridApp {
     /// Builds the configured deployment (paper default: six clients all
     /// served by Server Group 1 (S1–S3), Server Group 2 (S5–S6) idle, S4 and
     /// S7 held as spare servers) on the testbed named by
-    /// [`GridConfig::testbed`].
+    /// [`GridConfig::testbed`]. A payload size, request rate, response-size
+    /// jitter or service time that is not a finite, non-negative number is
+    /// rejected with [`AppError::Invalid`] naming the field.
     pub fn build(config: GridConfig) -> Result<GridApp, AppError> {
+        check_workload(&config)?;
         let testbed =
             Testbed::from_spec(&config.testbed).map_err(|e| AppError::Invalid(e.to_string()))?;
         let mut network = Network::new(testbed.topology.clone());
@@ -1041,10 +1065,15 @@ impl GridApp {
         self.network.probe_query_count()
     }
 
-    /// Lifetime number of allocation-epoch rebuilds (full max-min re-solves)
-    /// the underlying network has performed.
+    /// Lifetime number of allocation epochs the underlying network has
+    /// settled, solved or restored.
     pub fn rate_epoch_count(&self) -> u64 {
         self.network.rate_epoch_count()
+    }
+
+    /// Lifetime number of those epochs that ran a max-min solve.
+    pub fn rate_solve_count(&self) -> u64 {
+        self.network.rate_solve_count()
     }
 
     /// Usage counters of the network's shortest-path table.
@@ -1416,6 +1445,35 @@ mod tests {
         let app = app();
         for (i, (_, host)) in (1u64..).zip(&app.testbed().client_hosts) {
             assert_eq!(app.client_host(&format!("User{i}")), Some(*host));
+        }
+    }
+
+    #[test]
+    fn build_rejects_a_workload_number_the_event_loop_cannot_honour() {
+        type Field = fn(&mut GridConfig) -> &mut f64;
+        let fields: [(&str, Field); 5] = [
+            ("request_bytes", |c| &mut c.request_bytes),
+            ("response_bytes", |c| &mut c.response_bytes),
+            ("request_rate_per_client", |c| {
+                &mut c.request_rate_per_client
+            }),
+            ("response_size_jitter", |c| &mut c.response_size_jitter),
+            ("service_time_secs", |c| &mut c.service_time_secs),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, -1.0, -0.5e-9, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut config = GridConfig::default();
+                *field(&mut config) = bad;
+                match GridApp::build(config).err() {
+                    Some(AppError::Invalid(message)) => {
+                        assert!(message.contains(name), "{name} = {bad}: {message}")
+                    }
+                    other => panic!("{name} = {bad}: {other:?}"),
+                }
+            }
+            let mut config = GridConfig::default();
+            *field(&mut config) = 0.0;
+            assert!(GridApp::build(config).is_ok(), "{name} = 0 is a number");
         }
     }
 

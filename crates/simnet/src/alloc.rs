@@ -6,33 +6,39 @@
 //! build. The simulator re-solves the allocation on every transfer start and
 //! completion and once more per bandwidth probe, so a solve costs what the
 //! epoch's own flows and links cost, never what the fleet's link table costs.
-//! A [`DemandSet`] holds one row per flow (the simulator pushes one per
-//! transfer in flight) and a solve returns one rate per row.
+//!
+//! **Rows persist.** A flow is registered once, as a *row*, when it starts
+//! ([`Allocator::insert`]) and dropped once, when it retires
+//! ([`Allocator::remove`]); a probe is insert, solve, read, remove. Its path
+//! is translated to *slots* at registration: `slot_of` maps a global
+//! [`ResourceId`] to a dense slot holding the resource's capacity and how
+//! many live path occurrences cross it, and a slot is freed when that count
+//! drops to zero. Live rows and live slots are kept in dense lists, so a
+//! solve touches only what is registered: it resets the live slots, lays
+//! their registration lists out CSR-style from the rows' translated paths,
+//! heapifies once and fills. Capacities change only through
+//! [`Allocator::refresh_capacities`]. The only fleet-sized table is
+//! `slot_of` itself.
 //!
 //! **Unit weights, counted.** Every flow weighs `1.0`, so a resource's
 //! unfrozen weight is the number of unfrozen flows crossing it, once per path
 //! occurrence. The reference reaches that number by adding `1.0`s in
 //! registration order, which is exact in an `f64` far past any flow count;
-//! the allocator keeps it as an integer `live` count, raised per registered
-//! entry and lowered per path occurrence when a flow first freezes, and
-//! `remaining.max(0.0) / live as f64` is the same float. Refreshing a share
-//! after a freeze is therefore O(1) instead of a re-sum.
+//! the allocator keeps it as an integer `live` count, lowered per path
+//! occurrence when a flow first freezes, and `remaining.max(0.0) / live as
+//! f64` is the same float. Refreshing a share after a freeze is therefore
+//! O(1) instead of a re-sum.
 //!
-//! **Solve-local slots.** `slot_of` maps a global [`ResourceId`] to a dense
-//! *slot* for the current solve; the per-resource state (`remaining`,
-//! `share`, `live`, heap stamp, dirty mark) lives in one array sized by the
-//! resources this solve touches, capacity is copied at first touch, and paths
-//! are translated to slots once at registration. The only fleet-sized table
-//! is `slot_of` itself, reset through the slot list.
-//!
-//! **Same algorithm.** Rows register in push order; the bottleneck is the
-//! minimum `(share, global resource id)`, found through a lazy binary heap
-//! heapified once per solve; the rows to freeze are snapshotted before any
-//! freezes; each subtracts its rate from every resource on its path in path
-//! order, `(remaining - rate).max(0.0)` one at a time; the loop ends when no
-//! unfrozen row is left. The result is **bit-identical** to the reference
-//! for every unit-weight input (property-tested in
-//! `tests/alloc_equivalence.rs`), and a warm allocator allocates nothing.
+//! **Same algorithm, any row order.** The bottleneck is the minimum `(share,
+//! global resource id)`, found through a lazy binary heap; the rows to freeze
+//! are snapshotted before any freezes; each subtracts its rate from every
+//! resource on its path, `(remaining - rate).max(0.0)` one at a time; the
+//! loop ends when no unfrozen row is left. Every row frozen in one round
+//! subtracts the same rate, so no result depends on the order of a slot's
+//! entries, and rows may come and go in any order. The result is
+//! **bit-identical** to the reference for every unit-weight input
+//! (property-tested in `tests/alloc_equivalence.rs`), and a warm allocator
+//! allocates nothing.
 //!
 //! Inputs are expressed over abstract *resources* rather than raw links so
 //! that a direction-aware capacity (the one-way degrade fault) can map the
@@ -50,56 +56,6 @@ pub const LOCAL_RATE_BPS: f64 = 1.0e9;
 /// degrade is in force).
 pub type ResourceId = u32;
 
-/// A dense, reusable set of unit-weight flow demands stored CSR-style so
-/// rebuilding the set each allocation epoch allocates nothing once warm.
-///
-/// A demand is a *row*: the resources one flow traverses. A solve yields one
-/// rate per row, in push order.
-#[derive(Debug, Default, Clone)]
-pub struct DemandSet {
-    /// Row `i`'s resources are `paths[path_start[i]..path_start[i + 1]]`.
-    path_start: Vec<u32>,
-    paths: Vec<ResourceId>,
-}
-
-impl DemandSet {
-    /// An empty demand set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Removes every demand, retaining capacity.
-    pub fn clear(&mut self) {
-        self.path_start.clear();
-        self.paths.clear();
-    }
-
-    /// Appends a flow's demand. Demands must be pushed in the caller's
-    /// canonical (key-sorted) order — the allocator freezes flows in push
-    /// order, like the reference.
-    pub fn push(&mut self, path: &[ResourceId]) {
-        if self.path_start.is_empty() {
-            self.path_start.push(0);
-        }
-        self.paths.extend_from_slice(path);
-        self.path_start.push(self.paths.len() as u32);
-    }
-
-    /// Number of demand rows.
-    pub fn len(&self) -> usize {
-        self.path_start.len().saturating_sub(1)
-    }
-
-    /// True when no demands have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn path(&self, i: usize) -> &[ResourceId] {
-        &self.paths[self.path_start[i] as usize..self.path_start[i + 1] as usize]
-    }
-}
-
 /// A candidate bottleneck in the lazy heap: `(share bits, resource, stamp)`.
 /// Shares are non-negative and never NaN (a candidate's count is positive),
 /// so their bit patterns order exactly as the values do, and the reversed
@@ -107,15 +63,22 @@ impl DemandSet {
 /// reference selects by scanning every link.
 type Candidate = Reverse<(u64, ResourceId, u32)>;
 
-/// Marks a resource no row of the current solve has touched in `slot_of`.
+/// Marks a resource no live row crosses in `slot_of`.
 const NO_SLOT: u32 = u32::MAX;
 
-/// One resource touched by the current solve.
-#[derive(Debug, Clone, Copy)]
+/// One resource some live row crosses.
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// The global id: the heap's tie-break, and the way back into `slot_of`.
     resource: ResourceId,
-    /// Capacity not yet handed to frozen rows.
+    /// Starting capacity, floored at the same tiny positive value as the
+    /// reference.
+    capacity: f64,
+    /// Live rows crossing the resource, once per path occurrence.
+    count: u32,
+    /// Index in `live_slots`.
+    pos: u32,
+    /// Capacity not yet handed to frozen rows in the current solve.
     remaining: f64,
     /// `remaining / live` as of the last refresh.
     share: f64,
@@ -130,31 +93,34 @@ struct Slot {
     dirty: bool,
 }
 
-/// One registered row: its translated path is `path_slots[path..end]`. The
-/// probe is one more row.
-#[derive(Debug, Clone, Copy)]
+/// One registered flow: its path, translated to slots.
+#[derive(Debug, Default)]
 struct Row {
-    path: u32,
-    end: u32,
+    path: Vec<u32>,
+    /// Index in `live_rows`.
+    pos: u32,
     frozen: bool,
+    /// The rate as of the last solve.
+    rate: f64,
 }
 
 /// Persistent max-min fair-share solver over dense resource indices.
 ///
-/// All per-solve state is retained between calls, so a warm allocator
-/// performs no heap allocation: the simulator keeps one per network and the
-/// probe path reuses it for every `available_bandwidth` query in an epoch.
+/// Rows, slots and all per-solve state are retained between calls, so a warm
+/// allocator performs no heap allocation: the simulator keeps one per network,
+/// registers each transfer as one row for its lifetime, and lends it to every
+/// `available_bandwidth` probe for one extra row.
 #[derive(Debug, Default)]
 pub struct Allocator {
-    /// Global resource → slot of the current solve, [`NO_SLOT`] elsewhere.
+    /// Global resource → its slot, [`NO_SLOT`] when no live row crosses it.
     slot_of: Vec<u32>,
-    /// The resources this solve touches, in first-touch order.
     slots: Vec<Slot>,
+    live_slots: Vec<u32>,
+    free_slots: Vec<u32>,
     rows: Vec<Row>,
-    /// Every row's path, translated to slots at registration.
-    path_slots: Vec<u32>,
-    /// Rows per slot (CSR, registration order within a slot), one entry per
-    /// path occurrence.
+    live_rows: Vec<u32>,
+    free_rows: Vec<u32>,
+    /// Rows per slot (CSR), one entry per path occurrence.
     entries: Vec<u32>,
     /// Slots whose share must be recomputed after a freeze round.
     dirty: Vec<u32>,
@@ -166,75 +132,166 @@ pub struct Allocator {
     heap: BinaryHeap<Candidate>,
 }
 
+/// A resource's starting capacity: out-of-range resources count as capacity
+/// zero, exactly like absent links in the reference, and every capacity is
+/// floored at 1 bps.
+fn capacity(caps: &[f64], r: ResourceId) -> f64 {
+    caps.get(r as usize).map_or(1.0, |c| c.max(1.0))
+}
+
+/// Swap-removes `list[pos]` and returns the item moved into its place.
+fn swap_out(list: &mut Vec<u32>, pos: u32) -> Option<u32> {
+    list.swap_remove(pos as usize);
+    list.get(pos as usize).copied()
+}
+
 impl Allocator {
     /// Creates an empty allocator; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Solves max-min fair rates for `demands` given per-resource
-    /// `capacities` (indexed by [`ResourceId`]; out-of-range resources are
-    /// treated as capacity zero, exactly like absent links in the
-    /// reference). `probe`, when given, is appended as one extra demand whose
-    /// rate lands in the last slot of `rates` — the one-shot incremental
-    /// insert behind `available_bandwidth`.
-    ///
-    /// `rates` is cleared and filled with one rate per demand (plus the
-    /// probe, if any) in push order. Results are bit-identical to
-    /// [`max_min_fair_rates`](crate::flow::max_min_fair_rates).
-    pub fn solve(
-        &mut self,
-        capacities: &[f64],
-        demands: &DemandSet,
-        probe: Option<&[ResourceId]>,
-        rates: &mut Vec<f64>,
-    ) {
-        // A row no round reaches keeps the reference's minimal rate.
-        rates.clear();
-        rates.resize(demands.len() + usize::from(probe.is_some()), 1.0);
-        self.rows.clear();
-        self.path_slots.clear();
-        for slot in self.slots.drain(..) {
-            self.slot_of[slot.resource as usize] = NO_SLOT;
-        }
+    /// Registers a unit-weight flow over `path` and returns its row, which
+    /// stays valid until [`remove`](Self::remove). `capacities` is indexed by
+    /// [`ResourceId`] and read for the resources no live row crossed yet.
+    pub fn insert(&mut self, capacities: &[f64], path: &[ResourceId]) -> u32 {
+        let row = self.free_rows.pop().unwrap_or_else(|| {
+            self.rows.push(Row::default());
+            self.rows.len() as u32 - 1
+        });
+        self.rows[row as usize].pos = self.live_rows.len() as u32;
+        self.live_rows.push(row);
+        self.link(capacities, row, path);
+        row
+    }
 
-        // Registration, in row order: local flows freeze immediately at the
-        // local rate; everything else enlists on each resource it crosses.
-        let mut unfrozen = 0u32;
-        for i in 0..demands.len() {
-            unfrozen += self.register(capacities, demands.path(i), rates);
+    /// Drops a row; its number may be handed out again by the next insert.
+    pub fn remove(&mut self, row: u32) {
+        self.unlink(row);
+        let pos = self.rows[row as usize].pos;
+        if let Some(moved) = swap_out(&mut self.live_rows, pos) {
+            self.rows[moved as usize].pos = pos;
         }
-        if let Some(path) = probe {
-            unfrozen += self.register(capacities, path, rates);
-        }
+        self.free_rows.push(row);
+    }
 
-        // Lay the registration lists out slot by slot, then fill them in row
-        // order.
+    /// Gives a live row a new path, keeping its number.
+    pub fn relink(&mut self, row: u32, capacities: &[f64], path: &[ResourceId]) {
+        self.unlink(row);
+        self.link(capacities, row, path);
+    }
+
+    /// A live row's path, as registered.
+    pub fn path(&self, row: u32) -> impl Iterator<Item = ResourceId> + '_ {
+        let path = &self.rows[row as usize].path;
+        path.iter().map(|&s| self.slots[s as usize].resource)
+    }
+
+    /// Re-reads every live resource's capacity after `capacities` changed.
+    pub fn refresh_capacities(&mut self, capacities: &[f64]) {
+        for &s in &self.live_slots {
+            let slot = &mut self.slots[s as usize];
+            slot.capacity = capacity(capacities, slot.resource);
+        }
+    }
+
+    /// A row's rate as of the last [`solve`](Self::solve).
+    pub fn rate(&self, row: u32) -> f64 {
+        self.rows[row as usize].rate
+    }
+
+    /// Translates `path` into `row`'s slots, creating a slot at a resource's
+    /// first live crossing.
+    fn link(&mut self, capacities: &[f64], row: u32, path: &[ResourceId]) {
+        let mut slots = std::mem::take(&mut self.rows[row as usize].path);
+        for &r in path {
+            let ri = r as usize;
+            if ri >= self.slot_of.len() {
+                self.slot_of.resize(ri + 1, NO_SLOT);
+            }
+            if self.slot_of[ri] == NO_SLOT {
+                let slot = Slot {
+                    resource: r,
+                    capacity: capacity(capacities, r),
+                    pos: self.live_slots.len() as u32,
+                    ..Slot::default()
+                };
+                let s = self.free_slots.pop().unwrap_or(self.slots.len() as u32);
+                if s as usize == self.slots.len() {
+                    self.slots.push(slot);
+                } else {
+                    self.slots[s as usize] = slot;
+                }
+                self.live_slots.push(s);
+                self.slot_of[ri] = s;
+            }
+            let s = self.slot_of[ri];
+            self.slots[s as usize].count += 1;
+            slots.push(s);
+        }
+        self.rows[row as usize].path = slots;
+    }
+
+    /// Takes `row`'s path off its slots, freeing each slot no live row
+    /// crosses any more. The row keeps its (emptied) path buffer.
+    fn unlink(&mut self, row: u32) {
+        let mut path = std::mem::take(&mut self.rows[row as usize].path);
+        for &s in &path {
+            let slot = &mut self.slots[s as usize];
+            slot.count -= 1;
+            if slot.count == 0 {
+                self.slot_of[slot.resource as usize] = NO_SLOT;
+                let pos = slot.pos;
+                if let Some(moved) = swap_out(&mut self.live_slots, pos) {
+                    self.slots[moved as usize].pos = pos;
+                }
+                self.free_slots.push(s);
+            }
+        }
+        path.clear();
+        self.rows[row as usize].path = path;
+    }
+
+    /// Solves max-min fair rates for every live row; read them with
+    /// [`rate`](Self::rate). Results are bit-identical to
+    /// [`max_min_fair_rates`](crate::flow::max_min_fair_rates) over the live
+    /// rows' paths.
+    pub fn solve(&mut self) {
+        // Every live slot starts at its capacity with all of its rows
+        // unfrozen, its registration list is laid out at the running total
+        // of the counts, and its initial share is a candidate; the
+        // candidates are heapified in one pass.
+        let mut candidates = std::mem::take(&mut self.heap).into_vec();
+        candidates.clear();
         let mut total = 0;
-        for slot in &mut self.slots {
-            let len = slot.end;
+        for &s in &self.live_slots {
+            let slot = &mut self.slots[s as usize];
+            slot.remaining = slot.capacity;
+            slot.live = slot.count;
+            slot.stamp = 0;
             slot.start = total;
             slot.end = total;
-            total += len;
+            total += slot.count;
+            slot.share = slot.remaining.max(0.0) / slot.live as f64;
+            candidates.push(Reverse((slot.share.to_bits(), slot.resource, 0)));
         }
+        self.heap = BinaryHeap::from(candidates);
         self.entries.clear();
         self.entries.resize(total as usize, 0);
-        for (i, row) in self.rows.iter().enumerate() {
-            for &s in &self.path_slots[row.path as usize..row.end as usize] {
+        // A flow that crosses nothing is settled at the local rate; a row no
+        // round reaches keeps the reference's minimal rate.
+        let mut unfrozen = 0u32;
+        for &r in &self.live_rows {
+            let row = &mut self.rows[r as usize];
+            row.frozen = row.path.is_empty();
+            row.rate = if row.frozen { LOCAL_RATE_BPS } else { 1.0 };
+            unfrozen += u32::from(!row.frozen);
+            for &s in &row.path {
                 let slot = &mut self.slots[s as usize];
-                self.entries[slot.end as usize] = i as u32;
+                self.entries[slot.end as usize] = r;
                 slot.end += 1;
             }
         }
-
-        // Initial shares, heapified in one pass.
-        let mut candidates = std::mem::take(&mut self.heap).into_vec();
-        candidates.clear();
-        for slot in &mut self.slots {
-            slot.share = slot.remaining.max(0.0) / slot.live as f64;
-            candidates.push(Reverse((slot.share.to_bits(), slot.resource, slot.stamp)));
-        }
-        self.heap = BinaryHeap::from(candidates);
 
         // Progressive filling: repeatedly freeze every unfrozen row on the
         // most constrained resource at that resource's fair share. Once no
@@ -256,13 +313,13 @@ impl Allocator {
             self.freeze_scratch
                 .extend(listed.iter().filter(|&&r| !self.rows[r as usize].frozen));
             for &r in &self.freeze_scratch {
-                rates[r as usize] = rate;
                 let row = &mut self.rows[r as usize];
+                row.rate = rate;
                 let first_freeze = !std::mem::replace(&mut row.frozen, true);
                 if first_freeze {
                     unfrozen -= 1;
                 }
-                for &s in &self.path_slots[row.path as usize..row.end as usize] {
+                for &s in &row.path {
                     let slot = &mut self.slots[s as usize];
                     slot.remaining = (slot.remaining - rate).max(0.0);
                     if first_freeze {
@@ -289,49 +346,6 @@ impl Allocator {
             }
         }
     }
-
-    /// Registers one row, translating its resources to slots (first touch
-    /// pins the resource's starting capacity, floored at the same tiny
-    /// positive value as the reference) and counting its entries. Returns
-    /// how many unfrozen rows it added: none for a flow that crosses
-    /// nothing, which is settled here at the local rate.
-    fn register(&mut self, capacities: &[f64], path: &[ResourceId], rates: &mut [f64]) -> u32 {
-        let start = self.path_slots.len() as u32;
-        for &r in path {
-            let ri = r as usize;
-            if ri >= self.slot_of.len() {
-                self.slot_of.resize(ri + 1, NO_SLOT);
-            }
-            if self.slot_of[ri] == NO_SLOT {
-                self.slot_of[ri] = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    resource: r,
-                    remaining: capacities.get(ri).copied().unwrap_or(0.0).max(1.0),
-                    share: 0.0,
-                    live: 0,
-                    stamp: 0,
-                    start: 0,
-                    end: 0,
-                    dirty: false,
-                });
-            }
-            let s = self.slot_of[ri];
-            let slot = &mut self.slots[s as usize];
-            slot.live += 1;
-            slot.end += 1; // entry count until the lists are laid out
-            self.path_slots.push(s);
-        }
-        let local = path.is_empty();
-        if local {
-            rates[self.rows.len()] = LOCAL_RATE_BPS;
-        }
-        self.rows.push(Row {
-            path: start,
-            end: self.path_slots.len() as u32,
-            frozen: local,
-        });
-        u32::from(!local)
-    }
 }
 
 #[cfg(test)]
@@ -341,9 +355,8 @@ mod tests {
     use crate::topology::LinkId;
     use std::collections::HashMap;
 
-    /// Runs both implementations over the same inputs and asserts
-    /// bit-identical rates.
-    fn assert_matches_reference(capacities: &[f64], demands: &[Vec<u32>]) {
+    /// The reference's rates for `demands`, in order.
+    fn reference(capacities: &[f64], demands: &[Vec<u32>]) -> Vec<f64> {
         let cap_map: HashMap<LinkId, f64> = capacities
             .iter()
             .enumerate()
@@ -359,22 +372,28 @@ mod tests {
             })
             .collect();
         let expected = max_min_fair_rates(&cap_map, &reference_demands);
+        (0..demands.len())
+            .map(|i| expected[&FlowKey(i as u64)])
+            .collect()
+    }
 
-        let mut set = DemandSet::new();
-        for path in demands {
-            set.push(path);
-        }
+    /// Runs both implementations over the same inputs and asserts
+    /// bit-identical rates.
+    fn assert_matches_reference(capacities: &[f64], demands: &[Vec<u32>]) {
+        let expected = reference(capacities, demands);
         let mut allocator = Allocator::new();
-        let mut rates = Vec::new();
+        let rows: Vec<u32> = demands
+            .iter()
+            .map(|path| allocator.insert(capacities, path))
+            .collect();
         // Solve twice to cover warm-scratch reuse.
-        allocator.solve(capacities, &set, None, &mut rates);
-        allocator.solve(capacities, &set, None, &mut rates);
-        assert_eq!(rates.len(), demands.len());
-        for (i, rate) in rates.iter().enumerate() {
-            let reference = expected[&FlowKey(i as u64)];
+        allocator.solve();
+        allocator.solve();
+        for (i, (&row, want)) in rows.iter().zip(&expected).enumerate() {
+            let rate = allocator.rate(row);
             assert!(
-                rate.to_bits() == reference.to_bits(),
-                "flow {i}: indexed {rate} != reference {reference}"
+                rate.to_bits() == want.to_bits(),
+                "flow {i}: indexed {rate} != reference {want}"
             );
         }
     }
@@ -397,37 +416,48 @@ mod tests {
         let capacities = [10.0, 4.0, 7.0];
         let base = [vec![0], vec![0, 1], vec![1, 2]];
         let probe = vec![0u32, 2];
-
         let mut with_probe: Vec<Vec<u32>> = base.to_vec();
         with_probe.push(probe.clone());
+        let expected = reference(&capacities, &with_probe);
 
-        let mut set = DemandSet::new();
-        for path in &base {
-            set.push(path);
-        }
         let mut allocator = Allocator::new();
-        let mut rates = Vec::new();
-        allocator.solve(&capacities, &set, Some(&probe), &mut rates);
-        assert_eq!(rates.len(), 4);
+        for path in &base {
+            allocator.insert(&capacities, path);
+        }
+        let row = allocator.insert(&capacities, &probe);
+        allocator.solve();
+        assert_eq!(allocator.rate(row).to_bits(), expected[3].to_bits());
+        allocator.remove(row);
+        assert_eq!(
+            (allocator.live_rows.len(), allocator.live_slots.len()),
+            (3, 3)
+        );
+        // The probe's number is the next insert's.
+        assert_eq!(allocator.insert(&capacities, &[]), row);
+    }
 
-        let mut full_set = DemandSet::new();
-        for path in &with_probe {
-            full_set.push(path);
-        }
-        let mut full_rates = Vec::new();
-        allocator.solve(&capacities, &full_set, None, &mut full_rates);
-        for (a, b) in rates.iter().zip(full_rates.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+    #[test]
+    fn a_slot_lives_exactly_as_long_as_a_row_crosses_it() {
+        let mut allocator = Allocator::new();
+        let a = allocator.insert(&[1.0; 8], &[3, 3, 5]);
+        let b = allocator.insert(&[1.0; 8], &[5]);
+        assert_eq!(allocator.path(a).collect::<Vec<_>>(), [3, 3, 5]);
+        allocator.remove(a);
+        assert_eq!(allocator.slot_of[3], NO_SLOT);
+        assert_eq!(allocator.live_slots.len(), 1);
+        allocator.relink(b, &[1.0; 8], &[7]);
+        assert_eq!(allocator.path(b).collect::<Vec<_>>(), [7]);
+        assert_eq!(allocator.slot_of[5], NO_SLOT);
+        allocator.remove(b);
+        assert!(allocator.live_slots.is_empty() && allocator.live_rows.is_empty());
     }
 
     #[test]
     fn local_probe_gets_local_rate() {
         let mut allocator = Allocator::new();
-        let mut rates = Vec::new();
-        allocator.solve(&[10.0], &DemandSet::new(), Some(&[]), &mut rates);
-        assert_eq!(rates.len(), 1);
-        assert!((rates[0] - LOCAL_RATE_BPS).abs() < 1.0);
+        let row = allocator.insert(&[10.0], &[]);
+        allocator.solve();
+        assert!((allocator.rate(row) - LOCAL_RATE_BPS).abs() < 1.0);
     }
 
     #[test]

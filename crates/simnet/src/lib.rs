@@ -32,7 +32,7 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use alloc::{Allocator, DemandSet, ResourceId};
+pub use alloc::{Allocator, ResourceId};
 pub use network::{CompletedTransfer, NetError, Network, TransferId};
 pub use registry::{Registry, RegistryError};
 pub use rng::SimRng;

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::rng::SimRng;
 use simnet::topology::{LinkId, NodeId, Topology};
-use simnet::{Allocator, DemandSet, Network, PathTable, SimDuration, SimTime, TransferId};
+use simnet::{Allocator, Network, PathTable, SimDuration, SimTime, TransferId};
 use std::collections::HashMap;
 
 /// A random connected topology: a chain of routers with hosts hung off
@@ -188,41 +188,18 @@ fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usiz
     }
 }
 
-/// Solves a seeded unit-weight `DemandSet` of a shape `Network` never builds
-/// — a resource listed twice in one path, ids past the end of `capacities`,
-/// zero capacities, rows that cross nothing — with the allocator (twice, so
-/// the second solve runs on warm scratch that the first one dirtied with a
-/// different probe) and with the reference.
-fn run_direct_scenario(seed: u64) {
-    let mut rng = SimRng::seed_from_u64(seed).derive(3);
-    let ids = 1 + rng.index(12);
-    let known = rng.index(ids + 1);
-    let capacities: Vec<f64> = (0..known)
-        .map(|_| [0.0, 0.5, 3.0, 7.0, 1.0e3, 2.5e6][rng.index(6)])
-        .collect();
-    let resource = |rng: &mut SimRng| {
-        let id = rng.index(ids) as u32;
-        // Now and then an id far past anything the last solve sized for.
-        if rng.index(16) == 0 {
-            id + 1_000 * (1 + seed % 7) as u32
-        } else {
-            id
-        }
-    };
-    let path =
-        |rng: &mut SimRng| -> Vec<u32> { (0..rng.index(5)).map(|_| resource(rng)).collect() };
-    let mut flows: Vec<Vec<u32>> = (0..rng.index(14)).map(|_| path(&mut rng)).collect();
-    let probe = (rng.index(2) == 0).then(|| path(&mut rng));
-
-    let mut set = DemandSet::new();
-    for flow in &flows {
-        set.push(flow);
-    }
-    flows.extend(probe.clone());
-    let reference_flows: Vec<FlowDemand> = flows
+/// Asserts the allocator's last solve gave every `(row, path)` in `live` the
+/// reference's rate for the same paths.
+fn assert_solve_matches(
+    allocator: &Allocator,
+    capacities: &[f64],
+    live: &[(u32, Vec<u32>)],
+    context: &str,
+) {
+    let reference_flows: Vec<FlowDemand> = live
         .iter()
         .enumerate()
-        .map(|(i, path)| FlowDemand {
+        .map(|(i, (_, path))| FlowDemand {
             key: FlowKey(i as u64),
             links: path.iter().map(|&r| LinkId(r as usize)).collect(),
             weight: 1.0,
@@ -234,28 +211,82 @@ fn run_direct_scenario(seed: u64) {
         .map(|(i, &c)| (LinkId(i), c))
         .collect();
     let expected = max_min_fair_rates(&capacity_map, &reference_flows);
+    for (i, (row, path)) in live.iter().enumerate() {
+        let (rate, reference) = (allocator.rate(*row), expected[&FlowKey(i as u64)]);
+        assert!(
+            rate.to_bits() == reference.to_bits(),
+            "{context}: row {row} over {path:?}: allocator {rate} != reference {reference}"
+        );
+    }
+}
 
-    let mut allocator = Allocator::new();
-    let mut rates = Vec::new();
-    allocator.solve(&capacities, &set, Some(&[0, 0, 5]), &mut rates);
-    for round in 0..2 {
-        allocator.solve(&capacities, &set, probe.as_deref(), &mut rates);
-        assert_eq!(rates.len(), flows.len(), "seed {seed} round {round}");
-        for (i, rate) in rates.iter().enumerate() {
-            let reference = expected[&FlowKey(i as u64)];
-            assert!(
-                rate.to_bits() == reference.to_bits(),
-                "seed {seed} round {round} flow {i}: allocator {rate} != reference {reference}"
-            );
+/// Replays a seeded sequence of inserts, removes, probes (insert, solve,
+/// remove) and capacity refreshes on one persistent allocator, in shapes
+/// `Network` never builds — a resource listed twice in one path, ids past the
+/// end of `capacities`, zero capacities, rows that cross nothing — and holds
+/// every solve to the reference over the rows live at that moment.
+fn run_direct_scenario(seed: u64) {
+    let mut rng = SimRng::seed_from_u64(seed).derive(3);
+    let ids = 1 + rng.index(12);
+    let table = |rng: &mut SimRng| -> Vec<f64> {
+        let known = rng.index(ids + 1);
+        (0..known)
+            .map(|_| [0.0, 0.5, 3.0, 7.0, 1.0e3, 2.5e6][rng.index(6)])
+            .collect()
+    };
+    let resource = |rng: &mut SimRng| {
+        let id = rng.index(ids) as u32;
+        // Now and then an id far past anything the last solve sized for.
+        if rng.index(16) == 0 {
+            id + 1_000 * (1 + seed % 7) as u32
+        } else {
+            id
         }
+    };
+    let path =
+        |rng: &mut SimRng| -> Vec<u32> { (0..rng.index(5)).map(|_| resource(rng)).collect() };
+
+    let mut capacities = table(&mut rng);
+    let mut allocator = Allocator::new();
+    let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
+    for step in 0..1 + rng.index(40) {
+        let context = format!("seed {seed} step {step}");
+        match rng.index(6) {
+            0 | 1 => {
+                let path = path(&mut rng);
+                let row = allocator.insert(&capacities, &path);
+                assert!(live.iter().all(|&(r, _)| r != row), "{context}: row reused");
+                live.push((row, path));
+            }
+            2 if !live.is_empty() => {
+                let (row, _) = live.swap_remove(rng.index(live.len()));
+                allocator.remove(row);
+            }
+            3 => {
+                capacities = table(&mut rng);
+                allocator.refresh_capacities(&capacities);
+            }
+            4 => {
+                let probe = path(&mut rng);
+                let row = allocator.insert(&capacities, &probe);
+                live.push((row, probe));
+                allocator.solve();
+                assert_solve_matches(&allocator, &capacities, &live, &context);
+                live.pop();
+                allocator.remove(row);
+            }
+            _ => {}
+        }
+        allocator.solve();
+        assert_solve_matches(&allocator, &capacities, &live, &context);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The allocator's `live` counts and its early exit, held to the
-    /// reference on inputs the goldens cannot reach.
+    /// The allocator's slot counts, `live` counts and early exit, held to the
+    /// reference under row churn on inputs the goldens cannot reach.
     #[test]
     fn allocator_matches_reference_on_demand_sets_no_network_builds(seed in 0u64..u64::MAX) {
         run_direct_scenario(seed);
@@ -359,4 +390,53 @@ fn grouped_epochs_match_reference_and_hand_counts() {
     assert!(net.cancel_transfer(now, ledger[1].0).unwrap());
     assert_reference_agreement(&net, &ledger, (a[1], s0));
     assert_rates(&net, &[1.2e6, 1.2e6, 1.2e6, 5.2e6, 1.2e6, 1.2e6]);
+}
+
+/// A transfer that starts and drains while nothing else changes: the epoch
+/// that retires it restores the rates from before its start instead of
+/// solving, and they must still be the reference's — with a probe solved in
+/// between, and for a retire that undoes nothing.
+#[test]
+fn an_epoch_that_undoes_the_last_start_matches_reference() {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new();
+    let r = topo.add_router("r").unwrap();
+    let hosts: Vec<NodeId> = [20.0e6, 8.0e6, 5.0e6, 10.0e6]
+        .iter()
+        .enumerate()
+        .map(|(i, &bps)| {
+            let h = topo.add_host(&format!("h{i}")).unwrap();
+            topo.add_link(h, r, bps, ms(1.0)).unwrap();
+            h
+        })
+        .collect();
+    let mut net = Network::new(topo);
+    let start = |net: &mut Network, src: usize, bytes: f64, at: f64| {
+        let id = net.start_transfer(SimTime::from_secs(at), hosts[src], hosts[3], bytes, 0);
+        (id.unwrap(), hosts[src], hosts[3])
+    };
+    let long_rates = |net: &Network, ledger: &[(TransferId, NodeId, NodeId)]| -> Vec<u64> {
+        let rate = |&(id, ..): &(TransferId, NodeId, NodeId)| net.transfer_rate(id).unwrap();
+        ledger[..2].iter().map(|t| rate(t).to_bits()).collect()
+    };
+    // Two long transfers, then a short one that drains alone.
+    let mut ledger = vec![
+        start(&mut net, 0, 50.0e6, 0.0),
+        start(&mut net, 1, 50.0e6, 0.0),
+    ];
+    let before = long_rates(&net, &ledger);
+    ledger.push(start(&mut net, 2, 1.0e4, 1.0));
+    assert_ne!(before, long_rates(&net, &ledger));
+    assert_reference_agreement(&net, &ledger, (hosts[0], hosts[3]));
+    assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (3, 3));
+    assert_eq!(net.poll_completions(SimTime::from_secs(1.5)).len(), 1);
+    assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (4, 3));
+    assert_reference_agreement(&net, &ledger, (hosts[1], hosts[3]));
+    assert_eq!(before, long_rates(&net, &ledger));
+    // Retiring a transfer whose start did not open the last epoch solves.
+    assert!(net
+        .cancel_transfer(SimTime::from_secs(2.0), ledger[0].0)
+        .unwrap());
+    assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (5, 4));
+    assert_reference_agreement(&net, &ledger, (hosts[2], hosts[3]));
 }

@@ -1,14 +1,11 @@
 //! The allocation epoch's heap budget: once warm, `Network::start_transfer`,
-//! `advance` (drains re-solve the epoch), `available_bandwidth` (one probe
-//! solve per miss) and `poll_completions_into` allocate **nothing** on a
-//! 200-host star — demand rows, the allocator's slot table and registration
-//! lists, the heap and the probe memo are all reused. The count is a
-//! deterministic work counter, the same on every host, so a `Vec`, a `HashMap`
-//! entry or a `format!` per epoch fails here with no wall-clock noise.
-//!
-//! At most [`IN_FLIGHT`] transfers run at once: the active set is a
-//! `BTreeMap` whose root leaf holds eleven entries, and a node split is the
-//! map's allocation, not the epoch's.
+//! `advance` (drains re-solve the epoch, or restore the rates from before the
+//! start they undo), `available_bandwidth` (one probe row per miss) and
+//! `poll_completions_into` allocate **nothing** on a 200-host star — the
+//! transfer slab, the allocator's rows, slots and registration lists, the heap
+//! and the probe memo are all reused. The count is a deterministic work
+//! counter, the same on every host, so a `Vec`, a `HashMap` entry or a
+//! `format!` per epoch fails here with no wall-clock noise.
 
 use simnet::rng::SimRng;
 use simnet::topology::{NodeId, Topology};
@@ -19,7 +16,7 @@ mod common;
 use common::counted;
 
 const CLIENTS: usize = 200;
-const IN_FLIGHT: usize = 8;
+const IN_FLIGHT: usize = 32;
 const COUNTED_EPOCHS: u64 = 10_000;
 
 struct Churn {
@@ -85,8 +82,8 @@ impl Churn {
     /// Takes every reused buffer to the most this churn can ask of it, by
     /// construction rather than by luck: round `k` runs `k` transfers on one
     /// server and `IN_FLIGHT - k` on the other, directions alternating, so
-    /// the fullest demand set, the widest slot table (every client link, both
-    /// server links and the probe's own) and the largest single freeze round
+    /// the most rows, the widest slot table (every client link, both server
+    /// links and the probe's own) and the largest single freeze round
     /// (everything plus the probe on one server link) have all happened.
     /// Every transfer has one size, so a whole round drains and arrives
     /// within a single `advance`.
@@ -143,14 +140,18 @@ fn a_warm_epoch_allocates_nothing() {
 
     let epochs_before = churn.net.rate_epoch_count();
     let solves_before = churn.net.probe_solve_count();
+    let rate_solves_before = churn.net.rate_solve_count();
     let mut allocations = 0;
     while churn.net.rate_epoch_count() - epochs_before < COUNTED_EPOCHS {
         allocations += counted(|| churn.step());
     }
     let probe_solves = churn.net.probe_solve_count() - solves_before;
+    let solved = churn.net.rate_solve_count() - rate_solves_before;
     println!(
-        "{allocations} allocations over {COUNTED_EPOCHS} epochs and {probe_solves} probe solves"
+        "{allocations} allocations over {COUNTED_EPOCHS} epochs ({solved} solved) \
+         and {probe_solves} probe solves"
     );
     assert!(probe_solves > 1_000, "only {probe_solves} probe solves");
+    assert!(solved < COUNTED_EPOCHS, "no epoch restored its rates");
     assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
 }
