@@ -5,10 +5,8 @@
 //! exponential service times with rate μ per server. The analysis yields the
 //! expected waiting time and queue length used to size the group.
 
-use serde::{Deserialize, Serialize};
-
 /// An M/M/c queueing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmcQueue {
     /// Arrival rate λ (requests per second).
     pub arrival_rate: f64,

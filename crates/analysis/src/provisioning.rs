@@ -12,10 +12,9 @@
 //! not be less than 10 Kbps*. This module reproduces that calculation.
 
 use crate::mmc::MmcQueue;
-use serde::{Deserialize, Serialize};
 
 /// Inputs to the provisioning analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisioningInput {
     /// Aggregate request arrival rate (requests per second). Paper: 6.
     pub arrival_rate: f64,
@@ -47,7 +46,7 @@ impl Default for ProvisioningInput {
 
 /// The minimum-bandwidth requirement derived from the response size and the
 /// share of the latency budget assigned to the network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthRequirement {
     /// Minimum acceptable bandwidth in bits per second.
     pub min_bandwidth_bps: f64,
@@ -56,7 +55,7 @@ pub struct BandwidthRequirement {
 }
 
 /// The provisioning plan: how many replicas and what bandwidth threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisioningPlan {
     /// Number of replicated servers required.
     pub servers: usize,
@@ -106,7 +105,7 @@ pub fn provision(input: &ProvisioningInput, max_servers: usize) -> Option<Provis
 /// A provisioning plan that additionally over-provisions replicas so the
 /// service keeps meeting its latency bound at a target availability despite
 /// replica failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityPlan {
     /// The base latency-driven plan (its `servers` is the minimum live
     /// replica count the latency bound needs).

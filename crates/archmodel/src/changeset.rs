@@ -10,7 +10,6 @@
 
 use crate::style::ClientServerStyle;
 use crate::system::{ModelError, System};
-use serde::{Deserialize, Serialize};
 
 /// One call of a style operator, as a repair script records it.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// anything changes, so an `Err` leaves the system as it was. The bodies live
 /// with the style, next to the deployment code they share
 /// ([`ClientServerStyle`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelOp {
     /// `addServer()`: adds the active replica `server` to `group`'s
     /// representation and updates the group's `replicationCount`.
@@ -127,8 +126,10 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::style::{props, ClientServerStyle as Style};
+    use crate::key::Key;
+    use crate::style::{props, ClientServerStyle as Style, CLIENT_ROLE_T};
     use crate::system::tests::index_errors;
+    use proptest::prelude::*;
 
     /// Replays a transaction's ops onto `target`, as a committed repair does.
     fn commit(tx: Transaction, target: &mut System) {
@@ -279,6 +280,129 @@ mod tests {
         assert_eq!(bulk, one_by_one);
         assert_eq!(index_errors(&bulk), Vec::<String>::new());
         assert!(bulk.role(shared).is_err() && bulk.role(second).is_err());
+    }
+
+    /// `groups` server groups and one client per entry of `homes`: entry 0
+    /// leaves the client unattached, any other connects it to group `(entry -
+    /// 1) % groups`. A group no client is connected to has no connector unless
+    /// `spare_connector` asks for one on the target.
+    fn fleet(groups: usize, homes: &[usize], target: usize, spare_connector: bool) -> System {
+        let mut sys = System::new("fleet");
+        let group_ids: Vec<_> = (1..=groups)
+            .map(|g| Style::add_server_group(&mut sys, &format!("ServerGrp{g}"), 1).unwrap())
+            .collect();
+        for (i, home) in homes.iter().enumerate() {
+            let client = Style::add_client(&mut sys, &format!("User{}", i + 1)).unwrap();
+            if *home > 0 {
+                let group = group_ids[(home - 1) % groups];
+                Style::connect_client(&mut sys, client, group).unwrap();
+            }
+        }
+        if spare_connector {
+            Style::service_connector(&mut sys, group_ids[target]).unwrap();
+        }
+        sys
+    }
+
+    /// The reference: each member the model has, in list order, loses the
+    /// first role its `request` port is attached to and gets a fresh
+    /// `{client}.role` on the target's connector — written over the model's
+    /// test-only single-element mutators, which no operator body calls.
+    fn move_one_by_one(sys: &mut System, clients: &[String], to_group: &str) {
+        let group = sys.component_by_name(to_group).unwrap();
+        let conn = Style::service_connector(sys, group).unwrap();
+        for client in clients {
+            let Some(id) = sys.component_by_name(client) else {
+                continue;
+            };
+            let port = sys.component(id).unwrap().ports[0];
+            if let Some(old) = sys.roles_attached_to_port(port).first().copied() {
+                sys.detach(port, old).unwrap();
+                sys.remove_role(old).unwrap();
+            }
+            let role = sys
+                .add_role(conn, format!("{client}.role"), CLIENT_ROLE_T)
+                .unwrap();
+            sys.attach(port, role).unwrap();
+        }
+    }
+
+    /// Everything the derived indices answer, for every element of `sys`.
+    fn index_answers(sys: &System) -> Vec<String> {
+        let mut out = Vec::new();
+        for (id, role) in sys.roles() {
+            out.push(format!(
+                "{id:?}: by key {:?}, component {:?}",
+                sys.role_by_key(Key::new(&role.name)),
+                sys.component_attached_to_role(id),
+            ));
+        }
+        for (id, _) in sys.ports() {
+            out.push(format!(
+                "{id:?}: roles {:?}",
+                sys.roles_attached_to_port(id)
+            ));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The batch is the loop: one `MoveClientGroup` must leave a model
+        /// exactly where per-client `detach` / `remove_role` / `add_role` /
+        /// `attach` calls leave it — element ids, list orders, the derived
+        /// indices (which `System == System` does not look at) and the
+        /// journal's structural flag. `MoveClient` is the same body with one
+        /// member: a generated list of one present member is applied through
+        /// it.
+        #[test]
+        fn one_move_client_group_is_the_per_client_sequence(
+            groups in 1usize..5,
+            homes in proptest::collection::vec(0usize..6, 0..41),
+            target in 0usize..4,
+            spare_connector in 0usize..2,
+            picks in proptest::collection::vec(0usize..60, 0..50),
+        ) {
+            let target = target % groups;
+            let mut base = fleet(groups, &homes, target, spare_connector == 1);
+            base.drain_changes();
+            // Duplicate-free, in pick order; a pick past the fleet names nobody.
+            let mut clients: Vec<String> = Vec::new();
+            for pick in picks {
+                let name = if pick < homes.len() {
+                    format!("User{}", pick + 1)
+                } else {
+                    format!("Ghost{pick}")
+                };
+                if !clients.contains(&name) {
+                    clients.push(name);
+                }
+            }
+            let to_group = format!("ServerGrp{}", target + 1);
+
+            let mut looped = base.clone();
+            move_one_by_one(&mut looped, &clients, &to_group);
+            let mut batched = base.clone();
+            // A list of one present member goes through the single-client op.
+            let op = match clients.as_slice() {
+                [client] if base.component_by_name(client).is_some() => ModelOp::MoveClient {
+                    client: client.clone(),
+                    to_group,
+                },
+                _ => ModelOp::MoveClientGroup { clients, to_group },
+            };
+            apply_op(&mut batched, &op).unwrap();
+
+            prop_assert_eq!(&batched, &looped);
+            prop_assert_eq!(index_answers(&batched), index_answers(&looped));
+            prop_assert_eq!(index_errors(&batched), Vec::<String>::new());
+            prop_assert!(batched.integrity_errors().is_empty());
+            prop_assert_eq!(
+                batched.drain_changes().structural,
+                looped.drain_changes().structural
+            );
+        }
     }
 
     #[test]

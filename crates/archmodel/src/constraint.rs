@@ -12,10 +12,9 @@ use crate::expr::{
 };
 use crate::key::Key;
 use crate::system::{ModelDelta, System};
-use serde::{Deserialize, Serialize};
 
 /// What an invariant ranges over.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConstraintScope {
     /// Evaluated once against the whole system (no `self` binding).
     System,
@@ -29,7 +28,7 @@ pub enum ConstraintScope {
 }
 
 /// A named invariant over the architectural model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Invariant {
     /// Short identifier, e.g. `"latency"`.
     pub name: String,
@@ -58,7 +57,7 @@ impl Invariant {
 }
 
 /// A detected constraint violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Name of the violated invariant.
     pub invariant: String,
@@ -71,12 +70,8 @@ pub struct Violation {
     pub detail: String,
 }
 
-fn is_zero(count: &usize) -> bool {
-    *count == 0
-}
-
 /// Result of checking a constraint set against the model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckReport {
     /// Constraints that evaluated to false.
     pub violations: Vec<Violation>,
@@ -88,9 +83,6 @@ pub struct CheckReport {
     /// How many (invariant, element) pairs were pruned by the dirty set and
     /// replayed from cache instead of re-evaluated. Always zero for a full
     /// sweep; `evaluated + skipped` equals the full sweep's `evaluated`.
-    /// Serialised only when non-zero: full-sweep reports keep their historic
-    /// shape byte for byte.
-    #[serde(skip_serializing_if = "is_zero")]
     pub skipped: usize,
 }
 
@@ -102,7 +94,7 @@ impl CheckReport {
 }
 
 /// A collection of invariants checked together.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConstraintSet {
     invariants: Vec<Invariant>,
 }
@@ -598,26 +590,5 @@ mod tests {
         let report = checker.check(&set, &mut sys);
         assert_eq!(report.evaluated, 1);
         assert_eq!(report.skipped, 0);
-    }
-
-    #[test]
-    fn check_report_serialises_skipped_only_when_nonzero() {
-        let clean = CheckReport {
-            evaluated: 3,
-            ..CheckReport::default()
-        };
-        let serde::Content::Map(fields) = clean.to_content() else {
-            panic!("expected a map");
-        };
-        assert!(fields.iter().all(|(k, _)| k != "skipped"));
-        let pruned = CheckReport {
-            evaluated: 1,
-            skipped: 2,
-            ..CheckReport::default()
-        };
-        let serde::Content::Map(fields) = pruned.to_content() else {
-            panic!("expected a map");
-        };
-        assert!(fields.iter().any(|(k, _)| k == "skipped"));
     }
 }

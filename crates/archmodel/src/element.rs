@@ -9,22 +9,21 @@
 //! parent/child links between components.
 
 use crate::property::PropertyMap;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a component within a [`crate::system::System`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ComponentId(pub u32);
 
 /// Identifies a connector within a system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnectorId(pub u32);
 
 /// Identifies a port on a component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u32);
 
 /// Identifies a role on a connector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RoleId(pub u32);
 
 /// A reference to any kind of element, used by constraints and violations.
@@ -32,7 +31,7 @@ pub struct RoleId(pub u32);
 /// Ordered (components before connectors before ports before roles, ids
 /// ascending within a kind) so dirty-set iteration in the change journal is
 /// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ElementRef {
     /// A component.
     Component(ComponentId),
@@ -46,7 +45,7 @@ pub enum ElementRef {
 
 /// A principal computational element or data store (client, server group,
 /// server, request queue, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Unique name within the system, e.g. `"ServerGrp1"`.
     pub name: String,
@@ -65,7 +64,7 @@ pub struct Component {
 
 /// A pathway of interaction between components (e.g. the request queue plus
 /// the network connections between users and servers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Connector {
     /// Unique name within the system.
     pub name: String,
@@ -78,7 +77,7 @@ pub struct Connector {
 }
 
 /// A point of interaction on a component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Name unique within the owning component.
     pub name: String,
@@ -91,7 +90,7 @@ pub struct Port {
 }
 
 /// A point of interaction on a connector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Role {
     /// Name unique within the owning connector.
     pub name: String,
@@ -104,7 +103,7 @@ pub struct Role {
 }
 
 /// Binds a component's port to a connector's role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Attachment {
     /// The component-side port.
     pub port: PortId,

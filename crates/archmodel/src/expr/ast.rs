@@ -6,10 +6,9 @@
 //! components | connected(sgrp, client) and sgrp.load > maxServerLoad`.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Binary operators, in increasing precedence groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// Logical disjunction.
     Or,
@@ -40,7 +39,7 @@ pub enum BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     /// Logical negation (`!` or `not`).
     Not,
@@ -49,7 +48,7 @@ pub enum UnaryOp {
 }
 
 /// Kinds of quantified expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantifierKind {
     /// True if some element of the domain satisfies the body.
     Exists,
@@ -60,7 +59,7 @@ pub enum QuantifierKind {
 }
 
 /// An expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A literal value.
     Literal(Value),
@@ -113,16 +112,6 @@ pub struct PropertyReadSet {
 }
 
 impl Expr {
-    /// Convenience constructor for an int literal.
-    pub fn int(v: i64) -> Expr {
-        Expr::Literal(Value::Int(v))
-    }
-
-    /// Convenience constructor for an identifier.
-    pub fn ident(name: &str) -> Expr {
-        Expr::Ident(name.to_string())
-    }
-
     /// Convenience constructor for property access.
     pub fn prop(target: Expr, name: &str) -> Expr {
         Expr::Property(Box::new(target), name.to_string())
@@ -239,8 +228,8 @@ mod tests {
     fn builders_construct_expected_shapes() {
         let e = Expr::bin(
             BinOp::Le,
-            Expr::prop(Expr::ident("self"), "averageLatency"),
-            Expr::ident("maxLatency"),
+            Expr::prop(Expr::Ident("self".into()), "averageLatency"),
+            Expr::Ident("maxLatency".into()),
         );
         match e {
             Expr::Binary(BinOp::Le, lhs, rhs) => {
@@ -257,11 +246,11 @@ mod tests {
             kind: QuantifierKind::Exists,
             var: "c".into(),
             type_filter: Some("ClientT".into()),
-            domain: Box::new(Expr::ident("components")),
+            domain: Box::new(Expr::Ident("components".into())),
             body: Box::new(Expr::bin(
                 BinOp::Gt,
-                Expr::prop(Expr::ident("c"), "load"),
-                Expr::ident("maxServerLoad"),
+                Expr::prop(Expr::Ident("c".into()), "load"),
+                Expr::Ident("maxServerLoad".into()),
             )),
         };
         let ids = e.referenced_idents();

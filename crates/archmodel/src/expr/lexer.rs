@@ -1,9 +1,7 @@
 //! Tokenizer for the constraint-expression language.
 
-use serde::{Deserialize, Serialize};
-
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Token {
     /// An identifier or keyword-free name.
     Ident(String),

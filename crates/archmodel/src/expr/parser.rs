@@ -296,8 +296,8 @@ mod tests {
             e,
             Expr::bin(
                 BinOp::Le,
-                Expr::ident("averageLatency"),
-                Expr::ident("maxLatency")
+                Expr::Ident("averageLatency".into()),
+                Expr::Ident("maxLatency".into())
             )
         );
     }

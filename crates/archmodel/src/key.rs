@@ -17,7 +17,6 @@
 //! and element names in a process is small and stable (a few per element),
 //! so the table is effectively an append-only arena.
 
-use serde::{Content, Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -132,14 +131,6 @@ impl fmt::Display for Key {
     }
 }
 
-impl Serialize for Key {
-    fn to_content(&self) -> Content {
-        Content::Str(self.0.to_string())
-    }
-}
-
-impl Deserialize for Key {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,12 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn display_and_serialize_show_the_name() {
-        let k = Key::new("bandwidth");
-        assert_eq!(k.to_string(), "bandwidth");
-        assert_eq!(
-            serde::Serialize::to_content(&k),
-            Content::Str("bandwidth".to_string())
-        );
+    fn display_shows_the_name() {
+        assert_eq!(Key::new("bandwidth").to_string(), "bandwidth");
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::key::Key;
 use crate::value::Value;
-use serde::{Content, Deserialize, Serialize};
 
 /// A named collection of property values.
 ///
@@ -17,22 +16,6 @@ use serde::{Content, Deserialize, Serialize};
 pub struct PropertyMap {
     entries: Vec<(Key, Value)>,
 }
-
-impl Serialize for PropertyMap {
-    // Matches the shape the derived impl produced for the previous
-    // `BTreeMap<String, Value>`-backed struct: a single `entries` map with
-    // keys in name order.
-    fn to_content(&self) -> Content {
-        let map = self
-            .entries
-            .iter()
-            .map(|(k, v)| (k.as_str().to_string(), v.to_content()))
-            .collect();
-        Content::Map(vec![("entries".to_string(), Content::Map(map))])
-    }
-}
-
-impl Deserialize for PropertyMap {}
 
 impl PropertyMap {
     /// Creates an empty property map.
@@ -193,24 +176,5 @@ mod tests {
         props.set(latency, 2.0);
         assert_eq!(props.get_f64(latency.as_str()), Some(2.0));
         assert_eq!(props.len(), 1);
-    }
-
-    #[test]
-    fn serialization_shape_matches_the_map_layout() {
-        let props = PropertyMap::new().with("b", 2i64).with("a", 1i64);
-        match serde::Serialize::to_content(&props) {
-            serde::Content::Map(fields) => {
-                assert_eq!(fields.len(), 1);
-                assert_eq!(fields[0].0, "entries");
-                match &fields[0].1 {
-                    serde::Content::Map(entries) => {
-                        let names: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-                        assert_eq!(names, vec!["a", "b"]);
-                    }
-                    other => panic!("unexpected entries content: {other:?}"),
-                }
-            }
-            other => panic!("unexpected content: {other:?}"),
-        }
     }
 }

@@ -11,7 +11,6 @@
 use crate::element::{ComponentId, ConnectorId, ElementRef, PortId};
 use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Component type for users/clients.
 pub const CLIENT_T: &str = "ClientT";
@@ -67,7 +66,7 @@ pub mod props {
 }
 
 /// A structural-validity problem found by [`ClientServerStyle::validate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StyleViolation {
     /// The rule that was broken.
     pub rule: String,

@@ -8,7 +8,6 @@ use crate::element::{
 use crate::key::Key;
 use crate::property::PropertyMap;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
 
@@ -22,8 +21,8 @@ use std::hash::Hash;
 /// fine-grained entries. Dirty entries live in ordered sets, so iteration —
 /// and everything derived from it — is deterministic.
 ///
-/// The journal is bookkeeping, not model state: it is excluded from
-/// equality, comparison and serialization of the owning system.
+/// The journal is bookkeeping, not model state: it is excluded from the
+/// owning system's equality.
 #[derive(Debug, Clone, Default)]
 struct ChangeJournal {
     /// Epoch stamp for the entries currently accumulating; bumped by each
@@ -144,19 +143,18 @@ fn unlink<K: Hash + Eq, V: PartialEq>(index: &mut HashMap<K, Vec<V>>, key: K, va
 /// (nothing in the workspace renames in place; use remove + add), which is
 /// what keeps the indices trivially consistent.
 ///
-/// Attachment adjacency (`roles_attached_to_port`, `attached`, …) and
-/// per-connector role-name resolution are indexed too, so *finding* an element
-/// never scans. *Removing* one does: `attachments` and `Connector::roles` are
-/// ordered vectors, and dropping entries from them is a sweep. A bulk repair
-/// pays that sweep once per operation, not once per member:
+/// Attachment adjacency (`roles_attached_to_port`, `attached`, …) is indexed
+/// too, so *finding* an element never scans. *Removing* one does:
+/// `attachments` and `Connector::roles` are ordered vectors, and dropping
+/// entries from them is a sweep. A bulk repair pays that sweep once per
+/// operation, not once per member:
 /// [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup) removes all
 /// its members' stale roles in one pass over each touched connector's roles
-/// and one over `attachments`, whatever the class size. Single-element
-/// `detach` keeps an O(attachments) sweep per call: no operator reaches it.
-/// The `attachments` vector stays the canonical (ordered, serialized)
-/// representation; the indices mirror it and preserve its relative order —
-/// derived data, so they are skipped by serialization as by equality.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// and one over `attachments`, whatever the class size.
+/// The `attachments` vector stays the canonical (ordered) representation; the
+/// indices mirror it and preserve its relative order — derived data, so
+/// equality skips them.
+#[derive(Debug, Clone, Default)]
 pub struct System {
     /// The system's name.
     pub name: String,
@@ -169,32 +167,20 @@ pub struct System {
     roles: BTreeMap<RoleId, Role>,
     attachments: Vec<Attachment>,
     next_id: u32,
-    #[serde(skip)]
     component_names: HashMap<Key, ComponentId>,
-    #[serde(skip)]
     connector_names: HashMap<Key, ConnectorId>,
     /// First (lowest-id) role carrying each name plus how many roles carry
     /// it — role names are not enforced unique, and lookups keep the
     /// historic first-match semantics. The count makes removal O(1) for
     /// unique names (the overwhelmingly common case); a promotion scan runs
     /// only when duplicates actually exist.
-    #[serde(skip)]
     role_names: HashMap<Key, (RoleId, u32)>,
-    /// First role with a given name within one connector (attachment-order
-    /// first, i.e. the earliest entry of `Connector::roles`), plus the
-    /// duplicate count.
-    #[serde(skip)]
-    connector_role_names: HashMap<(ConnectorId, Key), (RoleId, u32)>,
     /// Roles attached to each port, in attachment order.
-    #[serde(skip)]
     attachments_by_port: HashMap<PortId, Vec<RoleId>>,
     /// Ports attached to each role, in attachment order.
-    #[serde(skip)]
     attachments_by_role: HashMap<RoleId, Vec<PortId>>,
     /// Change journal feeding incremental constraint checking. Like the name
-    /// indices this is derived bookkeeping: excluded from equality and
-    /// serialization.
-    #[serde(skip)]
+    /// indices this is derived bookkeeping: excluded from equality.
     journal: ChangeJournal,
 }
 
@@ -373,11 +359,6 @@ impl System {
         Ok(self.component(id)?.children.clone())
     }
 
-    /// Number of components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
     // ---- connectors ------------------------------------------------------
 
     /// Adds a connector of the given type.
@@ -474,15 +455,7 @@ impl System {
         // First-wins: lookups return the lowest-id role with a given name,
         // as the pre-index linear scan did. Ids are monotonically assigned,
         // so an existing entry always has the lower id.
-        let global = self.role_names.entry(key).or_insert((id, 0));
-        global.1 += 1;
-        // Same within the connector: the entry stays on the earliest entry
-        // of `Connector::roles`, which is the first one added.
-        let local = self
-            .connector_role_names
-            .entry((owner, key))
-            .or_insert((id, 0));
-        local.1 += 1;
+        self.role_names.entry(key).or_insert((id, 0)).1 += 1;
         self.roles.insert(
             id,
             Role {
@@ -519,31 +492,6 @@ impl System {
         }
     }
 
-    /// Drops a removed role from its connector's name index, promoting the
-    /// next role (in `Connector::roles` order) with the same name.
-    fn unindex_connector_role(&mut self, id: RoleId, owner: ConnectorId, name: &str) {
-        let key = Key::new(name);
-        let Some(entry) = self.connector_role_names.get_mut(&(owner, key)) else {
-            return;
-        };
-        entry.1 -= 1;
-        let (first, remaining) = *entry;
-        if remaining == 0 {
-            self.connector_role_names.remove(&(owner, key));
-        } else if first == id {
-            if let Some(conn) = self.connectors.get(&owner) {
-                if let Some(next) = conn
-                    .roles
-                    .iter()
-                    .find(|r| self.roles.get(r).is_some_and(|role| role.name == name))
-                {
-                    self.connector_role_names
-                        .insert((owner, key), (*next, remaining));
-                }
-            }
-        }
-    }
-
     /// Drops every attachment of `role` from the adjacency indices (not the
     /// canonical list). Returns true if the role had any attachment — the
     /// caller uses that to skip the O(attachments) canonical-list sweep for
@@ -570,11 +518,6 @@ impl System {
         !roles.is_empty()
     }
 
-    /// Removes a role and any attachment it participates in.
-    pub fn remove_role(&mut self, id: RoleId) -> Result<(), ModelError> {
-        self.remove_roles(&[id])
-    }
-
     /// Removes every role in `ids` (one listed twice counts once), with the
     /// attachments through them: one pass over each owning connector's `roles`
     /// and one over `attachments`, whatever `ids.len()` is. All or nothing: an
@@ -593,11 +536,9 @@ impl System {
             }
             let role = self.roles.remove(&id).expect("checked above");
             self.journal.structural = true;
-            // Both name indices promote among the roles still in
-            // `self.roles`, so the entries the sweeps below drop are already
-            // invisible to them.
+            // The name index promotes among the roles still in `self.roles`,
+            // so the entries the sweeps below drop are already invisible to it.
             self.unindex_role(id, &role.name);
-            self.unindex_connector_role(id, role.owner, &role.name);
             any_attached |= self.unindex_role_attachments(id);
             owners.insert(role.owner);
         }
@@ -615,14 +556,6 @@ impl System {
     /// Finds the first (lowest-id) role with the given (interned) name.
     pub fn role_by_key(&self, key: Key) -> Option<RoleId> {
         self.role_names.get(&key).map(|(id, _)| *id)
-    }
-
-    /// The first role (in `Connector::roles` order) of the given connector
-    /// carrying `name`. O(1).
-    pub fn role_in_connector(&self, connector: ConnectorId, name: &str) -> Option<RoleId> {
-        self.connector_role_names
-            .get(&(connector, Key::new(name)))
-            .map(|(id, _)| *id)
     }
 
     /// Looks up a port by id.
@@ -668,19 +601,6 @@ impl System {
         self.attachments.push(Attachment { port, role });
         self.attachments_by_port.entry(port).or_default().push(role);
         self.attachments_by_role.entry(role).or_default().push(port);
-        Ok(())
-    }
-
-    /// Removes an attachment.
-    pub fn detach(&mut self, port: PortId, role: RoleId) -> Result<(), ModelError> {
-        if !self.attached(port, role) {
-            return Err(ModelError::NotAttached(port, role));
-        }
-        self.journal.structural = true;
-        self.attachments
-            .retain(|a| !(a.port == port && a.role == role));
-        unlink(&mut self.attachments_by_port, port, role);
-        unlink(&mut self.attachments_by_role, role, port);
         Ok(())
     }
 
@@ -783,15 +703,6 @@ impl System {
         }
         self.journal.dirty.insert((element, key));
         Ok(())
-    }
-
-    /// Sets a system-level property, journaling the write. Direct writes to
-    /// the public `properties` map bypass the journal (safe only during
-    /// model construction).
-    pub fn set_system_property(&mut self, name: impl Into<Key>, value: impl Into<Value>) {
-        let key = name.into();
-        self.properties.set(key, value);
-        self.journal.dirty_system.insert(key);
     }
 
     /// Compare-and-set on a component property: when the stored value is
@@ -924,6 +835,46 @@ impl System {
 pub(crate) mod tests {
     use super::*;
 
+    /// The single-element mutators and lookup no operator calls: the
+    /// references that bulk removal and the style operators are held to.
+    impl System {
+        /// Removes an attachment, with an O(attachments) sweep.
+        pub(crate) fn detach(&mut self, port: PortId, role: RoleId) -> Result<(), ModelError> {
+            if !self.attached(port, role) {
+                return Err(ModelError::NotAttached(port, role));
+            }
+            self.journal.structural = true;
+            self.attachments
+                .retain(|a| !(a.port == port && a.role == role));
+            unlink(&mut self.attachments_by_port, port, role);
+            unlink(&mut self.attachments_by_role, role, port);
+            Ok(())
+        }
+
+        /// Removes a role and any attachment it participates in.
+        pub(crate) fn remove_role(&mut self, id: RoleId) -> Result<(), ModelError> {
+            self.remove_roles(&[id])
+        }
+
+        /// The first role (in `Connector::roles` order) of the given
+        /// connector carrying `name`.
+        pub(crate) fn role_in_connector(
+            &self,
+            connector: ConnectorId,
+            name: &str,
+        ) -> Option<RoleId> {
+            let roles = &self.connectors.get(&connector)?.roles;
+            roles.iter().copied().find(|id| self.roles[id].name == name)
+        }
+
+        /// Sets a system-level property, journaling the write.
+        pub(crate) fn set_system_property(&mut self, name: &str, value: impl Into<Value>) {
+            let key = Key::new(name);
+            self.properties.set(key, value);
+            self.journal.dirty_system.insert(key);
+        }
+    }
+
     /// The companion of [`System::integrity_errors`] for the derived state:
     /// rebuilds every index from the canonical lists (`roles`,
     /// `Connector::roles`, `attachments`, …) and names each one that differs
@@ -954,25 +905,15 @@ pub(crate) mod tests {
             role_names.entry(Key::new(&role.name)).or_insert((*id, 0)).1 += 1;
         }
         check("role_names", role_names == sys.role_names);
-        let mut connector_role_names: HashMap<(ConnectorId, Key), (RoleId, u32)> = HashMap::new();
         let mut listed = 0;
         for (conn_id, conn) in &sys.connectors {
             for id in &conn.roles {
                 listed += 1;
-                match sys.roles.get(id) {
-                    Some(role) if role.owner == *conn_id => {
-                        let key = (*conn_id, Key::new(&role.name));
-                        connector_role_names.entry(key).or_insert((*id, 0)).1 += 1;
-                    }
-                    _ => check("Connector::roles", false),
-                }
+                let owned = sys.roles.get(id).is_some_and(|role| role.owner == *conn_id);
+                check("Connector::roles", owned);
             }
         }
         check("Connector::roles", listed == sys.roles.len());
-        check(
-            "connector_role_names",
-            connector_role_names == sys.connector_role_names,
-        );
         let mut by_port: HashMap<PortId, Vec<RoleId>> = HashMap::new();
         let mut by_role: HashMap<RoleId, Vec<PortId>> = HashMap::new();
         for a in &sys.attachments {
@@ -1005,7 +946,7 @@ pub(crate) mod tests {
         assert_eq!(sys.connectors_of_component(client), vec![conn]);
         let attached = sys.components_attached_to_connector(conn);
         assert!(attached.contains(&client) && attached.contains(&group));
-        assert_eq!(sys.component_count(), 2);
+        assert_eq!(sys.components().count(), 2);
         assert_eq!(sys.connectors().count(), 1);
         assert!(sys.integrity_errors().is_empty());
     }
@@ -1047,7 +988,7 @@ pub(crate) mod tests {
             .unwrap();
         sys.remove_component(group).unwrap();
         assert!(sys.component(s1).is_err());
-        assert_eq!(sys.component_count(), 0);
+        assert_eq!(sys.components().count(), 0);
     }
 
     #[test]

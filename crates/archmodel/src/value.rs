@@ -6,11 +6,10 @@
 //! are dynamically typed so the same model machinery serves any architectural
 //! style.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed property value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer value (e.g. replication count, queue length).
     Int(i64),

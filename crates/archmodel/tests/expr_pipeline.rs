@@ -68,15 +68,19 @@ fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
     Expr::bin(op, lhs, rhs)
 }
 
+fn int(v: i64) -> Expr {
+    Expr::Literal(Value::Int(v))
+}
+
+fn ident(name: &str) -> Expr {
+    Expr::Ident(name.to_string())
+}
+
 #[test]
 fn multiplication_binds_tighter_than_addition() {
     assert_eq!(
         parse("1 + 2 * 3").unwrap(),
-        bin(
-            BinOp::Add,
-            Expr::int(1),
-            bin(BinOp::Mul, Expr::int(2), Expr::int(3))
-        )
+        bin(BinOp::Add, int(1), bin(BinOp::Mul, int(2), int(3)))
     );
 }
 
@@ -86,8 +90,8 @@ fn comparison_binds_tighter_than_logic() {
         parse("a < 1 and b > 2").unwrap(),
         bin(
             BinOp::And,
-            bin(BinOp::Lt, Expr::ident("a"), Expr::int(1)),
-            bin(BinOp::Gt, Expr::ident("b"), Expr::int(2)),
+            bin(BinOp::Lt, ident("a"), int(1)),
+            bin(BinOp::Gt, ident("b"), int(2)),
         )
     );
 }
@@ -98,16 +102,16 @@ fn and_binds_tighter_than_or_and_implies_is_loosest() {
         parse("a or b and c").unwrap(),
         bin(
             BinOp::Or,
-            Expr::ident("a"),
-            bin(BinOp::And, Expr::ident("b"), Expr::ident("c")),
+            ident("a"),
+            bin(BinOp::And, ident("b"), ident("c")),
         )
     );
     assert_eq!(
         parse("a and b -> c or d").unwrap(),
         bin(
             BinOp::Implies,
-            bin(BinOp::And, Expr::ident("a"), Expr::ident("b")),
-            bin(BinOp::Or, Expr::ident("c"), Expr::ident("d")),
+            bin(BinOp::And, ident("a"), ident("b")),
+            bin(BinOp::Or, ident("c"), ident("d")),
         )
     );
 }
@@ -116,11 +120,7 @@ fn and_binds_tighter_than_or_and_implies_is_loosest() {
 fn parentheses_override_precedence() {
     assert_eq!(
         parse("(1 + 2) * 3").unwrap(),
-        bin(
-            BinOp::Mul,
-            bin(BinOp::Add, Expr::int(1), Expr::int(2)),
-            Expr::int(3)
-        )
+        bin(BinOp::Mul, bin(BinOp::Add, int(1), int(2)), int(3))
     );
 }
 
@@ -130,8 +130,8 @@ fn negation_applies_before_binary_logic() {
         parse("not a and b").unwrap(),
         bin(
             BinOp::And,
-            Expr::Unary(UnaryOp::Not, Box::new(Expr::ident("a"))),
-            Expr::ident("b"),
+            Expr::Unary(UnaryOp::Not, Box::new(ident("a"))),
+            ident("b"),
         )
     );
 }
@@ -140,7 +140,7 @@ fn negation_applies_before_binary_logic() {
 fn property_access_chains_left_to_right() {
     assert_eq!(
         parse("Grp.server.load").unwrap(),
-        Expr::prop(Expr::prop(Expr::ident("Grp"), "server"), "load")
+        Expr::prop(Expr::prop(ident("Grp"), "server"), "load")
     );
 }
 

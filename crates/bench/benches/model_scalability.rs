@@ -64,7 +64,7 @@ fn print_scalability() {
         println!(
             "  {:>10} {:>12} {:>12} {:>14}",
             clients,
-            model.component_count(),
+            model.components().count(),
             report.evaluated,
             report.violations.len()
         );

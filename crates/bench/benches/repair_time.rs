@@ -38,7 +38,10 @@ fn print_repair_time_table() {
         ),
         (
             "without Remos pre-query",
-            RepairCostModel::without_prequery(),
+            RepairCostModel {
+                remos_prequeried: false,
+                ..RepairCostModel::paper_defaults()
+            },
         ),
     ];
     println!("[repair-time] repair duration decomposition (seconds)");

@@ -6,7 +6,7 @@
 //! registers a reduced-size Criterion measurement so run-to-run performance of
 //! the framework itself can be tracked.
 
-use arch_adapt::experiment::{run_with_schedule, ExperimentConfig, RunResult};
+use arch_adapt::experiment::{run_with_schedule_and_faults, ExperimentConfig, RunResult};
 use arch_adapt::framework::FrameworkConfig;
 use gridapp::{ExperimentSchedule, GridConfig};
 use simnet::TimeSeries;
@@ -20,7 +20,7 @@ pub const SHORT_RUN_SECS: f64 = 180.0;
 pub fn run_figure7(label: &str, framework: FrameworkConfig, duration_secs: f64) -> RunResult {
     let grid = GridConfig::default();
     let schedule = ExperimentSchedule::figure7(&grid);
-    run_with_schedule(
+    run_with_schedule_and_faults(
         label,
         ExperimentConfig {
             grid,
@@ -28,6 +28,7 @@ pub fn run_figure7(label: &str, framework: FrameworkConfig, duration_secs: f64) 
             duration_secs,
         },
         Some(&schedule),
+        None,
     )
     .expect("experiment runs")
 }

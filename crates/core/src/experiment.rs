@@ -7,7 +7,7 @@
 
 use crate::framework::{AdaptationFramework, FrameworkConfig, RepairStats};
 use gridapp::{AppError, ExperimentSchedule, GridConfig, Metrics};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simnet::{Summary, Trace};
 
 /// Configuration of one experiment run.
@@ -22,7 +22,7 @@ pub struct ExperimentConfig {
 }
 
 /// Headline numbers extracted from one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSummary {
     /// Label of the run (`"control"` / `"adaptive"`).
     pub label: String,
@@ -123,15 +123,6 @@ fn summarise(
         servers_activated: stats.servers_activated,
         client_moves: stats.client_moves,
     }
-}
-
-/// Runs one experiment under an explicit (or absent) workload schedule.
-pub fn run_with_schedule(
-    label: &str,
-    config: ExperimentConfig,
-    schedule: Option<&ExperimentSchedule>,
-) -> Result<RunResult, AppError> {
-    run_with_schedule_and_faults(label, config, schedule, None)
 }
 
 /// Runs one experiment under an optional workload schedule while injecting
@@ -428,7 +419,7 @@ mod tests {
             duration_secs: 60.0,
         };
         let schedule = ExperimentSchedule::figure7(&grid);
-        let run = run_with_schedule("control", config, Some(&schedule)).unwrap();
+        let run = run_with_schedule_and_faults("control", config, Some(&schedule), None).unwrap();
         assert_eq!(run.summary.squeezed_client, "User5");
         assert!(run.summary.bandwidth_squeezed.is_some());
     }

@@ -291,7 +291,7 @@ pub fn run_to_json(result: &RunResult) -> serde_json::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_with_schedule, ExperimentConfig};
+    use crate::experiment::{run_with_schedule_and_faults, ExperimentConfig};
     use crate::framework::FrameworkConfig;
     use gridapp::{ExperimentSchedule, GridConfig};
 
@@ -302,7 +302,7 @@ mod tests {
             duration_secs: 200.0,
         };
         let schedule = ExperimentSchedule::figure7(&config.grid);
-        run_with_schedule("control", config, Some(&schedule)).unwrap()
+        run_with_schedule_and_faults("control", config, Some(&schedule), None).unwrap()
     }
 
     #[test]

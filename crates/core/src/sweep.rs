@@ -22,7 +22,7 @@ use crate::experiment::Comparison;
 use crate::framework::FrameworkConfig;
 use faultsim::{fault_profile_by_name, Resilience, NO_FAULTS};
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,7 +83,7 @@ impl std::error::Error for SweepError {}
 
 /// A declarative sweep matrix. Every combination of the six axes becomes
 /// one cell; every cell runs once per seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepSpec {
     /// Topology preset names (see [`gridapp::testbed_preset_names`]).
     pub topologies: Vec<String>,
@@ -399,7 +399,7 @@ fn is_no_fault(fault: &str) -> bool {
 }
 
 /// Identifies one cell of the sweep matrix (everything but the seed).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellKey {
     /// Topology preset name.
     pub topology: String,
@@ -423,7 +423,7 @@ impl CellKey {
 }
 
 /// One runnable unit: a cell key plus a seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepUnit {
     /// Position in the spec's expansion order.
     pub index: usize,
@@ -568,7 +568,7 @@ pub struct UnitEvents {
 
 /// Resilience metrics of one fault-injected comparison unit: the same
 /// fault schedule measured under the control and the adaptive framework.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UnitResilience {
     /// Resilience of the control run.
     pub control: Resilience,
@@ -614,7 +614,7 @@ impl UnitResilience {
 
 /// Online-detector numbers of one run within a detector-enabled unit (see
 /// [`SweepSpec::detectors`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UnitDetect {
     /// Advisories the run emitted (harmful-direction detector alarms).
     pub advisories: u64,
@@ -638,7 +638,7 @@ impl UnitDetect {
 /// The headline numbers extracted from one unit's comparison. The five
 /// trailing `Option`s are serialised only when present, so a report carries
 /// no key of a layer (faults, metrics, detectors) that did not run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UnitOutcome {
     /// The unit's seed.
     pub seed: u64,
@@ -716,7 +716,7 @@ impl UnitOutcome {
 }
 
 /// Aggregate statistics of one metric across a cell's seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Aggregate {
     /// Number of values aggregated.
     pub count: usize,
@@ -749,7 +749,7 @@ impl Aggregate {
 }
 
 /// A mean with a 95% normal-approximation confidence interval across seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ConfidenceInterval {
     /// Number of values behind the interval.
     pub count: usize,
@@ -785,7 +785,7 @@ impl ConfidenceInterval {
 }
 
 /// Per-cell aggregation across seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellReport {
     /// The cell's matrix coordinates.
     pub key: CellKey,
@@ -907,7 +907,7 @@ impl CellReport {
 /// Deliberately carries no wall-clock timing and no worker count: its JSON
 /// serialisation is byte-identical for the same spec regardless of how the
 /// sweep was parallelised.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepReport {
     /// The spec the sweep ran.
     pub spec: SweepSpec,

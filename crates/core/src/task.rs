@@ -8,10 +8,9 @@
 
 use archmodel::style::props;
 use archmodel::System;
-use serde::{Deserialize, Serialize};
 
 /// The performance profile the task layer hands to the model layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerformanceProfile {
     /// Maximum acceptable average latency per client (seconds). Paper: 2 s.
     pub max_latency_secs: f64,

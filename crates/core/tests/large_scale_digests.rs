@@ -53,7 +53,9 @@ fn app_fingerprint(profile: &str, seed: u64, duration: f64) -> Vec<(String, u64)
             app.move_client("User13", SERVER_GROUP_2).unwrap();
             moved = true;
         }
-        app.sample_metrics(SimTime::from_secs(t));
+        app.advance(SimTime::from_secs(t));
+        let flows = app.flow_snapshot();
+        app.sample_metrics_with_flows(SimTime::from_secs(t), &flows);
         for completion in app.drain_completions() {
             let client = completion.client.to_string();
             fingerprint.push((client, completion.latency_secs.to_bits()));

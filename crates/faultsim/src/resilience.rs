@@ -8,7 +8,7 @@
 //! downtime, which the plain violation fraction cannot see (it only counts
 //! completed requests).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simnet::TimeSeries;
 
 /// Default bucket width (seconds) for availability accounting — two of the
@@ -20,7 +20,7 @@ pub const DEFAULT_BUCKET_SECS: f64 = 10.0;
 const RECOVERY_RUN: usize = 2;
 
 /// Resilience metrics of one run under an injected fault schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Resilience {
     /// Fraction of the fault-exposed window (first onset to end of run)
     /// during which the service was available.

@@ -9,11 +9,11 @@
 //! the same timeline.
 
 use gridapp::Testbed;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simnet::{LinkId, NodeId, SimRng};
 
 /// A link named by its two endpoints (e.g. routers `"R2"` and `"R3"`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinkRef {
     /// One endpoint's node name.
     pub a: String,
@@ -33,7 +33,7 @@ impl LinkRef {
 
 /// One symbolic fault in a schedule. Times are in simulated seconds from the
 /// start of the run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FaultEvent {
     /// Reduce a link to `factor` of its nominal capacity (0 = cut, 1 =
     /// healthy) at `at_secs`.
@@ -224,7 +224,7 @@ pub struct TimedAction {
 }
 
 /// A declarative fault schedule: a list of symbolic events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultSchedule {
     /// The symbolic events, compiled in order.
     pub events: Vec<FaultEvent>,

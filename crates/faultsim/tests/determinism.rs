@@ -31,7 +31,9 @@ fn run_fingerprint(profile: &str, seed: u64, duration: f64) -> Vec<(String, u64)
             apply_action(&mut app, SimTime::from_secs(timed.at_secs), &timed.action).unwrap();
             next_action += 1;
         }
-        app.sample_metrics(SimTime::from_secs(t));
+        app.advance(SimTime::from_secs(t));
+        let flows = app.flow_snapshot();
+        app.sample_metrics_with_flows(SimTime::from_secs(t), &flows);
         for completion in app.drain_completions() {
             let client = completion.client.to_string();
             fingerprint.push((client, completion.latency_secs.to_bits()));

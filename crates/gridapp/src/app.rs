@@ -1354,17 +1354,10 @@ impl GridApp {
         FlowSnapshot { entries }
     }
 
-    /// Records the current queue lengths and per-client available bandwidth
-    /// into the metrics store. Called periodically by the experiment driver
-    /// (the latency series is recorded per completed request instead).
-    pub fn sample_metrics(&mut self, now: SimTime) {
-        self.advance(now);
-        let flows = self.flow_snapshot();
-        self.sample_metrics_with_flows(now, &flows);
-    }
-
-    /// [`sample_metrics`](Self::sample_metrics) variant serving the
-    /// bandwidth series from an already-taken [`FlowSnapshot`].
+    /// Records the current queue lengths and, from an already-taken
+    /// [`FlowSnapshot`], per-client available bandwidth into the metrics
+    /// store. The control loop calls it once per period (the latency series
+    /// is recorded per completed request instead).
     pub fn sample_metrics_with_flows(&mut self, now: SimTime, flows: &FlowSnapshot) {
         self.advance(now);
         let t = now.as_secs();
@@ -1932,7 +1925,9 @@ mod tests {
     fn sample_metrics_records_series() {
         let mut app = app();
         for t in (10..=100).step_by(10) {
-            app.sample_metrics(secs(t as f64));
+            app.advance(secs(t as f64));
+            let flows = app.flow_snapshot();
+            app.sample_metrics_with_flows(secs(t as f64), &flows);
         }
         assert!(app.metrics().queue_series(SERVER_GROUP_1).is_some());
         assert!(app.metrics().bandwidth_series("User3").is_some());

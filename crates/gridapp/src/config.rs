@@ -1,7 +1,6 @@
 //! Configuration of the grid application and its workload defaults.
 
 use crate::testbed::TestbedSpec;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the client/server grid application.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// requests, 20 KB responses, an aggregate arrival rate of about six requests
 /// per second over six clients, and a 2-second latency goal served by three
 /// replicated servers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridConfig {
     /// Seed for all stochastic decisions (request timing jitter, response
     /// size variation). Control and adaptive runs share the seed so the
@@ -58,14 +57,6 @@ impl Default for GridConfig {
 }
 
 impl GridConfig {
-    /// A configuration with a different seed (for replication studies).
-    pub fn with_seed(seed: u64) -> Self {
-        GridConfig {
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// A configuration deploying on a different testbed topology.
     ///
     /// Classic (direct-attach) presets keep every paper default. A testbed
@@ -103,6 +94,16 @@ impl GridConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GridConfig {
+        /// The default configuration under another seed.
+        pub(crate) fn with_seed(seed: u64) -> Self {
+            GridConfig {
+                seed,
+                ..Self::default()
+            }
+        }
+    }
 
     #[test]
     fn defaults_match_the_paper() {

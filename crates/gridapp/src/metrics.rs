@@ -6,12 +6,11 @@
 //! (Figures 9 and 13), and the available bandwidth (Figures 10 and 12).
 //! [`Metrics`] records exactly those series.
 
-use serde::{Deserialize, Serialize};
 use simnet::TimeSeries;
 use std::collections::BTreeMap;
 
 /// Time-series metrics recorded during a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     latency: BTreeMap<String, TimeSeries>,
     queue: BTreeMap<String, TimeSeries>,
@@ -113,11 +112,9 @@ mod tests {
         assert!(m.latency_series("User3").is_none());
         assert_eq!(m.clients(), vec!["User1", "User2"]);
         assert_eq!(m.groups(), vec!["ServerGrp1"]);
-        assert_eq!(
-            m.queue_series("ServerGrp1").unwrap().last_value(),
-            Some(4.0)
-        );
-        assert_eq!(m.bandwidth_series("User1").unwrap().last_value(), Some(9e6));
+        let last = |series: &simnet::TimeSeries| series.points().last().map(|&(_, v)| v);
+        assert_eq!(last(m.queue_series("ServerGrp1").unwrap()), Some(4.0));
+        assert_eq!(last(m.bandwidth_series("User1").unwrap()), Some(9e6));
     }
 
     #[test]

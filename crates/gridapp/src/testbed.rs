@@ -14,7 +14,7 @@
 //! [`TestbedSpec::congested_core`] are alternative named presets used by the
 //! scenario sweep harness.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use simnet::{LinkId, NodeId, Registry, SimDuration, Topology, TopologyError};
 
 /// Capacity of every paper-testbed link (10 Mbps).
@@ -63,7 +63,7 @@ fn is_zero<T: Default + PartialEq>(value: &T) -> bool {
 /// how many clients and servers hang off each router, the capacities of the
 /// core (inter-router) and access (host) link tiers, and a baseline
 /// background-traffic profile applied to every core link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TestbedSpec {
     /// Clients behind router R1 (packed two per machine, like C1/C2).
     pub clients_r1: usize,

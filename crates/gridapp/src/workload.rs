@@ -18,7 +18,6 @@
 
 use crate::app::{AppError, GridApp};
 use crate::config::GridConfig;
-use serde::{Deserialize, Serialize};
 use simnet::{Registry, SimTime, StepSchedule};
 
 /// Total length of an experiment run (seconds). The paper: thirty minutes.
@@ -53,7 +52,7 @@ fn throttle(capacity_bps: f64, available_bps: f64) -> f64 {
 }
 
 /// The scripted experiment workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSchedule {
     /// Competing background load on the C3/C4 ↔ Server Group 1 link (bps).
     pub competition_sg1: StepSchedule,

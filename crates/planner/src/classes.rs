@@ -69,7 +69,6 @@ pub struct ClassIndex {
     client_class_of: BTreeMap<String, usize>,
     server_classes: Vec<ServerClass>,
     server_class_of: BTreeMap<String, usize>,
-    shared: bool,
 }
 
 impl ClassIndex {
@@ -166,15 +165,7 @@ impl ClassIndex {
             client_class_of,
             server_classes,
             server_class_of,
-            shared,
         }
-    }
-
-    /// Whether any merging happened (an aggregation tier exists). When
-    /// `false`, class-shared probing degenerates to exact per-element
-    /// probing.
-    pub fn is_shared(&self) -> bool {
-        self.shared
     }
 
     /// The client classes, in ascending id order.
@@ -214,7 +205,6 @@ mod tests {
             let spec = TestbedSpec::by_name(preset).unwrap();
             let testbed = Testbed::from_spec(&spec).unwrap();
             let index = ClassIndex::build(&testbed);
-            assert!(!index.is_shared(), "{preset}");
             // One client class per distinct machine (shared machines pool
             // their clients, exactly like the historical per-machine memo).
             let distinct_hosts: std::collections::BTreeSet<_> =
@@ -250,7 +240,6 @@ mod tests {
     fn large_scale_merges_behind_aggregation_switches() {
         let testbed = Testbed::from_spec(&TestbedSpec::large_scale()).unwrap();
         let index = ClassIndex::build(&testbed);
-        assert!(index.is_shared());
         // 800 R1 clients at 32/agg = 25 switches, 400 R2 clients = 13
         // switches (12 full + one of 16), 800 R5 clients = 25 switches.
         assert_eq!(index.client_classes().len(), 63);

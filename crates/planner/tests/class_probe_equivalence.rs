@@ -34,7 +34,8 @@ proptest! {
         let config = GridConfig { seed, ..GridConfig::with_testbed(spec) };
         let mut app = GridApp::build(config).unwrap();
         let index = ClassIndex::build(app.testbed());
-        prop_assert!(!index.is_shared(), "classic presets never merge");
+        let singletons = index.server_classes().iter().all(|class| class.members.len() == 1);
+        prop_assert!(singletons, "classic presets never merge");
         if squeeze {
             app.set_competition_sg1(SimTime::from_secs(0.5), 9.99e6).unwrap();
         }
@@ -60,7 +61,6 @@ fn large_scale_class_counts_and_snapshot_determinism() {
     let mut app = GridApp::build(config).unwrap();
     app.advance(SimTime::from_secs(5.0));
     let index = ClassIndex::build(app.testbed());
-    assert!(index.is_shared());
     assert_eq!(index.client_classes().len(), 63);
     assert_eq!(index.server_classes().len(), 3);
     let a = RepTable::new(index).member_flow_snapshot(&app);

@@ -8,10 +8,9 @@
 use archmodel::constraint::Violation;
 use archmodel::style::props;
 use archmodel::{ElementRef, System};
-use serde::{Deserialize, Serialize};
 
 /// Which violation to repair first when several are outstanding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// Repair the first violation reported (the paper's experiment).
     FirstReported,

@@ -4,7 +4,7 @@
 //! transfer drains its remaining bytes at the max-min fair rate of its path;
 //! whenever the set of transfers or the background competition changes, the
 //! rates are recomputed. The owner of the network (the simulation model) polls
-//! [`Network::poll_completions`] and schedules a wake-up at
+//! [`Network::poll_completions_into`] and schedules a wake-up at
 //! [`Network::next_event_time`], which is how transfer completions turn into
 //! discrete events.
 
@@ -12,12 +12,11 @@ use crate::alloc::{Allocator, ResourceId, LOCAL_RATE_BPS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PathTable, Topology, TopologyError};
 use crate::trace::{Trace, TraceKind};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Identifies a transfer in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferId(pub u64);
 
 /// Errors raised by network operations.
@@ -83,7 +82,7 @@ enum Epoch {
 }
 
 /// A transfer that has finished draining and been delivered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedTransfer {
     /// The transfer's id.
     pub id: TransferId,
@@ -605,17 +604,10 @@ impl Network {
         deliveries.chain(drain).min()
     }
 
-    /// Returns transfers whose last byte has arrived by `now` (advancing the
-    /// fluid model first), in `(delivered, id)` order.
-    pub fn poll_completions(&mut self, now: SimTime) -> Vec<CompletedTransfer> {
-        let mut done = Vec::new();
-        self.poll_completions_into(now, &mut done);
-        done
-    }
-
-    /// [`poll_completions`](Self::poll_completions) appending to a buffer
-    /// the caller reuses: ready deliveries are drained in place, so a poll
-    /// allocates nothing (and one that finds nothing due touches nothing).
+    /// Appends the transfers whose last byte has arrived by `now` (advancing
+    /// the fluid model first) to a buffer the caller reuses, in `(delivered,
+    /// id)` order: ready deliveries are drained in place, so a poll allocates
+    /// nothing (and one that finds nothing due touches nothing).
     pub fn poll_completions_into(&mut self, now: SimTime, out: &mut Vec<CompletedTransfer>) {
         self.advance(now);
         let start = out.len();
@@ -717,6 +709,13 @@ impl Network {
 mod tests {
     use super::*;
 
+    /// The transfers delivered by `now`, in a fresh buffer.
+    fn poll(net: &mut Network, now: SimTime) -> Vec<CompletedTransfer> {
+        let mut done = Vec::new();
+        net.poll_completions_into(now, &mut done);
+        done
+    }
+
     fn ms(v: f64) -> SimDuration {
         SimDuration::from_millis(v)
     }
@@ -740,8 +739,8 @@ mod tests {
         let (mut net, a, b) = two_host_net();
         // 10 Mbit payload over a 10 Mbps bottleneck: ~1 s + 2 ms latency.
         let id = net.start_transfer(t(0.0), a, b, 10e6 / 8.0, 42).unwrap();
-        assert!(net.poll_completions(t(0.5)).is_empty());
-        let done = net.poll_completions(t(1.1));
+        assert!(poll(&mut net, t(0.5)).is_empty());
+        let done = poll(&mut net, t(1.1));
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, id);
         assert_eq!(done[0].tag, 42);
@@ -755,8 +754,8 @@ mod tests {
         // Two 5 Mbit transfers on a 10 Mbps path: each gets 5 Mbps, ~1 s each.
         net.start_transfer(t(0.0), a, b, 5e6 / 8.0, 1).unwrap();
         net.start_transfer(t(0.0), a, b, 5e6 / 8.0, 2).unwrap();
-        assert!(net.poll_completions(t(0.9)).is_empty());
-        let done = net.poll_completions(t(1.1));
+        assert!(poll(&mut net, t(0.9)).is_empty());
+        let done = poll(&mut net, t(1.1));
         assert_eq!(done.len(), 2);
     }
 
@@ -769,10 +768,10 @@ mod tests {
         // Total for the second: ~1.25 s (+latency).
         net.start_transfer(t(0.0), a, b, 2.5e6 / 8.0, 1).unwrap();
         net.start_transfer(t(0.0), a, b, 10e6 / 8.0, 2).unwrap();
-        let first = net.poll_completions(t(0.6));
+        let first = poll(&mut net, t(0.6));
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].tag, 1);
-        let second = net.poll_completions(t(1.3));
+        let second = poll(&mut net, t(1.3));
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].tag, 2);
         let dur = second[0].duration().as_secs();
@@ -786,8 +785,8 @@ mod tests {
         net.set_background_on_link(t(0.0), link, 9e6).unwrap();
         // Only 1 Mbps left: a 1 Mbit transfer takes ~1 s instead of ~0.1 s.
         net.start_transfer(t(0.0), a, b, 1e6 / 8.0, 1).unwrap();
-        assert!(net.poll_completions(t(0.5)).is_empty());
-        assert_eq!(net.poll_completions(t(1.1)).len(), 1);
+        assert!(poll(&mut net, t(0.5)).is_empty());
+        assert_eq!(poll(&mut net, t(1.1)).len(), 1);
     }
 
     #[test]
@@ -862,7 +861,7 @@ mod tests {
     fn local_transfer_is_effectively_instant() {
         let (mut net, a, _b) = two_host_net();
         net.start_transfer(t(0.0), a, a, 20_000.0, 9).unwrap();
-        let done = net.poll_completions(t(0.01));
+        let done = poll(&mut net, t(0.01));
         assert_eq!(done.len(), 1);
     }
 
@@ -873,11 +872,11 @@ mod tests {
         // 10 Mbit payload; cut the access link immediately: nothing completes.
         net.start_transfer(t(0.0), a, b, 10e6 / 8.0, 1).unwrap();
         net.set_link_capacity(t(0.1), link, 0.0).unwrap();
-        assert!(net.poll_completions(t(5.0)).is_empty());
+        assert!(poll(&mut net, t(5.0)).is_empty());
         assert!(net.available_bandwidth(a, b).unwrap() <= 1.0);
         // Restore: the transfer drains at full speed again.
         net.set_link_capacity(t(5.0), link, 10e6).unwrap();
-        assert_eq!(net.poll_completions(t(6.2)).len(), 1);
+        assert_eq!(poll(&mut net, t(6.2)).len(), 1);
         // Both mutations were recorded for the audit trail.
         assert_eq!(net.mutation_trace().count(TraceKind::Fault), 2);
     }
@@ -907,8 +906,8 @@ mod tests {
         // now takes ~1 s instead of ~0.1 s.
         net.set_link_capacity(t(0.0), link, 1e6).unwrap();
         net.start_transfer(t(0.0), a, b, 1e6 / 8.0, 1).unwrap();
-        assert!(net.poll_completions(t(0.5)).is_empty());
-        assert_eq!(net.poll_completions(t(1.1)).len(), 1);
+        assert!(poll(&mut net, t(0.5)).is_empty());
+        assert_eq!(poll(&mut net, t(1.1)).len(), 1);
     }
 
     #[test]
@@ -927,8 +926,8 @@ mod tests {
         // An in-flight forward transfer slows to the cap; 1 Mbit now takes
         // ~1 s instead of ~0.1 s.
         net.start_transfer(t(0.0), a, b, 1.0e6 / 8.0, 1).unwrap();
-        assert!(net.poll_completions(t(0.5)).is_empty());
-        assert_eq!(net.poll_completions(t(1.1)).len(), 1);
+        assert!(poll(&mut net, t(0.5)).is_empty());
+        assert_eq!(poll(&mut net, t(1.1)).len(), 1);
         // Restoring (cap at/above nominal) lifts the degrade.
         net.set_link_oneway(t(2.0), link, a, 10.0e6).unwrap();
         assert!(!net.oneway.contains_key(&link));
@@ -1061,7 +1060,7 @@ mod tests {
         let (mut net, a, b) = two_host_net();
         net.start_transfer(t(0.0), a, b, 1e6 / 8.0, 1).unwrap();
         net.start_transfer(t(0.0), a, b, 4e6 / 8.0, 2).unwrap();
-        let done = net.poll_completions(t(10.0));
+        let done = poll(&mut net, t(10.0));
         assert_eq!(done.len(), 2);
         assert!(done[0].delivered <= done[1].delivered);
         assert_eq!(done[0].tag, 1);
@@ -1087,7 +1086,7 @@ mod tests {
     }
 
     /// Replays one seeded interleaving of `start_transfer`, `cancel_transfer`,
-    /// `set_link_oneway` and `poll_completions` on a fresh network and on a
+    /// `set_link_oneway` and `poll_completions_into` on a fresh network and on a
     /// *used* one, whose vacant rows already carried other (longer) paths,
     /// and requires every observation to agree. Ids are compared modulo the
     /// used network's head start.
@@ -1140,7 +1139,7 @@ mod tests {
                 }
                 4 => {
                     let (link, a, b) = links[rng.index(links.len())];
-                    let from = if rng.chance(0.5) { a } else { b };
+                    let from = if rng.uniform() < 0.5 { a } else { b };
                     // A third of the calls lift the cap again.
                     let cap = [5e5, 2e6, 1e9][rng.index(3)];
                     fresh.set_link_oneway(t(now), link, from, cap).unwrap();
@@ -1148,8 +1147,8 @@ mod tests {
                 }
                 _ => {}
             }
-            let done = fresh.poll_completions(t(now));
-            let mut also_done = used.poll_completions(t(now));
+            let done = poll(&mut fresh, t(now));
+            let mut also_done = poll(&mut used, t(now));
             for c in &mut also_done {
                 c.id.0 -= offset;
             }

@@ -78,11 +78,6 @@ impl SimRng {
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (mean + std_dev * z).max(min)
     }
-
-    /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.uniform() < p
-    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! figures do: a series of (elapsed-seconds, value) points plus summary
 //! numbers such as the fraction of time a series spends above a threshold.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A series of (time, value) observations, ordered by time of insertion.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }
@@ -45,11 +45,6 @@ impl TimeSeries {
     /// The raw points.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// The last recorded value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
     }
 
     /// Mean of the values (unweighted).
@@ -144,7 +139,7 @@ pub fn quantile_of(values: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Summary statistics for a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,
@@ -179,7 +174,7 @@ impl Summary {
 
 /// A piecewise-constant schedule: the experiment's stepping functions
 /// (Figure 7) for bandwidth competition and request-load changes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepSchedule {
     /// (start-time, value) steps, sorted by start time.
     steps: Vec<(f64, f64)>,

@@ -7,19 +7,18 @@
 //! experiment's bandwidth-competition program.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifies a node (host or router) in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// Identifies a link in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub usize);
 
 /// The role a node plays in the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// An end host running application processes.
     Host,
@@ -28,7 +27,7 @@ pub enum NodeKind {
 }
 
 /// A node in the topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Human-readable name, e.g. `"C1"`, `"S5,RQ"`, `"R3"`.
     pub name: String,
@@ -37,7 +36,7 @@ pub struct Node {
 }
 
 /// An undirected link between two nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,
@@ -97,7 +96,7 @@ impl std::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// An undirected network graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -7,10 +7,9 @@
 //! Figures 11–13) and how long each repair took (§5.3).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Severity / category of a trace entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Informational progress (e.g. gauge deployed).
     Info,
@@ -30,7 +29,7 @@ pub enum TraceKind {
 }
 
 /// One entry in the trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
     /// When the entry was recorded.
     pub time: SimTime,
@@ -43,7 +42,7 @@ pub struct TraceEntry {
 }
 
 /// A time-ordered log of trace entries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
 }

@@ -181,7 +181,7 @@ fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usiz
                     .unwrap();
             }
         }
-        net.poll_completions(now);
+        net.poll_completions_into(now, &mut Vec::new());
         let probe_src = host_ids[rng.index(host_ids.len())];
         let probe_dst = host_ids[rng.index(host_ids.len())];
         assert_reference_agreement(&net, &ledger, (probe_src, probe_dst));
@@ -429,7 +429,9 @@ fn an_epoch_that_undoes_the_last_start_matches_reference() {
     assert_ne!(before, long_rates(&net, &ledger));
     assert_reference_agreement(&net, &ledger, (hosts[0], hosts[3]));
     assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (3, 3));
-    assert_eq!(net.poll_completions(SimTime::from_secs(1.5)).len(), 1);
+    let mut done = Vec::new();
+    net.poll_completions_into(SimTime::from_secs(1.5), &mut done);
+    assert_eq!(done.len(), 1);
     assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (4, 3));
     assert_reference_agreement(&net, &ledger, (hosts[1], hosts[3]));
     assert_eq!(before, long_rates(&net, &ledger));

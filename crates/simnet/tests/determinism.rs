@@ -124,7 +124,9 @@ fn run_scenario(
             }
             next_arrival += 1;
         }
-        for done in net.poll_completions(now) {
+        let mut delivered = Vec::new();
+        net.poll_completions_into(now, &mut delivered);
+        for done in delivered {
             completions.push((
                 done.id.0,
                 done.src.0,

@@ -71,7 +71,7 @@ impl Churn {
         // One transfer per client: `warm_up` sizes the buffers for that.
         if self.in_flight < IN_FLIGHT && !self.busy[client] {
             let server = self.rng.index(self.servers.len());
-            let to_client = self.rng.chance(0.5);
+            let to_client = self.rng.uniform() < 0.5;
             let bytes = self.rng.uniform_range(1.0e5, 1.0e6);
             self.start(client, server, to_client, bytes);
         }

@@ -10,10 +10,9 @@
 //! its ablation.
 
 use crate::runtime_ops::RuntimeOp;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation execution costs, in seconds of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairCostModel {
     /// Creating a logical request queue.
     pub create_queue_secs: f64,
@@ -76,15 +75,6 @@ impl RepairCostModel {
     pub fn with_gauge_caching() -> Self {
         RepairCostModel {
             cache_gauges: true,
-            ..Self::paper_defaults()
-        }
-    }
-
-    /// A configuration without Remos pre-querying (the first bandwidth query
-    /// of a repair pays the cold cost).
-    pub fn without_prequery() -> Self {
-        RepairCostModel {
-            remos_prequeried: false,
             ..Self::paper_defaults()
         }
     }
@@ -235,7 +225,10 @@ mod tests {
     #[test]
     fn missing_prequery_adds_minutes() {
         let warm = RepairCostModel::paper_defaults();
-        let cold = RepairCostModel::without_prequery();
+        let cold = RepairCostModel {
+            remos_prequeried: false,
+            ..warm
+        };
         let script = move_repair_script();
         assert!(cold.total_duration(&script) - warm.total_duration(&script) > 100.0);
     }

@@ -7,10 +7,8 @@
 //! operations; the adaptation framework executes them against the running
 //! (simulated) system.
 
-use serde::{Deserialize, Serialize};
-
 /// A concrete operation on the running system (Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeOp {
     /// `createReqQueue()` — adds a logical request queue for a server group
     /// to the request-queue machine.

@@ -7,10 +7,12 @@
 #   scripts/loc.sh crates/core crates/planner
 #   scripts/loc.sh --check scripts/loc_ceiling.txt
 #
-# `--check FILE` prints the table and exits non-zero when a crate counts more
-# lines than the `crate ceiling` line FILE gives it, or when a non-vendor
-# workspace crate has no line in FILE. A PR that needs the room raises the
-# ceiling in the same diff, where a reviewer sees it.
+# `--check FILE` prints the table and exits non-zero when a crate, vendor
+# stand-ins included, has no `crate ceiling` line in FILE or counts other
+# than its ceiling: more lines fail, and so do fewer, naming the new count.
+# A PR that needs the room raises the ceiling in the same diff, and one
+# that shrinks a crate lowers it there, so every PR's per-crate line change
+# is the ceiling file's diff.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -41,7 +43,7 @@ for dir in "$@"; do
     n=$(count "$dir")
     total=$((total + n))
     verdict=
-    if [ -n "$ceilings" ] && [ "${name#vendor/}" = "$name" ]; then
+    if [ -n "$ceilings" ]; then
         ceiling=$(awk -v crate="$name" '$1 == crate { print $2 }' "$ceilings")
         if [ -z "$ceiling" ]; then
             verdict="  no ceiling in $ceilings"
@@ -49,8 +51,11 @@ for dir in "$@"; do
         elif [ "$n" -gt "$ceiling" ]; then
             verdict="  over its ceiling of $ceiling"
             over=1
+        elif [ "$n" -lt "$ceiling" ]; then
+            verdict="  under its ceiling of $ceiling: lower it to $n"
+            over=1
         else
-            verdict="  <= $ceiling"
+            verdict="  = $ceiling"
         fi
     fi
     printf '%-28s %6d%s\n' "$name" "$n" "$verdict"
