@@ -8,7 +8,7 @@
 //! repaired through the `failoverServerGroup` tactic (visible as completed
 //! repairs after the onset).
 
-use arch_adapt::experiment::{run_with_schedule_and_faults, ExperimentConfig};
+use arch_adapt::experiment::{run_observed, ExperimentConfig};
 use arch_adapt::FrameworkConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use faultsim::{fault_profile_by_name, Resilience};
@@ -24,7 +24,7 @@ fn mttr_of_failover(seed: u64) -> f64 {
     };
     let schedule =
         fault_profile_by_name("server-crash-midrun", DURATION_SECS).expect("profile resolves");
-    let result = run_with_schedule_and_faults(
+    let result = run_observed(
         "adaptive",
         ExperimentConfig {
             grid,
@@ -33,6 +33,7 @@ fn mttr_of_failover(seed: u64) -> f64 {
         },
         None,
         Some(&schedule),
+        Default::default(),
     )
     .expect("run succeeds");
     let resilience = Resilience::of(
@@ -40,7 +41,7 @@ fn mttr_of_failover(seed: u64) -> f64 {
         DURATION_SECS,
         grid.max_latency_secs,
         10.0,
-        &result.fault_onsets,
+        &result.faults.onsets,
     );
     assert!(
         result.summary.repairs_completed >= 1,

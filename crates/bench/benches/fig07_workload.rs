@@ -55,7 +55,7 @@ fn bench_workload(c: &mut Criterion) {
             let mut app = GridApp::build(config).expect("app builds");
             for &t in &[0.0, 120.0] {
                 app.advance(SimTime::from_secs(t));
-                schedule.apply(&mut app, t).expect("schedule applies");
+                schedule.apply(&mut app, t);
             }
             app.advance(SimTime::from_secs(black_box(SHORT_RUN_SECS)));
             app.in_flight()

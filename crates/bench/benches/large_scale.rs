@@ -19,7 +19,7 @@
 //!
 //! Set `LARGE_SCALE_QUICK=1` (CI does) to collect fewer samples.
 
-use arch_adapt::experiment::{run_with_schedule_and_faults, Comparison, ExperimentConfig};
+use arch_adapt::experiment::{run_observed, Comparison, ExperimentConfig};
 use arch_adapt::framework::{AdaptationFramework, FrameworkConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_1};
@@ -125,8 +125,7 @@ fn assert_probe_sharing() {
 
     // Perturb the network so the second snapshot cannot ride the first
     // one's per-epoch probe memo.
-    app.set_competition_sg2(SimTime::from_secs(10.5), 1.0e6)
-        .expect("competition applies");
+    app.set_competition_sg2(SimTime::from_secs(10.5), 1.0e6);
     let before = app.probe_solve_count();
     let full = app.flow_snapshot();
     let full_solves = app.probe_solve_count() - before;
@@ -155,7 +154,7 @@ fn assert_incremental_check_equivalence() {
         verify_constraint_check: true,
         ..FrameworkConfig::adaptive()
     };
-    run_with_schedule_and_faults(
+    run_observed(
         "incremental-check-gate",
         ExperimentConfig {
             grid,
@@ -164,6 +163,7 @@ fn assert_incremental_check_equivalence() {
         },
         Some(&schedule),
         None,
+        Default::default(),
     )
     .expect("verified large-scale run completes");
     println!(
@@ -226,8 +226,7 @@ fn bench_large_scale(c: &mut Criterion) {
         b.iter(|| {
             t += 1.0e-3;
             load = if load > 0.0 { 0.0 } else { 1.0e6 };
-            app.set_competition_sg2(SimTime::from_secs(t), load)
-                .unwrap();
+            app.set_competition_sg2(SimTime::from_secs(t), load);
             app.remos_get_flow(black_box("User1000"), SERVER_GROUP_1)
                 .unwrap()
         })

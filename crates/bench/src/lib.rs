@@ -6,7 +6,7 @@
 //! registers a reduced-size Criterion measurement so run-to-run performance of
 //! the framework itself can be tracked.
 
-use arch_adapt::experiment::{run_with_schedule_and_faults, ExperimentConfig, RunResult};
+use arch_adapt::experiment::{run_observed, ExperimentConfig, RunResult};
 use arch_adapt::framework::FrameworkConfig;
 use gridapp::{ExperimentSchedule, GridConfig};
 use simnet::TimeSeries;
@@ -20,17 +20,13 @@ pub const SHORT_RUN_SECS: f64 = 180.0;
 pub fn run_figure7(label: &str, framework: FrameworkConfig, duration_secs: f64) -> RunResult {
     let grid = GridConfig::default();
     let schedule = ExperimentSchedule::figure7(&grid);
-    run_with_schedule_and_faults(
-        label,
-        ExperimentConfig {
-            grid,
-            framework,
-            duration_secs,
-        },
-        Some(&schedule),
-        None,
-    )
-    .expect("experiment runs")
+    let config = ExperimentConfig {
+        grid,
+        framework,
+        duration_secs,
+    };
+    let result = run_observed(label, config, Some(&schedule), None, Default::default());
+    result.expect("experiment runs")
 }
 
 /// Prints a series the way the paper's figures report it: one row per sample

@@ -6,6 +6,7 @@
 //! the same seed so the request/response sequences match, as in the paper.
 
 use crate::framework::{AdaptationFramework, FrameworkConfig, RepairStats};
+use faultsim::CompiledFaultSchedule;
 use gridapp::{AppError, ExperimentSchedule, GridConfig, Metrics};
 use serde::Serialize;
 use simnet::{Summary, Trace};
@@ -70,9 +71,9 @@ pub struct RunResult {
     /// Intervals during which a repair was executing (the bars at the top of
     /// Figures 11–13).
     pub repair_intervals: Vec<(f64, f64)>,
-    /// Onset times (seconds) of the injected fault schedule, in time order —
-    /// the anchors of the resilience metrics. Empty for fault-free runs.
-    pub fault_onsets: Vec<f64>,
+    /// The fault timeline the run applied, compiled against its own testbed;
+    /// its `onsets` anchor the resilience metrics. Empty for fault-free runs.
+    pub faults: CompiledFaultSchedule,
     /// Repair statistics.
     pub repair_stats: RepairStats,
     /// Time-weighted unserved demand at run end: the summed age (seconds)
@@ -125,58 +126,48 @@ fn summarise(
     }
 }
 
-/// Runs one experiment under an optional workload schedule while injecting
-/// an optional fault schedule. The faults are compiled against the run's own
-/// testbed with the run's seed, so a `(config, schedule, faults)` triple is
-/// fully reproducible.
-pub fn run_with_schedule_and_faults(
-    label: &str,
-    config: ExperimentConfig,
-    schedule: Option<&ExperimentSchedule>,
-    faults: Option<&faultsim::FaultSchedule>,
-) -> Result<RunResult, AppError> {
-    run_observed(
-        label,
-        config,
-        schedule,
-        faults,
-        tracestore::null_sink(),
-        obs::null_metrics(),
-    )
+/// Where one run's observations go. The default is the null pair
+/// ([`tracestore::null_sink`], [`obs::null_metrics`]): every emission site
+/// short-circuits and nothing is recorded.
+pub struct Observers {
+    /// Receives every observation the run produces: gauge readings,
+    /// violations, repair lifecycle, fault actions, transfer completions.
+    pub sink: tracestore::SharedSink,
+    /// Receives per-tick MAPE phase spans, framework counters and periodic
+    /// component-counter snapshots, and is flushed once at end of run.
+    pub metrics: obs::SharedMetrics,
 }
 
-/// [`run_with_schedule_and_faults`] with an explicit trace sink and an
-/// explicit self-observability metrics sink. Every observation the run
-/// produces — gauge readings, violations, repair lifecycle, fault actions,
-/// transfer completions — is appended to `sink`; per-tick MAPE phase spans,
-/// framework counters, and periodic component-counter snapshots land in
-/// `metrics`, which is also flushed once at end of run. The defaults
-/// [`tracestore::null_sink`] and [`obs::null_metrics`] restore the unobserved
-/// behaviour exactly (emission sites short-circuit, nothing is recorded).
+impl Default for Observers {
+    fn default() -> Self {
+        Observers {
+            sink: tracestore::null_sink(),
+            metrics: obs::null_metrics(),
+        }
+    }
+}
+
+/// Runs one experiment under an optional workload schedule while injecting
+/// an optional fault schedule, reporting to `observers`. The faults are
+/// compiled against the run's own testbed with the run's seed, so a
+/// `(config, schedule, faults)` triple is fully reproducible.
 pub fn run_observed(
     label: &str,
     config: ExperimentConfig,
     schedule: Option<&ExperimentSchedule>,
     faults: Option<&faultsim::FaultSchedule>,
-    sink: tracestore::SharedSink,
-    metrics: obs::SharedMetrics,
+    observers: Observers,
 ) -> Result<RunResult, AppError> {
     let mut framework = AdaptationFramework::new(config.grid, config.framework)?;
-    framework.set_trace_sink(sink);
-    framework.set_metrics(metrics);
-    let compiled = match faults {
-        Some(faults) if !faults.is_empty() => Some(
-            faults
-                .compile(framework.app().testbed(), config.grid.seed)
-                .map_err(|e| AppError::Invalid(e.to_string()))?,
-        ),
-        _ => None,
+    framework.set_trace_sink(observers.sink);
+    framework.set_metrics(observers.metrics);
+    let faults = match faults {
+        Some(faults) => faults
+            .compile(framework.app().testbed(), config.grid.seed)
+            .map_err(|e| AppError::Invalid(e.to_string()))?,
+        None => CompiledFaultSchedule::default(),
     };
-    let fault_onsets = compiled
-        .as_ref()
-        .map(|c| c.onsets.clone())
-        .unwrap_or_default();
-    framework.run_with_faults(config.duration_secs, schedule, compiled.as_ref());
+    framework.run_with_faults(config.duration_secs, schedule, Some(&faults));
     // Flush the components' final counter values so a registry read after
     // the run sees the whole run, not just the last snapshot cadence.
     framework.publish_metrics();
@@ -196,7 +187,7 @@ pub fn run_observed(
         metrics,
         trace,
         repair_intervals,
-        fault_onsets,
+        faults,
         repair_stats: stats,
         unserved_demand_secs,
         detect: framework.detect_summary(),
@@ -214,95 +205,46 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Runs the paper's two experiments under the Figure 7 workload with the
-    /// same seed and duration: the control run (no adaptation, Figures 8–10)
-    /// and the adaptive run (Figures 11–13).
-    pub fn run(grid: GridConfig, duration_secs: f64) -> Result<Comparison, AppError> {
-        let schedule = ExperimentSchedule::figure7(&grid);
-        Self::run_with(
-            grid,
-            FrameworkConfig::adaptive(),
-            Some(&schedule),
-            duration_secs,
-        )
-    }
-
-    /// Runs the control/adaptive pair under an explicit workload schedule and
-    /// adaptive framework configuration. The control run uses the same
-    /// configuration with adaptation disabled, so the pair differs only in
-    /// whether repairs execute — the comparison the sweep harness aggregates.
+    /// [`Comparison::run_observed`] with no faults and no observers.
     pub fn run_with(
         grid: GridConfig,
         adaptive: FrameworkConfig,
         schedule: Option<&ExperimentSchedule>,
         duration_secs: f64,
     ) -> Result<Comparison, AppError> {
-        Self::run_with_faults(grid, adaptive, schedule, None, duration_secs)
+        let unobserved = Default::default();
+        Self::run_observed(grid, adaptive, schedule, None, duration_secs, unobserved)
     }
 
-    /// Runs the control/adaptive pair under an explicit workload schedule
-    /// while injecting the same fault schedule into both runs — the
-    /// resilience comparison the fault sweep aggregates.
-    pub fn run_with_faults(
+    /// Runs the control/adaptive pair under one workload schedule and one
+    /// fault schedule with the same seed and duration. The control run uses
+    /// the adaptive configuration with adaptation disabled, so the pair
+    /// differs only in whether repairs execute. Each run reports to its own
+    /// [`Observers`] (`[control, adaptive]`), so the two event streams and
+    /// registries stay separable.
+    pub fn run_observed(
         grid: GridConfig,
         adaptive: FrameworkConfig,
         schedule: Option<&ExperimentSchedule>,
         faults: Option<&faultsim::FaultSchedule>,
         duration_secs: f64,
-    ) -> Result<Comparison, AppError> {
-        Self::run_with_faults_observed(
-            grid,
-            adaptive,
-            schedule,
-            faults,
-            duration_secs,
-            (tracestore::null_sink(), obs::null_metrics()),
-            (tracestore::null_sink(), obs::null_metrics()),
-        )
-    }
-
-    /// [`Comparison::run_with_faults`] with one `(trace sink, metrics sink)`
-    /// pair per run, so the control and adaptive event streams and
-    /// self-observability registries stay separable — the shape the sweep
-    /// harness and the perf-report example consume.
-    pub fn run_with_faults_observed(
-        grid: GridConfig,
-        adaptive: FrameworkConfig,
-        schedule: Option<&ExperimentSchedule>,
-        faults: Option<&faultsim::FaultSchedule>,
-        duration_secs: f64,
-        control_observers: (tracestore::SharedSink, obs::SharedMetrics),
-        adaptive_observers: (tracestore::SharedSink, obs::SharedMetrics),
+        [control_observers, adaptive_observers]: [Observers; 2],
     ) -> Result<Comparison, AppError> {
         let control = FrameworkConfig {
             adaptation_enabled: false,
             ..adaptive
         };
+        let run = |label, framework, observers| {
+            let config = ExperimentConfig {
+                grid,
+                framework,
+                duration_secs,
+            };
+            run_observed(label, config, schedule, faults, observers)
+        };
         Ok(Comparison {
-            control: run_observed(
-                "control",
-                ExperimentConfig {
-                    grid,
-                    framework: control,
-                    duration_secs,
-                },
-                schedule,
-                faults,
-                control_observers.0,
-                control_observers.1,
-            )?,
-            adaptive: run_observed(
-                "adaptive",
-                ExperimentConfig {
-                    grid,
-                    framework: adaptive,
-                    duration_secs,
-                },
-                schedule,
-                faults,
-                adaptive_observers.0,
-                adaptive_observers.1,
-            )?,
+            control: run("control", control, control_observers)?,
+            adaptive: run("adaptive", adaptive, adaptive_observers)?,
         })
     }
 
@@ -355,7 +297,12 @@ mod tests {
     fn comparison() -> &'static Comparison {
         use std::sync::OnceLock;
         static COMPARISON: OnceLock<Comparison> = OnceLock::new();
-        COMPARISON.get_or_init(|| Comparison::run(GridConfig::default(), 900.0).unwrap())
+        COMPARISON.get_or_init(|| {
+            let grid = GridConfig::default();
+            let schedule = ExperimentSchedule::figure7(&grid);
+            let adaptive = FrameworkConfig::adaptive();
+            Comparison::run_with(grid, adaptive, Some(&schedule), 900.0).unwrap()
+        })
     }
 
     #[test]
@@ -419,7 +366,8 @@ mod tests {
             duration_secs: 60.0,
         };
         let schedule = ExperimentSchedule::figure7(&grid);
-        let run = run_with_schedule_and_faults("control", config, Some(&schedule), None).unwrap();
+        let observers = Observers::default();
+        let run = run_observed("control", config, Some(&schedule), None, observers).unwrap();
         assert_eq!(run.summary.squeezed_client, "User5");
         assert!(run.summary.bandwidth_squeezed.is_some());
     }

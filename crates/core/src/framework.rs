@@ -26,7 +26,7 @@ use crate::observe::{Observer, Occurrence};
 use crate::repairs::RepairLoop;
 use crate::task::PerformanceProfile;
 use archmodel::System;
-use faultsim::CompiledFaultSchedule;
+use faultsim::{CompiledFaultSchedule, TimedAction};
 use gridapp::{AppError, ExperimentSchedule, FlowSnapshot, GridApp, GridConfig, Metrics};
 use repair::SelectionPolicy;
 use simnet::{SimTime, Trace, TraceKind};
@@ -379,74 +379,69 @@ impl AdaptationFramework {
         }
     }
 
-    /// Runs the framework for `duration` seconds of simulated time under an
-    /// optional scripted workload.
-    pub fn run(&mut self, duration_secs: f64, schedule: Option<&ExperimentSchedule>) {
-        self.run_with_faults(duration_secs, schedule, None);
-    }
-
-    /// Runs the framework under an optional scripted workload while
-    /// injecting a compiled fault timeline. Workload changes and fault
-    /// actions are interleaved in time order, each applied at its nominal
-    /// instant, so a `(schedule, faults, seed)` triple replays
-    /// bit-identically.
+    /// Runs the framework for `duration_secs` of simulated time under an
+    /// optional scripted workload and an optional compiled fault timeline.
+    /// The workload's values at 0 s apply before the first tick; after that
+    /// its change points in (0, `duration_secs`] and the fault actions form
+    /// one timeline, sorted by time. At one instant a workload change goes
+    /// before a fault, and simultaneous faults keep their schedule order.
+    /// Each tick first applies every step due by its end, so a step at
+    /// exactly `duration_secs` applies and a later one never does, and a
+    /// `(schedule, faults, seed)` triple replays bit-identically.
     pub fn run_with_faults(
         &mut self,
         duration_secs: f64,
         schedule: Option<&ExperimentSchedule>,
         faults: Option<&CompiledFaultSchedule>,
     ) {
-        let mut change_points: Vec<f64> = schedule.map(|s| s.change_points()).unwrap_or_default();
-        change_points.retain(|&p| p > 0.0 && p <= duration_secs);
+        let changes = schedule.into_iter().flat_map(|schedule| {
+            let points = schedule.change_points().into_iter();
+            points.map(move |at| (at, Step::Workload(schedule)))
+        });
+        let actions = faults.into_iter().flat_map(|f| &f.actions);
+        let mut timeline: Vec<(f64, Step<'_>)> = changes
+            .filter(|&(at, _)| at > 0.0 && at <= duration_secs)
+            .chain(actions.map(|action| (action.at_secs, Step::Fault(action))))
+            .collect();
+        // The tie rule is the sort key: a workload change (`false`) before a
+        // fault (`true`); the sort is stable, so faults keep their order.
+        let is_fault = |step: &Step<'_>| matches!(step, Step::Fault(_));
+        timeline.sort_by(|(a, x), (b, y)| a.total_cmp(b).then(is_fault(x).cmp(&is_fault(y))));
+        let mut timeline = timeline.into_iter().peekable();
         if let Some(schedule) = schedule {
-            schedule
-                .apply(&mut self.app, 0.0)
-                .expect("initial schedule applies");
+            schedule.apply(&mut self.app, 0.0);
         }
-        let actions = faults.map(|f| f.actions.as_slice()).unwrap_or_default();
         let mut t = 0.0;
-        let mut next_change = 0usize;
-        let mut next_action = 0usize;
         while t < duration_secs {
             t = (t + CONTROL_PERIOD_SECS).min(duration_secs);
-            // Apply workload phase changes and fault actions due by this
-            // tick in time order (ties: the workload change first, matching
-            // the fault-free code path exactly when no faults are given).
-            loop {
-                let change_at = change_points.get(next_change).copied().filter(|&p| p <= t);
-                let action_at = actions
-                    .get(next_action)
-                    .map(|a| a.at_secs)
-                    .filter(|&p| p <= t);
-                match (change_at, action_at) {
-                    (Some(point), action) if action.is_none_or(|a| point <= a) => {
-                        let schedule = schedule.expect("change points imply a schedule");
-                        schedule
-                            .apply(&mut self.app, point)
-                            .expect("schedule change applies");
-                        self.observer
-                            .record(SimTime::from_secs(point), Occurrence::PhaseChange);
-                        next_change += 1;
+            while let Some((at, step)) = timeline.next_if(|&(at, _)| at <= t) {
+                let now = SimTime::from_secs(at);
+                match step {
+                    Step::Workload(schedule) => {
+                        schedule.apply(&mut self.app, at);
+                        self.observer.record(now, Occurrence::PhaseChange);
                     }
-                    (_, Some(at)) => {
-                        let timed = &actions[next_action];
-                        // `apply_timed` also records the action to the
-                        // application's trace sink (fault onsets become
-                        // `Fault` events, lifts become `Info`).
+                    // `apply_timed` also records the action to the
+                    // application's trace sink (fault onsets become `Fault`
+                    // events, lifts become `Info`).
+                    Step::Fault(timed) => {
                         let result = faultsim::apply_timed(&mut self.app, timed);
-                        self.observer.record(
-                            SimTime::from_secs(at),
-                            Occurrence::Fault(&timed.label, &result),
-                        );
-                        next_action += 1;
+                        let fault = Occurrence::Fault(&timed.label, &result);
+                        self.observer.record(now, fault);
                     }
-                    (None, None) => break,
-                    _ => unreachable!("one of the arms above consumes the earliest item"),
                 }
             }
             self.tick(SimTime::from_secs(t));
         }
     }
+}
+
+/// One step of a run's timeline.
+enum Step<'a> {
+    /// A workload change point: the schedule's values at that instant apply.
+    Workload(&'a ExperimentSchedule),
+    /// A compiled fault action.
+    Fault(&'a TimedAction),
 }
 
 #[cfg(test)]
@@ -503,7 +498,7 @@ mod tests {
         let config = FrameworkConfig::by_name("plannedRepair").unwrap();
         let mut fw = AdaptationFramework::new(GridConfig::default(), config).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-        fw.run(420.0, Some(&schedule));
+        fw.run_with_faults(420.0, Some(&schedule), None);
         let stats = fw.repair_stats();
         assert!(stats.completed >= 1, "{stats:?}");
         // Both squeezed clients travel in one planner batch (the per-element
@@ -569,7 +564,7 @@ mod tests {
         let mut fw =
             AdaptationFramework::new(GridConfig::default(), FrameworkConfig::control()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-        fw.run(400.0, Some(&schedule));
+        fw.run_with_faults(400.0, Some(&schedule), None);
         let stats = fw.repair_stats();
         assert_eq!(stats.started, 0);
         assert_eq!(stats.completed, 0);
@@ -588,7 +583,7 @@ mod tests {
     fn gauge_readings_flow_into_the_model() {
         let mut fw =
             AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
-        fw.run(120.0, None);
+        fw.run_with_faults(120.0, None, None);
         let grp = fw.model().component_by_name("ServerGrp1").unwrap();
         assert!(fw
             .model()
@@ -618,7 +613,7 @@ mod tests {
             AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
         // Run through the quiescent phase and well into the squeeze phase.
-        fw.run(420.0, Some(&schedule));
+        fw.run_with_faults(420.0, Some(&schedule), None);
         let stats = fw.repair_stats();
         assert!(stats.started >= 1, "at least one repair starts: {stats:?}");
         assert!(
@@ -706,12 +701,62 @@ mod tests {
         assert_eq!(dead, Some(2.0));
     }
 
+    /// The run's one timeline: a workload change and two faults at the same
+    /// instant apply the workload change first and the faults in schedule
+    /// order; an action at exactly the run's end applies and one after it
+    /// does not; the values in force at 0 s are not a phase change.
+    #[test]
+    fn the_timeline_applies_workload_first_and_stops_at_the_run_end() {
+        use faultsim::{FaultEvent, FaultSchedule, LinkRef};
+        let grid = GridConfig::default();
+        let schedule = ExperimentSchedule::step(&grid, 200.0);
+        let tie = schedule.change_points()[0];
+        let server = || "S2".to_string();
+        let link = || LinkRef::between("R2", "R3");
+        let faults = FaultSchedule {
+            events: vec![
+                FaultEvent::ServerCrash {
+                    server: server(),
+                    at_secs: tie,
+                },
+                FaultEvent::LinkCut {
+                    link: link(),
+                    at_secs: tie,
+                },
+                FaultEvent::ServerRestart {
+                    server: server(),
+                    at_secs: 200.0,
+                },
+                FaultEvent::LinkRestore {
+                    link: link(),
+                    at_secs: 205.0,
+                },
+            ],
+        };
+        let mut fw = AdaptationFramework::new(grid, FrameworkConfig::control()).unwrap();
+        let compiled = faults.compile(fw.app().testbed(), grid.seed).unwrap();
+        fw.run_with_faults(200.0, Some(&schedule), Some(&compiled));
+        let lines: Vec<&str> = fw.trace().entries().iter().map(|e| &*e.message).collect();
+        let at = |line: &str| {
+            let found = lines.iter().position(|l| *l == line);
+            found.unwrap_or_else(|| panic!("`{line}` is traced: {lines:?}"))
+        };
+        let phase = at(&format!("workload phase change at {tie:.0} s"));
+        let crash = at("fault injected: server S2 crashed");
+        let cut = at("fault injected: link R2-R3 cut");
+        assert!(phase < crash && crash < cut, "{phase} < {crash} < {cut}");
+        at("fault injected: server S2 restarted");
+        assert!(!lines.iter().any(|l| l.contains("restored")), "{lines:?}");
+        assert!(!lines.contains(&"workload phase change at 0 s"));
+        assert_eq!(fw.trace().count(TraceKind::Fault), 3);
+    }
+
     #[test]
     fn repair_takes_about_thirty_seconds() {
         let mut fw =
             AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-        fw.run(500.0, Some(&schedule));
+        fw.run_with_faults(500.0, Some(&schedule), None);
         let stats = fw.repair_stats();
         let mean = stats.mean_duration_secs.expect("some repair completed");
         assert!(

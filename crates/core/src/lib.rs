@@ -26,10 +26,13 @@
 //! * [`report`] — figure-shaped text/JSON reporting.
 //!
 //! ```no_run
-//! use arch_adapt::experiment::Comparison;
-//! use gridapp::GridConfig;
+//! use arch_adapt::{Comparison, FrameworkConfig};
+//! use gridapp::{ExperimentSchedule, GridConfig};
 //!
-//! let comparison = Comparison::run(GridConfig::default(), 1800.0).unwrap();
+//! let grid = GridConfig::default();
+//! let schedule = ExperimentSchedule::figure7(&grid);
+//! let adaptive = FrameworkConfig::adaptive();
+//! let comparison = Comparison::run_with(grid, adaptive, Some(&schedule), 1800.0).unwrap();
 //! println!("{}", arch_adapt::report::render_comparison(&comparison));
 //! ```
 
@@ -48,7 +51,9 @@ pub mod sweep;
 pub mod task;
 
 pub use detector::{DetectSummary, ADVISORY_MATCH_HORIZON_SECS};
-pub use experiment::{run_observed, Comparison, ExperimentConfig, RunResult, RunSummary};
+pub use experiment::{
+    run_observed, Comparison, ExperimentConfig, Observers, RunResult, RunSummary,
+};
 pub use framework::{
     strategy_names, AdaptationFramework, FrameworkConfig, RepairStats, METRIC_SNAPSHOT_PERIOD_SECS,
     STRATEGY_REGISTRY,

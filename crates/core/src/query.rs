@@ -64,8 +64,7 @@ mod tests {
         let mut app = GridApp::build(GridConfig::default()).unwrap();
         // Initially both groups are reachable at high bandwidth; after the
         // squeeze only ServerGrp2 qualifies for User3.
-        app.set_competition_sg1(SimTime::from_secs(1.0), 9.995e6)
-            .unwrap();
+        app.set_competition_sg1(SimTime::from_secs(1.0), 9.995e6);
         let query = AppQuery::new(&app);
         let best = query.find_good_server_group("User3", 10_000.0).unwrap();
         assert_eq!(best, SERVER_GROUP_2);

@@ -291,7 +291,7 @@ pub fn run_to_json(result: &RunResult) -> serde_json::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_with_schedule_and_faults, ExperimentConfig};
+    use crate::experiment::{run_observed, ExperimentConfig};
     use crate::framework::FrameworkConfig;
     use gridapp::{ExperimentSchedule, GridConfig};
 
@@ -302,7 +302,7 @@ mod tests {
             duration_secs: 200.0,
         };
         let schedule = ExperimentSchedule::figure7(&config.grid);
-        run_with_schedule_and_faults("control", config, Some(&schedule), None).unwrap()
+        run_observed("control", config, Some(&schedule), None, Default::default()).unwrap()
     }
 
     #[test]
@@ -387,7 +387,10 @@ mod tests {
     fn comparison_rendering_mentions_both_runs() {
         // A short comparison; the real one is covered in experiment tests
         // and benches.
-        let cmp = Comparison::run(GridConfig::default(), 150.0).unwrap();
+        let grid = GridConfig::default();
+        let schedule = ExperimentSchedule::figure7(&grid);
+        let cmp = Comparison::run_with(grid, FrameworkConfig::adaptive(), Some(&schedule), 150.0)
+            .unwrap();
         let text = render_comparison(&cmp);
         assert!(text.contains("control"));
         assert!(text.contains("adaptive"));

@@ -18,7 +18,7 @@
 //! count, keeping its JSON byte-stable; CI diffs two runs as a determinism
 //! gate.
 
-use crate::experiment::Comparison;
+use crate::experiment::{Comparison, Observers};
 use crate::framework::FrameworkConfig;
 use faultsim::{fault_profile_by_name, Resilience, NO_FAULTS};
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
@@ -434,38 +434,6 @@ pub struct SweepUnit {
 }
 
 impl SweepUnit {
-    /// Runs this unit's control/adaptive comparison; the outcome is fully
-    /// determined by the cell key and seed. `traced` encodes both runs'
-    /// event streams as they are emitted, `metered` attaches metrics
-    /// registries, and `detectors` arms the online anomaly-detector bank in
-    /// both runs (see [`SweepSpec::detectors`]).
-    pub fn run_unit(
-        &self,
-        traced: bool,
-        metered: bool,
-        detectors: bool,
-    ) -> Result<(UnitOutcome, UnitEvents), SweepError> {
-        if !traced {
-            let outcome = self.run_into(
-                tracestore::null_sink(),
-                tracestore::null_sink(),
-                metered,
-                detectors,
-            )?;
-            return Ok((outcome, UnitEvents::default()));
-        }
-        let (control_buffer, control_sink) = tracestore::shared_buffer();
-        let (adaptive_buffer, adaptive_sink) = tracestore::shared_buffer();
-        let outcome = self.run_into(control_sink, adaptive_sink, metered, detectors)?;
-        Ok((
-            outcome,
-            UnitEvents {
-                control: control_buffer.take_run(),
-                adaptive: adaptive_buffer.take_run(),
-            },
-        ))
-    }
-
     /// The run id a traced unit's events are stored under: every cell axis
     /// plus the seed and the run's role, `/`-separated, so substring
     /// queries select along any axis.
@@ -481,83 +449,89 @@ impl SweepUnit {
         )
     }
 
-    fn run_into(
+    /// Runs this unit's control/adaptive comparison; the outcome is fully
+    /// determined by the cell key and seed. `traced` encodes both runs'
+    /// event streams as they are emitted, `metered` attaches metrics
+    /// registries, and `detectors` arms the online anomaly-detector bank in
+    /// both runs (see [`SweepSpec::detectors`]).
+    fn run_unit(
         &self,
-        control_sink: tracestore::SharedSink,
-        adaptive_sink: tracestore::SharedSink,
+        traced: bool,
         metered: bool,
         detectors: bool,
-    ) -> Result<UnitOutcome, SweepError> {
-        let testbed = TestbedSpec::by_name(&self.key.topology)
-            .ok_or_else(|| SweepError::UnknownTopology(self.key.topology.clone()))?;
+    ) -> Result<(UnitOutcome, UnitEvents), SweepError> {
+        let key = &self.key;
+        let testbed = TestbedSpec::by_name(&key.topology)
+            .ok_or_else(|| SweepError::UnknownTopology(key.topology.clone()))?;
         // `with_testbed` equals the plain default for every classic preset
         // and scales the per-client rate for aggregated (large-scale) ones.
         let grid = GridConfig {
             seed: self.seed,
             ..GridConfig::with_testbed(testbed)
         };
-        let schedule =
-            ExperimentSchedule::by_name(&self.key.workload, &grid, self.key.duration_secs)
-                .ok_or_else(|| SweepError::UnknownWorkload(self.key.workload.clone()))?;
-        let mut framework = FrameworkConfig::by_name(&self.key.strategy)
-            .ok_or_else(|| SweepError::UnknownStrategy(self.key.strategy.clone()))?;
+        let schedule = ExperimentSchedule::by_name(&key.workload, &grid, key.duration_secs)
+            .ok_or_else(|| SweepError::UnknownWorkload(key.workload.clone()))?;
+        let mut framework = FrameworkConfig::by_name(&key.strategy)
+            .ok_or_else(|| SweepError::UnknownStrategy(key.strategy.clone()))?;
         if detectors {
             // Both runs of the comparison inherit the detector config (the
             // control framework is derived from this one by struct update).
             framework.detectors = Some(detect::DetectorConfig::default());
         }
-        let faults = fault_profile_by_name(&self.key.fault, self.key.duration_secs)
-            .ok_or_else(|| SweepError::UnknownFault(self.key.fault.clone()))?;
-        // A metered unit carries one registry per run; the snapshots hold
-        // only deterministic counters, so the outcome stays worker-count
-        // invariant even with metrics on.
-        let (control_registry, control_metrics) = if metered {
-            let (registry, handle) = obs::shared_registry();
-            (Some(registry), handle)
-        } else {
-            (None, obs::null_metrics())
+        let faults = fault_profile_by_name(&key.fault, key.duration_secs)
+            .ok_or_else(|| SweepError::UnknownFault(key.fault.clone()))?;
+        // Each run gets its own buffer when traced and its own registry when
+        // metered. The snapshots hold only deterministic counters, so the
+        // outcome stays worker-count invariant even with metrics on.
+        let observe = || {
+            let mut observers = Observers::default();
+            let buffer = traced.then(|| {
+                let (buffer, sink) = tracestore::shared_buffer();
+                observers.sink = sink;
+                buffer
+            });
+            let registry = metered.then(|| {
+                let (registry, metrics) = obs::shared_registry();
+                observers.metrics = metrics;
+                registry
+            });
+            (observers, buffer, registry)
         };
-        let (adaptive_registry, adaptive_metrics) = if metered {
-            let (registry, handle) = obs::shared_registry();
-            (Some(registry), handle)
-        } else {
-            (None, obs::null_metrics())
-        };
-        let comparison = Comparison::run_with_faults_observed(
+        let (control, control_buffer, control_registry) = observe();
+        let (adaptive, adaptive_buffer, adaptive_registry) = observe();
+        let comparison = Comparison::run_observed(
             grid,
             framework,
             Some(&schedule),
             Some(&faults),
-            self.key.duration_secs,
-            (control_sink, control_metrics),
-            (adaptive_sink, adaptive_metrics),
+            key.duration_secs,
+            [control, adaptive],
         )
         .map_err(|e| SweepError::Run {
             unit: self.index,
             message: e.to_string(),
         })?;
         let mut outcome = UnitOutcome::of(self.seed, &comparison);
-        if self.key.has_faults() {
-            outcome.resilience = Some(UnitResilience::of(
-                &comparison,
-                self.key.duration_secs,
-                &grid,
-            ));
+        if key.has_faults() {
+            let resilience = UnitResilience::of(&comparison, key.duration_secs, &grid);
+            outcome.resilience = Some(resilience);
         }
-        if let Some(registry) = control_registry {
-            outcome.control_counters = Some(registry.snapshot().counters);
-        }
-        if let Some(registry) = adaptive_registry {
-            outcome.adaptive_counters = Some(registry.snapshot().counters);
-        }
+        outcome.control_counters = control_registry.map(|r| r.snapshot().counters);
+        outcome.adaptive_counters = adaptive_registry.map(|r| r.snapshot().counters);
         outcome.control_detect = comparison.control.detect.map(UnitDetect::of);
         outcome.adaptive_detect = comparison.adaptive.detect.map(UnitDetect::of);
-        Ok(outcome)
+        let take = |buffer: Option<tracestore::BufferSink>| {
+            buffer.map_or_else(Default::default, |buffer| buffer.take_run())
+        };
+        let events = UnitEvents {
+            control: take(control_buffer),
+            adaptive: take(adaptive_buffer),
+        };
+        Ok((outcome, events))
     }
 }
 
-/// The event streams one traced unit produced (see [`SweepUnit::run_unit`]),
-/// encoded as they were emitted.
+/// The event streams one traced unit produced, encoded as they were emitted.
 #[derive(Debug, Clone, Default)]
 pub struct UnitEvents {
     /// Events of the control run, in emission order.
@@ -589,15 +563,15 @@ pub struct UnitResilience {
 
 impl UnitResilience {
     fn of(comparison: &Comparison, duration_secs: f64, grid: &GridConfig) -> UnitResilience {
-        // Each run carries the onset instants of the schedule it actually
-        // saw ([`crate::experiment::RunResult::fault_onsets`]).
+        // Each run carries the fault timeline it actually applied
+        // ([`crate::experiment::RunResult::faults`]).
         let measure = |run: &crate::experiment::RunResult| {
             Resilience::of(
                 &run.metrics.pooled_latency(),
                 duration_secs,
                 grid.max_latency_secs,
                 RESILIENCE_BUCKET_SECS,
-                &run.fault_onsets,
+                &run.faults.onsets,
             )
         };
         let aggregated = grid.testbed.clients_per_agg > 0;

@@ -15,7 +15,7 @@
 //! additionally assert the oracle observes without perturbing: a verified
 //! run's trace, metrics, and summary equal the unverified run's bit for bit.
 
-use arch_adapt::experiment::{run_with_schedule_and_faults, ExperimentConfig, RunResult};
+use arch_adapt::experiment::{run_observed, ExperimentConfig, RunResult};
 use arch_adapt::framework::FrameworkConfig;
 use faultsim::{fault_profile_by_name, fault_profile_names};
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
@@ -42,7 +42,7 @@ fn framework_run(
         cost_reduction,
         ..FrameworkConfig::by_name(strategy).unwrap()
     };
-    run_with_schedule_and_faults(
+    run_observed(
         "incremental-equivalence",
         ExperimentConfig {
             grid,
@@ -51,6 +51,7 @@ fn framework_run(
         },
         Some(&schedule),
         Some(&faults),
+        Default::default(),
     )
     .unwrap()
 }

@@ -10,7 +10,7 @@
 //! bare application under three fault profiles, and the full trace and
 //! summary of one framework run.
 
-use arch_adapt::experiment::{run_with_schedule_and_faults, ExperimentConfig, RunResult};
+use arch_adapt::experiment::{run_observed, ExperimentConfig, RunResult};
 use arch_adapt::framework::FrameworkConfig;
 use faultsim::{apply_action, fault_profile_by_name};
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_2};
@@ -87,7 +87,7 @@ fn framework_run(profile: &str, seed: u64, duration: f64) -> RunResult {
     };
     let schedule = ExperimentSchedule::figure7(&grid);
     let faults = fault_profile_by_name(profile, duration).unwrap();
-    run_with_schedule_and_faults(
+    run_observed(
         "equivalence",
         ExperimentConfig {
             grid,
@@ -96,6 +96,7 @@ fn framework_run(profile: &str, seed: u64, duration: f64) -> RunResult {
         },
         Some(&schedule),
         Some(&faults),
+        Default::default(),
     )
     .unwrap()
 }

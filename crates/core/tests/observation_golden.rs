@@ -12,7 +12,7 @@
 //! cargo test -p arch_adapt --test observation_golden -- --ignored regenerate_fixture
 //! ```
 
-use arch_adapt::experiment::{run_observed, ExperimentConfig};
+use arch_adapt::experiment::{run_observed, ExperimentConfig, Observers};
 use arch_adapt::framework::FrameworkConfig;
 use gridapp::{ExperimentSchedule, GridConfig};
 use std::fmt::Write as _;
@@ -80,8 +80,7 @@ fn render_run(
         },
         Some(&schedule),
         faults.as_ref(),
-        sink,
-        metrics,
+        Observers { sink, metrics },
     )
     .expect("run succeeds");
 

@@ -17,7 +17,7 @@
 //! `Vec`s of each 60 s metric snapshot, and the reused detail buffer that
 //! advisories and repair starts are formatted into.
 
-use arch_adapt::experiment::{run_observed, ExperimentConfig};
+use arch_adapt::experiment::{run_observed, ExperimentConfig, Observers};
 use arch_adapt::framework::FrameworkConfig;
 use gridapp::{ExperimentSchedule, GridConfig};
 
@@ -47,8 +47,8 @@ fn allocations(sink: tracestore::SharedSink) -> u64 {
         duration_secs: DURATION_SECS,
     };
     counted(|| {
-        run_observed("adaptive", config, Some(&schedule), None, sink, metrics)
-            .expect("run succeeds");
+        let observers = Observers { sink, metrics };
+        run_observed("adaptive", config, Some(&schedule), None, observers).expect("run succeeds");
     })
 }
 

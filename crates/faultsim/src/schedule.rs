@@ -256,11 +256,7 @@ impl FaultSchedule {
             compile_event(event, 0.0, 1.0, testbed, &root, index as u64, &mut actions)?;
         }
         // Stable sort: simultaneous actions keep their emission order.
-        actions.sort_by(|x, y| {
-            x.at_secs
-                .partial_cmp(&y.at_secs)
-                .expect("times are not NaN")
-        });
+        actions.sort_by(|x, y| x.at_secs.total_cmp(&y.at_secs));
         let onsets: Vec<f64> = {
             let mut o: Vec<f64> = actions
                 .iter()

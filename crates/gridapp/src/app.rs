@@ -670,20 +670,23 @@ impl GridApp {
 
     /// Sets the competing background load (bits/second) on the R2–R3 link
     /// (between C3/C4 and Server Group 1).
-    pub fn set_competition_sg1(&mut self, now: SimTime, bps: f64) -> Result<(), AppError> {
-        self.advance(now);
-        self.network
-            .set_background_on_link(now, self.testbed.link_c34_sg1, bps)?;
-        Ok(())
+    pub fn set_competition_sg1(&mut self, now: SimTime, bps: f64) {
+        self.set_competition(now, self.testbed.link_c34_sg1, bps);
     }
 
     /// Sets the competing background load (bits/second) on the R2–R4 link
     /// (between C3/C4 and Server Group 2).
-    pub fn set_competition_sg2(&mut self, now: SimTime, bps: f64) -> Result<(), AppError> {
+    pub fn set_competition_sg2(&mut self, now: SimTime, bps: f64) {
+        self.set_competition(now, self.testbed.link_c34_sg2, bps);
+    }
+
+    fn set_competition(&mut self, now: SimTime, link: simnet::LinkId, bps: f64) {
         self.advance(now);
+        // The only error is `NetError` for an unknown link, and both
+        // competition links are links `Testbed::from_spec` built.
         self.network
-            .set_background_on_link(now, self.testbed.link_c34_sg2, bps)?;
-        Ok(())
+            .set_background_on_link(now, link, bps)
+            .expect("a competition link of the testbed");
     }
 
     // ---- fault injection -----------------------------------------------------
@@ -1580,7 +1583,7 @@ mod tests {
         ))
         .unwrap();
         let before = app.remos_get_flow("User5", SERVER_GROUP_1).unwrap();
-        app.set_competition_sg1(secs(1.0), 9.9e6).unwrap();
+        app.set_competition_sg1(secs(1.0), 9.9e6);
         let squeezed = app.remos_get_flow("User5", SERVER_GROUP_1).unwrap();
         let unaffected = app.remos_get_flow("User1", SERVER_GROUP_1).unwrap();
         assert!(squeezed < before / 10.0);
@@ -1652,7 +1655,7 @@ mod tests {
         app.advance(secs(30.0));
         app.drain_completions();
         // Squeeze the R2-R3 link to ~5 Kbps: User3/User4 responses crawl.
-        app.set_competition_sg1(secs(30.0), 9.995e6).unwrap();
+        app.set_competition_sg1(secs(30.0), 9.995e6);
         app.advance(secs(150.0));
         let completions: Vec<_> = app.drain_completions().collect();
         let squeezed: Vec<f64> = completions
@@ -1689,7 +1692,7 @@ mod tests {
     #[test]
     fn moving_a_client_restores_its_latency() {
         let mut app = app();
-        app.set_competition_sg1(secs(0.0), 9.995e6).unwrap();
+        app.set_competition_sg1(secs(0.0), 9.995e6);
         app.advance(secs(100.0));
         app.drain_completions();
         // Move the affected clients to Server Group 2.
@@ -1853,7 +1856,7 @@ mod tests {
     fn remos_get_flow_reflects_competition() {
         let mut app = app();
         let before = app.remos_get_flow("User3", SERVER_GROUP_1).unwrap();
-        app.set_competition_sg1(secs(1.0), 9.9e6).unwrap();
+        app.set_competition_sg1(secs(1.0), 9.9e6);
         let after = app.remos_get_flow("User3", SERVER_GROUP_1).unwrap();
         assert!(
             after < before / 10.0,
@@ -1938,7 +1941,7 @@ mod tests {
     fn find_server_respects_bandwidth_threshold() {
         let mut app = app();
         // Saturate the path between the spare S4 (behind R3) and User3.
-        app.set_competition_sg1(secs(0.0), 9.999e6).unwrap();
+        app.set_competition_sg1(secs(0.0), 9.999e6);
         // With an enormous threshold nothing qualifies for User3 via R2-R3,
         // but S7 (behind R4) still does.
         let found = app.find_server(Some("User3"), 1.0e6);

@@ -16,7 +16,7 @@
 //! The schedule is expressed with [`StepSchedule`]s so the same description
 //! drives the control run, the adaptive run, and the Figure 7 bench.
 
-use crate::app::{AppError, GridApp};
+use crate::app::GridApp;
 use crate::config::GridConfig;
 use simnet::{Registry, SimTime, StepSchedule};
 
@@ -265,21 +265,20 @@ impl ExperimentSchedule {
             .chain(self.request_rate.change_points())
             .chain(self.response_bytes.change_points())
             .collect();
-        points.sort_by(|a, b| a.partial_cmp(b).expect("times are not NaN"));
+        points.sort_by(f64::total_cmp);
         points.dedup();
         points
     }
 
     /// Applies the schedule values in force at time `t` to the application.
-    pub fn apply(&self, app: &mut GridApp, t: f64) -> Result<(), AppError> {
+    pub fn apply(&self, app: &mut GridApp, t: f64) {
         let now = SimTime::from_secs(t);
-        app.set_competition_sg1(now, self.competition_sg1.value_at(t))?;
-        app.set_competition_sg2(now, self.competition_sg2.value_at(t))?;
+        app.set_competition_sg1(now, self.competition_sg1.value_at(t));
+        app.set_competition_sg2(now, self.competition_sg2.value_at(t));
         app.set_workload(
             self.request_rate.value_at(t),
             self.response_bytes.value_at(t),
         );
-        Ok(())
     }
 }
 
@@ -448,7 +447,7 @@ mod tests {
         let before = app
             .remos_get_flow("User3", crate::app::SERVER_GROUP_1)
             .unwrap();
-        schedule.apply(&mut app, 300.0).unwrap();
+        schedule.apply(&mut app, 300.0);
         let after = app
             .remos_get_flow("User3", crate::app::SERVER_GROUP_1)
             .unwrap();
@@ -465,7 +464,7 @@ mod tests {
         // violation later in the run is caused by the scripted disturbances.
         let mut app = GridApp::build(GridConfig::default()).unwrap();
         let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-        schedule.apply(&mut app, 0.0).unwrap();
+        schedule.apply(&mut app, 0.0);
         app.advance(SimTime::from_secs(120.0));
         let completions: Vec<_> = app.drain_completions().collect();
         assert!(!completions.is_empty());

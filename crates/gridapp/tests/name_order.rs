@@ -77,14 +77,14 @@ fn render_run(title: &str, style: Style) -> String {
     let mut app = GridApp::build(config).expect("testbed builds");
     let schedule = ExperimentSchedule::step(&config, DURATION_SECS);
     let mut changes = schedule.change_points().into_iter().peekable();
-    schedule.apply(&mut app, 0.0).expect("schedule applies");
+    schedule.apply(&mut app, 0.0);
 
     let mut out = format!("== {title} ==\n");
     let mut t = 0.0;
     while t < DURATION_SECS {
         t += 5.0;
         while let Some(point) = changes.next_if(|&p| p <= t) {
-            schedule.apply(&mut app, point).expect("schedule applies");
+            schedule.apply(&mut app, point);
         }
         let now = SimTime::from_secs(t);
         match t as u32 {

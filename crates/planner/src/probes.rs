@@ -511,8 +511,7 @@ mod tests {
         let index = ClassIndex::build(app.testbed());
         assert_eq!(fan_out(&app, &index), app.flow_snapshot());
         // Also under a squeeze and with a crashed replica.
-        app.set_competition_sg1(SimTime::from_secs(21.0), 9.99e6)
-            .unwrap();
+        app.set_competition_sg1(SimTime::from_secs(21.0), 9.99e6);
         app.crash_server(SimTime::from_secs(22.0), "S1").unwrap();
         app.advance(SimTime::from_secs(30.0));
         assert_eq!(fan_out(&app, &index), app.flow_snapshot());
@@ -571,8 +570,7 @@ mod tests {
 
         // Perturb the network so the epoch memo cannot serve the second
         // snapshot from the first one's probes.
-        app.set_competition_sg2(SimTime::from_secs(10.5), 1.0e6)
-            .unwrap();
+        app.set_competition_sg2(SimTime::from_secs(10.5), 1.0e6);
         let before = app.probe_solve_count();
         let full = app.flow_snapshot();
         let full_solves = app.probe_solve_count() - before;

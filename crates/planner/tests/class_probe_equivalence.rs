@@ -37,7 +37,7 @@ proptest! {
         let singletons = index.server_classes().iter().all(|class| class.members.len() == 1);
         prop_assert!(singletons, "classic presets never merge");
         if squeeze {
-            app.set_competition_sg1(SimTime::from_secs(0.5), 9.99e6).unwrap();
+            app.set_competition_sg1(SimTime::from_secs(0.5), 9.99e6);
         }
         if crash_first_server {
             app.crash_server(SimTime::from_secs(0.7), "S1").unwrap();

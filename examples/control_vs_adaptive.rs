@@ -11,7 +11,8 @@
 
 use arch_adapt::experiment::{parse_duration_secs, Comparison};
 use arch_adapt::report::{render_comparison, render_run, run_to_json};
-use gridapp::GridConfig;
+use arch_adapt::FrameworkConfig;
+use gridapp::{ExperimentSchedule, GridConfig};
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -23,7 +24,11 @@ fn main() {
         });
 
     eprintln!("running control and adaptive experiments for {duration:.0} s of simulated time...");
-    let comparison = Comparison::run(GridConfig::default(), duration).expect("experiments run");
+    let grid = GridConfig::default();
+    let schedule = ExperimentSchedule::figure7(&grid);
+    let comparison =
+        Comparison::run_with(grid, FrameworkConfig::adaptive(), Some(&schedule), duration)
+            .expect("experiments run");
 
     println!("{}", render_run(&comparison.control));
     println!("{}", render_run(&comparison.adaptive));

@@ -17,7 +17,7 @@
 use arch_adapt::experiment::{parse_duration_secs, Comparison};
 use arch_adapt::FrameworkConfig;
 use faultsim::{fault_profile_by_name, fault_profile_names, Resilience};
-use gridapp::{GridConfig, Testbed};
+use gridapp::GridConfig;
 use simnet::TraceKind;
 
 const BUCKET_SECS: f64 = 20.0;
@@ -40,21 +40,18 @@ fn main() {
     eprintln!(
         "running control and adaptive experiments for {duration:.0} s with the `{profile}` fault profile..."
     );
-    let comparison = Comparison::run_with_faults(
+    let comparison = Comparison::run_observed(
         grid,
         FrameworkConfig::adaptive(),
         None,
         Some(&schedule),
         duration,
+        Default::default(),
     )
     .expect("experiments run");
 
-    // Recompile the (deterministic) timeline for the event markers; the runs
-    // themselves carry the onset instants they saw.
-    let testbed = Testbed::from_spec(&grid.testbed).expect("testbed builds");
-    let compiled = schedule
-        .compile(&testbed, grid.seed)
-        .expect("schedule compiles");
+    // The event markers are the fault timeline the runs applied.
+    let compiled = &comparison.adaptive.faults;
     let bound = grid.max_latency_secs;
     if compiled.is_empty() {
         println!("profile `{profile}` injects no faults; there is nothing to recover from");
@@ -104,7 +101,7 @@ fn main() {
     }
 
     // -- Resilience metrics -------------------------------------------------
-    let onsets = &comparison.adaptive.fault_onsets;
+    let onsets = &compiled.onsets;
     let measure =
         |series: &simnet::TimeSeries| Resilience::of(series, duration, bound, 10.0, onsets);
     let control = measure(&control_latency);

@@ -21,7 +21,7 @@
 //! The JSON output carries wall-clock timings and is **nondeterministic** —
 //! never byte-compare it. The counter sections inside it are deterministic.
 
-use arch_adapt::experiment::Comparison;
+use arch_adapt::experiment::{Comparison, Observers};
 use arch_adapt::framework::FrameworkConfig;
 use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
 
@@ -141,14 +141,17 @@ fn main() {
     let started = std::time::Instant::now();
     let (control_registry, control_metrics) = obs::shared_registry();
     let (adaptive_registry, adaptive_metrics) = obs::shared_registry();
-    let comparison = Comparison::run_with_faults_observed(
+    let metered = |metrics| Observers {
+        metrics,
+        ..Observers::default()
+    };
+    let comparison = Comparison::run_observed(
         grid,
         framework,
         Some(&schedule),
         None,
         duration_secs,
-        (tracestore::null_sink(), control_metrics),
-        (tracestore::null_sink(), adaptive_metrics),
+        [metered(control_metrics), metered(adaptive_metrics)],
     )
     .expect("comparison runs");
     let elapsed = started.elapsed();

@@ -22,7 +22,7 @@ fn main() {
     // Drive ten minutes of the paper's workload: after a two-minute quiescent
     // phase, the bandwidth between clients C3/C4 and Server Group 1 collapses.
     let schedule = ExperimentSchedule::figure7(&grid);
-    framework.run(600.0, Some(&schedule));
+    framework.run_with_faults(600.0, Some(&schedule), None);
 
     // What happened?
     let stats = framework.repair_stats();

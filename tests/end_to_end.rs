@@ -15,7 +15,7 @@ fn model_stays_style_valid_through_repairs() {
     let mut fw =
         AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
     let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-    fw.run(500.0, Some(&schedule));
+    fw.run_with_faults(500.0, Some(&schedule), None);
     assert!(fw.repair_stats().completed >= 1, "a repair completed");
     assert!(
         ClientServerStyle::validate(fw.model()).is_empty(),
@@ -32,7 +32,7 @@ fn model_and_runtime_agree_after_a_move() {
     let mut fw =
         AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
     let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-    fw.run(480.0, Some(&schedule));
+    fw.run_with_faults(480.0, Some(&schedule), None);
     for client in fw.app().client_names() {
         let runtime_group = fw.app().client_group(&client).unwrap();
         let model = fw.model();
@@ -54,7 +54,7 @@ fn control_configuration_only_observes() {
     let mut fw =
         AdaptationFramework::new(GridConfig::default(), FrameworkConfig::control()).unwrap();
     let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-    fw.run(400.0, Some(&schedule));
+    fw.run_with_faults(400.0, Some(&schedule), None);
     assert_eq!(fw.trace().count(TraceKind::Reconfiguration), 0);
     assert_eq!(fw.trace().count(TraceKind::RepairStart), 0);
     // Violations are still detected and the model still tracks observations.
@@ -71,7 +71,7 @@ fn monitoring_reflects_runtime_state_into_the_model() {
     let mut fw = AdaptationFramework::new(grid, FrameworkConfig::control()).unwrap();
     let schedule = ExperimentSchedule::figure7(&grid);
     // Run into the stress phase so the queue builds up.
-    fw.run(780.0, Some(&schedule));
+    fw.run_with_faults(780.0, Some(&schedule), None);
     let model = fw.model();
     let grp1 = model.component_by_name(SERVER_GROUP_1).unwrap();
     let load = model
@@ -94,7 +94,7 @@ fn repairs_change_the_running_system() {
     let mut fw =
         AdaptationFramework::new(GridConfig::default(), FrameworkConfig::adaptive()).unwrap();
     let schedule = ExperimentSchedule::figure7(&GridConfig::default());
-    fw.run(900.0, Some(&schedule));
+    fw.run_with_faults(900.0, Some(&schedule), None);
     let stats = fw.repair_stats();
     let moved = fw
         .app()

@@ -21,7 +21,7 @@ fn quickstart_flow_runs_and_reports() {
     let mut framework =
         AdaptationFramework::new(grid, FrameworkConfig::adaptive()).expect("framework builds");
     let schedule = ExperimentSchedule::figure7(&grid);
-    framework.run(240.0, Some(&schedule));
+    framework.run_with_faults(240.0, Some(&schedule), None);
 
     let stats = framework.repair_stats();
     assert!(stats.completed <= stats.started);
@@ -42,7 +42,11 @@ fn quickstart_flow_runs_and_reports() {
 /// seed, render the figure series, and export machine-readable JSON.
 #[test]
 fn control_vs_adaptive_flow_renders_and_serialises() {
-    let comparison = Comparison::run(GridConfig::default(), 150.0).expect("experiments run");
+    let grid = GridConfig::default();
+    let schedule = ExperimentSchedule::figure7(&grid);
+    let comparison =
+        Comparison::run_with(grid, FrameworkConfig::adaptive(), Some(&schedule), 150.0)
+            .expect("experiments run");
     let text = render_run(&comparison.control);
     assert!(text.contains("Average latency"));
     assert!(render_comparison(&comparison).contains("control"));
@@ -89,12 +93,13 @@ fn fault_recovery_flow_detects_and_recovers() {
     let grid = GridConfig::default();
     let schedule =
         faultsim::fault_profile_by_name("server-crash-midrun", duration).expect("profile resolves");
-    let comparison = Comparison::run_with_faults(
+    let comparison = Comparison::run_observed(
         grid,
         FrameworkConfig::adaptive(),
         None,
         Some(&schedule),
         duration,
+        Default::default(),
     )
     .expect("experiments run");
 
@@ -110,9 +115,9 @@ fn fault_recovery_flow_detects_and_recovers() {
     assert!(comparison.adaptive.trace.count(simnet::TraceKind::Fault) >= 2);
 
     // Post-repair the adaptive run's violations are strictly below the
-    // control run's over the same window. The run carries the onsets of the
-    // schedule it saw.
-    let onsets = comparison.adaptive.fault_onsets.clone();
+    // control run's over the same window. The run carries the fault timeline
+    // it applied.
+    let onsets = comparison.adaptive.faults.onsets.clone();
     assert!(!onsets.is_empty(), "fault runs record their onsets");
     let recovery_point = comparison
         .adaptive

@@ -12,7 +12,7 @@
 //!    report is byte-identical at any worker count — the same gate the
 //!    unmetered report has always had.
 
-use arch_adapt::experiment::{run_observed, ExperimentConfig};
+use arch_adapt::experiment::{run_observed, ExperimentConfig, Observers};
 use arch_adapt::framework::FrameworkConfig;
 use arch_adapt::sweep::{run_sweep, SweepSpec};
 use gridapp::{ExperimentSchedule, GridConfig};
@@ -90,8 +90,7 @@ fn observed_run(
         },
         Some(&schedule),
         None,
-        sink,
-        metrics,
+        Observers { sink, metrics },
     )
     .unwrap();
     (result, buffer.take())
