@@ -7,9 +7,7 @@
 //! strategy (§3.2).
 
 use crate::element::ElementRef;
-use crate::expr::{
-    eval_bool, parse, Bindings, EvalError, EvalValue, Expr, ParseError, PropertyReadSet,
-};
+use crate::expr::{parse, EvalError, Expr, Operand, ParseError, Program, PropertyReadSet};
 use crate::key::Key;
 use crate::system::{ModelDelta, System};
 
@@ -38,6 +36,8 @@ pub struct Invariant {
     pub expression: Expr,
     /// The original constraint text (for reporting).
     pub source: String,
+    /// `expression` compiled with `self` in slot 0.
+    program: Program,
 }
 
 impl Invariant {
@@ -47,12 +47,25 @@ impl Invariant {
         scope: ConstraintScope,
         text: &str,
     ) -> Result<Self, ParseError> {
+        let expression = parse(text)?;
         Ok(Invariant {
             name: name.into(),
             scope,
-            expression: parse(text)?,
+            program: Program::compile(&expression, &["self"]),
+            expression,
             source: text.to_string(),
         })
+    }
+
+    /// Evaluates the invariant with `self` bound to `subject` (left unbound
+    /// for a system-scope invariant's `None`).
+    pub fn evaluate(
+        &self,
+        system: &System,
+        subject: Option<ElementRef>,
+    ) -> Result<bool, EvalError> {
+        self.program
+            .eval_bool(system, &[subject.map(Operand::Element)])
     }
 }
 
@@ -204,11 +217,7 @@ fn evaluate_pair(
     subject: Option<ElementRef>,
     subject_name: &str,
 ) -> PairOutcome {
-    let mut bindings = Bindings::new();
-    if let Some(el) = subject {
-        bindings.insert("self".to_string(), EvalValue::Element(el));
-    }
-    match eval_bool(&invariant.expression, system, &bindings) {
+    match invariant.evaluate(system, subject) {
         Ok(true) => PairOutcome::Holds,
         Ok(false) => PairOutcome::Violated(Violation {
             invariant: invariant.name.clone(),

@@ -122,17 +122,6 @@ impl Expr {
         Expr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
 
-    /// The free identifiers of the expression (everything it can look up
-    /// outside its own quantifier bindings), sorted and deduplicated; useful
-    /// for dependency analysis of constraints.
-    pub fn referenced_idents(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_idents(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// The property read-set of the expression (see [`PropertyReadSet`]).
     ///
     /// The analysis is deliberately conservative: only `self.prop` access and
@@ -189,35 +178,6 @@ impl Expr {
             }
         }
     }
-
-    fn collect_idents(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Literal(_) => {}
-            Expr::Ident(name) => out.push(name.clone()),
-            Expr::Property(target, _) => target.collect_idents(out),
-            Expr::Unary(_, e) => e.collect_idents(out),
-            Expr::Binary(_, l, r) => {
-                l.collect_idents(out);
-                r.collect_idents(out);
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.collect_idents(out);
-                }
-            }
-            Expr::Quantifier {
-                var, domain, body, ..
-            } => {
-                // `var` is bound in the body only: occurrences collected
-                // before it (siblings, the domain) stay free.
-                domain.collect_idents(out);
-                let mut inner = Vec::new();
-                body.collect_idents(&mut inner);
-                inner.retain(|n| n != var);
-                out.append(&mut inner);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,30 +198,6 @@ mod tests {
             }
             _ => panic!("unexpected shape"),
         }
-    }
-
-    #[test]
-    fn referenced_idents_excludes_bound_vars() {
-        let e = Expr::Quantifier {
-            kind: QuantifierKind::Exists,
-            var: "c".into(),
-            type_filter: Some("ClientT".into()),
-            domain: Box::new(Expr::Ident("components".into())),
-            body: Box::new(Expr::bin(
-                BinOp::Gt,
-                Expr::prop(Expr::Ident("c".into()), "load"),
-                Expr::Ident("maxServerLoad".into()),
-            )),
-        };
-        let ids = e.referenced_idents();
-        assert!(ids.contains(&"components".to_string()));
-        assert!(ids.contains(&"maxServerLoad".to_string()));
-        assert!(!ids.contains(&"c".to_string()));
-
-        // A name bound by one quantifier is still free where it occurs
-        // outside that quantifier's body.
-        let e = crate::expr::parse("c > 1 and (exists c in components | c.load > 0)").unwrap();
-        assert!(e.referenced_idents().contains(&"c".to_string()));
     }
 
     #[test]

@@ -11,6 +11,6 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{BinOp, Expr, PropertyReadSet, QuantifierKind, UnaryOp};
-pub use eval::{eval, eval_bool, Bindings, EvalError, EvalValue};
+pub use eval::{Elements, EvalError, Operand, Program};
 pub use lexer::{tokenize, LexError, Token};
 pub use parser::{parse, ParseError};

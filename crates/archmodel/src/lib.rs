@@ -37,8 +37,8 @@ pub use element::{
     RoleId,
 };
 pub use expr::{
-    eval, eval_bool, parse, BinOp, Bindings, EvalError, EvalValue, Expr, PropertyReadSet,
-    QuantifierKind, UnaryOp,
+    parse, BinOp, Elements, EvalError, Expr, Operand, Program, PropertyReadSet, QuantifierKind,
+    UnaryOp,
 };
 pub use key::Key;
 pub use property::PropertyMap;

@@ -8,6 +8,7 @@ use crate::element::{
 use crate::key::Key;
 use crate::property::PropertyMap;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
 
@@ -403,7 +404,12 @@ impl System {
 
     /// Finds a connector by name.
     pub fn connector_by_name(&self, name: &str) -> Option<ConnectorId> {
-        self.connector_names.get(&Key::new(name)).copied()
+        self.connector_by_key(Key::new(name))
+    }
+
+    /// Finds a connector by pre-interned name key.
+    pub fn connector_by_key(&self, key: Key) -> Option<ConnectorId> {
+        self.connector_names.get(&key).copied()
     }
 
     /// Iterates over all connectors in id order.
@@ -756,26 +762,19 @@ impl System {
         }
     }
 
-    /// The display name of any element.
-    pub fn element_name(&self, element: ElementRef) -> String {
-        match element {
-            ElementRef::Component(id) => self
-                .component(id)
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|_| element.to_string()),
-            ElementRef::Connector(id) => self
-                .connector(id)
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|_| element.to_string()),
-            ElementRef::Port(id) => self
-                .port(id)
-                .map(|p| p.name.clone())
-                .unwrap_or_else(|_| element.to_string()),
-            ElementRef::Role(id) => self
-                .role(id)
-                .map(|r| r.name.clone())
-                .unwrap_or_else(|_| element.to_string()),
-        }
+    /// The display name of any element: borrowed from the model, or the
+    /// element's id for one the model does not hold.
+    pub fn element_name(&self, element: ElementRef) -> Cow<'_, str> {
+        let name = match element {
+            ElementRef::Component(id) => self.component(id).map(|c| &c.name),
+            ElementRef::Connector(id) => self.connector(id).map(|c| &c.name),
+            ElementRef::Port(id) => self.port(id).map(|p| &p.name),
+            ElementRef::Role(id) => self.role(id).map(|r| &r.name),
+        };
+        name.map_or_else(
+            |_| Cow::Owned(element.to_string()),
+            |n| Cow::Borrowed(n.as_str()),
+        )
     }
 
     /// Checks referential integrity of the whole graph (every port/role owner

@@ -3,9 +3,9 @@
 //! expression language is the hot path of constraint checking, so each layer
 //! gets direct coverage here in addition to the end-to-end suites.
 
-use archmodel::expr::{eval, tokenize, EvalError, EvalValue, ParseError, Token};
+use archmodel::expr::{tokenize, ParseError, Token};
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{eval_bool, parse, BinOp, Bindings, Expr, System, UnaryOp, Value};
+use archmodel::{parse, BinOp, EvalError, Expr, Operand, Program, System, UnaryOp, Value};
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -176,8 +176,12 @@ fn example() -> System {
     ClientServerStyle::example_system("expr-tests", 2, 2, 3).expect("example system builds")
 }
 
-fn eval_text(system: &System, text: &str) -> EvalValue {
-    eval(&parse(text).unwrap(), system, &Bindings::new()).unwrap()
+fn eval_bool(system: &System, text: &str) -> Result<bool, EvalError> {
+    Program::compile(&parse(text).unwrap(), &[]).eval_bool(system, &[])
+}
+
+fn eval_err(system: &System, text: &str) -> EvalError {
+    eval_bool(system, text).unwrap_err()
 }
 
 #[test]
@@ -190,11 +194,8 @@ fn arithmetic_round_trip_matches_rust_semantics() {
         ("2 - 3 - 4", -5.0),
         ("-3 + 10", 7.0),
     ] {
-        let got = eval_text(&sys, text).as_f64().unwrap();
-        assert!(
-            (got - expected).abs() < 1e-12,
-            "{text}: {got} != {expected}"
-        );
+        let equation = format!("{text} == {expected:?}");
+        assert!(eval_bool(&sys, &equation).unwrap(), "{equation}");
     }
 }
 
@@ -210,8 +211,7 @@ fn boolean_operators_round_trip() {
         ("1 < 2 and 2 <= 2 and 3 > 2 and 3 >= 3", true),
         ("1 == 1 and 1 != 2", true),
     ] {
-        let got = eval_bool(&parse(text).unwrap(), &sys, &Bindings::new()).unwrap();
-        assert_eq!(got, expected, "{text}");
+        assert_eq!(eval_bool(&sys, text).unwrap(), expected, "{text}");
     }
 }
 
@@ -219,7 +219,7 @@ fn boolean_operators_round_trip() {
 fn system_properties_resolve_as_identifiers() {
     let sys = example();
     // example_system sets maxLatency = 2.0 on the system.
-    assert!(eval_bool(&parse("maxLatency == 2.0").unwrap(), &sys, &Bindings::new()).unwrap());
+    assert!(eval_bool(&sys, "maxLatency == 2.0").unwrap());
 }
 
 #[test]
@@ -230,16 +230,8 @@ fn component_property_round_trip() {
         .unwrap()
         .properties
         .set(props::AVERAGE_LATENCY, 1.25);
-    assert!(eval_bool(
-        &parse("User1.averageLatency <= maxLatency").unwrap(),
-        &sys,
-        &Bindings::new()
-    )
-    .unwrap());
-    let got = eval_text(&sys, "User1.averageLatency * 4")
-        .as_f64()
-        .unwrap();
-    assert!((got - 5.0).abs() < 1e-12);
+    assert!(eval_bool(&sys, "User1.averageLatency <= maxLatency").unwrap());
+    assert!(eval_bool(&sys, "User1.averageLatency * 4 == 5.0").unwrap());
 }
 
 #[test]
@@ -247,39 +239,31 @@ fn quantifiers_evaluate_over_the_component_graph() {
     let sys = example();
     // Two groups exist, each with a replicationCount property.
     assert!(eval_bool(
-        &parse("exists g : ServerGroupT in components | g.replicationCount >= 1").unwrap(),
         &sys,
-        &Bindings::new()
+        "exists g : ServerGroupT in components | g.replicationCount >= 1"
     )
     .unwrap());
     assert!(eval_bool(
-        &parse("forall g : ServerGroupT in components | g.replicationCount == 2").unwrap(),
         &sys,
-        &Bindings::new()
+        "forall g : ServerGroupT in components | g.replicationCount == 2"
     )
     .unwrap());
     // select returns the matching elements; size() counts them.
-    let got = eval_text(&sys, "size(select c : ClientT in components | true) == 3");
-    assert_eq!(got.as_bool(), Some(true));
+    assert!(eval_bool(&sys, "size(select c : ClientT in components | true) == 3").unwrap());
 }
 
 #[test]
 fn string_literals_compare() {
     let sys = System::new("empty");
-    assert!(eval_bool(
-        &parse("\"abc\" == \"abc\"").unwrap(),
-        &sys,
-        &Bindings::new()
-    )
-    .unwrap());
+    assert!(eval_bool(&sys, "\"abc\" == \"abc\"").unwrap());
 }
 
 #[test]
 fn bindings_shadow_system_properties() {
     let sys = example();
-    let mut bindings = Bindings::new();
-    bindings.insert("maxLatency".to_string(), EvalValue::Val(Value::Float(99.0)));
-    assert!(eval_bool(&parse("maxLatency > 50").unwrap(), &sys, &bindings).unwrap());
+    let program = Program::compile(&parse("maxLatency > 50").unwrap(), &["maxLatency"]);
+    let bound = [Some(Operand::from(&Value::Float(99.0)))];
+    assert!(program.eval_bool(&sys, &bound).unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -289,14 +273,14 @@ fn bindings_shadow_system_properties() {
 #[test]
 fn unknown_identifier_is_reported() {
     let sys = System::new("empty");
-    let err = eval(&parse("noSuchThing + 1").unwrap(), &sys, &Bindings::new()).unwrap_err();
+    let err = eval_err(&sys, "noSuchThing + 1");
     assert!(matches!(err, EvalError::UnknownIdentifier(name) if name == "noSuchThing"));
 }
 
 #[test]
 fn unknown_function_is_reported() {
     let sys = System::new("empty");
-    let err = eval(&parse("frobnicate(1)").unwrap(), &sys, &Bindings::new()).unwrap_err();
+    let err = eval_err(&sys, "frobnicate(1)");
     assert!(matches!(err, EvalError::UnknownFunction(name) if name == "frobnicate"));
 }
 
@@ -304,15 +288,18 @@ fn unknown_function_is_reported() {
 fn type_mismatches_are_reported() {
     let sys = System::new("empty");
     // Arithmetic on a boolean.
-    assert!(eval(&parse("1 + true").unwrap(), &sys, &Bindings::new()).is_err());
+    assert!(matches!(
+        eval_err(&sys, "1 + true"),
+        EvalError::TypeMismatch(_)
+    ));
     // eval_bool on a numeric result.
-    let err = eval_bool(&parse("1 + 2").unwrap(), &sys, &Bindings::new()).unwrap_err();
+    let err = eval_bool(&sys, "1 + 2").unwrap_err();
     assert!(matches!(err, EvalError::TypeMismatch(_)));
 }
 
 #[test]
 fn bad_arity_is_reported() {
     let sys = example();
-    let err = eval(&parse("size()").unwrap(), &sys, &Bindings::new()).unwrap_err();
+    let err = eval_err(&sys, "size()");
     assert!(matches!(err, EvalError::BadArguments(_)));
 }

@@ -126,16 +126,17 @@ impl TimeSeries {
 /// The `q`-quantile (0 ≤ q ≤ 1) of a slice of values using nearest-rank —
 /// the one quantile definition shared by [`TimeSeries::quantile`] and any
 /// cross-run aggregation built on top of it. `None` if the slice is empty.
-/// Values sort by [`f64::total_cmp`]: a NaN ranks above +∞ (below −∞ when
+/// Values rank by [`f64::total_cmp`]: a NaN ranks above +∞ (below −∞ when
 /// its sign bit is set), so it is the answer only where its rank is asked for.
+/// The rank is selected, not sorted for: under a total order the element at
+/// a rank is bit-identical to the sorted slice's.
 pub fn quantile_of(values: &[f64], q: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-    Some(sorted[idx])
+    let mut ranked = values.to_vec();
+    let idx = ((ranked.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
+    Some(*ranked.select_nth_unstable_by(idx, f64::total_cmp).1)
 }
 
 /// Summary statistics for a series.
@@ -284,6 +285,40 @@ mod tests {
         assert_eq!(s.quantile(0.0), Some(10.0));
         assert_eq!(s.quantile(0.5), Some(30.0));
         assert_eq!(s.quantile(1.0), Some(50.0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Selection returns the sorted slice's element at the rank, bit for
+        /// bit, over slices drawn mostly from NaN (both signs), ±0, ±∞ and
+        /// a few repeated finite values, at every q including out-of-range.
+        #[test]
+        fn selection_is_the_sorted_definition(
+            picks in proptest::collection::vec(0usize..10, 1..40),
+            q in -0.25f64..1.25,
+        ) {
+            let pool = [
+                f64::NAN,
+                -f64::NAN,
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.5,
+                -2.0,
+                1.5,
+                7.0,
+            ];
+            let values: Vec<f64> = picks.iter().map(|&i| pool[i]).collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            for q in [q, 0.0, 0.5, 0.95, 1.0] {
+                let idx = ((sorted.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
+                let got = quantile_of(&values, q).unwrap();
+                proptest::prop_assert_eq!(got.to_bits(), sorted[idx].to_bits(), "{:?} at {}", values, q);
+            }
+        }
     }
 
     #[test]

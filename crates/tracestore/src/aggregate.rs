@@ -125,15 +125,35 @@ pub fn aggregate_rows<'a>(
     group_by: GroupBy,
 ) -> Vec<AggregateRow> {
     // Per group: how many rows, and the payloads of those that carry one.
-    let mut groups: BTreeMap<&str, (usize, Vec<f64>)> = BTreeMap::new();
+    // A run's rows share one run id and a query's rows one allocation per
+    // distinct subject or detail, so a key at the address of the previous
+    // row's is the same group with no lookup; the index is asked only when
+    // the key moves.
+    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut groups: Vec<(usize, Vec<f64>)> = Vec::new();
+    let mut open: Option<(&str, usize)> = None;
     for row in rows {
-        let (count, values) = groups.entry(group_by.key(row)).or_default();
+        let key = group_by.key(row);
+        let slot = match open {
+            Some((last, slot)) if std::ptr::eq(last, key) => slot,
+            _ => {
+                let next = groups.len();
+                let slot = *index.entry(key).or_insert(next);
+                if slot == next {
+                    groups.push((0, Vec::new()));
+                }
+                open = Some((key, slot));
+                slot
+            }
+        };
+        let (count, values) = &mut groups[slot];
         *count += 1;
         values.extend(row.event.value);
     }
-    groups
+    index
         .into_iter()
-        .map(|(group, (count, values))| {
+        .map(|(group, slot)| {
+            let (count, values) = std::mem::take(&mut groups[slot]);
             let value = match op {
                 AggregateOp::Count => Some(count as f64),
                 AggregateOp::Mean => {
@@ -334,6 +354,7 @@ pub fn near_fault_rows(
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
+    use std::sync::Arc;
 
     fn row(run: &str, event: TraceEvent) -> QueryRow {
         QueryRow {
@@ -489,6 +510,82 @@ mod tests {
         assert_eq!(near.len(), 1);
         assert_eq!(near[0].group, "C3");
         assert_eq!(near[0].count, 1);
+    }
+
+    /// The per-row definition `aggregate_rows` is held to: one map lookup
+    /// per row, whatever the row before it.
+    fn aggregate_by_lookup<'a>(
+        rows: impl IntoIterator<Item = &'a QueryRow>,
+        op: AggregateOp,
+        group_by: GroupBy,
+    ) -> Vec<AggregateRow> {
+        let mut groups: BTreeMap<&str, Vec<&QueryRow>> = BTreeMap::new();
+        for row in rows {
+            groups.entry(group_by.key(row)).or_default().push(row);
+        }
+        let mut out = Vec::new();
+        for (group, rows) in groups {
+            // Reduce each group alone: a one-group aggregate is no lookup.
+            let mut one = aggregate_rows(rows, op, GroupBy::None);
+            let mut row = one.pop().expect("a group has rows");
+            row.group = group.to_string();
+            out.push(row);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Rows in runs of shared keys, interleaved runs, and equal keys in
+        /// separate allocations (rows from two calls) group exactly as a
+        /// lookup per row groups them, for every op and grouping, and so
+        /// does the near-fault report.
+        #[test]
+        fn grouping_by_allocation_equals_a_lookup_per_row(
+            raws in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..120),
+            window in 0.0f64..30.0,
+        ) {
+            let runs: [Arc<str>; 3] = ["a".into(), "b".into(), "c".into()];
+            let subjects: [Arc<str>; 3] = ["C1".into(), "C2".into(), "R1-R2".into()];
+            let mut rows = Vec::new();
+            for (i, &(x, y)) in raws.iter().enumerate() {
+                let pick = |shift: u32| ((x >> shift) % 3) as usize;
+                // Long stretches of one run, sometimes broken.
+                let run = if x % 7 == 0 { pick(3) } else { (i / 20) % 3 };
+                let share = |s: &Arc<str>| if y % 5 == 0 { Arc::from(&**s) } else { Arc::clone(s) };
+                let kind = [EventKind::Fault, EventKind::Violation, EventKind::Transfer][pick(9)];
+                let value = [None, Some(1.5), Some(f64::NAN), Some(-0.0), Some((y % 100) as f64)]
+                    [((y >> 8) % 5) as usize];
+                let mut event =
+                    TraceEvent::new((y >> 16) as f64 % 200.0, kind, share(&subjects[pick(5)]), share(&subjects[pick(7)]));
+                event.value = value;
+                rows.push(QueryRow { run_id: share(&runs[run]), event });
+            }
+            for group_by in [GroupBy::None, GroupBy::Run, GroupBy::Kind, GroupBy::Subject, GroupBy::Detail] {
+                for op in [AggregateOp::Count, AggregateOp::Mean, AggregateOp::Min, AggregateOp::Max, AggregateOp::Sum, AggregateOp::P95] {
+                    let got = format!("{:?}", aggregate_rows(&rows, op, group_by));
+                    let want = format!("{:?}", aggregate_by_lookup(&rows, op, group_by));
+                    proptest::prop_assert_eq!(got, want, "{:?} by {:?}", op, group_by);
+                }
+                let onsets: Vec<(&str, f64)> = rows
+                    .iter()
+                    .filter(|r| r.event.kind == EventKind::Fault)
+                    .map(|r| (&*r.run_id, r.event.time_secs))
+                    .collect();
+                let near = rows.iter().filter(|r| {
+                    let t = r.event.time_secs;
+                    r.event.kind == EventKind::Violation
+                        && onsets.iter().any(|&(run, onset)| {
+                            run == &*r.run_id && t >= onset && t <= onset + window
+                        })
+                });
+                proptest::prop_assert_eq!(
+                    near_fault_rows(&rows, EventKind::Violation, window, group_by),
+                    aggregate_by_lookup(near, AggregateOp::Count, group_by)
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::sync::Arc;
 
@@ -263,7 +264,44 @@ impl<'a> EventRef<'a> {
 /// read builds its own table and drops it when it returns, so no string stays
 /// allocated once the events holding it are gone.
 #[derive(Default)]
-pub(crate) struct StringTable(HashSet<Arc<str>>);
+pub(crate) struct StringTable(HashSet<Arc<str>, BuildHasherDefault<FxHasher>>);
+
+/// The Fx hash (rustc's): a rotate, xor and multiply per eight bytes. A query
+/// looks up two strings per row, and SipHash's per-key cost showed in the
+/// scan. Fx offers no defence against keys crafted to collide, which here
+/// could only slow a query over a store written to do so.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        // The tail byte by byte: a variable-length copy into a word costs
+        // a `memcpy` call, more than hashing the word.
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            self.add(word);
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 impl StringTable {
     /// The table's copy of `text`, made on first sight.

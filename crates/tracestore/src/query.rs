@@ -28,16 +28,18 @@
 //! into [`QueryRow`]s. A row allocates no string of its own: all rows of a run
 //! share the store's `Arc<str>` run id, and each distinct subject or detail in
 //! the result is allocated once, in a string table that lives for the call. The
-//! predicate's world — the empty `System` and a binding slot for each event
-//! field the expression mentions — is built once per `execute`, not once per
-//! event. [`Query::matches`] is the per-event definition (every field bound,
-//! nothing shared) that `execute` is property-tested against. A damaged
-//! store surfaces as [`QueryError::Store`] (see [`crate::store`]).
+//! predicate is compiled once per `execute` (an `archmodel::Program` with one
+//! slot per event field) and evaluated per event on values borrowed from the
+//! decoded view, so testing an event allocates nothing. [`Query::matches`] is
+//! the per-event definition (compiled afresh, nothing shared) that `execute`
+//! is property-tested against. A damaged store surfaces as
+//! [`QueryError::Store`] (see [`crate::store`]).
 
 use crate::event::{EventKind, EventRef, StringTable, TraceEvent};
 use crate::store::{Select, StoreError, TraceStore};
-use archmodel::expr::{eval_bool, parse, Bindings, EvalValue, Expr};
-use archmodel::{System, Value};
+use archmodel::expr::{parse, Expr, Operand, Program};
+use archmodel::System;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -147,9 +149,9 @@ impl Query {
         if !self.selects_run(run_id) || !self.keeps(&event) {
             return Ok(false);
         }
-        self.predicate.as_ref().map_or(Ok(true), |expr| {
-            Predicate::new(expr, FIELDS.map(String::from)).test(run_id, &event)
-        })
+        self.predicate
+            .as_ref()
+            .map_or(Ok(true), |expr| Predicate::new(expr).test(run_id, &event))
     }
 
     /// Runs the query over the whole store, in replay order.
@@ -162,15 +164,7 @@ impl Query {
     /// view, so only the events that pass become rows, and equal strings
     /// among the rows are one shared allocation.
     pub fn execute(&self, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError> {
-        // Fields the predicate never names are never looked up, so only the
-        // ones it mentions are bound per event.
-        let mut predicate = self.predicate.as_ref().map(|expr| {
-            let mentioned = expr.referenced_idents().into_iter();
-            Predicate::new(
-                expr,
-                mentioned.filter(|name| FIELDS.contains(&name.as_str())),
-            )
-        });
+        let predicate = self.predicate.as_ref().map(Predicate::new);
         let select = match (self.kinds.as_slice(), self.window) {
             ([kind], _) => Select::Kind(*kind),
             (_, Some((from, _))) => Select::From(from),
@@ -179,9 +173,10 @@ impl Query {
         let (mut rows, mut strings) = (Vec::new(), StringTable::default());
         for meta in store.runs().iter().filter(|m| self.selects_run(&m.run_id)) {
             store.scan(meta, select, |event| {
-                let predicate = predicate.as_mut();
                 if self.keeps(&event)
-                    && predicate.map_or(Ok(true), |p| p.test(&meta.run_id, &event))?
+                    && predicate
+                        .as_ref()
+                        .map_or(Ok(true), |p| p.test(&meta.run_id, &event))?
                 {
                     rows.push(QueryRow {
                         run_id: Arc::clone(&meta.run_id),
@@ -195,9 +190,9 @@ impl Query {
     }
 }
 
-/// The identifiers a predicate can name: every event has every field, so
-/// the same predicate evaluates against every event without per-event
-/// "unknown identifier" failures.
+/// The identifiers a predicate can name, in slot order: every event has
+/// every field, so the same predicate evaluates against every event without
+/// per-event "unknown identifier" failures.
 const FIELDS: [&str; 8] = [
     "correlation",
     "detail",
@@ -209,48 +204,37 @@ const FIELDS: [&str; 8] = [
     "value",
 ];
 
-/// What `field` (one of [`FIELDS`]) binds to for one event. Absent numeric
-/// payloads bind `value` to `NaN` (comparisons against it are false) and
-/// `correlation` to `-1`.
-fn field_value(field: &str, run_id: &str, event: &EventRef<'_>) -> EvalValue {
-    EvalValue::Val(match field {
-        "run" => Value::Str(run_id.to_string()),
-        "kind" => Value::Str(event.kind.name().to_string()),
-        "time" => Value::Float(event.time_secs),
-        "subject" => Value::Str(event.subject.to_string()),
-        "detail" => Value::Str(event.detail.to_string()),
-        "value" => Value::Float(event.value.unwrap_or(f64::NAN)),
-        "has_value" => Value::Bool(event.value.is_some()),
-        "correlation" => Value::Int(event.correlation.map_or(-1, |c| c as i64)),
-        _ => unreachable!("{field} is not an event field"),
-    })
-}
-
-/// A predicate with the world it is evaluated in: the empty architecture
-/// (bindings resolve first, so event fields shadow nothing) and one binding
-/// slot per event field in play, refilled for each event.
-struct Predicate<'q> {
-    expr: &'q Expr,
+/// A compiled predicate with the world it is evaluated in: the empty
+/// architecture (slots resolve first, so event fields shadow nothing).
+struct Predicate {
+    program: Program,
     system: System,
-    bindings: Bindings,
 }
 
-impl<'q> Predicate<'q> {
-    /// Binds `fields`, each one of [`FIELDS`].
-    fn new(expr: &'q Expr, fields: impl IntoIterator<Item = String>) -> Self {
-        let unset = EvalValue::Val(Value::Bool(false));
+impl Predicate {
+    fn new(expr: &Expr) -> Self {
         Predicate {
-            expr,
+            program: Program::compile(expr, &FIELDS),
             system: System::new("tracestore"),
-            bindings: fields.into_iter().map(|f| (f, unset.clone())).collect(),
         }
     }
 
-    fn test(&mut self, run_id: &str, event: &EventRef<'_>) -> Result<bool, QueryError> {
-        for (field, slot) in &mut self.bindings {
-            *slot = field_value(field, run_id, event);
-        }
-        eval_bool(self.expr, &self.system, &self.bindings)
+    /// Fills one slot per [`FIELDS`] entry from the event, borrowing its
+    /// strings. An absent payload binds `value` to `NaN` (comparisons
+    /// against it are false) and `correlation` to `-1`.
+    fn test(&self, run_id: &str, event: &EventRef<'_>) -> Result<bool, QueryError> {
+        let fields = [
+            Some(Operand::Int(event.correlation.map_or(-1, |c| c as i64))),
+            Some(Operand::Str(Cow::Borrowed(event.detail))),
+            Some(Operand::Bool(event.value.is_some())),
+            Some(Operand::Str(Cow::Borrowed(event.kind.name()))),
+            Some(Operand::Str(Cow::Borrowed(run_id))),
+            Some(Operand::Str(Cow::Borrowed(event.subject))),
+            Some(Operand::Float(event.time_secs)),
+            Some(Operand::Float(event.value.unwrap_or(f64::NAN))),
+        ];
+        self.program
+            .eval_bool(&self.system, &fields)
             .map_err(|e| QueryError::Eval(format!("{e:?}")))
     }
 }

@@ -3,7 +3,7 @@
 //! transactional change-set machinery, and the M/M/c analysis.
 
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{apply_op, parse, Bindings, System, Transaction};
+use archmodel::{apply_op, parse, Program, System, Transaction};
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::LinkId;
@@ -33,7 +33,7 @@ proptest! {
             .properties
             .set(props::AVERAGE_LATENCY, latency);
         let expr = parse("User1.averageLatency <= maxLatency").unwrap();
-        let holds = archmodel::eval_bool(&expr, &model, &Bindings::new()).unwrap();
+        let holds = Program::compile(&expr, &[]).eval_bool(&model, &[]).unwrap();
         prop_assert_eq!(holds, latency <= bound);
     }
 
@@ -43,7 +43,7 @@ proptest! {
         let model = System::new("empty");
         let text = format!("{a} + {b} * {c} == {}", a + b * c);
         let expr = parse(&text).unwrap();
-        prop_assert!(archmodel::eval_bool(&expr, &model, &Bindings::new()).unwrap());
+        prop_assert!(Program::compile(&expr, &[]).eval_bool(&model, &[]).unwrap());
     }
 
     /// Max-min fair allocation never oversubscribes a link and never starves
