@@ -7,7 +7,8 @@
 //! run without [`FrameworkConfig::detectors`](crate::FrameworkConfig) has no
 //! [`DetectorState`] at all.
 
-use crate::observe::{Observer, Occurrence};
+use crate::log::{Occurrence, RunLog};
+use crate::observe::Observer;
 use archmodel::Key;
 use simnet::SimTime;
 
@@ -114,14 +115,13 @@ impl DetectorState {
     }
 
     /// Feeds one tick's gauge readings to the detector bank and records each
-    /// harmful-direction alarm as an advisory. Alarms whose drift direction
-    /// is harmless for the property (latency falling, bandwidth recovering)
-    /// are counted by the bank but not recorded — an advisory always names
-    /// the invariant it predicts.
+    /// harmful-direction alarm as an advisory, at the alarm's own time.
+    /// Alarms whose drift direction is harmless for the property (latency
+    /// falling, bandwidth recovering) are counted by the bank but not
+    /// recorded — an advisory always names the invariant it predicts.
     pub(crate) fn observe(
         &mut self,
         observer: &mut Observer,
-        t: SimTime,
         readings: &[monitoring::GaugeReading],
     ) {
         self.scratch.clear();
@@ -141,19 +141,20 @@ impl DetectorState {
             if alarm.direction != harmful {
                 continue;
             }
-            observer.record(t, Occurrence::Advisory(alarm, predicts));
+            let at = SimTime::from_secs(alarm.time);
+            observer.record(at, Occurrence::Advisory(*alarm, predicts));
         }
     }
 
-    /// End-of-run summary, joined with the advisory and violation logs
-    /// `observer` kept.
-    pub(crate) fn summary(&self, observer: &Observer) -> DetectSummary {
+    /// End-of-run summary, its advisory count and lead times folded from
+    /// the run's `log`.
+    pub(crate) fn summary(&self, log: &RunLog) -> DetectSummary {
         DetectSummary {
-            advisories: observer.advisories(),
+            advisories: log.advisory_count(),
             raw_alarms: self.bank.alarms(),
             series: self.bank.series_count() as u64,
             points: self.bank.points(),
-            median_lead_secs: observer.median_lead_secs(ADVISORY_MATCH_HORIZON_SECS),
+            median_lead_secs: log.median_lead_secs(ADVISORY_MATCH_HORIZON_SECS),
         }
     }
 }

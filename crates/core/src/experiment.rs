@@ -6,10 +6,11 @@
 //! the same seed so the request/response sequences match, as in the paper.
 
 use crate::framework::{AdaptationFramework, FrameworkConfig, RepairStats};
+use crate::log::RunLog;
 use faultsim::CompiledFaultSchedule;
 use gridapp::{AppError, ExperimentSchedule, GridConfig, Metrics};
 use serde::Serialize;
-use simnet::{Summary, Trace};
+use simnet::Summary;
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -66,8 +67,8 @@ pub struct RunResult {
     pub latency_bound_secs: f64,
     /// The recorded figure series.
     pub metrics: Metrics,
-    /// The framework's event trace.
-    pub trace: Trace,
+    /// The run's log.
+    pub trace: RunLog,
     /// Intervals during which a repair was executing (the bars at the top of
     /// Figures 11–13).
     pub repair_intervals: Vec<(f64, f64)>,
@@ -173,8 +174,9 @@ pub fn run_observed(
     framework.publish_metrics();
     let unserved_demand_secs = framework.app().unserved_demand_secs();
     let metrics = framework.metrics().clone();
-    let trace = framework.trace().clone();
     let stats = framework.repair_stats();
+    let detect = framework.detect_summary();
+    let trace = framework.into_trace();
     let repair_intervals = trace
         .repair_intervals()
         .into_iter()
@@ -190,7 +192,7 @@ pub fn run_observed(
         faults,
         repair_stats: stats,
         unserved_demand_secs,
-        detect: framework.detect_summary(),
+        detect,
         summary,
     })
 }

@@ -20,16 +20,17 @@
 //! duration has passed.
 
 use crate::detector::{DetectSummary, DetectorState};
+use crate::log::{Occurrence, RunLog};
 use crate::model::{build_model, ModelUpdater};
 use crate::monitor::Monitor;
-use crate::observe::{Observer, Occurrence};
+use crate::observe::Observer;
 use crate::repairs::RepairLoop;
 use crate::task::PerformanceProfile;
 use archmodel::System;
 use faultsim::{CompiledFaultSchedule, TimedAction};
 use gridapp::{AppError, ExperimentSchedule, FlowSnapshot, GridApp, GridConfig, Metrics};
 use repair::SelectionPolicy;
-use simnet::{SimTime, Trace, TraceKind};
+use simnet::SimTime;
 use translator::RepairCostModel;
 
 /// The built-in repair-strategy presets, in sweep-matrix order. Each
@@ -212,8 +213,8 @@ pub struct AdaptationFramework {
     /// The one monitoring path: who is watched, the flow snapshot, the gauge
     /// roster and the run's class index.
     monitor: Monitor,
-    /// The one observation path: legacy trace, trace sink, metrics sink, and
-    /// the always-on tallies.
+    /// The one observation path: run log, trace sink, metrics sink, and the
+    /// tallies the log does not hold.
     observer: Observer,
     /// Online anomaly-detector layer; `None` (the default) is fully inert.
     detector: Option<DetectorState>,
@@ -234,7 +235,7 @@ impl AdaptationFramework {
         let (model, server_map) =
             build_model(&app, &profile).map_err(|e| AppError::Invalid(e.to_string()))?;
         let mut monitor = Monitor::new(&app, &config);
-        let mut observer = Observer::new(config.detectors.is_some());
+        let mut observer = Observer::new();
         observer.record(SimTime::ZERO, Occurrence::Deployed);
         monitor.deploy(SimTime::ZERO, &app, &server_map);
         Ok(AdaptationFramework {
@@ -280,7 +281,7 @@ impl AdaptationFramework {
     /// [`FrameworkConfig::detectors`] was set).
     pub fn detect_summary(&self) -> Option<DetectSummary> {
         let detector = self.detector.as_ref()?;
-        Some(detector.summary(&self.observer))
+        Some(detector.summary(self.observer.log()))
     }
 
     /// The architectural model as currently maintained.
@@ -293,9 +294,14 @@ impl AdaptationFramework {
         &self.app
     }
 
-    /// The event trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        self.observer.trace()
+    /// The run log recorded so far.
+    pub fn trace(&self) -> &RunLog {
+        self.observer.log()
+    }
+
+    /// The run log, for a caller done with the framework.
+    pub fn into_trace(self) -> RunLog {
+        self.observer.into_log()
     }
 
     /// The metrics recorded by the application so far.
@@ -305,14 +311,10 @@ impl AdaptationFramework {
 
     /// Repair statistics for the run so far.
     pub fn repair_stats(&self) -> RepairStats {
-        let trace = self.observer.trace();
         RepairStats {
-            started: trace.count(TraceKind::RepairStart) as u64,
-            completed: trace.count(TraceKind::RepairEnd) as u64,
-            aborted: trace.count(TraceKind::RepairAborted) as u64,
-            mean_duration_secs: trace.mean_repair_duration_secs(),
             servers_activated: self.observer.servers_activated,
             client_moves: self.observer.client_moves,
+            ..self.observer.log().repair_stats()
         }
     }
 
@@ -339,7 +341,7 @@ impl AdaptationFramework {
         let readings = {
             let _span = self.observer.span("phase.gauge_dispatch");
             let readings = self.monitor.observe(&mut self.app, &flows, t);
-            self.observer.record(t, Occurrence::GaugeBatch(readings));
+            self.observer.gauge_batch(readings);
             let mut updater = ModelUpdater::new(&mut self.model);
             updater.apply_batch(readings);
             self.observer.noop_suppressed += updater.suppressed;
@@ -350,11 +352,11 @@ impl AdaptationFramework {
         // baseline the lead-time reports compare against).
         if let Some(detector) = self.detector.as_mut() {
             let _span = self.observer.span("phase.detect");
-            detector.observe(&mut self.observer, t, readings);
+            detector.observe(&mut self.observer, readings);
         }
         if self.observer.metric_snapshot_due(t) {
             self.publish_metrics();
-            self.observer.record(t, Occurrence::MetricSnapshot);
+            self.observer.copy_metrics_to_sink(t);
         }
         let Some(repairs) = self.repairs.as_mut() else {
             return;
@@ -366,7 +368,7 @@ impl AdaptationFramework {
         if repairs.executing() {
             if let Some(due) = repairs.take_due(t) {
                 due.commit(model, observer, t);
-                repairs.execute(&due, app, monitor, observer, t);
+                repairs.execute(due, app, monitor, observer, t);
             }
             return;
         }
@@ -425,8 +427,11 @@ impl AdaptationFramework {
                     // application's trace sink (fault onsets become `Fault`
                     // events, lifts become `Info`).
                     Step::Fault(timed) => {
-                        let result = faultsim::apply_timed(&mut self.app, timed);
-                        let fault = Occurrence::Fault(&timed.label, &result);
+                        let label = timed.label.clone();
+                        let fault = match faultsim::apply_timed(&mut self.app, timed) {
+                            Ok(()) => Occurrence::Fault(label),
+                            Err(e) => Occurrence::FaultFailed(label, e),
+                        };
                         self.observer.record(now, fault);
                     }
                 }
@@ -448,6 +453,14 @@ enum Step<'a> {
 mod tests {
     use super::*;
     use archmodel::style::{props, ClientServerStyle};
+    use tracestore::EventKind;
+
+    /// Whether a repair start's legacy line mentions `text`.
+    fn started_with(fw: &AdaptationFramework, text: &str) -> bool {
+        fw.trace()
+            .legacy_lines()
+            .any(|l| l.kind == EventKind::RepairStart && l.to_string().contains(text))
+    }
 
     #[test]
     fn every_strategy_name_resolves_and_unknown_names_do_not() {
@@ -504,9 +517,7 @@ mod tests {
         // Both squeezed clients travel in one planner batch (the per-element
         // engine would need one damped repair per client).
         assert!(
-            fw.trace()
-                .of_kind(TraceKind::RepairStart)
-                .any(|e| e.message.contains("moveClientGroup")),
+            started_with(&fw, "moveClientGroup"),
             "a batched group move was planned"
         );
         for client in ["User3", "User4"] {
@@ -543,9 +554,7 @@ mod tests {
         fw.run_with_faults(600.0, None, Some(&compiled));
         // The cost-reduction pass fired at least once…
         assert!(
-            fw.trace()
-                .of_kind(TraceKind::RepairStart)
-                .any(|e| e.message.contains("underutilised")),
+            started_with(&fw, "underutilised"),
             "an underutilised repair was started"
         );
         // …and the group is back at its provisioned three replicas, with the
@@ -647,7 +656,7 @@ mod tests {
         fw.run_with_faults(400.0, None, Some(&compiled));
         // Two crashes (t=140) and two restarts (t=340) were injected and
         // traced.
-        assert_eq!(fw.trace().count(TraceKind::Fault), 4, "four faults traced");
+        assert_eq!(fw.trace().count(EventKind::Fault), 4, "four faults traced");
         let stats = fw.repair_stats();
         assert!(stats.completed >= 1, "failover repair completed: {stats:?}");
         // The failover retired the dead replicas and recruited the spares:
@@ -662,9 +671,7 @@ mod tests {
         assert!(active.contains(&"S7".to_string()), "{active:?}");
         // The repair went through the failoverServerGroup tactic.
         assert!(
-            fw.trace()
-                .of_kind(TraceKind::RepairStart)
-                .any(|e| e.message.contains("liveness")),
+            started_with(&fw, "liveness"),
             "a liveness repair was started"
         );
         // The model census agrees with the runtime again.
@@ -736,7 +743,7 @@ mod tests {
         let mut fw = AdaptationFramework::new(grid, FrameworkConfig::control()).unwrap();
         let compiled = faults.compile(fw.app().testbed(), grid.seed).unwrap();
         fw.run_with_faults(200.0, Some(&schedule), Some(&compiled));
-        let lines: Vec<&str> = fw.trace().entries().iter().map(|e| &*e.message).collect();
+        let lines: Vec<String> = fw.trace().legacy_lines().map(|l| l.to_string()).collect();
         let at = |line: &str| {
             let found = lines.iter().position(|l| *l == line);
             found.unwrap_or_else(|| panic!("`{line}` is traced: {lines:?}"))
@@ -747,8 +754,8 @@ mod tests {
         assert!(phase < crash && crash < cut, "{phase} < {crash} < {cut}");
         at("fault injected: server S2 restarted");
         assert!(!lines.iter().any(|l| l.contains("restored")), "{lines:?}");
-        assert!(!lines.contains(&"workload phase change at 0 s"));
-        assert_eq!(fw.trace().count(TraceKind::Fault), 3);
+        assert!(!lines.iter().any(|l| l == "workload phase change at 0 s"));
+        assert_eq!(fw.trace().count(EventKind::Fault), 3);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   the run's one class index), `detector` (readings → advisories) and
 //!   `repairs` (Check → Plan → Begin, Commit → Execute over one
 //!   `repair::RepairPlan`; a control run has none) — and everything they
-//!   report goes through the private `observe` module,
+//!   report goes through the private `observe` module onto the run's one
+//!   record, the typed [`RunLog`],
 //! * [`experiment`] — the control and adaptive experiment runs (§5),
 //! * [`sweep`] — parallel scenario sweeps over topology × workload ×
 //!   strategy × duration × seed matrices with aggregate statistics,
@@ -41,6 +42,7 @@
 mod detector;
 pub mod experiment;
 pub mod framework;
+mod log;
 pub mod model;
 mod monitor;
 mod observe;
@@ -58,6 +60,7 @@ pub use framework::{
     strategy_names, AdaptationFramework, FrameworkConfig, RepairStats, METRIC_SNAPSHOT_PERIOD_SECS,
     STRATEGY_REGISTRY,
 };
+pub use log::{LegacyLine, RunLog};
 pub use model::{build_model, ModelUpdater};
 pub use query::AppQuery;
 pub use report::{render_comparison, render_run, render_sweep, run_to_json};

@@ -1,88 +1,28 @@
 //! The control loop's one observation path.
 //!
 //! Every noteworthy thing the framework does or sees is named once, as an
-//! [`Occurrence`], and handed to [`Observer::record`]. That function is the
-//! only place that knows the three output formats — the legacy
-//! [`simnet::Trace`] line, the [`tracestore::EventRef`]
-//! subject/detail/value/correlation convention, and which `framework.*`
-//! counter an occurrence bumps — and the only place that asks a sink whether
-//! it is enabled. With the default `NullSink` / `NullRegistry` a `record`
-//! call builds the legacy line and nothing else.
+//! [`Occurrence`], and handed to [`Observer::record`]. That function pushes
+//! it onto the run's [`RunLog`] — the one record of the run — renders that
+//! same entry into a [`tracestore::EventRef`] when the trace sink is
+//! enabled, and bumps the `framework.*` counters it drives; it is the only
+//! place that asks a sink whether it is enabled. The text of the legacy
+//! event trace is a renderer over the log (`RunLog::legacy_lines`), so with
+//! the default `NullSink` / `NullRegistry` a `record` call formats nothing.
+//! Gauge batches and metric snapshots go straight to the sinks and are not
+//! logged.
 
 use crate::framework::METRIC_SNAPSHOT_PERIOD_SECS;
-use archmodel::constraint::Violation;
+use crate::log::{Occurrence, RunLog};
 use archmodel::Key;
-use gridapp::{AppError, GridApp};
+use gridapp::GridApp;
 use monitoring::GaugeReading;
-use repair::RepairPlan;
-use simnet::{SimTime, Trace, TraceKind};
-use std::fmt;
+use simnet::SimTime;
 use tracestore::{EventKind, EventRef};
-use translator::RuntimeOp;
 
-/// Something the control loop did or saw. Variants borrow: naming an
-/// occurrence allocates nothing.
-pub(crate) enum Occurrence<'a> {
-    /// Probes and gauges are being deployed.
-    Deployed,
-    /// One tick's gauge readings were delivered to the model. Each reading is
-    /// stamped with its own report time, not the tick's.
-    GaugeBatch(&'a [GaugeReading]),
-    /// A detector flagged a gauge stream drifting towards the named
-    /// invariant (stamped with the alarm's own time).
-    Advisory(&'a detect::Advisory, &'a str),
-    /// The metrics registry was refreshed at the snapshot cadence and is due
-    /// to be copied into the trace sink.
-    MetricSnapshot,
-    /// A constraint was found violated.
-    Violation(&'a Violation),
-    /// A repair began executing. `batched` marks the group planner's plans,
-    /// which name their tactics in the trace and count as `planner.plans`.
-    RepairStarted {
-        correlation: u64,
-        plan: &'a RepairPlan,
-        batched: bool,
-        runtime_ops: usize,
-        duration_secs: f64,
-    },
-    /// The repair with this correlation id was committed and executed.
-    RepairCompleted(u64, &'a RepairPlan),
-    /// The engine abandoned the named invariant, for the given reason (no
-    /// applicable tactic, or one failed hard).
-    RepairAborted(&'a str, &'a str),
-    /// The plan for the named subject was abandoned: it has no runtime
-    /// translation, for the given reason.
-    Untranslatable(&'a str, &'a dyn fmt::Display),
-    /// The engine declined to plan, for the given reason (damping, nothing
-    /// applicable).
-    RepairSkipped(&'a str),
-    /// A runtime operation was applied.
-    Reconfigured(&'a RuntimeOp),
-    /// A runtime operation was attempted and failed.
-    OpFailed(&'a RuntimeOp, &'a AppError),
-    /// The labelled scripted fault action was applied (or could not be).
-    Fault(&'a str, &'a Result<(), AppError>),
-    /// The scripted workload changed phase.
-    PhaseChange,
-    /// Free-form progress note.
-    Note(fmt::Arguments<'a>),
-}
-
-/// The (sim time, subject) logs the end-of-run lead-time summary joins; kept
-/// only when the detector layer is on.
-#[derive(Default)]
-struct LeadLog {
-    /// Every emitted advisory, in emission order.
-    advisories: Vec<(f64, Key)>,
-    /// Every constraint violation observed.
-    violations: Vec<(f64, Key)>,
-}
-
-/// Owns every observation output of one run: the legacy trace, the trace
-/// sink, the metrics sink, and the always-on tallies behind
-/// [`RepairStats`](crate::framework::RepairStats) and the pulled counters.
+/// Owns every observation output of one run: the run log, the trace sink,
+/// the metrics sink, and the always-on tallies the log does not hold.
 pub(crate) struct Observer {
-    trace: Trace,
+    log: RunLog,
     /// Unified observation sink (the application shares the handle for
     /// transfer completions). The default `NullSink` is disabled.
     sink: tracestore::SharedSink,
@@ -95,7 +35,6 @@ pub(crate) struct Observer {
     /// Sim time at/after which the next metric snapshot is emitted.
     next_metric_snapshot_secs: f64,
     repair_seq: u64,
-    leads: Option<LeadLog>,
     /// (invariant, element) pairs the incremental checker replayed from its
     /// cache instead of evaluating.
     pub(crate) pairs_skipped: u64,
@@ -109,17 +48,15 @@ pub(crate) struct Observer {
 }
 
 impl Observer {
-    /// An observer with both sinks disabled. `track_leads` keeps the
-    /// advisory/violation logs the detector layer's lead-time join needs.
-    pub(crate) fn new(track_leads: bool) -> Self {
+    /// An observer with both sinks disabled and an empty log.
+    pub(crate) fn new() -> Self {
         Observer {
-            trace: Trace::new(),
+            log: RunLog::default(),
             sink: tracestore::null_sink(),
             detail: String::new(),
             metrics: obs::null_metrics(),
             next_metric_snapshot_secs: 0.0,
             repair_seq: 0,
-            leads: track_leads.then(LeadLog::default),
             pairs_skipped: 0,
             noop_suppressed: 0,
             servers_activated: 0,
@@ -135,9 +72,14 @@ impl Observer {
         self.metrics = metrics;
     }
 
-    /// The legacy event trace recorded so far.
-    pub(crate) fn trace(&self) -> &Trace {
-        &self.trace
+    /// The run log recorded so far.
+    pub(crate) fn log(&self) -> &RunLog {
+        &self.log
+    }
+
+    /// The run log, for a caller done with the observer.
+    pub(crate) fn into_log(self) -> RunLog {
+        self.log
     }
 
     /// Starts a wall-clock span feeding the histogram `phase`; `None` (no
@@ -154,197 +96,53 @@ impl Observer {
         self.repair_seq
     }
 
-    /// Advisories emitted so far.
-    pub(crate) fn advisories(&self) -> u64 {
-        self.leads.as_ref().map_or(0, |l| l.advisories.len() as u64)
+    /// Delivers one tick's gauge readings to the sink, each stamped with its
+    /// own report time, and counts the tick.
+    pub(crate) fn gauge_batch(&self, readings: &[GaugeReading]) {
+        if self.sink.enabled() {
+            for reading in readings {
+                self.sink.append(
+                    EventRef::new(
+                        reading.time,
+                        EventKind::Gauge,
+                        reading.target.as_str(),
+                        reading.property.as_str(),
+                    )
+                    .with_value(reading.value),
+                );
+            }
+        }
+        self.count("framework.ticks", 1);
+        self.count("framework.gauge_readings", readings.len() as u64);
     }
 
-    /// Renders one occurrence into every output that wants it. `t` stamps
-    /// the occurrence unless the variant says it carries its own time.
-    pub(crate) fn record(&mut self, t: SimTime, occurrence: Occurrence<'_>) {
-        let secs = t.as_secs();
-        match occurrence {
-            Occurrence::Deployed => self.note(t, "deploying probes and gauges".into()),
-            Occurrence::GaugeBatch(readings) => {
-                if self.sink.enabled() {
-                    for reading in readings {
-                        self.sink.append(
-                            EventRef::new(
-                                reading.time,
-                                EventKind::Gauge,
-                                reading.target.as_str(),
-                                reading.property.as_str(),
-                            )
-                            .with_value(reading.value),
-                        );
-                    }
-                }
-                self.count("framework.ticks", 1);
-                self.count("framework.gauge_readings", readings.len() as u64);
-            }
-            Occurrence::Advisory(alarm, predicts) => {
-                if let Some(leads) = self.leads.as_mut() {
-                    leads.advisories.push((alarm.time, alarm.subject));
-                }
-                self.emit_formatted(
-                    EventRef::new(alarm.time, EventKind::Advisory, alarm.subject.as_str(), "")
-                        .with_value(alarm.score),
-                    format_args!(
-                        "{}/{} predict={predicts}",
-                        alarm.property.as_str(),
-                        alarm.detector.name()
-                    ),
-                );
-            }
-            Occurrence::MetricSnapshot => self.copy_metrics_to_sink(secs),
-            Occurrence::Violation(violation) => {
-                self.trace.record(
-                    t,
-                    TraceKind::Violation,
-                    format!(
-                        "{} violated for {} ({})",
-                        violation.invariant, violation.subject_name, violation.detail
-                    ),
-                );
-                self.emit(EventRef::new(
-                    secs,
-                    EventKind::Violation,
-                    &violation.subject_name,
-                    &violation.invariant,
-                ));
-                self.count("framework.violations", 1);
-                if let Some(leads) = self.leads.as_mut() {
-                    leads
-                        .violations
-                        .push((secs, Key::new(&violation.subject_name)));
-                }
-            }
+    /// Logs one occurrence stamped `t`, emits the same entry to an enabled
+    /// sink, and bumps the counters it drives.
+    pub(crate) fn record(&mut self, t: SimTime, occurrence: Occurrence) {
+        match &occurrence {
+            Occurrence::Violation { .. } => self.count("framework.violations", 1),
             Occurrence::RepairStarted {
-                correlation,
-                plan,
                 batched,
                 runtime_ops,
-                duration_secs,
+                ..
             } => {
-                let label = if batched {
-                    format!("[{}] ", plan.tactics.join("+"))
-                } else {
-                    String::new()
-                };
-                self.trace.record_correlated(
-                    t,
-                    TraceKind::RepairStart,
-                    correlation,
-                    format!(
-                        "repair #{correlation} for {} ({}): {label}{} \
-                         [{runtime_ops} runtime ops, ≈{duration_secs:.0} s]",
-                        plan.subject, plan.invariant, plan.description
-                    ),
-                );
-                self.emit_formatted(
-                    EventRef::new(secs, EventKind::RepairStart, &plan.subject, "")
-                        .with_correlation(correlation),
-                    format_args!("{}: {label}{}", plan.invariant, plan.description),
-                );
                 self.count("framework.repairs.started", 1);
-                if batched {
+                if *batched {
                     self.count("planner.plans", 1);
                 }
-                self.count("framework.plan_ops", runtime_ops as u64);
+                self.count("framework.plan_ops", *runtime_ops as u64);
             }
-            Occurrence::RepairCompleted(correlation, plan) => {
-                self.trace.record_correlated(
-                    t,
-                    TraceKind::RepairEnd,
-                    correlation,
-                    format!(
-                        "repair #{correlation} for {} complete: {}",
-                        plan.subject, plan.description
-                    ),
-                );
-                self.emit(
-                    EventRef::new(secs, EventKind::RepairEnd, &plan.subject, &plan.description)
-                        .with_correlation(correlation),
-                );
-                self.count("framework.repairs.completed", 1);
-            }
-            Occurrence::RepairAborted(invariant, reason) => {
-                let line = format!("repair of {invariant} aborted: {reason}");
-                self.trace.record(t, TraceKind::RepairAborted, line);
-                self.emit(EventRef::new(
-                    secs,
-                    EventKind::RepairAborted,
-                    invariant,
-                    reason,
-                ));
+            Occurrence::RepairCompleted { .. } => self.count("framework.repairs.completed", 1),
+            Occurrence::RepairAborted { .. } | Occurrence::Untranslatable { .. } => {
                 self.count("framework.repairs.aborted", 1);
             }
-            Occurrence::Untranslatable(subject, error) => {
-                let reason = format!("translation failed: {error}");
-                self.emit(EventRef::new(
-                    secs,
-                    EventKind::RepairAborted,
-                    subject,
-                    &reason,
-                ));
-                self.trace.record(t, TraceKind::RepairAborted, reason);
-                self.count("framework.repairs.aborted", 1);
-            }
-            Occurrence::RepairSkipped(reason) => {
-                self.note(t, format!("repair skipped: {reason}"));
-            }
-            Occurrence::Reconfigured(op) => {
-                let described = op.describe();
-                self.emit(EventRef::new(
-                    secs,
-                    EventKind::Reconfiguration,
-                    runtime_op_subject(op),
-                    &described,
-                ));
-                self.trace.record(t, TraceKind::Reconfiguration, described);
-            }
-            Occurrence::OpFailed(op, error) => {
-                self.note(
-                    t,
-                    format!("runtime operation {} failed: {error}", op.describe()),
-                );
-            }
-            Occurrence::Fault(label, Ok(())) => {
-                self.trace
-                    .record(t, TraceKind::Fault, format!("fault injected: {label}"));
-            }
-            Occurrence::Fault(label, Err(e)) => {
-                self.note(t, format!("fault action {label} failed: {e}"));
-            }
-            Occurrence::PhaseChange => {
-                self.note(t, format!("workload phase change at {secs:.0} s"));
-            }
-            Occurrence::Note(text) => self.note(t, text.to_string()),
+            _ => {}
         }
-    }
-
-    fn note(&mut self, t: SimTime, line: String) {
-        self.trace.record(t, TraceKind::Info, line);
-    }
-
-    /// Appends to the trace sink if it is enabled. The view borrows what the
-    /// occurrence already holds.
-    fn emit(&self, event: EventRef<'_>) {
+        let entry = self.log.push(t, occurrence);
         if self.sink.enabled() {
-            self.sink.append(event);
-        }
-    }
-
-    /// [`emit`](Self::emit) with the detail formatted — only for an enabled
-    /// sink, and into the reused `detail` buffer.
-    fn emit_formatted(&mut self, event: EventRef<'_>, detail: fmt::Arguments<'_>) {
-        if self.sink.enabled() {
-            self.detail.clear();
-            fmt::Write::write_fmt(&mut self.detail, detail).expect("a String takes any write");
-            self.sink.append(EventRef {
-                detail: &self.detail,
-                ..event
-            });
+            if let Some(event) = entry.sink_event(&mut self.detail) {
+                self.sink.append(event);
+            }
         }
     }
 
@@ -359,7 +157,7 @@ impl Observer {
     /// Whether a metric snapshot falls due at `t` (never, without a metrics
     /// registry). Answering yes schedules the next one
     /// [`METRIC_SNAPSHOT_PERIOD_SECS`] later; the caller then refreshes the
-    /// pulled counters and records [`Occurrence::MetricSnapshot`].
+    /// pulled counters and calls [`copy_metrics_to_sink`](Self::copy_metrics_to_sink).
     pub(crate) fn metric_snapshot_due(&mut self, t: SimTime) -> bool {
         let due = self.metrics.enabled() && t.as_secs() >= self.next_metric_snapshot_secs;
         if due {
@@ -369,15 +167,17 @@ impl Observer {
     }
 
     /// Appends every deterministic counter/gauge to the trace sink as an
-    /// [`EventKind::Metric`] event. The values are simulation-deterministic,
-    /// so the store they land in stays byte-identical across worker counts.
-    fn copy_metrics_to_sink(&self, secs: f64) {
+    /// [`EventKind::Metric`] event stamped `t`. The values are
+    /// simulation-deterministic, so the store they land in stays
+    /// byte-identical across worker counts.
+    pub(crate) fn copy_metrics_to_sink(&self, t: SimTime) {
         if !self.sink.enabled() {
             return;
         }
         let Some((counters, gauges)) = self.metrics.deterministic_values() else {
             return;
         };
+        let secs = t.as_secs();
         for (name, value) in counters {
             self.sink.append(
                 EventRef::new(secs, EventKind::Metric, name.as_str(), "counter")
@@ -429,7 +229,7 @@ impl Observer {
         set("constraint.pairs_skipped", self.pairs_skipped);
         set("monitoring.gauge_noop_suppressed", self.noop_suppressed);
         if let Some(points) = detector_points {
-            set("detect.advisories", self.advisories());
+            set("detect.advisories", self.log.advisory_count());
             set("detect.series_points", points);
         }
         if let Some(index) = census {
@@ -440,51 +240,16 @@ impl Observer {
             gauge("planner.server_classes", index.server_classes().len());
         }
     }
-
-    /// Median lead time over all (advisory → first subsequent same-subject
-    /// violation within `horizon_secs`) pairs. Quadratic in log sizes, run
-    /// once at end of run over short, rare-event logs.
-    pub(crate) fn median_lead_secs(&self, horizon_secs: f64) -> Option<f64> {
-        let log = self.leads.as_ref()?;
-        let mut leads: Vec<f64> = log
-            .advisories
-            .iter()
-            .filter_map(|&(a_time, subject)| {
-                log.violations
-                    .iter()
-                    .filter(|&&(v_time, v_subject)| {
-                        v_subject == subject && v_time >= a_time && v_time - a_time <= horizon_secs
-                    })
-                    .map(|&(v_time, _)| v_time - a_time)
-                    .fold(None, |best: Option<f64>, lead| {
-                        Some(best.map_or(lead, |b| b.min(lead)))
-                    })
-            })
-            .collect();
-        tracestore::aggregate::median_of(&mut leads)
-    }
-}
-
-/// The primary element a runtime operation acts on, for the trace sink's
-/// `subject` field.
-fn runtime_op_subject(op: &RuntimeOp) -> &str {
-    match op {
-        RuntimeOp::CreateReqQueue { group } | RuntimeOp::DrainStuckServers { group, .. } => group,
-        RuntimeOp::FindServer { client, .. }
-        | RuntimeOp::MoveClient { client, .. }
-        | RuntimeOp::RemosGetFlow { client, .. } => client,
-        RuntimeOp::MoveClientGroup { to_group, .. } => to_group,
-        RuntimeOp::ConnectServer { server, .. }
-        | RuntimeOp::ActivateServer { server }
-        | RuntimeOp::DeactivateServer { server } => server,
-        RuntimeOp::DeleteGauge { gauge } | RuntimeOp::CreateGauge { gauge } => gauge,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use archmodel::constraint::Violation;
+    use gridapp::AppError;
+    use repair::RepairPlan;
     use std::sync::Arc;
+    use translator::{RuntimeOp, TranslationError};
 
     /// A sink / registry pair that reports itself disabled and panics if
     /// anything is written to it anyway.
@@ -517,17 +282,18 @@ mod tests {
         }
     }
 
-    fn plan_by(tactics: &[&str]) -> RepairPlan {
-        RepairPlan {
+    fn plan_by(tactics: &[&str]) -> Arc<RepairPlan> {
+        Arc::new(RepairPlan {
             invariant: "bandwidth".into(),
             subject: "User3".into(),
             ops: Vec::new(),
             tactics: tactics.iter().map(|t| t.to_string()).collect(),
             description: "move User3 to ServerGrp2".into(),
-        }
+        })
     }
 
-    /// Records one of every occurrence, in declaration order.
+    /// Records one of every occurrence, in declaration order, with the
+    /// gauge batch and the metric snapshot where they fall in a tick.
     fn record_one_of_each(observer: &mut Observer) {
         let t = SimTime::from_secs(10.0);
         let reading = GaugeReading {
@@ -552,44 +318,70 @@ mod tests {
         };
         let plan = plan_by(&["fixBandwidth"]);
         let group_plan = plan_by(&["moveClientGroup", "drainServer"]);
-        let op = RuntimeOp::MoveClient {
+        let op = || RuntimeOp::MoveClient {
             client: "User3".into(),
             to_group: "ServerGrp2".into(),
         };
         let error = AppError::UnknownClient("User3".into());
         observer.record(t, Occurrence::Deployed);
-        observer.record(t, Occurrence::GaugeBatch(&[reading]));
-        observer.record(t, Occurrence::Advisory(&alarm, "serverLoad"));
-        observer.record(t, Occurrence::MetricSnapshot);
-        observer.record(t, Occurrence::Violation(&violation));
+        observer.gauge_batch(&[reading]);
+        observer.record(
+            SimTime::from_secs(alarm.time),
+            Occurrence::Advisory(alarm, "serverLoad"),
+        );
+        observer.copy_metrics_to_sink(t);
+        observer.record(t, Occurrence::violation(&violation));
         for (correlation, plan, batched) in [(1, &plan, false), (2, &group_plan, true)] {
             observer.record(
                 t,
                 Occurrence::RepairStarted {
                     correlation,
-                    plan,
+                    plan: Arc::clone(plan),
                     batched,
                     runtime_ops: 4,
                     duration_secs: 29.6,
                 },
             );
         }
-        observer.record(t, Occurrence::RepairCompleted(1, &plan));
-        observer.record(t, Occurrence::RepairAborted("latency", "no spare server"));
-        observer.record(t, Occurrence::Untranslatable("User3", &"no role"));
-        observer.record(t, Occurrence::RepairSkipped("settling"));
-        observer.record(t, Occurrence::Reconfigured(&op));
-        observer.record(t, Occurrence::OpFailed(&op, &error));
-        for result in [Ok(()), Err(AppError::Invalid("no such link".into()))] {
-            observer.record(t, Occurrence::Fault("link R2-R3 cut", &result));
-        }
+        observer.record(
+            t,
+            Occurrence::RepairCompleted {
+                correlation: 1,
+                plan,
+            },
+        );
+        observer.record(
+            t,
+            Occurrence::RepairAborted {
+                invariant: "latency".into(),
+                reason: "no spare server".into(),
+            },
+        );
+        observer.record(
+            t,
+            Occurrence::Untranslatable {
+                subject: "User3".into(),
+                error: TranslationError::NotTranslatable("no role".into()),
+            },
+        );
+        observer.record(t, Occurrence::RepairSkipped("settling".into()));
+        observer.record(t, Occurrence::Reconfigured(op()));
+        observer.record(t, Occurrence::OpFailed(Box::new((op(), error))));
+        let label = || "link R2-R3 cut".to_string();
+        observer.record(t, Occurrence::Fault(label()));
+        let failed = AppError::Invalid("no such link".into());
+        observer.record(t, Occurrence::FaultFailed(label(), failed));
         observer.record(SimTime::from_secs(45.0), Occurrence::PhaseChange);
-        observer.record(t, Occurrence::Note(format_args!("drained {} replicas", 3)));
+        let group = "ServerGrp1".to_string();
+        observer.record(t, Occurrence::Drained { group, count: 3 });
+        let unknown = archmodel::ModelError::NameNotFound("S9".into());
+        observer.record(t, Occurrence::CommitFailed(unknown));
+        observer.record(t, Occurrence::StyleViolations(2));
     }
 
     #[test]
     fn disabled_sinks_see_nothing_and_the_legacy_trace_is_unchanged() {
-        let mut observer = Observer::new(false);
+        let mut observer = Observer::new();
         observer.set_sink(Arc::new(Off));
         observer.set_metrics(Arc::new(Off));
         assert!(!observer.metric_snapshot_due(SimTime::from_secs(60.0)));
@@ -597,16 +389,14 @@ mod tests {
         record_one_of_each(&mut observer);
 
         let lines: Vec<String> = observer
-            .trace()
-            .entries()
-            .iter()
-            .map(|e| {
+            .log()
+            .legacy_lines()
+            .map(|line| {
                 format!(
-                    "{} {:?} {:?} {}",
-                    e.time.as_secs(),
-                    e.kind,
-                    e.correlation,
-                    e.message
+                    "{} {:?} {:?} {line}",
+                    line.time.as_secs(),
+                    line.kind,
+                    line.correlation
                 )
             })
             .collect();
@@ -625,7 +415,7 @@ mod tests {
                  [moveClientGroup+drainServer] move User3 to ServerGrp2 [4 runtime ops, ≈30 s]",
                 "10 RepairEnd Some(1) repair #1 for User3 complete: move User3 to ServerGrp2",
                 "10 RepairAborted None repair of latency aborted: no spare server",
-                "10 RepairAborted None translation failed: no role",
+                "10 RepairAborted None translation failed: no runtime mapping for: no role",
                 "10 Info None repair skipped: settling",
                 "10 Reconfiguration None moveClient(User3 -> ServerGrp2)",
                 "10 Info None runtime operation moveClient(User3 -> ServerGrp2) failed: \
@@ -634,17 +424,19 @@ mod tests {
                 "10 Info None fault action link R2-R3 cut failed: \
                  invalid operation: no such link",
                 "45 Info None workload phase change at 45 s",
-                "10 Info None drained 3 replicas",
+                "10 Info None drained 3 wedged replicas of ServerGrp1",
+                "10 Info None model op could not be committed: no element named S9",
+                "10 Info None model has 2 style violations after commit",
             ]
         );
-        assert_eq!(observer.advisories(), 0, "no lead log without detectors");
+        assert_eq!(observer.log().advisory_count(), 1);
     }
 
     /// The golden fixture's runs never abort a repair; pin the two abort
     /// renderings (and the counters every lifecycle occurrence bumps) here.
     #[test]
     fn enabled_sinks_receive_the_store_convention_and_counters() {
-        let mut observer = Observer::new(true);
+        let mut observer = Observer::new();
         let (buffer, sink) = tracestore::shared_buffer();
         let (registry, metrics) = obs::shared_registry();
         observer.set_sink(sink);
@@ -661,7 +453,10 @@ mod tests {
             aborted,
             [
                 ("latency", "no spare server"),
-                ("User3", "translation failed: no role")
+                (
+                    "User3",
+                    "translation failed: no runtime mapping for: no role"
+                )
             ]
         );
         let starts: Vec<(&str, Option<u64>)> = events
@@ -684,6 +479,11 @@ mod tests {
             (gauge.kind, gauge.time_secs, gauge.value),
             (EventKind::Gauge, 9.5, Some(7.0))
         );
+        let advisory = &events[1];
+        assert_eq!(
+            (advisory.kind, advisory.time_secs, &*advisory.detail),
+            (EventKind::Advisory, 9.5, "load/cusum predict=serverLoad")
+        );
         let counters = registry.snapshot().counters;
         let expect = [
             ("framework.gauge_readings", 1),
@@ -702,7 +502,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             expect
         );
-        assert_eq!(observer.advisories(), 1);
-        assert_eq!(observer.median_lead_secs(120.0), None, "subjects differ");
+        assert_eq!(observer.log().advisory_count(), 1);
+        assert_eq!(
+            observer.log().median_lead_secs(120.0),
+            None,
+            "subjects differ"
+        );
     }
 }

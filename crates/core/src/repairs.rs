@@ -15,8 +15,9 @@
 //! run has no [`RepairLoop`].
 
 use crate::framework::FrameworkConfig;
+use crate::log::Occurrence;
 use crate::monitor::Monitor;
-use crate::observe::{Observer, Occurrence};
+use crate::observe::Observer;
 use crate::query::AppQuery;
 use crate::task::PerformanceProfile;
 use archmodel::constraint::{CheckReport, ConstraintSet};
@@ -27,11 +28,13 @@ use planner::{ClassIndex, GroupPlanner, PlannerInput, PlannerThresholds};
 use repair::{PlanOutcome, RepairDamping, RepairEngine, RepairPlan};
 use simnet::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 use translator::{translate, RepairCostModel, RuntimeOp};
 
-/// What Plan produced: the one plan value, from either planner.
+/// What Plan produced: the one plan value, from either planner, shared
+/// with the run log's start and end entries.
 pub(crate) struct PlannedRepair {
-    plan: RepairPlan,
+    plan: Arc<RepairPlan>,
     runtime_ops: Vec<RuntimeOp>,
     /// A group-planner batch: its runtime operations already carry their
     /// batched cost structure (one gauge-churn pair per batch, one routing
@@ -156,7 +159,7 @@ impl RepairLoop {
             return None;
         }
         for violation in &report.violations {
-            observer.record(t, Occurrence::Violation(violation));
+            observer.record(t, Occurrence::violation(violation));
         }
         Some(report)
     }
@@ -183,7 +186,7 @@ impl RepairLoop {
                 PlannerInput::gather(app, index, model, report, self.thresholds, t.as_secs());
             if let Some((plan, runtime_ops)) = planner.plan(index, model, &input) {
                 return Some(PlannedRepair {
-                    plan,
+                    plan: Arc::new(plan),
                     runtime_ops,
                     batched: true,
                 });
@@ -197,11 +200,11 @@ impl RepairLoop {
         let plan = match outcome {
             PlanOutcome::Plan(plan) => plan,
             PlanOutcome::Aborted { invariant, reason } => {
-                observer.record(t, Occurrence::RepairAborted(&invariant, &reason));
+                observer.record(t, Occurrence::RepairAborted { invariant, reason });
                 return None;
             }
             PlanOutcome::Skipped { reason } => {
-                observer.record(t, Occurrence::RepairSkipped(&reason));
+                observer.record(t, Occurrence::RepairSkipped(reason));
                 return None;
             }
             PlanOutcome::Nothing => return None,
@@ -212,12 +215,13 @@ impl RepairLoop {
         };
         match translated {
             Ok(runtime_ops) => Some(PlannedRepair {
-                plan,
+                plan: Arc::new(plan),
                 runtime_ops,
                 batched: false,
             }),
-            Err(e) => {
-                observer.record(t, Occurrence::Untranslatable(&plan.subject, &e));
+            Err(error) => {
+                let subject = plan.subject;
+                observer.record(t, Occurrence::Untranslatable { subject, error });
                 None
             }
         }
@@ -232,7 +236,7 @@ impl RepairLoop {
             t,
             Occurrence::RepairStarted {
                 correlation,
-                plan: &repair.plan,
+                plan: Arc::clone(&repair.plan),
                 batched: repair.batched,
                 runtime_ops: repair.runtime_ops.len(),
                 duration_secs,
@@ -246,10 +250,11 @@ impl RepairLoop {
     }
 
     /// **Execute**: propagates the due repair to the runtime layer, one
-    /// recorded runtime operation at a time, and records it complete.
+    /// recorded runtime operation at a time, and records it complete. The
+    /// log keeps the operations and the plan.
     pub(crate) fn execute(
         &mut self,
-        due: &PendingRepair,
+        due: PendingRepair,
         app: &mut GridApp,
         monitor: &mut Monitor,
         observer: &mut Observer,
@@ -257,19 +262,16 @@ impl RepairLoop {
     ) {
         {
             let _span = observer.span("phase.execute");
-            for op in &due.repair.runtime_ops {
-                let applied = self.apply(op, app, monitor, observer, t);
-                let outcome = match &applied {
+            for op in due.repair.runtime_ops {
+                let outcome = match self.apply(&op, app, monitor, observer, t) {
                     Ok(()) => Occurrence::Reconfigured(op),
-                    Err(error) => Occurrence::OpFailed(op, error),
+                    Err(error) => Occurrence::OpFailed(Box::new((op, error))),
                 };
                 observer.record(t, outcome);
             }
         }
-        observer.record(
-            t,
-            Occurrence::RepairCompleted(due.correlation, &due.repair.plan),
-        );
+        let (correlation, plan) = (due.correlation, due.repair.plan);
+        observer.record(t, Occurrence::RepairCompleted { correlation, plan });
     }
 
     /// Applies one runtime operation, with the gauge churn it implies.
@@ -339,13 +341,8 @@ impl RepairLoop {
                 }
                 drained?;
                 if !stuck.is_empty() {
-                    observer.record(
-                        t,
-                        Occurrence::Note(format_args!(
-                            "drained {} wedged replicas of {group}",
-                            stuck.len()
-                        )),
-                    );
+                    let (group, count) = (group.clone(), stuck.len());
+                    observer.record(t, Occurrence::Drained { group, count });
                 }
             }
             RuntimeOp::CreateGauge { gauge } => monitor.recreate(t, gauge),
@@ -364,21 +361,12 @@ impl PendingRepair {
         let _span = observer.span("phase.commit_replay");
         for op in &self.repair.plan.ops {
             if let Err(e) = archmodel::apply_op(model, op) {
-                observer.record(
-                    t,
-                    Occurrence::Note(format_args!("model op could not be committed: {e}")),
-                );
+                observer.record(t, Occurrence::CommitFailed(e));
             }
         }
-        let style_violations = ClientServerStyle::validate(model);
-        if !style_violations.is_empty() {
-            observer.record(
-                t,
-                Occurrence::Note(format_args!(
-                    "model has {} style violations after commit",
-                    style_violations.len()
-                )),
-            );
+        let style_violations = ClientServerStyle::validate(model).len();
+        if style_violations > 0 {
+            observer.record(t, Occurrence::StyleViolations(style_violations));
         }
     }
 }

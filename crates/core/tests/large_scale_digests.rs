@@ -12,6 +12,7 @@
 
 use arch_adapt::experiment::{run_observed, ExperimentConfig, RunResult};
 use arch_adapt::framework::FrameworkConfig;
+use arch_adapt::RunLog;
 use faultsim::{apply_action, fault_profile_by_name};
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_2};
 use simnet::SimTime;
@@ -101,6 +102,29 @@ fn framework_run(profile: &str, seed: u64, duration: f64) -> RunResult {
     .unwrap()
 }
 
+/// Name of the type whose `{:?}` text the digest below was recorded over:
+/// the event trace the run log replaced, a list of `<name>Entry { time,
+/// kind, message, correlation }` records with `time` a `SimTime` newtype.
+const RECORDED_TYPE: &str = "Trace";
+
+/// The log's legacy lines, printed as that type printed them.
+fn legacy_trace_debug(log: &RunLog) -> String {
+    let entries: Vec<String> = log
+        .legacy_lines()
+        .map(|line| {
+            format!(
+                "{RECORDED_TYPE}Entry {{ time: SimTime({:?}), kind: {:?}, message: {:?}, \
+                 correlation: {:?} }}",
+                line.time.as_secs(),
+                line.kind,
+                line.to_string(),
+                line.correlation
+            )
+        })
+        .collect();
+    format!("{RECORDED_TYPE} {{ entries: [{}] }}", entries.join(", "))
+}
+
 #[test]
 fn large_scale_apps_reproduce_the_digests_recorded_with_aggregate_rows() {
     for (profile, seed, recorded) in [
@@ -129,7 +153,7 @@ fn large_scale_framework_run_reproduces_the_digest_recorded_with_aggregate_rows(
     assert!(run.summary.client_moves > 0, "no per-element repair ran");
     // `{:?}` prints an `f64` as its shortest round-trip decimal, so equal
     // text is equal bits.
-    let trace = fnv1a(FNV_OFFSET, format!("{:?}", run.trace).as_bytes());
+    let trace = fnv1a(FNV_OFFSET, legacy_trace_debug(&run.trace).as_bytes());
     let digest = fnv1a(
         fnv1a(trace, format!("{:?}", run.summary).as_bytes()),
         &run.unserved_demand_secs.to_bits().to_le_bytes(),

@@ -1,8 +1,10 @@
 //! Pins every observation stream of the control loop to a checked-in
 //! fixture generated at the commit *before* the `Observer` refactor: the
-//! legacy `simnet::Trace` (text, kind, correlation, order), the trace-sink
-//! events (fields, and their position in the full stream, so intra-tick
-//! emission order is pinned too), and the final deterministic counters.
+//! legacy event trace (text, kind, correlation, order) — once a `Vec` of
+//! formatted lines, now rendered from the typed run log by
+//! `RunLog::legacy_lines` —, the trace-sink events (fields, and their
+//! position in the full stream, so intra-tick emission order is pinned too),
+//! and the final deterministic counters.
 //! Gauge / transfer / metric events are too many to list; they are pinned by
 //! a per-kind count and an FNV-1a digest of their rendered lines.
 //!
@@ -85,14 +87,13 @@ fn render_run(
     .expect("run succeeds");
 
     let mut out = format!("== {title} ==\n-- legacy trace: time kind correlation message --\n");
-    for entry in result.trace.entries() {
+    for line in result.trace.legacy_lines() {
         writeln!(
             out,
-            "{:?} {:?} {} {}",
-            entry.time.as_secs(),
-            entry.kind,
-            opt(entry.correlation),
-            entry.message
+            "{:?} {:?} {} {line}",
+            line.time.as_secs(),
+            line.kind,
+            opt(line.correlation),
         )
         .unwrap();
     }

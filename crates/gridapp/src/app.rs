@@ -783,10 +783,10 @@ impl GridApp {
         Ok(())
     }
 
-    /// The audit log of network fault mutations applied so far (capacity
-    /// changes and node liveness flips; empty for fault-free runs).
-    pub fn network_mutation_trace(&self) -> &simnet::Trace {
-        self.network.mutation_trace()
+    /// Network fault mutations applied so far (capacity changes, one-way
+    /// caps and node liveness flips; 0 for fault-free runs).
+    pub fn network_mutation_count(&self) -> u64 {
+        self.network.mutation_count()
     }
 
     // ---- Table 1 runtime operators ------------------------------------------
@@ -1834,8 +1834,8 @@ mod tests {
         app.set_node_down(secs(40.0), r3, false).unwrap();
         let bw = app.remos_get_flow("User1", SERVER_GROUP_1).unwrap();
         assert!(bw > 1.0e5, "bandwidth returns with the router: {bw}");
-        // The mutations were recorded for the audit trail.
-        assert_eq!(app.network_mutation_trace().entries().len(), 2);
+        // Both mutations reached the network.
+        assert_eq!(app.network_mutation_count(), 2);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * a network [`topology`] of hosts, routers, and links,
 //! * a fluid-flow [`network`] model in which concurrent transfers share link
 //!   capacity max-min fairly (see [`alloc`]),
-//! * deterministic randomness ([`rng`]), time-series [`stats`], and an event
-//!   [`trace`] used by the experiment harness,
+//! * deterministic randomness ([`rng`]) and time-series [`stats`],
 //! * generic name → value [`registry`] tables backing the preset catalogues
 //!   (strategies, fault profiles, testbeds, workloads) of the layers above.
 //!
@@ -30,7 +29,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use alloc::{Allocator, ResourceId};
 pub use network::{CompletedTransfer, NetError, Network, TransferId};
@@ -41,4 +39,3 @@ pub use time::{SimDuration, SimTime};
 pub use topology::{
     Link, LinkId, Node, NodeId, NodeKind, PathTable, PathTableStats, Topology, TopologyError,
 };
-pub use trace::{Trace, TraceEntry, TraceKind};

@@ -11,7 +11,6 @@
 use crate::alloc::{Allocator, ResourceId, LOCAL_RATE_BPS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PathTable, Topology, TopologyError};
-use crate::trace::{Trace, TraceKind};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -135,9 +134,9 @@ pub struct Network {
     /// Nodes currently taken down by fault injection. Every link adjacent to
     /// a down node has (effectively) no capacity until the node comes back.
     down_nodes: BTreeSet<NodeId>,
-    /// Audit log of fault-injection mutations (capacity changes, node
-    /// liveness flips), so fault runs are diffable.
-    mutations: Trace,
+    /// Fault-injection mutations applied (capacity changes, one-way caps,
+    /// node liveness flips).
+    mutations: u64,
     /// One-way degrades in force: link → (degraded-direction origin, cap).
     oneway: BTreeMap<LinkId, (NodeId, f64)>,
     /// Number of physical links; resources `0..n_links` are the shared link
@@ -188,7 +187,7 @@ impl Network {
             next_id: 0,
             last_advance: SimTime::ZERO,
             down_nodes: BTreeSet::new(),
-            mutations: Trace::new(),
+            mutations: 0,
             oneway: BTreeMap::new(),
             n_links,
             nominal_caps,
@@ -337,8 +336,8 @@ impl Network {
     /// Sets a link's raw capacity (bits per second) — the fault-injection
     /// hook behind `LinkCut` (capacity 0) and `LinkDegrade` (a fraction of
     /// the original capacity). Rates of every in-flight transfer are
-    /// recomputed immediately; the mutation is recorded in
-    /// [`mutation_trace`](Self::mutation_trace).
+    /// recomputed immediately; the mutation is counted in
+    /// [`mutation_count`](Self::mutation_count).
     pub fn set_link_capacity(
         &mut self,
         now: SimTime,
@@ -348,11 +347,7 @@ impl Network {
         self.advance(now);
         let capacity_bps = capacity_bps.max(0.0);
         self.topology.link_mut(link)?.capacity_bps = capacity_bps;
-        self.mutations.record(
-            now,
-            TraceKind::Fault,
-            format!("link {} capacity set to {capacity_bps:.0} bps", link.0),
-        );
+        self.mutations += 1;
         self.caps_dirty = true;
         self.recompute_rates(Epoch::Mutation);
         Ok(())
@@ -390,20 +385,7 @@ impl Network {
             self.oneway.insert(link, (from, capped)) != Some((from, capped))
         };
         if changed {
-            self.mutations.record(
-                now,
-                TraceKind::Fault,
-                if capacity_bps >= nominal {
-                    format!("link {} one-way cap lifted", link.0)
-                } else {
-                    format!(
-                        "link {} capped to {:.0} bps in the direction leaving node {}",
-                        link.0,
-                        capacity_bps.max(0.0),
-                        from.0
-                    )
-                },
-            );
+            self.mutations += 1;
             // Resource ids of in-flight transfers depend on the one-way map:
             // recover each path from the old ids and translate it again. The
             // epoch's solve reads the refreshed capacities.
@@ -432,7 +414,7 @@ impl Network {
     /// server-machine crashes and router outages. While a node is down every
     /// link adjacent to it carries (effectively) no traffic: in-flight
     /// transfers crossing it stall and new flows see no bandwidth. The
-    /// mutation is recorded in [`mutation_trace`](Self::mutation_trace).
+    /// mutation is counted in [`mutation_count`](Self::mutation_count).
     pub fn set_node_down(
         &mut self,
         now: SimTime,
@@ -447,15 +429,7 @@ impl Network {
             self.down_nodes.remove(&node)
         };
         if changed {
-            self.mutations.record(
-                now,
-                TraceKind::Fault,
-                format!(
-                    "node {} marked {}",
-                    node.0,
-                    if down { "down" } else { "up" }
-                ),
-            );
+            self.mutations += 1;
             self.caps_dirty = true;
             self.recompute_rates(Epoch::Mutation);
         }
@@ -467,10 +441,11 @@ impl Network {
         self.down_nodes.contains(&node)
     }
 
-    /// The audit log of fault-injection mutations applied so far (empty for
-    /// fault-free runs).
-    pub fn mutation_trace(&self) -> &Trace {
-        &self.mutations
+    /// Fault-injection mutations applied so far (0 for fault-free runs): a
+    /// link capacity set, a one-way cap imposed or lifted, a node's liveness
+    /// flipped.
+    pub fn mutation_count(&self) -> u64 {
+        self.mutations
     }
 
     /// Refreshes the dense per-resource effective-capacity vector:
@@ -877,8 +852,8 @@ mod tests {
         // Restore: the transfer drains at full speed again.
         net.set_link_capacity(t(5.0), link, 10e6).unwrap();
         assert_eq!(poll(&mut net, t(6.2)).len(), 1);
-        // Both mutations were recorded for the audit trail.
-        assert_eq!(net.mutation_trace().count(TraceKind::Fault), 2);
+        // Both mutations were counted.
+        assert_eq!(net.mutation_count(), 2);
     }
 
     #[test]
@@ -889,13 +864,13 @@ mod tests {
         net.set_node_down(t(0.0), router, true).unwrap();
         assert!(net.node_is_down(router));
         assert!(net.available_bandwidth(a, b).unwrap() <= 1.0);
-        // Marking the same node down twice records a single mutation.
+        // Marking the same node down twice counts a single mutation.
         net.set_node_down(t(0.5), router, true).unwrap();
-        assert_eq!(net.mutation_trace().count(TraceKind::Fault), 1);
+        assert_eq!(net.mutation_count(), 1);
         net.set_node_down(t(1.0), router, false).unwrap();
         assert!(!net.node_is_down(router));
         assert!((net.available_bandwidth(a, b).unwrap() - 10e6).abs() < 1.0);
-        assert_eq!(net.mutation_trace().count(TraceKind::Fault), 2);
+        assert_eq!(net.mutation_count(), 2);
     }
 
     #[test]
@@ -932,8 +907,8 @@ mod tests {
         net.set_link_oneway(t(2.0), link, a, 10.0e6).unwrap();
         assert!(!net.oneway.contains_key(&link));
         assert!((net.available_bandwidth(a, b).unwrap() - 10.0e6).abs() < 1.0);
-        // Both mutations were recorded in the audit trail.
-        assert_eq!(net.mutation_trace().count(TraceKind::Fault), 2);
+        // Both mutations were counted.
+        assert_eq!(net.mutation_count(), 2);
         // A non-endpoint direction is rejected.
         assert!(matches!(
             net.set_link_oneway(t(2.0), link, b, 1.0),

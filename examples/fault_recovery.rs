@@ -18,7 +18,7 @@ use arch_adapt::experiment::{parse_duration_secs, Comparison};
 use arch_adapt::FrameworkConfig;
 use faultsim::{fault_profile_by_name, fault_profile_names, Resilience};
 use gridapp::GridConfig;
-use simnet::TraceKind;
+use tracestore::EventKind;
 
 const BUCKET_SECS: f64 = 20.0;
 
@@ -119,7 +119,7 @@ fn main() {
     println!("== Resilience (bound {bound:.1} s) ==");
     show("control:", &control);
     show("adaptive:", &adaptive);
-    let faults_seen = comparison.adaptive.trace.count(TraceKind::Fault);
+    let faults_seen = comparison.adaptive.trace.count(EventKind::Fault);
     println!(
         "  adaptive run: {} fault events injected, {} repairs completed",
         faults_seen, comparison.adaptive.summary.repairs_completed

@@ -43,18 +43,13 @@ fn main() {
     }
     println!();
     println!("trace (violations and repairs):");
-    for entry in framework.trace().entries() {
-        use simnet::TraceKind::*;
+    for line in framework.trace().legacy_lines() {
+        use tracestore::EventKind::*;
         if matches!(
-            entry.kind,
+            line.kind,
             Violation | RepairStart | RepairEnd | RepairAborted
         ) {
-            println!(
-                "  [{:8.1}s] {:?}: {}",
-                entry.time.as_secs(),
-                entry.kind,
-                entry.message
-            );
+            println!("  [{:8.1}s] {:?}: {line}", line.time.as_secs(), line.kind);
         }
     }
 }

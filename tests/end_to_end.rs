@@ -6,7 +6,7 @@
 use arch_adapt::{AdaptationFramework, FrameworkConfig};
 use archmodel::style::{props, ClientServerStyle};
 use gridapp::{ExperimentSchedule, GridConfig, SERVER_GROUP_1, SERVER_GROUP_2};
-use simnet::TraceKind;
+use tracestore::EventKind;
 
 /// The framework's model stays structurally valid through an entire adaptive
 /// run with repairs.
@@ -55,8 +55,8 @@ fn control_configuration_only_observes() {
         AdaptationFramework::new(GridConfig::default(), FrameworkConfig::control()).unwrap();
     let schedule = ExperimentSchedule::figure7(&GridConfig::default());
     fw.run_with_faults(400.0, Some(&schedule), None);
-    assert_eq!(fw.trace().count(TraceKind::Reconfiguration), 0);
-    assert_eq!(fw.trace().count(TraceKind::RepairStart), 0);
+    assert_eq!(fw.trace().count(EventKind::Reconfiguration), 0);
+    assert_eq!(fw.trace().count(EventKind::RepairStart), 0);
     // Violations are still detected and the model still tracks observations.
     for client in fw.app().client_names() {
         assert_eq!(fw.app().client_group(&client).unwrap(), SERVER_GROUP_1);
@@ -109,5 +109,5 @@ fn repairs_change_the_running_system() {
         "repairs must reconfigure the runtime: {stats:?}"
     );
     // Every reconfiguration is recorded in the trace.
-    assert!(fw.trace().count(TraceKind::Reconfiguration) as u64 >= stats.completed);
+    assert!(fw.trace().count(EventKind::Reconfiguration) as u64 >= stats.completed);
 }

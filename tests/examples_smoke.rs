@@ -12,6 +12,7 @@ use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant};
 use archmodel::style::{props, ClientServerStyle};
 use gridapp::{ExperimentSchedule, GridConfig};
 use repair::{add_server, RepairStrategy, StaticQuery, StrategyOutcome};
+use tracestore::EventKind;
 
 /// `examples/quickstart.rs`: build the adaptive framework, drive the Figure 7
 /// workload, and read back stats, client placement, and the trace.
@@ -35,7 +36,7 @@ fn quickstart_flow_runs_and_reports() {
     }
     // The trace is readable (entries may or may not contain violations after
     // only a short run; the accessor itself must work).
-    let _ = framework.trace().entries();
+    assert!(framework.trace().legacy_lines().count() > 0);
 }
 
 /// `examples/control_vs_adaptive.rs`: run both experiments under the same
@@ -110,9 +111,9 @@ fn fault_recovery_flow_detects_and_recovers() {
     assert!(comparison
         .adaptive
         .trace
-        .of_kind(simnet::TraceKind::RepairStart)
-        .any(|e| e.message.contains("liveness")));
-    assert!(comparison.adaptive.trace.count(simnet::TraceKind::Fault) >= 2);
+        .legacy_lines()
+        .any(|l| l.kind == EventKind::RepairStart && l.to_string().contains("liveness")));
+    assert!(comparison.adaptive.trace.count(EventKind::Fault) >= 2);
 
     // Post-repair the adaptive run's violations are strictly below the
     // control run's over the same window. The run carries the fault timeline
