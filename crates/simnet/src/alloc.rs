@@ -14,11 +14,21 @@
 //! [`ResourceId`] to a dense slot holding the resource's capacity and how
 //! many live path occurrences cross it, and a slot is freed when that count
 //! drops to zero. Live rows and live slots are kept in dense lists, so a
-//! solve touches only what is registered: it resets the live slots, lays
-//! their registration lists out CSR-style from the rows' translated paths,
-//! heapifies once and fills. Capacities change only through
+//! solve touches only what is registered: it resets the live shared slots,
+//! lays their registration lists out CSR-style from the rows' translated
+//! paths, heapifies once and fills. Capacities change only through
 //! [`Allocator::refresh_capacities`]. The only fleet-sized table is
 //! `slot_of` itself.
+//!
+//! **Private slots are never queued.** A slot crossed once by one row (a
+//! client's access link, most of a fleet's slots) loses nothing to anyone
+//! until that row freezes, so its share is its capacity for as long as
+//! anything reads it. A solve neither resets, refreshes nor heaps such a
+//! slot: each row offers one candidate, the least `(capacity, resource id)`
+//! of its private slots, which freezes the row at that capacity when it pops
+//! and is skipped when the row froze first. The bottleneck order, and the
+//! subtractions every shared slot sees, are the ones queueing every slot
+//! gives.
 //!
 //! **Unit weights, counted.** Every flow weighs `1.0`, so a resource's
 //! unfrozen weight is the number of unfrozen flows crossing it, once per path
@@ -56,11 +66,13 @@ pub const LOCAL_RATE_BPS: f64 = 1.0e9;
 /// degrade is in force).
 pub type ResourceId = u32;
 
-/// A candidate bottleneck in the lazy heap: `(share bits, resource, stamp)`.
-/// Shares are non-negative and never NaN (a candidate's count is positive),
-/// so their bit patterns order exactly as the values do, and the reversed
-/// max-heap pops the *smallest* `(share, resource)` — the same bottleneck the
-/// reference selects by scanning every link.
+/// A candidate bottleneck in the lazy heap: `(share bits, resource, tag)`,
+/// where the tag is a shared slot's stamp or a private slot's row. Shares are
+/// non-negative and never NaN (a candidate's count is positive), so their
+/// bit patterns order exactly as the values do, and the reversed max-heap
+/// pops the *smallest* `(share, resource)` — the same bottleneck the
+/// reference selects by scanning every link. A resource is private or shared
+/// for a whole solve, so the tag only ever orders one shared slot's stamps.
 type Candidate = Reverse<(u64, ResourceId, u32)>;
 
 /// Marks a resource no live row crosses in `slot_of`.
@@ -74,7 +86,9 @@ struct Slot {
     /// Starting capacity, floored at the same tiny positive value as the
     /// reference.
     capacity: f64,
-    /// Live rows crossing the resource, once per path occurrence.
+    /// Live rows crossing the resource, once per path occurrence; a slot
+    /// with a count of one is *private* and none of the per-solve fields
+    /// below is kept for it.
     count: u32,
     /// Index in `live_slots`.
     pos: u32,
@@ -255,17 +269,21 @@ impl Allocator {
     /// Solves max-min fair rates for every live row; read them with
     /// [`rate`](Self::rate). Results are bit-identical to
     /// [`max_min_fair_rates`](crate::flow::max_min_fair_rates) over the live
-    /// rows' paths.
+    /// rows' paths. The heap holds the shared slots and one private candidate
+    /// per row that has any (see the module docs).
     pub fn solve(&mut self) {
-        // Every live slot starts at its capacity with all of its rows
+        // Every shared slot starts at its capacity with all of its rows
         // unfrozen, its registration list is laid out at the running total
-        // of the counts, and its initial share is a candidate; the
-        // candidates are heapified in one pass.
+        // of the counts, and its initial share is a candidate. Private slots
+        // are left as they are: nothing reads them.
         let mut candidates = std::mem::take(&mut self.heap).into_vec();
         candidates.clear();
         let mut total = 0;
         for &s in &self.live_slots {
             let slot = &mut self.slots[s as usize];
+            if slot.count == 1 {
+                continue;
+            }
             slot.remaining = slot.capacity;
             slot.live = slot.count;
             slot.stamp = 0;
@@ -275,43 +293,67 @@ impl Allocator {
             slot.share = slot.remaining.max(0.0) / slot.live as f64;
             candidates.push(Reverse((slot.share.to_bits(), slot.resource, 0)));
         }
-        self.heap = BinaryHeap::from(candidates);
         self.entries.clear();
         self.entries.resize(total as usize, 0);
         // A flow that crosses nothing is settled at the local rate; a row no
-        // round reaches keeps the reference's minimal rate.
+        // round reaches keeps the reference's minimal rate. A row's private
+        // slots keep their capacity as their share until the row freezes, so
+        // only the tightest of them can ever be its bottleneck: it is the
+        // row's one private candidate, tagged with the row. The candidates
+        // are heapified in one pass.
         let mut unfrozen = 0u32;
         for &r in &self.live_rows {
             let row = &mut self.rows[r as usize];
             row.frozen = row.path.is_empty();
             row.rate = if row.frozen { LOCAL_RATE_BPS } else { 1.0 };
             unfrozen += u32::from(!row.frozen);
+            let mut private: Option<(u64, ResourceId)> = None;
             for &s in &row.path {
                 let slot = &mut self.slots[s as usize];
-                self.entries[slot.end as usize] = r;
-                slot.end += 1;
+                if slot.count == 1 {
+                    let candidate = (slot.capacity.to_bits(), slot.resource);
+                    private = Some(private.map_or(candidate, |p| p.min(candidate)));
+                } else {
+                    self.entries[slot.end as usize] = r;
+                    slot.end += 1;
+                }
+            }
+            if let Some((share, resource)) = private {
+                candidates.push(Reverse((share, resource, r)));
             }
         }
+        self.heap = BinaryHeap::from(candidates);
 
         // Progressive filling: repeatedly freeze every unfrozen row on the
         // most constrained resource at that resource's fair share. Once no
         // row is unfrozen, every candidate left is stale.
         while unfrozen > 0 {
-            let Some(Reverse((_, resource, stamp))) = self.heap.pop() else {
+            let Some(Reverse((_, resource, tag))) = self.heap.pop() else {
                 break;
             };
             let bottleneck = self.slots[self.slot_of[resource as usize] as usize];
-            if stamp != bottleneck.stamp {
-                continue; // superseded by a later share refresh
-            }
-            let rate = bottleneck.share.max(1.0);
-            // Collect the rows to freeze before any of them freezes, then
-            // process the snapshot without re-checking, exactly like the
-            // reference: a row listing the bottleneck twice is taken twice.
             self.freeze_scratch.clear();
-            let listed = &self.entries[bottleneck.start as usize..bottleneck.end as usize];
-            self.freeze_scratch
-                .extend(listed.iter().filter(|&&r| !self.rows[r as usize].frozen));
+            let rate = if bottleneck.count == 1 {
+                // A private candidate: its row, unless already frozen, takes
+                // the whole capacity.
+                if self.rows[tag as usize].frozen {
+                    continue;
+                }
+                self.freeze_scratch.push(tag);
+                bottleneck.capacity
+            } else {
+                if tag != bottleneck.stamp {
+                    continue; // superseded by a later share refresh
+                }
+                // Collect the rows to freeze before any of them freezes, then
+                // process the snapshot without re-checking, exactly like the
+                // reference: a row listing the bottleneck twice is taken
+                // twice.
+                let listed = &self.entries[bottleneck.start as usize..bottleneck.end as usize];
+                self.freeze_scratch
+                    .extend(listed.iter().filter(|&&r| !self.rows[r as usize].frozen));
+                bottleneck.share.max(1.0)
+            };
             for &r in &self.freeze_scratch {
                 let row = &mut self.rows[r as usize];
                 row.rate = rate;
@@ -321,6 +363,9 @@ impl Allocator {
                 }
                 for &s in &row.path {
                     let slot = &mut self.slots[s as usize];
+                    if slot.count == 1 {
+                        continue; // private: nothing reads it again
+                    }
                     slot.remaining = (slot.remaining - rate).max(0.0);
                     if first_freeze {
                         slot.live -= 1;
@@ -377,25 +422,37 @@ mod tests {
             .collect()
     }
 
-    /// Runs both implementations over the same inputs and asserts
-    /// bit-identical rates.
-    fn assert_matches_reference(capacities: &[f64], demands: &[Vec<u32>]) {
-        let expected = reference(capacities, demands);
+    /// Asserts the last solve gave every live `(row, path)` the reference's
+    /// rate for the live paths, and returns those rates.
+    fn assert_live_matches(
+        allocator: &Allocator,
+        capacities: &[f64],
+        live: &[(u32, Vec<u32>)],
+    ) -> Vec<f64> {
+        let paths: Vec<Vec<u32>> = live.iter().map(|(_, path)| path.clone()).collect();
+        let expected = reference(capacities, &paths);
+        for ((row, path), want) in live.iter().zip(&expected) {
+            let rate = allocator.rate(*row);
+            assert!(
+                rate.to_bits() == want.to_bits(),
+                "row {row} over {path:?}: indexed {rate} != reference {want}"
+            );
+        }
+        expected
+    }
+
+    /// Runs both implementations over the same inputs, asserts bit-identical
+    /// rates, and returns them.
+    fn assert_matches_reference(capacities: &[f64], demands: &[Vec<u32>]) -> Vec<f64> {
         let mut allocator = Allocator::new();
-        let rows: Vec<u32> = demands
+        let live: Vec<(u32, Vec<u32>)> = demands
             .iter()
-            .map(|path| allocator.insert(capacities, path))
+            .map(|path| (allocator.insert(capacities, path), path.clone()))
             .collect();
         // Solve twice to cover warm-scratch reuse.
         allocator.solve();
         allocator.solve();
-        for (i, (&row, want)) in rows.iter().zip(&expected).enumerate() {
-            let rate = allocator.rate(row);
-            assert!(
-                rate.to_bits() == want.to_bits(),
-                "flow {i}: indexed {rate} != reference {want}"
-            );
-        }
+        assert_live_matches(&allocator, capacities, &live)
     }
 
     #[test]
@@ -458,6 +515,108 @@ mod tests {
         let row = allocator.insert(&[10.0], &[]);
         allocator.solve();
         assert!((allocator.rate(row) - LOCAL_RATE_BPS).abs() < 1.0);
+    }
+
+    #[test]
+    fn a_private_slot_can_be_the_first_bottleneck() {
+        // Resource 0 is row 0's alone and tighter than the shared resource
+        // 1's even split, so it freezes row 0 first and row 1 takes the rest.
+        assert_eq!(
+            assert_matches_reference(&[2.0, 10.0], &[vec![0, 1], vec![1]]),
+            [2.0, 8.0]
+        );
+        // The tightest of a row's private slots decides, wherever it sits in
+        // the path; the looser ones never do.
+        assert_eq!(
+            assert_matches_reference(&[8.0, 3.0, 5.0], &[vec![0, 1, 2]]),
+            [3.0]
+        );
+        assert_eq!(
+            assert_matches_reference(&[9.0, 6.0, 4.0, 20.0], &[vec![0, 3, 2, 1], vec![3]]),
+            [4.0, 16.0]
+        );
+    }
+
+    #[test]
+    fn a_private_and_a_shared_candidate_with_equal_shares_tie_on_resource_id() {
+        // Three rows split 10 three ways; row 0 also crosses a private
+        // resource of exactly that share. Freezing row 0 first leaves the
+        // others `(10 - 10/3) / 2`, which differs from `10/3` in the last bit,
+        // so the order is visible in the rates.
+        let share = 10.0 / 3.0;
+        let private_first =
+            assert_matches_reference(&[share, 10.0], &[vec![0, 1], vec![1], vec![1]]);
+        assert_eq!(private_first[1], (10.0 - share) / 2.0);
+        let shared_first =
+            assert_matches_reference(&[10.0, share], &[vec![0, 1], vec![0], vec![0]]);
+        assert_eq!(shared_first, [share; 3]);
+        assert_ne!(private_first[1].to_bits(), shared_first[1].to_bits());
+    }
+
+    #[test]
+    fn a_private_candidate_of_a_frozen_row_is_skipped() {
+        // Resource 0 (2 bps over two rows) freezes rows 0 and 1 at 1 bps
+        // first; row 0's private resource 1 pops later, while row 2 is still
+        // unfrozen, and must not re-freeze row 0 at 5.
+        assert_eq!(
+            assert_matches_reference(&[2.0, 5.0, 100.0], &[vec![0, 1], vec![0], vec![2]]),
+            [1.0, 1.0, 100.0]
+        );
+    }
+
+    #[test]
+    fn a_resource_listed_twice_by_one_row_is_shared() {
+        // Two occurrences in one path count twice: the row gets half.
+        assert_eq!(assert_matches_reference(&[6.0], &[vec![0, 0]]), [3.0]);
+        assert_eq!(
+            assert_matches_reference(&[6.0, 2.0], &[vec![0, 0], vec![1, 0]]),
+            [2.0, 2.0]
+        );
+    }
+
+    #[test]
+    fn zero_capacity_and_unknown_private_resources_floor_at_one() {
+        assert_eq!(
+            assert_matches_reference(&[0.0, 10.0], &[vec![0, 1], vec![7, 1], vec![1]]),
+            [1.0, 1.0, 8.0]
+        );
+    }
+
+    #[test]
+    fn private_slots_follow_capacity_refreshes_and_row_churn() {
+        let mut capacities = vec![4.0, 10.0, 3.0];
+        let mut allocator = Allocator::new();
+        let mut live = Vec::new();
+        let solve = |allocator: &mut Allocator, capacities: &[f64], live: &[(u32, Vec<u32>)]| {
+            allocator.solve();
+            assert_live_matches(allocator, capacities, live)
+        };
+        // Resources 0 and 1 are private to row a.
+        let a = vec![0, 1];
+        live.push((allocator.insert(&capacities, &a), a));
+        assert_eq!(solve(&mut allocator, &capacities, &live), [4.0]);
+        // A refresh reaches a private slot.
+        capacities[0] = 12.0;
+        allocator.refresh_capacities(&capacities);
+        assert_eq!(solve(&mut allocator, &capacities, &live), [10.0]);
+        // Resource 1 turns shared, then private to b once a leaves, then
+        // shared again.
+        let b = vec![1, 2];
+        live.push((allocator.insert(&capacities, &b), b));
+        assert_eq!(solve(&mut allocator, &capacities, &live), [7.0, 3.0]);
+        let (row_a, _) = live.remove(0);
+        allocator.remove(row_a);
+        assert_eq!(solve(&mut allocator, &capacities, &live), [3.0]);
+        capacities[2] = 50.0;
+        allocator.refresh_capacities(&capacities);
+        assert_eq!(solve(&mut allocator, &capacities, &live), [10.0]);
+        let c = vec![1];
+        live.push((allocator.insert(&capacities, &c), c));
+        assert_eq!(solve(&mut allocator, &capacities, &live), [5.0, 5.0]);
+        // b leaves; c is alone on resource 1 again.
+        let (row_b, _) = live.remove(0);
+        allocator.remove(row_b);
+        assert_eq!(solve(&mut allocator, &capacities, &live), [10.0]);
     }
 
     #[test]

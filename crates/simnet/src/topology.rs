@@ -254,6 +254,11 @@ impl Topology {
     /// `(latency, hops)` distances, lowest node index first among equal
     /// distances, first-found predecessor kept — reproduce the O(n²)
     /// reference Dijkstra in this module's tests exactly.
+    ///
+    /// A leaf (one adjacency entry) is settled where it is first relaxed and
+    /// never queued: only its one neighbour can relax it, that neighbour is
+    /// settled once, and popping the leaf would relax nothing, so the tree is
+    /// the same one the full queue builds.
     fn shortest_path_tree(&self, src: NodeId) -> SourceTree {
         #[derive(PartialEq)]
         struct Entry {
@@ -280,7 +285,7 @@ impl Topology {
 
         let n = self.nodes.len();
         let mut dist = vec![(f64::INFINITY, usize::MAX); n];
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+        let mut prev_link = vec![u32::MAX; n];
         let mut visited = vec![false; n];
         let mut heap = std::collections::BinaryHeap::new();
         dist[src.0] = (0.0, 0);
@@ -303,31 +308,20 @@ impl Topology {
                 let cand = (dist[u].0 + link.latency.as_secs(), dist[u].1 + 1);
                 if cand < dist[v.0] {
                     dist[v.0] = cand;
-                    prev[v.0] = Some((NodeId(u), link_id));
-                    heap.push(Entry {
-                        latency: cand.0,
-                        hops: cand.1,
-                        node: v.0,
-                    });
+                    prev_link[v.0] = link_id.0 as u32;
+                    if self.adjacency[v.0].len() == 1 {
+                        visited[v.0] = true;
+                    } else {
+                        heap.push(Entry {
+                            latency: cand.0,
+                            hops: cand.1,
+                            node: v.0,
+                        });
+                    }
                 }
             }
         }
-        // Compact storage: one u32 pair per node (sentinel = no predecessor),
-        // so a large testbed can afford one tree per transfer source.
-        let mut prev_node = vec![u32::MAX; n];
-        let mut prev_link = vec![u32::MAX; n];
-        for (i, entry) in prev.iter().enumerate() {
-            if let Some((p, l)) = entry {
-                prev_node[i] = p.0 as u32;
-                prev_link[i] = l.0 as u32;
-            }
-        }
-        let reached = dist.iter().map(|d| !d.0.is_infinite()).collect();
-        SourceTree {
-            prev_node,
-            prev_link,
-            reached,
-        }
+        SourceTree { prev_link }
     }
 
     /// Total one-way propagation latency along a path.
@@ -341,13 +335,13 @@ impl Topology {
     }
 }
 
-/// A shortest-path tree rooted at one source node, stored compactly
-/// (`u32::MAX` marks "no predecessor").
+/// A shortest-path tree rooted at one source node: one `u32` per node, the
+/// link to its predecessor (`u32::MAX` for the source and for every node the
+/// source does not reach), so a large testbed can afford one tree per
+/// transfer source. The predecessor is that link's other end.
 #[derive(Debug, Clone)]
 struct SourceTree {
-    prev_node: Vec<u32>,
     prev_link: Vec<u32>,
-    reached: Vec<bool>,
 }
 
 /// A cache of shortest paths over a structurally immutable topology: the
@@ -356,8 +350,10 @@ struct SourceTree {
 /// A full Dijkstra per query is fine for a one-off lookup and ruinous when
 /// every transfer start and every bandwidth probe needs the same handful of
 /// routes. A `PathTable` computes one shortest-path tree per *source* on
-/// first demand and answers every later `(src, dst)` query by walking
-/// predecessor pointers.
+/// first demand — a Dijkstra that queues only the nodes with more than one
+/// link, settling leaves as it reaches them — and answers every later
+/// `(src, dst)` query by walking each node's predecessor link back to the
+/// source.
 ///
 /// Paths depend only on the graph structure and link latencies, neither of
 /// which changes after construction ([`Network`](crate::network::Network)
@@ -436,7 +432,8 @@ impl PathTable {
 
     /// Appends the link sequence of the shortest path from `src` to `dst`
     /// onto `out` (in traversal order), reusing the cached tree for `src`.
-    /// An empty sequence means `src == dst`.
+    /// An empty sequence means `src == dst`; on an error `out` is left as it
+    /// was.
     pub fn path_into(
         &mut self,
         topology: &Topology,
@@ -457,7 +454,8 @@ impl PathTable {
     }
 
     /// The tree-walking core of [`path_into`](Self::path_into): answers from
-    /// the shortest-path tree rooted at `src`.
+    /// the shortest-path tree rooted at `src`, leaving `out` as it found it
+    /// when `dst` is unreached.
     fn tree_path_into(
         &mut self,
         topology: &Topology,
@@ -465,25 +463,22 @@ impl PathTable {
         dst: NodeId,
         out: &mut Vec<LinkId>,
     ) -> Result<(), TopologyError> {
-        let no_path = || {
-            TopologyError::NoPath(
-                topology.nodes[src.0].name.clone(),
-                topology.nodes[dst.0].name.clone(),
-            )
-        };
         let tree = self.tree(topology, src);
-        if !tree.reached[dst.0] {
-            return Err(no_path());
-        }
         let start = out.len();
         let mut cur = dst;
         while cur != src {
-            let p = tree.prev_node[cur.0];
-            if p == u32::MAX {
-                return Err(no_path());
+            let link = tree.prev_link[cur.0] as usize;
+            if link == u32::MAX as usize {
+                out.truncate(start);
+                return Err(TopologyError::NoPath(
+                    topology.nodes[src.0].name.clone(),
+                    topology.nodes[dst.0].name.clone(),
+                ));
             }
-            out.push(LinkId(tree.prev_link[cur.0] as usize));
-            cur = NodeId(p as usize);
+            out.push(LinkId(link));
+            cur = topology.links[link]
+                .other_end(cur)
+                .expect("a tree link ends at the node it leads to");
         }
         out[start..].reverse();
         Ok(())
@@ -525,28 +520,31 @@ impl PathTable {
                 return Ok(());
             }
         }
+        let start = out.len();
         if let Some(link) = src_link {
             out.push(link);
         }
         if src_anchor != dst_anchor {
-            let start = out.len();
+            let middle = out.len();
             let result = if src_anchor <= dst_anchor {
                 self.tree_path_into(topology, src_anchor, dst_anchor, out)
             } else {
                 let reversed = self.tree_path_into(topology, dst_anchor, src_anchor, out);
                 if reversed.is_ok() {
-                    out[start..].reverse();
+                    out[middle..].reverse();
                 }
                 reversed
             };
             // Report unreachability in terms of the queried endpoints, not
-            // the anchors the composition happened to route through.
-            result.map_err(|_| {
-                TopologyError::NoPath(
+            // the anchors the composition happened to route through, and take
+            // the source's access link back off `out`.
+            if result.is_err() {
+                out.truncate(start);
+                return Err(TopologyError::NoPath(
                     topology.nodes[src.0].name.clone(),
                     topology.nodes[dst.0].name.clone(),
-                )
-            })?;
+                ));
+            }
         }
         if let Some(link) = dst_link {
             out.push(link);
@@ -795,20 +793,116 @@ mod tests {
         }
     }
 
+    /// A seeded random graph in the shapes routing must get right: a core of
+    /// routers (a random tree plus extra links, some parallel), chains of
+    /// degree-2 routers ending in a leaf host, many leaf hosts, a duplicate
+    /// of a random link, and a component the rest cannot reach. Latencies are
+    /// whole seconds, zero included, so equal-latency routes tie exactly.
+    fn random_graph(seed: u64) -> Topology {
+        let mut rng = crate::rng::SimRng::seed_from_u64(seed);
+        let mut t = Topology::new();
+        let latency = |rng: &mut crate::rng::SimRng| {
+            SimDuration::from_secs([0.0, 1.0, 1.0, 2.0, 3.0][rng.index(5)])
+        };
+        let core: Vec<NodeId> = (0..2 + rng.index(5))
+            .map(|i| t.add_router(&format!("r{i}")).unwrap())
+            .collect();
+        for i in 1..core.len() {
+            let up = core[rng.index(i)];
+            t.add_link(core[i], up, 1e6, latency(&mut rng)).unwrap();
+        }
+        for _ in 0..rng.index(4) {
+            let (a, b) = (core[rng.index(core.len())], core[rng.index(core.len())]);
+            if a != b {
+                t.add_link(a, b, 1e6, latency(&mut rng)).unwrap();
+            }
+        }
+        let mut attach = core.clone();
+        for c in 0..rng.index(4) {
+            let mut end = core[rng.index(core.len())];
+            for k in 0..1 + rng.index(3) {
+                let next = t.add_router(&format!("c{c}.{k}")).unwrap();
+                t.add_link(end, next, 1e6, latency(&mut rng)).unwrap();
+                attach.push(next);
+                end = next;
+            }
+            let tail = t.add_host(&format!("c{c}.host")).unwrap();
+            t.add_link(end, tail, 1e6, latency(&mut rng)).unwrap();
+        }
+        for h in 0..3 + rng.index(10) {
+            let host = t.add_host(&format!("h{h}")).unwrap();
+            let at = attach[rng.index(attach.len())];
+            t.add_link(host, at, 1e6, latency(&mut rng)).unwrap();
+        }
+        let (a, b) = {
+            let link = t.link(LinkId(rng.index(t.link_count()))).unwrap();
+            (link.a, link.b)
+        };
+        t.add_link(a, b, 1e6, latency(&mut rng)).unwrap();
+        let island = t.add_router("island").unwrap();
+        for i in 0..rng.index(3) {
+            let host = t.add_host(&format!("island.h{i}")).unwrap();
+            t.add_link(host, island, 1e6, latency(&mut rng)).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn path_table_matches_reference_dijkstra_on_generated_graphs() {
+        for seed in 0..48 {
+            let t = random_graph(seed);
+            let leaves = t.nodes().filter(|(id, _)| t.attachment(*id).is_some());
+            assert!(leaves.count() >= 3, "seed {seed}: too few leaves");
+            let mut table = PathTable::new();
+            for (a, _) in t.nodes() {
+                for (b, _) in t.nodes() {
+                    let want = reference_path(&t, a, b);
+                    let mut got = vec![LinkId(usize::MAX)];
+                    let result = table.path_into(&t, a, b, &mut got);
+                    assert_eq!(got[0], LinkId(usize::MAX), "seed {seed}: {a:?} -> {b:?}");
+                    let got = result.map(|()| got[1..].to_vec());
+                    assert_eq!(got, want, "seed {seed}: {a:?} -> {b:?}");
+                }
+            }
+            // One tree per source, leaves included.
+            assert_eq!(table.stats().trees_built, t.node_count() as u64);
+        }
+    }
+
     #[test]
     fn path_table_reports_missing_nodes_and_paths() {
+        // Two hosts on routers the other side cannot reach, and a lone host.
         let mut t = Topology::new();
         let a = t.add_host("a").unwrap();
         let b = t.add_host("b").unwrap();
-        let mut table = PathTable::new();
-        assert!(matches!(
-            table.path(&t, a, NodeId(9)),
-            Err(TopologyError::UnknownNode(9))
-        ));
-        assert!(matches!(
-            table.path(&t, a, b),
-            Err(TopologyError::NoPath(_, _))
-        ));
-        assert!(table.path(&t, a, a).unwrap().is_empty());
+        let (ra, rb) = (t.add_router("ra").unwrap(), t.add_router("rb").unwrap());
+        let c = t.add_host("c").unwrap();
+        t.add_link(a, ra, 1e6, ms(1.0)).unwrap();
+        t.add_link(b, rb, 1e6, ms(1.0)).unwrap();
+        for compressed in [false, true] {
+            let mut table = PathTable::new();
+            table.set_leaf_compressed(compressed);
+            assert!(matches!(
+                table.path(&t, a, NodeId(9)),
+                Err(TopologyError::UnknownNode(9))
+            ));
+            // A failed query leaves what `out` held before untouched.
+            for (src, dst) in [(a, b), (b, a), (a, c), (c, a), (a, rb), (ra, b)] {
+                let mut out = vec![LinkId(7)];
+                assert!(
+                    matches!(
+                        table.path_into(&t, src, dst, &mut out),
+                        Err(TopologyError::NoPath(_, _))
+                    ),
+                    "{src:?} -> {dst:?}"
+                );
+                assert_eq!(
+                    out,
+                    [LinkId(7)],
+                    "compressed {compressed}: {src:?} -> {dst:?}"
+                );
+            }
+            assert!(table.path(&t, a, a).unwrap().is_empty());
+        }
     }
 }

@@ -442,3 +442,83 @@ fn an_epoch_that_undoes_the_last_start_matches_reference() {
     assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (5, 4));
     assert_reference_agreement(&net, &ledger, (hosts[2], hosts[3]));
 }
+
+/// Fleet-shaped demand sets: each client is the only row on its access link
+/// and its edge link, behind a few shared uplinks and server links, so most
+/// slots of a solve are crossed by one row and each row has two of them.
+/// Access and edge capacities straddle the uplink shares and each other, so
+/// some rows freeze at their tighter private link and others at an uplink or
+/// a server. Churn reuses a busy client's links (a private slot turns shared
+/// and back), probes cross a client's access link twice, and capacity
+/// refreshes degrade uplinks and private links alike; every solve is held to
+/// the reference.
+#[test]
+fn fleet_shaped_private_access_links_match_reference() {
+    let mut private_bound = 0;
+    for seed in 0..16u64 {
+        let mut rng = SimRng::seed_from_u64(seed).derive(5);
+        let (uplinks, servers) = (1 + rng.index(3), 1 + rng.index(3));
+        let clients = 40 + rng.index(40);
+        let access = (uplinks + servers) as u32;
+        let mut capacities = Vec::new();
+        for (count, choices) in [
+            (uplinks, &[10.0e6, 45.0e6, 100.0e6][..]),
+            (servers, &[100.0e6, 1.0e9]),
+            (clients, &[0.5e6, 1.0e6, 2.0e6, 10.0e6, 100.0e6]),
+            (clients, &[0.5e6, 1.0e6, 2.0e6, 10.0e6, 100.0e6]),
+        ] {
+            capacities.extend((0..count).map(|_| choices[rng.index(choices.len())]));
+        }
+        let path = |rng: &mut SimRng, client: usize| -> Vec<u32> {
+            let server = (uplinks + rng.index(servers)) as u32;
+            let (access, edge) = (access + client as u32, access + (clients + client) as u32);
+            vec![access, edge, rng.index(uplinks) as u32, server]
+        };
+        let mut allocator = Allocator::new();
+        let mut live: Vec<(u32, Vec<u32>)> = (0..clients)
+            .map(|client| {
+                let path = path(&mut rng, client);
+                (allocator.insert(&capacities, &path), path)
+            })
+            .collect();
+        for step in 0..40 {
+            let context = format!("seed {seed} step {step}");
+            match rng.index(4) {
+                0 if !live.is_empty() => {
+                    let (row, _) = live.swap_remove(rng.index(live.len()));
+                    allocator.remove(row);
+                }
+                1 => {
+                    let client = rng.index(clients);
+                    let path = path(&mut rng, client);
+                    live.push((allocator.insert(&capacities, &path), path));
+                }
+                2 => {
+                    let r = rng.index(capacities.len());
+                    capacities[r] *= [0.1, 0.5, 2.0][rng.index(3)];
+                    allocator.refresh_capacities(&capacities);
+                }
+                _ => {
+                    let client = access + rng.index(clients) as u32;
+                    let probe = vec![client, rng.index(uplinks) as u32, client];
+                    let row = allocator.insert(&capacities, &probe);
+                    live.push((row, probe));
+                    allocator.solve();
+                    assert_solve_matches(&allocator, &capacities, &live, &context);
+                    live.pop();
+                    allocator.remove(row);
+                }
+            }
+            allocator.solve();
+            assert_solve_matches(&allocator, &capacities, &live, &context);
+            private_bound += live
+                .iter()
+                .filter(|(row, path)| {
+                    let private = path[..2].iter().map(|&r| capacities[r as usize]);
+                    allocator.rate(*row) == private.fold(f64::INFINITY, f64::min)
+                })
+                .count();
+        }
+    }
+    assert!(private_bound > 0, "no row ever froze at a private link");
+}
