@@ -1,12 +1,15 @@
 //! Transactional model changes.
 //!
-//! Repair scripts do not mutate the architectural model directly: they build a
-//! [`Transaction`] of [`ModelOp`]s — the style's adaptation operators (§3.3) —
-//! against a working copy, the style checker validates the result, and only
-//! then is the change committed to the live model and propagated to the
+//! Repair scripts do not mutate the architectural model directly: they are
+//! lists of [`ModelOp`]s — the style's adaptation operators (§3.3) — that a
+//! commit applies to the live model before the change is propagated to the
 //! running system. This mirrors the paper's `commit repair` / `abort`
 //! semantics (Figure 5) and its requirement that operators keep the
-//! architecture *structurally valid*.
+//! architecture *structurally valid*. A per-element tactic writes its script
+//! in a [`Transaction`] against a working copy, which the style checker
+//! validates first (`RemoveServer` can empty a group); the group planner,
+//! whose `MoveClientGroup` and `AddServer` cannot break the style, writes
+//! its script against the live model without a copy.
 
 use crate::style::ClientServerStyle;
 use crate::system::{ModelError, System};

@@ -10,6 +10,7 @@ use crate::element::ElementRef;
 use crate::expr::{parse, EvalError, Expr, Operand, ParseError, Program, PropertyReadSet};
 use crate::key::Key;
 use crate::system::{ModelDelta, System};
+use std::sync::Arc;
 
 /// What an invariant ranges over.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,8 +90,12 @@ pub struct CheckReport {
     /// Constraints that evaluated to false.
     pub violations: Vec<Violation>,
     /// Constraints that could not be evaluated (e.g. a gauge has not yet
-    /// reported the property). These are *not* treated as violations.
-    pub errors: Vec<String>,
+    /// reported the property). These are *not* treated as violations. Each
+    /// line is formatted once, when its pair is evaluated; a check that
+    /// replays the pair shares that text (`Arc<str>`, as `tracestore`'s
+    /// events share theirs), so a persisting error costs a reference count,
+    /// not a copy.
+    pub errors: Vec<Arc<str>>,
     /// How many (invariant, element) pairs were actually evaluated.
     pub evaluated: usize,
     /// How many (invariant, element) pairs were pruned by the dirty set and
@@ -154,32 +159,31 @@ impl ConstraintSet {
     }
 
     fn check_one(&self, invariant: &Invariant, system: &System, report: &mut CheckReport) {
-        for (subject, subject_name) in subjects_of(invariant, system) {
+        for subject in subjects_of(invariant, system) {
             report.evaluated += 1;
-            let outcome = evaluate_pair(invariant, system, subject, &subject_name);
-            outcome.append_to(report);
+            evaluate_pair(invariant, system, subject).append_to(report);
         }
     }
 }
 
 /// The subjects an invariant ranges over, in the order a full sweep visits
 /// them (system, then elements in id order).
-fn subjects_of(invariant: &Invariant, system: &System) -> Vec<(Option<ElementRef>, String)> {
+fn subjects_of(invariant: &Invariant, system: &System) -> Vec<Option<ElementRef>> {
     match &invariant.scope {
-        ConstraintScope::System => vec![(None, system.name.clone())],
+        ConstraintScope::System => vec![None],
         ConstraintScope::EachComponent(ctype) => system
             .components_of_type(ctype)
-            .map(|(id, c)| (Some(ElementRef::Component(id)), c.name.clone()))
+            .map(|(id, _)| Some(ElementRef::Component(id)))
             .collect(),
         ConstraintScope::EachConnector(ctype) => system
             .connectors()
             .filter(|(_, c)| &c.ctype == ctype)
-            .map(|(id, c)| (Some(ElementRef::Connector(id)), c.name.clone()))
+            .map(|(id, _)| Some(ElementRef::Connector(id)))
             .collect(),
         ConstraintScope::EachRole(rtype) => system
             .roles()
             .filter(|(_, r)| &r.rtype == rtype)
-            .map(|(id, r)| (Some(ElementRef::Role(id)), r.name.clone()))
+            .map(|(id, _)| Some(ElementRef::Role(id)))
             .collect(),
     }
 }
@@ -195,8 +199,9 @@ enum PairOutcome {
     Holds,
     /// The constraint evaluated to false.
     Violated(Violation),
-    /// Evaluation failed; the formatted report line is cached verbatim.
-    Error(String),
+    /// Evaluation failed; the formatted report line is cached verbatim and
+    /// shared with every report that replays it.
+    Error(Arc<str>),
 }
 
 impl PairOutcome {
@@ -204,40 +209,47 @@ impl PairOutcome {
         match self {
             PairOutcome::Holds => {}
             PairOutcome::Violated(v) => report.violations.push(v.clone()),
-            PairOutcome::Error(e) => report.errors.push(e.clone()),
+            PairOutcome::Error(e) => report.errors.push(Arc::clone(e)),
         }
     }
 }
 
 /// Evaluates one (invariant, subject) pair — the single source of truth for
-/// both the full sweep and the incremental checker.
+/// both the full sweep and the incremental checker. The subject's name is
+/// read from the model only for a violation, the one outcome that carries
+/// it.
 fn evaluate_pair(
     invariant: &Invariant,
     system: &System,
     subject: Option<ElementRef>,
-    subject_name: &str,
 ) -> PairOutcome {
-    match invariant.evaluate(system, subject) {
-        Ok(true) => PairOutcome::Holds,
-        Ok(false) => PairOutcome::Violated(Violation {
-            invariant: invariant.name.clone(),
-            subject,
-            subject_name: subject_name.to_string(),
-            detail: invariant.source.clone(),
-        }),
-        Err(EvalError::MissingProperty(el, prop)) => PairOutcome::Error(format!(
+    let text = match invariant.evaluate(system, subject) {
+        Ok(true) => return PairOutcome::Holds,
+        Ok(false) => {
+            let subject_name = match subject {
+                None => system.name.clone(),
+                Some(el) => system.element_name(el).into_owned(),
+            };
+            return PairOutcome::Violated(Violation {
+                invariant: invariant.name.clone(),
+                subject,
+                subject_name,
+                detail: invariant.source.clone(),
+            });
+        }
+        Err(EvalError::MissingProperty(el, prop)) => format!(
             "invariant {}: property {prop} not yet observed on {el}",
             invariant.name
-        )),
-        Err(e) => PairOutcome::Error(format!("invariant {}: {e}", invariant.name)),
-    }
+        ),
+        Err(e) => format!("invariant {}: {e}", invariant.name),
+    };
+    PairOutcome::Error(text.into())
 }
 
 /// One cached (invariant, subject) pair.
 #[derive(Debug, Clone)]
 struct PairState {
     subject: Option<ElementRef>,
-    subject_name: String,
     outcome: PairOutcome,
 }
 
@@ -269,8 +281,9 @@ struct InvariantState {
 /// reserved for model construction.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalChecker {
+    /// The set the cache was built for; `None` until the first check.
+    constraints: Option<ConstraintSet>,
     invariants: Vec<InvariantState>,
-    primed: bool,
 }
 
 impl IncrementalChecker {
@@ -286,10 +299,12 @@ impl IncrementalChecker {
     /// are counted in `skipped` rather than `evaluated`.
     pub fn check(&mut self, constraints: &ConstraintSet, system: &mut System) -> CheckReport {
         let delta = system.drain_changes();
-        if !self.primed || delta.structural || self.invariants.len() != constraints.len() {
-            return self.rebuild(constraints, system);
+        if self.constraints.as_ref() != Some(constraints) {
+            self.constraints = Some(constraints.clone());
+        } else if !delta.structural {
+            return self.replay(constraints, system, &delta);
         }
-        self.replay(constraints, system, &delta)
+        self.rebuild(constraints, system)
     }
 
     /// Full sweep that (re)builds the cached subject lists and outcomes.
@@ -301,15 +316,11 @@ impl IncrementalChecker {
             let self_keys = reads.self_props.iter().map(|p| Key::new(p)).collect();
             let ident_keys = reads.idents.iter().map(|p| Key::new(p)).collect();
             let mut pairs = Vec::new();
-            for (subject, subject_name) in subjects_of(invariant, system) {
+            for subject in subjects_of(invariant, system) {
                 report.evaluated += 1;
-                let outcome = evaluate_pair(invariant, system, subject, &subject_name);
+                let outcome = evaluate_pair(invariant, system, subject);
                 outcome.append_to(&mut report);
-                pairs.push(PairState {
-                    subject,
-                    subject_name,
-                    outcome,
-                });
+                pairs.push(PairState { subject, outcome });
             }
             self.invariants.push(InvariantState {
                 reads,
@@ -318,7 +329,6 @@ impl IncrementalChecker {
                 pairs,
             });
         }
-        self.primed = true;
         report
     }
 
@@ -351,8 +361,7 @@ impl IncrementalChecker {
                     };
                 if dirty {
                     report.evaluated += 1;
-                    pair.outcome =
-                        evaluate_pair(invariant, system, pair.subject, &pair.subject_name);
+                    pair.outcome = evaluate_pair(invariant, system, pair.subject);
                 } else {
                     report.skipped += 1;
                 }
@@ -576,6 +585,35 @@ mod tests {
         assert_eq!(report.evaluated, 3);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].subject_name, "User3");
+    }
+
+    #[test]
+    fn a_different_set_of_the_same_length_is_checked_afresh() {
+        let mut sys = system_with_clients();
+        let latency = ConstraintSet::new().with(latency_invariant());
+        let tight = ConstraintSet::new().with(
+            Invariant::parse(
+                "latency",
+                ConstraintScope::EachComponent("ClientT".into()),
+                "self.averageLatency <= 1.0",
+            )
+            .unwrap(),
+        );
+        let mut checker = IncrementalChecker::new();
+        assert!(checker.check(&latency, &mut sys).is_clean());
+        // No model change in between: only the set differs, and its report
+        // is its own full sweep, not the first set's replay.
+        let report = checker.check(&tight, &mut sys);
+        assert_eq!(report.evaluated, 3);
+        assert_eq!(report.skipped, 0);
+        assert_eq!(report, tight.check(&sys));
+        assert_eq!(report.violations[0].subject_name, "User3");
+        // Back to the first set: checked afresh again.
+        let back = checker.check(&latency, &mut sys);
+        assert_eq!(back.evaluated, 3);
+        assert!(back.is_clean());
+        // The same set again replays.
+        assert_eq!(checker.check(&latency, &mut sys).skipped, 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! construction helpers, and structural-validity rules that adaptation
 //! operators must preserve.
 
-use crate::element::{ComponentId, ConnectorId, ElementRef, PortId};
+use crate::element::{ComponentId, ConnectorId, ElementRef, PortId, RoleId};
 use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
 
@@ -78,6 +78,18 @@ impl std::fmt::Display for StyleViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.subject, self.rule)
     }
+}
+
+/// A client move resolved by [`ClientServerStyle::resolve_move`] and not
+/// yet applied.
+#[derive(Debug)]
+pub struct ResolvedMove<'a> {
+    group: ComponentId,
+    /// Each member the model has, once, with its `request` port, in list
+    /// order.
+    members: Vec<(&'a String, PortId)>,
+    /// The roles the move deletes.
+    stale: Vec<RoleId>,
 }
 
 /// The client/server-with-replicated-server-groups style.
@@ -254,17 +266,16 @@ impl ClientServerStyle {
         Self::move_clients(system, &[client.to_string()], to_group)
     }
 
-    /// The body of [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup):
-    /// resolve every member (component → `request` port → stale role) without
-    /// touching the model, ensure the target connector, remove the stale roles
-    /// in one batch, then add and attach the fresh roles in list order — so
-    /// role ids, `attachments` order and `Connector::roles` order are those of
-    /// moving the members one at a time.
-    pub fn move_clients(
-        system: &mut System,
-        clients: &[String],
+    /// The read-only half of [`move_clients`](Self::move_clients): resolves
+    /// the target group and every member (component → `request` port → stale
+    /// role) without touching the model, and fails exactly when applying the
+    /// move would. A planner that writes the move for a later commit calls it
+    /// to keep the checks applying the move makes.
+    pub fn resolve_move<'a>(
+        system: &System,
+        clients: &'a [String],
         to_group: &str,
-    ) -> Result<(), ModelError> {
+    ) -> Result<ResolvedMove<'a>, ModelError> {
         let group = Self::typed_component(system, to_group, SERVER_GROUP_T)?;
         let mut members = Vec::new();
         let mut stale = Vec::new();
@@ -286,7 +297,34 @@ impl ClientServerStyle {
             }
             members.push((client, port));
         }
-        // The group's serve port is the last lookup that can fail.
+        // The group's serve port is the last lookup that can fail, and only
+        // when its connector does not exist yet.
+        let conn_name = Self::connector_name(to_group);
+        if system.connector_by_name(&conn_name).is_none() {
+            Self::port_named(system, group, Self::GROUP_PORT)?;
+        }
+        Ok(ResolvedMove {
+            group,
+            members,
+            stale,
+        })
+    }
+
+    /// The body of [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup):
+    /// [`resolve_move`](Self::resolve_move), ensure the target connector,
+    /// remove the stale roles in one batch, then add and attach the fresh
+    /// roles in list order — so role ids, `attachments` order and
+    /// `Connector::roles` order are those of moving the members one at a time.
+    pub fn move_clients(
+        system: &mut System,
+        clients: &[String],
+        to_group: &str,
+    ) -> Result<(), ModelError> {
+        let ResolvedMove {
+            group,
+            members,
+            stale,
+        } = Self::resolve_move(system, clients, to_group)?;
         let conn = Self::service_connector(system, group)?;
         // Removing the stale roles also removes the attachments through them.
         system.remove_roles(&stale)?;

@@ -5,9 +5,9 @@
 //! | step | in | out |
 //! | --- | --- | --- |
 //! | **Check** | the constraints, the model's change journal | a [`CheckReport`] with violations, or nothing |
-//! | **Plan** | the report, the model, runtime queries | a [`PlannedRepair`]: one [`RepairPlan`] and its runtime operations |
+//! | **Plan** | the report, the borrowed model, runtime queries | a [`PlannedRepair`]: one [`RepairPlan`] and its runtime operations; the group planner writes its ops against the live model, a per-element tactic in a style-checked copy |
 //! | **Begin** | the planned repair, the cost model | a [`PendingRepair`] due when its priced duration has passed |
-//! | **Commit** | the due repair's model operations | the model, changed |
+//! | **Commit** | the due repair's model operations | the model, changed and checked against the style |
 //! | **Execute** | the due repair's runtime operations | the application and the gauge roster, changed |
 //!
 //! One repair executes at a time; while one is pending nothing is checked or
@@ -356,7 +356,9 @@ impl RepairLoop {
 }
 
 impl PendingRepair {
-    /// **Commit**: applies the repair's model operations to `model`.
+    /// **Commit**: applies the repair's model operations to `model`, then
+    /// checks it against the style — the one runtime style check a repair
+    /// gets, recorded when it fires.
     pub(crate) fn commit(&self, model: &mut System, observer: &mut Observer, t: SimTime) {
         let _span = observer.span("phase.commit_replay");
         for op in &self.repair.plan.ops {

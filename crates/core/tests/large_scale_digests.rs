@@ -151,6 +151,14 @@ fn large_scale_framework_run_reproduces_the_digest_recorded_with_aggregate_rows(
     // Long enough for the Figure 7 squeeze (120 s) to draw a client move.
     let run = framework_run("single-link-cut", 42, 180.0);
     assert!(run.summary.client_moves > 0, "no per-element repair ran");
+    // The one runtime style check, made on the live model after every
+    // commit, never fired: each committed script kept the style.
+    let style_breaks = run
+        .trace
+        .legacy_lines()
+        .filter(|line| line.to_string().ends_with("style violations after commit"))
+        .count();
+    assert_eq!(style_breaks, 0, "a commit broke the style");
     // `{:?}` prints an `f64` as its shortest round-trip decimal, so equal
     // text is equal bits.
     let trace = fnv1a(FNV_OFFSET, legacy_trace_debug(&run.trace).as_bytes());

@@ -26,9 +26,9 @@ use crate::classes::{ClassIndex, ClientClass};
 use crate::probes::GroupProbes;
 use archmodel::constraint::CheckReport;
 use archmodel::style::ClientServerStyle;
-use archmodel::{System, Transaction};
+use archmodel::{ModelOp, System};
 use gridapp::GridApp;
-use repair::operators::{add_server, move_client_group};
+use repair::operators::new_server_name;
 use repair::tactic::client_of_violation;
 use repair::{RepairDamping, RepairPlan};
 use std::collections::{BTreeMap, BTreeSet};
@@ -203,6 +203,14 @@ impl GroupPlanner {
     /// be, and the batched runtime operations to execute — or `None` when no
     /// group tactic applies (the caller falls back to per-element repair).
     /// Pure in its inputs apart from the damping clock.
+    ///
+    /// The ops are written against the borrowed live `model`, not applied to
+    /// a copy of it: each class move is resolved as applying it would
+    /// resolve it (`ClientServerStyle::resolve_move`), and each recruit gets
+    /// the first server name neither the model nor this plan holds. Neither
+    /// `moveClientGroup` nor `addServer` can break the style
+    /// (`archmodel/tests/style_ops.rs`), so the one style check of a planned
+    /// repair is the commit's, on the live model.
     pub fn plan(
         &mut self,
         index: &ClassIndex,
@@ -446,31 +454,30 @@ impl GroupPlanner {
             return None;
         }
 
-        // -- Realise the plan: model ops through the style operators. ------
-        let mut tx = Transaction::new(model);
+        // -- Realise the plan: the style's operators, against the live model.
         // One `moveClientGroup` model op per class move: the recorded
         // change-set (and `finish_repair`'s commit replay over it) is
         // proportional to moved *classes*, not members — at 50k clients the
         // per-member op list alone dominated the bulk-repair commit. The op
         // itself skips members missing from the model.
+        let mut ops = Vec::new();
         for mv in &moves {
-            if move_client_group(&mut tx, &mv.members, &mv.to).is_err() {
-                return None;
-            }
+            ClientServerStyle::resolve_move(model, &mv.members, &mv.to).ok()?;
+            ops.push(ModelOp::MoveClientGroup {
+                clients: mv.members.clone(),
+                to_group: mv.to.clone(),
+            });
         }
-        let mut recruited_servers: Vec<(String, Vec<String>)> = Vec::new();
+        let mut recruited: Vec<String> = Vec::new();
         for (group, k) in &recruits {
-            let mut names = Vec::new();
             for _ in 0..*k {
-                match add_server(&mut tx, group) {
-                    Ok(name) => names.push(name),
-                    Err(_) => return None,
-                }
+                let server = new_server_name(model, group, &recruited).ok()?;
+                recruited.push(server.clone());
+                ops.push(ModelOp::AddServer {
+                    group: group.clone(),
+                    server,
+                });
             }
-            recruited_servers.push((group.clone(), names));
-        }
-        if !ClientServerStyle::validate(tx.working()).is_empty() {
-            return None;
         }
 
         // -- Batched runtime ops. ------------------------------------------
@@ -515,8 +522,9 @@ impl GroupPlanner {
                 min_age_secs: thresholds.max_latency_secs,
             });
         }
-        for (group, names) in &recruited_servers {
-            for name in names {
+        let mut names = recruited.iter();
+        for (group, k) in &recruits {
+            for name in names.by_ref().take(*k) {
                 runtime_ops.push(RuntimeOp::FindServer {
                     client: group.clone(),
                     bandwidth_threshold_bps: thresholds.min_bandwidth_bps,
@@ -555,7 +563,7 @@ impl GroupPlanner {
                 moved_classes.len(),
                 input.groups.len()
             ),
-            ops: tx.ops().to_vec(),
+            ops,
             tactics,
             description: notes.join("; "),
         };
@@ -656,12 +664,11 @@ mod tests {
         assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DrainStuckServers { group, .. } if group == "ServerGrp1")
         ));
-        // The model ops re-attach the moved client and validate style-clean.
+        // The model ops re-attach the moved client.
         let mut repaired = model.clone();
         for op in &plan.ops {
             archmodel::apply_op(&mut repaired, op).unwrap();
         }
-        assert!(ClientServerStyle::validate(&repaired).is_empty());
         let user3 = repaired.component_by_name("User3").unwrap();
         let group = ClientServerStyle::group_of_client(&repaired, user3).unwrap();
         assert_eq!(repaired.component(group).unwrap().name, "ServerGrp2");
@@ -707,6 +714,46 @@ mod tests {
         assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DeleteGauge { gauge } if gauge == "load-gauge/ServerGrp1")
         ));
+    }
+
+    #[test]
+    fn recruits_take_the_first_names_neither_the_model_nor_the_plan_holds() {
+        let (model, index, mut input) = squeeze_fixture();
+        input.violating_clients.clear();
+        input.overloaded_groups = vec!["ServerGrp1".to_string()];
+        input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
+        let mut planner = GroupPlanner::new(None);
+        let (plan, _) = planner.plan(&index, &model, &input).expect("a plan");
+        let add = |server: &str| ModelOp::AddServer {
+            group: "ServerGrp1".to_string(),
+            server: server.to_string(),
+        };
+        assert_eq!(
+            plan.ops,
+            vec![add("ServerGrp1.Server4"), add("ServerGrp1.Server5")]
+        );
+    }
+
+    #[test]
+    fn an_op_the_live_model_would_refuse_abstains_the_plan() {
+        let (_, index, input) = squeeze_fixture();
+        // The squeezed class's target group is missing from the model.
+        let one_group = ClientServerStyle::example_system("storage", 1, 3, 6).unwrap();
+        let mut planner = GroupPlanner::new(None);
+        assert!(planner.plan(&index, &one_group, &input).is_none());
+        // So is an overloaded group's, which would recruit.
+        let (model, index, mut input) = squeeze_fixture();
+        input.violating_clients.clear();
+        input.overloaded_groups = vec!["ServerGrp3".to_string()];
+        input.groups.insert(
+            "ServerGrp3".to_string(),
+            GroupSnapshot {
+                load: 20.0,
+                live_servers: 1,
+                stuck_servers: 0,
+            },
+        );
+        assert!(planner.plan(&index, &model, &input).is_none());
     }
 
     #[test]

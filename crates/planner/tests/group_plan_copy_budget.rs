@@ -1,0 +1,107 @@
+//! The group planner's copy budget: heap bytes requested while planning one
+//! batched repair on a 2,000-client model — every class behind the `R2`
+//! aggregation switches squeezed on `ServerGrp1`, which is also overloaded
+//! with spares to recruit, so the plan holds both `moveClientGroup` and
+//! `addServer` ops — against the bytes of one `model.clone()`.
+//!
+//! The planner writes its ops against the borrowed live model: it resolves
+//! each class move as applying it would and names each recruit, but applies
+//! nothing and copies nothing. While it applied the ops to a `Transaction`'s
+//! copy and validated that copy against the style, this plan requested
+//! 2,039,830 bytes against 1,760,923 per copy (1.16); it requests 109,076
+//! now (0.06), and a copy does not fit under the ceiling.
+
+use archmodel::style::ClientServerStyle;
+use archmodel::{apply_op, ModelOp};
+use gridapp::{Testbed, TestbedSpec};
+use planner::{ClassIndex, GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
+use std::collections::BTreeMap;
+
+#[path = "../../repair/tests/common/bytes.rs"]
+mod bytes;
+use bytes::bytes_requested;
+
+/// Model copies one batched plan may cost.
+const CEILING_COPIES: f64 = 0.1;
+
+fn input(index: &ClassIndex) -> PlannerInput {
+    let group = |i: usize| {
+        if i % 2 == 1 {
+            "ServerGrp1"
+        } else {
+            "ServerGrp2"
+        }
+    };
+    let client_groups = (1..=2000)
+        .map(|i| (format!("User{i}"), group(i).to_string()))
+        .collect();
+    let squeezed: Vec<usize> = (801..=1200)
+        .filter_map(|i| index.client_class_of(&format!("User{i}")))
+        .collect();
+    let mut class_bandwidth = BTreeMap::new();
+    for class in index.client_classes() {
+        let bw1 = if squeezed.contains(&class.id) {
+            4_000.0
+        } else {
+            2.0e6
+        };
+        class_bandwidth.insert((class.id, "ServerGrp1".to_string()), Some(bw1));
+        class_bandwidth.insert((class.id, "ServerGrp2".to_string()), Some(3.0e6));
+    }
+    let snapshot = |load, live_servers, stuck_servers| GroupSnapshot {
+        load,
+        live_servers,
+        stuck_servers,
+    };
+    let mut violating: Vec<String> = (801..=1200).map(|i| format!("User{i}")).collect();
+    violating.sort();
+    PlannerInput {
+        now_secs: 50.0,
+        thresholds: PlannerThresholds {
+            min_bandwidth_bps: 10_000.0,
+            max_server_load: 6.0,
+            max_latency_secs: 2.0,
+        },
+        groups: BTreeMap::from([
+            ("ServerGrp1".to_string(), snapshot(20.0, 3, 2)),
+            ("ServerGrp2".to_string(), snapshot(0.0, 3, 0)),
+        ]),
+        spare_servers: 14,
+        class_bandwidth,
+        violating_clients: violating,
+        overloaded_groups: vec!["ServerGrp1".to_string()],
+        client_groups,
+    }
+}
+
+#[test]
+fn planning_a_batched_repair_copies_nothing() {
+    let model = ClientServerStyle::example_system("fleet", 2, 3, 2000).unwrap();
+    let index = ClassIndex::build(&Testbed::from_spec(&TestbedSpec::large_scale()).unwrap());
+    let input = input(&index);
+    let mut planner = GroupPlanner::new(None);
+
+    let one_copy = bytes_requested(|| drop(model.clone()));
+    let mut planned = None;
+    let planning = bytes_requested(|| planned = planner.plan(&index, &model, &input));
+    let (plan, _) = planned.expect("a batched plan");
+    let count = |kind: fn(&ModelOp) -> bool| plan.ops.iter().filter(|op| kind(op)).count();
+    let moves = count(|op| matches!(op, ModelOp::MoveClientGroup { .. }));
+    let recruits = count(|op| matches!(op, ModelOp::AddServer { .. }));
+    assert!(moves > 1 && recruits == 3, "{:?}", plan.tactics);
+
+    // What the commit does with the ops: they apply, and the style holds.
+    let mut committed = model.clone();
+    for op in &plan.ops {
+        apply_op(&mut committed, op).unwrap();
+    }
+    assert_eq!(ClientServerStyle::validate(&committed), Vec::new());
+
+    let copies = planning as f64 / one_copy as f64;
+    println!("{planning} bytes planning / {one_copy} bytes per model copy = {copies:.3}");
+    assert!(
+        copies <= CEILING_COPIES,
+        "planning one batched repair requested {planning} bytes, {copies:.3} times the \
+         {one_copy} of one model copy: the ceiling is {CEILING_COPIES}"
+    );
+}

@@ -11,8 +11,14 @@
 //! * `remove()` — applied to a server, deletes it from its containing group
 //!   and updates the group's replication count.
 //!
-//! Operators work on a [`Transaction`], so a repair can be validated against
-//! the style and aborted without touching the live model.
+//! A per-element tactic writes its script with these operators on a
+//! [`Transaction`]: each op is applied to the transaction's working copy,
+//! which the strategy validates against the style before anything reaches
+//! the live model — `remove()` can empty a group. The group planner, whose
+//! only ops are `moveClientGroup` and `addServer` (neither can break the
+//! style), writes them against the live model without a copy: it resolves a
+//! move with `ClientServerStyle::resolve_move` and names a recruit with
+//! [`new_server_name`], the two reads applying them would make.
 
 use archmodel::style::{ClientServerStyle, SERVER_GROUP_T, SERVER_T};
 use archmodel::{ModelError, ModelOp, System, Transaction};
@@ -63,22 +69,26 @@ fn target<'a>(
     Ok(component)
 }
 
-fn next_server_name(model: &System, group_name: &str) -> String {
-    let mut index = 1;
-    loop {
-        let candidate = format!("{group_name}.Server{index}");
-        if model.component_by_name(&candidate).is_none() {
-            return candidate;
-        }
-        index += 1;
-    }
+/// The name `addServer()` gives the replica it adds to `group_name`, which
+/// must be a server group: the first `{group_name}.Server{i}` that is neither
+/// in `model` nor in `taken` (the names a plan has already given out).
+pub fn new_server_name(
+    model: &System,
+    group_name: &str,
+    taken: &[String],
+) -> Result<String, OperatorError> {
+    target(model, group_name, SERVER_GROUP_T, "server group")?;
+    let free = |name: &String| model.component_by_name(name).is_none() && !taken.contains(name);
+    Ok((1..)
+        .map(|index| format!("{group_name}.Server{index}"))
+        .find(free)
+        .expect("a model holds finitely many names"))
 }
 
 /// `addServer()`: adds a new replicated, active server to `group_name` and
 /// updates the group's `replicationCount`. Returns the new server's name.
 pub fn add_server(tx: &mut Transaction, group_name: &str) -> Result<String, OperatorError> {
-    target(tx.working(), group_name, SERVER_GROUP_T, "server group")?;
-    let server = next_server_name(tx.working(), group_name);
+    let server = new_server_name(tx.working(), group_name, &[])?;
     tx.apply(ModelOp::AddServer {
         group: group_name.to_string(),
         server: server.clone(),
@@ -98,27 +108,6 @@ pub fn move_client(
     target(tx.working(), to_group_name, SERVER_GROUP_T, "server group")?;
     tx.apply(ModelOp::MoveClient {
         client: client_name.to_string(),
-        to_group: to_group_name.to_string(),
-    })?;
-    Ok(ClientServerStyle::connector_name(to_group_name))
-}
-
-/// `moveClientGroup(to)`: the class-level bulk variant of `move` — relocates
-/// every named client onto `to_group_name`'s connector as **one** recorded
-/// model operation. Applying it — here on the working copy, and again when
-/// the repair commits — sweeps each connector that loses a role and the
-/// attachment list once, whatever the class size (see
-/// [`ModelOp::MoveClientGroup`]). Members missing from the model are skipped;
-/// the final model state is that of one [`move_client`] per member. Returns
-/// the target connector's name.
-pub fn move_client_group(
-    tx: &mut Transaction,
-    clients: &[String],
-    to_group_name: &str,
-) -> Result<String, OperatorError> {
-    target(tx.working(), to_group_name, SERVER_GROUP_T, "server group")?;
-    tx.apply(ModelOp::MoveClientGroup {
-        clients: clients.to_vec(),
         to_group: to_group_name.to_string(),
     })?;
     Ok(ClientServerStyle::connector_name(to_group_name))
@@ -191,6 +180,28 @@ mod tests {
     }
 
     #[test]
+    fn new_server_name_skips_what_the_model_or_the_plan_holds() {
+        let mut model = example();
+        let name = |model: &System, taken: &[String]| new_server_name(model, "ServerGrp1", taken);
+        assert_eq!(name(&model, &[]).unwrap(), "ServerGrp1.Server4");
+        let taken = ["ServerGrp1.Server4".to_string()];
+        assert_eq!(name(&model, &taken).unwrap(), "ServerGrp1.Server5");
+        // A gap a removal left is the first free name.
+        archmodel::apply_op(
+            &mut model,
+            &ModelOp::RemoveServer {
+                server: "ServerGrp1.Server2".into(),
+            },
+        )
+        .unwrap();
+        assert_eq!(name(&model, &taken).unwrap(), "ServerGrp1.Server2");
+        assert!(matches!(
+            new_server_name(&model, "User1", &[]),
+            Err(OperatorError::BadTarget(_))
+        ));
+    }
+
+    #[test]
     fn move_client_changes_group_and_cleans_old_role() {
         let model = example();
         // User1 starts on ServerGrp1 (round-robin).
@@ -226,10 +237,12 @@ mod tests {
         for client in &clients {
             move_client(&mut sequential, client, "ServerGrp2").unwrap();
         }
-        // The bulk operator: one recorded op, identical final model state.
+        // The bulk op the group planner writes: one recorded op, identical
+        // final model state.
         let mut bulk = Transaction::new(&model);
-        let conn = move_client_group(&mut bulk, &clients, "ServerGrp2").unwrap();
-        assert_eq!(conn, "ServerGrp2.Conn");
+        let (clients, to_group) = (clients.clone(), "ServerGrp2".to_string());
+        bulk.apply(ModelOp::MoveClientGroup { clients, to_group })
+            .unwrap();
         assert_eq!(bulk.len(), 1);
         assert_eq!(bulk.working(), sequential.working());
         assert!(ClientServerStyle::validate(bulk.working()).is_empty());
@@ -245,9 +258,14 @@ mod tests {
     fn move_client_group_to_non_group_fails() {
         let model = example();
         let mut tx = Transaction::new(&model);
-        let err = move_client_group(&mut tx, &["User1".to_string()], "User2");
-        assert!(matches!(err, Err(OperatorError::BadTarget(_))));
+        let op = ModelOp::MoveClientGroup {
+            clients: vec!["User1".to_string()],
+            to_group: "User2".to_string(),
+        };
+        assert!(ClientServerStyle::resolve_move(&model, &["User1".to_string()], "User2").is_err());
+        assert!(matches!(tx.apply(op), Err(ModelError::NameNotFound(_))));
         assert!(tx.is_empty());
+        assert_eq!(tx.working(), &model);
     }
 
     #[test]

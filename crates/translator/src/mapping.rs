@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use archmodel::style::ClientServerStyle;
     use archmodel::Transaction;
-    use repair::operators::{add_server, move_client, move_client_group, remove_server};
+    use repair::operators::{add_server, move_client, remove_server};
 
     fn model() -> System {
         ClientServerStyle::example_system("storage", 2, 3, 6).unwrap()
@@ -244,7 +244,11 @@ mod tests {
     fn move_client_group_is_the_planners_to_realise() {
         let m = model();
         let mut tx = Transaction::new(&m);
-        move_client_group(&mut tx, &["User1".to_string()], "ServerGrp2").unwrap();
+        tx.apply(ModelOp::MoveClientGroup {
+            clients: vec!["User1".to_string()],
+            to_group: "ServerGrp2".to_string(),
+        })
+        .unwrap();
         match translate(&m, tx.ops(), 10_000.0) {
             Err(TranslationError::NotTranslatable(reason)) => {
                 assert!(reason.contains("group planner"), "{reason}")

@@ -3,7 +3,7 @@
 //! transactional change-set machinery, and the M/M/c analysis.
 
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{apply_op, parse, Program, System, Transaction};
+use archmodel::{apply_op, parse, ModelOp, Program, System, Transaction};
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::LinkId;
@@ -106,8 +106,8 @@ proptest! {
                 1 => repair::remove_server(&mut tx, &format!("{group}.Server{}", pick + 1)).is_ok(),
                 2 => repair::move_client(&mut tx, &client, &group).is_ok(),
                 _ => {
-                    let class = [client, "User1".to_string()];
-                    repair::operators::move_client_group(&mut tx, &class, &group).is_ok()
+                    let clients = vec![client, "User1".to_string()];
+                    tx.apply(ModelOp::MoveClientGroup { clients, to_group: group }).is_ok()
                 }
             };
             prop_assert_eq!(tx.len(), recorded + usize::from(applied));
