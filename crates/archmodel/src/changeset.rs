@@ -129,7 +129,6 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Key;
     use crate::style::{props, ClientServerStyle as Style, CLIENT_ROLE_T};
     use crate::system::tests::index_errors;
     use proptest::prelude::*;
@@ -269,7 +268,7 @@ mod tests {
         let shared = live.role_in_connector(conn1, "User1.role").unwrap();
         let second = live.role_in_connector(conn1, "User2.role").unwrap();
         let user2 = live.component_by_name("User2").unwrap();
-        let port2 = live.component(user2).unwrap().ports[0];
+        let port2 = live.ports_of(user2).next().unwrap();
         live.detach(port2, second).unwrap();
         live.attach(port2, shared).unwrap();
         live.attach(port2, second).unwrap();
@@ -318,8 +317,9 @@ mod tests {
             let Some(id) = sys.component_by_name(client) else {
                 continue;
             };
-            let port = sys.component(id).unwrap().ports[0];
-            if let Some(old) = sys.roles_attached_to_port(port).first().copied() {
+            let port = sys.ports_of(id).next().unwrap();
+            let old = sys.roles_attached_to_port(port).next();
+            if let Some(old) = old {
                 sys.detach(port, old).unwrap();
                 sys.remove_role(old).unwrap();
             }
@@ -336,14 +336,14 @@ mod tests {
         for (id, role) in sys.roles() {
             out.push(format!(
                 "{id:?}: by key {:?}, component {:?}",
-                sys.role_by_key(Key::new(&role.name)),
+                sys.role_by_key(role.name),
                 sys.component_attached_to_role(id),
             ));
         }
         for (id, _) in sys.ports() {
             out.push(format!(
                 "{id:?}: roles {:?}",
-                sys.roles_attached_to_port(id)
+                sys.roles_attached_to_port(id).collect::<Vec<_>>()
             ));
         }
         out

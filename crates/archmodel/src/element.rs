@@ -8,6 +8,7 @@
 //! representation containing its replicated servers) is expressed through
 //! parent/child links between components.
 
+use crate::key::Key;
 use crate::property::PropertyMap;
 
 /// Identifies a component within a [`crate::system::System`].
@@ -45,21 +46,22 @@ pub enum ElementRef {
 
 /// A principal computational element or data store (client, server group,
 /// server, request queue, ...).
+///
+/// Its ports and its representation's members are read through the model
+/// ([`System::ports_of`](crate::System::ports_of),
+/// [`System::children`](crate::System::children)), which threads them in
+/// flat lists: no element owns a `Vec`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Unique name within the system, e.g. `"ServerGrp1"`.
-    pub name: String,
+    pub name: Key,
     /// The component type in the architectural style, e.g. `"ServerGroupT"`.
-    pub ctype: String,
+    pub ctype: Key,
     /// Behavioural/performance annotations.
     pub properties: PropertyMap,
-    /// Ports owned by this component.
-    pub ports: Vec<PortId>,
     /// Enclosing component when this component is part of a representation
     /// (e.g. a server inside its server group).
     pub parent: Option<ComponentId>,
-    /// Components contained in this component's representation.
-    pub children: Vec<ComponentId>,
 }
 
 /// A pathway of interaction between components (e.g. the request queue plus
@@ -67,12 +69,12 @@ pub struct Component {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Connector {
     /// Unique name within the system.
-    pub name: String,
+    pub name: Key,
     /// The connector type in the architectural style, e.g. `"ServiceConnT"`.
-    pub ctype: String,
+    pub ctype: Key,
     /// Behavioural/performance annotations (delay, bandwidth, ...).
     pub properties: PropertyMap,
-    /// Roles owned by this connector.
+    /// Roles owned by this connector, in id order.
     pub roles: Vec<RoleId>,
 }
 
@@ -80,9 +82,9 @@ pub struct Connector {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Name unique within the owning component.
-    pub name: String,
+    pub name: Key,
     /// The port type, e.g. `"RequestT"`.
-    pub ptype: String,
+    pub ptype: Key,
     /// Annotations.
     pub properties: PropertyMap,
     /// The component this port belongs to.
@@ -93,9 +95,9 @@ pub struct Port {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Role {
     /// Name unique within the owning connector.
-    pub name: String,
+    pub name: Key,
     /// The role type, e.g. `"ClientRoleT"`.
-    pub rtype: String,
+    pub rtype: Key,
     /// Annotations (e.g. `bandwidth` between the client and its group).
     pub properties: PropertyMap,
     /// The connector this role belongs to.

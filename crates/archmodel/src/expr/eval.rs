@@ -9,7 +9,7 @@
 //! value only to word an error.
 
 use super::ast::{BinOp, Expr, QuantifierKind, UnaryOp};
-use crate::element::{ComponentId, ElementRef, PortId, RoleId};
+use crate::element::{ComponentId, ElementRef, RoleId};
 use crate::key::Key;
 use crate::system::System;
 use crate::value::Value;
@@ -75,9 +75,9 @@ pub enum Elements<'a> {
     /// Every connector, in id order.
     Connectors,
     /// A component's ports.
-    Ports(&'a [PortId]),
+    Ports(ComponentId),
     /// A component's children (its representation's members).
-    Children(&'a [ComponentId]),
+    Children(ComponentId),
     /// A connector's roles.
     Roles(&'a [RoleId]),
     /// The elements a `select` kept.
@@ -92,20 +92,25 @@ impl Elements<'_> {
             .then(|| system.components().map(|(id, _)| ElementRef::Component(id)));
         let connectors = matches!(self, Elements::Connectors)
             .then(|| system.connectors().map(|(id, _)| ElementRef::Connector(id)));
-        let (ports, children, roles, selected): (&[PortId], &[ComponentId], &[RoleId], &[_]) =
-            match self {
-                Elements::Ports(ids) => (ids, &[], &[], &[]),
-                Elements::Children(ids) => (&[], ids, &[], &[]),
-                Elements::Roles(ids) => (&[], &[], ids, &[]),
-                Elements::Selected(els) => (&[], &[], &[], els),
-                Elements::Components | Elements::Connectors => (&[], &[], &[], &[]),
-            };
+        let ports = match *self {
+            Elements::Ports(id) => Some(system.ports_of(id).map(ElementRef::Port)),
+            _ => None,
+        };
+        let children = match *self {
+            Elements::Children(id) => Some(system.children(id).map(ElementRef::Component)),
+            _ => None,
+        };
+        let (roles, selected): (&[RoleId], &[_]) = match self {
+            Elements::Roles(ids) => (ids, &[]),
+            Elements::Selected(els) => (&[], els),
+            _ => (&[], &[]),
+        };
         components
             .into_iter()
             .flatten()
             .chain(connectors.into_iter().flatten())
-            .chain(ports.iter().map(|&id| ElementRef::Port(id)))
-            .chain(children.iter().map(|&id| ElementRef::Component(id)))
+            .chain(ports.into_iter().flatten())
+            .chain(children.into_iter().flatten())
             .chain(roles.iter().map(|&id| ElementRef::Role(id)))
             .chain(selected.iter().copied())
     }
@@ -330,9 +335,9 @@ impl<'a> Eval<'a, '_> {
             (ElementRef::Component(id), p @ ("type" | "ports" | "children" | "members")) => {
                 let c = system.component(id).map_err(|_| missing())?;
                 Ok(match p {
-                    "type" => Operand::Str(Cow::Borrowed(&c.ctype)),
-                    "ports" => Operand::Elements(Elements::Ports(&c.ports)),
-                    _ => Operand::Elements(Elements::Children(&c.children)),
+                    "type" => Operand::Str(Cow::Borrowed(c.ctype.as_str())),
+                    "ports" => Operand::Elements(Elements::Ports(id)),
+                    _ => Operand::Elements(Elements::Children(id)),
                 })
             }
             (ElementRef::Connector(id), "roles") => {
@@ -716,26 +721,23 @@ mod oracle {
                         let c = system
                             .component(*id)
                             .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
-                        return Ok(EvalValue::Val(Value::Str(c.ctype.clone())));
+                        return Ok(EvalValue::Val(Value::Str(c.ctype.to_string())));
                     }
                     (ElementRef::Component(id), "ports") => {
-                        let c = system
+                        system
                             .component(*id)
                             .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
                         return Ok(EvalValue::Elements(
-                            c.ports.iter().map(|p| ElementRef::Port(*p)).collect(),
+                            system.ports_of(*id).map(ElementRef::Port).collect(),
                         ));
                     }
                     (ElementRef::Component(id), "children")
                     | (ElementRef::Component(id), "members") => {
-                        let c = system
+                        system
                             .component(*id)
                             .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
                         return Ok(EvalValue::Elements(
-                            c.children
-                                .iter()
-                                .map(|c| ElementRef::Component(*c))
-                                .collect(),
+                            system.children(*id).map(ElementRef::Component).collect(),
                         ));
                     }
                     (ElementRef::Connector(id), "roles") => {

@@ -45,6 +45,14 @@ impl Key {
         Key(leaked)
     }
 
+    /// The key of `name` if it was ever interned, interning nothing: a
+    /// read-only lookup by name calls this, since a name never interned
+    /// cannot name anything, and a miss must not grow the table.
+    pub fn find(name: &str) -> Option<Key> {
+        let table = interner().lock().expect("interner lock");
+        table.get(name).map(|&existing| Key(existing))
+    }
+
     /// The interned string.
     pub fn as_str(&self) -> &'static str {
         self.0

@@ -9,8 +9,10 @@
 //! operators must preserve.
 
 use crate::element::{ComponentId, ConnectorId, ElementRef, PortId, RoleId};
+use crate::key::Key;
 use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
+use std::collections::HashMap;
 
 /// Component type for users/clients.
 pub const CLIENT_T: &str = "ClientT";
@@ -133,16 +135,15 @@ impl ClientServerStyle {
         port: &str,
     ) -> Result<PortId, ModelError> {
         let comp = system.component(component)?;
-        comp.ports
-            .iter()
-            .copied()
+        system
+            .ports_of(component)
             .find(|p| system.port(*p).is_ok_and(|p| p.name == port))
             .ok_or_else(|| ModelError::NameNotFound(format!("{}.{port}", comp.name)))
     }
 
     /// Sets a group's `replicationCount` to the size of its representation.
     fn sync_replication_count(system: &mut System, group: ComponentId) -> Result<(), ModelError> {
-        let count = system.component(group)?.children.len() as i64;
+        let count = system.children_of(group)?.len() as i64;
         system.set_property(
             ElementRef::Component(group),
             props::REPLICATION_COUNT,
@@ -216,7 +217,7 @@ impl ClientServerStyle {
         system: &mut System,
         group: ComponentId,
     ) -> Result<ConnectorId, ModelError> {
-        let conn_name = Self::connector_name(&system.component(group)?.name);
+        let conn_name = Self::connector_name(system.component(group)?.name.as_str());
         if let Some(existing) = system.connector_by_name(&conn_name) {
             return Ok(existing);
         }
@@ -227,14 +228,20 @@ impl ClientServerStyle {
         Ok(conn)
     }
 
-    /// Gives `client` its `{client}.role` on `conn`, attached to `port`.
-    fn attach_client(
+    /// Gives `client` its `{client}.role` on `conn`, attached to `port`. The
+    /// role name is formatted in `name`, so a caller connecting many clients
+    /// reuses one buffer.
+    pub fn attach_client(
         system: &mut System,
         conn: ConnectorId,
         client: &str,
         port: PortId,
+        name: &mut String,
     ) -> Result<(), ModelError> {
-        let role = system.add_role(conn, format!("{client}.role"), CLIENT_ROLE_T)?;
+        name.clear();
+        name.push_str(client);
+        name.push_str(".role");
+        let role = system.add_role(conn, name.as_str(), CLIENT_ROLE_T)?;
         system.attach(port, role)
     }
 
@@ -247,8 +254,8 @@ impl ClientServerStyle {
     ) -> Result<ConnectorId, ModelError> {
         let port = Self::port_named(system, client, Self::CLIENT_PORT)?;
         let conn = Self::service_connector(system, group)?;
-        let client_name = system.component(client)?.name.clone();
-        Self::attach_client(system, conn, &client_name, port)?;
+        let client_name = system.component(client)?.name;
+        Self::attach_client(system, conn, client_name.as_str(), port, &mut String::new())?;
         Ok(conn)
     }
 
@@ -290,10 +297,10 @@ impl ClientServerStyle {
             }
             // The stale role is the first one a one-at-a-time move would
             // still find attached: earlier members have taken theirs away.
-            let attached = system.roles_attached_to_port(port);
-            if let Some(old_role) = attached.iter().find(|r| !doomed.contains(r.0)) {
+            let mut attached = system.roles_attached_to_port(port);
+            if let Some(old_role) = attached.find(|r| !doomed.contains(r.0)) {
                 doomed.insert(old_role.0);
-                stale.push(*old_role);
+                stale.push(old_role);
             }
             members.push((client, port));
         }
@@ -328,170 +335,122 @@ impl ClientServerStyle {
         let conn = Self::service_connector(system, group)?;
         // Removing the stale roles also removes the attachments through them.
         system.remove_roles(&stale)?;
+        let mut name = String::new();
         for (client, port) in members {
-            Self::attach_client(system, conn, client, port)?;
+            Self::attach_client(system, conn, client, port, &mut name)?;
         }
         Ok(())
     }
 
     /// The server group a client is currently connected to, if any.
     pub fn group_of_client(system: &System, client: ComponentId) -> Option<ComponentId> {
-        for conn in system.connectors_of_component(client) {
-            for comp in system.components_attached_to_connector(conn) {
-                if let Ok(c) = system.component(comp) {
-                    if c.ctype == SERVER_GROUP_T {
-                        return Some(comp);
-                    }
-                }
-            }
-        }
-        None
+        let conns = system.connectors_of_component(client).into_iter();
+        let mut attached = conns.flat_map(|c| system.components_attached_to_connector(c));
+        attached.find(|c| {
+            system
+                .component(*c)
+                .is_ok_and(|c| c.ctype == SERVER_GROUP_T)
+        })
     }
 
     /// The clients currently connected to a server group.
     pub fn clients_of_group(system: &System, group: ComponentId) -> Vec<ComponentId> {
-        let mut out = Vec::new();
-        for conn in system.connectors_of_component(group) {
-            for comp in system.components_attached_to_connector(conn) {
-                if let Ok(c) = system.component(comp) {
-                    if c.ctype == CLIENT_T {
-                        out.push(comp);
-                    }
-                }
-            }
-        }
+        let conns = system.connectors_of_component(group).into_iter();
+        let attached = conns.flat_map(|c| system.components_attached_to_connector(c));
+        let clients = attached.filter(|c| system.component(*c).is_ok_and(|c| c.ctype == CLIENT_T));
+        let mut out: Vec<ComponentId> = clients.collect();
         out.sort();
         out.dedup();
         out
     }
 
-    /// Checks the structural rules of the style.
+    /// Checks the structural rules of the style. A valid model costs a
+    /// handful of allocations per connector, none per client or server.
     pub fn validate(system: &System) -> Vec<StyleViolation> {
         let mut violations = Vec::new();
+        let mut violation = |rule: String, subject: Key| {
+            let subject = subject.to_string();
+            violations.push(StyleViolation { rule, subject })
+        };
+        let is = |id, ctype: &str| system.component(id).is_ok_and(|c| c.ctype == ctype);
 
-        // Server groups attached to each connector, precomputed once. Rules
-        // 1 and 5 both need this per connector; resolving it per *client*
+        // Server groups attached to each connector, counted once. Rules 1 and
+        // 5 both need this per connector; resolving it per *client*
         // (thousands of which share one service connector) would rescan the
         // shared connector's role list every time.
-        let groups_of_conn: std::collections::HashMap<ConnectorId, Vec<ComponentId>> = system
+        let groups_of_conn: HashMap<ConnectorId, usize> = system
             .connectors()
             .map(|(id, _)| {
-                let groups: Vec<ComponentId> = system
-                    .components_attached_to_connector(id)
-                    .into_iter()
-                    .filter(|c| {
-                        system
-                            .component(*c)
-                            .map(|x| x.ctype == SERVER_GROUP_T)
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                (id, groups)
+                let attached = system.components_attached_to_connector(id).into_iter();
+                (id, attached.filter(|c| is(*c, SERVER_GROUP_T)).count())
             })
             .collect();
 
         // Rule 1: every client is connected to exactly one server group.
         for (id, comp) in system.components_of_type(CLIENT_T) {
-            let groups: Vec<ComponentId> = system
-                .connectors_of_component(id)
-                .into_iter()
-                .flat_map(|c| groups_of_conn.get(&c).into_iter().flatten().copied())
-                .collect();
-            if groups.len() != 1 {
-                violations.push(StyleViolation {
-                    rule: format!(
-                        "client must be connected to exactly one server group (found {})",
-                        groups.len()
-                    ),
-                    subject: comp.name.clone(),
-                });
+            let conns = || {
+                let roles = system
+                    .ports_of(id)
+                    .flat_map(|p| system.roles_attached_to_port(p));
+                roles.filter_map(|r| Some(system.role(r).ok()?.owner))
+            };
+            // Each connector counts once, however many roles reach it.
+            let groups: usize = conns()
+                .enumerate()
+                .filter(|&(i, conn)| !conns().take(i).any(|c| c == conn))
+                .map(|(_, conn)| groups_of_conn.get(&conn).map_or(0, |n| *n))
+                .sum();
+            if groups != 1 {
+                let rule = "client must be connected to exactly one server group";
+                violation(format!("{rule} (found {groups})"), comp.name);
             }
         }
 
         // Rule 2: every server group has at least one active server.
         for (id, comp) in system.components_of_type(SERVER_GROUP_T) {
-            let children = system.children_of(id).unwrap_or_default();
-            let active = children
-                .iter()
-                .filter(|c| {
-                    system
-                        .component(**c)
-                        .map(|s| {
-                            s.ctype == SERVER_T
-                                && s.properties.get_bool(props::IS_ACTIVE).unwrap_or(false)
-                        })
-                        .unwrap_or(false)
-                })
-                .count();
-            if active == 0 {
-                violations.push(StyleViolation {
-                    rule: "server group must contain at least one active server".into(),
-                    subject: comp.name.clone(),
-                });
+            let servers = || system.children(id).filter_map(|c| system.component(c).ok());
+            let servers = || servers().filter(|s| s.ctype == SERVER_T);
+            if !servers().any(|s| s.properties.get_bool(props::IS_ACTIVE).unwrap_or(false)) {
+                let rule = "server group must contain at least one active server";
+                violation(rule.into(), comp.name);
             }
             // Rule 3: replicationCount matches the number of servers.
-            if let Some(count) = comp.properties.get_i64(props::REPLICATION_COUNT) {
-                let servers = children
-                    .iter()
-                    .filter(|c| {
-                        system
-                            .component(**c)
-                            .map(|s| s.ctype == SERVER_T)
-                            .unwrap_or(false)
-                    })
-                    .count() as i64;
-                if count != servers {
-                    violations.push(StyleViolation {
-                        rule: format!(
-                            "replicationCount ({count}) does not match number of servers ({servers})"
-                        ),
-                        subject: comp.name.clone(),
-                    });
-                }
+            let servers = servers().count() as i64;
+            match comp.properties.get_i64(props::REPLICATION_COUNT) {
+                Some(count) if count != servers => violation(
+                    format!(
+                        "replicationCount ({count}) does not match number of servers ({servers})"
+                    ),
+                    comp.name,
+                ),
+                _ => {}
             }
         }
 
         // Rule 4: every server is inside a server group.
-        for (id, comp) in system.components_of_type(SERVER_T) {
-            let parent_ok = system
-                .component(id)
-                .ok()
-                .and_then(|c| c.parent)
-                .and_then(|p| system.component(p).ok())
-                .map(|p| p.ctype == SERVER_GROUP_T)
-                .unwrap_or(false);
-            if !parent_ok {
-                violations.push(StyleViolation {
-                    rule: "server must be a member of a server group".into(),
-                    subject: comp.name.clone(),
-                });
+        for (_, comp) in system.components_of_type(SERVER_T) {
+            if !comp.parent.is_some_and(|p| is(p, SERVER_GROUP_T)) {
+                let rule = "server must be a member of a server group";
+                violation(rule.into(), comp.name);
             }
         }
 
         // Rule 5: every service connector has exactly one server group.
         for (id, conn) in system.connectors() {
-            if conn.ctype != SERVICE_CONN_T {
-                continue;
-            }
-            let groups = groups_of_conn.get(&id).map_or(0, Vec::len);
-            if groups != 1 {
-                violations.push(StyleViolation {
-                    rule: format!(
-                        "service connector must attach exactly one server group (found {groups})"
-                    ),
-                    subject: conn.name.clone(),
-                });
+            let groups = groups_of_conn[&id];
+            if conn.ctype == SERVICE_CONN_T && groups != 1 {
+                let rule = "service connector must attach exactly one server group";
+                violation(format!("{rule} (found {groups})"), conn.name);
             }
         }
 
         // Referential integrity of the underlying graph.
-        for problem in system.integrity_errors() {
-            violations.push(StyleViolation {
-                rule: problem,
-                subject: system.name.clone(),
-            });
-        }
-
+        let subject = &system.name;
+        let problems = system.integrity_errors().into_iter();
+        violations.extend(problems.map(|rule| StyleViolation {
+            rule,
+            subject: subject.clone(),
+        }));
         violations
     }
 

@@ -9,8 +9,7 @@ use crate::key::Key;
 use crate::property::PropertyMap;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::Hash;
+use std::collections::{BTreeSet, HashMap};
 
 /// The property-change journal carried by a [`System`].
 ///
@@ -125,36 +124,137 @@ impl IdSet {
     }
 }
 
-/// Drops `value` from `index[key]`, and the entry along with its last value.
-fn unlink<K: Hash + Eq, V: PartialEq>(index: &mut HashMap<K, Vec<V>>, key: K, value: V) {
-    if let Some(values) = index.get_mut(&key) {
-        values.retain(|v| *v != value);
-        if values.is_empty() {
-            index.remove(&key);
+/// The end of a list, and a link not yet set.
+const NONE: u32 = u32::MAX;
+
+// The columns of an id's row in the id table.
+/// The element's position in its kind's [`Slots`].
+const SLOT: usize = 0;
+/// A component's first member (port or child), by id.
+const FIRST: usize = 1;
+/// The next member of the component owning this port or holding this child.
+const NEXT: usize = 2;
+/// A port's (`EDGES`) or a role's (`EDGES + 1`) first attachment, by
+/// position in `attachments`.
+const EDGES: usize = 3;
+
+/// One kind's elements in id order. A removed element leaves a tombstone
+/// (`None`) that iteration skips; once tombstones outnumber live slots the
+/// vector is compacted in order and the moved ids' slots rewritten.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    items: Vec<(u32, Option<T>)>,
+    dead: usize,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Slots {
+            items: Vec::new(),
+            dead: 0,
         }
     }
+}
+
+impl<T> Slots<T> {
+    /// The slot holding `id`; `None` for an id of another kind.
+    fn position(&self, index: &[[u32; 5]], id: u32) -> Option<usize> {
+        let slot = index.get(id as usize)?[SLOT] as usize;
+        (self.items.get(slot)?.0 == id).then_some(slot)
+    }
+
+    fn get(&self, index: &[[u32; 5]], id: u32) -> Option<&T> {
+        self.items[self.position(index, id)?].1.as_ref()
+    }
+
+    fn get_mut(&mut self, index: &[[u32; 5]], id: u32) -> Option<&mut T> {
+        let slot = self.position(index, id)?;
+        self.items[slot].1.as_mut()
+    }
+
+    fn push(&mut self, index: &mut [[u32; 5]], id: u32, item: T) {
+        index[id as usize][SLOT] = self.items.len() as u32;
+        self.items.push((id, Some(item)));
+    }
+
+    fn remove(&mut self, index: &mut [[u32; 5]], id: u32) -> Option<T> {
+        let slot = self.position(index, id)?;
+        let item = self.items[slot].1.take()?;
+        self.dead += 1;
+        if self.dead > self.items.len() - self.dead {
+            self.items.retain(|(_, item)| item.is_some());
+            self.dead = 0;
+            for (slot, (id, _)) in self.items.iter().enumerate() {
+                index[*id as usize][SLOT] = slot as u32;
+            }
+        }
+        Some(item)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        let items = self.items.iter();
+        items.filter_map(|(id, item)| Some((*id, item.as_ref()?)))
+    }
+}
+
+impl<T: PartialEq> PartialEq for Slots<T> {
+    // Live elements only: tombstones and capacity are not content.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// An attachment of the canonical list, threaded onto its port's list
+/// (`next[0]`) and its role's (`next[1]`); `None` once detached, until the
+/// list is compacted.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    att: Option<Attachment>,
+    next: [u32; 2],
+}
+
+/// A flat list the model threads through its id table and edges.
+#[derive(Debug, Clone, Copy)]
+enum List {
+    /// A component's ports and children, in id order.
+    Members(u32),
+    /// A port's (side 0) or a role's (side 1) attachments, in the order
+    /// they were made.
+    Edges(u32, usize),
 }
 
 /// The architectural model: components, connectors, ports, roles, and
 /// attachments, plus system-level properties (e.g. task-layer thresholds).
 ///
-/// Name lookups (`component_by_name` and friends) are O(1) through interned
-/// [`Key`] indices — the model update path resolves thousands of gauge
-/// readings per control tick. Element names are immutable once added
-/// (nothing in the workspace renames in place; use remove + add), which is
-/// what keeps the indices trivially consistent.
+/// **Slots.** Ids come from one counter, so each kind's elements sit in a
+/// vector appended in id order, and iterating one yields the id order the
+/// determinism contract relies on. An id table gives each id its slot, so a
+/// lookup is two array reads and a check that the slot holds that id (an id
+/// of another kind fails it). Removing an element leaves a tombstone that
+/// iteration skips; when a kind's tombstones outnumber its live slots, its
+/// vector is compacted in order and the moved slots are rewritten in the
+/// table. A 50,000-client model is a few dozen heap blocks, plus one
+/// property list per element that has properties.
 ///
-/// Attachment adjacency (`roles_attached_to_port`, `attached`, …) is indexed
-/// too, so *finding* an element never scans. *Removing* one does:
-/// `attachments` and `Connector::roles` are ordered vectors, and dropping
-/// entries from them is a sweep. A bulk repair pays that sweep once per
-/// operation, not once per member:
-/// [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup) removes all
-/// its members' stale roles in one pass over each touched connector's roles
-/// and one over `attachments`, whatever the class size.
-/// The `attachments` vector stays the canonical (ordered) representation; the
-/// indices mirror it and preserve its relative order — derived data, so
-/// equality skips them.
+/// **Names** and types are interned [`Key`]s. Name lookups
+/// (`component_by_name` and friends) are O(1) through `Key`-keyed maps, and a
+/// name never interned misses without interning it. Element names are
+/// immutable once added (remove and add to rename), which keeps the maps
+/// consistent.
+///
+/// **Adjacency** lives in flat lists threaded through the id table: a
+/// component's ports and children form one list in id order, and each port
+/// and role heads a list of its attachments in the order they were made. A
+/// connector's roles are a vector on the connector: one per group, not per
+/// client. `attachments` is the canonical ordered list; a detached edge is a
+/// tombstone until detached edges outnumber live ones, when the list is
+/// compacted and every edge list rebuilt. Neither finding nor removing an
+/// attachment sweeps the model:
+/// [`ModelOp::MoveClientGroup`](crate::ModelOp::MoveClientGroup) costs one
+/// pass over each touched connector's roles, whatever the class size.
+///
+/// Equality compares content: tombstones, capacity, the id table, the name
+/// maps and the change journal are not part of it.
 #[derive(Debug, Clone, Default)]
 pub struct System {
     /// The system's name.
@@ -162,12 +262,16 @@ pub struct System {
     /// System-level properties (e.g. `maxLatency`, `maxServerLoad`,
     /// `minBandwidth` set by the task layer).
     pub properties: PropertyMap,
-    components: BTreeMap<ComponentId, Component>,
-    connectors: BTreeMap<ConnectorId, Connector>,
-    ports: BTreeMap<PortId, Port>,
-    roles: BTreeMap<RoleId, Role>,
-    attachments: Vec<Attachment>,
-    next_id: u32,
+    components: Slots<Component>,
+    connectors: Slots<Connector>,
+    ports: Slots<Port>,
+    roles: Slots<Role>,
+    attachments: Vec<Edge>,
+    /// Detached edges still in `attachments`.
+    dead_edges: usize,
+    /// One row per id handed out (see [`SLOT`] and the columns after it):
+    /// its length is the next id.
+    index: Vec<[u32; 5]>,
     component_names: HashMap<Key, ComponentId>,
     connector_names: HashMap<Key, ConnectorId>,
     /// First (lowest-id) role carrying each name plus how many roles carry
@@ -176,19 +280,12 @@ pub struct System {
     /// unique names (the overwhelmingly common case); a promotion scan runs
     /// only when duplicates actually exist.
     role_names: HashMap<Key, (RoleId, u32)>,
-    /// Roles attached to each port, in attachment order.
-    attachments_by_port: HashMap<PortId, Vec<RoleId>>,
-    /// Ports attached to each role, in attachment order.
-    attachments_by_role: HashMap<RoleId, Vec<PortId>>,
     /// Change journal feeding incremental constraint checking. Like the name
-    /// indices this is derived bookkeeping: excluded from equality.
+    /// maps this is derived bookkeeping: excluded from equality.
     journal: ChangeJournal,
 }
 
 impl PartialEq for System {
-    // Semantic fields only: the name and adjacency indices are derived data
-    // (and e.g. an emptied-then-removed index entry vs a never-created one
-    // must not make two otherwise identical models compare unequal).
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.properties == other.properties
@@ -196,8 +293,8 @@ impl PartialEq for System {
             && self.connectors == other.connectors
             && self.ports == other.ports
             && self.roles == other.roles
-            && self.attachments == other.attachments
-            && self.next_id == other.next_id
+            && self.attachments().eq(other.attachments())
+            && self.index.len() == other.index.len()
     }
 }
 
@@ -211,9 +308,116 @@ impl System {
     }
 
     fn fresh_id(&mut self) -> u32 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+        self.journal.structural = true;
+        self.index.push([NONE; 5]);
+        self.index.len() as u32 - 1
+    }
+
+    // ---- flat lists --------------------------------------------------------
+
+    /// The id table's row of `id`; an unset one for an id never handed out.
+    fn row(&self, id: u32) -> [u32; 5] {
+        self.index.get(id as usize).copied().unwrap_or([NONE; 5])
+    }
+
+    /// The link after `at` on `list`, or the list's head when `at` is `NONE`.
+    fn link(&self, list: List, at: u32) -> u32 {
+        match (list, at) {
+            (List::Members(owner), NONE) => self.row(owner)[FIRST],
+            (List::Members(_), at) => self.index[at as usize][NEXT],
+            (List::Edges(end, side), NONE) => self.row(end)[EDGES + side],
+            (List::Edges(_, side), at) => self.attachments[at as usize].next[side],
+        }
+    }
+
+    fn link_mut(&mut self, list: List, at: u32) -> &mut u32 {
+        match (list, at) {
+            (List::Members(owner), NONE) => &mut self.index[owner as usize][FIRST],
+            (List::Members(_), at) => &mut self.index[at as usize][NEXT],
+            (List::Edges(end, side), NONE) => &mut self.index[end as usize][EDGES + side],
+            (List::Edges(_, side), at) => &mut self.attachments[at as usize].next[side],
+        }
+    }
+
+    /// The first item on `list`.
+    fn head(&self, list: List) -> Option<u32> {
+        Some(self.link(list, NONE)).filter(|&at| at != NONE)
+    }
+
+    /// The items on `list`, in order.
+    fn walk(&self, list: List) -> impl Iterator<Item = u32> + '_ {
+        let next = move |&at: &u32| Some(self.link(list, at)).filter(|&next| next != NONE);
+        std::iter::successors(self.head(list), next)
+    }
+
+    /// Appends `item` to `list`.
+    fn push_link(&mut self, list: List, item: u32) {
+        let mut at = NONE;
+        while self.link(list, at) != NONE {
+            at = self.link(list, at);
+        }
+        *self.link_mut(list, at) = item;
+    }
+
+    /// Takes `item` off `list`.
+    fn unlink(&mut self, list: List, item: u32) {
+        let before = std::iter::once(NONE)
+            .chain(self.walk(list))
+            .find(|&at| self.link(list, at) == item);
+        if let Some(at) = before {
+            *self.link_mut(list, at) = self.link(list, item);
+        }
+    }
+
+    /// The live attachments, in the order they were made.
+    fn attachments(&self) -> impl Iterator<Item = Attachment> + '_ {
+        self.attachments.iter().filter_map(|edge| edge.att)
+    }
+
+    /// The attachments of a port (`side` 0) or a role (`side` 1), in the
+    /// order they were made.
+    fn edges(&self, end: u32, side: usize) -> impl Iterator<Item = Attachment> + '_ {
+        let edges = self.walk(List::Edges(end, side));
+        edges.filter_map(|edge| self.attachments[edge as usize].att)
+    }
+
+    /// Detaches every attachment of a port (`side` 0) or a role (`side` 1).
+    fn detach_all(&mut self, end: u32, side: usize) {
+        while let Some(edge) = self.head(List::Edges(end, side)) {
+            self.cut(edge);
+        }
+        self.compact_edges();
+    }
+
+    /// Detaches the edge at `edge`, leaving a tombstone.
+    fn cut(&mut self, edge: u32) {
+        let att = self.attachments[edge as usize].att.take();
+        let Attachment { port, role } = att.expect("listed edges are live");
+        self.unlink(List::Edges(port.0, 0), edge);
+        self.unlink(List::Edges(role.0, 1), edge);
+        self.dead_edges += 1;
+    }
+
+    /// Once detached edges outnumber live ones, compacts `attachments` and
+    /// rebuilds every edge list, back to front.
+    fn compact_edges(&mut self) {
+        if self.dead_edges <= self.attachments.len() - self.dead_edges {
+            return;
+        }
+        self.attachments.retain(|edge| edge.att.is_some());
+        self.dead_edges = 0;
+        let index = &mut self.index;
+        for Attachment { port, role } in self.attachments.iter().filter_map(|edge| edge.att) {
+            index[port.0 as usize][EDGES] = NONE;
+            index[role.0 as usize][EDGES + 1] = NONE;
+        }
+        for (at, edge) in self.attachments.iter_mut().enumerate().rev() {
+            let Attachment { port, role } = edge.att.expect("compacted");
+            for (side, end) in [port.0, role.0].into_iter().enumerate() {
+                let head = &mut index[end as usize][EDGES + side];
+                edge.next[side] = std::mem::replace(head, at as u32);
+            }
+        }
     }
 
     // ---- change journal --------------------------------------------------
@@ -237,29 +441,23 @@ impl System {
     /// Adds a top-level component of the given type.
     pub fn add_component(
         &mut self,
-        name: impl Into<String>,
-        ctype: impl Into<String>,
+        name: impl Into<Key>,
+        ctype: impl Into<Key>,
     ) -> Result<ComponentId, ModelError> {
         let name = name.into();
-        let key = Key::new(&name);
-        if self.component_names.contains_key(&key) {
-            return Err(ModelError::DuplicateName(name));
+        if self.component_names.contains_key(&name) {
+            return Err(ModelError::DuplicateName(name.to_string()));
         }
-        let id = ComponentId(self.fresh_id());
-        self.journal.structural = true;
-        self.component_names.insert(key, id);
-        self.components.insert(
-            id,
-            Component {
-                name,
-                ctype: ctype.into(),
-                properties: PropertyMap::new(),
-                ports: Vec::new(),
-                parent: None,
-                children: Vec::new(),
-            },
-        );
-        Ok(id)
+        let id = self.fresh_id();
+        self.component_names.insert(name, ComponentId(id));
+        let component = Component {
+            name,
+            ctype: ctype.into(),
+            properties: PropertyMap::new(),
+            parent: None,
+        };
+        self.components.push(&mut self.index, id, component);
+        Ok(ComponentId(id))
     }
 
     /// Adds a component inside another component's representation (e.g. a
@@ -267,73 +465,55 @@ impl System {
     pub fn add_child_component(
         &mut self,
         parent: ComponentId,
-        name: impl Into<String>,
-        ctype: impl Into<String>,
+        name: impl Into<Key>,
+        ctype: impl Into<Key>,
     ) -> Result<ComponentId, ModelError> {
-        self.check_component(parent)?;
+        self.component(parent)?;
         let id = self.add_component(name, ctype)?;
-        self.components.get_mut(&id).expect("just inserted").parent = Some(parent);
-        self.components
-            .get_mut(&parent)
-            .expect("checked above")
-            .children
-            .push(id);
+        self.component_mut(id)?.parent = Some(parent);
+        self.push_link(List::Members(parent.0), id.0);
         Ok(id)
     }
 
     /// Removes a component, its ports, their attachments, and (recursively)
     /// its children.
     pub fn remove_component(&mut self, id: ComponentId) -> Result<(), ModelError> {
-        self.check_component(id)?;
+        self.component(id)?;
         self.journal.structural = true;
-        // Remove children first.
-        let children = self.components[&id].children.clone();
-        for child in children {
-            // A child may already have been removed explicitly.
-            if self.components.contains_key(&child) {
-                self.remove_component(child)?;
+        // Each removal takes its member off the list, so the head advances.
+        while let Some(member) = self.head(List::Members(id.0)) {
+            if self.component(ComponentId(member)).is_ok() {
+                self.remove_component(ComponentId(member))?;
+                continue;
             }
+            self.detach_all(member, 0);
+            self.unlink(List::Members(id.0), member);
+            self.ports.remove(&mut self.index, member);
         }
-        let comp = self.components.remove(&id).expect("checked above");
-        self.component_names.remove(&Key::new(&comp.name));
-        let mut any_attached = false;
-        for port in &comp.ports {
-            any_attached |= self.unindex_port_attachments(*port);
-            self.ports.remove(port);
-        }
-        if any_attached {
-            let ports = &self.ports;
-            self.attachments.retain(|a| ports.contains_key(&a.port));
-        }
+        let comp = self.components.remove(&mut self.index, id.0);
+        let comp = comp.expect("checked above");
+        self.component_names.remove(&comp.name);
         if let Some(parent) = comp.parent {
-            if let Some(p) = self.components.get_mut(&parent) {
-                p.children.retain(|c| *c != id);
-            }
+            self.unlink(List::Members(parent.0), id.0);
         }
         Ok(())
     }
 
     /// Looks up a component by id.
     pub fn component(&self, id: ComponentId) -> Result<&Component, ModelError> {
-        self.components
-            .get(&id)
-            .ok_or(ModelError::UnknownComponent(id))
+        let found = self.components.get(&self.index, id.0);
+        found.ok_or(ModelError::UnknownComponent(id))
     }
 
     /// Mutable access to a component.
     pub fn component_mut(&mut self, id: ComponentId) -> Result<&mut Component, ModelError> {
-        self.components
-            .get_mut(&id)
-            .ok_or(ModelError::UnknownComponent(id))
-    }
-
-    fn check_component(&self, id: ComponentId) -> Result<(), ModelError> {
-        self.component(id).map(|_| ())
+        let found = self.components.get_mut(&self.index, id.0);
+        found.ok_or(ModelError::UnknownComponent(id))
     }
 
     /// Finds a component by name.
     pub fn component_by_name(&self, name: &str) -> Option<ComponentId> {
-        self.component_by_key(Key::new(name))
+        self.component_by_key(Key::find(name)?)
     }
 
     /// Finds a component by pre-interned name key (the hot-path variant: no
@@ -344,7 +524,7 @@ impl System {
 
     /// Iterates over all components in id order.
     pub fn components(&self) -> impl Iterator<Item = (ComponentId, &Component)> {
-        self.components.iter().map(|(id, c)| (*id, c))
+        self.components.iter().map(|(id, c)| (ComponentId(id), c))
     }
 
     /// Components whose type matches `ctype`.
@@ -352,12 +532,28 @@ impl System {
         &'a self,
         ctype: &'a str,
     ) -> impl Iterator<Item = (ComponentId, &'a Component)> + 'a {
-        self.components().filter(move |(_, c)| c.ctype == ctype)
+        let ctype = Key::find(ctype);
+        self.components()
+            .filter(move |(_, c)| Some(c.ctype) == ctype)
     }
 
     /// The children (representation members) of a component.
     pub fn children_of(&self, id: ComponentId) -> Result<Vec<ComponentId>, ModelError> {
-        Ok(self.component(id)?.children.clone())
+        self.component(id)?;
+        Ok(self.children(id).collect())
+    }
+
+    /// The children of a component in id order, read in place; none for an
+    /// unknown id.
+    pub fn children(&self, id: ComponentId) -> impl Iterator<Item = ComponentId> + '_ {
+        let members = self.walk(List::Members(id.0)).map(ComponentId);
+        members.filter(|child| self.component(*child).is_ok())
+    }
+
+    /// The ports of a component in id order; none for an unknown id.
+    pub fn ports_of(&self, id: ComponentId) -> impl Iterator<Item = PortId> + '_ {
+        let members = self.walk(List::Members(id.0)).map(PortId);
+        members.filter(|port| self.port(*port).is_ok())
     }
 
     // ---- connectors ------------------------------------------------------
@@ -365,46 +561,40 @@ impl System {
     /// Adds a connector of the given type.
     pub fn add_connector(
         &mut self,
-        name: impl Into<String>,
-        ctype: impl Into<String>,
+        name: impl Into<Key>,
+        ctype: impl Into<Key>,
     ) -> Result<ConnectorId, ModelError> {
         let name = name.into();
-        let key = Key::new(&name);
-        if self.connector_names.contains_key(&key) {
-            return Err(ModelError::DuplicateName(name));
+        if self.connector_names.contains_key(&name) {
+            return Err(ModelError::DuplicateName(name.to_string()));
         }
-        let id = ConnectorId(self.fresh_id());
-        self.journal.structural = true;
-        self.connector_names.insert(key, id);
-        self.connectors.insert(
-            id,
-            Connector {
-                name,
-                ctype: ctype.into(),
-                properties: PropertyMap::new(),
-                roles: Vec::new(),
-            },
-        );
-        Ok(id)
+        let id = self.fresh_id();
+        self.connector_names.insert(name, ConnectorId(id));
+        let connector = Connector {
+            name,
+            ctype: ctype.into(),
+            properties: PropertyMap::new(),
+            roles: Vec::new(),
+        };
+        self.connectors.push(&mut self.index, id, connector);
+        Ok(ConnectorId(id))
     }
 
     /// Looks up a connector by id.
     pub fn connector(&self, id: ConnectorId) -> Result<&Connector, ModelError> {
-        self.connectors
-            .get(&id)
-            .ok_or(ModelError::UnknownConnector(id))
+        let found = self.connectors.get(&self.index, id.0);
+        found.ok_or(ModelError::UnknownConnector(id))
     }
 
     /// Mutable access to a connector.
     pub fn connector_mut(&mut self, id: ConnectorId) -> Result<&mut Connector, ModelError> {
-        self.connectors
-            .get_mut(&id)
-            .ok_or(ModelError::UnknownConnector(id))
+        let found = self.connectors.get_mut(&self.index, id.0);
+        found.ok_or(ModelError::UnknownConnector(id))
     }
 
     /// Finds a connector by name.
     pub fn connector_by_name(&self, name: &str) -> Option<ConnectorId> {
-        self.connector_by_key(Key::new(name))
+        self.connector_by_key(Key::find(name)?)
     }
 
     /// Finds a connector by pre-interned name key.
@@ -414,7 +604,7 @@ impl System {
 
     /// Iterates over all connectors in id order.
     pub fn connectors(&self) -> impl Iterator<Item = (ConnectorId, &Connector)> {
-        self.connectors.iter().map(|(id, c)| (*id, c))
+        self.connectors.iter().map(|(id, c)| (ConnectorId(id), c))
     }
 
     // ---- ports and roles -------------------------------------------------
@@ -423,59 +613,44 @@ impl System {
     pub fn add_port(
         &mut self,
         owner: ComponentId,
-        name: impl Into<String>,
-        ptype: impl Into<String>,
+        name: impl Into<Key>,
+        ptype: impl Into<Key>,
     ) -> Result<PortId, ModelError> {
-        self.check_component(owner)?;
-        let id = PortId(self.fresh_id());
-        self.journal.structural = true;
-        self.ports.insert(
-            id,
-            Port {
-                name: name.into(),
-                ptype: ptype.into(),
-                properties: PropertyMap::new(),
-                owner,
-            },
-        );
-        self.components
-            .get_mut(&owner)
-            .expect("checked above")
-            .ports
-            .push(id);
-        Ok(id)
+        self.component(owner)?;
+        let id = self.fresh_id();
+        let port = Port {
+            name: name.into(),
+            ptype: ptype.into(),
+            properties: PropertyMap::new(),
+            owner,
+        };
+        self.ports.push(&mut self.index, id, port);
+        self.push_link(List::Members(owner.0), id);
+        Ok(PortId(id))
     }
 
     /// Adds a role to a connector.
     pub fn add_role(
         &mut self,
         owner: ConnectorId,
-        name: impl Into<String>,
-        rtype: impl Into<String>,
+        name: impl Into<Key>,
+        rtype: impl Into<Key>,
     ) -> Result<RoleId, ModelError> {
         self.connector(owner)?;
         let name = name.into();
-        let key = Key::new(&name);
         let id = RoleId(self.fresh_id());
-        self.journal.structural = true;
         // First-wins: lookups return the lowest-id role with a given name,
         // as the pre-index linear scan did. Ids are monotonically assigned,
         // so an existing entry always has the lower id.
-        self.role_names.entry(key).or_insert((id, 0)).1 += 1;
-        self.roles.insert(
-            id,
-            Role {
-                name,
-                rtype: rtype.into(),
-                properties: PropertyMap::new(),
-                owner,
-            },
-        );
-        self.connectors
-            .get_mut(&owner)
-            .expect("checked above")
-            .roles
-            .push(id);
+        self.role_names.entry(name).or_insert((id, 0)).1 += 1;
+        let role = Role {
+            name,
+            rtype: rtype.into(),
+            properties: PropertyMap::new(),
+            owner,
+        };
+        self.roles.push(&mut self.index, id.0, role);
+        self.connector_mut(owner)?.roles.push(id);
         Ok(id)
     }
 
@@ -483,78 +658,47 @@ impl System {
     /// lowest-id role with the same name if one exists. The duplicate count
     /// makes the common unique-name case O(1): the promotion scan only runs
     /// when other roles genuinely carry the same name.
-    fn unindex_role(&mut self, id: RoleId, name: &str) {
-        let key = Key::new(name);
-        let Some(entry) = self.role_names.get_mut(&key) else {
+    fn unindex_role(&mut self, id: RoleId, name: Key) {
+        let Some(entry) = self.role_names.get_mut(&name) else {
             return;
         };
         entry.1 -= 1;
         if entry.1 == 0 {
-            self.role_names.remove(&key);
+            self.role_names.remove(&name);
         } else if entry.0 == id {
             if let Some((next, _)) = self.roles.iter().find(|(_, r)| r.name == name) {
-                entry.0 = *next;
+                entry.0 = RoleId(next);
             }
         }
     }
 
-    /// Drops every attachment of `role` from the adjacency indices (not the
-    /// canonical list). Returns true if the role had any attachment — the
-    /// caller uses that to skip the O(attachments) canonical-list sweep for
-    /// the common remove-after-detach case.
-    fn unindex_role_attachments(&mut self, role: RoleId) -> bool {
-        let Some(ports) = self.attachments_by_role.remove(&role) else {
-            return false;
-        };
-        for port in &ports {
-            unlink(&mut self.attachments_by_port, *port, role);
-        }
-        !ports.is_empty()
-    }
-
-    /// Drops every attachment of `port` from the adjacency indices (not the
-    /// canonical list). Returns true if the port had any attachment.
-    fn unindex_port_attachments(&mut self, port: PortId) -> bool {
-        let Some(roles) = self.attachments_by_port.remove(&port) else {
-            return false;
-        };
-        for role in &roles {
-            unlink(&mut self.attachments_by_role, *role, port);
-        }
-        !roles.is_empty()
-    }
-
     /// Removes every role in `ids` (one listed twice counts once), with the
-    /// attachments through them: one pass over each owning connector's `roles`
-    /// and one over `attachments`, whatever `ids.len()` is. All or nothing: an
-    /// unknown id is an error before anything changes. The model ends where
-    /// removing the roles one at a time would leave it.
+    /// attachments through them: one pass over each owning connector's
+    /// `roles`, whatever `ids.len()` is. All or nothing: an unknown id is an
+    /// error before anything changes. The model ends where removing the roles
+    /// one at a time would leave it.
     pub(crate) fn remove_roles(&mut self, ids: &[RoleId]) -> Result<(), ModelError> {
-        if let Some(unknown) = ids.iter().find(|id| !self.roles.contains_key(id)) {
+        if let Some(unknown) = ids.iter().find(|id| self.role(**id).is_err()) {
             return Err(ModelError::UnknownRole(*unknown));
         }
         let mut doomed = IdSet::default();
         let mut owners = BTreeSet::new();
-        let mut any_attached = false;
         for &id in ids {
             if !doomed.insert(id.0) {
                 continue;
             }
-            let role = self.roles.remove(&id).expect("checked above");
+            let role = self.roles.remove(&mut self.index, id.0);
+            let role = role.expect("checked above");
             self.journal.structural = true;
-            // The name index promotes among the roles still in `self.roles`,
-            // so the entries the sweeps below drop are already invisible to it.
-            self.unindex_role(id, &role.name);
-            any_attached |= self.unindex_role_attachments(id);
+            // The name index promotes among the roles still in `self.roles`.
+            self.unindex_role(id, role.name);
+            self.detach_all(id.0, 1);
             owners.insert(role.owner);
         }
         for owner in owners {
-            if let Some(owner) = self.connectors.get_mut(&owner) {
+            if let Ok(owner) = self.connector_mut(owner) {
                 owner.roles.retain(|role| !doomed.contains(role.0));
             }
-        }
-        if any_attached {
-            self.attachments.retain(|a| !doomed.contains(a.role.0));
         }
         Ok(())
     }
@@ -566,32 +710,30 @@ impl System {
 
     /// Looks up a port by id.
     pub fn port(&self, id: PortId) -> Result<&Port, ModelError> {
-        self.ports.get(&id).ok_or(ModelError::UnknownPort(id))
-    }
-
-    /// Mutable access to a port.
-    pub fn port_mut(&mut self, id: PortId) -> Result<&mut Port, ModelError> {
-        self.ports.get_mut(&id).ok_or(ModelError::UnknownPort(id))
+        let found = self.ports.get(&self.index, id.0);
+        found.ok_or(ModelError::UnknownPort(id))
     }
 
     /// Looks up a role by id.
     pub fn role(&self, id: RoleId) -> Result<&Role, ModelError> {
-        self.roles.get(&id).ok_or(ModelError::UnknownRole(id))
+        let found = self.roles.get(&self.index, id.0);
+        found.ok_or(ModelError::UnknownRole(id))
     }
 
     /// Mutable access to a role.
     pub fn role_mut(&mut self, id: RoleId) -> Result<&mut Role, ModelError> {
-        self.roles.get_mut(&id).ok_or(ModelError::UnknownRole(id))
+        let found = self.roles.get_mut(&self.index, id.0);
+        found.ok_or(ModelError::UnknownRole(id))
     }
 
     /// Iterates over all roles in id order.
     pub fn roles(&self) -> impl Iterator<Item = (RoleId, &Role)> {
-        self.roles.iter().map(|(id, r)| (*id, r))
+        self.roles.iter().map(|(id, r)| (RoleId(id), r))
     }
 
     /// Iterates over all ports in id order.
     pub fn ports(&self) -> impl Iterator<Item = (PortId, &Port)> {
-        self.ports.iter().map(|(id, p)| (*id, p))
+        self.ports.iter().map(|(id, p)| (PortId(id), p))
     }
 
     // ---- attachments -----------------------------------------------------
@@ -604,35 +746,31 @@ impl System {
             return Err(ModelError::AlreadyAttached(port, role));
         }
         self.journal.structural = true;
-        self.attachments.push(Attachment { port, role });
-        self.attachments_by_port.entry(port).or_default().push(role);
-        self.attachments_by_role.entry(role).or_default().push(port);
+        let edge = self.attachments.len() as u32;
+        self.attachments.push(Edge {
+            att: Some(Attachment { port, role }),
+            next: [NONE; 2],
+        });
+        self.push_link(List::Edges(port.0, 0), edge);
+        self.push_link(List::Edges(role.0, 1), edge);
         Ok(())
     }
 
     /// True if the given port and role are attached.
     pub fn attached(&self, port: PortId, role: RoleId) -> bool {
-        self.attachments_by_port
-            .get(&port)
-            .is_some_and(|v| v.contains(&role))
+        self.roles_attached_to_port(port).any(|r| r == role)
     }
 
     /// The roles attached to the given port, in attachment order.
-    pub fn roles_attached_to_port(&self, port: PortId) -> &[RoleId] {
-        self.attachments_by_port
-            .get(&port)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn roles_attached_to_port(&self, port: PortId) -> impl Iterator<Item = RoleId> + '_ {
+        self.edges(port.0, 0).map(|a| a.role)
     }
 
     /// The component attached to the given role, if any (the first
     /// attachment in attachment order, matching the historic scan).
     pub fn component_attached_to_role(&self, role: RoleId) -> Option<ComponentId> {
-        self.attachments_by_role
-            .get(&role)
-            .and_then(|ports| ports.first())
-            .and_then(|p| self.ports.get(p))
-            .map(|p| p.owner)
+        let port = self.edges(role.0, 1).next()?.port;
+        self.port(port).ok().map(|p| p.owner)
     }
 
     /// The roles attached to ports owned by the given component, in
@@ -640,22 +778,16 @@ impl System {
     /// this workspace attach through a single port, so this matches the
     /// historic global attachment-order scan.
     pub fn roles_of_component(&self, id: ComponentId) -> Vec<RoleId> {
-        let Ok(comp) = self.component(id) else {
-            return Vec::new();
-        };
-        comp.ports
-            .iter()
-            .flat_map(|p| self.roles_attached_to_port(*p))
-            .copied()
+        self.ports_of(id)
+            .flat_map(|p| self.roles_attached_to_port(p))
             .collect()
     }
 
     /// The connectors that the given component is attached to.
     pub fn connectors_of_component(&self, id: ComponentId) -> Vec<ConnectorId> {
-        let mut out: Vec<ConnectorId> = self
-            .roles_of_component(id)
-            .into_iter()
-            .filter_map(|r| self.roles.get(&r).map(|role| role.owner))
+        let roles = self.roles_of_component(id).into_iter();
+        let mut out: Vec<ConnectorId> = roles
+            .filter_map(|r| Some(self.role(r).ok()?.owner))
             .collect();
         out.sort();
         out.dedup();
@@ -664,16 +796,11 @@ impl System {
 
     /// Components attached (through any role) to the given connector.
     pub fn components_attached_to_connector(&self, id: ConnectorId) -> Vec<ComponentId> {
-        let Ok(conn) = self.connector(id) else {
-            return Vec::new();
-        };
-        let mut out: Vec<ComponentId> = conn
-            .roles
+        let roles = self.connector(id).map_or(&[][..], |c| &c.roles);
+        let attached = roles
             .iter()
-            .filter_map(|r| self.attachments_by_role.get(r))
-            .flatten()
-            .filter_map(|p| self.ports.get(p).map(|port| port.owner))
-            .collect();
+            .filter_map(|r| self.component_attached_to_role(*r));
+        let mut out: Vec<ComponentId> = attached.collect();
         out.sort();
         out.dedup();
         out
@@ -681,9 +808,10 @@ impl System {
 
     /// True if two components share at least one connector.
     pub fn connected(&self, a: ComponentId, b: ComponentId) -> bool {
-        let conns_a = self.connectors_of_component(a);
         let conns_b = self.connectors_of_component(b);
-        conns_a.iter().any(|c| conns_b.contains(c))
+        self.connectors_of_component(a)
+            .iter()
+            .any(|c| conns_b.contains(c))
     }
 
     // ---- property helpers ------------------------------------------------
@@ -693,6 +821,18 @@ impl System {
     // accessors above bypass the journal and are intended for model
     // construction, before any incremental consumer attaches.
 
+    fn properties_mut(&mut self, element: ElementRef) -> Result<&mut PropertyMap, ModelError> {
+        Ok(match element {
+            ElementRef::Component(id) => &mut self.component_mut(id)?.properties,
+            ElementRef::Connector(id) => &mut self.connector_mut(id)?.properties,
+            ElementRef::Port(id) => {
+                let port = self.ports.get_mut(&self.index, id.0);
+                &mut port.ok_or(ModelError::UnknownPort(id))?.properties
+            }
+            ElementRef::Role(id) => &mut self.role_mut(id)?.properties,
+        })
+    }
+
     /// Sets a property on any element, journaling the write.
     pub fn set_property(
         &mut self,
@@ -701,54 +841,29 @@ impl System {
         value: Value,
     ) -> Result<(), ModelError> {
         let key = Key::new(name);
-        match element {
-            ElementRef::Component(id) => self.component_mut(id)?.properties.set(key, value),
-            ElementRef::Connector(id) => self.connector_mut(id)?.properties.set(key, value),
-            ElementRef::Port(id) => self.port_mut(id)?.properties.set(key, value),
-            ElementRef::Role(id) => self.role_mut(id)?.properties.set(key, value),
-        }
+        self.properties_mut(element)?.set(key, value);
         self.journal.dirty.insert((element, key));
         Ok(())
     }
 
-    /// Compare-and-set on a component property: when the stored value is
+    /// Compare-and-set on an element's property: when the stored value is
     /// strictly equal to `value` the write is suppressed — the model is not
     /// touched and no dirty entry is recorded. Returns whether the model was
     /// written. This is the gauge no-op suppression path: at fleet scale
     /// most per-class representatives sit in steady state, and their
     /// readings repeat the stored value exactly.
-    pub fn update_component_property(
+    pub fn update_property(
         &mut self,
-        id: ComponentId,
+        element: ElementRef,
         key: Key,
         value: Value,
     ) -> Result<bool, ModelError> {
-        let comp = self
-            .components
-            .get_mut(&id)
-            .ok_or(ModelError::UnknownComponent(id))?;
-        if comp.properties.get(key.as_str()) == Some(&value) {
+        let properties = self.properties_mut(element)?;
+        if properties.get(key.as_str()) == Some(&value) {
             return Ok(false);
         }
-        comp.properties.set(key, value);
-        self.journal.dirty.insert((ElementRef::Component(id), key));
-        Ok(true)
-    }
-
-    /// Compare-and-set on a role property; see
-    /// [`update_component_property`](Self::update_component_property).
-    pub fn update_role_property(
-        &mut self,
-        id: RoleId,
-        key: Key,
-        value: Value,
-    ) -> Result<bool, ModelError> {
-        let role = self.roles.get_mut(&id).ok_or(ModelError::UnknownRole(id))?;
-        if role.properties.get(key.as_str()) == Some(&value) {
-            return Ok(false);
-        }
-        role.properties.set(key, value);
-        self.journal.dirty.insert((ElementRef::Role(id), key));
+        properties.set(key, value);
+        self.journal.dirty.insert((element, key));
         Ok(true)
     }
 
@@ -766,10 +881,10 @@ impl System {
     /// element's id for one the model does not hold.
     pub fn element_name(&self, element: ElementRef) -> Cow<'_, str> {
         let name = match element {
-            ElementRef::Component(id) => self.component(id).map(|c| &c.name),
-            ElementRef::Connector(id) => self.connector(id).map(|c| &c.name),
-            ElementRef::Port(id) => self.port(id).map(|p| &p.name),
-            ElementRef::Role(id) => self.role(id).map(|r| &r.name),
+            ElementRef::Component(id) => self.component(id).map(|c| c.name),
+            ElementRef::Connector(id) => self.connector(id).map(|c| c.name),
+            ElementRef::Port(id) => self.port(id).map(|p| p.name),
+            ElementRef::Role(id) => self.role(id).map(|r| r.name),
         };
         name.map_or_else(
             |_| Cow::Owned(element.to_string()),
@@ -778,52 +893,31 @@ impl System {
     }
 
     /// Checks referential integrity of the whole graph (every port/role owner
-    /// exists, every attachment references live elements, parent/child links
-    /// are symmetric). Returns a list of human-readable problems.
+    /// and every parent exists, every child points back to its parent).
+    /// Returns a list of human-readable problems. Attachments need no check:
+    /// removing a port or a role detaches it.
     pub fn integrity_errors(&self) -> Vec<String> {
-        let mut errors = Vec::new();
-        for (id, port) in &self.ports {
-            if !self.components.contains_key(&port.owner) {
-                errors.push(format!("port #{} owned by missing component", id.0));
-            }
-        }
-        for (id, role) in &self.roles {
-            if !self.connectors.contains_key(&role.owner) {
-                errors.push(format!("role #{} owned by missing connector", id.0));
-            }
-        }
-        for att in &self.attachments {
-            if !self.ports.contains_key(&att.port) {
-                errors.push(format!(
-                    "attachment references missing port #{}",
-                    att.port.0
-                ));
-            }
-            if !self.roles.contains_key(&att.role) {
-                errors.push(format!(
-                    "attachment references missing role #{}",
-                    att.role.0
-                ));
-            }
-        }
-        for (id, comp) in &self.components {
-            for child in &comp.children {
-                match self.components.get(child) {
-                    None => errors.push(format!(
-                        "component {} lists missing child #{}",
-                        comp.name, child.0
-                    )),
-                    Some(c) if c.parent != Some(*id) => errors.push(format!(
-                        "component {} child {} does not point back to parent",
-                        comp.name, c.name
-                    )),
-                    _ => {}
+        let ports = self
+            .ports()
+            .filter(|(_, p)| self.component(p.owner).is_err());
+        let mut errors: Vec<String> = ports
+            .map(|(id, _)| format!("port #{} owned by missing component", id.0))
+            .collect();
+        let roles = self
+            .roles()
+            .filter(|(_, r)| self.connector(r.owner).is_err());
+        errors.extend(roles.map(|(id, _)| format!("role #{} owned by missing connector", id.0)));
+        for (id, comp) in self.components() {
+            for child in self.children(id).filter_map(|c| self.component(c).ok()) {
+                if child.parent != Some(id) {
+                    let (name, child) = (comp.name, child.name);
+                    errors.push(format!(
+                        "component {name} child {child} does not point back to parent"
+                    ));
                 }
             }
-            if let Some(parent) = comp.parent {
-                if !self.components.contains_key(&parent) {
-                    errors.push(format!("component {} has missing parent", comp.name));
-                }
+            if comp.parent.is_some_and(|p| self.component(p).is_err()) {
+                errors.push(format!("component {} has missing parent", comp.name));
             }
         }
         errors
@@ -833,20 +927,20 @@ impl System {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// The single-element mutators and lookup no operator calls: the
     /// references that bulk removal and the style operators are held to.
     impl System {
-        /// Removes an attachment, with an O(attachments) sweep.
+        /// Removes an attachment.
         pub(crate) fn detach(&mut self, port: PortId, role: RoleId) -> Result<(), ModelError> {
-            if !self.attached(port, role) {
-                return Err(ModelError::NotAttached(port, role));
-            }
+            let edge = self.walk(List::Edges(port.0, 0)).find(|edge| {
+                self.attachments[*edge as usize].att == Some(Attachment { port, role })
+            });
+            let edge = edge.ok_or(ModelError::NotAttached(port, role))?;
             self.journal.structural = true;
-            self.attachments
-                .retain(|a| !(a.port == port && a.role == role));
-            unlink(&mut self.attachments_by_port, port, role);
-            unlink(&mut self.attachments_by_role, role, port);
+            self.cut(edge);
+            self.compact_edges();
             Ok(())
         }
 
@@ -862,8 +956,11 @@ pub(crate) mod tests {
             connector: ConnectorId,
             name: &str,
         ) -> Option<RoleId> {
-            let roles = &self.connectors.get(&connector)?.roles;
-            roles.iter().copied().find(|id| self.roles[id].name == name)
+            let roles = &self.connector(connector).ok()?.roles;
+            roles
+                .iter()
+                .copied()
+                .find(|id| self.role(*id).unwrap().name == name)
         }
 
         /// Sets a system-level property, journaling the write.
@@ -875,10 +972,13 @@ pub(crate) mod tests {
     }
 
     /// The companion of [`System::integrity_errors`] for the derived state:
-    /// rebuilds every index from the canonical lists (`roles`,
-    /// `Connector::roles`, `attachments`, …) and names each one that differs
-    /// from what the mutators maintained. `PartialEq` skips the indices, so a
-    /// rewrite that corrupts one still compares equal to its oracle.
+    /// rebuilds every index from the canonical content (each kind's live
+    /// elements, their owners and parents, `Connector::roles`, the live
+    /// attachments in order) and names each one that differs from what the
+    /// mutators maintained: the name maps, the id table's slots, every
+    /// member list and every edge list, and the tombstone counts. `PartialEq`
+    /// skips all of these, so a rewrite that corrupts one still compares
+    /// equal to its oracle.
     pub(crate) fn index_errors(sys: &System) -> Vec<String> {
         let mut errors = Vec::new();
         let mut check = |name: &str, same: bool| {
@@ -886,41 +986,88 @@ pub(crate) mod tests {
                 errors.push(format!("{name} differs from its rebuild"));
             }
         };
-        let component_names: HashMap<Key, ComponentId> = sys
-            .components
-            .iter()
-            .map(|(id, c)| (Key::new(&c.name), *id))
-            .collect();
+        let component_names: HashMap<Key, ComponentId> =
+            sys.components().map(|(id, c)| (c.name, id)).collect();
         check("component_names", component_names == sys.component_names);
-        let connector_names: HashMap<Key, ConnectorId> = sys
-            .connectors
-            .iter()
-            .map(|(id, c)| (Key::new(&c.name), *id))
-            .collect();
+        let connector_names: HashMap<Key, ConnectorId> =
+            sys.connectors().map(|(id, c)| (c.name, id)).collect();
         check("connector_names", connector_names == sys.connector_names);
         // Ascending id order: the first role seen under a name is the lowest.
         let mut role_names: HashMap<Key, (RoleId, u32)> = HashMap::new();
-        for (id, role) in &sys.roles {
-            role_names.entry(Key::new(&role.name)).or_insert((*id, 0)).1 += 1;
+        for (id, role) in sys.roles() {
+            role_names.entry(role.name).or_insert((id, 0)).1 += 1;
         }
         check("role_names", role_names == sys.role_names);
         let mut listed = 0;
-        for (conn_id, conn) in &sys.connectors {
+        for (conn_id, conn) in sys.connectors() {
+            let ascending = conn.roles.windows(2).all(|w| w[0] < w[1]);
+            check("Connector::roles order", ascending);
             for id in &conn.roles {
                 listed += 1;
-                let owned = sys.roles.get(id).is_some_and(|role| role.owner == *conn_id);
+                let owned = sys.role(*id).is_ok_and(|role| role.owner == conn_id);
                 check("Connector::roles", owned);
             }
         }
-        check("Connector::roles", listed == sys.roles.len());
-        let mut by_port: HashMap<PortId, Vec<RoleId>> = HashMap::new();
-        let mut by_role: HashMap<RoleId, Vec<PortId>> = HashMap::new();
-        for a in &sys.attachments {
-            by_port.entry(a.port).or_default().push(a.role);
-            by_role.entry(a.role).or_default().push(a.port);
+        check("Connector::roles", listed == sys.roles().count());
+
+        // Each kind's slots: every live id's table entry names its slot, and
+        // the tombstone count is the number of empty slots.
+        fn slots<T>(kind: &Slots<T>, index: &[[u32; 5]]) -> bool {
+            let dead = kind.items.iter().filter(|(_, item)| item.is_none()).count();
+            let placed = kind.iter().all(|(id, _)| {
+                let slot = index[id as usize][SLOT] as usize;
+                kind.items[slot].0 == id
+            });
+            let ascending = kind.items.windows(2).all(|w| w[0].0 < w[1].0);
+            dead == kind.dead && placed && ascending
         }
-        check("attachments_by_port", by_port == sys.attachments_by_port);
-        check("attachments_by_role", by_role == sys.attachments_by_role);
+        check("component slots", slots(&sys.components, &sys.index));
+        check("connector slots", slots(&sys.connectors, &sys.index));
+        check("port slots", slots(&sys.ports, &sys.index));
+        check("role slots", slots(&sys.roles, &sys.index));
+
+        // Member lists: a component's live ports and children, ascending;
+        // every other id heads none.
+        let mut members: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for (id, port) in sys.ports() {
+            members.entry(port.owner.0).or_default().push(id.0);
+        }
+        for (id, comp) in sys.components() {
+            if let Some(parent) = comp.parent {
+                members.entry(parent.0).or_default().push(id.0);
+            }
+        }
+        // A corrupt link may close a cycle: no list is longer than this.
+        let bound = sys.index.len() + sys.attachments.len() + 1;
+        let mut lists_match = true;
+        for id in 0..sys.index.len() as u32 {
+            let mut expected = members.remove(&id).unwrap_or_default();
+            expected.sort_unstable();
+            let walked: Vec<u32> = sys.walk(List::Members(id)).take(bound).collect();
+            lists_match &= walked == expected;
+        }
+        check("member lists", lists_match);
+
+        // Edge lists: each live port's and role's attachments in list order,
+        // by position; every other id heads none.
+        let mut ends: BTreeMap<(u32, usize), Vec<u32>> = BTreeMap::new();
+        for (at, edge) in sys.attachments.iter().enumerate() {
+            if let Some(Attachment { port, role }) = edge.att {
+                ends.entry((port.0, 0)).or_default().push(at as u32);
+                ends.entry((role.0, 1)).or_default().push(at as u32);
+            }
+        }
+        let mut edges_match = true;
+        for id in 0..sys.index.len() as u32 {
+            for side in 0..2 {
+                let expected = ends.remove(&(id, side)).unwrap_or_default();
+                let walked: Vec<u32> = sys.walk(List::Edges(id, side)).take(bound).collect();
+                edges_match &= walked == expected;
+            }
+        }
+        check("edge lists", edges_match && ends.is_empty());
+        let dead = sys.attachments.iter().filter(|e| e.att.is_none()).count();
+        check("dead_edges", dead == sys.dead_edges);
         errors
     }
 
@@ -1002,7 +1149,7 @@ pub(crate) mod tests {
     #[test]
     fn detach_then_attach_elsewhere() {
         let (mut sys, client, _group, conn) = client_server_system();
-        let port = sys.component(client).unwrap().ports[0];
+        let port = sys.ports_of(client).next().unwrap();
         let role = sys.roles_of_component(client)[0];
         sys.detach(port, role).unwrap();
         assert!(!sys.attached(port, role));
@@ -1022,7 +1169,7 @@ pub(crate) mod tests {
     #[test]
     fn double_attach_rejected() {
         let (mut sys, client, ..) = client_server_system();
-        let port = sys.component(client).unwrap().ports[0];
+        let port = sys.ports_of(client).next().unwrap();
         let role = sys.roles_of_component(client)[0];
         assert!(matches!(
             sys.attach(port, role),
@@ -1033,7 +1180,7 @@ pub(crate) mod tests {
     #[test]
     fn properties_on_all_element_kinds() {
         let (mut sys, client, _group, conn) = client_server_system();
-        let port = sys.component(client).unwrap().ports[0];
+        let port = sys.ports_of(client).next().unwrap();
         let role = sys.connector(conn).unwrap().roles[0];
         sys.set_property(
             ElementRef::Component(client),
@@ -1079,13 +1226,22 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_missed_name_lookup_interns_nothing() {
+        let (sys, ..) = client_server_system();
+        assert_eq!(sys.component_by_name("never-made"), None);
+        assert_eq!(sys.connector_by_name("never-made"), None);
+        assert_eq!(Key::find("never-made"), None);
+        assert_eq!(Key::find("User1"), Some(Key::new("User1")));
+    }
+
+    #[test]
     fn indices_survive_every_structural_removal() {
         let (mut sys, client, group, conn) = client_server_system();
         assert_eq!(index_errors(&sys), Vec::<String>::new());
         // Two more roles under one name: removal has to promote the next.
         let twin_a = sys.add_role(conn, "twin", "ClientRoleT").unwrap();
         let twin_b = sys.add_role(conn, "twin", "ClientRoleT").unwrap();
-        let port = sys.component(client).unwrap().ports[0];
+        let port = sys.ports_of(client).next().unwrap();
         sys.attach(port, twin_b).unwrap();
         assert_eq!(index_errors(&sys), Vec::<String>::new());
         sys.remove_role(twin_a).unwrap();
@@ -1098,7 +1254,7 @@ pub(crate) mod tests {
         let roles = sys.connector(conn).unwrap().roles.clone();
         sys.remove_roles(&roles).unwrap();
         assert_eq!(index_errors(&sys), Vec::<String>::new());
-        assert!(sys.roles.is_empty() && sys.attachments.is_empty());
+        assert!(sys.roles().next().is_none() && sys.attachments().next().is_none());
         assert!(sys.integrity_errors().is_empty());
     }
 
@@ -1181,19 +1337,584 @@ pub(crate) mod tests {
         sys.drain_changes();
         let key = Key::new("load");
         assert!(sys
-            .update_component_property(client, key, Value::Float(3.0))
+            .update_property(ElementRef::Component(client), key, Value::Float(3.0))
             .unwrap());
         assert_eq!(pending_changes(&sys), 1);
         sys.drain_changes();
         // Re-writing the stored value is suppressed: no write, no dirt.
         assert!(!sys
-            .update_component_property(client, key, Value::Float(3.0))
+            .update_property(ElementRef::Component(client), key, Value::Float(3.0))
             .unwrap());
         assert_eq!(pending_changes(&sys), 0);
         // Strict equality: an Int 3 is not a Float 3.0.
         assert!(sys
-            .update_component_property(client, key, Value::Int(3))
+            .update_property(ElementRef::Component(client), key, Value::Int(3))
             .unwrap());
         assert_eq!(pending_changes(&sys), 1);
+    }
+
+    /// The representation against a shadow kept in ordered maps: scripts of
+    /// structural ops applied to both, and after every op the model must
+    /// answer as the shadow does, keep its derived state consistent, and
+    /// equal a model built fresh from the shadow's content.
+    mod shadow {
+        use super::*;
+        use crate::changeset::{apply_op, ModelOp};
+        use crate::style::{
+            CLIENT_ROLE_T, CLIENT_T, REQUEST_PORT_T, SERVER_GROUP_T, SERVER_ROLE_T, SERVER_T,
+            SERVE_PORT_T, SERVICE_CONN_T,
+        };
+        use proptest::TestRng;
+
+        /// One structural op, addressed by raw ids: an id may be live, gone,
+        /// of another kind or never handed out.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Component(&'static str, &'static str, Option<u32>),
+            Port(u32, &'static str, &'static str),
+            Connector(&'static str, &'static str),
+            Role(u32, &'static str, &'static str),
+            Attach(u32, u32),
+            RemoveComponent(u32),
+            RemoveRoles(Vec<u32>),
+            Move(Vec<String>, &'static str),
+            Mark(ElementRef, i64),
+        }
+
+        /// `(name, type, owner or parent)` per element, attachments in the
+        /// order they were made, and the `mark` property per element.
+        #[derive(Debug, Default)]
+        struct Shadow {
+            components: BTreeMap<u32, (Key, Key, Option<u32>)>,
+            connectors: BTreeMap<u32, (Key, Key)>,
+            ports: BTreeMap<u32, (Key, Key, u32)>,
+            roles: BTreeMap<u32, (Key, Key, u32)>,
+            attachments: Vec<(u32, u32)>,
+            marks: BTreeMap<ElementRef, i64>,
+            next_id: u32,
+        }
+
+        const COMPONENT_NAMES: [&str; 14] = [
+            "ServerGrp1",
+            "ServerGrp2",
+            "ServerGrp3",
+            "User1",
+            "User2",
+            "User3",
+            "User4",
+            "User5",
+            "User6",
+            "C0",
+            "C1",
+            "C2",
+            "C3",
+            "ServerGrp1.Server1",
+        ];
+        const COMPONENT_TYPES: [&str; 4] = [CLIENT_T, SERVER_GROUP_T, SERVER_T, "OtherT"];
+        const CONNECTOR_NAMES: [&str; 5] = [
+            "ServerGrp1.Conn",
+            "ServerGrp2.Conn",
+            "ServerGrp3.Conn",
+            "K0",
+            "K1",
+        ];
+        const PORT_NAMES: [&str; 3] = ["request", "serve", "p0"];
+        const ROLE_NAMES: [&str; 5] = ["User1.role", "User2.role", "serverSide", "r0", "r1"];
+
+        impl Shadow {
+            fn fresh(&mut self) -> u32 {
+                self.next_id += 1;
+                self.next_id - 1
+            }
+
+            fn component_named(&self, name: &str) -> Option<u32> {
+                let mut found = self.components.iter().filter(|(_, c)| c.0 == name);
+                found.next().map(|(id, _)| *id)
+            }
+
+            fn connector_named(&self, name: &str) -> Option<u32> {
+                let mut found = self.connectors.iter().filter(|(_, c)| c.0 == name);
+                found.next().map(|(id, _)| *id)
+            }
+
+            fn ports_of(&self, owner: u32) -> Vec<u32> {
+                let ports = self.ports.iter().filter(|(_, p)| p.2 == owner);
+                ports.map(|(id, _)| *id).collect()
+            }
+
+            fn children(&self, parent: u32) -> Vec<u32> {
+                let children = self.components.iter().filter(|(_, c)| c.2 == Some(parent));
+                children.map(|(id, _)| *id).collect()
+            }
+
+            fn roles_of(&self, owner: u32) -> Vec<u32> {
+                let roles = self.roles.iter().filter(|(_, r)| r.2 == owner);
+                roles.map(|(id, _)| *id).collect()
+            }
+
+            fn roles_at(&self, port: u32) -> Vec<u32> {
+                let at = self.attachments.iter().filter(|a| a.0 == port);
+                at.map(|a| a.1).collect()
+            }
+
+            fn add_component(
+                &mut self,
+                name: &str,
+                ctype: &str,
+                parent: Option<u32>,
+            ) -> Result<u32, ModelError> {
+                if let Some(p) = parent.filter(|p| !self.components.contains_key(p)) {
+                    return Err(ModelError::UnknownComponent(ComponentId(p)));
+                }
+                if self.component_named(name).is_some() {
+                    return Err(ModelError::DuplicateName(name.to_string()));
+                }
+                let id = self.fresh();
+                self.components
+                    .insert(id, (Key::new(name), Key::new(ctype), parent));
+                Ok(id)
+            }
+
+            fn add_port(&mut self, owner: u32, name: &str, ptype: &str) -> Result<u32, ModelError> {
+                if !self.components.contains_key(&owner) {
+                    return Err(ModelError::UnknownComponent(ComponentId(owner)));
+                }
+                let id = self.fresh();
+                self.ports
+                    .insert(id, (Key::new(name), Key::new(ptype), owner));
+                Ok(id)
+            }
+
+            fn add_connector(&mut self, name: &str, ctype: &str) -> Result<u32, ModelError> {
+                if self.connector_named(name).is_some() {
+                    return Err(ModelError::DuplicateName(name.to_string()));
+                }
+                let id = self.fresh();
+                self.connectors
+                    .insert(id, (Key::new(name), Key::new(ctype)));
+                Ok(id)
+            }
+
+            fn add_role(&mut self, owner: u32, name: &str, rtype: &str) -> Result<u32, ModelError> {
+                if !self.connectors.contains_key(&owner) {
+                    return Err(ModelError::UnknownConnector(ConnectorId(owner)));
+                }
+                let id = self.fresh();
+                self.roles
+                    .insert(id, (Key::new(name), Key::new(rtype), owner));
+                Ok(id)
+            }
+
+            fn attach(&mut self, port: u32, role: u32) -> Result<(), ModelError> {
+                if !self.ports.contains_key(&port) {
+                    return Err(ModelError::UnknownPort(PortId(port)));
+                }
+                if !self.roles.contains_key(&role) {
+                    return Err(ModelError::UnknownRole(RoleId(role)));
+                }
+                if self.attachments.contains(&(port, role)) {
+                    return Err(ModelError::AlreadyAttached(PortId(port), RoleId(role)));
+                }
+                self.attachments.push((port, role));
+                Ok(())
+            }
+
+            fn remove_component(&mut self, id: u32) -> Result<(), ModelError> {
+                if !self.components.contains_key(&id) {
+                    return Err(ModelError::UnknownComponent(ComponentId(id)));
+                }
+                for child in self.children(id) {
+                    self.remove_component(child)?;
+                }
+                let ports = self.ports_of(id);
+                self.attachments.retain(|a| !ports.contains(&a.0));
+                for port in ports {
+                    self.ports.remove(&port);
+                    self.marks.remove(&ElementRef::Port(PortId(port)));
+                }
+                self.components.remove(&id);
+                self.marks.remove(&ElementRef::Component(ComponentId(id)));
+                Ok(())
+            }
+
+            fn remove_roles(&mut self, ids: &[u32]) -> Result<(), ModelError> {
+                if let Some(unknown) = ids.iter().find(|id| !self.roles.contains_key(id)) {
+                    return Err(ModelError::UnknownRole(RoleId(*unknown)));
+                }
+                self.attachments.retain(|a| !ids.contains(&a.1));
+                for id in ids {
+                    self.roles.remove(id);
+                    self.marks.remove(&ElementRef::Role(RoleId(*id)));
+                }
+                Ok(())
+            }
+
+            /// `ModelOp::MoveClientGroup` as its documentation states it:
+            /// every check before any change, then the connector, the stale
+            /// roles' removal, and one fresh role per member in list order.
+            fn move_clients(&mut self, clients: &[String], to: &str) -> Result<(), ()> {
+                let group = self.component_named(to).ok_or(())?;
+                if self.components[&group].1 != SERVER_GROUP_T {
+                    return Err(());
+                }
+                let (mut members, mut stale) = (Vec::new(), Vec::new());
+                for client in clients {
+                    let Some(id) = self.component_named(client) else {
+                        continue;
+                    };
+                    let ports = self.ports_of(id).into_iter();
+                    let mut request = ports.filter(|p| self.ports[p].0 == "request");
+                    let port = request.next().ok_or(())?;
+                    if members.iter().any(|(_, p)| *p == port) {
+                        continue;
+                    }
+                    let old = self.roles_at(port).into_iter().find(|r| !stale.contains(r));
+                    stale.extend(old);
+                    members.push((client.clone(), port));
+                }
+                let serve = self
+                    .ports_of(group)
+                    .into_iter()
+                    .find(|p| self.ports[p].0 == "serve");
+                let conn_name = format!("{to}.Conn");
+                let conn = match self.connector_named(&conn_name) {
+                    Some(conn) => conn,
+                    None => {
+                        let serve = serve.ok_or(())?;
+                        let conn = self.add_connector(&conn_name, SERVICE_CONN_T).unwrap();
+                        let role = self.add_role(conn, "serverSide", SERVER_ROLE_T).unwrap();
+                        self.attach(serve, role).unwrap();
+                        conn
+                    }
+                };
+                self.remove_roles(&stale).unwrap();
+                for (client, port) in members {
+                    let role = self.add_role(conn, &format!("{client}.role"), CLIENT_ROLE_T);
+                    self.attach(port, role.unwrap()).unwrap();
+                }
+                Ok(())
+            }
+
+            fn live(&self, element: ElementRef) -> bool {
+                match element {
+                    ElementRef::Component(id) => self.components.contains_key(&id.0),
+                    ElementRef::Connector(id) => self.connectors.contains_key(&id.0),
+                    ElementRef::Port(id) => self.ports.contains_key(&id.0),
+                    ElementRef::Role(id) => self.roles.contains_key(&id.0),
+                }
+            }
+
+            /// A model built fresh to the shadow's content and next id: each
+            /// id the shadow no longer holds is a throwaway component,
+            /// removed as soon as it is added.
+            fn build(&self) -> System {
+                let mut sys = System::new("shadow");
+                for id in 0..self.next_id {
+                    let made = if let Some((name, ctype, parent)) = self.components.get(&id) {
+                        match parent {
+                            Some(p) => sys
+                                .add_child_component(ComponentId(*p), *name, *ctype)
+                                .map(|c| c.0),
+                            None => sys.add_component(*name, *ctype).map(|c| c.0),
+                        }
+                    } else if let Some((name, ctype)) = self.connectors.get(&id) {
+                        sys.add_connector(*name, *ctype).map(|c| c.0)
+                    } else if let Some((name, ptype, owner)) = self.ports.get(&id) {
+                        sys.add_port(ComponentId(*owner), *name, *ptype)
+                            .map(|p| p.0)
+                    } else if let Some((name, rtype, owner)) = self.roles.get(&id) {
+                        sys.add_role(ConnectorId(*owner), *name, *rtype)
+                            .map(|r| r.0)
+                    } else {
+                        let gap = sys.add_component(format!("~gap{id}"), "GapT").unwrap();
+                        sys.remove_component(gap).map(|_| gap.0)
+                    };
+                    assert_eq!(made, Ok(id));
+                }
+                for (port, role) in &self.attachments {
+                    sys.attach(PortId(*port), RoleId(*role)).unwrap();
+                }
+                for (element, mark) in &self.marks {
+                    sys.set_property(*element, "mark", Value::Int(*mark))
+                        .unwrap();
+                }
+                sys
+            }
+        }
+
+        /// Applies `op` to both and requires the same outcome.
+        fn apply(sys: &mut System, shadow: &mut Shadow, op: &Op) -> bool {
+            let (model, mirror) = match op.clone() {
+                Op::Component(name, ctype, parent) => (
+                    match parent {
+                        Some(p) => sys
+                            .add_child_component(ComponentId(p), name, ctype)
+                            .map(|c| c.0),
+                        None => sys.add_component(name, ctype).map(|c| c.0),
+                    },
+                    shadow.add_component(name, ctype, parent),
+                ),
+                Op::Port(owner, name, ptype) => (
+                    sys.add_port(ComponentId(owner), name, ptype).map(|p| p.0),
+                    shadow.add_port(owner, name, ptype),
+                ),
+                Op::Connector(name, ctype) => (
+                    sys.add_connector(name, ctype).map(|c| c.0),
+                    shadow.add_connector(name, ctype),
+                ),
+                Op::Role(owner, name, rtype) => (
+                    sys.add_role(ConnectorId(owner), name, rtype).map(|r| r.0),
+                    shadow.add_role(owner, name, rtype),
+                ),
+                Op::Attach(port, role) => (
+                    sys.attach(PortId(port), RoleId(role)).map(|_| 0),
+                    shadow.attach(port, role).map(|_| 0),
+                ),
+                Op::RemoveComponent(id) => (
+                    sys.remove_component(ComponentId(id)).map(|_| 0),
+                    shadow.remove_component(id).map(|_| 0),
+                ),
+                Op::RemoveRoles(ids) => {
+                    let typed: Vec<RoleId> = ids.iter().map(|id| RoleId(*id)).collect();
+                    (
+                        sys.remove_roles(&typed).map(|_| 0),
+                        shadow.remove_roles(&ids).map(|_| 0),
+                    )
+                }
+                Op::Move(clients, to) => {
+                    let to_group = to.to_string();
+                    let op = ModelOp::MoveClientGroup {
+                        clients: clients.clone(),
+                        to_group,
+                    };
+                    let applied = apply_op(sys, &op).is_ok();
+                    assert_eq!(applied, shadow.move_clients(&clients, to).is_ok(), "{op:?}");
+                    return applied;
+                }
+                Op::Mark(element, mark) => {
+                    let live = shadow.live(element);
+                    if live {
+                        shadow.marks.insert(element, mark);
+                    }
+                    let set = sys.set_property(element, "mark", Value::Int(mark));
+                    assert_eq!(set.is_ok(), live, "{op:?}");
+                    return live;
+                }
+            };
+            assert_eq!(model, mirror, "{op:?}");
+            model.is_ok()
+        }
+
+        /// Everything the model answers, against the shadow.
+        fn check(sys: &System, shadow: &Shadow) {
+            let components: Vec<_> = sys
+                .components()
+                .map(|(id, c)| (id.0, (c.name, c.ctype, c.parent.map(|p| p.0))))
+                .collect();
+            assert!(components.into_iter().eq(shadow.components.clone()));
+            let connectors: Vec<_> = sys
+                .connectors()
+                .map(|(id, c)| (id.0, (c.name, c.ctype)))
+                .collect();
+            assert!(connectors.into_iter().eq(shadow.connectors.clone()));
+            let ports: Vec<_> = sys
+                .ports()
+                .map(|(id, p)| (id.0, (p.name, p.ptype, p.owner.0)))
+                .collect();
+            assert!(ports.into_iter().eq(shadow.ports.clone()));
+            let roles: Vec<_> = sys
+                .roles()
+                .map(|(id, r)| (id.0, (r.name, r.rtype, r.owner.0)))
+                .collect();
+            assert!(roles.into_iter().eq(shadow.roles.clone()));
+            let attachments: Vec<_> = sys.attachments().map(|a| (a.port.0, a.role.0)).collect();
+            assert_eq!(attachments, shadow.attachments);
+
+            for name in COMPONENT_NAMES {
+                assert_eq!(
+                    sys.component_by_name(name).map(|c| c.0),
+                    shadow.component_named(name),
+                    "{name}"
+                );
+            }
+            for name in CONNECTOR_NAMES {
+                assert_eq!(
+                    sys.connector_by_name(name).map(|c| c.0),
+                    shadow.connector_named(name),
+                    "{name}"
+                );
+            }
+            for name in ROLE_NAMES {
+                let first = shadow
+                    .roles
+                    .iter()
+                    .find(|(_, r)| r.0 == name)
+                    .map(|(id, _)| *id);
+                assert_eq!(
+                    sys.role_by_key(Key::new(name)).map(|r| r.0),
+                    first,
+                    "{name}"
+                );
+            }
+
+            for id in 0..shadow.next_id + 2 {
+                let (component, port, role) = (ComponentId(id), PortId(id), RoleId(id));
+                assert_eq!(
+                    sys.component(component).is_ok(),
+                    shadow.components.contains_key(&id)
+                );
+                assert_eq!(
+                    sys.connector(ConnectorId(id)).is_ok(),
+                    shadow.connectors.contains_key(&id)
+                );
+                assert_eq!(sys.port(port).is_ok(), shadow.ports.contains_key(&id));
+                assert_eq!(sys.role(role).is_ok(), shadow.roles.contains_key(&id));
+                let ports: Vec<u32> = sys.ports_of(component).map(|p| p.0).collect();
+                assert_eq!(ports, shadow.ports_of(id), "ports of #{id}");
+                let children: Vec<u32> = sys.children(component).map(|c| c.0).collect();
+                assert_eq!(children, shadow.children(id), "children of #{id}");
+                let roles: Vec<u32> = sys.roles_attached_to_port(port).map(|r| r.0).collect();
+                assert_eq!(roles, shadow.roles_at(id), "roles at #{id}");
+                let holder = shadow.attachments.iter().find(|a| a.1 == id);
+                let holder = holder.map(|a| ComponentId(shadow.ports[&a.0].2));
+                assert_eq!(
+                    sys.component_attached_to_role(role),
+                    holder,
+                    "holder of #{id}"
+                );
+                if let Ok(conn) = sys.connector(ConnectorId(id)) {
+                    let listed: Vec<u32> = conn.roles.iter().map(|r| r.0).collect();
+                    assert_eq!(listed, shadow.roles_of(id), "roles of #{id}");
+                }
+            }
+            for (element, mark) in &shadow.marks {
+                assert_eq!(sys.get_property(*element, "mark"), Some(&Value::Int(*mark)));
+            }
+
+            assert_eq!(index_errors(sys), Vec::<String>::new());
+            assert_eq!(sys.integrity_errors(), Vec::<String>::new());
+            assert_eq!(shadow.build(), *sys);
+        }
+
+        /// A raw id: live of the wanted kind most of the time, else any id
+        /// up to two past the last one handed out.
+        fn pick(rng: &mut TestRng, live: Vec<u32>, next_id: u32) -> u32 {
+            let roll = rng.next_u64() as usize;
+            match live.len() {
+                n if n > 0 && !roll.is_multiple_of(5) => live[roll / 5 % n],
+                _ => (roll / 5 % (next_id as usize + 2)) as u32,
+            }
+        }
+
+        fn choose<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+            from[rng.next_u64() as usize % from.len()]
+        }
+
+        fn op(rng: &mut TestRng, shadow: &Shadow) -> Op {
+            let next = shadow.next_id;
+            let components = || shadow.components.keys().copied().collect();
+            let roles = || shadow.roles.keys().copied().collect();
+            let name = choose(rng, &COMPONENT_NAMES);
+            match rng.next_u64() % 12 {
+                0 => Op::Component(name, choose(rng, &COMPONENT_TYPES), None),
+                1 => {
+                    let parent = pick(rng, components(), next);
+                    Op::Component(name, SERVER_T, Some(parent))
+                }
+                2 => Op::Port(
+                    pick(rng, components(), next),
+                    choose(rng, &PORT_NAMES),
+                    REQUEST_PORT_T,
+                ),
+                3 => Op::Connector(choose(rng, &CONNECTOR_NAMES), SERVICE_CONN_T),
+                4 => {
+                    let owner = pick(rng, shadow.connectors.keys().copied().collect(), next);
+                    Op::Role(owner, choose(rng, &ROLE_NAMES), CLIENT_ROLE_T)
+                }
+                5 | 6 => {
+                    let port = pick(rng, shadow.ports.keys().copied().collect(), next);
+                    Op::Attach(port, pick(rng, roles(), next))
+                }
+                7 => Op::RemoveComponent(pick(rng, components(), next)),
+                8 => {
+                    let n = rng.next_u64() % 4;
+                    Op::RemoveRoles((0..n).map(|_| pick(rng, roles(), next)).collect())
+                }
+                9 | 10 => {
+                    let n = rng.next_u64() % 5;
+                    let clients = (0..n).map(|_| choose(rng, &COMPONENT_NAMES[3..]).to_string());
+                    let clients = clients.collect();
+                    let to = choose(rng, &["ServerGrp1", "ServerGrp2", "ServerGrp3", "User1"]);
+                    Op::Move(clients, to)
+                }
+                _ => {
+                    let element = match rng.next_u64() % 4 {
+                        0 => ElementRef::Component(ComponentId(pick(rng, components(), next))),
+                        1 => ElementRef::Port(PortId(pick(
+                            rng,
+                            shadow.ports.keys().copied().collect(),
+                            next,
+                        ))),
+                        2 => ElementRef::Connector(ConnectorId(pick(
+                            rng,
+                            shadow.connectors.keys().copied().collect(),
+                            next,
+                        ))),
+                        _ => ElementRef::Role(RoleId(pick(rng, roles(), next))),
+                    };
+                    Op::Mark(element, (rng.next_u64() % 7) as i64)
+                }
+            }
+        }
+
+        /// Two groups with their serve ports and four clients with their
+        /// request ports, the first three connected: the shape the style
+        /// builds, so class moves apply.
+        fn fleet() -> Vec<Op> {
+            let mut ops = Vec::new();
+            for g in [0, 1] {
+                ops.push(Op::Component(COMPONENT_NAMES[g], SERVER_GROUP_T, None));
+                ops.push(Op::Port(ops.len() as u32 - 1, "serve", SERVE_PORT_T));
+            }
+            for client in &COMPONENT_NAMES[3..7] {
+                ops.push(Op::Component(client, CLIENT_T, None));
+                ops.push(Op::Port(ops.len() as u32 - 1, "request", REQUEST_PORT_T));
+            }
+            let clients = ["User1", "User2", "User3"].map(String::from);
+            ops.push(Op::Move(clients.to_vec(), "ServerGrp1"));
+            ops
+        }
+
+        /// 200 scripts of up to 60 ops after the fleet: removals open
+        /// tombstones and compactions in every kind and in `attachments`,
+        /// and every check holds after every op.
+        #[test]
+        fn the_arena_answers_as_ordered_maps_do() {
+            let (mut applied, mut removals) = (0, 0);
+            for case in 0..200 {
+                let mut rng = TestRng::deterministic("arena_shadow", case);
+                let (mut sys, mut shadow) = (System::new("shadow"), Shadow::default());
+                for op in fleet() {
+                    assert!(apply(&mut sys, &mut shadow, &op), "{op:?}");
+                }
+                check(&sys, &shadow);
+                for _ in 0..rng.next_u64() % 61 {
+                    let op = op(&mut rng, &shadow);
+                    let ok = apply(&mut sys, &mut shadow, &op);
+                    applied += usize::from(ok);
+                    removals += usize::from(
+                        ok && matches!(
+                            op,
+                            Op::RemoveComponent(_) | Op::RemoveRoles(_) | Op::Move(..)
+                        ),
+                    );
+                    check(&sys, &shadow);
+                }
+            }
+            assert!(
+                applied > 2_000 && removals > 500,
+                "{applied} applied, {removals} removals"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@ fn sized_model(clients: usize) -> archmodel::System {
     // Populate observations so constraints are evaluable; one client violates.
     let names: Vec<(archmodel::ComponentId, String)> = model
         .components_of_type(archmodel::style::CLIENT_T)
-        .map(|(id, c)| (id, c.name.clone()))
+        .map(|(id, c)| (id, c.name.to_string()))
         .collect();
     for (id, _) in &names {
         model

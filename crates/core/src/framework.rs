@@ -643,7 +643,7 @@ mod tests {
         let model = fw.model();
         let user = model.component_by_name("User3").unwrap();
         let group = ClientServerStyle::group_of_client(model, user).unwrap();
-        let group_name = model.component(group).unwrap().name.clone();
+        let group_name = model.component(group).unwrap().name;
         assert_eq!(group_name, fw.app().client_group("User3").unwrap());
     }
 

@@ -7,7 +7,7 @@
 
 use crate::task::PerformanceProfile;
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{ModelError, System, Value};
+use archmodel::{ConnectorId, ElementRef, Key, ModelError, System, Value};
 use gridapp::GridApp;
 use monitoring::GaugeReading;
 use std::collections::HashMap;
@@ -54,15 +54,34 @@ pub fn build_model(
         // The provisioning baseline cost reduction never shrinks below.
         properties.set(props::BASE_REPLICAS, runtime_servers.len() as f64);
     }
-    for client_name in app.client_names() {
-        let client = ClientServerStyle::add_client(&mut model, &client_name)?;
-        let group_name = app
-            .client_group(&client_name)
-            .map_err(|_| ModelError::NameNotFound(client_name.clone()))?;
-        let group = model
-            .component_by_name(&group_name)
-            .ok_or(ModelError::NameNotFound(group_name))?;
-        ClientServerStyle::connect_client(&mut model, client, group)?;
+    // A group's connector is created when its first client connects, as
+    // `connect_client` would, and resolved once; role names are formatted in
+    // one buffer.
+    let mut connectors: HashMap<Key, ConnectorId> = HashMap::new();
+    let mut role_name = String::new();
+    for (client_name, group_name) in app.assignments() {
+        let client = ClientServerStyle::add_client(&mut model, client_name.as_str())?;
+        let port = model
+            .ports_of(client)
+            .next()
+            .expect("a client has its port");
+        let conn = match connectors.get(&group_name) {
+            Some(conn) => *conn,
+            None => {
+                let group = model
+                    .component_by_key(group_name)
+                    .ok_or_else(|| ModelError::NameNotFound(group_name.to_string()))?;
+                let conn = ClientServerStyle::service_connector(&mut model, group)?;
+                *connectors.entry(group_name).or_insert(conn)
+            }
+        };
+        ClientServerStyle::attach_client(
+            &mut model,
+            conn,
+            client_name.as_str(),
+            port,
+            &mut role_name,
+        )?;
     }
     Ok((model, server_map))
 }
@@ -93,14 +112,6 @@ pub struct ModelUpdater<'a> {
     pub suppressed: u64,
 }
 
-/// A resolved reading target.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Resolved {
-    Component(archmodel::ComponentId),
-    Role(archmodel::RoleId),
-    Unmatched,
-}
-
 impl<'a> ModelUpdater<'a> {
     /// Wraps a model for updating.
     pub fn new(model: &'a mut System) -> Self {
@@ -110,31 +121,21 @@ impl<'a> ModelUpdater<'a> {
         }
     }
 
-    fn resolve(&self, target: archmodel::Key) -> Resolved {
+    fn resolve(&self, target: archmodel::Key) -> Option<ElementRef> {
         // Component target (clients, server groups) first, then role target
         // (bandwidth readings address "<client>.role") — the historic order.
-        if let Some(id) = self.model.component_by_key(target) {
-            Resolved::Component(id)
-        } else if let Some(id) = self.model.role_by_key(target) {
-            Resolved::Role(id)
-        } else {
-            Resolved::Unmatched
-        }
+        let component = self.model.component_by_key(target);
+        component
+            .map(ElementRef::Component)
+            .or_else(|| self.model.role_by_key(target).map(ElementRef::Role))
     }
 
-    fn apply_resolved(&mut self, resolved: Resolved, reading: &GaugeReading) {
-        let written = match resolved {
-            Resolved::Component(id) => self.model.update_component_property(
-                id,
-                reading.property,
-                Value::Float(reading.value),
-            ),
-            Resolved::Role(id) => {
-                self.model
-                    .update_role_property(id, reading.property, Value::Float(reading.value))
-            }
-            Resolved::Unmatched => return,
+    fn apply_resolved(&mut self, resolved: Option<ElementRef>, reading: &GaugeReading) {
+        let Some(element) = resolved else {
+            return;
         };
+        let value = Value::Float(reading.value);
+        let written = self.model.update_property(element, reading.property, value);
         if matches!(written, Ok(false)) {
             self.suppressed += 1;
         }
@@ -143,7 +144,7 @@ impl<'a> ModelUpdater<'a> {
     /// Applies a tick's readings in order, resolving each distinct target
     /// once per run of consecutive readings.
     pub fn apply_batch(&mut self, readings: &[GaugeReading]) {
-        let mut memo: Option<(archmodel::Key, Resolved)> = None;
+        let mut memo: Option<(archmodel::Key, Option<ElementRef>)> = None;
         for reading in readings {
             let resolved = match memo {
                 Some((target, resolved)) if target == reading.target => resolved,

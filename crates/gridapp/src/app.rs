@@ -552,6 +552,13 @@ impl GridApp {
         self.assignment(client).map(|(_, group)| group.to_string())
     }
 
+    /// Every client with the server group it currently sends to, as interned
+    /// names, in client name order.
+    pub fn assignments(&self) -> impl Iterator<Item = (Key, Key)> + '_ {
+        let groups = self.clients.iter().map(|c| self.group_names[c.group.ix()]);
+        self.client_names.iter().copied().zip(groups)
+    }
+
     /// A client and the server group it currently sends to, as the interned
     /// names every [`FlowSnapshot`] row and [`CompletedRequest`] carries.
     pub fn assignment(&self, client: &str) -> Result<(Key, Key), AppError> {

@@ -43,7 +43,7 @@ fn overloaded_groups_of(model: &System, client: &str) -> Vec<String> {
             continue;
         }
         if comp.properties.get_f64(props::LOAD).unwrap_or(0.0) > max_load {
-            out.push(comp.name.clone());
+            out.push(comp.name.to_string());
         }
     }
     out
@@ -156,8 +156,8 @@ impl Tactic for FixBandwidthTactic {
             .ok_or(RepairError::NoServerGroupFound)?;
         let current = ClientServerStyle::group_of_client(ctx.model, client_id)
             .and_then(|g| ctx.model.component(g).ok())
-            .map(|g| g.name.clone());
-        if current.as_deref() == Some(good_group.as_str()) {
+            .map(|g| g.name);
+        if current.is_some_and(|g| g == good_group) {
             return Ok(TacticResult::NotApplicable {
                 reason: format!("{client} is already connected to {good_group}"),
             });
@@ -204,7 +204,7 @@ impl Tactic for ReduceServersTactic {
         // servers.
         let mut candidate: Option<(String, String)> = None;
         for (id, comp) in ctx.model.components_of_type(SERVER_GROUP_T) {
-            if subject_group.as_deref().is_some_and(|g| g != comp.name) {
+            if subject_group.as_deref().is_some_and(|g| comp.name != g) {
                 continue;
             }
             let load = comp
@@ -231,7 +231,7 @@ impl Tactic for ReduceServersTactic {
             // Remove the most recently added server.
             if let Some(last) = children.last() {
                 if let Ok(server) = ctx.model.component(*last) {
-                    candidate = Some((comp.name.clone(), server.name.clone()));
+                    candidate = Some((comp.name.to_string(), server.name.to_string()));
                     break;
                 }
             }
@@ -260,7 +260,7 @@ fn group_of_violation(
     match violation.subject? {
         ElementRef::Component(id) => {
             let comp = model.component(id).ok()?;
-            (comp.ctype == SERVER_GROUP_T).then(|| comp.name.clone())
+            (comp.ctype == SERVER_GROUP_T).then(|| comp.name.to_string())
         }
         _ => None,
     }
@@ -276,7 +276,7 @@ fn dead_replicas_of(model: &System, group: &str) -> Vec<String> {
     for child in model.children_of(group_id).unwrap_or_default() {
         if let Ok(server) = model.component(child) {
             if server.properties.get_f64(props::IS_ALIVE) == Some(0.0) {
-                dead.push(server.name.clone());
+                dead.push(server.name.to_string());
             }
         }
     }
@@ -375,7 +375,7 @@ impl Tactic for RerouteClientsTactic {
             .ok_or_else(|| RepairError::Operator(format!("group {group} vanished")))?;
         let clients: Vec<String> = ClientServerStyle::clients_of_group(ctx.model, group_id)
             .into_iter()
-            .filter_map(|id| ctx.model.component(id).ok().map(|c| c.name.clone()))
+            .filter_map(|id| ctx.model.component(id).ok().map(|c| c.name.to_string()))
             .collect();
         if clients.is_empty() {
             return Ok(TacticResult::NotApplicable {

@@ -124,7 +124,7 @@ pub fn remove_server(tx: &mut Transaction, server_name: &str) -> Result<String, 
             OperatorError::BadTarget(format!("server {server_name} has no containing group"))
         })?
         .name
-        .clone();
+        .to_string();
     tx.apply(ModelOp::RemoveServer {
         server: server_name.to_string(),
     })?;

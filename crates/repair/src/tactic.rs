@@ -105,7 +105,7 @@ pub fn client_of_violation(model: &System, violation: &Violation) -> Option<Stri
         ElementRef::Component(id) => {
             let comp = model.component(id).ok()?;
             if comp.ctype == archmodel::style::CLIENT_T {
-                Some(comp.name.clone())
+                Some(comp.name.to_string())
             } else {
                 None
             }
@@ -113,7 +113,7 @@ pub fn client_of_violation(model: &System, violation: &Violation) -> Option<Stri
         ElementRef::Role(id) => {
             let client_id = model.component_attached_to_role(id)?;
             let comp = model.component(client_id).ok()?;
-            (comp.ctype == archmodel::style::CLIENT_T).then(|| comp.name.clone())
+            (comp.ctype == archmodel::style::CLIENT_T).then(|| comp.name.to_string())
         }
         _ => None,
     }

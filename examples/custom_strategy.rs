@@ -51,7 +51,7 @@ impl Tactic for ProvisionToAnalysis {
             if load > max_load {
                 match &worst {
                     Some((_, worst_load, _)) if *worst_load >= load => {}
-                    _ => worst = Some((group.name.clone(), load, replicas)),
+                    _ => worst = Some((group.name.to_string(), load, replicas)),
                 }
             }
         }

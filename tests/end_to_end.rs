@@ -39,7 +39,7 @@ fn model_and_runtime_agree_after_a_move() {
         let id = model.component_by_name(&client).unwrap();
         let model_group = ClientServerStyle::group_of_client(model, id)
             .and_then(|g| model.component(g).ok())
-            .map(|g| g.name.clone())
+            .map(|g| g.name.to_string())
             .unwrap();
         assert_eq!(
             runtime_group, model_group,

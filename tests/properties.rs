@@ -154,7 +154,7 @@ proptest! {
         let expected_group = format!("ServerGrp{}", moves.last().unwrap() + 1);
         let actual = ClientServerStyle::group_of_client(working, user)
             .and_then(|g| working.component(g).ok())
-            .map(|g| g.name.clone())
+            .map(|g| g.name.to_string())
             .unwrap();
         prop_assert_eq!(actual, expected_group);
     }

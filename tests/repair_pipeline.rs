@@ -128,7 +128,7 @@ fn clean_model_produces_no_repairs() {
     let mut model = ClientServerStyle::example_system("storage", 1, 3, 3).unwrap();
     for (id, _) in model
         .components_of_type("ClientT")
-        .map(|(id, c)| (id, c.name.clone()))
+        .map(|(id, c)| (id, c.name.to_string()))
         .collect::<Vec<_>>()
     {
         model
