@@ -144,12 +144,10 @@ mod tests {
     /// `ServerGrp2` serves nobody, so it has no connector yet.
     fn base_system() -> System {
         let mut sys = System::new("storage");
-        let grp1 = Style::add_server_group(&mut sys, "ServerGrp1", 2).unwrap();
+        Style::add_server_group(&mut sys, "ServerGrp1", 2).unwrap();
         Style::add_server_group(&mut sys, "ServerGrp2", 2).unwrap();
-        for name in ["User1", "User2"] {
-            let client = Style::add_client(&mut sys, name).unwrap();
-            Style::connect_client(&mut sys, client, grp1).unwrap();
-        }
+        let clients = [("User1", "ServerGrp1"), ("User2", "ServerGrp1")];
+        Style::add_clients(&mut sys, clients).unwrap();
         sys
     }
 
@@ -188,7 +186,7 @@ mod tests {
         assert_eq!(tx.len(), 1);
         commit(tx, &mut live);
         let grp = live.component_by_name("ServerGrp1").unwrap();
-        assert_eq!(live.children_of(grp).unwrap().len(), 3);
+        assert_eq!(live.children(grp).count(), 3);
         assert_eq!(replication_count(&live, "ServerGrp1"), Some(3));
         let server = live.component_by_name("ServerGrp1.Server3").unwrap();
         let server = live.component(server).unwrap();
@@ -294,10 +292,12 @@ mod tests {
             .map(|g| Style::add_server_group(&mut sys, &format!("ServerGrp{g}"), 1).unwrap())
             .collect();
         for (i, home) in homes.iter().enumerate() {
-            let client = Style::add_client(&mut sys, &format!("User{}", i + 1)).unwrap();
+            let client = format!("User{}", i + 1);
             if *home > 0 {
-                let group = group_ids[(home - 1) % groups];
-                Style::connect_client(&mut sys, client, group).unwrap();
+                let group = format!("ServerGrp{}", (home - 1) % groups + 1);
+                Style::add_clients(&mut sys, [(client, group)]).unwrap();
+            } else {
+                Style::add_client(&mut sys, &client).unwrap();
             }
         }
         if spare_connector {

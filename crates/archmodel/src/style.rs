@@ -143,7 +143,7 @@ impl ClientServerStyle {
 
     /// Sets a group's `replicationCount` to the size of its representation.
     fn sync_replication_count(system: &mut System, group: ComponentId) -> Result<(), ModelError> {
-        let count = system.children_of(group)?.len() as i64;
+        let count = system.children(group).count() as i64;
         system.set_property(
             ElementRef::Component(group),
             props::REPLICATION_COUNT,
@@ -231,7 +231,7 @@ impl ClientServerStyle {
     /// Gives `client` its `{client}.role` on `conn`, attached to `port`. The
     /// role name is formatted in `name`, so a caller connecting many clients
     /// reuses one buffer.
-    pub fn attach_client(
+    fn attach_client(
         system: &mut System,
         conn: ConnectorId,
         client: &str,
@@ -245,18 +245,31 @@ impl ClientServerStyle {
         system.attach(port, role)
     }
 
-    /// Connects a client to a server group through the group's service
-    /// connector, creating a client role named after the client.
-    pub fn connect_client(
+    /// Adds each `(client, group)` client with its request port and connects
+    /// it, in order, to its server group through the group's service
+    /// connector, with a client role named after the client. A group's
+    /// connector is resolved (or created) at its first client only, and every
+    /// role name is formatted in one buffer.
+    pub fn add_clients<C: Into<Key>, G: Into<Key>>(
         system: &mut System,
-        client: ComponentId,
-        group: ComponentId,
-    ) -> Result<ConnectorId, ModelError> {
-        let port = Self::port_named(system, client, Self::CLIENT_PORT)?;
-        let conn = Self::service_connector(system, group)?;
-        let client_name = system.component(client)?.name;
-        Self::attach_client(system, conn, client_name.as_str(), port, &mut String::new())?;
-        Ok(conn)
+        clients: impl IntoIterator<Item = (C, G)>,
+    ) -> Result<(), ModelError> {
+        let (mut connectors, mut role_name) = (HashMap::new(), String::new());
+        for (client, group) in clients {
+            let (client, group): (Key, Key) = (client.into(), group.into());
+            let id = Self::add_client(system, client.as_str())?;
+            let port = Self::port_named(system, id, Self::CLIENT_PORT)?;
+            let conn = match connectors.get(&group) {
+                Some(conn) => *conn,
+                None => {
+                    let id = Self::typed_component(system, group.as_str(), SERVER_GROUP_T)?;
+                    let conn = Self::service_connector(system, id)?;
+                    *connectors.entry(group).or_insert(conn)
+                }
+            };
+            Self::attach_client(system, conn, client.as_str(), port, &mut role_name)?;
+        }
+        Ok(())
     }
 
     /// `move(to)` (§3.3), the body of
@@ -284,22 +297,24 @@ impl ClientServerStyle {
         to_group: &str,
     ) -> Result<ResolvedMove<'a>, ModelError> {
         let group = Self::typed_component(system, to_group, SERVER_GROUP_T)?;
-        let mut members = Vec::new();
-        let mut stale = Vec::new();
-        let (mut seen, mut doomed) = (IdSet::default(), IdSet::default());
+        let mut members = Vec::with_capacity(clients.len());
+        let mut stale = Vec::with_capacity(clients.len());
+        // Members' ports and their stale roles, in one set: ports and roles
+        // draw their ids from one counter.
+        let mut taken = IdSet::default();
         for client in clients {
             let Some(id) = system.component_by_name(client) else {
                 continue;
             };
             let port = Self::port_named(system, id, Self::CLIENT_PORT)?;
-            if !seen.insert(port.0) {
+            if !taken.insert(port.0) {
                 continue;
             }
             // The stale role is the first one a one-at-a-time move would
             // still find attached: earlier members have taken theirs away.
             let mut attached = system.roles_attached_to_port(port);
-            if let Some(old_role) = attached.find(|r| !doomed.contains(r.0)) {
-                doomed.insert(old_role.0);
+            if let Some(old_role) = attached.find(|r| !taken.contains(r.0)) {
+                taken.insert(old_role.0);
                 stale.push(old_role);
             }
             members.push((client, port));
@@ -467,16 +482,13 @@ impl ClientServerStyle {
         sys.properties.set(props::MAX_LATENCY, 2.0);
         sys.properties.set(props::MAX_SERVER_LOAD, 6i64);
         sys.properties.set(props::MIN_BANDWIDTH, 10_000.0);
-        let mut group_ids = Vec::new();
+        let mut group_names = Vec::new();
         for g in 1..=groups {
             let id = Self::add_server_group(&mut sys, &format!("ServerGrp{g}"), servers_per_group)?;
-            group_ids.push(id);
+            group_names.push(sys.component(id)?.name);
         }
-        for c in 1..=clients {
-            let client = Self::add_client(&mut sys, &format!("User{c}"))?;
-            let group = group_ids[(c - 1) % group_ids.len()];
-            Self::connect_client(&mut sys, client, group)?;
-        }
+        let homes = (1..=clients).map(|c| (format!("User{c}"), group_names[(c - 1) % groups]));
+        Self::add_clients(&mut sys, homes)?;
         Ok(sys)
     }
 }
@@ -501,6 +513,36 @@ mod tests {
         let g2 = sys.component_by_name("ServerGrp2").unwrap();
         assert_eq!(ClientServerStyle::clients_of_group(&sys, g1).len(), 2);
         assert_eq!(ClientServerStyle::clients_of_group(&sys, g2).len(), 2);
+    }
+
+    #[test]
+    fn two_groups_on_one_server_role_are_both_counted() {
+        let mut sys = ClientServerStyle::example_system("storage", 2, 1, 2).unwrap();
+        let conn = sys.connector_by_name("ServerGrp1.Conn").unwrap();
+        let server_side = sys.connector(conn).unwrap().roles[0];
+        let g2 = sys.component_by_name("ServerGrp2").unwrap();
+        let serve = sys.ports_of(g2).next().unwrap();
+        sys.attach(serve, server_side).unwrap();
+        let g1 = sys.component_by_name("ServerGrp1").unwrap();
+        let u1 = sys.component_by_name("User1").unwrap();
+        assert_eq!(sys.components_attached_to_connector(conn), [g1, g2, u1]);
+        let found: Vec<_> = ClientServerStyle::validate(&sys)
+            .into_iter()
+            .map(|v| (v.subject, v.rule))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (
+                    "User1".to_string(),
+                    "client must be connected to exactly one server group (found 2)".to_string()
+                ),
+                (
+                    "ServerGrp1.Conn".to_string(),
+                    "service connector must attach exactly one server group (found 2)".to_string()
+                ),
+            ]
+        );
     }
 
     #[test]

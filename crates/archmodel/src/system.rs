@@ -11,31 +11,6 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
-/// The property-change journal carried by a [`System`].
-///
-/// Every property write that goes through the model-update path (the
-/// journaled setters below and the style operators built on them)
-/// records a `(element, key)` dirty entry tagged with the current epoch;
-/// structural mutations (add/remove of components, connectors, ports, roles,
-/// attachments) set a conservative *structural* flag instead of tracking
-/// fine-grained entries. Dirty entries live in ordered sets, so iteration —
-/// and everything derived from it — is deterministic.
-///
-/// The journal is bookkeeping, not model state: it is excluded from the
-/// owning system's equality.
-#[derive(Debug, Clone, Default)]
-struct ChangeJournal {
-    /// Epoch stamp for the entries currently accumulating; bumped by each
-    /// [`System::drain_changes`].
-    epoch: u64,
-    /// Dirty `(element, property)` pairs, in element-then-key order.
-    dirty: BTreeSet<(ElementRef, Key)>,
-    /// Dirty system-level properties, in name order.
-    dirty_system: BTreeSet<Key>,
-    /// True when a structural mutation happened since the last drain.
-    structural: bool,
-}
-
 /// The batch of changes accumulated since the previous
 /// [`System::drain_changes`] call, tagged with the epoch it covers.
 #[derive(Debug, Clone, Default)]
@@ -138,19 +113,46 @@ const NEXT: usize = 2;
 /// position in `attachments`.
 const EDGES: usize = 3;
 
+/// A vector whose copies have room for a few more items. A copy of the
+/// model is made to apply a script to, and without the room the script's
+/// first new element would regrow the copy's whole id table and slot vector.
+#[derive(Debug, Default)]
+struct SpareVec<T>(Vec<T>);
+
+impl<T: Clone> Clone for SpareVec<T> {
+    fn clone(&self) -> Self {
+        let mut copy = Vec::with_capacity(self.0.len() + 16);
+        copy.extend_from_slice(&self.0);
+        SpareVec(copy)
+    }
+}
+
+impl<T> std::ops::Deref for SpareVec<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for SpareVec<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        &mut self.0
+    }
+}
+
 /// One kind's elements in id order. A removed element leaves a tombstone
 /// (`None`) that iteration skips; once tombstones outnumber live slots the
 /// vector is compacted in order and the moved ids' slots rewritten.
 #[derive(Debug, Clone)]
 struct Slots<T> {
-    items: Vec<(u32, Option<T>)>,
+    items: SpareVec<(u32, Option<T>)>,
     dead: usize,
 }
 
 impl<T> Default for Slots<T> {
     fn default() -> Self {
         Slots {
-            items: Vec::new(),
+            items: SpareVec(Vec::new()),
             dead: 0,
         }
     }
@@ -197,17 +199,10 @@ impl<T> Slots<T> {
     }
 }
 
-impl<T: PartialEq> PartialEq for Slots<T> {
-    // Live elements only: tombstones and capacity are not content.
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
 /// An attachment of the canonical list, threaded onto its port's list
 /// (`next[0]`) and its role's (`next[1]`); `None` once detached, until the
 /// list is compacted.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Edge {
     att: Option<Attachment>,
     next: [u32; 2],
@@ -234,7 +229,9 @@ enum List {
 /// iteration skips; when a kind's tombstones outnumber its live slots, its
 /// vector is compacted in order and the moved slots are rewritten in the
 /// table. A 50,000-client model is a few dozen heap blocks, plus one
-/// property list per element that has properties.
+/// property list per element that has properties. A copy's slot vectors, id
+/// table and attachment list keep room for 16 more items, so the few
+/// elements a repair script adds to its working copy do not regrow it.
 ///
 /// **Names** and types are interned [`Key`]s. Name lookups
 /// (`component_by_name` and friends) are O(1) through `Key`-keyed maps, and a
@@ -266,12 +263,12 @@ pub struct System {
     connectors: Slots<Connector>,
     ports: Slots<Port>,
     roles: Slots<Role>,
-    attachments: Vec<Edge>,
+    attachments: SpareVec<Edge>,
     /// Detached edges still in `attachments`.
     dead_edges: usize,
     /// One row per id handed out (see [`SLOT`] and the columns after it):
     /// its length is the next id.
-    index: Vec<[u32; 5]>,
+    index: SpareVec<[u32; 5]>,
     component_names: HashMap<Key, ComponentId>,
     connector_names: HashMap<Key, ConnectorId>,
     /// First (lowest-id) role carrying each name plus how many roles carry
@@ -280,19 +277,28 @@ pub struct System {
     /// unique names (the overwhelmingly common case); a promotion scan runs
     /// only when duplicates actually exist.
     role_names: HashMap<Key, (RoleId, u32)>,
-    /// Change journal feeding incremental constraint checking. Like the name
-    /// maps this is derived bookkeeping: excluded from equality.
-    journal: ChangeJournal,
+    /// The change journal feeding incremental constraint checking: the
+    /// batch [`drain_changes`](Self::drain_changes) hands out next. Every
+    /// property write that goes through the model-update path (the journaled
+    /// setters below and the style operators built on them) records an
+    /// `(element, key)` dirty entry; structural mutations (adding or removing
+    /// components, connectors, ports, roles, attachments) set a conservative
+    /// *structural* flag instead of tracking fine-grained entries. Dirty
+    /// entries live in ordered sets, so iteration — and everything derived
+    /// from it — is deterministic. Like the name maps this is bookkeeping,
+    /// not model state: excluded from equality.
+    journal: ModelDelta,
 }
 
 impl PartialEq for System {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.properties == other.properties
-            && self.components == other.components
-            && self.connectors == other.connectors
-            && self.ports == other.ports
-            && self.roles == other.roles
+            // Live elements only: tombstones and capacity are not content.
+            && self.components.iter().eq(other.components.iter())
+            && self.connectors.iter().eq(other.connectors.iter())
+            && self.ports.iter().eq(other.ports.iter())
+            && self.roles.iter().eq(other.roles.iter())
             && self.attachments().eq(other.attachments())
             && self.index.len() == other.index.len()
     }
@@ -426,13 +432,8 @@ impl System {
     /// opens the next journal epoch. The incremental constraint checker
     /// calls this once per check.
     pub fn drain_changes(&mut self) -> ModelDelta {
-        let delta = ModelDelta {
-            epoch: self.journal.epoch,
-            dirty: std::mem::take(&mut self.journal.dirty),
-            dirty_system: std::mem::take(&mut self.journal.dirty_system),
-            structural: std::mem::replace(&mut self.journal.structural, false),
-        };
-        self.journal.epoch += 1;
+        let delta = std::mem::take(&mut self.journal);
+        self.journal.epoch = delta.epoch + 1;
         delta
     }
 
@@ -535,12 +536,6 @@ impl System {
         let ctype = Key::find(ctype);
         self.components()
             .filter(move |(_, c)| Some(c.ctype) == ctype)
-    }
-
-    /// The children (representation members) of a component.
-    pub fn children_of(&self, id: ComponentId) -> Result<Vec<ComponentId>, ModelError> {
-        self.component(id)?;
-        Ok(self.children(id).collect())
     }
 
     /// The children of a component in id order, read in place; none for an
@@ -786,9 +781,8 @@ impl System {
     /// The connectors that the given component is attached to.
     pub fn connectors_of_component(&self, id: ComponentId) -> Vec<ConnectorId> {
         let roles = self.roles_of_component(id).into_iter();
-        let mut out: Vec<ConnectorId> = roles
-            .filter_map(|r| Some(self.role(r).ok()?.owner))
-            .collect();
+        let owners = roles.filter_map(|r| Some(self.role(r).ok()?.owner));
+        let mut out: Vec<ConnectorId> = owners.collect();
         out.sort();
         out.dedup();
         out
@@ -797,10 +791,10 @@ impl System {
     /// Components attached (through any role) to the given connector.
     pub fn components_attached_to_connector(&self, id: ConnectorId) -> Vec<ComponentId> {
         let roles = self.connector(id).map_or(&[][..], |c| &c.roles);
-        let attached = roles
-            .iter()
-            .filter_map(|r| self.component_attached_to_role(*r));
-        let mut out: Vec<ComponentId> = attached.collect();
+        let edges = roles.iter().flat_map(|r| self.edges(r.0, 1));
+        // Most roles hold one attachment: one allocation for the common case.
+        let mut out = Vec::with_capacity(roles.len());
+        out.extend(edges.filter_map(|a| Some(self.port(a.port).ok()?.owner)));
         out.sort();
         out.dedup();
         out
@@ -808,16 +802,15 @@ impl System {
 
     /// True if two components share at least one connector.
     pub fn connected(&self, a: ComponentId, b: ComponentId) -> bool {
-        let conns_b = self.connectors_of_component(b);
-        self.connectors_of_component(a)
-            .iter()
-            .any(|c| conns_b.contains(c))
+        let a = self.connectors_of_component(a);
+        let b = self.connectors_of_component(b);
+        a.iter().any(|c| b.contains(c))
     }
 
     // ---- property helpers ------------------------------------------------
     //
     // These setters are the journaled model-update path: they record a dirty
-    // entry for every write (see [`ChangeJournal`]). The raw `*_mut`
+    // entry for every write (see `System::journal`). The raw `*_mut`
     // accessors above bypass the journal and are intended for model
     // construction, before any incremental consumer attaches.
 
@@ -886,10 +879,7 @@ impl System {
             ElementRef::Port(id) => self.port(id).map(|p| p.name),
             ElementRef::Role(id) => self.role(id).map(|r| r.name),
         };
-        name.map_or_else(
-            |_| Cow::Owned(element.to_string()),
-            |n| Cow::Borrowed(n.as_str()),
-        )
+        name.map_or_else(|_| element.to_string().into(), |n| n.as_str().into())
     }
 
     /// Checks referential integrity of the whole graph (every port/role owner
@@ -1117,11 +1107,11 @@ pub(crate) mod tests {
         let s2 = sys
             .add_child_component(group, "Server2", "ServerT")
             .unwrap();
-        assert_eq!(sys.children_of(group).unwrap(), vec![s1, s2]);
+        assert_eq!(sys.children(group).collect::<Vec<_>>(), vec![s1, s2]);
         assert_eq!(sys.component(s1).unwrap().parent, Some(group));
         // Removing a child updates the parent's list.
         sys.remove_component(s1).unwrap();
-        assert_eq!(sys.children_of(group).unwrap(), vec![s2]);
+        assert_eq!(sys.children(group).collect::<Vec<_>>(), vec![s2]);
         assert!(sys.integrity_errors().is_empty());
     }
 
@@ -1457,6 +1447,22 @@ pub(crate) mod tests {
                 at.map(|a| a.1).collect()
             }
 
+            /// The owners of every port attached to one of `conn`'s roles.
+            fn holders(&self, conn: u32) -> Vec<u32> {
+                let roles = self.roles_of(conn);
+                let at = self.attachments.iter().filter(|a| roles.contains(&a.1));
+                let owners: BTreeSet<u32> = at.map(|a| self.ports[&a.0].2).collect();
+                owners.into_iter().collect()
+            }
+
+            /// The owners of every role attached to one of `owner`'s ports.
+            fn connectors_of(&self, owner: u32) -> Vec<u32> {
+                let ports = self.ports_of(owner);
+                let at = self.attachments.iter().filter(|a| ports.contains(&a.0));
+                let owners: BTreeSet<u32> = at.map(|a| self.roles[&a.1].2).collect();
+                owners.into_iter().collect()
+            }
+
             fn add_component(
                 &mut self,
                 name: &str,
@@ -1786,6 +1792,20 @@ pub(crate) mod tests {
                     let listed: Vec<u32> = conn.roles.iter().map(|r| r.0).collect();
                     assert_eq!(listed, shadow.roles_of(id), "roles of #{id}");
                 }
+                let holders = sys.components_attached_to_connector(ConnectorId(id));
+                let holders: Vec<u32> = holders.iter().map(|c| c.0).collect();
+                assert_eq!(holders, shadow.holders(id), "holders of #{id}");
+                let conns = sys.connectors_of_component(component);
+                let conns: Vec<u32> = conns.iter().map(|c| c.0).collect();
+                assert_eq!(conns, shadow.connectors_of(id), "connectors of #{id}");
+                let roles: Vec<u32> = sys
+                    .roles_of_component(component)
+                    .iter()
+                    .map(|r| r.0)
+                    .collect();
+                let ports = shadow.ports_of(id).into_iter();
+                let shadow_roles: Vec<u32> = ports.flat_map(|p| shadow.roles_at(p)).collect();
+                assert_eq!(roles, shadow_roles, "roles of component #{id}");
             }
             for (element, mark) in &shadow.marks {
                 assert_eq!(sys.get_property(*element, "mark"), Some(&Value::Int(*mark)));

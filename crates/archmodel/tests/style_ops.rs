@@ -24,10 +24,9 @@ fn fleet(servers: &[usize], homes: &[usize], earlier: &[(usize, usize)]) -> Syst
         .enumerate()
         .map(|(g, n)| Style::add_server_group(&mut sys, &group(g), 1 + n % 3).unwrap())
         .collect();
-    for (i, home) in homes.iter().enumerate() {
-        let client = Style::add_client(&mut sys, &format!("User{}", i + 1)).unwrap();
-        Style::connect_client(&mut sys, client, groups[home % groups.len()]).unwrap();
-    }
+    let clients = homes.iter().enumerate();
+    let clients = clients.map(|(i, home)| (format!("User{}", i + 1), group(home % groups.len())));
+    Style::add_clients(&mut sys, clients).unwrap();
     for &(client, to) in earlier {
         let op = ModelOp::MoveClient {
             client: format!("User{}", client % homes.len() + 1),
@@ -88,7 +87,7 @@ fn siblings(sys: &System, server: &str) -> Option<usize> {
     let id = sys.component_by_name(server)?;
     let comp = sys.component(id).unwrap();
     (comp.ctype == SERVER_T).then_some(())?;
-    Some(sys.children_of(comp.parent?).unwrap().len())
+    Some(sys.children(comp.parent?).count())
 }
 
 /// How many ops of each kind a run of scripts applied, and how many

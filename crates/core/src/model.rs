@@ -7,7 +7,7 @@
 
 use crate::task::PerformanceProfile;
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{ConnectorId, ElementRef, Key, ModelError, System, Value};
+use archmodel::{ElementRef, ModelError, System, Value};
 use gridapp::GridApp;
 use monitoring::GaugeReading;
 use std::collections::HashMap;
@@ -54,35 +54,7 @@ pub fn build_model(
         // The provisioning baseline cost reduction never shrinks below.
         properties.set(props::BASE_REPLICAS, runtime_servers.len() as f64);
     }
-    // A group's connector is created when its first client connects, as
-    // `connect_client` would, and resolved once; role names are formatted in
-    // one buffer.
-    let mut connectors: HashMap<Key, ConnectorId> = HashMap::new();
-    let mut role_name = String::new();
-    for (client_name, group_name) in app.assignments() {
-        let client = ClientServerStyle::add_client(&mut model, client_name.as_str())?;
-        let port = model
-            .ports_of(client)
-            .next()
-            .expect("a client has its port");
-        let conn = match connectors.get(&group_name) {
-            Some(conn) => *conn,
-            None => {
-                let group = model
-                    .component_by_key(group_name)
-                    .ok_or_else(|| ModelError::NameNotFound(group_name.to_string()))?;
-                let conn = ClientServerStyle::service_connector(&mut model, group)?;
-                *connectors.entry(group_name).or_insert(conn)
-            }
-        };
-        ClientServerStyle::attach_client(
-            &mut model,
-            conn,
-            client_name.as_str(),
-            port,
-            &mut role_name,
-        )?;
-    }
+    ClientServerStyle::add_clients(&mut model, app.assignments())?;
     Ok((model, server_map))
 }
 

@@ -351,7 +351,10 @@ impl GroupPlanner {
             counts.insert(group.clone(), 0);
         }
         for group in input.client_groups.values() {
-            *counts.entry(group.clone()).or_insert(0) += 1;
+            match counts.get_mut(group) {
+                Some(count) => *count += 1,
+                None => drop(counts.insert(group.clone(), 1)),
+            }
         }
         for mv in &moves {
             if let Some(count) = counts.get_mut(&mv.from) {

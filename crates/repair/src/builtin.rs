@@ -224,7 +224,7 @@ impl Tactic for ReduceServersTactic {
                 .map(|b| b.max(0.0) as usize)
                 .unwrap_or(self.min_servers)
                 .max(self.min_servers);
-            let children = ctx.model.children_of(id).unwrap_or_default();
+            let children: Vec<_> = ctx.model.children(id).collect();
             if children.len() <= floor {
                 continue;
             }
@@ -273,7 +273,7 @@ fn dead_replicas_of(model: &System, group: &str) -> Vec<String> {
         return Vec::new();
     };
     let mut dead = Vec::new();
-    for child in model.children_of(group_id).unwrap_or_default() {
+    for child in model.children(group_id) {
         if let Ok(server) = model.component(child) {
             if server.properties.get_f64(props::IS_ALIVE) == Some(0.0) {
                 dead.push(server.name.to_string());
@@ -312,7 +312,7 @@ impl Tactic for FailoverServerGroupTactic {
             .model
             .component_by_name(&group)
             .ok_or_else(|| RepairError::Operator(format!("group {group} vanished")))?;
-        let members = ctx.model.children_of(group_id).unwrap_or_default().len();
+        let members = ctx.model.children(group_id).count();
         let spares = ctx.query.spare_server_count(&group);
         let replacements = dead.len().min(spares);
         if replacements == 0 && members == dead.len() {
@@ -672,8 +672,7 @@ mod tests {
     fn reduce_servers_never_empties_a_group() {
         let mut model = System::new("tiny");
         let g = ClientServerStyle::add_server_group(&mut model, "G1", 1).unwrap();
-        let c = ClientServerStyle::add_client(&mut model, "U1").unwrap();
-        ClientServerStyle::connect_client(&mut model, c, g).unwrap();
+        ClientServerStyle::add_clients(&mut model, [("U1", "G1")]).unwrap();
         model
             .component_mut(g)
             .unwrap()
@@ -783,7 +782,7 @@ mod tests {
     fn crashed_scenario(dead: usize) -> (System, Violation) {
         let mut model = ClientServerStyle::example_system("storage", 2, 3, 6).unwrap();
         let g1 = model.component_by_name("ServerGrp1").unwrap();
-        let children = model.children_of(g1).unwrap();
+        let children: Vec<_> = model.children(g1).collect();
         for (i, child) in children.iter().enumerate() {
             let alive = if i < dead { 0.0 } else { 1.0 };
             model
@@ -840,7 +839,7 @@ mod tests {
                     archmodel::apply_op(&mut repaired, op).unwrap();
                 }
                 let g1 = repaired.component_by_name("ServerGrp1").unwrap();
-                assert_eq!(repaired.children_of(g1).unwrap().len(), 3);
+                assert_eq!(repaired.children(g1).count(), 3);
                 assert!(ClientServerStyle::validate(&repaired).is_empty());
             }
             other => panic!("unexpected outcome: {other:?}"),
@@ -859,7 +858,7 @@ mod tests {
                 }
                 let g1 = repaired.component_by_name("ServerGrp1").unwrap();
                 // Two corpses retired, one spare recruited: 1 + 1 replicas.
-                assert_eq!(repaired.children_of(g1).unwrap().len(), 2);
+                assert_eq!(repaired.children(g1).count(), 2);
             }
             other => panic!("unexpected outcome: {other:?}"),
         }

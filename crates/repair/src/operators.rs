@@ -271,10 +271,9 @@ mod tests {
     #[test]
     fn move_client_creates_connector_when_missing() {
         let mut model = System::new("min");
-        let c = ClientServerStyle::add_client(&mut model, "User1").unwrap();
-        let g1 = ClientServerStyle::add_server_group(&mut model, "G1", 1).unwrap();
+        ClientServerStyle::add_server_group(&mut model, "G1", 1).unwrap();
         ClientServerStyle::add_server_group(&mut model, "G2", 1).unwrap();
-        ClientServerStyle::connect_client(&mut model, c, g1).unwrap();
+        ClientServerStyle::add_clients(&mut model, [("User1", "G1")]).unwrap();
         // G2 has no connector yet.
         assert!(model.connector_by_name("G2.Conn").is_none());
         let mut tx = Transaction::new(&model);
@@ -315,9 +314,8 @@ mod tests {
     #[test]
     fn remove_last_server_leaves_invalid_style_detectable() {
         let mut model = System::new("tiny");
-        let g = ClientServerStyle::add_server_group(&mut model, "G1", 1).unwrap();
-        let c = ClientServerStyle::add_client(&mut model, "U1").unwrap();
-        ClientServerStyle::connect_client(&mut model, c, g).unwrap();
+        ClientServerStyle::add_server_group(&mut model, "G1", 1).unwrap();
+        ClientServerStyle::add_clients(&mut model, [("U1", "G1")]).unwrap();
         let mut tx = Transaction::new(&model);
         remove_server(&mut tx, "G1.Server1").unwrap();
         // The operator applied, but the style validator flags the empty group

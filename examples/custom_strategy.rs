@@ -47,7 +47,7 @@ impl Tactic for ProvisionToAnalysis {
             .components_of_type(archmodel::style::SERVER_GROUP_T)
         {
             let load = group.properties.get_f64(props::LOAD).unwrap_or(0.0);
-            let replicas = ctx.model.children_of(id).map(|c| c.len()).unwrap_or(0);
+            let replicas = ctx.model.children(id).count();
             if load > max_load {
                 match &worst {
                     Some((_, worst_load, _)) if *worst_load >= load => {}
@@ -152,7 +152,7 @@ fn main() {
             let grp1 = model.component_by_name("ServerGrp1").unwrap();
             println!(
                 "ServerGrp1 now has {} replicas (style valid: {})",
-                model.children_of(grp1).unwrap().len(),
+                model.children(grp1).count(),
                 ClientServerStyle::validate(&model).is_empty()
             );
         }

@@ -216,7 +216,7 @@ fn custom_strategy_flow_detects_and_repairs() {
                 archmodel::apply_op(&mut model, op).unwrap();
             }
             let grp1 = model.component_by_name("ServerGrp1").unwrap();
-            assert_eq!(model.children_of(grp1).unwrap().len(), 4);
+            assert_eq!(model.children(grp1).count(), 4);
             assert!(ClientServerStyle::validate(&model).is_empty());
         }
         other => panic!("expected a repair, got {other:?}"),
