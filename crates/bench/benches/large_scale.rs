@@ -1,12 +1,12 @@
 //! Large-scale testbed benchmark: control-loop throughput and probe latency
-//! at 2,000 clients, plus the allocator-equivalence gate.
+//! at 2,000 clients.
 //!
 //! Three things happen here:
 //!
-//! 1. **Equivalence gate** — the indexed incremental allocator and the
-//!    retained reference implementation (`max_min_fair_rates`) are run over
-//!    flow sets drawn from the large-scale topology and must produce
-//!    **bit-identical** rates (the bench aborts otherwise).
+//! 1. **Gates** — the incremental constraint checker matches full sweeps,
+//!    and class-shared probing cuts probe solves at least 4× (the bench
+//!    aborts otherwise). The allocator's equivalence on fleet flow sets is
+//!    a release test, `crates/gridapp/tests/fleet_alloc_equivalence.rs`.
 //! 2. **Criterion measurements** — control-tick throughput (one 5 s control
 //!    period of the 2,000-client adaptive framework per iteration) and
 //!    `remos_get_flow` probe latency, warm (memoised epoch) and cold (epoch
@@ -23,9 +23,7 @@ use arch_adapt::experiment::{run_observed, Comparison, ExperimentConfig};
 use arch_adapt::framework::{AdaptationFramework, FrameworkConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_1};
-use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
-use simnet::{Allocator, PathTable, SimRng, SimTime};
-use std::collections::HashMap;
+use simnet::SimTime;
 use std::hint::black_box;
 
 fn quick() -> bool {
@@ -34,82 +32,6 @@ fn quick() -> bool {
 
 fn large_grid() -> GridConfig {
     GridConfig::with_testbed(TestbedSpec::large_scale())
-}
-
-/// Asserts the indexed allocator reproduces the reference bit-for-bit over
-/// flow sets sampled from the large-scale topology, and over one
-/// fleet-shaped set: the 39 flows of a typical 50k epoch, scattered over that
-/// testbed's ~100k links (sparse resource ids are what the allocator's slot
-/// table is for). Each set is inserted into one persistent allocator and
-/// solved, then every other row is removed and the rest solved again.
-fn assert_allocator_equivalence() {
-    let mut rng = SimRng::seed_from_u64(2026).derive(5);
-    let mut allocator = Allocator::new();
-    let cases = [
-        (TestbedSpec::large_scale(), &[16usize, 128, 512][..]),
-        (TestbedSpec::large_scale_50k(), &[39][..]),
-    ];
-    for (spec, flow_counts) in cases {
-        let testbed = gridapp::Testbed::from_spec(&spec).expect("testbed builds");
-        let topology = &testbed.topology;
-        let mut paths = PathTable::new();
-        let hosts: Vec<_> = testbed.client_hosts.iter().map(|&(_, h)| h).collect();
-        let servers = &testbed.server_hosts;
-
-        let capacities_map: HashMap<simnet::LinkId, f64> = topology
-            .links()
-            .map(|(id, l)| (id, l.effective_capacity_bps()))
-            .collect();
-        let capacities_dense: Vec<f64> = topology
-            .links()
-            .map(|(_, l)| l.effective_capacity_bps())
-            .collect();
-
-        for &flows in flow_counts {
-            let mut live: Vec<(u32, Vec<simnet::LinkId>)> = (0..flows)
-                .map(|_| {
-                    let src = servers[rng.index(servers.len())];
-                    let dst = hosts[rng.index(hosts.len())];
-                    let path = paths.path(topology, src, dst).expect("connected testbed");
-                    let resources: Vec<u32> = path.iter().map(|l| l.0 as u32).collect();
-                    (allocator.insert(&capacities_dense, &resources), path)
-                })
-                .collect();
-            for round in ["all rows", "every other row removed"] {
-                let reference_demands: Vec<FlowDemand> = live
-                    .iter()
-                    .enumerate()
-                    .map(|(key, (_, path))| FlowDemand {
-                        key: FlowKey(key as u64),
-                        links: path.clone(),
-                        weight: 1.0,
-                    })
-                    .collect();
-                let expected = max_min_fair_rates(&capacities_map, &reference_demands);
-                allocator.solve();
-                for (i, (row, _)) in live.iter().enumerate() {
-                    let (rate, reference) = (allocator.rate(*row), expected[&FlowKey(i as u64)]);
-                    assert!(
-                        rate.to_bits() == reference.to_bits(),
-                        "allocator diverged from reference at flow {i} of {flows} ({round}) \
-                         over {} links: {rate} != {reference}",
-                        capacities_dense.len()
-                    );
-                }
-                for &(row, _) in live.iter().skip(1).step_by(2) {
-                    allocator.remove(row);
-                }
-                live = live.into_iter().step_by(2).collect();
-            }
-            for (row, _) in live {
-                allocator.remove(row);
-            }
-        }
-    }
-    println!(
-        "[large-scale] allocator matches reference bit-identically \
-         (16/128/512 flows at 2k, 39 flows over the 50k testbed's links; all, then half)"
-    );
 }
 
 /// Asserts the symmetry-aware class probing cuts per-tick probe sampling by
@@ -173,7 +95,6 @@ fn assert_incremental_check_equivalence() {
 }
 
 fn bench_large_scale(c: &mut Criterion) {
-    assert_allocator_equivalence();
     assert_incremental_check_equivalence();
     assert_probe_sharing();
 

@@ -5,16 +5,19 @@
 //! link on every round. [`Allocator`] is the one solver in the production
 //! build. The simulator re-solves the allocation on every transfer start and
 //! completion and once more per bandwidth probe, so a solve costs what the
-//! epoch's own flows and links cost, never what the fleet's link table costs.
+//! rows the change can reach and their links cost, never what the fleet's
+//! link table or the other flows in flight cost.
 //!
 //! **Rows persist.** A flow is registered once, as a *row*, when it starts
 //! ([`Allocator::insert`]) and dropped once, when it retires
-//! ([`Allocator::remove`]); a probe is insert, solve, read, remove. Its path
-//! is translated to *slots* at registration: `slot_of` maps a global
-//! [`ResourceId`] to a dense slot holding the resource's capacity and how
-//! many live path occurrences cross it, and a slot is freed when that count
-//! drops to zero. Live rows and live slots are kept in dense lists, so a
-//! solve touches only what is registered: it resets the live shared slots,
+//! ([`Allocator::remove`]); a probe is insert, cover, solve, read, remove.
+//! Its path is translated to *slots* at registration: `slot_of` maps a
+//! global [`ResourceId`] to a dense slot holding the resource's capacity and
+//! how many live path occurrences cross it, and a slot is freed when that
+//! count drops to zero. Each slot's occurrences are a list threaded through
+//! the rows' paths (one `next` link per occurrence), so no slot owns a
+//! buffer. Live rows and live slots are kept in dense lists, so a solve
+//! touches only what is registered: it resets the shared slots it queues,
 //! lays their registration lists out CSR-style from the rows' translated
 //! paths, heapifies once and fills. Capacities change only through
 //! [`Allocator::refresh_capacities`]. The only fleet-sized table is
@@ -29,6 +32,39 @@
 //! and is skipped when the row froze first. The bottleneck order, and the
 //! subtractions every shared slot sees, are the ones queueing every slot
 //! gives.
+//!
+//! **Slots that cannot bind.** A row's *bound* is its least capacity times
+//! the most times its path lists one slot: progressive filling never takes
+//! more than that from any slot the row crosses, per occurrence (a row
+//! freezes at most at the share of its least-capacity slot, and a row frozen
+//! at a slot it lists `m` times is taken `m` times). A shared slot is
+//! *bindable* only if its rows' bounds, summed over its occurrences, exceed
+//! `capacity × (1 − 1e-9)`; every insert, remove and capacity refresh
+//! re-sums the slots it touches. A covered solve leaves the other shared
+//! slots out entirely: not queued, not subtracted from, not refreshed. That
+//! is exact. Such a slot is no row's least-capacity slot (that row's bound
+//! alone would fill it), so every unfrozen row on it has a candidate at or
+//! under its own bound, and the heap's minimum is at most the least unfrozen
+//! bound. The slot's share stays at or above its unfrozen rows' summed
+//! bounds plus `1e-9 × capacity` (less rounding) over their count, which is
+//! strictly more: it never pops, and a slot that never pops changes no rate.
+//! The margin covers the rounding of millions of sequential
+//! `(remaining − rate).max(0)` steps.
+//!
+//! **Components.** Rows joined through bindable slots form components, and
+//! progressive filling on disjoint components only interleaves: no pop of
+//! one touches a slot or a row of another. So [`Allocator::cover`] walks the
+//! changed row's component, and [`Allocator::solve_cover`] solves just it,
+//! bit-identical to what [`Allocator::solve`] gives those rows. A start can
+//! only turn slots on its own path bindable and a retire only turn them
+//! unbindable, so covering the new row after its insert, or the retiring row
+//! before its remove, covers every rate that can move; a private slot a start
+//! makes shared (or a retire makes private again) cannot bind either, by the
+//! same argument. Other rows keep the rates their last covered solve gave
+//! them, in the owner's hands: a probe's solve re-solves its component with
+//! the probe in place, so the allocator's own copy of those rates is only
+//! current for [`Allocator::covered`]. A capacity refresh or a relink is
+//! followed by a full solve.
 //!
 //! **Unit weights, counted.** Every flow weighs `1.0`, so a resource's
 //! unfrozen weight is the number of unfrozen flows crossing it, once per path
@@ -75,8 +111,28 @@ pub type ResourceId = u32;
 /// for a whole solve, so the tag only ever orders one shared slot's stamps.
 type Candidate = Reverse<(u64, ResourceId, u32)>;
 
-/// Marks a resource no live row crosses in `slot_of`.
-const NO_SLOT: u32 = u32::MAX;
+/// Marks an absent index: a resource no live row crosses in `slot_of`, the
+/// end of a slot's occurrence list, a removed row's position.
+const NONE: u32 = u32::MAX;
+
+/// How far under its capacity a shared slot's summed row bounds must stay
+/// for the slot to be left out of covered solves: room for the rounding of
+/// millions of sequential subtractions (see the module docs).
+const BIND_MARGIN: f64 = 1.0e-9;
+
+/// One path occurrence, `rows[row].path[at]`. A slot's occurrences form a
+/// list threaded through the rows' `next` links.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Occurrence {
+    row: u32,
+    at: u32,
+}
+
+/// The end of an occurrence list.
+const END: Occurrence = Occurrence {
+    row: NONE,
+    at: NONE,
+};
 
 /// One resource some live row crosses.
 #[derive(Debug, Clone, Copy, Default)]
@@ -92,6 +148,13 @@ struct Slot {
     count: u32,
     /// Index in `live_slots`.
     pos: u32,
+    /// The first of the occurrences crossing the resource.
+    head: Occurrence,
+    /// Shared, and its rows' bounds can fill it: only such a slot joins
+    /// rows into one component and enters a covered solve.
+    bindable: bool,
+    /// The last cover walk that reached the slot.
+    seen: u64,
     /// Capacity not yet handed to frozen rows in the current solve.
     remaining: f64,
     /// `remaining / live` as of the last refresh.
@@ -111,10 +174,18 @@ struct Slot {
 #[derive(Debug, Default)]
 struct Row {
     path: Vec<u32>,
-    /// Index in `live_rows`.
+    /// Each occurrence's successor in its slot's list.
+    next: Vec<Occurrence>,
+    /// The most a freeze of this row takes from any slot it crosses, per
+    /// occurrence: its least capacity, times the most times its path lists
+    /// one slot.
+    bound: f64,
+    /// Index in `live_rows`; [`NONE`] once removed.
     pos: u32,
+    /// The last cover walk that reached the row.
+    seen: u64,
     frozen: bool,
-    /// The rate as of the last solve.
+    /// The rate as of the last solve that covered the row.
     rate: f64,
 }
 
@@ -126,7 +197,7 @@ struct Row {
 /// `available_bandwidth` probe for one extra row.
 #[derive(Debug, Default)]
 pub struct Allocator {
-    /// Global resource → its slot, [`NO_SLOT`] when no live row crosses it.
+    /// Global resource → its slot, [`NONE`] when no live row crosses it.
     slot_of: Vec<u32>,
     slots: Vec<Slot>,
     live_slots: Vec<u32>,
@@ -134,6 +205,12 @@ pub struct Allocator {
     rows: Vec<Row>,
     live_rows: Vec<u32>,
     free_rows: Vec<u32>,
+    /// The rows the next (or last) solve covers, and the slots that may be
+    /// queued in it.
+    cover: Vec<u32>,
+    cover_slots: Vec<u32>,
+    /// Stamp of the current cover walk.
+    walk: u64,
     /// Rows per slot (CSR), one entry per path occurrence.
     entries: Vec<u32>,
     /// Slots whose share must be recomputed after a freeze round.
@@ -182,7 +259,7 @@ impl Allocator {
     /// Drops a row; its number may be handed out again by the next insert.
     pub fn remove(&mut self, row: u32) {
         self.unlink(row);
-        let pos = self.rows[row as usize].pos;
+        let pos = std::mem::replace(&mut self.rows[row as usize].pos, NONE);
         if let Some(moved) = swap_out(&mut self.live_rows, pos) {
             self.rows[moved as usize].pos = pos;
         }
@@ -201,33 +278,51 @@ impl Allocator {
         path.iter().map(|&s| self.slots[s as usize].resource)
     }
 
-    /// Re-reads every live resource's capacity after `capacities` changed.
+    /// Re-reads every live resource's capacity after `capacities` changed,
+    /// and with it every row's bound and every slot's classification.
     pub fn refresh_capacities(&mut self, capacities: &[f64]) {
         for &s in &self.live_slots {
             let slot = &mut self.slots[s as usize];
             slot.capacity = capacity(capacities, slot.resource);
         }
+        for i in 0..self.live_rows.len() {
+            let row = self.live_rows[i];
+            self.rows[row as usize].bound = self.bound(row);
+        }
+        for i in 0..self.live_slots.len() {
+            self.classify(self.live_slots[i]);
+        }
     }
 
-    /// A row's rate as of the last [`solve`](Self::solve).
+    /// A row's rate as of the last solve that covered it.
     pub fn rate(&self, row: u32) -> f64 {
         self.rows[row as usize].rate
     }
 
+    /// The live rows the last solve covered: every live row after
+    /// [`solve`](Self::solve), a component after
+    /// [`solve_cover`](Self::solve_cover). Only their rates are current.
+    pub fn covered(&self) -> &[u32] {
+        &self.cover
+    }
+
     /// Translates `path` into `row`'s slots, creating a slot at a resource's
-    /// first live crossing.
+    /// first live crossing, threads each occurrence onto its slot's list and
+    /// reclassifies the slots crossed.
     fn link(&mut self, capacities: &[f64], row: u32, path: &[ResourceId]) {
         let mut slots = std::mem::take(&mut self.rows[row as usize].path);
-        for &r in path {
+        let mut next = std::mem::take(&mut self.rows[row as usize].next);
+        for (at, &r) in path.iter().enumerate() {
             let ri = r as usize;
             if ri >= self.slot_of.len() {
-                self.slot_of.resize(ri + 1, NO_SLOT);
+                self.slot_of.resize(ri + 1, NONE);
             }
-            if self.slot_of[ri] == NO_SLOT {
+            if self.slot_of[ri] == NONE {
                 let slot = Slot {
                     resource: r,
                     capacity: capacity(capacities, r),
                     pos: self.live_slots.len() as u32,
+                    head: END,
                     ..Slot::default()
                 };
                 let s = self.free_slots.pop().unwrap_or(self.slots.len() as u32);
@@ -240,21 +335,42 @@ impl Allocator {
                 self.slot_of[ri] = s;
             }
             let s = self.slot_of[ri];
-            self.slots[s as usize].count += 1;
+            let slot = &mut self.slots[s as usize];
+            slot.count += 1;
+            let at = at as u32;
+            next.push(std::mem::replace(&mut slot.head, Occurrence { row, at }));
             slots.push(s);
         }
-        self.rows[row as usize].path = slots;
+        let entry = &mut self.rows[row as usize];
+        (entry.path, entry.next) = (slots, next);
+        self.rows[row as usize].bound = self.bound(row);
+        for at in 0..path.len() {
+            self.classify(self.rows[row as usize].path[at]);
+        }
     }
 
     /// Takes `row`'s path off its slots, freeing each slot no live row
-    /// crosses any more. The row keeps its (emptied) path buffer.
+    /// crosses any more and reclassifying the rest. The row keeps its
+    /// (emptied) buffers.
     fn unlink(&mut self, row: u32) {
         let mut path = std::mem::take(&mut self.rows[row as usize].path);
-        for &s in &path {
+        for (at, &s) in path.iter().enumerate() {
+            let target = Occurrence { row, at: at as u32 };
+            let (mut before, mut occurrence) = (END, self.slots[s as usize].head);
+            while occurrence != target {
+                before = occurrence;
+                occurrence = self.rows[occurrence.row as usize].next[occurrence.at as usize];
+            }
+            let after = self.rows[row as usize].next[at];
+            if before == END {
+                self.slots[s as usize].head = after;
+            } else {
+                self.rows[before.row as usize].next[before.at as usize] = after;
+            }
             let slot = &mut self.slots[s as usize];
             slot.count -= 1;
             if slot.count == 0 {
-                self.slot_of[slot.resource as usize] = NO_SLOT;
+                self.slot_of[slot.resource as usize] = NONE;
                 let pos = slot.pos;
                 if let Some(moved) = swap_out(&mut self.live_slots, pos) {
                     self.slots[moved as usize].pos = pos;
@@ -262,26 +378,117 @@ impl Allocator {
                 self.free_slots.push(s);
             }
         }
+        for &s in &path {
+            if self.slots[s as usize].count > 0 {
+                self.classify(s);
+            }
+        }
         path.clear();
-        self.rows[row as usize].path = path;
+        let entry = &mut self.rows[row as usize];
+        entry.path = path;
+        entry.next.clear();
     }
 
-    /// Solves max-min fair rates for every live row; read them with
-    /// [`rate`](Self::rate). Results are bit-identical to
-    /// [`max_min_fair_rates`](crate::flow::max_min_fair_rates) over the live
-    /// rows' paths. The heap holds the shared slots and one private candidate
-    /// per row that has any (see the module docs).
+    /// A row's bound: its least capacity, times the most times its path
+    /// lists one slot.
+    fn bound(&self, row: u32) -> f64 {
+        let path = &self.rows[row as usize].path;
+        let least = path.iter().fold(f64::INFINITY, |least, &s| {
+            least.min(self.slots[s as usize].capacity)
+        });
+        let most = path.iter().map(|s| path.iter().filter(|&t| t == s).count());
+        most.max().map_or(0.0, |most| least * most as f64)
+    }
+
+    /// Decides whether a live slot is bindable: shared, with its rows'
+    /// bounds summed over its occurrences above its capacity less the
+    /// margin.
+    fn classify(&mut self, s: u32) {
+        let slot = self.slots[s as usize];
+        let mut sum = 0.0;
+        let mut occurrence = if slot.count > 1 { slot.head } else { END };
+        while occurrence != END {
+            let row = &self.rows[occurrence.row as usize];
+            sum += row.bound;
+            occurrence = row.next[occurrence.at as usize];
+        }
+        self.slots[s as usize].bindable = sum > slot.capacity * (1.0 - BIND_MARGIN);
+    }
+
+    /// Collects `row`'s component — the rows it reaches through bindable
+    /// slots — as the rows the next [`solve_cover`](Self::solve_cover)
+    /// solves. Take it after inserting the row whose start changed the
+    /// demand set, or before removing the one whose retirement did.
+    pub fn cover(&mut self, row: u32) {
+        self.walk += 1;
+        let walk = self.walk;
+        self.cover.clear();
+        self.cover_slots.clear();
+        self.rows[row as usize].seen = walk;
+        self.cover.push(row);
+        let mut reached = 0;
+        while let Some(&r) = self.cover.get(reached) {
+            reached += 1;
+            for at in 0..self.rows[r as usize].path.len() {
+                let s = self.rows[r as usize].path[at];
+                let slot = &mut self.slots[s as usize];
+                if !slot.bindable || slot.seen == walk {
+                    continue;
+                }
+                slot.seen = walk;
+                self.cover_slots.push(s);
+                let mut occurrence = slot.head;
+                while occurrence != END {
+                    let other = &mut self.rows[occurrence.row as usize];
+                    if other.seen != walk {
+                        other.seen = walk;
+                        self.cover.push(occurrence.row);
+                    }
+                    occurrence = other.next[occurrence.at as usize];
+                }
+            }
+        }
+    }
+
+    /// Solves max-min fair rates for the rows [`cover`](Self::cover)
+    /// collected that are still live, queueing only their bindable slots;
+    /// read them with [`rate`](Self::rate). Each is bit-identical to what
+    /// [`solve`](Self::solve) gives it (see the module docs); the other
+    /// rows' rates are left as they were.
+    pub fn solve_cover(&mut self) {
+        let rows = &self.rows;
+        self.cover.retain(|&r| rows[r as usize].pos != NONE);
+        self.fill(false);
+    }
+
+    /// Solves max-min fair rates for every live row, queueing every shared
+    /// slot; read them with [`rate`](Self::rate). Results are bit-identical
+    /// to [`max_min_fair_rates`](crate::flow::max_min_fair_rates) over the
+    /// live rows' paths. The heap holds the shared slots and one private
+    /// candidate per row that has any (see the module docs). This is the
+    /// solve after a capacity change or a relink, and the oracle for
+    /// [`solve_cover`](Self::solve_cover).
     pub fn solve(&mut self) {
-        // Every shared slot starts at its capacity with all of its rows
+        self.cover.clone_from(&self.live_rows);
+        self.cover_slots.clone_from(&self.live_slots);
+        self.fill(true);
+    }
+
+    /// Progressive filling over the `cover` rows, queueing the shared
+    /// `cover_slots` — all of them when `every_shared`, else the bindable
+    /// ones.
+    fn fill(&mut self, every_shared: bool) {
+        let queued = |slot: &Slot| slot.count > 1 && (every_shared || slot.bindable);
+        // Every queued slot starts at its capacity with all of its rows
         // unfrozen, its registration list is laid out at the running total
         // of the counts, and its initial share is a candidate. Private slots
-        // are left as they are: nothing reads them.
+        // and the slots left out are left as they are: nothing reads them.
         let mut candidates = std::mem::take(&mut self.heap).into_vec();
         candidates.clear();
         let mut total = 0;
-        for &s in &self.live_slots {
+        for &s in &self.cover_slots {
             let slot = &mut self.slots[s as usize];
-            if slot.count == 1 {
+            if !queued(slot) {
                 continue;
             }
             slot.remaining = slot.capacity;
@@ -302,7 +509,7 @@ impl Allocator {
         // row's one private candidate, tagged with the row. The candidates
         // are heapified in one pass.
         let mut unfrozen = 0u32;
-        for &r in &self.live_rows {
+        for &r in &self.cover {
             let row = &mut self.rows[r as usize];
             row.frozen = row.path.is_empty();
             row.rate = if row.frozen { LOCAL_RATE_BPS } else { 1.0 };
@@ -313,7 +520,7 @@ impl Allocator {
                 if slot.count == 1 {
                     let candidate = (slot.capacity.to_bits(), slot.resource);
                     private = Some(private.map_or(candidate, |p| p.min(candidate)));
-                } else {
+                } else if queued(slot) {
                     self.entries[slot.end as usize] = r;
                     slot.end += 1;
                 }
@@ -363,8 +570,8 @@ impl Allocator {
                 }
                 for &s in &row.path {
                     let slot = &mut self.slots[s as usize];
-                    if slot.count == 1 {
-                        continue; // private: nothing reads it again
+                    if !queued(slot) {
+                        continue; // nothing reads it again
                     }
                     slot.remaining = (slot.remaining - rate).max(0.0);
                     if first_freeze {
@@ -500,11 +707,11 @@ mod tests {
         let b = allocator.insert(&[1.0; 8], &[5]);
         assert_eq!(allocator.path(a).collect::<Vec<_>>(), [3, 3, 5]);
         allocator.remove(a);
-        assert_eq!(allocator.slot_of[3], NO_SLOT);
+        assert_eq!(allocator.slot_of[3], NONE);
         assert_eq!(allocator.live_slots.len(), 1);
         allocator.relink(b, &[1.0; 8], &[7]);
         assert_eq!(allocator.path(b).collect::<Vec<_>>(), [7]);
-        assert_eq!(allocator.slot_of[5], NO_SLOT);
+        assert_eq!(allocator.slot_of[5], NONE);
         allocator.remove(b);
         assert!(allocator.live_slots.is_empty() && allocator.live_rows.is_empty());
     }
@@ -572,6 +779,58 @@ mod tests {
             assert_matches_reference(&[6.0, 2.0], &[vec![0, 0], vec![1, 0]]),
             [2.0, 2.0]
         );
+    }
+
+    #[test]
+    fn a_row_listing_a_slot_twice_bounds_what_it_takes_by_both() {
+        // Row 0 crosses resource 0 twice and freezes there at 7.8 / 2,
+        // taking that from resource 1 twice. Its least capacity (4.1, a
+        // private resource) and row 1's (4) sum to under resource 1's 10,
+        // yet what row 0 leaves there is row 1's bottleneck: a bound counts
+        // every occurrence, so resource 1 binds and covers both rows.
+        let capacities = [7.8, 10.0, 4.1, 4.0];
+        let paths = [vec![0, 0, 1, 2], vec![1, 3]];
+        let expected = assert_matches_reference(&capacities, &paths);
+        assert!(expected[1] < 4.0, "{expected:?}");
+        let mut allocator = Allocator::new();
+        let live: Vec<(u32, Vec<u32>)> = paths
+            .iter()
+            .map(|path| (allocator.insert(&capacities, path), path.clone()))
+            .collect();
+        allocator.cover(live[1].0);
+        allocator.solve_cover();
+        assert_eq!(allocator.covered(), [1, 0]);
+        assert_live_matches(&allocator, &capacities, &live);
+    }
+
+    #[test]
+    fn a_start_or_a_retire_covers_only_what_it_reaches() {
+        // Rows a and b fill resource 0 together (bounds 4 + 6 over 6), but
+        // resource 1 (10 under b's 6 and c's 1) cannot bind, so c stays
+        // apart until a row with a bound of 10 crosses resource 1 as well.
+        let capacities = [6.0, 10.0, 4.0, 1.0];
+        let mut allocator = Allocator::new();
+        let solve_around = |allocator: &mut Allocator, row: u32| {
+            allocator.cover(row);
+            allocator.solve_cover();
+            let mut covered = allocator.covered().to_vec();
+            covered.sort_unstable();
+            covered
+        };
+        let a = allocator.insert(&capacities, &[0, 2]);
+        let b = allocator.insert(&capacities, &[0, 1]);
+        let c = allocator.insert(&capacities, &[1, 3]);
+        assert_eq!(solve_around(&mut allocator, c), [c]);
+        assert_eq!(solve_around(&mut allocator, a), [a, b]);
+        let d = allocator.insert(&capacities, &[1]);
+        assert_eq!(solve_around(&mut allocator, d), [a, b, c, d]);
+        // A retire takes its cover before the row leaves, and c's component
+        // splits off again.
+        allocator.cover(d);
+        allocator.remove(d);
+        allocator.solve_cover();
+        assert_eq!(allocator.covered().len(), 3);
+        assert_eq!(solve_around(&mut allocator, a), [a, b]);
     }
 
     #[test]

@@ -119,9 +119,11 @@ impl CompletedTransfer {
 /// `(src, dst)` pair until the epoch ends. An epoch that retires exactly the
 /// transfer whose start opened the epoch before it (a request transfer
 /// started, then drained) does not solve: its demand set is the one from
-/// before that start, so it restores the rates that start replaced. All of
-/// this is bit-identical to re-solving every epoch from scratch with one
-/// unit-weight row per transfer in flight.
+/// before that start, so it restores the rates that start replaced. Any other
+/// start or retire, and every probe, solves only the transfer's component —
+/// the rows it reaches through links their bounds can fill — and a mutation
+/// solves every row. All of this is bit-identical to re-solving every epoch
+/// from scratch with one unit-weight row per transfer in flight.
 #[derive(Debug)]
 pub struct Network {
     topology: Topology,
@@ -259,8 +261,14 @@ impl Network {
     }
 
     /// Takes a transfer out of the slab and its row out of the allocator.
+    /// The retire epoch this opens solves the rows the transfer reached, so
+    /// they are collected first, unless the epoch undoes the row's own start.
     fn retire(&mut self, row: u32) -> ActiveTransfer {
-        self.alloc.get_mut().remove(row);
+        let alloc = self.alloc.get_mut();
+        if self.last_start != Some(row) {
+            alloc.cover(row);
+        }
+        alloc.remove(row);
         self.slab[row as usize].take().expect("a live row")
     }
 
@@ -524,9 +532,11 @@ impl Network {
 
     /// Settles the rates of a new allocation epoch: capacities are refreshed
     /// only if a mutation dirtied them, the per-epoch probe memo is
-    /// invalidated, and the allocator solves over the rows in place. An epoch
-    /// that retires exactly the transfer whose start opened the previous one
-    /// has the demand set and capacities of the epoch before that start, so it
+    /// invalidated, and the allocator solves over the rows in place — after
+    /// a mutation all of them, after a start or a retire only the rows that
+    /// transfer reaches, whose rates alone can move. An epoch that retires
+    /// exactly the transfer whose start opened the previous one has the
+    /// demand set and capacities of the epoch before that start, so it
     /// restores the rates that start replaced instead of solving.
     fn recompute_rates(&mut self, epoch: Epoch) {
         self.rate_epochs += 1;
@@ -536,25 +546,38 @@ impl Network {
             Epoch::Start(row) => Some(row),
             Epoch::Retire(_) | Epoch::Mutation => None,
         };
-        if !undo {
-            if self.caps_dirty {
-                self.refresh_caps();
-            }
-            self.alloc.get_mut().solve();
-            self.rate_solves += 1;
+        if !undo && self.caps_dirty {
+            self.refresh_caps();
         }
         let alloc = self.alloc.get_mut();
-        let mut drain_min = None;
-        for (row, t) in self.slab.iter_mut().enumerate() {
-            let Some(t) = t else { continue };
-            if undo {
+        if undo {
+            for t in self.slab.iter_mut().flatten() {
                 t.rate_bps = t.rate_before;
-            } else {
-                t.rate_before = t.rate_bps;
-                t.rate_bps = alloc.rate(row as u32);
             }
-            drain_min = min_drain(drain_min, t);
+        } else {
+            match epoch {
+                Epoch::Start(row) => {
+                    alloc.cover(row);
+                    alloc.solve_cover();
+                }
+                Epoch::Retire(_) => alloc.solve_cover(), // `retire` took the cover
+                Epoch::Mutation => alloc.solve(),
+            }
+            self.rate_solves += 1;
+            // Only the covered rows' allocator rates are this epoch's: a
+            // probe since their last solve may have re-solved the others
+            // with its own row in place.
+            for t in self.slab.iter_mut().flatten() {
+                t.rate_before = t.rate_bps;
+            }
+            for &row in alloc.covered() {
+                let t = self.slab[row as usize]
+                    .as_mut()
+                    .expect("a covered row is live");
+                t.rate_bps = alloc.rate(row);
+            }
         }
+        let drain_min = self.slab.iter().flatten().fold(None, min_drain);
         self.drain_min_pos_secs = drain_min;
     }
 
@@ -601,7 +624,7 @@ impl Network {
     /// `remos_get_flow` query.
     ///
     /// The probe is one more row in the epoch's allocator — inserted,
-    /// solved with the transfers' rows already in place, read and removed —
+    /// solved with the transfers' rows it reaches, read and removed —
     /// and its answer is memoised per `(src, dst)` pair until the next
     /// mutation. Both are exact: the answer is bit-identical to a full
     /// re-solve with the probe included.
@@ -618,7 +641,8 @@ impl Network {
         } else {
             let mut alloc = self.alloc.borrow_mut();
             let row = alloc.insert(&self.caps, &probe);
-            alloc.solve();
+            alloc.cover(row);
+            alloc.solve_cover();
             let rate = alloc.rate(row);
             alloc.remove(row);
             rate
@@ -649,7 +673,8 @@ impl Network {
         self.rate_epochs
     }
 
-    /// Lifetime number of the allocation epochs that ran a max-min solve:
+    /// Lifetime number of the allocation epochs that ran a max-min solve,
+    /// over every row or over one component:
     /// [`rate_epoch_count`](Self::rate_epoch_count) minus the epochs that
     /// undid the last start and restored its predecessor's rates.
     pub fn rate_solve_count(&self) -> u64 {

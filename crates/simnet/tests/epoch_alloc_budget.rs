@@ -1,9 +1,10 @@
 //! The allocation epoch's heap budget: once warm, `Network::start_transfer`,
 //! `advance` (drains re-solve the epoch, or restore the rates from before the
 //! start they undo), `available_bandwidth` (one probe row per miss) and
-//! `poll_completions_into` allocate **nothing** on a 200-host star — the
-//! transfer slab, the allocator's rows, slots and registration lists, the heap
-//! and the probe memo are all reused. The count is a deterministic work
+//! `poll_completions_into` allocate **nothing** on a 200-host star and on 200
+//! clients behind eight aggregation switches — the transfer slab, the
+//! allocator's rows, slots, occurrence links, covers and registration lists,
+//! the heap and the probe memo are all reused. The count is a deterministic work
 //! counter, the same on every host, so a `Vec`, a `HashMap` entry or a
 //! `format!` per epoch fails here with no wall-clock noise.
 
@@ -103,21 +104,9 @@ impl Churn {
     }
 }
 
-#[test]
-fn a_warm_epoch_allocates_nothing() {
-    let ms = SimDuration::from_millis;
-    let mut topo = Topology::new();
-    let hub = topo.add_router("hub").unwrap();
-    let mut host = |name: String, bps: f64| {
-        let h = topo.add_host(&name).unwrap();
-        topo.add_link(h, hub, bps, ms(1.0)).unwrap();
-        h
-    };
-    let clients: Vec<NodeId> = (0..CLIENTS)
-        .map(|i| host(format!("c{i}"), 20.0e6))
-        .collect();
-    let servers: Vec<NodeId> = (0..2).map(|i| host(format!("s{i}"), 10.0e6)).collect();
-    let net = Network::new(topo);
+/// Runs [`COUNTED_EPOCHS`] warm epochs of churn between `clients` and
+/// `servers` and returns the heap allocations they made.
+fn warm_epoch_allocations(net: Network, clients: Vec<NodeId>, servers: Vec<NodeId>) -> u64 {
     // One shortest-path tree per source, and a probe memo that has held
     // every pair, before anything is counted.
     for &c in &clients {
@@ -153,5 +142,56 @@ fn a_warm_epoch_allocates_nothing() {
     );
     assert!(probe_solves > 1_000, "only {probe_solves} probe solves");
     assert!(solved < COUNTED_EPOCHS, "no epoch restored its rates");
+    allocations
+}
+
+#[test]
+fn a_warm_epoch_allocates_nothing() {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new();
+    let hub = topo.add_router("hub").unwrap();
+    let mut host = |name: String, bps: f64| {
+        let h = topo.add_host(&name).unwrap();
+        topo.add_link(h, hub, bps, ms(1.0)).unwrap();
+        h
+    };
+    let clients: Vec<NodeId> = (0..CLIENTS)
+        .map(|i| host(format!("c{i}"), 20.0e6))
+        .collect();
+    let servers: Vec<NodeId> = (0..2).map(|i| host(format!("s{i}"), 10.0e6)).collect();
+    let allocations = warm_epoch_allocations(Network::new(topo), clients, servers);
+    assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
+}
+
+/// The same churn behind eight aggregation switches of 25 clients each, so
+/// most of an epoch's links are one client's own. A switch's 25 Mbps
+/// uplink can be filled by three of its clients' 10 Mbps access links but
+/// not by two, and a server's 100 Mbps link by eleven transfers but not by
+/// ten, so as transfers come and go those links keep turning from slots a
+/// solve must queue into slots it may leave out, and back: covers grow,
+/// shrink and merge, and still allocate nothing once warm.
+#[test]
+fn a_warm_fleet_epoch_allocates_nothing() {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new();
+    let hub = topo.add_router("hub").unwrap();
+    let mut clients = Vec::new();
+    for a in 0..8 {
+        let switch = topo.add_router(&format!("agg{a}")).unwrap();
+        topo.add_link(switch, hub, 25.0e6, ms(1.0)).unwrap();
+        for c in 0..CLIENTS / 8 {
+            let h = topo.add_host(&format!("c{a}.{c}")).unwrap();
+            topo.add_link(h, switch, 10.0e6, ms(0.5)).unwrap();
+            clients.push(h);
+        }
+    }
+    let servers: Vec<NodeId> = (0..2)
+        .map(|i| {
+            let h = topo.add_host(&format!("s{i}")).unwrap();
+            topo.add_link(h, hub, 100.0e6, ms(0.5)).unwrap();
+            h
+        })
+        .collect();
+    let allocations = warm_epoch_allocations(Network::new(topo), clients, servers);
     assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
 }
