@@ -39,6 +39,8 @@ pub enum AppError {
     UnknownServer(String),
     /// Unknown server group name.
     UnknownGroup(String),
+    /// A known server group with no live active server to ask.
+    NoActiveServers(String),
     /// A network operation failed.
     Net(NetError),
     /// The operation is invalid in the current state.
@@ -57,6 +59,7 @@ impl std::fmt::Display for AppError {
             AppError::UnknownClient(c) => write!(f, "unknown client: {c}"),
             AppError::UnknownServer(s) => write!(f, "unknown server: {s}"),
             AppError::UnknownGroup(g) => write!(f, "unknown server group: {g}"),
+            AppError::NoActiveServers(g) => write!(f, "server group {g} has no active servers"),
             AppError::Net(e) => write!(f, "network error: {e}"),
             AppError::Invalid(m) => write!(f, "invalid operation: {m}"),
         }
@@ -576,10 +579,18 @@ impl GridApp {
     /// Names of the live, active servers currently assigned to a group
     /// (crashed replicas do not count — they serve nothing).
     pub fn active_servers(&self, group: &str) -> Vec<String> {
-        match self.group_id(group) {
-            Ok(group) => self.server_names_where(|s| s.serves(group)),
-            Err(_) => Vec::new(),
-        }
+        let hosts = self.active_server_hosts(group);
+        hosts.map(|(name, _)| name.to_string()).collect()
+    }
+
+    /// The live, active servers of a group with the machines they run on,
+    /// in name order; none for an unknown group.
+    pub fn active_server_hosts(&self, group: &str) -> impl Iterator<Item = (Key, NodeId)> + '_ {
+        let group = self.group_id(group).ok();
+        let named = self.servers.iter().zip(&self.server_names);
+        named
+            .filter(move |(state, _)| group.is_some_and(|group| state.serves(group)))
+            .map(|(state, &name)| (name, state.host))
     }
 
     /// Whether a server's runtime process is alive.
@@ -1048,29 +1059,36 @@ impl GridApp {
     }
 
     /// Predicted bandwidth of a new flow from one named server's machine to
-    /// one named client's machine — the single Remos pair query
-    /// [`remos_get_flow`](Self::remos_get_flow) folds its per-server maximum
-    /// over. The symmetry-aware probe sharing issues this query once per
-    /// network-position class representative instead of once per server.
+    /// one named client's machine: [`host_bandwidth`](Self::host_bandwidth)
+    /// between the two machines.
     pub fn available_bandwidth_between(&self, server: &str, client: &str) -> Result<f64, AppError> {
         let server_host = self.servers[self.server_id(server)?.ix()].host;
         let client_host = self.clients[self.client_id(client)?.ix()].host;
-        Ok(self
-            .network
-            .available_bandwidth(server_host, client_host)
-            .unwrap_or(0.0))
+        Ok(self.host_bandwidth(server_host, client_host))
     }
 
-    /// Lifetime number of max-min probe solves the underlying network has
-    /// performed (per-epoch memo hits excluded) — the measurement behind the
-    /// "probe sampling per tick" figures.
+    /// Predicted bandwidth of a new flow from a server machine to a client
+    /// machine, 0 when the network cannot route it — the single Remos pair
+    /// query every probe goes through.
+    /// [`remos_get_flow`](Self::remos_get_flow) folds its per-server maximum
+    /// over it, and the symmetry-aware probe sharing asks it once per
+    /// network-position class representative instead of once per server.
+    pub fn host_bandwidth(&self, server_host: NodeId, client_host: NodeId) -> f64 {
+        let bandwidth = self.network.available_bandwidth(server_host, client_host);
+        bandwidth.unwrap_or(0.0)
+    }
+
+    /// Lifetime number of probe queries the underlying network's per-epoch
+    /// `(src, dst)` pair memo missed — the measurement behind the "probe
+    /// sampling per tick" figures. A miss the network's shape memo answered
+    /// without a fill counts too.
     pub fn probe_solve_count(&self) -> u64 {
         self.network.probe_solve_count()
     }
 
     /// Lifetime number of probe queries (memo hits included) the underlying
     /// network has answered; minus [`probe_solve_count`](Self::probe_solve_count)
-    /// it gives the per-epoch memo's hit count.
+    /// it gives the per-epoch pair memo's hit count.
     pub fn probe_query_count(&self) -> u64 {
         self.network.probe_query_count()
     }
@@ -1112,13 +1130,13 @@ impl GridApp {
 
     /// `remos_get_flow(clIP, svIP)`: predicted bandwidth between a client and
     /// a server group, taken as the best available bandwidth from any of the
-    /// group's active servers to the client.
+    /// group's active servers to the client. A known group with no live
+    /// active server is [`AppError::NoActiveServers`].
     pub fn remos_get_flow(&self, client: &str, group: &str) -> Result<f64, AppError> {
         let client_host = self.clients[self.client_id(client)?.ix()].host;
-        let known = self.group_id(group).ok();
-        known
-            .and_then(|id| self.flow_to(client_host, id))
-            .ok_or_else(|| AppError::UnknownGroup(format!("{group} has no active servers")))
+        let id = self.group_id(group)?;
+        self.flow_to(client_host, id)
+            .ok_or_else(|| AppError::NoActiveServers(group.into()))
     }
 
     /// The best available bandwidth from any live active server of `group`
@@ -1126,8 +1144,8 @@ impl GridApp {
     fn flow_to(&self, client_host: NodeId, group: GroupId) -> Option<f64> {
         let mut best: Option<f64> = None;
         for server in self.servers.iter().filter(|s| s.serves(group)) {
-            let bw = self.network.available_bandwidth(server.host, client_host);
-            best = Some(best.unwrap_or(0.0).max(bw.unwrap_or(0.0)));
+            let bw = self.host_bandwidth(server.host, client_host);
+            best = Some(best.unwrap_or(0.0).max(bw));
         }
         best
     }
@@ -1872,6 +1890,25 @@ mod tests {
         // Bandwidth to the other group is unaffected.
         let sg2 = app.remos_get_flow("User3", SERVER_GROUP_2).unwrap();
         assert!(sg2 > 1.0e6);
+    }
+
+    #[test]
+    fn a_known_group_without_a_live_active_server_is_its_own_error() {
+        let mut app = app();
+        for server in app.active_servers(SERVER_GROUP_2) {
+            app.crash_server(secs(5.0), &server).unwrap();
+        }
+        let error = app.remos_get_flow("User3", SERVER_GROUP_2).unwrap_err();
+        assert_eq!(error, AppError::NoActiveServers(SERVER_GROUP_2.into()));
+        assert_eq!(
+            error.to_string(),
+            "server group ServerGrp2 has no active servers"
+        );
+        assert_eq!(
+            app.remos_get_flow("User3", "Nowhere"),
+            Err(AppError::UnknownGroup("Nowhere".into()))
+        );
+        assert!(app.remos_get_flow("User3", SERVER_GROUP_1).is_ok());
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub struct ClientClass {
     /// The representative whose machine is probed for the whole class (the
     /// lexicographically first member).
     pub representative: String,
+    /// The representative's machine, which class probes address.
+    pub host: NodeId,
 }
 
 /// A class of servers with identical attachment, interchangeable for
@@ -83,7 +85,7 @@ impl ClassIndex {
         // Clients, grouped per machine; machines merge when they hang off the
         // same aggregation switch with identical access links.
         let mut client_key_of_host: BTreeMap<NodeId, PositionKey> = BTreeMap::new();
-        let mut client_members: BTreeMap<PositionKey, Vec<String>> = BTreeMap::new();
+        let mut client_members: BTreeMap<PositionKey, (Vec<String>, NodeId)> = BTreeMap::new();
         let mut client_order: Vec<PositionKey> = Vec::new();
         for (i, (_, host)) in testbed.client_hosts.iter().enumerate() {
             let key = *client_key_of_host.entry(*host).or_insert_with(|| {
@@ -94,16 +96,22 @@ impl ClassIndex {
                     _ => PositionKey::Singleton(host.0),
                 }
             });
-            let members = client_members.entry(key).or_insert_with(|| {
+            let (members, least_host) = client_members.entry(key).or_insert_with(|| {
                 client_order.push(key);
-                Vec::new()
+                (Vec::new(), *host)
             });
             members.push(format!("User{}", i + 1));
+            // The least name so far is kept first, with its machine.
+            if members.last() < members.first() {
+                let last = members.len() - 1;
+                members.swap(0, last);
+                *least_host = *host;
+            }
         }
         let mut client_classes = Vec::with_capacity(client_order.len());
         let mut client_class_of = BTreeMap::new();
         for key in client_order {
-            let mut members = client_members.remove(&key).expect("key was recorded");
+            let (mut members, host) = client_members.remove(&key).expect("key was recorded");
             members.sort();
             let id = client_classes.len();
             for member in &members {
@@ -122,6 +130,7 @@ impl ClassIndex {
                 attach,
                 members,
                 representative,
+                host,
             });
         }
 
@@ -197,7 +206,7 @@ impl ClassIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridapp::TestbedSpec;
+    use gridapp::{GridApp, GridConfig, TestbedSpec};
 
     #[test]
     fn classic_presets_have_one_class_per_machine_and_server() {
@@ -230,21 +239,28 @@ mod tests {
             index.client_class_of("User3"),
             index.client_class_of("User4")
         );
-        assert_eq!(
-            index.client_class(c12).unwrap().representative,
-            "User1".to_string()
-        );
+        let class = index.client_class(c12).unwrap();
+        assert_eq!(class.representative, "User1".to_string());
+        assert_eq!(class.host, testbed.client_hosts[0].1);
     }
 
     #[test]
     fn large_scale_merges_behind_aggregation_switches() {
-        let testbed = Testbed::from_spec(&TestbedSpec::large_scale()).unwrap();
-        let index = ClassIndex::build(&testbed);
+        let app = GridApp::build(GridConfig::with_testbed(TestbedSpec::large_scale())).unwrap();
+        let testbed = app.testbed();
+        let index = ClassIndex::build(testbed);
         // 800 R1 clients at 32/agg = 25 switches, 400 R2 clients = 13
         // switches (12 full + one of 16), 800 R5 clients = 25 switches.
         assert_eq!(index.client_classes().len(), 63);
         let total_members: usize = index.client_classes().iter().map(|c| c.members.len()).sum();
         assert_eq!(total_members, 2000);
+        // A class probes its representative's machine, also where the least
+        // name is not the lowest client number ("User100" sorts before
+        // "User97").
+        for class in index.client_classes() {
+            let host = app.client_host(&class.representative);
+            assert_eq!(Some(class.host), host, "{class:?}");
+        }
         // Servers: the 56 machines behind R3 are one class, the request-queue
         // machine behind R4 is its own, the remaining 37 behind R4 are one.
         assert_eq!(index.server_classes().len(), 3);

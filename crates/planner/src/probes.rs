@@ -21,10 +21,16 @@
 //! members ([`RepTable::member_flow_snapshot`], one entry per client). The
 //! walking versions of both survive as references in this module's tests.
 //!
+//! Probes go by host id: a client class carries its representative's
+//! machine, [`GroupProbes`] lists the machines of the servers that answer for
+//! a group, and every probe is one
+//! [`GridApp::host_bandwidth`](gridapp::GridApp::host_bandwidth) between
+//! two of them — no client or server name is looked up per probe.
+//!
 //! Nothing here is re-derived more often than it can change. Which servers
 //! answer for a group depends only on the application's state at the instant
-//! of the snapshot, so [`GroupProbes`] lists them once per group per
-//! snapshot, not once per client class. Which client stands for a
+//! of the snapshot, so [`GroupProbes`] lists their machines once per group
+//! per snapshot, not once per client class. Which client stands for a
 //! `(class, group)` pair — and which members stand behind it — depends only
 //! on the client→group assignment, so [`RepTable`] keeps the answer and
 //! rebuilds it when [`GridApp::assignment_generation`] says a move happened
@@ -32,6 +38,7 @@
 
 use crate::classes::{ClassIndex, ClientClass};
 use gridapp::{FlowSnapshot, GridApp, Key};
+use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The class-level `remos_get_flow` of one snapshot instant: predicted
@@ -41,8 +48,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub(crate) struct GroupProbes<'a> {
     app: &'a GridApp,
     index: &'a ClassIndex,
-    /// Per group asked about so far, the servers a shared probe must ask.
-    servers: BTreeMap<String, Vec<String>>,
+    /// Per group asked about so far, the machines of the servers a shared
+    /// probe must ask.
+    servers: BTreeMap<String, Vec<NodeId>>,
 }
 
 impl<'a> GroupProbes<'a> {
@@ -56,20 +64,20 @@ impl<'a> GroupProbes<'a> {
         }
     }
 
-    /// The live active servers of `group`, in name order, keeping one per
-    /// server class and every server outside the index. Empty exactly when
-    /// the group has no live active server.
-    fn servers_to_ask(&self, group: &str) -> Vec<String> {
+    /// The machines of `group`'s live active servers, in server name order,
+    /// keeping one per server class and every server outside the index.
+    /// Empty exactly when the group has no live active server.
+    fn servers_to_ask(&self, group: &str) -> Vec<NodeId> {
         let mut answered: BTreeSet<usize> = BTreeSet::new();
-        let mut servers = self.app.active_servers(group);
-        servers.retain(|server| {
-            let Some(sclass) = self.index.server_class_of(server) else {
-                return true;
-            };
-            // `false`: an equivalent member of this class already answers.
-            answered.insert(sclass)
-        });
+        let servers = self.app.active_server_hosts(group);
         servers
+            .filter(|(server, _)| {
+                // `false`: an equivalent member of this class already answers.
+                let class = self.index.server_class_of(server.as_str());
+                class.is_none_or(|class| answered.insert(class))
+            })
+            .map(|(_, host)| host)
+            .collect()
     }
 
     /// The flow `class` would see from `group`. `None` mirrors the per-client
@@ -84,12 +92,8 @@ impl<'a> GroupProbes<'a> {
             return None;
         }
         let mut best: f64 = 0.0;
-        for server in servers {
-            let bw = self
-                .app
-                .available_bandwidth_between(server, &class.representative)
-                .unwrap_or(0.0);
-            best = best.max(bw);
+        for &server in servers {
+            best = best.max(self.app.host_bandwidth(server, class.host));
         }
         Some(best)
     }

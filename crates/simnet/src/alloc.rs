@@ -10,18 +10,19 @@
 //!
 //! **Rows persist.** A flow is registered once, as a *row*, when it starts
 //! ([`Allocator::insert`]) and dropped once, when it retires
-//! ([`Allocator::remove`]); a probe is insert, cover, solve, read, remove.
-//! Its path is translated to *slots* at registration: `slot_of` maps a
-//! global [`ResourceId`] to a dense slot holding the resource's capacity and
-//! how many live path occurrences cross it, and a slot is freed when that
-//! count drops to zero. Each slot's occurrences are a list threaded through
-//! the rows' paths (one `next` link per occurrence), so no slot owns a
-//! buffer. Live rows and live slots are kept in dense lists, so a solve
-//! touches only what is registered: it resets the shared slots it queues,
-//! lays their registration lists out CSR-style from the rows' translated
-//! paths, heapifies once and fills. Capacities change only through
-//! [`Allocator::refresh_capacities`]. The only fleet-sized table is
-//! `slot_of` itself.
+//! ([`Allocator::remove`]); a probe ([`Allocator::probe`]) is insert,
+//! cover, solve, read, remove, unless an earlier fill of its shape answers
+//! it (see below). A path is translated to *slots* at registration:
+//! `slot_of` maps a global [`ResourceId`] to a dense slot holding the
+//! resource's capacity and how many live path occurrences cross it, and a
+//! slot is freed when that count drops to zero. Each slot's occurrences are
+//! a list threaded through the rows' paths (one `next` link per
+//! occurrence), so no slot owns a buffer. Live rows and live slots are kept
+//! in dense lists, so a solve touches only what is registered: it resets
+//! the shared slots it queues, lays their registration lists out CSR-style
+//! from the rows' translated paths, heapifies once and fills. Capacities
+//! change only through [`Allocator::refresh_capacities`]. The only
+//! fleet-sized table is `slot_of` itself.
 //!
 //! **Private slots are never queued.** A slot crossed once by one row (a
 //! client's access link, most of a fleet's slots) loses nothing to anyone
@@ -50,6 +51,34 @@
 //! strictly more: it never pops, and a slot that never pops changes no rate.
 //! The margin covers the rounding of millions of sequential
 //! `(remaining − rate).max(0)` steps.
+//!
+//! **Probes that cannot differ share one fill.** A probe's answer comes
+//! from a fill over the live rows plus the probe's row, and nothing but an
+//! insert, a remove, a relink or a capacity refresh changes the live rows.
+//! What such a fill reads of the probe's row is its *shape*: the resources
+//! on its path that some live row already crosses (or that it lists twice),
+//! in path order with their capacity bits, and its private candidate, the
+//! least `(capacity bits, resource id)` of the rest. The shared resources
+//! decide the probe's slots, its component and the order the cover walk
+//! reaches them. They and the candidate's bits decide its bound (its least
+//! capacity is the lesser of theirs and the candidate's, and only a shared
+//! resource can be listed twice), so they decide which slots bind. Private
+//! slots other than the candidate are never read.
+//! The candidate's resource id is read in one place only: the heap orders
+//! it by id against another candidate with exactly its share bits. So a
+//! fill [`Allocator::probe`] runs also records the open *gap* of ids around
+//! its candidate's that holds no other candidate, initial or pushed, with
+//! those bits. Take a later probe with the same shared resources and
+//! candidate bits whose candidate lies in that gap. Every heap key is
+//! distinct (a shared slot's stamps differ, a private slot has one row), so
+//! the heap pops in key order, and every comparison the later candidate
+//! takes part in has the outcome the earlier one's had. By induction over
+//! the pops, the later fill pushes the same candidates, freezes the same
+//! rows at the same rates and gives the probe a bit-identical rate, so the
+//! probe takes the recorded one instead. Any insert, remove, relink or
+//! capacity refresh forgets every recorded shape, so no answer outlives its
+//! epoch. The memo holds at most `SHAPE_ENTRIES` shapes, reserved when the
+//! allocator is made, so it never allocates: a fill past that is not filed.
 //!
 //! **Components.** Rows joined through bindable slots form components, and
 //! progressive filling on disjoint components only interleaves: no pop of
@@ -115,6 +144,20 @@ type Candidate = Reverse<(u64, ResourceId, u32)>;
 /// end of a slot's occurrence list, a removed row's position.
 const NONE: u32 = u32::MAX;
 
+/// A probe's candidate bits when it has no private slot. It is a NaN
+/// pattern and shares are never NaN, so no other candidate has these bits.
+const NO_CANDIDATE: u64 = u64::MAX;
+
+/// The most probe shapes one epoch files: later fills still run, but go
+/// unrecorded, so the memo is sized once, by [`Allocator::new`], and its
+/// scan stays short. A 50,000-client fleet files at most ~150 per epoch.
+const SHAPE_ENTRIES: usize = 256;
+
+/// The room in the shape memo's resource arena, in `(resource, capacity
+/// bits)` pairs: filed shapes' shared resources plus one probe's key. A
+/// probe whose key does not fit is filled without the memo.
+const SHAPE_RESOURCES: usize = 2048;
+
 /// How far under its capacity a shared slot's summed row bounds must stay
 /// for the slot to be left out of covered solves: room for the rounding of
 /// millions of sequential subtractions (see the module docs).
@@ -170,6 +213,57 @@ struct Slot {
     dirty: bool,
 }
 
+/// The ids a probe's private candidate can sit at without changing any heap
+/// comparison: strictly between the nearest other candidates with the same
+/// share bits (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Gap {
+    bits: u64,
+    at: ResourceId,
+    first: ResourceId,
+    last: ResourceId,
+}
+
+impl Gap {
+    /// The gap around `(bits, at)` before any other candidate is seen:
+    /// every id.
+    fn around(bits: u64, at: ResourceId) -> Gap {
+        Gap {
+            bits,
+            at,
+            first: 0,
+            last: ResourceId::MAX,
+        }
+    }
+
+    /// Narrows the gap past another candidate.
+    fn exclude(&mut self, bits: u64, resource: ResourceId) {
+        if bits != self.bits {
+            return;
+        }
+        if resource < self.at {
+            self.first = self.first.max(resource + 1);
+        } else if resource > self.at {
+            self.last = self.last.min(resource - 1);
+        }
+    }
+
+    /// Whether a candidate `(bits, at)` lies in the gap.
+    fn admits(&self, bits: u64, at: ResourceId) -> bool {
+        bits == self.bits && (self.first..=self.last).contains(&at)
+    }
+}
+
+/// One probe fill's answer, filed under its probe's shape.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// The probe's shared resources are `shape_resources[start..end]`.
+    start: u32,
+    end: u32,
+    gap: Gap,
+    rate: f64,
+}
+
 /// One registered flow: its path, translated to slots.
 #[derive(Debug, Default)]
 struct Row {
@@ -194,7 +288,8 @@ struct Row {
 /// Rows, slots and all per-solve state are retained between calls, so a warm
 /// allocator performs no heap allocation: the simulator keeps one per network,
 /// registers each transfer as one row for its lifetime, and lends it to every
-/// `available_bandwidth` probe for one extra row.
+/// `available_bandwidth` probe for one extra row. The shape memo's entry list
+/// and resource arena keep their capacity across epochs too.
 #[derive(Debug, Default)]
 pub struct Allocator {
     /// Global resource → its slot, [`NONE`] when no live row crosses it.
@@ -221,6 +316,13 @@ pub struct Allocator {
     /// same link twice subtracts its rate twice).
     freeze_scratch: Vec<u32>,
     heap: BinaryHeap<Candidate>,
+    /// The shapes of this epoch's probe fills, and their shared resources
+    /// with their capacity bits laid end to end; the key of the probe being
+    /// looked up sits past the last shape's.
+    shapes: Vec<Shape>,
+    shape_resources: Vec<(ResourceId, u64)>,
+    /// Lifetime count of the fills [`probe`](Allocator::probe) ran.
+    probe_fills: u64,
 }
 
 /// A resource's starting capacity: out-of-range resources count as capacity
@@ -237,15 +339,25 @@ fn swap_out(list: &mut Vec<u32>, pos: u32) -> Option<u32> {
 }
 
 impl Allocator {
-    /// Creates an empty allocator; buffers grow on first use.
+    /// Creates an empty allocator. The shape memo is reserved at its full
+    /// size here; every other buffer grows on first use.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            shapes: Vec::with_capacity(SHAPE_ENTRIES),
+            shape_resources: Vec::with_capacity(SHAPE_RESOURCES),
+            ..Self::default()
+        }
     }
 
     /// Registers a unit-weight flow over `path` and returns its row, which
     /// stays valid until [`remove`](Self::remove). `capacities` is indexed by
     /// [`ResourceId`] and read for the resources no live row crossed yet.
     pub fn insert(&mut self, capacities: &[f64], path: &[ResourceId]) -> u32 {
+        self.forget_shapes();
+        self.insert_row(capacities, path)
+    }
+
+    fn insert_row(&mut self, capacities: &[f64], path: &[ResourceId]) -> u32 {
         let row = self.free_rows.pop().unwrap_or_else(|| {
             self.rows.push(Row::default());
             self.rows.len() as u32 - 1
@@ -258,6 +370,11 @@ impl Allocator {
 
     /// Drops a row; its number may be handed out again by the next insert.
     pub fn remove(&mut self, row: u32) {
+        self.forget_shapes();
+        self.remove_row(row);
+    }
+
+    fn remove_row(&mut self, row: u32) {
         self.unlink(row);
         let pos = std::mem::replace(&mut self.rows[row as usize].pos, NONE);
         if let Some(moved) = swap_out(&mut self.live_rows, pos) {
@@ -268,6 +385,7 @@ impl Allocator {
 
     /// Gives a live row a new path, keeping its number.
     pub fn relink(&mut self, row: u32, capacities: &[f64], path: &[ResourceId]) {
+        self.forget_shapes();
         self.unlink(row);
         self.link(capacities, row, path);
     }
@@ -281,6 +399,7 @@ impl Allocator {
     /// Re-reads every live resource's capacity after `capacities` changed,
     /// and with it every row's bound and every slot's classification.
     pub fn refresh_capacities(&mut self, capacities: &[f64]) {
+        self.forget_shapes();
         for &s in &self.live_slots {
             let slot = &mut self.slots[s as usize];
             slot.capacity = capacity(capacities, slot.resource);
@@ -292,6 +411,78 @@ impl Allocator {
         for i in 0..self.live_slots.len() {
             self.classify(self.live_slots[i]);
         }
+    }
+
+    /// Forgets every recorded probe shape: the live rows or their
+    /// capacities are about to change.
+    fn forget_shapes(&mut self) {
+        self.shapes.clear();
+        self.shape_resources.clear();
+    }
+
+    /// The rate one more unit-weight flow over `path` would get, with the
+    /// live rows as they are: its row is inserted, covered, solved, read and
+    /// removed, unless a fill since the last change to the rows or their
+    /// capacities read the same shape, whose answer is bit-identical (see
+    /// the module docs). Only the covered rows' rates move, as after
+    /// [`solve_cover`](Self::solve_cover).
+    pub fn probe(&mut self, capacities: &[f64], path: &[ResourceId]) -> f64 {
+        let start = self.shape_resources.len();
+        if start + path.len() > SHAPE_RESOURCES {
+            // No room left for this probe's key: fill it without the memo.
+            return self.probe_fill(capacities, path, &mut Gap::around(NO_CANDIDATE, 0));
+        }
+        let mut private: Option<(u64, ResourceId)> = None;
+        for &r in path {
+            let bits = capacity(capacities, r).to_bits();
+            let live = self.slot_of.get(r as usize).is_some_and(|&s| s != NONE);
+            if live || path.iter().filter(|&&q| q == r).count() > 1 {
+                self.shape_resources.push((r, bits));
+            } else if private.is_none_or(|p| (bits, r) < p) {
+                private = Some((bits, r));
+            }
+        }
+        let (bits, at) = private.unwrap_or((NO_CANDIDATE, 0));
+        let shared = &self.shape_resources[start..];
+        let known = self.shapes.iter().find(|shape| {
+            shape.gap.admits(bits, at)
+                && self.shape_resources[shape.start as usize..shape.end as usize] == *shared
+        });
+        if let Some(&Shape { rate, .. }) = known {
+            self.shape_resources.truncate(start);
+            return rate;
+        }
+        let mut gap = Gap::around(bits, at);
+        let rate = self.probe_fill(capacities, path, &mut gap);
+        if self.shapes.len() < SHAPE_ENTRIES {
+            self.shapes.push(Shape {
+                start: start as u32,
+                end: self.shape_resources.len() as u32,
+                gap,
+                rate,
+            });
+        } else {
+            self.shape_resources.truncate(start);
+        }
+        rate
+    }
+
+    /// Inserts, covers, fills, reads and removes a probe row, narrowing
+    /// `gap` as [`fill`](Self::fill) does.
+    fn probe_fill(&mut self, capacities: &[f64], path: &[ResourceId], gap: &mut Gap) -> f64 {
+        self.probe_fills += 1;
+        let row = self.insert_row(capacities, path);
+        self.cover(row);
+        self.fill(false, gap);
+        let rate = self.rows[row as usize].rate;
+        self.remove_row(row);
+        rate
+    }
+
+    /// Lifetime number of fills [`probe`](Self::probe) ran: the probes no
+    /// recorded shape answered.
+    pub fn probe_fills(&self) -> u64 {
+        self.probe_fills
     }
 
     /// A row's rate as of the last solve that covered it.
@@ -458,7 +649,7 @@ impl Allocator {
     pub fn solve_cover(&mut self) {
         let rows = &self.rows;
         self.cover.retain(|&r| rows[r as usize].pos != NONE);
-        self.fill(false);
+        self.fill(false, &mut Gap::around(NO_CANDIDATE, 0));
     }
 
     /// Solves max-min fair rates for every live row, queueing every shared
@@ -471,13 +662,13 @@ impl Allocator {
     pub fn solve(&mut self) {
         self.cover.clone_from(&self.live_rows);
         self.cover_slots.clone_from(&self.live_slots);
-        self.fill(true);
+        self.fill(true, &mut Gap::around(NO_CANDIDATE, 0));
     }
 
     /// Progressive filling over the `cover` rows, queueing the shared
     /// `cover_slots` — all of them when `every_shared`, else the bindable
-    /// ones.
-    fn fill(&mut self, every_shared: bool) {
+    /// ones. `gap` is narrowed past every candidate the heap is offered.
+    fn fill(&mut self, every_shared: bool, gap: &mut Gap) {
         let queued = |slot: &Slot| slot.count > 1 && (every_shared || slot.bindable);
         // Every queued slot starts at its capacity with all of its rows
         // unfrozen, its registration list is laid out at the running total
@@ -498,6 +689,7 @@ impl Allocator {
             slot.end = total;
             total += slot.count;
             slot.share = slot.remaining.max(0.0) / slot.live as f64;
+            gap.exclude(slot.share.to_bits(), slot.resource);
             candidates.push(Reverse((slot.share.to_bits(), slot.resource, 0)));
         }
         self.entries.clear();
@@ -526,6 +718,7 @@ impl Allocator {
                 }
             }
             if let Some((share, resource)) = private {
+                gap.exclude(share, resource);
                 candidates.push(Reverse((share, resource, r)));
             }
         }
@@ -592,6 +785,7 @@ impl Allocator {
                 slot.stamp += 1;
                 if slot.live > 0 {
                     slot.share = slot.remaining.max(0.0) / slot.live as f64;
+                    gap.exclude(slot.share.to_bits(), slot.resource);
                     self.heap
                         .push(Reverse((slot.share.to_bits(), slot.resource, slot.stamp)));
                 }
@@ -778,6 +972,48 @@ mod tests {
         assert_eq!(
             assert_matches_reference(&[6.0, 2.0], &[vec![0, 0], vec![1, 0]]),
             [2.0, 2.0]
+        );
+    }
+
+    #[test]
+    fn a_probe_shape_keys_the_capacity_of_a_resource_it_lists_twice() {
+        // No live row crosses resource 1, so the probe's own two occurrences
+        // make it shared: its capacity, read from the caller's slice, halves.
+        let mut allocator = Allocator::new();
+        allocator.insert(&[10.0, 6.0], &[0]);
+        assert_eq!(allocator.probe(&[10.0, 6.0], &[1, 1]), 3.0);
+        assert_eq!(allocator.probe(&[10.0, 8.0], &[1, 1]), 4.0);
+        assert_eq!(allocator.probe_fills(), 2);
+    }
+
+    #[test]
+    fn the_shape_memo_stops_filing_at_its_reserved_size() {
+        // Every probe's private capacity differs, so no two share a shape.
+        let mut capacities: Vec<f64> = (0..=SHAPE_ENTRIES + 8).map(|i| i as f64).collect();
+        capacities[0] = 1.0e6;
+        let mut allocator = Allocator::new();
+        allocator.insert(&capacities, &[0]);
+        let (shapes, resources) = (
+            allocator.shapes.capacity(),
+            allocator.shape_resources.capacity(),
+        );
+        for round in 0..2 {
+            for r in 1..capacities.len() as u32 {
+                assert_eq!(allocator.probe(&capacities, &[0, r]), f64::from(r));
+            }
+            let unfiled = (capacities.len() - 1 - SHAPE_ENTRIES) as u64;
+            assert_eq!(
+                allocator.probe_fills(),
+                (capacities.len() as u64 - 1) + round * unfiled
+            );
+        }
+        assert_eq!(allocator.shapes.len(), SHAPE_ENTRIES);
+        assert_eq!(
+            (
+                allocator.shapes.capacity(),
+                allocator.shape_resources.capacity()
+            ),
+            (shapes, resources)
         );
     }
 

@@ -115,12 +115,14 @@ impl CompletedTransfer {
 /// place. Shortest paths come from a cached [`PathTable`] and effective link
 /// capacities from a dense vector refreshed only when a capacity-affecting
 /// mutation occurs. A probe ([`available_bandwidth`](Self::available_bandwidth))
-/// borrows the allocator for one extra row, and its answer is memoised per
-/// `(src, dst)` pair until the epoch ends. An epoch that retires exactly the
-/// transfer whose start opened the epoch before it (a request transfer
-/// started, then drained) does not solve: its demand set is the one from
-/// before that start, so it restores the rates that start replaced. Any other
-/// start or retire, and every probe, solves only the transfer's component —
+/// borrows the allocator for one extra row, and its answer is memoised until
+/// the epoch ends, twice over: per `(src, dst)` pair in the network, and per
+/// probe shape in the allocator, so probes whose fills cannot differ share
+/// one. An epoch that retires exactly the transfer whose start opened the
+/// epoch before it (a request transfer started, then drained) does not
+/// solve: its demand set is the one from before that start, so it restores
+/// the rates that start replaced. Any other start or retire, and every
+/// probe fill, solves only the transfer's component —
 /// the rows it reaches through links their bounds can fill — and a mutation
 /// solves every row. All of this is bit-identical to re-solving every epoch
 /// from scratch with one unit-weight row per transfer in flight.
@@ -164,8 +166,9 @@ pub struct Network {
     /// Per-epoch memo of probe results: identical queries within one epoch
     /// are pure, so the first answer serves every later caller.
     probe_memo: RefCell<HashMap<(NodeId, NodeId), f64>>,
-    /// Lifetime count of max-min probe *solves* (memo misses) — the unit the
-    /// symmetry-aware probe sharing is measured in.
+    /// Lifetime count of `(src, dst)` pair-memo misses — the unit the
+    /// symmetry-aware probe sharing is measured in. A miss the allocator's
+    /// shape memo answers counts here too.
     probe_solves: std::cell::Cell<u64>,
     /// Lifetime count of probe *queries* (memo hits included); queries minus
     /// solves is the memo's hit count.
@@ -531,10 +534,12 @@ impl Network {
     }
 
     /// Settles the rates of a new allocation epoch: capacities are refreshed
-    /// only if a mutation dirtied them, the per-epoch probe memo is
-    /// invalidated, and the allocator solves over the rows in place — after
-    /// a mutation all of them, after a start or a retire only the rows that
-    /// transfer reaches, whose rates alone can move. An epoch that retires
+    /// only if a mutation dirtied them, the per-epoch pair memo is
+    /// invalidated (the allocator forgets its probe shapes itself, at the
+    /// insert, remove, relink or capacity refresh every epoch makes), and
+    /// the allocator solves over the rows in place — after a mutation all of
+    /// them, after a start or a retire only the rows that transfer reaches,
+    /// whose rates alone can move. An epoch that retires
     /// exactly the transfer whose start opened the previous one has the
     /// demand set and capacities of the epoch before that start, so it
     /// restores the rates that start replaced instead of solving.
@@ -624,10 +629,13 @@ impl Network {
     /// `remos_get_flow` query.
     ///
     /// The probe is one more row in the epoch's allocator — inserted,
-    /// solved with the transfers' rows it reaches, read and removed —
-    /// and its answer is memoised per `(src, dst)` pair until the next
-    /// mutation. Both are exact: the answer is bit-identical to a full
-    /// re-solve with the probe included.
+    /// solved with the transfers' rows it reaches, read and removed
+    /// ([`Allocator::probe`]). Its answer is memoised until the epoch ends:
+    /// per `(src, dst)` pair here, and in the allocator per probe *shape*
+    /// (the path's resources some transfer crosses, its tightest other link
+    /// and where that link's id may sit), which probes from one server to
+    /// many clients share. Both are exact: the answer is bit-identical to a
+    /// full re-solve with the probe included.
     pub fn available_bandwidth(&self, src: NodeId, dst: NodeId) -> Result<f64, NetError> {
         self.probe_queries.set(self.probe_queries.get() + 1);
         if let Some(&cached) = self.probe_memo.borrow().get(&(src, dst)) {
@@ -639,24 +647,27 @@ impl Network {
         let rate = if probe.is_empty() {
             LOCAL_RATE_BPS
         } else {
-            let mut alloc = self.alloc.borrow_mut();
-            let row = alloc.insert(&self.caps, &probe);
-            alloc.cover(row);
-            alloc.solve_cover();
-            let rate = alloc.rate(row);
-            alloc.remove(row);
-            rate
+            self.alloc.borrow_mut().probe(&self.caps, &probe)
         };
         self.probe_memo.borrow_mut().insert((src, dst), rate);
         Ok(rate)
     }
 
-    /// Lifetime number of max-min probe solves performed by
-    /// [`available_bandwidth`](Self::available_bandwidth) (per-epoch memo
-    /// hits excluded). Probe-sharing optimisations are benchmarked against
-    /// this counter; it never influences behaviour.
+    /// Lifetime number of [`available_bandwidth`](Self::available_bandwidth)
+    /// queries the per-epoch `(src, dst)` pair memo missed, whether or not
+    /// the allocator's shape memo then answered them. Probe-sharing
+    /// optimisations are benchmarked against this counter; it never
+    /// influences behaviour.
     pub fn probe_solve_count(&self) -> u64 {
         self.probe_solves.get()
+    }
+
+    /// Lifetime number of probe fills the allocator actually ran: the pair
+    /// memo's misses less those the shape memo answered and those that
+    /// cross no link. Like every observability counter, it never
+    /// influences behaviour.
+    pub fn probe_fill_count(&self) -> u64 {
+        self.alloc.borrow().probe_fills()
     }
 
     /// Lifetime number of probe *queries* (memo hits included). The memo's

@@ -13,7 +13,9 @@
 //! solves — a start, a retire or a probe solving only its row's component —
 //! are held to a full solve and to the reference on allocator scripts whose
 //! summed bounds land on a slot's capacity, and through `Network` with
-//! probes between every two epochs.
+//! probes between every two epochs. Probes the allocator's shape memo
+//! answers are held to a fresh full solve with the probe in place, on churn
+//! whose capacities take a few equal values so that heap ties are the rule.
 
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
@@ -829,4 +831,224 @@ fn covered_solves_leave_rows_out() {
         narrow * 4 > solves,
         "{narrow} of {solves} solves left a row out"
     );
+}
+
+/// The rate a probe over `probe` gets with the `live` paths in place, from
+/// a full `solve` on a fresh allocator that is held to the reference on the
+/// way.
+fn fresh_probe_rate(
+    capacities: &[f64],
+    live: &[(u32, Vec<u32>)],
+    probe: &[u32],
+    context: &str,
+) -> f64 {
+    let mut fresh = Allocator::new();
+    let paths = live.iter().map(|(_, path)| path.as_slice()).chain([probe]);
+    let rows: Vec<(u32, Vec<u32>)> = paths
+        .map(|path| (fresh.insert(capacities, path), path.to_vec()))
+        .collect();
+    fresh.solve();
+    assert_solve_matches(&fresh, capacities, &rows, context);
+    fresh.rate(rows.last().expect("the probe's row").0)
+}
+
+/// What a probe fill reads of its row, worked out from the test's own
+/// ledger: the probe's resources a live path crosses or it lists twice, in
+/// path order, and the least capacity bits of the rest.
+fn shape(capacities: &[f64], live: &[(u32, Vec<u32>)], probe: &[u32]) -> (Vec<u32>, u64) {
+    let shared = |r: &u32| {
+        live.iter().any(|(_, path)| path.contains(r))
+            || probe.iter().filter(|&q| q == r).count() > 1
+    };
+    let capacity = |r: u32| capacities.get(r as usize).map_or(1.0, |c| c.max(1.0));
+    let bits = probe
+        .iter()
+        .filter(|r| !shared(r))
+        .map(|&r| capacity(r).to_bits())
+        .min();
+    (
+        probe.iter().copied().filter(shared).collect(),
+        bits.unwrap_or(u64::MAX),
+    )
+}
+
+/// How often one script's probes were answered without a fill, and how
+/// often a fill ran although an earlier probe of the epoch had the same
+/// shared resources and candidate bits (its candidate lay outside the gap).
+#[derive(Debug, Default)]
+struct ShapeCounts {
+    probes: usize,
+    hits: usize,
+    gap_rejections: usize,
+}
+
+/// Replays seeded churn on one allocator over a fleet's resources: server
+/// links, a core link, aggregation uplinks and client access links, whose
+/// ids interleave the aggregation switches so that equal-capacity access
+/// links of different switches sit between each other. Every capacity is
+/// one of a few values — among them `10 / 3`, twice it and `10`, whose
+/// shares tie and round apart in the last bit. Each epoch is an insert, a
+/// remove, a relink or a capacity refresh, and then probes between random
+/// servers and clients in random order — now and then one server against
+/// every client, the shape of a class snapshot — each held to
+/// [`fresh_probe_rate`] bit for bit.
+fn run_shape_script(seed: u64, epochs: usize) -> ShapeCounts {
+    let mut rng = SimRng::seed_from_u64(seed).derive(31);
+    let third = 10.0 / 3.0;
+    let values = [third, 2.0 * third, 10.0, 20.0, 30.0];
+    let (servers, aggs, per_agg) = (1 + rng.index(3), 1 + rng.index(3), 1 + rng.index(5));
+    let clients = aggs * per_agg;
+    let core = servers as u32;
+    let agg = |a: usize| (servers + 1 + a) as u32;
+    let access = |c: usize| (servers + 1 + aggs + (c % per_agg) * aggs + c / per_agg) as u32;
+    let mut capacities: Vec<f64> = (0..servers + 1 + aggs + clients)
+        .map(|_| values[rng.index(values.len())])
+        .collect();
+    let path = |rng: &mut SimRng, server: usize, client: usize| -> Vec<u32> {
+        let mut path = vec![server as u32];
+        if rng.index(4) > 0 {
+            path.push(core);
+        }
+        path.extend([agg(client / per_agg), access(client)]);
+        match rng.index(12) {
+            0 => path.push(access(client)),
+            1 | 2 => path.reverse(),
+            _ => {}
+        }
+        path
+    };
+
+    let mut allocator = Allocator::new();
+    let mut live: Vec<(u32, Vec<u32>)> = Vec::new();
+    let mut counts = ShapeCounts::default();
+    for epoch in 0..epochs {
+        match rng.index(5) {
+            0 | 1 => {
+                let (server, client) = (rng.index(servers), rng.index(clients));
+                let p = path(&mut rng, server, client);
+                live.push((allocator.insert(&capacities, &p), p));
+            }
+            2 if !live.is_empty() => {
+                let (row, _) = live.swap_remove(rng.index(live.len()));
+                allocator.remove(row);
+            }
+            3 => {
+                for _ in 0..1 + rng.index(3) {
+                    let r = rng.index(capacities.len());
+                    capacities[r] = values[rng.index(values.len())];
+                }
+                allocator.refresh_capacities(&capacities);
+            }
+            _ if !live.is_empty() => {
+                let (i, server, client) = (
+                    rng.index(live.len()),
+                    rng.index(servers),
+                    rng.index(clients),
+                );
+                live[i].1 = path(&mut rng, server, client);
+                allocator.relink(live[i].0, &capacities, &live[i].1);
+            }
+            _ => {}
+        }
+        let mut pairs: Vec<(usize, usize)> = if rng.index(3) == 0 {
+            let server = rng.index(servers);
+            (0..clients).map(|client| (server, client)).collect()
+        } else {
+            (0..1 + rng.index(12))
+                .map(|_| (rng.index(servers), rng.index(clients)))
+                .collect()
+        };
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.index(i + 1));
+        }
+        let mut seen: Vec<(Vec<u32>, u64)> = Vec::new();
+        for (server, client) in pairs {
+            let probe = path(&mut rng, server, client);
+            let context = format!("seed {seed} epoch {epoch} probe {probe:?} over {live:?}");
+            let fills = allocator.probe_fills();
+            let rate = allocator.probe(&capacities, &probe);
+            let expected = fresh_probe_rate(&capacities, &live, &probe, &context);
+            assert!(
+                rate.to_bits() == expected.to_bits(),
+                "{context}: probe {rate} != fresh solve {expected}"
+            );
+            let shape = shape(&capacities, &live, &probe);
+            counts.probes += 1;
+            if allocator.probe_fills() == fills {
+                counts.hits += 1;
+            } else if seen.contains(&shape) {
+                counts.gap_rejections += 1;
+            }
+            seen.push(shape);
+        }
+    }
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every probe, whether the shape memo answered it or a fill ran, is
+    /// what a full solve with the probe in place gives, bit for bit.
+    #[test]
+    fn probes_that_share_a_shape_match_a_fresh_solve(seed in 0u64..u64::MAX) {
+        run_shape_script(seed, 30);
+    }
+}
+
+/// The shape scripts on fixed seeds take both of the memo's branches: many
+/// probes are answered without a fill, and some with a known shape are
+/// filled again because their candidate lies outside the recorded gap.
+#[test]
+fn shape_scripts_hit_and_reject_on_the_gap() {
+    let mut total = ShapeCounts::default();
+    for seed in 0..32 {
+        let counts = run_shape_script(seed, 30);
+        total.probes += counts.probes;
+        total.hits += counts.hits;
+        total.gap_rejections += counts.gap_rejections;
+    }
+    println!("{total:?}");
+    assert!(total.hits * 8 > total.probes, "{total:?}");
+    assert!(total.gap_rejections > 0, "{total:?}");
+}
+
+/// Two probes with one shape whose candidates sit on either side of another
+/// candidate with the same share bits get different answers. Resource 1
+/// (twice `10 / 3`, two rows) and resource 3 (10, two rows and the probe)
+/// both offer a share of `10 / 3`, as do the probes' private links 0 and 2.
+/// The probe over `[0, 3]` pops first and freezes at `10 / 3`; the one over
+/// `[2, 3]` pops after resource 1, whose rows take `10 / 3` out of
+/// resource 3 first, leaving it `(10 - 10 / 3) / 2`, one ulp under. A memo
+/// that answered the second probe with the first's answer, because their
+/// shared resources and capacity bits match, would be wrong.
+#[test]
+fn a_probe_whose_candidate_crosses_a_tie_is_filled_again() {
+    let third = 10.0 / 3.0;
+    let capacities = [third, 2.0 * third, third, 10.0];
+    let mut allocator = Allocator::new();
+    let live: Vec<(u32, Vec<u32>)> = [vec![1, 3], vec![1], vec![3]]
+        .into_iter()
+        .map(|path| (allocator.insert(&capacities, &path), path))
+        .collect();
+    let first = allocator.probe(&capacities, &[0, 3]);
+    let second = allocator.probe(&capacities, &[2, 3]);
+    for (probe, rate) in [([0, 3], first), ([2, 3], second)] {
+        let expected = fresh_probe_rate(&capacities, &live, &probe, "tie");
+        assert_eq!(rate.to_bits(), expected.to_bits(), "{probe:?}");
+    }
+    assert_eq!(first, third);
+    assert_eq!(second, (10.0 - third) / 2.0);
+    assert!(second < first);
+    assert_eq!(
+        allocator.probe_fills(),
+        2,
+        "the second probe was not filled"
+    );
+    // The first probe's shape still answers a probe on its side of the tie.
+    assert_eq!(
+        allocator.probe(&capacities, &[0, 3]).to_bits(),
+        first.to_bits()
+    );
+    assert_eq!(allocator.probe_fills(), 2);
 }

@@ -4,7 +4,10 @@
 //! `poll_completions_into` allocate **nothing** on a 200-host star and on 200
 //! clients behind eight aggregation switches — the transfer slab, the
 //! allocator's rows, slots, occurrence links, covers and registration lists,
-//! the heap and the probe memo are all reused. The count is a deterministic work
+//! the heap, the pair memo and the shape memo are all reused. The fleet case
+//! also probes one server against every client after every step, the shape of
+//! a class snapshot, and requires the shape memo to answer most of those
+//! probes. The count is a deterministic work
 //! counter, the same on every host, so a `Vec`, a `HashMap` entry or a
 //! `format!` per epoch fails here with no wall-clock noise.
 
@@ -29,6 +32,8 @@ struct Churn {
     busy: Vec<bool>,
     in_flight: usize,
     done: Vec<simnet::CompletedTransfer>,
+    /// Whether every settle also probes `servers[0]` against every client.
+    snapshot: bool,
 }
 
 impl Churn {
@@ -47,8 +52,9 @@ impl Churn {
         self.in_flight += 1;
     }
 
-    /// Moves the clock on so some transfers drain, probes a pair, and
-    /// collects what arrived.
+    /// Moves the clock on so some transfers drain, probes a pair (and, for
+    /// a snapshot churn, one server against every client), and collects
+    /// what arrived.
     fn settle(&mut self, secs: f64) {
         self.clock += secs;
         let now = SimTime::from_secs(self.clock);
@@ -57,6 +63,13 @@ impl Churn {
         self.net
             .available_bandwidth(self.servers[0], probe)
             .expect("star is connected");
+        if self.snapshot {
+            for &client in &self.clients {
+                self.net
+                    .available_bandwidth(self.servers[0], client)
+                    .expect("star is connected");
+            }
+        }
         self.done.clear();
         self.net.poll_completions_into(now, &mut self.done);
         for transfer in &self.done {
@@ -106,7 +119,12 @@ impl Churn {
 
 /// Runs [`COUNTED_EPOCHS`] warm epochs of churn between `clients` and
 /// `servers` and returns the heap allocations they made.
-fn warm_epoch_allocations(net: Network, clients: Vec<NodeId>, servers: Vec<NodeId>) -> u64 {
+fn warm_epoch_allocations(
+    net: Network,
+    clients: Vec<NodeId>,
+    servers: Vec<NodeId>,
+    snapshot: bool,
+) -> u64 {
     // One shortest-path tree per source, and a probe memo that has held
     // every pair, before anything is counted.
     for &c in &clients {
@@ -124,24 +142,34 @@ fn warm_epoch_allocations(net: Network, clients: Vec<NodeId>, servers: Vec<NodeI
         busy: vec![false; CLIENTS],
         in_flight: 0,
         done: Vec::with_capacity(IN_FLIGHT),
+        snapshot,
     };
     churn.warm_up();
 
     let epochs_before = churn.net.rate_epoch_count();
     let solves_before = churn.net.probe_solve_count();
+    let fills_before = churn.net.probe_fill_count();
     let rate_solves_before = churn.net.rate_solve_count();
     let mut allocations = 0;
     while churn.net.rate_epoch_count() - epochs_before < COUNTED_EPOCHS {
         allocations += counted(|| churn.step());
     }
     let probe_solves = churn.net.probe_solve_count() - solves_before;
+    let fills = churn.net.probe_fill_count() - fills_before;
     let solved = churn.net.rate_solve_count() - rate_solves_before;
     println!(
         "{allocations} allocations over {COUNTED_EPOCHS} epochs ({solved} solved) \
-         and {probe_solves} probe solves"
+         and {probe_solves} probe solves ({fills} filled)"
     );
     assert!(probe_solves > 1_000, "only {probe_solves} probe solves");
     assert!(solved < COUNTED_EPOCHS, "no epoch restored its rates");
+    if snapshot {
+        assert!(
+            fills * 4 < probe_solves,
+            "the shape memo answered only {} of {probe_solves} probes",
+            probe_solves - fills
+        );
+    }
     allocations
 }
 
@@ -159,7 +187,7 @@ fn a_warm_epoch_allocates_nothing() {
         .map(|i| host(format!("c{i}"), 20.0e6))
         .collect();
     let servers: Vec<NodeId> = (0..2).map(|i| host(format!("s{i}"), 10.0e6)).collect();
-    let allocations = warm_epoch_allocations(Network::new(topo), clients, servers);
+    let allocations = warm_epoch_allocations(Network::new(topo), clients, servers, false);
     assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
 }
 
@@ -169,7 +197,8 @@ fn a_warm_epoch_allocates_nothing() {
 /// not by two, and a server's 100 Mbps link by eleven transfers but not by
 /// ten, so as transfers come and go those links keep turning from slots a
 /// solve must queue into slots it may leave out, and back: covers grow,
-/// shrink and merge, and still allocate nothing once warm.
+/// shrink and merge, and still allocate nothing once warm. Every step also
+/// probes the first server against all 200 clients.
 #[test]
 fn a_warm_fleet_epoch_allocates_nothing() {
     let ms = SimDuration::from_millis;
@@ -192,6 +221,6 @@ fn a_warm_fleet_epoch_allocates_nothing() {
             h
         })
         .collect();
-    let allocations = warm_epoch_allocations(Network::new(topo), clients, servers);
+    let allocations = warm_epoch_allocations(Network::new(topo), clients, servers, true);
     assert_eq!(allocations, 0, "a warm epoch must not touch the heap");
 }
