@@ -106,23 +106,27 @@ impl Resilience {
     }
 }
 
-/// Per-bucket availability over `[0, duration)`.
+/// Per-bucket availability over `[0, duration)`: a bucket is available when
+/// the mean latency of the points in `[start, end)` meets the bound. The
+/// series is sorted by time, so each bucket's points are one contiguous range,
+/// found by binary search instead of a filtered copy of the whole series.
 fn bucket_availability(
     latency: &TimeSeries,
     duration_secs: f64,
     bound_secs: f64,
     bucket_secs: f64,
 ) -> Vec<bool> {
+    let points = latency.points();
     let buckets = (duration_secs / bucket_secs).ceil().max(1.0) as usize;
     (0..buckets)
         .map(|i| {
             let start = i as f64 * bucket_secs;
             let end = ((i + 1) as f64 * bucket_secs).min(duration_secs + 1e-9);
-            let slice = latency.window(start, end);
-            match slice.mean() {
-                Some(mean) => mean <= bound_secs,
-                None => false,
-            }
+            let from = points.partition_point(|&(t, _)| t < start);
+            let slice = &points[from..from.max(points.partition_point(|&(t, _)| t < end))];
+            // `TimeSeries::mean`'s in-order sum over the window's points.
+            !slice.is_empty()
+                && slice.iter().map(|&(_, v)| v).sum::<f64>() / slice.len() as f64 <= bound_secs
         })
         .collect()
 }
@@ -157,6 +161,65 @@ fn recovery_time(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition [`bucket_availability`] is held to: each bucket's mean
+    /// over a windowed copy of the series.
+    fn windowed_availability(
+        latency: &TimeSeries,
+        duration_secs: f64,
+        bound_secs: f64,
+        bucket_secs: f64,
+    ) -> Vec<bool> {
+        let buckets = (duration_secs / bucket_secs).ceil().max(1.0) as usize;
+        (0..buckets)
+            .map(|i| {
+                let start = i as f64 * bucket_secs;
+                let end = ((i + 1) as f64 * bucket_secs).min(duration_secs + 1e-9);
+                latency
+                    .window(start, end)
+                    .mean()
+                    .is_some_and(|mean| mean <= bound_secs)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sorted series with ties, points exactly on bucket edges,
+        /// at the run's end and at the `duration + 1e-9` bound, and past it.
+        #[test]
+        fn bucket_ranges_match_windowed_copies(
+            steps in proptest::collection::vec((0u8..6, 0u32..1_000, 0u32..1_000), 0..120),
+            duration in 1u32..300,
+            bucket in 1u32..40,
+            bound in 0u32..1_000,
+        ) {
+            let (duration, bucket) = (f64::from(duration) / 2.0, f64::from(bucket) / 4.0);
+            let mut points: Vec<f64> = steps
+                .iter()
+                .map(|&(shape, a, _)| match shape {
+                    0 => f64::from(a) * bucket / 10.0,
+                    1 => f64::from(a % 40) * bucket,
+                    2 => duration,
+                    3 => duration + 1e-9,
+                    4 => f64::from(a) / 1_000.0 * duration,
+                    _ => duration + f64::from(a) / 100.0,
+                })
+                .collect();
+            points.sort_by(f64::total_cmp);
+            let mut latency = TimeSeries::new();
+            for (t, &(_, _, value)) in points.iter().zip(&steps) {
+                latency.record(*t, f64::from(value) / 100.0);
+            }
+            let bound = f64::from(bound) / 100.0;
+            prop_assert_eq!(
+                bucket_availability(&latency, duration, bound, bucket),
+                windowed_availability(&latency, duration, bound, bucket)
+            );
+        }
+    }
 
     /// A latency series that is healthy except in `[gap_start, gap_end)`
     /// (no completions at all) and late in `[late_start, late_end)`.

@@ -276,6 +276,10 @@ pub struct GridApp {
     /// takes `&self`). Observability only.
     flow_memo_hits: std::cell::Cell<u64>,
     flow_memo_misses: std::cell::Cell<u64>,
+    /// [`flow_snapshot`](Self::flow_snapshot)'s `(machine, group)` memo,
+    /// cleared at the start of each call and kept so that its table is
+    /// allocated once, not per tick.
+    flow_memo: std::cell::RefCell<HashMap<(NodeId, GroupId), Option<f64>>>,
     /// Bumped by every successful [`move_client`](Self::move_client) /
     /// [`move_clients`](Self::move_clients) — the only writers of a client's
     /// group — so state derived from the client→group assignment knows when
@@ -429,6 +433,7 @@ impl GridApp {
             sink: tracestore::null_sink(),
             flow_memo_hits: std::cell::Cell::new(0),
             flow_memo_misses: std::cell::Cell::new(0),
+            flow_memo: Default::default(),
             assignment_generation: 0,
         })
     }
@@ -1361,7 +1366,8 @@ impl GridApp {
     /// memoised per `(client machine, group)` pair — clients sharing a
     /// machine and a group see the same prediction by definition.
     pub fn flow_snapshot(&self) -> FlowSnapshot {
-        let mut memo: HashMap<(NodeId, GroupId), Option<f64>> = HashMap::new();
+        let mut memo = self.flow_memo.borrow_mut();
+        memo.clear();
         let mut entries = Vec::with_capacity(self.clients.len());
         for (&name, client) in self.client_names.iter().zip(&self.clients) {
             let key = (client.host, client.group);

@@ -158,7 +158,8 @@ impl DueQueue {
     /// (non-destructive — callers remove entries per entity as they process
     /// them, and re-sort by entity name for deterministic processing order).
     pub fn collect_due(&self, t: SimTime, out: &mut Vec<(SimTime, u32)>) {
-        if self.len == 0 {
+        // Nothing is due before the cached minimum (none when empty).
+        if self.min.is_none_or(|(first, _)| first > t) {
             return;
         }
         let last = bucket_of(t);
@@ -246,6 +247,19 @@ mod tests {
         let mut due = Vec::new();
         q.collect_due(t(1.0), &mut due);
         assert_eq!(due, vec![(t(0.1), 3)]);
+    }
+
+    #[test]
+    fn collect_due_yields_the_minimum_at_its_own_time_and_nothing_before() {
+        let mut q = DueQueue::new();
+        q.insert(t(5.0), 1);
+        q.insert(t(7.0), 2);
+        let mut due = Vec::new();
+        q.collect_due(t(4.99), &mut due);
+        assert!(due.is_empty());
+        q.collect_due(t(5.0), &mut due);
+        assert_eq!(due, vec![(t(5.0), 1)]);
+        assert_eq!(q.stats().collected, 1);
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! to a [`TraceStore`](crate::store::TraceStore) and travels alongside the
 //! event in query results. Emitters hand a sink the borrowed [`EventRef`]
 //! view, which a run buffer encodes on arrival: between emission and disk an
-//! event is never an owned value. A read that hands back owned events
-//! converts each view through one [`StringTable`] per call, so equal strings
-//! in its result are one shared allocation.
+//! event is never an owned value. Reading decodes a `Record`, whose strings
+//! are still bytes; a read that hands back owned events turns each record
+//! into one through one `StringTable` per call, which checks each distinct
+//! string as UTF-8 once, so equal strings in its result are one shared
+//! allocation.
 
-use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
+use std::str::Utf8Error;
 use std::sync::Arc;
 
 /// What kind of observation an event records, in stable on-disk code order.
@@ -177,8 +178,7 @@ impl TraceEvent {
 
 /// [`TraceEvent`]'s fields with `subject` and `detail` borrowed: what an
 /// emitter hands a [`TraceSink`](crate::sink::TraceSink), borrowing names it
-/// already holds so that emitting allocates nothing, and what a scan decodes
-/// in place, borrowing the segment so that it can filter before it allocates.
+/// already holds so that emitting allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRef<'a> {
     /// See [`TraceEvent::time_secs`].
@@ -223,20 +223,37 @@ impl<'a> EventRef<'a> {
             ..self
         }
     }
+}
 
+/// One record as the decoder reads it: [`EventRef`]'s fields with `subject`
+/// and `detail` still the segment's bytes. They become strings only through a
+/// [`StringTable`], which checks each distinct one as UTF-8 once, so a scan
+/// that drops a record by its kind or time never checks its strings at all.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Record<'a> {
+    pub(crate) time_secs: f64,
+    pub(crate) kind: EventKind,
+    pub(crate) subject: &'a [u8],
+    pub(crate) detail: &'a [u8],
+    pub(crate) value: Option<f64>,
+    pub(crate) correlation: Option<u64>,
+}
+
+impl<'a> Record<'a> {
     /// Decodes one record (the layout of
     /// [`RunBuffer::push`](crate::store::RunBuffer::push)) from the front of
-    /// `buf` and advances `buf` past it. A length that exceeds what is left
-    /// of `buf` is an error before anything is allocated.
-    pub fn decode(buf: &mut &'a [u8]) -> io::Result<EventRef<'a>> {
+    /// `buf` and advances `buf` past it: the one record decoder. A length
+    /// that exceeds what is left of `buf` is an error before anything is
+    /// allocated.
+    pub(crate) fn decode(buf: &mut &'a [u8]) -> io::Result<Record<'a>> {
         let [code, flags] = take_array(buf)?;
         let kind = EventKind::from_code(code)
             .ok_or_else(|| invalid(format!("unknown event-kind code {code}")))?;
-        Ok(EventRef {
+        Ok(Record {
             kind,
             time_secs: f64::from_le_bytes(take_array(buf)?),
-            subject: take_str(buf)?,
-            detail: take_str(buf)?,
+            subject: take_bytes(buf)?,
+            detail: take_bytes(buf)?,
             value: (flags & 1 != 0)
                 .then(|| take_array(buf).map(f64::from_le_bytes))
                 .transpose()?,
@@ -245,73 +262,120 @@ impl<'a> EventRef<'a> {
                 .transpose()?,
         })
     }
-
-    /// Copies the view into an owned event whose strings come from `strings`.
-    pub(crate) fn to_owned(self, strings: &mut StringTable) -> TraceEvent {
-        TraceEvent {
-            time_secs: self.time_secs,
-            kind: self.kind,
-            subject: strings.share(self.subject),
-            detail: strings.share(self.detail),
-            value: self.value,
-            correlation: self.correlation,
-        }
-    }
 }
 
-/// The strings of one call's owned events: each distinct subject or detail is
-/// allocated once, and every event that holds it shares that allocation. Each
-/// read builds its own table and drops it when it returns, so no string stays
-/// allocated once the events holding it are gone.
+/// The strings of one call's owned events, keyed by their bytes: each
+/// distinct subject or detail is checked as UTF-8 and allocated once, when it
+/// first enters the table, and every event that holds it shares that
+/// allocation. Each read builds its own table and drops it when it returns,
+/// so no string stays allocated once the events holding it are gone.
+///
+/// A query looks up two strings per row among a few hundred distinct ones,
+/// so the lookup is the scan's inner loop: the table is open-addressed with
+/// linear probing, at most half full, and each slot keeps its string's
+/// [`Fingerprint`], which decides equality for strings of up to 16 bytes
+/// without comparing them byte by byte.
 #[derive(Default)]
-pub(crate) struct StringTable(HashSet<Arc<str>, BuildHasherDefault<FxHasher>>);
-
-/// The Fx hash (rustc's): a rotate, xor and multiply per eight bytes. A query
-/// looks up two strings per row, and SipHash's per-key cost showed in the
-/// scan. Fx offers no defence against keys crafted to collide, which here
-/// could only slow a query over a store written to do so.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
+pub(crate) struct StringTable {
+    /// A power of two of slots, or none before the first string.
+    slots: Vec<Option<(Fingerprint, Arc<str>)>>,
+    /// Occupied slots.
+    len: usize,
 }
 
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
-        }
-        // The tail byte by byte: a variable-length copy into a word costs
-        // a `memcpy` call, more than hashing the word.
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
-            self.add(word);
-        }
+/// A string's length and two words read from its ends, which between them
+/// hold every byte of a string of up to 16 bytes: from 8 bytes on the first
+/// and the last eight (overlapping below 16), from 4 the first and last four,
+/// below that the first, middle and last byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Fingerprint {
+    len: usize,
+    head: u64,
+    tail: u64,
+}
+
+/// Strings longer than this share a fingerprint only if their middles do too,
+/// which the table then compares.
+const FINGERPRINT_BYTES: usize = 16;
+
+impl Fingerprint {
+    fn of(bytes: &[u8]) -> Fingerprint {
+        let len = bytes.len();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                bytes[at..at + 4].try_into().expect("4 bytes"),
+            ))
+        };
+        let (head, tail) = match len {
+            0 => (0, 0),
+            1..4 => (
+                u64::from(bytes[0]) | u64::from(bytes[len / 2]) << 8,
+                u64::from(bytes[len - 1]),
+            ),
+            4..8 => (half(0), half(len - 4)),
+            _ => (word(0), word(len - 8)),
+        };
+        Fingerprint { len, head, tail }
     }
 
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+    /// The home slot's hash: two rounds of Fx's rotate, xor and multiply
+    /// (rustc's). Fx offers no defence against keys crafted to collide,
+    /// which here could only slow a query over a store written to do so.
+    fn hash(self) -> u64 {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let round = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(K);
+        round(round(self.len as u64, self.head), self.tail)
     }
 }
 
 impl StringTable {
-    /// The table's copy of `text`, made on first sight.
-    fn share(&mut self, text: &str) -> Arc<str> {
-        if let Some(shared) = self.0.get(text) {
-            return Arc::clone(shared);
+    /// The table's string of `bytes`, checked as UTF-8 and allocated the
+    /// first time the table sees them and shared every time after.
+    fn share(&mut self, bytes: &[u8]) -> Result<Arc<str>, Utf8Error> {
+        let print = Fingerprint::of(bytes);
+        let hash = print.hash();
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = (hash >> 32) as usize;
+        while let Some(Some((stored, text))) = self.slots.get(at & mask) {
+            if *stored == print && (print.len <= FINGERPRINT_BYTES || text.as_bytes() == bytes) {
+                return Ok(Arc::clone(text));
+            }
+            at += 1;
         }
-        let shared: Arc<str> = text.into();
-        self.0.insert(Arc::clone(&shared));
-        shared
+        let text: Arc<str> = std::str::from_utf8(bytes)?.into();
+        if 2 * (self.len + 1) > self.slots.len() {
+            let old = std::mem::take(&mut self.slots);
+            self.slots.resize(old.len().max(32) * 2, None);
+            for (print, text) in old.into_iter().flatten() {
+                self.place(print, text);
+            }
+        }
+        self.place(print, Arc::clone(&text));
+        self.len += 1;
+        Ok(text)
+    }
+
+    /// Stores `text` in the first free slot from its home slot on.
+    fn place(&mut self, print: Fingerprint, text: Arc<str>) {
+        let mask = self.slots.len() - 1;
+        let mut at = (print.hash() >> 32) as usize & mask;
+        while self.slots[at].is_some() {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = Some((print, text));
+    }
+
+    /// The owned event of `record`, its strings shared through the table.
+    pub(crate) fn event(&mut self, record: Record<'_>) -> Result<TraceEvent, Utf8Error> {
+        Ok(TraceEvent {
+            time_secs: record.time_secs,
+            kind: record.kind,
+            subject: self.share(record.subject)?,
+            detail: self.share(record.detail)?,
+            value: record.value,
+            correlation: record.correlation,
+        })
     }
 }
 
@@ -330,9 +394,10 @@ pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> io::Result<[u8; N]>
     take(buf, N).map(|bytes| bytes.try_into().expect("take returned N bytes"))
 }
 
-fn take_str<'a>(buf: &mut &'a [u8]) -> io::Result<&'a str> {
+/// A length-prefixed (`u32`) byte string.
+fn take_bytes<'a>(buf: &mut &'a [u8]) -> io::Result<&'a [u8]> {
     let len = u32::from_le_bytes(take_array(buf)?) as usize;
-    std::str::from_utf8(take(buf, len)?).map_err(|e| invalid(format!("non-UTF-8 string: {e}")))
+    take(buf, len)
 }
 
 /// A decoding failure that is not a short read.
@@ -379,9 +444,9 @@ mod tests {
         let mut cursor = &buf[..];
         let mut strings = StringTable::default();
         for ev in &events {
-            let view = EventRef::decode(&mut cursor).unwrap();
-            assert_eq!(view, ev.as_ref());
-            assert_eq!(&view.to_owned(&mut strings), ev);
+            let record = Record::decode(&mut cursor).unwrap();
+            assert_eq!(record.subject, ev.subject.as_bytes());
+            assert_eq!(&strings.event(record).unwrap(), ev);
         }
         assert!(cursor.is_empty());
         // The builders make the view the owned event lends.
@@ -396,14 +461,59 @@ mod tests {
         let buf =
             encoded(&[TraceEvent::new(1.0, EventKind::Transfer, "C1", "SG1").with_value(0.25)]);
         for cut in 1..buf.len() {
-            assert!(EventRef::decode(&mut &buf[..cut]).is_err(), "{cut}");
+            assert!(Record::decode(&mut &buf[..cut]).is_err(), "{cut}");
         }
         // A length with a flipped high bit is an error, not a 2 GiB buffer.
         let mut long = buf.clone();
         long[13] |= 0x80;
-        assert!(EventRef::decode(&mut &long[..]).is_err());
+        assert!(Record::decode(&mut &long[..]).is_err());
         let mut bad = buf.clone();
         bad[0] = 250;
-        assert!(EventRef::decode(&mut &bad[..]).is_err());
+        assert!(Record::decode(&mut &bad[..]).is_err());
+        // A string that is not UTF-8 decodes as bytes and fails in the table,
+        // every time it is asked for: a miss caches nothing.
+        let mut utf8 = buf.clone();
+        utf8[14] = 0xff;
+        let record = Record::decode(&mut &utf8[..]).unwrap();
+        assert_eq!(record.subject, b"\xff1");
+        let mut strings = StringTable::default();
+        assert!(strings.event(record).is_err());
+        assert!(strings.event(record).is_err());
+    }
+
+    #[test]
+    fn the_table_shares_equal_strings_and_keeps_distinct_ones_apart() {
+        // Strings of every length around the fingerprint's cases over a
+        // two-letter alphabet; past 16 bytes both ends are fixed, so that
+        // strings of one length share a fingerprint and differ only in the
+        // middle. The oracle is keyed by the whole string.
+        let mut strings = StringTable::default();
+        let mut oracle: std::collections::HashMap<Vec<u8>, Arc<str>> = Default::default();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let len = (state % 41) as usize;
+            let end = |i: usize| len > FINGERPRINT_BYTES && (i < 8 || i >= len - 8);
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| {
+                    if end(i) {
+                        b'a'
+                    } else {
+                        b'a' + (state >> (8 + i % 48) & 1) as u8
+                    }
+                })
+                .collect();
+            let shared = strings.share(&bytes).unwrap();
+            assert_eq!(shared.as_bytes(), &bytes[..]);
+            let first = oracle.entry(bytes).or_insert_with(|| Arc::clone(&shared));
+            assert!(
+                Arc::ptr_eq(first, &shared),
+                "{shared:?} was allocated twice"
+            );
+        }
+        assert_eq!(strings.len, oracle.len());
+        assert!(oracle.keys().any(|k| k.len() > FINGERPRINT_BYTES + 2));
     }
 }

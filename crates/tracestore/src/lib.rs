@@ -17,9 +17,8 @@
 //! * [`store`] — a segment-file [`TraceStore`] with per-run and per-kind
 //!   indices supporting deterministic replay-order iteration; the
 //!   [`RunBuffer`] is the one record encoder, one write path persists it,
-//!   one read path decodes a loaded segment in place as borrowed
-//!   [`EventRef`]s, and a damaged store is an error, never a different
-//!   answer;
+//!   one read path and one decoder read a loaded segment in place, and a
+//!   damaged store is an error, never a different answer;
 //! * [`query`] — filter by an `archmodel::expr` predicate over event
 //!   fields, time-window, and group-by, allocating only the rows that pass,
 //!   which share one allocation per distinct string;

@@ -23,22 +23,36 @@
 //! kind == "violation" and subject == "C3" and time >= 120
 //! ```
 //!
-//! [`Query::execute`] filters each record as the store decodes it, on a
-//! borrowed view of the loaded segment, and turns only the events that pass
-//! into [`QueryRow`]s. A row allocates no string of its own: all rows of a run
-//! share the store's `Arc<str>` run id, and each distinct subject or detail in
-//! the result is allocated once, in a string table that lives for the call. The
-//! predicate is compiled once per `execute` (an `archmodel::Program` with one
-//! slot per event field) and evaluated per event on values borrowed from the
-//! decoded view, so testing an event allocates nothing. [`Query::matches`] is
-//! the per-event definition (compiled afresh, nothing shared) that `execute`
-//! is property-tested against. A damaged store surfaces as
-//! [`QueryError::Store`] (see [`crate::store`]).
+//! [`Query::execute`] filters each record as the store decodes it and turns
+//! only the events that pass into [`QueryRow`]s. A record's subject and
+//! detail stay segment bytes until the predicate or a row needs them: the
+//! call's one string table, keyed by those bytes, checks a string as UTF-8
+//! and allocates it the first time it appears and shares it with every
+//! later row, so a row allocates no string of its own and a scan checks
+//! each distinct string once, not two per record. All rows of a run share
+//! the store's `Arc<str>` run id. When every record a scan visits becomes a
+//! row (no predicate, no window, at most one kind), the rows are reserved up
+//! front: the selected runs' manifest counts, or per run the kind index's
+//! offset count.
+//!
+//! A query with no kind list and no window whose predicate's leftmost `and`
+//! operand is `kind == "<name>"` (or `"<name>" == kind`) scans only that
+//! kind through the index, and nothing at all when no kind has that name.
+//! `and` evaluates left to right and stops at a false left operand, so in a
+//! full scan a record of another kind evaluates nothing but that comparison:
+//! the narrowed scan returns the same rows and the same errors.
+//!
+//! The predicate is compiled once per `execute` (an `archmodel::Program`
+//! with one slot per event field) and evaluated per event on values
+//! borrowed from the event, so testing an event allocates nothing.
+//! [`Query::matches`] is the per-event definition (compiled afresh, nothing
+//! shared) that `execute` is property-tested against. A damaged store
+//! surfaces as [`QueryError::Store`] (see [`crate::store`]).
 
-use crate::event::{EventKind, EventRef, StringTable, TraceEvent};
-use crate::store::{Select, StoreError, TraceStore};
-use archmodel::expr::{parse, Expr, Operand, Program};
-use archmodel::System;
+use crate::event::{EventKind, StringTable, TraceEvent};
+use crate::store::{Buffers, Select, StoreError, TraceStore};
+use archmodel::expr::{parse, BinOp, Expr, Operand, Program};
+use archmodel::{System, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -134,59 +148,104 @@ impl Query {
     }
 
     /// The kind and window filters.
-    fn keeps(&self, event: &EventRef<'_>) -> bool {
-        (self.kinds.is_empty() || self.kinds.contains(&event.kind))
+    fn keeps(&self, kind: EventKind, time_secs: f64) -> bool {
+        (self.kinds.is_empty() || self.kinds.contains(&kind))
             && self
                 .window
-                .is_none_or(|(from, until)| event.time_secs >= from && event.time_secs <= until)
+                .is_none_or(|(from, until)| time_secs >= from && time_secs <= until)
     }
 
     /// Whether one event (from the named run) passes every filter: the
     /// per-event definition of a query, with every field bound and nothing
     /// shared between calls. [`execute`](Self::execute) must agree with it.
     pub fn matches(&self, run_id: &str, event: &TraceEvent) -> Result<bool, QueryError> {
-        let event = event.as_ref();
-        if !self.selects_run(run_id) || !self.keeps(&event) {
+        if !self.selects_run(run_id) || !self.keeps(event.kind, event.time_secs) {
             return Ok(false);
         }
         self.predicate
             .as_ref()
-            .map_or(Ok(true), |expr| Predicate::new(expr).test(run_id, &event))
+            .map_or(Ok(true), |expr| Predicate::new(expr).test(run_id, event))
+    }
+
+    /// Which records of each run can pass: the one kind of a single-kind
+    /// list or a kind-led predicate, a window's suffix, or every record.
+    /// `None` when no record can: the predicate leads with a kind that does
+    /// not exist.
+    fn select(&self) -> Option<Select> {
+        let leading = self.predicate.as_ref().and_then(leading_kind);
+        Some(match (self.kinds.as_slice(), self.window, leading) {
+            ([kind], _, _) => Select::Kind(*kind),
+            (_, Some((from, _)), _) => Select::From(from),
+            ([], None, Some(name)) => Select::Kind(EventKind::by_name(name)?),
+            _ => Select::All,
+        })
     }
 
     /// Runs the query over the whole store, in replay order.
     ///
-    /// Each run is one scan of the store: a single-kind query walks the
-    /// per-kind index's offsets into the loaded segment, a windowed query
-    /// starts at the last time checkpoint provably before the window (every
-    /// record it skips has `time < from`, so the rows equal a full scan's),
-    /// anything else visits every record. The filters run on the borrowed
-    /// view, so only the events that pass become rows, and equal strings
-    /// among the rows are one shared allocation.
+    /// Each selected run is one scan, every scan of the call loading into
+    /// the same buffer: a single-kind or kind-led query walks the per-kind
+    /// index's offsets, a windowed query starts at the last time checkpoint
+    /// provably before the window (every record it skips has `time < from`,
+    /// so the rows equal a full scan's), anything else visits every record.
+    /// Strings, reservations and narrowing are as the module docs describe.
     pub fn execute(&self, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError> {
-        let predicate = self.predicate.as_ref().map(Predicate::new);
-        let select = match (self.kinds.as_slice(), self.window) {
-            ([kind], _) => Select::Kind(*kind),
-            (_, Some((from, _))) => Select::From(from),
-            _ => Select::All,
+        let Some(select) = self.select() else {
+            return Ok(Vec::new());
         };
-        let (mut rows, mut strings) = (Vec::new(), StringTable::default());
-        for meta in store.runs().iter().filter(|m| self.selects_run(&m.run_id)) {
-            store.scan(meta, select, |event| {
-                if self.keeps(&event)
-                    && predicate
-                        .as_ref()
-                        .map_or(Ok(true), |p| p.test(&meta.run_id, &event))?
-                {
-                    rows.push(QueryRow {
-                        run_id: Arc::clone(&meta.run_id),
-                        event: event.to_owned(&mut strings),
-                    });
+        let predicate = self.predicate.as_ref().map(Predicate::new);
+        let every_record = predicate.is_none() && self.window.is_none() && self.kinds.len() <= 1;
+        let runs = store.runs().iter().filter(|m| self.selects_run(&m.run_id));
+        let mut rows = Vec::new();
+        if every_record && self.kinds.is_empty() {
+            rows.reserve(runs.clone().map(|meta| store.record_bound(meta)).sum());
+        }
+        let (mut strings, mut buffers) = (StringTable::default(), Buffers::default());
+        for meta in runs {
+            let scan = store.scan(meta, select, &mut buffers)?;
+            if every_record {
+                rows.reserve(scan.len());
+            }
+            scan.visit(|record| {
+                if !self.keeps(record.kind, record.time_secs) {
+                    return Ok(());
                 }
+                let event = strings.event(record).map_err(|e| meta.non_utf8(e))?;
+                if let Some(p) = &predicate {
+                    if !p.test(&meta.run_id, &event)? {
+                        return Ok(());
+                    }
+                }
+                rows.push(QueryRow {
+                    run_id: Arc::clone(&meta.run_id),
+                    event,
+                });
                 Ok::<(), QueryError>(())
             })?;
         }
         Ok(rows)
+    }
+}
+
+/// The kind name a predicate's leftmost `and` operand compares `kind` with
+/// (`kind == "<name>"` or `"<name>" == kind`), if it is such a comparison.
+/// `and` evaluates left to right and stops at a false left operand, so
+/// against a record of any other kind the predicate is false without
+/// evaluating anything else: scanning only the named kind changes neither
+/// the rows nor the errors.
+fn leading_kind(expr: &Expr) -> Option<&str> {
+    match expr {
+        Expr::Binary(BinOp::And, left, _) => leading_kind(left),
+        Expr::Binary(BinOp::Eq, left, right) => match (&**left, &**right) {
+            (Expr::Ident(field), Expr::Literal(Value::Str(name)))
+            | (Expr::Literal(Value::Str(name)), Expr::Ident(field))
+                if field == "kind" =>
+            {
+                Some(name)
+            }
+            _ => None,
+        },
+        _ => None,
     }
 }
 
@@ -222,14 +281,14 @@ impl Predicate {
     /// Fills one slot per [`FIELDS`] entry from the event, borrowing its
     /// strings. An absent payload binds `value` to `NaN` (comparisons
     /// against it are false) and `correlation` to `-1`.
-    fn test(&self, run_id: &str, event: &EventRef<'_>) -> Result<bool, QueryError> {
+    fn test(&self, run_id: &str, event: &TraceEvent) -> Result<bool, QueryError> {
         let fields = [
             Some(Operand::Int(event.correlation.map_or(-1, |c| c as i64))),
-            Some(Operand::Str(Cow::Borrowed(event.detail))),
+            Some(Operand::Str(Cow::Borrowed(&event.detail))),
             Some(Operand::Bool(event.value.is_some())),
             Some(Operand::Str(Cow::Borrowed(event.kind.name()))),
             Some(Operand::Str(Cow::Borrowed(run_id))),
-            Some(Operand::Str(Cow::Borrowed(event.subject))),
+            Some(Operand::Str(Cow::Borrowed(&event.subject))),
             Some(Operand::Float(event.time_secs)),
             Some(Operand::Float(event.value.unwrap_or(f64::NAN))),
         ];

@@ -11,7 +11,7 @@
 //! [`RunBuffer`] as it arrives, so an enabled sink allocates only when the
 //! buffer grows.
 
-use crate::event::{EventRef, StringTable, TraceEvent};
+use crate::event::{EventRef, Record, StringTable, TraceEvent};
 use crate::store::RunBuffer;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -94,10 +94,11 @@ impl BufferSink {
         let run = self.take_run();
         let mut records = &run.segment[..];
         let mut strings = StringTable::default();
-        let mut decode = || EventRef::decode(&mut records).expect("push wrote whole records");
-        (0..run.count)
-            .map(|_| decode().to_owned(&mut strings))
-            .collect()
+        let mut decode = || {
+            let record = Record::decode(&mut records).expect("push wrote whole records");
+            strings.event(record).expect("push wrote UTF-8 strings")
+        };
+        (0..run.count).map(|_| decode()).collect()
     }
 }
 

@@ -25,16 +25,21 @@
 //! [`TraceStore::append_run`] pushes a slice of owned events.
 //!
 //! **Reading.** There is one read path, `TraceStore::scan`: it loads the
-//! run's segment with a single read (across `sweep_write`'s 108 1,800 s
-//! paper-scale runs the median segment is 1.18 MB and the largest 1.85 MB,
-//! 122 MB of segments and 21.6 MB of indices in all), decodes records in
-//! place as borrowed [`EventRef`]s, and hands
-//! each to a visitor; [`read_run`](TraceStore::read_run),
+//! run's segment with a single read into a buffer the call reuses for every
+//! run it reads (across `sweep_write`'s 108 1,800 s paper-scale runs the
+//! median segment is 1.18 MB and the largest 1.85 MB, 122 MB of segments
+//! and 21.6 MB of indices in all), and its walk decodes each selected
+//! record in place with the one record decoder. A decoded record's subject
+//! and detail are still the segment's bytes: the callers that hand back
+//! owned events — [`read_run`](TraceStore::read_run),
 //! [`read_run_from`](TraceStore::read_run_from),
 //! [`read_run_kind`](TraceStore::read_run_kind) and
-//! [`Query::execute`](crate::query::Query::execute) are its callers, and each
-//! call that hands back owned events allocates each distinct subject or detail
-//! once and shares it among them. What the
+//! [`Query::execute`](crate::query::Query::execute) — turn them into strings
+//! through one table per call, keyed by the bytes, which checks a string as
+//! UTF-8 and allocates it the first time it appears and shares it after.
+//! A scan knows before it decodes how many records it will visit (the
+//! manifest count, or the index's offset count for a kind), so a reader
+//! that keeps every record it visits reserves exactly that many. What the
 //! index buys is therefore *offsets into the loaded segment*, never file
 //! seeks: the per-kind section lets a single-kind scan (`gauge` readings in
 //! a long run, say) decode only its own records, and the second, optional
@@ -46,23 +51,30 @@
 //!
 //! **Damage.** A store that does not parse is [`StoreError::Corrupt`] on
 //! every read path, never a shorter or different answer, a panic, or an
-//! allocation sized by the damaged field: every length read from disk is
+//! allocation sized by the damaged field (a reservation is capped by the
+//! records the loaded bytes can hold): every length read from disk is
 //! checked against the bytes that are left; a sequential scan must decode
 //! exactly the manifest's record count and end at the segment's last byte; an
 //! index must account for exactly the manifest's count and be consumed
 //! whole; a kind's offsets must lie inside the segment, walk forward through
-//! non-overlapping records, and point at records of that kind. What these
+//! non-overlapping records, and point at records of that kind; a string that
+//! is not UTF-8 is corrupt where a read makes it a string (a query that
+//! drops its record by run, kind or window never does, and answers as if it
+//! were intact). What these
 //! structural checks cannot see — a flipped payload byte that still decodes,
 //! a checkpoint time that lies, an in-bounds offset moved onto bytes that
 //! happen to decode as the indexed kind — needs a per-segment checksum,
 //! which would change the store bytes and is tracked on the ROADMAP.
 
-use crate::event::{invalid, take, take_array, EventKind, EventRef, StringTable, TraceEvent};
+use crate::event::{
+    invalid, take, take_array, EventKind, EventRef, Record, StringTable, TraceEvent,
+};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::str::Utf8Error;
 use std::sync::Arc;
 
 /// The manifest file name inside a store directory.
@@ -295,90 +307,83 @@ impl TraceStore {
         let meta = self
             .run(run_id)
             .ok_or_else(|| StoreError::UnknownRun(run_id.to_string()))?;
-        let (mut events, mut strings) = (Vec::new(), StringTable::default());
-        self.scan(meta, select, |event| {
-            events.push(event.to_owned(&mut strings));
+        let mut buffers = Buffers::default();
+        let scan = self.scan(meta, select, &mut buffers)?;
+        let (mut events, mut strings) = (Vec::with_capacity(scan.len()), StringTable::default());
+        scan.visit(|record| {
+            events.push(strings.event(record).map_err(|e| meta.non_utf8(e))?);
             Ok::<(), StoreError>(())
         })?;
         Ok(events)
     }
 
+    /// The most records `meta`'s segment can hold: its manifest count, capped
+    /// by what the segment file's size leaves room for, so that a damaged
+    /// count reserves no more rows than the bytes on disk could fill. A
+    /// segment that cannot be read holds none; the scan that reads it reports
+    /// why.
+    pub(crate) fn record_bound(&self, meta: &RunMeta) -> usize {
+        let bytes = std::fs::metadata(self.root.join(&meta.segment)).map_or(0, |m| m.len());
+        usize::try_from(meta.count.min(bytes / MIN_RECORD_BYTES)).unwrap_or(usize::MAX)
+    }
+
     /// The one read path: loads `meta`'s segment (and, for anything but
-    /// [`Select::All`], its index) into memory and hands `visit` a borrowed
-    /// view of each selected record, in append order. Nothing read from disk
-    /// sizes an allocation or indexes unchecked, and a scan that does not
-    /// end where the manifest and the index say it must is
-    /// [`StoreError::Corrupt`].
-    pub(crate) fn scan<E: From<StoreError>>(
+    /// [`Select::All`], its index) into `buffers`, reusing their memory from
+    /// the last run loaded, and returns the walk over the selected records.
+    /// Nothing read from disk sizes an allocation or indexes unchecked.
+    pub(crate) fn scan<'b>(
         &self,
-        meta: &RunMeta,
+        meta: &'b RunMeta,
         select: Select,
-        mut visit: impl FnMut(EventRef<'_>) -> Result<(), E>,
-    ) -> Result<(), E> {
+        buffers: &'b mut Buffers,
+    ) -> Result<Scan<'b>, StoreError> {
         let seg_path = self.root.join(&meta.segment);
-        let idx_bytes;
-        let index = match select {
-            Select::All => Index::default(),
-            _ => {
-                let idx_path = seg_path.with_extension("idx");
-                idx_bytes = std::fs::read(&idx_path).map_err(io_err(&idx_path))?;
-                Index::parse(&idx_bytes, meta.count)
-                    .map_err(|e| StoreError::Corrupt(format!("{}: {e}", idx_path.display())))?
+        let index = |buf| Index::load(&seg_path.with_extension("idx"), buf, meta.count);
+        let walk = match select {
+            Select::All => Walk::Records(0, 0),
+            Select::Kind(kind) => {
+                let offsets = index(&mut buffers.index)?.kinds.get(&kind.code()).copied();
+                Walk::Kind(kind, offsets.unwrap_or_default())
             }
-        };
-        let seg = std::fs::read(&seg_path).map_err(io_err(&seg_path))?;
-        let corrupt = |what: String| StoreError::Corrupt(format!("{}: {what}", meta.segment));
-
-        let tail = |offset: u64| {
-            (usize::try_from(offset).ok())
-                .and_then(|offset| seg.get(offset..))
-                .ok_or_else(|| corrupt(format!("offset {offset} is past the segment's end")))
-        };
-
-        if let Select::Kind(kind) = select {
-            // Offsets of one kind must walk forward through whole records:
-            // each record starts in what the one before it left unread.
-            let mut unread = seg.len();
-            let offsets = index.kinds.get(&kind.code()).copied().unwrap_or_default();
-            for off in offsets.chunks_exact(8).map(|off| u64_at(off, 0)) {
-                let mut buf = tail(off)?;
-                if buf.len() > unread {
-                    return Err(corrupt(format!("index offset {off} is out of order")).into());
-                }
-                let event = EventRef::decode(&mut buf)
-                    .map_err(|e| corrupt(format!("offset {off}: {e}")))?;
-                if event.kind != kind {
-                    return Err(corrupt(format!(
-                        "index points offset {off} at a {} record, expected {kind}",
-                        event.kind
-                    ))
-                    .into());
-                }
-                unread = buf.len();
-                visit(event)?;
-            }
-            return Ok(());
-        }
-
-        // A checkpoint (record index, byte offset, prefix max time) whose
-        // prefix max lies before the window has only skippable records
-        // before it: start at the last such one.
-        let (record, offset) = match select {
-            Select::From(from_secs) => (index.checkpoints.chunks_exact(24))
+            // A checkpoint (record index, byte offset, prefix max time) whose
+            // prefix max lies before the window has only skippable records
+            // before it: start at the last such one.
+            Select::From(from_secs) => (index(&mut buffers.index)?.checkpoints.chunks_exact(24))
                 .rfind(|cp| f64::from_bits(u64_at(cp, 16)) < from_secs)
-                .map_or((0, 0), |cp| (u64_at(cp, 0), u64_at(cp, 8))),
-            _ => (0, 0),
+                .map_or(Walk::Records(0, 0), |cp| {
+                    Walk::Records(u64_at(cp, 0), u64_at(cp, 8))
+                }),
         };
-        let mut buf = tail(offset)?;
-        for i in record..meta.count {
-            let event =
-                EventRef::decode(&mut buf).map_err(|e| corrupt(format!("record {i}: {e}")))?;
-            visit(event)?;
-        }
-        if !buf.is_empty() {
-            return Err(corrupt(format!("trailing bytes after {} records", meta.count)).into());
-        }
-        Ok(())
+        read_into(&seg_path, &mut buffers.segment)?;
+        Ok(Scan {
+            meta,
+            segment: &buffers.segment,
+            walk,
+        })
+    }
+}
+
+/// The smallest encoded record: kind, flags, time and two empty strings.
+const MIN_RECORD_BYTES: u64 = 2 + 8 + 4 + 4;
+
+/// Replaces `buf`'s contents with the file at `path`, keeping its memory.
+fn read_into(path: &Path, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+    buf.clear();
+    File::open(path)
+        .and_then(|mut file| file.read_to_end(buf))
+        .map(drop)
+        .map_err(io_err(path))
+}
+
+impl RunMeta {
+    /// The error for damage found in this run's segment.
+    pub(crate) fn corrupt(&self, what: impl fmt::Display) -> StoreError {
+        StoreError::Corrupt(format!("{}: {what}", self.segment))
+    }
+
+    /// The error for a record string that is not UTF-8.
+    pub(crate) fn non_utf8(&self, error: Utf8Error) -> StoreError {
+        self.corrupt(format_args!("non-UTF-8 string: {error}"))
     }
 }
 
@@ -393,6 +398,97 @@ pub(crate) enum Select {
     Kind(EventKind),
 }
 
+/// The memory one call's scans load segments and indices into, reused from
+/// run to run.
+#[derive(Default)]
+pub(crate) struct Buffers {
+    segment: Vec<u8>,
+    index: Vec<u8>,
+}
+
+/// One run loaded by [`TraceStore::scan`], ready to be walked.
+pub(crate) struct Scan<'b> {
+    meta: &'b RunMeta,
+    segment: &'b [u8],
+    walk: Walk<'b>,
+}
+
+/// Where a [`Scan`] finds its records.
+enum Walk<'b> {
+    /// Records of one kind, at the index's offsets (raw little-endian `u64`s).
+    Kind(EventKind, &'b [u8]),
+    /// Every record from the given record number, which starts at the given
+    /// byte offset.
+    Records(u64, u64),
+}
+
+impl<'b> Scan<'b> {
+    /// How many records [`visit`](Self::visit) hands over if the run is
+    /// intact, capped by what the loaded bytes can hold.
+    pub(crate) fn len(&self) -> usize {
+        let count = match self.walk {
+            Walk::Kind(_, offsets) => offsets.len() as u64 / 8,
+            Walk::Records(first, offset) => (self.meta.count.saturating_sub(first))
+                .min((self.segment.len() as u64).saturating_sub(offset) / MIN_RECORD_BYTES),
+        };
+        usize::try_from(count).unwrap_or(usize::MAX)
+    }
+
+    /// Decodes each selected record in append order and hands it to `visit`.
+    /// A walk that does not end where the manifest and the index say it must
+    /// is [`StoreError::Corrupt`].
+    pub(crate) fn visit<E: From<StoreError>>(
+        self,
+        mut visit: impl FnMut(Record<'b>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (meta, seg) = (self.meta, self.segment);
+        let corrupt = |what: String| meta.corrupt(what);
+        let tail = |offset: u64| {
+            (usize::try_from(offset).ok())
+                .and_then(|offset| seg.get(offset..))
+                .ok_or_else(|| corrupt(format!("offset {offset} is past the segment's end")))
+        };
+        match self.walk {
+            Walk::Kind(kind, offsets) => {
+                // Offsets of one kind must walk forward through whole
+                // records: each record starts in what the one before it left
+                // unread.
+                let mut unread = seg.len();
+                for off in offsets.chunks_exact(8).map(|off| u64_at(off, 0)) {
+                    let mut buf = tail(off)?;
+                    if buf.len() > unread {
+                        return Err(corrupt(format!("index offset {off} is out of order")).into());
+                    }
+                    let record = Record::decode(&mut buf)
+                        .map_err(|e| corrupt(format!("offset {off}: {e}")))?;
+                    if record.kind != kind {
+                        return Err(corrupt(format!(
+                            "index points offset {off} at a {} record, expected {kind}",
+                            record.kind
+                        ))
+                        .into());
+                    }
+                    unread = buf.len();
+                    visit(record)?;
+                }
+            }
+            Walk::Records(first, offset) => {
+                let mut buf = tail(offset)?;
+                for i in first..meta.count {
+                    let record = Record::decode(&mut buf)
+                        .map_err(|e| corrupt(format!("record {i}: {e}")))?;
+                    visit(record)?;
+                }
+                if !buf.is_empty() {
+                    let what = format!("trailing bytes after {} records", meta.count);
+                    return Err(corrupt(what).into());
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A parsed `.idx` file, borrowing the file's bytes.
 #[derive(Default)]
 struct Index<'a> {
@@ -404,6 +500,13 @@ struct Index<'a> {
 }
 
 impl<'a> Index<'a> {
+    /// Reads the index file at `path` into `buf` and parses it.
+    fn load(path: &Path, buf: &'a mut Vec<u8>, count: u64) -> Result<Index<'a>, StoreError> {
+        read_into(path, buf)?;
+        Index::parse(buf, count)
+            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
+    }
+
     /// Parses both sections of an index file (see `RunBuffer::index` for
     /// the layout) for a run of `count`
     /// records. A count that promises more bytes than are left is a short

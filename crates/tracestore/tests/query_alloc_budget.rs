@@ -8,19 +8,26 @@
 //! strings (cdc4b0e): 40,034 allocations for 20,000 rows — two owned
 //! `String`s per row, plus an `Arc<str>` run id, a segment path, a copy of it
 //! for the error context and the segment's bytes per run, and the row
-//! vector's 14 growths. Since then: 61, the same in debug and release — the
-//! 30 distinct strings, the string table's 5 growths, the row vector's 14,
-//! and per run the segment path (two: `Path::join` copies the root, then
-//! grows it) and the segment's bytes. The run ids are the store's own.
+//! vector's 14 growths. Then 61, with the row vector's 14 growths, the string
+//! table's 5 and a segment read per run. Now 49, the same in debug and
+//! release: the 30 distinct strings and the string table's one slot array;
+//! the row vector, reserved once for the four runs' 20,000 records; per run
+//! the segment path twice (two each: `Path::join` copies the root, then grows
+//! it), once to size the reservation and once to read it; and one segment
+//! buffer, which every run's read reuses. The run ids are the store's own.
 //!
 //! With the predicate `kind == "transfer" and value > 2.0`, measured with
 //! this file on the commit before predicates were compiled (1c2bf25): 60,063
 //! allocations for 1,812 rows — three per event tested: the `kind` string
 //! refilled into the tree-walker's bindings map, its clone when the
-//! identifier was looked up, and a clone of the `"transfer"` literal. Now the
-//! predicate is compiled once per call and tested on fields borrowed from the
-//! decoded event: 65, the same in debug and release — the rows' 61 less the
-//! row vector's smaller growth, plus the compiled program.
+//! identifier was looked up, and a clone of the `"transfer"` literal. Then
+//! 65, with the predicate compiled once per call. Now 67, the same in debug
+//! and release: the strings' 31 as above, the row vector's 10 growths (only
+//! the predicate can tell how many of the transfers pass, so nothing is
+//! reserved), the compiled program's 8, and per run the segment path's two,
+//! the index path's one and the parsed index's one — the leading `kind == "transfer"` sends the scan to
+//! the kind index — plus one segment buffer and one index buffer for the
+//! call.
 
 use tracestore::{EventKind, Query, TraceEvent, TraceStore};
 

@@ -255,8 +255,13 @@ proptest! {
 /// right: fields it must bind, fields it may leave out, an identifier no
 /// event binds (an `Eval` error, on every event or only where the left
 /// operand lets evaluation reach it), a non-boolean result, and a field
-/// name re-bound by a quantifier.
-const PREDICATES: [&str; 9] = [
+/// name re-bound by a quantifier. Then the shapes kind narrowing must tell
+/// apart: a kind comparison leading the `and`s either way round, alone, or
+/// naming no kind (nothing is scanned, and the `nonesuch` it guards is never
+/// reached), and one that is not the leftmost operand or sits under `or`,
+/// which must scan every record — the first fails on any record of another
+/// kind.
+const PREDICATES: [&str; 14] = [
     "kind == \"transfer\" and value > 2.0",
     "has_value",
     "run != \"paper/step/adaptive/90s/none/seed42/control\" and subject == \"User1\" or time >= 50000",
@@ -266,6 +271,11 @@ const PREDICATES: [&str; 9] = [
     "value",
     "time > 100 and not (exists time in components | true)",
     "subject == detail",
+    "\"fault\" == kind and subject != \"User1\" and value < 0",
+    "kind == \"repair-start\"",
+    "kind == \"meteor\" and nonesuch",
+    "(kind == \"transfer\" or nonesuch) and kind == \"transfer\"",
+    "kind == \"fault\" or value > 2.0",
 ];
 
 /// The definition `execute` is held to: `matches`, event by event, over the
@@ -464,15 +474,21 @@ fn nan_payloads_and_times_reduce_without_panicking() {
 }
 
 /// What every read path answers about the one-run store at `dir`: the three
-/// readers and `Query::execute` down each of its three scans. `None` stands
+/// readers and `Query::execute` down each of its three scans, with a
+/// kind-led predicate and with one that reads both strings. `None` stands
 /// for a reported failure, which must be `Corrupt` or `Io`.
 fn answers(dir: &Path, from: f64) -> Vec<Option<Vec<TraceEvent>>> {
     let store = TraceStore::open(dir).unwrap();
     let mut out = vec![store.read_run(RUN), store.read_run_from(RUN, from)];
     out.extend(KINDS.map(|kind| store.read_run_kind(RUN, kind)));
+    let predicate = |source| Query::new().predicate(source).unwrap();
     let queries = [Query::new(), Query::new().window(from, f64::MAX)]
         .into_iter()
-        .chain(KINDS.map(|kind| Query::new().kind(kind)));
+        .chain(KINDS.map(|kind| Query::new().kind(kind)))
+        .chain([
+            predicate("kind == \"transfer\" and value > 2.0"),
+            predicate("subject != detail"),
+        ]);
     out.extend(queries.map(|query| match query.execute(&store) {
         Ok(rows) => Ok(rows.into_iter().map(|row| row.event).collect()),
         Err(QueryError::Store(e)) => Err(e),
@@ -505,6 +521,24 @@ fn index_fields(idx: &[u8]) -> Vec<usize> {
     fields
 }
 
+/// Byte positions of every subject and detail byte in a segment, walking the
+/// record layout `RunBuffer::push` documents.
+fn string_bytes(seg: &[u8]) -> Vec<usize> {
+    let mut positions = Vec::new();
+    let mut at = 0;
+    while at < seg.len() {
+        let flags = seg[at + 1];
+        at += 2 + 8;
+        for _ in 0..2 {
+            let len = u32::from_le_bytes(seg[at..at + 4].try_into().unwrap()) as usize;
+            positions.extend(at + 4..at + 4 + len);
+            at += 4 + len;
+        }
+        at += 8 * usize::from(flags & 1) + 8 * usize::from(flags >> 1 & 1);
+    }
+    positions
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -515,7 +549,7 @@ proptest! {
             1..200,
         ),
         from in 0u64..100_000,
-        damage in (0usize..4, 0u64..u64::MAX, 0u64..u64::MAX),
+        damage in (0usize..5, 0u64..u64::MAX, 0u64..u64::MAX),
     ) {
         let dir = ScratchDir::new("damage");
         let events: Vec<TraceEvent> = raws.iter().map(|r| event(*r)).collect();
@@ -526,14 +560,23 @@ proptest! {
 
         // Truncation and trailing bytes hit the segment or its index; an
         // overwrite turns one index field into anything at all (op 2) or
-        // into something within the segment's span (op 3).
+        // into something within the segment's span (op 3); op 4 writes a
+        // byte no UTF-8 string holds into one record's subject or detail.
         let (op, pick, noise) = damage;
         let seg_len = std::fs::metadata(dir.0.join("000000.seg")).unwrap().len();
-        let victim = if op < 2 && pick % 2 == 0 { "000000.seg" } else { "000000.idx" };
+        let victim = if op == 4 || op < 2 && pick % 2 == 0 { "000000.seg" } else { "000000.idx" };
         let mut bytes = std::fs::read(dir.0.join(victim)).unwrap();
+        let mut non_utf8 = false;
         match op {
             0 => bytes.truncate((noise % bytes.len() as u64) as usize),
             1 => bytes.extend(&noise.to_le_bytes()[..1 + (pick % 8) as usize]),
+            4 => {
+                let strings = string_bytes(&bytes);
+                if let Some(&at) = strings.get((pick % strings.len().max(1) as u64) as usize) {
+                    bytes[at] = 0xff;
+                    non_utf8 = true;
+                }
+            }
             _ => {
                 let fields = index_fields(&bytes);
                 let at = fields[(pick % fields.len() as u64) as usize];
@@ -545,7 +588,10 @@ proptest! {
 
         let damaged = catch_unwind(AssertUnwindSafe(|| answers(&dir.0, from)));
         prop_assert!(damaged.is_ok(), "a read path panicked on op {op}");
-        for (path, (damaged, truth)) in damaged.unwrap().iter().zip(&truth).enumerate() {
+        let damaged = damaged.unwrap();
+        // `read_run` makes a string of every record's bytes.
+        prop_assert!(!non_utf8 || damaged[0].is_none(), "a non-UTF-8 string read back");
+        for (path, (damaged, truth)) in damaged.iter().zip(&truth).enumerate() {
             prop_assert!(
                 damaged.is_none() || damaged == truth,
                 "read path {path} answered differently after op {op}"
