@@ -40,7 +40,7 @@ fn synthetic_events(n: usize) -> Vec<TraceEvent> {
             TraceEvent::new(
                 i as f64 / 10.0,
                 kind,
-                format!("User{}", i % 500),
+                &format!("User{}", i % 500),
                 "bandwidth",
             )
             .with_value((i % 977) as f64 * 1e3)

@@ -447,7 +447,7 @@ mod tests {
         let aborted: Vec<(&str, &str)> = events
             .iter()
             .filter(|e| e.kind == EventKind::RepairAborted)
-            .map(|e| (&*e.subject, &*e.detail))
+            .map(|e| (e.subject.as_str(), e.detail.as_str()))
             .collect();
         assert_eq!(
             aborted,
@@ -462,7 +462,7 @@ mod tests {
         let starts: Vec<(&str, Option<u64>)> = events
             .iter()
             .filter(|e| e.kind == EventKind::RepairStart)
-            .map(|e| (&*e.detail, e.correlation))
+            .map(|e| (e.detail.as_str(), e.correlation))
             .collect();
         assert_eq!(
             starts,
@@ -481,7 +481,7 @@ mod tests {
         );
         let advisory = &events[1];
         assert_eq!(
-            (advisory.kind, advisory.time_secs, &*advisory.detail),
+            (advisory.kind, advisory.time_secs, advisory.detail.as_str()),
             (EventKind::Advisory, 9.5, "load/cusum predict=serverLoad")
         );
         let counters = registry.snapshot().counters;

@@ -1,15 +1,18 @@
 //! Reductions over query results.
 //!
 //! Aggregates work on [`QueryRow`]s — filter first with a
-//! [`Query`](crate::query::Query), then reduce. Grouping keys and group
-//! ordering are lexicographic, so the same rows always aggregate to the
-//! same output, in the same order.
+//! [`Query`](crate::query::Query), then reduce. Groups and per-run maps are
+//! keyed by interned [`Key`]s: equal names are one key, compared by address,
+//! and `Key`'s order is string order, so the same rows always aggregate to
+//! the same output, in lexicographic group order.
 
 use crate::event::EventKind;
 use crate::query::QueryRow;
+use archmodel::Key;
 use simnet::quantile_of;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// How to reduce a group of events to one number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,13 +93,20 @@ impl GroupBy {
         }
     }
 
-    fn key(self, row: &QueryRow) -> &str {
+    /// The group `row` falls in. The kind names and `"all"` are interned
+    /// once per process, so no row takes the interner's lock.
+    fn key(self, row: &QueryRow) -> Key {
+        static ALL: OnceLock<Key> = OnceLock::new();
+        static KINDS: OnceLock<[Key; EventKind::ALL.len()]> = OnceLock::new();
         match self {
-            GroupBy::None => "all",
-            GroupBy::Run => &row.run_id,
-            GroupBy::Kind => row.event.kind.name(),
-            GroupBy::Subject => &row.event.subject,
-            GroupBy::Detail => &row.event.detail,
+            GroupBy::None => *ALL.get_or_init(|| Key::new("all")),
+            GroupBy::Run => row.run_id,
+            GroupBy::Kind => {
+                let kinds = KINDS.get_or_init(|| EventKind::ALL.map(|k| Key::new(k.name())));
+                kinds[usize::from(row.event.kind.code())]
+            }
+            GroupBy::Subject => row.event.subject,
+            GroupBy::Detail => row.event.detail,
         }
     }
 }
@@ -125,17 +135,16 @@ pub fn aggregate_rows<'a>(
     group_by: GroupBy,
 ) -> Vec<AggregateRow> {
     // Per group: how many rows, and the payloads of those that carry one.
-    // A run's rows share one run id and a query's rows one allocation per
-    // distinct subject or detail, so a key at the address of the previous
-    // row's is the same group with no lookup; the index is asked only when
-    // the key moves.
-    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+    // Consecutive rows mostly share a key (a run's rows are contiguous), so
+    // a key equal to the previous row's is the same group with no lookup;
+    // the index is asked only when the key moves.
+    let mut index: BTreeMap<Key, usize> = BTreeMap::new();
     let mut groups: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut open: Option<(&str, usize)> = None;
+    let mut open: Option<(Key, usize)> = None;
     for row in rows {
         let key = group_by.key(row);
         let slot = match open {
-            Some((last, slot)) if std::ptr::eq(last, key) => slot,
+            Some((last, slot)) if last == key => slot,
             _ => {
                 let next = groups.len();
                 let slot = *index.entry(key).or_insert(next);
@@ -182,14 +191,14 @@ pub fn aggregate_rows<'a>(
 /// fault at NaN is never recovered and a repair end at NaN recovers nothing.
 pub fn mttr_rows(rows: &[QueryRow]) -> Vec<AggregateRow> {
     // Per run: fault onset times and repair-end times.
-    let mut by_run: BTreeMap<&str, [Vec<f64>; 2]> = BTreeMap::new();
+    let mut by_run: BTreeMap<Key, [Vec<f64>; 2]> = BTreeMap::new();
     for row in rows {
         let slot = match row.event.kind {
             EventKind::Fault => 0,
             EventKind::RepairEnd => 1,
             _ => continue,
         };
-        by_run.entry(&row.run_id).or_default()[slot].push(row.event.time_secs);
+        by_run.entry(row.run_id).or_default()[slot].push(row.event.time_secs);
     }
     by_run
         .into_iter()
@@ -264,16 +273,15 @@ pub fn median_of(values: &mut [f64]) -> Option<f64> {
 /// nothing, since it compares false with every time.
 pub fn leadtime_rows(rows: &[QueryRow], horizon_secs: f64) -> Vec<LeadTimeRow> {
     // Per run, per subject: advisory times and violation times.
-    type SubjectTimes<'a> = BTreeMap<&'a str, [Vec<f64>; 2]>;
-    let mut by_run: BTreeMap<&str, SubjectTimes> = BTreeMap::new();
+    let mut by_run: BTreeMap<Key, BTreeMap<Key, [Vec<f64>; 2]>> = BTreeMap::new();
     for row in rows {
         let slot = match row.event.kind {
             EventKind::Advisory => 0,
             EventKind::Violation => 1,
             _ => continue,
         };
-        let times = by_run.entry(&row.run_id).or_default();
-        times.entry(&row.event.subject).or_default()[slot].push(row.event.time_secs);
+        let times = by_run.entry(row.run_id).or_default();
+        times.entry(row.event.subject).or_default()[slot].push(row.event.time_secs);
     }
     by_run
         .into_iter()
@@ -329,19 +337,17 @@ pub fn near_fault_rows(
     window_secs: f64,
     group_by: GroupBy,
 ) -> Vec<AggregateRow> {
-    let mut onsets: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    for row in rows {
-        if row.event.kind == EventKind::Fault {
-            onsets
-                .entry(&row.run_id)
-                .or_default()
-                .push(row.event.time_secs);
-        }
+    let mut onsets: BTreeMap<Key, Vec<f64>> = BTreeMap::new();
+    for row in rows.iter().filter(|row| row.event.kind == EventKind::Fault) {
+        onsets
+            .entry(row.run_id)
+            .or_default()
+            .push(row.event.time_secs);
     }
     let near = rows.iter().filter(|row| {
         let t = row.event.time_secs;
         row.event.kind == kind
-            && onsets.get(&*row.run_id).is_some_and(|run_onsets| {
+            && onsets.get(&row.run_id).is_some_and(|run_onsets| {
                 run_onsets
                     .iter()
                     .any(|onset| t >= *onset && t <= onset + window_secs)
@@ -354,11 +360,10 @@ pub fn near_fault_rows(
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
-    use std::sync::Arc;
 
     fn row(run: &str, event: TraceEvent) -> QueryRow {
         QueryRow {
-            run_id: run.into(),
+            run_id: Key::new(run),
             event,
         }
     }
@@ -519,16 +524,19 @@ mod tests {
         op: AggregateOp,
         group_by: GroupBy,
     ) -> Vec<AggregateRow> {
-        let mut groups: BTreeMap<&str, Vec<&QueryRow>> = BTreeMap::new();
+        let mut groups: BTreeMap<String, Vec<&QueryRow>> = BTreeMap::new();
         for row in rows {
-            groups.entry(group_by.key(row)).or_default().push(row);
+            groups
+                .entry(group_by.key(row).to_string())
+                .or_default()
+                .push(row);
         }
         let mut out = Vec::new();
         for (group, rows) in groups {
             // Reduce each group alone: a one-group aggregate is no lookup.
             let mut one = aggregate_rows(rows, op, GroupBy::None);
             let mut row = one.pop().expect("a group has rows");
-            row.group = group.to_string();
+            row.group = group;
             out.push(row);
         }
         out
@@ -537,30 +545,29 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// Rows in runs of shared keys, interleaved runs, and equal keys in
-        /// separate allocations (rows from two calls) group exactly as a
-        /// lookup per row groups them, for every op and grouping, and so
-        /// does the near-fault report.
+        /// Rows in runs of one key and interleaved runs group exactly as a
+        /// lookup per row keyed by the whole string groups them, for every
+        /// op and grouping, and so does the near-fault report: equal names
+        /// are one group whichever string each row's key was interned from.
         #[test]
         fn grouping_by_allocation_equals_a_lookup_per_row(
             raws in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..120),
             window in 0.0f64..30.0,
         ) {
-            let runs: [Arc<str>; 3] = ["a".into(), "b".into(), "c".into()];
-            let subjects: [Arc<str>; 3] = ["C1".into(), "C2".into(), "R1-R2".into()];
+            let runs = ["a", "b", "c"];
+            let subjects = ["C1", "C2", "R1-R2"];
             let mut rows = Vec::new();
             for (i, &(x, y)) in raws.iter().enumerate() {
                 let pick = |shift: u32| ((x >> shift) % 3) as usize;
                 // Long stretches of one run, sometimes broken.
                 let run = if x % 7 == 0 { pick(3) } else { (i / 20) % 3 };
-                let share = |s: &Arc<str>| if y % 5 == 0 { Arc::from(&**s) } else { Arc::clone(s) };
                 let kind = [EventKind::Fault, EventKind::Violation, EventKind::Transfer][pick(9)];
                 let value = [None, Some(1.5), Some(f64::NAN), Some(-0.0), Some((y % 100) as f64)]
                     [((y >> 8) % 5) as usize];
                 let mut event =
-                    TraceEvent::new((y >> 16) as f64 % 200.0, kind, share(&subjects[pick(5)]), share(&subjects[pick(7)]));
+                    TraceEvent::new((y >> 16) as f64 % 200.0, kind, subjects[pick(5)], subjects[pick(7)]);
                 event.value = value;
-                rows.push(QueryRow { run_id: share(&runs[run]), event });
+                rows.push(QueryRow { run_id: Key::new(runs[run]), event });
             }
             for group_by in [GroupBy::None, GroupBy::Run, GroupBy::Kind, GroupBy::Subject, GroupBy::Detail] {
                 for op in [AggregateOp::Count, AggregateOp::Mean, AggregateOp::Min, AggregateOp::Max, AggregateOp::Sum, AggregateOp::P95] {
@@ -571,13 +578,13 @@ mod tests {
                 let onsets: Vec<(&str, f64)> = rows
                     .iter()
                     .filter(|r| r.event.kind == EventKind::Fault)
-                    .map(|r| (&*r.run_id, r.event.time_secs))
+                    .map(|r| (r.run_id.as_str(), r.event.time_secs))
                     .collect();
                 let near = rows.iter().filter(|r| {
                     let t = r.event.time_secs;
                     r.event.kind == EventKind::Violation
                         && onsets.iter().any(|&(run, onset)| {
-                            run == &*r.run_id && t >= onset && t <= onset + window
+                            run == r.run_id.as_str() && t >= onset && t <= onset + window
                         })
                 });
                 proptest::prop_assert_eq!(

@@ -11,13 +11,14 @@
 //! event is never an owned value. Reading decodes a `Record`, whose strings
 //! are still bytes; a read that hands back owned events turns each record
 //! into one through one `StringTable` per call, which checks each distinct
-//! string as UTF-8 once, so equal strings in its result are one shared
-//! allocation.
+//! string as UTF-8 once and interns it as an `archmodel::Key`. An owned
+//! event therefore holds no allocation of its own: it is `Copy`, and a
+//! vector of them drops as one free.
 
+use archmodel::Key;
 use std::fmt;
 use std::io;
 use std::str::Utf8Error;
-use std::sync::Arc;
 
 /// What kind of observation an event records, in stable on-disk code order.
 ///
@@ -112,20 +113,20 @@ impl fmt::Display for EventKind {
 }
 
 /// One observation from a run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Simulation time of the observation, seconds since the run started.
     pub time_secs: f64,
     /// What kind of observation this is.
     pub kind: EventKind,
     /// The architectural element or run entity observed (a client, server,
-    /// link, gauge target, or repair subject name). Events read back from a
-    /// store or a sink in one call share one allocation per distinct string.
-    pub subject: Arc<str>,
+    /// link, gauge target, or repair subject name), interned: the same
+    /// names the architecture model's `Key`s hold.
+    pub subject: Key,
     /// Free-form qualifier: the violated invariant, the repair description,
     /// the fault action, the gauge property, the transfer's server group.
-    /// Shared like [`subject`](Self::subject), through the same table.
-    pub detail: Arc<str>,
+    /// Interned like [`subject`](Self::subject).
+    pub detail: Key,
     /// Numeric payload when the observation has one (gauge value, transfer
     /// latency, capacity factor).
     pub value: Option<f64>,
@@ -134,18 +135,13 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// A value-less, uncorrelated event.
-    pub fn new(
-        time_secs: f64,
-        kind: EventKind,
-        subject: impl Into<Arc<str>>,
-        detail: impl Into<Arc<str>>,
-    ) -> Self {
+    /// A value-less, uncorrelated event; interns `subject` and `detail`.
+    pub fn new(time_secs: f64, kind: EventKind, subject: &str, detail: &str) -> Self {
         TraceEvent {
             time_secs,
             kind,
-            subject: subject.into(),
-            detail: detail.into(),
+            subject: Key::new(subject),
+            detail: Key::new(detail),
             value: None,
             correlation: None,
         }
@@ -168,8 +164,8 @@ impl TraceEvent {
         EventRef {
             time_secs: self.time_secs,
             kind: self.kind,
-            subject: &self.subject,
-            detail: &self.detail,
+            subject: self.subject.as_str(),
+            detail: self.detail.as_str(),
             value: self.value,
             correlation: self.correlation,
         }
@@ -264,11 +260,12 @@ impl<'a> Record<'a> {
     }
 }
 
-/// The strings of one call's owned events, keyed by their bytes: each
-/// distinct subject or detail is checked as UTF-8 and allocated once, when it
-/// first enters the table, and every event that holds it shares that
-/// allocation. Each read builds its own table and drops it when it returns,
-/// so no string stays allocated once the events holding it are gone.
+/// One call's front cache onto the process-wide interner, keyed by bytes:
+/// each distinct subject or detail is checked as UTF-8 and interned once per
+/// call, when it first enters the table, and every later event that holds it
+/// copies the cached [`Key`] without touching the interner's lock. The table
+/// is dropped when its call returns; the interned names are not (see
+/// `archmodel::Key` for what bounds them).
 ///
 /// A query looks up two strings per row among a few hundred distinct ones,
 /// so the lookup is the scan's inner loop: the table is open-addressed with
@@ -278,7 +275,7 @@ impl<'a> Record<'a> {
 #[derive(Default)]
 pub(crate) struct StringTable {
     /// A power of two of slots, or none before the first string.
-    slots: Vec<Option<(Fingerprint, Arc<str>)>>,
+    slots: Vec<Option<(Fingerprint, Key)>>,
     /// Occupied slots.
     len: usize,
 }
@@ -330,49 +327,50 @@ impl Fingerprint {
 }
 
 impl StringTable {
-    /// The table's string of `bytes`, checked as UTF-8 and allocated the
-    /// first time the table sees them and shared every time after.
-    fn share(&mut self, bytes: &[u8]) -> Result<Arc<str>, Utf8Error> {
+    /// The key of `bytes`, checked as UTF-8 and interned the first time the
+    /// table sees them and copied from the table every time after.
+    fn intern(&mut self, bytes: &[u8]) -> Result<Key, Utf8Error> {
         let print = Fingerprint::of(bytes);
         let hash = print.hash();
         let mask = self.slots.len().wrapping_sub(1);
         let mut at = (hash >> 32) as usize;
-        while let Some(Some((stored, text))) = self.slots.get(at & mask) {
-            if *stored == print && (print.len <= FINGERPRINT_BYTES || text.as_bytes() == bytes) {
-                return Ok(Arc::clone(text));
+        while let Some(&Some((stored, key))) = self.slots.get(at & mask) {
+            let text = key.as_str().as_bytes();
+            if stored == print && (print.len <= FINGERPRINT_BYTES || text == bytes) {
+                return Ok(key);
             }
             at += 1;
         }
-        let text: Arc<str> = std::str::from_utf8(bytes)?.into();
+        let key = Key::new(std::str::from_utf8(bytes)?);
         if 2 * (self.len + 1) > self.slots.len() {
             let old = std::mem::take(&mut self.slots);
             self.slots.resize(old.len().max(32) * 2, None);
-            for (print, text) in old.into_iter().flatten() {
-                self.place(print, text);
+            for (print, key) in old.into_iter().flatten() {
+                self.place(print, key);
             }
         }
-        self.place(print, Arc::clone(&text));
+        self.place(print, key);
         self.len += 1;
-        Ok(text)
+        Ok(key)
     }
 
-    /// Stores `text` in the first free slot from its home slot on.
-    fn place(&mut self, print: Fingerprint, text: Arc<str>) {
+    /// Stores `key` in the first free slot from its home slot on.
+    fn place(&mut self, print: Fingerprint, key: Key) {
         let mask = self.slots.len() - 1;
         let mut at = (print.hash() >> 32) as usize & mask;
         while self.slots[at].is_some() {
             at = (at + 1) & mask;
         }
-        self.slots[at] = Some((print, text));
+        self.slots[at] = Some((print, key));
     }
 
-    /// The owned event of `record`, its strings shared through the table.
+    /// The owned event of `record`, its strings interned through the table.
     pub(crate) fn event(&mut self, record: Record<'_>) -> Result<TraceEvent, Utf8Error> {
         Ok(TraceEvent {
             time_secs: record.time_secs,
             kind: record.kind,
-            subject: self.share(record.subject)?,
-            detail: self.share(record.detail)?,
+            subject: self.intern(record.subject)?,
+            detail: self.intern(record.detail)?,
             value: record.value,
             correlation: record.correlation,
         })
@@ -445,7 +443,7 @@ mod tests {
         let mut strings = StringTable::default();
         for ev in &events {
             let record = Record::decode(&mut cursor).unwrap();
-            assert_eq!(record.subject, ev.subject.as_bytes());
+            assert_eq!(record.subject, ev.subject.as_str().as_bytes());
             assert_eq!(&strings.event(record).unwrap(), ev);
         }
         assert!(cursor.is_empty());
@@ -486,9 +484,10 @@ mod tests {
         // Strings of every length around the fingerprint's cases over a
         // two-letter alphabet; past 16 bytes both ends are fixed, so that
         // strings of one length share a fingerprint and differ only in the
-        // middle. The oracle is keyed by the whole string.
+        // middle. The oracle is keyed by the whole string: an equal string
+        // must come back as the key it got first, a distinct one as its own.
         let mut strings = StringTable::default();
-        let mut oracle: std::collections::HashMap<Vec<u8>, Arc<str>> = Default::default();
+        let mut oracle: std::collections::HashMap<Vec<u8>, Key> = Default::default();
         let mut state = 0x2545_f491_4f6c_dd1d_u64;
         for _ in 0..20_000 {
             state ^= state << 13;
@@ -505,15 +504,19 @@ mod tests {
                     }
                 })
                 .collect();
-            let shared = strings.share(&bytes).unwrap();
-            assert_eq!(shared.as_bytes(), &bytes[..]);
-            let first = oracle.entry(bytes).or_insert_with(|| Arc::clone(&shared));
-            assert!(
-                Arc::ptr_eq(first, &shared),
-                "{shared:?} was allocated twice"
-            );
+            let key = strings.intern(&bytes).unwrap();
+            assert_eq!(key.as_str().as_bytes(), &bytes[..]);
+            assert_eq!(*oracle.entry(bytes).or_insert(key), key);
         }
         assert_eq!(strings.len, oracle.len());
         assert!(oracle.keys().any(|k| k.len() > FINGERPRINT_BYTES + 2));
+    }
+
+    #[test]
+    fn rows_and_events_own_nothing_a_drop_must_free() {
+        // A heap-owning field would bring back a decrement or a free per row.
+        assert!(!std::mem::needs_drop::<TraceEvent>());
+        assert!(!std::mem::needs_drop::<crate::QueryRow>());
+        assert!(std::mem::size_of::<crate::QueryRow>() <= 96);
     }
 }

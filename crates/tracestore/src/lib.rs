@@ -20,8 +20,9 @@
 //!   one read path and one decoder read a loaded segment in place, and a
 //!   damaged store is an error, never a different answer;
 //! * [`query`] — filter by an `archmodel::expr` predicate over event
-//!   fields, time-window, and group-by, allocating only the rows that pass,
-//!   which share one allocation per distinct string;
+//!   fields, time-window, and group-by, keeping only the rows that pass;
+//!   run ids, subjects and details are interned `archmodel::Key`s, so a row
+//!   owns no allocation and is a plain copy;
 //! * [`aggregate`] — count / mean / p95 / MTTR reductions over query
 //!   results, plus the canned near-fault root-cause report and the
 //!   advisory→violation lead-time join behind `query leadtime`.

@@ -27,13 +27,15 @@
 //! only the events that pass into [`QueryRow`]s. A record's subject and
 //! detail stay segment bytes until the predicate or a row needs them: the
 //! call's one string table, keyed by those bytes, checks a string as UTF-8
-//! and allocates it the first time it appears and shares it with every
-//! later row, so a row allocates no string of its own and a scan checks
-//! each distinct string once, not two per record. All rows of a run share
-//! the store's `Arc<str>` run id. When every record a scan visits becomes a
-//! row (no predicate, no window, at most one kind), the rows are reserved up
-//! front: the selected runs' manifest counts, or per run the kind index's
-//! offset count.
+//! and interns it the first time it appears and hands every later row the
+//! same `archmodel::Key`, so a scan checks each distinct string once, not
+//! two per record. A row's run id is the store's interned
+//! [`RunMeta::run_id`](crate::store::RunMeta::run_id). A row therefore owns
+//! no allocation: building one is a plain copy, with no reference count to
+//! raise, and dropping the result is one free. When every record a scan
+//! visits becomes a row (no predicate, no window, at most one kind), the
+//! rows are reserved up front: the selected runs' manifest counts, or per
+//! run the kind index's offset count.
 //!
 //! A query with no kind list and no window whose predicate's leftmost `and`
 //! operand is `kind == "<name>"` (or `"<name>" == kind`) scans only that
@@ -52,10 +54,9 @@
 use crate::event::{EventKind, StringTable, TraceEvent};
 use crate::store::{Buffers, Select, StoreError, TraceStore};
 use archmodel::expr::{parse, BinOp, Expr, Operand, Program};
-use archmodel::{System, Value};
+use archmodel::{Key, System, Value};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
 
 /// A query failure.
 #[derive(Debug)]
@@ -88,12 +89,11 @@ impl From<StoreError> for QueryError {
 }
 
 /// One event that passed a query's filters, tagged with its run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryRow {
     /// The run the event belongs to: the store's
-    /// [`RunMeta::run_id`](crate::store::RunMeta::run_id), shared by every row
-    /// of the run.
-    pub run_id: Arc<str>,
+    /// [`RunMeta::run_id`](crate::store::RunMeta::run_id).
+    pub run_id: Key,
     /// The event itself.
     pub event: TraceEvent,
 }
@@ -141,10 +141,10 @@ impl Query {
         Ok(self)
     }
 
-    fn selects_run(&self, run_id: &str) -> bool {
+    fn selects_run(&self, run_id: Key) -> bool {
         self.run_contains
             .as_ref()
-            .is_none_or(|needle| run_id.contains(needle.as_str()))
+            .is_none_or(|needle| run_id.as_str().contains(needle.as_str()))
     }
 
     /// The kind and window filters.
@@ -158,7 +158,7 @@ impl Query {
     /// Whether one event (from the named run) passes every filter: the
     /// per-event definition of a query, with every field bound and nothing
     /// shared between calls. [`execute`](Self::execute) must agree with it.
-    pub fn matches(&self, run_id: &str, event: &TraceEvent) -> Result<bool, QueryError> {
+    pub fn matches(&self, run_id: Key, event: &TraceEvent) -> Result<bool, QueryError> {
         if !self.selects_run(run_id) || !self.keeps(event.kind, event.time_secs) {
             return Ok(false);
         }
@@ -195,7 +195,7 @@ impl Query {
         };
         let predicate = self.predicate.as_ref().map(Predicate::new);
         let every_record = predicate.is_none() && self.window.is_none() && self.kinds.len() <= 1;
-        let runs = store.runs().iter().filter(|m| self.selects_run(&m.run_id));
+        let runs = store.runs().iter().filter(|m| self.selects_run(m.run_id));
         let mut rows = Vec::new();
         if every_record && self.kinds.is_empty() {
             rows.reserve(runs.clone().map(|meta| store.record_bound(meta)).sum());
@@ -212,12 +212,12 @@ impl Query {
                 }
                 let event = strings.event(record).map_err(|e| meta.non_utf8(e))?;
                 if let Some(p) = &predicate {
-                    if !p.test(&meta.run_id, &event)? {
+                    if !p.test(meta.run_id, &event)? {
                         return Ok(());
                     }
                 }
                 rows.push(QueryRow {
-                    run_id: Arc::clone(&meta.run_id),
+                    run_id: meta.run_id,
                     event,
                 });
                 Ok::<(), QueryError>(())
@@ -281,14 +281,14 @@ impl Predicate {
     /// Fills one slot per [`FIELDS`] entry from the event, borrowing its
     /// strings. An absent payload binds `value` to `NaN` (comparisons
     /// against it are false) and `correlation` to `-1`.
-    fn test(&self, run_id: &str, event: &TraceEvent) -> Result<bool, QueryError> {
+    fn test(&self, run_id: Key, event: &TraceEvent) -> Result<bool, QueryError> {
         let fields = [
             Some(Operand::Int(event.correlation.map_or(-1, |c| c as i64))),
-            Some(Operand::Str(Cow::Borrowed(&event.detail))),
+            Some(Operand::Str(Cow::Borrowed(event.detail.as_str()))),
             Some(Operand::Bool(event.value.is_some())),
             Some(Operand::Str(Cow::Borrowed(event.kind.name()))),
-            Some(Operand::Str(Cow::Borrowed(run_id))),
-            Some(Operand::Str(Cow::Borrowed(&event.subject))),
+            Some(Operand::Str(Cow::Borrowed(run_id.as_str()))),
+            Some(Operand::Str(Cow::Borrowed(event.subject.as_str()))),
             Some(Operand::Float(event.time_secs)),
             Some(Operand::Float(event.value.unwrap_or(f64::NAN))),
         ];
@@ -369,7 +369,7 @@ mod tests {
             .execute(&store)
             .unwrap();
         assert_eq!(slow.len(), 1);
-        assert_eq!(&*slow[0].event.detail, "SG2");
+        assert_eq!(slow[0].event.detail, "SG2");
 
         let has = Query::new()
             .predicate("has_value")
@@ -396,7 +396,7 @@ mod tests {
                 TraceEvent::new(
                     i as f64 * 2.0,
                     EventKind::Gauge,
-                    format!("C{}", i % 5),
+                    &format!("C{}", i % 5),
                     "latency",
                 )
                 .with_value(i as f64)
@@ -413,10 +413,10 @@ mod tests {
             let seeked = query.execute(&store).unwrap();
             let mut scanned = Vec::new();
             for meta in store.runs() {
-                for event in store.read_run(&meta.run_id).unwrap() {
-                    if query.matches(&meta.run_id, &event).unwrap() {
+                for event in store.read_run(meta.run_id.as_str()).unwrap() {
+                    if query.matches(meta.run_id, &event).unwrap() {
                         scanned.push(QueryRow {
-                            run_id: meta.run_id.clone(),
+                            run_id: meta.run_id,
                             event,
                         });
                     }

@@ -89,7 +89,7 @@ impl BufferSink {
     }
 
     /// Removes and returns everything appended so far, decoded, in append
-    /// order; equal strings among the events are one shared allocation.
+    /// order, each distinct string checked and interned once.
     pub fn take(&self) -> Vec<TraceEvent> {
         let run = self.take_run();
         let mut records = &run.segment[..];
@@ -137,8 +137,8 @@ mod tests {
         handle.append(EventRef::new(2.0, EventKind::Fault, "b", "second"));
         assert_eq!(buffer.len(), 2);
         let events = buffer.take();
-        assert_eq!(&*events[0].detail, "first");
-        assert_eq!(&*events[1].detail, "second");
+        assert_eq!(events[0].detail, "first");
+        assert_eq!(events[1].detail, "second");
         assert!(buffer.is_empty());
     }
 }

@@ -34,9 +34,10 @@
 //! owned events — [`read_run`](TraceStore::read_run),
 //! [`read_run_from`](TraceStore::read_run_from),
 //! [`read_run_kind`](TraceStore::read_run_kind) and
-//! [`Query::execute`](crate::query::Query::execute) — turn them into strings
-//! through one table per call, keyed by the bytes, which checks a string as
-//! UTF-8 and allocates it the first time it appears and shares it after.
+//! [`Query::execute`](crate::query::Query::execute) — turn them into
+//! interned `archmodel::Key`s through one table per call, keyed by the
+//! bytes, which checks a string as UTF-8 and interns it the first time it
+//! appears and copies its key after.
 //! A scan knows before it decodes how many records it will visit (the
 //! manifest count, or the index's offset count for a kind), so a reader
 //! that keeps every record it visits reserves exactly that many. What the
@@ -69,13 +70,13 @@
 use crate::event::{
     invalid, take, take_array, EventKind, EventRef, Record, StringTable, TraceEvent,
 };
+use archmodel::Key;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::Utf8Error;
-use std::sync::Arc;
 
 /// The manifest file name inside a store directory.
 pub const MANIFEST: &str = "MANIFEST";
@@ -89,10 +90,10 @@ pub const TIME_CHECKPOINT_STRIDE: u64 = 64;
 /// One run recorded in the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
-    /// The caller-chosen run identifier (unique within the store), shared
-    /// by every [`QueryRow`](crate::query::QueryRow) a query returns for the
-    /// run.
-    pub run_id: Arc<str>,
+    /// The caller-chosen run identifier (unique within the store), interned:
+    /// every [`QueryRow`](crate::query::QueryRow) a query returns for the
+    /// run copies it.
+    pub run_id: Key,
     /// Segment file name, relative to the store directory.
     pub segment: String,
     /// Number of events in the segment.
@@ -197,7 +198,7 @@ impl TraceStore {
                 )));
             }
             runs.push(RunMeta {
-                run_id: run_id.into(),
+                run_id: Key::new(run_id),
                 segment: segment.to_string(),
                 count,
             });
@@ -217,7 +218,7 @@ impl TraceStore {
 
     /// Looks a run up by id.
     pub fn run(&self, run_id: &str) -> Option<&RunMeta> {
-        self.runs.iter().find(|r| &*r.run_id == run_id)
+        self.runs.iter().find(|r| r.run_id == run_id)
     }
 
     /// Total number of events across all runs.
@@ -264,7 +265,7 @@ impl TraceStore {
         writeln!(file, "{segment}\t{}\t{run_id}", run.count).map_err(io_err(&manifest))?;
 
         self.runs.push(RunMeta {
-            run_id: run_id.into(),
+            run_id: Key::new(run_id),
             segment,
             count: run.count,
         });
@@ -662,7 +663,7 @@ mod tests {
         }
         let store = TraceStore::open(&dir).unwrap();
         assert_eq!(
-            store.runs().iter().map(|r| &*r.run_id).collect::<Vec<_>>(),
+            store.runs().iter().map(|r| r.run_id).collect::<Vec<_>>(),
             vec!["run-a", "run-b"]
         );
         assert_eq!(store.read_run("run-a").unwrap(), events);
@@ -719,7 +720,7 @@ mod tests {
             let t = tick as f64 * 5.0;
             for g in 0..3 {
                 events.push(
-                    TraceEvent::new(t, EventKind::Gauge, format!("C{g}"), "latency")
+                    TraceEvent::new(t, EventKind::Gauge, &format!("C{g}"), "latency")
                         .with_value(t / 100.0 + g as f64),
                 );
             }

@@ -6,15 +6,15 @@
 //! per-event `Query::matches` folded over `read_run`, and a structurally
 //! damaged store answers with an error or the undamaged answer, never with
 //! different rows or a panic. A sink-fed `RunBuffer` writes what
-//! `append_run` writes. Every owned read shares its strings: within one
-//! result, equal subjects and details are one allocation. A NaN payload or
-//! time reduces without a panic.
+//! `append_run` writes. Every owned read interns its strings: within one
+//! result, equal subjects and details are one key at one address. A NaN
+//! payload or time reduces without a panic.
 
+use archmodel::Key;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
 use tracestore::{
     aggregate_rows, leadtime_rows, mttr_rows, near_fault_rows, AggregateOp, EventKind, GroupBy,
     Query, QueryError, QueryRow, StoreError, TraceEvent, TraceStore,
@@ -88,21 +88,22 @@ fn bits(e: &TraceEvent) -> Bits<'_> {
     (
         e.time_secs.to_bits(),
         e.kind,
-        &e.subject,
-        &e.detail,
+        e.subject.as_str(),
+        e.detail.as_str(),
         value,
         e.correlation,
     )
 }
 
 /// Whether every subject and detail among `events` that equals an earlier one
-/// is the same allocation as it: what one owned read's string table promises.
+/// is the key it got (`Key`'s `==` compares addresses): what one owned
+/// read's string table promises.
 fn shares_strings<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> bool {
-    let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
+    let mut first: HashMap<&str, Key> = HashMap::new();
     events
         .into_iter()
-        .flat_map(|e| [&e.subject, &e.detail])
-        .all(|text| Arc::ptr_eq(first.entry(text).or_insert(text), text))
+        .flat_map(|e| [e.subject, e.detail])
+        .all(|key| *first.entry(key.as_str()).or_insert(key) == key)
 }
 
 /// The record layout `RunBuffer::push` documents, written out by hand.
@@ -112,7 +113,7 @@ fn reference_segment(events: &[TraceEvent]) -> Vec<u8> {
         let flags = u8::from(e.value.is_some()) | (u8::from(e.correlation.is_some()) << 1);
         out.extend([e.kind.code(), flags]);
         out.extend(e.time_secs.to_le_bytes());
-        for text in [&e.subject, &e.detail] {
+        for text in [e.subject.as_str(), e.detail.as_str()] {
             out.extend((text.len() as u32).to_le_bytes());
             out.extend(text.as_bytes());
         }
@@ -203,7 +204,7 @@ proptest! {
         let rows = Query::new().execute(&store).unwrap();
         prop_assert!(shares_strings(rows.iter().map(|r| &r.event)));
         let replay: Vec<(&str, &TraceEvent)> =
-            rows.iter().map(|r| (&*r.run_id, &r.event)).collect();
+            rows.iter().map(|r| (r.run_id.as_str(), &r.event)).collect();
         let expect: Vec<(&str, &TraceEvent)> = runs
             .iter()
             .flat_map(|(run_id, events)| events.iter().map(move |e| (*run_id, e)))
@@ -283,10 +284,10 @@ const PREDICATES: [&str; 14] = [
 fn oracle(query: &Query, store: &TraceStore) -> Result<Vec<QueryRow>, QueryError> {
     let mut rows = Vec::new();
     for meta in store.runs() {
-        for event in store.read_run(&meta.run_id)? {
-            if query.matches(&meta.run_id, &event)? {
+        for event in store.read_run(meta.run_id.as_str())? {
+            if query.matches(meta.run_id, &event)? {
                 rows.push(QueryRow {
-                    run_id: meta.run_id.clone(),
+                    run_id: meta.run_id,
                     event,
                 });
             }

@@ -158,7 +158,7 @@ fn parse_flags(args: &[String]) -> Flags {
         by: GroupBy::None,
         within: 10.0,
         near_kind: EventKind::Violation,
-        horizon: 120.0,
+        horizon: arch_adapt::ADVISORY_MATCH_HORIZON_SECS,
         limit: None,
         positional: Vec::new(),
     };
