@@ -1,24 +1,25 @@
-//! Transactional model changes.
+//! Repair scripts as recorded model changes.
 //!
 //! Repair scripts do not mutate the architectural model directly: they are
 //! lists of [`ModelOp`]s — the style's adaptation operators (§3.3) — that a
 //! commit applies to the live model before the change is propagated to the
 //! running system. This mirrors the paper's `commit repair` / `abort`
 //! semantics (Figure 5) and its requirement that operators keep the
-//! architecture *structurally valid*. A per-element tactic writes its script
-//! in a [`Transaction`] against a working copy, which the style checker
-//! validates first (`RemoveServer` can empty a group); the group planner,
-//! whose `MoveClientGroup` and `AddServer` cannot break the style, writes
-//! its script against the live model without a copy.
+//! architecture *structurally valid*. Every planner writes its script
+//! against the borrowed live model, with no copy: an operator records an op
+//! exactly when applying it after the ones before it would succeed, and
+//! [`ClientServerStyle::script_violations`] finds the one way such a script
+//! can break the style (a `RemoveServer` that empties a group) without
+//! applying it.
 
 use crate::style::ClientServerStyle;
 use crate::system::{ModelError, System};
 
 /// One call of a style operator, as a repair script records it.
 ///
-/// Operators address elements by name, so a recorded script can be re-applied
-/// to another copy of the model: planned on a working copy, committed to the
-/// live one. Each applies whole or not at all — every name is resolved before
+/// Operators address elements by name, so a recorded script can be applied
+/// to any copy of the model: planned against the live one, committed to it,
+/// or replayed on a copy. Each applies whole or not at all — every name is resolved before
 /// anything changes, so an `Err` leaves the system as it was. The bodies live
 /// with the style, next to the deployment code they share
 /// ([`ClientServerStyle`]).
@@ -82,63 +83,12 @@ pub fn apply_op(system: &mut System, op: &ModelOp) -> Result<(), ModelError> {
     }
 }
 
-/// A transaction of model operations built against a working copy.
-#[derive(Debug, Clone)]
-pub struct Transaction {
-    working: System,
-    ops: Vec<ModelOp>,
-}
-
-impl Transaction {
-    /// Starts a transaction from a snapshot of `base`.
-    pub fn new(base: &System) -> Self {
-        Transaction {
-            working: base.clone(),
-            ops: Vec::new(),
-        }
-    }
-
-    /// The working copy reflecting all operations applied so far.
-    pub fn working(&self) -> &System {
-        &self.working
-    }
-
-    /// Applies an operation to the working copy and records it.
-    pub fn apply(&mut self, op: ModelOp) -> Result<(), ModelError> {
-        apply_op(&mut self.working, &op)?;
-        self.ops.push(op);
-        Ok(())
-    }
-
-    /// The operations recorded so far.
-    pub fn ops(&self) -> &[ModelOp] {
-        &self.ops
-    }
-
-    /// Number of recorded operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True if no operations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::style::{props, ClientServerStyle as Style, CLIENT_ROLE_T};
     use crate::system::tests::index_errors;
     use proptest::prelude::*;
-
-    /// Replays a transaction's ops onto `target`, as a committed repair does.
-    fn commit(tx: Transaction, target: &mut System) {
-        for op in tx.ops() {
-            apply_op(target, op).unwrap();
-        }
-    }
 
     /// Two groups of two servers; `User1` and `User2` on `ServerGrp1`;
     /// `ServerGrp2` serves nobody, so it has no connector yet.
@@ -172,19 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn add_server_via_transaction() {
+    fn add_server_op_adds_an_active_replica() {
         let mut live = base_system();
-        let mut tx = Transaction::new(&live);
-        tx.apply(ModelOp::AddServer {
+        let op = ModelOp::AddServer {
             group: "ServerGrp1".into(),
             server: "ServerGrp1.Server3".into(),
-        })
-        .unwrap();
-        // The live model is untouched until commit.
-        assert_eq!(replication_count(&live, "ServerGrp1"), Some(2));
-        assert!(live.component_by_name("ServerGrp1.Server3").is_none());
-        assert_eq!(tx.len(), 1);
-        commit(tx, &mut live);
+        };
+        apply_op(&mut live, &op).unwrap();
         let grp = live.component_by_name("ServerGrp1").unwrap();
         assert_eq!(live.children(grp).count(), 3);
         assert_eq!(replication_count(&live, "ServerGrp1"), Some(3));
@@ -197,12 +141,10 @@ mod tests {
     #[test]
     fn remove_server_op_updates_the_group() {
         let mut live = base_system();
-        let mut tx = Transaction::new(&live);
-        tx.apply(ModelOp::RemoveServer {
+        let op = ModelOp::RemoveServer {
             server: "ServerGrp1.Server1".into(),
-        })
-        .unwrap();
-        commit(tx, &mut live);
+        };
+        apply_op(&mut live, &op).unwrap();
         assert!(live.component_by_name("ServerGrp1.Server1").is_none());
         assert_eq!(replication_count(&live, "ServerGrp1"), Some(1));
         assert!(Style::validate(&live).is_empty());
@@ -212,9 +154,7 @@ mod tests {
     #[test]
     fn move_client_between_connectors() {
         let mut live = base_system();
-        let mut tx = Transaction::new(&live);
-        tx.apply(move_one("User1", "ServerGrp2")).unwrap();
-        commit(tx, &mut live);
+        apply_op(&mut live, &move_one("User1", "ServerGrp2")).unwrap();
         let user = live.component_by_name("User1").unwrap();
         let conn2 = live.connector_by_name("ServerGrp2.Conn").unwrap();
         assert_eq!(live.connectors_of_component(user), vec![conn2]);
@@ -471,16 +411,5 @@ mod tests {
         let mut live = base_system();
         let err = apply_op(&mut live, &move_group(&["User1"], "User1"));
         assert!(matches!(err, Err(ModelError::NameNotFound(_))));
-    }
-
-    #[test]
-    fn failed_op_in_transaction_reports_error() {
-        let live = base_system();
-        let mut tx = Transaction::new(&live);
-        let err = tx.apply(ModelOp::RemoveServer {
-            server: "DoesNotExist".into(),
-        });
-        assert!(matches!(err, Err(ModelError::NameNotFound(_))));
-        assert!(tx.is_empty());
     }
 }

@@ -11,8 +11,8 @@
 //! * [`expr`] — a small Armani-like constraint-expression language (lexer,
 //!   parser, evaluator),
 //! * [`constraint`] — invariants, scopes, and the constraint checker,
-//! * [`changeset`] — repair scripts as transactions of the style's four
-//!   adaptation operators, with commit/abort semantics,
+//! * [`changeset`] — repair scripts as recorded calls of the style's four
+//!   adaptation operators, applied to the model at commit,
 //! * [`style`] — the client/server-with-replicated-server-groups style used
 //!   by the paper's evaluation, including structural validity rules.
 
@@ -28,7 +28,7 @@ pub mod style;
 pub mod system;
 pub mod value;
 
-pub use changeset::{apply_op, ModelOp, Transaction};
+pub use changeset::{apply_op, ModelOp};
 pub use constraint::{
     CheckReport, ConstraintScope, ConstraintSet, IncrementalChecker, Invariant, Violation,
 };

@@ -8,11 +8,12 @@
 //! construction helpers, and structural-validity rules that adaptation
 //! operators must preserve.
 
-use crate::element::{ComponentId, ConnectorId, ElementRef, PortId, RoleId};
+use crate::changeset::ModelOp;
+use crate::element::{Component, ComponentId, ConnectorId, ElementRef, PortId, RoleId};
 use crate::key::Key;
 use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Component type for users/clients.
 pub const CLIENT_T: &str = "ClientT";
@@ -65,6 +66,16 @@ pub mod props {
     /// Load at or below which a group counts as underutilised (system-level
     /// threshold of the `underutilised` invariant).
     pub const UNDERUTILISED_LOAD: &str = "underutilisedLoad";
+}
+
+/// Rule 2 of the style's `validate`, the one rule a script of the style's
+/// operators can break.
+const ACTIVE_SERVER_RULE: &str = "server group must contain at least one active server";
+
+/// Whether `component` counts towards rule 2: an active server.
+fn is_active_server(component: &Component) -> bool {
+    let active = component.properties.get_bool(props::IS_ACTIVE);
+    component.ctype == SERVER_T && active.unwrap_or(false)
 }
 
 /// A structural-validity problem found by [`ClientServerStyle::validate`].
@@ -199,14 +210,25 @@ impl ClientServerStyle {
     /// `server` from its containing group and updates the group's
     /// `replicationCount`. All or nothing.
     pub fn remove_server(system: &mut System, server: &str) -> Result<(), ModelError> {
+        let (id, group) = Self::resolve_remove(system, server)?;
+        system.remove_component(id)?;
+        Self::sync_replication_count(system, group)
+    }
+
+    /// The read-only half of [`remove_server`](Self::remove_server): the
+    /// server `server` and its containing group, resolved without touching
+    /// the model. Fails exactly when removing the server would.
+    pub fn resolve_remove(
+        system: &System,
+        server: &str,
+    ) -> Result<(ComponentId, ComponentId), ModelError> {
         let id = Self::typed_component(system, server, SERVER_T)?;
         let group = system
             .component(id)?
             .parent
             .filter(|g| system.component(*g).is_ok())
             .ok_or_else(|| ModelError::NameNotFound(format!("group of {server}")))?;
-        system.remove_component(id)?;
-        Self::sync_replication_count(system, group)
+        Ok((id, group))
     }
 
     /// Creates (or finds) the service connector for a server group. The
@@ -424,11 +446,10 @@ impl ClientServerStyle {
         // Rule 2: every server group has at least one active server.
         for (id, comp) in system.components_of_type(SERVER_GROUP_T) {
             let servers = || system.children(id).filter_map(|c| system.component(c).ok());
-            let servers = || servers().filter(|s| s.ctype == SERVER_T);
-            if !servers().any(|s| s.properties.get_bool(props::IS_ACTIVE).unwrap_or(false)) {
-                let rule = "server group must contain at least one active server";
-                violation(rule.into(), comp.name);
+            if !servers().any(is_active_server) {
+                violation(ACTIVE_SERVER_RULE.into(), comp.name);
             }
+            let servers = || servers().filter(|s| s.ctype == SERVER_T);
             // Rule 3: replicationCount matches the number of servers.
             let servers = servers().count() as i64;
             match comp.properties.get_i64(props::REPLICATION_COUNT) {
@@ -466,6 +487,52 @@ impl ClientServerStyle {
             rule,
             subject: subject.clone(),
         }));
+        violations
+    }
+
+    /// The violations [`validate`](Self::validate) would find after `ops`
+    /// are applied to the style-valid `system`, found in O(ops) without
+    /// applying them. The ops must be a script the style's operators wrote,
+    /// each of which applies after the ones before it. `MoveClient`,
+    /// `MoveClientGroup` and `AddServer` keep the style
+    /// (`archmodel/tests/style_ops.rs`), so the one rule a script can break
+    /// is rule 2: a group a `RemoveServer` touches may be left with no
+    /// active server. Its active servers at the end of the script are those
+    /// of the model, minus the ones removed, plus the ones added; each group
+    /// left with none is reported as `validate` reports it, in its order.
+    pub fn script_violations(system: &System, ops: &[ModelOp]) -> Vec<StyleViolation> {
+        // The servers added and not removed again, with their groups; the
+        // model's servers removed; and the groups a removal touches.
+        let (mut added, mut removed) = (HashMap::new(), HashSet::new());
+        let (mut touched, component) = (BTreeSet::new(), |id| system.component(id).ok());
+        for op in ops {
+            match op {
+                ModelOp::AddServer { group, server } => {
+                    added.insert(server, group);
+                }
+                ModelOp::RemoveServer { server } => match added.remove(server) {
+                    Some(group) => touched.extend(system.component_by_name(group)),
+                    None => {
+                        removed.insert(server.as_str());
+                        let id = system.component_by_name(server);
+                        touched.extend(id.and_then(|id| component(id)?.parent));
+                    }
+                },
+                ModelOp::MoveClient { .. } | ModelOp::MoveClientGroup { .. } => {}
+            }
+        }
+        let mut violations = Vec::new();
+        for (group, comp) in touched
+            .into_iter()
+            .filter_map(|id| Some((id, component(id)?)))
+        {
+            let mut servers = system.children(group).filter_map(component);
+            let kept = servers.any(|s| is_active_server(s) && !removed.contains(s.name.as_str()));
+            if !kept && !added.values().any(|g| **g == comp.name.as_str()) {
+                let (rule, subject) = (ACTIVE_SERVER_RULE.into(), comp.name.to_string());
+                violations.push(StyleViolation { rule, subject });
+            }
+        }
         violations
     }
 

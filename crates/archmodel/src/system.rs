@@ -113,46 +113,19 @@ const NEXT: usize = 2;
 /// position in `attachments`.
 const EDGES: usize = 3;
 
-/// A vector whose copies have room for a few more items. A copy of the
-/// model is made to apply a script to, and without the room the script's
-/// first new element would regrow the copy's whole id table and slot vector.
-#[derive(Debug, Default)]
-struct SpareVec<T>(Vec<T>);
-
-impl<T: Clone> Clone for SpareVec<T> {
-    fn clone(&self) -> Self {
-        let mut copy = Vec::with_capacity(self.0.len() + 16);
-        copy.extend_from_slice(&self.0);
-        SpareVec(copy)
-    }
-}
-
-impl<T> std::ops::Deref for SpareVec<T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        &self.0
-    }
-}
-
-impl<T> std::ops::DerefMut for SpareVec<T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        &mut self.0
-    }
-}
-
 /// One kind's elements in id order. A removed element leaves a tombstone
 /// (`None`) that iteration skips; once tombstones outnumber live slots the
 /// vector is compacted in order and the moved ids' slots rewritten.
 #[derive(Debug, Clone)]
 struct Slots<T> {
-    items: SpareVec<(u32, Option<T>)>,
+    items: Vec<(u32, Option<T>)>,
     dead: usize,
 }
 
 impl<T> Default for Slots<T> {
     fn default() -> Self {
         Slots {
-            items: SpareVec(Vec::new()),
+            items: Vec::new(),
             dead: 0,
         }
     }
@@ -229,9 +202,7 @@ enum List {
 /// iteration skips; when a kind's tombstones outnumber its live slots, its
 /// vector is compacted in order and the moved slots are rewritten in the
 /// table. A 50,000-client model is a few dozen heap blocks, plus one
-/// property list per element that has properties. A copy's slot vectors, id
-/// table and attachment list keep room for 16 more items, so the few
-/// elements a repair script adds to its working copy do not regrow it.
+/// property list per element that has properties.
 ///
 /// **Names** and types are interned [`Key`]s. Name lookups
 /// (`component_by_name` and friends) are O(1) through `Key`-keyed maps, and a
@@ -263,12 +234,12 @@ pub struct System {
     connectors: Slots<Connector>,
     ports: Slots<Port>,
     roles: Slots<Role>,
-    attachments: SpareVec<Edge>,
+    attachments: Vec<Edge>,
     /// Detached edges still in `attachments`.
     dead_edges: usize,
     /// One row per id handed out (see [`SLOT`] and the columns after it):
     /// its length is the next id.
-    index: SpareVec<[u32; 5]>,
+    index: Vec<[u32; 5]>,
     component_names: HashMap<Key, ComponentId>,
     connector_names: HashMap<Key, ConnectorId>,
     /// First (lowest-id) role carrying each name plus how many roles carry

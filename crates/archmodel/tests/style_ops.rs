@@ -1,13 +1,15 @@
 //! The style is kept by its operators. On a style-valid model, every
 //! `MoveClient`, `MoveClientGroup` and `AddServer` that applies leaves the
-//! model style-valid, so a plan written in those three needs no style check
-//! before its commit: the group planner writes them against the live model
-//! and never validates a copy. `RemoveServer` is the one operator that can
-//! break the style, and only by removing a group's last server, which is
-//! why a per-element tactic's script is still checked on a working copy.
+//! model style-valid, so a script needs no copy to be checked: both planners
+//! write theirs against the live model. `RemoveServer` is the one operator
+//! that can break the style, and only by removing a group's last active
+//! server, which `ClientServerStyle::script_violations` finds from the script
+//! alone: it must report what `validate` reports on the model the script
+//! leaves.
 //!
-//! The read-only `ClientServerStyle::resolve_move`, which the planner calls
-//! in place of applying a move, must fail exactly when applying it does.
+//! The read-only `ClientServerStyle::resolve_move` and `resolve_remove`,
+//! which the operators call in place of applying an op, must fail exactly
+//! when applying it does.
 
 use archmodel::style::{ClientServerStyle as Style, SERVER_GROUP_T, SERVER_T};
 use archmodel::{apply_op, ModelOp, System};
@@ -111,6 +113,8 @@ fn run_script(
     script: Vec<(usize, usize, usize, Vec<usize>)>,
     tally: &mut Tally,
 ) {
+    // The model the script starts from, and the ops it has applied since.
+    let (start, mut applied_ops) = (sys.clone(), Vec::new());
     for (kind, pick, to, members) in script {
         let to_group = target(to, groups);
         let op = match kind {
@@ -159,10 +163,16 @@ fn run_script(
                 tally.adds += usize::from(applied.is_ok());
             }
             ModelOp::RemoveServer { server } => {
+                let resolved = Style::resolve_remove(&before, server);
+                assert_eq!(resolved.is_ok(), applied.is_ok(), "{op:?}");
                 let last = siblings(&before, server) == Some(1);
                 tally.removals += usize::from(applied.is_ok());
                 if applied.is_ok() && last {
-                    assert!(!Style::validate(&sys).is_empty(), "{op:?}");
+                    let found = Style::validate(&sys);
+                    assert!(!found.is_empty(), "{op:?}");
+                    applied_ops.push(op.clone());
+                    assert_eq!(Style::script_violations(&start, &applied_ops), found);
+                    applied_ops.pop();
                     tally.breaking_removals += 1;
                     sys = before;
                     continue;
@@ -170,14 +180,19 @@ fn run_script(
             }
         }
         assert_eq!(Style::validate(&sys), Vec::new(), "after {op:?}");
+        if applied.is_ok() {
+            applied_ops.push(op);
+        }
+        assert_eq!(Style::script_violations(&start, &applied_ops), Vec::new());
     }
 }
 
 /// After every `Ok` of the three planning operators, `validate` is empty;
-/// `resolve_move` agrees with applying a move; a failed op changes nothing;
-/// and a `RemoveServer` that applies breaks the style exactly when it
-/// removes its group's last server (that model is dropped, and the script
-/// goes on from the one before it). Fleets have 1–4 groups of 1–3 servers,
+/// `resolve_move` and `resolve_remove` agree with applying their op; a
+/// failed op changes nothing; a `RemoveServer` that applies breaks the style
+/// exactly when it removes its group's last server (that model is dropped,
+/// and the script goes on from the one before it); and `script_violations`
+/// over the ops applied so far reports what `validate` reports. Fleets have 1–4 groups of 1–3 servers,
 /// 1–60 clients and up to 7 earlier moves.
 #[test]
 fn the_planning_operators_keep_the_style() {

@@ -8,7 +8,6 @@
 
 use arch_adapt::framework::FrameworkConfig;
 use archmodel::style::ClientServerStyle;
-use archmodel::Transaction;
 use bench::run_figure7;
 use criterion::{criterion_group, criterion_main, Criterion};
 use repair::{add_server, move_client};
@@ -16,12 +15,12 @@ use translator::{translate, RepairCostModel};
 
 fn repair_scripts() -> (Vec<translator::RuntimeOp>, Vec<translator::RuntimeOp>) {
     let model = ClientServerStyle::example_system("storage", 2, 3, 6).unwrap();
-    let mut move_tx = Transaction::new(&model);
-    move_client(&mut move_tx, "User3", "ServerGrp2").unwrap();
-    let move_ops = translate(&model, move_tx.ops(), 10_000.0).unwrap();
-    let mut add_tx = Transaction::new(&model);
-    add_server(&mut add_tx, "ServerGrp1").unwrap();
-    let add_ops = translate(&model, add_tx.ops(), 10_000.0).unwrap();
+    let mut move_script = Vec::new();
+    move_client(&model, &mut move_script, "User3", "ServerGrp2").unwrap();
+    let move_ops = translate(&model, &move_script, 10_000.0).unwrap();
+    let mut add_script = Vec::new();
+    add_server(&model, &mut add_script, "ServerGrp1").unwrap();
+    let add_ops = translate(&model, &add_script, 10_000.0).unwrap();
     (move_ops, add_ops)
 }
 
@@ -74,9 +73,9 @@ fn bench_repair_time(c: &mut Criterion) {
     let model = ClientServerStyle::example_system("storage", 2, 3, 6).unwrap();
     c.bench_function("repair_time/plan_translate_cost", |b| {
         b.iter(|| {
-            let mut tx = Transaction::new(&model);
-            move_client(&mut tx, "User3", "ServerGrp2").unwrap();
-            let ops = translate(&model, tx.ops(), 10_000.0).unwrap();
+            let mut script = Vec::new();
+            move_client(&model, &mut script, "User3", "ServerGrp2").unwrap();
+            let ops = translate(&model, &script, 10_000.0).unwrap();
             RepairCostModel::paper_defaults().total_duration(&ops)
         })
     });

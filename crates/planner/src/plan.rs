@@ -28,7 +28,7 @@ use archmodel::constraint::CheckReport;
 use archmodel::style::ClientServerStyle;
 use archmodel::{ModelOp, System};
 use gridapp::GridApp;
-use repair::operators::new_server_name;
+use repair::operators::add_server;
 use repair::tactic::client_of_violation;
 use repair::{RepairDamping, RepairPlan};
 use std::collections::{BTreeMap, BTreeSet};
@@ -471,15 +471,9 @@ impl GroupPlanner {
                 to_group: mv.to.clone(),
             });
         }
-        let mut recruited: Vec<String> = Vec::new();
         for (group, k) in &recruits {
             for _ in 0..*k {
-                let server = new_server_name(model, group, &recruited).ok()?;
-                recruited.push(server.clone());
-                ops.push(ModelOp::AddServer {
-                    group: group.clone(),
-                    server,
-                });
+                add_server(model, &mut ops, group).ok()?;
             }
         }
 
@@ -525,7 +519,10 @@ impl GroupPlanner {
                 min_age_secs: thresholds.max_latency_secs,
             });
         }
-        let mut names = recruited.iter();
+        let mut names = ops.iter().filter_map(|op| match op {
+            ModelOp::AddServer { server, .. } => Some(server),
+            _ => None,
+        });
         for (group, k) in &recruits {
             for name in names.by_ref().take(*k) {
                 runtime_ops.push(RuntimeOp::FindServer {

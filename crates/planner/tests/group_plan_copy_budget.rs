@@ -6,13 +6,16 @@
 //!
 //! The planner writes its ops against the borrowed live model: it resolves
 //! each class move as applying it would and names each recruit, but applies
-//! nothing and copies nothing. While it applied the ops to a `Transaction`'s
-//! copy and validated that copy against the style, this plan requested
+//! nothing and copies nothing. While it applied the ops to a working copy of
+//! the model and validated that copy against the style, this plan requested
 //! 2,039,830 bytes against 1,760,923 per copy (1.16); it requested 109,076
-//! once it stopped (0.06). The dense-arena model's copy is 812,633 bytes,
-//! and the plan requests 71,302 (0.09) since it stopped cloning a group name
-//! per client and keeps a class move's ports and roles in one id set. A copy
-//! does not fit under the ceiling.
+//! once it stopped (0.06). The dense-arena model's copy was 812,633 bytes,
+//! and the plan requested 71,302 (0.09) once it stopped cloning a group name
+//! per client and kept a class move's ports and roles in one id set. It
+//! requests 71,206 against a copy's 807,129 since recruits are named by
+//! `addServer()` over the op list, with no list of names beside it, and a
+//! copy keeps no room for a script's new elements. A copy does not fit
+//! under the ceiling.
 
 use archmodel::style::ClientServerStyle;
 use archmodel::{apply_op, ModelOp};

@@ -18,7 +18,7 @@ use crate::strategy::RepairStrategy;
 use crate::tactic::{client_of_violation, RepairError, Tactic, TacticContext, TacticResult};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant};
 use archmodel::style::{props, ClientServerStyle, CLIENT_ROLE_T, CLIENT_T, SERVER_GROUP_T};
-use archmodel::{System, Transaction};
+use archmodel::System;
 
 /// Default threshold for server-group load (pending requests). The paper: a
 /// queue of more than six waiting requests indicates overload.
@@ -63,6 +63,12 @@ fn client_role_bandwidth(model: &System, client: &str) -> Option<f64> {
     None
 }
 
+/// A tactic's answer when its precondition does not hold.
+fn not_applicable(reason: impl Into<String>) -> Result<TacticResult, RepairError> {
+    let reason = reason.into();
+    Ok(TacticResult::NotApplicable { reason })
+}
+
 /// `fixServerLoad` (Figure 5, lines 16–26): add a server to every overloaded
 /// server group connected to the client.
 #[derive(Debug, Default, Clone, Copy)]
@@ -75,15 +81,11 @@ impl Tactic for FixServerLoadTactic {
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
         let Some(client) = client_of_violation(ctx.model, ctx.violation) else {
-            return Ok(TacticResult::NotApplicable {
-                reason: "violation does not identify a client".into(),
-            });
+            return not_applicable("violation does not identify a client");
         };
         let overloaded = overloaded_groups_of(ctx.model, &client);
         if overloaded.is_empty() {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("no overloaded server group connected to {client}"),
-            });
+            return not_applicable(format!("no overloaded server group connected to {client}"));
         }
         // Only groups for which the runtime can actually recruit a spare
         // server can be repaired this way.
@@ -93,20 +95,17 @@ impl Tactic for FixServerLoadTactic {
             .cloned()
             .collect();
         if repairable.is_empty() {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!(
-                    "server groups {overloaded:?} are overloaded but no spare server is available"
-                ),
-            });
+            return not_applicable(format!(
+                "server groups {overloaded:?} are overloaded but no spare server is available"
+            ));
         }
-        let mut tx = Transaction::new(ctx.model);
+        let mut ops = Vec::new();
         let mut added = Vec::new();
         for group in &repairable {
-            let server = add_server(&mut tx, group)?;
-            added.push(server);
+            added.push(add_server(ctx.model, &mut ops, group)?);
         }
         Ok(TacticResult::Applied {
-            tx,
+            ops,
             description: format!("added servers {added:?} to overloaded groups {repairable:?}"),
         })
     }
@@ -124,9 +123,7 @@ impl Tactic for FixBandwidthTactic {
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
         let Some(client) = client_of_violation(ctx.model, ctx.violation) else {
-            return Ok(TacticResult::NotApplicable {
-                reason: "violation does not identify a client".into(),
-            });
+            return not_applicable("violation does not identify a client");
         };
         let min_bandwidth =
             system_threshold(ctx.model, props::MIN_BANDWIDTH, DEFAULT_MIN_BANDWIDTH_BPS);
@@ -134,16 +131,12 @@ impl Tactic for FixBandwidthTactic {
         // minimum for this tactic to apply.
         if let Some(bw) = client_role_bandwidth(ctx.model, &client) {
             if bw >= min_bandwidth {
-                return Ok(TacticResult::NotApplicable {
-                    reason: format!(
+                return not_applicable(format!(
                         "bandwidth {bw:.0} bps for {client} is above the {min_bandwidth:.0} bps minimum"
-                    ),
-                });
+                    ));
             }
         } else {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("no bandwidth observation for {client} yet"),
-            });
+            return not_applicable(format!("no bandwidth observation for {client} yet"));
         }
         // findGoodSGrp (lines 35–36).
         let Some(good_group) = ctx.query.find_good_server_group(&client, min_bandwidth) else {
@@ -158,14 +151,12 @@ impl Tactic for FixBandwidthTactic {
             .and_then(|g| ctx.model.component(g).ok())
             .map(|g| g.name);
         if current.is_some_and(|g| g == good_group) {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("{client} is already connected to {good_group}"),
-            });
+            return not_applicable(format!("{client} is already connected to {good_group}"));
         }
-        let mut tx = Transaction::new(ctx.model);
-        move_client(&mut tx, &client, &good_group)?;
+        let mut ops = Vec::new();
+        move_client(ctx.model, &mut ops, &client, &good_group)?;
         Ok(TacticResult::Applied {
-            tx,
+            ops,
             description: format!("moved {client} to {good_group}"),
         })
     }
@@ -237,14 +228,12 @@ impl Tactic for ReduceServersTactic {
             }
         }
         let Some((group, server)) = candidate else {
-            return Ok(TacticResult::NotApplicable {
-                reason: "no underutilised server group with removable servers".into(),
-            });
+            return not_applicable("no underutilised server group with removable servers");
         };
-        let mut tx = Transaction::new(ctx.model);
-        remove_server(&mut tx, &server)?;
+        let mut ops = Vec::new();
+        remove_server(ctx.model, &mut ops, &server)?;
         Ok(TacticResult::Applied {
-            tx,
+            ops,
             description: format!("removed {server} from underutilised group {group}"),
         })
     }
@@ -298,15 +287,11 @@ impl Tactic for FailoverServerGroupTactic {
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
         let Some(group) = group_of_violation(ctx.model, ctx.violation) else {
-            return Ok(TacticResult::NotApplicable {
-                reason: "violation does not identify a server group".into(),
-            });
+            return not_applicable("violation does not identify a server group");
         };
         let dead = dead_replicas_of(ctx.model, &group);
         if dead.is_empty() {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("no dead replicas recorded for {group}"),
-            });
+            return not_applicable(format!("no dead replicas recorded for {group}"));
         }
         let group_id = ctx
             .model
@@ -318,20 +303,20 @@ impl Tactic for FailoverServerGroupTactic {
         if replacements == 0 && members == dead.len() {
             // Removing every replica with nothing to recruit would leave the
             // group empty; let the reroute tactic move the clients instead.
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("{group} is fully dead and no spare server is available"),
-            });
+            return not_applicable(format!(
+                "{group} is fully dead and no spare server is available"
+            ));
         }
-        let mut tx = Transaction::new(ctx.model);
+        let mut ops = Vec::new();
         for corpse in &dead {
-            remove_server(&mut tx, corpse)?;
+            remove_server(ctx.model, &mut ops, corpse)?;
         }
         let mut recruited = Vec::new();
         for _ in 0..replacements {
-            recruited.push(add_server(&mut tx, &group)?);
+            recruited.push(add_server(ctx.model, &mut ops, &group)?);
         }
         Ok(TacticResult::Applied {
-            tx,
+            ops,
             description: format!(
                 "failed {group} over: retired dead replicas {dead:?}, recruited {recruited:?}"
             ),
@@ -354,9 +339,7 @@ impl Tactic for RerouteClientsTactic {
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
         let Some(group) = group_of_violation(ctx.model, ctx.violation) else {
-            return Ok(TacticResult::NotApplicable {
-                reason: "violation does not identify a server group".into(),
-            });
+            return not_applicable("violation does not identify a server group");
         };
         let live = ctx
             .model
@@ -365,9 +348,7 @@ impl Tactic for RerouteClientsTactic {
             .and_then(|c| c.properties.get_f64(props::LIVE_SERVERS))
             .unwrap_or(f64::INFINITY);
         if live >= 1.0 {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("{group} still has {live:.0} live replicas"),
-            });
+            return not_applicable(format!("{group} still has {live:.0} live replicas"));
         }
         let group_id = ctx
             .model
@@ -378,13 +359,11 @@ impl Tactic for RerouteClientsTactic {
             .filter_map(|id| ctx.model.component(id).ok().map(|c| c.name.to_string()))
             .collect();
         if clients.is_empty() {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!("{group} serves no clients"),
-            });
+            return not_applicable(format!("{group} serves no clients"));
         }
         let min_bandwidth =
             system_threshold(ctx.model, props::MIN_BANDWIDTH, DEFAULT_MIN_BANDWIDTH_BPS);
-        let mut tx = Transaction::new(ctx.model);
+        let mut ops = Vec::new();
         let mut moved = Vec::new();
         for client in &clients {
             let Some(target) = ctx.query.find_good_server_group(client, min_bandwidth) else {
@@ -393,14 +372,14 @@ impl Tactic for RerouteClientsTactic {
             if target == group {
                 continue;
             }
-            move_client(&mut tx, client, &target)?;
+            move_client(ctx.model, &mut ops, client, &target)?;
             moved.push(format!("{client}->{target}"));
         }
         if moved.is_empty() {
             return Err(RepairError::NoServerGroupFound);
         }
         Ok(TacticResult::Applied {
-            tx,
+            ops,
             description: format!("rerouted clients off dead group {group}: {moved:?}"),
         })
     }
@@ -500,7 +479,9 @@ mod tests {
     use crate::query::StaticQuery;
     use crate::strategy::StrategyOutcome;
     use archmodel::constraint::Violation;
-    use archmodel::ElementRef;
+    use archmodel::{ElementRef, ModelOp};
+    use proptest::prelude::{Strategy, TestRng};
+    use std::collections::BTreeMap;
 
     /// Paper-like model: 2 groups, 3 servers each, 6 clients; User3 violates
     /// the latency bound. Group loads and role bandwidths are configurable.
@@ -539,6 +520,13 @@ mod tests {
             detail: "self.averageLatency <= maxLatency".into(),
         };
         (model, violation)
+    }
+
+    /// Adds a replica to `group` of `model`, as a committed `addServer()`.
+    fn recruit(model: &mut System, group: &str) {
+        let mut ops = Vec::new();
+        add_server(model, &mut ops, group).unwrap();
+        archmodel::apply_op(model, &ops[0]).unwrap();
     }
 
     #[test]
@@ -708,9 +696,7 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         // A surplus replica on an idle group violates.
-        let mut tx = archmodel::Transaction::new(&model);
-        add_server(&mut tx, "ServerGrp1").unwrap();
-        model = tx.working().clone();
+        recruit(&mut model, "ServerGrp1");
         let report = set.check(&model);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].subject_name, "ServerGrp1");
@@ -749,18 +735,14 @@ mod tests {
         ));
         // Grow *ServerGrp2* beyond its baseline: the subject-scoped tactic
         // still leaves ServerGrp1 alone.
-        let mut tx = archmodel::Transaction::new(&model);
-        add_server(&mut tx, "ServerGrp2").unwrap();
-        model = tx.working().clone();
+        recruit(&mut model, "ServerGrp2");
         let outcome = reduce_servers_strategy().run(&model, &violation, &StaticQuery::new());
         assert!(matches!(
             outcome,
             StrategyOutcome::NoApplicableTactic { .. }
         ));
         // A surplus on the subject group itself is retired.
-        let mut tx = archmodel::Transaction::new(&model);
-        add_server(&mut tx, "ServerGrp1").unwrap();
-        model = tx.working().clone();
+        recruit(&mut model, "ServerGrp1");
         match reduce_servers_strategy().run(&model, &violation, &StaticQuery::new()) {
             StrategyOutcome::Repaired { description, .. } => {
                 assert!(description.contains("ServerGrp1"), "{description}");
@@ -918,5 +900,226 @@ mod tests {
             }
             other => panic!("unexpected outcome: {other:?}"),
         }
+    }
+
+    #[test]
+    fn failover_recruit_takes_the_name_of_the_corpse_it_retired() {
+        let (model, violation) = crashed_scenario(1);
+        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+        let strategy = recover_liveness_strategy();
+        let outcome = strategy.run(&model, &violation, &query);
+        assert_eq!(outcome, strategy.run_eager(&model, &violation, &query));
+        let StrategyOutcome::Repaired { ops, .. } = outcome else {
+            panic!("unexpected outcome: {outcome:?}");
+        };
+        let corpse = "ServerGrp1.Server1".to_string();
+        assert_eq!(
+            ops,
+            [
+                ModelOp::RemoveServer {
+                    server: corpse.clone()
+                },
+                ModelOp::AddServer {
+                    group: "ServerGrp1".into(),
+                    server: corpse,
+                },
+            ]
+        );
+    }
+
+    /// A style-valid fleet with everything the built-in tactics read, drawn
+    /// from `rng`, and the runtime answers to plan it against:
+    /// * 1–3 groups of 1–3 replicas; a group may have lost `Server1` (a gap
+    ///   a recruit fills first) or grown a surplus replica;
+    /// * 1–9 clients homed round-robin, each with a recorded latency and
+    ///   most with a recorded role bandwidth;
+    /// * per group a load, dead replicas (`isAlive = 0`, every replica in a
+    ///   quarter of the groups) with the
+    ///   `liveServers` / `deadServers` census, half the time a
+    ///   `baseReplicas`, and 0–2 spares;
+    /// * a predicted bandwidth for about half the (client, group) pairs.
+    fn oracle_fleet(rng: &mut TestRng) -> (System, StaticQuery) {
+        let mut pick = |n: usize| (0..n).generate(rng);
+        let mut model = System::new("oracle");
+        model.properties.set(props::MAX_LATENCY, 2.0);
+        model.properties.set(props::MAX_SERVER_LOAD, 6i64);
+        model.properties.set(props::MIN_BANDWIDTH, 10_000.0);
+        model.properties.set(props::MAX_DEAD_SERVERS, 0.0);
+        model.properties.set(props::UNDERUTILISED_LOAD, 1.0);
+        let groups: Vec<String> = (1..=1 + pick(3)).map(|g| format!("ServerGrp{g}")).collect();
+        for group in &groups {
+            let servers = 1 + pick(3);
+            ClientServerStyle::add_server_group(&mut model, group, servers).unwrap();
+            match pick(3) {
+                1 if servers > 1 => {
+                    let server = format!("{group}.Server1");
+                    let op = ModelOp::RemoveServer { server };
+                    archmodel::apply_op(&mut model, &op).unwrap();
+                }
+                2 => recruit(&mut model, group),
+                _ => {}
+            }
+        }
+        let clients = 1 + pick(9);
+        let homes =
+            (0..clients).map(|c| (format!("User{}", c + 1), groups[c % groups.len()].clone()));
+        ClientServerStyle::add_clients(&mut model, homes).unwrap();
+        let mut query = StaticQuery::new();
+        for group in &groups {
+            let id = model.component_by_name(group).unwrap();
+            let replicas: Vec<_> = model.children(id).collect();
+            // A quarter of the groups are wholly dead.
+            let (outage, mut dead) = (pick(4) == 0, 0);
+            for replica in &replicas {
+                let alive = !outage && pick(3) > 0;
+                dead += usize::from(!alive);
+                let properties = &mut model.component_mut(*replica).unwrap().properties;
+                properties.set(props::IS_ALIVE, if alive { 1.0 } else { 0.0 });
+            }
+            let properties = &mut model.component_mut(id).unwrap().properties;
+            properties.set(props::LOAD, [0.0, 1.0, 3.0, 8.0, 20.0][pick(5)]);
+            properties.set(props::LIVE_SERVERS, (replicas.len() - dead) as f64);
+            properties.set(props::DEAD_SERVERS, dead as f64);
+            if pick(2) == 1 {
+                properties.set(props::BASE_REPLICAS, (1 + pick(3)) as f64);
+            }
+            let spares = &["S1", "S2"][..pick(3)];
+            if !spares.is_empty() {
+                query = query.with_spares(group, spares);
+            }
+        }
+        for c in 1..=clients {
+            let client = format!("User{c}");
+            let id = model.component_by_name(&client).unwrap();
+            let latency = [0.5, 5.0][pick(2)];
+            let properties = &mut model.component_mut(id).unwrap().properties;
+            properties.set(props::AVERAGE_LATENCY, latency);
+            if let Some(bps) = [None, Some(500.0), Some(5e6)][pick(3)] {
+                for role in model.roles_of_component(id) {
+                    let properties = &mut model.role_mut(role).unwrap().properties;
+                    properties.set(props::BANDWIDTH, bps);
+                }
+            }
+            for group in &groups {
+                if pick(2) == 1 {
+                    query = query.with_bandwidth(&client, group, [2_000.0, 5e6][pick(2)]);
+                }
+            }
+        }
+        assert_eq!(ClientServerStyle::validate(&model), Vec::new());
+        (model, query)
+    }
+
+    /// Every violation a built-in strategy can be asked to repair on
+    /// `model`: latency per client, bandwidth per client role, liveness and
+    /// underutilised per group, and one underutilised with no subject.
+    fn oracle_violations(model: &System) -> Vec<Violation> {
+        let violation = |invariant: &str, subject, subject_name: String| Violation {
+            invariant: invariant.into(),
+            subject,
+            subject_name,
+            detail: String::new(),
+        };
+        let mut out = vec![violation("underutilised", None, model.name.clone())];
+        for (id, client) in model.components_of_type(CLIENT_T) {
+            let subject = Some(ElementRef::Component(id));
+            out.push(violation("latency", subject, client.name.to_string()));
+        }
+        for (id, role) in model.roles() {
+            if role.rtype == CLIENT_ROLE_T {
+                let subject = Some(ElementRef::Role(id));
+                out.push(violation("bandwidth", subject, role.name.to_string()));
+            }
+        }
+        for (id, group) in model.components_of_type(SERVER_GROUP_T) {
+            for invariant in ["liveness", "underutilised"] {
+                let subject = Some(ElementRef::Component(id));
+                out.push(violation(invariant, subject, group.name.to_string()));
+            }
+        }
+        out
+    }
+
+    /// The four built-in strategies; each of the five built-in tactics
+    /// alone, so that a tactic its strategy tries second is reached on its
+    /// own too; and a `reduceServers` with no floor, which on a group with
+    /// no `baseReplicas` removes the last server.
+    fn oracle_strategies() -> Vec<RepairStrategy> {
+        let mut strategies = vec![
+            fix_latency_strategy(),
+            fix_latency_bandwidth_first_strategy(),
+            reduce_servers_strategy(),
+            recover_liveness_strategy(),
+        ];
+        let tactics: [Box<dyn Tactic>; 5] = [
+            Box::new(FixServerLoadTactic),
+            Box::new(FixBandwidthTactic),
+            Box::new(ReduceServersTactic::default()),
+            Box::new(FailoverServerGroupTactic),
+            Box::new(RerouteClientsTactic),
+        ];
+        for tactic in tactics {
+            strategies.push(RepairStrategy::new(tactic.name().to_string()).with_tactic(tactic));
+        }
+        let floorless = ReduceServersTactic {
+            min_servers: 0,
+            ..ReduceServersTactic::default()
+        };
+        strategies
+            .push(RepairStrategy::new("reduceServers-noFloor").with_tactic(Box::new(floorless)));
+        strategies
+    }
+
+    /// Planning against the borrowed model is the eager-clone oracle
+    /// (`RepairStrategy::run_eager`, which validates the whole model the
+    /// script leaves): every strategy of [`oracle_strategies`], on every
+    /// violation of 96 generated fleets, ends in the same outcome with the
+    /// same ops and the same reasons. Every repair's ops apply to a copy
+    /// and leave it style-valid.
+    #[test]
+    fn builtin_strategies_match_the_eager_clone_oracle() {
+        let strategies = oracle_strategies();
+        let mut repairs: BTreeMap<String, usize> = BTreeMap::new();
+        let mut style_aborts = 0;
+        for case in 0..96 {
+            let mut rng = TestRng::deterministic("builtin_strategies_oracle", case);
+            let (model, query) = oracle_fleet(&mut rng);
+            for violation in oracle_violations(&model) {
+                for strategy in &strategies {
+                    let got = strategy.run(&model, &violation, &query);
+                    let want = strategy.run_eager(&model, &violation, &query);
+                    let context = format!(
+                        "{} for {} of {} (case {case})",
+                        strategy.name(),
+                        violation.invariant,
+                        violation.subject_name
+                    );
+                    assert_eq!(got, want, "{context}");
+                    match got {
+                        StrategyOutcome::Repaired {
+                            ops,
+                            applied_tactics,
+                            ..
+                        } => {
+                            let mut after = model.clone();
+                            for op in &ops {
+                                archmodel::apply_op(&mut after, op).unwrap();
+                            }
+                            let found = ClientServerStyle::validate(&after);
+                            assert_eq!(found, Vec::new(), "{context}");
+                            *repairs.entry(applied_tactics[0].clone()).or_default() += 1;
+                        }
+                        StrategyOutcome::Aborted { reason } if reason.contains("style") => {
+                            style_aborts += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        // Every tactic repairs, and the floor-less removal trips the check.
+        assert_eq!(repairs.len(), 5, "{repairs:?}");
+        assert!(repairs.values().all(|n| *n >= 20), "{repairs:?}");
+        assert!(style_aborts >= 20, "only {style_aborts} style aborts");
     }
 }

@@ -454,9 +454,9 @@ mod tests {
             set(&mut model, &name, props::IS_ALIVE, 0.0);
         }
         if surplus {
-            let mut tx = archmodel::Transaction::new(&model);
-            crate::operators::add_server(&mut tx, "ServerGrp2").unwrap();
-            model = tx.working().clone();
+            let mut ops = Vec::new();
+            crate::operators::add_server(&model, &mut ops, "ServerGrp2").unwrap();
+            archmodel::apply_op(&mut model, &ops[0]).unwrap();
         }
         model
     }

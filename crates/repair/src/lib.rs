@@ -7,10 +7,10 @@
 //! style-specific *adaptation operators* (§3.3): `addServer`, `move`,
 //! `remove`, and the runtime query `findGoodSGroup`.
 //!
-//! * [`operators`] — the client/server-style operators over transactional
-//!   change-sets,
+//! * [`operators`] — the client/server-style operators, which record a
+//!   script's ops against the borrowed model,
 //! * [`tactic`] / [`strategy`] — guarded tactics and first-success
-//!   strategies with commit/abort semantics and style validation,
+//!   strategies with commit/abort semantics and the script's style check,
 //! * [`builtin`] — the paper's `fixLatency` strategy (Figure 5) plus the
 //!   `reduceServers` cost repair and the default constraint set,
 //! * [`engine`] — mapping violations to plans, with violation-selection

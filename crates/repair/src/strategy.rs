@@ -5,8 +5,11 @@
 //! takes the first one whose precondition holds — Figure 5's `fixLatency`,
 //! the one strategy the paper evaluates, reads `if (fixServerLoad(...))
 //! commit repair; else if (fixBandwidth(...)) commit repair; else abort` —
-//! validates the model that tactic's script produced against the
-//! architectural style, and either commits the repair or aborts (§3.2).
+//! checks that tactic's script against the architectural style, and either
+//! commits the repair or aborts (§3.2). The script is written against the
+//! borrowed model and checked without applying it: its operators keep the
+//! style except where a removal empties a group, which
+//! `ClientServerStyle::script_violations` finds in O(ops).
 
 use crate::query::RuntimeQuery;
 use crate::tactic::{RepairError, Tactic, TacticContext, TacticResult};
@@ -17,7 +20,7 @@ use archmodel::{ModelOp, System};
 /// The outcome of running a strategy for one violation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrategyOutcome {
-    /// A repair script was produced and validated against the style.
+    /// A repair script was produced and checked against the style.
     Repaired {
         /// The model operations of the script.
         ops: Vec<ModelOp>,
@@ -77,11 +80,9 @@ impl RepairStrategy {
     }
 
     /// Runs the strategy for `violation` against `model`, which is only
-    /// borrowed: the one copy a repair needs is the working copy of the
-    /// transaction the applicable tactic builds, and that copy — the model
-    /// with the script applied — is what the style check validates. Most
-    /// violations end with every tactic `NotApplicable`, and a fleet-scale
-    /// model is too big to copy just to find that out.
+    /// borrowed: the applicable tactic writes its script against it, and
+    /// the style check reads the script and the model, so a repair copies
+    /// nothing.
     pub fn run(
         &self,
         model: &System,
@@ -99,13 +100,13 @@ impl RepairStrategy {
                 Ok(TacticResult::NotApplicable { reason }) => {
                     reasons.push(format!("{}: {reason}", tactic.name()));
                 }
-                Ok(TacticResult::Applied { tx, description }) => {
-                    let style_violations = ClientServerStyle::validate(tx.working());
+                Ok(TacticResult::Applied { ops, description }) => {
+                    let style_violations = ClientServerStyle::script_violations(model, &ops);
                     if !style_violations.is_empty() {
                         return style_abort(tactic.name(), &style_violations);
                     }
                     return StrategyOutcome::Repaired {
-                        ops: tx.ops().to_vec(),
+                        ops,
                         applied_tactics: vec![tactic.name().to_string()],
                         description,
                     };
@@ -129,17 +130,29 @@ impl RepairStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::{add_server, move_client, remove_server};
     use crate::query::StaticQuery;
-    use archmodel::{apply_op, ElementRef, Transaction};
+    use archmodel::{apply_op, ElementRef};
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// One operator call of a scripted repair.
+    #[derive(Clone)]
+    enum Call {
+        /// `addServer()` on a group.
+        Add(&'static str),
+        /// `remove()` of a server.
+        Remove(&'static str),
+        /// `move(to)` of a client onto a group.
+        Move(&'static str, &'static str),
+    }
+
     /// What a [`ScriptedTactic`] answers: its precondition fails, or it
-    /// applies the given script to the model it is shown.
+    /// writes the given calls against the model it is shown.
     #[derive(Clone)]
     enum Script {
         NotApplicable,
-        Apply(Vec<ModelOp>),
+        Apply(Vec<Call>),
     }
 
     /// A tactic whose applicability and effect are scripted, for testing the
@@ -158,13 +171,17 @@ mod tests {
                 Script::NotApplicable => Ok(TacticResult::NotApplicable {
                     reason: "precondition failed".into(),
                 }),
-                Script::Apply(ops) => {
-                    let mut tx = Transaction::new(ctx.model);
-                    for op in ops {
-                        tx.apply(op)?;
+                Script::Apply(calls) => {
+                    let mut ops = Vec::new();
+                    for call in calls {
+                        match call {
+                            Call::Add(group) => add_server(ctx.model, &mut ops, group)?,
+                            Call::Remove(server) => remove_server(ctx.model, &mut ops, server)?,
+                            Call::Move(client, to) => move_client(ctx.model, &mut ops, client, to)?,
+                        };
                     }
                     Ok(TacticResult::Applied {
-                        tx,
+                        ops,
                         description: "scripted".into(),
                     })
                 }
@@ -172,11 +189,12 @@ mod tests {
         }
     }
 
-    /// The run loop as it was before the strategy validated the tactic's own
-    /// working copy: one `model.clone()` up front for every violation
+    /// The run loop as it was before scripts were written against the
+    /// borrowed model: one `model.clone()` up front for every violation
     /// examined, and a second copy on which the applied script is replayed op
-    /// by op before the style check. Kept as the reference
-    /// [`RepairStrategy::run`] is compared against (here and in the engine's
+    /// by op before the whole model is validated against the style. Kept as
+    /// the reference [`RepairStrategy::run`] is compared against (here, in
+    /// the built-in strategies' oracle proptest and in the engine's
     /// fleet-sized equivalence test).
     impl RepairStrategy {
         pub(crate) fn run_eager(
@@ -197,9 +215,9 @@ mod tests {
                     Ok(TacticResult::NotApplicable { reason }) => {
                         reasons.push(format!("{}: {reason}", tactic.name()));
                     }
-                    Ok(TacticResult::Applied { tx, description }) => {
+                    Ok(TacticResult::Applied { ops, description }) => {
                         let mut candidate = working.clone();
-                        for op in tx.ops() {
+                        for op in &ops {
                             if let Err(e) = apply_op(&mut candidate, op) {
                                 return StrategyOutcome::Aborted {
                                     reason: format!(
@@ -214,7 +232,7 @@ mod tests {
                             return style_abort(tactic.name(), &style_violations);
                         }
                         return StrategyOutcome::Repaired {
-                            ops: tx.ops().to_vec(),
+                            ops,
                             applied_tactics: vec![tactic.name().to_string()],
                             description,
                         };
@@ -284,8 +302,8 @@ mod tests {
         }
     }
 
-    fn applied(ops: Vec<ModelOp>) -> Result<Script, RepairError> {
-        Ok(Script::Apply(ops))
+    fn applied(calls: Vec<Call>) -> Result<Script, RepairError> {
+        Ok(Script::Apply(calls))
     }
 
     fn not_applicable() -> Result<Script, RepairError> {
@@ -299,24 +317,23 @@ mod tests {
         })
     }
 
+    fn add_server_call() -> Vec<Call> {
+        vec![Call::Add("ServerGrp1")]
+    }
+
+    /// The op `add_server_call` records.
     fn add_server_op() -> Vec<ModelOp> {
         vec![ModelOp::AddServer {
             group: "ServerGrp1".into(),
-            server: "ServerGrp1.Server9".into(),
+            server: "ServerGrp1.Server3".into(),
         }]
-    }
-
-    fn remove_server_op(server: &str) -> ModelOp {
-        ModelOp::RemoveServer {
-            server: server.into(),
-        }
     }
 
     /// Retiring both replicas of a group leaves it with no active server.
     fn break_style() -> Result<Script, RepairError> {
         applied(vec![
-            remove_server_op("ServerGrp1.Server1"),
-            remove_server_op("ServerGrp1.Server2"),
+            Call::Remove("ServerGrp1.Server1"),
+            Call::Remove("ServerGrp1.Server2"),
         ])
     }
 
@@ -326,8 +343,8 @@ mod tests {
         let v = violation(&m);
         let strategy = RepairStrategy::new("fixLatency")
             .with_tactic(scripted("skip", not_applicable()))
-            .with_tactic(scripted("first", applied(add_server_op())))
-            .with_tactic(scripted("never-reached", applied(add_server_op())));
+            .with_tactic(scripted("first", applied(add_server_call())))
+            .with_tactic(scripted("never-reached", applied(add_server_call())));
         match strategy.run(&m, &v, &StaticQuery::new()) {
             StrategyOutcome::Repaired {
                 ops,
@@ -340,7 +357,7 @@ mod tests {
             other => panic!("unexpected outcome: {other:?}"),
         }
         // The caller's model is untouched.
-        assert!(m.component_by_name("ServerGrp1.Server9").is_none());
+        assert!(m.component_by_name("ServerGrp1.Server3").is_none());
     }
 
     #[test]
@@ -365,7 +382,22 @@ mod tests {
         let strategy =
             RepairStrategy::new("bad").with_tactic(scripted("break-style", break_style()));
         match strategy.run(&m, &v, &StaticQuery::new()) {
-            StrategyOutcome::Aborted { reason } => assert!(reason.contains("style")),
+            StrategyOutcome::Aborted { reason } => assert_eq!(
+                reason,
+                "break-style: repair would violate the style: \
+                 ServerGrp1: server group must contain at least one active server"
+            ),
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+        // A recruit after the removals keeps the group served.
+        let refilled = applied(vec![
+            Call::Remove("ServerGrp1.Server1"),
+            Call::Remove("ServerGrp1.Server2"),
+            Call::Add("ServerGrp1"),
+        ]);
+        let strategy = RepairStrategy::new("ok").with_tactic(scripted("refill", refilled));
+        match strategy.run(&m, &v, &StaticQuery::new()) {
+            StrategyOutcome::Repaired { ops, .. } => assert_eq!(ops.len(), 3),
             other => panic!("unexpected outcome: {other:?}"),
         }
     }
@@ -386,16 +418,17 @@ mod tests {
     fn invalid_ops_abort_with_explanation() {
         let m = model();
         let v = violation(&m);
-        // A script that does not apply fails inside the tactic's own
-        // transaction, so the tactic — not a later replay — reports it.
+        // An operator that would not apply fails as the tactic writes the
+        // script, so the tactic — not a later replay — reports it.
         let strategy = RepairStrategy::new("broken").with_tactic(scripted(
             "bad-op",
-            applied(vec![remove_server_op("DoesNotExist")]),
+            applied(vec![Call::Remove("DoesNotExist")]),
         ));
         match strategy.run(&m, &v, &StaticQuery::new()) {
-            StrategyOutcome::Aborted { reason } => {
-                assert!(reason.starts_with("bad-op: model error"), "{reason}")
-            }
+            StrategyOutcome::Aborted { reason } => assert_eq!(
+                reason,
+                "bad-op: operator failed: bad operator target: server DoesNotExist not found"
+            ),
             other => panic!("unexpected outcome: {other:?}"),
         }
     }
@@ -424,34 +457,38 @@ mod tests {
     fn every_outcome_matches_the_eager_clone_oracle() {
         let m = model();
         let v = violation(&m);
-        let bad_op = || applied(vec![remove_server_op("DoesNotExist")]);
-        let second = || applied(vec![remove_server_op("ServerGrp2.Server2")]);
+        let bad_op = || applied(vec![Call::Remove("DoesNotExist")]);
+        let second = || applied(vec![Call::Remove("ServerGrp2.Server2")]);
         let strategies = [
             RepairStrategy::new("none")
                 .with_tactic(scripted("a", not_applicable()))
                 .with_tactic(scripted("b", not_applicable())),
             RepairStrategy::new("both")
                 .with_tactic(scripted("skip", not_applicable()))
-                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("a", applied(add_server_call())))
                 .with_tactic(scripted("b", second())),
             RepairStrategy::new("no-group")
                 .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
             RepairStrategy::new("operator")
                 .with_tactic(scripted("op", Err(RepairError::Operator("boom".into())))),
             RepairStrategy::new("bad-op").with_tactic(scripted("bad-op", bad_op())),
+            RepairStrategy::new("move").with_tactic(scripted(
+                "move",
+                applied(vec![Call::Move("User1", "ServerGrp2")]),
+            )),
             RepairStrategy::new("style").with_tactic(scripted("break-style", break_style())),
         ];
         // A tactic behind the first success is never asked, whatever it
         // would have answered.
         let never_reached = [
             RepairStrategy::new("late-bad-op")
-                .with_tactic(scripted("a", applied(add_server_op())))
-                .with_tactic(scripted("again", applied(add_server_op()))),
+                .with_tactic(scripted("a", applied(add_server_call())))
+                .with_tactic(scripted("again", applied(add_server_call()))),
             RepairStrategy::new("late-style")
-                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("a", applied(add_server_call())))
                 .with_tactic(scripted("break-style", break_style())),
             RepairStrategy::new("late-no-group")
-                .with_tactic(scripted("a", applied(add_server_op())))
+                .with_tactic(scripted("a", applied(add_server_call())))
                 .with_tactic(scripted("move", Err(RepairError::NoServerGroupFound))),
         ];
         for strategy in strategies.iter().chain(&never_reached) {

@@ -2,33 +2,24 @@
 //!
 //! A repair strategy is a sequence of *tactics*; each tactic is guarded by a
 //! precondition that examines the architectural model to pinpoint the problem
-//! and decide applicability, and — if applicable — executes a repair script
-//! written with the style-specific operators (§3.2).
+//! and decide applicability, and — if applicable — writes a repair script
+//! with the style-specific operators (§3.2). The script is written against
+//! the borrowed model the context holds: a tactic reads, records ops, and
+//! changes nothing.
 
 use crate::query::RuntimeQuery;
 use archmodel::constraint::Violation;
-use archmodel::style::StyleViolation;
-use archmodel::{ModelError, System, Transaction};
+use archmodel::{ModelOp, System};
 
 /// Errors that abort a repair.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepairError {
-    /// An adaptation operator failed.
+    /// An adaptation operator failed, or the model is inconsistent with the
+    /// violation being repaired.
     Operator(String),
-    /// A model change could not be applied, or the model itself is
-    /// inconsistent with the violation being repaired.
-    Model(ModelError),
     /// `findGoodSGroup` found no server group with acceptable bandwidth —
     /// the paper's `abort NoServerGroupFound`.
     NoServerGroupFound,
-    /// The repaired model would violate the architectural style.
-    StyleViolations(Vec<StyleViolation>),
-}
-
-impl From<ModelError> for RepairError {
-    fn from(e: ModelError) -> Self {
-        RepairError::Model(e)
-    }
 }
 
 impl From<crate::operators::OperatorError> for RepairError {
@@ -41,11 +32,7 @@ impl std::fmt::Display for RepairError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RepairError::Operator(m) => write!(f, "operator failed: {m}"),
-            RepairError::Model(e) => write!(f, "model error: {e}"),
             RepairError::NoServerGroupFound => write!(f, "no server group found"),
-            RepairError::StyleViolations(v) => {
-                write!(f, "repair would break the style ({} violations)", v.len())
-            }
         }
     }
 }
@@ -64,9 +51,6 @@ pub struct TacticContext<'a> {
 }
 
 /// The outcome of attempting one tactic.
-// One is made per attempted tactic and consumed at once: boxing the
-// transaction would buy nothing.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum TacticResult {
     /// The tactic's precondition did not hold.
@@ -76,11 +60,11 @@ pub enum TacticResult {
     },
     /// The tactic produced a repair script.
     Applied {
-        /// The transaction the script was written in, started from the
-        /// context's model: its recorded operations are the script, and its
-        /// working copy — the one model copy a repair makes — is what the
-        /// strategy validates against the style.
-        tx: Transaction,
+        /// The script, written with the [`operators`](crate::operators)
+        /// against the context's model: each op applies after the ones
+        /// before it, which the strategy relies on when it checks the script
+        /// against the style without applying it.
+        ops: Vec<ModelOp>,
         /// Human-readable description of what the repair does.
         description: String,
     },

@@ -95,7 +95,6 @@ pub fn translate(
 mod tests {
     use super::*;
     use archmodel::style::ClientServerStyle;
-    use archmodel::Transaction;
     use repair::operators::{add_server, move_client, remove_server};
 
     fn model() -> System {
@@ -104,10 +103,10 @@ mod tests {
 
     /// The runtime operations a script built by `build` translates to, in
     /// their trace form.
-    fn table1(m: &System, build: impl FnOnce(&mut Transaction)) -> Vec<String> {
-        let mut tx = Transaction::new(m);
-        build(&mut tx);
-        let runtime = translate(m, tx.ops(), 10_000.0).unwrap();
+    fn table1(m: &System, build: impl FnOnce(&mut Vec<ModelOp>)) -> Vec<String> {
+        let mut ops = Vec::new();
+        build(&mut ops);
+        let runtime = translate(m, &ops, 10_000.0).unwrap();
         runtime.iter().map(RuntimeOp::describe).collect()
     }
 
@@ -138,26 +137,29 @@ mod tests {
         ClientServerStyle::add_server_group(&mut m, "ServerGrp3", 1).unwrap();
         assert!(m.connector_by_name("ServerGrp3.Conn").is_none());
 
-        let add = table1(&m, |tx| {
-            assert_eq!(add_server(tx, "ServerGrp1").unwrap(), "ServerGrp1.Server4");
+        let add = table1(&m, |ops| {
+            assert_eq!(
+                add_server(&m, ops, "ServerGrp1").unwrap(),
+                "ServerGrp1.Server4"
+            );
         });
         assert_eq!(add, recruit("ServerGrp1", "ServerGrp1.Server4"));
 
-        let remove = table1(&m, |tx| {
-            remove_server(tx, "ServerGrp2.Server3").unwrap();
+        let remove = table1(&m, |ops| {
+            remove_server(&m, ops, "ServerGrp2.Server3").unwrap();
         });
         assert_eq!(remove, ["deactivateServer(ServerGrp2.Server3)"]);
 
-        let moved = table1(&m, |tx| {
-            move_client(tx, "User1", "ServerGrp2").unwrap();
+        let moved = table1(&m, |ops| {
+            move_client(&m, ops, "User1", "ServerGrp2").unwrap();
         });
         assert_eq!(moved, relocate("User1", "ServerGrp2"));
 
         // Two moves onto a group with no connector yet: one request queue,
         // created ahead of the first flow query.
-        let onto_fresh = table1(&m, |tx| {
-            move_client(tx, "User1", "ServerGrp3").unwrap();
-            move_client(tx, "User2", "ServerGrp3").unwrap();
+        let onto_fresh = table1(&m, |ops| {
+            move_client(&m, ops, "User1", "ServerGrp3").unwrap();
+            move_client(&m, ops, "User2", "ServerGrp3").unwrap();
         });
         let mut expected = vec!["createReqQueue(ServerGrp3)".to_string()];
         expected.extend(relocate("User1", "ServerGrp3"));
@@ -165,11 +167,17 @@ mod tests {
         assert_eq!(onto_fresh, expected);
 
         // Failover: the corpses go first, and their names are reused.
-        let failover = table1(&m, |tx| {
-            remove_server(tx, "ServerGrp1.Server1").unwrap();
-            remove_server(tx, "ServerGrp1.Server2").unwrap();
-            assert_eq!(add_server(tx, "ServerGrp1").unwrap(), "ServerGrp1.Server1");
-            assert_eq!(add_server(tx, "ServerGrp1").unwrap(), "ServerGrp1.Server2");
+        let failover = table1(&m, |ops| {
+            remove_server(&m, ops, "ServerGrp1.Server1").unwrap();
+            remove_server(&m, ops, "ServerGrp1.Server2").unwrap();
+            assert_eq!(
+                add_server(&m, ops, "ServerGrp1").unwrap(),
+                "ServerGrp1.Server1"
+            );
+            assert_eq!(
+                add_server(&m, ops, "ServerGrp1").unwrap(),
+                "ServerGrp1.Server2"
+            );
         });
         let mut expected = vec![
             "deactivateServer(ServerGrp1.Server1)".to_string(),
@@ -180,9 +188,9 @@ mod tests {
         assert_eq!(failover, expected);
 
         // A mixed script keeps script order.
-        let mixed = table1(&m, |tx| {
-            add_server(tx, "ServerGrp2").unwrap();
-            move_client(tx, "User3", "ServerGrp2").unwrap();
+        let mixed = table1(&m, |ops| {
+            add_server(&m, ops, "ServerGrp2").unwrap();
+            move_client(&m, ops, "User3", "ServerGrp2").unwrap();
         });
         let mut expected = recruit("ServerGrp2", "ServerGrp2.Server4");
         expected.extend(relocate("User3", "ServerGrp2"));
@@ -192,9 +200,9 @@ mod tests {
     #[test]
     fn add_server_translates_to_recruit_connect_activate() {
         let m = model();
-        let mut tx = Transaction::new(&m);
-        add_server(&mut tx, "ServerGrp1").unwrap();
-        let runtime = translate(&m, tx.ops(), 10_000.0).unwrap();
+        let mut ops = Vec::new();
+        add_server(&m, &mut ops, "ServerGrp1").unwrap();
+        let runtime = translate(&m, &ops, 10_000.0).unwrap();
         let kinds: Vec<&str> = runtime
             .iter()
             .map(|op| match op {
@@ -221,9 +229,9 @@ mod tests {
     #[test]
     fn move_client_translates_to_move_with_gauge_churn() {
         let m = model();
-        let mut tx = Transaction::new(&m);
-        move_client(&mut tx, "User1", "ServerGrp2").unwrap();
-        let runtime = translate(&m, tx.ops(), 10_000.0).unwrap();
+        let mut ops = Vec::new();
+        move_client(&m, &mut ops, "User1", "ServerGrp2").unwrap();
+        let runtime = translate(&m, &ops, 10_000.0).unwrap();
         assert!(runtime.iter().any(|op| matches!(
             op,
             RuntimeOp::MoveClient { client, to_group }
@@ -243,13 +251,11 @@ mod tests {
     #[test]
     fn move_client_group_is_the_planners_to_realise() {
         let m = model();
-        let mut tx = Transaction::new(&m);
-        tx.apply(ModelOp::MoveClientGroup {
+        let ops = [ModelOp::MoveClientGroup {
             clients: vec!["User1".to_string()],
             to_group: "ServerGrp2".to_string(),
-        })
-        .unwrap();
-        match translate(&m, tx.ops(), 10_000.0) {
+        }];
+        match translate(&m, &ops, 10_000.0) {
             Err(TranslationError::NotTranslatable(reason)) => {
                 assert!(reason.contains("group planner"), "{reason}")
             }
@@ -260,9 +266,9 @@ mod tests {
     #[test]
     fn remove_server_translates_to_deactivate() {
         let m = model();
-        let mut tx = Transaction::new(&m);
-        remove_server(&mut tx, "ServerGrp1.Server3").unwrap();
-        let runtime = translate(&m, tx.ops(), 10_000.0).unwrap();
+        let mut ops = Vec::new();
+        remove_server(&m, &mut ops, "ServerGrp1.Server3").unwrap();
+        let runtime = translate(&m, &ops, 10_000.0).unwrap();
         assert_eq!(
             runtime,
             vec![RuntimeOp::DeactivateServer {
@@ -275,13 +281,13 @@ mod tests {
     fn creating_a_connector_creates_a_queue() {
         let mut m = model();
         ClientServerStyle::add_server_group(&mut m, "ServerGrp3", 1).unwrap();
-        let mut tx = Transaction::new(&m);
-        move_client(&mut tx, "User1", "ServerGrp3").unwrap();
-        // ServerGrp3.Conn now exists in the working copy, but not in the
-        // model the script is translated against.
-        move_client(&mut tx, "User1", "ServerGrp1").unwrap();
-        move_client(&mut tx, "User1", "ServerGrp3").unwrap();
-        let runtime = translate(&m, tx.ops(), 10_000.0).unwrap();
+        let mut ops = Vec::new();
+        move_client(&m, &mut ops, "User1", "ServerGrp3").unwrap();
+        // Applying the first move creates ServerGrp3.Conn, but the model the
+        // script is translated against does not have it.
+        move_client(&m, &mut ops, "User1", "ServerGrp1").unwrap();
+        move_client(&m, &mut ops, "User1", "ServerGrp3").unwrap();
+        let runtime = translate(&m, &ops, 10_000.0).unwrap();
         assert_eq!(
             runtime[0],
             RuntimeOp::CreateReqQueue {

@@ -15,7 +15,6 @@
 use analysis::{provision, ProvisioningInput};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant, Violation};
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::Transaction;
 use repair::{
     add_server, RepairError, RepairStrategy, StaticQuery, StrategyOutcome, Tactic, TacticContext,
     TacticResult,
@@ -80,13 +79,15 @@ impl Tactic for ProvisionToAnalysis {
                 ),
             });
         }
-        let mut tx = Transaction::new(ctx.model);
+        // The script is written against the borrowed model: each operator
+        // records its op, and nothing is applied until the repair commits.
+        let mut ops = Vec::new();
         let mut added = Vec::new();
         for _ in replicas..plan.servers {
             if ctx.query.find_spare_server(&group).is_none() {
                 break;
             }
-            added.push(add_server(&mut tx, &group)?);
+            added.push(add_server(ctx.model, &mut ops, &group)?);
         }
         if added.is_empty() {
             return Ok(TacticResult::NotApplicable {
@@ -94,7 +95,7 @@ impl Tactic for ProvisionToAnalysis {
             });
         }
         Ok(TacticResult::Applied {
-            tx,
+            ops,
             description: format!(
                 "provisioned {group} (load {load:.0}) from {replicas} towards {} replicas: added {added:?}",
                 plan.servers

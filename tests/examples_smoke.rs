@@ -199,10 +199,10 @@ fn custom_strategy_flow_detects_and_repairs() {
                     reason: "no spares".into(),
                 });
             }
-            let mut tx = archmodel::Transaction::new(ctx.model);
-            let added = add_server(&mut tx, "ServerGrp1")?;
+            let mut ops = Vec::new();
+            let added = add_server(ctx.model, &mut ops, "ServerGrp1")?;
             Ok(repair::TacticResult::Applied {
-                tx,
+                ops,
                 description: format!("added {added}"),
             })
         }

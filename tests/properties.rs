@@ -1,9 +1,9 @@
 //! Property-based tests over the core data structures and invariants, using
 //! proptest: the constraint-expression evaluator, max-min fairness, the
-//! transactional change-set machinery, and the M/M/c analysis.
+//! repair operators' recorded scripts, and the M/M/c analysis.
 
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{apply_op, parse, ModelOp, Program, System, Transaction};
+use archmodel::{apply_op, parse, ModelOp, Program, System};
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::LinkId;
@@ -12,6 +12,15 @@ use std::collections::HashMap;
 fn arbitrary_model(groups: usize, servers: usize, clients: usize) -> System {
     ClientServerStyle::example_system("prop", groups.max(1), servers.max(1), clients.max(1))
         .expect("example system builds")
+}
+
+/// `model` with the recorded script `ops` applied, each of which must apply.
+fn replayed(model: &System, ops: &[ModelOp]) -> System {
+    let mut out = model.clone();
+    for op in ops {
+        apply_op(&mut out, op).unwrap();
+    }
+    out
 }
 
 proptest! {
@@ -87,35 +96,60 @@ proptest! {
         }
     }
 
-    /// Replaying a transaction's recorded ops onto the model it started from
-    /// (what committing a repair does) leaves that model equal to the
-    /// working copy, whatever the operator script — and an operator that
-    /// fails (a server or client the model does not have) records nothing.
+    /// The operators record an op exactly when applying it after the ops
+    /// before it succeeds, whatever the script: each call's op is applied to
+    /// a lockstep copy of the model as it is recorded, and a call that fails
+    /// (a group, server or client the script's model does not have then)
+    /// names an op that does not apply and records nothing. Replaying the
+    /// recorded ops onto the model (what committing a repair does) ends
+    /// where the lockstep copy is. Servers an earlier `addServer` of the
+    /// same script added are removed too.
     #[test]
     fn transactions_are_atomic(
-        script in proptest::collection::vec((0usize..4, 0usize..5, 0usize..2), 1..12),
+        script in proptest::collection::vec((0usize..4, 0usize..5, 0usize..3), 1..12),
     ) {
-        let mut live = arbitrary_model(2, 2, 4);
-        let mut tx = Transaction::new(&live);
+        let model = arbitrary_model(2, 2, 4);
+        let mut lockstep = model.clone();
+        let mut ops = Vec::new();
         for (operator, pick, group) in script {
             let group = format!("ServerGrp{}", group + 1);
             let client = format!("User{}", pick + 1);
-            let recorded = tx.len();
-            let applied = match operator {
-                0 => repair::add_server(&mut tx, &group).is_ok(),
-                1 => repair::remove_server(&mut tx, &format!("{group}.Server{}", pick + 1)).is_ok(),
-                2 => repair::move_client(&mut tx, &client, &group).is_ok(),
+            let server = format!("{group}.Server{}", pick + 1);
+            let recorded = ops.len();
+            let (ok, named) = match operator {
+                0 => {
+                    let server = format!("{group}.Server1");
+                    let ok = repair::add_server(&model, &mut ops, &group).is_ok();
+                    (ok, ModelOp::AddServer { group, server })
+                }
+                1 => {
+                    let ok = repair::remove_server(&model, &mut ops, &server).is_ok();
+                    (ok, ModelOp::RemoveServer { server })
+                }
+                2 => {
+                    let ok = repair::move_client(&model, &mut ops, &client, &group).is_ok();
+                    (ok, ModelOp::MoveClient { client, to_group: group })
+                }
+                // The group planner's class move: resolved, then recorded.
                 _ => {
                     let clients = vec![client, "User1".to_string()];
-                    tx.apply(ModelOp::MoveClientGroup { clients, to_group: group }).is_ok()
+                    let ok = ClientServerStyle::resolve_move(&model, &clients, &group).is_ok();
+                    let op = ModelOp::MoveClientGroup { clients, to_group: group };
+                    if ok {
+                        ops.push(op.clone());
+                    }
+                    (ok, op)
                 }
             };
-            prop_assert_eq!(tx.len(), recorded + usize::from(applied));
+            prop_assert_eq!(ops.len(), recorded + usize::from(ok));
+            let op = if ok { &ops[recorded] } else { &named };
+            prop_assert_eq!(apply_op(&mut lockstep, op).is_ok(), ok, "{:?}", op);
         }
-        for op in tx.ops() {
+        let mut live = model.clone();
+        for op in &ops {
             apply_op(&mut live, op).unwrap();
         }
-        prop_assert_eq!(&live, tx.working());
+        prop_assert_eq!(&live, &lockstep);
         prop_assert!(live.integrity_errors().is_empty());
     }
 
@@ -124,12 +158,13 @@ proptest! {
     #[test]
     fn add_server_preserves_style(n in 1usize..6) {
         let model = arbitrary_model(1, 2, 3);
-        let mut tx = Transaction::new(&model);
+        let mut ops = Vec::new();
         for _ in 0..n {
-            repair::add_server(&mut tx, "ServerGrp1").unwrap();
+            repair::add_server(&model, &mut ops, "ServerGrp1").unwrap();
         }
-        let working = tx.working();
-        prop_assert!(ClientServerStyle::validate(working).is_empty());
+        let working = replayed(&model, &ops);
+        prop_assert!(ClientServerStyle::validate(&working).is_empty());
+        prop_assert!(ClientServerStyle::script_violations(&model, &ops).is_empty());
         let grp = working.component_by_name("ServerGrp1").unwrap();
         prop_assert_eq!(
             working.component(grp).unwrap().properties.get_i64(props::REPLICATION_COUNT),
@@ -142,17 +177,17 @@ proptest! {
     #[test]
     fn move_client_preserves_single_attachment(moves in proptest::collection::vec(0usize..2, 1..6)) {
         let model = arbitrary_model(2, 2, 2);
-        let mut tx = Transaction::new(&model);
+        let mut ops = Vec::new();
         for target in &moves {
             let group = format!("ServerGrp{}", target + 1);
-            repair::move_client(&mut tx, "User1", &group).unwrap();
+            repair::move_client(&model, &mut ops, "User1", &group).unwrap();
         }
-        let working = tx.working();
-        prop_assert!(ClientServerStyle::validate(working).is_empty());
+        let working = replayed(&model, &ops);
+        prop_assert!(ClientServerStyle::validate(&working).is_empty());
         let user = working.component_by_name("User1").unwrap();
         prop_assert_eq!(working.roles_of_component(user).len(), 1);
         let expected_group = format!("ServerGrp{}", moves.last().unwrap() + 1);
-        let actual = ClientServerStyle::group_of_client(working, user)
+        let actual = ClientServerStyle::group_of_client(&working, user)
             .and_then(|g| working.component(g).ok())
             .map(|g| g.name.to_string())
             .unwrap();
@@ -164,19 +199,13 @@ proptest! {
     #[test]
     fn changesets_replay_identically(n in 1usize..5) {
         let base = arbitrary_model(2, 2, 4);
-        let mut tx = Transaction::new(&base);
+        let mut ops = Vec::new();
         for i in 0..n {
-            repair::add_server(&mut tx, if i % 2 == 0 { "ServerGrp1" } else { "ServerGrp2" }).unwrap();
+            let group = if i % 2 == 0 { "ServerGrp1" } else { "ServerGrp2" };
+            repair::add_server(&base, &mut ops, group).unwrap();
         }
-        repair::move_client(&mut tx, "User2", "ServerGrp2").unwrap();
-        let ops = tx.ops().to_vec();
-        let mut copy_a = base.clone();
-        let mut copy_b = base.clone();
-        for op in &ops {
-            apply_op(&mut copy_a, op).unwrap();
-            apply_op(&mut copy_b, op).unwrap();
-        }
-        prop_assert_eq!(copy_a, copy_b);
+        repair::move_client(&base, &mut ops, "User2", "ServerGrp2").unwrap();
+        prop_assert_eq!(replayed(&base, &ops), replayed(&base, &ops));
     }
 
     /// M/M/c: adding a server never increases the expected response time, and
