@@ -21,6 +21,16 @@
 //! emitters write: the `store_query` benchmark's 2.57 M-event store holds
 //! about 250 distinct ones (108 run ids, 59 subjects, 85 details).
 //!
+//! A key is one word: a thin pointer to a leaked cell that holds the
+//! interned string's fat pointer, so a query row of the trace store, which
+//! holds three names, is 72 bytes, not 96. A distinct name costs 16 bytes
+//! more for its cell, and 8 for the key its table entry keeps beside the
+//! name, so that a lookup by `&str` compares strings without loading a
+//! cell. Cells are handed out from leaked chunks of 64: interning a new
+//! name makes one allocation for the string and a sixty-fourth of one for
+//! its cell. Equality and hashing use the cell's address, which is as
+//! unique to the name as the string's was.
+//!
 //! Interned strings are leaked intentionally. The table is bounded by the
 //! number of *distinct* names a process meets, never by how often it meets
 //! them: element and property names are few and stable (a few per element),
@@ -28,7 +38,7 @@
 //! emitters write. Freeing them would need a count per handle, which is the
 //! cost interning exists to remove, so the table is an append-only arena.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
@@ -37,31 +47,59 @@ use std::sync::{Mutex, OnceLock};
 /// `From<&str>` / `From<String>`; two keys made from equal strings are
 /// always the same pointer.
 #[derive(Clone, Copy)]
-pub struct Key(&'static str);
+pub struct Key(&'static &'static str);
 
-fn interner() -> &'static Mutex<HashSet<&'static str>> {
-    static INTERNER: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    INTERNER.get_or_init(|| Mutex::new(HashSet::new()))
+/// Cells per leaked chunk.
+const CHUNK: usize = 64;
+
+#[derive(Default)]
+struct Interner {
+    /// Each name's key, under the name itself: a lookup compares the string
+    /// without first loading the key's cell.
+    table: HashMap<&'static str, Key>,
+    /// The unused rest of the newest chunk.
+    free: &'static mut [&'static str],
+}
+
+impl Interner {
+    /// A new cell holding `name`, from the newest chunk.
+    fn cell(&mut self, name: &'static str) -> &'static &'static str {
+        if self.free.is_empty() {
+            self.free = Vec::leak(vec![""; CHUNK]);
+        }
+        let (cell, rest) = std::mem::take(&mut self.free)
+            .split_first_mut()
+            .expect("a chunk is never empty");
+        self.free = rest;
+        *cell = name;
+        cell
+    }
+}
+
+fn interner() -> &'static Mutex<Interner> {
+    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
+    INTERNER.get_or_init(Mutex::default)
 }
 
 impl Key {
     /// Interns `name` (a no-op after the first time) and returns its key.
     pub fn new(name: &str) -> Key {
-        let mut table = interner().lock().expect("interner lock");
-        if let Some(&existing) = table.get(name) {
-            return Key(existing);
+        let mut interner = interner().lock().expect("interner lock");
+        if let Some(&key) = interner.table.get(name) {
+            return key;
         }
         let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-        table.insert(leaked);
-        Key(leaked)
+        let key = Key(interner.cell(leaked));
+        interner.table.insert(leaked, key);
+        key
     }
 
     /// The key of `name` if it was ever interned, interning nothing: a
     /// read-only lookup by name calls this, since a name never interned
     /// cannot name anything, and a miss must not grow the table.
     pub fn find(name: &str) -> Option<Key> {
-        let table = interner().lock().expect("interner lock");
-        table.get(name).map(|&existing| Key(existing))
+        let interner = interner().lock().expect("interner lock");
+        interner.table.get(name).copied()
     }
 
     /// The interned string.
@@ -90,9 +128,9 @@ impl From<String> for Key {
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        // The interner guarantees one allocation per distinct string, so
-        // pointer identity is string equality.
-        std::ptr::eq(self.0.as_ptr(), other.0.as_ptr()) && self.0.len() == other.0.len()
+        // The interner makes one cell per distinct string, so cell identity
+        // is string equality.
+        std::ptr::eq(self.0, other.0)
     }
 }
 impl Eq for Key {}
@@ -107,34 +145,34 @@ impl Ord for Key {
         if self == other {
             std::cmp::Ordering::Equal
         } else {
-            self.0.cmp(other.0)
+            self.as_str().cmp(other.as_str())
         }
     }
 }
 
 impl PartialEq<str> for Key {
     fn eq(&self, other: &str) -> bool {
-        self.0 == other
+        *self.0 == other
     }
 }
 
 impl PartialEq<&str> for Key {
     fn eq(&self, other: &&str) -> bool {
-        self.0 == *other
+        *self.0 == *other
     }
 }
 
 impl PartialEq<String> for Key {
     fn eq(&self, other: &String) -> bool {
-        self.0 == other.as_str()
+        *self.0 == other.as_str()
     }
 }
 
 impl Hash for Key {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Pointer identity is string identity, so hashing the address is
+        // Cell identity is string identity, so hashing the address is
         // consistent with `Eq` and far cheaper than hashing the bytes.
-        (self.0.as_ptr() as usize).hash(state);
+        std::ptr::from_ref(self.0).addr().hash(state);
     }
 }
 
@@ -178,6 +216,77 @@ mod tests {
         map.insert(Key::new("y"), 2);
         assert_eq!(map.get(&Key::new("x")), Some(&1));
         assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn a_key_and_an_absent_key_are_one_word() {
+        assert_eq!(std::mem::size_of::<Key>(), std::mem::size_of::<usize>());
+        assert_eq!(
+            std::mem::size_of::<Option<Key>>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn threads_interning_the_same_names_get_the_same_keys() {
+        // 200 names fill cells across more than one chunk, whatever else
+        // the test binary has interned.
+        let names: Vec<String> = (0..200)
+            .map(|i| format!("key-test-thread-{i:03}"))
+            .collect();
+        let per_thread: Vec<Vec<Key>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let names = &names;
+                    scope.spawn(move || {
+                        // Each thread visits the names in its own order.
+                        let mut order: Vec<usize> = (0..names.len()).collect();
+                        match t {
+                            1 => order.reverse(),
+                            2 => order.sort_by_key(|&i| (i % 7, i)),
+                            3 => order.rotate_left(names.len() / 2),
+                            _ => {}
+                        }
+                        let mut keys = vec![None; names.len()];
+                        for i in order {
+                            keys[i] = Some(Key::new(&names[i]));
+                        }
+                        keys.into_iter().map(Option::unwrap).collect::<Vec<Key>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // `Key`'s equality is cell identity.
+        for keys in &per_thread[1..] {
+            assert_eq!(keys, &per_thread[0]);
+        }
+        for (name, &key) in names.iter().zip(&per_thread[0]) {
+            assert_eq!(key.as_str(), name);
+            assert_eq!(Key::find(name), Some(key));
+        }
+    }
+
+    #[test]
+    fn keys_from_different_chunks_sort_in_string_order() {
+        // Interned in reverse, so cell order is the opposite of name order.
+        let mut keys: Vec<Key> = (0..150)
+            .rev()
+            .map(|i| Key::new(&format!("key-test-sort-{i:03}")))
+            .collect();
+        keys.sort();
+        let names: Vec<&str> = keys.iter().map(Key::as_str).collect();
+        let mut expected = names.clone();
+        expected.sort_unstable();
+        assert_eq!(names, expected);
+        assert_eq!(names[0], "key-test-sort-000");
+    }
+
+    #[test]
+    fn finding_a_name_never_interned_interns_nothing() {
+        let name = "key-test-never-interned";
+        assert_eq!(Key::find(name), None);
+        assert_eq!(Key::find(name), None);
     }
 
     #[test]

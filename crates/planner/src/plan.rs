@@ -457,24 +457,9 @@ impl GroupPlanner {
             return None;
         }
 
-        // -- Realise the plan: the style's operators, against the live model.
-        // One `moveClientGroup` model op per class move: the recorded
-        // change-set (and `finish_repair`'s commit replay over it) is
-        // proportional to moved *classes*, not members — at 50k clients the
-        // per-member op list alone dominated the bulk-repair commit. The op
-        // itself skips members missing from the model.
-        let mut ops = Vec::new();
+        // Each class move resolves against the live model as applying it would.
         for mv in &moves {
             ClientServerStyle::resolve_move(model, &mv.members, &mv.to).ok()?;
-            ops.push(ModelOp::MoveClientGroup {
-                clients: mv.members.clone(),
-                to_group: mv.to.clone(),
-            });
-        }
-        for (group, k) in &recruits {
-            for _ in 0..*k {
-                add_server(model, &mut ops, group).ok()?;
-            }
         }
 
         // -- Batched runtime ops. ------------------------------------------
@@ -489,15 +474,16 @@ impl GroupPlanner {
         // `moveClientGroup` re-binds queue routing entries in a single
         // message, so the batch pays one handshake per *target*, not one per
         // class (clients keep their class-internal order, classes keep plan
-        // order).
-        let mut batches: BTreeMap<&String, Vec<String>> = BTreeMap::new();
+        // order). Each batch is the one copy of its clients' names.
+        let mut batch_sizes: BTreeMap<&String, usize> = BTreeMap::new();
         for mv in &moves {
-            batches
-                .entry(&mv.to)
-                .or_default()
-                .extend(mv.members.iter().cloned());
+            *batch_sizes.entry(&mv.to).or_default() += mv.members.len();
         }
-        for (to_group, clients) in batches {
+        for (to_group, size) in batch_sizes {
+            let mut clients = Vec::with_capacity(size);
+            for mv in moves.iter().filter(|mv| &mv.to == to_group) {
+                clients.extend(mv.members.iter().cloned());
+            }
             runtime_ops.push(RuntimeOp::MoveClientGroup {
                 clients,
                 to_group: to_group.clone(),
@@ -518,6 +504,27 @@ impl GroupPlanner {
                 group: group.clone(),
                 min_age_secs: thresholds.max_latency_secs,
             });
+        }
+
+        // -- Realise the plan: the style's operators, against the live model.
+        // One `moveClientGroup` model op per class move, which takes the
+        // move's member list: the recorded change-set (and `finish_repair`'s
+        // commit replay over it) is proportional to moved *classes*, not
+        // members — at 50k clients the per-member op list alone dominated the
+        // bulk-repair commit. The op itself skips members missing from the
+        // model.
+        let moved_clients: usize = moves.iter().map(|m| m.members.len()).sum();
+        let mut ops: Vec<ModelOp> = moves
+            .into_iter()
+            .map(|mv| ModelOp::MoveClientGroup {
+                clients: mv.members,
+                to_group: mv.to,
+            })
+            .collect();
+        for (group, k) in &recruits {
+            for _ in 0..*k {
+                add_server(model, &mut ops, group).ok()?;
+            }
         }
         let mut names = ops.iter().filter_map(|op| match op {
             ModelOp::AddServer { server, .. } => Some(server),
@@ -550,7 +557,6 @@ impl GroupPlanner {
                 damping.record(key, input.now_secs);
             }
         }
-        let moved_clients: usize = moves.iter().map(|m| m.members.len()).sum();
         let invariant = if bandwidth_moves > 0 {
             "bandwidth"
         } else {

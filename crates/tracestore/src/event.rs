@@ -13,7 +13,8 @@
 //! into one through one `StringTable` per call, which checks each distinct
 //! string as UTF-8 once and interns it as an `archmodel::Key`. An owned
 //! event therefore holds no allocation of its own: it is `Copy`, and a
-//! vector of them drops as one free.
+//! vector of them drops as one free. A `Key` is one word, so an event is 64
+//! bytes.
 
 use archmodel::Key;
 use std::fmt;
@@ -517,6 +518,8 @@ mod tests {
         // A heap-owning field would bring back a decrement or a free per row.
         assert!(!std::mem::needs_drop::<TraceEvent>());
         assert!(!std::mem::needs_drop::<crate::QueryRow>());
-        assert!(std::mem::size_of::<crate::QueryRow>() <= 96);
+        // A one-word `Key` keeps an event to 64 bytes and a row to 72.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 64);
+        assert_eq!(std::mem::size_of::<crate::QueryRow>(), 72);
     }
 }

@@ -32,10 +32,11 @@
 //! two per record. A row's run id is the store's interned
 //! [`RunMeta::run_id`](crate::store::RunMeta::run_id). A row therefore owns
 //! no allocation: building one is a plain copy, with no reference count to
-//! raise, and dropping the result is one free. When every record a scan
-//! visits becomes a row (no predicate, no window, at most one kind), the
-//! rows are reserved up front: the selected runs' manifest counts, or per
-//! run the kind index's offset count.
+//! raise, and dropping the result is one free. A row is 72 bytes: the
+//! event's 64 and a one-word run id. When every record a scan visits
+//! becomes a row (no predicate, no window, at most one kind), the rows are
+//! reserved up front: the selected runs' manifest counts, or per run the
+//! kind index's offset count.
 //!
 //! A query with no kind list and no window whose predicate's leftmost `and`
 //! operand is `kind == "<name>"` (or `"<name>" == kind`) scans only that

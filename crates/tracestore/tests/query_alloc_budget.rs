@@ -10,10 +10,13 @@
 //! for the error context and the segment's bytes per run, and the row
 //! vector's 14 growths. Then 61, with the row vector's 14 growths, the string
 //! table's 5 and a segment read per run. Then 49, with rows sharing one
-//! `Arc<str>` per distinct string. Now rows hold interned `Key`s, and the
-//! same in debug and release the first call makes 52: the string table's
-//! one slot array; the 30 distinct strings, each interned once, and 3
-//! growths of the process-wide interner's set; the row vector, reserved once
+//! `Arc<str>` per distinct string. Now rows hold interned one-word `Key`s,
+//! and the same in debug and release the first call makes 52 when it runs
+//! before the other test here (51 after it): the string table's one slot
+//! array; the 30 distinct strings, each interned once; 3 (or 2) growths of
+//! the process-wide interner's set and new 64-cell chunks for its keys'
+//! cells, as what the process interned before leaves room; the row vector,
+//! reserved once
 //! for the four runs' 20,000 records; per run the segment path twice (two
 //! each: `Path::join` copies the root, then grows it), once to size the
 //! reservation and once to read it; and one segment buffer, which every
