@@ -27,9 +27,15 @@ impl PropertyMap {
         self.entries.binary_search_by(|(k, _)| k.as_str().cmp(name))
     }
 
-    /// Sets (or replaces) a property.
+    /// Sets (or replaces) a property. An existing entry is found by its
+    /// interned key's pointer, with no string compare; only a key not yet
+    /// present pays for the search by name that keeps the entries sorted.
     pub fn set(&mut self, name: impl Into<Key>, value: impl Into<Value>) {
         let key = name.into();
+        if let Some(entry) = self.entries.iter_mut().find(|(k, _)| *k == key) {
+            entry.1 = value.into();
+            return;
+        }
         match self.position(key.as_str()) {
             Ok(idx) => self.entries[idx].1 = value.into(),
             Err(idx) => self.entries.insert(idx, (key, value.into())),
@@ -102,6 +108,29 @@ impl PropertyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resetting_an_interned_key_replaces_the_value_in_place() {
+        let load = Key::new("load");
+        let mut props = PropertyMap::new()
+            .with("averageLatency", 1.5)
+            .with(load, 7i64)
+            .with("up", true);
+        let keys = |props: &PropertyMap| props.entries.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        let before = keys(&props);
+        props.set(load, 9i64);
+        props.set("averageLatency", 2.5);
+        assert_eq!(keys(&props), before);
+        assert_eq!(props.get_i64("load"), Some(9));
+        assert_eq!(props.get_f64("averageLatency"), Some(2.5));
+        assert_eq!(
+            props,
+            PropertyMap::new()
+                .with("up", true)
+                .with("load", 9i64)
+                .with("averageLatency", 2.5)
+        );
+    }
 
     #[test]
     fn set_get_roundtrip() {

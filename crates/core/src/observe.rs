@@ -217,7 +217,8 @@ impl Observer {
         set("simnet.agg.total_flows", 0);
         set("simnet.agg.permanent_splits", 0);
         let paths = app.path_table_stats();
-        set("simnet.paths.trees_built", paths.trees_built);
+        // The name predates shared trees: it counts each source's first route.
+        set("simnet.paths.trees_built", paths.sources_routed);
         set("simnet.paths.lookups", paths.lookups);
         let due = app.due_queue_stats();
         set("gridapp.due.inserts", due.inserts);

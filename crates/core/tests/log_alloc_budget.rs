@@ -10,7 +10,8 @@
 //! legacy trace lines — 1,682 violations, 276 "repair skipped" notes, 15
 //! reconfigurations, 3 repair start / end pairs, the deploy note and the
 //! phase change, each a `String` built by `format!` whether or not anything
-//! read it. With the typed log: 58,139 in both profiles. A violation entry
+//! read it. With the typed log: 58,139 in both profiles (56,688 since
+//! sources behind one gateway share a routing tree). A violation entry
 //! holds interned names, a skip reason or an error is moved in, and the
 //! reconfigurations and the plan are the repair's own, so what is left of
 //! the record is the growth of the entry vector and one shared plan per

@@ -339,14 +339,8 @@ impl GridApp {
         check_workload(&config)?;
         let testbed =
             Testbed::from_spec(&config.testbed).map_err(|e| AppError::Invalid(e.to_string()))?;
-        let mut network = Network::new(testbed.topology.clone());
+        let network = Network::new(testbed.topology.clone());
         let fleet_scale = testbed.num_clients() >= crate::testbed::FLEET_SCALE_MIN_CLIENTS;
-        if fleet_scale {
-            // Fleet-scale topologies cannot afford one shortest-path tree
-            // per client-host source; compose leaf paths over the access
-            // links instead.
-            network.set_leaf_routing(true);
-        }
         let root_rng = SimRng::seed_from_u64(config.seed);
         // Stagger the first requests so clients do not fire in lockstep. At
         // fleet scale a one-second window would still dump every client's

@@ -43,11 +43,13 @@ pub fn testbed_preset_names() -> &'static [&'static str] {
     TESTBED_REGISTRY.names()
 }
 
-/// Client count from which a testbed is treated as *fleet scale*: the grid
-/// application switches to leaf-compressed routing and the framework to
-/// representative-only monitoring (per-class gauges, snapshots, and metric
-/// recording). Chosen above every byte-compared preset (the 2,000-client
-/// `large-scale` keeps exact per-client behaviour) and below the 50k fleet.
+/// Client count from which a testbed is treated as *fleet scale*. It picks
+/// two things only: the grid application spreads the first requests over
+/// one mean inter-arrival instead of one second, and the framework switches
+/// to representative-only monitoring (per-class gauges, snapshots, and
+/// metric recording). Routing is the same at every scale. Chosen above every
+/// byte-compared preset (the 2,000-client `large-scale` keeps exact
+/// per-client behaviour) and below the 50k fleet.
 pub const FLEET_SCALE_MIN_CLIENTS: usize = 10_000;
 
 fn is_zero<T: Default + PartialEq>(value: &T) -> bool {
@@ -176,9 +178,11 @@ impl TestbedSpec {
     /// per-client rates off server capacity), stays the same while the
     /// client population grows 25×. Event volume therefore tracks the 2,000
     /// -client preset; everything per-client (probes, gauges, due-time
-    /// bookkeeping, routing trees) is what the fleet-scale machinery — the
-    /// calendar queue, leaf-compressed routing, representative-only
-    /// monitoring — has to keep sublinear.
+    /// bookkeeping) is what the fleet-scale machinery — the calendar queue
+    /// and representative-only monitoring — has to keep sublinear. Of that,
+    /// [`FLEET_SCALE_MIN_CLIENTS`] picks only the monitoring policy and the
+    /// first-request stagger; routing needs no switch, since hosts behind one
+    /// gateway share one shortest-path tree at every scale.
     pub fn large_scale_50k() -> Self {
         TestbedSpec {
             clients_r1: 20_000,

@@ -692,21 +692,10 @@ impl Network {
         self.rate_solves
     }
 
-    /// Usage counters of the shortest-path table (trees built lazily vs
-    /// path lookups answered).
+    /// Usage counters of the shortest-path table (sources routed vs path
+    /// lookups answered).
     pub fn path_table_stats(&self) -> crate::topology::PathTableStats {
         self.paths.borrow().stats()
-    }
-
-    /// Switches the path cache to leaf-compressed routing (see
-    /// [`PathTable::set_leaf_compressed`]): shortest-path trees are only
-    /// built for attachment routers instead of one per transfer source —
-    /// the difference between a few router trees and `O(hosts × nodes)`
-    /// memory on fleet-scale multi-tier topologies. Call before starting
-    /// transfers; enabling it mid-run would mix path conventions across an
-    /// epoch.
-    pub fn set_leaf_routing(&mut self, enabled: bool) {
-        self.paths.borrow_mut().set_leaf_compressed(enabled);
     }
 
     /// The current drain rate of a transfer, if it is still active.

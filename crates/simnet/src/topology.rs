@@ -5,6 +5,46 @@
 //! graph; each link has a capacity (bits/second), a propagation latency, and
 //! an optional *background load* that models competing traffic injected by the
 //! experiment's bandwidth-competition program.
+//!
+//! **Routing: one tree per gateway class.** [`PathTable`] routes every path
+//! by the lexicographic `(latency, hops)` Dijkstra of the source, and builds
+//! far fewer trees than it has sources, because sources that hang off the
+//! same *gateway* share one. That is exact, not an approximation:
+//!
+//! - *One link up.* Take a leaf `h` (one link, of latency `c`, to a node `a`
+//!   that has more than one link). Dijkstra from `h` pops `h`, relaxes `a` to
+//!   `(0.0 + c, 1)` and has nothing else queued. From there it is, step for
+//!   step, the Dijkstra seeded at `a` with `(c, 1)`: the heap holds the same
+//!   one entry, every later relaxation adds to the same distances in the same
+//!   order, and ties break on the same `(latency, hops, node)` keys. The one
+//!   difference is `h` itself: visited from the start in one run, settled as
+//!   a leaf from `a` in the other, and a leaf relaxes nothing.
+//! - *One more link up.* If `a`'s other links all end at leaves but one,
+//!   which ends at `r` (an aggregation switch and its uplink router, or an
+//!   edge router and its one core link), then popping `a` settles those
+//!   leaves, relaxes `r` to `(c + c2, 2)` and again leaves one entry queued.
+//!   So from `r` on, `h`'s Dijkstra is the one seeded at `r` with that
+//!   distance, except inside the *stub* `S` = `a` and its leaves. The seeded
+//!   run reaches `S` only through `r`; a node of `S` relaxes nothing but
+//!   leaves of `S` and `r`, which is popped first. So every relaxation of a
+//!   node outside `S` comes from a node outside `S`, in the same order with
+//!   the same values in both runs, and by induction over the pops both trees
+//!   agree on every node outside `S`.
+//!
+//! So all sources with the same gateway and the same seed bits — the class
+//! key `(gateway, latency bits, hops)` — see the same tree outside their own
+//! stubs, and [`PathTable`] builds it once. The latency bits matter through
+//! rounding alone (`(c + c2) + x` need not equal `c + (c2 + x)`, which can
+//! break a tie either way); the hop count shifts every hop count of the run
+//! alike and decides no comparison, but keeps the seeded distances the
+//! source's own. Inside a stub every path is the
+//! unique tree path, and the shared tree holds it too: a stub node's parent
+//! is its one link towards the gateway. So the path from `src` to `dst` is
+//! `src`'s walk up the shared tree (at most two links) to the first node
+//! `dst`'s walk up reaches, then that walk back down to `dst`. A leaf climbs
+//! at most two links; every other source is a gateway of its own, seeded at
+//! `(0.0, 0)`. The per-source Dijkstra survives as the test oracle the
+//! shared trees are held to, with the O(n²) reference search.
 
 use crate::time::SimDuration;
 use std::collections::HashMap;
@@ -249,17 +289,34 @@ impl Topology {
             .map(|(_, l)| *l)
     }
 
-    /// Computes the shortest-path tree rooted at `src` with a binary-heap
-    /// Dijkstra (used by [`PathTable`]). Tie-breaks — lexicographic
-    /// `(latency, hops)` distances, lowest node index first among equal
-    /// distances, first-found predecessor kept — reproduce the O(n²)
-    /// reference Dijkstra in this module's tests exactly.
+    /// The one link of `node` that ends at a node with more than one link,
+    /// provided every other link of `node` ends at a leaf: an aggregation
+    /// switch's uplink, or an edge router's only core link.
+    fn uplink(&self, node: NodeId) -> Option<(NodeId, LinkId)> {
+        let mut up = None;
+        for &(next, link) in &self.adjacency[node.0] {
+            if self.adjacency[next.0].len() > 1 {
+                if up.is_some() {
+                    return None;
+                }
+                up = Some((next, link));
+            }
+        }
+        up
+    }
+
+    /// Computes the shortest-path tree of a binary-heap Dijkstra that starts
+    /// at `root` with the distance `seed` (used by [`PathTable`]; see the
+    /// module docs for why a seeded root serves many sources). Tie-breaks —
+    /// lexicographic `(latency, hops)` distances, lowest node index first
+    /// among equal distances, first-found predecessor kept — reproduce the
+    /// O(n²) reference Dijkstra in this module's tests exactly.
     ///
     /// A leaf (one adjacency entry) is settled where it is first relaxed and
     /// never queued: only its one neighbour can relax it, that neighbour is
     /// settled once, and popping the leaf would relax nothing, so the tree is
     /// the same one the full queue builds.
-    fn shortest_path_tree(&self, src: NodeId) -> SourceTree {
+    fn seeded_tree(&self, root: NodeId, seed: (f64, usize)) -> GatewayTree {
         #[derive(PartialEq)]
         struct Entry {
             latency: f64,
@@ -288,11 +345,11 @@ impl Topology {
         let mut prev_link = vec![u32::MAX; n];
         let mut visited = vec![false; n];
         let mut heap = std::collections::BinaryHeap::new();
-        dist[src.0] = (0.0, 0);
+        dist[root.0] = seed;
         heap.push(Entry {
-            latency: 0.0,
-            hops: 0,
-            node: src.0,
+            latency: seed.0,
+            hops: seed.1,
+            node: root.0,
         });
         while let Some(entry) = heap.pop() {
             let u = entry.node;
@@ -321,7 +378,7 @@ impl Topology {
                 }
             }
         }
-        SourceTree { prev_link }
+        GatewayTree { prev_link }
     }
 
     /// Total one-way propagation latency along a path.
@@ -335,52 +392,61 @@ impl Topology {
     }
 }
 
-/// A shortest-path tree rooted at one source node: one `u32` per node, the
-/// link to its predecessor (`u32::MAX` for the source and for every node the
-/// source does not reach), so a large testbed can afford one tree per
-/// transfer source. The predecessor is that link's other end.
+/// The shortest-path tree of one gateway class: one `u32` per node, the link
+/// to its predecessor (`u32::MAX` for the gateway and for every node it does
+/// not reach). The predecessor is that link's other end.
 #[derive(Debug, Clone)]
-struct SourceTree {
+struct GatewayTree {
     prev_link: Vec<u32>,
 }
+
+/// A gateway class: the tree's root with the bits of the `(latency, hops)`
+/// its sources' own Dijkstra reaches it at.
+type ClassKey = (usize, u64, usize);
 
 /// A cache of shortest paths over a structurally immutable topology: the
 /// one shortest-path implementation in the build.
 ///
 /// A full Dijkstra per query is fine for a one-off lookup and ruinous when
 /// every transfer start and every bandwidth probe needs the same handful of
-/// routes. A `PathTable` computes one shortest-path tree per *source* on
-/// first demand — a Dijkstra that queues only the nodes with more than one
-/// link, settling leaves as it reaches them — and answers every later
-/// `(src, dst)` query by walking each node's predecessor link back to the
-/// source.
+/// routes. A `PathTable` files each source, on its first route, under its
+/// gateway class (see the module docs), builds one shortest-path tree per
+/// class on first demand — a Dijkstra that queues only the nodes with more
+/// than one link, settling leaves as it reaches them — and answers every
+/// `(src, dst)` query by walking both endpoints up their class's tree to
+/// the node where the walks meet.
 ///
 /// Paths depend only on the graph structure and link latencies, neither of
 /// which changes after construction ([`Network`](crate::network::Network)
 /// mutates capacities and background loads only), so the cache never needs
 /// invalidation; callers that do restructure a topology must build a fresh
 /// table. Paths are shortest by cumulative latency, ties broken by hop
-/// count; without leaf compression they are bit-identical to the per-query
-/// reference Dijkstra this module's tests hold them to — same metric, same
-/// tie-breaks.
+/// count, and bit-identical to the per-query reference Dijkstra this
+/// module's tests hold them to — same metric, same tie-breaks.
 #[derive(Debug, Default)]
 pub struct PathTable {
-    trees: Vec<Option<SourceTree>>,
-    /// Leaf-compressed routing (see [`set_leaf_compressed`](Self::set_leaf_compressed)).
-    leaf_compressed: bool,
-    /// Lifetime count of source trees built lazily (cache misses).
-    trees_built: u64,
+    /// Per source node: the index of its class's tree in `trees`,
+    /// `u32::MAX` until the source's first route.
+    tree_of: Vec<u32>,
+    /// One tree per gateway class, in order of first demand.
+    trees: Vec<GatewayTree>,
+    /// Gateway class → tree index. A leaf's attachment class is filed too,
+    /// beside the class it climbs to, so each attachment climbs once.
+    classes: HashMap<ClassKey, u32>,
+    /// Lifetime count of sources routed (first routes from a source).
+    sources_routed: u64,
     /// Lifetime count of path queries answered.
     lookups: u64,
 }
 
-/// Usage counters of a [`PathTable`]: how many source trees were built vs
-/// how many path queries they answered. Observability only — the values
-/// never influence routing.
+/// Usage counters of a [`PathTable`]: how many sources were routed vs how
+/// many path queries they answered. Observability only — the values never
+/// influence routing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PathTableStats {
-    /// Shortest-path trees computed on first demand.
-    pub trees_built: u64,
+    /// Distinct sources routed: each source counts at its first route,
+    /// whether or not its class's tree was already built.
+    pub sources_routed: u64,
     /// Path queries answered ([`PathTable::path_into`] calls).
     pub lookups: u64,
 }
@@ -391,49 +457,70 @@ impl PathTable {
         Self::default()
     }
 
-    /// Switches the table to *leaf-compressed* routing: the path touching a
-    /// leaf host is composed as `access link + inter-anchor path + access
-    /// link`, where a leaf's anchor is its single attachment node. Every
-    /// path from a leaf must traverse its only edge, so the composition is
-    /// a genuine shortest path; the inter-anchor segment is answered from a
-    /// tree rooted at the lower-numbered anchor (reversed when needed), so
-    /// trees are only ever built for the handful of attachment routers —
-    /// not for tens of thousands of host sources, whose per-source trees
-    /// would cost `O(hosts × nodes)` memory at fleet scale.
-    ///
-    /// Off by default: uniform latency shifts can re-break `(latency, hops)`
-    /// ties differently from the per-source reference Dijkstra, so the
-    /// classic byte-compared presets keep per-source trees. The fleet-scale
-    /// presets (no frozen baseline) opt in.
-    pub fn set_leaf_compressed(&mut self, enabled: bool) {
-        self.leaf_compressed = enabled;
-    }
-
-    fn tree(&mut self, topology: &Topology, src: NodeId) -> &SourceTree {
+    /// The index in `trees` of `src`'s class tree, filing `src` (and
+    /// building the tree) on its first route.
+    fn tree_index(&mut self, topology: &Topology, src: NodeId) -> usize {
         let n = topology.node_count();
-        if self.trees.len() < n {
-            self.trees.resize(n, None);
+        if self.tree_of.len() < n {
+            self.tree_of.resize(n, u32::MAX);
         }
-        let slot = &mut self.trees[src.0];
-        if slot.is_none() {
-            *slot = Some(topology.shortest_path_tree(src));
-            self.trees_built += 1;
+        if self.tree_of[src.0] == u32::MAX {
+            self.tree_of[src.0] = self.class_tree(topology, src);
+            self.sources_routed += 1;
         }
-        slot.as_ref().expect("just computed")
+        self.tree_of[src.0] as usize
     }
 
-    /// Usage counters: trees built so far vs lookups answered.
+    /// The tree of `src`'s gateway class. A leaf climbs to its attachment
+    /// and, when the attachment has an [uplink](Topology::uplink), one link
+    /// further; any other source is its own gateway. Distances add up in
+    /// the order `src`'s own Dijkstra adds them, so the seed bits are its.
+    fn class_tree(&mut self, topology: &Topology, src: NodeId) -> u32 {
+        let latency = |link: LinkId| topology.links[link.0].latency.as_secs();
+        let attached = topology
+            .attachment(src)
+            .filter(|(attach, _)| topology.adjacency[attach.0].len() > 1);
+        let Some((attach, link)) = attached else {
+            return self.tree_at(topology, src, (0.0, 0));
+        };
+        let seed = 0.0 + latency(link);
+        let first = (attach.0, seed.to_bits(), 1);
+        if let Some(&tree) = self.classes.get(&first) {
+            return tree;
+        }
+        let tree = match topology.uplink(attach) {
+            Some((up, link)) => self.tree_at(topology, up, (seed + latency(link), 2)),
+            None => self.tree_at(topology, attach, (seed, 1)),
+        };
+        self.classes.insert(first, tree);
+        tree
+    }
+
+    /// The tree of the class rooted at `root` with distance `seed`, built
+    /// on first demand.
+    fn tree_at(&mut self, topology: &Topology, root: NodeId, seed: (f64, usize)) -> u32 {
+        let trees = &mut self.trees;
+        *self
+            .classes
+            .entry((root.0, seed.0.to_bits(), seed.1))
+            .or_insert_with(|| {
+                trees.push(topology.seeded_tree(root, seed));
+                (trees.len() - 1) as u32
+            })
+    }
+
+    /// Usage counters: sources routed so far vs lookups answered.
     pub fn stats(&self) -> PathTableStats {
         PathTableStats {
-            trees_built: self.trees_built,
+            sources_routed: self.sources_routed,
             lookups: self.lookups,
         }
     }
 
     /// Appends the link sequence of the shortest path from `src` to `dst`
-    /// onto `out` (in traversal order), reusing the cached tree for `src`.
-    /// An empty sequence means `src == dst`; on an error `out` is left as it
-    /// was.
+    /// onto `out` (in traversal order), from the shared tree of `src`'s
+    /// gateway class. An empty sequence means `src == dst`; on an error
+    /// `out` is left as it was.
     pub fn path_into(
         &mut self,
         topology: &Topology,
@@ -447,108 +534,45 @@ impl PathTable {
         if src == dst {
             return Ok(());
         }
-        if self.leaf_compressed {
-            return self.compressed_path_into(topology, src, dst, out);
+        let index = self.tree_index(topology, src);
+        let tree = &self.trees[index];
+        let up = |node: NodeId| match tree.prev_link[node.0] {
+            u32::MAX => None,
+            link => Some((
+                link as usize,
+                topology.links[link as usize].other_end(node)?,
+            )),
+        };
+        // The source's walk to the gateway: the source and at most two
+        // stub nodes above it.
+        let mut climb = [src; 3];
+        let mut len = 1;
+        while let Some((_, node)) = up(climb[len - 1]) {
+            climb[len] = node;
+            len += 1;
         }
-        self.tree_path_into(topology, src, dst, out)
-    }
-
-    /// The tree-walking core of [`path_into`](Self::path_into): answers from
-    /// the shortest-path tree rooted at `src`, leaving `out` as it found it
-    /// when `dst` is unreached.
-    fn tree_path_into(
-        &mut self,
-        topology: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        out: &mut Vec<LinkId>,
-    ) -> Result<(), TopologyError> {
-        let tree = self.tree(topology, src);
+        // The destination's walk up to the first node of that climb, then
+        // the climb back down to the source, reversed as a whole.
         let start = out.len();
         let mut cur = dst;
-        while cur != src {
-            let link = tree.prev_link[cur.0] as usize;
-            if link == u32::MAX as usize {
+        let meet = loop {
+            if let Some(k) = climb[..len].iter().position(|&node| node == cur) {
+                break k;
+            }
+            let Some((link, next)) = up(cur) else {
                 out.truncate(start);
                 return Err(TopologyError::NoPath(
                     topology.nodes[src.0].name.clone(),
                     topology.nodes[dst.0].name.clone(),
                 ));
-            }
+            };
             out.push(LinkId(link));
-            cur = topology.links[link]
-                .other_end(cur)
-                .expect("a tree link ends at the node it leads to");
+            cur = next;
+        };
+        for &node in climb[..meet].iter().rev() {
+            out.push(LinkId(tree.prev_link[node.0] as usize));
         }
         out[start..].reverse();
-        Ok(())
-    }
-
-    /// Leaf-compressed path composition: each leaf-host endpoint contributes
-    /// its access link, and the middle runs anchor-to-anchor. The
-    /// anchor-to-anchor segment is served from a tree rooted at the
-    /// lower-numbered anchor (link sequences are direction-symmetric, so the
-    /// reverse walk is reversed back), bounding the tree count by the number
-    /// of distinct attachment nodes.
-    fn compressed_path_into(
-        &mut self,
-        topology: &Topology,
-        src: NodeId,
-        dst: NodeId,
-        out: &mut Vec<LinkId>,
-    ) -> Result<(), TopologyError> {
-        let anchor_of = |node: NodeId| -> (NodeId, Option<LinkId>) {
-            if topology.nodes[node.0].kind == NodeKind::Host {
-                if let Some((attach, link)) = topology.attachment(node) {
-                    return (attach, Some(link));
-                }
-            }
-            (node, None)
-        };
-        let (src_anchor, src_link) = anchor_of(src);
-        let (dst_anchor, dst_link) = anchor_of(dst);
-        // Degenerate compositions: one endpoint anchors at the other.
-        if let Some(link) = src_link {
-            if src_anchor == dst {
-                out.push(link);
-                return Ok(());
-            }
-        }
-        if let Some(link) = dst_link {
-            if dst_anchor == src {
-                out.push(link);
-                return Ok(());
-            }
-        }
-        let start = out.len();
-        if let Some(link) = src_link {
-            out.push(link);
-        }
-        if src_anchor != dst_anchor {
-            let middle = out.len();
-            let result = if src_anchor <= dst_anchor {
-                self.tree_path_into(topology, src_anchor, dst_anchor, out)
-            } else {
-                let reversed = self.tree_path_into(topology, dst_anchor, src_anchor, out);
-                if reversed.is_ok() {
-                    out[middle..].reverse();
-                }
-                reversed
-            };
-            // Report unreachability in terms of the queried endpoints, not
-            // the anchors the composition happened to route through, and take
-            // the source's access link back off `out`.
-            if result.is_err() {
-                out.truncate(start);
-                return Err(TopologyError::NoPath(
-                    topology.nodes[src.0].name.clone(),
-                    topology.nodes[dst.0].name.clone(),
-                ));
-            }
-        }
-        if let Some(link) = dst_link {
-            out.push(link);
-        }
         Ok(())
     }
 
@@ -658,8 +682,31 @@ mod tests {
         (t, h1, r1, r2, h2)
     }
 
+    /// The per-source oracle: the tree of a Dijkstra from `src` itself, as
+    /// every source had before trees were shared.
+    fn shortest_path_tree(t: &Topology, src: NodeId) -> GatewayTree {
+        t.seeded_tree(src, (0.0, 0))
+    }
+
+    /// `dst`'s walk back to `src` in the per-source tree, in traversal order.
+    fn per_source_path(t: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+        let tree = shortest_path_tree(t, src);
+        let mut path = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let link = tree.prev_link[cur.0];
+            if link == u32::MAX {
+                return None;
+            }
+            path.push(LinkId(link as usize));
+            cur = t.links[link as usize].other_end(cur).unwrap();
+        }
+        path.reverse();
+        Some(path)
+    }
+
     #[test]
-    fn leaf_compressed_paths_match_reference_on_a_multi_tier_topology() {
+    fn shared_trees_match_reference_on_a_multi_tier_topology() {
         // Routers in a cycle with distinct latencies (no metric ties), an
         // aggregation switch tier, and leaf hosts behind both tiers.
         let mut t = Topology::new();
@@ -679,23 +726,58 @@ mod tests {
             t.add_link(h, *attach, 10e6, ms(0.5)).unwrap();
             hosts.push(h);
         }
-        let mut compressed = PathTable::new();
-        compressed.set_leaf_compressed(true);
         let all: Vec<NodeId> = t.nodes().map(|(id, _)| id).collect();
-        for &a in &all {
+        let mut table = PathTable::new();
+        for &a in &hosts {
             for &b in &all {
-                let got = compressed.path(&t, a, b).unwrap();
                 let want = reference_path(&t, a, b).unwrap();
-                assert_eq!(got, want, "{a:?} -> {b:?}");
+                assert_eq!(table.path(&t, a, b).unwrap(), want, "{a:?} -> {b:?}");
+                assert_eq!(per_source_path(&t, a, b), Some(want), "{a:?} -> {b:?}");
             }
         }
-        // The compressed table never built a tree for any leaf host source.
-        for &h in &hosts {
-            assert!(
-                compressed.trees.get(h.0).is_none_or(|slot| slot.is_none()),
-                "tree built for leaf host {h:?}"
-            );
+        // Three gateway classes serve the six hosts: r1 two links up from
+        // a1's and a2's hosts alike, r2 and r3 one link up from theirs.
+        assert_eq!(table.trees.len(), 3);
+        assert_eq!(table.stats().sources_routed, hosts.len() as u64);
+        // Each router has a class of its own.
+        for &a in &all {
+            for &b in &all {
+                let got = table.path(&t, a, b).unwrap();
+                assert_eq!(got, reference_path(&t, a, b).unwrap(), "{a:?} -> {b:?}");
+            }
         }
+        assert_eq!(table.trees.len(), 3 + 5);
+        assert_eq!(table.stats().sources_routed, all.len() as u64);
+    }
+
+    #[test]
+    fn sources_whose_seeds_round_apart_get_trees_of_their_own() {
+        // `h1` and `h2` hang off `a`, whose uplink climbs to `r`. From `r`,
+        // `v` is 0.3 s away directly and 0.2 + 0.1 s away through `w`: a tie
+        // in exact arithmetic, which rounding breaks by the seed. From `h1`
+        // (seed 0.1 + 0.2) the two-link route is strictly shorter; from `h2`
+        // (seed 0.2 + 0.2) the direct one wins. A class key without the seed
+        // bits, or a seed without the uplink's latency, gives one of them the
+        // other's route.
+        let mut t = Topology::new();
+        let s = SimDuration::from_secs;
+        let (h1, h2) = (t.add_host("h1").unwrap(), t.add_host("h2").unwrap());
+        let (a, r) = (t.add_router("a").unwrap(), t.add_router("r").unwrap());
+        let (v, w) = (t.add_router("v").unwrap(), t.add_router("w").unwrap());
+        t.add_link(h1, a, 1e6, s(0.1)).unwrap();
+        t.add_link(h2, a, 1e6, s(0.2)).unwrap();
+        t.add_link(a, r, 1e6, s(0.2)).unwrap();
+        let direct = t.add_link(r, v, 1e6, s(0.3)).unwrap();
+        t.add_link(r, w, 1e6, s(0.2)).unwrap();
+        t.add_link(w, v, 1e6, s(0.1)).unwrap();
+        let mut table = PathTable::new();
+        for src in [h1, h2] {
+            let want = reference_path(&t, src, v).unwrap();
+            assert_eq!(per_source_path(&t, src, v).as_ref(), Some(&want));
+            assert_eq!(want.contains(&direct), src == h2);
+            assert_eq!(table.path(&t, src, v).unwrap(), want, "{src:?}");
+        }
+        assert_eq!(table.trees.len(), 2);
     }
 
     #[test]
@@ -795,9 +877,11 @@ mod tests {
 
     /// A seeded random graph in the shapes routing must get right: a core of
     /// routers (a random tree plus extra links, some parallel), chains of
-    /// degree-2 routers ending in a leaf host, many leaf hosts, a duplicate
-    /// of a random link, and a component the rest cannot reach. Latencies are
-    /// whole seconds, zero included, so equal-latency routes tie exactly.
+    /// degree-2 routers ending in a leaf host, many leaf hosts, aggregation
+    /// switches with leaf hosts (some nested under another switch, some with
+    /// a parallel uplink), a duplicate of a random link, a component the rest
+    /// cannot reach and a pair of hosts linked only to each other. Latencies
+    /// are whole seconds, zero included, so equal-latency routes tie exactly.
     fn random_graph(seed: u64) -> Topology {
         let mut rng = crate::rng::SimRng::seed_from_u64(seed);
         let mut t = Topology::new();
@@ -834,6 +918,19 @@ mod tests {
             let at = attach[rng.index(attach.len())];
             t.add_link(host, at, 1e6, latency(&mut rng)).unwrap();
         }
+        for g in 0..rng.index(5) {
+            let agg = t.add_router(&format!("a{g}")).unwrap();
+            let up = attach[rng.index(attach.len())];
+            t.add_link(agg, up, 1e6, latency(&mut rng)).unwrap();
+            if rng.index(4) == 0 {
+                t.add_link(agg, up, 1e6, latency(&mut rng)).unwrap();
+            }
+            attach.push(agg);
+            for i in 0..1 + rng.index(4) {
+                let host = t.add_host(&format!("a{g}.h{i}")).unwrap();
+                t.add_link(host, agg, 1e6, latency(&mut rng)).unwrap();
+            }
+        }
         let (a, b) = {
             let link = t.link(LinkId(rng.index(t.link_count()))).unwrap();
             (link.a, link.b)
@@ -844,11 +941,15 @@ mod tests {
             let host = t.add_host(&format!("island.h{i}")).unwrap();
             t.add_link(host, island, 1e6, latency(&mut rng)).unwrap();
         }
+        let pair = [t.add_host("pair.a").unwrap(), t.add_host("pair.b").unwrap()];
+        t.add_link(pair[0], pair[1], 1e6, latency(&mut rng))
+            .unwrap();
         t
     }
 
     #[test]
     fn path_table_matches_reference_dijkstra_on_generated_graphs() {
+        let (mut trees, mut nodes) = (0, 0);
         for seed in 0..48 {
             let t = random_graph(seed);
             let leaves = t.nodes().filter(|(id, _)| t.attachment(*id).is_some());
@@ -862,16 +963,33 @@ mod tests {
                     assert_eq!(got[0], LinkId(usize::MAX), "seed {seed}: {a:?} -> {b:?}");
                     let got = result.map(|()| got[1..].to_vec());
                     assert_eq!(got, want, "seed {seed}: {a:?} -> {b:?}");
+                    let oracle = per_source_path(&t, a, b);
+                    assert_eq!(got.ok(), oracle, "seed {seed}: {a:?} -> {b:?}");
                 }
             }
-            // One tree per source, leaves included.
-            assert_eq!(table.stats().trees_built, t.node_count() as u64);
+            // Every node was a source, and leaves one link of one latency
+            // from the same attachment shared a tree.
+            assert_eq!(table.stats().sources_routed, t.node_count() as u64);
+            let classes: std::collections::HashSet<_> = t
+                .nodes()
+                .map(|(id, _)| match t.attachment(id) {
+                    Some((at, link)) if t.adjacency[at.0].len() > 1 => {
+                        (at, t.links[link.0].latency.as_secs().to_bits())
+                    }
+                    _ => (id, u64::MAX),
+                })
+                .collect();
+            assert!(table.trees.len() <= classes.len(), "seed {seed}");
+            (trees, nodes) = (trees + table.trees.len(), nodes + t.node_count());
         }
+        assert!(trees < nodes, "{trees} trees for {nodes} sources");
     }
 
     #[test]
     fn path_table_reports_missing_nodes_and_paths() {
-        // Two hosts on routers the other side cannot reach, and a lone host.
+        // Two hosts on routers the other side cannot reach, a lone host, and
+        // a host two links below a gateway (`g`) that reaches neither `a`
+        // nor `b`.
         let mut t = Topology::new();
         let a = t.add_host("a").unwrap();
         let b = t.add_host("b").unwrap();
@@ -879,30 +997,46 @@ mod tests {
         let c = t.add_host("c").unwrap();
         t.add_link(a, ra, 1e6, ms(1.0)).unwrap();
         t.add_link(b, rb, 1e6, ms(1.0)).unwrap();
-        for compressed in [false, true] {
-            let mut table = PathTable::new();
-            table.set_leaf_compressed(compressed);
-            assert!(matches!(
-                table.path(&t, a, NodeId(9)),
-                Err(TopologyError::UnknownNode(9))
-            ));
-            // A failed query leaves what `out` held before untouched.
-            for (src, dst) in [(a, b), (b, a), (a, c), (c, a), (a, rb), (ra, b)] {
-                let mut out = vec![LinkId(7)];
-                assert!(
-                    matches!(
-                        table.path_into(&t, src, dst, &mut out),
-                        Err(TopologyError::NoPath(_, _))
-                    ),
-                    "{src:?} -> {dst:?}"
-                );
-                assert_eq!(
-                    out,
-                    [LinkId(7)],
-                    "compressed {compressed}: {src:?} -> {dst:?}"
-                );
-            }
-            assert!(table.path(&t, a, a).unwrap().is_empty());
+        let (agg, g, far) = (
+            t.add_router("agg").unwrap(),
+            t.add_router("g").unwrap(),
+            t.add_router("far").unwrap(),
+        );
+        let (d, e, f) = (
+            t.add_host("d").unwrap(),
+            t.add_host("e").unwrap(),
+            t.add_host("f").unwrap(),
+        );
+        t.add_link(d, agg, 1e6, ms(1.0)).unwrap();
+        t.add_link(agg, g, 1e6, ms(1.0)).unwrap();
+        t.add_link(g, far, 1e6, ms(1.0)).unwrap();
+        t.add_link(e, g, 1e6, ms(1.0)).unwrap();
+        t.add_link(f, far, 1e6, ms(1.0)).unwrap();
+        let mut table = PathTable::new();
+        assert!(matches!(
+            table.path(&t, a, NodeId(99)),
+            Err(TopologyError::UnknownNode(99))
+        ));
+        // A failed query leaves what `out` held before untouched.
+        let unreachable = [(a, b), (b, a), (a, c), (c, a), (a, rb), (ra, b)];
+        for (src, dst) in unreachable
+            .into_iter()
+            .chain([(d, a), (a, d), (d, rb), (d, c)])
+        {
+            let mut out = vec![LinkId(7)];
+            assert!(
+                matches!(
+                    table.path_into(&t, src, dst, &mut out),
+                    Err(TopologyError::NoPath(_, _))
+                ),
+                "{src:?} -> {dst:?}"
+            );
+            assert_eq!(out, [LinkId(7)], "{src:?} -> {dst:?}");
         }
+        // `d` routes through `g`'s tree, inside its stub and past it.
+        for dst in [agg, g, e, far, f] {
+            assert_eq!(table.path(&t, d, dst), reference_path(&t, d, dst));
+        }
+        assert!(table.path(&t, a, a).unwrap().is_empty());
     }
 }
