@@ -10,7 +10,7 @@ use crate::element::ElementRef;
 use crate::expr::{parse, EvalError, Expr, Operand, ParseError, Program, PropertyReadSet};
 use crate::key::Key;
 use crate::system::{ModelDelta, System};
-use std::sync::Arc;
+use std::fmt;
 
 /// What an invariant ranges over.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,11 +91,10 @@ pub struct CheckReport {
     pub violations: Vec<Violation>,
     /// Constraints that could not be evaluated (e.g. a gauge has not yet
     /// reported the property). These are *not* treated as violations. Each
-    /// line is formatted once, when its pair is evaluated; a check that
-    /// replays the pair shares that text (`Arc<str>`, as `tracestore`'s
-    /// events share theirs), so a persisting error costs a reference count,
-    /// not a copy.
-    pub errors: Vec<Arc<str>>,
+    /// is a three-word value of interned names, rendered to its report line
+    /// only by `Display`, so neither a check nor a replay formats or copies
+    /// text for one.
+    pub errors: Vec<CheckError>,
     /// How many (invariant, element) pairs were actually evaluated.
     pub evaluated: usize,
     /// How many (invariant, element) pairs were pruned by the dirty set and
@@ -108,6 +107,36 @@ impl CheckReport {
     /// True when no constraint was violated.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+}
+
+/// An (invariant, subject) pair that could not be evaluated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckError {
+    /// Name of the invariant.
+    pub invariant: Key,
+    /// Why it could not be evaluated.
+    pub cause: ErrorCause,
+}
+
+/// Why a pair could not be evaluated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ErrorCause {
+    /// A gauge has not yet reported the property: the element's name and
+    /// the property's.
+    Missing(Key, Key),
+    /// Any other evaluation error, boxed: it is rare, and a cause stays two
+    /// words.
+    Other(Box<EvalError>),
+}
+
+impl fmt::Display for CheckError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invariant {}: ", self.invariant)?;
+        match &self.cause {
+            ErrorCause::Missing(el, prop) => write!(f, "property {prop} not yet observed on {el}"),
+            ErrorCause::Other(e) => write!(f, "{e}"),
+        }
     }
 }
 
@@ -159,9 +188,10 @@ impl ConstraintSet {
     }
 
     fn check_one(&self, invariant: &Invariant, system: &System, report: &mut CheckReport) {
+        let name = Key::new(&invariant.name);
         for subject in subjects_of(invariant, system) {
             report.evaluated += 1;
-            evaluate_pair(invariant, system, subject).append_to(report);
+            evaluate_pair(invariant, system, subject).append_to(name, report);
         }
     }
 }
@@ -190,26 +220,30 @@ fn subjects_of(invariant: &Invariant, system: &System) -> Vec<Option<ElementRef>
 
 /// The cached outcome of evaluating one (invariant, subject) pair. The
 /// incremental checker replays these for pairs the dirty set did not touch,
-/// reproducing the full sweep's report byte for byte — a persisting
-/// violation (or a still-missing gauge property) is re-emitted on every
-/// check, exactly as a full sweep re-detects it.
+/// reproducing the full sweep's report — a persisting violation (or a
+/// still-missing gauge property) is re-emitted on every check, exactly as a
+/// full sweep re-detects it. Nearly every cached pair holds or fails, so
+/// the rare violation is boxed and a pair stays four words.
 #[derive(Debug, Clone, PartialEq)]
 enum PairOutcome {
     /// The constraint held.
     Holds,
     /// The constraint evaluated to false.
-    Violated(Violation),
-    /// Evaluation failed; the formatted report line is cached verbatim and
-    /// shared with every report that replays it.
-    Error(Arc<str>),
+    Violated(Box<Violation>),
+    /// Evaluation failed: the cause, without the invariant each replay
+    /// pairs it with.
+    Error(ErrorCause),
 }
 
 impl PairOutcome {
-    fn append_to(&self, report: &mut CheckReport) {
+    fn append_to(&self, invariant: Key, report: &mut CheckReport) {
         match self {
             PairOutcome::Holds => {}
-            PairOutcome::Violated(v) => report.violations.push(v.clone()),
-            PairOutcome::Error(e) => report.errors.push(Arc::clone(e)),
+            PairOutcome::Violated(v) => report.violations.push(Violation::clone(v)),
+            PairOutcome::Error(cause) => report.errors.push(CheckError {
+                invariant,
+                cause: cause.clone(),
+            }),
         }
     }
 }
@@ -223,27 +257,23 @@ fn evaluate_pair(
     system: &System,
     subject: Option<ElementRef>,
 ) -> PairOutcome {
-    let text = match invariant.evaluate(system, subject) {
-        Ok(true) => return PairOutcome::Holds,
+    match invariant.evaluate(system, subject) {
+        Ok(true) => PairOutcome::Holds,
         Ok(false) => {
             let subject_name = match subject {
                 None => system.name.clone(),
-                Some(el) => system.element_name(el).into_owned(),
+                Some(el) => system.element_name(el).to_string(),
             };
-            return PairOutcome::Violated(Violation {
+            PairOutcome::Violated(Box::new(Violation {
                 invariant: invariant.name.clone(),
                 subject,
                 subject_name,
                 detail: invariant.source.clone(),
-            });
+            }))
         }
-        Err(EvalError::MissingProperty(el, prop)) => format!(
-            "invariant {}: property {prop} not yet observed on {el}",
-            invariant.name
-        ),
-        Err(e) => format!("invariant {}: {e}", invariant.name),
-    };
-    PairOutcome::Error(text.into())
+        Err(EvalError::MissingProperty(el, p)) => PairOutcome::Error(ErrorCause::Missing(el, p)),
+        Err(e) => PairOutcome::Error(ErrorCause::Other(Box::new(e))),
+    }
 }
 
 /// One cached (invariant, subject) pair.
@@ -257,6 +287,8 @@ struct PairState {
 /// the subject list with each pair's last outcome, in sweep order.
 #[derive(Debug, Clone)]
 struct InvariantState {
+    /// The invariant's name, interned once per rebuild.
+    name: Key,
     reads: PropertyReadSet,
     /// `reads.self_props` interned for O(1) dirty-set intersection.
     self_keys: Vec<Key>,
@@ -315,14 +347,17 @@ impl IncrementalChecker {
             let reads = invariant.expression.referenced_properties();
             let self_keys = reads.self_props.iter().map(|p| Key::new(p)).collect();
             let ident_keys = reads.idents.iter().map(|p| Key::new(p)).collect();
-            let mut pairs = Vec::new();
-            for subject in subjects_of(invariant, system) {
+            let name = Key::new(&invariant.name);
+            let subjects = subjects_of(invariant, system);
+            let mut pairs = Vec::with_capacity(subjects.len());
+            for subject in subjects {
                 report.evaluated += 1;
                 let outcome = evaluate_pair(invariant, system, subject);
-                outcome.append_to(&mut report);
+                outcome.append_to(name, &mut report);
                 pairs.push(PairState { subject, outcome });
             }
             self.invariants.push(InvariantState {
+                name,
                 reads,
                 self_keys,
                 ident_keys,
@@ -365,7 +400,7 @@ impl IncrementalChecker {
                 } else {
                     report.skipped += 1;
                 }
-                pair.outcome.append_to(&mut report);
+                pair.outcome.append_to(state.name, &mut report);
             }
         }
         report
@@ -450,7 +485,7 @@ mod tests {
         let report = set.check(&sys);
         assert!(report.violations.is_empty());
         assert_eq!(report.errors.len(), 1);
-        assert!(report.errors[0].contains("averageLatency"));
+        assert!(report.errors[0].to_string().contains("averageLatency"));
     }
 
     #[test]
@@ -637,5 +672,77 @@ mod tests {
         let report = checker.check(&set, &mut sys);
         assert_eq!(report.evaluated, 1);
         assert_eq!(report.skipped, 0);
+    }
+
+    #[test]
+    fn layout_a_check_error_is_three_words() {
+        assert!(std::mem::size_of::<CheckError>() <= 24);
+    }
+
+    #[test]
+    fn layout_a_cached_pair_is_four_words() {
+        // 88 bytes while an outcome held its `Violation` inline.
+        assert!(std::mem::size_of::<PairState>() <= 32);
+    }
+
+    /// Each cause renders the line the checker formatted for it when a
+    /// report held text: the literals are the ones that text read.
+    #[test]
+    fn a_check_error_renders_the_line_a_report_carried() {
+        let mut sys = system_with_clients();
+        let user9 = ElementRef::Component(sys.add_component("User9", "ClientT").unwrap());
+        sys.add_component("ServerGrp2", "ServerGroupT").unwrap();
+        let user1 = ElementRef::Component(sys.component_by_name("User1").unwrap());
+        let dangling = ElementRef::Component(crate::element::ComponentId(999));
+        let clients = || ConstraintScope::EachComponent("ClientT".into());
+        let parse = |name, scope, text| Invariant::parse(name, scope, text).unwrap();
+        let cases = [
+            (
+                latency_invariant(),
+                Some(user9),
+                "invariant latency: property averageLatency not yet observed on User9",
+            ),
+            (
+                parse(
+                    "groupLoad",
+                    ConstraintScope::System,
+                    "forall g : ServerGroupT in components | g.load >= 0",
+                ),
+                None,
+                "invariant groupLoad: property load not yet observed on ServerGrp2",
+            ),
+            (
+                latency_invariant(),
+                Some(dangling),
+                "invariant latency: property averageLatency not yet observed on component#999",
+            ),
+            (
+                parse("dtype", clients(), "self.type == \"x\""),
+                Some(dangling),
+                "invariant dtype: property type not yet observed on component#999",
+            ),
+            (
+                parse("typed", clients(), "self.name <= 3"),
+                Some(user1),
+                "invariant typed: type mismatch: operator Le requires numeric operands, \
+                 got Val(Str(\"User1\")) and Val(Int(3))",
+            ),
+            (
+                parse(
+                    "unknown",
+                    clients(),
+                    "self.averageLatency <= noSuchThreshold",
+                ),
+                Some(user1),
+                "invariant unknown: unknown identifier: noSuchThreshold",
+            ),
+        ];
+        for (invariant, subject, line) in cases {
+            let mut report = CheckReport::default();
+            let name = Key::new(&invariant.name);
+            evaluate_pair(&invariant, &sys, subject).append_to(name, &mut report);
+            assert_eq!(report.errors.len(), 1, "{line}");
+            assert_eq!(report.errors[0].to_string(), line);
+        }
     }
 }

@@ -6,14 +6,13 @@
 //! an interned [`Key`]. [`Program::eval_bool`] then works on [`Operand`]s
 //! borrowed from the program's literals, the model and the caller's slots: an
 //! evaluation allocates only for what a `select` keeps, and builds an owned
-//! value only to word an error.
+//! value only to word an error other than a missing property.
 
 use super::ast::{BinOp, Expr, QuantifierKind, UnaryOp};
 use crate::element::{ComponentId, ElementRef, RoleId};
 use crate::key::Key;
 use crate::system::System;
 use crate::value::Value;
-use std::borrow::Cow;
 use std::fmt;
 
 /// What an expression evaluates to: a property-style value, one element or a
@@ -26,8 +25,8 @@ pub enum Operand<'a> {
     Float(f64),
     /// A boolean.
     Bool(bool),
-    /// A string; owned only when it names an element the model lacks.
-    Str(Cow<'a, str>),
+    /// A string.
+    Str(&'a str),
     /// A set-valued property.
     Set(&'a [Value]),
     /// A reference to one element.
@@ -61,7 +60,7 @@ impl<'a> From<&'a Value> for Operand<'a> {
             Value::Int(i) => Operand::Int(*i),
             Value::Float(f) => Operand::Float(*f),
             Value::Bool(b) => Operand::Bool(*b),
-            Value::Str(s) => Operand::Str(Cow::Borrowed(s)),
+            Value::Str(s) => Operand::Str(s),
             Value::Set(items) => Operand::Set(items),
         }
     }
@@ -121,8 +120,10 @@ impl Elements<'_> {
 pub enum EvalError {
     /// An identifier could not be resolved.
     UnknownIdentifier(String),
-    /// An element lacks the requested property.
-    MissingProperty(String, String),
+    /// An element lacks the requested property: the element's name (its id
+    /// for one the model lacks) and the property's, so that a failed
+    /// evaluation allocates nothing.
+    MissingProperty(Key, Key),
     /// The operands of an operator had incompatible types.
     TypeMismatch(String),
     /// An unknown function was called.
@@ -328,14 +329,14 @@ impl<'a> Eval<'a, '_> {
                 )));
             }
         };
-        let missing = || EvalError::MissingProperty(el.to_string(), name.to_string());
+        let missing = || EvalError::MissingProperty(system.element_name(el), name);
         // Structural pseudo-properties first.
         match (el, name.as_str()) {
-            (_, "name") => Ok(Operand::Str(system.element_name(el))),
+            (_, "name") => Ok(Operand::Str(system.element_name(el).as_str())),
             (ElementRef::Component(id), p @ ("type" | "ports" | "children" | "members")) => {
                 let c = system.component(id).map_err(|_| missing())?;
                 Ok(match p {
-                    "type" => Operand::Str(Cow::Borrowed(c.ctype.as_str())),
+                    "type" => Operand::Str(c.ctype.as_str()),
                     "ports" => Operand::Elements(Elements::Ports(id)),
                     _ => Operand::Elements(Elements::Children(id)),
                 })
@@ -347,9 +348,7 @@ impl<'a> Eval<'a, '_> {
             _ => system
                 .get_property(el, name.as_str())
                 .map(Operand::from)
-                .ok_or_else(|| {
-                    EvalError::MissingProperty(system.element_name(el).into(), name.to_string())
-                }),
+                .ok_or_else(missing),
         }
     }
 
@@ -580,6 +579,7 @@ mod oracle {
     use super::super::ast::{BinOp, Expr, QuantifierKind, UnaryOp};
     use super::EvalError;
     use crate::element::ElementRef;
+    use crate::key::Key;
     use crate::system::System;
     use crate::value::Value;
     use std::collections::BTreeMap;
@@ -704,6 +704,10 @@ mod oracle {
         }
     }
 
+    fn missing(element: &str, property: &str) -> EvalError {
+        EvalError::MissingProperty(Key::new(element), Key::new(property))
+    }
+
     fn access_property(
         target: &EvalValue,
         name: &str,
@@ -714,19 +718,19 @@ mod oracle {
                 match (el, name) {
                     (_, "name") => {
                         return Ok(EvalValue::Val(Value::Str(
-                            system.element_name(*el).into_owned(),
+                            system.element_name(*el).to_string(),
                         )));
                     }
                     (ElementRef::Component(id), "type") => {
                         let c = system
                             .component(*id)
-                            .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
+                            .map_err(|_| missing(&el.to_string(), name))?;
                         return Ok(EvalValue::Val(Value::Str(c.ctype.to_string())));
                     }
                     (ElementRef::Component(id), "ports") => {
                         system
                             .component(*id)
-                            .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
+                            .map_err(|_| missing(&el.to_string(), name))?;
                         return Ok(EvalValue::Elements(
                             system.ports_of(*id).map(ElementRef::Port).collect(),
                         ));
@@ -735,7 +739,7 @@ mod oracle {
                     | (ElementRef::Component(id), "members") => {
                         system
                             .component(*id)
-                            .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
+                            .map_err(|_| missing(&el.to_string(), name))?;
                         return Ok(EvalValue::Elements(
                             system.children(*id).map(ElementRef::Component).collect(),
                         ));
@@ -743,7 +747,7 @@ mod oracle {
                     (ElementRef::Connector(id), "roles") => {
                         let c = system
                             .connector(*id)
-                            .map_err(|_| EvalError::MissingProperty(el.to_string(), name.into()))?;
+                            .map_err(|_| missing(&el.to_string(), name))?;
                         return Ok(EvalValue::Elements(
                             c.roles.iter().map(|r| ElementRef::Role(*r)).collect(),
                         ));
@@ -754,12 +758,7 @@ mod oracle {
                     .get_property(*el, name)
                     .cloned()
                     .map(EvalValue::Val)
-                    .ok_or_else(|| {
-                        EvalError::MissingProperty(
-                            system.element_name(*el).into_owned(),
-                            name.into(),
-                        )
-                    })
+                    .ok_or_else(|| missing(system.element_name(*el).as_str(), name))
             }
             EvalValue::Val(Value::Set(items)) if name == "size" => {
                 Ok(EvalValue::Val(Value::Int(items.len() as i64)))

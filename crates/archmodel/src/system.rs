@@ -8,7 +8,6 @@ use crate::element::{
 use crate::key::Key;
 use crate::property::PropertyMap;
 use crate::value::Value;
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// The batch of changes accumulated since the previous
@@ -841,16 +840,17 @@ impl System {
         }
     }
 
-    /// The display name of any element: borrowed from the model, or the
-    /// element's id for one the model does not hold.
-    pub fn element_name(&self, element: ElementRef) -> Cow<'_, str> {
+    /// The name of any element: the model's key, or the element's id for
+    /// one the model does not hold, interned (only that rare name allocates,
+    /// once).
+    pub fn element_name(&self, element: ElementRef) -> Key {
         let name = match element {
             ElementRef::Component(id) => self.component(id).map(|c| c.name),
             ElementRef::Connector(id) => self.connector(id).map(|c| c.name),
             ElementRef::Port(id) => self.port(id).map(|p| p.name),
             ElementRef::Role(id) => self.role(id).map(|r| r.name),
         };
-        name.map_or_else(|_| element.to_string().into(), |n| n.as_str().into())
+        name.unwrap_or_else(|_| Key::new(&element.to_string()))
     }
 
     /// Checks referential integrity of the whole graph (every port/role owner

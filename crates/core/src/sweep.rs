@@ -932,12 +932,21 @@ pub fn run_sweep_traced(
 /// result before it are in: workers send `(index, result)`, and the caller
 /// holds early arrivals until their turn. A unit that panics fails alone, as
 /// a [`SweepError::Run`] in its own turn: the other units still finish.
+///
+/// One worker is the calling thread itself: each unit is delivered, and
+/// dropped, before the next one starts. No second thread allocates what the
+/// caller frees, so a sweep's heap, and with it its peak resident set, is
+/// the same from one run to the next.
 fn run_units<T: Send>(
     total: usize,
     workers: usize,
     run: impl Fn(usize) -> Result<T, SweepError> + Sync,
     mut deliver: impl FnMut(usize, Result<T, SweepError>),
 ) {
+    if workers == 1 {
+        (0..total).for_each(|unit| deliver(unit, run_guarded(&run, unit)));
+        return;
+    }
     let next = AtomicUsize::new(0);
     let (done, arrivals) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -948,18 +957,8 @@ fn run_units<T: Send>(
                 if unit >= total {
                     break;
                 }
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| run(unit))).unwrap_or_else(|panic| {
-                        let text = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string payload".to_string());
-                        let message = format!("panicked: {text}");
-                        Err(SweepError::Run { unit, message })
-                    });
                 // Fails only when the caller stopped receiving by unwinding.
-                let _ = done.send((unit, outcome));
+                let _ = done.send((unit, run_guarded(run, unit)));
             });
         }
         drop(done);
@@ -973,6 +972,22 @@ fn run_units<T: Send>(
             }
         }
     });
+}
+
+/// `run(unit)`, with a panic turned into the unit's [`SweepError::Run`].
+fn run_guarded<T>(
+    run: &impl Fn(usize) -> Result<T, SweepError>,
+    unit: usize,
+) -> Result<T, SweepError> {
+    catch_unwind(AssertUnwindSafe(|| run(unit))).unwrap_or_else(|panic| {
+        let text = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string payload".to_string());
+        let message = format!("panicked: {text}");
+        Err(SweepError::Run { unit, message })
+    })
 }
 
 fn run_sweep_inner(

@@ -15,7 +15,9 @@
 //! 89 allocations, 0.03 per event (the same in release) — the growth of the
 //! run buffer's segment, per-kind offset and checkpoint vectors, the two
 //! `Vec`s of each 60 s metric snapshot, and the reused detail buffer that
-//! advisories and repair starts are formatted into.
+//! advisories and repair starts are formatted into. Since the run buffer
+//! keeps its bytes in chunks that never move: 5,700 − 5,632 = 68, where the
+//! doubling vectors read 5,747 − 5,632 = 115.
 
 use arch_adapt::experiment::{run_observed, ExperimentConfig, Observers};
 use arch_adapt::framework::FrameworkConfig;

@@ -415,7 +415,7 @@ mod tests {
         for ev in events {
             run.push(ev.as_ref());
         }
-        run.segment
+        run.segment.iter().flatten().copied().collect()
     }
 
     #[test]

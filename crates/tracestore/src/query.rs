@@ -56,7 +56,6 @@ use crate::event::{EventKind, StringTable, TraceEvent};
 use crate::store::{Buffers, Select, StoreError, TraceStore};
 use archmodel::expr::{parse, BinOp, Expr, Operand, Program};
 use archmodel::{Key, System, Value};
-use std::borrow::Cow;
 use std::fmt;
 
 /// A query failure.
@@ -285,11 +284,11 @@ impl Predicate {
     fn test(&self, run_id: Key, event: &TraceEvent) -> Result<bool, QueryError> {
         let fields = [
             Some(Operand::Int(event.correlation.map_or(-1, |c| c as i64))),
-            Some(Operand::Str(Cow::Borrowed(event.detail.as_str()))),
+            Some(Operand::Str(event.detail.as_str())),
             Some(Operand::Bool(event.value.is_some())),
-            Some(Operand::Str(Cow::Borrowed(event.kind.name()))),
-            Some(Operand::Str(Cow::Borrowed(run_id.as_str()))),
-            Some(Operand::Str(Cow::Borrowed(event.subject.as_str()))),
+            Some(Operand::Str(event.kind.name())),
+            Some(Operand::Str(run_id.as_str())),
+            Some(Operand::Str(event.subject.as_str())),
             Some(Operand::Float(event.time_secs)),
             Some(Operand::Float(event.value.unwrap_or(f64::NAN))),
         ];

@@ -92,13 +92,15 @@ impl BufferSink {
     /// order, each distinct string checked and interned once.
     pub fn take(&self) -> Vec<TraceEvent> {
         let run = self.take_run();
-        let mut records = &run.segment[..];
         let mut strings = StringTable::default();
-        let mut decode = || {
-            let record = Record::decode(&mut records).expect("push wrote whole records");
-            strings.event(record).expect("push wrote UTF-8 strings")
-        };
-        (0..run.count).map(|_| decode()).collect()
+        let mut events = Vec::with_capacity(run.count as usize);
+        for mut records in run.segment.iter() {
+            while !records.is_empty() {
+                let record = Record::decode(&mut records).expect("push wrote whole records");
+                events.push(strings.event(record).expect("push wrote UTF-8 strings"));
+            }
+        }
+        events
     }
 }
 

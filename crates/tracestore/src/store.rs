@@ -20,8 +20,12 @@
 //!
 //! **Writing.** A [`RunBuffer`] is the one encoder: it encodes each record
 //! as it is pushed and keeps the offsets and checkpoints the index needs, so
-//! [`TraceStore::append_buffer`] writes the segment with one write, then the
-//! index, then the manifest line. A sink-fed run is pushed as it is emitted;
+//! [`TraceStore::append_buffer`] writes the segment, then the index, then
+//! the manifest line. Each of those byte runs is kept in chunks that are
+//! allocated once at their final size and never moved (`Chunks`): a run
+//! that grows to megabytes is neither copied as it grows nor briefly held
+//! twice, and the chunks a written run frees are the size the next run's
+//! chunks take. A sink-fed run is pushed as it is emitted;
 //! [`TraceStore::append_run`] pushes a slice of owned events.
 //!
 //! **Reading.** There is one read path, `TraceStore::scan`: it loads the
@@ -239,9 +243,9 @@ impl TraceStore {
         self.append_buffer(run_id, &run)
     }
 
-    /// Appends an encoded run: writes its segment with one write, then its
-    /// index, then commits it to the manifest. Run ids must be unique within
-    /// the store and must not contain tabs or newlines.
+    /// Appends an encoded run: writes its segment, then its index, then
+    /// commits it to the manifest. Run ids must be unique within the store
+    /// and must not contain tabs or newlines.
     pub fn append_buffer(&mut self, run_id: &str, run: &RunBuffer) -> Result<&RunMeta, StoreError> {
         if run_id.is_empty() || run_id.contains('\t') || run_id.contains('\n') {
             return Err(StoreError::InvalidRunId(run_id.to_string()));
@@ -252,8 +256,8 @@ impl TraceStore {
         let segment = segment_name(self.runs.len());
         let seg_path = self.root.join(&segment);
         let idx_path = seg_path.with_extension("idx");
-        std::fs::write(&seg_path, &run.segment).map_err(io_err(&seg_path))?;
-        std::fs::write(&idx_path, run.index()).map_err(io_err(&idx_path))?;
+        write_file(&seg_path, |file| run.segment.write_to(file))?;
+        write_file(&idx_path, |file| run.write_index(file))?;
 
         // Manifest line last: a run is only visible once its files are
         // fully written.
@@ -549,6 +553,75 @@ fn segment_name(n: usize) -> String {
     format!("{n:06}.seg")
 }
 
+/// Creates (or truncates) `path` and writes it through a buffer.
+fn write_file(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<File>) -> io::Result<()>,
+) -> Result<(), StoreError> {
+    let mut file = io::BufWriter::new(File::create(path).map_err(io_err(path))?);
+    write(&mut file)
+        .and_then(|()| file.flush())
+        .map_err(io_err(path))
+}
+
+/// Bytes appended in chunks that never move. A chunk is allocated once, at
+/// its final capacity: the first holds [`Chunks::FIRST`] bytes, each next
+/// one twice its predecessor's up to [`Chunks::MAX`], where they stay (or,
+/// for a single larger append, exactly that append). So a byte run that
+/// grows to megabytes is never copied and never briefly held twice, as a
+/// doubling `Vec` is on each growth, and it wastes at most one chunk's
+/// spare room. An append never straddles two chunks, so a chunk holds whole
+/// records.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Chunks {
+    chunks: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Chunks {
+    /// Capacity of the first chunk.
+    const FIRST: usize = 1 << 10;
+    /// Capacity every chunk grows to: under the smallest threshold at which
+    /// a common allocator maps a block of its own, so chunks are recycled
+    /// between runs rather than mapped and unmapped.
+    const MAX: usize = 1 << 16;
+
+    /// Bytes appended so far.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends `n` bytes, which `write` pushes onto the chunk it is handed:
+    /// the last one, or a new one when they would not fit in its spare room.
+    fn append(&mut self, n: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        let chunk = match self.chunks.last_mut() {
+            Some(last) if last.capacity() - last.len() >= n => last,
+            last => {
+                let next = last.map_or(Self::FIRST, |c| (c.capacity() * 2).min(Self::MAX));
+                self.chunks.push(Vec::with_capacity(next.max(n)));
+                self.chunks.last_mut().expect("just pushed")
+            }
+        };
+        let before = chunk.len();
+        write(chunk);
+        debug_assert_eq!(chunk.len() - before, n, "an append writes what it named");
+        self.len += n;
+    }
+
+    /// The chunks' bytes, in append order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().map(Vec::as_slice)
+    }
+
+    fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        self.iter().try_for_each(|chunk| out.write_all(chunk))
+    }
+}
+
 /// One run encoded as it arrives: the segment bytes, and the per-kind
 /// offsets and time checkpoints its index is written from, each already in
 /// its on-disk form. The only encoder of a record;
@@ -556,14 +629,14 @@ fn segment_name(n: usize) -> String {
 #[derive(Debug, Clone, Default)]
 pub struct RunBuffer {
     /// The records, in push order.
-    pub(crate) segment: Vec<u8>,
+    pub(crate) segment: Chunks,
     /// Per kind code, the byte offset of each of its records (`u64`s).
-    offsets: [Vec<u8>; EventKind::ALL.len()],
+    offsets: [Chunks; EventKind::ALL.len()],
     /// Every [`TIME_CHECKPOINT_STRIDE`] records, the next record's index and
     /// byte offset and the maximum time of the records before it (`u64`,
     /// `u64`, `f64`): a time-window read starts at the last checkpoint whose
     /// prefix lies wholly before the window.
-    checkpoints: Vec<u8>,
+    checkpoints: Chunks,
     /// Records pushed.
     pub(crate) count: u64,
     /// The maximum time among the records pushed (reset by the first push).
@@ -587,45 +660,53 @@ impl RunBuffer {
         if self.count == 0 {
             self.prefix_max_secs = f64::NEG_INFINITY;
         } else if self.count.is_multiple_of(TIME_CHECKPOINT_STRIDE) {
-            self.checkpoints.extend(self.count.to_le_bytes());
-            self.checkpoints.extend(offset);
-            self.checkpoints.extend(self.prefix_max_secs.to_le_bytes());
+            let (count, max) = (self.count.to_le_bytes(), self.prefix_max_secs.to_le_bytes());
+            self.checkpoints.append(24, |c| {
+                c.extend(count);
+                c.extend(offset);
+                c.extend(max);
+            });
         }
         self.prefix_max_secs = self.prefix_max_secs.max(event.time_secs);
-        self.offsets[usize::from(event.kind.code())].extend(offset);
+        self.offsets[usize::from(event.kind.code())].append(8, |o| o.extend(offset));
         let flags = u8::from(event.value.is_some()) | (u8::from(event.correlation.is_some()) << 1);
-        self.segment.extend([event.kind.code(), flags]);
-        self.segment.extend(event.time_secs.to_le_bytes());
-        for text in [event.subject, event.detail] {
-            let len = u32::try_from(text.len()).expect("a trace string is under 4 GiB");
-            self.segment.extend(len.to_le_bytes());
-            self.segment.extend_from_slice(text.as_bytes());
-        }
-        if let Some(value) = event.value {
-            self.segment.extend(value.to_le_bytes());
-        }
-        if let Some(correlation) = event.correlation {
-            self.segment.extend(correlation.to_le_bytes());
-        }
+        let optional =
+            usize::from(event.value.is_some()) + usize::from(event.correlation.is_some());
+        let len =
+            MIN_RECORD_BYTES as usize + event.subject.len() + event.detail.len() + 8 * optional;
+        self.segment.append(len, |segment| {
+            segment.extend([event.kind.code(), flags]);
+            segment.extend(event.time_secs.to_le_bytes());
+            for text in [event.subject, event.detail] {
+                let len = u32::try_from(text.len()).expect("a trace string is under 4 GiB");
+                segment.extend(len.to_le_bytes());
+                segment.extend_from_slice(text.as_bytes());
+            }
+            if let Some(value) = event.value {
+                segment.extend(value.to_le_bytes());
+            }
+            if let Some(correlation) = event.correlation {
+                segment.extend(correlation.to_le_bytes());
+            }
+        });
         self.count += 1;
     }
 
-    /// The `.idx` file: kind count (`u32`), then per kind present (code,
-    /// record count, offsets), kinds in code order; then the time-checkpoint
-    /// section (count as `u32`, then the checkpoints). Old readers stop
-    /// after the kind entries and never see the checkpoints.
-    fn index(&self) -> Vec<u8> {
+    /// Writes the `.idx` file: kind count (`u32`), then per kind present
+    /// (code, record count, offsets), kinds in code order; then the
+    /// time-checkpoint section (count as `u32`, then the checkpoints). Old
+    /// readers stop after the kind entries and never see the checkpoints.
+    fn write_index(&self, out: &mut impl Write) -> io::Result<()> {
         let kinds = (EventKind::ALL.iter().zip(&self.offsets)).filter(|(_, offs)| !offs.is_empty());
         let checkpoints = u32::try_from(self.checkpoints.len() / 24).expect("under 2^32 of them");
-        let mut out = (kinds.clone().count() as u32).to_le_bytes().to_vec();
+        out.write_all(&(kinds.clone().count() as u32).to_le_bytes())?;
         for (kind, offsets) in kinds {
-            out.push(kind.code());
-            out.extend((offsets.len() as u64 / 8).to_le_bytes());
-            out.extend(offsets);
+            out.write_all(&[kind.code()])?;
+            out.write_all(&(offsets.len() as u64 / 8).to_le_bytes())?;
+            offsets.write_to(out)?;
         }
-        out.extend(checkpoints.to_le_bytes());
-        out.extend(&self.checkpoints);
-        out
+        out.write_all(&checkpoints.to_le_bytes())?;
+        self.checkpoints.write_to(out)
     }
 }
 

@@ -6,7 +6,7 @@
 //! per-event `Query::matches` folded over `read_run`, and a structurally
 //! damaged store answers with an error or the undamaged answer, never with
 //! different rows or a panic. A sink-fed `RunBuffer` writes what
-//! `append_run` writes. Every owned read interns its strings: within one
+//! `append_run` writes, also past many of its chunks. Every owned read interns its strings: within one
 //! result, equal subjects and details are one key at one address. A NaN
 //! payload or time reduces without a panic.
 
@@ -403,6 +403,57 @@ proptest! {
             }
         }
     }
+}
+
+/// A sink-fed run far past the run buffer's largest chunk (64 KiB), with
+/// records longer than a chunk among ordinary ones, still writes the
+/// documented layout and reads back whole: no record is split between two
+/// chunks, and the offsets and time checkpoints cross chunk boundaries
+/// intact (the run's times rise, so a window read skips its prefix).
+#[test]
+fn a_run_of_many_chunks_and_oversized_records_round_trips() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let long = ["x".repeat(70_000), "y".repeat(200_000)];
+    let events: Vec<TraceEvent> = (0..12_000)
+        .map(|i| match i {
+            2_500 | 9_000 => TraceEvent::new(i as f64, EventKind::Info, "long", &long[0]),
+            6_000 => TraceEvent::new(i as f64, EventKind::Fault, &long[1], "long"),
+            _ => TraceEvent {
+                time_secs: i as f64,
+                ..event((draw(), draw(), draw()))
+            },
+        })
+        .collect();
+    let (buffer, sink) = tracestore::shared_buffer();
+    events.iter().for_each(|e| sink.append(e.as_ref()));
+    assert_eq!(buffer.take(), events);
+
+    events.iter().for_each(|e| sink.append(e.as_ref()));
+    let dir = ScratchDir::new("chunks");
+    let mut store = TraceStore::open(&dir.0).unwrap();
+    store.append_buffer(RUN, &buffer.take_run()).unwrap();
+    let segment = std::fs::read(dir.0.join("000000.seg")).unwrap();
+    assert!(segment.len() > 10 * 65_536, "{} bytes", segment.len());
+    assert_eq!(segment, reference_segment(&events));
+    let store = TraceStore::open(&dir.0).unwrap();
+    assert_eq!(store.read_run(RUN).unwrap(), events);
+    for kind in KINDS {
+        let expect: Vec<TraceEvent> = events.iter().filter(|e| e.kind == kind).cloned().collect();
+        assert_eq!(store.read_run_kind(RUN, kind).unwrap(), expect, "{kind}");
+    }
+    let suffix = store.read_run_from(RUN, 5_000.0).unwrap();
+    let skipped = &events[..events.len() - suffix.len()];
+    assert!(events.ends_with(&suffix) && skipped.iter().all(|e| e.time_secs < 5_000.0));
+    assert!(
+        skipped.len() > 4_900,
+        "a checkpoint skips all but the last stride"
+    );
 }
 
 /// The store takes NaN payloads and times, so every canned reduction must
