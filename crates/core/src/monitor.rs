@@ -15,7 +15,7 @@
 use crate::framework::FrameworkConfig;
 use gridapp::{
     sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
-    FlowSnapshot, GridApp, FLEET_SCALE_MIN_CLIENTS,
+    FlowSnapshot, GridApp,
 };
 use monitoring::gauge::load_gauge_group;
 use monitoring::{Gauge, GaugeId, GaugeReading, Key, MonitoringPipeline, ProbeEvent, TopicKind};
@@ -60,7 +60,7 @@ impl Monitor {
     /// client below it, class-shared probes wherever a class index exists.
     pub(crate) fn new(app: &GridApp, config: &FrameworkConfig) -> Monitor {
         let index = || ClassIndex::build(app.testbed());
-        let policy = if app.testbed().num_clients() >= FLEET_SCALE_MIN_CLIENTS {
+        let policy = if app.testbed().is_fleet_scale() {
             Policy::Representatives(RepTable::new(index()))
         } else if config.group_planner {
             Policy::Shared(RepTable::new(index()))

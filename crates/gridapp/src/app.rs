@@ -24,6 +24,7 @@ use simnet::{
     CompletedTransfer, NetError, Network, NodeId, SimDuration, SimRng, SimTime, TransferId,
 };
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Name of the first server group (S1–S3 behind router R3).
 pub const SERVER_GROUP_1: &str = "ServerGrp1";
@@ -243,6 +244,7 @@ pub struct CompletedRequest {
 pub struct GridApp {
     config: GridConfig,
     testbed: Testbed,
+    /// Shares the testbed's one `Topology`; the live link state is its own.
     network: Network,
     /// Client names in name order; a `ClientId` indexes this and `clients`.
     client_names: Vec<Key>,
@@ -339,15 +341,14 @@ impl GridApp {
         check_workload(&config)?;
         let testbed =
             Testbed::from_spec(&config.testbed).map_err(|e| AppError::Invalid(e.to_string()))?;
-        let network = Network::new(testbed.topology.clone());
-        let fleet_scale = testbed.num_clients() >= crate::testbed::FLEET_SCALE_MIN_CLIENTS;
+        let network = Network::new(Arc::clone(&testbed.topology));
         let root_rng = SimRng::seed_from_u64(config.seed);
         // Stagger the first requests so clients do not fire in lockstep. At
         // fleet scale a one-second window would still dump every client's
         // opening request into the first second (a 50k-request thundering
         // herd); spread the starts over one mean inter-arrival instead so the
         // opening load matches steady state.
-        let stagger = if fleet_scale {
+        let stagger = if testbed.is_fleet_scale() {
             (1.0 / config.request_rate_per_client.max(1e-9)).max(1.0)
         } else {
             1.0

@@ -16,6 +16,7 @@
 
 use serde::Serialize;
 use simnet::{LinkId, NodeId, Registry, SimDuration, Topology, TopologyError};
+use std::sync::Arc;
 
 /// Capacity of every paper-testbed link (10 Mbps).
 pub const LINK_CAPACITY_BPS: f64 = 10.0e6;
@@ -43,13 +44,14 @@ pub fn testbed_preset_names() -> &'static [&'static str] {
     TESTBED_REGISTRY.names()
 }
 
-/// Client count from which a testbed is treated as *fleet scale*. It picks
-/// two things only: the grid application spreads the first requests over
-/// one mean inter-arrival instead of one second, and the framework switches
-/// to representative-only monitoring (per-class gauges, snapshots, and
-/// metric recording). Routing is the same at every scale. Chosen above every
-/// byte-compared preset (the 2,000-client `large-scale` keeps exact
-/// per-client behaviour) and below the 50k fleet.
+/// Client count from which a testbed is treated as *fleet scale*
+/// ([`TestbedSpec::is_fleet_scale`]). It picks two things only: the grid
+/// application spreads the first requests over one mean inter-arrival
+/// instead of one second, and the framework switches to representative-only
+/// monitoring (per-class gauges, snapshots, and metric recording). Routing
+/// is the same at every scale. Chosen above every byte-compared preset (the
+/// 2,000-client `large-scale` keeps exact per-client behaviour) and below
+/// the 50k fleet.
 pub const FLEET_SCALE_MIN_CLIENTS: usize = 10_000;
 
 fn is_zero<T: Default + PartialEq>(value: &T) -> bool {
@@ -244,6 +246,12 @@ impl TestbedSpec {
         self.clients_r1 + self.clients_r2 + self.clients_r5
     }
 
+    /// Whether this deployment is *fleet scale*: at least
+    /// [`FLEET_SCALE_MIN_CLIENTS`] clients. The one place that decides it.
+    pub fn is_fleet_scale(&self) -> bool {
+        self.num_clients() >= FLEET_SCALE_MIN_CLIENTS
+    }
+
     /// Total number of servers (active and spare).
     pub fn num_servers(&self) -> usize {
         self.sg1_active + self.sg1_spares + self.sg2_active + self.sg2_spares
@@ -285,8 +293,11 @@ impl TestbedSpec {
 /// The built testbed: the topology plus named handles to its parts.
 #[derive(Debug, Clone)]
 pub struct Testbed {
-    /// The network topology.
-    pub topology: Topology,
+    /// The network topology, immutable once built: its capacities and
+    /// background loads are the nominal ones. A run's
+    /// [`Network`](simnet::Network) shares this one copy and keeps the live
+    /// link state itself.
+    pub topology: Arc<Topology>,
     /// The (possibly normalised) spec the testbed was built from.
     pub spec: TestbedSpec,
     /// Client names (`"C1"`, `"C2"`, …) with the machine each runs on, in
@@ -366,75 +377,39 @@ impl Testbed {
         // routers (A1, A2, …) that uplink into the classic client routers.
         let mut client_hosts: Vec<(String, NodeId)> = Vec::new();
         let mut agg_routers: Vec<NodeId> = Vec::new();
-        let mut next_client = 1usize;
-        let mut next_agg = 1usize;
-        let mut add_client_hosts = |topo: &mut Topology,
-                                    client_hosts: &mut Vec<(String, NodeId)>,
-                                    agg_routers: &mut Vec<NodeId>,
-                                    router: NodeId,
-                                    count: usize,
-                                    per_host: usize|
-         -> Result<(), TopologyError> {
-            let mut add_hosts_under = |topo: &mut Topology,
-                                       client_hosts: &mut Vec<(String, NodeId)>,
-                                       attach: NodeId,
-                                       count: usize|
-             -> Result<(), TopologyError> {
-                let mut remaining = count;
-                while remaining > 0 {
-                    let on_this_host = remaining.min(per_host);
-                    let names: Vec<String> = (0..on_this_host)
-                        .map(|k| format!("C{}", next_client + k))
+        let client_routers = [
+            (r[0], spec.clients_r1, 2),
+            (r[1], spec.clients_r2, 1),
+            (r[4], spec.clients_r5, 2),
+        ];
+        for (router, count, per_host) in client_routers {
+            let mut remaining = count;
+            while remaining > 0 {
+                // The router itself, or its next aggregation switch.
+                let (attach, mut in_attach) = if spec.clients_per_agg == 0 {
+                    (router, remaining)
+                } else {
+                    let agg = topo.add_router(&format!("A{}", agg_routers.len() + 1))?;
+                    agg_routers.push(agg);
+                    topo.add_link(agg, router, spec.agg_capacity_bps, router_latency)?;
+                    (agg, remaining.min(spec.clients_per_agg))
+                };
+                remaining -= in_attach;
+                while in_attach > 0 {
+                    let on_this_host = in_attach.min(per_host);
+                    let first = client_hosts.len() + 1;
+                    let names: Vec<String> = (first..first + on_this_host)
+                        .map(|n| format!("C{n}"))
                         .collect();
                     let host = topo.add_host(&names.join(","))?;
                     topo.add_link(host, attach, access, access_latency)?;
                     for name in names {
                         client_hosts.push((name, host));
                     }
-                    next_client += on_this_host;
-                    remaining -= on_this_host;
+                    in_attach -= on_this_host;
                 }
-                Ok(())
-            };
-            if spec.clients_per_agg == 0 {
-                return add_hosts_under(topo, client_hosts, router, count);
             }
-            let mut remaining = count;
-            while remaining > 0 {
-                let in_agg = remaining.min(spec.clients_per_agg);
-                let agg = topo.add_router(&format!("A{next_agg}"))?;
-                agg_routers.push(agg);
-                next_agg += 1;
-                topo.add_link(agg, router, spec.agg_capacity_bps, router_latency)?;
-                add_hosts_under(topo, client_hosts, agg, in_agg)?;
-                remaining -= in_agg;
-            }
-            Ok(())
-        };
-        add_client_hosts(
-            &mut topo,
-            &mut client_hosts,
-            &mut agg_routers,
-            r[0],
-            spec.clients_r1,
-            2,
-        )?;
-        add_client_hosts(
-            &mut topo,
-            &mut client_hosts,
-            &mut agg_routers,
-            r[1],
-            spec.clients_r2,
-            1,
-        )?;
-        add_client_hosts(
-            &mut topo,
-            &mut client_hosts,
-            &mut agg_routers,
-            r[4],
-            spec.clients_r5,
-            2,
-        )?;
+        }
 
         // Server machines. Actives then spares behind R3 (Server Group 1),
         // then actives (the first sharing its machine with the request queue,
@@ -471,7 +446,7 @@ impl Testbed {
         }
 
         Ok(Testbed {
-            topology: topo,
+            topology: Arc::new(topo),
             spec,
             client_hosts,
             server_hosts,
@@ -490,6 +465,12 @@ impl Testbed {
     /// Number of clients in this testbed.
     pub fn num_clients(&self) -> usize {
         self.client_hosts.len()
+    }
+
+    /// Whether this testbed is fleet scale ([`TestbedSpec::is_fleet_scale`]
+    /// of the spec it was built from).
+    pub fn is_fleet_scale(&self) -> bool {
+        self.spec.is_fleet_scale()
     }
 
     /// The machine a named client runs on (`"C1"` .. `"Cn"`). `client_hosts`
@@ -732,9 +713,10 @@ mod tests {
         assert_eq!(spec.sg2_active, base.sg2_active);
         assert_eq!(spec.sg2_spares, base.sg2_spares);
         assert_eq!(spec.name(), "large-scale-50k");
-        assert!(spec.num_clients() >= FLEET_SCALE_MIN_CLIENTS);
-        assert!(TestbedSpec::large_scale().num_clients() < FLEET_SCALE_MIN_CLIENTS);
+        assert!(spec.is_fleet_scale());
+        assert!(!TestbedSpec::large_scale().is_fleet_scale());
         let tb = Testbed::from_spec(&spec).unwrap();
+        assert!(tb.is_fleet_scale());
         // 20k/64 = 313 switches behind R1, 157 behind R2, 313 behind R5.
         assert_eq!(tb.agg_routers.len(), 313 + 157 + 313);
     }
@@ -752,7 +734,7 @@ mod tests {
         assert_eq!(spec.agg_capacity_bps, fleet.agg_capacity_bps);
         assert_eq!(spec.core_capacity_bps, fleet.core_capacity_bps);
         assert_eq!(spec.name(), "large-scale-100k");
-        assert!(spec.num_clients() >= FLEET_SCALE_MIN_CLIENTS);
+        assert!(spec.is_fleet_scale());
         let tb = Testbed::from_spec(&spec).unwrap();
         // 40k/64 = 625 switches behind R1, 20k/64 = 313 behind R2, 625
         // behind R5.
@@ -765,7 +747,7 @@ mod tests {
         for &link in &tb.core_links {
             let l = tb.topology.link(link).unwrap();
             assert_eq!(l.capacity_bps, 6.0e6);
-            assert!(l.effective_capacity_bps() < 6.0e6);
+            assert_eq!(l.background_bps, 1.0e6);
         }
         // Access links keep the full 10 Mbps.
         let c1 = tb.client_host("C1").unwrap();

@@ -35,7 +35,7 @@ impl Fleet {
         let capacities = testbed
             .topology
             .links()
-            .map(|(_, l)| l.effective_capacity_bps())
+            .map(|(_, l)| (l.capacity_bps - l.background_bps).max(1.0))
             .collect();
         Fleet {
             testbed,

@@ -8,7 +8,7 @@
 //! kept. One table answers every query of a preset, as one `Network`'s
 //! does, so sources share gateway trees the way a run shares them.
 
-use gridapp::{testbed_preset_names, Testbed, TestbedSpec, FLEET_SCALE_MIN_CLIENTS};
+use gridapp::{testbed_preset_names, Testbed, TestbedSpec};
 use simnet::{LinkId, NodeId, NodeKind, PathTable, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -173,8 +173,8 @@ fn assert_routes(name: &str) {
 
 fn presets(fleet: bool) -> impl Iterator<Item = &'static str> {
     testbed_preset_names().iter().copied().filter(move |name| {
-        let clients = TestbedSpec::by_name(name).expect("a preset").num_clients();
-        (clients >= FLEET_SCALE_MIN_CLIENTS) == fleet
+        let spec = TestbedSpec::by_name(name).expect("a preset");
+        spec.is_fleet_scale() == fleet
     })
 }
 

@@ -1,6 +1,7 @@
 //! The fluid-flow network model.
 //!
-//! A [`Network`] tracks active data transfers over a [`Topology`]. Each
+//! A [`Network`] tracks active data transfers over a shared, immutable
+//! [`Topology`] and keeps the live state of its links. Each
 //! transfer drains its remaining bytes at the max-min fair rate of its path;
 //! whenever the set of transfers or the background competition changes, the
 //! rates are recomputed. The owner of the network (the simulation model) polls
@@ -13,6 +14,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PathTable, Topology, TopologyError};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Identifies a transfer in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -128,7 +130,13 @@ impl CompletedTransfer {
 /// from scratch with one unit-weight row per transfer in flight.
 #[derive(Debug)]
 pub struct Network {
-    topology: Topology,
+    topology: Arc<Topology>,
+    /// Live raw capacity of each link (bits/second), by link id: the
+    /// topology's nominal value until a fault mutation sets it.
+    capacity: Vec<f64>,
+    /// Live competing background load on each link (bits/second), by link
+    /// id: the topology's construction-time load until it is set.
+    background: Vec<f64>,
     /// Active transfers by allocator row; `None` marks a vacant row.
     slab: Vec<Option<ActiveTransfer>>,
     /// Drained transfers on their way, stamped with their arrival.
@@ -146,9 +154,6 @@ pub struct Network {
     /// Number of physical links; resources `0..n_links` are the shared link
     /// pools, `n_links..2*n_links` the one-way-degraded directions.
     n_links: usize,
-    /// Construction-time link capacities — the restore threshold for one-way
-    /// degrades (fault mutations overwrite the live `capacity_bps`).
-    nominal_caps: Vec<f64>,
     /// Dense per-resource effective capacities for the current epoch.
     caps: Vec<f64>,
     /// Set by capacity-affecting mutations; consumed by `recompute_rates`.
@@ -181,12 +186,20 @@ pub struct Network {
 }
 
 impl Network {
-    /// Wraps a topology in a network with no active transfers.
-    pub fn new(topology: Topology) -> Self {
+    /// A network with no active transfers over `topology`, which it shares
+    /// and never changes: each link's live capacity and background load
+    /// start at the topology's values and are the network's own from then on.
+    pub fn new(topology: impl Into<Arc<Topology>>) -> Self {
+        let topology = topology.into();
         let n_links = topology.link_count();
-        let nominal_caps: Vec<f64> = topology.links().map(|(_, l)| l.capacity_bps).collect();
+        let (capacity, background) = topology
+            .links()
+            .map(|(_, l)| (l.capacity_bps, l.background_bps))
+            .unzip();
         let mut network = Network {
             topology,
+            capacity,
+            background,
             slab: Vec::new(),
             pending: Vec::new(),
             next_id: 0,
@@ -195,7 +208,6 @@ impl Network {
             mutations: 0,
             oneway: BTreeMap::new(),
             n_links,
-            nominal_caps,
             caps: Vec::new(),
             caps_dirty: false,
             last_start: None,
@@ -214,8 +226,9 @@ impl Network {
         network
     }
 
-    /// The underlying topology (read-only; use the dedicated mutators so rate
-    /// recomputation stays consistent).
+    /// The nominal topology, shared with the testbed; live capacities are the
+    /// network's. Its capacities and background loads are the ones it was
+    /// built with, whatever fault mutations have set since.
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
@@ -338,7 +351,8 @@ impl Network {
         bps: f64,
     ) -> Result<(), NetError> {
         self.advance(now);
-        self.topology.set_background_load(link, bps)?;
+        self.topology.link(link)?;
+        self.background[link.0] = bps.max(0.0);
         self.caps_dirty = true;
         self.recompute_rates(Epoch::Mutation);
         Ok(())
@@ -356,8 +370,8 @@ impl Network {
         capacity_bps: f64,
     ) -> Result<(), NetError> {
         self.advance(now);
-        let capacity_bps = capacity_bps.max(0.0);
-        self.topology.link_mut(link)?.capacity_bps = capacity_bps;
+        self.topology.link(link)?;
+        self.capacity[link.0] = capacity_bps.max(0.0);
         self.mutations += 1;
         self.caps_dirty = true;
         self.recompute_rates(Epoch::Mutation);
@@ -370,9 +384,9 @@ impl Network {
     /// stays healthy. Traffic traversing the link **from** `from` is capped
     /// at `capacity_bps`; the opposite direction keeps the link's full
     /// (shared) capacity. A cap at or above the link's *nominal* capacity —
-    /// its construction-time value, not the current (possibly fault-mutated)
-    /// one, so a grey failure is not silently dropped while the link is also
-    /// cut or degraded symmetrically — lifts the degrade. While a cap is in
+    /// the topology's value, not the live (possibly fault-mutated) one, so a
+    /// grey failure is not silently dropped while the link is also cut or
+    /// degraded symmetrically — lifts the degrade. While a cap is in
     /// force the two directions are accounted as separate allocator
     /// resources; symmetric operation (the common case) is bit-identical to
     /// the shared-pool model.
@@ -388,8 +402,7 @@ impl Network {
         if l.a != from && l.b != from {
             return Err(NetError::InvalidDirection(link, from));
         }
-        let nominal = self.nominal_caps[link.0];
-        let changed = if capacity_bps >= nominal {
+        let changed = if capacity_bps >= l.capacity_bps {
             self.oneway.remove(&link).is_some()
         } else {
             let capped = capacity_bps.max(0.0);
@@ -459,13 +472,14 @@ impl Network {
         self.mutations
     }
 
-    /// Refreshes the dense per-resource effective-capacity vector:
-    /// background competition is subtracted, links touching a down node are
-    /// floored to the same minimal positive capacity as fully-saturated
-    /// links (so transfers stall rather than divide by zero), and one-way
-    /// degraded directions are capped on their dedicated resource. Called
-    /// only when a capacity-affecting mutation occurred — transfer churn
-    /// leaves capacities untouched.
+    /// Refreshes the dense per-resource effective-capacity vector from the
+    /// live link state: background competition is subtracted, never below a
+    /// small positive floor so transfers always make progress; links
+    /// touching a down node are floored to the same minimal positive
+    /// capacity as fully-saturated links (so transfers stall rather than
+    /// divide by zero); and one-way degraded directions are capped on their
+    /// dedicated resource. Called only when a capacity-affecting mutation
+    /// occurred — transfer churn leaves capacities untouched.
     fn refresh_caps(&mut self) {
         self.caps.clear();
         self.caps.resize(2 * self.n_links, 0.0);
@@ -473,7 +487,7 @@ impl Network {
             let capacity = if self.down_nodes.contains(&l.a) || self.down_nodes.contains(&l.b) {
                 1.0
             } else {
-                l.effective_capacity_bps()
+                (self.capacity[id.0] - self.background[id.0]).max(1.0)
             };
             self.caps[id.0] = capacity;
             if let Some(&(_, oneway_cap)) = self.oneway.get(&id) {
@@ -958,6 +972,17 @@ mod tests {
         // Lifting at nominal clears it.
         net.set_link_oneway(t(3.0), link, a, 10.0e6).unwrap();
         assert!(!net.oneway.contains_key(&link));
+        // The mutations are the network's: the shared topology still holds
+        // the nominal capacity and background, while the live link carries
+        // the cut and the load.
+        net.set_link_capacity(t(4.0), link, 4.0e6).unwrap();
+        net.set_background_on_link(t(4.0), link, 1.0e6).unwrap();
+        let nominal = net.topology().link(link).unwrap();
+        assert_eq!(
+            (nominal.capacity_bps, nominal.background_bps),
+            (10.0e6, 0.0)
+        );
+        assert!((net.available_bandwidth(b, a).unwrap() - 3.0e6).abs() < 1.0);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! machines connected by 10 Mbps links. The topology here is an undirected
 //! graph; each link has a capacity (bits/second), a propagation latency, and
 //! an optional *background load* that models competing traffic injected by the
-//! experiment's bandwidth-competition program.
+//! experiment's bandwidth-competition program. A topology is built once and
+//! never changes after: these are the links' *nominal* values, and a
+//! [`Network`](crate::network::Network) over it keeps the live ones.
 //!
 //! **Routing: one tree per gateway class.** [`PathTable`] routes every path
 //! by the lexicographic `(latency, hops)` Dijkstra of the source, and builds
@@ -91,12 +93,6 @@ pub struct Link {
 }
 
 impl Link {
-    /// Capacity left over after background competition, never below a small
-    /// positive floor so transfers always make progress.
-    pub fn effective_capacity_bps(&self) -> f64 {
-        (self.capacity_bps - self.background_bps).max(1.0)
-    }
-
     /// The endpoint opposite `node`, if `node` is an endpoint.
     pub fn other_end(&self, node: NodeId) -> Option<NodeId> {
         if self.a == node {
@@ -220,13 +216,6 @@ impl Topology {
         self.links.get(id.0).ok_or(TopologyError::UnknownLink(id.0))
     }
 
-    /// Mutable access to a link (used to adjust background load).
-    pub fn link_mut(&mut self, id: LinkId) -> Result<&mut Link, TopologyError> {
-        self.links
-            .get_mut(id.0)
-            .ok_or(TopologyError::UnknownLink(id.0))
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -247,9 +236,10 @@ impl Topology {
         self.links.iter().enumerate().map(|(i, l)| (LinkId(i), l))
     }
 
-    /// Sets the competing background load on a link.
+    /// Sets the competing background load a link is built with.
     pub fn set_background_load(&mut self, id: LinkId, bps: f64) -> Result<(), TopologyError> {
-        self.link_mut(id)?.background_bps = bps.max(0.0);
+        let link = self.links.get_mut(id.0);
+        link.ok_or(TopologyError::UnknownLink(id.0))?.background_bps = bps.max(0.0);
         Ok(())
     }
 
@@ -418,11 +408,11 @@ type ClassKey = (usize, u64, usize);
 ///
 /// Paths depend only on the graph structure and link latencies, neither of
 /// which changes after construction ([`Network`](crate::network::Network)
-/// mutates capacities and background loads only), so the cache never needs
-/// invalidation; callers that do restructure a topology must build a fresh
-/// table. Paths are shortest by cumulative latency, ties broken by hop
-/// count, and bit-identical to the per-query reference Dijkstra this
-/// module's tests hold them to — same metric, same tie-breaks.
+/// keeps live capacities and background loads of its own), so the cache
+/// never needs invalidation; a table serves one topology. Paths are
+/// shortest by cumulative latency, ties broken by hop count, and
+/// bit-identical to the per-query reference Dijkstra this module's tests
+/// hold them to — same metric, same tie-breaks.
 #[derive(Debug, Default)]
 pub struct PathTable {
     /// Per source node: the index of its class's tree in `trees`,
@@ -816,16 +806,25 @@ mod tests {
         ));
     }
 
+    /// A network over the topology starts from the background load it was
+    /// built with: a probe across the link gets what that load leaves.
     #[test]
     fn background_load_reduces_effective_capacity() {
         let (mut t, h1, r1, ..) = simple_topology();
         let link = t.link_between(h1, r1).unwrap();
         t.set_background_load(link, 8e6).unwrap();
-        let l = t.link(link).unwrap();
-        assert!((l.effective_capacity_bps() - 2e6).abs() < 1.0);
+        assert_eq!(t.link(link).unwrap().background_bps, 8e6);
+        let probe = |t: &Topology| {
+            let net = crate::network::Network::new(t.clone());
+            net.available_bandwidth(h1, r1).unwrap()
+        };
+        assert!((probe(&t) - 2e6).abs() < 1.0);
         // Background above capacity floors at a tiny positive value.
         t.set_background_load(link, 20e6).unwrap();
-        assert!(t.link(link).unwrap().effective_capacity_bps() >= 1.0);
+        assert_eq!(probe(&t), 1.0);
+        // A negative load is no load.
+        t.set_background_load(link, -5e6).unwrap();
+        assert_eq!(t.link(link).unwrap().background_bps, 0.0);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! scenarios — random topologies, flow churn (starts, cancellations,
 //! completions), and fault mutations (link cuts/degrades, node outages,
 //! background competition) — while independently reconstructing the
-//! allocator's inputs from public state and solving them with the retained
-//! reference implementation. Every rate and every probe must match
-//! **bit-identically** at every step; this is the invariant that keeps the
-//! refactored simulation core byte-compatible with the original. Covered
+//! allocator's inputs from the scenario's own record of what it built and
+//! set, and solving them with the retained reference implementation. Every
+//! rate and every probe must match **bit-identically** at every step; this
+//! is the invariant that keeps the refactored simulation core
+//! byte-compatible with the original. Covered
 //! solves — a start, a retire or a probe solving only its row's component —
 //! are held to a full solve and to the reference on allocator scripts whose
 //! summed bounds land on a slot's capacity, and through `Network` with
@@ -67,18 +68,38 @@ fn random_topology(seed: u64, routers: usize, hosts: usize) -> (Topology, Vec<No
     (topo, host_ids)
 }
 
-/// The reference's view of the network: effective capacities from public
-/// topology state plus the down-node floor.
-fn reference_capacities(net: &Network) -> HashMap<LinkId, f64> {
-    net.topology()
-        .links()
-        .map(|(id, l)| {
-            let capacity = if net.node_is_down(l.a) || net.node_is_down(l.b) {
+/// The link state a scenario set, by link id: the capacities and background
+/// loads it built its topology with, then every mutation it applied. The
+/// reference reads this, never the network's own copy.
+struct LinkRecord {
+    ends: Vec<(NodeId, NodeId)>,
+    capacity: Vec<f64>,
+    background: Vec<f64>,
+}
+
+impl LinkRecord {
+    fn of(topo: &Topology) -> LinkRecord {
+        let links = || topo.links().map(|(_, l)| l);
+        LinkRecord {
+            ends: links().map(|l| (l.a, l.b)).collect(),
+            capacity: links().map(|l| l.capacity_bps).collect(),
+            background: links().map(|l| l.background_bps).collect(),
+        }
+    }
+}
+
+/// The reference's view of the network: effective capacities from the
+/// scenario's record plus the down-node floor.
+fn reference_capacities(net: &Network, record: &LinkRecord) -> HashMap<LinkId, f64> {
+    (0..record.ends.len())
+        .map(|i| {
+            let (a, b) = record.ends[i];
+            let capacity = if net.node_is_down(a) || net.node_is_down(b) {
                 1.0
             } else {
-                l.effective_capacity_bps()
+                (record.capacity[i] - record.background[i]).max(1.0)
             };
-            (id, capacity)
+            (LinkId(i), capacity)
         })
         .collect()
 }
@@ -103,10 +124,11 @@ fn reference_demands(net: &Network, ledger: &[(TransferId, NodeId, NodeId)]) -> 
 /// match the reference solver bit-for-bit.
 fn assert_reference_agreement(
     net: &Network,
+    record: &LinkRecord,
     ledger: &[(TransferId, NodeId, NodeId)],
     probe: (NodeId, NodeId),
 ) {
-    let capacities = reference_capacities(net);
+    let capacities = reference_capacities(net, record);
     let demands = reference_demands(net, ledger);
     let expected = max_min_fair_rates(&capacities, &demands);
     for demand in &demands {
@@ -147,7 +169,8 @@ fn assert_reference_agreement(
 fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usize) {
     let (topo, host_ids) = random_topology(seed, routers, hosts);
     let links: Vec<LinkId> = topo.links().map(|(id, _)| id).collect();
-    let nominal: Vec<f64> = topo.links().map(|(_, l)| l.capacity_bps).collect();
+    let mut record = LinkRecord::of(&topo);
+    let nominal = record.capacity.clone();
     let mut net = Network::new(topo);
     let mut rng = SimRng::seed_from_u64(seed).derive(99);
     let mut ledger: Vec<(TransferId, NodeId, NodeId)> = Vec::new();
@@ -174,7 +197,8 @@ fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usiz
             3 => {
                 let link = links[rng.index(links.len())];
                 let factor = [0.0, 0.1, 0.5, 1.0][rng.index(4)];
-                net.set_link_capacity(now, link, nominal[link.0] * factor)
+                record.capacity[link.0] = nominal[link.0] * factor;
+                net.set_link_capacity(now, link, record.capacity[link.0])
                     .unwrap();
             }
             4 => {
@@ -183,14 +207,15 @@ fn run_equivalence_scenario(seed: u64, routers: usize, hosts: usize, steps: usiz
             }
             _ => {
                 let link = links[rng.index(links.len())];
-                net.set_background_on_link(now, link, rng.uniform_range(0.0, 8.0e6))
+                record.background[link.0] = rng.uniform_range(0.0, 8.0e6);
+                net.set_background_on_link(now, link, record.background[link.0])
                     .unwrap();
             }
         }
         net.poll_completions_into(now, &mut Vec::new());
         let probe_src = host_ids[rng.index(host_ids.len())];
         let probe_dst = host_ids[rng.index(host_ids.len())];
-        assert_reference_agreement(&net, &ledger, (probe_src, probe_dst));
+        assert_reference_agreement(&net, &record, &ledger, (probe_src, probe_dst));
     }
 }
 
@@ -353,6 +378,7 @@ fn grouped_epochs_match_reference_and_hand_counts() {
     let s0 = host("s0", r1, 10.0e6);
     let s1 = host("s1", r1, 10.0e6);
 
+    let record = LinkRecord::of(&topo);
     let mut net = Network::new(topo);
     let mut ledger = Vec::new();
     let now = SimTime::from_secs(0.5);
@@ -362,7 +388,7 @@ fn grouped_epochs_match_reference_and_hand_counts() {
             src,
             dst,
         ));
-        assert_reference_agreement(net, &ledger, (s1, a[3]));
+        assert_reference_agreement(net, &record, &ledger, (s1, a[3]));
     };
     // Live transfers' rates, in start order.
     let assert_rates = |net: &Network, expected: &[f64]| {
@@ -394,7 +420,7 @@ fn grouped_epochs_match_reference_and_hand_counts() {
     assert_rates(&net, &[1.0e6, 1.0e6, 1.0e6, 1.0e6, 5.0e6, 1.0e6, 1.0e6]);
     // One leaves: the core splits five ways and s0's link has more to spare.
     assert!(net.cancel_transfer(now, ledger[1].0).unwrap());
-    assert_reference_agreement(&net, &ledger, (a[1], s0));
+    assert_reference_agreement(&net, &record, &ledger, (a[1], s0));
     assert_rates(&net, &[1.2e6, 1.2e6, 1.2e6, 5.2e6, 1.2e6, 1.2e6]);
 }
 
@@ -416,6 +442,7 @@ fn an_epoch_that_undoes_the_last_start_matches_reference() {
             h
         })
         .collect();
+    let record = LinkRecord::of(&topo);
     let mut net = Network::new(topo);
     let start = |net: &mut Network, src: usize, bytes: f64, at: f64| {
         let id = net.start_transfer(SimTime::from_secs(at), hosts[src], hosts[3], bytes, 0);
@@ -433,20 +460,20 @@ fn an_epoch_that_undoes_the_last_start_matches_reference() {
     let before = long_rates(&net, &ledger);
     ledger.push(start(&mut net, 2, 1.0e4, 1.0));
     assert_ne!(before, long_rates(&net, &ledger));
-    assert_reference_agreement(&net, &ledger, (hosts[0], hosts[3]));
+    assert_reference_agreement(&net, &record, &ledger, (hosts[0], hosts[3]));
     assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (3, 3));
     let mut done = Vec::new();
     net.poll_completions_into(SimTime::from_secs(1.5), &mut done);
     assert_eq!(done.len(), 1);
     assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (4, 3));
-    assert_reference_agreement(&net, &ledger, (hosts[1], hosts[3]));
+    assert_reference_agreement(&net, &record, &ledger, (hosts[1], hosts[3]));
     assert_eq!(before, long_rates(&net, &ledger));
     // Retiring a transfer whose start did not open the last epoch solves.
     assert!(net
         .cancel_transfer(SimTime::from_secs(2.0), ledger[0].0)
         .unwrap());
     assert_eq!((net.rate_epoch_count(), net.rate_solve_count()), (5, 4));
-    assert_reference_agreement(&net, &ledger, (hosts[2], hosts[3]));
+    assert_reference_agreement(&net, &record, &ledger, (hosts[2], hosts[3]));
 }
 
 /// Fleet-shaped demand sets: each client is the only row on its access link
@@ -777,6 +804,7 @@ fn run_probe_interleaving(seed: u64, steps: usize) {
             hosts.push(host);
         }
     }
+    let record = LinkRecord::of(&topo);
     let mut net = Network::new(topo);
     let mut ledger: Vec<(TransferId, NodeId, NodeId)> = Vec::new();
     let mut clock = 0.0;
@@ -802,7 +830,7 @@ fn run_probe_interleaving(seed: u64, steps: usize) {
         }
         net.poll_completions_into(now, &mut Vec::new());
         let probe = pair(&mut rng);
-        assert_reference_agreement(&net, &ledger, probe);
+        assert_reference_agreement(&net, &record, &ledger, probe);
     }
 }
 
