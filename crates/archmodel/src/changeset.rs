@@ -237,7 +237,8 @@ mod tests {
                 let group = format!("ServerGrp{}", (home - 1) % groups + 1);
                 Style::add_clients(&mut sys, [(client, group)]).unwrap();
             } else {
-                Style::add_client(&mut sys, &client).unwrap();
+                let names = crate::style::ClientNames::new();
+                Style::add_client(&mut sys, crate::Key::new(&client), names).unwrap();
             }
         }
         if spare_connector {

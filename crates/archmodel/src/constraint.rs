@@ -89,12 +89,12 @@ pub struct Violation {
 pub struct CheckReport {
     /// Constraints that evaluated to false.
     pub violations: Vec<Violation>,
-    /// Constraints that could not be evaluated (e.g. a gauge has not yet
-    /// reported the property). These are *not* treated as violations. Each
-    /// is a three-word value of interned names, rendered to its report line
-    /// only by `Display`, so neither a check nor a replay formats or copies
-    /// text for one.
-    pub errors: Vec<CheckError>,
+    /// How many pairs could not be evaluated (e.g. a gauge has not yet
+    /// reported the property). These are *not* treated as violations, and
+    /// nothing in the control loop reads which ones they were, so a check
+    /// only counts them: [`ConstraintSet::check_errors`] and
+    /// [`IncrementalChecker::errors`] list them, in sweep order, on request.
+    pub error_count: usize,
     /// How many (invariant, element) pairs were actually evaluated.
     pub evaluated: usize,
     /// How many (invariant, element) pairs were pruned by the dirty set and
@@ -110,7 +110,8 @@ impl CheckReport {
     }
 }
 
-/// An (invariant, subject) pair that could not be evaluated.
+/// An (invariant, subject) pair that could not be evaluated: a three-word
+/// value of interned names, rendered to its report line only by `Display`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckError {
     /// Name of the invariant.
@@ -181,17 +182,31 @@ impl ConstraintSet {
     /// Checks every invariant against the system.
     pub fn check(&self, system: &System) -> CheckReport {
         let mut report = CheckReport::default();
-        for invariant in &self.invariants {
-            self.check_one(invariant, system, &mut report);
-        }
+        self.sweep(system, |_, outcome| {
+            report.evaluated += 1;
+            outcome.append_to(&mut report);
+        });
         report
     }
 
-    fn check_one(&self, invariant: &Invariant, system: &System, report: &mut CheckReport) {
-        let name = Key::new(&invariant.name);
-        for subject in subjects_of(invariant, system) {
-            report.evaluated += 1;
-            evaluate_pair(invariant, system, subject).append_to(name, report);
+    /// The pairs a full check counts in
+    /// [`error_count`](CheckReport::error_count), in sweep order.
+    pub fn check_errors(&self, system: &System) -> Vec<CheckError> {
+        let mut errors = Vec::new();
+        self.sweep(system, |invariant, outcome| {
+            errors.extend(outcome.error(invariant));
+        });
+        errors
+    }
+
+    /// Evaluates every (invariant, subject) pair in sweep order, handing
+    /// each outcome to `visit` with the invariant's interned name.
+    fn sweep(&self, system: &System, mut visit: impl FnMut(Key, PairOutcome)) {
+        for invariant in &self.invariants {
+            let name = Key::new(&invariant.name);
+            for subject in subjects_of(invariant, system) {
+                visit(name, evaluate_pair(invariant, system, subject));
+            }
         }
     }
 }
@@ -236,14 +251,22 @@ enum PairOutcome {
 }
 
 impl PairOutcome {
-    fn append_to(&self, invariant: Key, report: &mut CheckReport) {
+    fn append_to(&self, report: &mut CheckReport) {
         match self {
             PairOutcome::Holds => {}
             PairOutcome::Violated(v) => report.violations.push(Violation::clone(v)),
-            PairOutcome::Error(cause) => report.errors.push(CheckError {
+            PairOutcome::Error(_) => report.error_count += 1,
+        }
+    }
+
+    /// The error this outcome is, paired with its invariant.
+    fn error(&self, invariant: Key) -> Option<CheckError> {
+        match self {
+            PairOutcome::Error(cause) => Some(CheckError {
                 invariant,
                 cause: cause.clone(),
             }),
+            _ => None,
         }
     }
 }
@@ -302,10 +325,11 @@ struct InvariantState {
 /// Drains the system's change journal on each check and re-evaluates only
 /// the (invariant, element) pairs whose read-set intersects the dirty set;
 /// every other pair replays its cached outcome in the original sweep order,
-/// so the produced [`CheckReport`] — violations, errors, and their order —
-/// is byte-identical to `ConstraintSet::check` on the same model. Structural
-/// model changes (or a constraint-set change) conservatively invalidate the
-/// cache and trigger a full re-scan.
+/// so the produced [`CheckReport`] — its violations, in order, and its error
+/// count — equals `ConstraintSet::check`'s on the same model, and
+/// [`errors`](Self::errors) lists what `ConstraintSet::check_errors` would.
+/// Structural model changes (or a constraint-set change) conservatively
+/// invalidate the cache and trigger a full re-scan.
 ///
 /// Soundness rests on every model mutation between checks going through the
 /// journaled paths (`System::set_property` and friends, the change-op
@@ -353,7 +377,7 @@ impl IncrementalChecker {
             for subject in subjects {
                 report.evaluated += 1;
                 let outcome = evaluate_pair(invariant, system, subject);
-                outcome.append_to(name, &mut report);
+                outcome.append_to(&mut report);
                 pairs.push(PairState { subject, outcome });
             }
             self.invariants.push(InvariantState {
@@ -400,10 +424,20 @@ impl IncrementalChecker {
                 } else {
                     report.skipped += 1;
                 }
-                pair.outcome.append_to(state.name, &mut report);
+                pair.outcome.append_to(&mut report);
             }
         }
         report
+    }
+
+    /// The errors the last check counted, in sweep order, from the cache:
+    /// the list [`ConstraintSet::check_errors`] gives on the same model.
+    pub fn errors(&self) -> Vec<CheckError> {
+        let errors = self.invariants.iter().flat_map(|state| {
+            let pairs = state.pairs.iter();
+            pairs.filter_map(|pair| pair.outcome.error(state.name))
+        });
+        errors.collect()
     }
 }
 
@@ -443,7 +477,8 @@ mod tests {
         let report = set.check(&sys);
         assert!(report.is_clean());
         assert_eq!(report.evaluated, 3);
-        assert!(report.errors.is_empty());
+        assert_eq!(report.error_count, 0);
+        assert!(set.check_errors(&sys).is_empty());
     }
 
     #[test]
@@ -484,8 +519,10 @@ mod tests {
         let set = ConstraintSet::new().with(latency_invariant());
         let report = set.check(&sys);
         assert!(report.violations.is_empty());
-        assert_eq!(report.errors.len(), 1);
-        assert!(report.errors[0].to_string().contains("averageLatency"));
+        assert_eq!(report.error_count, 1);
+        let errors = set.check_errors(&sys);
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].to_string().contains("averageLatency"));
     }
 
     #[test]
@@ -537,7 +574,8 @@ mod tests {
         assert_eq!(steady.evaluated, 0);
         assert_eq!(steady.skipped, 3);
         assert_eq!(steady.violations, first.violations);
-        assert_eq!(steady.errors, first.errors);
+        assert_eq!(steady.error_count, first.error_count);
+        assert_eq!(checker.errors(), set.check_errors(&sys));
 
         // One client's latency changes: only its pair re-evaluates, and the
         // report still matches a full sweep exactly.
@@ -553,7 +591,8 @@ mod tests {
         assert_eq!(incremental.skipped, 2);
         let full = set.check(&sys);
         assert_eq!(incremental.violations, full.violations);
-        assert_eq!(incremental.errors, full.errors);
+        assert_eq!(incremental.error_count, full.error_count);
+        assert_eq!(checker.errors(), set.check_errors(&sys));
         assert_eq!(incremental.evaluated + incremental.skipped, full.evaluated);
         assert_eq!(incremental.violations[0].subject_name, "User3");
     }
@@ -574,13 +613,16 @@ mod tests {
         let mut checker = IncrementalChecker::new();
         let first = checker.check(&set, &mut sys);
         assert_eq!(first.violations.len(), 1);
-        assert_eq!(first.errors.len(), 1);
+        assert_eq!(first.error_count, 1);
+        let errors = checker.errors();
+        assert_eq!(errors, set.check_errors(&sys));
         // Steady state: the violation and the error are replayed from cache
         // in their original order, byte for byte.
         let steady = checker.check(&set, &mut sys);
         assert_eq!(steady.evaluated, 0);
         assert_eq!(steady.violations, first.violations);
-        assert_eq!(steady.errors, first.errors);
+        assert_eq!(steady.error_count, 1);
+        assert_eq!(checker.errors(), errors);
     }
 
     #[test]
@@ -740,9 +782,10 @@ mod tests {
         for (invariant, subject, line) in cases {
             let mut report = CheckReport::default();
             let name = Key::new(&invariant.name);
-            evaluate_pair(&invariant, &sys, subject).append_to(name, &mut report);
-            assert_eq!(report.errors.len(), 1, "{line}");
-            assert_eq!(report.errors[0].to_string(), line);
+            let outcome = evaluate_pair(&invariant, &sys, subject);
+            outcome.append_to(&mut report);
+            assert_eq!(report.error_count, 1, "{line}");
+            assert_eq!(outcome.error(name).expect(line).to_string(), line);
         }
     }
 }

@@ -31,6 +31,14 @@
 //! its cell. Equality and hashing use the cell's address, which is as
 //! unique to the name as the string's was.
 //!
+//! Every production map in the workspace hashes with `rustc_hash`'s Fx
+//! hasher, the interner's own table included. A `Key` feeds it the cell's
+//! address, one word, so hashing a key is one multiply. The cells are 16
+//! bytes apart, so those words all end in the same four bits; the hasher's
+//! `finish` rotates its product so that a map's bucket, taken from the
+//! hash's low bits, is chosen by the product's well-mixed high bits instead
+//! (`tests::consecutive_keys_spread_over_a_maps_buckets`).
+//!
 //! Interned strings are leaked intentionally. The table is bounded by the
 //! number of *distinct* names a process meets, never by how often it meets
 //! them: element and property names are few and stable (a few per element),
@@ -38,7 +46,7 @@
 //! emitters write. Freeing them would need a count per handle, which is the
 //! cost interning exists to remove, so the table is an append-only arena.
 
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
@@ -56,7 +64,7 @@ const CHUNK: usize = 64;
 struct Interner {
     /// Each name's key, under the name itself: a lookup compares the string
     /// without first loading the key's cell.
-    table: HashMap<&'static str, Key>,
+    table: FxHashMap<&'static str, Key>,
     /// The unused rest of the newest chunk.
     free: &'static mut [&'static str],
 }
@@ -211,11 +219,29 @@ mod tests {
 
     #[test]
     fn hashing_is_usable_in_maps() {
-        let mut map = std::collections::HashMap::new();
+        let mut map = FxHashMap::default();
         map.insert(Key::new("x"), 1);
         map.insert(Key::new("y"), 2);
         assert_eq!(map.get(&Key::new("x")), Some(&1));
         assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn consecutive_keys_spread_over_a_maps_buckets() {
+        // Keys interned one after another sit in neighbouring cells, 16
+        // bytes apart. A map of `N` buckets keeps the hash's low bits: a
+        // `finish` that returned the raw product would end every hash in
+        // the same four bits and reach at most `N / 16` buckets.
+        use std::hash::BuildHasher;
+        const N: usize = 1024;
+        let keys: Vec<Key> = (0..N)
+            .map(|i| Key::new(&format!("key-test-spread-{i:04}")))
+            .collect();
+        let buckets: rustc_hash::FxHashSet<u64> = keys
+            .iter()
+            .map(|key| rustc_hash::FxBuildHasher.hash_one(key) & (N as u64 - 1))
+            .collect();
+        assert!(buckets.len() >= N / 2, "{} of {N} buckets", buckets.len());
     }
 
     #[test]

@@ -13,7 +13,8 @@ use crate::element::{Component, ComponentId, ConnectorId, ElementRef, PortId, Ro
 use crate::key::Key;
 use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::BTreeSet;
 
 /// Component type for users/clients.
 pub const CLIENT_T: &str = "ClientT";
@@ -96,13 +97,35 @@ impl std::fmt::Display for StyleViolation {
 /// A client move resolved by [`ClientServerStyle::resolve_move`] and not
 /// yet applied.
 #[derive(Debug)]
-pub struct ResolvedMove<'a> {
+pub struct ResolvedMove {
     group: ComponentId,
     /// Each member the model has, once, with its `request` port, in list
     /// order.
-    members: Vec<(&'a String, PortId)>,
+    members: Vec<(Key, PortId)>,
     /// The roles the move deletes.
     stale: Vec<RoleId>,
+}
+
+/// The style's names that every client deployment writes: the client's
+/// type, its request port's name and type, and its role's type, interned
+/// once by whoever deploys many clients.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClientNames {
+    client_t: Key,
+    port: Key,
+    port_t: Key,
+    role_t: Key,
+}
+
+impl ClientNames {
+    pub(crate) fn new() -> ClientNames {
+        ClientNames {
+            client_t: Key::new(CLIENT_T),
+            port: Key::new(ClientServerStyle::CLIENT_PORT),
+            port_t: Key::new(REQUEST_PORT_T),
+            role_t: Key::new(CLIENT_ROLE_T),
+        }
+    }
 }
 
 /// The client/server-with-replicated-server-groups style.
@@ -115,11 +138,16 @@ impl ClientServerStyle {
     /// The standard name of the serve port created on server groups.
     pub const GROUP_PORT: &'static str = "serve";
 
-    /// Adds a client component with its request port.
-    pub fn add_client(system: &mut System, name: &str) -> Result<ComponentId, ModelError> {
-        let id = system.add_component(name, CLIENT_T)?;
-        system.add_port(id, Self::CLIENT_PORT, REQUEST_PORT_T)?;
-        Ok(id)
+    /// Adds the client `name` with its request port, both typed and named
+    /// by the pre-interned `names`.
+    pub(crate) fn add_client(
+        system: &mut System,
+        name: Key,
+        names: ClientNames,
+    ) -> Result<(ComponentId, PortId), ModelError> {
+        let id = system.add_component(name, names.client_t)?;
+        let port = system.add_port(id, names.port, names.port_t)?;
+        Ok((id, port))
     }
 
     /// The name of a server group's service connector.
@@ -252,35 +280,37 @@ impl ClientServerStyle {
 
     /// Gives `client` its `{client}.role` on `conn`, attached to `port`. The
     /// role name is formatted in `name`, so a caller connecting many clients
-    /// reuses one buffer.
+    /// reuses one buffer, and its type is the pre-interned `role_t`.
     fn attach_client(
         system: &mut System,
         conn: ConnectorId,
-        client: &str,
-        port: PortId,
+        (client, port): (Key, PortId),
+        role_t: Key,
         name: &mut String,
     ) -> Result<(), ModelError> {
         name.clear();
-        name.push_str(client);
+        name.push_str(client.as_str());
         name.push_str(".role");
-        let role = system.add_role(conn, name.as_str(), CLIENT_ROLE_T)?;
+        let role = system.add_role(conn, name.as_str(), role_t)?;
         system.attach(port, role)
     }
 
     /// Adds each `(client, group)` client with its request port and connects
     /// it, in order, to its server group through the group's service
     /// connector, with a client role named after the client. A group's
-    /// connector is resolved (or created) at its first client only, and every
-    /// role name is formatted in one buffer.
+    /// connector is resolved (or created) at its first client only, every
+    /// role name is formatted in one buffer, and the style's own names are
+    /// interned once per call: a client costs the interning of its role's
+    /// name, and of its own when the caller passes text rather than a `Key`.
     pub fn add_clients<C: Into<Key>, G: Into<Key>>(
         system: &mut System,
         clients: impl IntoIterator<Item = (C, G)>,
     ) -> Result<(), ModelError> {
-        let (mut connectors, mut role_name) = (HashMap::new(), String::new());
+        let (mut connectors, mut role_name) = (FxHashMap::default(), String::new());
+        let names = ClientNames::new();
         for (client, group) in clients {
             let (client, group): (Key, Key) = (client.into(), group.into());
-            let id = Self::add_client(system, client.as_str())?;
-            let port = Self::port_named(system, id, Self::CLIENT_PORT)?;
+            let (_, port) = Self::add_client(system, client, names)?;
             let conn = match connectors.get(&group) {
                 Some(conn) => *conn,
                 None => {
@@ -289,7 +319,7 @@ impl ClientServerStyle {
                     *connectors.entry(group).or_insert(conn)
                 }
             };
-            Self::attach_client(system, conn, client.as_str(), port, &mut role_name)?;
+            Self::attach_client(system, conn, (client, port), names.role_t, &mut role_name)?;
         }
         Ok(())
     }
@@ -313,11 +343,11 @@ impl ClientServerStyle {
     /// role) without touching the model, and fails exactly when applying the
     /// move would. A planner that writes the move for a later commit calls it
     /// to keep the checks applying the move makes.
-    pub fn resolve_move<'a>(
+    pub fn resolve_move(
         system: &System,
-        clients: &'a [String],
+        clients: &[String],
         to_group: &str,
-    ) -> Result<ResolvedMove<'a>, ModelError> {
+    ) -> Result<ResolvedMove, ModelError> {
         let group = Self::typed_component(system, to_group, SERVER_GROUP_T)?;
         let mut members = Vec::with_capacity(clients.len());
         let mut stale = Vec::with_capacity(clients.len());
@@ -339,7 +369,7 @@ impl ClientServerStyle {
                 taken.insert(old_role.0);
                 stale.push(old_role);
             }
-            members.push((client, port));
+            members.push((system.component(id)?.name, port));
         }
         // The group's serve port is the last lookup that can fail, and only
         // when its connector does not exist yet.
@@ -372,9 +402,9 @@ impl ClientServerStyle {
         let conn = Self::service_connector(system, group)?;
         // Removing the stale roles also removes the attachments through them.
         system.remove_roles(&stale)?;
-        let mut name = String::new();
-        for (client, port) in members {
-            Self::attach_client(system, conn, client, port, &mut name)?;
+        let (mut name, role_t) = (String::new(), Key::new(CLIENT_ROLE_T));
+        for member in members {
+            Self::attach_client(system, conn, member, role_t, &mut name)?;
         }
         Ok(())
     }
@@ -415,7 +445,7 @@ impl ClientServerStyle {
         // 5 both need this per connector; resolving it per *client*
         // (thousands of which share one service connector) would rescan the
         // shared connector's role list every time.
-        let groups_of_conn: HashMap<ConnectorId, usize> = system
+        let groups_of_conn: FxHashMap<ConnectorId, usize> = system
             .connectors()
             .map(|(id, _)| {
                 let attached = system.components_attached_to_connector(id).into_iter();
@@ -503,7 +533,7 @@ impl ClientServerStyle {
     pub fn script_violations(system: &System, ops: &[ModelOp]) -> Vec<StyleViolation> {
         // The servers added and not removed again, with their groups; the
         // model's servers removed; and the groups a removal touches.
-        let (mut added, mut removed) = (HashMap::new(), HashSet::new());
+        let (mut added, mut removed) = (FxHashMap::default(), FxHashSet::default());
         let (mut touched, component) = (BTreeSet::new(), |id| system.component(id).ok());
         for op in ops {
             match op {
@@ -623,7 +653,7 @@ mod tests {
     #[test]
     fn disconnected_client_is_a_style_violation() {
         let mut sys = ClientServerStyle::example_system("storage", 1, 1, 1).unwrap();
-        ClientServerStyle::add_client(&mut sys, "Loner").unwrap();
+        ClientServerStyle::add_client(&mut sys, Key::new("Loner"), ClientNames::new()).unwrap();
         let violations = ClientServerStyle::validate(&sys);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].subject, "Loner");

@@ -8,7 +8,8 @@ use crate::element::{
 use crate::key::Key;
 use crate::property::PropertyMap;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use rustc_hash::FxHashMap;
+use std::collections::BTreeSet;
 
 /// The batch of changes accumulated since the previous
 /// [`System::drain_changes`] call, tagged with the epoch it covers.
@@ -239,14 +240,14 @@ pub struct System {
     /// One row per id handed out (see [`SLOT`] and the columns after it):
     /// its length is the next id.
     index: Vec<[u32; 5]>,
-    component_names: HashMap<Key, ComponentId>,
-    connector_names: HashMap<Key, ConnectorId>,
+    component_names: FxHashMap<Key, ComponentId>,
+    connector_names: FxHashMap<Key, ConnectorId>,
     /// First (lowest-id) role carrying each name plus how many roles carry
     /// it — role names are not enforced unique, and lookups keep the
     /// historic first-match semantics. The count makes removal O(1) for
     /// unique names (the overwhelmingly common case); a promotion scan runs
     /// only when duplicates actually exist.
-    role_names: HashMap<Key, (RoleId, u32)>,
+    role_names: FxHashMap<Key, (RoleId, u32)>,
     /// The change journal feeding incremental constraint checking: the
     /// batch [`drain_changes`](Self::drain_changes) hands out next. Every
     /// property write that goes through the model-update path (the journaled
@@ -947,14 +948,14 @@ pub(crate) mod tests {
                 errors.push(format!("{name} differs from its rebuild"));
             }
         };
-        let component_names: HashMap<Key, ComponentId> =
+        let component_names: FxHashMap<Key, ComponentId> =
             sys.components().map(|(id, c)| (c.name, id)).collect();
         check("component_names", component_names == sys.component_names);
-        let connector_names: HashMap<Key, ConnectorId> =
+        let connector_names: FxHashMap<Key, ConnectorId> =
             sys.connectors().map(|(id, c)| (c.name, id)).collect();
         check("connector_names", connector_names == sys.connector_names);
         // Ascending id order: the first role seen under a name is the lowest.
-        let mut role_names: HashMap<Key, (RoleId, u32)> = HashMap::new();
+        let mut role_names: FxHashMap<Key, (RoleId, u32)> = FxHashMap::default();
         for (id, role) in sys.roles() {
             role_names.entry(role.name).or_insert((id, 0)).1 += 1;
         }

@@ -15,8 +15,8 @@ use archmodel::constraint::Violation;
 use archmodel::{Key, ModelError};
 use gridapp::AppError;
 use repair::RepairPlan;
+use rustc_hash::FxHashMap;
 use simnet::SimTime;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use tracestore::{EventKind, EventRef};
@@ -180,7 +180,7 @@ impl RunLog {
     /// correlation id.
     fn repairs(&self) -> (RepairStats, Vec<(SimTime, SimTime)>) {
         let mut stats = RepairStats::default();
-        let (mut starts, mut first_end) = (Vec::new(), HashMap::new());
+        let (mut starts, mut first_end) = (Vec::new(), FxHashMap::default());
         for entry in &self.entries {
             match entry.occurrence {
                 Occurrence::RepairStarted { correlation, .. } => {

@@ -10,7 +10,7 @@ use archmodel::style::{props, ClientServerStyle};
 use archmodel::{ElementRef, ModelError, System, Value};
 use gridapp::GridApp;
 use monitoring::GaugeReading;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Builds the architectural model describing the application's current
 /// deployment, and the mapping from model server names
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 pub fn build_model(
     app: &GridApp,
     profile: &PerformanceProfile,
-) -> Result<(System, HashMap<String, String>), ModelError> {
+) -> Result<(System, FxHashMap<String, String>), ModelError> {
     let mut model = System::new("storage-infrastructure");
     profile.apply_to(&mut model);
     // The liveness invariant tolerates no dead replicas.
@@ -27,7 +27,7 @@ pub fn build_model(
     // a queue of at most one request counts as underutilised.
     model.properties.set(props::UNDERUTILISED_LOAD, 1.0);
 
-    let mut server_map = HashMap::new();
+    let mut server_map = FxHashMap::default();
     for group_name in app.group_names() {
         let runtime_servers = app.active_servers(&group_name);
         let group =
@@ -136,7 +136,7 @@ mod tests {
     use super::*;
     use gridapp::GridConfig;
 
-    fn setup() -> (System, HashMap<String, String>) {
+    fn setup() -> (System, FxHashMap<String, String>) {
         let app = GridApp::build(GridConfig::default()).unwrap();
         build_model(&app, &PerformanceProfile::default()).unwrap()
     }

@@ -20,8 +20,9 @@ use gridapp::{
 use monitoring::gauge::load_gauge_group;
 use monitoring::{Gauge, GaugeId, GaugeReading, Key, MonitoringPipeline, ProbeEvent, TopicKind};
 use planner::{ClassIndex, Rep, RepTable};
+use rustc_hash::{FxHashMap, FxHashSet};
 use simnet::SimTime;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Sliding window of the per-client latency gauges (seconds).
 const LATENCY_WINDOW_SECS: f64 = 30.0;
@@ -148,7 +149,7 @@ impl Monitor {
         &mut self,
         now: SimTime,
         app: &GridApp,
-        server_map: &HashMap<String, String>,
+        server_map: &FxHashMap<String, String>,
     ) {
         let t = now.as_secs();
         let watched = self.watched(app, None);
@@ -202,7 +203,7 @@ impl Monitor {
                     .is_ok()
             })
         };
-        let mut deployed: HashSet<GaugeId> = HashSet::new();
+        let mut deployed: FxHashSet<GaugeId> = FxHashSet::default();
         self.pipeline.delete_where(|id| {
             if !watches_a_client(id) {
                 return false;
@@ -368,7 +369,7 @@ mod tests {
         let config = FrameworkConfig::qos_monitoring();
         let mut monitor = Monitor::new(&app, &config);
         let replica = "ServerGrp1.Server1";
-        let server_map = HashMap::from([(replica.to_string(), "S1".to_string())]);
+        let server_map = FxHashMap::from_iter([(replica.to_string(), "S1".to_string())]);
         monitor.deploy(SimTime::ZERO, &app, &server_map);
         let is_alive = |monitor: &mut Monitor, app: &mut GridApp, secs: f64| {
             let t = SimTime::from_secs(secs);
@@ -397,7 +398,7 @@ mod tests {
         // fleet-scale roster on a testbed a debug build can afford.
         let table = RepTable::new(ClassIndex::build(app.testbed()));
         let mut monitor = Monitor::with_policy(Policy::Representatives(table), &config);
-        monitor.deploy(SimTime::ZERO, &app, &HashMap::new());
+        monitor.deploy(SimTime::ZERO, &app, &FxHashMap::default());
         assert_roster_is_the_watched_set(&mut monitor, &app, "deployed");
 
         let index = ClassIndex::build(app.testbed());
@@ -406,14 +407,14 @@ mod tests {
 
         // `moveClient` of a class representative: the next member becomes
         // the representative of those left behind and must be watched.
-        let rep = class.representative.clone();
+        let rep = class.representative.to_string();
         app.move_client(&rep, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(10.0), &app, std::slice::from_ref(&rep));
         assert_roster_is_the_watched_set(&mut monitor, &app, "after moveClient");
 
         // `moveClientGroup` of the rest after it: the class is whole again,
         // and the interim representative keeps no gauge.
-        let rest: Vec<String> = class.members[1..].to_vec();
+        let rest: Vec<String> = class.members[1..].iter().map(ToString::to_string).collect();
         app.move_clients(&rest, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(20.0), &app, &rest);
         assert_roster_is_the_watched_set(&mut monitor, &app, "after moveClientGroup");
@@ -421,7 +422,8 @@ mod tests {
         // Half of another class, its representative staying put: the first
         // mover is newly watched and the one left behind is not re-deployed.
         let other = &index.client_classes()[1];
-        let half: Vec<String> = other.members.iter().skip(1).step_by(2).cloned().collect();
+        let half = other.members.iter().skip(1).step_by(2);
+        let half: Vec<String> = half.map(ToString::to_string).collect();
         app.move_clients(&half, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(30.0), &app, &half);
         assert_roster_is_the_watched_set(&mut monitor, &app, "after a half-class move");
@@ -433,12 +435,12 @@ mod tests {
         let (_, server_map) = build_model(&app, &PerformanceProfile::default()).unwrap();
         let mut monitor = Monitor::new(&app, &FrameworkConfig::adaptive());
         monitor.deploy(SimTime::ZERO, &app, &server_map);
-        let read: HashSet<TopicKind> = monitor
+        let read: FxHashSet<TopicKind> = monitor
             .pipeline
             .roster()
             .map(|gauge| gauge.interest().kind)
             .collect();
-        let mut published = HashSet::new();
+        let mut published = FxHashSet::default();
         let mut events = Vec::new();
         for tick in 1..=8 {
             let t = SimTime::from_secs(5.0 * tick as f64);

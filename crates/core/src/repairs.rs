@@ -26,8 +26,8 @@ use archmodel::System;
 use gridapp::{AppError, GridApp};
 use planner::{ClassIndex, GroupPlanner, PlannerInput, PlannerThresholds};
 use repair::{PlanOutcome, RepairDamping, RepairEngine, RepairPlan};
+use rustc_hash::FxHashMap;
 use simnet::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::sync::Arc;
 use translator::{translate, RepairCostModel, RuntimeOp};
 
@@ -64,7 +64,7 @@ pub(crate) struct RepairLoop {
     engine: RepairEngine,
     cost_model: RepairCostModel,
     /// Model replica name → the runtime server backing it.
-    server_map: HashMap<String, String>,
+    server_map: FxHashMap<String, String>,
     pending: Option<PendingRepair>,
 }
 
@@ -74,7 +74,7 @@ impl RepairLoop {
     pub(crate) fn new(
         config: &FrameworkConfig,
         profile: PerformanceProfile,
-        server_map: HashMap<String, String>,
+        server_map: FxHashMap<String, String>,
     ) -> Self {
         let mut engine = RepairEngine::new();
         let fix_latency: fn() -> repair::RepairStrategy = if config.bandwidth_first {
@@ -146,7 +146,8 @@ impl RepairLoop {
                 "incremental check diverged from full sweep (violations)"
             );
             assert_eq!(
-                report.errors, full.errors,
+                (report.error_count, self.checker.errors()),
+                (full.error_count, self.constraints.check_errors(model)),
                 "incremental check diverged from full sweep (errors)"
             );
             assert_eq!(

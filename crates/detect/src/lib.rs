@@ -30,7 +30,7 @@ pub mod series;
 pub use series::{SeriesBuffer, SeriesStats};
 
 use archmodel::Key;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Tuning of the online detectors. All thresholds act on *standardised*
 /// residuals, so one configuration serves latency (seconds), bandwidth
@@ -134,7 +134,7 @@ struct SeriesState {
 #[derive(Debug)]
 pub struct DetectorBank {
     config: DetectorConfig,
-    series: HashMap<(Key, Key), SeriesState>,
+    series: FxHashMap<(Key, Key), SeriesState>,
     points: u64,
     alarms: u64,
 }
@@ -144,7 +144,7 @@ impl DetectorBank {
     pub fn new(config: DetectorConfig) -> Self {
         DetectorBank {
             config,
-            series: HashMap::new(),
+            series: FxHashMap::default(),
             points: 0,
             alarms: 0,
         }
@@ -380,7 +380,7 @@ mod tests {
             bank.observe(t, subject, property, v, &mut out);
         }
         assert!(!out.is_empty());
-        let mut per_detector: HashMap<Detector, Vec<f64>> = HashMap::new();
+        let mut per_detector: FxHashMap<Detector, Vec<f64>> = FxHashMap::default();
         for a in &out {
             per_detector.entry(a.detector).or_default().push(a.time);
         }

@@ -20,10 +20,11 @@ use crate::due::DueQueue;
 use crate::metrics::Metrics;
 use crate::testbed::Testbed;
 use monitoring::Key;
+use rustc_hash::FxHashMap;
 use simnet::{
     CompletedTransfer, NetError, Network, NodeId, SimDuration, SimRng, SimTime, TransferId,
 };
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Name of the first server group (S1–S3 behind router R3).
@@ -257,7 +258,7 @@ pub struct GridApp {
     groups: Vec<GroupState>,
     /// Every group id, ordered by group name.
     group_order: Vec<GroupId>,
-    requests: HashMap<u64, RequestState>,
+    requests: FxHashMap<u64, RequestState>,
     next_request_id: u64,
     now: SimTime,
     metrics: Metrics,
@@ -281,7 +282,7 @@ pub struct GridApp {
     /// [`flow_snapshot`](Self::flow_snapshot)'s `(machine, group)` memo,
     /// cleared at the start of each call and kept so that its table is
     /// allocated once, not per tick.
-    flow_memo: std::cell::RefCell<HashMap<(NodeId, GroupId), Option<f64>>>,
+    flow_memo: std::cell::RefCell<FxHashMap<(NodeId, GroupId), Option<f64>>>,
     /// Bumped by every successful [`move_client`](Self::move_client) /
     /// [`move_clients`](Self::move_clients) — the only writers of a client's
     /// group — so state derived from the client→group assignment knows when
@@ -416,7 +417,7 @@ impl GridApp {
             group_names: vec![Key::new(SERVER_GROUP_1), Key::new(SERVER_GROUP_2)],
             groups,
             group_order: vec![GROUP_1, GROUP_2],
-            requests: HashMap::new(),
+            requests: FxHashMap::default(),
             next_request_id: 0,
             now: SimTime::ZERO,
             metrics: Metrics::new(),

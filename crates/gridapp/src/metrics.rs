@@ -75,23 +75,31 @@ impl Metrics {
         self.queue.keys().cloned().collect()
     }
 
-    /// All latency observations pooled over clients, as (time, value).
+    /// All latency observations pooled over clients, as (time, value), in
+    /// one vector of exactly their number, sorted stably by time.
     pub fn pooled_latency(&self) -> TimeSeries {
-        let mut points: Vec<(f64, f64)> = self.latency.values().flat_map(|s| s.iter()).collect();
+        let mut points = Vec::with_capacity(self.latency.values().map(TimeSeries::len).sum());
+        points.extend(self.latency.values().flat_map(TimeSeries::iter));
         points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("times are not NaN"));
-        let mut out = TimeSeries::new();
-        for (t, v) in points {
-            out.record(t, v);
-        }
-        out
+        TimeSeries::from_points(points)
     }
 
     /// Fraction of latency observations above `threshold` in `[start, end)`,
     /// pooled over all clients — the paper's headline effectiveness measure
-    /// ("how often the latency of any client exceeded two seconds").
+    /// ("how often the latency of any client exceeded two seconds"). Counted
+    /// in place over the per-client series: the two counts are integers, so
+    /// the order they are taken in cannot change the fraction.
     pub fn fraction_latency_above(&self, threshold: f64, start: f64, end: f64) -> f64 {
-        let pooled = self.pooled_latency().window(start, end);
-        pooled.fraction_above(threshold)
+        let (mut inside, mut above) = (0usize, 0usize);
+        let points = self.latency.values().flat_map(TimeSeries::iter);
+        for (_, value) in points.filter(|&(t, _)| t >= start && t < end) {
+            inside += 1;
+            above += usize::from(value > threshold);
+        }
+        if inside == 0 {
+            return 0.0;
+        }
+        above as f64 / inside as f64
     }
 }
 

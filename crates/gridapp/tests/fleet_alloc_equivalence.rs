@@ -15,6 +15,9 @@
 //!   covered it, and every kept rate must equal the reference's for the
 //!   live set, with a core link squeezed to a few kbps part of the way.
 
+// The max-min reference takes its capacities in std's `HashMap`.
+#![allow(clippy::disallowed_types)]
+
 use gridapp::{Testbed, TestbedSpec};
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::{Allocator, LinkId, NodeId, PathTable, SimRng};

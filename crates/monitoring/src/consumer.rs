@@ -3,7 +3,7 @@
 use crate::bus::Bus;
 use crate::gauge::{Gauge, GaugeId, GaugeReading};
 use crate::probe::{ProbeEvent, Topic};
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Time between deploying a gauge and its first report (seconds). The paper
 /// attributes most of the ~30 s repair time to gauge creation and deletion
@@ -31,7 +31,7 @@ pub struct MonitoringPipeline {
     /// The deployed gauges, in creation order (the order they report in).
     roster: Vec<Deployed>,
     /// interest → positions in `roster`; rebuilt when stale.
-    interest_index: HashMap<Topic, Vec<usize>>,
+    interest_index: FxHashMap<Topic, Vec<usize>>,
     index_stale: bool,
     /// One step's gauge reports on their way to the gauge bus; reused.
     reported: Vec<GaugeReading>,

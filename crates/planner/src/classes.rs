@@ -17,9 +17,11 @@
 //! assert. The aggregated presets accept the per-machine approximation in
 //! exchange for cutting probe sampling by roughly the class size.
 
-use gridapp::Testbed;
+use gridapp::{Key, Testbed};
+use rustc_hash::FxHashMap;
 use simnet::NodeId;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A class of clients whose machines occupy symmetric network positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,11 +32,11 @@ pub struct ClientClass {
     /// merged classes, the machine's router otherwise).
     pub attach: NodeId,
     /// Member client names (`"User1"`, …) in lexicographic order — the order
-    /// the flow snapshot iterates.
-    pub members: Vec<String>,
+    /// the flow snapshot iterates — as the application's interned keys.
+    pub members: Vec<Key>,
     /// The representative whose machine is probed for the whole class (the
     /// lexicographically first member).
-    pub representative: String,
+    pub representative: Key,
     /// The representative's machine, which class probes address.
     pub host: NodeId,
 }
@@ -46,7 +48,7 @@ pub struct ServerClass {
     /// Dense class id (ascending, assigned in server-number order).
     pub id: usize,
     /// Member server names (`"S1"`, …) in lexicographic order.
-    pub members: Vec<String>,
+    pub members: Vec<Key>,
 }
 
 /// Key under which clients/servers merge. Merging happens only for machines
@@ -64,13 +66,21 @@ enum PositionKey {
 /// The equivalence-class index of one testbed deployment.
 ///
 /// Built once per run from the static topology; group membership and
-/// liveness stay dynamic and are consulted at probe time.
+/// liveness stay dynamic and are consulted at probe time. Names are interned
+/// [`Key`]s, so a member costs one word and a class lookup hashes one.
 #[derive(Debug, Clone)]
 pub struct ClassIndex {
     client_classes: Vec<ClientClass>,
-    client_class_of: BTreeMap<String, usize>,
+    client_class_of: FxHashMap<Key, usize>,
     server_classes: Vec<ServerClass>,
-    server_class_of: BTreeMap<String, usize>,
+    server_class_of: FxHashMap<Key, usize>,
+}
+
+/// The key of `{prefix}{number}`, formatted in `buf`.
+fn numbered(buf: &mut String, prefix: &str, number: usize) -> Key {
+    buf.clear();
+    write!(buf, "{prefix}{number}").expect("writing to a String cannot fail");
+    Key::new(buf)
 }
 
 impl ClassIndex {
@@ -85,8 +95,9 @@ impl ClassIndex {
         // Clients, grouped per machine; machines merge when they hang off the
         // same aggregation switch with identical access links.
         let mut client_key_of_host: BTreeMap<NodeId, PositionKey> = BTreeMap::new();
-        let mut client_members: BTreeMap<PositionKey, (Vec<String>, NodeId)> = BTreeMap::new();
+        let mut client_members: BTreeMap<PositionKey, (Vec<Key>, NodeId)> = BTreeMap::new();
         let mut client_order: Vec<PositionKey> = Vec::new();
+        let mut name = String::new();
         for (i, (_, host)) in testbed.client_hosts.iter().enumerate() {
             let key = *client_key_of_host.entry(*host).or_insert_with(|| {
                 match topology.position_signature(*host) {
@@ -100,7 +111,7 @@ impl ClassIndex {
                 client_order.push(key);
                 (Vec::new(), *host)
             });
-            members.push(format!("User{}", i + 1));
+            members.push(numbered(&mut name, "User", i + 1));
             // The least name so far is kept first, with its machine.
             if members.last() < members.first() {
                 let last = members.len() - 1;
@@ -109,15 +120,14 @@ impl ClassIndex {
             }
         }
         let mut client_classes = Vec::with_capacity(client_order.len());
-        let mut client_class_of = BTreeMap::new();
+        let mut client_class_of = FxHashMap::default();
+        client_class_of.reserve(testbed.client_hosts.len());
         for key in client_order {
             let (mut members, host) = client_members.remove(&key).expect("key was recorded");
             members.sort();
             let id = client_classes.len();
-            for member in &members {
-                client_class_of.insert(member.clone(), id);
-            }
-            let representative = members.first().expect("classes are non-empty").clone();
+            client_class_of.extend(members.iter().map(|&member| (member, id)));
+            let representative = *members.first().expect("classes are non-empty");
             let attach = match key {
                 PositionKey::Shared(attach, ..) => NodeId(attach),
                 PositionKey::Singleton(host) => topology
@@ -138,7 +148,7 @@ impl ClassIndex {
         // tier; the machine shared with the request queue stays apart (its
         // access link carries every inbound request, so it is *not*
         // position-symmetric with its neighbours).
-        let mut server_members: BTreeMap<PositionKey, Vec<String>> = BTreeMap::new();
+        let mut server_members: BTreeMap<PositionKey, Vec<Key>> = BTreeMap::new();
         let mut server_order: Vec<PositionKey> = Vec::new();
         for (j, host) in testbed.server_hosts.iter().enumerate() {
             let key = if shared {
@@ -155,17 +165,15 @@ impl ClassIndex {
                 server_order.push(key);
                 Vec::new()
             });
-            members.push(format!("S{}", j + 1));
+            members.push(numbered(&mut name, "S", j + 1));
         }
         let mut server_classes = Vec::with_capacity(server_order.len());
-        let mut server_class_of = BTreeMap::new();
+        let mut server_class_of = FxHashMap::default();
         for key in server_order {
             let mut members = server_members.remove(&key).expect("key was recorded");
             members.sort();
             let id = server_classes.len();
-            for member in &members {
-                server_class_of.insert(member.clone(), id);
-            }
+            server_class_of.extend(members.iter().map(|&member| (member, id)));
             server_classes.push(ServerClass { id, members });
         }
 
@@ -187,14 +195,15 @@ impl ClassIndex {
         &self.server_classes
     }
 
-    /// The class a client belongs to.
+    /// The class a client belongs to. A name never interned names no
+    /// client, so a lookup by text interns nothing.
     pub fn client_class_of(&self, client: &str) -> Option<usize> {
-        self.client_class_of.get(client).copied()
+        self.client_class_of.get(&Key::find(client)?).copied()
     }
 
     /// The class a server belongs to.
-    pub fn server_class_of(&self, server: &str) -> Option<usize> {
-        self.server_class_of.get(server).copied()
+    pub fn server_class_of(&self, server: Key) -> Option<usize> {
+        self.server_class_of.get(&server).copied()
     }
 
     /// The members of a client class.
@@ -240,7 +249,7 @@ mod tests {
             index.client_class_of("User4")
         );
         let class = index.client_class(c12).unwrap();
-        assert_eq!(class.representative, "User1".to_string());
+        assert_eq!(class.representative, "User1");
         assert_eq!(class.host, testbed.client_hosts[0].1);
     }
 
@@ -258,7 +267,7 @@ mod tests {
         // name is not the lowest client number ("User100" sorts before
         // "User97").
         for class in index.client_classes() {
-            let host = app.client_host(&class.representative);
+            let host = app.client_host(class.representative.as_str());
             assert_eq!(Some(class.host), host, "{class:?}");
         }
         // Servers: the 56 machines behind R3 are one class, the request-queue

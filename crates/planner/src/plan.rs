@@ -27,7 +27,7 @@ use crate::probes::GroupProbes;
 use archmodel::constraint::CheckReport;
 use archmodel::style::ClientServerStyle;
 use archmodel::{ModelOp, System};
-use gridapp::GridApp;
+use gridapp::{GridApp, Key};
 use repair::operators::add_server;
 use repair::tactic::client_of_violation;
 use repair::{RepairDamping, RepairPlan};
@@ -236,8 +236,13 @@ impl GroupPlanner {
             let sources: BTreeSet<&String> = class
                 .members
                 .iter()
-                .filter(|m| input.violating_clients.binary_search(m).is_ok())
-                .filter_map(|m| input.client_groups.get(m))
+                .filter(|m| {
+                    let violating = &input.violating_clients;
+                    violating
+                        .binary_search_by(|c| c.as_str().cmp(m.as_str()))
+                        .is_ok()
+                })
+                .filter_map(|m| input.client_groups.get(m.as_str()))
                 .collect();
             for from in sources {
                 // Precondition (the class-level fixBandwidth guard): the
@@ -268,8 +273,8 @@ impl GroupPlanner {
                 let members: Vec<String> = class
                     .members
                     .iter()
-                    .filter(|m| input.client_groups.get(*m) == Some(from))
-                    .cloned()
+                    .filter(|m| input.client_groups.get(m.as_str()) == Some(from))
+                    .map(Key::to_string)
                     .collect();
                 if members.is_empty() {
                     continue;
@@ -412,8 +417,8 @@ impl GroupPlanner {
             let homes = homes.get_or_insert_with(|| {
                 // (A class has at least one member: `ClassIndex::build`.)
                 let home_of = |c: &ClientClass| {
-                    let home = input.client_groups.get(c.members.first()?);
-                    let shared = |m| input.client_groups.get(m) == home;
+                    let home = input.client_groups.get(c.members.first()?.as_str());
+                    let shared = |m: &Key| input.client_groups.get(m.as_str()) == home;
                     home.filter(|_| c.members.iter().all(shared))
                 };
                 index.client_classes().iter().map(home_of).collect()
@@ -437,7 +442,7 @@ impl GroupPlanner {
             moves.push(ClassMove {
                 from: hi.clone(),
                 to: lo.clone(),
-                members: class.members.clone(),
+                members: class.members.iter().map(Key::to_string).collect(),
             });
             moved_classes.insert(class.id);
             damping_keys.push(format!("rebalance/{hi}"));
@@ -627,7 +632,7 @@ mod tests {
         );
         let mut class_bandwidth = BTreeMap::new();
         for class in index.client_classes() {
-            let squeezed = class.members.contains(&"User3".to_string());
+            let squeezed = class.members.iter().any(|m| *m == "User3");
             class_bandwidth.insert(
                 (class.id, "ServerGrp1".to_string()),
                 Some(if squeezed { 5_000.0 } else { 5.0e6 }),
@@ -796,9 +801,10 @@ mod tests {
         let class = index
             .client_classes()
             .iter()
-            .find(|c| !c.members.contains(&"User1".to_string()))
+            .find(|c| c.members.iter().all(|m| *m != "User1"))
             .unwrap();
-        assert_eq!(moves, vec![(&class.members, &"ServerGrp2".to_string())]);
+        let members: Vec<String> = class.members.iter().map(Key::to_string).collect();
+        assert_eq!(moves, vec![(&members, &"ServerGrp2".to_string())]);
     }
 
     #[test]

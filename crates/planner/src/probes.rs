@@ -73,7 +73,7 @@ impl<'a> GroupProbes<'a> {
         servers
             .filter(|(server, _)| {
                 // `false`: an equivalent member of this class already answers.
-                let class = self.index.server_class_of(server.as_str());
+                let class = self.index.server_class_of(*server);
                 class.is_none_or(|class| answered.insert(class))
             })
             .map(|(_, host)| host)
@@ -183,7 +183,7 @@ impl RepTable {
             // is that pair's representative.
             let first = self.reps.len();
             for member in &class.members {
-                let Ok((client, group)) = app.assignment(member) else {
+                let Ok((client, group)) = app.assignment(member.as_str()) else {
                     continue;
                 };
                 if self.reps[first..].iter().all(|rep| rep.group != group) {
@@ -210,7 +210,7 @@ impl RepTable {
         let mut members = Vec::new();
         for class in self.index.client_classes() {
             for member in &class.members {
-                let Ok((client, group)) = app.assignment(member) else {
+                let Ok((client, group)) = app.assignment(member.as_str()) else {
                     continue;
                 };
                 members.push((client, slots[&(class.id, group)]));
@@ -269,8 +269,8 @@ mod tests {
     use super::*;
     use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_1, SERVER_GROUP_2};
     use proptest::prelude::*;
+    use rustc_hash::FxHashMap;
     use simnet::SimTime;
-    use std::collections::HashMap;
 
     /// One [`GroupProbes::flow`] query on its own, from scratch: the
     /// class-level `remos_get_flow` the references below are built on.
@@ -314,7 +314,7 @@ mod tests {
     /// client in name order and memoises one [`GroupProbes::flow`] per
     /// `(class, group)` pair at the pair's first member.
     fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
-        let mut memo: HashMap<(usize, String), Option<f64>> = HashMap::new();
+        let mut memo: FxHashMap<(usize, String), Option<f64>> = FxHashMap::default();
         let mut probes = GroupProbes::new(app, index);
         let mut entries = Vec::new();
         for client in app.client_names() {
@@ -371,21 +371,22 @@ mod tests {
     fn mutate(app: &mut GridApp, index: &ClassIndex, now: SimTime, op: u8, pick: usize) {
         let classes = index.client_classes();
         let class = &classes[pick % classes.len()];
+        let members: Vec<String> = class.members.iter().map(Key::to_string).collect();
         let group = [SERVER_GROUP_1, SERVER_GROUP_2][(pick / classes.len()) % 2];
         let servers = app.server_names();
         let server = &servers[pick % servers.len()];
         match op {
             0 => {
-                let member = &class.members[pick % class.members.len()];
+                let member = &members[pick % members.len()];
                 app.move_client(member, group).unwrap();
             }
             1 => {
-                app.move_clients(&class.members, group).unwrap();
+                app.move_clients(&members, group).unwrap();
             }
             2 => {
                 // Half a class: the odd members, so the first mover is not
                 // the class representative.
-                let half: Vec<String> = class.members.iter().skip(1).step_by(2).cloned().collect();
+                let half: Vec<String> = members.iter().skip(1).step_by(2).cloned().collect();
                 app.move_clients(&half, group).unwrap();
             }
             3 => {
@@ -394,8 +395,8 @@ mod tests {
             4 => {
                 // Already on target: re-home a class where its
                 // representative already is.
-                let current = app.client_group(&class.representative).unwrap();
-                app.move_clients(&class.members, &current).unwrap();
+                let current = app.client_group(class.representative.as_str()).unwrap();
+                app.move_clients(&members, &current).unwrap();
             }
             5 => app.crash_server(now, server).unwrap(),
             6 => app.restart_server(now, server).unwrap(),
@@ -494,7 +495,8 @@ mod tests {
         assert_eq!(table.rebuilds(), 1);
 
         let class = &index.client_classes()[3];
-        app.move_clients(&class.members, SERVER_GROUP_2).unwrap();
+        let members: Vec<String> = class.members.iter().map(Key::to_string).collect();
+        app.move_clients(&members, SERVER_GROUP_2).unwrap();
         let snapshot = table.flow_snapshot(&app);
         assert_eq!(table.rebuilds(), 2, "the move is seen by the next snapshot");
         assert!(snapshot

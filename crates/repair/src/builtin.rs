@@ -694,7 +694,7 @@ mod tests {
         // At the provisioned count, an idle group is fine.
         let report = set.check(&model);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert!(set.check_errors(&model).is_empty(), "{report:?}");
         // A surplus replica on an idle group violates.
         recruit(&mut model, "ServerGrp1");
         let report = set.check(&model);

@@ -8,13 +8,13 @@
 //! implements the simplest form: after a repair touches a subject, further
 //! repairs for that subject are suppressed until a settle time has elapsed.
 
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Tracks recent repairs and suppresses premature re-repairs.
 #[derive(Debug, Clone)]
 pub struct RepairDamping {
     settle_secs: f64,
-    last_repair: HashMap<String, f64>,
+    last_repair: FxHashMap<String, f64>,
 }
 
 impl RepairDamping {
@@ -22,7 +22,7 @@ impl RepairDamping {
     pub fn new(settle_secs: f64) -> Self {
         RepairDamping {
             settle_secs: settle_secs.max(0.0),
-            last_repair: HashMap::new(),
+            last_repair: FxHashMap::default(),
         }
     }
 

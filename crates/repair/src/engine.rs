@@ -585,7 +585,7 @@ mod tests {
             .collect();
         let latency_report = CheckReport {
             violations: latency_only,
-            errors: vec![],
+            error_count: 0,
             evaluated: report.evaluated,
             skipped: 0,
         };

@@ -795,6 +795,8 @@ impl Allocator {
 }
 
 #[cfg(test)]
+// The max-min reference takes its capacities in std's `HashMap`.
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use crate::flow::{max_min_fair_rates, FlowDemand, FlowKey};

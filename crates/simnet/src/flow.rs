@@ -8,7 +8,11 @@
 //!
 //! Nothing in the production build calls this module. It is the oracle that
 //! the equivalence tests and benches hold [`Allocator`](crate::Allocator) to,
-//! bit for bit, and the only place weighted filling survives.
+//! bit for bit, and the only place weighted filling survives. It keeps
+//! std's SipHash maps, the one exception to the workspace's Fx hasher: an
+//! oracle stays as written when it was trusted, and its callers build its
+//! capacity map with std's type.
+#![allow(clippy::disallowed_types)]
 
 use crate::topology::LinkId;
 use std::collections::HashMap;

@@ -12,8 +12,9 @@
 use crate::alloc::{Allocator, ResourceId, LOCAL_RATE_BPS};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, NodeId, PathTable, Topology, TopologyError};
+use rustc_hash::FxHashMap;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Identifies a transfer in flight.
@@ -170,7 +171,7 @@ pub struct Network {
     link_scratch: RefCell<Vec<LinkId>>,
     /// Per-epoch memo of probe results: identical queries within one epoch
     /// are pure, so the first answer serves every later caller.
-    probe_memo: RefCell<HashMap<(NodeId, NodeId), f64>>,
+    probe_memo: RefCell<FxHashMap<(NodeId, NodeId), f64>>,
     /// Lifetime count of `(src, dst)` pair-memo misses — the unit the
     /// symmetry-aware probe sharing is measured in. A miss the allocator's
     /// shape memo answers counts here too.
@@ -216,7 +217,7 @@ impl Network {
             alloc: RefCell::new(Allocator::new()),
             resource_scratch: RefCell::new(Vec::new()),
             link_scratch: RefCell::new(Vec::new()),
-            probe_memo: RefCell::new(HashMap::new()),
+            probe_memo: RefCell::new(FxHashMap::default()),
             probe_solves: std::cell::Cell::new(0),
             probe_queries: std::cell::Cell::new(0),
             rate_epochs: 0,

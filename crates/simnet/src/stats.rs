@@ -19,6 +19,16 @@ impl TimeSeries {
         Self::default()
     }
 
+    /// The series of `points`, whose times must be non-decreasing, without
+    /// copying them.
+    pub fn from_points(points: Vec<(f64, f64)>) -> Self {
+        debug_assert!(
+            points.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+            "observations must be time-ordered"
+        );
+        TimeSeries { points }
+    }
+
     /// Appends an observation. Times must be non-decreasing.
     pub fn record(&mut self, time_secs: f64, value: f64) {
         if let Some(&(last, _)) = self.points.last() {

@@ -49,7 +49,7 @@
 //! shared trees are held to, with the O(n²) reference search.
 
 use crate::time::SimDuration;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 /// Identifies a node (host or router) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,7 +137,7 @@ pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    by_name: HashMap<String, NodeId>,
+    by_name: FxHashMap<String, NodeId>,
 }
 
 impl Topology {
@@ -422,7 +422,7 @@ pub struct PathTable {
     trees: Vec<GatewayTree>,
     /// Gateway class → tree index. A leaf's attachment class is filed too,
     /// beside the class it climbs to, so each attachment climbs once.
-    classes: HashMap<ClassKey, u32>,
+    classes: FxHashMap<ClassKey, u32>,
     /// Lifetime count of sources routed (first routes from a source).
     sources_routed: u64,
     /// Lifetime count of path queries answered.
@@ -969,7 +969,7 @@ mod tests {
             // Every node was a source, and leaves one link of one latency
             // from the same attachment shared a tree.
             assert_eq!(table.stats().sources_routed, t.node_count() as u64);
-            let classes: std::collections::HashSet<_> = t
+            let classes: rustc_hash::FxHashSet<_> = t
                 .nodes()
                 .map(|(id, _)| match t.attachment(id) {
                     Some((at, link)) if t.adjacency[at.0].len() > 1 => {

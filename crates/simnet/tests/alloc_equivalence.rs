@@ -18,6 +18,9 @@
 //! answers are held to a fresh full solve with the probe in place, on churn
 //! whose capacities take a few equal values so that heap ties are the rule.
 
+// The max-min reference takes its capacities in std's `HashMap`.
+#![allow(clippy::disallowed_types)]
+
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::rng::SimRng;

@@ -17,7 +17,9 @@
 //! bytes.
 
 use archmodel::Key;
+use rustc_hash::FxBuildHasher;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::io;
 use std::str::Utf8Error;
 
@@ -285,7 +287,7 @@ pub(crate) struct StringTable {
 /// hold every byte of a string of up to 16 bytes: from 8 bytes on the first
 /// and the last eight (overlapping below 16), from 4 the first and last four,
 /// below that the first, middle and last byte.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Fingerprint {
     len: usize,
     head: u64,
@@ -317,13 +319,11 @@ impl Fingerprint {
         Fingerprint { len, head, tail }
     }
 
-    /// The home slot's hash: two rounds of Fx's rotate, xor and multiply
-    /// (rustc's). Fx offers no defence against keys crafted to collide,
-    /// which here could only slow a query over a store written to do so.
+    /// The home slot's hash: the workspace's Fx hasher over the three
+    /// words. Fx offers no defence against keys crafted to collide, which
+    /// here could only slow a query over a store written to do so.
     fn hash(self) -> u64 {
-        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        let round = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(K);
-        round(round(self.len as u64, self.head), self.tail)
+        FxBuildHasher.hash_one(self)
     }
 }
 
@@ -332,9 +332,10 @@ impl StringTable {
     /// table sees them and copied from the table every time after.
     fn intern(&mut self, bytes: &[u8]) -> Result<Key, Utf8Error> {
         let print = Fingerprint::of(bytes);
-        let hash = print.hash();
         let mask = self.slots.len().wrapping_sub(1);
-        let mut at = (hash >> 32) as usize;
+        // The hasher's finish has rotated its best-mixed bits to the bottom,
+        // where the mask takes them.
+        let mut at = print.hash() as usize;
         while let Some(&Some((stored, key))) = self.slots.get(at & mask) {
             let text = key.as_str().as_bytes();
             if stored == print && (print.len <= FINGERPRINT_BYTES || text == bytes) {
@@ -358,7 +359,7 @@ impl StringTable {
     /// Stores `key` in the first free slot from its home slot on.
     fn place(&mut self, print: Fingerprint, key: Key) {
         let mask = self.slots.len() - 1;
-        let mut at = (print.hash() >> 32) as usize & mask;
+        let mut at = print.hash() as usize & mask;
         while self.slots[at].is_some() {
             at = (at + 1) & mask;
         }
@@ -488,7 +489,7 @@ mod tests {
         // middle. The oracle is keyed by the whole string: an equal string
         // must come back as the key it got first, a distinct one as its own.
         let mut strings = StringTable::default();
-        let mut oracle: std::collections::HashMap<Vec<u8>, Key> = Default::default();
+        let mut oracle: rustc_hash::FxHashMap<Vec<u8>, Key> = Default::default();
         let mut state = 0x2545_f491_4f6c_dd1d_u64;
         for _ in 0..20_000 {
             state ^= state << 13;

@@ -75,7 +75,8 @@ use crate::event::{
     invalid, take, take_array, EventKind, EventRef, Record, StringTable, TraceEvent,
 };
 use archmodel::Key;
-use std::collections::{BTreeMap, HashSet};
+use rustc_hash::FxHashSet;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -181,7 +182,7 @@ impl TraceStore {
         }
         let text = std::fs::read_to_string(&manifest).map_err(io_err(&manifest))?;
         let mut runs = Vec::new();
-        let mut run_ids = HashSet::new();
+        let mut run_ids = FxHashSet::default();
         for (lineno, line) in text.lines().enumerate() {
             let corrupt =
                 |what: String| StoreError::Corrupt(format!("manifest line {}: {what}", lineno + 1));

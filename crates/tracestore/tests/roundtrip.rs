@@ -12,7 +12,7 @@
 
 use archmodel::Key;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use tracestore::{
@@ -99,7 +99,7 @@ fn bits(e: &TraceEvent) -> Bits<'_> {
 /// is the key it got (`Key`'s `==` compares addresses): what one owned
 /// read's string table promises.
 fn shares_strings<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> bool {
-    let mut first: HashMap<&str, Key> = HashMap::new();
+    let mut first: FxHashMap<&str, Key> = FxHashMap::default();
     events
         .into_iter()
         .flat_map(|e| [e.subject, e.detail])

@@ -1,6 +1,8 @@
 //! Property-based tests over the core data structures and invariants, using
 //! proptest: the constraint-expression evaluator, max-min fairness, the
 //! repair operators' recorded scripts, and the M/M/c analysis.
+// The max-min reference takes its capacities in std's `HashMap`.
+#![allow(clippy::disallowed_types)]
 
 use archmodel::style::{props, ClientServerStyle};
 use archmodel::{apply_op, parse, ModelOp, Program, System};
