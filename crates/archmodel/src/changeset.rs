@@ -12,6 +12,7 @@
 //! can break the style (a `RemoveServer` that empties a group) without
 //! applying it.
 
+use crate::key::Key;
 use crate::style::ClientServerStyle;
 use crate::system::{ModelError, System};
 
@@ -57,11 +58,13 @@ pub enum ModelOp {
     /// loses a role and one over the attachment list, not one of each per
     /// member.
     MoveClientGroup {
-        /// Client component names, in class order. Members missing from the
-        /// model are skipped (a symmetric class can outlive individual
-        /// members), and so is a name after its first occurrence (the
-        /// planner never emits one twice).
-        clients: Vec<String>,
+        /// Client component names, in class order, as the interned keys the
+        /// group planner reads off its class index: a member is resolved by
+        /// key, with no copy of its name and no lookup by text. Members
+        /// missing from the model are skipped (a symmetric class can outlive
+        /// individual members), and so is a name after its first occurrence
+        /// (the planner never emits one twice).
+        clients: Vec<Key>,
         /// Target server group name.
         to_group: String,
     },
@@ -103,7 +106,7 @@ mod tests {
 
     fn move_group(clients: &[&str], to_group: &str) -> ModelOp {
         ModelOp::MoveClientGroup {
-            clients: clients.iter().map(|c| c.to_string()).collect(),
+            clients: clients.iter().map(|&c| Key::new(c)).collect(),
             to_group: to_group.into(),
         }
     }
@@ -334,7 +337,10 @@ mod tests {
                     client: client.clone(),
                     to_group,
                 },
-                _ => ModelOp::MoveClientGroup { clients, to_group },
+                _ => ModelOp::MoveClientGroup {
+                    clients: clients.iter().map(Key::from).collect(),
+                    to_group,
+                },
             };
             apply_op(&mut batched, &op).unwrap();
 

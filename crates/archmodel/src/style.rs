@@ -332,10 +332,11 @@ impl ClientServerStyle {
         client: &str,
         to_group: &str,
     ) -> Result<(), ModelError> {
-        if system.component_by_name(client).is_none() {
+        let key = Key::find(client).filter(|&key| system.component_by_key(key).is_some());
+        let Some(key) = key else {
             return Err(ModelError::NameNotFound(client.to_string()));
-        }
-        Self::move_clients(system, &[client.to_string()], to_group)
+        };
+        Self::move_clients(system, &[key], to_group)
     }
 
     /// The read-only half of [`move_clients`](Self::move_clients): resolves
@@ -345,7 +346,7 @@ impl ClientServerStyle {
     /// to keep the checks applying the move makes.
     pub fn resolve_move(
         system: &System,
-        clients: &[String],
+        clients: &[Key],
         to_group: &str,
     ) -> Result<ResolvedMove, ModelError> {
         let group = Self::typed_component(system, to_group, SERVER_GROUP_T)?;
@@ -354,8 +355,8 @@ impl ClientServerStyle {
         // Members' ports and their stale roles, in one set: ports and roles
         // draw their ids from one counter.
         let mut taken = IdSet::default();
-        for client in clients {
-            let Some(id) = system.component_by_name(client) else {
+        for &client in clients {
+            let Some(id) = system.component_by_key(client) else {
                 continue;
             };
             let port = Self::port_named(system, id, Self::CLIENT_PORT)?;
@@ -391,7 +392,7 @@ impl ClientServerStyle {
     /// `Connector::roles` order are those of moving the members one at a time.
     pub fn move_clients(
         system: &mut System,
-        clients: &[String],
+        clients: &[Key],
         to_group: &str,
     ) -> Result<(), ModelError> {
         let ResolvedMove {

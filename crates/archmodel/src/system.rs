@@ -1662,7 +1662,7 @@ pub(crate) mod tests {
                 Op::Move(clients, to) => {
                     let to_group = to.to_string();
                     let op = ModelOp::MoveClientGroup {
-                        clients: clients.clone(),
+                        clients: clients.iter().map(Key::from).collect(),
                         to_group,
                     };
                     let applied = apply_op(sys, &op).is_ok();

@@ -12,7 +12,7 @@
 //! when applying it does.
 
 use archmodel::style::{ClientServerStyle as Style, SERVER_GROUP_T, SERVER_T};
-use archmodel::{apply_op, ModelOp, System};
+use archmodel::{apply_op, Key, ModelOp, System};
 use proptest::collection::vec;
 use proptest::{Strategy, TestRng};
 
@@ -125,7 +125,10 @@ fn run_script(
             // Unknown names, duplicates and members already on the target
             // all come out of the picks.
             1 => ModelOp::MoveClientGroup {
-                clients: members.iter().map(|&m| client(m, clients)).collect(),
+                clients: members
+                    .iter()
+                    .map(|&m| Key::from(client(m, clients)))
+                    .collect(),
                 to_group,
             },
             2 => {
@@ -147,7 +150,7 @@ fn run_script(
         }
         match &op {
             ModelOp::MoveClient { client, to_group } => {
-                let resolved = Style::resolve_move(&before, std::slice::from_ref(client), to_group);
+                let resolved = Style::resolve_move(&before, &[Key::new(client)], to_group);
                 let present = before.component_by_name(client).is_some();
                 assert_eq!(resolved.is_ok() && present, applied.is_ok(), "{op:?}");
                 tally.moves += usize::from(applied.is_ok());

@@ -563,7 +563,7 @@ mod tests {
         assert_eq!(fw.app().group_liveness(gridapp::SERVER_GROUP_1).1, 0);
         let spares = fw.app().spare_servers();
         assert!(
-            spares.contains(&"S2".to_string()) && spares.contains(&"S3".to_string()),
+            spares.contains(&gridapp::Key::new("S2")) && spares.contains(&gridapp::Key::new("S3")),
             "restarted servers returned to the spare pool: {spares:?}"
         );
     }

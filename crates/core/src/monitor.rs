@@ -100,21 +100,23 @@ impl Monitor {
 
     /// The watched `(client, group)` entries, in gauge-creation order: all of
     /// them, or — given the clients of a move — those the move can have
-    /// changed. Every client: name order, or the move's own order.
-    /// Representatives: `(class, client)` order, of the moved clients'
-    /// classes.
-    fn watched(&mut self, app: &GridApp, moved: Option<&[String]>) -> Vec<(Key, Key)> {
+    /// changed. Every client: name order (the application's own
+    /// assignments), or the move's own order. Representatives: `(class,
+    /// client)` order, of the moved clients' classes, each found by key.
+    fn watched(&mut self, app: &GridApp, moved: Option<&[Key]>) -> Vec<(Key, Key)> {
         match &mut self.policy {
-            Policy::Exact | Policy::Shared(_) => moved
-                .map_or_else(|| app.client_names(), <[String]>::to_vec)
-                .iter()
-                .filter_map(|client| app.assignment(client).ok())
-                .collect(),
+            Policy::Exact | Policy::Shared(_) => match moved {
+                None => app.assignments().collect(),
+                Some(clients) => clients
+                    .iter()
+                    .filter_map(|&client| app.assignment(client).ok())
+                    .collect(),
+            },
             Policy::Representatives(table) => {
                 let touched: Option<BTreeSet<usize>> = moved.map(|clients| {
                     clients
                         .iter()
-                        .filter_map(|client| table.index().client_class_of(client))
+                        .filter_map(|&client| table.index().client_class_of(client))
                         .collect()
                 });
                 let mut reps: Vec<&Rep> = table
@@ -186,31 +188,28 @@ impl Monitor {
     /// is every gauge of a client that stopped being watched; whatever a
     /// watched client of the move's scope then lacks is created. One sweep
     /// over the roster, however many clients moved.
-    pub(crate) fn rehome(&mut self, now: SimTime, app: &GridApp, moved: &[String]) {
+    pub(crate) fn rehome(&mut self, now: SimTime, app: &GridApp, moved: &[Key]) {
         let t = now.as_secs();
         let watched = self.watched(app, Some(moved));
-        let in_scope: BTreeSet<&str> = watched.iter().map(|(client, _)| client.as_str()).collect();
-        let moved: BTreeSet<&str> = moved.iter().map(String::as_str).collect();
+        let in_scope: FxHashSet<Key> = watched.iter().map(|&(client, _)| client).collect();
+        let moved: FxHashSet<Key> = moved.iter().copied().collect();
         // Kept in client-name order by the table, and current: `watched`
         // just asked it.
         let reps: Option<&[Rep]> = match &mut self.policy {
             Policy::Representatives(table) => Some(table.reps(app)),
             Policy::Exact | Policy::Shared(_) => None,
         };
-        let is_watched = |client: &str| {
-            reps.is_none_or(|reps| {
-                reps.binary_search_by(|rep| rep.client.as_str().cmp(client))
-                    .is_ok()
-            })
+        let is_watched = |client: Key| {
+            reps.is_none_or(|reps| reps.binary_search_by(|rep| rep.client.cmp(&client)).is_ok())
         };
         let mut deployed: FxHashSet<GaugeId> = FxHashSet::default();
         self.pipeline.delete_where(|id| {
             if !watches_a_client(id) {
                 return false;
             }
-            let client = id.subject.as_str();
-            let stale = !is_watched(client) || (id.other.is_some() && moved.contains(client));
-            if !stale && in_scope.contains(client) {
+            let client = id.subject;
+            let stale = !is_watched(client) || (id.other.is_some() && moved.contains(&client));
+            if !stale && in_scope.contains(&client) {
                 deployed.insert(id);
             }
             stale
@@ -407,23 +406,23 @@ mod tests {
 
         // `moveClient` of a class representative: the next member becomes
         // the representative of those left behind and must be watched.
-        let rep = class.representative.to_string();
-        app.move_client(&rep, SERVER_GROUP_2).unwrap();
-        monitor.rehome(SimTime::from_secs(10.0), &app, std::slice::from_ref(&rep));
+        let rep = class.representative;
+        app.move_client(rep.as_str(), SERVER_GROUP_2).unwrap();
+        monitor.rehome(SimTime::from_secs(10.0), &app, &[rep]);
         assert_roster_is_the_watched_set(&mut monitor, &app, "after moveClient");
 
         // `moveClientGroup` of the rest after it: the class is whole again,
         // and the interim representative keeps no gauge.
-        let rest: Vec<String> = class.members[1..].iter().map(ToString::to_string).collect();
-        app.move_clients(&rest, SERVER_GROUP_2).unwrap();
-        monitor.rehome(SimTime::from_secs(20.0), &app, &rest);
+        let rest = &class.members[1..];
+        app.move_clients(rest, SERVER_GROUP_2).unwrap();
+        monitor.rehome(SimTime::from_secs(20.0), &app, rest);
         assert_roster_is_the_watched_set(&mut monitor, &app, "after moveClientGroup");
 
         // Half of another class, its representative staying put: the first
         // mover is newly watched and the one left behind is not re-deployed.
         let other = &index.client_classes()[1];
         let half = other.members.iter().skip(1).step_by(2);
-        let half: Vec<String> = half.map(ToString::to_string).collect();
+        let half: Vec<Key> = half.copied().collect();
         app.move_clients(&half, SERVER_GROUP_2).unwrap();
         monitor.rehome(SimTime::from_secs(30.0), &app, &half);
         assert_roster_is_the_watched_set(&mut monitor, &app, "after a half-class move");

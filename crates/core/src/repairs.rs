@@ -23,7 +23,7 @@ use crate::task::PerformanceProfile;
 use archmodel::constraint::{CheckReport, ConstraintSet};
 use archmodel::style::ClientServerStyle;
 use archmodel::System;
-use gridapp::{AppError, GridApp};
+use gridapp::{AppError, GridApp, Key};
 use planner::{ClassIndex, GroupPlanner, PlannerInput, PlannerThresholds};
 use repair::{PlanOutcome, RepairDamping, RepairEngine, RepairPlan};
 use rustc_hash::FxHashMap;
@@ -323,7 +323,7 @@ impl RepairLoop {
             RuntimeOp::MoveClient { client, to_group } => {
                 app.move_client(client, to_group)?;
                 observer.client_moves += 1;
-                monitor.rehome(t, app, std::slice::from_ref(client));
+                monitor.rehome(t, app, &[Key::new(client)]);
             }
             RuntimeOp::MoveClientGroup { clients, to_group } => {
                 observer.client_moves += app.move_clients(clients, to_group)? as u64;
@@ -336,7 +336,7 @@ impl RepairLoop {
                 let stuck = app.stuck_sending_servers(group, *min_age_secs);
                 let mut drained = Ok(());
                 for server in &stuck {
-                    if let Err(e) = app.drain_server(t, server) {
+                    if let Err(e) = app.drain_server(t, server.as_str()) {
                         drained = Err(e);
                     }
                 }

@@ -454,6 +454,15 @@ impl GridApp {
             .ok_or_else(|| AppError::UnknownClient(client.into()))
     }
 
+    /// A client by its interned name: a search of the name-ordered keys,
+    /// which `Key`'s string order keeps sorted, with no interner lookup.
+    fn client_id_of(&self, client: Key) -> Result<ClientId, AppError> {
+        let found = self.client_names.binary_search(&client);
+        found
+            .map(|i| ClientId(i as u32))
+            .map_err(|_| AppError::UnknownClient(client.to_string()))
+    }
+
     fn server_id(&self, server: &str) -> Result<ServerId, AppError> {
         rank(&self.server_names, server)
             .map(|i| ServerId(i as u32))
@@ -473,11 +482,11 @@ impl GridApp {
     }
 
     /// Names of the servers `keep` accepts, in name order.
-    fn server_names_where(&self, keep: impl Fn(&ServerState) -> bool) -> Vec<String> {
+    fn server_names_where(&self, keep: impl Fn(&ServerState) -> bool) -> Vec<Key> {
         let named = self.servers.iter().zip(&self.server_names);
         named
             .filter(|(state, _)| keep(state))
-            .map(|(_, name)| name.to_string())
+            .map(|(_, &name)| name)
             .collect()
     }
 
@@ -553,7 +562,8 @@ impl GridApp {
 
     /// The server group a client currently sends to.
     pub fn client_group(&self, client: &str) -> Result<String, AppError> {
-        self.assignment(client).map(|(_, group)| group.to_string())
+        let group = self.clients[self.client_id(client)?.ix()].group;
+        Ok(self.group_names[group.ix()].to_string())
     }
 
     /// Every client with the server group it currently sends to, as interned
@@ -563,10 +573,11 @@ impl GridApp {
         self.client_names.iter().copied().zip(groups)
     }
 
-    /// A client and the server group it currently sends to, as the interned
-    /// names every [`FlowSnapshot`] row and [`CompletedRequest`] carries.
-    pub fn assignment(&self, client: &str) -> Result<(Key, Key), AppError> {
-        let id = self.client_id(client)?;
+    /// A client, named by its interned key, and the server group it
+    /// currently sends to, as the interned names every [`FlowSnapshot`] row
+    /// and [`CompletedRequest`] carries.
+    pub fn assignment(&self, client: Key) -> Result<(Key, Key), AppError> {
+        let id = self.client_id_of(client)?;
         let group = self.clients[id.ix()].group;
         Ok((self.client_names[id.ix()], self.group_names[group.ix()]))
     }
@@ -906,7 +917,7 @@ impl GridApp {
 
     /// Names of every live spare (inactive, unassigned) server, in name
     /// order — the pool `findServer` draws from.
-    pub fn spare_servers(&self) -> Vec<String> {
+    pub fn spare_servers(&self) -> Vec<Key> {
         self.server_names_where(ServerState::is_spare)
     }
 
@@ -982,15 +993,16 @@ impl GridApp {
     /// *waiting* in their old queues migrate with them (the group move
     /// re-binds the queue routing entry, so queued work follows it).
     /// Requests already in service or in flight are unaffected. Returns the
-    /// number of clients moved.
-    pub fn move_clients(&mut self, clients: &[String], to_group: &str) -> Result<usize, AppError> {
+    /// number of clients moved. The clients are the interned names the
+    /// planner's class index holds, each found by key.
+    pub fn move_clients(&mut self, clients: &[Key], to_group: &str) -> Result<usize, AppError> {
         let to = self.group_id(to_group)?;
         // Validate the whole batch before touching anything: a group move is
         // atomic, and a half-applied batch (some clients re-pointed, none of
         // their queued requests migrated) would be unobservable to the
         // caller behind the returned error.
         let moved: Result<BTreeSet<ClientId>, AppError> =
-            clients.iter().map(|c| self.client_id(c)).collect();
+            clients.iter().map(|&c| self.client_id_of(c)).collect();
         let moved = moved?;
         self.assignment_generation += 1;
         for &client in &moved {
@@ -1048,7 +1060,7 @@ impl GridApp {
     /// recycled. A healthy reply transmits within a fraction of a second, so
     /// transmission ages past the bound indicate a transfer that will not
     /// finish in useful time.
-    pub fn stuck_sending_servers(&self, group: &str, min_age_secs: f64) -> Vec<String> {
+    pub fn stuck_sending_servers(&self, group: &str, min_age_secs: f64) -> Vec<Key> {
         let Ok(group) = self.group_id(group) else {
             return Vec::new();
         };

@@ -19,7 +19,7 @@
 //! ```
 
 use gridapp::{
-    ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_1, SERVER_GROUP_2,
+    ExperimentSchedule, GridApp, GridConfig, Key, TestbedSpec, SERVER_GROUP_1, SERVER_GROUP_2,
 };
 use simnet::SimTime;
 use std::fmt::Write as _;
@@ -57,11 +57,11 @@ fn config() -> GridConfig {
     })
 }
 
-fn move_all(app: &mut GridApp, style: Style, clients: &[String], to: &str) {
+fn move_all(app: &mut GridApp, style: Style, clients: &[Key], to: &str) {
     match style {
         Style::Adaptive => {
             for client in clients {
-                app.move_client(client, to).expect("client moves");
+                app.move_client(client.as_str(), to).expect("client moves");
             }
         }
         Style::PlannedRepair => {
@@ -93,12 +93,12 @@ fn render_run(title: &str, style: Style) -> String {
                 // What a repair sees: the clients whose flow collapsed, in
                 // snapshot (name) order.
                 app.advance(now);
-                let squeezed: Vec<String> = app
+                let squeezed: Vec<Key> = app
                     .flow_snapshot()
                     .entries()
                     .iter()
                     .filter(|(_, _, flow)| flow.is_some_and(|bps| bps < config.min_bandwidth_bps))
-                    .map(|(client, _, _)| client.to_string())
+                    .map(|&(client, _, _)| client)
                     .collect();
                 writeln!(out, "squeezed {squeezed:?}").unwrap();
                 move_all(&mut app, style, &squeezed, SERVER_GROUP_2);
@@ -111,7 +111,7 @@ fn render_run(title: &str, style: Style) -> String {
                 app.activate_server(&spare).expect("activates");
                 writeln!(out, "recruited {spare} for {EARLY_GROUP}").unwrap();
                 // Build order, which is not name order.
-                let movers = ["User2", "User10", "User1", "User21"].map(String::from);
+                let movers = ["User2", "User10", "User1", "User21"].map(Key::new);
                 move_all(&mut app, style, &movers, EARLY_GROUP);
             }
             90 => {
@@ -119,7 +119,7 @@ fn render_run(title: &str, style: Style) -> String {
                 // still hold queued work: a batch move pulls it out of
                 // `ServerGrp0` before `ServerGrp2`.
                 app.advance(now);
-                let movers = ["User21", "User13", "User1", "User14"].map(String::from);
+                let movers = ["User21", "User13", "User1", "User14"].map(Key::new);
                 move_all(&mut app, style, &movers, SERVER_GROUP_1);
             }
             100 => app.restart_server(now, "S1").expect("S1 exists"),

@@ -195,10 +195,10 @@ impl ClassIndex {
         &self.server_classes
     }
 
-    /// The class a client belongs to. A name never interned names no
-    /// client, so a lookup by text interns nothing.
-    pub fn client_class_of(&self, client: &str) -> Option<usize> {
-        self.client_class_of.get(&Key::find(client)?).copied()
+    /// The class a client, named by its interned key, belongs to: one
+    /// pointer hash, no lookup by text.
+    pub fn client_class_of(&self, client: Key) -> Option<usize> {
+        self.client_class_of.get(&client).copied()
     }
 
     /// The class a server belongs to.
@@ -242,11 +242,11 @@ mod tests {
         let index = ClassIndex::build(&testbed);
         // C1/C2 and C5/C6 share machines: 4 client classes for 6 clients.
         assert_eq!(index.client_classes().len(), 4);
-        let c12 = index.client_class_of("User1").unwrap();
-        assert_eq!(index.client_class_of("User2"), Some(c12));
+        let c12 = index.client_class_of(Key::new("User1")).unwrap();
+        assert_eq!(index.client_class_of(Key::new("User2")), Some(c12));
         assert_ne!(
-            index.client_class_of("User3"),
-            index.client_class_of("User4")
+            index.client_class_of(Key::new("User3")),
+            index.client_class_of(Key::new("User4"))
         );
         let class = index.client_class(c12).unwrap();
         assert_eq!(class.representative, "User1");

@@ -31,6 +31,7 @@ use gridapp::{GridApp, Key};
 use repair::operators::add_server;
 use repair::tactic::client_of_violation;
 use repair::{RepairDamping, RepairPlan};
+use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet};
 use translator::RuntimeOp;
 
@@ -59,6 +60,11 @@ pub struct GroupSnapshot {
 /// Everything the planner consumes for one planning decision. Assembled from
 /// the live application by [`PlannerInput::gather`]; unit tests construct it
 /// directly.
+///
+/// Every name is an interned [`Key`] — the application's and the class
+/// index's own — so the input holds no copy of a client's name and a lookup
+/// hashes or compares one word. `Key`'s order is its string's, so the
+/// ordered fields iterate in name order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerInput {
     /// Current time (seconds) — the damping clock.
@@ -66,24 +72,29 @@ pub struct PlannerInput {
     /// The thresholds in force.
     pub thresholds: PlannerThresholds,
     /// Per-group state, in name order.
-    pub groups: BTreeMap<String, GroupSnapshot>,
+    pub groups: BTreeMap<Key, GroupSnapshot>,
     /// Spare servers available for recruitment (pool is global, as in
     /// `findServer`).
     pub spare_servers: usize,
     /// Class-level Remos predictions: `(client class, group)` → flow, `None`
-    /// when the group is unreachable (no live replica).
-    pub class_bandwidth: BTreeMap<(usize, String), Option<f64>>,
+    /// when the group is unreachable (no live replica). Only looked up,
+    /// never walked.
+    pub class_bandwidth: FxHashMap<(usize, Key), Option<f64>>,
     /// Clients named by latency/bandwidth violations, sorted and deduplicated.
-    pub violating_clients: Vec<String>,
+    pub violating_clients: Vec<Key>,
     /// Groups named by serverLoad violations, sorted and deduplicated.
-    pub overloaded_groups: Vec<String>,
-    /// Every client's current group assignment.
-    pub client_groups: BTreeMap<String, String>,
+    pub overloaded_groups: Vec<Key>,
+    /// Every client's current group, by client. Looked up per class member
+    /// and summed per group, never walked into an output.
+    pub client_groups: FxHashMap<Key, Key>,
 }
 
 impl PlannerInput {
     /// Assembles the planner's view from the running application, the
-    /// current model, and a violation report.
+    /// current model, and a violation report. Its allocations scale with
+    /// groups and classes, not clients: the clients' names and groups are
+    /// the keys the application already holds, copied into one table, and a
+    /// violating client is the model's own key.
     pub fn gather(
         app: &GridApp,
         index: &ClassIndex,
@@ -92,20 +103,18 @@ impl PlannerInput {
         thresholds: PlannerThresholds,
         now_secs: f64,
     ) -> PlannerInput {
-        let mut violating: BTreeSet<String> = BTreeSet::new();
-        let mut overloaded: BTreeSet<String> = BTreeSet::new();
+        let mut violating: Vec<Key> = Vec::new();
+        let mut overloaded: Vec<Key> = Vec::new();
         for violation in &report.violations {
             match violation.invariant.as_str() {
-                "latency" | "bandwidth" => {
-                    if let Some(client) = client_of_violation(model, violation) {
-                        violating.insert(client);
-                    }
-                }
-                "serverLoad" => {
-                    overloaded.insert(violation.subject_name.clone());
-                }
+                "latency" | "bandwidth" => violating.extend(client_of_violation(model, violation)),
+                "serverLoad" => overloaded.push(Key::new(&violation.subject_name)),
                 _ => {}
             }
+        }
+        for names in [&mut violating, &mut overloaded] {
+            names.sort_unstable();
+            names.dedup();
         }
         let mut groups = BTreeMap::new();
         for group in app.group_names() {
@@ -114,28 +123,22 @@ impl PlannerInput {
                 .and_then(|id| model.component(id).ok())
                 .and_then(|c| c.properties.get_f64(archmodel::style::props::LOAD))
                 .unwrap_or(0.0);
-            groups.insert(
-                group.clone(),
-                GroupSnapshot {
-                    load,
-                    live_servers: app.active_servers(&group).len(),
-                    stuck_servers: app
-                        .stuck_sending_servers(&group, thresholds.max_latency_secs)
-                        .len(),
-                },
-            );
+            let snapshot = GroupSnapshot {
+                load,
+                live_servers: app.active_server_hosts(&group).count(),
+                stuck_servers: app
+                    .stuck_sending_servers(&group, thresholds.max_latency_secs)
+                    .len(),
+            };
+            groups.insert(Key::new(&group), snapshot);
         }
-        let mut class_bandwidth = BTreeMap::new();
+        let mut class_bandwidth = FxHashMap::default();
+        class_bandwidth.reserve(index.client_classes().len() * groups.len());
         let mut probes = GroupProbes::new(app, index);
         for class in index.client_classes() {
-            for group in groups.keys() {
-                class_bandwidth.insert((class.id, group.clone()), probes.flow(class, group));
-            }
-        }
-        let mut client_groups = BTreeMap::new();
-        for client in app.client_names() {
-            if let Ok(group) = app.client_group(&client) {
-                client_groups.insert(client, group);
+            for &group in groups.keys() {
+                let flow = probes.flow(class, group.as_str());
+                class_bandwidth.insert((class.id, group), flow);
             }
         }
         PlannerInput {
@@ -144,27 +147,29 @@ impl PlannerInput {
             groups,
             spare_servers: app.spare_servers().len(),
             class_bandwidth,
-            violating_clients: violating.into_iter().collect(),
-            overloaded_groups: overloaded.into_iter().collect(),
-            client_groups,
+            violating_clients: violating,
+            overloaded_groups: overloaded,
+            client_groups: app.assignments().collect(),
         }
     }
 
-    fn bandwidth(&self, class: usize, group: &str) -> f64 {
-        self.class_bandwidth
-            .get(&(class, group.to_string()))
-            .copied()
-            .flatten()
-            .unwrap_or(0.0)
+    fn bandwidth(&self, class: usize, group: Key) -> f64 {
+        let flow = self.class_bandwidth.get(&(class, group));
+        flow.copied().flatten().unwrap_or(0.0)
+    }
+
+    /// The group `client` currently sends to.
+    fn group_of(&self, client: &Key) -> Option<Key> {
+        self.client_groups.get(client).copied()
     }
 }
 
 /// One planned class move.
 #[derive(Debug, Clone)]
 struct ClassMove {
-    from: String,
-    to: String,
-    members: Vec<String>,
+    from: Key,
+    to: Key,
+    members: Vec<Key>,
 }
 
 /// The group-level planner: per-subject damping state over the class index
@@ -211,6 +216,11 @@ impl GroupPlanner {
     /// `moveClientGroup` nor `addServer` can break the style
     /// (`archmodel/tests/style_ops.rs`), so the one style check of a planned
     /// repair is the commit's, on the live model.
+    ///
+    /// Clients stay the class index's interned [`Key`]s throughout: a class
+    /// move's sources, members and the classes' homes are keys looked up in
+    /// the input, and the member lists become the `moveClientGroup` model ops
+    /// and runtime batches as they are, so no client's name is copied.
     pub fn plan(
         &mut self,
         index: &ClassIndex,
@@ -226,23 +236,18 @@ impl GroupPlanner {
         let mut moves: Vec<ClassMove> = Vec::new();
         let mut moved_classes: BTreeSet<usize> = BTreeSet::new();
         let mut violating_classes: BTreeSet<usize> = BTreeSet::new();
-        for client in &input.violating_clients {
+        for &client in &input.violating_clients {
             if let Some(id) = index.client_class_of(client) {
                 violating_classes.insert(id);
             }
         }
         for &id in &violating_classes {
             let class = index.client_class(id)?;
-            let sources: BTreeSet<&String> = class
+            let sources: BTreeSet<Key> = class
                 .members
                 .iter()
-                .filter(|m| {
-                    let violating = &input.violating_clients;
-                    violating
-                        .binary_search_by(|c| c.as_str().cmp(m.as_str()))
-                        .is_ok()
-                })
-                .filter_map(|m| input.client_groups.get(m.as_str()))
+                .filter(|m| input.violating_clients.binary_search(m).is_ok())
+                .filter_map(|m| input.group_of(m))
                 .collect();
             for from in sources {
                 // Precondition (the class-level fixBandwidth guard): the
@@ -252,8 +257,8 @@ impl GroupPlanner {
                 }
                 // findGoodSGrp over the classes' alternatives, skipping
                 // groups that are themselves overloaded.
-                let mut best: Option<(&String, f64)> = None;
-                for (group, snapshot) in &input.groups {
+                let mut best: Option<(Key, f64)> = None;
+                for (&group, snapshot) in &input.groups {
                     if group == from || snapshot.load > thresholds.max_server_load {
                         continue;
                     }
@@ -270,11 +275,11 @@ impl GroupPlanner {
                 if !self.allows(&key, input.now_secs) {
                     continue;
                 }
-                let members: Vec<String> = class
+                let members: Vec<Key> = class
                     .members
                     .iter()
-                    .filter(|m| input.client_groups.get(m.as_str()) == Some(from))
-                    .map(Key::to_string)
+                    .copied()
+                    .filter(|m| input.group_of(m) == Some(from))
                     .collect();
                 if members.is_empty() {
                     continue;
@@ -284,11 +289,7 @@ impl GroupPlanner {
                     "class {id} ({} clients) {from} -> {to} at {bw:.0} bps",
                     members.len()
                 ));
-                moves.push(ClassMove {
-                    from: from.clone(),
-                    to: to.clone(),
-                    members,
-                });
+                moves.push(ClassMove { from, to, members });
                 moved_classes.insert(id);
             }
         }
@@ -298,22 +299,22 @@ impl GroupPlanner {
         let bandwidth_moves = moves.len();
 
         // -- drainServer: recycle replicas wedged on a collapsed path. -----
-        let mut drain_groups: BTreeSet<String> = BTreeSet::new();
+        let mut drain_groups: BTreeSet<Key> = BTreeSet::new();
         for mv in &moves {
             if input
                 .groups
                 .get(&mv.from)
                 .is_some_and(|g| g.stuck_servers > 0)
             {
-                drain_groups.insert(mv.from.clone());
+                drain_groups.insert(mv.from);
             }
         }
 
         // -- rebalanceGroups: recruit spares, then water-fill classes. -----
-        let mut recruits: Vec<(String, usize)> = Vec::new();
+        let mut recruits: Vec<(Key, usize)> = Vec::new();
         let mut spares_left = input.spare_servers;
-        for group in &input.overloaded_groups {
-            let Some(snapshot) = input.groups.get(group) else {
+        for &group in &input.overloaded_groups {
+            let Some(snapshot) = input.groups.get(&group) else {
                 continue;
             };
             let key = format!("load/{group}");
@@ -333,11 +334,11 @@ impl GroupPlanner {
                 let recruit = need.min(spares_left);
                 spares_left -= recruit;
                 notes.push(format!("recruited {recruit} spares into {group}"));
-                recruits.push((group.clone(), recruit));
+                recruits.push((group, recruit));
                 acted = true;
             }
             if snapshot.stuck_servers > 0 {
-                drain_groups.insert(group.clone());
+                drain_groups.insert(group);
                 acted = true;
             }
             if acted {
@@ -351,39 +352,32 @@ impl GroupPlanner {
         // Water-filling: while one overloaded group carries far more clients
         // per live replica than the best under-loaded receiver, move its
         // smallest whole class across (bandwidth permitting).
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for group in input.groups.keys() {
-            counts.insert(group.clone(), 0);
-        }
-        for group in input.client_groups.values() {
-            match counts.get_mut(group) {
-                Some(count) => *count += 1,
-                None => drop(counts.insert(group.clone(), 1)),
-            }
+        let mut counts: BTreeMap<Key, usize> = input.groups.keys().map(|&g| (g, 0)).collect();
+        for &group in input.client_groups.values() {
+            *counts.entry(group).or_insert(0) += 1;
         }
         for mv in &moves {
             if let Some(count) = counts.get_mut(&mv.from) {
                 *count = count.saturating_sub(mv.members.len());
             }
-            *counts.entry(mv.to.clone()).or_insert(0) += mv.members.len();
+            *counts.entry(mv.to).or_insert(0) += mv.members.len();
         }
-        let mut live: BTreeMap<String, usize> = input
+        let mut live: BTreeMap<Key, usize> = input
             .groups
             .iter()
-            .map(|(g, s)| (g.clone(), s.live_servers))
+            .map(|(&g, s)| (g, s.live_servers))
             .collect();
-        for (group, k) in &recruits {
-            *live.entry(group.clone()).or_insert(0) += k;
+        for &(group, k) in &recruits {
+            *live.entry(group).or_insert(0) += k;
         }
-        let pressure =
-            |counts: &BTreeMap<String, usize>, live: &BTreeMap<String, usize>, g: &str| {
-                counts.get(g).copied().unwrap_or(0) as f64
-                    / live.get(g).copied().unwrap_or(0).max(1) as f64
-            };
+        let pressure = |counts: &BTreeMap<Key, usize>, live: &BTreeMap<Key, usize>, g: &Key| {
+            counts.get(g).copied().unwrap_or(0) as f64
+                / live.get(g).copied().unwrap_or(0).max(1) as f64
+        };
         // The one group every member of each class is homed on, if there is
         // one — `client_groups` does not change while planning, so the first
         // round that needs a candidate works it out for all eight.
-        let mut homes: Option<Vec<Option<&String>>> = None;
+        let mut homes: Option<Vec<Option<Key>>> = None;
         let mut rebalanced = 0usize;
         for _ in 0..8 {
             // Highest-pressure overloaded group vs lowest-pressure healthy
@@ -391,6 +385,7 @@ impl GroupPlanner {
             let hi = input
                 .overloaded_groups
                 .iter()
+                .copied()
                 .filter(|g| self.allows(&format!("rebalance/{g}"), input.now_secs))
                 .max_by(|a, b| {
                     pressure(&counts, &live, a)
@@ -401,15 +396,15 @@ impl GroupPlanner {
             let lo = input
                 .groups
                 .iter()
-                .filter(|(g, s)| *g != hi && s.load <= thresholds.max_server_load)
-                .map(|(g, _)| g)
+                .filter(|(&g, s)| g != hi && s.load <= thresholds.max_server_load)
+                .map(|(&g, _)| g)
                 .min_by(|a, b| {
                     pressure(&counts, &live, a)
                         .total_cmp(&pressure(&counts, &live, b))
                         .then_with(|| a.cmp(b))
                 });
             let Some(lo) = lo else { break };
-            if pressure(&counts, &live, hi) <= 1.5 * pressure(&counts, &live, lo) + 1.0 {
+            if pressure(&counts, &live, &hi) <= 1.5 * pressure(&counts, &live, &lo) + 1.0 {
                 break;
             }
             // Smallest whole class still homed on `hi` whose bandwidth to
@@ -417,9 +412,8 @@ impl GroupPlanner {
             let homes = homes.get_or_insert_with(|| {
                 // (A class has at least one member: `ClassIndex::build`.)
                 let home_of = |c: &ClientClass| {
-                    let home = input.client_groups.get(c.members.first()?.as_str());
-                    let shared = |m: &Key| input.client_groups.get(m.as_str()) == home;
-                    home.filter(|_| c.members.iter().all(shared))
+                    let home = input.group_of(c.members.first()?);
+                    home.filter(|_| c.members.iter().all(|m| input.group_of(m) == home))
                 };
                 index.client_classes().iter().map(home_of).collect()
             });
@@ -432,17 +426,17 @@ impl GroupPlanner {
                 .filter(|c| input.bandwidth(c.id, lo) > thresholds.min_bandwidth_bps)
                 .min_by_key(|c| (c.members.len(), c.id));
             let Some(class) = candidate else { break };
-            *counts.entry(hi.clone()).or_insert(0) -= class.members.len();
-            *counts.entry(lo.clone()).or_insert(0) += class.members.len();
+            *counts.entry(hi).or_insert(0) -= class.members.len();
+            *counts.entry(lo).or_insert(0) += class.members.len();
             notes.push(format!(
                 "rebalanced class {} ({} clients) {hi} -> {lo}",
                 class.id,
                 class.members.len()
             ));
             moves.push(ClassMove {
-                from: hi.clone(),
-                to: lo.clone(),
-                members: class.members.iter().map(Key::to_string).collect(),
+                from: hi,
+                to: lo,
+                members: class.members.clone(),
             });
             moved_classes.insert(class.id);
             damping_keys.push(format!("rebalance/{hi}"));
@@ -464,34 +458,34 @@ impl GroupPlanner {
 
         // Each class move resolves against the live model as applying it would.
         for mv in &moves {
-            ClientServerStyle::resolve_move(model, &mv.members, &mv.to).ok()?;
+            ClientServerStyle::resolve_move(model, &mv.members, mv.to.as_str()).ok()?;
         }
 
         // -- Batched runtime ops. ------------------------------------------
         let mut runtime_ops = Vec::new();
         if let Some(first) = moves.first() {
             runtime_ops.push(RuntimeOp::RemosGetFlow {
-                client: first.members[0].clone(),
-                server: first.to.clone(),
+                client: first.members[0].to_string(),
+                server: first.to.to_string(),
             });
         }
         // All classes headed to the same group share one routing update: a
         // `moveClientGroup` re-binds queue routing entries in a single
         // message, so the batch pays one handshake per *target*, not one per
         // class (clients keep their class-internal order, classes keep plan
-        // order). Each batch is the one copy of its clients' names.
-        let mut batch_sizes: BTreeMap<&String, usize> = BTreeMap::new();
+        // order). Each batch is one list of its clients' keys.
+        let mut batch_sizes: BTreeMap<Key, usize> = BTreeMap::new();
         for mv in &moves {
-            *batch_sizes.entry(&mv.to).or_default() += mv.members.len();
+            *batch_sizes.entry(mv.to).or_default() += mv.members.len();
         }
         for (to_group, size) in batch_sizes {
             let mut clients = Vec::with_capacity(size);
-            for mv in moves.iter().filter(|mv| &mv.to == to_group) {
-                clients.extend(mv.members.iter().cloned());
+            for mv in moves.iter().filter(|mv| mv.to == to_group) {
+                clients.extend_from_slice(&mv.members);
             }
             runtime_ops.push(RuntimeOp::MoveClientGroup {
                 clients,
-                to_group: to_group.clone(),
+                to_group: to_group.to_string(),
             });
         }
         if !moves.is_empty() {
@@ -506,7 +500,7 @@ impl GroupPlanner {
         }
         for group in &drain_groups {
             runtime_ops.push(RuntimeOp::DrainStuckServers {
-                group: group.clone(),
+                group: group.to_string(),
                 min_age_secs: thresholds.max_latency_secs,
             });
         }
@@ -523,27 +517,27 @@ impl GroupPlanner {
             .into_iter()
             .map(|mv| ModelOp::MoveClientGroup {
                 clients: mv.members,
-                to_group: mv.to,
+                to_group: mv.to.to_string(),
             })
             .collect();
-        for (group, k) in &recruits {
-            for _ in 0..*k {
-                add_server(model, &mut ops, group).ok()?;
+        for &(group, k) in &recruits {
+            for _ in 0..k {
+                add_server(model, &mut ops, group.as_str()).ok()?;
             }
         }
         let mut names = ops.iter().filter_map(|op| match op {
             ModelOp::AddServer { server, .. } => Some(server),
             _ => None,
         });
-        for (group, k) in &recruits {
-            for name in names.by_ref().take(*k) {
+        for &(group, k) in &recruits {
+            for name in names.by_ref().take(k) {
                 runtime_ops.push(RuntimeOp::FindServer {
-                    client: group.clone(),
+                    client: group.to_string(),
                     bandwidth_threshold_bps: thresholds.min_bandwidth_bps,
                 });
                 runtime_ops.push(RuntimeOp::ConnectServer {
                     server: name.clone(),
-                    group: group.clone(),
+                    group: group.to_string(),
                 });
                 runtime_ops.push(RuntimeOp::ActivateServer {
                     server: name.clone(),
@@ -596,13 +590,18 @@ mod tests {
         }
     }
 
+    fn sg1(input: &mut PlannerInput) -> &mut GroupSnapshot {
+        let group = input.groups.get_mut(&Key::new("ServerGrp1"));
+        group.expect("the fixture has ServerGrp1")
+    }
+
     /// A paper-shaped model plus input in which User3/User4 are squeezed on
     /// ServerGrp1 while ServerGrp2 is healthy.
     fn squeeze_fixture() -> (System, ClassIndex, PlannerInput) {
         let model = ClientServerStyle::example_system("storage", 2, 3, 6).unwrap();
         let testbed = Testbed::build().unwrap();
         let index = ClassIndex::build(&testbed);
-        let mut client_groups = BTreeMap::new();
+        let mut client_groups = FxHashMap::default();
         for i in 1..=6 {
             // The example system round-robins clients over the two groups;
             // mirror that so the model and the input agree.
@@ -611,11 +610,11 @@ mod tests {
             } else {
                 "ServerGrp2"
             };
-            client_groups.insert(format!("User{i}"), group.to_string());
+            client_groups.insert(Key::new(&format!("User{i}")), Key::new(group));
         }
         let mut groups = BTreeMap::new();
         groups.insert(
-            "ServerGrp1".to_string(),
+            Key::new("ServerGrp1"),
             GroupSnapshot {
                 load: 1.0,
                 live_servers: 3,
@@ -623,21 +622,21 @@ mod tests {
             },
         );
         groups.insert(
-            "ServerGrp2".to_string(),
+            Key::new("ServerGrp2"),
             GroupSnapshot {
                 load: 0.0,
                 live_servers: 3,
                 stuck_servers: 0,
             },
         );
-        let mut class_bandwidth = BTreeMap::new();
+        let mut class_bandwidth = FxHashMap::default();
         for class in index.client_classes() {
             let squeezed = class.members.iter().any(|m| *m == "User3");
             class_bandwidth.insert(
-                (class.id, "ServerGrp1".to_string()),
+                (class.id, Key::new("ServerGrp1")),
                 Some(if squeezed { 5_000.0 } else { 5.0e6 }),
             );
-            class_bandwidth.insert((class.id, "ServerGrp2".to_string()), Some(3.0e6));
+            class_bandwidth.insert((class.id, Key::new("ServerGrp2")), Some(3.0e6));
         }
         let input = PlannerInput {
             now_secs: 100.0,
@@ -645,7 +644,7 @@ mod tests {
             groups,
             spare_servers: 2,
             class_bandwidth,
-            violating_clients: vec!["User3".to_string()],
+            violating_clients: vec![Key::new("User3")],
             overloaded_groups: Vec::new(),
             client_groups,
         };
@@ -670,7 +669,7 @@ mod tests {
                 _ => None,
             })
             .expect("a batched move is planned");
-        assert_eq!(batch.0, vec!["User3".to_string()]);
+        assert_eq!(batch.0, vec![Key::new("User3")]);
         assert_eq!(batch.1, "ServerGrp2");
         assert!(runtime_ops.iter().any(
             |op| matches!(op, RuntimeOp::DrainStuckServers { group, .. } if group == "ServerGrp1")
@@ -708,9 +707,9 @@ mod tests {
     fn overloaded_group_recruits_spares_scaled_to_the_backlog() {
         let (model, index, mut input) = squeeze_fixture();
         input.violating_clients.clear();
-        input.overloaded_groups = vec!["ServerGrp1".to_string()];
-        input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
-        input.groups.get_mut("ServerGrp1").unwrap().stuck_servers = 0;
+        input.overloaded_groups = vec![Key::new("ServerGrp1")];
+        sg1(&mut input).load = 20.0;
+        sg1(&mut input).stuck_servers = 0;
         let mut planner = GroupPlanner::new(None);
         let (plan, runtime_ops) = planner
             .plan(&index, &model, &input)
@@ -731,8 +730,8 @@ mod tests {
     fn recruits_take_the_first_names_neither_the_model_nor_the_plan_holds() {
         let (model, index, mut input) = squeeze_fixture();
         input.violating_clients.clear();
-        input.overloaded_groups = vec!["ServerGrp1".to_string()];
-        input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
+        input.overloaded_groups = vec![Key::new("ServerGrp1")];
+        sg1(&mut input).load = 20.0;
         let mut planner = GroupPlanner::new(None);
         let (plan, _) = planner.plan(&index, &model, &input).expect("a plan");
         let add = |server: &str| ModelOp::AddServer {
@@ -755,9 +754,9 @@ mod tests {
         // So is an overloaded group's, which would recruit.
         let (model, index, mut input) = squeeze_fixture();
         input.violating_clients.clear();
-        input.overloaded_groups = vec!["ServerGrp3".to_string()];
+        input.overloaded_groups = vec![Key::new("ServerGrp3")];
         input.groups.insert(
-            "ServerGrp3".to_string(),
+            Key::new("ServerGrp3"),
             GroupSnapshot {
                 load: 20.0,
                 live_servers: 1,
@@ -771,17 +770,17 @@ mod tests {
     fn water_filling_moves_the_smallest_whole_class_off_the_overloaded_group() {
         let (model, index, mut input) = squeeze_fixture();
         input.violating_clients.clear();
-        input.overloaded_groups = vec!["ServerGrp1".to_string()];
-        input.groups.get_mut("ServerGrp1").unwrap().load = 20.0;
-        input.groups.get_mut("ServerGrp1").unwrap().stuck_servers = 0;
+        input.overloaded_groups = vec![Key::new("ServerGrp1")];
+        sg1(&mut input).load = 20.0;
+        sg1(&mut input).stuck_servers = 0;
         input.spare_servers = 0;
         // Everyone but User1 crowds ServerGrp1: 5 clients per 3 replicas
         // against 1 per 3, and one class move (4 against 2) settles it.
         for (client, group) in input.client_groups.iter_mut() {
-            *group = if client == "User1" {
-                "ServerGrp2".to_string()
+            *group = if *client == "User1" {
+                Key::new("ServerGrp2")
             } else {
-                "ServerGrp1".to_string()
+                Key::new("ServerGrp1")
             };
         }
         let mut planner = GroupPlanner::new(None);
@@ -803,8 +802,7 @@ mod tests {
             .iter()
             .find(|c| c.members.iter().all(|m| *m != "User1"))
             .unwrap();
-        let members: Vec<String> = class.members.iter().map(Key::to_string).collect();
-        assert_eq!(moves, vec![(&members, &"ServerGrp2".to_string())]);
+        assert_eq!(moves, vec![(&class.members, &"ServerGrp2".to_string())]);
     }
 
     #[test]
@@ -846,22 +844,22 @@ mod tests {
         // Model with the right component names for the moved members: use
         // a generated system with 2 groups and 2000 clients.
         let model = ClientServerStyle::example_system("web", 2, 3, 2000).unwrap();
-        let mut client_groups = BTreeMap::new();
+        let mut client_groups = FxHashMap::default();
         for i in 1..=2000 {
             let group = if i % 2 == 1 {
                 "ServerGrp1"
             } else {
                 "ServerGrp2"
             };
-            client_groups.insert(format!("User{i}"), group.to_string());
+            client_groups.insert(Key::new(&format!("User{i}")), Key::new(group));
         }
         // The squeezed classes: clients 801..=1200 (behind R2).
         let squeezed: BTreeSet<usize> = (801..=1200)
-            .filter_map(|i| index.client_class_of(&format!("User{i}")))
+            .filter_map(|i| index.client_class_of(Key::new(&format!("User{i}"))))
             .collect();
         let mut groups = BTreeMap::new();
         groups.insert(
-            "ServerGrp1".to_string(),
+            Key::new("ServerGrp1"),
             GroupSnapshot {
                 load: 2.0,
                 live_servers: 48,
@@ -869,25 +867,25 @@ mod tests {
             },
         );
         groups.insert(
-            "ServerGrp2".to_string(),
+            Key::new("ServerGrp2"),
             GroupSnapshot {
                 load: 0.0,
                 live_servers: 32,
                 stuck_servers: 0,
             },
         );
-        let mut class_bandwidth = BTreeMap::new();
+        let mut class_bandwidth = FxHashMap::default();
         for class in index.client_classes() {
             let bw1 = if squeezed.contains(&class.id) {
                 4_000.0
             } else {
                 2.0e6
             };
-            class_bandwidth.insert((class.id, "ServerGrp1".to_string()), Some(bw1));
-            class_bandwidth.insert((class.id, "ServerGrp2".to_string()), Some(3.0e6));
+            class_bandwidth.insert((class.id, Key::new("ServerGrp1")), Some(bw1));
+            class_bandwidth.insert((class.id, Key::new("ServerGrp2")), Some(3.0e6));
         }
-        let violating: Vec<String> = (801..=1200)
-            .map(|i| format!("User{i}"))
+        let violating: Vec<Key> = (801..=1200)
+            .map(|i| Key::new(&format!("User{i}")))
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();

@@ -38,6 +38,7 @@
 
 use crate::classes::{ClassIndex, ClientClass};
 use gridapp::{FlowSnapshot, GridApp, Key};
+use rustc_hash::{FxHashMap, FxHashSet};
 use simnet::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -175,49 +176,42 @@ impl RepTable {
         &self.reps
     }
 
+    /// One walk of the application's assignments, which come in client-name
+    /// order: the first client met on a `(class, group)` pair is its
+    /// representative, and each client's class is one lookup by key.
     fn rebuild(&mut self, app: &GridApp) {
         self.members = None;
         self.reps.clear();
-        for class in self.index.client_classes() {
-            // Members are in name order, so the first one found on a group
-            // is that pair's representative.
-            let first = self.reps.len();
-            for member in &class.members {
-                let Ok((client, group)) = app.assignment(member.as_str()) else {
-                    continue;
-                };
-                if self.reps[first..].iter().all(|rep| rep.group != group) {
-                    self.reps.push(Rep {
-                        client,
-                        group,
-                        class: class.id,
-                    });
-                }
+        let mut seen: FxHashSet<(usize, Key)> = FxHashSet::default();
+        for (client, group) in app.assignments() {
+            let Some(class) = self.index.client_class_of(client) else {
+                continue;
+            };
+            if seen.insert((class, group)) {
+                self.reps.push(Rep {
+                    client,
+                    group,
+                    class,
+                });
             }
         }
-        self.reps.sort_by_key(|rep| rep.client);
     }
 
-    /// Files every indexed client under its representative's slot. Runs once
-    /// per table rebuild, so the per-tick fan-out never walks the index.
+    /// Files every indexed client, in name order, under its representative's
+    /// slot. Runs once per table rebuild, so the per-tick fan-out never
+    /// walks the assignments.
     fn file_members(&self, app: &GridApp) -> Vec<(Key, usize)> {
-        let slots: BTreeMap<(usize, Key), usize> = self
+        let slots: FxHashMap<(usize, Key), usize> = self
             .reps
             .iter()
             .enumerate()
             .map(|(slot, rep)| ((rep.class, rep.group), slot))
             .collect();
-        let mut members = Vec::new();
-        for class in self.index.client_classes() {
-            for member in &class.members {
-                let Ok((client, group)) = app.assignment(member.as_str()) else {
-                    continue;
-                };
-                members.push((client, slots[&(class.id, group)]));
-            }
-        }
-        members.sort();
-        members
+        let filed = app.assignments().filter_map(|(client, group)| {
+            let class = self.index.client_class_of(client)?;
+            Some((client, slots[&(class, group)]))
+        });
+        filed.collect()
     }
 
     /// The class-shared flow of every representative, probed in table order.
@@ -269,7 +263,6 @@ mod tests {
     use super::*;
     use gridapp::{GridConfig, TestbedSpec, SERVER_GROUP_1, SERVER_GROUP_2};
     use proptest::prelude::*;
-    use rustc_hash::FxHashMap;
     use simnet::SimTime;
 
     /// One [`GroupProbes::flow`] query on its own, from scratch: the
@@ -295,7 +288,7 @@ mod tests {
                 Err(_) => continue,
             };
             let Some(class) = index
-                .client_class_of(&client)
+                .client_class_of(Key::new(&client))
                 .and_then(|id| index.client_class(id))
             else {
                 continue;
@@ -323,7 +316,7 @@ mod tests {
                 Err(_) => continue,
             };
             let class = index
-                .client_class_of(&client)
+                .client_class_of(Key::new(&client))
                 .and_then(|id| index.client_class(id))
                 .expect("the index is built from the app's own testbed");
             let flow = *memo
@@ -371,22 +364,22 @@ mod tests {
     fn mutate(app: &mut GridApp, index: &ClassIndex, now: SimTime, op: u8, pick: usize) {
         let classes = index.client_classes();
         let class = &classes[pick % classes.len()];
-        let members: Vec<String> = class.members.iter().map(Key::to_string).collect();
+        let members = &class.members;
         let group = [SERVER_GROUP_1, SERVER_GROUP_2][(pick / classes.len()) % 2];
         let servers = app.server_names();
         let server = &servers[pick % servers.len()];
         match op {
             0 => {
                 let member = &members[pick % members.len()];
-                app.move_client(member, group).unwrap();
+                app.move_client(member.as_str(), group).unwrap();
             }
             1 => {
-                app.move_clients(&members, group).unwrap();
+                app.move_clients(members, group).unwrap();
             }
             2 => {
                 // Half a class: the odd members, so the first mover is not
                 // the class representative.
-                let half: Vec<String> = members.iter().skip(1).step_by(2).cloned().collect();
+                let half: Vec<Key> = members.iter().skip(1).step_by(2).copied().collect();
                 app.move_clients(&half, group).unwrap();
             }
             3 => {
@@ -396,7 +389,7 @@ mod tests {
                 // Already on target: re-home a class where its
                 // representative already is.
                 let current = app.client_group(class.representative.as_str()).unwrap();
-                app.move_clients(&members, &current).unwrap();
+                app.move_clients(members, &current).unwrap();
             }
             5 => app.crash_server(now, server).unwrap(),
             6 => app.restart_server(now, server).unwrap(),
@@ -485,18 +478,17 @@ mod tests {
         assert!(app.move_client("Nobody", SERVER_GROUP_2).is_err());
         assert!(app.move_client("User1", "NoSuchGroup").is_err());
         assert!(app
-            .move_clients(&["Nobody".to_string()], SERVER_GROUP_2)
+            .move_clients(&[Key::new("Nobody")], SERVER_GROUP_2)
             .is_err());
         assert!(app
-            .move_clients(&["User1".to_string()], "NoSuchGroup")
+            .move_clients(&[Key::new("User1")], "NoSuchGroup")
             .is_err());
         assert_eq!(app.assignment_generation(), generation);
         table.flow_snapshot(&app);
         assert_eq!(table.rebuilds(), 1);
 
         let class = &index.client_classes()[3];
-        let members: Vec<String> = class.members.iter().map(Key::to_string).collect();
-        app.move_clients(&members, SERVER_GROUP_2).unwrap();
+        app.move_clients(&class.members, SERVER_GROUP_2).unwrap();
         let snapshot = table.flow_snapshot(&app);
         assert_eq!(table.rebuilds(), 2, "the move is seen by the next snapshot");
         assert!(snapshot
@@ -551,7 +543,7 @@ mod tests {
         let full = fan_out(&app, &index);
         for (client, group, flow) in rep.entries() {
             let class = index
-                .client_class(index.client_class_of(client.as_str()).unwrap())
+                .client_class(index.client_class_of(*client).unwrap())
                 .unwrap();
             assert_eq!(*client, class.representative);
             let exact = full

@@ -17,14 +17,17 @@
 //! copy keeps no room for a script's new elements. Once a name was one word
 //! a copy was 645,161 bytes, and the plan, which then copied each moved
 //! client's name twice (into its model op and into its target's batch,
-//! grown by doubling), requested 71,206 (0.110). It requests 57,048 (0.088)
-//! since a class move's member list becomes its model op and each target's
-//! batch is reserved once. A copy does not fit under the ceiling.
+//! grown by doubling), requested 71,206 (0.110). It requested 57,048 (0.088)
+//! once a class move's member list became its model op and each target's
+//! batch was reserved once. It requests 44,007 (0.068) since its input and
+//! its ops name clients by the class index's interned keys: no `String` is
+//! copied per member. A copy does not fit under the ceiling.
 
 use archmodel::style::ClientServerStyle;
 use archmodel::{apply_op, ModelOp};
-use gridapp::{Testbed, TestbedSpec};
+use gridapp::{Key, Testbed, TestbedSpec};
 use planner::{ClassIndex, GroupPlanner, GroupSnapshot, PlannerInput, PlannerThresholds};
+use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 
 #[path = "../../repair/tests/common/bytes.rs"]
@@ -42,28 +45,27 @@ fn input(index: &ClassIndex) -> PlannerInput {
             "ServerGrp2"
         }
     };
-    let client_groups = (1..=2000)
-        .map(|i| (format!("User{i}"), group(i).to_string()))
-        .collect();
+    let user = |i: usize| Key::new(&format!("User{i}"));
+    let client_groups = (1..=2000).map(|i| (user(i), Key::new(group(i)))).collect();
     let squeezed: Vec<usize> = (801..=1200)
-        .filter_map(|i| index.client_class_of(&format!("User{i}")))
+        .filter_map(|i| index.client_class_of(user(i)))
         .collect();
-    let mut class_bandwidth = BTreeMap::new();
+    let mut class_bandwidth = FxHashMap::default();
     for class in index.client_classes() {
         let bw1 = if squeezed.contains(&class.id) {
             4_000.0
         } else {
             2.0e6
         };
-        class_bandwidth.insert((class.id, "ServerGrp1".to_string()), Some(bw1));
-        class_bandwidth.insert((class.id, "ServerGrp2".to_string()), Some(3.0e6));
+        class_bandwidth.insert((class.id, Key::new("ServerGrp1")), Some(bw1));
+        class_bandwidth.insert((class.id, Key::new("ServerGrp2")), Some(3.0e6));
     }
     let snapshot = |load, live_servers, stuck_servers| GroupSnapshot {
         load,
         live_servers,
         stuck_servers,
     };
-    let mut violating: Vec<String> = (801..=1200).map(|i| format!("User{i}")).collect();
+    let mut violating: Vec<Key> = (801..=1200).map(user).collect();
     violating.sort();
     PlannerInput {
         now_secs: 50.0,
@@ -73,13 +75,13 @@ fn input(index: &ClassIndex) -> PlannerInput {
             max_latency_secs: 2.0,
         },
         groups: BTreeMap::from([
-            ("ServerGrp1".to_string(), snapshot(20.0, 3, 2)),
-            ("ServerGrp2".to_string(), snapshot(0.0, 3, 0)),
+            (Key::new("ServerGrp1"), snapshot(20.0, 3, 2)),
+            (Key::new("ServerGrp2"), snapshot(0.0, 3, 0)),
         ]),
         spare_servers: 14,
         class_bandwidth,
         violating_clients: violating,
-        overloaded_groups: vec!["ServerGrp1".to_string()],
+        overloaded_groups: vec![Key::new("ServerGrp1")],
         client_groups,
     }
 }

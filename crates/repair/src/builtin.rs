@@ -80,10 +80,10 @@ impl Tactic for FixServerLoadTactic {
     }
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-        let Some(client) = client_of_violation(ctx.model, ctx.violation) else {
+        let Some(client) = client_of_violation(ctx.model, ctx.violation).map(|c| c.as_str()) else {
             return not_applicable("violation does not identify a client");
         };
-        let overloaded = overloaded_groups_of(ctx.model, &client);
+        let overloaded = overloaded_groups_of(ctx.model, client);
         if overloaded.is_empty() {
             return not_applicable(format!("no overloaded server group connected to {client}"));
         }
@@ -122,14 +122,14 @@ impl Tactic for FixBandwidthTactic {
     }
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-        let Some(client) = client_of_violation(ctx.model, ctx.violation) else {
+        let Some(client) = client_of_violation(ctx.model, ctx.violation).map(|c| c.as_str()) else {
             return not_applicable("violation does not identify a client");
         };
         let min_bandwidth =
             system_threshold(ctx.model, props::MIN_BANDWIDTH, DEFAULT_MIN_BANDWIDTH_BPS);
         // Precondition (lines 30–31): the role bandwidth must be below the
         // minimum for this tactic to apply.
-        if let Some(bw) = client_role_bandwidth(ctx.model, &client) {
+        if let Some(bw) = client_role_bandwidth(ctx.model, client) {
             if bw >= min_bandwidth {
                 return not_applicable(format!(
                         "bandwidth {bw:.0} bps for {client} is above the {min_bandwidth:.0} bps minimum"
@@ -139,13 +139,13 @@ impl Tactic for FixBandwidthTactic {
             return not_applicable(format!("no bandwidth observation for {client} yet"));
         }
         // findGoodSGrp (lines 35–36).
-        let Some(good_group) = ctx.query.find_good_server_group(&client, min_bandwidth) else {
+        let Some(good_group) = ctx.query.find_good_server_group(client, min_bandwidth) else {
             return Err(RepairError::NoServerGroupFound);
         };
         // Moving to the group the client already uses would be a no-op.
         let client_id = ctx
             .model
-            .component_by_name(&client)
+            .component_by_name(client)
             .ok_or(RepairError::NoServerGroupFound)?;
         let current = ClientServerStyle::group_of_client(ctx.model, client_id)
             .and_then(|g| ctx.model.component(g).ok())
@@ -154,7 +154,7 @@ impl Tactic for FixBandwidthTactic {
             return not_applicable(format!("{client} is already connected to {good_group}"));
         }
         let mut ops = Vec::new();
-        move_client(ctx.model, &mut ops, &client, &good_group)?;
+        move_client(ctx.model, &mut ops, client, &good_group)?;
         Ok(TacticResult::Applied {
             ops,
             description: format!("moved {client} to {good_group}"),

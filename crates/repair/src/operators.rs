@@ -24,7 +24,7 @@
 //! `ClientServerStyle::script_violations` checks from the script alone.
 
 use archmodel::style::{ClientServerStyle, SERVER_GROUP_T, SERVER_T};
-use archmodel::{ModelError, ModelOp, System};
+use archmodel::{Key, ModelError, ModelOp, System};
 
 /// Errors raised by adaptation operators.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,13 +125,13 @@ pub fn move_client(
     // No op adds or removes a client, a group or a port, and a connector an
     // earlier move creates exists only if the serve port checked here does,
     // so the model answers these checks whatever ops come before this one.
-    if model.component_by_name(client_name).is_none() {
+    let client = Key::find(client_name).filter(|&key| model.component_by_key(key).is_some());
+    let Some(client) = client else {
         return Err(ModelError::NameNotFound(client_name.to_string()).into());
-    }
-    let client = client_name.to_string();
-    ClientServerStyle::resolve_move(model, std::slice::from_ref(&client), to_group_name)?;
+    };
+    ClientServerStyle::resolve_move(model, &[client], to_group_name)?;
     ops.push(ModelOp::MoveClient {
-        client,
+        client: client_name.to_string(),
         to_group: to_group_name.to_string(),
     });
     Ok(ClientServerStyle::connector_name(to_group_name))
@@ -289,7 +289,8 @@ mod tests {
         }
         // The bulk op the group planner writes: one recorded op, identical
         // final model state.
-        let (clients, to_group) = (clients.clone(), "ServerGrp2".to_string());
+        let clients = clients.iter().map(Key::from).collect();
+        let to_group = "ServerGrp2".to_string();
         let bulk = [ModelOp::MoveClientGroup { clients, to_group }];
         let after = applied(&model, &bulk);
         assert_eq!(after, applied(&model, &sequential));
@@ -301,10 +302,10 @@ mod tests {
         let mut model = example();
         let before = model.clone();
         let op = ModelOp::MoveClientGroup {
-            clients: vec!["User1".to_string()],
+            clients: vec![Key::new("User1")],
             to_group: "User2".to_string(),
         };
-        assert!(ClientServerStyle::resolve_move(&model, &["User1".to_string()], "User2").is_err());
+        assert!(ClientServerStyle::resolve_move(&model, &[Key::new("User1")], "User2").is_err());
         assert!(matches!(
             apply_op(&mut model, &op),
             Err(ModelError::NameNotFound(_))

@@ -9,7 +9,7 @@
 
 use crate::query::RuntimeQuery;
 use archmodel::constraint::Violation;
-use archmodel::{ModelOp, System};
+use archmodel::{Key, ModelOp, System};
 
 /// Errors that abort a repair.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,21 +83,19 @@ pub trait Tactic {
 /// Resolves the client component a violation refers to: either the violation
 /// subject itself (latency constraints are scoped per client) or the client
 /// attached to the violated role (bandwidth constraints are scoped per role).
-pub fn client_of_violation(model: &System, violation: &Violation) -> Option<String> {
+/// The answer is the model's own interned name, so resolving one costs no
+/// allocation.
+pub fn client_of_violation(model: &System, violation: &Violation) -> Option<Key> {
     use archmodel::ElementRef;
     match violation.subject? {
         ElementRef::Component(id) => {
             let comp = model.component(id).ok()?;
-            if comp.ctype == archmodel::style::CLIENT_T {
-                Some(comp.name.to_string())
-            } else {
-                None
-            }
+            (comp.ctype == archmodel::style::CLIENT_T).then_some(comp.name)
         }
         ElementRef::Role(id) => {
             let client_id = model.component_attached_to_role(id)?;
             let comp = model.component(client_id).ok()?;
-            (comp.ctype == archmodel::style::CLIENT_T).then(|| comp.name.to_string())
+            (comp.ctype == archmodel::style::CLIENT_T).then_some(comp.name)
         }
         _ => None,
     }
@@ -120,8 +118,8 @@ mod tests {
             detail: String::new(),
         };
         assert_eq!(
-            client_of_violation(&model, &violation),
-            Some("User2".to_string())
+            client_of_violation(&model, &violation).map(|c| c.as_str()),
+            Some("User2")
         );
     }
 
@@ -138,8 +136,8 @@ mod tests {
             detail: String::new(),
         };
         assert_eq!(
-            client_of_violation(&model, &violation),
-            Some("User1".to_string())
+            client_of_violation(&model, &violation).map(|c| c.as_str()),
+            Some("User1")
         );
     }
 

@@ -252,7 +252,7 @@ mod tests {
     fn move_client_group_is_the_planners_to_realise() {
         let m = model();
         let ops = [ModelOp::MoveClientGroup {
-            clients: vec!["User1".to_string()],
+            clients: vec![archmodel::Key::new("User1")],
             to_group: "ServerGrp2".to_string(),
         }];
         match translate(&m, &ops, 10_000.0) {

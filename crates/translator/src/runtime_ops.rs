@@ -7,6 +7,8 @@
 //! operations; the adaptation framework executes them against the running
 //! (simulated) system.
 
+use archmodel::Key;
+
 /// A concrete operation on the running system (Table 1).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeOp {
@@ -38,8 +40,9 @@ pub enum RuntimeOp {
     /// is what makes fleet-scale migration affordable (a per-client
     /// `moveClient` sequence pays the full handshake per client).
     MoveClientGroup {
-        /// The clients to move, in execution order.
-        clients: Vec<String>,
+        /// The clients to move, in execution order, as the interned names
+        /// the planner's class index holds.
+        clients: Vec<Key>,
         /// The server group whose queue they should use from now on.
         to_group: String,
     },

@@ -5,7 +5,7 @@
 #![allow(clippy::disallowed_types)]
 
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{apply_op, parse, ModelOp, Program, System};
+use archmodel::{apply_op, parse, Key, ModelOp, Program, System};
 use proptest::prelude::*;
 use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::LinkId;
@@ -134,7 +134,7 @@ proptest! {
                 }
                 // The group planner's class move: resolved, then recorded.
                 _ => {
-                    let clients = vec![client, "User1".to_string()];
+                    let clients = vec![Key::from(client), Key::new("User1")];
                     let ok = ClientServerStyle::resolve_move(&model, &clients, &group).is_ok();
                     let op = ModelOp::MoveClientGroup { clients, to_group: group };
                     if ok {
