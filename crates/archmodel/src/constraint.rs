@@ -29,14 +29,15 @@ pub enum ConstraintScope {
 /// A named invariant over the architectural model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Invariant {
-    /// Short identifier, e.g. `"latency"`.
-    pub name: String,
+    /// Short identifier, e.g. `"latency"`, interned once at parse time.
+    pub name: Key,
     /// The elements the invariant ranges over.
     pub scope: ConstraintScope,
     /// The parsed constraint expression.
     pub expression: Expr,
-    /// The original constraint text (for reporting).
-    pub source: String,
+    /// The original constraint text (for reporting), interned once at parse
+    /// time: every violation of the invariant names it without a copy.
+    pub source: Key,
     /// `expression` compiled with `self` in slot 0.
     program: Program,
 }
@@ -44,7 +45,7 @@ pub struct Invariant {
 impl Invariant {
     /// Parses an invariant from its textual form.
     pub fn parse(
-        name: impl Into<String>,
+        name: impl Into<Key>,
         scope: ConstraintScope,
         text: &str,
     ) -> Result<Self, ParseError> {
@@ -54,7 +55,7 @@ impl Invariant {
             scope,
             program: Program::compile(&expression, &["self"]),
             expression,
-            source: text.to_string(),
+            source: Key::new(text),
         })
     }
 
@@ -70,18 +71,21 @@ impl Invariant {
     }
 }
 
-/// A detected constraint violation.
-#[derive(Debug, Clone, PartialEq)]
+/// A detected constraint violation: four words of interned names and an
+/// element id, so a report, a replay and the repair engine copy one without
+/// touching the heap or the interner. Each name displays, and compares with
+/// a `&str`, as the text it interns.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Violation {
     /// Name of the violated invariant.
-    pub invariant: String,
+    pub invariant: Key,
     /// The element the violation concerns (`None` for system-scope
     /// invariants).
     pub subject: Option<ElementRef>,
     /// Human-readable name of the subject.
-    pub subject_name: String,
+    pub subject_name: Key,
     /// The constraint text that failed.
-    pub detail: String,
+    pub detail: Key,
 }
 
 /// Result of checking a constraint set against the model.
@@ -203,9 +207,8 @@ impl ConstraintSet {
     /// each outcome to `visit` with the invariant's interned name.
     fn sweep(&self, system: &System, mut visit: impl FnMut(Key, PairOutcome)) {
         for invariant in &self.invariants {
-            let name = Key::new(&invariant.name);
             for subject in subjects_of(invariant, system) {
-                visit(name, evaluate_pair(invariant, system, subject));
+                visit(invariant.name, evaluate_pair(invariant, system, subject));
             }
         }
     }
@@ -238,7 +241,8 @@ fn subjects_of(invariant: &Invariant, system: &System) -> Vec<Option<ElementRef>
 /// reproducing the full sweep's report — a persisting violation (or a
 /// still-missing gauge property) is re-emitted on every check, exactly as a
 /// full sweep re-detects it. Nearly every cached pair holds or fails, so
-/// the rare violation is boxed and a pair stays four words.
+/// the rare violation is boxed and a pair stays four words; a replay copies
+/// it out.
 #[derive(Debug, Clone, PartialEq)]
 enum PairOutcome {
     /// The constraint held.
@@ -254,7 +258,7 @@ impl PairOutcome {
     fn append_to(&self, report: &mut CheckReport) {
         match self {
             PairOutcome::Holds => {}
-            PairOutcome::Violated(v) => report.violations.push(Violation::clone(v)),
+            PairOutcome::Violated(v) => report.violations.push(**v),
             PairOutcome::Error(_) => report.error_count += 1,
         }
     }
@@ -274,7 +278,7 @@ impl PairOutcome {
 /// Evaluates one (invariant, subject) pair — the single source of truth for
 /// both the full sweep and the incremental checker. The subject's name is
 /// read from the model only for a violation, the one outcome that carries
-/// it.
+/// it; only a system-scope violation interns it.
 fn evaluate_pair(
     invariant: &Invariant,
     system: &System,
@@ -284,14 +288,14 @@ fn evaluate_pair(
         Ok(true) => PairOutcome::Holds,
         Ok(false) => {
             let subject_name = match subject {
-                None => system.name.clone(),
-                Some(el) => system.element_name(el).to_string(),
+                None => Key::new(&system.name),
+                Some(el) => system.element_name(el),
             };
             PairOutcome::Violated(Box::new(Violation {
-                invariant: invariant.name.clone(),
+                invariant: invariant.name,
                 subject,
                 subject_name,
-                detail: invariant.source.clone(),
+                detail: invariant.source,
             }))
         }
         Err(EvalError::MissingProperty(el, p)) => PairOutcome::Error(ErrorCause::Missing(el, p)),
@@ -310,7 +314,7 @@ struct PairState {
 /// the subject list with each pair's last outcome, in sweep order.
 #[derive(Debug, Clone)]
 struct InvariantState {
-    /// The invariant's name, interned once per rebuild.
+    /// The invariant's name.
     name: Key,
     reads: PropertyReadSet,
     /// `reads.self_props` interned for O(1) dirty-set intersection.
@@ -371,7 +375,7 @@ impl IncrementalChecker {
             let reads = invariant.expression.referenced_properties();
             let self_keys = reads.self_props.iter().map(|p| Key::new(p)).collect();
             let ident_keys = reads.idents.iter().map(|p| Key::new(p)).collect();
-            let name = Key::new(&invariant.name);
+            let name = invariant.name;
             let subjects = subjects_of(invariant, system);
             let mut pairs = Vec::with_capacity(subjects.len());
             for subject in subjects {
@@ -722,6 +726,15 @@ mod tests {
     }
 
     #[test]
+    fn layout_a_violation_is_a_four_word_copy() {
+        // 80 bytes of three owned `String`s and an id while a violation
+        // carried its text.
+        fn is_copy<T: Copy>() {}
+        is_copy::<Violation>();
+        assert!(std::mem::size_of::<Violation>() <= 32);
+    }
+
+    #[test]
     fn layout_a_cached_pair_is_four_words() {
         // 88 bytes while an outcome held its `Violation` inline.
         assert!(std::mem::size_of::<PairState>() <= 32);
@@ -781,7 +794,7 @@ mod tests {
         ];
         for (invariant, subject, line) in cases {
             let mut report = CheckReport::default();
-            let name = Key::new(&invariant.name);
+            let name = invariant.name;
             let outcome = evaluate_pair(&invariant, &sys, subject);
             outcome.append_to(&mut report);
             assert_eq!(report.error_count, 1, "{line}");

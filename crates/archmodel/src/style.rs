@@ -15,6 +15,7 @@ use crate::system::{IdSet, ModelError, System};
 use crate::value::Value;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Component type for users/clients.
 pub const CLIENT_T: &str = "ClientT";
@@ -33,6 +34,31 @@ pub const SERVE_PORT_T: &str = "ServeT";
 pub const CLIENT_ROLE_T: &str = "ClientRoleT";
 /// Role type on the server-group side of a service connector.
 pub const SERVER_ROLE_T: &str = "ServerRoleT";
+
+/// The style's client, server-group and client-role types, interned once
+/// per process: a repair precondition that checks an element's type
+/// compares one pointer and takes no interner lock.
+#[derive(Debug, Clone, Copy)]
+pub struct StyleTypes {
+    /// [`CLIENT_T`].
+    pub client: Key,
+    /// [`SERVER_GROUP_T`].
+    pub server_group: Key,
+    /// [`CLIENT_ROLE_T`].
+    pub client_role: Key,
+}
+
+impl StyleTypes {
+    /// The interned types.
+    pub fn get() -> StyleTypes {
+        static TYPES: OnceLock<StyleTypes> = OnceLock::new();
+        *TYPES.get_or_init(|| StyleTypes {
+            client: Key::new(CLIENT_T),
+            server_group: Key::new(SERVER_GROUP_T),
+            client_role: Key::new(CLIENT_ROLE_T),
+        })
+    }
+}
 
 /// Well-known property names used by the style.
 pub mod props {
@@ -119,11 +145,12 @@ pub(crate) struct ClientNames {
 
 impl ClientNames {
     pub(crate) fn new() -> ClientNames {
+        let types = StyleTypes::get();
         ClientNames {
-            client_t: Key::new(CLIENT_T),
+            client_t: types.client,
             port: Key::new(ClientServerStyle::CLIENT_PORT),
             port_t: Key::new(REQUEST_PORT_T),
-            role_t: Key::new(CLIENT_ROLE_T),
+            role_t: types.client_role,
         }
     }
 }

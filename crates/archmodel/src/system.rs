@@ -740,23 +740,27 @@ impl System {
     }
 
     /// The roles attached to ports owned by the given component, in
-    /// per-port attachment order (ports in declaration order). Components in
-    /// this workspace attach through a single port, so this matches the
-    /// historic global attachment-order scan.
-    pub fn roles_of_component(&self, id: ComponentId) -> Vec<RoleId> {
+    /// per-port attachment order (ports in declaration order), read in
+    /// place. Components in this workspace attach through a single port, so
+    /// this matches the historic global attachment-order scan.
+    pub fn roles_of_component(&self, id: ComponentId) -> impl Iterator<Item = RoleId> + '_ {
         self.ports_of(id)
             .flat_map(|p| self.roles_attached_to_port(p))
-            .collect()
     }
 
     /// The connectors that the given component is attached to.
     pub fn connectors_of_component(&self, id: ComponentId) -> Vec<ConnectorId> {
-        let roles = self.roles_of_component(id).into_iter();
-        let owners = roles.filter_map(|r| Some(self.role(r).ok()?.owner));
-        let mut out: Vec<ConnectorId> = owners.collect();
+        let mut out: Vec<ConnectorId> = self.attached_connectors(id).collect();
         out.sort();
         out.dedup();
         out
+    }
+
+    /// The owner of every role attached to `id`'s ports, read in place: a
+    /// connector once per attachment.
+    fn attached_connectors(&self, id: ComponentId) -> impl Iterator<Item = ConnectorId> + '_ {
+        let roles = self.roles_of_component(id);
+        roles.filter_map(|r| Some(self.role(r).ok()?.owner))
     }
 
     /// Components attached (through any role) to the given connector.
@@ -771,11 +775,13 @@ impl System {
         out
     }
 
-    /// True if two components share at least one connector.
+    /// True if two components share at least one connector. Allocates
+    /// nothing: it compares the connectors of `a`'s attachments with those
+    /// of `b`'s, a handful each.
     pub fn connected(&self, a: ComponentId, b: ComponentId) -> bool {
-        let a = self.connectors_of_component(a);
-        let b = self.connectors_of_component(b);
-        a.iter().any(|c| b.contains(c))
+        let theirs = || self.attached_connectors(b);
+        self.attached_connectors(a)
+            .any(|c| theirs().any(|d| d == c))
     }
 
     // ---- property helpers ------------------------------------------------
@@ -1112,7 +1118,7 @@ pub(crate) mod tests {
     fn detach_then_attach_elsewhere() {
         let (mut sys, client, _group, conn) = client_server_system();
         let port = sys.ports_of(client).next().unwrap();
-        let role = sys.roles_of_component(client)[0];
+        let role = sys.roles_of_component(client).next().unwrap();
         sys.detach(port, role).unwrap();
         assert!(!sys.attached(port, role));
         // A second detach fails.
@@ -1132,7 +1138,7 @@ pub(crate) mod tests {
     fn double_attach_rejected() {
         let (mut sys, client, ..) = client_server_system();
         let port = sys.ports_of(client).next().unwrap();
-        let role = sys.roles_of_component(client)[0];
+        let role = sys.roles_of_component(client).next().unwrap();
         assert!(matches!(
             sys.attach(port, role),
             Err(ModelError::AlreadyAttached(_, _))
@@ -1248,7 +1254,7 @@ pub(crate) mod tests {
     #[test]
     fn component_attached_to_role_resolves_owner() {
         let (sys, client, ..) = client_server_system();
-        let role = sys.roles_of_component(client)[0];
+        let role = sys.roles_of_component(client).next().unwrap();
         assert_eq!(sys.component_attached_to_role(role), Some(client));
     }
 
@@ -1770,14 +1776,23 @@ pub(crate) mod tests {
                 let conns = sys.connectors_of_component(component);
                 let conns: Vec<u32> = conns.iter().map(|c| c.0).collect();
                 assert_eq!(conns, shadow.connectors_of(id), "connectors of #{id}");
-                let roles: Vec<u32> = sys
-                    .roles_of_component(component)
-                    .iter()
-                    .map(|r| r.0)
-                    .collect();
+                let roles: Vec<u32> = sys.roles_of_component(component).map(|r| r.0).collect();
                 let ports = shadow.ports_of(id).into_iter();
                 let shadow_roles: Vec<u32> = ports.flat_map(|p| shadow.roles_at(p)).collect();
                 assert_eq!(roles, shadow_roles, "roles of component #{id}");
+            }
+            // Two components are connected when their connector lists meet.
+            let ids = 0..shadow.next_id + 2;
+            let connectors: Vec<Vec<u32>> =
+                ids.clone().map(|id| shadow.connectors_of(id)).collect();
+            for a in ids.clone() {
+                for b in ids.clone() {
+                    let meet = connectors[a as usize]
+                        .iter()
+                        .any(|c| connectors[b as usize].contains(c));
+                    let connected = sys.connected(ComponentId(a), ComponentId(b));
+                    assert_eq!(connected, meet, "#{a} and #{b} connected");
+                }
             }
             for (element, mark) in &shadow.marks {
                 assert_eq!(sys.get_property(*element, "mark"), Some(&Value::Int(*mark)));

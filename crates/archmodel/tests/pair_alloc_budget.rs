@@ -12,8 +12,9 @@
 //! A failure is a value, not text, and a report counts failures without
 //! listing them: over 10,000 pairs that cannot be evaluated (no client has
 //! reported its latency yet), the incremental checker's first check, a
-//! rebuild, makes at most 64 allocations (34: the constraint set's copy, the
-//! subject list grown by doubling, and the exactly reserved pair cache), and
+//! rebuild, makes at most 64 allocations (32: the constraint set's copy, the
+//! subject list grown by doubling, and the exactly reserved pair cache; 34
+//! while an invariant's name and text were `String`s), and
 //! a replay with no dirty pair makes none. While each report listed its
 //! errors, the rebuild made 49 and the replay 13, the list's growth by
 //! doubling; while each error was formatted text, the rebuild made 40,059
@@ -21,6 +22,12 @@
 //! `Arc<str>`); while each replay cloned each cached error `String`, it made
 //! 10,013. The list, built on request from the checker's cache, is the full
 //! sweep's.
+//!
+//! A violation is a copy of interned names, so replaying 10,000 cached
+//! violations (every client over its latency bound) allocates only the
+//! report's violation vector, grown by doubling: 13 allocations, gated at
+//! ⌈log2 10,000⌉ = 14. While a violation held three `String`s, each replay
+//! cloned all three: 30,013.
 
 use archmodel::style::{ClientServerStyle, CLIENT_ROLE_T, CLIENT_T, SERVER_GROUP_T};
 use archmodel::{
@@ -164,5 +171,37 @@ fn a_clean_replay_of_unevaluable_pairs_allocates_per_report_not_per_pair() {
     assert_eq!(
         allocations, 0,
         "a clean replay of 10,000 cached errors made {allocations} allocations"
+    );
+}
+
+/// Allocations a clean replay of 10,000 cached violations may make: the
+/// report's vector grown by doubling, at most once per bit of its length.
+const VIOLATION_REPLAY_CEILING: u64 = 14;
+
+#[test]
+fn a_clean_replay_of_violations_allocates_only_the_report() {
+    let (mut model, constraints) = unevaluable_pairs();
+    let clients: Vec<_> = model
+        .components_of_type(CLIENT_T)
+        .map(|(id, _)| id)
+        .collect();
+    for id in clients {
+        let properties = &mut model.component_mut(id).unwrap().properties;
+        properties.set("averageLatency", 1.0e9);
+    }
+    let mut checker = IncrementalChecker::new();
+    let first = checker.check(&constraints, &mut model);
+    assert_eq!(first.violations.len(), 10_000);
+
+    let mut replay = None;
+    let allocations = counted(|| replay = Some(checker.check(&constraints, &mut model)));
+    let replay = replay.unwrap();
+    assert_eq!((replay.skipped, replay.evaluated), (10_000, 0));
+    assert_eq!(replay.violations, first.violations);
+    assert_eq!(replay.violations, constraints.check(&model).violations);
+    println!("{allocations} allocations replaying 10,000 cached violations");
+    assert!(
+        allocations <= VIOLATION_REPLAY_CEILING,
+        "a clean replay of 10,000 cached violations made {allocations} allocations"
     );
 }

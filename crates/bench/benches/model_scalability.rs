@@ -89,7 +89,11 @@ fn bench_scalability(c: &mut Criterion) {
         let report = constraints.check(&model);
         let query = StaticQuery::new()
             .with_spares("ServerGrp1", &["spare"])
-            .with_bandwidth(&report.violations[0].subject_name, "ServerGrp2", 5.0e6);
+            .with_bandwidth(
+                report.violations[0].subject_name.as_str(),
+                "ServerGrp2",
+                5.0e6,
+            );
         plan_group.bench_with_input(BenchmarkId::from_parameter(clients), &clients, |b, _| {
             b.iter(|| {
                 let mut engine = RepairEngine::new();

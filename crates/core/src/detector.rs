@@ -142,7 +142,7 @@ impl DetectorState {
                 continue;
             }
             let at = SimTime::from_secs(alarm.time);
-            observer.record(at, Occurrence::Advisory(*alarm, predicts));
+            observer.record(at, Occurrence::Advisory(Box::new((*alarm, predicts))));
         }
     }
 

@@ -430,7 +430,7 @@ impl AdaptationFramework {
                         let label = timed.label.clone();
                         let fault = match faultsim::apply_timed(&mut self.app, timed) {
                             Ok(()) => Occurrence::Fault(label),
-                            Err(e) => Occurrence::FaultFailed(label, e),
+                            Err(e) => Occurrence::FaultFailed(Box::new((label, e))),
                         };
                         self.observer.record(now, fault);
                     }

@@ -2,19 +2,23 @@
 //!
 //! The observer pushes every [`Occurrence`] here once, stamped with its sim
 //! time. An entry holds no text made for it: a violation holds interned
-//! [`Key`]s, and what the planners or the runtime already owned — a skip
-//! reason, an error, a runtime operation, the plan — is moved in. Two
-//! renderers read an entry: [`RunLog::legacy_lines`], the
-//! `(time, kind, correlation, message)` lines of the original event trace,
-//! and `LogEntry::sink_event`, the trace store's subject / detail / value /
-//! correlation convention. The repair statistics, the repair bars of
-//! Figures 11–13 and the detector layer's lead times are folds over the log.
+//! [`Key`]s, a skipped repair the engine's typed [`Skip`] (names and shared
+//! lists of typed reasons), and what the planners or the runtime already
+//! owned — an abort reason, an error, a runtime operation, the plan — is
+//! moved in. An entry is five words: the rare occurrences whose payload is
+//! larger are boxed, so the thousands of violation entries of a fleet run
+//! cost 40 bytes each. Two renderers read an entry: [`RunLog::legacy_lines`],
+//! the `(time, kind, correlation, message)` lines of the original event
+//! trace, and `LogEntry::sink_event`, the trace store's subject / detail /
+//! value / correlation convention. The repair statistics, the repair bars
+//! of Figures 11–13 and the detector layer's lead times are folds over the
+//! log.
 
 use crate::framework::RepairStats;
 use archmodel::constraint::Violation;
 use archmodel::{Key, ModelError};
 use gridapp::AppError;
-use repair::RepairPlan;
+use repair::{RepairPlan, Skip};
 use rustc_hash::FxHashMap;
 use simnet::SimTime;
 use std::fmt;
@@ -29,63 +33,64 @@ pub(crate) enum Occurrence {
     Deployed,
     /// A detector flagged a gauge stream drifting towards the named
     /// invariant (stamped with the alarm's own time).
-    Advisory(detect::Advisory, &'static str),
+    Advisory(Box<(detect::Advisory, &'static str)>),
     /// A constraint was found violated.
     Violation {
         invariant: Key,
         subject: Key,
         detail: Key,
     },
-    /// A repair began executing. `batched` marks the group planner's plans,
-    /// which name their tactics and count as `planner.plans`.
-    RepairStarted {
-        correlation: u64,
-        plan: Arc<RepairPlan>,
-        batched: bool,
-        runtime_ops: usize,
-        duration_secs: f64,
-    },
+    /// A repair began executing.
+    RepairStarted(Box<RepairStart>),
     /// The repair with this correlation id was committed and executed.
     RepairCompleted {
         correlation: u64,
         plan: Arc<RepairPlan>,
     },
-    /// The engine abandoned the invariant (no applicable tactic, or one
-    /// failed hard).
-    RepairAborted { invariant: String, reason: String },
-    /// The plan for `subject` has no runtime translation.
-    Untranslatable {
-        subject: String,
-        error: TranslationError,
-    },
-    /// The engine declined to plan, for the reason given (damping, nothing
-    /// applicable).
-    RepairSkipped(String),
+    /// The engine abandoned the invariant (a tactic failed hard, or its
+    /// script would break the style).
+    RepairAborted { invariant: Key, reason: Box<str> },
+    /// The plan for the subject has no runtime translation.
+    Untranslatable(Box<(String, TranslationError)>),
+    /// The engine passed over every candidate, for the reasons recorded
+    /// (damping, nothing applicable).
+    RepairSkipped(Box<Skip>),
     /// A runtime operation was applied.
-    Reconfigured(RuntimeOp),
+    Reconfigured(Box<RuntimeOp>),
     /// A runtime operation was attempted and failed.
     OpFailed(Box<(RuntimeOp, AppError)>),
     /// The labelled scripted fault action was applied.
     Fault(String),
     /// The labelled scripted fault action could not be applied.
-    FaultFailed(String, AppError),
+    FaultFailed(Box<(String, AppError)>),
     /// The scripted workload changed phase.
     PhaseChange,
     /// A drain sweep recycled `count` wedged replicas of `group`.
-    Drained { group: String, count: usize },
+    Drained { group: Box<str>, count: usize },
     /// A due repair's model operation could not be committed.
     CommitFailed(ModelError),
     /// The model broke `count` style rules after a commit.
     StyleViolations(usize),
 }
 
+/// A repair as it began executing. `batched` marks the group planner's
+/// plans, which name their tactics and count as `planner.plans`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RepairStart {
+    pub(crate) correlation: u64,
+    pub(crate) plan: Arc<RepairPlan>,
+    pub(crate) batched: bool,
+    pub(crate) runtime_ops: usize,
+    pub(crate) duration_secs: f64,
+}
+
 impl Occurrence {
-    /// A violated constraint, its names interned.
+    /// A violated constraint: the names it already holds, copied.
     pub(crate) fn violation(violation: &Violation) -> Self {
         Occurrence::Violation {
-            invariant: Key::new(&violation.invariant),
-            subject: Key::new(&violation.subject_name),
-            detail: Key::new(&violation.detail),
+            invariant: violation.invariant,
+            subject: violation.subject_name,
+            detail: violation.detail,
         }
     }
 
@@ -94,9 +99,9 @@ impl Occurrence {
         match self {
             Occurrence::Advisory(..) => EventKind::Advisory,
             Occurrence::Violation { .. } => EventKind::Violation,
-            Occurrence::RepairStarted { .. } => EventKind::RepairStart,
+            Occurrence::RepairStarted(_) => EventKind::RepairStart,
             Occurrence::RepairCompleted { .. } => EventKind::RepairEnd,
-            Occurrence::RepairAborted { .. } | Occurrence::Untranslatable { .. } => {
+            Occurrence::RepairAborted { .. } | Occurrence::Untranslatable(_) => {
                 EventKind::RepairAborted
             }
             Occurrence::Reconfigured(_) => EventKind::Reconfiguration,
@@ -150,8 +155,8 @@ impl RunLog {
             let occurrence = &entry.occurrence;
             let correlation = match occurrence {
                 Occurrence::Advisory(..) => return None,
-                Occurrence::RepairStarted { correlation, .. }
-                | Occurrence::RepairCompleted { correlation, .. } => Some(*correlation),
+                Occurrence::RepairStarted(start) => Some(start.correlation),
+                Occurrence::RepairCompleted { correlation, .. } => Some(*correlation),
                 _ => None,
             };
             Some(LegacyLine {
@@ -182,15 +187,15 @@ impl RunLog {
         let mut stats = RepairStats::default();
         let (mut starts, mut first_end) = (Vec::new(), FxHashMap::default());
         for entry in &self.entries {
-            match entry.occurrence {
-                Occurrence::RepairStarted { correlation, .. } => {
-                    starts.push((entry.time, correlation));
+            match &entry.occurrence {
+                Occurrence::RepairStarted(start) => {
+                    starts.push((entry.time, start.correlation));
                 }
                 Occurrence::RepairCompleted { correlation, .. } => {
                     stats.completed += 1;
-                    first_end.entry(correlation).or_insert(entry.time);
+                    first_end.entry(*correlation).or_insert(entry.time);
                 }
-                Occurrence::RepairAborted { .. } | Occurrence::Untranslatable { .. } => {
+                Occurrence::RepairAborted { .. } | Occurrence::Untranslatable(_) => {
                     stats.aborted += 1;
                 }
                 _ => {}
@@ -211,8 +216,8 @@ impl RunLog {
 
     /// `(time, subject)` of every advisory.
     fn advisories(&self) -> impl Iterator<Item = (f64, Key)> + '_ {
-        self.entries.iter().filter_map(|e| match e.occurrence {
-            Occurrence::Advisory(alarm, _) => Some((e.time.as_secs(), alarm.subject)),
+        self.entries.iter().filter_map(|e| match &e.occurrence {
+            Occurrence::Advisory(advisory) => Some((e.time.as_secs(), advisory.0.subject)),
             _ => None,
         })
     }
@@ -260,7 +265,8 @@ impl LogEntry {
         let secs = self.time.as_secs();
         let kind = self.occurrence.kind();
         let event = match &self.occurrence {
-            Occurrence::Advisory(alarm, predicts) => {
+            Occurrence::Advisory(advisory) => {
+                let (alarm, predicts) = &**advisory;
                 let (property, detector) = (alarm.property, alarm.detector.name());
                 let text = format_into(
                     detail,
@@ -271,27 +277,24 @@ impl LogEntry {
             Occurrence::Violation {
                 invariant, subject, ..
             } => EventRef::new(secs, kind, subject.as_str(), invariant.as_str()),
-            Occurrence::RepairStarted {
-                correlation,
-                plan,
-                batched,
-                ..
-            } => {
-                let (invariant, tactics) = (&plan.invariant, tactics(plan, *batched));
+            Occurrence::RepairStarted(start) => {
+                let plan = &start.plan;
+                let (invariant, tactics) = (&plan.invariant, tactics(plan, start.batched));
                 let text = format_into(
                     detail,
                     format_args!("{invariant}: {tactics}{}", plan.description),
                 );
-                EventRef::new(secs, kind, &plan.subject, text).with_correlation(*correlation)
+                EventRef::new(secs, kind, &plan.subject, text).with_correlation(start.correlation)
             }
             Occurrence::RepairCompleted { correlation, plan } => {
                 EventRef::new(secs, kind, &plan.subject, &plan.description)
                     .with_correlation(*correlation)
             }
             Occurrence::RepairAborted { invariant, reason } => {
-                EventRef::new(secs, kind, invariant, reason)
+                EventRef::new(secs, kind, invariant.as_str(), reason)
             }
-            Occurrence::Untranslatable { subject, error } => {
+            Occurrence::Untranslatable(untranslatable) => {
+                let (subject, error) = &**untranslatable;
                 let text = format_into(detail, format_args!("translation failed: {error}"));
                 EventRef::new(secs, kind, subject, text)
             }
@@ -331,21 +334,24 @@ impl fmt::Display for LegacyLine<'_> {
                 subject,
                 detail,
             } => write!(f, "{invariant} violated for {subject} ({detail})"),
-            Occurrence::RepairStarted {
-                correlation,
-                plan,
-                batched,
-                runtime_ops,
-                duration_secs,
-            } => write!(
-                f,
-                "repair #{correlation} for {} ({}): {}{} \
-                 [{runtime_ops} runtime ops, ≈{duration_secs:.0} s]",
-                plan.subject,
-                plan.invariant,
-                tactics(plan, *batched),
-                plan.description
-            ),
+            Occurrence::RepairStarted(start) => {
+                let RepairStart {
+                    correlation,
+                    plan,
+                    batched,
+                    runtime_ops,
+                    duration_secs,
+                } = &**start;
+                write!(
+                    f,
+                    "repair #{correlation} for {} ({}): {}{} \
+                     [{runtime_ops} runtime ops, ≈{duration_secs:.0} s]",
+                    plan.subject,
+                    plan.invariant,
+                    tactics(plan, *batched),
+                    plan.description
+                )
+            }
             Occurrence::RepairCompleted { correlation, plan } => write!(
                 f,
                 "repair #{correlation} for {} complete: {}",
@@ -354,15 +360,20 @@ impl fmt::Display for LegacyLine<'_> {
             Occurrence::RepairAborted { invariant, reason } => {
                 write!(f, "repair of {invariant} aborted: {reason}")
             }
-            Occurrence::Untranslatable { error, .. } => write!(f, "translation failed: {error}"),
-            Occurrence::RepairSkipped(reason) => write!(f, "repair skipped: {reason}"),
+            Occurrence::Untranslatable(untranslatable) => {
+                write!(f, "translation failed: {}", untranslatable.1)
+            }
+            Occurrence::RepairSkipped(skip) => write!(f, "repair skipped: {skip}"),
             Occurrence::Reconfigured(op) => f.write_str(&op.describe()),
             Occurrence::OpFailed(failed) => {
                 let (op, error) = &**failed;
                 write!(f, "runtime operation {} failed: {error}", op.describe())
             }
             Occurrence::Fault(label) => write!(f, "fault injected: {label}"),
-            Occurrence::FaultFailed(label, e) => write!(f, "fault action {label} failed: {e}"),
+            Occurrence::FaultFailed(failed) => {
+                let (label, e) = &**failed;
+                write!(f, "fault action {label} failed: {e}")
+            }
             Occurrence::PhaseChange => {
                 write!(f, "workload phase change at {:.0} s", self.time.as_secs())
             }
@@ -412,12 +423,10 @@ mod tests {
     /// recording order, with the first end anywhere under its id.
     fn intervals_oracle(log: &RunLog) -> Vec<(SimTime, SimTime)> {
         let of = |started: bool| {
-            log.entries.iter().filter_map(move |e| match e.occurrence {
-                Occurrence::RepairStarted { correlation, .. } if started => {
-                    Some((e.time, correlation))
-                }
+            log.entries.iter().filter_map(move |e| match &e.occurrence {
+                Occurrence::RepairStarted(start) if started => Some((e.time, start.correlation)),
                 Occurrence::RepairCompleted { correlation, .. } if !started => {
-                    Some((e.time, correlation))
+                    Some((e.time, *correlation))
                 }
                 _ => None,
             })
@@ -447,13 +456,13 @@ mod tests {
         let key = Key::new("User3");
         for &(what, correlation, secs) in steps {
             let occurrence = match what {
-                0 => Occurrence::RepairStarted {
+                0 => Occurrence::RepairStarted(Box::new(RepairStart {
                     correlation,
                     plan: plan(),
                     batched: false,
                     runtime_ops: 4,
                     duration_secs: 30.0,
-                },
+                })),
                 1 => Occurrence::RepairCompleted {
                     correlation,
                     plan: plan(),
@@ -492,6 +501,12 @@ mod tests {
             let mean = log.repair_stats().mean_duration_secs.map(f64::to_bits);
             prop_assert_eq!(mean, mean_oracle(&expected).map(f64::to_bits));
         }
+    }
+
+    #[test]
+    fn layout_a_log_entry_is_five_words() {
+        // 80 bytes while the rare occurrences held their payloads inline.
+        assert!(std::mem::size_of::<LogEntry>() <= 40);
     }
 
     #[test]

@@ -121,19 +121,15 @@ impl Observer {
     pub(crate) fn record(&mut self, t: SimTime, occurrence: Occurrence) {
         match &occurrence {
             Occurrence::Violation { .. } => self.count("framework.violations", 1),
-            Occurrence::RepairStarted {
-                batched,
-                runtime_ops,
-                ..
-            } => {
+            Occurrence::RepairStarted(start) => {
                 self.count("framework.repairs.started", 1);
-                if *batched {
+                if start.batched {
                     self.count("planner.plans", 1);
                 }
-                self.count("framework.plan_ops", *runtime_ops as u64);
+                self.count("framework.plan_ops", start.runtime_ops as u64);
             }
             Occurrence::RepairCompleted { .. } => self.count("framework.repairs.completed", 1),
-            Occurrence::RepairAborted { .. } | Occurrence::Untranslatable { .. } => {
+            Occurrence::RepairAborted { .. } | Occurrence::Untranslatable(_) => {
                 self.count("framework.repairs.aborted", 1);
             }
             _ => {}
@@ -246,6 +242,7 @@ impl Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::RepairStart;
     use archmodel::constraint::Violation;
     use gridapp::AppError;
     use repair::RepairPlan;
@@ -293,6 +290,31 @@ mod tests {
         })
     }
 
+    /// What the engine records when its one candidate is still settling.
+    fn settling_skip() -> Box<repair::Skip> {
+        let mut engine = repair::RepairEngine::new();
+        engine.register("latency", repair::fix_latency_strategy());
+        let mut damping = repair::RepairDamping::new(60.0);
+        damping.record("User3", 0.0);
+        engine.set_damping(Some(damping));
+        let violation = Violation {
+            invariant: "latency".into(),
+            subject: None,
+            subject_name: "User3".into(),
+            detail: "self.averageLatency <= maxLatency".into(),
+        };
+        let report = archmodel::CheckReport {
+            violations: vec![violation],
+            ..Default::default()
+        };
+        let model = archmodel::System::new("storage");
+        let query = repair::StaticQuery::new();
+        match engine.plan(&model, &report, &query, 10.0) {
+            repair::PlanOutcome::Skipped(skip) => Box::new(skip),
+            other => panic!("the candidate is settling: {other:?}"),
+        }
+    }
+
     /// Records one of every occurrence, in declaration order, with the
     /// gauge batch and the metric snapshot where they fall in a tick.
     fn record_one_of_each(observer: &mut Observer) {
@@ -328,21 +350,19 @@ mod tests {
         observer.gauge_batch(&[reading]);
         observer.record(
             SimTime::from_secs(alarm.time),
-            Occurrence::Advisory(alarm, "serverLoad"),
+            Occurrence::Advisory(Box::new((alarm, "serverLoad"))),
         );
         observer.copy_metrics_to_sink(t);
         observer.record(t, Occurrence::violation(&violation));
         for (correlation, plan, batched) in [(1, &plan, false), (2, &group_plan, true)] {
-            observer.record(
-                t,
-                Occurrence::RepairStarted {
-                    correlation,
-                    plan: Arc::clone(plan),
-                    batched,
-                    runtime_ops: 4,
-                    duration_secs: 29.6,
-                },
-            );
+            let start = RepairStart {
+                correlation,
+                plan: Arc::clone(plan),
+                batched,
+                runtime_ops: 4,
+                duration_secs: 29.6,
+            };
+            observer.record(t, Occurrence::RepairStarted(Box::new(start)));
         }
         observer.record(
             t,
@@ -360,20 +380,20 @@ mod tests {
         );
         observer.record(
             t,
-            Occurrence::Untranslatable {
-                subject: "User3".into(),
-                error: TranslationError::NotTranslatable("no role".into()),
-            },
+            Occurrence::Untranslatable(Box::new((
+                "User3".into(),
+                TranslationError::NotTranslatable("no role".into()),
+            ))),
         );
-        observer.record(t, Occurrence::RepairSkipped("settling".into()));
-        observer.record(t, Occurrence::Reconfigured(op()));
+        observer.record(t, Occurrence::RepairSkipped(settling_skip()));
+        observer.record(t, Occurrence::Reconfigured(Box::new(op())));
         observer.record(t, Occurrence::OpFailed(Box::new((op(), error))));
         let label = || "link R2-R3 cut".to_string();
         observer.record(t, Occurrence::Fault(label()));
         let failed = AppError::Invalid("no such link".into());
-        observer.record(t, Occurrence::FaultFailed(label(), failed));
+        observer.record(t, Occurrence::FaultFailed(Box::new((label(), failed))));
         observer.record(SimTime::from_secs(45.0), Occurrence::PhaseChange);
-        let group = "ServerGrp1".to_string();
+        let group = "ServerGrp1".into();
         observer.record(t, Occurrence::Drained { group, count: 3 });
         let unknown = archmodel::ModelError::NameNotFound("S9".into());
         observer.record(t, Occurrence::CommitFailed(unknown));
@@ -417,7 +437,8 @@ mod tests {
                 "10 RepairEnd Some(1) repair #1 for User3 complete: move User3 to ServerGrp2",
                 "10 RepairAborted None repair of latency aborted: no spare server",
                 "10 RepairAborted None translation failed: no runtime mapping for: no role",
-                "10 Info None repair skipped: settling",
+                "10 Info None repair skipped: repair for User3 suppressed for another 50.0 s \
+                 (settle window)",
                 "10 Reconfiguration None moveClient(User3 -> ServerGrp2)",
                 "10 Info None runtime operation moveClient(User3 -> ServerGrp2) failed: \
                  unknown client: User3",

@@ -15,7 +15,7 @@
 //! run has no [`RepairLoop`].
 
 use crate::framework::FrameworkConfig;
-use crate::log::Occurrence;
+use crate::log::{Occurrence, RepairStart};
 use crate::monitor::Monitor;
 use crate::observe::Observer;
 use crate::query::AppQuery;
@@ -201,11 +201,12 @@ impl RepairLoop {
         let plan = match outcome {
             PlanOutcome::Plan(plan) => plan,
             PlanOutcome::Aborted { invariant, reason } => {
+                let reason = reason.into_boxed_str();
                 observer.record(t, Occurrence::RepairAborted { invariant, reason });
                 return None;
             }
-            PlanOutcome::Skipped { reason } => {
-                observer.record(t, Occurrence::RepairSkipped(reason));
+            PlanOutcome::Skipped(skip) => {
+                observer.record(t, Occurrence::RepairSkipped(Box::new(skip)));
                 return None;
             }
             PlanOutcome::Nothing => return None,
@@ -221,8 +222,8 @@ impl RepairLoop {
                 batched: false,
             }),
             Err(error) => {
-                let subject = plan.subject;
-                observer.record(t, Occurrence::Untranslatable { subject, error });
+                let untranslatable = Box::new((plan.subject, error));
+                observer.record(t, Occurrence::Untranslatable(untranslatable));
                 None
             }
         }
@@ -233,16 +234,14 @@ impl RepairLoop {
     pub(crate) fn begin(&mut self, repair: PlannedRepair, observer: &mut Observer, t: SimTime) {
         let duration_secs = self.cost_model.total_duration(&repair.runtime_ops);
         let correlation = observer.next_correlation();
-        observer.record(
-            t,
-            Occurrence::RepairStarted {
-                correlation,
-                plan: Arc::clone(&repair.plan),
-                batched: repair.batched,
-                runtime_ops: repair.runtime_ops.len(),
-                duration_secs,
-            },
-        );
+        let start = RepairStart {
+            correlation,
+            plan: Arc::clone(&repair.plan),
+            batched: repair.batched,
+            runtime_ops: repair.runtime_ops.len(),
+            duration_secs,
+        };
+        observer.record(t, Occurrence::RepairStarted(Box::new(start)));
         self.pending = Some(PendingRepair {
             repair,
             complete_at: t + SimDuration::from_secs(duration_secs),
@@ -265,7 +264,7 @@ impl RepairLoop {
             let _span = observer.span("phase.execute");
             for op in due.repair.runtime_ops {
                 let outcome = match self.apply(&op, app, monitor, observer, t) {
-                    Ok(()) => Occurrence::Reconfigured(op),
+                    Ok(()) => Occurrence::Reconfigured(Box::new(op)),
                     Err(error) => Occurrence::OpFailed(Box::new((op, error))),
                 };
                 observer.record(t, outcome);
@@ -342,7 +341,7 @@ impl RepairLoop {
                 }
                 drained?;
                 if !stuck.is_empty() {
-                    let (group, count) = (group.clone(), stuck.len());
+                    let (group, count) = (group.as_str().into(), stuck.len());
                     observer.record(t, Occurrence::Drained { group, count });
                 }
             }

@@ -12,10 +12,12 @@
 //! values (6823868): the full sweep made 400,048 allocations and the first
 //! incremental check 400,154 — four per failed pair: the evaluator's two
 //! `String`s, the report line and its `Arc<str>`. Each is gated at 1 % of
-//! that count. With typed errors they made 48 and 126; now that a report
-//! counts its errors and lists them only on request, 32 and 110: the
-//! subject lists grown by doubling, the checker's copy of the constraint
-//! set and its exactly reserved pair caches.
+//! that count. With typed errors they made 48 and 126; once a report
+//! counted its errors and listed them only on request, 32 and 110; now that
+//! an invariant's name and text are interned keys, so that the checker's
+//! copy of the constraint set copies no `String`, 32 and 102: the subject
+//! lists grown by doubling, the checker's copy of the constraint set and
+//! its exactly reserved pair caches.
 //!
 //! The rendered errors are the lines those reports carried: the errors of a
 //! full check of the 2,000-client `large-scale` model, rendered and joined

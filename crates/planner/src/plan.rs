@@ -108,7 +108,7 @@ impl PlannerInput {
         for violation in &report.violations {
             match violation.invariant.as_str() {
                 "latency" | "bandwidth" => violating.extend(client_of_violation(model, violation)),
-                "serverLoad" => overloaded.push(Key::new(&violation.subject_name)),
+                "serverLoad" => overloaded.push(violation.subject_name),
                 _ => {}
             }
         }

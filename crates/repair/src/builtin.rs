@@ -15,10 +15,14 @@
 
 use crate::operators::{add_server, move_client, remove_server};
 use crate::strategy::RepairStrategy;
-use crate::tactic::{client_of_violation, RepairError, Tactic, TacticContext, TacticResult};
-use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant};
-use archmodel::style::{props, ClientServerStyle, CLIENT_ROLE_T, CLIENT_T, SERVER_GROUP_T};
-use archmodel::System;
+use crate::tactic::{
+    client_component, NotApplicable, RepairError, Tactic, TacticContext, TacticResult,
+};
+use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant, Violation};
+use archmodel::style::{
+    props, ClientServerStyle, StyleTypes, CLIENT_ROLE_T, CLIENT_T, SERVER_GROUP_T,
+};
+use archmodel::{ComponentId, ElementRef, Key, System};
 
 /// Default threshold for server-group load (pending requests). The paper: a
 /// queue of more than six waiting requests indicates overload.
@@ -31,30 +35,25 @@ fn system_threshold(model: &System, name: &str, default: f64) -> f64 {
 }
 
 /// The server groups connected to `client` whose load exceeds the
-/// `maxServerLoad` threshold.
-fn overloaded_groups_of(model: &System, client: &str) -> Vec<String> {
+/// `maxServerLoad` threshold, in id order. A group's type is compared by
+/// interned key and its connectors with the client's own, so nothing is
+/// allocated unless a group is overloaded.
+fn overloaded_groups_of(model: &System, client: ComponentId) -> Vec<Key> {
     let max_load = system_threshold(model, props::MAX_SERVER_LOAD, DEFAULT_MAX_SERVER_LOAD);
-    let Some(client_id) = model.component_by_name(client) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (id, comp) in model.components_of_type(SERVER_GROUP_T) {
-        if !model.connected(client_id, id) {
-            continue;
-        }
-        if comp.properties.get_f64(props::LOAD).unwrap_or(0.0) > max_load {
-            out.push(comp.name.to_string());
-        }
-    }
-    out
+    let group_t = StyleTypes::get().server_group;
+    let groups = model.components().filter(|(_, c)| c.ctype == group_t);
+    let overloaded =
+        groups.filter(|(_, c)| c.properties.get_f64(props::LOAD).unwrap_or(0.0) > max_load);
+    let connected = overloaded.filter(|(id, _)| model.connected(client, *id));
+    connected.map(|(_, c)| c.name).collect()
 }
 
 /// The bandwidth currently recorded on the client's role, if known.
-fn client_role_bandwidth(model: &System, client: &str) -> Option<f64> {
-    let client_id = model.component_by_name(client)?;
-    for role_id in model.roles_of_component(client_id) {
+fn client_role_bandwidth(model: &System, client: ComponentId) -> Option<f64> {
+    let role_t = StyleTypes::get().client_role;
+    for role_id in model.roles_of_component(client) {
         let role = model.role(role_id).ok()?;
-        if role.rtype == CLIENT_ROLE_T {
+        if role.rtype == role_t {
             if let Some(bw) = role.properties.get_f64(props::BANDWIDTH) {
                 return Some(bw);
             }
@@ -64,9 +63,8 @@ fn client_role_bandwidth(model: &System, client: &str) -> Option<f64> {
 }
 
 /// A tactic's answer when its precondition does not hold.
-fn not_applicable(reason: impl Into<String>) -> Result<TacticResult, RepairError> {
-    let reason = reason.into();
-    Ok(TacticResult::NotApplicable { reason })
+fn not_applicable(reason: NotApplicable) -> Result<TacticResult, RepairError> {
+    Ok(TacticResult::NotApplicable(reason))
 }
 
 /// `fixServerLoad` (Figure 5, lines 16–26): add a server to every overloaded
@@ -80,29 +78,27 @@ impl Tactic for FixServerLoadTactic {
     }
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-        let Some(client) = client_of_violation(ctx.model, ctx.violation).map(|c| c.as_str()) else {
-            return not_applicable("violation does not identify a client");
+        let Some((client, _)) = client_component(ctx.model, ctx.violation) else {
+            return not_applicable(NotApplicable::NoClient);
         };
         let overloaded = overloaded_groups_of(ctx.model, client);
         if overloaded.is_empty() {
-            return not_applicable(format!("no overloaded server group connected to {client}"));
+            return not_applicable(NotApplicable::NoOverloadedGroup);
         }
         // Only groups for which the runtime can actually recruit a spare
         // server can be repaired this way.
-        let repairable: Vec<String> = overloaded
+        let repairable: Vec<Key> = overloaded
             .iter()
-            .filter(|g| ctx.query.find_spare_server(g).is_some())
-            .cloned()
+            .filter(|g| ctx.query.find_spare_server(g.as_str()).is_some())
+            .copied()
             .collect();
         if repairable.is_empty() {
-            return not_applicable(format!(
-                "server groups {overloaded:?} are overloaded but no spare server is available"
-            ));
+            return not_applicable(NotApplicable::NoSpareServer(overloaded.into()));
         }
         let mut ops = Vec::new();
         let mut added = Vec::new();
         for group in &repairable {
-            added.push(add_server(ctx.model, &mut ops, group)?);
+            added.push(add_server(ctx.model, &mut ops, group.as_str())?);
         }
         Ok(TacticResult::Applied {
             ops,
@@ -122,36 +118,31 @@ impl Tactic for FixBandwidthTactic {
     }
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-        let Some(client) = client_of_violation(ctx.model, ctx.violation).map(|c| c.as_str()) else {
-            return not_applicable("violation does not identify a client");
+        let Some((client_id, client)) = client_component(ctx.model, ctx.violation) else {
+            return not_applicable(NotApplicable::NoClient);
         };
         let min_bandwidth =
             system_threshold(ctx.model, props::MIN_BANDWIDTH, DEFAULT_MIN_BANDWIDTH_BPS);
         // Precondition (lines 30–31): the role bandwidth must be below the
         // minimum for this tactic to apply.
-        if let Some(bw) = client_role_bandwidth(ctx.model, client) {
-            if bw >= min_bandwidth {
-                return not_applicable(format!(
-                        "bandwidth {bw:.0} bps for {client} is above the {min_bandwidth:.0} bps minimum"
-                    ));
-            }
-        } else {
-            return not_applicable(format!("no bandwidth observation for {client} yet"));
+        let Some(bps) = client_role_bandwidth(ctx.model, client_id) else {
+            return not_applicable(NotApplicable::NoBandwidthObservation);
+        };
+        if bps >= min_bandwidth {
+            let min_bps = min_bandwidth;
+            return not_applicable(NotApplicable::BandwidthAboveMinimum { bps, min_bps });
         }
         // findGoodSGrp (lines 35–36).
+        let client = client.as_str();
         let Some(good_group) = ctx.query.find_good_server_group(client, min_bandwidth) else {
             return Err(RepairError::NoServerGroupFound);
         };
         // Moving to the group the client already uses would be a no-op.
-        let client_id = ctx
-            .model
-            .component_by_name(client)
-            .ok_or(RepairError::NoServerGroupFound)?;
         let current = ClientServerStyle::group_of_client(ctx.model, client_id)
             .and_then(|g| ctx.model.component(g).ok())
             .map(|g| g.name);
-        if current.is_some_and(|g| g == good_group) {
-            return not_applicable(format!("{client} is already connected to {good_group}"));
+        if let Some(current) = current.filter(|g| *g == good_group) {
+            return not_applicable(NotApplicable::AlreadyConnected(current));
         }
         let mut ops = Vec::new();
         move_client(ctx.model, &mut ops, client, &good_group)?;
@@ -191,11 +182,12 @@ impl Tactic for ReduceServersTactic {
         // invariant is scoped per group), only that group is considered;
         // subject-free violations keep the historical whole-model scan.
         let subject_group = group_of_violation(ctx.model, ctx.violation);
+        let group_t = StyleTypes::get().server_group;
         // Find an underutilised group with more than the minimum number of
         // servers.
-        let mut candidate: Option<(String, String)> = None;
-        for (id, comp) in ctx.model.components_of_type(SERVER_GROUP_T) {
-            if subject_group.as_deref().is_some_and(|g| comp.name != g) {
+        let mut candidate: Option<(Key, Key)> = None;
+        for (id, comp) in ctx.model.components() {
+            if comp.ctype != group_t || subject_group.is_some_and(|(_, g)| comp.name != g) {
                 continue;
             }
             let load = comp
@@ -222,16 +214,16 @@ impl Tactic for ReduceServersTactic {
             // Remove the most recently added server.
             if let Some(last) = children.last() {
                 if let Ok(server) = ctx.model.component(*last) {
-                    candidate = Some((comp.name.to_string(), server.name.to_string()));
+                    candidate = Some((comp.name, server.name));
                     break;
                 }
             }
         }
         let Some((group, server)) = candidate else {
-            return not_applicable("no underutilised server group with removable servers");
+            return not_applicable(NotApplicable::NoRemovableServer);
         };
         let mut ops = Vec::new();
-        remove_server(ctx.model, &mut ops, &server)?;
+        remove_server(ctx.model, &mut ops, server.as_str())?;
         Ok(TacticResult::Applied {
             ops,
             description: format!("removed {server} from underutilised group {group}"),
@@ -240,16 +232,12 @@ impl Tactic for ReduceServersTactic {
 }
 
 /// Resolves the server group a violation refers to (liveness constraints are
-/// scoped per server group).
-fn group_of_violation(
-    model: &System,
-    violation: &archmodel::constraint::Violation,
-) -> Option<String> {
-    use archmodel::ElementRef;
+/// scoped per server group), with its interned name.
+fn group_of_violation(model: &System, violation: &Violation) -> Option<(ComponentId, Key)> {
     match violation.subject? {
         ElementRef::Component(id) => {
             let comp = model.component(id).ok()?;
-            (comp.ctype == SERVER_GROUP_T).then(|| comp.name.to_string())
+            (comp.ctype == StyleTypes::get().server_group).then_some((id, comp.name))
         }
         _ => None,
     }
@@ -257,12 +245,9 @@ fn group_of_violation(
 
 /// The model replicas of `group` whose `isAlive` gauge reading says the
 /// backing runtime process has crashed.
-fn dead_replicas_of(model: &System, group: &str) -> Vec<String> {
-    let Some(group_id) = model.component_by_name(group) else {
-        return Vec::new();
-    };
+fn dead_replicas_of(model: &System, group: ComponentId) -> Vec<String> {
     let mut dead = Vec::new();
-    for child in model.children(group_id) {
+    for child in model.children(group) {
         if let Ok(server) = model.component(child) {
             if server.properties.get_f64(props::IS_ALIVE) == Some(0.0) {
                 dead.push(server.name.to_string());
@@ -286,26 +271,20 @@ impl Tactic for FailoverServerGroupTactic {
     }
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-        let Some(group) = group_of_violation(ctx.model, ctx.violation) else {
-            return not_applicable("violation does not identify a server group");
+        let Some((group_id, group)) = group_of_violation(ctx.model, ctx.violation) else {
+            return not_applicable(NotApplicable::NoGroup);
         };
-        let dead = dead_replicas_of(ctx.model, &group);
+        let dead = dead_replicas_of(ctx.model, group_id);
         if dead.is_empty() {
-            return not_applicable(format!("no dead replicas recorded for {group}"));
+            return not_applicable(NotApplicable::NoDeadReplicas(group));
         }
-        let group_id = ctx
-            .model
-            .component_by_name(&group)
-            .ok_or_else(|| RepairError::Operator(format!("group {group} vanished")))?;
         let members = ctx.model.children(group_id).count();
-        let spares = ctx.query.spare_server_count(&group);
+        let spares = ctx.query.spare_server_count(group.as_str());
         let replacements = dead.len().min(spares);
         if replacements == 0 && members == dead.len() {
             // Removing every replica with nothing to recruit would leave the
             // group empty; let the reroute tactic move the clients instead.
-            return not_applicable(format!(
-                "{group} is fully dead and no spare server is available"
-            ));
+            return not_applicable(NotApplicable::FullyDead(group));
         }
         let mut ops = Vec::new();
         for corpse in &dead {
@@ -313,7 +292,7 @@ impl Tactic for FailoverServerGroupTactic {
         }
         let mut recruited = Vec::new();
         for _ in 0..replacements {
-            recruited.push(add_server(ctx.model, &mut ops, &group)?);
+            recruited.push(add_server(ctx.model, &mut ops, group.as_str())?);
         }
         Ok(TacticResult::Applied {
             ops,
@@ -338,38 +317,35 @@ impl Tactic for RerouteClientsTactic {
     }
 
     fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
-        let Some(group) = group_of_violation(ctx.model, ctx.violation) else {
-            return not_applicable("violation does not identify a server group");
+        let Some((group_id, group)) = group_of_violation(ctx.model, ctx.violation) else {
+            return not_applicable(NotApplicable::NoGroup);
         };
         let live = ctx
             .model
-            .component_by_name(&group)
-            .and_then(|id| ctx.model.component(id).ok())
+            .component(group_id)
+            .ok()
             .and_then(|c| c.properties.get_f64(props::LIVE_SERVERS))
             .unwrap_or(f64::INFINITY);
         if live >= 1.0 {
-            return not_applicable(format!("{group} still has {live:.0} live replicas"));
+            return not_applicable(NotApplicable::StillLive { group, live });
         }
-        let group_id = ctx
-            .model
-            .component_by_name(&group)
-            .ok_or_else(|| RepairError::Operator(format!("group {group} vanished")))?;
-        let clients: Vec<String> = ClientServerStyle::clients_of_group(ctx.model, group_id)
+        let clients: Vec<Key> = ClientServerStyle::clients_of_group(ctx.model, group_id)
             .into_iter()
-            .filter_map(|id| ctx.model.component(id).ok().map(|c| c.name.to_string()))
+            .filter_map(|id| ctx.model.component(id).ok().map(|c| c.name))
             .collect();
         if clients.is_empty() {
-            return not_applicable(format!("{group} serves no clients"));
+            return not_applicable(NotApplicable::ServesNoClients(group));
         }
         let min_bandwidth =
             system_threshold(ctx.model, props::MIN_BANDWIDTH, DEFAULT_MIN_BANDWIDTH_BPS);
         let mut ops = Vec::new();
         let mut moved = Vec::new();
         for client in &clients {
+            let client = client.as_str();
             let Some(target) = ctx.query.find_good_server_group(client, min_bandwidth) else {
                 continue;
             };
-            if target == group {
+            if group == target {
                 continue;
             }
             move_client(ctx.model, &mut ops, client, &target)?;
@@ -506,7 +482,7 @@ mod tests {
             .unwrap()
             .properties
             .set(props::AVERAGE_LATENCY, 5.0);
-        for role_id in model.roles_of_component(user3) {
+        for role_id in model.roles_of_component(user3).collect::<Vec<_>>() {
             model
                 .role_mut(role_id)
                 .unwrap()
@@ -645,7 +621,7 @@ mod tests {
             invariant: "underutilised".into(),
             subject: None,
             subject_name: "storage".into(),
-            detail: String::new(),
+            detail: Key::new(""),
         };
         let outcome = reduce_servers_strategy().run(&model, &violation, &StaticQuery::new());
         match outcome {
@@ -670,7 +646,7 @@ mod tests {
             invariant: "underutilised".into(),
             subject: None,
             subject_name: "tiny".into(),
-            detail: String::new(),
+            detail: Key::new(""),
         };
         let outcome = reduce_servers_strategy().run(&model, &violation, &StaticQuery::new());
         assert!(matches!(
@@ -724,7 +700,7 @@ mod tests {
             invariant: "underutilised".into(),
             subject: Some(ElementRef::Component(g1)),
             subject_name: "ServerGrp1".into(),
-            detail: String::new(),
+            detail: Key::new(""),
         };
         // Both groups idle at their baseline: the floor forbids any removal,
         // even though the historical min_servers (1) would allow it.
@@ -995,7 +971,7 @@ mod tests {
             let properties = &mut model.component_mut(id).unwrap().properties;
             properties.set(props::AVERAGE_LATENCY, latency);
             if let Some(bps) = [None, Some(500.0), Some(5e6)][pick(3)] {
-                for role in model.roles_of_component(id) {
+                for role in model.roles_of_component(id).collect::<Vec<_>>() {
                     let properties = &mut model.role_mut(role).unwrap().properties;
                     properties.set(props::BANDWIDTH, bps);
                 }
@@ -1017,8 +993,8 @@ mod tests {
         let violation = |invariant: &str, subject, subject_name: String| Violation {
             invariant: invariant.into(),
             subject,
-            subject_name,
-            detail: String::new(),
+            subject_name: subject_name.into(),
+            detail: Key::new(""),
         };
         let mut out = vec![violation("underutilised", None, model.name.clone())];
         for (id, client) in model.components_of_type(CLIENT_T) {

@@ -9,11 +9,13 @@
 
 use crate::damping::RepairDamping;
 use crate::query::RuntimeQuery;
-use crate::selection::{select_violation, SelectionPolicy};
+use crate::selection::{repair_order, SelectionPolicy};
+use crate::skip::Skip;
 use crate::strategy::{RepairStrategy, StrategyOutcome};
+use crate::tactic::client_of_violation;
 use archmodel::constraint::CheckReport;
-use archmodel::{ModelOp, System};
-use std::collections::BTreeMap;
+use archmodel::{Key, ModelOp, System};
+use rustc_hash::FxHashMap;
 
 /// A validated repair ready to be committed and translated to runtime
 /// operations.
@@ -37,19 +39,17 @@ pub enum PlanOutcome {
     /// There was nothing to repair (no violations with a registered
     /// strategy).
     Nothing,
-    /// A violation exists but the repair was suppressed (damping window, or
-    /// no strategy could produce a repair).
-    Skipped {
-        /// Why the repair was suppressed.
-        reason: String,
-    },
+    /// Violations exist but every one was passed over (damping window, or
+    /// no strategy could produce a repair): the typed record of each,
+    /// which displays as the trace's note.
+    Skipped(Skip),
     /// A repair plan was produced.
     Plan(RepairPlan),
     /// The strategy aborted (e.g. `NoServerGroupFound`); human attention may
     /// be needed.
     Aborted {
         /// The invariant whose repair aborted.
-        invariant: String,
+        invariant: Key,
         /// Why.
         reason: String,
     },
@@ -57,7 +57,7 @@ pub enum PlanOutcome {
 
 /// The repair engine.
 pub struct RepairEngine {
-    strategies: BTreeMap<String, RepairStrategy>,
+    strategies: FxHashMap<Key, RepairStrategy>,
     selection: SelectionPolicy,
     damping: Option<RepairDamping>,
 }
@@ -73,7 +73,7 @@ impl RepairEngine {
     /// damping.
     pub fn new() -> Self {
         RepairEngine {
-            strategies: BTreeMap::new(),
+            strategies: FxHashMap::default(),
             selection: SelectionPolicy::FirstReported,
             damping: None,
         }
@@ -81,7 +81,7 @@ impl RepairEngine {
 
     /// Registers `strategy` for violations of `invariant`.
     pub fn register(&mut self, invariant: &str, strategy: RepairStrategy) {
-        self.strategies.insert(invariant.to_string(), strategy);
+        self.strategies.insert(Key::new(invariant), strategy);
     }
 
     /// Sets the violation-selection policy.
@@ -94,8 +94,30 @@ impl RepairEngine {
         self.damping = damping;
     }
 
+    /// The report's violations with a registered strategy, as indices in
+    /// the order the engine takes them (see [`repair_order`]).
+    fn candidates(&self, model: &System, report: &CheckReport) -> Vec<u32> {
+        let violations = &report.violations;
+        let registered = |i: &u32| {
+            self.strategies
+                .contains_key(&violations[*i as usize].invariant)
+        };
+        let all = 0..u32::try_from(violations.len()).expect("fewer than 2^32 violations");
+        let mut candidates = Vec::with_capacity(all.clone().filter(registered).count());
+        candidates.extend(all.filter(registered));
+        repair_order(self.selection, violations, model, &mut candidates);
+        candidates
+    }
+
     /// Produces a repair plan for the most urgent violation in `report`, if
     /// any. `now` is used for damping decisions.
+    ///
+    /// The violations are borrowed and ordered once. When the most urgent
+    /// one cannot be repaired right now (damping window, no applicable
+    /// tactic) the engine falls through to the next, so an unrepairable
+    /// client does not starve the others; each one passed over is noted in
+    /// the [`Skip`] as names and a shared list of typed reasons, so a
+    /// fall-through allocates nothing per candidate.
     pub fn plan(
         &mut self,
         model: &System,
@@ -103,78 +125,51 @@ impl RepairEngine {
         query: &dyn RuntimeQuery,
         now: f64,
     ) -> PlanOutcome {
-        // Only violations we know how to repair are considered.
-        let mut candidates: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| self.strategies.contains_key(&v.invariant))
-            .cloned()
-            .collect();
+        let candidates = self.candidates(model, report);
         if candidates.is_empty() {
             return PlanOutcome::Nothing;
         }
-        // Consider the violations in policy order; when the most urgent one
-        // cannot be repaired right now (damping window, no applicable
-        // tactic) fall through to the next one so an unrepairable client
-        // does not starve the others.
-        let mut skip_reasons: Vec<String> = Vec::new();
-        while !candidates.is_empty() {
-            let Some(violation) = select_violation(self.selection, &candidates, model).cloned()
-            else {
-                break;
-            };
-            candidates.retain(|v| {
-                !(v.invariant == violation.invariant && v.subject_name == violation.subject_name)
-            });
+        let (mut skip, mut reasons) = (Skip::default(), Vec::new());
+        for (taken, &index) in candidates.iter().enumerate() {
+            let violation = &report.violations[index as usize];
+            let (subject, left) = (violation.subject_name, candidates.len() - taken);
             if let Some(damping) = &self.damping {
-                if !damping.allows(&violation.subject_name, now) {
-                    skip_reasons.push(format!(
-                        "repair for {} suppressed for another {:.1} s (settle window)",
-                        violation.subject_name,
-                        damping.remaining(&violation.subject_name, now)
-                    ));
+                if !damping.allows(subject.as_str(), now) {
+                    let remaining = damping.remaining(subject.as_str(), now);
+                    skip.settling(left, subject, remaining);
                     continue;
                 }
             }
-            let strategy = self
-                .strategies
-                .get(&violation.invariant)
-                .expect("filtered to registered invariants");
-            match strategy.run(model, &violation, query) {
-                StrategyOutcome::Repaired {
+            let strategy = &self.strategies[&violation.invariant];
+            reasons.clear();
+            match strategy.attempt(model, violation, query, &mut reasons) {
+                Some(StrategyOutcome::Repaired {
                     ops,
                     applied_tactics,
                     description,
-                } => {
+                }) => {
                     if let Some(damping) = &mut self.damping {
-                        damping.record(&violation.subject_name, now);
+                        damping.record(subject.as_str(), now);
                     }
                     return PlanOutcome::Plan(RepairPlan {
-                        invariant: violation.invariant.clone(),
-                        subject: violation.subject_name.clone(),
+                        invariant: violation.invariant.to_string(),
+                        subject: subject.to_string(),
                         ops,
                         tactics: applied_tactics,
                         description,
                     });
                 }
-                StrategyOutcome::NoApplicableTactic { reasons } => {
-                    skip_reasons.push(format!(
-                        "no applicable tactic for {}: {}",
-                        violation.subject_name,
-                        reasons.join("; ")
-                    ));
+                Some(StrategyOutcome::Aborted { reason }) => {
+                    let invariant = violation.invariant;
+                    return PlanOutcome::Aborted { invariant, reason };
                 }
-                StrategyOutcome::Aborted { reason } => {
-                    return PlanOutcome::Aborted {
-                        invariant: violation.invariant.clone(),
-                        reason,
-                    };
+                _ => {
+                    let client = client_of_violation(model, violation).unwrap_or(subject);
+                    skip.no_tactic(left, subject, client, &reasons);
                 }
             }
         }
-        PlanOutcome::Skipped {
-            reason: skip_reasons.join(" | "),
-        }
+        PlanOutcome::Skipped(skip)
     }
 }
 
@@ -186,6 +181,7 @@ mod tests {
         reduce_servers_strategy, underutilised_invariant,
     };
     use crate::query::StaticQuery;
+    use archmodel::constraint::Violation;
     use archmodel::style::{props, ClientServerStyle};
 
     /// The paper's engine: `fixLatency` handles latency, bandwidth and
@@ -293,7 +289,8 @@ mod tests {
         // Immediately after, the same subject is suppressed, and so is the
         // (unrepairable) server-load violation the engine falls through to.
         match engine.plan(&model, &report, &query, 110.0) {
-            PlanOutcome::Skipped { reason } => {
+            PlanOutcome::Skipped(skip) => {
+                let reason = skip.to_string();
                 assert!(reason.contains("settle"), "{reason}");
                 assert!(reason.contains(" | no applicable tactic"), "{reason}");
             }
@@ -317,7 +314,7 @@ mod tests {
             .properties
             .set(props::LOAD, 0i64);
         let user3 = model.component_by_name("User3").unwrap();
-        for role in model.roles_of_component(user3) {
+        for role in model.roles_of_component(user3).collect::<Vec<_>>() {
             model
                 .role_mut(role)
                 .unwrap()
@@ -333,9 +330,12 @@ mod tests {
         }
     }
 
-    /// [`RepairEngine::plan`] with every strategy run through the
-    /// eager-clone reference loop (`RepairStrategy::run_eager`) instead of
-    /// the borrowing one; everything else is the same engine state.
+    /// [`RepairEngine::plan`] as it was before it ordered its candidates
+    /// once, with every strategy run through the eager-clone reference loop
+    /// (`RepairStrategy::run_eager`) instead of the borrowing one: it clones
+    /// the candidates, picks the most urgent, drops every candidate of its
+    /// (invariant, subject) pair and picks again. Everything else is the
+    /// same engine state.
     fn plan_eager(
         engine: &mut RepairEngine,
         model: &System,
@@ -352,19 +352,36 @@ mod tests {
         if candidates.is_empty() {
             return PlanOutcome::Nothing;
         }
-        let mut skip_reasons: Vec<String> = Vec::new();
-        while let Some(violation) = select_violation(engine.selection, &candidates, model).cloned()
-        {
+        let mut skip = Skip::default();
+        while !candidates.is_empty() {
+            let violation = match engine.selection {
+                SelectionPolicy::FirstReported => candidates[0],
+                SelectionPolicy::WorstLatency => {
+                    let latency = |v: &Violation| {
+                        let Some(archmodel::ElementRef::Component(id)) = v.subject else {
+                            return f64::NEG_INFINITY;
+                        };
+                        let properties = &model.component(id).unwrap().properties;
+                        properties
+                            .get_f64(props::AVERAGE_LATENCY)
+                            .unwrap_or(f64::NEG_INFINITY)
+                    };
+                    let worst = candidates.iter().max_by(|a, b| {
+                        latency(a)
+                            .partial_cmp(&latency(b))
+                            .expect("latencies are not NaN")
+                    });
+                    *worst.unwrap()
+                }
+            };
+            let left = candidates.len();
             candidates.retain(|v| {
                 !(v.invariant == violation.invariant && v.subject_name == violation.subject_name)
             });
+            let subject = violation.subject_name;
             if let Some(damping) = &engine.damping {
-                if !damping.allows(&violation.subject_name, now) {
-                    skip_reasons.push(format!(
-                        "repair for {} suppressed for another {:.1} s (settle window)",
-                        violation.subject_name,
-                        damping.remaining(&violation.subject_name, now)
-                    ));
+                if !damping.allows(subject.as_str(), now) {
+                    skip.settling(left, subject, damping.remaining(subject.as_str(), now));
                     continue;
                 }
             }
@@ -375,34 +392,29 @@ mod tests {
                     description,
                 } => {
                     if let Some(damping) = &mut engine.damping {
-                        damping.record(&violation.subject_name, now);
+                        damping.record(subject.as_str(), now);
                     }
                     return PlanOutcome::Plan(RepairPlan {
-                        invariant: violation.invariant.clone(),
-                        subject: violation.subject_name.clone(),
+                        invariant: violation.invariant.to_string(),
+                        subject: subject.to_string(),
                         ops,
                         tactics: applied_tactics,
                         description,
                     });
                 }
                 StrategyOutcome::NoApplicableTactic { reasons } => {
-                    skip_reasons.push(format!(
-                        "no applicable tactic for {}: {}",
-                        violation.subject_name,
-                        reasons.join("; ")
-                    ));
+                    let client = client_of_violation(model, &violation).unwrap_or(subject);
+                    skip.no_tactic(left, subject, client, &reasons);
                 }
                 StrategyOutcome::Aborted { reason } => {
                     return PlanOutcome::Aborted {
-                        invariant: violation.invariant.clone(),
+                        invariant: violation.invariant,
                         reason,
                     };
                 }
             }
         }
-        PlanOutcome::Skipped {
-            reason: skip_reasons.join(" | "),
-        }
+        PlanOutcome::Skipped(skip)
     }
 
     /// A 2,000-client model in which the 600 even-numbered clients
@@ -442,7 +454,7 @@ mod tests {
             );
         }
         let user1201 = model.component_by_name("User1201").unwrap();
-        let its_roles = model.roles_of_component(user1201);
+        let its_roles = model.roles_of_component(user1201).collect();
         set_bandwidth(&mut model, its_roles, 500.0);
         for (group, dead) in [("ServerGrp1", 0), ("ServerGrp2", dead)] {
             set(&mut model, group, props::BASE_REPLICAS, 3.0);
@@ -518,7 +530,8 @@ mod tests {
                             assert!(plan.subject.starts_with("User1201"));
                             assert_eq!(plan.tactics, ["fixServerLoad"]);
                         }
-                        ("skipped", PlanOutcome::Skipped { reason }) => {
+                        ("skipped", PlanOutcome::Skipped(skip)) => {
+                            let reason = skip.to_string();
                             assert!(reason.matches(" | ").count() >= 500);
                             assert_eq!(reason.contains("settle window"), damped);
                         }

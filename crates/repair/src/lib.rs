@@ -14,7 +14,8 @@
 //! * [`builtin`] — the paper's `fixLatency` strategy (Figure 5) plus the
 //!   `reduceServers` cost repair and the default constraint set,
 //! * [`engine`] — mapping violations to plans, with violation-selection
-//!   policies ([`selection`]) and oscillation [`damping`] (§5.3/§7),
+//!   policies ([`selection`]) and oscillation [`damping`] (§5.3/§7), and
+//!   the typed [`skip`] record of the repairs it could not make,
 //! * [`query`] — the runtime-layer queries tactics rely on.
 
 #![warn(missing_docs)]
@@ -25,6 +26,7 @@ pub mod engine;
 pub mod operators;
 pub mod query;
 pub mod selection;
+pub mod skip;
 pub mod strategy;
 pub mod tactic;
 
@@ -37,6 +39,9 @@ pub use damping::RepairDamping;
 pub use engine::{PlanOutcome, RepairEngine, RepairPlan};
 pub use operators::{add_server, move_client, remove_server, OperatorError};
 pub use query::{RuntimeQuery, StaticQuery};
-pub use selection::{select_violation, SelectionPolicy};
+pub use selection::SelectionPolicy;
+pub use skip::{Declined, Skip};
 pub use strategy::{RepairStrategy, StrategyOutcome};
-pub use tactic::{client_of_violation, RepairError, Tactic, TacticContext, TacticResult};
+pub use tactic::{
+    client_of_violation, NotApplicable, RepairError, Tactic, TacticContext, TacticResult,
+};

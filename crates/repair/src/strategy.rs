@@ -12,10 +12,11 @@
 //! `ClientServerStyle::script_violations` finds in O(ops).
 
 use crate::query::RuntimeQuery;
+use crate::skip::Declined;
 use crate::tactic::{RepairError, Tactic, TacticContext, TacticResult};
 use archmodel::constraint::Violation;
 use archmodel::style::ClientServerStyle;
-use archmodel::{ModelOp, System};
+use archmodel::{Key, ModelOp, System};
 
 /// The outcome of running a strategy for one violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +32,8 @@ pub enum StrategyOutcome {
     },
     /// No tactic was applicable — the paper's `abort ModelError`.
     NoApplicableTactic {
-        /// The reasons each tactic reported.
-        reasons: Vec<String>,
+        /// Each tactic's typed reason, in the order they were tried.
+        reasons: Vec<Declined>,
     },
     /// A tactic failed outright (e.g. `NoServerGroupFound`) or the repaired
     /// model would violate the style.
@@ -45,7 +46,8 @@ pub enum StrategyOutcome {
 /// A named repair strategy.
 pub struct RepairStrategy {
     name: String,
-    tactics: Vec<Box<dyn Tactic>>,
+    /// Each tactic under its name, interned once when it is added.
+    tactics: Vec<(Key, Box<dyn Tactic>)>,
 }
 
 /// The abort reason for a script whose result breaks the style.
@@ -70,7 +72,7 @@ impl RepairStrategy {
 
     /// Adds a tactic (tactics run in insertion order).
     pub fn with_tactic(mut self, tactic: Box<dyn Tactic>) -> Self {
-        self.tactics.push(tactic);
+        self.tactics.push((Key::new(tactic.name()), tactic));
         self
     }
 
@@ -89,41 +91,57 @@ impl RepairStrategy {
         violation: &Violation,
         query: &dyn RuntimeQuery,
     ) -> StrategyOutcome {
-        let mut reasons: Vec<String> = Vec::new();
+        let mut reasons = Vec::new();
+        let outcome = self.attempt(model, violation, query, &mut reasons);
+        outcome.unwrap_or(StrategyOutcome::NoApplicableTactic { reasons })
+    }
+
+    /// [`run`](Self::run), with each inapplicable tactic's reason pushed
+    /// onto `declined` instead: `None` when no tactic applied. The engine
+    /// passes one buffer for all its candidates, so a candidate no tactic
+    /// repairs costs no allocation.
+    pub(crate) fn attempt(
+        &self,
+        model: &System,
+        violation: &Violation,
+        query: &dyn RuntimeQuery,
+        declined: &mut Vec<Declined>,
+    ) -> Option<StrategyOutcome> {
         let ctx = TacticContext {
             model,
             violation,
             query,
         };
-        for tactic in &self.tactics {
-            match tactic.attempt(&ctx) {
-                Ok(TacticResult::NotApplicable { reason }) => {
-                    reasons.push(format!("{}: {reason}", tactic.name()));
+        for (name, tactic) in &self.tactics {
+            let outcome = match tactic.attempt(&ctx) {
+                Ok(TacticResult::NotApplicable(reason)) => {
+                    declined.push(Declined {
+                        tactic: *name,
+                        reason,
+                    });
+                    continue;
                 }
                 Ok(TacticResult::Applied { ops, description }) => {
                     let style_violations = ClientServerStyle::script_violations(model, &ops);
                     if !style_violations.is_empty() {
-                        return style_abort(tactic.name(), &style_violations);
+                        return Some(style_abort(name.as_str(), &style_violations));
                     }
-                    return StrategyOutcome::Repaired {
+                    StrategyOutcome::Repaired {
                         ops,
-                        applied_tactics: vec![tactic.name().to_string()],
+                        applied_tactics: vec![name.to_string()],
                         description,
-                    };
+                    }
                 }
-                Err(RepairError::NoServerGroupFound) => {
-                    return StrategyOutcome::Aborted {
-                        reason: format!("{}: NoServerGroupFound", tactic.name()),
-                    };
-                }
-                Err(e) => {
-                    return StrategyOutcome::Aborted {
-                        reason: format!("{}: {e}", tactic.name()),
-                    };
-                }
-            }
+                Err(RepairError::NoServerGroupFound) => StrategyOutcome::Aborted {
+                    reason: format!("{name}: NoServerGroupFound"),
+                },
+                Err(e) => StrategyOutcome::Aborted {
+                    reason: format!("{name}: {e}"),
+                },
+            };
+            return Some(outcome);
         }
-        StrategyOutcome::NoApplicableTactic { reasons }
+        None
     }
 }
 
@@ -132,6 +150,7 @@ mod tests {
     use super::*;
     use crate::operators::{add_server, move_client, remove_server};
     use crate::query::StaticQuery;
+    use crate::tactic::NotApplicable;
     use archmodel::{apply_op, ElementRef};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -168,9 +187,9 @@ mod tests {
         }
         fn attempt(&self, ctx: &TacticContext<'_>) -> Result<TacticResult, RepairError> {
             match self.result.clone()? {
-                Script::NotApplicable => Ok(TacticResult::NotApplicable {
-                    reason: "precondition failed".into(),
-                }),
+                Script::NotApplicable => Ok(TacticResult::NotApplicable(NotApplicable::Other(
+                    "precondition failed".into(),
+                ))),
                 Script::Apply(calls) => {
                     let mut ops = Vec::new();
                     for call in calls {
@@ -203,17 +222,20 @@ mod tests {
             violation: &Violation,
             query: &dyn RuntimeQuery,
         ) -> StrategyOutcome {
-            let mut reasons: Vec<String> = Vec::new();
+            let mut reasons = Vec::new();
             let working = model.clone();
-            for tactic in &self.tactics {
+            for (name, tactic) in &self.tactics {
                 let ctx = TacticContext {
                     model: &working,
                     violation,
                     query,
                 };
                 match tactic.attempt(&ctx) {
-                    Ok(TacticResult::NotApplicable { reason }) => {
-                        reasons.push(format!("{}: {reason}", tactic.name()));
+                    Ok(TacticResult::NotApplicable(reason)) => {
+                        reasons.push(Declined {
+                            tactic: *name,
+                            reason,
+                        });
                     }
                     Ok(TacticResult::Applied { ops, description }) => {
                         let mut candidate = working.clone();
@@ -297,8 +319,8 @@ mod tests {
         Violation {
             invariant: "latency".into(),
             subject: Some(ElementRef::Component(id)),
-            subject_name: "User1".into(),
-            detail: "averageLatency <= maxLatency".into(),
+            subject_name: Key::new("User1"),
+            detail: Key::new("averageLatency <= maxLatency"),
         }
     }
 
@@ -371,7 +393,7 @@ mod tests {
             StrategyOutcome::NoApplicableTactic { reasons } => assert_eq!(reasons.len(), 2),
             other => panic!("unexpected outcome: {other:?}"),
         }
-        let tactic_names: Vec<&str> = strategy.tactics.iter().map(|t| t.name()).collect();
+        let tactic_names: Vec<&str> = strategy.tactics.iter().map(|t| t.1.name()).collect();
         assert_eq!(tactic_names, ["a", "b"]);
     }
 

@@ -9,7 +9,9 @@
 
 use crate::query::RuntimeQuery;
 use archmodel::constraint::Violation;
-use archmodel::{Key, ModelOp, System};
+use archmodel::style::StyleTypes;
+use archmodel::{ComponentId, ElementRef, Key, ModelOp, System};
+use std::fmt;
 
 /// Errors that abort a repair.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,11 +55,9 @@ pub struct TacticContext<'a> {
 /// The outcome of attempting one tactic.
 #[derive(Debug, Clone)]
 pub enum TacticResult {
-    /// The tactic's precondition did not hold.
-    NotApplicable {
-        /// Why the precondition failed (for the trace).
-        reason: String,
-    },
+    /// The tactic's precondition did not hold, for the typed reason given:
+    /// nothing is formatted unless the trace is read.
+    NotApplicable(NotApplicable),
     /// The tactic produced a repair script.
     Applied {
         /// The script, written with the [`operators`](crate::operators)
@@ -68,6 +68,105 @@ pub enum TacticResult {
         /// Human-readable description of what the repair does.
         description: String,
     },
+}
+
+/// Why a tactic's precondition did not hold: one variant per reason a
+/// built-in tactic gives, holding the names and values its text needs, and
+/// [`Other`](Self::Other) for a custom tactic's own text. A reason about the
+/// violation's client does not name it: the client is the candidate's, and
+/// [`display`](Self::display) is handed it, so the candidates of one skip
+/// whose tactics failed alike share one list of reasons.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NotApplicable {
+    /// The violation does not identify a client.
+    NoClient,
+    /// No server group connected to the client is overloaded.
+    NoOverloadedGroup,
+    /// These groups connected to the client are overloaded, but no spare
+    /// server can be recruited for any of them.
+    NoSpareServer(Box<[Key]>),
+    /// The client's role bandwidth is at or above the minimum.
+    BandwidthAboveMinimum {
+        /// The observed bandwidth (bps).
+        bps: f64,
+        /// The minimum (bps).
+        min_bps: f64,
+    },
+    /// No gauge has reported the client's role bandwidth yet.
+    NoBandwidthObservation,
+    /// The best server group is the one the client already uses.
+    AlreadyConnected(Key),
+    /// No underutilised server group has a server above its floor.
+    NoRemovableServer,
+    /// The violation does not identify a server group.
+    NoGroup,
+    /// No replica of the group is recorded dead.
+    NoDeadReplicas(Key),
+    /// Every replica of the group is dead and no spare can replace one.
+    FullyDead(Key),
+    /// The group still has live replicas.
+    StillLive {
+        /// The group.
+        group: Key,
+        /// Its `liveServers` reading.
+        live: f64,
+    },
+    /// The group serves no clients.
+    ServesNoClients(Key),
+    /// A custom tactic's reason, as it wrote it.
+    Other(String),
+}
+
+impl NotApplicable {
+    /// The reason as the trace reads it, naming `client` where the reason
+    /// is about the violation's client.
+    pub fn display(&self, client: Key) -> impl fmt::Display + '_ {
+        ForClient(self, client)
+    }
+}
+
+/// A reason rendered for its client.
+struct ForClient<'a>(&'a NotApplicable, Key);
+
+impl fmt::Display for ForClient<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let client = self.1;
+        match self.0 {
+            NotApplicable::NoClient => f.write_str("violation does not identify a client"),
+            NotApplicable::NoOverloadedGroup => {
+                write!(f, "no overloaded server group connected to {client}")
+            }
+            NotApplicable::NoSpareServer(overloaded) => write!(
+                f,
+                "server groups {overloaded:?} are overloaded but no spare server is available"
+            ),
+            NotApplicable::BandwidthAboveMinimum { bps, min_bps } => write!(
+                f,
+                "bandwidth {bps:.0} bps for {client} is above the {min_bps:.0} bps minimum"
+            ),
+            NotApplicable::NoBandwidthObservation => {
+                write!(f, "no bandwidth observation for {client} yet")
+            }
+            NotApplicable::AlreadyConnected(group) => {
+                write!(f, "{client} is already connected to {group}")
+            }
+            NotApplicable::NoRemovableServer => {
+                f.write_str("no underutilised server group with removable servers")
+            }
+            NotApplicable::NoGroup => f.write_str("violation does not identify a server group"),
+            NotApplicable::NoDeadReplicas(group) => {
+                write!(f, "no dead replicas recorded for {group}")
+            }
+            NotApplicable::FullyDead(group) => {
+                write!(f, "{group} is fully dead and no spare server is available")
+            }
+            NotApplicable::StillLive { group, live } => {
+                write!(f, "{group} still has {live:.0} live replicas")
+            }
+            NotApplicable::ServesNoClients(group) => write!(f, "{group} serves no clients"),
+            NotApplicable::Other(reason) => f.write_str(reason),
+        }
+    }
 }
 
 /// A guarded repair step.
@@ -86,19 +185,22 @@ pub trait Tactic {
 /// The answer is the model's own interned name, so resolving one costs no
 /// allocation.
 pub fn client_of_violation(model: &System, violation: &Violation) -> Option<Key> {
-    use archmodel::ElementRef;
-    match violation.subject? {
-        ElementRef::Component(id) => {
-            let comp = model.component(id).ok()?;
-            (comp.ctype == archmodel::style::CLIENT_T).then_some(comp.name)
-        }
-        ElementRef::Role(id) => {
-            let client_id = model.component_attached_to_role(id)?;
-            let comp = model.component(client_id).ok()?;
-            (comp.ctype == archmodel::style::CLIENT_T).then_some(comp.name)
-        }
-        _ => None,
-    }
+    client_component(model, violation).map(|(_, name)| name)
+}
+
+/// The client a violation refers to, as [`client_of_violation`] finds it,
+/// with its id.
+pub(crate) fn client_component(
+    model: &System,
+    violation: &Violation,
+) -> Option<(ComponentId, Key)> {
+    let id = match violation.subject? {
+        ElementRef::Component(id) => id,
+        ElementRef::Role(role) => model.component_attached_to_role(role)?,
+        _ => return None,
+    };
+    let comp = model.component(id).ok()?;
+    (comp.ctype == StyleTypes::get().client).then_some((id, comp.name))
 }
 
 #[cfg(test)]
@@ -115,7 +217,7 @@ mod tests {
             invariant: "latency".into(),
             subject: Some(ElementRef::Component(id)),
             subject_name: "User2".into(),
-            detail: String::new(),
+            detail: Key::new(""),
         };
         assert_eq!(
             client_of_violation(&model, &violation).map(|c| c.as_str()),
@@ -128,12 +230,12 @@ mod tests {
         let model = ClientServerStyle::example_system("s", 1, 1, 1).unwrap();
         // Find User1's role.
         let client = model.component_by_name("User1").unwrap();
-        let role = model.roles_of_component(client)[0];
+        let role = model.roles_of_component(client).next().unwrap();
         let violation = Violation {
             invariant: "bandwidth".into(),
             subject: Some(ElementRef::Role(role)),
             subject_name: "User1.role".into(),
-            detail: String::new(),
+            detail: Key::new(""),
         };
         assert_eq!(
             client_of_violation(&model, &violation).map(|c| c.as_str()),
@@ -149,7 +251,7 @@ mod tests {
             invariant: "load".into(),
             subject: Some(ElementRef::Component(grp)),
             subject_name: "ServerGrp1".into(),
-            detail: String::new(),
+            detail: Key::new(""),
         };
         assert_eq!(client_of_violation(&model, &violation), None);
     }

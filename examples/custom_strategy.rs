@@ -16,8 +16,8 @@ use analysis::{provision, ProvisioningInput};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant, Violation};
 use archmodel::style::{props, ClientServerStyle};
 use repair::{
-    add_server, RepairError, RepairStrategy, StaticQuery, StrategyOutcome, Tactic, TacticContext,
-    TacticResult,
+    add_server, NotApplicable, RepairError, RepairStrategy, StaticQuery, StrategyOutcome, Tactic,
+    TacticContext, TacticResult,
 };
 
 /// A tactic that sizes an overloaded group to the replica count suggested by
@@ -55,9 +55,9 @@ impl Tactic for ProvisionToAnalysis {
             }
         }
         let Some((group, load, replicas)) = worst else {
-            return Ok(TacticResult::NotApplicable {
-                reason: "no overloaded server group".into(),
-            });
+            return Ok(TacticResult::NotApplicable(NotApplicable::Other(
+                "no overloaded server group".into(),
+            )));
         };
         let plan = provision(
             &ProvisioningInput {
@@ -72,12 +72,10 @@ impl Tactic for ProvisionToAnalysis {
             return Err(RepairError::Operator("no feasible provisioning".into()));
         };
         if plan.servers <= replicas {
-            return Ok(TacticResult::NotApplicable {
-                reason: format!(
-                    "{group} already has {replicas} >= {} replicas",
-                    plan.servers
-                ),
-            });
+            return Ok(TacticResult::NotApplicable(NotApplicable::Other(format!(
+                "{group} already has {replicas} >= {} replicas",
+                plan.servers
+            ))));
         }
         // The script is written against the borrowed model: each operator
         // records its op, and nothing is applied until the repair commits.
@@ -90,9 +88,9 @@ impl Tactic for ProvisionToAnalysis {
             added.push(add_server(ctx.model, &mut ops, &group)?);
         }
         if added.is_empty() {
-            return Ok(TacticResult::NotApplicable {
-                reason: "no spare servers available".into(),
-            });
+            return Ok(TacticResult::NotApplicable(NotApplicable::Other(
+                "no spare servers available".into(),
+            )));
         }
         Ok(TacticResult::Applied {
             ops,

@@ -195,9 +195,9 @@ fn custom_strategy_flow_detects_and_repairs() {
             ctx: &repair::TacticContext<'_>,
         ) -> Result<repair::TacticResult, repair::RepairError> {
             if ctx.query.find_spare_server("ServerGrp1").is_none() {
-                return Ok(repair::TacticResult::NotApplicable {
-                    reason: "no spares".into(),
-                });
+                return Ok(repair::TacticResult::NotApplicable(
+                    repair::NotApplicable::Other("no spares".into()),
+                ));
             }
             let mut ops = Vec::new();
             let added = add_server(ctx.model, &mut ops, "ServerGrp1")?;

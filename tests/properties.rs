@@ -187,7 +187,7 @@ proptest! {
         let working = replayed(&model, &ops);
         prop_assert!(ClientServerStyle::validate(&working).is_empty());
         let user = working.component_by_name("User1").unwrap();
-        prop_assert_eq!(working.roles_of_component(user).len(), 1);
+        prop_assert_eq!(working.roles_of_component(user).count(), 1);
         let expected_group = format!("ServerGrp{}", moves.last().unwrap() + 1);
         let actual = ClientServerStyle::group_of_client(&working, user)
             .and_then(|g| working.component(g).ok())

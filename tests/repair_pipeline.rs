@@ -88,7 +88,7 @@ fn violation_to_runtime_ops_for_a_bandwidth_problem() {
         .properties
         .set(props::LOAD, 1i64);
     let user3 = model.component_by_name("User3").unwrap();
-    for role in model.roles_of_component(user3) {
+    for role in model.roles_of_component(user3).collect::<Vec<_>>() {
         model
             .role_mut(role)
             .unwrap()
