@@ -18,27 +18,27 @@ use crate::system::{ModelError, System};
 
 /// One call of a style operator, as a repair script records it.
 ///
-/// Operators address elements by name, so a recorded script can be applied
-/// to any copy of the model: planned against the live one, committed to it,
-/// or replayed on a copy. Each applies whole or not at all — every name is resolved before
-/// anything changes, so an `Err` leaves the system as it was. The bodies live
-/// with the style, next to the deployment code they share
-/// ([`ClientServerStyle`]).
+/// Operators address elements by interned name ([`Key`]), so a recorded
+/// script can be applied to any copy of the model: planned against the live
+/// one, committed to it, or replayed on a copy. Each applies whole or not at
+/// all — every name is resolved before anything changes, so an `Err` leaves
+/// the system as it was. The bodies live with the style, next to the
+/// deployment code they share ([`ClientServerStyle`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelOp {
     /// `addServer()`: adds the active replica `server` to `group`'s
     /// representation and updates the group's `replicationCount`.
     AddServer {
         /// The server group that grows.
-        group: String,
+        group: Key,
         /// Name of the new server (unique in the model).
-        server: String,
+        server: Key,
     },
     /// `remove()`: deletes `server` from its containing group and updates the
     /// group's `replicationCount`.
     RemoveServer {
         /// Name of the server to remove.
-        server: String,
+        server: Key,
     },
     /// `move(to)`: deletes the role connecting `client` to its current group
     /// — and the attachment through it — and attaches a fresh `{client}.role`
@@ -47,9 +47,9 @@ pub enum ModelOp {
     /// that must exist.
     MoveClient {
         /// The client to move.
-        client: String,
+        client: Key,
         /// Target server group name.
-        to_group: String,
+        to_group: Key,
     },
     /// Moves a whole client class onto a target server group's connector in
     /// one operation: the model ends exactly where one `MoveClient` per
@@ -66,22 +66,22 @@ pub enum ModelOp {
         /// (the planner never emits one twice).
         clients: Vec<Key>,
         /// Target server group name.
-        to_group: String,
+        to_group: Key,
     },
 }
 
 /// Applies a single operation to a system.
 pub fn apply_op(system: &mut System, op: &ModelOp) -> Result<(), ModelError> {
     match op {
-        ModelOp::AddServer { group, server } => {
+        &ModelOp::AddServer { group, server } => {
             ClientServerStyle::add_server(system, group, server)
         }
-        ModelOp::RemoveServer { server } => ClientServerStyle::remove_server(system, server),
-        ModelOp::MoveClient { client, to_group } => {
+        &ModelOp::RemoveServer { server } => ClientServerStyle::remove_server(system, server),
+        &ModelOp::MoveClient { client, to_group } => {
             ClientServerStyle::move_client(system, client, to_group)
         }
         ModelOp::MoveClientGroup { clients, to_group } => {
-            ClientServerStyle::move_clients(system, clients, to_group)
+            ClientServerStyle::move_clients(system, clients, *to_group)
         }
     }
 }
@@ -326,15 +326,15 @@ mod tests {
                     clients.push(name);
                 }
             }
-            let to_group = format!("ServerGrp{}", target + 1);
+            let to_group = Key::new(&format!("ServerGrp{}", target + 1));
 
             let mut looped = base.clone();
-            move_one_by_one(&mut looped, &clients, &to_group);
+            move_one_by_one(&mut looped, &clients, to_group.as_str());
             let mut batched = base.clone();
             // A list of one present member goes through the single-client op.
             let op = match clients.as_slice() {
                 [client] if base.component_by_name(client).is_some() => ModelOp::MoveClient {
-                    client: client.clone(),
+                    client: client.into(),
                     to_group,
                 },
                 _ => ModelOp::MoveClientGroup {

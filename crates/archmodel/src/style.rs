@@ -183,13 +183,9 @@ impl ClientServerStyle {
     }
 
     /// The component called `name`, which must be of type `ctype`.
-    fn typed_component(
-        system: &System,
-        name: &str,
-        ctype: &str,
-    ) -> Result<ComponentId, ModelError> {
+    fn typed_component(system: &System, name: Key, ctype: &str) -> Result<ComponentId, ModelError> {
         system
-            .component_by_name(name)
+            .component_by_key(name)
             .filter(|id| system.component(*id).is_ok_and(|c| c.ctype == ctype))
             .ok_or_else(|| ModelError::NameNotFound(format!("{ctype} {name}")))
     }
@@ -228,7 +224,7 @@ impl ClientServerStyle {
         system.add_port(id, Self::GROUP_PORT, SERVE_PORT_T)?;
         Self::sync_replication_count(system, id)?;
         for i in 1..=servers {
-            Self::add_replica(system, id, &format!("{name}.Server{i}"))?;
+            Self::add_replica(system, id, Key::new(&format!("{name}.Server{i}")))?;
         }
         Ok(id)
     }
@@ -240,7 +236,7 @@ impl ClientServerStyle {
     fn add_replica(
         system: &mut System,
         group: ComponentId,
-        name: &str,
+        name: Key,
     ) -> Result<ComponentId, ModelError> {
         let server = system.add_child_component(group, name, SERVER_T)?;
         system.set_property(
@@ -255,7 +251,7 @@ impl ClientServerStyle {
     /// `addServer()` (§3.3), the body of
     /// [`ModelOp::AddServer`](crate::ModelOp::AddServer): adds the active
     /// replica `server` to the server group `group`. All or nothing.
-    pub fn add_server(system: &mut System, group: &str, server: &str) -> Result<(), ModelError> {
+    pub fn add_server(system: &mut System, group: Key, server: Key) -> Result<(), ModelError> {
         let group = Self::typed_component(system, group, SERVER_GROUP_T)?;
         Self::add_replica(system, group, server).map(|_| ())
     }
@@ -264,7 +260,7 @@ impl ClientServerStyle {
     /// [`ModelOp::RemoveServer`](crate::ModelOp::RemoveServer): deletes
     /// `server` from its containing group and updates the group's
     /// `replicationCount`. All or nothing.
-    pub fn remove_server(system: &mut System, server: &str) -> Result<(), ModelError> {
+    pub fn remove_server(system: &mut System, server: Key) -> Result<(), ModelError> {
         let (id, group) = Self::resolve_remove(system, server)?;
         system.remove_component(id)?;
         Self::sync_replication_count(system, group)
@@ -275,7 +271,7 @@ impl ClientServerStyle {
     /// the model. Fails exactly when removing the server would.
     pub fn resolve_remove(
         system: &System,
-        server: &str,
+        server: Key,
     ) -> Result<(ComponentId, ComponentId), ModelError> {
         let id = Self::typed_component(system, server, SERVER_T)?;
         let group = system
@@ -341,7 +337,7 @@ impl ClientServerStyle {
             let conn = match connectors.get(&group) {
                 Some(conn) => *conn,
                 None => {
-                    let id = Self::typed_component(system, group.as_str(), SERVER_GROUP_T)?;
+                    let id = Self::typed_component(system, group, SERVER_GROUP_T)?;
                     let conn = Self::service_connector(system, id)?;
                     *connectors.entry(group).or_insert(conn)
                 }
@@ -354,16 +350,11 @@ impl ClientServerStyle {
     /// `move(to)` (§3.3), the body of
     /// [`ModelOp::MoveClient`](crate::ModelOp::MoveClient): a class move of
     /// one member, which must exist.
-    pub fn move_client(
-        system: &mut System,
-        client: &str,
-        to_group: &str,
-    ) -> Result<(), ModelError> {
-        let key = Key::find(client).filter(|&key| system.component_by_key(key).is_some());
-        let Some(key) = key else {
+    pub fn move_client(system: &mut System, client: Key, to_group: Key) -> Result<(), ModelError> {
+        if system.component_by_key(client).is_none() {
             return Err(ModelError::NameNotFound(client.to_string()));
-        };
-        Self::move_clients(system, &[key], to_group)
+        }
+        Self::move_clients(system, &[client], to_group)
     }
 
     /// The read-only half of [`move_clients`](Self::move_clients): resolves
@@ -374,7 +365,7 @@ impl ClientServerStyle {
     pub fn resolve_move(
         system: &System,
         clients: &[Key],
-        to_group: &str,
+        to_group: Key,
     ) -> Result<ResolvedMove, ModelError> {
         let group = Self::typed_component(system, to_group, SERVER_GROUP_T)?;
         let mut members = Vec::with_capacity(clients.len());
@@ -401,7 +392,7 @@ impl ClientServerStyle {
         }
         // The group's serve port is the last lookup that can fail, and only
         // when its connector does not exist yet.
-        let conn_name = Self::connector_name(to_group);
+        let conn_name = Self::connector_name(to_group.as_str());
         if system.connector_by_name(&conn_name).is_none() {
             Self::port_named(system, group, Self::GROUP_PORT)?;
         }
@@ -420,7 +411,7 @@ impl ClientServerStyle {
     pub fn move_clients(
         system: &mut System,
         clients: &[Key],
-        to_group: &str,
+        to_group: Key,
     ) -> Result<(), ModelError> {
         let ResolvedMove {
             group,
@@ -564,15 +555,15 @@ impl ClientServerStyle {
         let (mut added, mut removed) = (FxHashMap::default(), FxHashSet::default());
         let (mut touched, component) = (BTreeSet::new(), |id| system.component(id).ok());
         for op in ops {
-            match op {
+            match *op {
                 ModelOp::AddServer { group, server } => {
                     added.insert(server, group);
                 }
-                ModelOp::RemoveServer { server } => match added.remove(server) {
-                    Some(group) => touched.extend(system.component_by_name(group)),
+                ModelOp::RemoveServer { server } => match added.remove(&server) {
+                    Some(group) => touched.extend(system.component_by_key(group)),
                     None => {
-                        removed.insert(server.as_str());
-                        let id = system.component_by_name(server);
+                        removed.insert(server);
+                        let id = system.component_by_key(server);
                         touched.extend(id.and_then(|id| component(id)?.parent));
                     }
                 },
@@ -585,8 +576,8 @@ impl ClientServerStyle {
             .filter_map(|id| Some((id, component(id)?)))
         {
             let mut servers = system.children(group).filter_map(component);
-            let kept = servers.any(|s| is_active_server(s) && !removed.contains(s.name.as_str()));
-            if !kept && !added.values().any(|g| **g == comp.name.as_str()) {
+            let kept = servers.any(|s| is_active_server(s) && !removed.contains(&s.name));
+            if !kept && !added.values().any(|&g| g == comp.name) {
                 let (rule, subject) = (ACTIVE_SERVER_RULE.into(), comp.name.to_string());
                 violations.push(StyleViolation { rule, subject });
             }

@@ -1666,10 +1666,9 @@ pub(crate) mod tests {
                     )
                 }
                 Op::Move(clients, to) => {
-                    let to_group = to.to_string();
                     let op = ModelOp::MoveClientGroup {
                         clients: clients.iter().map(Key::from).collect(),
-                        to_group,
+                        to_group: Key::new(to),
                     };
                     let applied = apply_op(sys, &op).is_ok();
                     assert_eq!(applied, shadow.move_clients(&clients, to).is_ok(), "{op:?}");

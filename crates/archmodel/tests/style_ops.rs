@@ -31,8 +31,8 @@ fn fleet(servers: &[usize], homes: &[usize], earlier: &[(usize, usize)]) -> Syst
     Style::add_clients(&mut sys, clients).unwrap();
     for &(client, to) in earlier {
         let op = ModelOp::MoveClient {
-            client: format!("User{}", client % homes.len() + 1),
-            to_group: group(to % groups.len()),
+            client: format!("User{}", client % homes.len() + 1).into(),
+            to_group: group(to % groups.len()).into(),
         };
         apply_op(&mut sys, &op).unwrap();
     }
@@ -116,10 +116,10 @@ fn run_script(
     // The model the script starts from, and the ops it has applied since.
     let (start, mut applied_ops) = (sys.clone(), Vec::new());
     for (kind, pick, to, members) in script {
-        let to_group = target(to, groups);
+        let to_group = Key::new(&target(to, groups));
         let op = match kind {
             0 => ModelOp::MoveClient {
-                client: client(pick, clients),
+                client: client(pick, clients).into(),
                 to_group,
             },
             // Unknown names, duplicates and members already on the target
@@ -132,14 +132,14 @@ fn run_script(
                 to_group,
             },
             2 => {
-                let server = server_name(&sys, &to_group, pick);
+                let server = server_name(&sys, to_group.as_str(), pick).into();
                 ModelOp::AddServer {
                     group: to_group,
                     server,
                 }
             }
             _ => ModelOp::RemoveServer {
-                server: format!("{}.Server{}", group(to % groups), 1 + pick % 4),
+                server: format!("{}.Server{}", group(to % groups), 1 + pick % 4).into(),
             },
         };
         let before = sys.clone();
@@ -149,26 +149,30 @@ fn run_script(
             assert_eq!(sys, before, "a failed {op:?} changed the model");
         }
         match &op {
-            ModelOp::MoveClient { client, to_group } => {
-                let resolved = Style::resolve_move(&before, &[Key::new(client)], to_group);
-                let present = before.component_by_name(client).is_some();
+            &ModelOp::MoveClient { client, to_group } => {
+                let resolved = Style::resolve_move(&before, &[client], to_group);
+                let present = before.component_by_key(client).is_some();
                 assert_eq!(resolved.is_ok() && present, applied.is_ok(), "{op:?}");
                 tally.moves += usize::from(applied.is_ok());
             }
             ModelOp::MoveClientGroup { clients, to_group } => {
-                let resolved = Style::resolve_move(&before, clients, to_group);
+                let resolved = Style::resolve_move(&before, clients, *to_group);
                 assert_eq!(resolved.is_ok(), applied.is_ok(), "{op:?}");
                 tally.group_moves += usize::from(applied.is_ok());
             }
-            ModelOp::AddServer { group, server } => {
-                let free = before.component_by_name(server).is_none();
-                assert_eq!(is_group(&before, group) && free, applied.is_ok(), "{op:?}");
+            &ModelOp::AddServer { group, server } => {
+                let free = before.component_by_key(server).is_none();
+                assert_eq!(
+                    is_group(&before, group.as_str()) && free,
+                    applied.is_ok(),
+                    "{op:?}"
+                );
                 tally.adds += usize::from(applied.is_ok());
             }
-            ModelOp::RemoveServer { server } => {
+            &ModelOp::RemoveServer { server } => {
                 let resolved = Style::resolve_remove(&before, server);
                 assert_eq!(resolved.is_ok(), applied.is_ok(), "{op:?}");
-                let last = siblings(&before, server) == Some(1);
+                let last = siblings(&before, server.as_str()) == Some(1);
                 tally.removals += usize::from(applied.is_ok());
                 if applied.is_ok() && last {
                     let found = Style::validate(&sys);

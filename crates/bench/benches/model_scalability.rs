@@ -88,7 +88,7 @@ fn bench_scalability(c: &mut Criterion) {
         let model = sized_model(clients);
         let report = constraints.check(&model);
         let query = StaticQuery::new()
-            .with_spares("ServerGrp1", &["spare"])
+            .with_spares("ServerGrp1", 1)
             .with_bandwidth(
                 report.violations[0].subject_name.as_str(),
                 "ServerGrp2",

@@ -4,7 +4,7 @@
 //! its execution, printing the operator/query inventory the table lists.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gridapp::{GridApp, GridConfig, SERVER_GROUP_1, SERVER_GROUP_2};
+use gridapp::{GridApp, GridConfig, Key, SERVER_GROUP_1, SERVER_GROUP_2};
 use simnet::SimTime;
 use std::hint::black_box;
 
@@ -17,7 +17,7 @@ fn print_table1() {
         ),
         (
             "findServer([cli_ip, bw_thresh])",
-            "finds a spare server with at least bw_thresh bandwidth to the client",
+            "finds a spare server, preferring one on the group's own router",
         ),
         (
             "moveClient(ReqQ newQ)",
@@ -47,40 +47,45 @@ fn warmed_app() -> GridApp {
 fn bench_operators(c: &mut Criterion) {
     print_table1();
     let mut group = c.benchmark_group("table1");
+    // The control loop names elements by interned key; so do the benches.
+    let (user3, sg1, sg2) = (
+        Key::new("User3"),
+        Key::new(SERVER_GROUP_1),
+        Key::new(SERVER_GROUP_2),
+    );
 
     group.bench_function("remos_get_flow", |b| {
         let app = warmed_app();
-        b.iter(|| {
-            app.remos_get_flow(black_box("User3"), SERVER_GROUP_1)
-                .unwrap()
-        })
+        b.iter(|| app.remos_get_flow(black_box(user3), sg1).unwrap())
     });
 
     group.bench_function("find_server", |b| {
         let app = warmed_app();
-        b.iter(|| app.find_server(Some(black_box("User3")), 10_000.0))
+        b.iter(|| app.find_server_for_group(black_box(sg1)))
     });
 
     group.bench_function("move_client_round_trip", |b| {
         let mut app = warmed_app();
         b.iter(|| {
-            app.move_client("User3", SERVER_GROUP_2).unwrap();
-            app.move_client("User3", SERVER_GROUP_1).unwrap();
+            app.move_client(user3, sg2).unwrap();
+            app.move_client(user3, sg1).unwrap();
         })
     });
 
     group.bench_function("activate_deactivate_server", |b| {
         let mut app = warmed_app();
-        app.connect_server("S4", SERVER_GROUP_1).unwrap();
+        let s4 = Key::new("S4");
+        app.connect_server(s4, sg1).unwrap();
         b.iter(|| {
-            app.activate_server("S4").unwrap();
-            app.deactivate_server("S4").unwrap();
+            app.activate_server(s4).unwrap();
+            app.deactivate_server(s4).unwrap();
         })
     });
 
     group.bench_function("create_req_queue", |b| {
         let mut app = warmed_app();
-        b.iter(|| app.create_req_queue(black_box("ServerGrp3")))
+        let sg3 = Key::new("ServerGrp3");
+        b.iter(|| app.create_req_queue(black_box(sg3)))
     });
     group.finish();
 }

@@ -561,7 +561,7 @@ mod tests {
         // restarted servers available as spares again.
         assert_eq!(fw.app().active_servers(gridapp::SERVER_GROUP_1).len(), 3);
         assert_eq!(fw.app().group_liveness(gridapp::SERVER_GROUP_1).1, 0);
-        let spares = fw.app().spare_servers();
+        let spares: Vec<_> = fw.app().spare_servers().collect();
         assert!(
             spares.contains(&gridapp::Key::new("S2")) && spares.contains(&gridapp::Key::new("S3")),
             "restarted servers returned to the spare pool: {spares:?}"
@@ -636,7 +636,7 @@ mod tests {
         // The moved client's runtime group changed.
         let moved = ["User3", "User4"]
             .iter()
-            .filter(|c| fw.app().client_group(c).unwrap() == gridapp::SERVER_GROUP_2)
+            .filter(|&&c| fw.app().client_group(c).unwrap() == gridapp::SERVER_GROUP_2)
             .count();
         assert!(moved >= 1, "User3 or User4 now uses ServerGrp2");
         // And the architectural model agrees with the runtime.
@@ -667,8 +667,8 @@ mod tests {
         assert!(live >= 3, "capacity restored: {live} live");
         assert_eq!(dead, 0, "no dead replica left assigned");
         let active = fw.app().active_servers(gridapp::SERVER_GROUP_1);
-        assert!(active.contains(&"S4".to_string()), "{active:?}");
-        assert!(active.contains(&"S7".to_string()), "{active:?}");
+        assert!(active.contains(&"S4".into()), "{active:?}");
+        assert!(active.contains(&"S7".into()), "{active:?}");
         // The repair went through the failoverServerGroup tactic.
         assert!(
             started_with(&fw, "liveness"),

@@ -66,7 +66,7 @@ pub(crate) enum Occurrence {
     /// The scripted workload changed phase.
     PhaseChange,
     /// A drain sweep recycled `count` wedged replicas of `group`.
-    Drained { group: Box<str>, count: usize },
+    Drained { group: Key, count: usize },
     /// A due repair's model operation could not be committed.
     CommitFailed(ModelError),
     /// The model broke `count` style rules after a commit.
@@ -299,8 +299,21 @@ impl LogEntry {
                 EventRef::new(secs, kind, subject, text)
             }
             Occurrence::Reconfigured(op) => {
+                // The detail is the op's trace form; a gauge op's subject is
+                // the gauge's name, rendered after it in the same buffer.
                 *detail = op.describe();
-                EventRef::new(secs, kind, runtime_op_subject(op), detail)
+                let described = detail.len();
+                if let RuntimeOp::DeleteGauge { gauge } | RuntimeOp::CreateGauge { gauge } = **op {
+                    fmt::Write::write_fmt(detail, format_args!("{gauge}"))
+                        .expect("a String takes any write");
+                }
+                let (text, gauge) = detail.split_at(described);
+                EventRef::new(
+                    secs,
+                    kind,
+                    runtime_op_subject(op).map_or(gauge, |key| key.as_str()),
+                    text,
+                )
             }
             _ => return None,
         };
@@ -389,18 +402,20 @@ impl fmt::Display for LegacyLine<'_> {
 }
 
 /// The primary element a runtime operation acts on, for the trace sink's
-/// `subject` field.
-fn runtime_op_subject(op: &RuntimeOp) -> &str {
-    match op {
-        RuntimeOp::CreateReqQueue { group } | RuntimeOp::DrainStuckServers { group, .. } => group,
-        RuntimeOp::FindServer { client, .. }
-        | RuntimeOp::MoveClient { client, .. }
-        | RuntimeOp::RemosGetFlow { client, .. } => client,
-        RuntimeOp::MoveClientGroup { to_group, .. } => to_group,
+/// `subject` field; `None` for a gauge op, whose subject is the gauge.
+fn runtime_op_subject(op: &RuntimeOp) -> Option<Key> {
+    match *op {
+        RuntimeOp::CreateReqQueue { group }
+        | RuntimeOp::DrainStuckServers { group, .. }
+        | RuntimeOp::FindServer { group, .. } => Some(group),
+        RuntimeOp::MoveClient { client, .. } | RuntimeOp::RemosGetFlow { client, .. } => {
+            Some(client)
+        }
+        RuntimeOp::MoveClientGroup { to_group, .. } => Some(to_group),
         RuntimeOp::ConnectServer { server, .. }
         | RuntimeOp::ActivateServer { server }
-        | RuntimeOp::DeactivateServer { server } => server,
-        RuntimeOp::DeleteGauge { gauge } | RuntimeOp::CreateGauge { gauge } => gauge,
+        | RuntimeOp::DeactivateServer { server } => Some(server),
+        RuntimeOp::DeleteGauge { .. } | RuntimeOp::CreateGauge { .. } => None,
     }
 }
 
@@ -408,6 +423,7 @@ fn runtime_op_subject(op: &RuntimeOp) -> &str {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use translator::GaugeRef;
 
     fn plan() -> Arc<RepairPlan> {
         Arc::new(RepairPlan {
@@ -507,6 +523,38 @@ mod tests {
     fn layout_a_log_entry_is_five_words() {
         // 80 bytes while the rare occurrences held their payloads inline.
         assert!(std::mem::size_of::<LogEntry>() <= 40);
+    }
+
+    /// A reconfiguration is stored under the element its op acts on, and a
+    /// gauge op under the gauge's name, with the op's trace form as detail.
+    #[test]
+    fn a_reconfiguration_is_stored_under_its_element_or_gauge() {
+        let server = "ServerGrp1.Server4".into();
+        let cases = [
+            (RuntimeOp::ActivateServer { server }, "ServerGrp1.Server4"),
+            (
+                RuntimeOp::DeleteGauge {
+                    gauge: GaugeRef::Load("ServerGrp1".into()),
+                },
+                "load-gauge/ServerGrp1",
+            ),
+            (
+                RuntimeOp::CreateGauge {
+                    gauge: GaugeRef::PlannerBatch,
+                },
+                "bandwidth-gauges/planner-batch",
+            ),
+        ];
+        let mut detail = String::new();
+        for (op, subject) in cases {
+            let text = op.describe();
+            let entry = LogEntry {
+                time: SimTime::from_secs(5.0),
+                occurrence: Occurrence::Reconfigured(Box::new(op)),
+            };
+            let event = entry.sink_event(&mut detail).expect("stored");
+            assert_eq!((event.subject, event.detail), (subject, text.as_str()));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::task::PerformanceProfile;
 use archmodel::style::{props, ClientServerStyle};
-use archmodel::{ElementRef, ModelError, System, Value};
+use archmodel::{ElementRef, Key, ModelError, System, Value};
 use gridapp::GridApp;
 use monitoring::GaugeReading;
 use rustc_hash::FxHashMap;
@@ -18,7 +18,7 @@ use rustc_hash::FxHashMap;
 pub fn build_model(
     app: &GridApp,
     profile: &PerformanceProfile,
-) -> Result<(System, FxHashMap<String, String>), ModelError> {
+) -> Result<(System, FxHashMap<Key, Key>), ModelError> {
     let mut model = System::new("storage-infrastructure");
     profile.apply_to(&mut model);
     // The liveness invariant tolerates no dead replicas.
@@ -29,21 +29,22 @@ pub fn build_model(
 
     let mut server_map = FxHashMap::default();
     for group_name in app.group_names() {
-        let runtime_servers = app.active_servers(&group_name);
-        let group =
-            ClientServerStyle::add_server_group(&mut model, &group_name, runtime_servers.len())?;
-        // Record which runtime server each model replica corresponds to.
-        for (index, runtime) in runtime_servers.iter().enumerate() {
-            let model_name = format!("{group_name}.Server{}", index + 1);
-            if let Some(id) = model.component_by_name(&model_name) {
-                // Seed replica liveness so the failover tactic's precondition
-                // is evaluable before the health gauges warm up.
-                model
-                    .component_mut(id)?
-                    .properties
-                    .set(props::IS_ALIVE, 1.0);
-            }
-            server_map.insert(model_name, runtime.clone());
+        let runtime_servers = app.active_servers(group_name);
+        let group = ClientServerStyle::add_server_group(
+            &mut model,
+            group_name.as_str(),
+            runtime_servers.len(),
+        )?;
+        // Record which runtime server each model replica corresponds to:
+        // the group's children are its replicas, in the order they were
+        // added (`{group}.Server1`, `{group}.Server2`, …).
+        let replicas: Vec<_> = model.children(group).collect();
+        for (replica, runtime) in replicas.into_iter().zip(runtime_servers.iter().copied()) {
+            let replica = model.component_mut(replica)?;
+            // Seed replica liveness so the failover tactic's precondition
+            // is evaluable before the health gauges warm up.
+            replica.properties.set(props::IS_ALIVE, 1.0);
+            server_map.insert(replica.name, runtime);
         }
         // Seed the group's load and liveness census so constraints are
         // evaluable immediately.
@@ -136,7 +137,7 @@ mod tests {
     use super::*;
     use gridapp::GridConfig;
 
-    fn setup() -> (System, FxHashMap<String, String>) {
+    fn setup() -> (System, FxHashMap<Key, Key>) {
         let app = GridApp::build(GridConfig::default()).unwrap();
         build_model(&app, &PerformanceProfile::default()).unwrap()
     }
@@ -153,14 +154,10 @@ mod tests {
         assert_eq!(ClientServerStyle::clients_of_group(&model, grp1).len(), 6);
         // Server mapping covers every replica and points at runtime names.
         assert_eq!(server_map.len(), 5);
-        assert_eq!(
-            server_map.get("ServerGrp1.Server1"),
-            Some(&"S1".to_string())
-        );
-        assert_eq!(
-            server_map.get("ServerGrp2.Server1"),
-            Some(&"S5".to_string())
-        );
+        let runtime = |replica: &str| server_map.get(&Key::new(replica)).copied();
+        assert_eq!(runtime("ServerGrp1.Server1"), Some("S1".into()));
+        assert_eq!(runtime("ServerGrp1.Server3"), Some("S3".into()));
+        assert_eq!(runtime("ServerGrp2.Server1"), Some("S5".into()));
     }
 
     #[test]
@@ -181,8 +178,8 @@ mod tests {
         let props1 = &model.component(grp1).unwrap().properties;
         assert_eq!(props1.get_f64(props::LIVE_SERVERS), Some(3.0));
         assert_eq!(props1.get_f64(props::DEAD_SERVERS), Some(0.0));
-        for model_name in server_map.keys() {
-            let id = model.component_by_name(model_name).unwrap();
+        for &model_name in server_map.keys() {
+            let id = model.component_by_key(model_name).unwrap();
             assert_eq!(
                 model
                     .component(id)

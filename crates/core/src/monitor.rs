@@ -17,12 +17,12 @@ use gridapp::{
     sample_flow_probes_from, sample_latency_probe, sample_liveness_probe, sample_queue_probe,
     FlowSnapshot, GridApp,
 };
-use monitoring::gauge::load_gauge_group;
 use monitoring::{Gauge, GaugeId, GaugeReading, Key, MonitoringPipeline, ProbeEvent, TopicKind};
 use planner::{ClassIndex, Rep, RepTable};
 use rustc_hash::{FxHashMap, FxHashSet};
 use simnet::SimTime;
 use std::collections::BTreeSet;
+use translator::GaugeRef;
 
 /// Sliding window of the per-client latency gauges (seconds).
 const LATENCY_WINDOW_SECS: f64 = 30.0;
@@ -147,12 +147,7 @@ impl Monitor {
     /// Deploys the gauge roster: latency, bandwidth and reachability per
     /// watched client, load and liveness per group, and one health gauge per
     /// model replica in `server_map`, watching the runtime server it maps to.
-    pub(crate) fn deploy(
-        &mut self,
-        now: SimTime,
-        app: &GridApp,
-        server_map: &FxHashMap<String, String>,
-    ) {
+    pub(crate) fn deploy(&mut self, now: SimTime, app: &GridApp, server_map: &FxHashMap<Key, Key>) {
         let t = now.as_secs();
         let watched = self.watched(app, None);
         let groups = app.group_names();
@@ -160,7 +155,7 @@ impl Monitor {
         for &(client, _) in &watched {
             pipeline.create(t, Self::latency_gauge(client));
         }
-        for group in &groups {
+        for &group in &groups {
             pipeline.create(t, Gauge::load(group));
         }
         for &(client, group) in &watched {
@@ -168,14 +163,14 @@ impl Monitor {
         }
         // Liveness and reachability gauges: the monitoring the
         // fault-injection subsystem exercises.
-        for group in &groups {
+        for &group in &groups {
             pipeline.create(t, Gauge::group_liveness(group));
         }
         for &(client, _) in &watched {
             pipeline.create(t, Self::reachability_gauge(client));
         }
         // Sorted for a deterministic creation order.
-        let mut replicas: Vec<(&String, &String)> = server_map.iter().collect();
+        let mut replicas: Vec<(Key, Key)> = server_map.iter().map(|(&r, &s)| (r, s)).collect();
         replicas.sort();
         for (replica, runtime) in replicas {
             pipeline.create(t, Gauge::server_health(runtime, replica));
@@ -231,25 +226,25 @@ impl Monitor {
     /// Creates (or replaces) the health gauge of model replica `replica`,
     /// now backed by runtime server `runtime` — part of the gauge churn of
     /// failover repairs.
-    pub(crate) fn watch_server(&mut self, now: SimTime, replica: &str, runtime: &str) {
+    pub(crate) fn watch_server(&mut self, now: SimTime, replica: Key, runtime: Key) {
         let gauge = Gauge::server_health(runtime, replica);
         self.pipeline.replace(now.as_secs(), gauge);
     }
 
     /// Deletes the health gauge of a retired model replica.
-    pub(crate) fn unwatch_server(&mut self, replica: &str) {
+    pub(crate) fn unwatch_server(&mut self, replica: Key) {
         self.pipeline.delete(GaugeId {
             kind: TopicKind::ServerLiveness,
-            subject: replica.into(),
+            subject: replica,
             other: None,
         });
     }
 
-    /// Executes a repair's `createGauge(name)`: a load gauge is replaced in
-    /// place; every other name is costed by the repair but deployed by
+    /// Executes a repair's `createGauge(gauge)`: a load gauge is replaced in
+    /// place; every other gauge is costed by the repair but deployed by
     /// [`rehome`](Self::rehome).
-    pub(crate) fn recreate(&mut self, now: SimTime, gauge: &str) {
-        if let Some(group) = load_gauge_group(gauge) {
+    pub(crate) fn recreate(&mut self, now: SimTime, gauge: GaugeRef) {
+        if let GaugeRef::Load(group) = gauge {
             self.pipeline.replace(now.as_secs(), Gauge::load(group));
         }
     }
@@ -367,8 +362,8 @@ mod tests {
         let mut app = GridApp::build(GridConfig::default()).unwrap();
         let config = FrameworkConfig::qos_monitoring();
         let mut monitor = Monitor::new(&app, &config);
-        let replica = "ServerGrp1.Server1";
-        let server_map = FxHashMap::from_iter([(replica.to_string(), "S1".to_string())]);
+        let replica = Key::new("ServerGrp1.Server1");
+        let server_map = FxHashMap::from_iter([(replica, Key::new("S1"))]);
         monitor.deploy(SimTime::ZERO, &app, &server_map);
         let is_alive = |monitor: &mut Monitor, app: &mut GridApp, secs: f64| {
             let t = SimTime::from_secs(secs);
@@ -384,7 +379,7 @@ mod tests {
         // Failover: the replica is now backed by the spare S4. The gauge it
         // replaces shares the new one's name but watches the corpse; left
         // deployed it would pin `isAlive` at 0 for good.
-        monitor.watch_server(SimTime::from_secs(20.0), replica, "S4");
+        monitor.watch_server(SimTime::from_secs(20.0), replica, Key::new("S4"));
         assert_eq!(is_alive(&mut monitor, &mut app, 25.0), None, "warming up");
         assert_eq!(is_alive(&mut monitor, &mut app, 35.0), Some(1.0));
     }

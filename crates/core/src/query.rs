@@ -2,10 +2,12 @@
 //!
 //! Repair tactics consult the runtime layer through the
 //! [`RuntimeQuery`](repair::RuntimeQuery) trait: `findGoodSGroup` needs live
-//! bandwidth predictions and `findServer` needs to know which spare servers
-//! exist. This adapter answers both from the running [`GridApp`].
+//! bandwidth predictions, and a tactic that recruits needs to know how many
+//! spare servers exist. This adapter answers both from the running
+//! [`GridApp`]. Which spare is recruited is decided later, when the repair's
+//! `ConnectServer` executes ([`GridApp::find_server_for_group`]).
 
-use gridapp::GridApp;
+use gridapp::{GridApp, Key};
 use repair::RuntimeQuery;
 
 /// Answers runtime queries from the live grid application.
@@ -21,35 +23,27 @@ impl<'a> AppQuery<'a> {
 }
 
 impl RuntimeQuery for AppQuery<'_> {
-    fn find_good_server_group(&self, client: &str, min_bandwidth_bps: f64) -> Option<String> {
-        let mut best: Option<(String, f64)> = None;
+    fn find_good_server_group(&self, client: Key, min_bandwidth_bps: f64) -> Option<Key> {
+        let mut best: Option<(Key, f64)> = None;
         for group in self.app.group_names() {
-            let Ok(bw) = self.app.remos_get_flow(client, &group) else {
+            let Ok(bw) = self.app.remos_get_flow(client, group) else {
                 continue;
             };
             if bw <= min_bandwidth_bps {
                 continue;
             }
-            match &best {
-                Some((_, best_bw)) if *best_bw >= bw => {}
+            match best {
+                Some((_, best_bw)) if best_bw >= bw => {}
                 _ => best = Some((group, bw)),
             }
         }
         best.map(|(group, _)| group)
     }
 
-    fn predicted_bandwidth(&self, client: &str, group: &str) -> Option<f64> {
-        self.app.remos_get_flow(client, group).ok()
-    }
-
-    fn find_spare_server(&self, group: &str) -> Option<String> {
-        // Attachment-aware: prefer a spare on the group's own router so a
-        // recruit does not cross racks just because its name sorts first.
-        self.app.find_server_for_group(group, None, 0.0)
-    }
-
-    fn spare_server_count(&self, _group: &str) -> usize {
-        self.app.spare_servers().len()
+    /// The spare pool is global: a recruit that cannot come from the
+    /// group's own rack comes from any other, so every live spare counts.
+    fn spare_server_count(&self, _group: Key) -> usize {
+        self.app.spare_servers().count()
     }
 }
 
@@ -66,28 +60,27 @@ mod tests {
         // squeeze only ServerGrp2 qualifies for User3.
         app.set_competition_sg1(SimTime::from_secs(1.0), 9.995e6);
         let query = AppQuery::new(&app);
-        let best = query.find_good_server_group("User3", 10_000.0).unwrap();
-        assert_eq!(best, SERVER_GROUP_2);
-        assert!(query.predicted_bandwidth("User3", SERVER_GROUP_1).unwrap() < 10_000.0);
-        assert!(query.predicted_bandwidth("User3", SERVER_GROUP_2).unwrap() > 1.0e6);
+        let best = query.find_good_server_group(Key::new("User3"), 10_000.0);
+        assert_eq!(best, Some(SERVER_GROUP_2.into()));
+        assert!(app.remos_get_flow("User3", SERVER_GROUP_1).unwrap() < 10_000.0);
+        assert!(app.remos_get_flow("User3", SERVER_GROUP_2).unwrap() > 1.0e6);
     }
 
     #[test]
     fn no_group_qualifies_above_impossible_threshold() {
         let app = GridApp::build(GridConfig::default()).unwrap();
         let query = AppQuery::new(&app);
-        assert!(query.find_good_server_group("User3", 1.0e12).is_none());
+        let user3 = Key::new("User3");
+        assert!(query.find_good_server_group(user3, 1.0e12).is_none());
     }
 
     #[test]
     fn spare_server_lookup_delegates_to_the_app() {
         let app = GridApp::build(GridConfig::default()).unwrap();
         let query = AppQuery::new(&app);
-        assert_eq!(
-            query.find_spare_server(SERVER_GROUP_1),
-            Some("S4".to_string())
-        );
-        assert_eq!(query.spare_server_count(SERVER_GROUP_1), 2);
+        assert_eq!(query.spare_server_count(SERVER_GROUP_1.into()), 2);
+        // A positive count is exactly when recruitment finds a spare.
+        assert_eq!(app.find_server_for_group(SERVER_GROUP_1), Some("S4".into()));
     }
 
     #[test]
@@ -95,10 +88,11 @@ mod tests {
         let mut app = GridApp::build(GridConfig::default()).unwrap();
         app.crash_server(SimTime::from_secs(1.0), "S4").unwrap();
         let query = AppQuery::new(&app);
-        assert_eq!(query.spare_server_count(SERVER_GROUP_1), 1);
-        assert_eq!(
-            query.find_spare_server(SERVER_GROUP_1),
-            Some("S7".to_string())
-        );
+        assert_eq!(query.spare_server_count(SERVER_GROUP_1.into()), 1);
+        assert_eq!(app.find_server_for_group(SERVER_GROUP_1), Some("S7".into()));
+        app.crash_server(SimTime::from_secs(2.0), "S7").unwrap();
+        let query = AppQuery::new(&app);
+        assert_eq!(query.spare_server_count(SERVER_GROUP_1.into()), 0);
+        assert_eq!(app.find_server_for_group(SERVER_GROUP_1), None);
     }
 }

@@ -64,7 +64,7 @@ pub(crate) struct RepairLoop {
     engine: RepairEngine,
     cost_model: RepairCostModel,
     /// Model replica name → the runtime server backing it.
-    server_map: FxHashMap<String, String>,
+    server_map: FxHashMap<Key, Key>,
     pending: Option<PendingRepair>,
 }
 
@@ -74,7 +74,7 @@ impl RepairLoop {
     pub(crate) fn new(
         config: &FrameworkConfig,
         profile: PerformanceProfile,
-        server_map: FxHashMap<String, String>,
+        server_map: FxHashMap<Key, Key>,
     ) -> Self {
         let mut engine = RepairEngine::new();
         let fix_latency: fn() -> repair::RepairStrategy = if config.bandwidth_first {
@@ -283,8 +283,7 @@ impl RepairLoop {
         observer: &mut Observer,
         t: SimTime,
     ) -> Result<(), AppError> {
-        let unknown = |server: &String| AppError::UnknownServer(server.clone());
-        match op {
+        match *op {
             RuntimeOp::CreateReqQueue { group } => app.create_req_queue(group),
             RuntimeOp::ConnectServer { server, group } => {
                 // Recruit a spare if the replica maps to no runtime server
@@ -292,39 +291,41 @@ impl RepairLoop {
                 // same router as the group's current replicas is preferred,
                 // so a repair does not pull a spare from another group's
                 // rack merely because its name sorts first.
-                let runtime = match self.server_map.get(server) {
-                    Some(existing) => existing.clone(),
-                    None => app.find_server_for_group(group, None, 0.0).ok_or_else(|| {
+                let runtime = match self.server_map.get(&server) {
+                    Some(&existing) => existing,
+                    None => app.find_server_for_group(group).ok_or_else(|| {
                         AppError::Invalid(format!("no spare server available for {server}"))
                     })?,
                 };
-                self.server_map.insert(server.clone(), runtime.clone());
-                app.connect_server(&runtime, group)?;
+                self.server_map.insert(server, runtime);
+                app.connect_server(runtime, group)?;
                 // The recruited replica gets a health gauge watching its
                 // runtime server.
-                monitor.watch_server(t, server, &runtime);
+                monitor.watch_server(t, server, runtime);
             }
             RuntimeOp::ActivateServer { server } => {
-                let runtime = self.server_map.get(server).ok_or_else(|| unknown(server))?;
+                let runtime = self.server_map.get(&server);
+                let runtime = *runtime.ok_or(AppError::UnknownServer(server))?;
                 observer.servers_activated += 1;
                 app.activate_server(runtime)?;
             }
             RuntimeOp::DeactivateServer { server } => {
-                let runtime = self
-                    .server_map
-                    .remove(server)
-                    .ok_or_else(|| unknown(server))?;
-                let deactivated = app.deactivate_server(&runtime);
-                let _ = app.disconnect_server(&runtime);
+                let runtime = self.server_map.remove(&server);
+                let runtime = runtime.ok_or(AppError::UnknownServer(server))?;
+                let deactivated = app.deactivate_server(runtime);
+                let _ = app.disconnect_server(runtime);
                 deactivated?;
                 monitor.unwatch_server(server);
             }
             RuntimeOp::MoveClient { client, to_group } => {
                 app.move_client(client, to_group)?;
                 observer.client_moves += 1;
-                monitor.rehome(t, app, &[Key::new(client)]);
+                monitor.rehome(t, app, &[client]);
             }
-            RuntimeOp::MoveClientGroup { clients, to_group } => {
+            RuntimeOp::MoveClientGroup {
+                ref clients,
+                to_group,
+            } => {
                 observer.client_moves += app.move_clients(clients, to_group)? as u64;
                 monitor.rehome(t, app, clients);
             }
@@ -332,16 +333,16 @@ impl RepairLoop {
                 group,
                 min_age_secs,
             } => {
-                let stuck = app.stuck_sending_servers(group, *min_age_secs);
+                let stuck = app.stuck_sending_servers(group, min_age_secs);
                 let mut drained = Ok(());
-                for server in &stuck {
-                    if let Err(e) = app.drain_server(t, server.as_str()) {
+                for &server in &stuck {
+                    if let Err(e) = app.drain_server(t, server) {
                         drained = Err(e);
                     }
                 }
                 drained?;
                 if !stuck.is_empty() {
-                    let (group, count) = (group.as_str().into(), stuck.len());
+                    let count = stuck.len();
                     observer.record(t, Occurrence::Drained { group, count });
                 }
             }
@@ -369,6 +370,54 @@ impl PendingRepair {
         let style_violations = ClientServerStyle::validate(model).len();
         if style_violations > 0 {
             observer.record(t, Occurrence::StyleViolations(style_violations));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::build_model;
+    use gridapp::{GridConfig, SERVER_GROUP_1, SERVER_GROUP_2, TESTBED_REGISTRY};
+
+    /// On every testbed preset, the spare a `ConnectServer` recruits for a
+    /// new replica is the one `GridApp::find_server_for_group` names for
+    /// its group at that moment: the tactic only asked whether one exists.
+    #[test]
+    fn a_recruit_is_the_spare_find_server_for_group_names() {
+        let (config, profile) = (FrameworkConfig::adaptive(), PerformanceProfile::default());
+        for (preset, spec) in TESTBED_REGISTRY.iter() {
+            let mut app = GridApp::build(GridConfig::with_testbed(spec())).unwrap();
+            let (_, server_map) = build_model(&app, &profile).unwrap();
+            let mut monitor = Monitor::new(&app, &config);
+            let mut observer = Observer::new();
+            let mut repairs = RepairLoop::new(&config, profile, server_map);
+            let t = SimTime::from_secs(1.0);
+            for group in [SERVER_GROUP_2, SERVER_GROUP_1] {
+                let Some(expected) = app.find_server_for_group(group) else {
+                    continue;
+                };
+                let server = Key::new(&format!("{group}.Recruit"));
+                let group = Key::new(group);
+                let connect = RuntimeOp::ConnectServer { server, group };
+                repairs
+                    .apply(&connect, &mut app, &mut monitor, &mut observer, t)
+                    .unwrap();
+                assert_eq!(repairs.server_map[&server], expected, "{preset} {group}");
+                repairs
+                    .apply(
+                        &RuntimeOp::ActivateServer { server },
+                        &mut app,
+                        &mut monitor,
+                        &mut observer,
+                        t,
+                    )
+                    .unwrap();
+                assert!(
+                    app.active_servers(group).contains(&expected),
+                    "{preset} {group}"
+                );
+            }
         }
     }
 }

@@ -64,7 +64,7 @@ fn app_fingerprint(profile: &str, seed: u64, duration: f64) -> Vec<(String, u64)
         for group in app.group_names() {
             fingerprint.push((
                 format!("queue/{group}"),
-                app.queue_length(&group).unwrap() as u64,
+                app.queue_length(group).unwrap() as u64,
             ));
         }
         fingerprint.push(("unserved".to_string(), app.unserved_demand_secs().to_bits()));

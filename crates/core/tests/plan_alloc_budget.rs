@@ -22,12 +22,27 @@
 //! vector that holds it, and the reason buffer the candidates share. It
 //! requests 28 bytes per candidate (a 4-byte index and a 24-byte note) plus
 //! 256.
+//!
+//! The second case is the fall-through that asks the runtime: every server
+//! group reports a load past the bound and every spare server has crashed,
+//! so `fixServerLoad` finds its candidate's group overloaded, asks the live
+//! application (`AppQuery`) how many spares it could recruit, and is told
+//! none. The answer is a count and allocates nothing: the plan costs what
+//! the same plan against a table that knows no spares (`StaticQuery`) costs,
+//! 2 allocations per candidate (its list of overloaded groups, and that list
+//! boxed into its reason, which the skip drops as a repeat) plus 7, and 68
+//! bytes per candidate plus 384. The same case, adapted to the old
+//! `find_spare_server`, measured the same on the commit before the question
+//! became a count (f536cbe), since a search that finds no spare built no
+//! name; what it cost was time, a second scan of every server through the
+//! group-aware pick.
 
-use arch_adapt::{build_model, PerformanceProfile};
-use archmodel::style::props;
+use arch_adapt::{build_model, AppQuery, PerformanceProfile};
+use archmodel::style::{props, SERVER_GROUP_T};
 use archmodel::{ElementRef, System, Value};
 use gridapp::{GridApp, GridConfig, TestbedSpec};
-use repair::{PlanOutcome, RepairDamping, RepairEngine, StaticQuery};
+use repair::{PlanOutcome, RepairDamping, RepairEngine, RuntimeQuery, Skip, StaticQuery};
+use simnet::SimTime;
 
 #[path = "../../gridapp/tests/common/mod.rs"]
 mod common;
@@ -49,8 +64,10 @@ fn engine() -> RepairEngine {
     engine
 }
 
-/// Allocations and bytes of one warm plan over `n` hopeless candidates.
-fn plan_over(model: &mut System, n: usize) -> (u64, u64) {
+/// Allocations and bytes of one warm plan over the first `n` clients, each
+/// reporting a latency past the bound, asking `query`; and the skip it ends
+/// in.
+fn plan_over(model: &mut System, query: &dyn RuntimeQuery, n: usize) -> ((u64, u64), Skip) {
     for i in 1..=n {
         let id = model
             .component_by_name(&format!("User{i}"))
@@ -62,20 +79,30 @@ fn plan_over(model: &mut System, n: usize) -> (u64, u64) {
             .expect("set");
     }
     let report = repair::default_constraints().check(model);
-    assert_eq!(report.violations.len(), n);
-    let (mut engine, query) = (engine(), StaticQuery::new());
-    engine.plan(model, &report, &query, 10.0);
+    let latency = report
+        .violations
+        .iter()
+        .filter(|v| v.invariant == "latency");
+    assert_eq!(latency.count(), n);
+    let mut engine = engine();
+    engine.plan(model, &report, query, 10.0);
     let mut outcome = None;
-    let counts = counted_with_bytes(|| outcome = Some(engine.plan(model, &report, &query, 10.0)));
+    let counts = counted_with_bytes(|| outcome = Some(engine.plan(model, &report, query, 10.0)));
     let Some(PlanOutcome::Skipped(skip)) = outcome else {
         panic!("no tactic applies: {outcome:?}");
     };
-    let note = skip.to_string();
-    assert!(note.starts_with(
+    let candidates = report.violations.len();
+    assert_eq!(skip.to_string().matches(" | ").count(), candidates - 1);
+    (counts, skip)
+}
+
+/// [`plan_over`] candidates no tactic applies to and nothing is asked about.
+fn hopeless(model: &mut System, n: usize) -> (u64, u64) {
+    let (counts, skip) = plan_over(model, &StaticQuery::new(), n);
+    assert!(skip.to_string().starts_with(
         "no applicable tactic for User1: fixServerLoad: no overloaded server group connected \
          to User1; fixBandwidth: no bandwidth observation for User1 yet | "
     ));
-    assert_eq!(note.matches(" | ").count(), n - 1);
     counts
 }
 
@@ -85,8 +112,8 @@ fn a_fall_through_allocates_per_plan_not_per_candidate() {
         .expect("the deployment builds");
     let (mut model, _) = build_model(&app, &PerformanceProfile::default()).expect("model builds");
     let (fewer, more) = (500, 1_000);
-    let (few_allocations, few_bytes) = plan_over(&mut model, fewer);
-    let (allocations, bytes) = plan_over(&mut model, more);
+    let (few_allocations, few_bytes) = hopeless(&mut model, fewer);
+    let (allocations, bytes) = hopeless(&mut model, more);
     println!(
         "{fewer} candidates: {few_allocations} allocations, {few_bytes} bytes; \
          {more} candidates: {allocations} allocations, {bytes} bytes"
@@ -97,6 +124,73 @@ fn a_fall_through_allocates_per_plan_not_per_candidate() {
     );
     for (n, bytes) in [(fewer, few_bytes), (more, bytes)] {
         let ceiling = BYTES_PER_CANDIDATE * n as u64 + BYTES_CONSTANT;
+        assert!(
+            bytes <= ceiling,
+            "a plan over {n} candidates requested {bytes} bytes, above {ceiling}"
+        );
+    }
+}
+
+/// Allocations a plan may make per candidate whose overloaded group cannot
+/// grow, and per plan.
+const ALLOCATIONS_PER_OVERLOADED: u64 = 2;
+const ALLOCATIONS_CONSTANT: u64 = 7;
+/// Bytes such a plan may request per candidate, and per plan.
+const BYTES_PER_OVERLOADED: u64 = 68;
+
+/// Allocations and bytes of one warm plan asking the live application, and
+/// of one asking a table with no spares, over `n` candidates whose
+/// overloaded group cannot grow.
+fn without_spares(n: usize) -> [(u64, u64); 2] {
+    let mut app = GridApp::build(GridConfig::with_testbed(TestbedSpec::large_scale()))
+        .expect("the deployment builds");
+    let (mut model, _) = build_model(&app, &PerformanceProfile::default()).expect("model builds");
+    while let Some(spare) = app.find_server() {
+        app.crash_server(SimTime::from_secs(1.0), spare)
+            .expect("a spare");
+    }
+    let groups: Vec<_> = model
+        .components_of_type(SERVER_GROUP_T)
+        .map(|(id, _)| id)
+        .collect();
+    for group in groups {
+        let load = Value::Float(100.0);
+        let element = ElementRef::Component(group);
+        model.set_property(element, props::LOAD, load).expect("set");
+    }
+    let (live, table) = (AppQuery::new(&app), StaticQuery::new());
+    [&live as &dyn RuntimeQuery, &table].map(|query| {
+        let (counts, skip) = plan_over(&mut model, query, n);
+        let note = skip.to_string();
+        assert!(
+            note.starts_with(
+                "no applicable tactic for User1: fixServerLoad: server groups [\"ServerGrp1\"] \
+                 are overloaded but no spare server is available; fixBandwidth: no bandwidth \
+                 observation for User1 yet | "
+            ),
+            "{}",
+            &note[..200]
+        );
+        counts
+    })
+}
+
+#[test]
+fn asking_the_runtime_for_a_spare_allocates_nothing() {
+    for n in [500, 1_000] {
+        let [(allocations, bytes), table] = without_spares(n);
+        println!("{n} candidates without spares: {allocations} allocations, {bytes} bytes");
+        assert_eq!(
+            (allocations, bytes),
+            table,
+            "the runtime's answer allocated"
+        );
+        let n = n as u64;
+        assert_eq!(
+            allocations,
+            ALLOCATIONS_PER_OVERLOADED * n + ALLOCATIONS_CONSTANT
+        );
+        let ceiling = BYTES_PER_OVERLOADED * n + BYTES_CONSTANT;
         assert!(
             bytes <= ceiling,
             "a plan over {n} candidates requested {bytes} bytes, above {ceiling}"

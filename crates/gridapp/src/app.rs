@@ -36,13 +36,13 @@ pub const SERVER_GROUP_2: &str = "ServerGrp2";
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppError {
     /// Unknown client name.
-    UnknownClient(String),
+    UnknownClient(Key),
     /// Unknown server name.
-    UnknownServer(String),
+    UnknownServer(Key),
     /// Unknown server group name.
-    UnknownGroup(String),
+    UnknownGroup(Key),
     /// A known server group with no live active server to ask.
-    NoActiveServers(String),
+    NoActiveServers(Key),
     /// A network operation failed.
     Net(NetError),
     /// The operation is invalid in the current state.
@@ -104,11 +104,6 @@ impl GroupId {
 /// Every client starts on [`SERVER_GROUP_1`], the first group built.
 const GROUP_1: GroupId = GroupId(0);
 const GROUP_2: GroupId = GroupId(1);
-
-/// The position of `name` in a name-ordered table.
-fn rank(names: &[Key], name: &str) -> Option<usize> {
-    names.binary_search_by(|n| n.as_str().cmp(name)).ok()
-}
 
 #[derive(Debug)]
 struct ClientState {
@@ -222,7 +217,8 @@ pub struct CompletedRequest {
 /// is a `Vec` indexed by id, a request carries the ids of its client, its
 /// group and (while the reply is in flight) its transmitting server, and the
 /// due-time calendars hold ids. Names exist only at the boundary: the public
-/// API resolves a name once, by binary search over the name table, and every
+/// API takes a name as an interned [`Key`] (text is interned on the way in)
+/// and resolves it once, by binary search over the name table, and every
 /// name-order guarantee it makes (`client_names`, `group_names`, processing
 /// order among simultaneously due entities, first idle server of a group) is
 /// id order underneath.
@@ -447,47 +443,47 @@ impl GridApp {
     }
 
     // ---- names at the boundary ---------------------------------------------
+    //
+    // Each kind has one lookup, by interned key: a search of its name-ordered
+    // keys, which `Key`'s string order keeps sorted. A caller holding a key
+    // (the control loop, the planner) passes it as it is; one holding text
+    // interns it on the way in.
 
-    fn client_id(&self, client: &str) -> Result<ClientId, AppError> {
-        rank(&self.client_names, client)
-            .map(|i| ClientId(i as u32))
-            .ok_or_else(|| AppError::UnknownClient(client.into()))
-    }
-
-    /// A client by its interned name: a search of the name-ordered keys,
-    /// which `Key`'s string order keeps sorted, with no interner lookup.
-    fn client_id_of(&self, client: Key) -> Result<ClientId, AppError> {
+    fn client_id(&self, client: Key) -> Result<ClientId, AppError> {
         let found = self.client_names.binary_search(&client);
         found
             .map(|i| ClientId(i as u32))
-            .map_err(|_| AppError::UnknownClient(client.to_string()))
+            .map_err(|_| AppError::UnknownClient(client))
     }
 
-    fn server_id(&self, server: &str) -> Result<ServerId, AppError> {
-        rank(&self.server_names, server)
+    fn server_id(&self, server: Key) -> Result<ServerId, AppError> {
+        let found = self.server_names.binary_search(&server);
+        found
             .map(|i| ServerId(i as u32))
-            .ok_or_else(|| AppError::UnknownServer(server.into()))
+            .map_err(|_| AppError::UnknownServer(server))
     }
 
     /// Where `group` sits in `group_order`, or where it would be inserted.
-    fn group_rank(&self, group: &str) -> Result<usize, usize> {
+    fn group_rank(&self, group: Key) -> Result<usize, usize> {
         self.group_order
-            .binary_search_by(|&g| self.group_names[g.ix()].as_str().cmp(group))
+            .binary_search_by(|&g| self.group_names[g.ix()].cmp(&group))
     }
 
-    fn group_id(&self, group: &str) -> Result<GroupId, AppError> {
+    fn group_id(&self, group: Key) -> Result<GroupId, AppError> {
         self.group_rank(group)
             .map(|at| self.group_order[at])
-            .map_err(|_| AppError::UnknownGroup(group.into()))
+            .map_err(|_| AppError::UnknownGroup(group))
     }
 
     /// Names of the servers `keep` accepts, in name order.
-    fn server_names_where(&self, keep: impl Fn(&ServerState) -> bool) -> Vec<Key> {
+    fn server_names_where<'a>(
+        &'a self,
+        keep: impl Fn(&ServerState) -> bool + 'a,
+    ) -> impl Iterator<Item = Key> + 'a {
         let named = self.servers.iter().zip(&self.server_names);
         named
-            .filter(|(state, _)| keep(state))
+            .filter(move |(state, _)| keep(state))
             .map(|(_, &name)| name)
-            .collect()
     }
 
     /// Re-derives a server's membership in its group's idle set from its
@@ -533,12 +529,10 @@ impl GridApp {
         self.client_names.iter().map(Key::to_string).collect()
     }
 
-    /// Names of all server groups.
-    pub fn group_names(&self) -> Vec<String> {
+    /// Names of all server groups, in name order.
+    pub fn group_names(&self) -> Vec<Key> {
         let ordered = self.group_order.iter();
-        ordered
-            .map(|g| self.group_names[g.ix()].to_string())
-            .collect()
+        ordered.map(|g| self.group_names[g.ix()]).collect()
     }
 
     /// Names of all servers.
@@ -547,23 +541,23 @@ impl GridApp {
     }
 
     /// The machine a named client runs on.
-    pub fn client_host(&self, client: &str) -> Option<NodeId> {
-        self.client_id(client)
+    pub fn client_host(&self, client: impl Into<Key>) -> Option<NodeId> {
+        self.client_id(client.into())
             .ok()
             .map(|id| self.clients[id.ix()].host)
     }
 
     /// The machine a named server runs on.
-    pub fn server_host(&self, server: &str) -> Option<NodeId> {
-        self.server_id(server)
+    pub fn server_host(&self, server: impl Into<Key>) -> Option<NodeId> {
+        self.server_id(server.into())
             .ok()
             .map(|id| self.servers[id.ix()].host)
     }
 
     /// The server group a client currently sends to.
-    pub fn client_group(&self, client: &str) -> Result<String, AppError> {
-        let group = self.clients[self.client_id(client)?.ix()].group;
-        Ok(self.group_names[group.ix()].to_string())
+    pub fn client_group(&self, client: impl Into<Key>) -> Result<Key, AppError> {
+        let group = self.clients[self.client_id(client.into())?.ix()].group;
+        Ok(self.group_names[group.ix()])
     }
 
     /// Every client with the server group it currently sends to, as interned
@@ -577,28 +571,31 @@ impl GridApp {
     /// currently sends to, as the interned names every [`FlowSnapshot`] row
     /// and [`CompletedRequest`] carries.
     pub fn assignment(&self, client: Key) -> Result<(Key, Key), AppError> {
-        let id = self.client_id_of(client)?;
+        let id = self.client_id(client)?;
         let group = self.clients[id.ix()].group;
         Ok((self.client_names[id.ix()], self.group_names[group.ix()]))
     }
 
     /// The current queue length of a server group.
-    pub fn queue_length(&self, group: &str) -> Result<usize, AppError> {
-        let group = self.group_id(group)?;
+    pub fn queue_length(&self, group: impl Into<Key>) -> Result<usize, AppError> {
+        let group = self.group_id(group.into())?;
         Ok(self.groups[group.ix()].queue.len())
     }
 
     /// Names of the live, active servers currently assigned to a group
     /// (crashed replicas do not count — they serve nothing).
-    pub fn active_servers(&self, group: &str) -> Vec<String> {
+    pub fn active_servers(&self, group: impl Into<Key>) -> Vec<Key> {
         let hosts = self.active_server_hosts(group);
-        hosts.map(|(name, _)| name.to_string()).collect()
+        hosts.map(|(name, _)| name).collect()
     }
 
     /// The live, active servers of a group with the machines they run on,
     /// in name order; none for an unknown group.
-    pub fn active_server_hosts(&self, group: &str) -> impl Iterator<Item = (Key, NodeId)> + '_ {
-        let group = self.group_id(group).ok();
+    pub fn active_server_hosts(
+        &self,
+        group: impl Into<Key>,
+    ) -> impl Iterator<Item = (Key, NodeId)> + '_ {
+        let group = self.group_id(group.into()).ok();
         let named = self.servers.iter().zip(&self.server_names);
         named
             .filter(move |(state, _)| group.is_some_and(|group| state.serves(group)))
@@ -606,15 +603,16 @@ impl GridApp {
     }
 
     /// Whether a server's runtime process is alive.
-    pub fn server_is_up(&self, server: &str) -> Result<bool, AppError> {
-        Ok(self.servers[self.server_id(server)?.ix()].up)
+    pub fn server_is_up(&self, server: impl Into<Key>) -> Result<bool, AppError> {
+        Ok(self.servers[self.server_id(server.into())?.ix()].up)
     }
 
     /// A group's liveness census: `(live, dead)` counts over the replicas
     /// assigned to it (active flag set). `dead` replicas have crashed and
     /// not yet been failed over.
-    pub fn group_liveness(&self, group: &str) -> (usize, usize) {
-        self.group_id(group).map_or((0, 0), |id| self.census(id))
+    pub fn group_liveness(&self, group: impl Into<Key>) -> (usize, usize) {
+        let group = self.group_id(group.into());
+        group.map_or((0, 0), |id| self.census(id))
     }
 
     fn census(&self, group: GroupId) -> (usize, usize) {
@@ -632,8 +630,8 @@ impl GridApp {
     }
 
     /// Total requests served by a named server.
-    pub fn served_by(&self, server: &str) -> u64 {
-        self.server_id(server)
+    pub fn served_by(&self, server: impl Into<Key>) -> u64 {
+        self.server_id(server.into())
             .map_or(0, |id| self.servers[id.ix()].served)
     }
 
@@ -787,9 +785,9 @@ impl GridApp {
     /// it no longer counts as live — but it keeps its group assignment, so
     /// the group's liveness census reports it as *assigned but dead* until a
     /// failover repair deactivates it.
-    pub fn crash_server(&mut self, now: SimTime, server: &str) -> Result<(), AppError> {
+    pub fn crash_server(&mut self, now: SimTime, server: impl Into<Key>) -> Result<(), AppError> {
         self.advance(now);
-        let server = self.server_id(server)?;
+        let server = self.server_id(server.into())?;
         self.servers[server.ix()].up = false;
         self.abandon_work(server, now);
         self.refresh_idle(server);
@@ -800,9 +798,9 @@ impl GridApp {
     /// assignment and its activation flag it resumes pulling requests;
     /// a server that was failed over in the meantime (deactivated and
     /// disconnected) comes back as a spare.
-    pub fn restart_server(&mut self, now: SimTime, server: &str) -> Result<(), AppError> {
+    pub fn restart_server(&mut self, now: SimTime, server: impl Into<Key>) -> Result<(), AppError> {
         self.advance(now);
-        let server = self.server_id(server)?;
+        let server = self.server_id(server.into())?;
         let state = &mut self.servers[server.ix()];
         state.up = true;
         let group = state.group.filter(|_| state.active);
@@ -823,17 +821,17 @@ impl GridApp {
 
     /// `createReqQueue()`: adds a logical request queue for `group` to the
     /// request-queue machine.
-    pub fn create_req_queue(&mut self, group: &str) {
-        self.ensure_group(group);
+    pub fn create_req_queue(&mut self, group: impl Into<Key>) {
+        self.ensure_group(group.into());
     }
 
     /// The id of `group`, created with an empty queue if it is new.
-    fn ensure_group(&mut self, group: &str) -> GroupId {
+    fn ensure_group(&mut self, group: Key) -> GroupId {
         match self.group_rank(group) {
             Ok(at) => self.group_order[at],
             Err(at) => {
                 let id = GroupId(self.groups.len() as u32);
-                self.group_names.push(Key::new(group));
+                self.group_names.push(group);
                 self.groups.push(GroupState::default());
                 self.group_order.insert(at, id);
                 id
@@ -841,42 +839,10 @@ impl GridApp {
         }
     }
 
-    /// `findServer([cli, bw_thresh])`: finds a spare (inactive, unassigned)
-    /// server. When a client is given, only servers whose predicted bandwidth
-    /// to that client exceeds the threshold qualify; servers are considered
-    /// in name order.
-    pub fn find_server(
-        &self,
-        client: Option<&str>,
-        bandwidth_threshold_bps: f64,
-    ) -> Option<String> {
-        self.find_spare(client, bandwidth_threshold_bps, |_| true)
-    }
-
-    /// The first server by name that is a spare (inactive, unassigned,
-    /// alive), clears the optional client-bandwidth threshold and, last,
-    /// passes `also`.
-    fn find_spare(
-        &self,
-        client: Option<&str>,
-        bandwidth_threshold_bps: f64,
-        also: impl Fn(&ServerState) -> bool,
-    ) -> Option<String> {
-        let client_host = match client {
-            Some(client) => Some(self.client_host(client)?),
-            None => None,
-        };
-        let clears_threshold = |server: &ServerState| {
-            client_host.is_none_or(|host| {
-                let bw = self.network.available_bandwidth(server.host, host);
-                bw.unwrap_or(0.0) >= bandwidth_threshold_bps
-            })
-        };
-        let found = self
-            .servers
-            .iter()
-            .position(|s| s.is_spare() && clears_threshold(s) && also(s))?;
-        Some(self.server_names[found].to_string())
+    /// `findServer()`: the first spare (inactive, unassigned, alive) server
+    /// by name.
+    pub fn find_server(&self) -> Option<Key> {
+        self.spare_servers().next()
     }
 
     /// The router a server's machine attaches to.
@@ -896,37 +862,37 @@ impl GridApp {
     /// is dead, empty or unknown); such a cross-attachment recruit keeps its
     /// own position class (an explicit class split — class-shared probing
     /// probes it separately rather than lumping it with the group's native
-    /// replicas).
-    pub fn find_server_for_group(
-        &self,
-        group: &str,
-        client: Option<&str>,
-        bandwidth_threshold_bps: f64,
-    ) -> Option<String> {
-        let group = self.group_id(group).ok();
+    /// replicas). So it finds a spare exactly when one exists.
+    pub fn find_server_for_group(&self, group: impl Into<Key>) -> Option<Key> {
+        let group = self.group_id(group.into()).ok();
         let replica = group.and_then(|g| self.servers.iter().find(|s| s.serves(g)));
         replica
             .and_then(|replica| self.attachment(replica))
             .and_then(|target| {
-                self.find_spare(client, bandwidth_threshold_bps, |s| {
-                    self.attachment(s) == Some(target)
-                })
+                let same_router =
+                    |s: &ServerState| s.is_spare() && self.attachment(s) == Some(target);
+                self.server_names_where(same_router).next()
             })
-            .or_else(|| self.find_server(client, bandwidth_threshold_bps))
+            .or_else(|| self.find_server())
     }
 
     /// Names of every live spare (inactive, unassigned) server, in name
-    /// order — the pool `findServer` draws from.
-    pub fn spare_servers(&self) -> Vec<Key> {
+    /// order — the pool `findServer` draws from. Counting them allocates
+    /// nothing.
+    pub fn spare_servers(&self) -> impl Iterator<Item = Key> + '_ {
         self.server_names_where(ServerState::is_spare)
     }
 
     /// `connectServer(srv, to)`: configures a server to pull requests from
     /// the given group's queue, creating the queue if it is new. An unknown
     /// server is an error that leaves no queue behind.
-    pub fn connect_server(&mut self, server: &str, group: &str) -> Result<(), AppError> {
-        let server = self.server_id(server)?;
-        let group = self.ensure_group(group);
+    pub fn connect_server(
+        &mut self,
+        server: impl Into<Key>,
+        group: impl Into<Key>,
+    ) -> Result<(), AppError> {
+        let server = self.server_id(server.into())?;
+        let group = self.ensure_group(group.into());
         let old_group = self.servers[server.ix()].group.replace(group);
         if let Some(old) = old_group.filter(|&old| old != group) {
             self.groups[old.ix()].idle.remove(&server);
@@ -936,7 +902,8 @@ impl GridApp {
     }
 
     /// `activateServer()`: the server begins pulling requests from its queue.
-    pub fn activate_server(&mut self, server: &str) -> Result<(), AppError> {
+    pub fn activate_server(&mut self, server: impl Into<Key>) -> Result<(), AppError> {
+        let server = server.into();
         let id = self.server_id(server)?;
         let state = &mut self.servers[id.ix()];
         let Some(group) = state.group else {
@@ -952,8 +919,8 @@ impl GridApp {
 
     /// `deactivateServer()`: the server stops pulling requests (it finishes
     /// the request currently in service).
-    pub fn deactivate_server(&mut self, server: &str) -> Result<(), AppError> {
-        let server = self.server_id(server)?;
+    pub fn deactivate_server(&mut self, server: impl Into<Key>) -> Result<(), AppError> {
+        let server = self.server_id(server.into())?;
         self.servers[server.ix()].active = false;
         self.refresh_idle(server);
         Ok(())
@@ -961,7 +928,8 @@ impl GridApp {
 
     /// Disconnects a deactivated server from its queue, returning it to the
     /// spare pool.
-    pub fn disconnect_server(&mut self, server: &str) -> Result<(), AppError> {
+    pub fn disconnect_server(&mut self, server: impl Into<Key>) -> Result<(), AppError> {
+        let server = server.into();
         let id = self.server_id(server)?;
         let state = &mut self.servers[id.ix()];
         if state.active {
@@ -977,9 +945,13 @@ impl GridApp {
 
     /// `moveClient(newQ)`: future requests from the client go to the new
     /// group's queue (requests already queued are served where they are).
-    pub fn move_client(&mut self, client: &str, to_group: &str) -> Result<(), AppError> {
-        let to = self.group_id(to_group)?;
-        let client = self.client_id(client)?;
+    pub fn move_client(
+        &mut self,
+        client: impl Into<Key>,
+        to_group: impl Into<Key>,
+    ) -> Result<(), AppError> {
+        let to = self.group_id(to_group.into())?;
+        let client = self.client_id(client.into())?;
         let state = &mut self.clients[client.ix()];
         state.group = to;
         self.assignment_generation += 1;
@@ -995,14 +967,18 @@ impl GridApp {
     /// Requests already in service or in flight are unaffected. Returns the
     /// number of clients moved. The clients are the interned names the
     /// planner's class index holds, each found by key.
-    pub fn move_clients(&mut self, clients: &[Key], to_group: &str) -> Result<usize, AppError> {
-        let to = self.group_id(to_group)?;
+    pub fn move_clients(
+        &mut self,
+        clients: &[Key],
+        to_group: impl Into<Key>,
+    ) -> Result<usize, AppError> {
+        let to = self.group_id(to_group.into())?;
         // Validate the whole batch before touching anything: a group move is
         // atomic, and a half-applied batch (some clients re-pointed, none of
         // their queued requests migrated) would be unobservable to the
         // caller behind the returned error.
         let moved: Result<BTreeSet<ClientId>, AppError> =
-            clients.iter().map(|&c| self.client_id_of(c)).collect();
+            clients.iter().map(|&c| self.client_id(c)).collect();
         let moved = moved?;
         self.assignment_generation += 1;
         for &client in &moved {
@@ -1040,9 +1016,9 @@ impl GridApp {
     /// them: the stuck reply would otherwise occupy the replica long past any
     /// latency bound. The abandoned request never completes (its client
     /// observes a timeout, exactly as with a crashed replica).
-    pub fn drain_server(&mut self, now: SimTime, server: &str) -> Result<(), AppError> {
+    pub fn drain_server(&mut self, now: SimTime, server: impl Into<Key>) -> Result<(), AppError> {
         self.advance(now);
-        let server = self.server_id(server)?;
+        let server = self.server_id(server.into())?;
         self.abandon_work(server, now);
         self.refresh_idle(server);
         if let Some(group) = self.servers[server.ix()].group {
@@ -1060,23 +1036,24 @@ impl GridApp {
     /// recycled. A healthy reply transmits within a fraction of a second, so
     /// transmission ages past the bound indicate a transfer that will not
     /// finish in useful time.
-    pub fn stuck_sending_servers(&self, group: &str, min_age_secs: f64) -> Vec<Key> {
-        let Ok(group) = self.group_id(group) else {
+    pub fn stuck_sending_servers(&self, group: impl Into<Key>, min_age_secs: f64) -> Vec<Key> {
+        let Ok(group) = self.group_id(group.into()) else {
             return Vec::new();
         };
         let now = self.now;
-        self.server_names_where(|s| {
+        let stuck = self.server_names_where(|s| {
             let stuck = |(_, since)| now.since(since).as_secs() > min_age_secs;
             s.serves(group) && s.sending.is_some_and(stuck)
-        })
+        });
+        stuck.collect()
     }
 
     /// Predicted bandwidth of a new flow from one named server's machine to
     /// one named client's machine: [`host_bandwidth`](Self::host_bandwidth)
     /// between the two machines.
     pub fn available_bandwidth_between(&self, server: &str, client: &str) -> Result<f64, AppError> {
-        let server_host = self.servers[self.server_id(server)?.ix()].host;
-        let client_host = self.clients[self.client_id(client)?.ix()].host;
+        let server_host = self.servers[self.server_id(server.into())?.ix()].host;
+        let client_host = self.clients[self.client_id(client.into())?.ix()].host;
         Ok(self.host_bandwidth(server_host, client_host))
     }
 
@@ -1145,11 +1122,16 @@ impl GridApp {
     /// a server group, taken as the best available bandwidth from any of the
     /// group's active servers to the client. A known group with no live
     /// active server is [`AppError::NoActiveServers`].
-    pub fn remos_get_flow(&self, client: &str, group: &str) -> Result<f64, AppError> {
-        let client_host = self.clients[self.client_id(client)?.ix()].host;
+    pub fn remos_get_flow(
+        &self,
+        client: impl Into<Key>,
+        group: impl Into<Key>,
+    ) -> Result<f64, AppError> {
+        let client_host = self.clients[self.client_id(client.into())?.ix()].host;
+        let group = group.into();
         let id = self.group_id(group)?;
         self.flow_to(client_host, id)
-            .ok_or_else(|| AppError::NoActiveServers(group.into()))
+            .ok_or(AppError::NoActiveServers(group))
     }
 
     /// The best available bandwidth from any live active server of `group`
@@ -1479,7 +1461,7 @@ mod tests {
         // Every client of a built application sits on its slot's machine.
         let app = app();
         for (i, (_, host)) in (1u64..).zip(&app.testbed().client_hosts) {
-            assert_eq!(app.client_host(&format!("User{i}")), Some(*host));
+            assert_eq!(app.client_host(format!("User{i}")), Some(*host));
         }
     }
 
@@ -1516,7 +1498,7 @@ mod tests {
     fn group_aware_recruit_prefers_a_same_attachment_spare() {
         let mut app =
             GridApp::build(GridConfig::with_testbed(crate::TestbedSpec::large_scale())).unwrap();
-        let attach = |app: &GridApp, s: &str| {
+        let attach = |app: &GridApp, s: Key| {
             let host = app.server_host(s).unwrap();
             app.testbed().topology.attachment(host).unwrap().0
         };
@@ -1524,34 +1506,29 @@ mod tests {
         // group-blind SG2 recruit would cross attachments — parking the
         // new replica behind the wrong router and breaking the group's
         // position symmetry.
-        let name_order_pick = app.find_server(None, 0.0).unwrap();
-        let group_pick = app
-            .find_server_for_group(SERVER_GROUP_2, None, 0.0)
-            .unwrap();
-        let sg2_attach = attach(&app, &app.active_servers(SERVER_GROUP_2)[0]);
-        assert_ne!(attach(&app, &name_order_pick), sg2_attach);
-        assert_eq!(attach(&app, &group_pick), sg2_attach);
+        let name_order_pick = app.find_server().unwrap();
+        let group_pick = app.find_server_for_group(SERVER_GROUP_2).unwrap();
+        let sg2_attach = attach(&app, app.active_servers(SERVER_GROUP_2)[0]);
+        assert_ne!(attach(&app, name_order_pick), sg2_attach);
+        assert_eq!(attach(&app, group_pick), sg2_attach);
         // Recruit it: the group keeps a single attachment signature, so its
         // server class count stays stable (no forced class split).
-        app.connect_server(&group_pick, SERVER_GROUP_2).unwrap();
-        app.activate_server(&group_pick).unwrap();
+        app.connect_server(group_pick, SERVER_GROUP_2).unwrap();
+        app.activate_server(group_pick).unwrap();
         let attachments: std::collections::BTreeSet<_> = app
             .active_servers(SERVER_GROUP_2)
             .iter()
-            .map(|s| attach(&app, s))
+            .map(|&s| attach(&app, s))
             .collect();
         assert_eq!(attachments.len(), 1);
         // SG1 recruiting is unchanged: the name-order pick already sits on
         // SG1's router.
         assert_eq!(
-            app.find_server_for_group(SERVER_GROUP_1, None, 0.0)
-                .unwrap(),
+            app.find_server_for_group(SERVER_GROUP_1).unwrap(),
             name_order_pick
         );
         // A group with no live replicas falls back to the name-order scan.
-        assert!(app
-            .find_server_for_group("NoSuchGroup", None, 0.0)
-            .is_some());
+        assert!(app.find_server_for_group("NoSuchGroup").is_some());
     }
 
     #[test]
@@ -1561,7 +1538,8 @@ mod tests {
         assert_eq!(app.active_servers(SERVER_GROUP_1), vec!["S1", "S2", "S3"]);
         assert_eq!(app.active_servers(SERVER_GROUP_2), vec!["S5", "S6"]);
         // S4 and S7 are spares.
-        assert_eq!(app.find_server(None, 0.0), Some("S4".to_string()));
+        assert_eq!(app.find_server(), Some("S4".into()));
+        assert_eq!(app.spare_servers().collect::<Vec<_>>(), ["S4", "S7"]);
         for client in app.client_names() {
             assert_eq!(app.client_group(&client).unwrap(), SERVER_GROUP_1);
         }
@@ -1766,7 +1744,7 @@ mod tests {
             "queue should exceed the overload bound, got {loaded}"
         );
         // Recruit the spare servers as the paper's repairs did.
-        let spare = app.find_server(None, 0.0).unwrap();
+        let spare = app.find_server().unwrap();
         assert_eq!(spare, "S4");
         app.connect_server("S4", SERVER_GROUP_1).unwrap();
         app.activate_server("S4").unwrap();
@@ -1792,12 +1770,12 @@ mod tests {
         app.deactivate_server("S1").unwrap();
         app.deactivate_server("S2").unwrap();
         app.deactivate_server("S3").unwrap();
-        let served_before: u64 = ["S1", "S2", "S3"].iter().map(|s| app.served_by(s)).sum();
+        let served_before: u64 = ["S1", "S2", "S3"].map(|s| app.served_by(s)).iter().sum();
         app.advance(secs(40.0));
         // Queue grows because nothing serves ServerGrp1 any more.
         assert!(app.queue_length(SERVER_GROUP_1).unwrap() > 0);
         app.advance(secs(60.0));
-        let served_after: u64 = ["S1", "S2", "S3"].iter().map(|s| app.served_by(s)).sum();
+        let served_after: u64 = ["S1", "S2", "S3"].map(|s| app.served_by(s)).iter().sum();
         // At most the requests already in service finish; afterwards nothing.
         assert!(served_after <= served_before + 3);
     }
@@ -1817,7 +1795,7 @@ mod tests {
         assert_eq!(app.served_by("S1"), served_before);
         // Spares exclude the corpse: S4 is up, so it is still first.
         app.crash_server(secs(80.0), "S4").unwrap();
-        assert_eq!(app.find_server(None, 0.0), Some("S7".to_string()));
+        assert_eq!(app.find_server(), Some("S7".into()));
     }
 
     #[test]
@@ -1855,9 +1833,9 @@ mod tests {
         app.disconnect_server("S2").unwrap();
         assert_eq!(app.group_liveness(SERVER_GROUP_1), (2, 0));
         // While dead it is not offered as a spare.
-        assert_eq!(app.find_server(None, 0.0), Some("S4".to_string()));
+        assert_eq!(app.find_server(), Some("S4".into()));
         app.restart_server(secs(50.0), "S2").unwrap();
-        assert_eq!(app.find_server(None, 0.0), Some("S2".to_string()));
+        assert_eq!(app.find_server(), Some("S2".into()));
     }
 
     #[test]
@@ -1910,7 +1888,7 @@ mod tests {
     fn a_known_group_without_a_live_active_server_is_its_own_error() {
         let mut app = app();
         for server in app.active_servers(SERVER_GROUP_2) {
-            app.crash_server(secs(5.0), &server).unwrap();
+            app.crash_server(secs(5.0), server).unwrap();
         }
         let error = app.remos_get_flow("User3", SERVER_GROUP_2).unwrap_err();
         assert_eq!(error, AppError::NoActiveServers(SERVER_GROUP_2.into()));
@@ -1993,18 +1971,5 @@ mod tests {
         assert!(app.metrics().queue_series(SERVER_GROUP_1).is_some());
         assert!(app.metrics().bandwidth_series("User3").is_some());
         assert!(app.metrics().latency_series("User1").is_some());
-    }
-
-    #[test]
-    fn find_server_respects_bandwidth_threshold() {
-        let mut app = app();
-        // Saturate the path between the spare S4 (behind R3) and User3.
-        app.set_competition_sg1(secs(0.0), 9.999e6);
-        // With an enormous threshold nothing qualifies for User3 via R2-R3,
-        // but S7 (behind R4) still does.
-        let found = app.find_server(Some("User3"), 1.0e6);
-        assert_eq!(found, Some("S7".to_string()));
-        // Without a client, the first spare by name is returned.
-        assert_eq!(app.find_server(None, 0.0), Some("S4".to_string()));
     }
 }

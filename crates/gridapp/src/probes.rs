@@ -123,12 +123,12 @@ mod tests {
             .into_iter()
             .filter_map(|client| {
                 let group = app.client_group(&client).ok()?;
-                let bps = app.remos_get_flow(&client, &group).ok()?;
+                let bps = app.remos_get_flow(&client, group).ok()?;
                 Some(ProbeEvent::new(
                     now.as_secs(),
                     Measurement::Bandwidth {
                         client: client.into(),
-                        group: group.into(),
+                        group,
                         bps,
                     },
                 ))
@@ -144,14 +144,14 @@ mod tests {
             .filter_map(|client| {
                 let group = app.client_group(&client).ok()?;
                 let reachable = app
-                    .remos_get_flow(&client, &group)
+                    .remos_get_flow(&client, group)
                     .map(|bps| bps >= REACHABILITY_FLOOR_BPS)
                     .unwrap_or(false);
                 Some(ProbeEvent::new(
                     now.as_secs(),
                     Measurement::Reachability {
                         client: client.into(),
-                        group: group.into(),
+                        group,
                         reachable,
                     },
                 ))
@@ -166,8 +166,7 @@ mod tests {
         let t = now.as_secs();
         let mut events = Vec::new();
         for group in app.group_names() {
-            let length = app.queue_length(&group).unwrap();
-            let group = group.into();
+            let length = app.queue_length(group).unwrap();
             events.push(ProbeEvent::new(
                 t,
                 Measurement::QueueLength { group, length },
@@ -179,8 +178,7 @@ mod tests {
             events.push(ProbeEvent::new(t, Measurement::ServerLive { server, up }));
         }
         for group in app.group_names() {
-            let (live, dead) = app.group_liveness(&group);
-            let group = group.into();
+            let (live, dead) = app.group_liveness(group);
             events.push(ProbeEvent::new(
                 t,
                 Measurement::GroupLiveness { group, live, dead },
@@ -297,9 +295,9 @@ mod tests {
         // recruit: name order differs from creation order, and every census
         // field is non-trivial.
         app.create_req_queue("ServerGrp0");
-        let spare = app.find_server(None, 0.0).unwrap();
-        app.connect_server(&spare, "ServerGrp0").unwrap();
-        app.activate_server(&spare).unwrap();
+        let spare = app.find_server().unwrap();
+        app.connect_server(spare, "ServerGrp0").unwrap();
+        app.activate_server(spare).unwrap();
         app.crash_server(SimTime::from_secs(11.0), "S2").unwrap();
         app.move_client("User3", "ServerGrp0").unwrap();
         app.advance(SimTime::from_secs(14.0));

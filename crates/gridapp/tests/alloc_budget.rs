@@ -16,7 +16,7 @@
 //! tick's worth — the caller drains it in place — and one shortest-path tree
 //! per source). Nothing is allocated per request any more.
 
-use gridapp::{ExperimentSchedule, GridApp, GridConfig, SERVER_GROUP_2};
+use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_2};
 use simnet::SimTime;
 
 mod common;
@@ -67,4 +67,23 @@ fn advance_allocates_a_handful_per_completed_request() {
         "{allocations} allocations inside advance for {completed} completed requests: \
          {per_request:.2} per request exceeds the ceiling of {CEILING_PER_REQUEST}"
     );
+}
+
+/// What a repair asks the application about spares allocates nothing: how
+/// many there are (a tactic's question), and which one each group would
+/// recruit (the pick `ConnectServer` makes), on the large-scale preset,
+/// where spares sit behind both groups' routers.
+#[test]
+fn counting_and_picking_spares_allocates_nothing() {
+    let app = GridApp::build(GridConfig::with_testbed(TestbedSpec::large_scale()))
+        .expect("large-scale testbed builds");
+    let groups = app.group_names();
+    let (mut spares, mut picks) = (0, Vec::with_capacity(groups.len()));
+    let allocations = counted(|| {
+        spares = app.spare_servers().count();
+        picks.extend(groups.iter().map(|&group| app.find_server_for_group(group)));
+    });
+    assert!(spares > 0, "the preset has spares");
+    assert!(picks.iter().all(Option::is_some), "{picks:?}");
+    assert_eq!(allocations, 0);
 }

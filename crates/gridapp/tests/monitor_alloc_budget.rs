@@ -48,14 +48,14 @@ fn deploy(app: &GridApp) -> MonitoringPipeline {
     for &(client, _, _) in &watched {
         pipeline.create(0.0, Gauge::latency(client, 30.0));
     }
-    for group in &groups {
+    for &group in &groups {
         pipeline.create(0.0, Gauge::load(group));
     }
     for &(client, group, _) in &watched {
         let role = format!("{client}.role");
         pipeline.create(0.0, Gauge::bandwidth(client, group, role));
     }
-    for group in &groups {
+    for &group in &groups {
         pipeline.create(0.0, Gauge::group_liveness(group));
     }
     for &(client, _, _) in &watched {

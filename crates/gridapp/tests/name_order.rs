@@ -106,9 +106,9 @@ fn render_run(title: &str, style: Style) -> String {
             85 => {
                 app.advance(now);
                 app.create_req_queue(EARLY_GROUP);
-                let spare = app.find_server(None, 0.0).expect("a spare exists");
-                app.connect_server(&spare, EARLY_GROUP).expect("connects");
-                app.activate_server(&spare).expect("activates");
+                let spare = app.find_server().expect("a spare exists");
+                app.connect_server(spare, EARLY_GROUP).expect("connects");
+                app.activate_server(spare).expect("activates");
                 writeln!(out, "recruited {spare} for {EARLY_GROUP}").unwrap();
                 // Build order, which is not name order.
                 let movers = ["User2", "User10", "User1", "User21"].map(Key::new);
@@ -142,7 +142,7 @@ fn render_run(title: &str, style: Style) -> String {
         app.sample_metrics_with_flows(now, &flows);
         write!(out, "tick {t:?}").unwrap();
         for group in app.group_names() {
-            write!(out, " {group}={}", app.queue_length(&group).unwrap()).unwrap();
+            write!(out, " {group}={}", app.queue_length(group).unwrap()).unwrap();
         }
         writeln!(out, " in_flight={}", app.in_flight()).unwrap();
     }
@@ -162,15 +162,16 @@ fn render_run(title: &str, style: Style) -> String {
         writeln!(
             out,
             "group {group} active={:?} liveness={:?}",
-            app.active_servers(&group),
-            app.group_liveness(&group)
+            app.active_servers(group),
+            app.group_liveness(group)
         )
         .unwrap();
     }
     for server in app.server_names() {
         writeln!(out, "served {server} {}", app.served_by(&server)).unwrap();
     }
-    writeln!(out, "spares {:?}", app.spare_servers()).unwrap();
+    let spares: Vec<Key> = app.spare_servers().collect();
+    writeln!(out, "spares {spares:?}").unwrap();
     writeln!(out, "metrics clients {:?}", app.metrics().clients()).unwrap();
     writeln!(out, "metrics groups {:?}", app.metrics().groups()).unwrap();
     writeln!(out, "unserved_demand_secs {:?}", app.unserved_demand_secs()).unwrap();

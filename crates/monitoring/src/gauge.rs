@@ -72,12 +72,6 @@ impl fmt::Display for GaugeId {
     }
 }
 
-/// The group a load gauge of this name watches; `None` for any other
-/// gauge's name. (A repair's `createGauge` names its gauge as a string.)
-pub fn load_gauge_group(name: &str) -> Option<&str> {
-    name.strip_prefix(prefix(TopicKind::Load))
-}
-
 /// The model properties gauges report, interned once per process.
 struct Properties {
     average_latency: Key,
@@ -459,8 +453,6 @@ mod tests {
                 "liveness-gauge/ServerGrp1",
             ]
         );
-        let groups: Vec<_> = names.iter().map(|n| load_gauge_group(n)).collect();
-        assert_eq!(groups, [None, Some("ServerGrp1"), None, None, None, None]);
         // A failover re-points a health gauge without changing which it is.
         assert_eq!(
             Gauge::server_health("S6", "ServerGrp1.Server2").id(),

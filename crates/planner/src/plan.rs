@@ -33,7 +33,7 @@ use repair::tactic::client_of_violation;
 use repair::{RepairDamping, RepairPlan};
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet};
-use translator::RuntimeOp;
+use translator::{GaugeRef, RuntimeOp};
 
 /// Task-layer thresholds the planner plans against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,25 +119,25 @@ impl PlannerInput {
         let mut groups = BTreeMap::new();
         for group in app.group_names() {
             let load = model
-                .component_by_name(&group)
+                .component_by_key(group)
                 .and_then(|id| model.component(id).ok())
                 .and_then(|c| c.properties.get_f64(archmodel::style::props::LOAD))
                 .unwrap_or(0.0);
             let snapshot = GroupSnapshot {
                 load,
-                live_servers: app.active_server_hosts(&group).count(),
+                live_servers: app.active_server_hosts(group).count(),
                 stuck_servers: app
-                    .stuck_sending_servers(&group, thresholds.max_latency_secs)
+                    .stuck_sending_servers(group, thresholds.max_latency_secs)
                     .len(),
             };
-            groups.insert(Key::new(&group), snapshot);
+            groups.insert(group, snapshot);
         }
         let mut class_bandwidth = FxHashMap::default();
         class_bandwidth.reserve(index.client_classes().len() * groups.len());
         let mut probes = GroupProbes::new(app, index);
         for class in index.client_classes() {
             for &group in groups.keys() {
-                let flow = probes.flow(class, group.as_str());
+                let flow = probes.flow(class, group);
                 class_bandwidth.insert((class.id, group), flow);
             }
         }
@@ -145,7 +145,7 @@ impl PlannerInput {
             now_secs,
             thresholds,
             groups,
-            spare_servers: app.spare_servers().len(),
+            spare_servers: app.spare_servers().count(),
             class_bandwidth,
             violating_clients: violating,
             overloaded_groups: overloaded,
@@ -458,15 +458,15 @@ impl GroupPlanner {
 
         // Each class move resolves against the live model as applying it would.
         for mv in &moves {
-            ClientServerStyle::resolve_move(model, &mv.members, mv.to.as_str()).ok()?;
+            ClientServerStyle::resolve_move(model, &mv.members, mv.to).ok()?;
         }
 
         // -- Batched runtime ops. ------------------------------------------
         let mut runtime_ops = Vec::new();
         if let Some(first) = moves.first() {
             runtime_ops.push(RuntimeOp::RemosGetFlow {
-                client: first.members[0].to_string(),
-                server: first.to.to_string(),
+                client: first.members[0],
+                server: first.to,
             });
         }
         // All classes headed to the same group share one routing update: a
@@ -483,24 +483,18 @@ impl GroupPlanner {
             for mv in moves.iter().filter(|mv| mv.to == to_group) {
                 clients.extend_from_slice(&mv.members);
             }
-            runtime_ops.push(RuntimeOp::MoveClientGroup {
-                clients,
-                to_group: to_group.to_string(),
-            });
+            runtime_ops.push(RuntimeOp::MoveClientGroup { clients, to_group });
         }
         if !moves.is_empty() {
             // One gauge-churn batch covers every moved client's bandwidth
             // gauge: the monitoring layer relocates them in a single sweep.
-            runtime_ops.push(RuntimeOp::DeleteGauge {
-                gauge: "bandwidth-gauges/planner-batch".to_string(),
-            });
-            runtime_ops.push(RuntimeOp::CreateGauge {
-                gauge: "bandwidth-gauges/planner-batch".to_string(),
-            });
+            let gauge = GaugeRef::PlannerBatch;
+            runtime_ops.push(RuntimeOp::DeleteGauge { gauge });
+            runtime_ops.push(RuntimeOp::CreateGauge { gauge });
         }
-        for group in &drain_groups {
+        for &group in &drain_groups {
             runtime_ops.push(RuntimeOp::DrainStuckServers {
-                group: group.to_string(),
+                group,
                 min_age_secs: thresholds.max_latency_secs,
             });
         }
@@ -517,7 +511,7 @@ impl GroupPlanner {
             .into_iter()
             .map(|mv| ModelOp::MoveClientGroup {
                 clients: mv.members,
-                to_group: mv.to.to_string(),
+                to_group: mv.to,
             })
             .collect();
         for &(group, k) in &recruits {
@@ -525,30 +519,22 @@ impl GroupPlanner {
                 add_server(model, &mut ops, group.as_str()).ok()?;
             }
         }
-        let mut names = ops.iter().filter_map(|op| match op {
+        let mut names = ops.iter().filter_map(|op| match *op {
             ModelOp::AddServer { server, .. } => Some(server),
             _ => None,
         });
         for &(group, k) in &recruits {
-            for name in names.by_ref().take(k) {
+            for server in names.by_ref().take(k) {
                 runtime_ops.push(RuntimeOp::FindServer {
-                    client: group.to_string(),
+                    group,
                     bandwidth_threshold_bps: thresholds.min_bandwidth_bps,
                 });
-                runtime_ops.push(RuntimeOp::ConnectServer {
-                    server: name.clone(),
-                    group: group.to_string(),
-                });
-                runtime_ops.push(RuntimeOp::ActivateServer {
-                    server: name.clone(),
-                });
+                runtime_ops.push(RuntimeOp::ConnectServer { server, group });
+                runtime_ops.push(RuntimeOp::ActivateServer { server });
             }
-            runtime_ops.push(RuntimeOp::DeleteGauge {
-                gauge: format!("load-gauge/{group}"),
-            });
-            runtime_ops.push(RuntimeOp::CreateGauge {
-                gauge: format!("load-gauge/{group}"),
-            });
+            let gauge = GaugeRef::Load(group);
+            runtime_ops.push(RuntimeOp::DeleteGauge { gauge });
+            runtime_ops.push(RuntimeOp::CreateGauge { gauge });
         }
 
         if let Some(damping) = &mut self.damping {
@@ -664,7 +650,7 @@ mod tests {
             .iter()
             .find_map(|op| match op {
                 RuntimeOp::MoveClientGroup { clients, to_group } => {
-                    Some((clients.clone(), to_group.clone()))
+                    Some((clients.clone(), *to_group))
                 }
                 _ => None,
             })
@@ -721,9 +707,8 @@ mod tests {
             .count();
         // load 20 / max 6 → 3 needed, but only 2 spares exist.
         assert_eq!(activations, 2);
-        assert!(runtime_ops.iter().any(
-            |op| matches!(op, RuntimeOp::DeleteGauge { gauge } if gauge == "load-gauge/ServerGrp1")
-        ));
+        let gauge = GaugeRef::Load(Key::new("ServerGrp1"));
+        assert!(runtime_ops.contains(&RuntimeOp::DeleteGauge { gauge }));
     }
 
     #[test]
@@ -735,8 +720,8 @@ mod tests {
         let mut planner = GroupPlanner::new(None);
         let (plan, _) = planner.plan(&index, &model, &input).expect("a plan");
         let add = |server: &str| ModelOp::AddServer {
-            group: "ServerGrp1".to_string(),
-            server: server.to_string(),
+            group: "ServerGrp1".into(),
+            server: server.into(),
         };
         assert_eq!(
             plan.ops,
@@ -802,7 +787,7 @@ mod tests {
             .iter()
             .find(|c| c.members.iter().all(|m| *m != "User1"))
             .unwrap();
-        assert_eq!(moves, vec![(&class.members, &"ServerGrp2".to_string())]);
+        assert_eq!(moves, vec![(&class.members, &Key::new("ServerGrp2"))]);
     }
 
     #[test]

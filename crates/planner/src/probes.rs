@@ -40,7 +40,7 @@ use crate::classes::{ClassIndex, ClientClass};
 use gridapp::{FlowSnapshot, GridApp, Key};
 use rustc_hash::{FxHashMap, FxHashSet};
 use simnet::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The class-level `remos_get_flow` of one snapshot instant: predicted
 /// bandwidth between a client class and a server group, taken as the best
@@ -50,8 +50,8 @@ pub(crate) struct GroupProbes<'a> {
     app: &'a GridApp,
     index: &'a ClassIndex,
     /// Per group asked about so far, the machines of the servers a shared
-    /// probe must ask.
-    servers: BTreeMap<String, Vec<NodeId>>,
+    /// probe must ask. Only looked up, never walked.
+    servers: FxHashMap<Key, Vec<NodeId>>,
 }
 
 impl<'a> GroupProbes<'a> {
@@ -61,14 +61,14 @@ impl<'a> GroupProbes<'a> {
         GroupProbes {
             app,
             index,
-            servers: BTreeMap::new(),
+            servers: FxHashMap::default(),
         }
     }
 
     /// The machines of `group`'s live active servers, in server name order,
     /// keeping one per server class and every server outside the index.
     /// Empty exactly when the group has no live active server.
-    fn servers_to_ask(&self, group: &str) -> Vec<NodeId> {
+    fn servers_to_ask(&self, group: Key) -> Vec<NodeId> {
         let mut answered: BTreeSet<usize> = BTreeSet::new();
         let servers = self.app.active_server_hosts(group);
         servers
@@ -83,12 +83,12 @@ impl<'a> GroupProbes<'a> {
 
     /// The flow `class` would see from `group`. `None` mirrors the per-client
     /// query's failure when the group has no live active server.
-    pub(crate) fn flow(&mut self, class: &ClientClass, group: &str) -> Option<f64> {
-        if !self.servers.contains_key(group) {
+    pub(crate) fn flow(&mut self, class: &ClientClass, group: Key) -> Option<f64> {
+        if !self.servers.contains_key(&group) {
             let servers = self.servers_to_ask(group);
-            self.servers.insert(group.to_string(), servers);
+            self.servers.insert(group, servers);
         }
-        let servers = &self.servers[group];
+        let servers = &self.servers[&group];
         if servers.is_empty() {
             return None;
         }
@@ -220,7 +220,7 @@ impl RepTable {
         let mut probes = GroupProbes::new(app, &self.index);
         self.reps
             .iter()
-            .map(|rep| probes.flow(&self.index.client_classes()[rep.class], rep.group.as_str()))
+            .map(|rep| probes.flow(&self.index.client_classes()[rep.class], rep.group))
             .collect()
     }
 
@@ -271,7 +271,7 @@ mod tests {
         app: &GridApp,
         index: &ClassIndex,
         class: &ClientClass,
-        group: &str,
+        group: Key,
     ) -> Option<f64> {
         GroupProbes::new(app, index).flow(class, group)
     }
@@ -281,7 +281,7 @@ mod tests {
     /// asks [`class_remos`] from scratch for each.
     fn walking_rep_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
         let mut entries = Vec::new();
-        let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
+        let mut seen: BTreeSet<(usize, Key)> = BTreeSet::new();
         for client in app.client_names() {
             let group = match app.client_group(&client) {
                 Ok(group) => group,
@@ -293,11 +293,11 @@ mod tests {
             else {
                 continue;
             };
-            if !seen.insert((class.id, group.clone())) {
+            if !seen.insert((class.id, group)) {
                 continue; // this (class, group) already has a representative
             }
-            let flow = class_remos(app, index, class, &group);
-            entries.push((client.into(), group.into(), flow));
+            let flow = class_remos(app, index, class, group);
+            entries.push((client.into(), group, flow));
         }
         FlowSnapshot::from_entries(entries)
     }
@@ -307,7 +307,7 @@ mod tests {
     /// client in name order and memoises one [`GroupProbes::flow`] per
     /// `(class, group)` pair at the pair's first member.
     fn class_flow_snapshot(app: &GridApp, index: &ClassIndex) -> FlowSnapshot {
-        let mut memo: FxHashMap<(usize, String), Option<f64>> = FxHashMap::default();
+        let mut memo: FxHashMap<(usize, Key), Option<f64>> = FxHashMap::default();
         let mut probes = GroupProbes::new(app, index);
         let mut entries = Vec::new();
         for client in app.client_names() {
@@ -320,9 +320,9 @@ mod tests {
                 .and_then(|id| index.client_class(id))
                 .expect("the index is built from the app's own testbed");
             let flow = *memo
-                .entry((class.id, group.clone()))
-                .or_insert_with(|| probes.flow(class, &group));
-            entries.push((client.into(), group.into(), flow));
+                .entry((class.id, group))
+                .or_insert_with(|| probes.flow(class, group));
+            entries.push((client.into(), group, flow));
         }
         FlowSnapshot::from_entries(entries)
     }
@@ -388,8 +388,8 @@ mod tests {
             4 => {
                 // Already on target: re-home a class where its
                 // representative already is.
-                let current = app.client_group(class.representative.as_str()).unwrap();
-                app.move_clients(members, &current).unwrap();
+                let current = app.client_group(class.representative).unwrap();
+                app.move_clients(members, current).unwrap();
             }
             5 => app.crash_server(now, server).unwrap(),
             6 => app.restart_server(now, server).unwrap(),

@@ -89,8 +89,8 @@ impl Tactic for FixServerLoadTactic {
         // server can be repaired this way.
         let repairable: Vec<Key> = overloaded
             .iter()
-            .filter(|g| ctx.query.find_spare_server(g.as_str()).is_some())
             .copied()
+            .filter(|&g| ctx.query.spare_server_count(g) > 0)
             .collect();
         if repairable.is_empty() {
             return not_applicable(NotApplicable::NoSpareServer(overloaded.into()));
@@ -133,7 +133,6 @@ impl Tactic for FixBandwidthTactic {
             return not_applicable(NotApplicable::BandwidthAboveMinimum { bps, min_bps });
         }
         // findGoodSGrp (lines 35–36).
-        let client = client.as_str();
         let Some(good_group) = ctx.query.find_good_server_group(client, min_bandwidth) else {
             return Err(RepairError::NoServerGroupFound);
         };
@@ -145,7 +144,7 @@ impl Tactic for FixBandwidthTactic {
             return not_applicable(NotApplicable::AlreadyConnected(current));
         }
         let mut ops = Vec::new();
-        move_client(ctx.model, &mut ops, client, &good_group)?;
+        move_client(ctx.model, &mut ops, client.as_str(), good_group.as_str())?;
         Ok(TacticResult::Applied {
             ops,
             description: format!("moved {client} to {good_group}"),
@@ -279,7 +278,7 @@ impl Tactic for FailoverServerGroupTactic {
             return not_applicable(NotApplicable::NoDeadReplicas(group));
         }
         let members = ctx.model.children(group_id).count();
-        let spares = ctx.query.spare_server_count(group.as_str());
+        let spares = ctx.query.spare_server_count(group);
         let replacements = dead.len().min(spares);
         if replacements == 0 && members == dead.len() {
             // Removing every replica with nothing to recruit would leave the
@@ -340,15 +339,14 @@ impl Tactic for RerouteClientsTactic {
             system_threshold(ctx.model, props::MIN_BANDWIDTH, DEFAULT_MIN_BANDWIDTH_BPS);
         let mut ops = Vec::new();
         let mut moved = Vec::new();
-        for client in &clients {
-            let client = client.as_str();
+        for &client in &clients {
             let Some(target) = ctx.query.find_good_server_group(client, min_bandwidth) else {
                 continue;
             };
             if group == target {
                 continue;
             }
-            move_client(ctx.model, &mut ops, client, &target)?;
+            move_client(ctx.model, &mut ops, client.as_str(), target.as_str())?;
             moved.push(format!("{client}->{target}"));
         }
         if moved.is_empty() {
@@ -508,7 +506,7 @@ mod tests {
     #[test]
     fn overloaded_group_triggers_add_server() {
         let (model, violation) = scenario(20, 1e6);
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 1);
         let outcome = fix_latency_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::Repaired {
@@ -597,7 +595,7 @@ mod tests {
     fn bandwidth_first_ordering_prefers_move() {
         let (model, violation) = scenario(20, 3_000.0);
         let query = StaticQuery::new()
-            .with_spares("ServerGrp1", &["S4"])
+            .with_spares("ServerGrp1", 1)
             .with_bandwidth("User3", "ServerGrp2", 5e6);
         let outcome = fix_latency_bandwidth_first_strategy().run(&model, &violation, &query);
         match outcome {
@@ -779,7 +777,7 @@ mod tests {
     #[test]
     fn failover_replaces_dead_replicas_with_spares() {
         let (model, violation) = crashed_scenario(2);
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 2);
         let outcome = recover_liveness_strategy().run(&model, &violation, &query);
         match outcome {
             StrategyOutcome::Repaired {
@@ -807,7 +805,7 @@ mod tests {
     #[test]
     fn failover_with_one_spare_replaces_what_it_can() {
         let (model, violation) = crashed_scenario(2);
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 1);
         match recover_liveness_strategy().run(&model, &violation, &query) {
             StrategyOutcome::Repaired { ops, .. } => {
                 let mut repaired = model.clone();
@@ -881,20 +879,18 @@ mod tests {
     #[test]
     fn failover_recruit_takes_the_name_of_the_corpse_it_retired() {
         let (model, violation) = crashed_scenario(1);
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 1);
         let strategy = recover_liveness_strategy();
         let outcome = strategy.run(&model, &violation, &query);
         assert_eq!(outcome, strategy.run_eager(&model, &violation, &query));
         let StrategyOutcome::Repaired { ops, .. } = outcome else {
             panic!("unexpected outcome: {outcome:?}");
         };
-        let corpse = "ServerGrp1.Server1".to_string();
+        let corpse = Key::new("ServerGrp1.Server1");
         assert_eq!(
             ops,
             [
-                ModelOp::RemoveServer {
-                    server: corpse.clone()
-                },
+                ModelOp::RemoveServer { server: corpse },
                 ModelOp::AddServer {
                     group: "ServerGrp1".into(),
                     server: corpse,
@@ -928,7 +924,7 @@ mod tests {
             ClientServerStyle::add_server_group(&mut model, group, servers).unwrap();
             match pick(3) {
                 1 if servers > 1 => {
-                    let server = format!("{group}.Server1");
+                    let server = Key::new(&format!("{group}.Server1"));
                     let op = ModelOp::RemoveServer { server };
                     archmodel::apply_op(&mut model, &op).unwrap();
                 }
@@ -959,8 +955,8 @@ mod tests {
             if pick(2) == 1 {
                 properties.set(props::BASE_REPLICAS, (1 + pick(3)) as f64);
             }
-            let spares = &["S1", "S2"][..pick(3)];
-            if !spares.is_empty() {
+            let spares = pick(3);
+            if spares > 0 {
                 query = query.with_spares(group, spares);
             }
         }

@@ -239,7 +239,7 @@ mod tests {
         let report = default_constraints().check(&model);
         assert!(!report.is_clean());
         let mut engine = paper_engine();
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 1);
         match engine.plan(&model, &report, &query, 100.0) {
             PlanOutcome::Plan(plan) => {
                 // The first reported violation is User3's latency; the
@@ -281,7 +281,7 @@ mod tests {
         let report = default_constraints().check(&model);
         let mut engine = paper_engine();
         engine.set_damping(Some(RepairDamping::new(120.0)));
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 2);
         assert!(matches!(
             engine.plan(&model, &report, &query, 100.0),
             PlanOutcome::Plan(_)
@@ -510,7 +510,7 @@ mod tests {
         let stuck = || StaticQuery::new().with_bandwidth("User1201", "ServerGrp1", 5e6);
         let query = |ending: &str| match ending {
             "plan" => StaticQuery::new()
-                .with_spares("ServerGrp1", &["S4"])
+                .with_spares("ServerGrp1", 1)
                 .with_bandwidth("User1201", "ServerGrp2", 5e6),
             "skipped" => stuck(),
             _ => StaticQuery::new(),
@@ -546,7 +546,7 @@ mod tests {
 
         // `recoverLiveness` and `reduceServers`, reached once every client
         // ahead of them in the report has been passed over.
-        let failover = stuck().with_spares("ServerGrp2", &["S9"]);
+        let failover = stuck().with_spares("ServerGrp2", 1);
         match &compare(&fleet_model(1, false), &failover, true, &[100.0])[0] {
             PlanOutcome::Plan(plan) => {
                 assert_eq!(plan.subject, "ServerGrp2");
@@ -581,7 +581,7 @@ mod tests {
             .properties
             .set(props::AVERAGE_LATENCY, 50.0);
         let report = default_constraints().check(&model);
-        let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+        let query = StaticQuery::new().with_spares("ServerGrp1", 1);
 
         let mut first = paper_engine();
         first.set_selection(SelectionPolicy::FirstReported);

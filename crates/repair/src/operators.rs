@@ -75,7 +75,7 @@ fn target<'a>(
 /// The last op in `ops` that adds or removes the server `name`.
 fn last_server_op<'a>(ops: &'a [ModelOp], name: &str) -> Option<&'a ModelOp> {
     ops.iter().rev().find(|op| match op {
-        ModelOp::AddServer { server, .. } | ModelOp::RemoveServer { server } => server == name,
+        ModelOp::AddServer { server, .. } | ModelOp::RemoveServer { server } => *server == name,
         ModelOp::MoveClient { .. } | ModelOp::MoveClientGroup { .. } => false,
     })
 }
@@ -96,18 +96,16 @@ fn new_server_name(model: &System, ops: &[ModelOp], group_name: &str) -> String 
 /// `addServer()`: records adding a new replicated, active server to
 /// `group_name`, named the first `{group_name}.Server{i}` that neither the
 /// model nor `ops` holds — a name an earlier op removed is free again.
-/// Returns the new server's name.
+/// Returns the new server's name, interned: the one name an operator
+/// makes rather than finds in the model.
 pub fn add_server(
     model: &System,
     ops: &mut Vec<ModelOp>,
     group_name: &str,
-) -> Result<String, OperatorError> {
-    target(model, group_name, SERVER_GROUP_T, "server group")?;
-    let server = new_server_name(model, ops, group_name);
-    ops.push(ModelOp::AddServer {
-        group: group_name.to_string(),
-        server: server.clone(),
-    });
+) -> Result<Key, OperatorError> {
+    let group = target(model, group_name, SERVER_GROUP_T, "server group")?.name;
+    let server = Key::new(&new_server_name(model, ops, group_name));
+    ops.push(ModelOp::AddServer { group, server });
     Ok(server)
 }
 
@@ -121,7 +119,7 @@ pub fn move_client(
     client_name: &str,
     to_group_name: &str,
 ) -> Result<String, OperatorError> {
-    target(model, to_group_name, SERVER_GROUP_T, "server group")?;
+    let to_group = target(model, to_group_name, SERVER_GROUP_T, "server group")?.name;
     // No op adds or removes a client, a group or a port, and a connector an
     // earlier move creates exists only if the serve port checked here does,
     // so the model answers these checks whatever ops come before this one.
@@ -129,11 +127,8 @@ pub fn move_client(
     let Some(client) = client else {
         return Err(ModelError::NameNotFound(client_name.to_string()).into());
     };
-    ClientServerStyle::resolve_move(model, &[client], to_group_name)?;
-    ops.push(ModelOp::MoveClient {
-        client: client_name.to_string(),
-        to_group: to_group_name.to_string(),
-    });
+    ClientServerStyle::resolve_move(model, &[client], to_group)?;
+    ops.push(ModelOp::MoveClient { client, to_group });
     Ok(ClientServerStyle::connector_name(to_group_name))
 }
 
@@ -144,26 +139,23 @@ pub fn remove_server(
     model: &System,
     ops: &mut Vec<ModelOp>,
     server_name: &str,
-) -> Result<String, OperatorError> {
-    let group = match last_server_op(ops, server_name) {
-        Some(ModelOp::AddServer { group, .. }) => group.clone(),
+) -> Result<Key, OperatorError> {
+    let (server, group) = match last_server_op(ops, server_name) {
+        Some(&ModelOp::AddServer { group, server }) => (server, group),
         Some(_) => {
             let missing = format!("server {server_name} not found");
             return Err(OperatorError::BadTarget(missing));
         }
         None => {
-            target(model, server_name, SERVER_T, "server")?;
-            let (_, group) =
-                ClientServerStyle::resolve_remove(model, server_name).map_err(|_| {
-                    let orphan = format!("server {server_name} has no containing group");
-                    OperatorError::BadTarget(orphan)
-                })?;
-            model.component(group)?.name.to_string()
+            let server = target(model, server_name, SERVER_T, "server")?.name;
+            let (_, group) = ClientServerStyle::resolve_remove(model, server).map_err(|_| {
+                let orphan = format!("server {server_name} has no containing group");
+                OperatorError::BadTarget(orphan)
+            })?;
+            (server, model.component(group)?.name)
         }
     };
-    ops.push(ModelOp::RemoveServer {
-        server: server_name.to_string(),
-    });
+    ops.push(ModelOp::RemoveServer { server });
     Ok(group)
 }
 
@@ -199,7 +191,7 @@ mod tests {
         let name = add_server(&model, &mut ops, "ServerGrp1").unwrap();
         assert_eq!(name, "ServerGrp1.Server4");
         // The model itself is only read.
-        assert!(model.component_by_name(&name).is_none());
+        assert!(model.component_by_key(name).is_none());
         let after = applied(&model, &ops);
         assert!(ClientServerStyle::validate(&after).is_empty());
         assert_eq!(replication_count(&after, "ServerGrp1"), Some(4));
@@ -290,7 +282,7 @@ mod tests {
         // The bulk op the group planner writes: one recorded op, identical
         // final model state.
         let clients = clients.iter().map(Key::from).collect();
-        let to_group = "ServerGrp2".to_string();
+        let to_group = Key::new("ServerGrp2");
         let bulk = [ModelOp::MoveClientGroup { clients, to_group }];
         let after = applied(&model, &bulk);
         assert_eq!(after, applied(&model, &sequential));
@@ -303,9 +295,10 @@ mod tests {
         let before = model.clone();
         let op = ModelOp::MoveClientGroup {
             clients: vec![Key::new("User1")],
-            to_group: "User2".to_string(),
+            to_group: Key::new("User2"),
         };
-        assert!(ClientServerStyle::resolve_move(&model, &[Key::new("User1")], "User2").is_err());
+        let (user1, user2) = (Key::new("User1"), Key::new("User2"));
+        assert!(ClientServerStyle::resolve_move(&model, &[user1], user2).is_err());
         assert!(matches!(
             apply_op(&mut model, &op),
             Err(ModelError::NameNotFound(_))
@@ -394,7 +387,7 @@ mod tests {
         ));
         let added = add_server(&model, &mut ops, "ServerGrp2").unwrap();
         assert_eq!(
-            remove_server(&model, &mut ops, &added).unwrap(),
+            remove_server(&model, &mut ops, added.as_str()).unwrap(),
             "ServerGrp2"
         );
         assert_eq!(ops.len(), 3);

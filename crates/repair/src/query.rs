@@ -1,35 +1,36 @@
 //! Queries against the *running system* used by repair tactics.
 //!
 //! Besides operators that change the architectural model, the paper's repair
-//! framework needs queries answered by the runtime layer — most importantly
-//! `findGoodSGroup(cl, bw)`, which *finds the server group with the best
-//! bandwidth (above `bw`) to the client*, and `findServer`, which locates a
-//! spare server that can be activated. These are answered by the environment
-//! manager over Remos in the paper; in the reproduction the adaptation
-//! framework implements this trait over the simulated network.
+//! framework needs answers from the runtime layer, given by the environment
+//! manager over Remos in the paper and, in the reproduction, by the
+//! adaptation framework over the simulated network. Tactics ask two
+//! questions:
+//!
+//! * `findGoodSGroup(cl, bw)` — *the server group with the best bandwidth
+//!   (above `bw`) to the client*, which `fixBandwidth` and the reroute
+//!   tactic move clients to;
+//! * whether, and how many, spare servers could be recruited into a group.
+//!   `fixServerLoad` only asks whether a spare exists, and the failover
+//!   tactic sizes its replacement batch by the count.
+//!
+//! Neither picks the spare. The paper's `findServer` choice happens when the
+//! repair's `ConnectServer` operation executes against the runtime, so the
+//! recruit is the spare that is free at that moment, not one named while
+//! planning.
 
-/// Runtime-layer queries available to repair tactics.
+use archmodel::Key;
+
+/// Runtime-layer queries available to repair tactics. Elements are named
+/// by interned [`Key`], as the model names them.
 pub trait RuntimeQuery {
     /// Finds the server group with the best predicted bandwidth to `client`,
     /// provided that bandwidth exceeds `min_bandwidth_bps`. Mirrors the
     /// paper's `findGoodSGroup(cl : ClientT, bw : float)`.
-    fn find_good_server_group(&self, client: &str, min_bandwidth_bps: f64) -> Option<String>;
+    fn find_good_server_group(&self, client: Key, min_bandwidth_bps: f64) -> Option<Key>;
 
-    /// Predicted bandwidth between a client and a server group, mirroring
-    /// `remos_get_flow`.
-    fn predicted_bandwidth(&self, client: &str, group: &str) -> Option<f64>;
-
-    /// Finds a spare (inactive) server that could be activated for `group`,
-    /// mirroring `findServer([cli_ip, bw_thresh])`. Returns the spare
-    /// server's name.
-    fn find_spare_server(&self, group: &str) -> Option<String>;
-
-    /// How many spare servers could be recruited for `group` right now. The
-    /// failover tactic uses this to size its replacement batch; the default
-    /// implementation only knows whether *one* spare exists.
-    fn spare_server_count(&self, group: &str) -> usize {
-        usize::from(self.find_spare_server(group).is_some())
-    }
+    /// How many spare servers could be recruited for `group` right now;
+    /// a tactic that needs one asks whether this is positive.
+    fn spare_server_count(&self, group: Key) -> usize;
 }
 
 /// A scripted [`RuntimeQuery`] used by tests and by model-only experiments:
@@ -37,9 +38,9 @@ pub trait RuntimeQuery {
 #[derive(Debug, Clone, Default)]
 pub struct StaticQuery {
     /// `(client, group)` → predicted bandwidth in bps.
-    pub bandwidth: Vec<((String, String), f64)>,
-    /// group → spare server names available for activation.
-    pub spares: Vec<(String, Vec<String>)>,
+    pub bandwidth: Vec<((Key, Key), f64)>,
+    /// group → how many spare servers could be recruited for it.
+    pub spares: Vec<(Key, usize)>,
 }
 
 impl StaticQuery {
@@ -50,49 +51,29 @@ impl StaticQuery {
 
     /// Records a predicted bandwidth for a client/group pair.
     pub fn with_bandwidth(mut self, client: &str, group: &str, bps: f64) -> Self {
-        self.bandwidth
-            .push(((client.to_string(), group.to_string()), bps));
+        self.bandwidth.push(((client.into(), group.into()), bps));
         self
     }
 
-    /// Records spare servers for a group.
-    pub fn with_spares(mut self, group: &str, spares: &[&str]) -> Self {
-        self.spares.push((
-            group.to_string(),
-            spares.iter().map(|s| s.to_string()).collect(),
-        ));
+    /// Records how many spare servers a group could recruit.
+    pub fn with_spares(mut self, group: &str, count: usize) -> Self {
+        self.spares.push((group.into(), count));
         self
     }
 }
 
 impl RuntimeQuery for StaticQuery {
-    fn find_good_server_group(&self, client: &str, min_bandwidth_bps: f64) -> Option<String> {
+    fn find_good_server_group(&self, client: Key, min_bandwidth_bps: f64) -> Option<Key> {
         self.bandwidth
             .iter()
-            .filter(|((c, _), bps)| c == client && *bps > min_bandwidth_bps)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("bandwidth is not NaN"))
-            .map(|((_, g), _)| g.clone())
+            .filter(|((c, _), bps)| *c == client && *bps > min_bandwidth_bps)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|&((_, g), _)| g)
     }
 
-    fn predicted_bandwidth(&self, client: &str, group: &str) -> Option<f64> {
-        self.bandwidth
-            .iter()
-            .find(|((c, g), _)| c == client && g == group)
-            .map(|(_, bps)| *bps)
-    }
-
-    fn find_spare_server(&self, group: &str) -> Option<String> {
-        self.spares
-            .iter()
-            .find(|(g, _)| g == group)
-            .and_then(|(_, list)| list.first().cloned())
-    }
-
-    fn spare_server_count(&self, group: &str) -> usize {
-        self.spares
-            .iter()
-            .find(|(g, _)| g == group)
-            .map_or(0, |(_, list)| list.len())
+    fn spare_server_count(&self, group: Key) -> usize {
+        let spares = self.spares.iter().find(|(g, _)| *g == group);
+        spares.map_or(0, |&(_, count)| count)
     }
 }
 
@@ -106,48 +87,27 @@ mod tests {
             .with_bandwidth("User3", "ServerGrp1", 5_000.0)
             .with_bandwidth("User3", "ServerGrp2", 2_000_000.0)
             .with_bandwidth("User3", "ServerGrp3", 500_000.0);
+        let user3 = Key::new("User3");
         assert_eq!(
-            q.find_good_server_group("User3", 10_000.0),
-            Some("ServerGrp2".to_string())
+            q.find_good_server_group(user3, 10_000.0),
+            Some("ServerGrp2".into())
         );
         // Nothing exceeds an absurd threshold.
-        assert_eq!(q.find_good_server_group("User3", 1e9), None);
+        assert_eq!(q.find_good_server_group(user3, 1e9), None);
         // Unknown client.
-        assert_eq!(q.find_good_server_group("User9", 10.0), None);
-    }
-
-    #[test]
-    fn predicted_bandwidth_lookup() {
-        let q = StaticQuery::new().with_bandwidth("User1", "ServerGrp1", 9e6);
-        assert_eq!(q.predicted_bandwidth("User1", "ServerGrp1"), Some(9e6));
-        assert_eq!(q.predicted_bandwidth("User1", "ServerGrp2"), None);
+        assert_eq!(q.find_good_server_group(Key::new("User9"), 10.0), None);
+        // A NaN bandwidth never clears the threshold, so it never competes.
+        let q = q.with_bandwidth("User3", "ServerGrp4", f64::NAN);
+        assert_eq!(
+            q.find_good_server_group(user3, 10_000.0),
+            Some("ServerGrp2".into())
+        );
     }
 
     #[test]
     fn spare_servers() {
-        let q = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
-        assert_eq!(q.find_spare_server("ServerGrp1"), Some("S4".to_string()));
-        assert_eq!(q.find_spare_server("ServerGrp2"), None);
-        assert_eq!(q.spare_server_count("ServerGrp1"), 2);
-        assert_eq!(q.spare_server_count("ServerGrp2"), 0);
-    }
-
-    /// A query type relying on the trait's default `spare_server_count`.
-    struct OneSpare;
-    impl RuntimeQuery for OneSpare {
-        fn find_good_server_group(&self, _: &str, _: f64) -> Option<String> {
-            None
-        }
-        fn predicted_bandwidth(&self, _: &str, _: &str) -> Option<f64> {
-            None
-        }
-        fn find_spare_server(&self, _: &str) -> Option<String> {
-            Some("S4".into())
-        }
-    }
-
-    #[test]
-    fn default_spare_count_reflects_single_lookup() {
-        assert_eq!(OneSpare.spare_server_count("any"), 1);
+        let q = StaticQuery::new().with_spares("ServerGrp1", 2);
+        assert_eq!(q.spare_server_count(Key::new("ServerGrp1")), 2);
+        assert_eq!(q.spare_server_count(Key::new("ServerGrp2")), 0);
     }
 }

@@ -194,10 +194,16 @@ mod tests {
                     let mut ops = Vec::new();
                     for call in calls {
                         match call {
-                            Call::Add(group) => add_server(ctx.model, &mut ops, group)?,
-                            Call::Remove(server) => remove_server(ctx.model, &mut ops, server)?,
-                            Call::Move(client, to) => move_client(ctx.model, &mut ops, client, to)?,
-                        };
+                            Call::Add(group) => {
+                                add_server(ctx.model, &mut ops, group)?;
+                            }
+                            Call::Remove(server) => {
+                                remove_server(ctx.model, &mut ops, server)?;
+                            }
+                            Call::Move(client, to) => {
+                                move_client(ctx.model, &mut ops, client, to)?;
+                            }
+                        }
                     }
                     Ok(TacticResult::Applied {
                         ops,

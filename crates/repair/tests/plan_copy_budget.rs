@@ -40,7 +40,7 @@ fn planning_a_repair_copies_nothing() {
         subject_name: "User1".into(),
         detail: "self.averageLatency <= maxLatency".into(),
     };
-    let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+    let query = StaticQuery::new().with_spares("ServerGrp1", 1);
     let strategy = fix_latency_strategy();
 
     let one_copy = bytes_requested(|| drop(model.clone()));

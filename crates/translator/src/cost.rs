@@ -148,6 +148,7 @@ impl RepairCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime_ops::GaugeRef;
 
     /// The runtime script of a typical client-move repair.
     fn move_repair_script() -> Vec<RuntimeOp> {
@@ -161,10 +162,10 @@ mod tests {
                 to_group: "ServerGrp2".into(),
             },
             RuntimeOp::DeleteGauge {
-                gauge: "bandwidth-gauge/User3".into(),
+                gauge: GaugeRef::Bandwidth("User3".into()),
             },
             RuntimeOp::CreateGauge {
-                gauge: "bandwidth-gauge/User3".into(),
+                gauge: GaugeRef::Bandwidth("User3".into()),
             },
         ]
     }
@@ -173,7 +174,7 @@ mod tests {
     fn add_server_script() -> Vec<RuntimeOp> {
         vec![
             RuntimeOp::FindServer {
-                client: "ServerGrp1".into(),
+                group: "ServerGrp1".into(),
                 bandwidth_threshold_bps: 10_000.0,
             },
             RuntimeOp::ConnectServer {
@@ -184,10 +185,10 @@ mod tests {
                 server: "ServerGrp1.Server4".into(),
             },
             RuntimeOp::DeleteGauge {
-                gauge: "load-gauge/ServerGrp1".into(),
+                gauge: GaugeRef::Load("ServerGrp1".into()),
             },
             RuntimeOp::CreateGauge {
-                gauge: "load-gauge/ServerGrp1".into(),
+                gauge: GaugeRef::Load("ServerGrp1".into()),
             },
         ]
     }

@@ -23,5 +23,5 @@ pub mod runtime_ops;
 pub use cost::RepairCostModel;
 pub use mapping::translate;
 pub use runtime_ops::{
-    EnvironmentManager, RecordingEnvironmentManager, RuntimeOp, TranslationError,
+    EnvironmentManager, GaugeRef, RecordingEnvironmentManager, RuntimeOp, TranslationError,
 };

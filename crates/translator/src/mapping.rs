@@ -7,9 +7,9 @@
 //! architectural model as it was before the repair to learn which server
 //! groups have no request queue yet.
 
-use crate::runtime_ops::{RuntimeOp, TranslationError};
+use crate::runtime_ops::{GaugeRef, RuntimeOp, TranslationError};
 use archmodel::style::ClientServerStyle;
-use archmodel::{ModelOp, System};
+use archmodel::{Key, ModelOp, System};
 
 /// Translates a committed repair script into the runtime operations that
 /// realise it, in execution order.
@@ -24,61 +24,43 @@ pub fn translate(
     min_bandwidth_bps: f64,
 ) -> Result<Vec<RuntimeOp>, TranslationError> {
     let mut out = Vec::new();
-    let mut queues_created: Vec<&str> = Vec::new();
+    let mut queues_created: Vec<Key> = Vec::new();
     for op in ops {
-        match op {
+        match *op {
             ModelOp::AddServer { group, server } => {
                 // Recruit a spare server, point it at the group's queue,
                 // and activate it.
                 out.push(RuntimeOp::FindServer {
-                    client: group.clone(),
+                    group,
                     bandwidth_threshold_bps: min_bandwidth_bps,
                 });
-                out.push(RuntimeOp::ConnectServer {
-                    server: server.clone(),
-                    group: group.clone(),
-                });
-                out.push(RuntimeOp::ActivateServer {
-                    server: server.clone(),
-                });
+                out.push(RuntimeOp::ConnectServer { server, group });
+                out.push(RuntimeOp::ActivateServer { server });
                 // The group's load gauge must be refreshed to include the
                 // new replica.
-                out.push(RuntimeOp::DeleteGauge {
-                    gauge: format!("load-gauge/{group}"),
-                });
-                out.push(RuntimeOp::CreateGauge {
-                    gauge: format!("load-gauge/{group}"),
-                });
+                let gauge = GaugeRef::Load(group);
+                out.push(RuntimeOp::DeleteGauge { gauge });
+                out.push(RuntimeOp::CreateGauge { gauge });
             }
-            ModelOp::RemoveServer { server } => out.push(RuntimeOp::DeactivateServer {
-                server: server.clone(),
-            }),
+            ModelOp::RemoveServer { server } => out.push(RuntimeOp::DeactivateServer { server }),
             ModelOp::MoveClient { client, to_group } => {
-                let connector = ClientServerStyle::connector_name(to_group);
+                let connector = ClientServerStyle::connector_name(to_group.as_str());
                 if model_before.connector_by_name(&connector).is_none()
-                    && !queues_created.contains(&to_group.as_str())
+                    && !queues_created.contains(&to_group)
                 {
                     queues_created.push(to_group);
-                    out.push(RuntimeOp::CreateReqQueue {
-                        group: to_group.clone(),
-                    });
+                    out.push(RuntimeOp::CreateReqQueue { group: to_group });
                 }
                 out.push(RuntimeOp::RemosGetFlow {
-                    client: client.clone(),
-                    server: to_group.clone(),
+                    client,
+                    server: to_group,
                 });
-                out.push(RuntimeOp::MoveClient {
-                    client: client.clone(),
-                    to_group: to_group.clone(),
-                });
+                out.push(RuntimeOp::MoveClient { client, to_group });
                 // The bandwidth gauge watching the old pair must be
                 // destroyed and a new one created for the new pair.
-                out.push(RuntimeOp::DeleteGauge {
-                    gauge: format!("bandwidth-gauge/{client}"),
-                });
-                out.push(RuntimeOp::CreateGauge {
-                    gauge: format!("bandwidth-gauge/{client}"),
-                });
+                let gauge = GaugeRef::Bandwidth(client);
+                out.push(RuntimeOp::DeleteGauge { gauge });
+                out.push(RuntimeOp::CreateGauge { gauge });
             }
             ModelOp::MoveClientGroup { to_group, .. } => {
                 return Err(TranslationError::NotTranslatable(format!(
@@ -252,8 +234,8 @@ mod tests {
     fn move_client_group_is_the_planners_to_realise() {
         let m = model();
         let ops = [ModelOp::MoveClientGroup {
-            clients: vec![archmodel::Key::new("User1")],
-            to_group: "ServerGrp2".to_string(),
+            clients: vec![Key::new("User1")],
+            to_group: Key::new("ServerGrp2"),
         }];
         match translate(&m, &ops, 10_000.0) {
             Err(TranslationError::NotTranslatable(reason)) => {

@@ -8,30 +8,58 @@
 //! (simulated) system.
 
 use archmodel::Key;
+use std::fmt;
 
-/// A concrete operation on the running system (Table 1).
+/// A gauge a reconfiguration retires or recreates, by what it watches.
+/// `Display` is the gauge's name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GaugeRef {
+    /// `load-gauge/{group}`: a server group's load gauge, which must be
+    /// refreshed when the group gains a replica.
+    Load(Key),
+    /// `bandwidth-gauge/{client}`: the gauge watching a moved client's old
+    /// client/group pair.
+    Bandwidth(Key),
+    /// `bandwidth-gauges/planner-batch`: every bandwidth gauge a
+    /// group-planner batch moves, relocated in one sweep.
+    PlannerBatch,
+}
+
+impl fmt::Display for GaugeRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GaugeRef::Load(group) => write!(f, "load-gauge/{group}"),
+            GaugeRef::Bandwidth(client) => write!(f, "bandwidth-gauge/{client}"),
+            GaugeRef::PlannerBatch => f.write_str("bandwidth-gauges/planner-batch"),
+        }
+    }
+}
+
+/// A concrete operation on the running system (Table 1). Every element is
+/// named by the interned [`Key`] the model names it by.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeOp {
     /// `createReqQueue()` — adds a logical request queue for a server group
     /// to the request-queue machine.
     CreateReqQueue {
         /// The server group the queue will serve.
-        group: String,
+        group: Key,
     },
-    /// `findServer([cli_ip, bw_thresh])` — finds a spare server with at least
-    /// the given bandwidth to the client.
+    /// `findServer([cli_ip, bw_thresh])` — finds a spare server for a group.
+    /// The spare itself is chosen when the `ConnectServer` that follows
+    /// executes; this operation is the search's cost.
     FindServer {
-        /// The requesting client.
-        client: String,
+        /// The server group the spare is for.
+        group: Key,
         /// Minimum acceptable bandwidth (bits per second).
         bandwidth_threshold_bps: f64,
     },
     /// `moveClient(ReqQ newQ)` — moves a client to the new request queue.
     MoveClient {
         /// The client to move.
-        client: String,
+        client: Key,
         /// The server group whose queue it should use from now on.
-        to_group: String,
+        to_group: Key,
     },
     /// `moveClientGroup(clients, ReqQ newQ)` — the group-level planner's
     /// batched client move: every listed client is re-pointed at the new
@@ -44,7 +72,7 @@ pub enum RuntimeOp {
         /// the planner's class index holds.
         clients: Vec<Key>,
         /// The server group whose queue they should use from now on.
-        to_group: String,
+        to_group: Key,
     },
     /// `drainServer(group, age)` — one sweep of the `drainServer` tactic:
     /// every replica of the group wedged transmitting a reply older than
@@ -55,7 +83,7 @@ pub enum RuntimeOp {
     /// flight.
     DrainStuckServers {
         /// The server group to sweep.
-        group: String,
+        group: Key,
         /// Replies transmitting for longer than this (seconds since the
         /// reply transfer started — queue wait does not count) are wedged.
         min_age_secs: f64,
@@ -64,38 +92,38 @@ pub enum RuntimeOp {
     /// client requests from the given queue.
     ConnectServer {
         /// The server being configured.
-        server: String,
+        server: Key,
         /// The server group / queue it will serve.
-        group: String,
+        group: Key,
     },
     /// `activateServer()` — the server should begin pulling requests.
     ActivateServer {
         /// The server to activate.
-        server: String,
+        server: Key,
     },
     /// `deactivateServer()` — the server should stop pulling requests.
     DeactivateServer {
         /// The server to deactivate.
-        server: String,
+        server: Key,
     },
     /// `remos_get_flow(clIP, svIP)` — query the predicted bandwidth between
     /// two machines.
     RemosGetFlow {
         /// Client machine.
-        client: String,
+        client: Key,
         /// Server machine (or server group representative).
-        server: String,
+        server: Key,
     },
     /// Delete a gauge that is no longer relevant after a reconfiguration
     /// (part of the repair's monitoring churn, §5.3).
     DeleteGauge {
-        /// The gauge's name.
-        gauge: String,
+        /// The gauge.
+        gauge: GaugeRef,
     },
     /// Create (or relocate) a gauge for the new configuration.
     CreateGauge {
-        /// The gauge's name.
-        gauge: String,
+        /// The gauge.
+        gauge: GaugeRef,
     },
 }
 
@@ -105,9 +133,9 @@ impl RuntimeOp {
         match self {
             RuntimeOp::CreateReqQueue { group } => format!("createReqQueue({group})"),
             RuntimeOp::FindServer {
-                client,
+                group,
                 bandwidth_threshold_bps,
-            } => format!("findServer({client}, {bandwidth_threshold_bps:.0}bps)"),
+            } => format!("findServer({group}, {bandwidth_threshold_bps:.0}bps)"),
             RuntimeOp::MoveClient { client, to_group } => {
                 format!("moveClient({client} -> {to_group})")
             }
@@ -144,8 +172,8 @@ pub enum TranslationError {
     NotTranslatable(String),
 }
 
-impl std::fmt::Display for TranslationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for TranslationError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TranslationError::UnknownTarget(t) => write!(f, "unknown runtime target: {t}"),
             TranslationError::Rejected(r) => write!(f, "runtime rejected operation: {r}"),
@@ -218,6 +246,20 @@ mod tests {
         }
         .describe()
         .starts_with("remos_get_flow"));
+        // A gauge op renders its gauge by the gauge's deployed name.
+        let gauges = [
+            GaugeRef::Load("ServerGrp1".into()),
+            GaugeRef::Bandwidth("User3".into()),
+            GaugeRef::PlannerBatch,
+        ];
+        assert_eq!(
+            gauges.map(|gauge| RuntimeOp::CreateGauge { gauge }.describe()),
+            [
+                "createGauge(load-gauge/ServerGrp1)",
+                "createGauge(bandwidth-gauge/User3)",
+                "createGauge(bandwidth-gauges/planner-batch)",
+            ]
+        );
     }
 
     #[test]

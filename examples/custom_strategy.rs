@@ -15,6 +15,7 @@
 use analysis::{provision, ProvisioningInput};
 use archmodel::constraint::{ConstraintScope, ConstraintSet, Invariant, Violation};
 use archmodel::style::{props, ClientServerStyle};
+use archmodel::Key;
 use repair::{
     add_server, NotApplicable, RepairError, RepairStrategy, StaticQuery, StrategyOutcome, Tactic,
     TacticContext, TacticResult,
@@ -40,7 +41,7 @@ impl Tactic for ProvisionToAnalysis {
             .get_f64(props::MAX_SERVER_LOAD)
             .unwrap_or(6.0);
         // Find the most loaded group.
-        let mut worst: Option<(String, f64, usize)> = None;
+        let mut worst: Option<(Key, f64, usize)> = None;
         for (id, group) in ctx
             .model
             .components_of_type(archmodel::style::SERVER_GROUP_T)
@@ -50,7 +51,7 @@ impl Tactic for ProvisionToAnalysis {
             if load > max_load {
                 match &worst {
                     Some((_, worst_load, _)) if *worst_load >= load => {}
-                    _ => worst = Some((group.name.to_string(), load, replicas)),
+                    _ => worst = Some((group.name, load, replicas)),
                 }
             }
         }
@@ -77,20 +78,19 @@ impl Tactic for ProvisionToAnalysis {
                 plan.servers
             ))));
         }
-        // The script is written against the borrowed model: each operator
-        // records its op, and nothing is applied until the repair commits.
-        let mut ops = Vec::new();
-        let mut added = Vec::new();
-        for _ in replicas..plan.servers {
-            if ctx.query.find_spare_server(&group).is_none() {
-                break;
-            }
-            added.push(add_server(ctx.model, &mut ops, &group)?);
-        }
-        if added.is_empty() {
+        if ctx.query.spare_server_count(group) == 0 {
             return Ok(TacticResult::NotApplicable(NotApplicable::Other(
                 "no spare servers available".into(),
             )));
+        }
+        // The script is written against the borrowed model: each operator
+        // records its op, and nothing is applied until the repair commits.
+        // Which spare backs each new replica is the runtime's choice when
+        // the repair executes.
+        let mut ops = Vec::new();
+        let mut added = Vec::new();
+        for _ in replicas..plan.servers {
+            added.push(add_server(ctx.model, &mut ops, group.as_str())?);
         }
         Ok(TacticResult::Applied {
             ops,
@@ -134,7 +134,7 @@ fn main() {
             service_rate: 2.5,
             max_latency: 2.0,
         }));
-    let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
+    let query = StaticQuery::new().with_spares("ServerGrp1", 2);
     match strategy.run(&model, violation, &query) {
         StrategyOutcome::Repaired {
             ops, description, ..

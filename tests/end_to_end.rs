@@ -100,7 +100,7 @@ fn repairs_change_the_running_system() {
         .app()
         .client_names()
         .iter()
-        .filter(|c| fw.app().client_group(c).unwrap() == SERVER_GROUP_2)
+        .filter(|&c| fw.app().client_group(c).unwrap() == SERVER_GROUP_2)
         .count();
     let extra_servers = fw.app().active_servers(SERVER_GROUP_1).len() > 3
         || fw.app().active_servers(SERVER_GROUP_2).len() > 2;

@@ -194,7 +194,7 @@ fn custom_strategy_flow_detects_and_repairs() {
             &self,
             ctx: &repair::TacticContext<'_>,
         ) -> Result<repair::TacticResult, repair::RepairError> {
-            if ctx.query.find_spare_server("ServerGrp1").is_none() {
+            if ctx.query.spare_server_count("ServerGrp1".into()) == 0 {
                 return Ok(repair::TacticResult::NotApplicable(
                     repair::NotApplicable::Other("no spares".into()),
                 ));
@@ -208,7 +208,7 @@ fn custom_strategy_flow_detects_and_repairs() {
         }
     }
     let strategy = RepairStrategy::new("scaleUp").with_tactic(Box::new(AddOneServer));
-    let query = StaticQuery::new().with_spares("ServerGrp1", &["S4", "S7"]);
+    let query = StaticQuery::new().with_spares("ServerGrp1", 2);
     match strategy.run(&model, violation, &query) {
         StrategyOutcome::Repaired { ops, .. } => {
             assert!(!ops.is_empty());

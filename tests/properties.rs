@@ -122,21 +122,24 @@ proptest! {
                 0 => {
                     let server = format!("{group}.Server1");
                     let ok = repair::add_server(&model, &mut ops, &group).is_ok();
+                    let (group, server) = (Key::new(&group), server.into());
                     (ok, ModelOp::AddServer { group, server })
                 }
                 1 => {
                     let ok = repair::remove_server(&model, &mut ops, &server).is_ok();
-                    (ok, ModelOp::RemoveServer { server })
+                    (ok, ModelOp::RemoveServer { server: server.into() })
                 }
                 2 => {
                     let ok = repair::move_client(&model, &mut ops, &client, &group).is_ok();
-                    (ok, ModelOp::MoveClient { client, to_group: group })
+                    let (client, to_group) = (client.into(), group.into());
+                    (ok, ModelOp::MoveClient { client, to_group })
                 }
                 // The group planner's class move: resolved, then recorded.
                 _ => {
                     let clients = vec![Key::from(client), Key::new("User1")];
-                    let ok = ClientServerStyle::resolve_move(&model, &clients, &group).is_ok();
-                    let op = ModelOp::MoveClientGroup { clients, to_group: group };
+                    let to_group = Key::new(&group);
+                    let ok = ClientServerStyle::resolve_move(&model, &clients, to_group).is_ok();
+                    let op = ModelOp::MoveClientGroup { clients, to_group };
                     if ok {
                         ops.push(op.clone());
                     }

@@ -48,7 +48,7 @@ fn violation_to_runtime_ops_for_an_overload() {
         .find(|v| v.invariant == "latency")
         .expect("latency violation for User3");
 
-    let query = StaticQuery::new().with_spares("ServerGrp1", &["S4"]);
+    let query = StaticQuery::new().with_spares("ServerGrp1", 1);
     let outcome = fix_latency_strategy().run(&model, violation, &query);
     let StrategyOutcome::Repaired { ops, .. } = outcome else {
         panic!("expected a repair, got {outcome:?}");
