@@ -7,9 +7,8 @@
 
 use arch_adapt::framework::FrameworkConfig;
 use bench::run_figure7;
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_damping_ablation() {
+fn main() {
     let duration = 900.0;
     let configs = [
         ("no damping (repair immediately on violation)", None),
@@ -37,26 +36,3 @@ fn print_damping_ablation() {
         );
     }
 }
-
-fn bench_damping(c: &mut Criterion) {
-    print_damping_ablation();
-    let mut group = c.benchmark_group("ablation_damping");
-    group.sample_size(10);
-    group.bench_function("adaptive_no_damping_short", |b| {
-        b.iter(|| {
-            run_figure7(
-                "adaptive",
-                FrameworkConfig {
-                    damping_secs: None,
-                    ..FrameworkConfig::adaptive()
-                },
-                180.0,
-            )
-            .summary
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_damping);
-criterion_main!(benches);

@@ -9,10 +9,9 @@
 
 use arch_adapt::framework::FrameworkConfig;
 use bench::run_figure7;
-use criterion::{criterion_group, criterion_main, Criterion};
 use translator::RepairCostModel;
 
-fn print_monitoring_ablation() {
+fn main() {
     let duration = 900.0;
     println!("[ablation-monitoring] adaptive run, {duration:.0} s");
     println!(
@@ -54,26 +53,3 @@ fn print_monitoring_ablation() {
         );
     }
 }
-
-fn bench_monitoring(c: &mut Criterion) {
-    print_monitoring_ablation();
-    let mut group = c.benchmark_group("ablation_monitoring");
-    group.sample_size(10);
-    group.bench_function("qos_monitoring_short", |b| {
-        b.iter(|| {
-            run_figure7(
-                "adaptive",
-                FrameworkConfig {
-                    monitoring_qos: true,
-                    ..FrameworkConfig::adaptive()
-                },
-                180.0,
-            )
-            .summary
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_monitoring);
-criterion_main!(benches);

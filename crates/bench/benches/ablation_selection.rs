@@ -7,10 +7,9 @@
 
 use arch_adapt::framework::FrameworkConfig;
 use bench::run_figure7;
-use criterion::{criterion_group, criterion_main, Criterion};
 use repair::SelectionPolicy;
 
-fn print_selection_ablation() {
+fn main() {
     let duration = 900.0;
     println!("[ablation-selection] adaptive run, {duration:.0} s, varying repair selection");
     println!(
@@ -56,26 +55,3 @@ fn print_selection_ablation() {
         );
     }
 }
-
-fn bench_selection(c: &mut Criterion) {
-    print_selection_ablation();
-    let mut group = c.benchmark_group("ablation_selection");
-    group.sample_size(10);
-    group.bench_function("worst_latency_short", |b| {
-        b.iter(|| {
-            run_figure7(
-                "adaptive",
-                FrameworkConfig {
-                    selection: SelectionPolicy::WorstLatency,
-                    ..FrameworkConfig::adaptive()
-                },
-                180.0,
-            )
-            .summary
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_selection);
-criterion_main!(benches);

@@ -8,25 +8,18 @@
 //! over the detector-off minimum. Minima are compared — not means — so a
 //! scheduler hiccup in one sample cannot fail the gate; interleaving keeps
 //! thermal/frequency drift from biasing either side.
-//!
-//! `DETECT_OVERHEAD_QUICK=1` shrinks the matrix for CI smoke runs.
 
 use arch_adapt::sweep::{run_sweep, SweepSpec};
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn quick() -> bool {
-    std::env::var("DETECT_OVERHEAD_QUICK").is_ok_and(|v| v == "1")
-}
 
 fn bench_spec(detectors: bool) -> SweepSpec {
     SweepSpec {
         topologies: vec!["paper".into(), "congested-core".into()],
         workloads: vec!["step".into()],
         strategies: vec!["adaptive".into()],
-        durations_secs: vec![if quick() { 60.0 } else { 180.0 }],
-        seeds: if quick() { vec![42] } else { vec![42, 7] },
+        durations_secs: vec![60.0],
+        seeds: vec![42],
         fault_profiles: vec!["none".into()],
         collect_metrics: false,
         detectors,
@@ -40,16 +33,15 @@ fn run_once(spec: &SweepSpec) -> Duration {
 }
 
 /// The ≤10% overhead gate on interleaved minima.
-fn assert_overhead_bounded() {
+fn main() {
     let off_spec = bench_spec(false);
     let on_spec = bench_spec(true);
     // Warm both paths once (allocator caches, lazy path trees).
     run_once(&off_spec);
     run_once(&on_spec);
-    let samples = if quick() { 3 } else { 5 };
     let mut off_min = Duration::MAX;
     let mut on_min = Duration::MAX;
-    for _ in 0..samples {
+    for _ in 0..3 {
         off_min = off_min.min(run_once(&off_spec));
         on_min = on_min.min(run_once(&on_spec));
     }
@@ -64,23 +56,3 @@ fn assert_overhead_bounded() {
         "detector-on sweep is {ratio:.3}x the detector-off sweep — the detect layer must cost ≤10%"
     );
 }
-
-fn bench_detect_overhead(c: &mut Criterion) {
-    assert_overhead_bounded();
-    let mut group = c.benchmark_group("detect_overhead");
-    group.sample_size(10);
-    for (label, detectors) in [("detectors_off", false), ("detectors_on", true)] {
-        let spec = bench_spec(detectors);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                run_sweep(black_box(&spec), 1)
-                    .expect("sweep runs")
-                    .total_units
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_detect_overhead);
-criterion_main!(benches);

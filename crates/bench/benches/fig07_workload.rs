@@ -1,15 +1,11 @@
 //! Figure 7 — the bandwidth-competition and server-load generation schedule.
 //!
 //! Prints the schedule's value at every phase of the run (the stepping
-//! functions of Figure 7) and benchmarks schedule evaluation and application.
+//! functions of Figure 7).
 
-use bench::SHORT_RUN_SECS;
-use criterion::{criterion_group, criterion_main, Criterion};
-use gridapp::{ExperimentSchedule, GridApp, GridConfig, LINK_CAPACITY_BPS};
-use simnet::SimTime;
-use std::hint::black_box;
+use gridapp::{ExperimentSchedule, GridConfig, LINK_CAPACITY_BPS};
 
-fn print_figure7() {
+fn main() {
     let config = GridConfig::default();
     let schedule = ExperimentSchedule::figure7(&config);
     println!("[fig07] Figure 7 workload schedule (values in force at sample times)");
@@ -31,38 +27,3 @@ fn print_figure7() {
     }
     println!("  phase changes at: {:?}", schedule.change_points());
 }
-
-fn bench_workload(c: &mut Criterion) {
-    print_figure7();
-    let config = GridConfig::default();
-    let schedule = ExperimentSchedule::figure7(&config);
-
-    c.bench_function("fig07/schedule_evaluation", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for t in 0..1800 {
-                acc += schedule.competition_sg1.value_at(black_box(t as f64));
-                acc += schedule.request_rate.value_at(black_box(t as f64));
-            }
-            acc
-        })
-    });
-
-    let mut group = c.benchmark_group("fig07");
-    group.sample_size(10);
-    group.bench_function("apply_schedule_to_app", |b| {
-        b.iter(|| {
-            let mut app = GridApp::build(config).expect("app builds");
-            for &t in &[0.0, 120.0] {
-                app.advance(SimTime::from_secs(t));
-                schedule.apply(&mut app, t);
-            }
-            app.advance(SimTime::from_secs(black_box(SHORT_RUN_SECS)));
-            app.in_flight()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_workload);
-criterion_main!(benches);

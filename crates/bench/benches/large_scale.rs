@@ -1,67 +1,25 @@
-//! Large-scale testbed benchmark: control-loop throughput and probe latency
-//! at 2,000 clients.
+//! Large-scale gates: the 2,000-client control loop and the fleet presets.
 //!
-//! Three things happen here:
+//! 1. The incremental constraint checker matches full sweeps at every check
+//!    of a 60 s 2,000-client adaptive run.
+//! 2. The 300 s control-vs-plannedRepair comparison at 2,000 clients: the
+//!    planner's bulk tactics must land strictly below control.
+//! 3. The same comparison at 50,000 and 100,000 clients, each run once and
+//!    wall-timed against the fleet gates.
 //!
-//! 1. **Gates** — the incremental constraint checker matches full sweeps,
-//!    and class-shared probing cuts probe solves at least 4× (the bench
-//!    aborts otherwise). The allocator's equivalence on fleet flow sets is
-//!    a release test, `crates/gridapp/tests/fleet_alloc_equivalence.rs`.
-//! 2. **Criterion measurements** — control-tick throughput (one 5 s control
-//!    period of the 2,000-client adaptive framework per iteration) and
-//!    `remos_get_flow` probe latency, warm (memoised epoch) and cold (epoch
-//!    invalidated between queries).
-//! 3. **The 300 s comparisons** — control-vs-adaptive and
-//!    control-vs-plannedRepair at 2,000 clients, then plannedRepair at 50,000
-//!    and 100,000, each run once and wall-timed against the fleet gates. The
-//!    perf trajectory itself is `gridbench`'s (`fleet2k_plan`,
-//!    `fleet50k_build`).
-//!
-//! Set `LARGE_SCALE_QUICK=1` (CI does) to collect fewer samples.
+//! The program panics on a failed gate. Class-shared probing's ≥4× cut in
+//! probe solves is the planner test
+//! `large_scale_snapshot_cuts_probe_solves_by_the_class_size`; the
+//! allocator's equivalence on fleet flow sets is the release test
+//! `crates/gridapp/tests/fleet_alloc_equivalence.rs`; the perf trajectory is
+//! `gridbench`'s (`fleet2k_plan`, `fleet50k_build`).
 
 use arch_adapt::experiment::{run_observed, Comparison, ExperimentConfig};
-use arch_adapt::framework::{AdaptationFramework, FrameworkConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
-use gridapp::{ExperimentSchedule, GridApp, GridConfig, TestbedSpec, SERVER_GROUP_1};
-use simnet::SimTime;
-use std::hint::black_box;
-
-fn quick() -> bool {
-    std::env::var("LARGE_SCALE_QUICK").is_ok_and(|v| v == "1")
-}
+use arch_adapt::framework::FrameworkConfig;
+use gridapp::{ExperimentSchedule, GridConfig, TestbedSpec};
 
 fn large_grid() -> GridConfig {
     GridConfig::with_testbed(TestbedSpec::large_scale())
-}
-
-/// Asserts the symmetry-aware class probing cuts per-tick probe sampling by
-/// at least 4× on the large-scale preset.
-fn assert_probe_sharing() {
-    let mut app = GridApp::build(large_grid()).expect("app builds");
-    app.advance(SimTime::from_secs(10.0));
-    let index = planner::ClassIndex::build(app.testbed());
-
-    let before = app.probe_solve_count();
-    let shared = planner::RepTable::new(index).member_flow_snapshot(&app);
-    let shared_solves = app.probe_solve_count() - before;
-
-    // Perturb the network so the second snapshot cannot ride the first
-    // one's per-epoch probe memo.
-    app.set_competition_sg2(SimTime::from_secs(10.5), 1.0e6);
-    let before = app.probe_solve_count();
-    let full = app.flow_snapshot();
-    let full_solves = app.probe_solve_count() - before;
-
-    assert_eq!(shared.entries().len(), full.entries().len());
-    assert!(
-        full_solves >= 4 * shared_solves.max(1),
-        "class sharing must cut probe solves ≥4×: {full_solves} vs {shared_solves}"
-    );
-    println!(
-        "[large-scale] probe sharing: {full_solves} max-min solves/snapshot per-client \
-         vs {shared_solves} class-shared ({:.0}×)",
-        full_solves as f64 / shared_solves.max(1) as f64
-    );
 }
 
 /// Asserts the incremental constraint checker is report-identical to a full
@@ -94,89 +52,13 @@ fn assert_incremental_check_equivalence() {
     );
 }
 
-fn bench_large_scale(c: &mut Criterion) {
+fn main() {
     assert_incremental_check_equivalence();
-    assert_probe_sharing();
 
-    let mut group = c.benchmark_group("large_scale");
-    group.sample_size(if quick() { 3 } else { 10 });
-
-    // Control-loop throughput: one 5 s control period of the full adaptive
-    // framework (2,000 clients, ~100 servers) per iteration.
-    group.bench_function("control_tick", |b| {
-        let mut fw = AdaptationFramework::new(large_grid(), FrameworkConfig::adaptive())
-            .expect("framework builds");
-        let mut t = 0.0;
-        b.iter(|| {
-            t += 5.0;
-            fw.tick(SimTime::from_secs(t));
-        })
-    });
-
-    // The same control period under the group planner: the tick's flow
-    // snapshot is class-shared (one max-min probe per network-position
-    // class), which is where the per-tick probe second went.
-    group.bench_function("control_tick_planned", |b| {
-        let planned = FrameworkConfig::by_name("plannedRepair").expect("preset exists");
-        let mut fw = AdaptationFramework::new(large_grid(), planned).expect("framework builds");
-        let mut t = 0.0;
-        b.iter(|| {
-            t += 5.0;
-            fw.tick(SimTime::from_secs(t));
-        })
-    });
-
-    // Probe latency, warm: repeated identical queries inside one allocation
-    // epoch are served from the epoch memo.
-    group.bench_function("remos_get_flow_warm", |b| {
-        let mut app = GridApp::build(large_grid()).expect("app builds");
-        app.advance(SimTime::from_secs(30.0));
-        b.iter(|| {
-            app.remos_get_flow(black_box("User1000"), SERVER_GROUP_1)
-                .unwrap()
-        })
-    });
-
-    // Probe latency, cold: the epoch is invalidated before every query, so
-    // each one is a fresh one-shot insert against the converged allocation.
-    group.bench_function("remos_get_flow_cold", |b| {
-        let mut app = GridApp::build(large_grid()).expect("app builds");
-        app.advance(SimTime::from_secs(30.0));
-        let mut t = 30.0;
-        let mut load = 0.0;
-        b.iter(|| {
-            t += 1.0e-3;
-            load = if load > 0.0 { 0.0 } else { 1.0e6 };
-            app.set_competition_sg2(SimTime::from_secs(t), load);
-            app.remos_get_flow(black_box("User1000"), SERVER_GROUP_1)
-                .unwrap()
-        })
-    });
-    group.finish();
-
-    // The 300 s control-vs-adaptive comparison at 2,000 clients — the run CI
-    // must complete without timing out — plus a manual ticks/sec figure.
-    let grid = large_grid();
-    let schedule = ExperimentSchedule::by_name("step", &grid, 300.0).expect("step schedule exists");
-    let started = std::time::Instant::now();
-    let comparison =
-        Comparison::run_with(grid, FrameworkConfig::adaptive(), Some(&schedule), 300.0)
-            .expect("large-scale comparison runs");
-    let wall = started.elapsed().as_secs_f64();
-    let ticks = 2.0 * 300.0 / 5.0; // both runs, one tick per 5 s period
-    let ticks_per_sec = ticks / wall;
-    println!(
-        "[large-scale] 300 s control-vs-adaptive comparison: {wall:.1} s wall, \
-         {ticks_per_sec:.1} ticks/s (control violations {:.3}, adaptive {:.3}, {} repairs)",
-        comparison.control.summary.fraction_latency_above_bound,
-        comparison.adaptive.summary.fraction_latency_above_bound,
-        comparison.adaptive.summary.repairs_completed,
-    );
-
-    // The same 300 s comparison under the group-level planner — the run the
-    // acceptance gate watches: at 2,000 clients the per-element strategies
-    // tie with control (~0.88 violation fraction both), while the planner's
-    // bulk tactics must land strictly below control.
+    // The 300 s comparison under the group-level planner: at 2,000 clients
+    // the per-element strategies tie with control (~0.88 violation fraction
+    // both), while the planner's bulk tactics must land strictly below
+    // control.
     let grid = large_grid();
     let schedule = ExperimentSchedule::by_name("step", &grid, 300.0).expect("step schedule exists");
     let planned_config = FrameworkConfig::by_name("plannedRepair").expect("preset exists");
@@ -251,6 +133,3 @@ fn bench_large_scale(c: &mut Criterion) {
         fleet100k.adaptive.summary.repairs_completed, fleet100k.adaptive.summary.client_moves,
     );
 }
-
-criterion_group!(benches, bench_large_scale);
-criterion_main!(benches);

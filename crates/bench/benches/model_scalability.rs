@@ -1,14 +1,12 @@
-//! Model-layer overhead: constraint checking and repair planning as the
-//! architectural model grows.
+//! Model-layer scale: constraint checking as the architectural model grows.
 //!
 //! The paper argues that externalised, model-based adaptation is practical;
-//! this bench quantifies the cost of the model-layer operations (constraint
-//! evaluation over all clients, repair planning, style validation) for
-//! deployments much larger than the six-client testbed.
+//! this bench prints the size of the model-layer work (components and the
+//! invariants constraint evaluation checks over all clients) for deployments
+//! much larger than the six-client testbed.
 
 use archmodel::style::{props, ClientServerStyle};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use repair::{default_constraints, RepairEngine, StaticQuery};
+use repair::default_constraints;
 
 fn sized_model(clients: usize) -> archmodel::System {
     let groups = (clients / 8).max(2);
@@ -52,7 +50,7 @@ fn sized_model(clients: usize) -> archmodel::System {
     model
 }
 
-fn print_scalability() {
+fn main() {
     println!("[model-scalability] model-layer cost vs. deployment size");
     println!(
         "  {:>10} {:>12} {:>12} {:>14}",
@@ -70,56 +68,3 @@ fn print_scalability() {
         );
     }
 }
-
-fn bench_scalability(c: &mut Criterion) {
-    print_scalability();
-    let constraints = default_constraints();
-    let mut check_group = c.benchmark_group("model_scalability/constraint_check");
-    for clients in [6usize, 24, 96, 384] {
-        let model = sized_model(clients);
-        check_group.bench_with_input(BenchmarkId::from_parameter(clients), &model, |b, model| {
-            b.iter(|| constraints.check(model).violations.len())
-        });
-    }
-    check_group.finish();
-
-    let mut plan_group = c.benchmark_group("model_scalability/repair_plan");
-    for clients in [6usize, 96] {
-        let model = sized_model(clients);
-        let report = constraints.check(&model);
-        let query = StaticQuery::new()
-            .with_spares("ServerGrp1", 1)
-            .with_bandwidth(
-                report.violations[0].subject_name.as_str(),
-                "ServerGrp2",
-                5.0e6,
-            );
-        plan_group.bench_with_input(BenchmarkId::from_parameter(clients), &clients, |b, _| {
-            b.iter(|| {
-                let mut engine = RepairEngine::new();
-                for invariant in ["latency", "bandwidth", "serverLoad"] {
-                    engine.register(invariant, repair::fix_latency_strategy());
-                }
-                matches!(
-                    engine.plan(&model, &report, &query, 0.0),
-                    repair::PlanOutcome::Plan(_)
-                )
-            })
-        });
-    }
-    plan_group.finish();
-
-    let mut validate_group = c.benchmark_group("model_scalability/style_validation");
-    for clients in [6usize, 96, 384] {
-        let model = sized_model(clients);
-        validate_group.bench_with_input(
-            BenchmarkId::from_parameter(clients),
-            &model,
-            |b, model| b.iter(|| ClientServerStyle::validate(model).len()),
-        );
-    }
-    validate_group.finish();
-}
-
-criterion_group!(benches, bench_scalability);
-criterion_main!(benches);

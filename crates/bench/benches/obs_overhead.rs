@@ -7,25 +7,18 @@
 //! ≤10% over the unmetered minimum. Minima are compared — not means — so a
 //! scheduler hiccup in one sample cannot fail the gate; interleaving keeps
 //! thermal/frequency drift from biasing either side.
-//!
-//! `OBS_OVERHEAD_QUICK=1` shrinks the matrix for CI smoke runs.
 
 use arch_adapt::sweep::{run_sweep, SweepSpec};
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn quick() -> bool {
-    std::env::var("OBS_OVERHEAD_QUICK").is_ok_and(|v| v == "1")
-}
 
 fn bench_spec(collect_metrics: bool) -> SweepSpec {
     SweepSpec {
         topologies: vec!["paper".into(), "congested-core".into()],
         workloads: vec!["step".into()],
         strategies: vec!["adaptive".into()],
-        durations_secs: vec![if quick() { 60.0 } else { 180.0 }],
-        seeds: if quick() { vec![42] } else { vec![42, 7] },
+        durations_secs: vec![60.0],
+        seeds: vec![42],
         fault_profiles: vec!["none".into()],
         collect_metrics,
         detectors: false,
@@ -39,16 +32,15 @@ fn run_once(spec: &SweepSpec) -> Duration {
 }
 
 /// The ≤10% overhead gate on interleaved minima.
-fn assert_overhead_bounded() {
+fn main() {
     let unmetered_spec = bench_spec(false);
     let metered_spec = bench_spec(true);
     // Warm both paths once (allocator caches, lazy path trees).
     run_once(&unmetered_spec);
     run_once(&metered_spec);
-    let samples = if quick() { 3 } else { 5 };
     let mut unmetered_min = Duration::MAX;
     let mut metered_min = Duration::MAX;
-    for _ in 0..samples {
+    for _ in 0..3 {
         unmetered_min = unmetered_min.min(run_once(&unmetered_spec));
         metered_min = metered_min.min(run_once(&metered_spec));
     }
@@ -63,23 +55,3 @@ fn assert_overhead_bounded() {
         "metered sweep is {ratio:.3}x the unmetered sweep — the metrics layer must cost ≤10%"
     );
 }
-
-fn bench_obs_overhead(c: &mut Criterion) {
-    assert_overhead_bounded();
-    let mut group = c.benchmark_group("obs_overhead");
-    group.sample_size(10);
-    for (label, metered) in [("null_registry", false), ("metered", true)] {
-        let spec = bench_spec(metered);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                run_sweep(black_box(&spec), 1)
-                    .expect("sweep runs")
-                    .total_units
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_obs_overhead);
-criterion_main!(benches);

@@ -9,7 +9,6 @@
 use arch_adapt::framework::FrameworkConfig;
 use archmodel::style::ClientServerStyle;
 use bench::run_figure7;
-use criterion::{criterion_group, criterion_main, Criterion};
 use repair::{add_server, move_client};
 use translator::{translate, RepairCostModel};
 
@@ -24,7 +23,7 @@ fn repair_scripts() -> (Vec<translator::RuntimeOp>, Vec<translator::RuntimeOp>) 
     (move_ops, add_ops)
 }
 
-fn print_repair_time_table() {
+fn main() {
     let (move_ops, add_ops) = repair_scripts();
     let configs = [
         (
@@ -67,19 +66,3 @@ fn print_repair_time_table() {
         run.repair_intervals
     );
 }
-
-fn bench_repair_time(c: &mut Criterion) {
-    print_repair_time_table();
-    let model = ClientServerStyle::example_system("storage", 2, 3, 6).unwrap();
-    c.bench_function("repair_time/plan_translate_cost", |b| {
-        b.iter(|| {
-            let mut script = Vec::new();
-            move_client(&model, &mut script, "User3", "ServerGrp2").unwrap();
-            let ops = translate(&model, &script, 10_000.0).unwrap();
-            RepairCostModel::paper_defaults().total_duration(&ops)
-        })
-    });
-}
-
-criterion_group!(benches, bench_repair_time);
-criterion_main!(benches);

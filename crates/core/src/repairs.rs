@@ -293,9 +293,9 @@ impl RepairLoop {
                 // rack merely because its name sorts first.
                 let runtime = match self.server_map.get(&server) {
                     Some(&existing) => existing,
-                    None => app.find_server_for_group(group).ok_or_else(|| {
-                        AppError::Invalid(format!("no spare server available for {server}"))
-                    })?,
+                    None => app
+                        .find_server_for_group(group)
+                        .ok_or(AppError::NoSpare(server))?,
                 };
                 self.server_map.insert(server, runtime);
                 app.connect_server(runtime, group)?;
@@ -417,6 +417,31 @@ mod tests {
                     app.active_servers(group).contains(&expected),
                     "{preset} {group}"
                 );
+            }
+        }
+    }
+    /// Once every spare is recruited, a `ConnectServer` fails with the typed
+    /// `NoSpare` naming the model replica, and maps that replica to nothing.
+    #[test]
+    fn a_connect_with_every_spare_taken_is_no_spare() {
+        let (config, profile) = (FrameworkConfig::adaptive(), PerformanceProfile::default());
+        let mut app = GridApp::build(GridConfig::default()).unwrap();
+        let (_, server_map) = build_model(&app, &profile).unwrap();
+        let mut monitor = Monitor::new(&app, &config);
+        let mut observer = Observer::new();
+        let mut repairs = RepairLoop::new(&config, profile, server_map);
+        let (t, group) = (SimTime::from_secs(1.0), Key::new(SERVER_GROUP_1));
+        let spares = app.spare_servers().count();
+        assert!(spares > 0);
+        for i in 0..=spares {
+            let server = Key::new(&format!("Recruit{i}"));
+            let connect = RuntimeOp::ConnectServer { server, group };
+            let outcome = repairs.apply(&connect, &mut app, &mut monitor, &mut observer, t);
+            if i < spares {
+                outcome.unwrap();
+            } else {
+                assert_eq!(outcome, Err(AppError::NoSpare(server)));
+                assert!(!repairs.server_map.contains_key(&server));
             }
         }
     }

@@ -45,7 +45,13 @@ pub enum AppError {
     NoActiveServers(Key),
     /// A network operation failed.
     Net(NetError),
-    /// The operation is invalid in the current state.
+    /// `activateServer()` on a server not connected to a queue.
+    NotConnected(Key),
+    /// A server disconnected while still active.
+    StillActive(Key),
+    /// `connectServer()` found no spare to recruit for the named replica.
+    NoSpare(Key),
+    /// A configuration, model or fault schedule that cannot be built.
     Invalid(String),
 }
 
@@ -63,6 +69,17 @@ impl std::fmt::Display for AppError {
             AppError::UnknownGroup(g) => write!(f, "unknown server group: {g}"),
             AppError::NoActiveServers(g) => write!(f, "server group {g} has no active servers"),
             AppError::Net(e) => write!(f, "network error: {e}"),
+            AppError::NotConnected(s) => write!(
+                f,
+                "invalid operation: server {s} must be connected to a queue before activation"
+            ),
+            AppError::StillActive(s) => write!(
+                f,
+                "invalid operation: server {s} must be deactivated before it is disconnected"
+            ),
+            AppError::NoSpare(s) => {
+                write!(f, "invalid operation: no spare server available for {s}")
+            }
             AppError::Invalid(m) => write!(f, "invalid operation: {m}"),
         }
     }
@@ -907,9 +924,7 @@ impl GridApp {
         let id = self.server_id(server)?;
         let state = &mut self.servers[id.ix()];
         let Some(group) = state.group else {
-            return Err(AppError::Invalid(format!(
-                "server {server} must be connected to a queue before activation"
-            )));
+            return Err(AppError::NotConnected(server));
         };
         state.active = true;
         self.refresh_idle(id);
@@ -933,9 +948,7 @@ impl GridApp {
         let id = self.server_id(server)?;
         let state = &mut self.servers[id.ix()];
         if state.active {
-            return Err(AppError::Invalid(format!(
-                "server {server} must be deactivated before it is disconnected"
-            )));
+            return Err(AppError::StillActive(server));
         }
         if let Some(group) = state.group.take() {
             self.groups[group.ix()].idle.remove(&id);
@@ -1904,6 +1917,27 @@ mod tests {
     }
 
     #[test]
+    fn runtime_op_failures_keep_their_logged_text() {
+        let cases = [
+            (
+                AppError::NotConnected("S4".into()),
+                "invalid operation: server S4 must be connected to a queue before activation",
+            ),
+            (
+                AppError::StillActive("S1".into()),
+                "invalid operation: server S1 must be deactivated before it is disconnected",
+            ),
+            (
+                AppError::NoSpare("S7".into()),
+                "invalid operation: no spare server available for S7",
+            ),
+        ];
+        for (error, text) in cases {
+            assert_eq!(error.to_string(), text);
+        }
+    }
+
+    #[test]
     fn table1_error_paths() {
         let mut app = app();
         assert!(matches!(
@@ -1919,19 +1953,19 @@ mod tests {
             Err(AppError::UnknownServer(_))
         ));
         // Activating an unconnected spare is invalid.
-        assert!(matches!(
+        assert_eq!(
             app.activate_server("S4"),
-            Err(AppError::Invalid(_))
-        ));
+            Err(AppError::NotConnected("S4".into()))
+        );
         assert!(matches!(
             app.remos_get_flow("User1", "Nowhere"),
             Err(AppError::UnknownGroup(_))
         ));
         // Disconnect requires deactivation first.
-        assert!(matches!(
+        assert_eq!(
             app.disconnect_server("S1"),
-            Err(AppError::Invalid(_))
-        ));
+            Err(AppError::StillActive("S1".into()))
+        );
         app.deactivate_server("S1").unwrap();
         app.disconnect_server("S1").unwrap();
         assert_eq!(app.active_servers(SERVER_GROUP_1), vec!["S2", "S3"]);

@@ -33,6 +33,14 @@ fn main() {
     println!("{}", render_run(&comparison.control));
     println!("{}", render_run(&comparison.adaptive));
     println!("{}", render_comparison(&comparison));
+    // Figure 8: once over the bound, the control run never recovers.
+    let control = &comparison.control;
+    let late = control.metrics.fraction_latency_above(
+        control.latency_bound_secs,
+        duration / 2.0,
+        duration,
+    );
+    println!("control, second half of the run: {late:.2} of requests above the bound");
 
     // Machine-readable output for external plotting.
     let json = serde_json::json!({

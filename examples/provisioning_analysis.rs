@@ -4,7 +4,7 @@
 //! six clients and a 10 Kbps minimum bandwidth — from an architecture-level
 //! queueing analysis. This example sweeps the arrival rate and latency bound
 //! to show how the provisioning responds, and prints the M/M/c predictions
-//! used by the `provisioning` bench.
+//! at the paper's stress load.
 //!
 //! Run with:
 //! ```text
@@ -30,7 +30,7 @@ fn main() {
     println!();
 
     println!("replica count vs. arrival rate (latency bound 2 s):");
-    for arrival in [2.0, 4.0, 6.0, 9.0, 12.0, 18.0, 24.0] {
+    for arrival in [2.0, 3.0, 4.0, 6.0, 9.0, 12.0, 18.0, 24.0] {
         let input = ProvisioningInput {
             arrival_rate: arrival,
             ..baseline

@@ -156,6 +156,9 @@ fn fault_recovery_flow_detects_and_recovers() {
         control.availability
     );
     assert!(adaptive.downtime_secs < control.downtime_secs);
+    // The failover tactic recovers the service well before the run ends.
+    let mttr = adaptive.mttr_secs.expect("the failover tactic recovers");
+    assert!(mttr < 0.6 * duration, "MTTR {mttr:.0} s");
 }
 
 /// `examples/custom_strategy.rs`: detect an overload violation with a parsed
